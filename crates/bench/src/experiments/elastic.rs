@@ -29,6 +29,7 @@ use dt_telemetry::{names, Telemetry};
 
 use super::ablation_task;
 use disttrain_core::SystemKind;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Iterations per sweep cell: long enough for multi-failure timelines at
 /// the harsh MTBF, short enough to keep the sweep interactive.
@@ -82,8 +83,13 @@ fn blast_plan(radius: u32, healer_on: bool) -> ElasticPlan {
     plan
 }
 
+/// A fresh checkpoint directory. The sequence number keeps concurrent
+/// sweeps in one process (parallel tests) out of each other's cells.
 fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dt-elastic-sweep-{tag}-{}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("dt-elastic-sweep-{tag}-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp checkpoint dir");
     dir

@@ -18,6 +18,7 @@ use dt_orchestrator::{Orchestrator, PerfModel, Profiler};
 use dt_preprocess::{DisaggregatedFeeder, Preprocess};
 use dt_simengine::{SimDuration, TraceRecorder};
 use dt_telemetry::{MetricValue, Snapshot, Telemetry};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Everything one metered run produces.
 pub struct MetricsRun {
@@ -112,7 +113,12 @@ pub fn default_metrics_run() -> MetricsRun {
         precursor_stall: SimDuration::ZERO,
         spare_slowdown: 1.0,
     };
-    let dir = std::env::temp_dir().join(format!("dt-metricsbench-{}", std::process::id()));
+    // Unique per call: concurrent runs in one process (parallel tests)
+    // must not delete each other's checkpoints.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("dt-metricsbench-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let initial = task.plan(SystemKind::DistTrain).expect("plan");

@@ -20,14 +20,14 @@ use dt_model::MllmPreset;
 use dt_orchestrator::{Orchestrator, PerfModel, Profiler, SearchMode};
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::sim::homogeneous_1f1b_makespan;
-use dt_pipeline::{simulate, PipelineSpec, Schedule, Workload};
+use dt_pipeline::{simulate, OpKind, PipelineSpec, Schedule, Workload};
 use dt_data::{DataConfig, ResolutionMode};
 use dt_preprocess::wire::{read_frame, read_json, BatchHeader, Request};
 use dt_preprocess::{Consumer, Preprocess};
 use dt_simengine::BackoffPolicy;
 use dt_reorder::{
-    inter_reorder, intra_reorder, intra_reorder_indices, max_group_load, InterReorderConfig,
-    ReorderError,
+    get_interval, inter_reorder, intra_reorder, intra_reorder_indices, max_group_load,
+    InterReorderConfig, ReorderError,
 };
 use dt_simengine::{DetRng, Json, SimDuration, SimTime};
 use dt_telemetry::{Registry, Snapshot};
@@ -90,6 +90,13 @@ pub fn registry() -> Vec<Property> {
             max_size: 14,
             max_cases: u32::MAX,
             run: alg2_invariants,
+        },
+        Property {
+            name: "reorder.alg2_interval_matches_simulate",
+            about: "incremental GETINTERVAL vs. intervals read off the 1F1B simulator, to the ns",
+            max_size: 48,
+            max_cases: u32::MAX,
+            run: alg2_interval_vs_simulate,
         },
         Property {
             name: "planner.parallel_bit_identical_to_serial",
@@ -357,6 +364,54 @@ fn alg2_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     ensure(after <= base + 3.0 * biggest + 1e-9, || {
         format!("p={p} l={l}: reordered makespan {after} blew past input order {base}")
     })
+}
+
+/// `GETINTERVAL`'s reference: every stage-0 interval read off
+/// `dt_pipeline::simulate`'s timeline — interval 0 from forward 0's end to
+/// backward 0's start, interval `j` between backwards `j−1` and `j`.
+fn simulated_intervals(cfg: &InterReorderConfig, stage0_fwd: &[f64]) -> Vec<f64> {
+    let (spec, w) = cfg.pipeline(stage0_fwd);
+    let result = simulate(&spec, &w);
+    let mut bwd: Vec<_> = result
+        .timeline
+        .iter()
+        .filter(|op| op.stage == 0 && op.kind == OpKind::Backward)
+        .collect();
+    bwd.sort_by_key(|op| op.start);
+    let f0_end = result
+        .timeline
+        .iter()
+        .find(|op| op.stage == 0 && op.microbatch == 0 && op.kind == OpKind::Forward)
+        .map(|op| op.end);
+    (0..bwd.len())
+        .map(|j| match j {
+            0 => bwd[0].start - f0_end.expect("forward 0 precedes backward 0"),
+            _ => bwd[j].start - bwd[j - 1].end,
+        })
+        .map(SimDuration::as_secs_f64)
+        .collect()
+}
+
+fn alg2_interval_vs_simulate(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
+    let l = rng.range_usize(1, size.max(1) + 1);
+    let cfg = InterReorderConfig {
+        stages: rng.range_usize(1, 25),
+        uniform_fwd: rng.range_f64(0.0, 2.0),
+        uniform_bwd: rng.range_f64(0.0, 4.0),
+        stage0_bwd_factor: [0.0, 1.0, 2.0][rng.range_usize(0, 3)],
+        vpp: rng.range_usize(1, 4) as u32,
+    };
+    let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 1.0)).collect();
+    let reference = simulated_intervals(&cfg, &times);
+    ensure(reference.len() == l, || format!("simulator ran {} of {l} backwards", reference.len()))?;
+    for (j, &want) in reference.iter().enumerate() {
+        let got = get_interval(&cfg, &times, j);
+        ensure(got.to_bits() == want.to_bits(), || {
+            format!("{cfg:?} l={l}: interval {j} is {got}, simulator says {want}")
+        })?;
+    }
+    let past = get_interval(&cfg, &times, l);
+    ensure(past == 0.0, || format!("{cfg:?} l={l}: interval past the end is {past}, not 0"))
 }
 
 fn planner_differential(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {

@@ -160,14 +160,14 @@ impl<'a> Runtime<'a> {
         &self,
         perf: &PerfModel<'_>,
         module: ModuleKind,
-        mb: &Microbatch,
+        mb: &[TrainSample],
     ) -> SimDuration {
         let plan = self.plan.module(module);
         let tp = plan.shard_tp();
         match module {
             ModuleKind::Backbone => {
                 // Fixed-length sequences: per-sample time is constant.
-                let per_sample = perf.module_fwd_time(module, &mb.samples[0].shape(), tp);
+                let per_sample = perf.module_fwd_time(module, &mb[0].shape(), tp);
                 // MoE backbones pay expert-parallel all-to-alls per layer.
                 let a2a = perf.moe_all_to_all_time(self.model.seq_len, plan.ep)
                     * self.model.backbone.layers as u64;
@@ -178,7 +178,6 @@ impl<'a> Runtime<'a> {
                 // effective width is shared by all backbone ranks, so one
                 // rank sees `width / DP_lm` of its streams.
                 let total: SimDuration = mb
-                    .samples
                     .iter()
                     .map(|s| perf.module_fwd_time(module, &s.shape(), tp))
                     .sum();
@@ -192,6 +191,13 @@ impl<'a> Runtime<'a> {
     /// Build the per-rank pipeline workload (public so figure harnesses
     /// can inspect raw per-stage timelines).
     pub fn build_workload_for(&self, perf: &PerfModel<'_>, microbatches: &[Microbatch]) -> Workload {
+        let slices: Vec<&[TrainSample]> =
+            microbatches.iter().map(|mb| mb.samples.as_slice()).collect();
+        self.rank_workload(perf, &slices)
+    }
+
+    /// [`Runtime::build_workload_for`] over borrowed microbatches.
+    fn rank_workload(&self, perf: &PerfModel<'_>, microbatches: &[&[TrainSample]]) -> Workload {
         let l = microbatches.len();
         let pp_me = self.plan.encoder.pp as usize;
         let pp_lm = self.plan.backbone.pp as usize;
@@ -284,6 +290,17 @@ impl<'a> Runtime<'a> {
         v
     }
 
+    /// One iteration over an already-drawn global batch: reorder it with
+    /// [`Runtime::planner_for`]'s planner, then simulate it. [`Runtime::run`]
+    /// with one iteration is exactly this over the stream's first batch, so
+    /// callers that trial many plans on the same batch draw it once.
+    pub(crate) fn run_batch(&self, samples: Vec<TrainSample>) -> IterationReport {
+        let coll = CollectiveCost::new(self.cluster.clone());
+        let perf = self.perf_model(&coll);
+        let batch = GlobalBatch::new(self.planner_for(&perf).reorder(samples));
+        self.simulate_iteration(&perf, &batch)
+    }
+
     /// Simulate one iteration over `batch` (already reordered).
     pub fn simulate_iteration(&self, perf: &PerfModel<'_>, batch: &GlobalBatch) -> IterationReport {
         self.simulate_iteration_traced(perf, batch, &mut TraceRecorder::disabled())
@@ -323,7 +340,7 @@ impl<'a> Runtime<'a> {
     ) -> IterationReport {
         let coll = CollectiveCost::new(self.cluster.clone());
         let dp = self.plan.backbone.dp;
-        let per_rank = batch.split(dp, self.plan.microbatch);
+        let per_rank = batch.split_slices(dp, self.plan.microbatch);
         let comm = self.build_comm_for(&coll);
         let spec = PipelineSpec { schedule: self.cfg.schedule, comm };
 
@@ -333,12 +350,12 @@ impl<'a> Runtime<'a> {
         let mut results = Vec::new();
         let mut stalls = Vec::new();
         for rank_mbs in &per_rank {
-            let workload = self.build_workload_for(perf, rank_mbs);
+            let workload = self.rank_workload(perf, rank_mbs);
             let result = simulate(&spec, &workload);
             pipeline_time = pipeline_time.max(result.makespan);
             bubble_sum += result.mean_bubble_fraction();
             let rank_samples: Vec<&TrainSample> =
-                rank_mbs.iter().flat_map(|mb| mb.samples.iter()).collect();
+                rank_mbs.iter().flat_map(|mb| mb.iter()).collect();
             let token_bytes: u64 = rank_samples.iter().map(|s| 3 * s.total_pixels()).sum();
             let rank_stall = self.preprocess_stall(&rank_samples, token_bytes);
             stall = stall.max(rank_stall);

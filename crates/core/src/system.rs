@@ -160,46 +160,50 @@ impl TrainingTask {
 
     /// Plan the task under `kind`'s orchestration policy.
     pub fn plan(&self, kind: SystemKind) -> Result<OrchestrationPlan, PlanError> {
-        let spec = self.problem_spec();
         match kind {
-            SystemKind::MegatronLM => megatron_plan(&spec, &self.model),
-            SystemKind::DistMMStar | SystemKind::DistTrain => {
-                let coll = CollectiveCost::new(self.cluster.clone());
-                // DistTrain (and DistMM*, which reuses its machinery) train
-                // with StepCCL's TP-communication overlap (§6, §A.1).
-                let perf = PerfModel::new(&self.model, &self.cluster.node.gpu, &coll).with_stepccl();
-                // The manager "samples a subset of training data" (§3).
-                let mut data =
-                    dt_data::SyntheticLaion::new(self.data.clone(), DetRng::new(self.seed).next_u64());
-                let samples = data.take(64);
-                let profile = Profiler.profile(&perf, &samples);
-                match kind {
-                    SystemKind::DistMMStar => distmm_star_plan(&spec, &self.model, &profile),
-                    _ => {
-                        // The manager shortlists the top candidates by the
-                        // closed-form objective, then runs one simulated
-                        // benchmarking trial per candidate (§3's "series of
-                        // benchmarking training trials") and keeps the
-                        // winner: fastest iteration, ties broken towards
-                        // fewer GPUs (§7.1's resource-efficiency rule).
-                        let orch = Orchestrator::builder().spec(spec).build()?;
-                        let mut candidates: Vec<OrchestrationPlan> = orch
-                            .plan_candidates(&self.model, &profile)?
-                            .into_iter()
-                            .map(|r| r.plan)
-                            .collect();
-                        // DistTrain's search space strictly contains the
-                        // baselines' points; trialing the FLOPs-proportional
-                        // plan too guarantees the adaptive search never
-                        // loses to it.
-                        candidates.extend(distmm_star_plan(&spec, &self.model, &profile).ok());
-                        Ok(self
-                            .select_by_trial(candidates.into_iter())
-                            .expect("plan_candidates guarantees a non-empty trial set"))
-                    }
-                }
+            SystemKind::MegatronLM => megatron_plan(&self.problem_spec(), &self.model),
+            SystemKind::DistMMStar => {
+                distmm_star_plan(&self.problem_spec(), &self.model, &self.profile())
             }
+            // The manager shortlists the top candidates by the closed-form
+            // objective, then runs one simulated benchmarking trial per
+            // candidate (§3's "series of benchmarking training trials") and
+            // keeps the winner: fastest iteration, ties broken towards fewer
+            // GPUs (§7.1's resource-efficiency rule).
+            SystemKind::DistTrain => Ok(self
+                .select_by_trial(self.trial_candidates()?.into_iter())
+                .expect("plan_candidates guarantees a non-empty trial set")),
         }
+    }
+
+    /// The plans DistTrain's [`TrainingTask::plan`] trials: the §4
+    /// shortlist plus the FLOPs-proportional DistMM* plan.
+    pub fn trial_candidates(&self) -> Result<Vec<OrchestrationPlan>, PlanError> {
+        let spec = self.problem_spec();
+        let profile = self.profile();
+        let orch = Orchestrator::builder().spec(spec).build()?;
+        let mut candidates: Vec<OrchestrationPlan> = orch
+            .plan_candidates(&self.model, &profile)?
+            .into_iter()
+            .map(|r| r.plan)
+            .collect();
+        // DistTrain's search space strictly contains the baselines' points;
+        // trialing the FLOPs-proportional plan too guarantees the adaptive
+        // search never loses to it.
+        candidates.extend(distmm_star_plan(&spec, &self.model, &profile).ok());
+        Ok(candidates)
+    }
+
+    /// The §4 task profile. The manager "samples a subset of training
+    /// data" (§3); DistTrain (and DistMM*, which reuses its machinery)
+    /// train with StepCCL's TP-communication overlap (§6, §A.1).
+    fn profile(&self) -> TaskProfile {
+        let coll = CollectiveCost::new(self.cluster.clone());
+        let perf = PerfModel::new(&self.model, &self.cluster.node.gpu, &coll).with_stepccl();
+        let samples =
+            dt_data::SyntheticLaion::new(self.data.clone(), DetRng::new(self.seed).next_u64())
+                .take(64);
+        Profiler.profile(&perf, &samples)
     }
 
     /// Trial-based selection among candidate plans: simulate one iteration
@@ -208,13 +212,16 @@ impl TrainingTask {
     /// rule: near-equal throughput with fewer GPUs frees the remainder for
     /// concurrent fine-tuning/inference and maximizes MFU).
     fn select_by_trial(&self, plans: impl Iterator<Item = OrchestrationPlan>) -> Option<OrchestrationPlan> {
+        // Trials run the full data path so their ranking matches the
+        // production configuration exactly. Every trial sees the stream's
+        // first global batch, so it is drawn once and cloned per plan.
+        let cfg = self.runtime_config(SystemKind::DistTrain, 1);
+        let batch = dt_data::SyntheticLaion::new(self.data.clone(), cfg.seed)
+            .take(cfg.global_batch as usize);
         let mut trials: Vec<(f64, u32, OrchestrationPlan)> = Vec::new();
         for plan in plans {
-            // Trials run the full data path so their ranking matches the
-            // production configuration exactly.
-            let cfg = self.runtime_config(SystemKind::DistTrain, 1);
-            let report = self.run_with_plan(plan, cfg);
-            trials.push((report.mean_iter_secs(), plan.total_gpus(), plan));
+            let report = self.runtime(plan, cfg.clone()).run_batch(batch.clone());
+            trials.push((report.iter_time.as_secs_f64(), plan.total_gpus(), plan));
         }
         let best = trials
             .iter()
@@ -244,12 +251,7 @@ impl TrainingTask {
     /// original, un-shrunk task) and hand the context to
     /// [`TrainingTask::replan_shrunk_warm`] after each failure.
     pub fn replan_context(&self) -> ReplanContext {
-        let coll = CollectiveCost::new(self.cluster.clone());
-        let perf = PerfModel::new(&self.model, &self.cluster.node.gpu, &coll).with_stepccl();
-        let mut data =
-            dt_data::SyntheticLaion::new(self.data.clone(), DetRng::new(self.seed).next_u64());
-        let samples = data.take(64);
-        let profile = Profiler.profile(&perf, &samples);
+        let profile = self.profile();
         let warm = WarmStart::new(&self.model, &profile);
         ReplanContext { profile, warm }
     }
@@ -292,12 +294,7 @@ impl TrainingTask {
     /// warm-starts the search.
     pub fn replan_shrunk(&self, old_plan: &OrchestrationPlan) -> Result<OrchestrationPlan, PlanError> {
         let spec = self.problem_spec();
-        let coll = CollectiveCost::new(self.cluster.clone());
-        let perf = PerfModel::new(&self.model, &self.cluster.node.gpu, &coll).with_stepccl();
-        let mut data =
-            dt_data::SyntheticLaion::new(self.data.clone(), DetRng::new(self.seed).next_u64());
-        let samples = data.take(64);
-        let profile = Profiler.profile(&perf, &samples);
+        let profile = self.profile();
         let orch = Orchestrator::builder().spec(spec).build()?;
         let mut candidates: Vec<OrchestrationPlan> = orch
             .plan_candidates(&self.model, &profile)?
@@ -333,14 +330,11 @@ impl TrainingTask {
     /// match, e.g. DistTrain's plan + random data order for Figure 16).
     /// Infallible: planning is where feasibility is decided.
     pub fn run_with_plan(&self, plan: OrchestrationPlan, cfg: RuntimeConfig) -> TrainingReport {
-        let runtime = Runtime {
-            model: &self.model,
-            cluster: &self.cluster,
-            plan,
-            data: self.data.clone(),
-            cfg,
-        };
-        runtime.run()
+        self.runtime(plan, cfg).run()
+    }
+
+    fn runtime(&self, plan: OrchestrationPlan, cfg: RuntimeConfig) -> Runtime<'_> {
+        Runtime { model: &self.model, cluster: &self.cluster, plan, data: self.data.clone(), cfg }
     }
 }
 
@@ -404,6 +398,24 @@ mod tests {
         let mg = t.run(SystemKind::MegatronLM, 2).unwrap();
         assert!(dt.mfu() >= dm.mfu(), "DistTrain {:.3} vs DistMM* {:.3}", dt.mfu(), dm.mfu());
         assert!(dm.mfu() > mg.mfu(), "DistMM* {:.3} vs Megatron {:.3}", dm.mfu(), mg.mfu());
+    }
+
+    #[test]
+    fn trials_on_a_shared_batch_match_one_iteration_runs() {
+        // `select_by_trial` draws the first global batch once and hands a
+        // clone to every candidate; each trial must be bit-identical to a
+        // one-iteration `Runtime::run` of that plan.
+        let t = task(MllmPreset::Mllm9B);
+        let cfg = t.runtime_config(SystemKind::DistTrain, 1);
+        let batch =
+            dt_data::SyntheticLaion::new(t.data.clone(), cfg.seed).take(cfg.global_batch as usize);
+        for kind in [SystemKind::DistTrain, SystemKind::MegatronLM, SystemKind::DistMMStar] {
+            let plan = t.plan(kind).expect("ablation task plans");
+            let trial = t.runtime(plan, cfg.clone()).run_batch(batch.clone());
+            let run = t.run_with_plan(plan, cfg.clone());
+            assert_eq!(format!("{trial:?}"), format!("{:?}", run.iterations[0]), "{kind}");
+            assert_eq!(trial.iter_time.as_secs_f64().to_bits(), run.mean_iter_secs().to_bits());
+        }
     }
 
     #[test]

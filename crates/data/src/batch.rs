@@ -69,6 +69,15 @@ impl GlobalBatch {
     /// Requires `len == dp × microbatch × k` for integer `k` (the trainer
     /// validates batch divisibility at startup, as Megatron does).
     pub fn split(&self, dp: u32, microbatch: u32) -> Vec<Vec<Microbatch>> {
+        self.split_slices(dp, microbatch)
+            .into_iter()
+            .map(|rank| rank.into_iter().map(|mb| Microbatch { samples: mb.to_vec() }).collect())
+            .collect()
+    }
+
+    /// [`GlobalBatch::split`] without copying: each microbatch is a slice
+    /// of `samples`.
+    pub fn split_slices(&self, dp: u32, microbatch: u32) -> Vec<Vec<&[TrainSample]>> {
         let dp = dp.max(1) as usize;
         let m = microbatch.max(1) as usize;
         assert!(
@@ -79,15 +88,7 @@ impl GlobalBatch {
             m
         );
         let per_rank = self.samples.len() / dp;
-        self.samples
-            .chunks(per_rank)
-            .map(|chunk| {
-                chunk
-                    .chunks(m)
-                    .map(|mb| Microbatch { samples: mb.to_vec() })
-                    .collect()
-            })
-            .collect()
+        self.samples.chunks(per_rank).map(|chunk| chunk.chunks(m).collect()).collect()
     }
 
     /// Number of microbatches each DP rank runs per iteration

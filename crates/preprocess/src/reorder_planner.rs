@@ -6,7 +6,7 @@
 use dt_data::cost::multimodal_size;
 use dt_data::TrainSample;
 use dt_model::MultimodalLlm;
-use dt_reorder::{inter_reorder, intra_reorder, InterReorderConfig};
+use dt_reorder::{inter_reorder, intra_reorder_indices, InterReorderConfig};
 
 /// Which reordering passes to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +55,16 @@ impl ReorderPlanner {
             return samples;
         }
 
+        // Size every sample once; both passes permute indices into
+        // `sizes`, and the samples themselves are moved, never cloned.
+        let sizes: Vec<f64> = samples.iter().map(|s| multimodal_size(&self.model, s)).collect();
+        let mut slots: Vec<Option<TrainSample>> = samples.into_iter().map(Some).collect();
+        let mut take = |i: usize| slots[i].take().expect("each index placed exactly once");
+
         // Algorithm 1: balance multimodal load across DP groups.
-        let balanced = intra_reorder(samples, dp, |s| multimodal_size(&self.model, s))
-            .expect("divisibility checked above");
+        let balanced = intra_reorder_indices(&sizes, dp).expect("divisibility checked above");
         if matches!(self.mode, ReorderMode::IntraOnly) {
-            return balanced;
+            return balanced.into_iter().map(take).collect();
         }
 
         // Algorithm 2: within each DP rank's contiguous chunk, permute
@@ -67,16 +72,13 @@ impl ReorderPlanner {
         let per_rank = balanced.len() / dp;
         let mut out = Vec::with_capacity(balanced.len());
         for chunk in balanced.chunks(per_rank) {
-            let microbatches: Vec<&[TrainSample]> = chunk.chunks(m).collect();
+            let microbatches: Vec<&[usize]> = chunk.chunks(m).collect();
             let mb_secs: Vec<f64> = microbatches
                 .iter()
-                .map(|mb| {
-                    mb.iter().map(|s| multimodal_size(&self.model, s)).sum::<f64>() * self.secs_per_flop
-                })
+                .map(|mb| mb.iter().map(|&i| sizes[i]).sum::<f64>() * self.secs_per_flop)
                 .collect();
-            let order = inter_reorder(&self.inter_cfg, &mb_secs);
-            for idx in order {
-                out.extend_from_slice(microbatches[idx]);
+            for idx in inter_reorder(&self.inter_cfg, &mb_secs) {
+                out.extend(microbatches[idx].iter().map(|&i| take(i)));
             }
         }
         out

@@ -75,6 +75,16 @@ if grep -q '"proven_optimal":false' BENCH_solver.json; then
     exit 1
 fi
 
+echo "==> bench_reorder smoke (BENCH_layers.json: Alg 1/Alg 2 and the production reorder pass)"
+# Same cwd pinning as bench_orchestrator. The production cases time
+# ReorderPlanner::reorder on a 1920-sample MLLM-72B batch with the
+# 1296-GPU plan's planner and with the deepest trial candidate's.
+DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_LAYERS_JSON="$PWD/BENCH_layers.json" \
+    cargo bench -p dt-bench --bench bench_reorder --quiet
+test -s BENCH_layers.json || { echo "BENCH_layers.json missing or empty" >&2; exit 1; }
+grep -q '"name":"reorder_planner/deepest_candidate_' BENCH_layers.json \
+    || { echo "production reorder cases missing from BENCH_layers.json" >&2; exit 1; }
+
 echo "==> repro serve smoke (daemon round-trip: plan, warm hit, replan, simulate, /metrics, drain)"
 # Ephemeral port: the daemon prints its bound address on stdout; poll the
 # log until it appears, then drive it with the one-shot client. The second
