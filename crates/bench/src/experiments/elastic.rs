@@ -111,7 +111,7 @@ pub fn run() -> Report {
     r.note("goodput = committed compute / wall clock; Δmfu = final epoch vs");
     r.note("pre-failure plan (0 when the cluster never shrank).");
     r.note("replan = real host time in the §4 re-orchestration search across");
-    r.note("all shrinks (the parallel search keeps this off the recovery path).");
+    r.note("all shrinks (the warm-started pruned search keeps this short).");
     r.note("radius = nodes per correlated failure domain at a fixed per-domain");
     r.note("event rate; healer = anomaly-driven preemptive checkpoint + slow-");
     r.note("spare eviction; actions = healer actions taken.");

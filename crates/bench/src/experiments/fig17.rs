@@ -10,7 +10,7 @@
 use crate::report::{fmt_secs, Report};
 use dt_data::{DataConfig, ResolutionMode, SyntheticLaion, TrainSample};
 use dt_preprocess::service::preprocess_parallel;
-use dt_preprocess::{DisaggregatedFeeder, Preprocess};
+use dt_preprocess::{Consumer, Preprocess};
 use std::time::{Duration, Instant};
 
 /// A synthetic "iteration batch" of one sample with `n` images at `res`.
@@ -52,7 +52,8 @@ pub fn disaggregated_overhead(n: u32, res: u32) -> Duration {
     // batches (§7.3: seconds to tens of seconds), so floor the gap there.
     let iteration_gap = colocated_overhead(n, res, 1).mul_f64(1.3).max(Duration::from_millis(100));
     let producer = Preprocess::builder(data, 1).spawn().expect("producer");
-    let feeder = DisaggregatedFeeder::connect(producer.addr(), 1, 2).expect("connect");
+    let feeder =
+        Consumer::builder(producer.addrs()).batch(1).pipeline(2).connect().expect("connect");
     // Cold fetch fills the queue; the steady-state stall is what the paper
     // reports.
     let _ = feeder.next_batch().expect("warm-up batch");

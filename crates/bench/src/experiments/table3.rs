@@ -4,14 +4,11 @@
 //! Paper measurements for MLLM-72B: 922 ms at 1296 GPUs / BS 1920, down
 //! to 133 ms at 112 GPUs / BS 240. We time our solver on the same matrix
 //! (absolute numbers differ — different machine and solver — but the
-//! sub-second bound and the growth with scale must reproduce), in all
-//! three search modes: the serial reference traversal, the parallel
-//! lattice-sharded search, and the default branch-and-bound pruned
-//! search. All three return bit-identical plans; the speedup columns show
-//! what sharding and pruning buy on this host (sharding ≈1× on a
-//! single-core machine, where the parallel mode falls back to inline
-//! execution; pruning wins regardless of core count because it solves
-//! fewer lattice points, and certifies the result optimal).
+//! sub-second bound and the growth with scale must reproduce), in both
+//! search modes: the serial reference traversal and the default
+//! branch-and-bound pruned search. Both return bit-identical plans; the
+//! speedup column shows what pruning buys — it solves fewer lattice
+//! points, and certifies the result optimal.
 
 use crate::report::Report;
 use disttrain_core::TrainingTask;
@@ -21,16 +18,14 @@ use dt_model::{MllmPreset, MultimodalLlm};
 use dt_orchestrator::{Orchestrator, PerfModel, PlanReport, Profiler, SearchMode};
 use std::time::Duration;
 
-/// One scale's timing: the same solve in all three search modes.
+/// One scale's timing: the same solve in both search modes.
 pub struct SolveTiming {
     /// Serial reference traversal.
     pub serial: Duration,
-    /// Parallel lattice-sharded search (auto worker count).
-    pub parallel: Duration,
     /// Branch-and-bound pruned search (the default mode).
     pub pruned: Duration,
-    /// Lattice points evaluated by the exhaustive modes (identical in
-    /// serial and parallel; the pruned mode solves strictly fewer).
+    /// Lattice points evaluated by the serial traversal (the pruned mode
+    /// solves strictly fewer).
     pub candidates: usize,
     /// Lattice points the pruned search actually solved.
     pub pruned_solves: usize,
@@ -41,19 +36,14 @@ pub struct SolveTiming {
 }
 
 impl SolveTiming {
-    /// Serial time over parallel time (>1 means the sharding won).
-    pub fn speedup(&self) -> f64 {
-        self.serial.as_secs_f64() / self.parallel.as_secs_f64().max(1e-9)
-    }
-
     /// Serial time over pruned time (>1 means branch-and-bound won).
     pub fn pruned_speedup(&self) -> f64 {
         self.serial.as_secs_f64() / self.pruned.as_secs_f64().max(1e-9)
     }
 }
 
-/// Time one orchestration solve for MLLM-72B at `gpus`/`batch` in all
-/// three search modes.
+/// Time one orchestration solve for MLLM-72B at `gpus`/`batch` in both
+/// search modes.
 pub fn solve_time(gpus: u32, batch: u32) -> SolveTiming {
     let model: MultimodalLlm = MllmPreset::Mllm72B.build();
     let mut task = TrainingTask::production(model);
@@ -76,21 +66,17 @@ pub fn solve_time(gpus: u32, batch: u32) -> SolveTiming {
             .expect("orchestration must succeed")
     };
     let serial = solve(SearchMode::Serial);
-    let parallel = solve(SearchMode::Parallel);
     let pruned = solve(SearchMode::Pruned);
-    assert_eq!(serial.plan, parallel.plan, "search modes must agree bit-for-bit");
-    assert_eq!(serial.candidates_evaluated, parallel.candidates_evaluated);
     assert_eq!(serial.plan, pruned.plan, "pruning must not change the plan");
     // Pruning solves fewer points by design — its counter is reported
     // separately, never compared against the exhaustive lattice size.
     SolveTiming {
         serial: serial.solve_wall_time,
-        parallel: parallel.solve_wall_time,
         pruned: pruned.solve_wall_time,
         candidates: serial.candidates_evaluated,
         pruned_solves: pruned.candidates_evaluated,
         proven_optimal: pruned.proven_optimal,
-        cache_hits: parallel.cache_hits,
+        cache_hits: serial.cache_hits,
     }
 }
 
@@ -102,7 +88,6 @@ pub fn run() -> Report {
             "# GPUs",
             "global batch",
             "serial",
-            "parallel",
             "pruned",
             "prune speedup",
             "solves",
@@ -111,10 +96,9 @@ pub fn run() -> Report {
     );
     r.note("All solvers are sub-second; time grows with cluster scale.");
     r.note(
-        "serial = reference traversal; parallel = lattice-sharded search; \
-         pruned = branch-and-bound with an optimality certificate \
-         (all bit-identical plans). solves = points solved by the pruned \
-         search / the exhaustive lattice size.",
+        "serial = exhaustive reference traversal; pruned = branch-and-bound \
+         with an optimality certificate (bit-identical plans). solves = \
+         points solved by the pruned search / the exhaustive lattice size.",
     );
     for (gpus, batch, paper) in [
         (1296u32, 1920u32, "922ms"),
@@ -127,7 +111,6 @@ pub fn run() -> Report {
             format!("{gpus}"),
             format!("{batch}"),
             format!("{:.0}ms", t.serial.as_secs_f64() * 1e3),
-            format!("{:.0}ms", t.parallel.as_secs_f64() * 1e3),
             format!("{:.0}ms", t.pruned.as_secs_f64() * 1e3),
             format!("{:.2}x", t.pruned_speedup()),
             format!("{}/{}", t.pruned_solves, t.candidates),
@@ -146,12 +129,9 @@ mod tests {
         for (gpus, batch) in [(1296u32, 1920u32), (112, 240)] {
             let t = solve_time(gpus, batch);
             assert!(
-                t.serial < Duration::from_secs(5)
-                    && t.parallel < Duration::from_secs(5)
-                    && t.pruned < Duration::from_secs(5),
-                "solve at {gpus} GPUs took {:?}/{:?}/{:?} (paper: <1s; allow debug-build slack)",
+                t.serial < Duration::from_secs(5) && t.pruned < Duration::from_secs(5),
+                "solve at {gpus} GPUs took {:?}/{:?} (paper: <1s; allow debug-build slack)",
                 t.serial,
-                t.parallel,
                 t.pruned,
             );
             assert!(t.cache_hits > t.candidates as u64, "the memo table must absorb lookups");

@@ -15,7 +15,7 @@ use dt_data::{DataConfig, ResolutionMode};
 use dt_elastic::{run_elastic_instrumented, CheckpointPolicy, ElasticPlan};
 use dt_model::MllmPreset;
 use dt_orchestrator::{Orchestrator, PerfModel, Profiler};
-use dt_preprocess::{DisaggregatedFeeder, Preprocess};
+use dt_preprocess::{Consumer, Preprocess};
 use dt_simengine::{SimDuration, TraceRecorder};
 use dt_telemetry::{MetricValue, Snapshot, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,7 +78,11 @@ pub fn default_metrics_run() -> MetricsRun {
         .telemetry(tel.clone())
         .spawn()
         .expect("spawn producer");
-    let feeder = DisaggregatedFeeder::connect_instrumented(producer.addr(), 4, 2, None, tel.clone())
+    let feeder = Consumer::builder(producer.addrs())
+        .batch(4)
+        .pipeline(2)
+        .telemetry(tel.clone())
+        .connect()
         .expect("connect feeder");
     for _ in 0..2 {
         let _ = feeder.next_batch().expect("fetch batch");

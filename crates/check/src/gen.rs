@@ -43,7 +43,7 @@ pub fn heterogeneous_workload(rng: &mut DetRng, p: usize, l: usize) -> Workload 
 }
 
 /// A random planner problem spec over the cluster shapes the evaluation
-/// sweeps (kept small enough that the full serial/parallel differential
+/// sweeps (kept small enough that the full serial/pruned differential
 /// stays fast under `--seeds 200`).
 pub fn problem_spec(rng: &mut DetRng) -> ProblemSpec {
     ProblemSpec {

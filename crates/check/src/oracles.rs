@@ -99,13 +99,6 @@ pub fn registry() -> Vec<Property> {
             run: alg2_interval_vs_simulate,
         },
         Property {
-            name: "planner.parallel_bit_identical_to_serial",
-            about: "§4 search: parallel sharded traversal ≡ serial reference on random specs",
-            max_size: 1,
-            max_cases: 10,
-            run: planner_differential,
-        },
-        Property {
             name: "planner.pruned_matches_exhaustive",
             about: "§4 search: branch-and-bound pruning ≡ exhaustive serial, infeasible shapes included",
             max_size: 1,
@@ -412,59 +405,6 @@ fn alg2_interval_vs_simulate(rng: &mut DetRng, size: usize) -> Result<(), Failur
     }
     let past = get_interval(&cfg, &times, l);
     ensure(past == 0.0, || format!("{cfg:?} l={l}: interval past the end is {past}, not 0"))
-}
-
-fn planner_differential(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {
-    let spec = gen::problem_spec(rng);
-    let model = MllmPreset::Mllm9B.build();
-    let gpu = GpuSpec::ampere();
-    let coll = CollectiveCost::new(ClusterSpec::production((spec.total_gpus / 8).max(1)));
-    let perf = PerfModel::new(&model, &gpu, &coll);
-    let samples = gen::sample_batch(rng, 16);
-    let profile = Profiler.profile(&perf, &samples);
-    let solve = |mode: SearchMode, workers: usize| {
-        Orchestrator::builder()
-            .spec(spec)
-            .search_mode(mode)
-            .workers(workers)
-            .build()
-            .map_err(|e| Failure::new(format!("generated spec rejected: {e}")))
-            .map(|orch| orch.plan_candidates(&model, &profile))
-    };
-    let serial = solve(SearchMode::Serial, 0)?;
-    let parallel = solve(SearchMode::Parallel, 4)?;
-    match (serial, parallel) {
-        (Ok(s), Ok(p)) => {
-            ensure(s.len() == p.len(), || {
-                format!("{spec:?}: serial ranked {} candidates, parallel {}", s.len(), p.len())
-            })?;
-            for (i, (a, b)) in s.iter().zip(&p).enumerate() {
-                ensure(a.plan == b.plan, || {
-                    format!("{spec:?}: candidate {i} plans diverge: {:?} vs {:?}", a.plan, b.plan)
-                })?;
-                ensure(a.objective.total().to_bits() == b.objective.total().to_bits(), || {
-                    format!(
-                        "{spec:?}: candidate {i} objectives not bit-identical: {} vs {}",
-                        a.objective.total(),
-                        b.objective.total()
-                    )
-                })?;
-                ensure(
-                    a.candidates_evaluated == b.candidates_evaluated && a.cache_hits == b.cache_hits,
-                    || format!("{spec:?}: candidate {i} search diagnostics diverge"),
-                )?;
-            }
-            Ok(())
-        }
-        (Err(se), Err(pe)) => ensure(se == pe, || {
-            format!("{spec:?}: serial error {se:?} vs parallel error {pe:?}")
-        }),
-        (s, p) => Err(Failure::new(format!(
-            "{spec:?}: serial {} vs parallel {}",
-            s.map(|v| format!("Ok({} candidates)", v.len())).unwrap_or_else(|e| format!("Err({e})")),
-            p.map(|v| format!("Ok({} candidates)", v.len())).unwrap_or_else(|e| format!("Err({e})")),
-        ))),
-    }
 }
 
 /// The optimality certificate for the branch-and-bound planner: on every
@@ -851,16 +791,6 @@ mod tests {
             let out = run_property(&p, 12);
             assert!(out.failure.is_none(), "{}: {:?}", p.name, out.failure);
         }
-    }
-
-    #[test]
-    fn planner_differential_holds_on_two_cases() {
-        let p = registry()
-            .into_iter()
-            .find(|p| p.name == "planner.parallel_bit_identical_to_serial")
-            .unwrap();
-        let out = run_property(&p, 2);
-        assert!(out.failure.is_none(), "{:?}", out.failure);
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! the Table 3 scales). [`PerfCache`] prebuilds the complete table once per
 //! search: one `f64` per `(module, TP choice)` plus the backbone memory
 //! estimate for the HBM gate. The table is immutable after construction,
-//! so the parallel search workers share one instance read-only; the only
-//! mutable state is a pair of `dt_telemetry::Counter`s (relaxed atomics)
-//! reported in [`crate::orchestrate::PlanReport`] and mirrored into the
+//! so a [`crate::orchestrate::WarmStart`] can share one instance across
+//! replans; the only mutable state is a pair of `dt_telemetry::Counter`s
+//! (relaxed atomics) reported in [`crate::orchestrate::PlanReport`] and mirrored into the
 //! planner's metric registry when one is attached.
 //!
 //! Table entries are the *exact* `f64`s `TaskProfile::train` would return
 //! at the trial TPs, so a cached search is bit-identical to an uncached
-//! one — the determinism guarantee the serial/parallel equivalence test
-//! relies on.
+//! one — the determinism guarantee the serial/pruned equivalence tests
+//! rely on.
 
 use crate::profiler::{interp, TaskProfile, TrainCost, TRIAL_TPS};
 use dt_model::memory::ModuleMemory;
@@ -36,7 +36,7 @@ pub struct PerfCache {
     /// memory-gate operand, computed once instead of once per lattice
     /// point).
     pub backbone_memory: ModuleMemory,
-    /// Table lookups served (relaxed; aggregated across workers).
+    /// Table lookups served (relaxed; aggregated across searches).
     hits: Counter,
     /// Lookups that fell outside the trial-TP grid and were interpolated.
     misses: Counter,

@@ -69,7 +69,7 @@ impl ModuleProfile {
 /// §4.2 objective consumes. Implemented by [`TaskProfile`] (interpolating
 /// the trial points on every call) and by
 /// [`crate::cache::PerfCache`] (a prebuilt table over the trial TPs,
-/// shared read-only across the parallel search workers). The solver and
+/// built once per search). The solver and
 /// objective are generic over this trait so both paths produce
 /// bit-identical numbers.
 pub trait TrainCost {

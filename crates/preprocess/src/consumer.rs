@@ -559,6 +559,10 @@ mod tests {
             .filter(|s| s.pid == CONSUMER_PID && s.cat == cat::PRE_FETCH)
             .collect();
         assert!(prefetch.len() >= 3, "expected traced prefetch spans; got {spans:?}");
+        assert!(
+            spans.iter().any(|s| s.pid == CONSUMER_PID && s.cat == cat::STALL),
+            "trainer-visible queue waits must be recorded: {spans:?}"
+        );
         // Every consumer prefetch span roots its own trace...
         for span in &prefetch {
             assert!(get(span, arg::TRACE).is_some(), "untraced prefetch span: {span:?}");
@@ -573,6 +577,43 @@ mod tests {
                 })
         });
         assert!(linked, "producer spans must nest under consumer prefetch spans: {spans:?}");
+    }
+
+    #[test]
+    fn instrumented_feeder_and_producer_record_the_preprocess_families() {
+        let tel = Telemetry::enabled();
+        let plane = Preprocess::builder(tiny_data(), 23).telemetry(tel.clone()).spawn().unwrap();
+        let feeder = Consumer::builder(plane.addrs())
+            .batch(3)
+            .pipeline(2)
+            .backoff(fast_backoff(6))
+            .telemetry(tel.clone())
+            .connect()
+            .unwrap();
+        let (_, first) = feeder.next_batch().unwrap();
+        let (_, _) = feeder.next_batch().unwrap();
+        drop(feeder);
+        drop(plane);
+        let snap = tel.snapshot();
+        // Real cross-thread recording: producer session thread +
+        // supervisor thread + trainer thread all hit the same registry.
+        for h in [
+            names::PREPROCESS_FETCH_SECONDS,
+            names::PREPROCESS_DECODE_SECONDS,
+            names::PREPROCESS_FEED_SECONDS,
+            names::PREPROCESS_PREFETCH_SECONDS,
+            names::PREPROCESS_STALL_SECONDS,
+        ] {
+            let hist = snap.histogram_value(h, &[]).unwrap_or_else(|| panic!("missing {h}"));
+            assert!(hist.count >= 2, "{h} must observe both batches");
+        }
+        assert!(snap.counter_value(names::PREPROCESS_BATCHES_TOTAL, &[]).unwrap() >= 2);
+        assert!(snap.counter_value(names::PREPROCESS_SAMPLES_TOTAL, &[]).unwrap() >= 6);
+        // The stall histogram's largest observation covers the cold wait.
+        let stall = snap.histogram_value(names::PREPROCESS_STALL_SECONDS, &[]).unwrap();
+        assert!(stall.sum >= first.stall.as_secs_f64() * 0.5);
+        // Queue depth returns to a small value once drained (gauge exists).
+        assert!(snap.gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[]).is_some());
     }
 
     #[test]

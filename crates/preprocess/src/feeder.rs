@@ -2,22 +2,15 @@
 //!
 //! [`ColocatedFeeder`] is the monolithic baseline — preprocessing runs
 //! synchronously on the training thread, so its full cost lands on the
-//! iteration (§2.1). [`DisaggregatedFeeder`] is DistTrain's path — a
-//! prefetch thread keeps a bounded queue of ready batches fed from the TCP
-//! producer, so the training thread only ever pays the (near-zero) queue
-//! wait. Both report the *stall* they impose on training, which is exactly
+//! iteration (§2.1). DistTrain's path is the prefetching
+//! [`crate::consumer::MultiFeeder`], which delivers the same
+//! [`PreprocessedBatch`]es from one or more TCP producers. Both report the
+//! *stall* they impose on training ([`FeederReport`]), which is exactly
 //! the metric Figure 17 plots.
 
-use crate::codec::preprocess_sample;
 use crate::reorder_planner::ReorderPlanner;
 use crate::service::preprocess_parallel;
-use crate::wire::{read_frame, read_json, write_json, BatchHeader, Request};
 use dt_data::{DataConfig, GlobalBatch, SyntheticLaion};
-use dt_simengine::trace::{cat, WallTraceSink};
-use dt_telemetry::{names, Telemetry};
-use std::io;
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// One preprocessed global batch, as delivered to the trainer.
@@ -84,145 +77,13 @@ impl ColocatedFeeder {
 /// [`crate::service::PREPROCESS_PID`].
 pub const CONSUMER_PID: u64 = 1_001;
 
-/// DistTrain's consumer: prefetching client of the TCP producer.
-pub struct DisaggregatedFeeder {
-    rx: Receiver<io::Result<PreprocessedBatch>>,
-    trace: Option<WallTraceSink>,
-    telemetry: Telemetry,
-}
-
-impl DisaggregatedFeeder {
-    /// Connect to a producer and start prefetching `batch_size`-sample
-    /// global batches, keeping up to `prefetch_depth` ready in the queue.
-    pub fn connect(addr: SocketAddr, batch_size: u32, prefetch_depth: usize) -> io::Result<Self> {
-        Self::connect_instrumented(addr, batch_size, prefetch_depth, None, Telemetry::disabled())
-    }
-
-    /// [`DisaggregatedFeeder::connect`] with wall-clock span emission: the
-    /// prefetch thread records each producer round trip as a
-    /// `preprocess.fetch` span (tid 0) and [`Self::next_batch`] records the
-    /// trainer-visible queue wait as a `stall` span (tid 1), both on process
-    /// [`CONSUMER_PID`].
-    pub fn connect_traced(
-        addr: SocketAddr,
-        batch_size: u32,
-        prefetch_depth: usize,
-        trace: Option<WallTraceSink>,
-    ) -> io::Result<Self> {
-        Self::connect_instrumented(addr, batch_size, prefetch_depth, trace, Telemetry::disabled())
-    }
-
-    /// [`DisaggregatedFeeder::connect_traced`] with metrics: the prefetch
-    /// thread observes each producer round trip into
-    /// [`names::PREPROCESS_PREFETCH_SECONDS`] and tracks the ready-queue
-    /// depth in [`names::PREPROCESS_QUEUE_DEPTH`] (+1 on enqueue, −1 on
-    /// dequeue); [`Self::next_batch`] observes the trainer-visible wait
-    /// into [`names::PREPROCESS_STALL_SECONDS`].
-    pub fn connect_instrumented(
-        addr: SocketAddr,
-        batch_size: u32,
-        prefetch_depth: usize,
-        trace: Option<WallTraceSink>,
-        telemetry: Telemetry,
-    ) -> io::Result<Self> {
-        let mut stream = TcpStream::connect(addr)?;
-        let (tx, rx) = sync_channel(prefetch_depth.max(1));
-        let prefetch_sink = trace.clone();
-        let prefetch_tel = telemetry.clone();
-        std::thread::Builder::new()
-            .name("dt-preprocess-prefetch".into())
-            .spawn(move || loop {
-                let started = Instant::now();
-                let result = fetch_one(&mut stream, batch_size);
-                if let Some(sink) = &prefetch_sink {
-                    sink.record(format!("prefetch x{batch_size}"), cat::PRE_FETCH, CONSUMER_PID, 0, started);
-                }
-                prefetch_tel.with(|r| {
-                    r.histogram(names::PREPROCESS_PREFETCH_SECONDS, &[])
-                        .observe(started.elapsed().as_secs_f64())
-                });
-                let failed = result.is_err();
-                if tx.send(result).is_err() {
-                    // Consumer dropped: politely close the session.
-                    let _ = write_json(&mut stream, &Request::Shutdown);
-                    return;
-                }
-                prefetch_tel.with(|r| r.gauge(names::PREPROCESS_QUEUE_DEPTH, &[]).add(1.0));
-                if failed {
-                    return;
-                }
-            })?;
-        Ok(DisaggregatedFeeder { rx, trace, telemetry })
-    }
-
-    /// Take the next ready batch, blocking only if the prefetch queue is
-    /// empty. The returned stall is that blocked time.
-    pub fn next_batch(&self) -> io::Result<(PreprocessedBatch, FeederReport)> {
-        let started = Instant::now();
-        let batch = self
-            .rx
-            .recv()
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "prefetch thread terminated"))??;
-        if let Some(sink) = &self.trace {
-            sink.record("queue wait", cat::STALL, CONSUMER_PID, 1, started);
-        }
-        self.telemetry.with(|r| {
-            r.gauge(names::PREPROCESS_QUEUE_DEPTH, &[]).add(-1.0);
-            r.histogram(names::PREPROCESS_STALL_SECONDS, &[])
-                .observe(started.elapsed().as_secs_f64());
-        });
-        Ok((batch, FeederReport { stall: started.elapsed() }))
-    }
-}
-
-fn fetch_one(stream: &mut TcpStream, batch_size: u32) -> io::Result<PreprocessedBatch> {
-    write_json(stream, &Request::FetchBatch { count: batch_size })?;
-    let header: BatchHeader = read_json(stream)?;
-    let payload = read_frame(stream)?;
-    let expected: u64 = header.token_lens.iter().sum();
-    if payload.len() as u64 != expected {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "payload length mismatch"));
-    }
-    Ok(PreprocessedBatch {
-        batch: GlobalBatch::new(header.samples),
-        token_lens: header.token_lens,
-        tokens: payload,
-        producer_cpu: Duration::from_nanos(header.producer_cpu_ns),
-    })
-}
-
-/// Reference single-thread preprocessing time of a batch (used by tests
-/// and the Figure 17 harness to report the work magnitude independent of
-/// feeder mode).
-pub fn serial_preprocess_time(batch: &GlobalBatch) -> Duration {
-    let started = Instant::now();
-    for s in &batch.samples {
-        let _ = preprocess_sample(s);
-    }
-    started.elapsed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::Preprocess;
     use dt_data::ResolutionMode;
 
     fn tiny_data() -> DataConfig {
         DataConfig { resolution: ResolutionMode::Fixed(64), ..DataConfig::evaluation(64) }
-    }
-
-    #[test]
-    fn colocated_and_disaggregated_deliver_identical_batches() {
-        let mut colocated = ColocatedFeeder::new(tiny_data(), 7, None, 2);
-        let (a, _) = colocated.next_batch(4);
-
-        let producer = Preprocess::builder(tiny_data(), 7).spawn().unwrap();
-        let feeder = DisaggregatedFeeder::connect(producer.addr(), 4, 2).unwrap();
-        let (b, _) = feeder.next_batch().unwrap();
-
-        assert_eq!(a.batch, b.batch, "both modes must deliver the same deterministic stream");
-        assert_eq!(a.tokens, b.tokens);
     }
 
     #[test]
@@ -231,101 +92,5 @@ mod tests {
         let (batch, report) = feeder.next_batch(4);
         assert!(report.stall >= batch.producer_cpu / 2, "inline stall must reflect the work");
         assert!(!report.stall.is_zero());
-    }
-
-    #[test]
-    fn disaggregated_stall_vanishes_once_warm() {
-        let producer = Preprocess::builder(tiny_data(), 11).spawn().unwrap();
-        let feeder = DisaggregatedFeeder::connect(producer.addr(), 4, 3).unwrap();
-        // Warm the prefetch queue.
-        let (_, first) = feeder.next_batch().unwrap();
-        std::thread::sleep(Duration::from_millis(120));
-        let (_, warm) = feeder.next_batch().unwrap();
-        assert!(
-            warm.stall < first.stall.max(Duration::from_millis(10)),
-            "warm stall {warm:?} should be tiny vs cold {first:?}"
-        );
-        assert!(warm.stall < Duration::from_millis(10), "warm stall {:?}", warm.stall);
-    }
-
-    #[test]
-    fn traced_feeder_records_prefetch_and_stall_spans() {
-        let sink = WallTraceSink::new();
-        let producer = Preprocess::builder(tiny_data(), 19).trace(sink.clone()).spawn().unwrap();
-        let feeder =
-            DisaggregatedFeeder::connect_traced(producer.addr(), 3, 2, Some(sink.clone())).unwrap();
-        let _ = feeder.next_batch().unwrap();
-        let spans = sink.snapshot();
-        assert!(spans.iter().any(|s| s.pid == CONSUMER_PID && s.cat == cat::PRE_FETCH));
-        assert!(spans.iter().any(|s| s.pid == CONSUMER_PID && s.cat == cat::STALL));
-        // Producer-side spans land in the same sink on their own process.
-        assert!(spans.iter().any(|s| s.pid == crate::service::PREPROCESS_PID));
-    }
-
-    #[test]
-    fn instrumented_feeder_and_producer_record_the_preprocess_families() {
-        let tel = Telemetry::enabled();
-        let producer =
-            Preprocess::builder(tiny_data(), 23).telemetry(tel.clone()).spawn().unwrap();
-        let feeder =
-            DisaggregatedFeeder::connect_instrumented(producer.addr(), 3, 2, None, tel.clone())
-                .unwrap();
-        let (_, first) = feeder.next_batch().unwrap();
-        let (_, _) = feeder.next_batch().unwrap();
-        drop(feeder);
-        drop(producer);
-        let snap = tel.snapshot();
-        // Real cross-thread recording: producer session thread + prefetch
-        // thread + trainer thread all hit the same registry.
-        for h in [
-            names::PREPROCESS_FETCH_SECONDS,
-            names::PREPROCESS_DECODE_SECONDS,
-            names::PREPROCESS_FEED_SECONDS,
-            names::PREPROCESS_PREFETCH_SECONDS,
-            names::PREPROCESS_STALL_SECONDS,
-        ] {
-            let hist = snap.histogram_value(h, &[]).unwrap_or_else(|| panic!("missing {h}"));
-            assert!(hist.count >= 2, "{h} must observe both batches");
-        }
-        assert!(snap.counter_value(names::PREPROCESS_BATCHES_TOTAL, &[]).unwrap() >= 2);
-        assert!(snap.counter_value(names::PREPROCESS_SAMPLES_TOTAL, &[]).unwrap() >= 6);
-        // The stall histogram's largest observation covers the cold wait.
-        let stall = snap.histogram_value(names::PREPROCESS_STALL_SECONDS, &[]).unwrap();
-        assert!(stall.sum >= first.stall.as_secs_f64() * 0.5);
-        // Queue depth returns to a small value once drained (gauge exists).
-        assert!(snap.gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[]).is_some());
-    }
-
-    #[test]
-    fn slow_producer_fault_is_visible_as_stall() {
-        let producer = Preprocess::builder(tiny_data(), 13)
-            .fault_delay(Duration::from_millis(80))
-            .spawn()
-            .unwrap();
-        let feeder = DisaggregatedFeeder::connect(producer.addr(), 2, 1).unwrap();
-        let (_, report) = feeder.next_batch().unwrap();
-        assert!(report.stall >= Duration::from_millis(40), "fault not visible: {:?}", report.stall);
-    }
-
-    #[test]
-    fn producer_death_surfaces_as_error_not_hang() {
-        let producer = Preprocess::builder(tiny_data(), 17).spawn().unwrap();
-        let addr = producer.addr();
-        let feeder = DisaggregatedFeeder::connect(addr, 2, 1).unwrap();
-        let _ = feeder.next_batch().unwrap();
-        drop(producer); // kill the service mid-session
-        // Drain: eventually the feeder reports an error instead of
-        // blocking forever.
-        let mut saw_error = false;
-        for _ in 0..8 {
-            match feeder.next_batch() {
-                Ok(_) => continue,
-                Err(_) => {
-                    saw_error = true;
-                    break;
-                }
-            }
-        }
-        assert!(saw_error, "dead producer must surface as an error");
     }
 }

@@ -23,10 +23,10 @@
 //! The data plane is built with [`service::Preprocess::builder`] (typed
 //! [`PreprocessError`] validation, one nonblocking event loop per
 //! endpoint, explicit [`PreprocessError::Backpressured`] signalling on
-//! the bounded per-session queues) and consumed either by the
-//! single-connection [`DisaggregatedFeeder`] or the fan-in
+//! the bounded per-session queues) and consumed through the
 //! [`consumer::Consumer`] builder ([`MultiFeeder`]: one supervised,
-//! auto-reconnecting connection per producer endpoint).
+//! auto-reconnecting connection per producer endpoint — a single-endpoint
+//! list is the plain one-producer client).
 //!
 //! The colocated baseline ([`feeder::ColocatedFeeder`]) performs the same
 //! codec work synchronously on the "GPU node" thread, which is exactly how
@@ -38,7 +38,7 @@
 //! Both halves are observable: attach a
 //! [`WallTraceSink`](dt_simengine::trace::WallTraceSink) via
 //! [`PreprocessBuilder::trace`](service::PreprocessBuilder::trace) and
-//! [`DisaggregatedFeeder::connect_traced`] to record wall-clock
+//! [`ConsumerBuilder::trace`] to record wall-clock
 //! fetch/decode/feed spans on the producer (pid [`PREPROCESS_PID`], one
 //! track per client session) and prefetch/queue-wait spans on the consumer
 //! (pid [`CONSUMER_PID`]), mergeable into the simulated cluster's
@@ -56,7 +56,7 @@ pub mod wire;
 pub use codec::{decompress, patchify, preprocess_sample, resize, synth_compressed, PreprocessedSample};
 pub use consumer::{Consumer, ConsumerBuilder, MultiFeeder};
 pub use error::PreprocessError;
-pub use feeder::{ColocatedFeeder, DisaggregatedFeeder, FeederReport, CONSUMER_PID};
+pub use feeder::{ColocatedFeeder, FeederReport, CONSUMER_PID};
 pub use reorder_planner::{ReorderMode, ReorderPlanner};
 pub use service::{
     Preprocess, PreprocessBuilder, PreprocessHandle, PlaneStatsSnapshot, PREPROCESS_PID,

@@ -7,22 +7,40 @@
 //! This binary installs a counting allocator (the `dt-telemetry`
 //! zero-allocation test precedent) and pins the *largest single
 //! allocation request* made while reading a truncated 1 GiB-claiming
-//! frame to at most one read chunk.
+//! frame to at most one read chunk. The peak is tracked per thread, so
+//! tests running in parallel never see each other's allocations.
 
 use dt_preprocess::frame::write_batch_frames;
 use dt_preprocess::wire::{read_frame, write_frame, FRAME_READ_CHUNK, MAX_FRAME};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Records the largest single allocation request since the last reset.
 struct PeakTrackingAlloc;
 
-static PEAK_REQUEST: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// The calling thread's largest request since its last reset (a
+    /// `const` initializer, so touching it from inside the allocator never
+    /// allocates).
+    static PEAK_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    let _ = PEAK_REQUEST.try_with(|peak| peak.set(peak.get().max(size)));
+}
+
+fn reset_peak() {
+    PEAK_REQUEST.with(|peak| peak.set(0));
+}
+
+fn peak_request() -> usize {
+    PEAK_REQUEST.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for PeakTrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        PEAK_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        note_request(layout.size());
         System.alloc(layout)
     }
 
@@ -31,7 +49,7 @@ unsafe impl GlobalAlloc for PeakTrackingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        PEAK_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        note_request(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,9 +65,9 @@ fn corrupt_header_never_balloons_memory() {
     buf.extend_from_slice(&MAX_FRAME.to_le_bytes());
     buf.extend_from_slice(&[0u8; 100]);
 
-    PEAK_REQUEST.store(0, Ordering::Relaxed);
+    reset_peak();
     let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-    let peak = PEAK_REQUEST.load(Ordering::Relaxed);
+    let peak = peak_request();
 
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     assert!(
@@ -85,9 +103,9 @@ fn batched_framing_never_materializes_the_payload() {
     let chunks: Vec<&[u8]> = (0..32).map(|_| chunk.as_slice()).collect();
     let header = br#"{"samples":[],"token_lens":[]}"#;
 
-    PEAK_REQUEST.store(0, Ordering::Relaxed);
+    reset_peak();
     write_batch_frames(&mut NullSink, header, &chunks).unwrap();
-    let peak = PEAK_REQUEST.load(Ordering::Relaxed);
+    let peak = peak_request();
 
     assert!(
         peak <= FRAME_READ_CHUNK,
@@ -111,9 +129,9 @@ fn corrupt_batch_payload_header_stays_chunk_bounded() {
     let header = read_frame(&mut cur).unwrap();
     assert_eq!(header, br#"{"samples":[]}"#);
 
-    PEAK_REQUEST.store(0, Ordering::Relaxed);
+    reset_peak();
     let err = read_frame(&mut cur).unwrap_err();
-    let peak = PEAK_REQUEST.load(Ordering::Relaxed);
+    let peak = peak_request();
 
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     assert!(

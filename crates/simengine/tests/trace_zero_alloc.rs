@@ -2,20 +2,30 @@
 //! compiled into every schedule/runtime loop, so a run without `--trace`
 //! must not pay even an allocation for them. Verified with a counting
 //! global allocator (which is why this lives in its own integration test —
-//! the allocator is process-global).
+//! the allocator is process-global). The count is kept per thread, so
+//! tests running in parallel never see each other's allocations.
 
 use dt_simengine::trace::{cat, TraceContext, TraceRecorder, TraceSpan, WallTraceSink};
 use dt_simengine::{DetRng, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread (a `const` initializer, so
+    /// touching it from inside the allocator never allocates).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -30,7 +40,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 #[test]
 fn disabled_recorder_never_allocates() {
     let mut rec = TraceRecorder::disabled();
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..10_000u64 {
         // The span constructor inside the closure allocates (String,
         // args); a disabled recorder must skip the closure entirely.
@@ -46,7 +56,7 @@ fn disabled_recorder_never_allocates() {
             .with_arg("microbatch", i.to_string())
         });
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(after - before, 0, "disabled TraceRecorder::record_with must not allocate");
     assert!(rec.is_empty());
 }
@@ -63,7 +73,7 @@ fn disabled_wall_sink_record_traced_never_allocates() {
     let mut rng = DetRng::new(7);
     let ctx = TraceContext::root(&mut rng);
     let started = std::time::Instant::now();
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..10_000u64 {
         sink.record_traced(
             "hot span",
@@ -75,7 +85,7 @@ fn disabled_wall_sink_record_traced_never_allocates() {
             ctx.span_id(i),
         );
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(after - before, 0, "disabled WallTraceSink::record_traced must not allocate");
     assert!(!sink.is_enabled());
     assert!(sink.snapshot().is_empty());
@@ -87,7 +97,7 @@ fn enabled_recorder_does_allocate_as_a_sanity_check() {
     // allocator change): the same loop with an enabled recorder must
     // register allocations.
     let mut rec = TraceRecorder::enabled();
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..100u64 {
         rec.record_with(|| {
             TraceSpan::new(
@@ -100,7 +110,7 @@ fn enabled_recorder_does_allocate_as_a_sanity_check() {
             )
         });
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert!(after > before, "enabled recorder must record (and thus allocate)");
     assert_eq!(rec.len(), 100);
 }

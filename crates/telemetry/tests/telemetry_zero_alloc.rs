@@ -3,19 +3,29 @@
 //! without `--metrics` must not pay even an allocation for them.
 //! Verified with a counting global allocator (process-global, hence the
 //! dedicated integration test), exactly like the trace layer's
-//! `trace_zero_alloc` test.
+//! `trace_zero_alloc` test. The count is kept per thread, so tests running
+//! in parallel never see each other's allocations.
 
 use dt_telemetry::{names, FlightLog, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread (a `const` initializer, so
+    /// touching it from inside the allocator never allocates).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -31,7 +41,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn disabled_telemetry_never_allocates_and_never_runs_closures() {
     let tel = Telemetry::disabled();
     let mut invoked = 0u64;
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..10_000u64 {
         // Everything inside the closure allocates (label vectors, metric
         // interning); a disabled handle must skip it entirely.
@@ -42,16 +52,16 @@ fn disabled_telemetry_never_allocates_and_never_runs_closures() {
                 .observe(i as f64);
         });
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(after - before, 0, "disabled Telemetry::with must not allocate");
     assert_eq!(invoked, 0, "disabled Telemetry::with must never invoke its closure");
     // Cloning a disabled handle is also free.
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..1_000 {
         let clone = tel.clone();
         assert!(!clone.is_enabled());
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(after - before, 0, "cloning a disabled Telemetry must not allocate");
 }
 
@@ -64,7 +74,7 @@ fn disabled_flight_recorder_never_allocates_and_never_runs_detail() {
     let log = FlightLog::disabled();
     let rec = log.recorder("session", 64);
     let mut invoked = 0u64;
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..10_000u64 {
         rec.record("request", i, || {
             invoked += 1;
@@ -74,7 +84,7 @@ fn disabled_flight_recorder_never_allocates_and_never_runs_detail() {
             rec.dump("malformed");
         }
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(after - before, 0, "disabled FlightRecorder must not allocate");
     assert_eq!(invoked, 0, "disabled FlightRecorder must never build detail strings");
     assert!(!rec.is_enabled());
@@ -89,7 +99,7 @@ fn enabled_flight_recorder_does_allocate_as_a_sanity_check() {
     let log = FlightLog::new();
     let rec = log.recorder("session", 64);
     let mut invoked = 0u64;
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..100u64 {
         rec.record("request", i, || {
             invoked += 1;
@@ -97,7 +107,7 @@ fn enabled_flight_recorder_does_allocate_as_a_sanity_check() {
         });
     }
     rec.dump("anomaly");
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert!(after > before, "enabled FlightRecorder must record (and thus allocate)");
     assert_eq!(invoked, 100);
     assert_eq!(log.dumps_total(), 1);
@@ -109,7 +119,7 @@ fn enabled_telemetry_does_allocate_as_a_sanity_check() {
     // an enabled handle must register allocations and run the closures.
     let tel = Telemetry::enabled();
     let mut invoked = 0u64;
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for i in 0..100u64 {
         tel.with(|r| {
             invoked += 1;
@@ -117,7 +127,7 @@ fn enabled_telemetry_does_allocate_as_a_sanity_check() {
             r.counter(names::RUNTIME_ITERATIONS_TOTAL, &[("rank", &label)]).inc();
         });
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert!(after > before, "enabled handle must register (and thus allocate)");
     assert_eq!(invoked, 100);
     assert_eq!(tel.with(|r| r.len()), Some(100));

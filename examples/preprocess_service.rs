@@ -7,8 +7,8 @@
 //! Walks the redesigned service API end to end:
 //!
 //! 1. the colocated baseline (preprocessing blocks the trainer);
-//! 2. a single producer endpoint consumed by the classic
-//!    [`DisaggregatedFeeder`] — Figure 17 live;
+//! 2. a single producer endpoint consumed by a one-endpoint
+//!    [`Consumer::builder`] `MultiFeeder` — Figure 17 live;
 //! 3. the scaled N×M topology: a 2-endpoint plane built with
 //!    [`Preprocess::builder`], fanned in by a [`Consumer::builder`]
 //!    `MultiFeeder` with per-producer reconnect supervision, plus the
@@ -17,7 +17,7 @@
 use disttrain::data::{DataConfig, ResolutionMode};
 use disttrain::model::MllmPreset;
 use disttrain::preprocess::{
-    ColocatedFeeder, Consumer, DisaggregatedFeeder, Preprocess, ReorderMode, ReorderPlanner,
+    ColocatedFeeder, Consumer, Preprocess, ReorderMode, ReorderPlanner,
 };
 use disttrain::reorder::InterReorderConfig;
 use std::time::Duration;
@@ -55,7 +55,11 @@ fn main() {
         .expect("spawn producer");
     println!("  producer listening on {}", producer.addr());
 
-    let feeder = DisaggregatedFeeder::connect(producer.addr(), batch, 3).expect("connect");
+    let feeder = Consumer::builder(producer.addrs())
+        .batch(batch)
+        .pipeline(3)
+        .connect()
+        .expect("connect");
     for i in 0..3 {
         // Pretend the GPUs train for a while; the producer runs ahead.
         std::thread::sleep(Duration::from_millis(60));

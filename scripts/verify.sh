@@ -61,9 +61,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 echo "==> bench_orchestrator smoke (BENCH_solver.json + pruned-search gates)"
 # The bench itself fails (exit != 0) if the branch-and-bound pruned search
-# is slower than the exhaustive serial reference at the 96-GPU point (or
-# the parallel search is, on a multi-worker host), or if any pruned run
-# loses its optimality certificate. Cargo runs benches from the package
+# is slower than the exhaustive serial reference at the 96-GPU point, or
+# if any pruned run loses its optimality certificate. Cargo runs benches from the package
 # dir, so pin the output to the repo root.
 DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_SOLVER_JSON="$PWD/BENCH_solver.json" \
     cargo bench -p dt-bench --bench bench_orchestrator --quiet

@@ -12,11 +12,11 @@
 //! let preset = MllmPreset::Mllm9B;
 //! let task = TrainingTask::ablation(preset.build(), preset.ablation_global_batch());
 //!
-//! // The §4 planner: memoized, lattice-sharded parallel search with a
-//! // bit-identical serial reference mode.
+//! // The §4 planner: memoized branch-and-bound search with a
+//! // bit-identical exhaustive serial reference mode.
 //! let orch = Orchestrator::builder()
 //!     .spec(task.problem_spec())
-//!     .search_mode(SearchMode::Parallel)
+//!     .search_mode(SearchMode::Pruned)
 //!     .top_k(4)
 //!     .build()
 //!     .expect("a validated planner");

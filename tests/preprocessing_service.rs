@@ -2,19 +2,28 @@
 //! wire protocol + producer plane + prefetching consumers under normal
 //! operation and injected faults (§5.1/§6 and the smoltcp-style
 //! fault-injection idiom). Built on the `Preprocess::builder` /
-//! `Consumer::builder` data-plane API.
+//! `Consumer::builder` data-plane API; a one-endpoint `MultiFeeder` is
+//! the single-producer client.
 
 use disttrain::data::{DataConfig, ResolutionMode};
 use disttrain::model::MllmPreset;
 use disttrain::preprocess::{
-    ColocatedFeeder, Consumer, DisaggregatedFeeder, Preprocess, ReorderMode, ReorderPlanner,
+    ColocatedFeeder, Consumer, MultiFeeder, Preprocess, PreprocessError, PreprocessHandle,
+    ReorderMode, ReorderPlanner,
 };
 use disttrain::reorder::InterReorderConfig;
+use disttrain::simengine::BackoffPolicy;
 use std::collections::HashMap;
 use std::time::Duration;
 
 fn tiny() -> DataConfig {
     DataConfig { resolution: ResolutionMode::Fixed(64), ..DataConfig::evaluation(64) }
+}
+
+/// One-endpoint prefetching consumer keeping `pipeline` batches of
+/// `batch` samples in flight.
+fn consumer(producer: &PreprocessHandle, batch: u32, pipeline: usize) -> MultiFeeder {
+    Consumer::builder(producer.addrs()).batch(batch).pipeline(pipeline).connect().unwrap()
 }
 
 #[test]
@@ -32,7 +41,7 @@ fn disaggregated_stream_matches_colocated_bit_for_bit() {
     let mut colocated = ColocatedFeeder::new(tiny(), 5, Some(planner.clone()), 2);
 
     let producer = Preprocess::builder(tiny(), 5).planner(planner).spawn().unwrap();
-    let feeder = DisaggregatedFeeder::connect(producer.addr(), 4, 2).unwrap();
+    let feeder = consumer(&producer, 4, 2);
 
     for _ in 0..3 {
         let (a, _) = colocated.next_batch(4);
@@ -46,7 +55,7 @@ fn disaggregated_stream_matches_colocated_bit_for_bit() {
 #[test]
 fn prefetch_hides_producer_latency() {
     let producer = Preprocess::builder(tiny(), 8).spawn().unwrap();
-    let feeder = DisaggregatedFeeder::connect(producer.addr(), 4, 3).unwrap();
+    let feeder = consumer(&producer, 4, 3);
     let _ = feeder.next_batch().unwrap(); // cold fetch
     std::thread::sleep(Duration::from_millis(150)); // "training" time
     let (_, warm) = feeder.next_batch().unwrap();
@@ -56,8 +65,8 @@ fn prefetch_hides_producer_latency() {
 #[test]
 fn two_consumers_get_independent_sessions() {
     let producer = Preprocess::builder(tiny(), 2).spawn().unwrap();
-    let a = DisaggregatedFeeder::connect(producer.addr(), 2, 1).unwrap();
-    let b = DisaggregatedFeeder::connect(producer.addr(), 2, 1).unwrap();
+    let a = consumer(&producer, 2, 1);
+    let b = consumer(&producer, 2, 1);
     let (batch_a, _) = a.next_batch().unwrap();
     let (batch_b, _) = b.next_batch().unwrap();
     // Sessions use derived seeds, so streams are disjoint deterministic
@@ -73,8 +82,8 @@ fn slow_producer_shows_up_as_bounded_stall_not_corruption() {
         .fault_delay(Duration::from_millis(60))
         .spawn()
         .unwrap();
-    let feeder = DisaggregatedFeeder::connect(producer.addr(), 3, 1).unwrap();
-    for _ in 0..3 {
+    let feeder = consumer(&producer, 3, 1);
+    for i in 0..3 {
         let (batch, report) = feeder.next_batch().unwrap();
         assert_eq!(batch.batch.len(), 3);
         assert_eq!(
@@ -82,6 +91,11 @@ fn slow_producer_shows_up_as_bounded_stall_not_corruption() {
             batch.token_lens.iter().sum::<u64>(),
             "payload must stay consistent under backpressure"
         );
+        if i == 0 {
+            // The cold fetch waits out the injected delay: the fault is
+            // visible to the trainer as stall.
+            assert!(report.stall >= Duration::from_millis(30), "fault not visible: {report:?}");
+        }
         assert!(report.stall < Duration::from_secs(5));
     }
 }
@@ -89,13 +103,30 @@ fn slow_producer_shows_up_as_bounded_stall_not_corruption() {
 #[test]
 fn producer_shutdown_mid_stream_is_an_error_not_a_hang() {
     let producer = Preprocess::builder(tiny(), 6).spawn().unwrap();
-    let feeder = DisaggregatedFeeder::connect(producer.addr(), 2, 1).unwrap();
+    let addr = producer.addr();
+    let feeder = Consumer::builder(producer.addrs())
+        .batch(2)
+        .pipeline(1)
+        .backoff(BackoffPolicy {
+            max_attempts: 2,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            seed: 6,
+        })
+        .connect()
+        .unwrap();
     let _ = feeder.next_batch().unwrap();
     drop(producer);
+    // Batches already in flight may still drain; then the supervisor's
+    // reconnect round fails and surfaces the typed terminal error.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         match feeder.next_batch() {
-            Err(_) => break, // surfaced cleanly
+            Err(PreprocessError::PeerDisconnected { addr: dead }) => {
+                assert_eq!(dead, addr);
+                break;
+            }
+            Err(e) => panic!("expected PeerDisconnected, got {e:?}"),
             Ok(_) if std::time::Instant::now() < deadline => continue,
             Ok(_) => panic!("dead producer kept serving past the deadline"),
         }
