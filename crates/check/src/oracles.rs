@@ -691,13 +691,14 @@ fn correlated_goodput_accounting(rng: &mut DetRng, _size: usize) -> Result<(), F
     // checkpoint directories: the outcome — success or typed failure —
     // must be bit-identical, and every success must account for its wall
     // clock exactly.
+    // Unique per run: concurrent suites in one process (parallel tests)
+    // draw the same seeds and must not share checkpoint directories.
+    static NEXT_DIR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let mut outcomes = Vec::with_capacity(2);
-    for run in 0..2 {
-        let dir = std::env::temp_dir().join(format!(
-            "dt-check-elastic-{}-{:x}-{run}",
-            std::process::id(),
-            plan.failure_seed
-        ));
+    for _ in 0..2 {
+        let seq = NEXT_DIR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("dt-check-elastic-{}-{seq}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).map_err(|e| Failure::new(format!("mkdir: {e}")))?;
         let out = run_elastic_with(

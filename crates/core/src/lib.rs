@@ -13,22 +13,17 @@
 //!   and report iteration time, **MFU** and throughput — the §7 metrics;
 //! * [`checkpoint`] provides the fault-tolerance path: periodic
 //!   asynchronous checkpoints and recovery from the latest one (§3,
-//!   *DistTrain runtime*).
+//!   *DistTrain runtime*); dt-elastic's driver runs it against failures.
 //!
 //! The headline experiments (Figures 13–19) are thin loops over
 //! [`system::TrainingSystem`] in `dt-bench`.
 
 pub mod checkpoint;
-pub mod fault;
 pub mod metrics;
 pub mod runtime;
 pub mod system;
 
 pub use checkpoint::{CheckpointManager, TrainingState};
-pub use fault::{
-    run_with_failure, run_with_failure_telemetry, run_with_failure_traced, FaultPlan, FaultReport,
-    StallBurst,
-};
 pub use metrics::{IterationReport, TrainingReport};
 pub use runtime::{record_iteration_metrics, Runtime, RuntimeConfig};
 pub use system::{PreprocessingMode, ReplanContext, SystemKind, TrainingSystem, TrainingTask};

@@ -116,7 +116,7 @@ fn bwd_factor(model: &MultimodalLlm, module: ModuleKind) -> f64 {
 
 impl<'a> Runtime<'a> {
     /// The reorder planner this runtime configuration implies (public for
-    /// the fault-recovery driver, which steps iterations manually).
+    /// drivers that step iterations manually).
     pub fn planner_for(&self, perf: &PerfModel<'_>) -> ReorderPlanner {
         let dp = self.plan.backbone.dp;
         let m = self.plan.microbatch;
@@ -301,6 +301,20 @@ impl<'a> Runtime<'a> {
         self.simulate_iteration(&perf, &batch)
     }
 
+    /// The reordered global batch of every iteration, drawn from one
+    /// sequential stream: [`IterationBatches::get`]`(i)` is the batch
+    /// [`Runtime::run`] trains on at iteration `i`.
+    pub fn batches(&self, perf: &PerfModel<'_>) -> IterationBatches {
+        let start = SyntheticLaion::new(self.data.clone(), self.cfg.seed);
+        IterationBatches {
+            gen: start.clone(),
+            start,
+            next: 0,
+            size: self.cfg.global_batch as usize,
+            planner: self.planner_for(perf),
+        }
+    }
+
     /// Simulate one iteration over `batch` (already reordered).
     pub fn simulate_iteration(&self, perf: &PerfModel<'_>, batch: &GlobalBatch) -> IterationReport {
         self.simulate_iteration_traced(perf, batch, &mut TraceRecorder::disabled())
@@ -327,7 +341,7 @@ impl<'a> Runtime<'a> {
     /// per-stage compute/comm/bubble histograms via
     /// [`dt_pipeline::record_pipeline_metrics`]. The iteration-level
     /// runtime families are *not* recorded here — drivers (plain runs,
-    /// fault runs, elastic runs) call [`record_iteration_metrics`] on the
+    /// elastic runs) call [`record_iteration_metrics`] on the
     /// reports they actually commit, which keeps crash-discarded attempts
     /// out of the committed aggregates while still letting the driver
     /// sample them into the anomaly series.
@@ -478,15 +492,12 @@ impl<'a> Runtime<'a> {
     pub fn run_telemetry(&self, rec: &mut TraceRecorder, tel: &Telemetry) -> TrainingReport {
         let coll = CollectiveCost::new(self.cluster.clone());
         let perf = self.perf_model(&coll);
-        let planner = self.planner_for(&perf);
-        let mut gen = SyntheticLaion::new(self.data.clone(), self.cfg.seed);
+        let mut batches = self.batches(&perf);
         let mut iterations = Vec::with_capacity(self.cfg.iterations as usize);
         let mut now = SimTime::ZERO;
         let peak = self.cluster.node.gpu.peak_flops;
         for i in 0..self.cfg.iterations {
-            let samples = planner.reorder(gen.take(self.cfg.global_batch as usize));
-            let batch = GlobalBatch::new(samples);
-            let report = self.simulate_iteration_telemetry(&perf, &batch, rec, tel);
+            let report = self.simulate_iteration_telemetry(&perf, &batches.get(i), rec, tel);
             if rec.is_enabled() {
                 rec.record(TraceSpan::new(
                     format!("iteration {i}"),
@@ -499,41 +510,81 @@ impl<'a> Runtime<'a> {
                 rec.set_origin(rec.origin() + report.iter_time);
             }
             now += report.iter_time;
-            record_iteration_metrics(tel, now, &report, peak);
+            let observed = (
+                report.iter_time.as_secs_f64(),
+                report.mfu(peak),
+                report.preprocess_stall.as_secs_f64(),
+            );
+            record_iteration_metrics(tel, now, &report, peak, observed);
             iterations.push(report);
         }
         TrainingReport { iterations, peak_flops_per_gpu: self.cluster.node.gpu.peak_flops }
     }
 }
 
+/// The reordered global batch of each iteration, from
+/// [`Runtime::batches`]. Reading iterations in order costs one draw each;
+/// asking for an earlier iteration (a rollback) re-seeks the stream from
+/// its start.
+#[derive(Debug)]
+pub struct IterationBatches {
+    /// The stream at iteration 0, for re-seeking.
+    start: SyntheticLaion,
+    gen: SyntheticLaion,
+    /// The iteration whose batch `gen` draws next.
+    next: u32,
+    size: usize,
+    planner: ReorderPlanner,
+}
+
+impl IterationBatches {
+    /// The batch of iteration `iteration` (0-based), reordered.
+    pub fn get(&mut self, iteration: u32) -> GlobalBatch {
+        if iteration < self.next {
+            self.gen = self.start.clone();
+            self.next = 0;
+        }
+        for _ in self.next..iteration {
+            let _ = self.gen.take(self.size);
+        }
+        self.next = iteration + 1;
+        GlobalBatch::new(self.planner.reorder(self.gen.take(self.size)))
+    }
+}
+
 /// Record one committed iteration into the runtime metric families: the
 /// iter-time/grad-sync/stall/pipeline histograms, the iteration/sample/
-/// token counters, the MFU gauge, and the three anomaly-detector series
-/// sampled at simulated time `at` (the instant the iteration finished).
+/// token counters and the MFU gauge from `report`, and the three
+/// anomaly-detector series from `observed` — the iteration's `(wall
+/// seconds, MFU, stall seconds)` as the job saw them — sampled at
+/// simulated time `at` (the instant the iteration finished). A plain run
+/// observes exactly its report.
 ///
-/// Split out of the runtime so the fault and elastic drivers — which step
-/// iterations manually and discard crashed attempts — record exactly what
-/// they commit. A disabled `tel` makes this free.
+/// Split out of the runtime so the elastic driver — which steps iterations
+/// manually, discards crashed attempts, and may pace or stall an
+/// iteration beyond its report — records exactly what it commits and what
+/// its healer observes. A disabled `tel` makes this free.
 pub fn record_iteration_metrics(
     tel: &Telemetry,
     at: SimTime,
     report: &IterationReport,
     peak_flops_per_gpu: f64,
+    observed: (f64, f64, f64),
 ) {
     tel.with(|r| {
-        let iter_secs = report.iter_time.as_secs_f64();
-        let stall_secs = report.preprocess_stall.as_secs_f64();
         let mfu = report.mfu(peak_flops_per_gpu);
-        r.histogram(names::RUNTIME_ITER_TIME_SECONDS, &[]).observe(iter_secs);
+        r.histogram(names::RUNTIME_ITER_TIME_SECONDS, &[]).observe(report.iter_time.as_secs_f64());
         r.histogram(names::RUNTIME_GRAD_SYNC_SECONDS, &[]).observe(report.grad_sync.as_secs_f64());
-        r.histogram(names::RUNTIME_PREPROCESS_STALL_SECONDS, &[]).observe(stall_secs);
+        r.histogram(names::RUNTIME_PREPROCESS_STALL_SECONDS, &[])
+            .observe(report.preprocess_stall.as_secs_f64());
         r.histogram(names::RUNTIME_PIPELINE_SECONDS, &[]).observe(report.pipeline_time.as_secs_f64());
         r.gauge(names::RUNTIME_MFU, &[]).set(mfu);
         r.counter(names::RUNTIME_ITERATIONS_TOTAL, &[]).inc();
         r.counter(names::RUNTIME_SAMPLES_TOTAL, &[]).add(report.samples as u64);
         r.counter(names::RUNTIME_TOKENS_TOTAL, &[]).add(report.tokens);
+        let (iter_secs, observed_mfu, stall_secs) = observed;
         r.series(names::SERIES_ITER_TIME, &[]).sample(at, iter_secs);
-        r.series(names::SERIES_MFU, &[]).sample(at, mfu);
+        r.series(names::SERIES_MFU, &[]).sample(at, observed_mfu);
         r.series(names::SERIES_STALL, &[]).sample(at, stall_secs);
     });
 }

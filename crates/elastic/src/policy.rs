@@ -1,6 +1,5 @@
 //! Checkpoint policy and the elastic scenario description.
 //!
-//! [`FaultPlan`](disttrain_core::FaultPlan) described one scripted crash;
 //! [`ElasticPlan`] composes the full §3/§6 robustness story: a seeded MTBF
 //! failure stream, a spare-node pool, a checkpoint policy (fixed cadence or
 //! the Young–Daly optimum), and the recovery cost model (restart overhead,

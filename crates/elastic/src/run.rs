@@ -28,7 +28,6 @@ use disttrain_core::{
     TrainingReport, TrainingState, TrainingTask,
 };
 use dt_cluster::CollectiveCost;
-use dt_data::{GlobalBatch, SyntheticLaion};
 use dt_parallel::OrchestrationPlan;
 use dt_simengine::trace::{cat, TraceRecorder, TraceSpan};
 use dt_simengine::{SimDuration, SimTime};
@@ -281,9 +280,16 @@ pub fn run_elastic_with(
 /// runtime families (see [`disttrain_core::record_iteration_metrics`]), the
 /// elastic machinery its failure / spare-swap / shrink / rollback /
 /// checkpoint counters and the re-plan solver wall time, and the run closes
-/// with goodput-fraction and degraded-seconds gauges. Healer actions and
-/// failures additionally land in a flight-recorder ring on `flight`
-/// (dumped per healer action); a disabled log costs nothing.
+/// with goodput-fraction and degraded-seconds gauges. Histograms and
+/// counters record the committed report; the three anomaly series record
+/// what the job observed — the same `(wall, MFU, stall)` triple the healer
+/// is fed, pacing and precursor stalls included — plus one iteration-time
+/// point per failure for the aborted attempt's lost wall (partial
+/// iteration plus restart overhead), so an offline
+/// [`AnomalyDetector::scan`](dt_telemetry::AnomalyDetector::scan) sees what
+/// actually happened. Healer actions and failures additionally land in a
+/// flight-recorder ring on `flight` (dumped per healer action); a disabled
+/// log costs nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn run_elastic_instrumented(
     task: &TrainingTask,
@@ -349,38 +355,31 @@ pub fn run_elastic_instrumented(
             };
             let coll = CollectiveCost::new(runtime.cluster.clone());
             let perf = runtime.perf_model(&coll);
-            let planner = runtime.planner_for(&perf);
-            let bs = runtime.cfg.global_batch as usize;
-            let batch_for = |iteration: u32| -> GlobalBatch {
-                let mut gen = SyntheticLaion::new(runtime.data.clone(), runtime.cfg.seed);
-                for _ in 0..iteration {
-                    let _ = gen.take(bs);
-                }
-                GlobalBatch::new(planner.reorder(gen.take(bs)))
-            };
-
-            // The policy's cadence for this epoch, from a cost-model query
-            // of the epoch's first iteration (queries don't advance the
-            // wall clock).
-            let iter_est = runtime.simulate_iteration(&perf, &batch_for(it)).iter_time;
-            let interval = elastic.checkpoint.interval(
-                elastic.checkpoint_cost,
-                elastic.node_mtbf,
-                stream.active(),
-                elastic.topology.as_ref(),
-                iter_est,
-            );
-            epochs.push(PlanEpoch {
-                from_iteration: it,
-                nodes: cur_task.cluster.num_nodes,
-                plan: cur_plan,
-                checkpoint_interval: interval,
-            });
+            let mut batches = runtime.batches(&perf);
+            // The policy's cadence for this epoch, set from the epoch's
+            // first simulated iteration.
+            let mut cadence: Option<u32> = None;
 
             let mut next: Option<(TrainingTask, OrchestrationPlan)> = None;
             while it < iterations {
-                let batch = batch_for(it);
+                let batch = batches.get(it);
                 let report = runtime.simulate_iteration(&perf, &batch);
+                let interval = *cadence.get_or_insert_with(|| {
+                    let interval = elastic.checkpoint.interval(
+                        elastic.checkpoint_cost,
+                        elastic.node_mtbf,
+                        stream.active(),
+                        elastic.topology.as_ref(),
+                        report.iter_time,
+                    );
+                    epochs.push(PlanEpoch {
+                        from_iteration: it,
+                        nodes: cur_task.cluster.num_nodes,
+                        plan: cur_plan,
+                        checkpoint_interval: interval,
+                    });
+                    interval
+                });
                 // A slow replacement spare paces the whole synchronous
                 // job; the excess over the plan's own iteration time is
                 // lost capacity, not committed work.
@@ -471,6 +470,13 @@ pub fn run_elastic_instrumented(
 
                     wall.advance(elastic.restart_overhead);
                     g.restart += elastic.restart_overhead;
+                    // The aborted attempt is real elapsed time: one
+                    // straggler point on the iteration-time series, never
+                    // committed to the training report.
+                    tel.with(|r| {
+                        r.series(names::SERIES_ITER_TIME, &[])
+                            .sample(wall.now, (partial + elastic.restart_overhead).as_secs_f64())
+                    });
                     if rec.is_enabled() {
                         rec.set_origin(rec.origin() + partial);
                         rec.record(TraceSpan::new(
@@ -602,7 +608,15 @@ pub fn run_elastic_instrumented(
                 g.committed += report.iter_time;
                 // Pace excess and precursor stall are lost capacity.
                 g.lost += iter_wall - report.iter_time;
-                record_iteration_metrics(tel, wall.now, &report, peak);
+                // What the job observed: paced wall time, paced-down MFU,
+                // and the stall including precursor symptoms. The anomaly
+                // series and the healer both see exactly this.
+                let observed = (
+                    iter_wall.as_secs_f64(),
+                    report.mfu(peak) / pace,
+                    report.preprocess_stall.as_secs_f64() + precursor.as_secs_f64(),
+                );
+                record_iteration_metrics(tel, wall.now, &report, peak, observed);
                 committed.push(report);
                 it += 1;
 
@@ -631,14 +645,10 @@ pub fn run_elastic_instrumented(
                 }
 
                 // The watcher→healer loop: feed the committed iteration's
-                // *observed* series (paced wall time, paced-down MFU, the
-                // stall including precursor symptoms) to the online
-                // detector and act on its verdicts.
+                // observed series to the online detector and act on its
+                // verdicts.
                 let Some(h) = healer.as_mut() else { continue };
-                let stall_obs =
-                    report.preprocess_stall.as_secs_f64() + precursor.as_secs_f64();
-                let Some((action, trigger)) =
-                    h.observe(iter_wall.as_secs_f64(), report.mfu(peak) / pace, stall_obs)
+                let Some((action, trigger)) = h.observe(observed.0, observed.1, observed.2)
                 else {
                     continue;
                 };
@@ -852,14 +862,33 @@ mod tests {
         };
         let coll = CollectiveCost::new(task.cluster.clone());
         let perf = runtime.perf_model(&coll);
-        let planner = runtime.planner_for(&perf);
-        let bs = runtime.cfg.global_batch as usize;
-        let mut gen = SyntheticLaion::new(runtime.data.clone(), runtime.cfg.seed);
-        for _ in 0..i {
-            let _ = gen.take(bs);
-        }
-        let batch = GlobalBatch::new(planner.reorder(gen.take(bs)));
-        runtime.simulate_iteration(&perf, &batch)
+        runtime.simulate_iteration(&perf, &runtime.batches(&perf).get(i))
+    }
+
+    /// [`run_elastic_instrumented`] from the DistTrain plan into a fresh
+    /// registry: the report and the registry's snapshot.
+    fn metered_run(
+        task: &TrainingTask,
+        iterations: u32,
+        elastic: &ElasticPlan,
+        tag: &str,
+    ) -> (ElasticReport, dt_telemetry::Snapshot) {
+        let dir = tempdir(tag);
+        let tel = Telemetry::enabled();
+        let plan = task.plan(SystemKind::DistTrain).unwrap();
+        let out = run_elastic_instrumented(
+            task,
+            iterations,
+            elastic,
+            plan,
+            &dir,
+            &mut TraceRecorder::disabled(),
+            &tel,
+            &FlightLog::disabled(),
+        )
+        .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (out, tel.snapshot())
     }
 
     /// The headline acceptance test: a deterministic multi-failure run —
@@ -911,6 +940,46 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crash_before_any_checkpoint_restarts_from_zero() {
+        // One failure during iteration 1, the first checkpoint due at 10:
+        // nothing durable exists, so the run restarts from iteration 0.
+        let task = ablation_task();
+        let mut elastic = harsh_plan();
+        elastic.node_mtbf = secs(1360.0);
+        elastic.failure_seed = 27;
+        elastic.checkpoint = CheckpointPolicy::Fixed(10);
+        elastic.restart_overhead = secs(30.0);
+        let (out, snap) = metered_run(&task, 3, &elastic, "zero");
+        assert_eq!(out.report.iterations.len(), 3);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert_eq!(out.failures[0].iteration, 1);
+        assert_eq!(out.failures[0].resumed_from, 0);
+        assert_eq!(snap.counter_value(names::ELASTIC_ROLLED_BACK_ITERATIONS_TOTAL, &[]), Some(1));
+        out.goodput.validate().unwrap();
+    }
+
+    #[test]
+    fn stale_checkpoints_cost_lost_iterations() {
+        // One failure during iteration 5 with checkpoints every 3: the run
+        // resumes from 3, and iterations 3 and 4 are lost.
+        let task = ablation_task();
+        let mut elastic = harsh_plan();
+        elastic.node_mtbf = secs(680.0);
+        elastic.failure_seed = 8;
+        elastic.checkpoint = CheckpointPolicy::Fixed(3);
+        elastic.restart_overhead = secs(30.0);
+        let (out, snap) = metered_run(&task, 6, &elastic, "stale");
+        assert_eq!(out.report.iterations.len(), 6);
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert_eq!(out.failures[0].iteration, 5);
+        assert_eq!(out.failures[0].resumed_from, 3);
+        assert_eq!(snap.counter_value(names::ELASTIC_ROLLED_BACK_ITERATIONS_TOTAL, &[]), Some(2));
+        // Wall clock strictly exceeds the committed work (lost + restart).
+        assert!(out.goodput.total_wall > out.goodput.committed + elastic.restart_overhead);
+        out.goodput.validate().unwrap();
     }
 
     #[test]
@@ -1118,6 +1187,65 @@ mod tests {
         assert!(out.goodput.lost > SimDuration::ZERO);
         out.goodput.validate().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn anomaly_series_carry_what_the_healer_observed() {
+        // A slow spare paces the job and an ailing node stalls it before
+        // dying. The anomaly series must carry the healer's observed
+        // triple for every committed iteration, plus one iteration-time
+        // point per failure, so that replaying the series through a fresh
+        // healer reproduces every action the driver took.
+        let task = ablation_task();
+        let mut elastic = harsh_plan();
+        elastic.node_mtbf = secs(400.0);
+        elastic.failure_seed = 11;
+        elastic.checkpoint = CheckpointPolicy::Fixed(50);
+        elastic.healer = Some(HealerConfig::default());
+        elastic.spare_slowdown = 1.6;
+        elastic.precursor_window = secs(12.0);
+        elastic.precursor_stall = secs(2.0);
+        let (out, snap) = metered_run(&task, 12, &elastic, "series");
+        let iter = snap.series_points(names::SERIES_ITER_TIME, &[]).unwrap();
+        let mfu = snap.series_points(names::SERIES_MFU, &[]).unwrap();
+        let stall = snap.series_values(names::SERIES_STALL, &[]).unwrap();
+        let commits = snap.counter_value(names::RUNTIME_ITERATIONS_TOTAL, &[]).unwrap();
+        assert_eq!((mfu.len(), stall.len()), (commits as usize, commits as usize));
+        assert_eq!(iter.len(), mfu.len() + out.failures.len(), "one extra point per failure");
+        assert!(
+            stall.iter().any(|&s| s >= elastic.precursor_stall.as_secs_f64()),
+            "precursor stalls must reach the stall series: {stall:?}"
+        );
+
+        // Walk the iteration-time points in order: a point sampled at a
+        // commit instant is a committed iteration, any other is the lost
+        // wall of a failure (which rolls `it` back to its checkpoint).
+        let mut healer = Healer::new(HealerConfig::default());
+        let mut replayed = Vec::new();
+        let (mut k, mut it, mut failures) = (0usize, 0u32, out.failures.iter());
+        for &(at, t) in iter {
+            if k < mfu.len() && mfu[k].0 == at {
+                it += 1;
+                if let Some((action, trigger)) = healer.observe(t, mfu[k].1, stall[k]) {
+                    replayed.push(HealerEvent { iteration: it, action, trigger });
+                }
+                k += 1;
+            } else {
+                let f = failures.next().expect("a lost-wall point without a failure");
+                assert!(t >= elastic.restart_overhead.as_secs_f64(), "lost wall {t}s");
+                it = f.resumed_from;
+            }
+        }
+        // The driver acts on every verdict except the ones with nothing
+        // to do, so its actions are an in-order subsequence of the replay.
+        assert!(!out.healer_actions.is_empty(), "scenario must exercise the healer");
+        let mut rest = replayed.iter();
+        for taken in &out.healer_actions {
+            assert!(
+                rest.any(|r| r == taken),
+                "action {taken:?} not reproduced from the series: {replayed:?}"
+            );
+        }
     }
 
     #[test]

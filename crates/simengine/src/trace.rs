@@ -17,8 +17,9 @@
 //!
 //! * `dt-pipeline` derives per-stage compute/comm/bubble spans from an
 //!   executed 1F1B timeline;
-//! * `disttrain-core`'s runtime adds per-rank grad-sync and stall spans
-//!   (and checkpoint spans in the fault driver);
+//! * `disttrain-core`'s runtime adds per-rank grad-sync and stall spans;
+//! * `dt-elastic`'s recovery driver adds checkpoint, failure, recovery
+//!   and re-plan spans;
 //! * `dt-preprocess` records fetch/decode/feed spans from its real
 //!   threads through a [`WallTraceSink`].
 //!

@@ -20,7 +20,7 @@
 //! defaults: a crash/restart and an injected stall burst are flagged,
 //! while the clean run of the same seed produces zero anomalies.
 
-/// Tuning for [`AnomalyDetector`]. `Default` matches the fault-driven
+/// Tuning for [`AnomalyDetector`]. `Default` matches the injected-fault
 /// validation tests.
 #[derive(Debug, Clone, Copy)]
 pub struct AnomalyConfig {

@@ -188,13 +188,6 @@ pub mod names {
     /// Plan searches completed, counter.
     pub const ORCHESTRATOR_SEARCHES_TOTAL: &str = "dt_orchestrator_searches_total";
 
-    /// Injected crashes, counter.
-    pub const FAULT_CRASHES_TOTAL: &str = "dt_fault_crashes_total";
-    /// Checkpoints written by the fault driver, counter.
-    pub const FAULT_CHECKPOINTS_TOTAL: &str = "dt_fault_checkpoints_total";
-    /// Iterations lost to rollback, counter.
-    pub const FAULT_LOST_ITERATIONS_TOTAL: &str = "dt_fault_lost_iterations_total";
-
     // dt-serve (planner daemon)
     /// Requests completed by the daemon, counter, labelled
     /// `kind` (plan/replan/simulate/ping) and `outcome` (ok/error).

@@ -5,34 +5,49 @@
 //! cargo run --release --example telemetry
 //! ```
 //!
-//! Runs the §7.2 ablation task twice against one [`Telemetry`] registry —
-//! once clean, once under a `FaultPlan` with a crash and a preprocessing
-//! stall burst — prints the Prometheus exposition of the result, and lets
-//! the [`AnomalyDetector`] point at the injected faults.
+//! Runs the §7.2 ablation task twice through dt-elastic's recovery driver,
+//! each run into its own [`Telemetry`] registry — once on a quiet cluster,
+//! once with a node failure whose ailing node stalls preprocessing before
+//! it dies — prints the Prometheus exposition of the result, and lets the
+//! [`AnomalyDetector`] point at the injected faults.
 
-use disttrain::core::{
-    run_with_failure_telemetry, FaultPlan, Runtime, StallBurst, SystemKind, TrainingTask,
-};
+use disttrain::elastic::{run_elastic_instrumented, CheckpointPolicy, ElasticPlan};
 use disttrain::prelude::*;
 use disttrain::simengine::TraceRecorder;
+use disttrain::telemetry::FlightLog;
 
 fn main() {
-    let preset = MllmPreset::Mllm9B;
-    let task = TrainingTask::ablation(preset.build(), preset.ablation_global_batch());
+    let task = TrainingTask::ablation(MllmPreset::Mllm9B.build(), 32);
     let plan = task.plan(SystemKind::DistTrain).expect("orchestration");
     let iterations = 12u32;
-    let runtime = Runtime {
-        model: &task.model,
-        cluster: &task.cluster,
-        plan,
-        data: task.data.clone(),
-        cfg: task.runtime_config(SystemKind::DistTrain, iterations),
+    let dir = std::env::temp_dir().join(format!("dt-telemetry-example-{}", std::process::id()));
+    let run = |elastic: &ElasticPlan| {
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let telemetry = Telemetry::enabled();
+        let out = run_elastic_instrumented(
+            &task,
+            iterations,
+            elastic,
+            plan,
+            &dir,
+            &mut TraceRecorder::disabled(),
+            &telemetry,
+            &FlightLog::disabled(),
+        )
+        .expect("elastic run");
+        let _ = std::fs::remove_dir_all(&dir);
+        (out.report, telemetry)
     };
 
-    // Clean metered run: every iteration lands in histograms, counters,
-    // and clock-indexed time series.
-    let telemetry = Telemetry::enabled();
-    let report = runtime.run_telemetry(&mut TraceRecorder::disabled(), &telemetry);
+    // Clean metered run (MTBF ≈ ∞): every iteration lands in histograms,
+    // counters, and clock-indexed time series.
+    let mut elastic = ElasticPlan {
+        failure_seed: 7,
+        checkpoint: CheckpointPolicy::Fixed(4),
+        checkpoint_cost: SimDuration::from_secs_f64(1.0),
+        ..ElasticPlan::for_task(&task, SimDuration::from_secs_f64(1e12))
+    };
+    let (report, telemetry) = run(&elastic);
     let clean_mean = report.mean_iter_secs();
     println!(
         "clean run: {} iterations, mean {:.2}s, MFU {:.1}%",
@@ -50,31 +65,13 @@ fn main() {
         iter_hist.quantile(0.99)
     );
 
-    // Fault run into a fresh registry: a crash at iteration 8 plus a
-    // 2-iteration preprocessing stall burst.
-    let fault = FaultPlan {
-        fail_at: 8,
-        checkpoint_every: 4,
-        restart_overhead: SimDuration::from_secs_f64(5.0 * clean_mean),
-        stall_burst: Some(StallBurst {
-            from: 4,
-            len: 2,
-            extra: SimDuration::from_secs_f64(1.0),
-        }),
-    };
-    let dir = std::env::temp_dir().join(format!("dt-telemetry-example-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let faulty = Telemetry::enabled();
-    run_with_failure_telemetry(
-        &runtime,
-        iterations,
-        fault,
-        &dir,
-        &mut TraceRecorder::disabled(),
-        &faulty,
-    )
-    .expect("fault run");
-    let _ = std::fs::remove_dir_all(&dir);
+    // Fault run into a fresh registry: a node dies during iteration 7 and
+    // stalls preprocessing by 1 s for the iterations before it.
+    elastic.node_mtbf = SimDuration::from_secs_f64(1360.0);
+    elastic.restart_overhead = SimDuration::from_secs_f64(5.0 * clean_mean);
+    elastic.precursor_window = SimDuration::from_secs_f64(3.0 * clean_mean);
+    elastic.precursor_stall = SimDuration::from_secs_f64(1.0);
+    let (_, faulty) = run(&elastic);
 
     // Scan the fault run's series; the clean run stays silent.
     let detector = AnomalyDetector::default();

@@ -62,26 +62,30 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> bench_orchestrator smoke (BENCH_solver.json + pruned-search gates)"
 # The bench itself fails (exit != 0) if the branch-and-bound pruned search
 # is slower than the exhaustive serial reference at the 96-GPU point, or
-# if any pruned run loses its optimality certificate. Cargo runs benches from the package
-# dir, so pin the output to the repo root.
-DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_SOLVER_JSON="$PWD/BENCH_solver.json" \
+# if any pruned run loses its optimality certificate. Every bench smoke
+# writes its JSON to $VERIFY_TMP (an absolute path: cargo runs benches from
+# the package dir), so a check run leaves the committed BENCH_*.json
+# baselines untouched; the gates grep those fresh copies.
+SOLVER_JSON="$VERIFY_TMP/BENCH_solver.json"
+DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_SOLVER_JSON="$SOLVER_JSON" \
     cargo bench -p dt-bench --bench bench_orchestrator --quiet
-test -s BENCH_solver.json || { echo "BENCH_solver.json missing or empty" >&2; exit 1; }
-grep -q '"proven_optimal":true' BENCH_solver.json \
+test -s "$SOLVER_JSON" || { echo "BENCH_solver.json missing or empty" >&2; exit 1; }
+grep -q '"proven_optimal":true' "$SOLVER_JSON" \
     || { echo "no proven_optimal certificate in BENCH_solver.json" >&2; exit 1; }
-if grep -q '"proven_optimal":false' BENCH_solver.json; then
+if grep -q '"proven_optimal":false' "$SOLVER_JSON"; then
     echo "a pruned search lost its optimality certificate (proven_optimal:false)" >&2
     exit 1
 fi
 
 echo "==> bench_reorder smoke (BENCH_layers.json: Alg 1/Alg 2 and the production reorder pass)"
-# Same cwd pinning as bench_orchestrator. The production cases time
+# Output to $VERIFY_TMP as for bench_orchestrator. The production cases time
 # ReorderPlanner::reorder on a 1920-sample MLLM-72B batch with the
 # 1296-GPU plan's planner and with the deepest trial candidate's.
-DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_LAYERS_JSON="$PWD/BENCH_layers.json" \
+LAYERS_JSON="$VERIFY_TMP/BENCH_layers.json"
+DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_LAYERS_JSON="$LAYERS_JSON" \
     cargo bench -p dt-bench --bench bench_reorder --quiet
-test -s BENCH_layers.json || { echo "BENCH_layers.json missing or empty" >&2; exit 1; }
-grep -q '"name":"reorder_planner/deepest_candidate_' BENCH_layers.json \
+test -s "$LAYERS_JSON" || { echo "BENCH_layers.json missing or empty" >&2; exit 1; }
+grep -q '"name":"reorder_planner/deepest_candidate_' "$LAYERS_JSON" \
     || { echo "production reorder cases missing from BENCH_layers.json" >&2; exit 1; }
 
 echo "==> repro serve smoke (daemon round-trip: plan, warm hit, replan, simulate, /metrics, drain)"
@@ -164,13 +168,14 @@ grep -q 'dt-serve drained and stopped' "$SERVE_LOG" \
     || { echo "daemon did not report a clean drain" >&2; cat "$SERVE_LOG" >&2; exit 1; }
 
 echo "==> bench_service smoke (BENCH_service.json + service-level gates)"
-# Same cwd pinning as bench_orchestrator; the bench itself enforces the
-# service gates (all requests answered, warm hits > 0, overload probe
+# Output to $VERIFY_TMP as for bench_orchestrator; the bench itself enforces
+# the service gates (all requests answered, warm hits > 0, overload probe
 # rejected at least one request with a typed Overloaded).
-DT_BENCH_SERVICE_REQS="${DT_BENCH_SERVICE_REQS:-5}" DT_BENCH_SERVICE_JSON="$PWD/BENCH_service.json" \
+SERVICE_JSON="$VERIFY_TMP/BENCH_service.json"
+DT_BENCH_SERVICE_REQS="${DT_BENCH_SERVICE_REQS:-5}" DT_BENCH_SERVICE_JSON="$SERVICE_JSON" \
     cargo bench -p dt-bench --bench bench_service --quiet
-test -s BENCH_service.json || { echo "BENCH_service.json missing or empty" >&2; exit 1; }
-grep -q '"overload_probe"' BENCH_service.json \
+test -s "$SERVICE_JSON" || { echo "BENCH_service.json missing or empty" >&2; exit 1; }
+grep -q '"overload_probe"' "$SERVICE_JSON" \
     || { echo "overload probe results missing from BENCH_service.json" >&2; exit 1; }
 
 echo "==> repro preprocess smoke (2×2 data plane: in-order fan-in, clean shutdown)"
@@ -185,19 +190,20 @@ grep -q '^clean shutdown: true' "$PREPROCESS_LOG" \
 echo "==> bench_preprocess smoke (BENCH_PREPROCESS.json + data-plane gates)"
 # The bench itself fails (exit != 0) if any consumer loses a batch, any
 # producer stream arrives out of order, the 65k-token skew scenario never
-# delivers a full-resolution image, or a plane shuts down dirty. Same cwd
-# pinning as the other benches.
+# delivers a full-resolution image, or a plane shuts down dirty. Output to
+# $VERIFY_TMP as for the other benches.
+PREPROCESS_JSON="$VERIFY_TMP/BENCH_PREPROCESS.json"
 DT_BENCH_PREPROCESS_BATCHES="${DT_BENCH_PREPROCESS_BATCHES:-3}" \
-    DT_BENCH_PREPROCESS_JSON="$PWD/BENCH_PREPROCESS.json" \
+    DT_BENCH_PREPROCESS_JSON="$PREPROCESS_JSON" \
     cargo bench -p dt-bench --bench bench_preprocess --quiet
-test -s BENCH_PREPROCESS.json || { echo "BENCH_PREPROCESS.json missing or empty" >&2; exit 1; }
-grep -q '"tokens_per_image":65536' BENCH_PREPROCESS.json \
+test -s "$PREPROCESS_JSON" || { echo "BENCH_PREPROCESS.json missing or empty" >&2; exit 1; }
+grep -q '"tokens_per_image":65536' "$PREPROCESS_JSON" \
     || { echo "65k-token skew scenario missing from BENCH_PREPROCESS.json" >&2; exit 1; }
-if grep -q '"in_order":false' BENCH_PREPROCESS.json; then
+if grep -q '"in_order":false' "$PREPROCESS_JSON"; then
     echo "a producer stream arrived out of order (in_order:false)" >&2
     exit 1
 fi
-if grep -q '"clean_shutdown":false' BENCH_PREPROCESS.json; then
+if grep -q '"clean_shutdown":false' "$PREPROCESS_JSON"; then
     echo "a bench plane shut down dirty (clean_shutdown:false)" >&2
     exit 1
 fi
