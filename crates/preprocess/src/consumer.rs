@@ -379,7 +379,7 @@ fn supervise(ctx: SupervisorCtx) {
             ctx.flight.record("exhausted", 0, || {
                 format!("reconnect budget spent on producer {}", ctx.addr)
             });
-            flight_dump(&ctx.flight, &ctx.telemetry, "peer-disconnected");
+            ctx.flight.dump_counted("peer-disconnected", &ctx.telemetry);
             let _ = ctx.tx.send(Err(PreprocessError::PeerDisconnected { addr: ctx.addr }));
             return;
         };
@@ -462,7 +462,7 @@ fn supervise(ctx: SupervisorCtx) {
                     // Protocol violation from the producer: terminal, do
                     // not reconnect into a hostile peer.
                     ctx.flight.record("malformed", 0, || e.to_string());
-                    flight_dump(&ctx.flight, &ctx.telemetry, "malformed");
+                    ctx.flight.dump_counted("malformed", &ctx.telemetry);
                     let _ = ctx.tx.send(Err(PreprocessError::Malformed {
                         reason: format!("producer {}: {e}", ctx.addr),
                     }));
@@ -472,16 +472,6 @@ fn supervise(ctx: SupervisorCtx) {
             }
         }
     }
-}
-
-/// Freeze a supervisor's ring into the consumer's [`FlightLog`], counted
-/// by trigger. One branch and nothing else when disabled.
-fn flight_dump(flight: &FlightRecorder, tel: &Telemetry, reason: &'static str) {
-    if !flight.is_enabled() {
-        return;
-    }
-    flight.dump(reason);
-    tel.with(|r| r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", reason)]).inc());
 }
 
 #[cfg(test)]

@@ -41,10 +41,15 @@
 
 use dt_simengine::json::Json;
 use dt_simengine::trace::{TraceContext, TRACE_CONTEXT_LEN};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frames larger than this are rejected as protocol corruption.
 pub const MAX_FRAME: u32 = 1 << 30;
+
+/// Cap on request (control) frames: consumer requests and planner
+/// requests are small JSON, so a length word claiming more is a hostile or
+/// corrupt peer, rejected before any of its payload is buffered.
+pub const MAX_CONTROL_FRAME: u32 = 64 * 1024;
 
 /// Length-word bit marking a frame whose payload is prefixed by an
 /// encoded [`TraceContext`].
@@ -63,16 +68,51 @@ pub trait WireJson: Sized {
     fn from_json(value: &Json) -> Result<Self, String>;
 }
 
-/// Write one frame.
+/// Write one frame: length word and payload leave in one vectored write
+/// (one syscall on an unbuffered stream), so a socket with Nagle enabled
+/// never holds the payload back behind the peer's delayed ACK.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
+    write_frame_ctx(w, None, payload)
+}
+
+/// The length word of a frame carrying `len` payload bytes — flagged and
+/// followed by the encoded context when `ctx` is set — built on the stack.
+/// Returns the buffer and how many of its bytes are the head.
+fn frame_head(
+    ctx: Option<&TraceContext>,
+    len: usize,
+) -> io::Result<([u8; 4 + TRACE_CONTEXT_LEN], usize)> {
+    let ctx_len = if ctx.is_some() { TRACE_CONTEXT_LEN } else { 0 };
+    let word = u32::try_from(len.saturating_add(ctx_len))
+        .ok()
+        .filter(|&l| l <= MAX_FRAME)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    let mut head = [0u8; 4 + TRACE_CONTEXT_LEN];
+    match ctx {
+        Some(ctx) => {
+            head[..4].copy_from_slice(&(word | TRACE_FLAG).to_le_bytes());
+            head[4..].copy_from_slice(&ctx.encode());
+        }
+        None => head[..4].copy_from_slice(&word.to_le_bytes()),
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    Ok((head, 4 + ctx_len))
+}
+
+/// `write_all` over a gather list: resumes partial writes in place with
+/// [`IoSlice::advance_slices`], never copying or allocating.
+fn write_all_slices(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(io::Error::new(io::ErrorKind::WriteZero, "vectored write stalled"))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one frame.
@@ -109,27 +149,16 @@ fn read_payload(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
 }
 
 /// Write one frame, optionally prefixed by a trace context. `ctx == None`
-/// produces bytes identical to [`write_frame`] — the untraced path stays
-/// free (no flag, no extra bytes, no allocation).
+/// produces the classic encoding — the untraced path stays free (no
+/// flag, no extra bytes, no allocation). Either way the head (length word
+/// plus context) and the payload go out in one vectored write.
 pub fn write_frame_ctx(
     w: &mut impl Write,
     ctx: Option<&TraceContext>,
     payload: &[u8],
 ) -> io::Result<()> {
-    let Some(ctx) = ctx else { return write_frame(w, payload) };
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME - TRACE_CONTEXT_LEN as u32)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    let word = (len + TRACE_CONTEXT_LEN as u32) | TRACE_FLAG;
-    // One stack buffer for length word + context: the traced path costs
-    // the same number of writes (and syscalls, on an unbuffered stream)
-    // as the untraced one.
-    let mut head = [0u8; 4 + TRACE_CONTEXT_LEN];
-    head[..4].copy_from_slice(&word.to_le_bytes());
-    head[4..].copy_from_slice(&ctx.encode());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    let (head, head_len) = frame_head(ctx, payload.len())?;
+    write_all_slices(w, &mut [IoSlice::new(&head[..head_len]), IoSlice::new(payload)])?;
     w.flush()
 }
 
@@ -141,18 +170,25 @@ pub fn write_frame_ctx(
 /// `UnexpectedEof`, never a panic, and never an eager allocation from the
 /// untrusted header.
 pub fn read_frame_ctx(r: &mut impl Read) -> io::Result<(Option<TraceContext>, Vec<u8>)> {
+    read_frame_ctx_max(r, MAX_FRAME)
+}
+
+/// [`read_frame_ctx`] with a caller-chosen cap: a length word claiming
+/// more than `max` bytes (trace context included) is `InvalidData` before
+/// any payload byte is read. Request readers pass [`MAX_CONTROL_FRAME`].
+pub fn read_frame_ctx_max(
+    r: &mut impl Read,
+    max: u32,
+) -> io::Result<(Option<TraceContext>, Vec<u8>)> {
     let mut head = [0u8; 4];
     r.read_exact(&mut head)?;
     let word = u32::from_le_bytes(head);
-    if word & TRACE_FLAG == 0 {
-        if word > MAX_FRAME {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
-        }
-        return Ok((None, read_payload(r, word as usize)?));
-    }
     let len = word & !TRACE_FLAG;
-    if len > MAX_FRAME {
+    if len > max.min(MAX_FRAME) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
+    }
+    if word & TRACE_FLAG == 0 {
+        return Ok((None, read_payload(r, len as usize)?));
     }
     if (len as usize) < TRACE_CONTEXT_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace context"));
@@ -171,30 +207,8 @@ pub fn read_frame_ctx(r: &mut impl Read) -> io::Result<(Option<TraceContext>, Ve
 /// lets the producer ship a header frame plus a multi-chunk payload frame
 /// without ever materializing their concatenation.
 pub fn write_vectored_all(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut written = 0usize;
-    while written < total {
-        // Rebuild the remaining-slice view past `written` bytes. O(parts)
-        // per syscall; parts is small (one header + one slice per sample).
-        let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(parts.len());
-        let mut skip = written;
-        for p in parts {
-            if skip >= p.len() {
-                skip -= p.len();
-            } else {
-                slices.push(io::IoSlice::new(&p[skip..]));
-                skip = 0;
-            }
-        }
-        match w.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::WriteZero, "vectored write stalled"))
-            }
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
+    write_all_slices(w, &mut slices)?;
     w.flush()
 }
 
@@ -208,27 +222,13 @@ pub fn write_vectored_all(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()>
 ///
 /// Byte-identical on the wire to `write_json` + `write_frame` over the
 /// concatenated payload, but with zero payload copies and one syscall
-/// instead of four.
+/// instead of two.
 pub fn write_batch_frames(
     w: &mut impl Write,
     header: &[u8],
     payload_chunks: &[&[u8]],
 ) -> io::Result<()> {
-    let oversized = |_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large");
-    let header_len = u32::try_from(header.len()).map_err(oversized)?;
-    let payload_len =
-        u32::try_from(payload_chunks.iter().map(|c| c.len()).sum::<usize>()).map_err(oversized)?;
-    if header_len > MAX_FRAME || payload_len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
-    }
-    let header_head = header_len.to_le_bytes();
-    let payload_head = payload_len.to_le_bytes();
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(3 + payload_chunks.len());
-    parts.push(&header_head);
-    parts.push(header);
-    parts.push(&payload_head);
-    parts.extend(payload_chunks.iter().copied());
-    write_vectored_all(w, &parts)
+    write_batch_frames_ctx(w, None, header, payload_chunks)
 }
 
 /// [`write_batch_frames`] with an optional trace context on the header
@@ -241,24 +241,15 @@ pub fn write_batch_frames_ctx(
     header: &[u8],
     payload_chunks: &[&[u8]],
 ) -> io::Result<()> {
-    let Some(ctx) = ctx else { return write_batch_frames(w, header, payload_chunks) };
-    let oversized = |_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large");
-    let header_len = u32::try_from(header.len()).map_err(oversized)?;
-    let payload_len =
-        u32::try_from(payload_chunks.iter().map(|c| c.len()).sum::<usize>()).map_err(oversized)?;
-    if header_len > MAX_FRAME - TRACE_CONTEXT_LEN as u32 || payload_len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
-    }
-    let ctx_bytes = ctx.encode();
-    let header_head = ((header_len + TRACE_CONTEXT_LEN as u32) | TRACE_FLAG).to_le_bytes();
-    let payload_head = payload_len.to_le_bytes();
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(4 + payload_chunks.len());
-    parts.push(&header_head);
-    parts.push(&ctx_bytes);
-    parts.push(header);
-    parts.push(&payload_head);
-    parts.extend(payload_chunks.iter().copied());
-    write_vectored_all(w, &parts)
+    let (header_head, header_head_len) = frame_head(ctx, header.len())?;
+    let (payload_head, _) = frame_head(None, payload_chunks.iter().map(|c| c.len()).sum())?;
+    let mut slices = Vec::with_capacity(3 + payload_chunks.len());
+    slices.push(IoSlice::new(&header_head[..header_head_len]));
+    slices.push(IoSlice::new(header));
+    slices.push(IoSlice::new(&payload_head[..4]));
+    slices.extend(payload_chunks.iter().map(|c| IoSlice::new(c)));
+    write_all_slices(w, &mut slices)?;
+    w.flush()
 }
 
 /// Write a JSON control message as one frame.
@@ -285,7 +276,16 @@ pub fn write_json_ctx<T: WireJson>(
 /// Read a JSON control message from one frame that may carry a trace
 /// context.
 pub fn read_json_ctx<T: WireJson>(r: &mut impl Read) -> io::Result<(Option<TraceContext>, T)> {
-    let (ctx, payload) = read_frame_ctx(r)?;
+    read_json_ctx_max(r, MAX_FRAME)
+}
+
+/// [`read_json_ctx`] through the capped [`read_frame_ctx_max`]: how both
+/// network planes read their requests (`max` = [`MAX_CONTROL_FRAME`]).
+pub fn read_json_ctx_max<T: WireJson>(
+    r: &mut impl Read,
+    max: u32,
+) -> io::Result<(Option<TraceContext>, T)> {
+    let (ctx, payload) = read_frame_ctx_max(r, max)?;
     Ok((ctx, decode_json(&payload)?))
 }
 
@@ -405,6 +405,65 @@ mod tests {
             write_vectored_all(&mut w, &parts).unwrap();
             assert_eq!(w.out, b"alphabetagamma!", "limit {limit}");
         }
+    }
+
+    /// A writer that takes every byte it is offered and counts the calls.
+    #[derive(Default)]
+    struct CallCounter {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CallCounter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            bufs.iter().for_each(|b| self.out.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Regression: a frame written as two calls (length word, then
+    /// payload) leaves the payload behind Nagle until the peer's delayed
+    /// ACK — ~40 ms per request on a long-lived session.
+    #[test]
+    fn each_frame_is_one_write_call() {
+        let mut w = CallCounter::default();
+        write_frame(&mut w, b"payload").unwrap();
+        assert_eq!(w.calls, 1, "untraced frame");
+        let mut w = CallCounter::default();
+        write_frame_ctx(&mut w, Some(&ctx()), b"payload").unwrap();
+        assert_eq!(w.calls, 1, "traced frame");
+        let mut reference = Vec::new();
+        write_frame_ctx(&mut reference, Some(&ctx()), b"payload").unwrap();
+        assert_eq!(w.out, reference);
+        let mut w = CallCounter::default();
+        write_batch_frames_ctx(&mut w, Some(&ctx()), b"hdr", &[b"ab", b"cd"]).unwrap();
+        assert_eq!(w.calls, 1, "batch response");
+    }
+
+    #[test]
+    fn capped_read_rejects_the_length_word_before_the_payload() {
+        // Claims one byte over the cap and carries nothing after the
+        // length word: an uncapped read would wait for the body.
+        for flag in [0, TRACE_FLAG] {
+            let buf = ((MAX_CONTROL_FRAME + 1) | flag).to_le_bytes();
+            let err = read_frame_ctx_max(&mut Cursor::new(&buf), MAX_CONTROL_FRAME).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        let mut buf = Vec::new();
+        write_frame_ctx(&mut buf, Some(&ctx()), &[7u8; 100]).unwrap();
+        let (got, payload) = read_frame_ctx_max(&mut Cursor::new(&buf), 116).unwrap();
+        assert_eq!((got, payload.len()), (Some(ctx()), 100), "the cap counts the context");
+        let err = read_frame_ctx_max(&mut Cursor::new(&buf), 115).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     fn ctx() -> TraceContext {

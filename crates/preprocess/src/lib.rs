@@ -11,19 +11,20 @@
 //!
 //! ```text
 //! ┌ CPU node (producer endpoint ×N) ─────┐    ┌ GPU node (consumer ×M) ┐
-//! │ nonblocking event loop               │    │ MultiFeeder            │
-//! │   per session: SyntheticLaion        │    │   supervisor per       │
+//! │ accept thread; per session:          │    │ MultiFeeder            │
+//! │   reader: SyntheticLaion             │    │   supervisor per       │
 //! │     → ReorderPlanner                 │───▶│   producer (reconnect  │
 //! │     → worker pool (codec)            │TCP │   w/ seeded backoff)   │
-//! │     → bounded queue (backpressure)   │×NM │   → bounded fan-in     │
-//! │     → coalesced vectored writes      │    │     channel            │
+//! │     → bounded channel (backpressure) │×NM │   → bounded fan-in     │
+//! │   writer: coalesced vectored writes  │    │     channel            │
 //! └──────────────────────────────────────┘    └────────────────────────┘
 //! ```
 //!
 //! The data plane is built with [`service::Preprocess::builder`] (typed
-//! [`PreprocessError`] validation, one nonblocking event loop per
-//! endpoint, explicit [`PreprocessError::Backpressured`] signalling on
-//! the bounded per-session queues) and consumed through the
+//! [`PreprocessError`] validation, a blocking accept thread per endpoint
+//! and a reader and writer thread per session, explicit
+//! [`PreprocessError::Backpressured`] signalling on the bounded
+//! per-session channels) and consumed through the
 //! [`consumer::Consumer`] builder ([`MultiFeeder`]: one supervised,
 //! auto-reconnecting connection per producer endpoint — a single-endpoint
 //! list is the plain one-producer client).

@@ -7,27 +7,34 @@
 //!
 //! [`Preprocess::builder`] validates the topology up front (typed
 //! [`PreprocessError::InvalidSpec`], no socket touched on rejection) and
-//! spawns one **nonblocking event loop** per producer endpoint:
+//! runs every endpoint on blocking threads, the same session model as the
+//! `dt-serve` daemon:
 //!
-//! * the listener and every session socket run nonblocking; one loop
-//!   thread multiplexes accepts, incremental frame reads, request
-//!   parsing, and incremental vectored writes across all sessions of its
-//!   endpoint — a hostile peer that stops reading can never wedge the
-//!   other sessions;
-//! * each accepted session owns a deterministic sample stream (derived
-//!   seed) generated by a dedicated **generator thread** running the
-//!   fetch → reorder → decode pipeline on a [`preprocess_parallel`]
-//!   worker pool;
-//! * generator and event loop meet at a **bounded batch queue**
-//!   ([`PreprocessBuilder::queue_capacity`]): when the consumer falls
-//!   behind, the generator receives a typed
-//!   [`PreprocessError::Backpressured`] signal (counted in
-//!   [`PlaneStats`] and `dt_preprocess_backpressure_total`) and *waits* —
-//!   explicit backpressure instead of unbounded buffering;
-//! * responses leave through the coalesced zero-copy framing of
-//!   [`crate::frame::write_batch_frames`]: the JSON header frame and the
-//!   multi-chunk payload frame go out in one vectored write, without ever
-//!   materializing the concatenated payload.
+//! * **accept** — one thread per endpoint, blocked in `accept`. It hands
+//!   each connection a deterministic sample stream (seed derived from the
+//!   endpoint and the accept index) and keeps a clone of every live
+//!   socket, so a drain can wake each session by shutting it down;
+//! * **reader** — one thread per session. It reads requests through the
+//!   capped [`crate::frame::read_json_ctx_max`] (a length word above
+//!   [`MAX_CONTROL_FRAME`] is [`PreprocessError::Malformed`] before any
+//!   payload byte is read), runs fetch → reorder → decode on a
+//!   [`preprocess_parallel`] worker pool, and passes the batch on through a
+//!   `sync_channel` of [`PreprocessBuilder::queue_capacity`]. A full
+//!   channel is the typed [`PreprocessError::Backpressured`] edge: counted
+//!   once (in [`PlaneStats`] and `dt_preprocess_backpressure_total`), then
+//!   the reader *waits* — explicit backpressure instead of unbounded
+//!   buffering. Requests it has not read yet stay in the kernel's receive
+//!   buffer;
+//! * **writer** — one thread per session. It sends each batch with the
+//!   coalesced zero-copy [`crate::frame::write_batch_frames_ctx`]: the
+//!   JSON header frame and the multi-chunk payload frame go out in one
+//!   vectored write, never materializing the concatenated payload. A peer
+//!   that stops reading blocks only its own writer.
+//!
+//! Whichever session thread ends first shuts the socket down both ways,
+//! which ends the other one and shows the peer EOF. Malformed input is
+//! counted and frozen into the session's flight ring before that
+//! shutdown.
 //!
 //! Wire protocol, framing, and the per-session deterministic streams are
 //! unchanged from the single-producer service, so old consumers (and the
@@ -35,19 +42,18 @@
 
 use crate::codec::preprocess_sample;
 use crate::error::PreprocessError;
-use crate::frame::TRACE_FLAG;
+use crate::frame::{read_json_ctx_max, write_batch_frames_ctx, MAX_CONTROL_FRAME};
 use crate::reorder_planner::ReorderPlanner;
-use crate::wire::{BatchHeader, Request, WireJson, MAX_FRAME};
+use crate::wire::{BatchHeader, Request, WireJson};
 use dt_data::{DataConfig, SyntheticLaion, TrainSample};
-use dt_simengine::json::Json;
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink, TRACE_CONTEXT_LEN};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, FlightRecorder, Telemetry};
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,16 +61,6 @@ use std::time::{Duration, Instant};
 /// chosen far above any simulated DP-rank pid so both trace sources can be
 /// merged into one file without track collisions.
 pub const PREPROCESS_PID: u64 = 1_000;
-
-/// Requests are tiny JSON control frames; anything claiming more than
-/// this is a hostile or corrupt peer and closes the session as
-/// [`PreprocessError::Malformed`].
-const MAX_REQUEST_FRAME: usize = 64 * 1024;
-
-/// Cap on FetchBatch requests a session may keep outstanding — a sane
-/// consumer pipelines at most its prefetch depth; millions of queued
-/// requests are an attack on the request queue's memory.
-const MAX_OUTSTANDING_REQUESTS: usize = 10_000;
 
 /// Per-endpoint seed stride (endpoint 0 keeps the configured seed, so a
 /// single-endpoint plane is stream-identical to the old single-producer
@@ -122,7 +118,7 @@ pub struct PreprocessBuilder {
 
 impl PreprocessBuilder {
     /// Number of producer endpoints (listening sockets) — the paper's N
-    /// CPU nodes. Each gets its own event loop and seed lane.
+    /// CPU nodes. Each gets its own accept thread and seed lane.
     pub fn producers(mut self, n: usize) -> Self {
         self.producers = n;
         self
@@ -135,8 +131,8 @@ impl PreprocessBuilder {
     }
 
     /// Bound of each session's ready-batch queue: how many preprocessed
-    /// batches a generator may run ahead of the socket before it is
-    /// backpressured ([`PreprocessError::Backpressured`]).
+    /// batches a session's reader may run ahead of its writer before it
+    /// is backpressured ([`PreprocessError::Backpressured`]).
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n;
         self
@@ -166,7 +162,7 @@ impl PreprocessBuilder {
 
     /// Metrics sink: fetch/decode/feed latencies, batch/sample counters,
     /// plus the data-plane counters (backpressure, sessions, malformed).
-    /// The registry is shared across all endpoint and generator threads.
+    /// The registry is shared across all accept and session threads.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -180,7 +176,7 @@ impl PreprocessBuilder {
         self
     }
 
-    /// Validate the spec, bind every endpoint, and start the event loops.
+    /// Validate the spec, bind every endpoint, and start the accept threads.
     ///
     /// Rejections are typed and happen before any socket is bound:
     /// zero `workers`, zero `producers`, or `queue_capacity` 0 are
@@ -216,20 +212,16 @@ impl PreprocessBuilder {
                 addr: "127.0.0.1:0".into(),
                 reason: e.to_string(),
             })?;
-            listener.set_nonblocking(true).map_err(|e| PreprocessError::Bind {
-                addr: addr.to_string(),
-                reason: format!("set_nonblocking: {e}"),
-            })?;
             addrs.push(addr);
             let cfg = cfg.clone();
             let stop = stop.clone();
             let stats = stats.clone();
             let join = std::thread::Builder::new()
                 .name(format!("dt-preprocess-ep{endpoint}"))
-                .spawn(move || endpoint_loop(listener, endpoint as u64, cfg, stop, stats))
+                .spawn(move || accept_loop(listener, endpoint as u64, cfg, stop, stats))
                 .map_err(|e| PreprocessError::Bind {
                     addr: addr.to_string(),
-                    reason: format!("spawn event loop: {e}"),
+                    reason: format!("spawn accept thread: {e}"),
                 })?;
             joins.push(join);
         }
@@ -290,11 +282,18 @@ impl PreprocessHandle {
     }
 
     /// Stop every endpoint, join every thread. Returns `true` when all
-    /// event loops and generators exited cleanly (no thread panicked) —
+    /// accept and session threads exited cleanly (no thread panicked) —
     /// the property the end-to-end fuzz oracle asserts after feeding the
     /// plane hostile traffic.
     pub fn shutdown(&mut self) -> bool {
         self.stop.store(true, Ordering::SeqCst);
+        if !self.joins.is_empty() {
+            // Wake every accept thread out of `accept`; each then shuts
+            // its live sessions down and joins them.
+            for addr in &self.addrs {
+                let _ = TcpStream::connect(addr);
+            }
+        }
         for join in self.joins.drain(..) {
             if join.join().is_err() {
                 self.clean = false;
@@ -311,12 +310,36 @@ impl Drop for PreprocessHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded batch queue (generator → event loop) with typed backpressure
+// Sessions: one accept thread per endpoint, a reader and a writer per session
 // ---------------------------------------------------------------------------
 
+/// Preprocess a batch on `workers` threads (the calling thread takes the
+/// first chunk); returns per-sample token bytes in input order.
+pub fn preprocess_parallel(samples: &[TrainSample], workers: u32) -> Vec<Vec<u8>> {
+    let workers = (workers.max(1) as usize).min(samples.len().max(1));
+    let mut out: Vec<Vec<u8>> = vec![Vec::new(); samples.len()];
+    let chunk = samples.len().div_ceil(workers).max(1);
+    let run = |samples: &[TrainSample], out: &mut [Vec<u8>]| {
+        for (s, o) in samples.iter().zip(out) {
+            *o = preprocess_sample(s).token_bytes;
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut parts = samples.chunks(chunk).zip(out.chunks_mut(chunk));
+        let first = parts.next();
+        for (samples_chunk, out_chunk) in parts {
+            scope.spawn(move || run(samples_chunk, out_chunk));
+        }
+        if let Some((samples_chunk, out_chunk)) = first {
+            run(samples_chunk, out_chunk);
+        }
+    });
+    out
+}
+
 /// One preprocessed batch, framed for the wire but never concatenated:
-/// the event loop writes `header_json` and the per-sample `chunks`
-/// directly via one vectored write.
+/// the writer sends `header_json` and the per-sample `chunks` in one
+/// vectored write.
 struct ReadyBatch {
     header_json: Vec<u8>,
     chunks: Vec<Vec<u8>>,
@@ -327,634 +350,244 @@ struct ReadyBatch {
     ctx: Option<TraceContext>,
 }
 
-/// Bounded MPSC queue between one session's generator and its event
-/// loop. `try_push` is the typed backpressure edge: a full queue returns
-/// [`PreprocessError::Backpressured`] with the observed depth instead of
-/// growing.
-struct BatchQueue {
-    inner: Mutex<VecDeque<ReadyBatch>>,
-    not_full: Condvar,
-    cap: usize,
-}
-
-impl BatchQueue {
-    fn new(cap: usize) -> Self {
-        BatchQueue { inner: Mutex::new(VecDeque::new()), not_full: Condvar::new(), cap }
-    }
-
-    /// Push without blocking; a full queue refuses with the typed signal.
-    /// The refused batch rides back in the `Err` by design — the caller
-    /// parks it and retries, so the payload must not be dropped or boxed
-    /// away.
-    #[allow(clippy::result_large_err)]
-    fn try_push(&self, batch: ReadyBatch) -> Result<(), (ReadyBatch, PreprocessError)> {
-        let mut q = self.inner.lock().unwrap();
-        if q.len() >= self.cap {
-            let depth = q.len();
-            drop(q);
-            Err((batch, PreprocessError::Backpressured { queue_depth: depth }))
-        } else {
-            q.push_back(batch);
-            Ok(())
-        }
-    }
-
-    /// Block (with a stop-poll timeout) until the queue has room.
-    fn wait_not_full(&self, timeout: Duration) {
-        let q = self.inner.lock().unwrap();
-        if q.len() >= self.cap {
-            let _ = self.not_full.wait_timeout(q, timeout).unwrap();
-        }
-    }
-
-    fn try_pop(&self) -> Option<ReadyBatch> {
-        let mut q = self.inner.lock().unwrap();
-        let batch = q.pop_front();
-        if batch.is_some() {
-            self.not_full.notify_one();
-        }
-        batch
-    }
-
-    fn wake_all(&self) {
-        self.not_full.notify_all();
-    }
-}
-
-/// Unbounded-but-capped queue of FetchBatch counts (event loop →
-/// generator), each with the request's optional trace context. Entries
-/// are tiny; the cap is an anti-abuse bound, not flow control (that is
-/// [`BatchQueue`]'s job).
-struct RequestQueue {
-    inner: Mutex<VecDeque<(u32, Option<TraceContext>)>>,
-    nonempty: Condvar,
-}
-
-impl RequestQueue {
-    fn new() -> Self {
-        RequestQueue { inner: Mutex::new(VecDeque::new()), nonempty: Condvar::new() }
-    }
-
-    /// Returns the queue length after pushing, or `None` past the abuse cap.
-    fn push(&self, count: u32, ctx: Option<TraceContext>) -> Option<usize> {
-        let mut q = self.inner.lock().unwrap();
-        if q.len() >= MAX_OUTSTANDING_REQUESTS {
-            return None;
-        }
-        q.push_back((count, ctx));
-        let len = q.len();
-        drop(q);
-        self.nonempty.notify_one();
-        Some(len)
-    }
-
-    fn pop(&self, timeout: Duration) -> Option<(u32, Option<TraceContext>)> {
-        let mut q = self.inner.lock().unwrap();
-        if q.is_empty() {
-            let (guard, _) = self.nonempty.wait_timeout(q, timeout).unwrap();
-            q = guard;
-        }
-        q.pop_front()
-    }
-
-    fn wake_all(&self) {
-        self.nonempty.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Generator: the per-session producer pipeline
-// ---------------------------------------------------------------------------
-
-/// Preprocess a batch on `workers` threads; returns per-sample token
-/// bytes in input order.
-pub fn preprocess_parallel(samples: &[TrainSample], workers: u32) -> Vec<Vec<u8>> {
-    let workers = (workers.max(1) as usize).min(samples.len().max(1));
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); samples.len()];
-    let chunk = samples.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (samples_chunk, out_chunk) in samples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (s, o) in samples_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *o = preprocess_sample(s).token_bytes;
-                }
-            });
-        }
-    });
-    out
-}
-
-struct GeneratorCtx {
+/// What one session's reader and writer share.
+struct Session {
     cfg: Arc<PreprocessBuilder>,
-    requests: Arc<RequestQueue>,
-    queue: Arc<BatchQueue>,
-    session_stop: Arc<AtomicBool>,
-    plane_stop: Arc<AtomicBool>,
     stats: Arc<PlaneStats>,
     seed: u64,
+    /// Trace track of this session's spans.
     tid: u64,
-    /// Shared with the session's event-loop side: generator pipeline
-    /// events and socket-side events interleave in one ring.
+    /// Bounded ring of this session's recent events, frozen to the
+    /// plane's log on malformed/backpressure/panic triggers.
     flight: FlightRecorder,
 }
 
-/// Freeze a recorder's ring into the plane's [`FlightLog`] and count the
-/// dump (labelled by trigger). One branch and nothing else when disabled.
-fn flight_dump(flight: &FlightRecorder, tel: &Telemetry, reason: &'static str) {
-    if !flight.is_enabled() {
-        return;
-    }
-    flight.dump(reason);
-    tel.with(|r| r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", reason)]).inc());
-}
-
-fn generator_loop(ctx: GeneratorCtx) {
-    let mut gen = SyntheticLaion::new(ctx.cfg.data.clone(), ctx.seed);
-    let stopped =
-        || ctx.session_stop.load(Ordering::SeqCst) || ctx.plane_stop.load(Ordering::SeqCst);
-    loop {
-        if stopped() {
-            return;
-        }
-        let Some((count, req_ctx)) = ctx.requests.pop(Duration::from_millis(20)) else {
-            continue;
-        };
-        if let Some(delay) = ctx.cfg.fault_delay {
-            std::thread::sleep(delay);
-        }
-        let trace_id = req_ctx.map_or(0, |c| c.trace_id);
-        let started = Instant::now();
-        let mut samples = gen.take(count as usize);
-        if let Some(planner) = &ctx.cfg.planner {
-            samples = planner.reorder(samples);
-        }
-        if let Some(sink) = &ctx.cfg.trace {
-            // Producer-side spans parent under the consumer's prefetch
-            // span (the request context's parent): fetch/decode/feed are
-            // deterministic child seqs 1/2/3 of the same wire context.
-            sink.record_traced(
-                format!("fetch x{count}"),
-                cat::PRE_FETCH,
-                PREPROCESS_PID,
-                ctx.tid,
-                started,
-                req_ctx.as_ref(),
-                req_ctx.map_or(0, |c| c.span_id(1)),
-            );
-        }
-        ctx.cfg.telemetry.with(|r| {
-            r.histogram(names::PREPROCESS_FETCH_SECONDS, &[])
-                .observe_traced(started.elapsed().as_secs_f64(), trace_id)
-        });
-        let decode_started = Instant::now();
-        let chunks = preprocess_parallel(&samples, ctx.cfg.workers);
-        if let Some(sink) = &ctx.cfg.trace {
-            sink.record_traced(
-                format!("decode x{count}"),
-                cat::PRE_DECODE,
-                PREPROCESS_PID,
-                ctx.tid,
-                decode_started,
-                req_ctx.as_ref(),
-                req_ctx.map_or(0, |c| c.span_id(2)),
-            );
-        }
-        ctx.cfg.telemetry.with(|r| {
-            r.histogram(names::PREPROCESS_DECODE_SECONDS, &[])
-                .observe_traced(decode_started.elapsed().as_secs_f64(), trace_id)
-        });
-        ctx.flight.record("batch", trace_id, || {
-            format!("generated x{count} in {} us", started.elapsed().as_micros())
-        });
-        let header = BatchHeader {
-            token_lens: chunks.iter().map(|t| t.len() as u64).collect(),
-            samples,
-            producer_cpu_ns: started.elapsed().as_nanos() as u64,
-        };
-        let mut batch = ReadyBatch {
-            header_json: header.to_json().to_string().into_bytes(),
-            chunks,
-            count,
-            ctx: req_ctx,
-        };
-        // The backpressure edge: a full queue refuses the batch with the
-        // typed signal; the generator counts the event once and *waits*
-        // for the event loop to drain a slot — never unbounded buffering.
-        let mut signalled = false;
-        loop {
-            match ctx.queue.try_push(batch) {
-                Ok(()) => break,
-                Err((refused, PreprocessError::Backpressured { queue_depth })) if !signalled => {
-                    signalled = true;
-                    ctx.stats.backpressure.fetch_add(1, Ordering::Relaxed);
-                    ctx.cfg
-                        .telemetry
-                        .with(|r| r.counter(names::PREPROCESS_BACKPRESSURE_TOTAL, &[]).inc());
-                    ctx.flight.record("backpressure", trace_id, || {
-                        format!("batch x{count} refused at queue depth {queue_depth}")
-                    });
-                    flight_dump(&ctx.flight, &ctx.cfg.telemetry, "backpressure");
-                    batch = refused;
-                }
-                Err((refused, _)) => batch = refused,
-            }
-            if stopped() {
-                return;
-            }
-            ctx.queue.wait_not_full(Duration::from_millis(20));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Event loop: nonblocking accept/read/write multiplexer per endpoint
-// ---------------------------------------------------------------------------
-
-struct Session {
+/// A session as its accept thread tracks it: a clone of the socket to
+/// shut down at drain, and the thread to join.
+struct Live {
     stream: TcpStream,
-    inbuf: Vec<u8>,
-    /// Trace track shared with this session's generator spans.
-    tid: u64,
-    /// Responses owed (requests forwarded minus responses fully written).
-    pending: usize,
-    /// The response currently being written, with its progress.
-    outgoing: Option<Outgoing>,
-    requests: Arc<RequestQueue>,
-    queue: Arc<BatchQueue>,
-    session_stop: Arc<AtomicBool>,
-    gen_join: Option<JoinHandle<()>>,
-    /// Bounded ring of this session's recent events (shared with its
-    /// generator), frozen to the plane's log on malformed/panic triggers.
     flight: FlightRecorder,
-    closed: bool,
+    join: JoinHandle<()>,
 }
 
-struct Outgoing {
-    batch: ReadyBatch,
-    header_head: [u8; 4],
-    /// Encoded trace context echoed ahead of the header JSON when the
-    /// request carried one (`ctx_len` is 0 or [`TRACE_CONTEXT_LEN`]).
-    ctx_bytes: [u8; TRACE_CONTEXT_LEN],
-    ctx_len: usize,
-    payload_head: [u8; 4],
-    total: usize,
-    written: usize,
-    feed_started: Instant,
-}
-
-impl Outgoing {
-    fn new(batch: ReadyBatch) -> Outgoing {
-        let header_len = batch.header_json.len();
-        let payload_len: usize = batch.chunks.iter().map(|c| c.len()).sum();
-        let (header_word, ctx_bytes, ctx_len) = match &batch.ctx {
-            Some(ctx) => (
-                (header_len + TRACE_CONTEXT_LEN) as u32 | TRACE_FLAG,
-                ctx.encode(),
-                TRACE_CONTEXT_LEN,
-            ),
-            None => (header_len as u32, [0u8; TRACE_CONTEXT_LEN], 0),
-        };
-        Outgoing {
-            header_head: header_word.to_le_bytes(),
-            ctx_bytes,
-            ctx_len,
-            payload_head: (payload_len as u32).to_le_bytes(),
-            total: 4 + ctx_len + header_len + 4 + payload_len,
-            written: 0,
-            feed_started: Instant::now(),
-            batch,
-        }
-    }
-
-    /// Push the response forward with nonblocking vectored writes until
-    /// fully written (`Ok`) or the socket refuses more (`WouldBlock`).
-    fn step(&mut self, stream: &mut TcpStream) -> io::Result<()> {
-        while self.written < self.total {
-            let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(4 + self.batch.chunks.len());
-            let mut skip = self.written;
-            let parts = [
-                &self.header_head[..],
-                &self.ctx_bytes[..self.ctx_len],
-                &self.batch.header_json,
-                &self.payload_head[..],
-            ];
-            for p in parts.into_iter().chain(self.batch.chunks.iter().map(|c| c.as_slice())) {
-                if skip >= p.len() {
-                    skip -= p.len();
-                } else {
-                    slices.push(io::IoSlice::new(&p[skip..]));
-                    skip = 0;
-                }
-            }
-            match stream.write_vectored(&slices) {
-                Ok(0) => {
-                    return Err(io::Error::new(io::ErrorKind::WriteZero, "peer stopped reading"))
-                }
-                Ok(n) => self.written += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One complete request frame: its optional trace context and payload.
-type RequestFrame = (Option<TraceContext>, Vec<u8>);
-
-/// Incremental frame parser over a session's input buffer: returns one
-/// complete request frame (optional trace context + payload) when
-/// available, `Ok(None)` when more bytes are needed, or the protocol
-/// violation. Mirrors [`crate::frame::read_frame_ctx`]'s wire format on a
-/// nonblocking buffer instead of a blocking reader.
-fn next_request_frame(inbuf: &mut Vec<u8>) -> Result<Option<RequestFrame>, PreprocessError> {
-    if inbuf.len() < 4 {
-        return Ok(None);
-    }
-    let word = u32::from_le_bytes([inbuf[0], inbuf[1], inbuf[2], inbuf[3]]);
-    let traced = word & TRACE_FLAG != 0;
-    let len = word & !TRACE_FLAG;
-    if len > MAX_FRAME {
-        return Err(PreprocessError::Malformed {
-            reason: format!("request frame header claims {len} bytes (> MAX_FRAME)"),
-        });
-    }
-    let len = len as usize;
-    if len > MAX_REQUEST_FRAME {
-        return Err(PreprocessError::Malformed {
-            reason: format!("request frame of {len} bytes (control frames are tiny)"),
-        });
-    }
-    if traced && len < TRACE_CONTEXT_LEN {
-        return Err(PreprocessError::Malformed {
-            reason: format!("flagged request frame of {len} bytes (shorter than its trace context)"),
-        });
-    }
-    if inbuf.len() < 4 + len {
-        return Ok(None);
-    }
-    let (ctx, payload) = if traced {
-        let ctx = TraceContext::decode(&inbuf[4..4 + TRACE_CONTEXT_LEN]).ok_or_else(|| {
-            PreprocessError::Malformed { reason: "request trace context with zero trace id".into() }
-        })?;
-        (Some(ctx), inbuf[4 + TRACE_CONTEXT_LEN..4 + len].to_vec())
-    } else {
-        (None, inbuf[4..4 + len].to_vec())
-    };
-    inbuf.drain(..4 + len);
-    Ok(Some((ctx, payload)))
-}
-
-fn parse_request(payload: &[u8]) -> Result<Request, PreprocessError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| PreprocessError::Malformed { reason: format!("request not UTF-8: {e}") })?;
-    let value = Json::parse(text)
-        .map_err(|e| PreprocessError::Malformed { reason: format!("request not JSON: {e}") })?;
-    Request::from_json(&value).map_err(|e| PreprocessError::Malformed { reason: e })
-}
-
-fn endpoint_loop(
+fn accept_loop(
     listener: TcpListener,
     endpoint: u64,
     cfg: Arc<PreprocessBuilder>,
-    plane_stop: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
     stats: Arc<PlaneStats>,
 ) {
-    let mut sessions: Vec<Session> = Vec::new();
-    let mut session_idx = 0u64;
-    let mut read_buf = [0u8; 16 * 1024];
-    loop {
-        if plane_stop.load(Ordering::SeqCst) {
+    let mut live: Vec<Live> = Vec::new();
+    for (accepted, conn) in (0u64..).zip(listener.incoming()) {
+        if stop.load(Ordering::SeqCst) {
             break;
         }
-        let mut active = false;
-        // Accept every pending connection.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    active = true;
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    stats.sessions.fetch_add(1, Ordering::Relaxed);
-                    cfg.telemetry
-                        .with(|r| r.counter(names::PREPROCESS_SESSIONS_TOTAL, &[]).inc());
-                    let seed = cfg
-                        .seed
-                        .wrapping_add(endpoint.wrapping_mul(ENDPOINT_SEED_STRIDE))
-                        .wrapping_add(session_idx.wrapping_mul(SESSION_SEED_STRIDE));
-                    session_idx += 1;
-                    let tid = stats.next_tid.fetch_add(1, Ordering::Relaxed);
-                    let requests = Arc::new(RequestQueue::new());
-                    let queue = Arc::new(BatchQueue::new(cfg.queue_capacity));
-                    let session_stop = Arc::new(AtomicBool::new(false));
-                    let flight = cfg
-                        .flight
-                        .recorder(&format!("pre:ep{endpoint}:s{tid}"), DEFAULT_RING_CAPACITY);
-                    let ctx = GeneratorCtx {
-                        cfg: cfg.clone(),
-                        requests: requests.clone(),
-                        queue: queue.clone(),
-                        session_stop: session_stop.clone(),
-                        plane_stop: plane_stop.clone(),
-                        stats: stats.clone(),
-                        seed,
-                        tid,
-                        flight: flight.clone(),
-                    };
-                    let gen_join = std::thread::Builder::new()
-                        .name(format!("dt-preprocess-gen{tid}"))
-                        .spawn(move || generator_loop(ctx))
-                        .ok();
-                    if gen_join.is_none() {
-                        session_stop.store(true, Ordering::SeqCst);
-                        continue;
-                    }
-                    sessions.push(Session {
-                        stream,
-                        inbuf: Vec::new(),
-                        tid,
-                        pending: 0,
-                        outgoing: None,
-                        requests,
-                        queue,
-                        session_stop,
-                        gen_join,
-                        flight,
-                        closed: false,
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    plane_stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-            }
+        let Ok(stream) = conn else { break };
+        for done in live.extract_if(.., |s| s.join.is_finished()) {
+            reap(done, &stats, &cfg.telemetry);
         }
-        for s in &mut sessions {
-            if s.closed {
-                continue;
-            }
-            // Drain readable bytes without blocking.
-            loop {
-                match s.stream.read(&mut read_buf) {
-                    Ok(0) => {
-                        s.closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        active = true;
-                        s.inbuf.extend_from_slice(&read_buf[..n]);
-                        if s.inbuf.len() > MAX_REQUEST_FRAME + 4 + TRACE_CONTEXT_LEN {
-                            let buffered = s.inbuf.len();
-                            session_malformed(s, &stats, &cfg.telemetry, || {
-                                format!("{buffered} buffered bytes without a complete frame")
-                            });
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        s.closed = true;
-                        break;
-                    }
-                }
-            }
-            // Parse complete request frames.
-            while !s.closed {
-                match next_request_frame(&mut s.inbuf) {
-                    Ok(None) => break,
-                    Ok(Some((ctx, payload))) => match parse_request(&payload) {
-                        Ok(Request::Shutdown) => {
-                            s.closed = true;
-                        }
-                        Ok(Request::FetchBatch { count }) => {
-                            active = true;
-                            s.flight.record("request", ctx.map_or(0, |c| c.trace_id), || {
-                                format!("FetchBatch x{count}")
-                            });
-                            match s.requests.push(count, ctx) {
-                                Some(_) => s.pending += 1,
-                                None => {
-                                    // Outstanding-request abuse: hostile.
-                                    session_malformed(s, &stats, &cfg.telemetry, || {
-                                        format!(
-                                            "more than {MAX_OUTSTANDING_REQUESTS} outstanding FetchBatch requests"
-                                        )
-                                    });
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            session_malformed(s, &stats, &cfg.telemetry, || e.to_string());
-                        }
-                    },
-                    Err(e) => {
-                        session_malformed(s, &stats, &cfg.telemetry, || e.to_string());
-                    }
-                }
-            }
-            // Write: continue the in-flight response, then start the next
-            // ready batch. All nonblocking — a stalled peer parks here
-            // without holding up the endpoint.
-            while !s.closed {
-                if s.outgoing.is_none() {
-                    if s.pending == 0 {
-                        break;
-                    }
-                    match s.queue.try_pop() {
-                        Some(batch) => s.outgoing = Some(Outgoing::new(batch)),
-                        None => break,
-                    }
-                }
-                let out = s.outgoing.as_mut().unwrap();
-                match out.step(&mut s.stream) {
-                    Ok(()) => {
-                        active = true;
-                        let count = out.batch.count;
-                        let batch_ctx = out.batch.ctx;
-                        let trace_id = batch_ctx.map_or(0, |c| c.trace_id);
-                        if let Some(sink) = &cfg.trace {
-                            sink.record_traced(
-                                format!("feed x{count}"),
-                                cat::PRE_FEED,
-                                PREPROCESS_PID,
-                                s.tid,
-                                out.feed_started,
-                                batch_ctx.as_ref(),
-                                batch_ctx.map_or(0, |c| c.span_id(3)),
-                            );
-                        }
-                        let total = out.total;
-                        s.flight
-                            .record("feed", trace_id, || format!("x{count} ({total} wire bytes)"));
-                        cfg.telemetry.with(|r| {
-                            r.histogram(names::PREPROCESS_FEED_SECONDS, &[])
-                                .observe_traced(out.feed_started.elapsed().as_secs_f64(), trace_id);
-                            r.counter(names::PREPROCESS_BATCHES_TOTAL, &[]).inc();
-                            r.counter(names::PREPROCESS_SAMPLES_TOTAL, &[]).add(u64::from(count));
-                        });
-                        s.pending -= 1;
-                        s.outgoing = None;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        s.closed = true;
-                    }
-                }
-            }
-        }
-        // Reap closed sessions: stop + join their generators.
-        let mut i = 0;
-        while i < sessions.len() {
-            if sessions[i].closed {
-                let mut s = sessions.swap_remove(i);
-                shutdown_session(&mut s, &stats, &cfg.telemetry);
-            } else {
-                i += 1;
-            }
-        }
-        if !active {
-            std::thread::sleep(Duration::from_micros(300));
+        stats.sessions.fetch_add(1, Ordering::Relaxed);
+        cfg.telemetry.with(|r| r.counter(names::PREPROCESS_SESSIONS_TOTAL, &[]).inc());
+        let seed = cfg
+            .seed
+            .wrapping_add(endpoint.wrapping_mul(ENDPOINT_SEED_STRIDE))
+            .wrapping_add(accepted.wrapping_mul(SESSION_SEED_STRIDE));
+        let tid = stats.next_tid.fetch_add(1, Ordering::Relaxed);
+        let flight = cfg.flight.recorder(&format!("pre:ep{endpoint}:s{tid}"), DEFAULT_RING_CAPACITY);
+        let Ok(clone) = stream.try_clone() else { continue };
+        let session =
+            Session { cfg: cfg.clone(), stats: stats.clone(), seed, tid, flight: flight.clone() };
+        let spawned = std::thread::Builder::new()
+            .name(format!("dt-preprocess-gen{tid}"))
+            .spawn(move || run_session(&stream, &session));
+        if let Ok(join) = spawned {
+            live.push(Live { stream: clone, flight, join });
         }
     }
-    // Drain: every session's generator observes the stop flag (or its
-    // queue wakeups) within one poll window; joining here guarantees all
-    // telemetry/trace records for written batches landed before the
-    // handle's shutdown returns.
-    for mut s in sessions {
-        shutdown_session(&mut s, &stats, &cfg.telemetry);
+    // Drain: shutting a socket down wakes its reader (EOF) and writer
+    // (write error); joining here guarantees all telemetry/trace records
+    // for written batches landed before the handle's shutdown returns.
+    for s in &live {
+        let _ = s.stream.shutdown(Shutdown::Both);
+    }
+    for s in live {
+        reap(s, &stats, &cfg.telemetry);
     }
 }
 
-/// Close a session for a protocol violation: count it, freeze its flight
-/// ring with the violation as the last event, and mark it for reaping.
-fn session_malformed(
-    s: &mut Session,
-    stats: &PlaneStats,
-    tel: &Telemetry,
-    detail: impl FnOnce() -> String,
-) {
-    stats.malformed.fetch_add(1, Ordering::Relaxed);
-    tel.with(|r| r.counter(names::PREPROCESS_MALFORMED_TOTAL, &[]).inc());
-    s.flight.record("malformed", 0, detail);
-    flight_dump(&s.flight, tel, "malformed");
-    s.closed = true;
+fn reap(s: Live, stats: &PlaneStats, tel: &Telemetry) {
+    if s.join.join().is_err() {
+        stats.panicked.store(true, Ordering::SeqCst);
+        s.flight.record("panic", 0, || "session thread panicked".into());
+        s.flight.dump_counted("panic", tel);
+    }
 }
 
-fn shutdown_session(s: &mut Session, stats: &PlaneStats, tel: &Telemetry) {
-    s.session_stop.store(true, Ordering::SeqCst);
-    s.requests.wake_all();
-    s.queue.wake_all();
-    if let Some(join) = s.gen_join.take() {
-        if join.join().is_err() {
-            stats.panicked.store(true, Ordering::SeqCst);
-            s.flight.record("panic", 0, || "generator thread panicked".into());
-            flight_dump(&s.flight, tel, "panic");
+/// The session thread: reads and generates here, writes on a scoped
+/// writer thread. A panic on either reaches the accept thread's join.
+fn run_session(stream: &TcpStream, s: &Session) {
+    let (tx, rx) = mpsc::sync_channel(s.cfg.queue_capacity);
+    std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
+            .name(format!("dt-preprocess-feed{}", s.tid))
+            .spawn_scoped(scope, || write_loop(stream, rx, s));
+        if writer.is_ok() {
+            read_loop(stream, tx, s);
+        }
+        let _ = stream.shutdown(Shutdown::Both);
+    });
+}
+
+/// Read requests until EOF, `Shutdown`, a malformed frame, or a writer
+/// that has gone; generate one batch per FetchBatch.
+fn read_loop(stream: &TcpStream, tx: SyncSender<ReadyBatch>, s: &Session) {
+    let mut gen = SyntheticLaion::new(s.cfg.data.clone(), s.seed);
+    let mut reader = stream;
+    loop {
+        let (req_ctx, count) = match read_json_ctx_max(&mut reader, MAX_CONTROL_FRAME) {
+            Ok((ctx, Request::FetchBatch { count })) => (ctx, count),
+            Ok((_, Request::Shutdown)) => return,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let e = PreprocessError::Malformed { reason: e.to_string() };
+                s.stats.malformed.fetch_add(1, Ordering::Relaxed);
+                s.cfg.telemetry.with(|r| r.counter(names::PREPROCESS_MALFORMED_TOTAL, &[]).inc());
+                s.flight.record("malformed", 0, || e.to_string());
+                s.flight.dump_counted("malformed", &s.cfg.telemetry);
+                return;
+            }
+            // EOF, a reset, or the drain's shutdown.
+            Err(_) => return,
+        };
+        let trace_id = req_ctx.map_or(0, |c| c.trace_id);
+        s.flight.record("request", trace_id, || format!("FetchBatch x{count}"));
+        let batch = generate(&mut gen, count, req_ctx, s);
+        // The backpressure edge: a full queue refuses the batch; the
+        // reader counts the event once and *waits* for the writer to
+        // drain a slot — never unbounded buffering.
+        match tx.try_send(batch) {
+            Ok(()) => {}
+            Err(TrySendError::Full(batch)) => {
+                let queue_depth = s.cfg.queue_capacity;
+                s.stats.backpressure.fetch_add(1, Ordering::Relaxed);
+                s.cfg.telemetry.with(|r| r.counter(names::PREPROCESS_BACKPRESSURE_TOTAL, &[]).inc());
+                s.flight.record("backpressure", trace_id, || {
+                    format!("batch x{count} refused at queue depth {queue_depth}")
+                });
+                s.flight.dump_counted("backpressure", &s.cfg.telemetry);
+                if tx.send(batch).is_err() {
+                    return;
+                }
+            }
+            Err(TrySendError::Disconnected(_)) => return,
         }
     }
+}
+
+/// Fetch → reorder → decode one batch of `count` samples.
+fn generate(
+    gen: &mut SyntheticLaion,
+    count: u32,
+    req_ctx: Option<TraceContext>,
+    s: &Session,
+) -> ReadyBatch {
+    if let Some(delay) = s.cfg.fault_delay {
+        std::thread::sleep(delay);
+    }
+    let trace_id = req_ctx.map_or(0, |c| c.trace_id);
+    let started = Instant::now();
+    let mut samples = gen.take(count as usize);
+    if let Some(planner) = &s.cfg.planner {
+        samples = planner.reorder(samples);
+    }
+    if let Some(sink) = &s.cfg.trace {
+        // Producer-side spans parent under the consumer's prefetch span
+        // (the request context's parent): fetch/decode/feed are
+        // deterministic child seqs 1/2/3 of the same wire context.
+        sink.record_traced(
+            format!("fetch x{count}"),
+            cat::PRE_FETCH,
+            PREPROCESS_PID,
+            s.tid,
+            started,
+            req_ctx.as_ref(),
+            req_ctx.map_or(0, |c| c.span_id(1)),
+        );
+    }
+    s.cfg.telemetry.with(|r| {
+        r.histogram(names::PREPROCESS_FETCH_SECONDS, &[])
+            .observe_traced(started.elapsed().as_secs_f64(), trace_id)
+    });
+    let decode_started = Instant::now();
+    let chunks = preprocess_parallel(&samples, s.cfg.workers);
+    if let Some(sink) = &s.cfg.trace {
+        sink.record_traced(
+            format!("decode x{count}"),
+            cat::PRE_DECODE,
+            PREPROCESS_PID,
+            s.tid,
+            decode_started,
+            req_ctx.as_ref(),
+            req_ctx.map_or(0, |c| c.span_id(2)),
+        );
+    }
+    s.cfg.telemetry.with(|r| {
+        r.histogram(names::PREPROCESS_DECODE_SECONDS, &[])
+            .observe_traced(decode_started.elapsed().as_secs_f64(), trace_id)
+    });
+    s.flight.record("batch", trace_id, || {
+        format!("generated x{count} in {} us", started.elapsed().as_micros())
+    });
+    let header = BatchHeader {
+        token_lens: chunks.iter().map(|t| t.len() as u64).collect(),
+        samples,
+        producer_cpu_ns: started.elapsed().as_nanos() as u64,
+    };
+    ReadyBatch {
+        header_json: header.to_json().to_string().into_bytes(),
+        chunks,
+        count,
+        ctx: req_ctx,
+    }
+}
+
+/// Send every batch the reader hands over, in order, until the reader
+/// is gone or the socket fails.
+fn write_loop(stream: &TcpStream, rx: Receiver<ReadyBatch>, s: &Session) {
+    let mut writer = stream;
+    for batch in rx {
+        let feed_started = Instant::now();
+        let chunks: Vec<&[u8]> = batch.chunks.iter().map(Vec::as_slice).collect();
+        if write_batch_frames_ctx(&mut writer, batch.ctx.as_ref(), &batch.header_json, &chunks)
+            .is_err()
+        {
+            break;
+        }
+        let (count, batch_ctx) = (batch.count, batch.ctx);
+        let trace_id = batch_ctx.map_or(0, |c| c.trace_id);
+        if let Some(sink) = &s.cfg.trace {
+            sink.record_traced(
+                format!("feed x{count}"),
+                cat::PRE_FEED,
+                PREPROCESS_PID,
+                s.tid,
+                feed_started,
+                batch_ctx.as_ref(),
+                batch_ctx.map_or(0, |c| c.span_id(3)),
+            );
+        }
+        let wire_bytes = 8
+            + batch_ctx.map_or(0, |_| TRACE_CONTEXT_LEN)
+            + batch.header_json.len()
+            + chunks.iter().map(|c| c.len()).sum::<usize>();
+        s.flight.record("feed", trace_id, || format!("x{count} ({wire_bytes} wire bytes)"));
+        s.cfg.telemetry.with(|r| {
+            r.histogram(names::PREPROCESS_FEED_SECONDS, &[])
+                .observe_traced(feed_started.elapsed().as_secs_f64(), trace_id);
+            r.counter(names::PREPROCESS_BATCHES_TOTAL, &[]).inc();
+            r.counter(names::PREPROCESS_SAMPLES_TOTAL, &[]).add(u64::from(count));
+        });
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -962,6 +595,7 @@ mod tests {
     use super::*;
     use crate::wire::{read_frame, read_json, write_json};
     use dt_data::ResolutionMode;
+    use std::io::{Read, Write};
 
     fn tiny_data() -> DataConfig {
         DataConfig { resolution: ResolutionMode::Fixed(64), ..DataConfig::evaluation(64) }
@@ -969,6 +603,16 @@ mod tests {
 
     fn spawn_tiny(seed: u64) -> PreprocessHandle {
         Preprocess::builder(tiny_data(), seed).workers(2).spawn().unwrap()
+    }
+
+    /// Block until the plane closes this session: the read ends in EOF or
+    /// a reset, never in data.
+    fn assert_session_closed(stream: &mut TcpStream) {
+        let mut byte = [0u8; 1];
+        match stream.read(&mut byte) {
+            Ok(0) | Err(_) => {}
+            Ok(_) => panic!("a closed session sent data"),
+        }
     }
 
     #[test]
@@ -1061,10 +705,10 @@ mod tests {
     fn full_queue_backpressures_the_generator() {
         // Queue capacity 1 and a client that pipelines 10 multi-megabyte
         // requests but reads nothing: kernel socket buffers fill, the
-        // nonblocking writer parks on WouldBlock, the bounded queue fills
-        // behind it, and the generator must hit the typed backpressure
-        // path (visible in stats). The plane must still deliver
-        // everything, in order, once the client drains.
+        // writer blocks in its socket write, the bounded channel fills
+        // behind it, and the reader must hit the typed backpressure path
+        // (visible in stats). The plane must still deliver everything, in
+        // order, once the client drains.
         let big_images =
             DataConfig { resolution: ResolutionMode::Fixed(256), ..DataConfig::evaluation(64) };
         let mut handle = Preprocess::builder(big_images, 77)
@@ -1114,10 +758,9 @@ mod tests {
         assert_eq!(header.samples.len(), 2);
         let _ = read_frame(&mut good).unwrap();
         write_json(&mut good, &Request::Shutdown).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while handle.stats().malformed_frames == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The plane counts the violation before it closes the socket, so
+        // once the hostile read ends the count is in.
+        assert_session_closed(&mut bad);
         assert!(handle.stats().malformed_frames > 0, "hostile frame not counted");
         assert!(handle.shutdown(), "plane must survive hostile input");
     }
@@ -1130,6 +773,12 @@ mod tests {
         for (s, bytes) in samples.iter().zip(&par) {
             assert_eq!(bytes, &preprocess_sample(s).token_bytes);
         }
+    }
+
+    #[test]
+    fn empty_batch_preprocesses_to_nothing() {
+        // A `FetchBatch { count: 0 }` must not panic the session.
+        assert!(preprocess_parallel(&[], 4).is_empty());
     }
 
     #[test]
@@ -1227,10 +876,9 @@ mod tests {
         let _ = read_frame(&mut stream).unwrap();
         stream.write_all(&[0xFF; 8]).unwrap();
         stream.flush().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while flight.dumps_total() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The dump happens before the socket closes.
+        assert_session_closed(&mut stream);
+        assert_eq!(flight.dumps_total(), 1, "malformed session not dumped");
         drop(handle);
         let dumps = flight.dumps();
         assert_eq!(dumps.len(), 1, "exactly one dump: {dumps:?}");

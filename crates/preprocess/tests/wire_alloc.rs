@@ -7,10 +7,11 @@
 //! This binary installs a counting allocator (the `dt-telemetry`
 //! zero-allocation test precedent) and pins the *largest single
 //! allocation request* made while reading a truncated 1 GiB-claiming
-//! frame to at most one read chunk. The peak is tracked per thread, so
-//! tests running in parallel never see each other's allocations.
+//! frame to at most one read chunk, and counts the allocations a frame
+//! write makes (none). Both are tracked per thread, so tests running in
+//! parallel never see each other's allocations.
 
-use dt_preprocess::frame::write_batch_frames;
+use dt_preprocess::frame::{write_batch_frames, write_frame_ctx};
 use dt_preprocess::wire::{read_frame, write_frame, FRAME_READ_CHUNK, MAX_FRAME};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
@@ -26,12 +27,24 @@ thread_local! {
     static PEAK_REQUEST: Cell<usize> = const { Cell::new(0) };
 }
 
+thread_local! {
+    /// Allocation and reallocation calls on this thread since its last
+    /// reset.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
 fn note_request(size: usize) {
     let _ = PEAK_REQUEST.try_with(|peak| peak.set(peak.get().max(size)));
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 fn reset_peak() {
     PEAK_REQUEST.with(|peak| peak.set(0));
+    ALLOCS.with(|n| n.set(0));
+}
+
+fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
 }
 
 fn peak_request() -> usize {
@@ -112,6 +125,18 @@ fn batched_framing_never_materializes_the_payload() {
         "coalesced write of an 8 MiB batch staged a {peak}-byte buffer \
          (bound: {FRAME_READ_CHUNK} bytes — vectored writes must not copy)"
     );
+}
+
+#[test]
+fn frame_writes_allocate_nothing() {
+    // One frame is one vectored write from a stack gather list, traced or
+    // not: the head never lands in a heap buffer.
+    let payload = [7u8; 512];
+    let ctx = dt_simengine::trace::TraceContext { trace_id: 0x5EED, parent_span: 1 };
+    reset_peak();
+    write_frame(&mut NullSink, &payload).unwrap();
+    write_frame_ctx(&mut NullSink, Some(&ctx), &payload).unwrap();
+    assert_eq!(allocs(), 0, "writing a frame allocated");
 }
 
 #[test]

@@ -27,12 +27,17 @@
 //! * **Every admitted job is answered.** Session threads block on the
 //!   job's private reply channel, so a session cannot finish with a job
 //!   still queued — which is exactly what makes the drain argument work:
-//!   shutdown stops the accept loop, joins sessions (each finishes its
-//!   in-flight request), and only then do the workers see a disconnected
-//!   queue and exit.
+//!   shutdown wakes the accept thread (stop flag plus a self-connect),
+//!   which shuts down the read half of every live session — an idle
+//!   session sees EOF at once, a busy one still writes its reply — and
+//!   joins them; only then do the workers see a disconnected queue and
+//!   exit. Nothing polls: sessions block in reads, the accept thread in
+//!   `accept`.
 //! * **Hostile frames never panic.** A frame that is not a parseable
-//!   request gets a typed [`ServeError::Malformed`] reply and the
-//!   connection is closed (framing may be desynchronized after garbage).
+//!   request, or whose length word claims more than
+//!   [`MAX_CONTROL_FRAME`] (checked before any body byte is read), gets a
+//!   typed [`ServeError::Malformed`] reply and the connection is closed
+//!   (framing may be desynchronized after garbage).
 
 use crate::api::{ModuleSummary, PlanSummary, ServeError, ServeReply, ServeRequest, SimSummary, SpecDesc};
 use crate::http;
@@ -40,12 +45,12 @@ use crate::store::{task_for, PlanStore};
 use disttrain_core::{SystemKind, TrainingTask};
 use dt_orchestrator::{Orchestrator, PlanReport, DEFAULT_TOP_K};
 use dt_parallel::plan::ModulePlan;
-use dt_preprocess::frame::{read_json_ctx, write_json};
+use dt_preprocess::frame::{read_json_ctx_max, write_json, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
-use dt_telemetry::{names, FlightLog, FlightRecorder, Telemetry};
+use dt_telemetry::{names, FlightLog, Telemetry};
 use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -199,41 +204,10 @@ impl ServeHandle {
             })
             .collect::<io::Result<Vec<_>>>()?;
 
-        let accept_shared = shared.clone();
-        let accept = std::thread::Builder::new().name("dt-serve-accept".into()).spawn(move || {
-            let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-            for conn in listener.incoming() {
-                if accept_shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                sessions.retain(|h| !h.is_finished());
-                match conn {
-                    Ok(mut stream) => {
-                        let shared = accept_shared.clone();
-                        let tx = tx.clone();
-                        let spawned =
-                            std::thread::Builder::new().name("dt-serve-session".into()).spawn(
-                                move || {
-                                    let _ = serve_session(&mut stream, &shared, &tx);
-                                },
-                            );
-                        if let Ok(h) = spawned {
-                            sessions.push(h);
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Drain: every session finishes its in-flight request (workers
-            // are still running — they only exit once all job senders,
-            // including the per-session clones these joins release, are
-            // gone).
-            for h in sessions {
-                let _ = h.join();
-            }
-            drop(tx);
-        });
-
+        let shared_accept = shared.clone();
+        let accept = std::thread::Builder::new()
+            .name("dt-serve-accept".into())
+            .spawn(move || accept_loop(&listener, &shared_accept, tx));
         Ok(ServeHandle { addr, shared, accept: Some(accept?), workers })
     }
 
@@ -251,10 +225,11 @@ impl ServeHandle {
     }
 
     /// Block until a drain starts (e.g. a wire shutdown request), then
-    /// finish it: the `repro serve` foreground loop.
+    /// finish it: the `repro serve` foreground loop. The accept thread
+    /// only exits once a drain has begun, so joining it is the wait.
     pub fn wait(&mut self) {
-        while !self.stopped() {
-            std::thread::sleep(Duration::from_millis(100));
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
         }
         self.shutdown();
     }
@@ -278,42 +253,61 @@ impl Drop for ServeHandle {
     }
 }
 
-/// Dump a session's flight ring and count it, one label per trigger.
-fn flight_dump(flight: &FlightRecorder, tel: &Telemetry, reason: &'static str) {
-    if !flight.is_enabled() {
-        return;
+/// Accept connections until a drain begins, one session thread each. The
+/// accept thread keeps a clone of every live session's socket: at drain
+/// it shuts down their read halves, so idle sessions see EOF at once while
+/// in-flight replies still go out, then joins them.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>) {
+    let mut sessions: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
+    for conn in listener.incoming() {
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        sessions.retain(|(_, h)| !h.is_finished());
+        let Ok(mut stream) = conn else { break };
+        let Ok(clone) = stream.try_clone() else { continue };
+        let shared = shared.clone();
+        let tx = tx.clone();
+        let spawned = std::thread::Builder::new().name("dt-serve-session".into()).spawn(move || {
+            let _ = serve_session(&mut stream, &shared, &tx);
+            // The accept thread's clone keeps the fd open: shut down here
+            // so the peer sees EOF as soon as the session ends.
+            let _ = stream.shutdown(Shutdown::Both);
+        });
+        if let Ok(h) = spawned {
+            sessions.push((clone, h));
+        }
     }
-    flight.dump(reason);
-    tel.with(|r| r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", reason)]).inc());
+    // Drain: every session finishes its in-flight request (workers are
+    // still running — they only exit once all job senders, including the
+    // per-session clones these joins release, are gone).
+    for (stream, _) in &sessions {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (_, h) in sessions {
+        let _ = h.join();
+    }
 }
 
-/// One client connection: requests until the peer closes, shutdown, or a
-/// malformed frame.
+/// One client connection: requests until the peer closes, shutdown, a
+/// drain, or a malformed frame.
 fn serve_session(
     stream: &mut TcpStream,
     shared: &Shared,
     tx: &SyncSender<Job>,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     let session = stream
         .peer_addr()
         .map(|a| format!("serve:{a}"))
         .unwrap_or_else(|_| "serve:?".to_string());
     let flight = shared.flight.recorder(&session, DEFAULT_RING_CAPACITY);
     loop {
-        // Poll the stop flag between requests; `peek` never consumes
-        // bytes, so the timeout cannot desynchronize framing.
+        // Block for the next request; `peek` never consumes bytes. EOF is
+        // the client closing or the drain shutting down the read half.
         let mut probe = [0u8; 4];
-        let peeked = match stream.peek(&mut probe) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(n) => n,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
+        let peeked = match stream.peek(&mut probe)? {
+            0 => return Ok(()),
+            n => n,
         };
         // The same port speaks Prometheus: an HTTP GET can never be a
         // legitimate frame start here (it would claim a ~542 MB control
@@ -329,7 +323,7 @@ fn serve_session(
                 },
             );
         }
-        let (ctx, req): (Option<TraceContext>, ServeRequest) = match read_json_ctx(stream) {
+        let (ctx, req): (Option<TraceContext>, ServeRequest) = match read_json_ctx_max(stream, MAX_CONTROL_FRAME) {
             Ok(pair) => pair,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Typed reply, then close: after garbage the stream offset
@@ -337,7 +331,7 @@ fn serve_session(
                 // moment — the dump is the black box for this session.
                 record_rejection(&shared.telemetry, "malformed");
                 flight.record("malformed", 0, || e.to_string());
-                flight_dump(&flight, &shared.telemetry, "malformed");
+                flight.dump_counted("malformed", &shared.telemetry);
                 let reply =
                     ServeReply::Err(ServeError::Malformed { reason: e.to_string() });
                 let _ = write_json(stream, &reply);
@@ -355,7 +349,7 @@ fn serve_session(
             Admitted::Inline(reply) => {
                 if matches!(reply, ServeReply::Err(ServeError::Overloaded { .. })) {
                     flight.record("overloaded", trace_id, || req.kind().to_string());
-                    flight_dump(&flight, &shared.telemetry, "overloaded");
+                    flight.dump_counted("overloaded", &shared.telemetry);
                 }
                 write_json(stream, &reply)?
             }

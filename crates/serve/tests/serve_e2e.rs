@@ -127,6 +127,21 @@ fn garbage_json_in_a_valid_frame_gets_a_typed_malformed_reply() {
 }
 
 #[test]
+fn oversized_control_frame_is_rejected_before_its_body() {
+    // A length word claiming 128 KiB, and no body: requests are read
+    // through the 64 KiB control-frame cap, so the daemon answers at once
+    // instead of buffering whatever the client sends.
+    let daemon = ServeHandle::spawn(quiet(ServeConfig::default())).expect("spawn");
+    let mut stream = TcpStream::connect(daemon.addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream.write_all(&(128u32 * 1024).to_le_bytes()).expect("write");
+    match read_json::<ServeReply>(&mut stream).expect("typed reply before any body byte") {
+        ServeReply::Err(ServeError::Malformed { .. }) => {}
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
 fn full_queue_rejects_with_typed_overload_and_retry_rides_it_out() {
     let cfg = quiet(ServeConfig {
         workers: 1,

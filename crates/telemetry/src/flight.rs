@@ -24,6 +24,7 @@
 //!   byte-identical dump every time (a fixed-seed test pins this).
 
 use crate::anomaly::Anomaly;
+use crate::{names, Telemetry};
 use dt_simengine::Json;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,6 +263,17 @@ impl FlightRecorder {
             events: rec.ring.iter().cloned().collect(),
         });
     }
+
+    /// [`FlightRecorder::dump`], counted in `telemetry` as
+    /// `dt_flight_dumps_total{reason}` — how every network session freezes
+    /// its ring on a trigger. One branch and nothing else when disabled.
+    pub fn dump_counted(&self, reason: &'static str, telemetry: &Telemetry) {
+        if self.inner.is_none() {
+            return;
+        }
+        self.dump(reason);
+        telemetry.with(|r| r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", reason)]).inc());
+    }
 }
 
 #[cfg(test)]
@@ -315,6 +327,21 @@ mod tests {
         assert!(log.dumps().is_empty());
         assert_eq!(log.dumps_total(), 0);
         assert_eq!(log.to_json().to_string(), r#"{"dumps_total":0,"dumps":[]}"#);
+    }
+
+    #[test]
+    fn counted_dumps_are_labelled_by_reason() {
+        let tel = Telemetry::enabled();
+        let log = FlightLog::new();
+        let rec = log.recorder("s", 4);
+        rec.record("ev", 0, || "x".into());
+        rec.dump_counted("malformed", &tel);
+        FlightRecorder::disabled().dump_counted("malformed", &tel);
+        assert_eq!(log.dumps_total(), 1);
+        let count = tel
+            .with(|r| r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", "malformed")]).get())
+            .unwrap();
+        assert_eq!(count, 1, "a disabled recorder neither dumps nor counts");
     }
 
     #[test]

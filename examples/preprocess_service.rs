@@ -109,6 +109,6 @@ fn main() {
     println!("\nThe colocated stall is the full preprocessing cost; the disaggregated");
     println!("stall is only the prefetch-queue wait — the Figure 17 gap, measured live.");
     println!("The N×M plane serves every endpoint from one process with bounded");
-    println!("queues: when a consumer lags, its generator sees a typed Backpressured");
+    println!("queues: when a consumer lags, its session reader sees a typed Backpressured");
     println!("signal instead of the plane buffering without limit.");
 }
