@@ -127,8 +127,11 @@ impl Healer {
         self.observed += 1;
         let verdicts = self.detector.push(iter_secs, mfu, stall_secs);
         let newest = self.detector.len() - 1;
-        let hit =
-            |k: AnomalyKind| verdicts.iter().any(|a| a.kind == k && a.end_index == newest);
+        let hit = |k: AnomalyKind| {
+            verdicts
+                .iter()
+                .any(|a| a.kind == k && a.end_index == newest)
+        };
 
         if hit(AnomalyKind::StragglerIteration) {
             self.straggler_streak += 1;
@@ -138,12 +141,18 @@ impl Healer {
 
         let mut decision: Option<(HealerAction, AnomalyKind)> = None;
         if hit(AnomalyKind::PreprocessStallBurst) {
-            decision = Some((HealerAction::PreemptiveCheckpoint, AnomalyKind::PreprocessStallBurst));
+            decision = Some((
+                HealerAction::PreemptiveCheckpoint,
+                AnomalyKind::PreprocessStallBurst,
+            ));
         }
         if hit(AnomalyKind::MfuRegression) {
             decision = Some((HealerAction::ProactiveReplan, AnomalyKind::MfuRegression));
         } else if self.straggler_streak >= self.cfg.straggler_run.max(1) {
-            decision = Some((HealerAction::ProactiveReplan, AnomalyKind::StragglerIteration));
+            decision = Some((
+                HealerAction::ProactiveReplan,
+                AnomalyKind::StragglerIteration,
+            ));
         }
 
         let gated = self
@@ -204,7 +213,10 @@ mod tests {
         series.push((4.0, 0.5, 0.0)); // one spike: no action
         series.extend(clean(8));
         let actions = observe_series(&mut h, &series);
-        assert!(actions.is_empty(), "a lone spike must not trigger: {actions:?}");
+        assert!(
+            actions.is_empty(),
+            "a lone spike must not trigger: {actions:?}"
+        );
 
         // Three consecutive straggler verdicts = persistent. Hold the MFU
         // at baseline so only the straggler path can fire.

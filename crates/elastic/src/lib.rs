@@ -67,8 +67,7 @@ pub use policy::{
 };
 pub use run::{
     run_elastic, run_elastic_instrumented, run_elastic_traced, run_elastic_with, ElasticError,
-    ElasticReport, FailureEvent,
-    PlanEpoch, RecoveryAction,
+    ElasticReport, FailureEvent, PlanEpoch, RecoveryAction,
 };
 pub use sim::{exhaustive_best_interval, simulate_goodput, MachineConfig};
 pub use stream::{FailureStream, NodeFailure};

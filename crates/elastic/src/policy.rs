@@ -187,9 +187,7 @@ impl ElasticPlan {
             checkpoint: CheckpointPolicy::YoungDaly,
             checkpoint_cost: SimDuration::from_secs_f64(bytes / DFS_WRITE_BW),
             restart_overhead: SimDuration::from_secs_f64(30.0),
-            reshard_cost: SimDuration::from_secs_f64(
-                bytes / task.cluster.node.node_internode_bw(),
-            ),
+            reshard_cost: SimDuration::from_secs_f64(bytes / task.cluster.node.node_internode_bw()),
             topology: None,
             healer: None,
             precursor_window: SimDuration::ZERO,

@@ -108,8 +108,8 @@ impl ElasticReport {
         let mut out = Vec::with_capacity(self.epochs.len());
         for (k, e) in self.epochs.iter().enumerate() {
             let end = self.epochs.get(k + 1).map_or(n, |nx| nx.from_iteration);
-            let slice = &self.report.iterations
-                [e.from_iteration.min(n) as usize..end.min(n) as usize];
+            let slice =
+                &self.report.iterations[e.from_iteration.min(n) as usize..end.min(n) as usize];
             let mfu = if slice.is_empty() {
                 0.0
             } else {
@@ -150,7 +150,10 @@ impl std::fmt::Display for ElasticError {
         match self {
             ElasticError::Io(e) => write!(f, "checkpoint I/O: {e}"),
             ElasticError::Infeasible(why) => write!(f, "no feasible plan: {why}"),
-            ElasticError::NoProgress { committed, requested } => write!(
+            ElasticError::NoProgress {
+                committed,
+                requested,
+            } => write!(
                 f,
                 "no progress: stalled at {committed}/{requested} iterations \
                  (no live node slot remains)"
@@ -233,7 +236,13 @@ pub fn run_elastic(
     elastic: &ElasticPlan,
     ckpt_dir: &Path,
 ) -> Result<ElasticReport, ElasticError> {
-    run_elastic_traced(task, iterations, elastic, ckpt_dir, &mut TraceRecorder::disabled())
+    run_elastic_traced(
+        task,
+        iterations,
+        elastic,
+        ckpt_dir,
+        &mut TraceRecorder::disabled(),
+    )
 }
 
 /// [`run_elastic`] with span emission: committed iterations trace through
@@ -330,7 +339,11 @@ pub fn run_elastic_instrumented(
     let mut epochs: Vec<PlanEpoch> = Vec::new();
     let mut failures: Vec<FailureEvent> = Vec::new();
     let mut g = GoodputReport::default();
-    let mut wall = Wall { now: SimTime::ZERO, degraded: false, degraded_total: SimDuration::ZERO };
+    let mut wall = Wall {
+        now: SimTime::ZERO,
+        degraded: false,
+        degraded_total: SimDuration::ZERO,
+    };
     let mut replan_search = std::time::Duration::ZERO;
     // Warm-replan state, built lazily at the first shrink (from the
     // job-start task, whose profile stays exact on any multi-node
@@ -383,8 +396,11 @@ pub fn run_elastic_instrumented(
                 // A slow replacement spare paces the whole synchronous
                 // job; the excess over the plan's own iteration time is
                 // lost capacity, not committed work.
-                let pace =
-                    if slow_slots.is_empty() { 1.0 } else { elastic.spare_slowdown.max(1.0) };
+                let pace = if slow_slots.is_empty() {
+                    1.0
+                } else {
+                    elastic.spare_slowdown.max(1.0)
+                };
                 let paced = SimDuration::from_secs_f64(report.iter_time.as_secs_f64() * pace);
                 // Precursor symptoms: an ailing node stalls the
                 // iterations that land within `precursor_window` of its
@@ -412,7 +428,10 @@ pub fn run_elastic_instrumented(
                         victims.push(v);
                     }
                     if first.correlated {
-                        while stream.peek().is_some_and(|n| n.correlated && n.at == first.at) {
+                        while stream
+                            .peek()
+                            .is_some_and(|n| n.correlated && n.at == first.at)
+                        {
                             match stream.pop_with_repair(elastic.restart_overhead) {
                                 Some(v) => victims.push(v),
                                 None => break,
@@ -423,8 +442,11 @@ pub fn run_elastic_instrumented(
                     // if the failure instant predates this iteration, i.e.
                     // it struck during an overhead window we already
                     // charged elsewhere).
-                    let partial =
-                        if first.at > wall.now { first.at - wall.now } else { SimDuration::ZERO };
+                    let partial = if first.at > wall.now {
+                        first.at - wall.now
+                    } else {
+                        SimDuration::ZERO
+                    };
                     if rec.is_enabled() {
                         rec.record(TraceSpan::new(
                             format!("failure@{it}:node{}x{}", first.node, victims.len()),
@@ -439,7 +461,8 @@ pub fn run_elastic_instrumented(
                     g.lost += partial;
                     g.failures += victims.len() as u32;
                     tel.with(|r| {
-                        r.counter(names::ELASTIC_FAILURES_TOTAL, &[]).add(victims.len() as u64)
+                        r.counter(names::ELASTIC_FAILURES_TOTAL, &[])
+                            .add(victims.len() as u64)
                     });
                     if first.correlated {
                         tel.with(|r| r.counter(names::ELASTIC_DOMAIN_EVENTS_TOTAL, &[]).inc());
@@ -506,8 +529,7 @@ pub fn run_elastic_instrumented(
                     }
                     let mut shrink_nodes = 0u32;
                     for v in &victims {
-                        let domain =
-                            elastic.topology.as_ref().map_or(0, |t| t.domain_of(v.node));
+                        let domain = elastic.topology.as_ref().map_or(0, |t| t.domain_of(v.node));
                         let action = if spares.take_preferring_other(domain) {
                             // A hot spare takes over the slot in place;
                             // the slot's failure stream continues for the
@@ -544,12 +566,13 @@ pub fn run_elastic_instrumented(
                             });
                         }
                         g.shrinks += shrink_nodes;
-                        let shrunk = cur_task
-                            .shrunk(shrink_nodes)
-                            .ok_or(ElasticError::NoProgress {
-                                committed: resume_at,
-                                requested: iterations,
-                            })?;
+                        let shrunk =
+                            cur_task
+                                .shrunk(shrink_nodes)
+                                .ok_or(ElasticError::NoProgress {
+                                    committed: resume_at,
+                                    requested: iterations,
+                                })?;
                         let ctx = replan_ctx.get_or_insert_with(|| task.replan_context());
                         let search_started = std::time::Instant::now();
                         let new_plan = shrunk.replan_shrunk_warm(&cur_plan, ctx).map_err(|e| {
@@ -648,8 +671,7 @@ pub fn run_elastic_instrumented(
                 // observed series to the online detector and act on its
                 // verdicts.
                 let Some(h) = healer.as_mut() else { continue };
-                let Some((action, trigger)) = h.observe(observed.0, observed.1, observed.2)
-                else {
+                let Some((action, trigger)) = h.observe(observed.0, observed.1, observed.2) else {
                     continue;
                 };
                 match action {
@@ -668,7 +690,11 @@ pub fn run_elastic_instrumented(
                             wall.advance(elastic.checkpoint_cost);
                             g.checkpoint += elastic.checkpoint_cost;
                             g.checkpoints += 1;
-                            healer_actions.push(HealerEvent { iteration: it, action, trigger });
+                            healer_actions.push(HealerEvent {
+                                iteration: it,
+                                action,
+                                trigger,
+                            });
                             tel.with(|r| {
                                 r.counter(names::ELASTIC_CHECKPOINTS_TOTAL, &[]).inc();
                                 r.counter(
@@ -689,10 +715,7 @@ pub fn run_elastic_instrumented(
                                 rec.set_origin(rec.origin() + elastic.checkpoint_cost);
                             }
                             frec.record("healer-action", 0, || {
-                                format!(
-                                    "preemptive-checkpoint@{it} trigger={}",
-                                    trigger.name()
-                                )
+                                format!("preemptive-checkpoint@{it} trigger={}", trigger.name())
                             });
                             frec.dump("healer:preemptive-checkpoint");
                         }
@@ -727,28 +750,33 @@ pub fn run_elastic_instrumented(
                             stream.retire(n);
                         }
                         g.shrinks += evicted;
-                        let shrunk = cur_task.shrunk(evicted).ok_or(
-                            ElasticError::NoProgress { committed: it, requested: iterations },
-                        )?;
+                        let shrunk = cur_task.shrunk(evicted).ok_or(ElasticError::NoProgress {
+                            committed: it,
+                            requested: iterations,
+                        })?;
                         let ctx = replan_ctx.get_or_insert_with(|| task.replan_context());
                         let search_started = std::time::Instant::now();
-                        let new_plan =
-                            shrunk.replan_shrunk_warm(&cur_plan, ctx).map_err(|e| {
-                                ElasticError::Infeasible(format!(
-                                    "no plan for {} nodes: {e}",
-                                    shrunk.cluster.num_nodes
-                                ))
-                            })?;
+                        let new_plan = shrunk.replan_shrunk_warm(&cur_plan, ctx).map_err(|e| {
+                            ElasticError::Infeasible(format!(
+                                "no plan for {} nodes: {e}",
+                                shrunk.cluster.num_nodes
+                            ))
+                        })?;
                         let search_wall = search_started.elapsed();
                         replan_search += search_wall;
                         wall.advance(elastic.reshard_cost);
                         g.reshard += elastic.reshard_cost;
                         wall.degraded = true;
-                        healer_actions.push(HealerEvent { iteration: it, action, trigger });
+                        healer_actions.push(HealerEvent {
+                            iteration: it,
+                            action,
+                            trigger,
+                        });
                         tel.with(|r| {
                             r.histogram(names::ELASTIC_REPLAN_SEARCH_SECONDS, &[])
                                 .observe(search_wall.as_secs_f64());
-                            r.counter(names::ELASTIC_SHRINKS_TOTAL, &[]).add(u64::from(evicted));
+                            r.counter(names::ELASTIC_SHRINKS_TOTAL, &[])
+                                .add(u64::from(evicted));
                             r.counter(names::HEALER_ACTIONS_TOTAL, &[("action", action.name())])
                                 .inc();
                         });
@@ -788,12 +816,20 @@ pub fn run_elastic_instrumented(
     g.degraded = wall.degraded_total;
     tel.with(|r| {
         let total = g.total_wall.as_secs_f64();
-        let goodput = if total > 0.0 { g.committed.as_secs_f64() / total } else { 0.0 };
+        let goodput = if total > 0.0 {
+            g.committed.as_secs_f64() / total
+        } else {
+            0.0
+        };
         r.gauge(names::ELASTIC_GOODPUT_FRACTION, &[]).set(goodput);
-        r.gauge(names::ELASTIC_DEGRADED_SECONDS, &[]).set(g.degraded.as_secs_f64());
+        r.gauge(names::ELASTIC_DEGRADED_SECONDS, &[])
+            .set(g.degraded.as_secs_f64());
     });
     Ok(ElasticReport {
-        report: TrainingReport { iterations: committed, peak_flops_per_gpu: peak },
+        report: TrainingReport {
+            iterations: committed,
+            peak_flops_per_gpu: peak,
+        },
         epochs,
         failures,
         healer_actions,
@@ -912,13 +948,18 @@ mod tests {
         );
         assert!(out.goodput.shrinks >= 1, "the single spare must run out");
         assert!(
-            out.failures.iter().any(|f| f.action == RecoveryAction::SpareSwap),
+            out.failures
+                .iter()
+                .any(|f| f.action == RecoveryAction::SpareSwap),
             "the spare must absorb the first failure"
         );
         assert!(out.epochs.len() >= 2, "a shrink opens a new plan epoch");
         assert!(out.epochs[1].nodes < out.epochs[0].nodes);
         out.goodput.validate().unwrap();
-        assert!(out.goodput.degraded > SimDuration::ZERO, "post-shrink time is degraded");
+        assert!(
+            out.goodput.degraded > SimDuration::ZERO,
+            "post-shrink time is degraded"
+        );
         assert!(out.goodput.lost > SimDuration::ZERO);
         assert!(
             out.replan_search > std::time::Duration::ZERO,
@@ -934,7 +975,10 @@ mod tests {
             for i in e.from_iteration..end {
                 let reference = reference_iteration(&epoch_task, e.plan, iterations, i);
                 let got = out.report.iterations[i as usize];
-                assert_eq!(got.iter_time, reference.iter_time, "iteration {i} (epoch {k})");
+                assert_eq!(
+                    got.iter_time, reference.iter_time,
+                    "iteration {i} (epoch {k})"
+                );
                 assert_eq!(got.model_flops, reference.model_flops, "iteration {i}");
                 assert_eq!(got.gpus, reference.gpus, "iteration {i}");
             }
@@ -957,7 +1001,10 @@ mod tests {
         assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
         assert_eq!(out.failures[0].iteration, 1);
         assert_eq!(out.failures[0].resumed_from, 0);
-        assert_eq!(snap.counter_value(names::ELASTIC_ROLLED_BACK_ITERATIONS_TOTAL, &[]), Some(1));
+        assert_eq!(
+            snap.counter_value(names::ELASTIC_ROLLED_BACK_ITERATIONS_TOTAL, &[]),
+            Some(1)
+        );
         out.goodput.validate().unwrap();
     }
 
@@ -976,7 +1023,10 @@ mod tests {
         assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
         assert_eq!(out.failures[0].iteration, 5);
         assert_eq!(out.failures[0].resumed_from, 3);
-        assert_eq!(snap.counter_value(names::ELASTIC_ROLLED_BACK_ITERATIONS_TOTAL, &[]), Some(2));
+        assert_eq!(
+            snap.counter_value(names::ELASTIC_ROLLED_BACK_ITERATIONS_TOTAL, &[]),
+            Some(2)
+        );
         // Wall clock strictly exceeds the committed work (lost + restart).
         assert!(out.goodput.total_wall > out.goodput.committed + elastic.restart_overhead);
         out.goodput.validate().unwrap();
@@ -993,7 +1043,10 @@ mod tests {
         assert_eq!(a.goodput, b.goodput);
         assert_eq!(a.failures.len(), b.failures.len());
         for (x, y) in a.failures.iter().zip(&b.failures) {
-            assert_eq!((x.node, x.at, x.iteration, x.action), (y.node, y.at, y.iteration, y.action));
+            assert_eq!(
+                (x.node, x.at, x.iteration, x.action),
+                (y.node, y.at, y.iteration, y.action)
+            );
         }
         std::fs::remove_dir_all(&d1).unwrap();
         std::fs::remove_dir_all(&d2).unwrap();
@@ -1042,7 +1095,8 @@ mod tests {
         assert_eq!(rcv.dur, elastic.restart_overhead);
         let ro = rec.spans().iter().find(|s| s.cat == cat::REORCH).unwrap();
         assert_eq!(ro.dur, elastic.reshard_cost);
-        rec.validate_nesting().expect("elastic spans stay disjoint per track");
+        rec.validate_nesting()
+            .expect("elastic spans stay disjoint per track");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1061,23 +1115,37 @@ mod tests {
         let out = run_elastic(&task, 8, &elastic, &dir).unwrap();
 
         let correlated: Vec<_> = out.failures.iter().filter(|f| f.correlated).collect();
-        assert!(correlated.len() >= 2, "need a multi-victim blast: {:?}", out.failures);
+        assert!(
+            correlated.len() >= 2,
+            "need a multi-victim blast: {:?}",
+            out.failures
+        );
         // Every victim of the first blast died at the same instant, in the
         // same domain, and the whole blast restarted the job once.
         let first_at = correlated[0].at;
         let batch: Vec<_> = correlated.iter().filter(|f| f.at == first_at).collect();
-        assert!(batch.len() >= 2, "a domain event must take out several slots");
+        assert!(
+            batch.len() >= 2,
+            "a domain event must take out several slots"
+        );
         let topo = elastic.topology.unwrap();
         let d0 = topo.domain_of(batch[0].node);
         for f in &batch {
-            assert_eq!(topo.domain_of(f.node), d0, "blast crossed a domain boundary");
+            assert_eq!(
+                topo.domain_of(f.node),
+                d0,
+                "blast crossed a domain boundary"
+            );
             assert_eq!(f.action, RecoveryAction::Shrink);
             assert_eq!(f.resumed_from, batch[0].resumed_from);
         }
         // One shrink recovery for the whole batch: nodes drop by the batch
         // size between consecutive epochs.
         assert!(out.epochs.len() >= 2);
-        assert_eq!(out.epochs[0].nodes - out.epochs[1].nodes, batch.len() as u32);
+        assert_eq!(
+            out.epochs[0].nodes - out.epochs[1].nodes,
+            batch.len() as u32
+        );
         out.goodput.validate().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1097,7 +1165,10 @@ mod tests {
         assert!(out.goodput.failures >= 1);
         // With 3 spares over this failure pattern the first failures are
         // all absorbed in place.
-        assert!(out.failures.iter().any(|f| f.action == RecoveryAction::SpareSwap));
+        assert!(out
+            .failures
+            .iter()
+            .any(|f| f.action == RecoveryAction::SpareSwap));
         out.goodput.validate().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1137,17 +1208,30 @@ mod tests {
             .iter()
             .filter(|e| e.action == HealerAction::PreemptiveCheckpoint)
             .collect();
-        assert!(!saves.is_empty(), "no preemptive checkpoint: {:?}", out.healer_actions);
+        assert!(
+            !saves.is_empty(),
+            "no preemptive checkpoint: {:?}",
+            out.healer_actions
+        );
         assert!(saves
             .iter()
             .all(|e| e.trigger == dt_telemetry::AnomalyKind::PreprocessStallBurst));
         let snap = tel.snapshot();
         let n = snap
-            .counter_value(names::HEALER_ACTIONS_TOTAL, &[("action", "preemptive-checkpoint")])
+            .counter_value(
+                names::HEALER_ACTIONS_TOTAL,
+                &[("action", "preemptive-checkpoint")],
+            )
             .unwrap_or(0);
         assert_eq!(n, saves.len() as u64, "counter must match the action log");
-        assert!(flight.dumps_total() >= 1, "each healer action dumps the flight ring");
-        assert!(flight.dumps().iter().any(|d| d.reason == "healer:preemptive-checkpoint"));
+        assert!(
+            flight.dumps_total() >= 1,
+            "each healer action dumps the flight ring"
+        );
+        assert!(flight
+            .dumps()
+            .iter()
+            .any(|d| d.reason == "healer:preemptive-checkpoint"));
         out.goodput.validate().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1169,7 +1253,9 @@ mod tests {
         let out = run_elastic(&task, 14, &elastic, &dir).unwrap();
 
         assert!(
-            out.failures.iter().any(|f| f.action == RecoveryAction::SpareSwap),
+            out.failures
+                .iter()
+                .any(|f| f.action == RecoveryAction::SpareSwap),
             "the spare must swap in first: {:?}",
             out.failures
         );
@@ -1178,7 +1264,11 @@ mod tests {
             .iter()
             .filter(|e| e.action == HealerAction::ProactiveReplan)
             .collect();
-        assert!(!replans.is_empty(), "no proactive replan: {:?}", out.healer_actions);
+        assert!(
+            !replans.is_empty(),
+            "no proactive replan: {:?}",
+            out.healer_actions
+        );
         // The eviction opens a new (smaller) plan epoch and the time spent
         // paced by the slow spare is attributed as degraded + lost.
         assert!(out.epochs.len() >= 2);
@@ -1209,11 +1299,22 @@ mod tests {
         let iter = snap.series_points(names::SERIES_ITER_TIME, &[]).unwrap();
         let mfu = snap.series_points(names::SERIES_MFU, &[]).unwrap();
         let stall = snap.series_values(names::SERIES_STALL, &[]).unwrap();
-        let commits = snap.counter_value(names::RUNTIME_ITERATIONS_TOTAL, &[]).unwrap();
-        assert_eq!((mfu.len(), stall.len()), (commits as usize, commits as usize));
-        assert_eq!(iter.len(), mfu.len() + out.failures.len(), "one extra point per failure");
+        let commits = snap
+            .counter_value(names::RUNTIME_ITERATIONS_TOTAL, &[])
+            .unwrap();
+        assert_eq!(
+            (mfu.len(), stall.len()),
+            (commits as usize, commits as usize)
+        );
+        assert_eq!(
+            iter.len(),
+            mfu.len() + out.failures.len(),
+            "one extra point per failure"
+        );
         assert!(
-            stall.iter().any(|&s| s >= elastic.precursor_stall.as_secs_f64()),
+            stall
+                .iter()
+                .any(|&s| s >= elastic.precursor_stall.as_secs_f64()),
             "precursor stalls must reach the stall series: {stall:?}"
         );
 
@@ -1227,18 +1328,30 @@ mod tests {
             if k < mfu.len() && mfu[k].0 == at {
                 it += 1;
                 if let Some((action, trigger)) = healer.observe(t, mfu[k].1, stall[k]) {
-                    replayed.push(HealerEvent { iteration: it, action, trigger });
+                    replayed.push(HealerEvent {
+                        iteration: it,
+                        action,
+                        trigger,
+                    });
                 }
                 k += 1;
             } else {
-                let f = failures.next().expect("a lost-wall point without a failure");
-                assert!(t >= elastic.restart_overhead.as_secs_f64(), "lost wall {t}s");
+                let f = failures
+                    .next()
+                    .expect("a lost-wall point without a failure");
+                assert!(
+                    t >= elastic.restart_overhead.as_secs_f64(),
+                    "lost wall {t}s"
+                );
                 it = f.resumed_from;
             }
         }
         // The driver acts on every verdict except the ones with nothing
         // to do, so its actions are an in-order subsequence of the replay.
-        assert!(!out.healer_actions.is_empty(), "scenario must exercise the healer");
+        assert!(
+            !out.healer_actions.is_empty(),
+            "scenario must exercise the healer"
+        );
         let mut rest = replayed.iter();
         for taken in &out.healer_actions {
             assert!(
@@ -1265,7 +1378,10 @@ mod tests {
         let b = run_elastic(&task, 12, &elastic, &d2).unwrap();
         assert_eq!(a.healer_actions, b.healer_actions);
         assert_eq!(a.goodput, b.goodput);
-        assert!(!a.healer_actions.is_empty(), "scenario must exercise the healer");
+        assert!(
+            !a.healer_actions.is_empty(),
+            "scenario must exercise the healer"
+        );
         std::fs::remove_dir_all(&d1).unwrap();
         std::fs::remove_dir_all(&d2).unwrap();
     }
@@ -1283,4 +1399,3 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
-

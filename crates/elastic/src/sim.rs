@@ -85,7 +85,11 @@ fn schedule_iteration(sim: &mut Simulator<Machine>, m: &Machine) {
         return;
     }
     let writes = (m.done + 1).is_multiple_of(m.cfg.checkpoint_interval.max(1));
-    let dur = if writes { m.cfg.iter_time + m.cfg.checkpoint_cost } else { m.cfg.iter_time };
+    let dur = if writes {
+        m.cfg.iter_time + m.cfg.checkpoint_cost
+    } else {
+        m.cfg.iter_time
+    };
     let epoch = m.epoch;
     sim.schedule_in(dur, move |sim, m: &mut Machine| {
         if m.epoch != epoch {
@@ -255,7 +259,11 @@ mod tests {
             c.failure_seed = seed;
             let g = simulate_goodput(&c).unwrap();
             g.validate().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert_eq!(g.committed, secs(2_000.0), "seed {seed}: exactly N iterations commit");
+            assert_eq!(
+                g.committed,
+                secs(2_000.0),
+                "seed {seed}: exactly N iterations commit"
+            );
             assert!(g.goodput() > 0.0 && g.goodput() <= 1.0);
         }
     }
@@ -289,7 +297,10 @@ mod tests {
         let mut c = cfg();
         c.iterations = 10_000;
         let g = simulate_goodput(&c).unwrap();
-        assert!(g.failures > 0, "10ks horizon at 3.1ks system MTBF must fail");
+        assert!(
+            g.failures > 0,
+            "10ks horizon at 3.1ks system MTBF must fail"
+        );
         assert!(g.lost > SimDuration::ZERO);
         assert!(g.restart >= c.restart_overhead);
         assert!(g.goodput() < 1.0);
@@ -307,7 +318,10 @@ mod tests {
         if g.failures > 0 {
             let per_failure = g.lost.as_secs_f64() / f64::from(g.failures);
             let bound = 100.0 * 1.0 + 25.0 + 60.0; // k·t + C + in-flight restart
-            assert!(per_failure <= bound, "mean lost/failure {per_failure:.1}s > {bound}s");
+            assert!(
+                per_failure <= bound,
+                "mean lost/failure {per_failure:.1}s > {bound}s"
+            );
         }
     }
 
@@ -335,7 +349,10 @@ mod tests {
         c.topology = Some(FailureTopology::new(16, secs(400.0)));
         c.spares = Some(0);
         match simulate_goodput(&c) {
-            Err(ElasticError::NoProgress { committed, requested }) => {
+            Err(ElasticError::NoProgress {
+                committed,
+                requested,
+            }) => {
                 assert!(committed < requested);
                 assert_eq!(requested, 10_000);
             }
@@ -389,7 +406,10 @@ mod tests {
             ),
             base.iter_time,
         );
-        assert!((270..=290).contains(&yd), "analytic correlated YD ≈ 280, got {yd}");
+        assert!(
+            (270..=290).contains(&yd),
+            "analytic correlated YD ≈ 280, got {yd}"
+        );
         let step = 100u32;
         let grid: Vec<u32> = (1..=10).map(|k| k * step).collect();
         let seeds: Vec<u64> = (0..8).collect();

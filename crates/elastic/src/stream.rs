@@ -89,7 +89,10 @@ impl FailureStream {
             .map(|n| {
                 let mut rng = root.fork(u64::from(n));
                 let gap = rng.exponential(mtbf_secs);
-                Slot { rng, next: Some(SimTime::ZERO + SimDuration::from_secs_f64(gap)) }
+                Slot {
+                    rng,
+                    next: Some(SimTime::ZERO + SimDuration::from_secs_f64(gap)),
+                }
             })
             .collect();
         let mut domain_mtbf_secs = f64::INFINITY;
@@ -102,7 +105,10 @@ impl FailureStream {
                         // slot indices even for gigantic clusters.
                         let mut rng = root.fork(0xD0_0A1A_0000_0000 ^ u64::from(d));
                         let gap = rng.exponential(domain_mtbf_secs);
-                        Domain { rng, next: SimTime::ZERO + SimDuration::from_secs_f64(gap) }
+                        Domain {
+                            rng,
+                            next: SimTime::ZERO + SimDuration::from_secs_f64(gap),
+                        }
                     })
                     .collect()
             }
@@ -123,7 +129,11 @@ impl FailureStream {
             .iter()
             .enumerate()
             .filter_map(|(n, s)| {
-                s.next.map(|at| NodeFailure { node: n as u32, at, correlated: false })
+                s.next.map(|at| NodeFailure {
+                    node: n as u32,
+                    at,
+                    correlated: false,
+                })
             })
             .min_by_key(|f| (f.at, f.node))
     }
@@ -143,7 +153,8 @@ impl FailureStream {
             .iter()
             .enumerate()
             .filter_map(|(d, dom)| {
-                self.first_live_in(d as u32).map(|victim| (d as u32, dom.next, victim))
+                self.first_live_in(d as u32)
+                    .map(|victim| (d as u32, dom.next, victim))
             })
             .min_by_key(|&(d, at, _)| (at, d))
     }
@@ -158,13 +169,17 @@ impl FailureStream {
         let slot = self.peek_slot();
         let dom = self.peek_domain();
         match (slot, dom) {
-            (Some(s), Some((_, at, victim))) if at <= s.at => {
-                Some(NodeFailure { node: victim, at, correlated: true })
-            }
+            (Some(s), Some((_, at, victim))) if at <= s.at => Some(NodeFailure {
+                node: victim,
+                at,
+                correlated: true,
+            }),
             (Some(s), _) => Some(s),
-            (None, Some((_, at, victim))) => {
-                Some(NodeFailure { node: victim, at, correlated: true })
-            }
+            (None, Some((_, at, victim))) => Some(NodeFailure {
+                node: victim,
+                at,
+                correlated: true,
+            }),
             (None, None) => None,
         }
     }
@@ -295,7 +310,10 @@ mod tests {
         let small = count_until(4, 50_000.0);
         let large = count_until(16, 50_000.0);
         let ratio = large as f64 / small as f64;
-        assert!((2.5..6.0).contains(&ratio), "rate ratio {ratio:.2} should be ≈4");
+        assert!(
+            (2.5..6.0).contains(&ratio),
+            "rate ratio {ratio:.2} should be ≈4"
+        );
     }
 
     #[test]
@@ -351,7 +369,10 @@ mod tests {
             last = f.at;
         }
         let mean = total / n as f64;
-        assert!((mean - 250.0).abs() < 15.0, "mean gap {mean:.1}s vs MTBF 250s");
+        assert!(
+            (mean - 250.0).abs() < 15.0,
+            "mean gap {mean:.1}s vs MTBF 250s"
+        );
     }
 
     /// Regression for the repair-window bug: the replacement hardware only

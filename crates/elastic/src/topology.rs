@@ -30,7 +30,10 @@ pub struct FailureTopology {
 impl FailureTopology {
     /// A topology with an explicit blast radius.
     pub fn new(nodes_per_domain: u32, domain_mtbf: SimDuration) -> Self {
-        FailureTopology { nodes_per_domain: nodes_per_domain.max(1), domain_mtbf }
+        FailureTopology {
+            nodes_per_domain: nodes_per_domain.max(1),
+            domain_mtbf,
+        }
     }
 
     /// The cluster's own rack layout as the failure-domain grouping.

@@ -58,7 +58,10 @@ fn injected_faults_are_flagged_and_the_clean_run_is_silent() {
     // Clean run (MTBF ≈ ∞), same seed: zero anomalies of any kind.
     let (clean, clean_snap) = metered_run(&task, &elastic, "clean");
     assert_eq!(
-        clean_snap.series_values(names::SERIES_ITER_TIME, &[]).unwrap().len(),
+        clean_snap
+            .series_values(names::SERIES_ITER_TIME, &[])
+            .unwrap()
+            .len(),
         ITERS as usize
     );
     let false_positives = scan(&clean_snap);
@@ -79,7 +82,12 @@ fn injected_faults_are_flagged_and_the_clean_run_is_silent() {
     elastic.precursor_stall = secs(1.0);
     let (out, snap) = metered_run(&task, &elastic, "flags");
     assert_eq!(out.report.iterations.len(), ITERS as usize);
-    assert_eq!(out.failures.len(), 1, "scenario needs exactly one failure: {:?}", out.failures);
+    assert_eq!(
+        out.failures.len(),
+        1,
+        "scenario needs exactly one failure: {:?}",
+        out.failures
+    );
     let found = scan(&snap);
 
     // The crash's lost wall (the partial iteration + 5× restart) must be
@@ -101,10 +109,23 @@ fn injected_faults_are_flagged_and_the_clean_run_is_silent() {
         .iter()
         .find(|a| a.kind == AnomalyKind::PreprocessStallBurst)
         .expect("precursor stall burst must be flagged");
-    assert!(burst.end_index > burst.start_index, "a burst spans ≥ 2 points");
-    assert!(burst.value > 0.9, "burst peak carries the injected ~1s stall");
+    assert!(
+        burst.end_index > burst.start_index,
+        "a burst spans ≥ 2 points"
+    );
+    assert!(
+        burst.value > 0.9,
+        "burst peak carries the injected ~1s stall"
+    );
 
     // The elastic counters track the recovery machinery.
-    assert_eq!(snap.counter_value(names::ELASTIC_FAILURES_TOTAL, &[]), Some(1));
-    assert!(snap.counter_value(names::ELASTIC_CHECKPOINTS_TOTAL, &[]).unwrap() >= 2);
+    assert_eq!(
+        snap.counter_value(names::ELASTIC_FAILURES_TOTAL, &[]),
+        Some(1)
+    );
+    assert!(
+        snap.counter_value(names::ELASTIC_CHECKPOINTS_TOTAL, &[])
+            .unwrap()
+            >= 2
+    );
 }
