@@ -15,10 +15,9 @@
 //! * [`policy`] — the [`ElasticPlan`] scenario description and the
 //!   **Young–Daly** checkpoint-interval optimum `√(2·C·M)`, with the
 //!   system MTBF summing independent and correlated event rates;
-//! * [`sim`] — a discrete-event checkpoint–restart machine on the
-//!   [`dt_simengine::Simulator`] plus an exhaustive interval search that
-//!   *validates* Young–Daly against simulation (correlated MTBF
-//!   included);
+//! * [`sim`] — the constant-iteration-time timeline plus an exhaustive
+//!   interval search that *validates* Young–Daly against simulation
+//!   (correlated MTBF included);
 //! * [`healer`] — the watcher→healer loop: dt-telemetry's anomaly
 //!   detector run online over committed iterations, converting stall
 //!   bursts into preemptive checkpoints and persistent stragglers / MFU
@@ -33,6 +32,12 @@
 //! * [`goodput`] — wall-clock accounting: committed / lost / checkpoint /
 //!   restart / re-shard buckets that reconstruct the wall clock exactly,
 //!   plus degraded-capacity time.
+//!
+//! Both drivers run on one private checkpoint–restart timeline that owns
+//! the wall clock, the goodput buckets, the failure-stream pops and the
+//! trace clock, so every second is charged the same way whether the
+//! iteration times are constant ([`sim`]) or come from the runtime
+//! ([`run`]).
 //!
 //! ```
 //! use dt_elastic::{CheckpointPolicy, ElasticPlan, run_elastic};
@@ -57,6 +62,7 @@ pub mod policy;
 pub mod run;
 pub mod sim;
 pub mod stream;
+mod timeline;
 pub mod topology;
 
 pub use goodput::GoodputReport;

@@ -10,7 +10,7 @@
 //! `M` (per-node MTBF divided by node count), the wall-clock interval
 //! `τ* = √(2·C·M)` minimizes expected time lost to checkpoint overhead
 //! plus replayed work. [`crate::sim::exhaustive_best_interval`] validates
-//! the closed form against the discrete-event simulator.
+//! the closed form against the constant-iteration-time timeline.
 
 use crate::healer::HealerConfig;
 use crate::topology::FailureTopology;
@@ -61,8 +61,9 @@ pub fn young_daly_interval(
 /// `√(2·C·M)` comes from [`system_mtbf`], so correlated domain events
 /// shorten `M` (and the interval) by their event rate — *not* by their
 /// victim count, since a k-node blast still restarts the job once.
-/// The correlated validation test in [`crate::sim`] checks this closed
-/// form against [`crate::sim::exhaustive_best_interval`].
+/// The unit test `correlated_young_daly_matches_exhaustive_search` in
+/// [`crate::sim`] checks this closed form against
+/// [`crate::sim::exhaustive_best_interval`].
 pub fn young_daly_interval_correlated(
     checkpoint_cost: SimDuration,
     node_mtbf: SimDuration,

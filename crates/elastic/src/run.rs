@@ -22,14 +22,15 @@
 use crate::goodput::GoodputReport;
 use crate::healer::{Healer, HealerAction, HealerEvent};
 use crate::policy::ElasticPlan;
-use crate::stream::{FailureStream, NodeFailure};
+use crate::stream::FailureStream;
+use crate::timeline::Timeline;
 use disttrain_core::{
     record_iteration_metrics, CheckpointManager, IterationReport, Runtime, SystemKind,
     TrainingReport, TrainingState, TrainingTask,
 };
 use dt_cluster::CollectiveCost;
 use dt_parallel::OrchestrationPlan;
-use dt_simengine::trace::{cat, TraceRecorder, TraceSpan};
+use dt_simengine::trace::TraceRecorder;
 use dt_simengine::{SimDuration, SimTime};
 use dt_telemetry::{names, FlightLog, Telemetry};
 use std::path::Path;
@@ -212,22 +213,6 @@ impl SparePool {
     }
 }
 
-/// Wall clock with degraded-time attribution.
-struct Wall {
-    now: SimTime,
-    degraded: bool,
-    degraded_total: SimDuration,
-}
-
-impl Wall {
-    fn advance(&mut self, d: SimDuration) {
-        self.now += d;
-        if self.degraded {
-            self.degraded_total += d;
-        }
-    }
-}
-
 /// Run `iterations` elastically, planning the initial configuration with
 /// the DistTrain orchestrator.
 pub fn run_elastic(
@@ -311,12 +296,6 @@ pub fn run_elastic_instrumented(
     flight: &FlightLog,
 ) -> Result<ElasticReport, ElasticError> {
     let initial_nodes = task.cluster.num_nodes;
-    let mut stream = FailureStream::with_topology(
-        initial_nodes,
-        elastic.node_mtbf,
-        elastic.failure_seed,
-        elastic.topology,
-    );
     let domains = elastic.topology.map_or(1, |t| t.domains(initial_nodes));
     let mut spares = SparePool::new(elastic.spare_nodes, domains);
     let mut healer = elastic.healer.map(Healer::new);
@@ -325,25 +304,29 @@ pub fn run_elastic_instrumented(
     // when `spare_slowdown > 1`); while non-empty the whole synchronous
     // job runs at the spare's pace.
     let mut slow_slots: Vec<u32> = Vec::new();
-    // Iteration of the newest durable checkpoint (for the healer's
-    // "is there anything unsaved" guard).
-    let mut saved_at: u32 = 0;
     let frec = flight.recorder("elastic-healer", 64);
     let mut mgr = CheckpointManager::new(ckpt_dir)?;
+    let mut tl = Timeline::new(
+        FailureStream::with_topology(
+            initial_nodes,
+            elastic.node_mtbf,
+            elastic.failure_seed,
+            elastic.topology,
+        ),
+        elastic.checkpoint_cost,
+        elastic.restart_overhead,
+        elastic.reshard_cost,
+        rec,
+        tel,
+        u64::from(initial_plan.backbone.dp),
+    );
 
     let mut cur_task = task.clone();
     let mut cur_plan = initial_plan;
-    let trainer_pid = u64::from(initial_plan.backbone.dp);
 
     let mut committed: Vec<IterationReport> = Vec::with_capacity(iterations as usize);
     let mut epochs: Vec<PlanEpoch> = Vec::new();
     let mut failures: Vec<FailureEvent> = Vec::new();
-    let mut g = GoodputReport::default();
-    let mut wall = Wall {
-        now: SimTime::ZERO,
-        degraded: false,
-        degraded_total: SimDuration::ZERO,
-    };
     let mut replan_search = std::time::Duration::ZERO;
     // Warm-replan state, built lazily at the first shrink (from the
     // job-start task, whose profile stays exact on any multi-node
@@ -351,6 +334,29 @@ pub fn run_elastic_instrumented(
     // by every later shrink. Construction happens *outside* the timed
     // region: only the search itself is the recovery-path solver budget.
     let mut replan_ctx: Option<disttrain_core::ReplanContext> = None;
+    // Shrink `cur` by `lost` nodes and warm-replan the survivors; `at` is
+    // the iteration the run stalls at when no smaller cluster exists.
+    let mut replan = |cur: &TrainingTask, plan: &OrchestrationPlan, lost: u32, at: u32| {
+        let shrunk = cur.shrunk(lost).ok_or(ElasticError::NoProgress {
+            committed: at,
+            requested: iterations,
+        })?;
+        let ctx = replan_ctx.get_or_insert_with(|| task.replan_context());
+        let search_started = std::time::Instant::now();
+        let new_plan = shrunk.replan_shrunk_warm(plan, ctx).map_err(|e| {
+            ElasticError::Infeasible(format!(
+                "no plan for {} nodes: {e}",
+                shrunk.cluster.num_nodes
+            ))
+        })?;
+        let search_wall = search_started.elapsed();
+        replan_search += search_wall;
+        tel.with(|r| {
+            r.histogram(names::ELASTIC_REPLAN_SEARCH_SECONDS, &[])
+                .observe(search_wall.as_secs_f64())
+        });
+        Ok::<_, ElasticError>((shrunk, new_plan))
+    };
     let peak = task.cluster.node.gpu.peak_flops;
     let mut it = 0u32;
 
@@ -372,6 +378,17 @@ pub fn run_elastic_instrumented(
             // The policy's cadence for this epoch, set from the epoch's
             // first simulated iteration.
             let mut cadence: Option<u32> = None;
+            // Save iteration `it` through the real checkpoint manager and
+            // charge the write on the timeline.
+            let save = |mgr: &mut CheckpointManager, tl: &mut Timeline, it: u32, kind: &str| {
+                mgr.save_async(&TrainingState {
+                    iteration: it,
+                    plan: cur_plan,
+                    seed: runtime.cfg.seed,
+                })?;
+                tl.checkpoint(it, kind);
+                Ok::<_, ElasticError>(())
+            };
 
             let mut next: Option<(TrainingTask, OrchestrationPlan)> = None;
             while it < iterations {
@@ -381,7 +398,7 @@ pub fn run_elastic_instrumented(
                     let interval = elastic.checkpoint.interval(
                         elastic.checkpoint_cost,
                         elastic.node_mtbf,
-                        stream.active(),
+                        tl.stream().active(),
                         elastic.topology.as_ref(),
                         report.iter_time,
                     );
@@ -406,67 +423,19 @@ pub fn run_elastic_instrumented(
                 // iterations that land within `precursor_window` of its
                 // upcoming failure — the signal the healer's stall-burst
                 // detector converts into a preemptive checkpoint.
-                let mut precursor = SimDuration::ZERO;
-                if elastic.precursor_stall > SimDuration::ZERO {
-                    if let Some(f) = stream.peek() {
-                        if f.at < wall.now + paced + elastic.precursor_window {
-                            precursor = elastic.precursor_stall;
-                        }
-                    }
-                }
+                let ailing = tl
+                    .stream()
+                    .peek()
+                    .is_some_and(|f| f.at < tl.now() + paced + elastic.precursor_window);
+                let precursor = if ailing {
+                    elastic.precursor_stall
+                } else {
+                    SimDuration::ZERO
+                };
                 let iter_wall = paced + precursor;
-                let iter_end = wall.now + iter_wall;
 
-                let hit = stream.peek().filter(|f| f.at < iter_end);
-                if let Some(first) = hit {
-                    // Pop every victim of the same instant: a correlated
-                    // domain event expands into one failure per live slot
-                    // in the rack, and the job restarts *once* for the
-                    // whole blast.
-                    let mut victims: Vec<NodeFailure> = Vec::new();
-                    if let Some(v) = stream.pop_with_repair(elastic.restart_overhead) {
-                        victims.push(v);
-                    }
-                    if first.correlated {
-                        while stream
-                            .peek()
-                            .is_some_and(|n| n.correlated && n.at == first.at)
-                        {
-                            match stream.pop_with_repair(elastic.restart_overhead) {
-                                Some(v) => victims.push(v),
-                                None => break,
-                            }
-                        }
-                    }
-                    // The in-flight partial burns down as lost time (zero
-                    // if the failure instant predates this iteration, i.e.
-                    // it struck during an overhead window we already
-                    // charged elsewhere).
-                    let partial = if first.at > wall.now {
-                        first.at - wall.now
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    if rec.is_enabled() {
-                        rec.record(TraceSpan::new(
-                            format!("failure@{it}:node{}x{}", first.node, victims.len()),
-                            cat::FAILURE,
-                            trainer_pid,
-                            2,
-                            SimTime::ZERO,
-                            partial,
-                        ));
-                    }
-                    wall.advance(partial);
-                    g.lost += partial;
-                    g.failures += victims.len() as u32;
-                    tel.with(|r| {
-                        r.counter(names::ELASTIC_FAILURES_TOTAL, &[])
-                            .add(victims.len() as u64)
-                    });
-                    if first.correlated {
-                        tel.with(|r| r.counter(names::ELASTIC_DOMAIN_EVENTS_TOTAL, &[]).inc());
-                    }
+                if let Some(victims) = tl.next_failure(iter_wall) {
+                    let first = victims[0];
                     frec.record("failure", 0, || {
                         format!(
                             "it={it} victims={} correlated={} first_node={}",
@@ -475,43 +444,15 @@ pub fn run_elastic_instrumented(
                             first.node
                         )
                     });
-
                     // Roll back to the newest durable checkpoint: the
                     // committed-but-unsaved iterations become lost work.
                     mgr.wait()?;
                     let state = CheckpointManager::recover(ckpt_dir)?;
                     let resume_at = state.map_or(0, |s: TrainingState| s.iteration);
-                    let rolled_back = committed.len().saturating_sub(resume_at as usize);
-                    tel.with(|r| {
-                        r.counter(names::ELASTIC_ROLLED_BACK_ITERATIONS_TOTAL, &[])
-                            .add(rolled_back as u64)
-                    });
-                    for r in committed.drain(resume_at as usize..) {
-                        g.committed -= r.iter_time;
-                        g.lost += r.iter_time;
-                    }
-
-                    wall.advance(elastic.restart_overhead);
-                    g.restart += elastic.restart_overhead;
-                    // The aborted attempt is real elapsed time: one
-                    // straggler point on the iteration-time series, never
-                    // committed to the training report.
-                    tel.with(|r| {
-                        r.series(names::SERIES_ITER_TIME, &[])
-                            .sample(wall.now, (partial + elastic.restart_overhead).as_secs_f64())
-                    });
-                    if rec.is_enabled() {
-                        rec.set_origin(rec.origin() + partial);
-                        rec.record(TraceSpan::new(
-                            format!("recovery@{it}->{resume_at}"),
-                            cat::RECOVERY,
-                            trainer_pid,
-                            2,
-                            SimTime::ZERO,
-                            elastic.restart_overhead,
-                        ));
-                        rec.set_origin(rec.origin() + elastic.restart_overhead);
-                    }
+                    let rolled = committed
+                        .drain(resume_at as usize..)
+                        .fold(SimDuration::ZERO, |acc, r| acc + r.iter_time);
+                    tl.roll_back(&victims, it, resume_at, rolled);
 
                     // A correlated event destroys the spares parked in
                     // its own domain before any of them can swap in —
@@ -540,8 +481,7 @@ pub fn run_elastic_instrumented(
                             }
                             RecoveryAction::SpareSwap
                         } else {
-                            tel.with(|r| r.counter(names::ELASTIC_SHRINKS_TOTAL, &[]).inc());
-                            stream.retire(v.node);
+                            tl.retire(v.node);
                             slow_slots.retain(|&n| n != v.node);
                             shrink_nodes += 1;
                             RecoveryAction::Shrink
@@ -556,53 +496,19 @@ pub fn run_elastic_instrumented(
                         });
                     }
                     it = resume_at;
-                    saved_at = resume_at;
 
                     if shrink_nodes > 0 {
-                        if stream.active() == 0 {
+                        if tl.stream().active() == 0 {
                             return Err(ElasticError::NoProgress {
                                 committed: resume_at,
                                 requested: iterations,
                             });
                         }
-                        g.shrinks += shrink_nodes;
-                        let shrunk =
-                            cur_task
-                                .shrunk(shrink_nodes)
-                                .ok_or(ElasticError::NoProgress {
-                                    committed: resume_at,
-                                    requested: iterations,
-                                })?;
-                        let ctx = replan_ctx.get_or_insert_with(|| task.replan_context());
-                        let search_started = std::time::Instant::now();
-                        let new_plan = shrunk.replan_shrunk_warm(&cur_plan, ctx).map_err(|e| {
-                            ElasticError::Infeasible(format!(
-                                "no plan for {} nodes: {e}",
-                                shrunk.cluster.num_nodes
-                            ))
-                        })?;
-                        let search_wall = search_started.elapsed();
-                        replan_search += search_wall;
-                        tel.with(|r| {
-                            r.histogram(names::ELASTIC_REPLAN_SEARCH_SECONDS, &[])
-                                .observe(search_wall.as_secs_f64())
+                        let (shrunk, new_plan) =
+                            replan(&cur_task, &cur_plan, shrink_nodes, resume_at)?;
+                        tl.reshard(shrink_nodes, || {
+                            format!("reorch@{resume_at}:nodes{}", shrunk.cluster.num_nodes)
                         });
-                        // Migrating state onto the re-sharded plan costs
-                        // checkpoint-bytes over the RDMA fabric.
-                        wall.advance(elastic.reshard_cost);
-                        g.reshard += elastic.reshard_cost;
-                        wall.degraded = true;
-                        if rec.is_enabled() {
-                            rec.record(TraceSpan::new(
-                                format!("reorch@{resume_at}:nodes{}", shrunk.cluster.num_nodes),
-                                cat::REORCH,
-                                trainer_pid,
-                                2,
-                                SimTime::ZERO,
-                                elastic.reshard_cost,
-                            ));
-                            rec.set_origin(rec.origin() + elastic.reshard_cost);
-                        }
                         // Epochs that committed nothing durable vanish
                         // from the final history.
                         while epochs.last().is_some_and(|e| e.from_iteration >= resume_at) {
@@ -617,20 +523,16 @@ pub fn run_elastic_instrumented(
                 // Commit. In traced mode re-simulate with span emission —
                 // the data path is deterministic, so the traced pass is
                 // identical to the decision pass above.
-                if rec.is_enabled() {
+                if let Some(rec) = tl.tracing() {
                     let traced = runtime.simulate_iteration_traced(&perf, &batch, rec);
                     debug_assert_eq!(traced.iter_time, report.iter_time);
-                    rec.set_origin(rec.origin() + iter_wall);
                 }
                 if pace > 1.0 {
                     // Slow-spare time is degraded capacity until the
                     // healer (or a shrink) evicts the slow slots.
-                    wall.degraded = true;
+                    tl.degrade();
                 }
-                wall.advance(iter_wall);
-                g.committed += report.iter_time;
-                // Pace excess and precursor stall are lost capacity.
-                g.lost += iter_wall - report.iter_time;
+                tl.commit(report.iter_time, iter_wall);
                 // What the job observed: paced wall time, paced-down MFU,
                 // and the stall including precursor symptoms. The anomaly
                 // series and the healer both see exactly this.
@@ -639,32 +541,12 @@ pub fn run_elastic_instrumented(
                     report.mfu(peak) / pace,
                     report.preprocess_stall.as_secs_f64() + precursor.as_secs_f64(),
                 );
-                record_iteration_metrics(tel, wall.now, &report, peak, observed);
+                record_iteration_metrics(tel, tl.now(), &report, peak, observed);
                 committed.push(report);
                 it += 1;
 
                 if it.is_multiple_of(interval) {
-                    mgr.save_async(&TrainingState {
-                        iteration: it,
-                        plan: cur_plan,
-                        seed: runtime.cfg.seed,
-                    })?;
-                    saved_at = it;
-                    wall.advance(elastic.checkpoint_cost);
-                    g.checkpoint += elastic.checkpoint_cost;
-                    g.checkpoints += 1;
-                    tel.with(|r| r.counter(names::ELASTIC_CHECKPOINTS_TOTAL, &[]).inc());
-                    if rec.is_enabled() {
-                        rec.record(TraceSpan::new(
-                            format!("checkpoint@{it}"),
-                            cat::CHECKPOINT,
-                            trainer_pid,
-                            1,
-                            SimTime::ZERO,
-                            elastic.checkpoint_cost,
-                        ));
-                        rec.set_origin(rec.origin() + elastic.checkpoint_cost);
-                    }
+                    save(&mut mgr, &mut tl, it, "checkpoint")?;
                 }
 
                 // The watcher→healer loop: feed the committed iteration's
@@ -680,45 +562,14 @@ pub fn run_elastic_instrumented(
                         // an imminent failure, and a fresh checkpoint
                         // moves the rollback target right next to it.
                         // Nothing to do when the cadence just saved.
-                        if it > saved_at {
-                            mgr.save_async(&TrainingState {
-                                iteration: it,
-                                plan: cur_plan,
-                                seed: runtime.cfg.seed,
-                            })?;
-                            saved_at = it;
-                            wall.advance(elastic.checkpoint_cost);
-                            g.checkpoint += elastic.checkpoint_cost;
-                            g.checkpoints += 1;
-                            healer_actions.push(HealerEvent {
-                                iteration: it,
-                                action,
-                                trigger,
-                            });
-                            tel.with(|r| {
-                                r.counter(names::ELASTIC_CHECKPOINTS_TOTAL, &[]).inc();
-                                r.counter(
-                                    names::HEALER_ACTIONS_TOTAL,
-                                    &[("action", action.name())],
-                                )
-                                .inc();
-                            });
-                            if rec.is_enabled() {
-                                rec.record(TraceSpan::new(
-                                    format!("heal-checkpoint@{it}"),
-                                    cat::CHECKPOINT,
-                                    trainer_pid,
-                                    1,
-                                    SimTime::ZERO,
-                                    elastic.checkpoint_cost,
-                                ));
-                                rec.set_origin(rec.origin() + elastic.checkpoint_cost);
-                            }
-                            frec.record("healer-action", 0, || {
-                                format!("preemptive-checkpoint@{it} trigger={}", trigger.name())
-                            });
-                            frec.dump("healer:preemptive-checkpoint");
+                        if it == tl.saved_at() {
+                            continue;
                         }
+                        save(&mut mgr, &mut tl, it, "heal-checkpoint")?;
+                        frec.record("healer-action", 0, || {
+                            format!("preemptive-checkpoint@{it} trigger={}", trigger.name())
+                        });
+                        frec.dump("healer:preemptive-checkpoint");
                     }
                     HealerAction::ProactiveReplan => {
                         // Evict the slow slots and warm-replan the
@@ -733,64 +584,17 @@ pub fn run_elastic_instrumented(
                         // boundary) must survive the reshard, or a later
                         // failure would roll back across the boundary
                         // under the wrong plan.
-                        if it > saved_at {
-                            mgr.save_async(&TrainingState {
-                                iteration: it,
-                                plan: cur_plan,
-                                seed: runtime.cfg.seed,
-                            })?;
-                            saved_at = it;
-                            wall.advance(elastic.checkpoint_cost);
-                            g.checkpoint += elastic.checkpoint_cost;
-                            g.checkpoints += 1;
-                            tel.with(|r| r.counter(names::ELASTIC_CHECKPOINTS_TOTAL, &[]).inc());
+                        if it > tl.saved_at() {
+                            save(&mut mgr, &mut tl, it, "heal-checkpoint")?;
                         }
                         let evicted = slow_slots.len() as u32;
                         for n in slow_slots.drain(..) {
-                            stream.retire(n);
+                            tl.retire(n);
                         }
-                        g.shrinks += evicted;
-                        let shrunk = cur_task.shrunk(evicted).ok_or(ElasticError::NoProgress {
-                            committed: it,
-                            requested: iterations,
-                        })?;
-                        let ctx = replan_ctx.get_or_insert_with(|| task.replan_context());
-                        let search_started = std::time::Instant::now();
-                        let new_plan = shrunk.replan_shrunk_warm(&cur_plan, ctx).map_err(|e| {
-                            ElasticError::Infeasible(format!(
-                                "no plan for {} nodes: {e}",
-                                shrunk.cluster.num_nodes
-                            ))
-                        })?;
-                        let search_wall = search_started.elapsed();
-                        replan_search += search_wall;
-                        wall.advance(elastic.reshard_cost);
-                        g.reshard += elastic.reshard_cost;
-                        wall.degraded = true;
-                        healer_actions.push(HealerEvent {
-                            iteration: it,
-                            action,
-                            trigger,
+                        let (shrunk, new_plan) = replan(&cur_task, &cur_plan, evicted, it)?;
+                        tl.reshard(evicted, || {
+                            format!("heal-reorch@{it}:nodes{}", shrunk.cluster.num_nodes)
                         });
-                        tel.with(|r| {
-                            r.histogram(names::ELASTIC_REPLAN_SEARCH_SECONDS, &[])
-                                .observe(search_wall.as_secs_f64());
-                            r.counter(names::ELASTIC_SHRINKS_TOTAL, &[])
-                                .add(u64::from(evicted));
-                            r.counter(names::HEALER_ACTIONS_TOTAL, &[("action", action.name())])
-                                .inc();
-                        });
-                        if rec.is_enabled() {
-                            rec.record(TraceSpan::new(
-                                format!("heal-reorch@{it}:nodes{}", shrunk.cluster.num_nodes),
-                                cat::REORCH,
-                                trainer_pid,
-                                2,
-                                SimTime::ZERO,
-                                elastic.reshard_cost,
-                            ));
-                            rec.set_origin(rec.origin() + elastic.reshard_cost);
-                        }
                         frec.record("healer-action", 0, || {
                             format!(
                                 "proactive-replan@{it} evicted={evicted} trigger={}",
@@ -799,8 +603,19 @@ pub fn run_elastic_instrumented(
                         });
                         frec.dump("healer:proactive-replan");
                         next = Some((shrunk, new_plan));
-                        break;
                     }
+                }
+                healer_actions.push(HealerEvent {
+                    iteration: it,
+                    action,
+                    trigger,
+                });
+                tel.with(|r| {
+                    r.counter(names::HEALER_ACTIONS_TOTAL, &[("action", action.name())])
+                        .inc()
+                });
+                if next.is_some() {
+                    break;
                 }
             }
             next
@@ -812,19 +627,6 @@ pub fn run_elastic_instrumented(
     }
     mgr.wait()?;
 
-    g.total_wall = wall.now - SimTime::ZERO;
-    g.degraded = wall.degraded_total;
-    tel.with(|r| {
-        let total = g.total_wall.as_secs_f64();
-        let goodput = if total > 0.0 {
-            g.committed.as_secs_f64() / total
-        } else {
-            0.0
-        };
-        r.gauge(names::ELASTIC_GOODPUT_FRACTION, &[]).set(goodput);
-        r.gauge(names::ELASTIC_DEGRADED_SECONDS, &[])
-            .set(g.degraded.as_secs_f64());
-    });
     Ok(ElasticReport {
         report: TrainingReport {
             iterations: committed,
@@ -833,7 +635,7 @@ pub fn run_elastic_instrumented(
         epochs,
         failures,
         healer_actions,
-        goodput: g,
+        goodput: tl.finish(),
         replan_search,
     })
 }
@@ -846,6 +648,7 @@ mod tests {
     use crate::topology::FailureTopology;
     use disttrain_core::RuntimeConfig;
     use dt_model::MllmPreset;
+    use dt_simengine::trace::cat;
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("dt-elastic-{tag}-{}", std::process::id()));
@@ -1097,6 +900,14 @@ mod tests {
         assert_eq!(ro.dur, elastic.reshard_cost);
         rec.validate_nesting()
             .expect("elastic spans stay disjoint per track");
+        // The trace clock ends on the wall clock, one span per checkpoint.
+        assert_eq!(rec.origin(), SimTime::ZERO + out.goodput.total_wall);
+        let ckpts = rec
+            .spans()
+            .iter()
+            .filter(|s| s.cat == cat::CHECKPOINT)
+            .count();
+        assert_eq!(ckpts, out.goodput.checkpoints as usize);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1276,6 +1087,45 @@ mod tests {
         assert!(out.goodput.degraded > SimDuration::ZERO);
         assert!(out.goodput.lost > SimDuration::ZERO);
         out.goodput.validate().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The healer's checkpoint before an eviction reshard is charged like
+    /// any other: it advances the trace clock with the wall clock and
+    /// appears as a checkpoint span.
+    #[test]
+    fn healer_reshard_checkpoint_stays_on_the_trace_clock() {
+        let task = ablation_task();
+        let mut elastic = harsh_plan();
+        elastic.node_mtbf = secs(400.0);
+        elastic.failure_seed = 11;
+        elastic.spare_nodes = 1;
+        elastic.checkpoint = CheckpointPolicy::Fixed(50);
+        elastic.healer = Some(HealerConfig::default());
+        elastic.spare_slowdown = 1.6;
+        let dir = tempdir("heal-trace");
+        let mut rec = TraceRecorder::enabled();
+        let out = run_elastic_traced(&task, 14, &elastic, &dir, &mut rec).unwrap();
+        assert!(
+            out.healer_actions
+                .iter()
+                .any(|e| e.action == HealerAction::ProactiveReplan),
+            "scenario must evict via the healer: {:?}",
+            out.healer_actions
+        );
+        assert!(
+            out.goodput.checkpoints >= 1,
+            "the eviction checkpoints first"
+        );
+        assert_eq!(rec.origin(), SimTime::ZERO + out.goodput.total_wall);
+        let ckpts = rec
+            .spans()
+            .iter()
+            .filter(|s| s.cat == cat::CHECKPOINT)
+            .count();
+        assert_eq!(ckpts, out.goodput.checkpoints as usize);
+        rec.validate_nesting()
+            .expect("elastic spans stay disjoint per track");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Discrete-event checkpoint–restart machine, and the exhaustive
+//! The constant-iteration-time timeline, and the exhaustive
 //! checkpoint-interval search that validates Young–Daly.
 //!
 //! The machine is the textbook abstraction the Young–Daly formula is
@@ -6,16 +6,20 @@
 //! synchronous checkpoints every `checkpoint_interval` iterations costing
 //! `checkpoint_cost`, and a Poisson failure process (the
 //! [`FailureStream`]) that throws the worker back to its last durable
-//! checkpoint and charges `restart_overhead`. It runs on the
-//! [`Simulator`] event queue: iteration
-//! completions, restart completions, and failures are events; in-flight
-//! work is invalidated by an epoch counter (the queue has no cancel API —
-//! stale events simply no-op).
+//! checkpoint and charges `restart_overhead`. It runs on the same
+//! timeline as [`run_elastic`](crate::run::run_elastic), so both drivers
+//! charge every second the same way.
+//!
+//! Failures are taken at iteration boundaries. A failure that lands
+//! inside a checkpoint write or a restart does not destroy that window:
+//! the checkpoint still becomes durable, and the failure surfaces before
+//! the next iteration with no in-flight work to lose. Only a failure that
+//! strikes mid-iteration loses the partial iteration.
 //!
 //! With a [`FailureTopology`] the failure process gains a correlated
 //! layer: a domain event fails every live slot in one rack at one
-//! instant. The epoch guard collapses the same-instant victims into a
-//! *single* rollback + restart, so a k-node blast still counts as one
+//! instant. The timeline takes the same-instant victims as a *single*
+//! rollback + restart, so a k-node blast still counts as one
 //! interruption — which is exactly the event-rate view under which the
 //! correlated Young–Daly optimum
 //! ([`young_daly_interval_correlated`](crate::policy::young_daly_interval_correlated))
@@ -28,8 +32,10 @@
 use crate::goodput::GoodputReport;
 use crate::run::ElasticError;
 use crate::stream::FailureStream;
+use crate::timeline::Timeline;
 use crate::topology::FailureTopology;
-use dt_simengine::{SimDuration, SimTime, Simulator};
+use dt_simengine::{SimDuration, TraceRecorder};
+use dt_telemetry::Telemetry;
 
 /// The checkpoint–restart machine description.
 #[derive(Debug, Clone, Copy)]
@@ -61,143 +67,62 @@ pub struct MachineConfig {
     pub spares: Option<u32>,
 }
 
-struct Machine {
-    cfg: MachineConfig,
-    stream: FailureStream,
-    spares_left: Option<u32>,
-    /// Committed iterations.
-    done: u32,
-    /// Iteration of the newest durable checkpoint.
-    ckpt_iter: u32,
-    /// Bumped on every failure; in-flight progress events from older
-    /// epochs are stale and must no-op.
-    epoch: u64,
-    /// Completion instant of the last progress event (iteration or
-    /// restart); the span since then is the in-flight work a failure
-    /// destroys.
-    last_progress: SimTime,
-    acc: GoodputReport,
-    finished_at: Option<SimTime>,
-}
-
-fn schedule_iteration(sim: &mut Simulator<Machine>, m: &Machine) {
-    if m.done >= m.cfg.iterations {
-        return;
-    }
-    let writes = (m.done + 1).is_multiple_of(m.cfg.checkpoint_interval.max(1));
-    let dur = if writes {
-        m.cfg.iter_time + m.cfg.checkpoint_cost
-    } else {
-        m.cfg.iter_time
-    };
-    let epoch = m.epoch;
-    sim.schedule_in(dur, move |sim, m: &mut Machine| {
-        if m.epoch != epoch {
-            return; // destroyed by a failure mid-flight
-        }
-        m.done += 1;
-        m.acc.committed += m.cfg.iter_time;
-        if writes {
-            m.acc.checkpoint += m.cfg.checkpoint_cost;
-            m.acc.checkpoints += 1;
-            m.ckpt_iter = m.done;
-        }
-        m.last_progress = sim.now();
-        if m.done >= m.cfg.iterations {
-            m.finished_at = Some(sim.now());
-        } else {
-            schedule_iteration(sim, m);
-        }
-    });
-}
-
-fn schedule_next_failure(sim: &mut Simulator<Machine>, m: &Machine) {
-    if let Some(f) = m.stream.peek() {
-        sim.schedule_at(f.at, move |sim, m: &mut Machine| {
-            // The replacement only occupies the slot once the restart
-            // completes, so the slot's next gap starts at recovery time.
-            let Some(f) = m.stream.pop_with_repair(m.cfg.restart_overhead) else {
-                return; // every slot retired since this was scheduled
-            };
-            if m.finished_at.is_some() {
-                return; // run already over; let the queue drain
-            }
-            // Spare accounting: a dry pool retires the slot (the cluster
-            // shrank); `None` means repair-in-place forever.
-            if let Some(left) = m.spares_left.as_mut() {
-                if *left > 0 {
-                    *left -= 1;
-                } else {
-                    m.stream.retire(f.node);
-                }
-            }
-            // Roll back to the durable checkpoint: committed-but-unsaved
-            // iterations and the in-flight partial both become lost work.
-            // Same-instant victims of a domain event land here once each,
-            // but after the first the rollback is empty and the epoch
-            // bump cancels the earlier restart — one interruption total.
-            let rolled = m.cfg.iter_time * u64::from(m.done - m.ckpt_iter);
-            m.acc.committed -= rolled;
-            m.acc.lost += rolled;
-            m.acc.lost += sim.now() - m.last_progress;
-            m.done = m.ckpt_iter;
-            m.acc.failures += 1;
-            m.epoch += 1;
-            m.last_progress = sim.now();
-            if m.stream.active() == 0 {
-                // Every slot is gone and the spare pool is dry: nothing
-                // can host the job. No restart is scheduled; the queue
-                // drains and the stall surfaces as `NoProgress`.
-                return;
-            }
-            let epoch = m.epoch;
-            sim.schedule_in(m.cfg.restart_overhead, move |sim, m: &mut Machine| {
-                if m.epoch != epoch {
-                    return; // a second failure struck during restart
-                }
-                m.acc.restart += m.cfg.restart_overhead;
-                m.last_progress = sim.now();
-                schedule_iteration(sim, m);
-            });
-            schedule_next_failure(sim, m);
-        });
-    }
-}
-
 /// Run the machine to completion and account for every wall-clock second.
 ///
 /// Errors with [`ElasticError::NoProgress`] when the failure process
 /// destroys every node slot (spare pool dry, blast radius too large)
 /// before the requested iterations commit.
 pub fn simulate_goodput(cfg: &MachineConfig) -> Result<GoodputReport, ElasticError> {
-    let mut m = Machine {
-        cfg: *cfg,
-        stream: FailureStream::with_topology(
-            cfg.nodes,
-            cfg.node_mtbf,
-            cfg.failure_seed,
-            cfg.topology,
-        ),
-        spares_left: cfg.spares,
-        done: 0,
-        ckpt_iter: 0,
-        epoch: 0,
-        last_progress: SimTime::ZERO,
-        acc: GoodputReport::default(),
-        finished_at: None,
-    };
-    let mut sim = Simulator::new();
-    schedule_iteration(&mut sim, &m);
-    schedule_next_failure(&mut sim, &m);
-    sim.run(&mut m);
-    let Some(end) = m.finished_at else {
-        return Err(ElasticError::NoProgress {
-            committed: m.done,
-            requested: cfg.iterations,
-        });
-    };
-    m.acc.total_wall = end - SimTime::ZERO;
-    Ok(m.acc)
+    let stream =
+        FailureStream::with_topology(cfg.nodes, cfg.node_mtbf, cfg.failure_seed, cfg.topology);
+    let (mut rec, tel) = (TraceRecorder::disabled(), Telemetry::disabled());
+    let mut tl = Timeline::new(
+        stream,
+        cfg.checkpoint_cost,
+        cfg.restart_overhead,
+        SimDuration::ZERO,
+        &mut rec,
+        &tel,
+        0,
+    );
+    let mut spares = cfg.spares;
+    let mut it = 0u32;
+    while it < cfg.iterations {
+        let Some(victims) = tl.next_failure(cfg.iter_time) else {
+            tl.commit(cfg.iter_time, cfg.iter_time);
+            it += 1;
+            if it.is_multiple_of(cfg.checkpoint_interval.max(1)) {
+                tl.checkpoint(it, "checkpoint");
+            }
+            continue;
+        };
+        let resume_at = tl.saved_at();
+        tl.roll_back(
+            &victims,
+            it,
+            resume_at,
+            cfg.iter_time * u64::from(it - resume_at),
+        );
+        it = resume_at;
+        // Spare accounting: a dry pool retires the slot (the cluster
+        // shrank); `None` means repair-in-place forever.
+        for v in &victims {
+            match spares.as_mut() {
+                Some(0) => tl.retire(v.node),
+                Some(left) => *left -= 1,
+                None => {}
+            }
+        }
+        if tl.stream().active() == 0 {
+            // Every slot is gone and the spare pool is dry: nothing can
+            // host the job.
+            return Err(ElasticError::NoProgress {
+                committed: it,
+                requested: cfg.iterations,
+            });
+        }
+    }
+    Ok(tl.finish())
 }
 
 /// Exhaustively search `grid` (checkpoint intervals in iterations) on the
@@ -232,6 +157,7 @@ mod tests {
     use crate::policy::{
         interval_in_iterations, young_daly_interval, young_daly_interval_correlated,
     };
+    use dt_simengine::SimTime;
 
     fn secs(s: f64) -> SimDuration {
         SimDuration::from_secs_f64(s)
@@ -323,6 +249,46 @@ mod tests {
                 "mean lost/failure {per_failure:.1}s > {bound}s"
             );
         }
+    }
+
+    /// A failure inside a checkpoint write is taken at the next iteration
+    /// boundary: the checkpoint still becomes durable, nothing is lost,
+    /// and the run pays exactly one restart.
+    #[test]
+    fn failure_inside_a_checkpoint_write_loses_nothing() {
+        let mut c = cfg();
+        c.iterations = 1_000;
+        c.checkpoint_interval = 100;
+        c.node_mtbf = secs(20_000.0);
+        let (t, ck, k, n) = (
+            c.iter_time,
+            c.checkpoint_cost,
+            c.checkpoint_interval,
+            c.iterations,
+        );
+        // Does `at` fall inside one of the failure-free run's checkpoint
+        // writes? The m-th write starts after m·k iterations and m-1 writes.
+        let in_write = |at: SimTime| {
+            (1..=n / k).any(|m| {
+                let start = SimTime::ZERO + t * u64::from(m * k) + ck * u64::from(m - 1);
+                start <= at && at < start + ck
+            })
+        };
+        let (seed, g) = (0..500)
+            .find_map(|seed| {
+                c.failure_seed = seed;
+                let first = FailureStream::new(c.nodes, c.node_mtbf, seed).peek()?;
+                let g = simulate_goodput(&c).unwrap();
+                (g.failures == 1 && in_write(first.at)).then_some((seed, g))
+            })
+            .expect("some seed fails once, inside a checkpoint write");
+        assert_eq!(g.lost, SimDuration::ZERO, "seed {seed}");
+        assert_eq!(g.restart, c.restart_overhead, "seed {seed}");
+        assert_eq!(
+            g.total_wall,
+            t * u64::from(n) + ck * u64::from(g.checkpoints) + c.restart_overhead,
+            "seed {seed}"
+        );
     }
 
     /// A bounded spare pool that never runs out behaves exactly like the

@@ -1,4 +1,4 @@
-//! # dt-simengine — discrete-event simulation substrate and observability core
+//! # dt-simengine — simulation substrate and observability core
 //!
 //! The DistTrain reproduction (SIGCOMM'25) replaces the paper's physical GPU
 //! cluster with an analytically-timed simulation (see `DESIGN.md` §1). This
@@ -6,10 +6,6 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time with
 //!   saturating arithmetic, so cost models can never panic on overflow.
-//! * [`EventQueue`] and [`Simulator`] — a classic event-driven engine in the
-//!   style the smoltcp guide recommends: simple, deterministic, no clever type
-//!   tricks. Events scheduled for the same instant fire in FIFO order, which
-//!   makes every simulation run bit-reproducible.
 //! * [`rng`] — a self-contained xoshiro256★★ PRNG ([`DetRng`]). We
 //!   deliberately do *not* rely on an external `rand` crate for load-bearing
 //!   randomness because its algorithm is not stable across versions;
@@ -33,7 +29,6 @@
 //! `dt-stepccl` implements §6 (StepCCL communication/computation overlap).
 
 pub mod backoff;
-pub mod event;
 pub mod json;
 pub mod rng;
 pub mod stats;
@@ -41,7 +36,6 @@ pub mod time;
 pub mod trace;
 
 pub use backoff::{BackoffPolicy, Deadline};
-pub use event::{EventQueue, Simulator};
 pub use json::Json;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

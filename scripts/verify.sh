@@ -13,6 +13,10 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
+echo "==> cargo fmt --check -p dt-elastic"
+# Formatting gate, crate by crate as each is brought to rustfmt's output.
+cargo fmt --check -p dt-elastic
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
