@@ -36,6 +36,11 @@ fn main() {
         black_box(coll.allreduce_hierarchical(8, 20, black_box(2 << 30)))
     });
     bench("ring_allreduce_cost", iters, || {
-        black_box(coll.time(CollectiveKind::AllReduce, 8, black_box(1 << 26), CommDomain::IntraNode))
+        black_box(coll.time(
+            CollectiveKind::AllReduce,
+            8,
+            black_box(1 << 26),
+            CommDomain::IntraNode,
+        ))
     });
 }

@@ -50,7 +50,13 @@ fn main() {
     let mut gate_violation: Option<String> = None;
     let ms = |d: Duration| Json::Num(d.as_secs_f64() * 1e3);
 
-    for (gpus, batch) in [(1296u32, 1920u32), (648, 960), (324, 480), (112, 240), (96, 128)] {
+    for (gpus, batch) in [
+        (1296u32, 1920u32),
+        (648, 960),
+        (324, 480),
+        (112, 240),
+        (96, 128),
+    ] {
         let (profile, spec) = setup(&model, gpus, batch);
         // `top_k(1)` is the deployment path this bench times: produce the
         // single best plan. The widening pass stops as soon as the optimum
@@ -67,19 +73,36 @@ fn main() {
         let pruned_orch = orch(SearchMode::Pruned);
         let name = |mode: &str| format!("table3_orchestration/{gpus}gpus_bs{batch}/{mode}");
         let (serial_mean, serial_min) = bench_stats(&name("serial"), iters, || {
-            serial_orch.plan_with_profile(&model, &profile).expect("plan")
+            serial_orch
+                .plan_with_profile(&model, &profile)
+                .expect("plan")
         });
         let (pruned_mean, pruned_min) = bench_stats(&name("pruned"), iters, || {
-            pruned_orch.plan_with_profile(&model, &profile).expect("plan")
+            pruned_orch
+                .plan_with_profile(&model, &profile)
+                .expect("plan")
         });
         for mean in [serial_mean, pruned_mean] {
-            assert!(mean < Duration::from_secs(5), "solver implausibly slow: {mean:?}");
+            assert!(
+                mean < Duration::from_secs(5),
+                "solver implausibly slow: {mean:?}"
+            );
         }
 
-        let pruned = pruned_orch.plan_with_profile(&model, &profile).expect("plan");
-        let reference = serial_orch.plan_with_profile(&model, &profile).expect("plan");
-        assert_eq!(pruned.plan, reference.plan, "pruning must not change the plan");
-        assert!(pruned.proven_optimal, "the pruned search must certify optimality");
+        let pruned = pruned_orch
+            .plan_with_profile(&model, &profile)
+            .expect("plan");
+        let reference = serial_orch
+            .plan_with_profile(&model, &profile)
+            .expect("plan");
+        assert_eq!(
+            pruned.plan, reference.plan,
+            "pruning must not change the plan"
+        );
+        assert!(
+            pruned.proven_optimal,
+            "the pruned search must certify optimality"
+        );
 
         // The CI gate (checked after the JSON is written): branch-and-bound
         // must beat — or at worst tie, within 2% timing noise on
@@ -103,9 +126,18 @@ fn main() {
                 "speedup_min",
                 Json::Num(serial_min.as_secs_f64() / pruned_min.as_secs_f64().max(1e-9)),
             ),
-            ("candidates_evaluated", Json::num_u64(reference.candidates_evaluated as u64)),
-            ("pruned_solves", Json::num_u64(pruned.candidates_evaluated as u64)),
-            ("nodes_expanded", Json::num_u64(pruned.nodes_expanded as u64)),
+            (
+                "candidates_evaluated",
+                Json::num_u64(reference.candidates_evaluated as u64),
+            ),
+            (
+                "pruned_solves",
+                Json::num_u64(pruned.candidates_evaluated as u64),
+            ),
+            (
+                "nodes_expanded",
+                Json::num_u64(pruned.nodes_expanded as u64),
+            ),
             ("nodes_pruned", Json::num_u64(pruned.nodes_pruned as u64)),
             ("proven_optimal", Json::Bool(pruned.proven_optimal)),
             ("cache_hits", Json::num_u64(reference.cache_hits)),
@@ -132,19 +164,37 @@ fn main() {
         let (pruned_mean, pruned_min) = bench_stats(
             &format!("solver_sweep/{gpus}gpus_bs{batch}/pruned"),
             iters,
-            || pruned_orch.plan_with_profile(&model, &profile).expect("plan"),
+            || {
+                pruned_orch
+                    .plan_with_profile(&model, &profile)
+                    .expect("plan")
+            },
         );
-        assert!(pruned_mean < Duration::from_secs(30), "pruned sweep too slow: {pruned_mean:?}");
-        let pruned = pruned_orch.plan_with_profile(&model, &profile).expect("plan");
-        assert!(pruned.proven_optimal, "the sweep rests on the optimality certificate");
+        assert!(
+            pruned_mean < Duration::from_secs(30),
+            "pruned sweep too slow: {pruned_mean:?}"
+        );
+        let pruned = pruned_orch
+            .plan_with_profile(&model, &profile)
+            .expect("plan");
+        assert!(
+            pruned.proven_optimal,
+            "the sweep rests on the optimality certificate"
+        );
 
         let mut fields = vec![
             ("gpus", Json::num_u64(u64::from(gpus))),
             ("global_batch", Json::num_u64(u64::from(batch))),
             ("pruned_mean_ms", ms(pruned_mean)),
             ("pruned_min_ms", ms(pruned_min)),
-            ("pruned_solves", Json::num_u64(pruned.candidates_evaluated as u64)),
-            ("nodes_expanded", Json::num_u64(pruned.nodes_expanded as u64)),
+            (
+                "pruned_solves",
+                Json::num_u64(pruned.candidates_evaluated as u64),
+            ),
+            (
+                "nodes_expanded",
+                Json::num_u64(pruned.nodes_expanded as u64),
+            ),
             ("nodes_pruned", Json::num_u64(pruned.nodes_pruned as u64)),
             ("proven_optimal", Json::Bool(pruned.proven_optimal)),
         ];
@@ -153,10 +203,19 @@ fn main() {
             let (serial_mean, serial_min) = bench_stats(
                 &format!("solver_sweep/{gpus}gpus_bs{batch}/serial"),
                 iters,
-                || serial_orch.plan_with_profile(&model, &profile).expect("plan"),
+                || {
+                    serial_orch
+                        .plan_with_profile(&model, &profile)
+                        .expect("plan")
+                },
             );
-            let reference = serial_orch.plan_with_profile(&model, &profile).expect("plan");
-            assert_eq!(pruned.plan, reference.plan, "pruning must not change the plan");
+            let reference = serial_orch
+                .plan_with_profile(&model, &profile)
+                .expect("plan");
+            assert_eq!(
+                pruned.plan, reference.plan,
+                "pruning must not change the plan"
+            );
             fields.push(("serial_mean_ms", ms(serial_mean)));
             fields.push(("serial_min_ms", ms(serial_min)));
             fields.push((
@@ -178,8 +237,8 @@ fn main() {
         ("scales", Json::Arr(scales)),
         ("scale_sweep", Json::Arr(sweep)),
     ]);
-    let path = std::env::var("DT_BENCH_SOLVER_JSON")
-        .unwrap_or_else(|_| "BENCH_solver.json".to_string());
+    let path =
+        std::env::var("DT_BENCH_SOLVER_JSON").unwrap_or_else(|_| "BENCH_solver.json".to_string());
     let mut text = String::new();
     out.write(&mut text);
     text.push('\n');

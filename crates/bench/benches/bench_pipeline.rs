@@ -9,10 +9,16 @@ use dt_simengine::{DetRng, SimDuration};
 fn workload(p: usize, l: usize, seed: u64) -> Workload {
     let mut rng = DetRng::new(seed);
     let fwd: Vec<Vec<SimDuration>> = (0..p)
-        .map(|_| (0..l).map(|_| SimDuration::from_micros(rng.range_u64(50, 500))).collect())
+        .map(|_| {
+            (0..l)
+                .map(|_| SimDuration::from_micros(rng.range_u64(50, 500)))
+                .collect()
+        })
         .collect();
-    let bwd: Vec<Vec<SimDuration>> =
-        fwd.iter().map(|row| row.iter().map(|&d| d * 2).collect()).collect();
+    let bwd: Vec<Vec<SimDuration>> = fwd
+        .iter()
+        .map(|row| row.iter().map(|&d| d * 2).collect())
+        .collect();
     Workload { fwd, bwd }
 }
 
@@ -22,9 +28,11 @@ fn main() {
         let w = workload(p, l, 7);
         for schedule in [Schedule::OneFOneB, Schedule::GPipe] {
             let spec = PipelineSpec::uniform(schedule, p, SimDuration::from_micros(10));
-            bench(&format!("pipeline_simulate/{schedule:?}_p{p}_l{l}"), iters, || {
-                simulate(&spec, &w)
-            });
+            bench(
+                &format!("pipeline_simulate/{schedule:?}_p{p}_l{l}"),
+                iters,
+                || simulate(&spec, &w),
+            );
         }
     }
 }

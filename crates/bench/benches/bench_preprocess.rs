@@ -92,11 +92,14 @@ fn run_topology(topo: &Topology, data: &DataConfig, batch: u32, batches: u32) ->
                 let mut in_order = true;
                 let mut max_token_len = 0u64;
                 for _ in 0..batches {
-                    let Ok((addr, b, report)) = feeder.next_batch_from() else { break };
+                    let Ok((addr, b, report)) = feeder.next_batch_from() else {
+                        break;
+                    };
                     delivered += 1;
                     samples += b.batch.samples.len() as u64;
                     stalls_ms.push(report.stall.as_secs_f64() * 1e3);
-                    max_token_len = max_token_len.max(b.token_lens.iter().copied().max().unwrap_or(0));
+                    max_token_len =
+                        max_token_len.max(b.token_lens.iter().copied().max().unwrap_or(0));
                     let expected = next_id.entry(addr).or_insert(0);
                     in_order &= b.batch.samples.first().map(|s| s.id) == Some(*expected);
                     *expected += b.batch.samples.len() as u64;
@@ -152,8 +155,10 @@ fn run_topology(topo: &Topology, data: &DataConfig, batch: u32, batches: u32) ->
 fn trace_overhead_probe(data: &DataConfig, batch: u32, batches: u32) -> (f64, f64, f64) {
     let batches = batches.max(16);
     let run = |traced: bool| -> f64 {
-        let mut builder =
-            Preprocess::builder(data.clone(), 17).producers(1).workers(2).queue_capacity(4);
+        let mut builder = Preprocess::builder(data.clone(), 17)
+            .producers(1)
+            .workers(2)
+            .queue_capacity(4);
         if traced {
             builder = builder
                 .trace(dt_simengine::WallTraceSink::new())
@@ -203,7 +208,10 @@ fn result_json(r: &TopologyResult) -> Json {
         ("samples_per_sec", Json::Num(rate)),
         ("stall_p50_ms", Json::Num(percentile_ms(&r.stalls_ms, 50.0))),
         ("stall_p99_ms", Json::Num(percentile_ms(&r.stalls_ms, 99.0))),
-        ("stall_max_ms", Json::Num(r.stalls_ms.last().copied().unwrap_or(0.0))),
+        (
+            "stall_max_ms",
+            Json::Num(r.stalls_ms.last().copied().unwrap_or(0.0)),
+        ),
         ("in_order", Json::Bool(r.in_order)),
         ("backpressure_events", Json::num_u64(r.backpressure_events)),
         ("sessions_accepted", Json::num_u64(r.sessions_accepted)),
@@ -243,9 +251,21 @@ fn main() {
         ..DataConfig::evaluation(128)
     };
     let topologies = [
-        Topology { name: "1x1", producers: 1, consumers: 1 },
-        Topology { name: "2x2", producers: 2, consumers: 2 },
-        Topology { name: "4x2", producers: 4, consumers: 2 },
+        Topology {
+            name: "1x1",
+            producers: 1,
+            consumers: 1,
+        },
+        Topology {
+            name: "2x2",
+            producers: 2,
+            consumers: 2,
+        },
+        Topology {
+            name: "4x2",
+            producers: 4,
+            consumers: 2,
+        },
     ];
     let mut results: Vec<TopologyResult> = Vec::new();
     for topo in &topologies {
@@ -268,7 +288,11 @@ fn main() {
         max_images_per_sample: 1,
         ..DataConfig::evaluation(512)
     };
-    let skew_topo = Topology { name: "skew65k", producers: 1, consumers: 1 };
+    let skew_topo = Topology {
+        name: "skew65k",
+        producers: 1,
+        consumers: 1,
+    };
     let skew_batches = batches.clamp(1, 3);
     let skew = run_topology(&skew_topo, &skew_data, 1, skew_batches);
     print_result("preprocess", &skew);
@@ -297,7 +321,10 @@ fn main() {
         ("bench", Json::Str("bench_preprocess".into())),
         ("batch", Json::num_u64(u64::from(batch))),
         ("batches_per_consumer", Json::num_u64(u64::from(batches))),
-        ("topologies", Json::Arr(results.iter().map(result_json).collect())),
+        (
+            "topologies",
+            Json::Arr(results.iter().map(result_json).collect()),
+        ),
         (
             "skew_65k",
             Json::obj(vec![
@@ -327,22 +354,40 @@ fn main() {
     // Gates — after the JSON so a failed run still leaves the evidence.
     for r in results.iter().chain(std::iter::once(&skew)) {
         assert_eq!(
-            r.delivered_batches, r.expected_batches,
+            r.delivered_batches,
+            r.expected_batches,
             "{}: {} of {} batches never arrived",
             r.name,
             r.expected_batches - r.delivered_batches,
             r.expected_batches
         );
-        assert!(r.in_order, "{}: a producer stream arrived out of order", r.name);
-        assert_eq!(r.malformed_frames, 0, "{}: well-behaved consumers counted malformed", r.name);
-        assert!(r.clean_shutdown, "{}: plane did not shut down cleanly", r.name);
+        assert!(
+            r.in_order,
+            "{}: a producer stream arrived out of order",
+            r.name
+        );
+        assert_eq!(
+            r.malformed_frames, 0,
+            "{}: well-behaved consumers counted malformed",
+            r.name
+        );
+        assert!(
+            r.clean_shutdown,
+            "{}: plane did not shut down cleanly",
+            r.name
+        );
         assert!(
             r.samples as f64 / r.wall.as_secs_f64().max(1e-9) > 0.0,
             "{}: zero throughput is not a measurement",
             r.name
         );
         // Every consumer opens one session per producer endpoint.
-        assert_eq!(r.sessions_accepted, (r.producers * r.consumers) as u64, "{}", r.name);
+        assert_eq!(
+            r.sessions_accepted,
+            (r.producers * r.consumers) as u64,
+            "{}",
+            r.name
+        );
     }
     let token_bytes_per_image = 3 * u64::from(skew_res) * u64::from(skew_res);
     assert!(

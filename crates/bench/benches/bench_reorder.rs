@@ -45,7 +45,11 @@ fn main() {
     let us = |d: Duration| Json::Num(d.as_secs_f64() * 1e6);
     let mut cases: Vec<Json> = Vec::new();
     let mut record = |name: String, (mean, min): (Duration, Duration), shape: Vec<(&str, Json)>| {
-        let mut fields = vec![("name", Json::Str(name)), ("mean_us", us(mean)), ("min_us", us(min))];
+        let mut fields = vec![
+            ("name", Json::Str(name)),
+            ("mean_us", us(mean)),
+            ("min_us", us(min)),
+        ];
         fields.extend(shape);
         cases.push(Json::obj(fields));
     };
@@ -58,7 +62,14 @@ fn main() {
         let stats = bench_stats(&name, iters, || {
             intra_reorder_indices(&sizes, m).expect("bench sizes divide into 16 groups")
         });
-        record(name, stats, vec![("n", Json::num_u64(n as u64)), ("dp", Json::num_u64(m as u64))]);
+        record(
+            name,
+            stats,
+            vec![
+                ("n", Json::num_u64(n as u64)),
+                ("dp", Json::num_u64(m as u64)),
+            ],
+        );
     }
     for (l, p) in [(16usize, 4usize), (48, 8), (120, 12)] {
         let mut rng = DetRng::new(2);
@@ -66,12 +77,21 @@ fn main() {
         let cfg = InterReorderConfig::new(p, 0.1, 0.2);
         let name = format!("algorithm2_inter/l{l}_p{p}");
         let stats = bench_stats(&name, iters, || inter_reorder(&cfg, &times));
-        record(name, stats, vec![("l", Json::num_u64(l as u64)), ("p", Json::num_u64(p as u64))]);
+        record(
+            name,
+            stats,
+            vec![
+                ("l", Json::num_u64(l as u64)),
+                ("p", Json::num_u64(p as u64)),
+            ],
+        );
     }
 
     // The production shapes: MLLM-72B on 1296 GPUs, batch 1920.
     let task = TrainingTask::production(MllmPreset::Mllm72B.build());
-    let chosen = task.plan(SystemKind::DistTrain).expect("the production task always has a plan");
+    let chosen = task
+        .plan(SystemKind::DistTrain)
+        .expect("the production task always has a plan");
     let deepest = task
         .trial_candidates()
         .expect("production task has candidates")

@@ -34,7 +34,11 @@ use std::time::{Duration, Instant};
 fn request_for(slot: u32) -> ServeRequest {
     let primary = SpecDesc::ablation("mllm-9b", 128);
     match slot % 5 {
-        0 | 1 => ServeRequest::Plan { spec: primary, budget: 2, deadline_ms: 0 },
+        0 | 1 => ServeRequest::Plan {
+            spec: primary,
+            budget: 2,
+            deadline_ms: 0,
+        },
         2 => ServeRequest::Plan {
             spec: SpecDesc::ablation("mllm-15b", 64),
             budget: 2,
@@ -46,7 +50,11 @@ fn request_for(slot: u32) -> ServeRequest {
             budget: 2,
             deadline_ms: 0,
         },
-        _ => ServeRequest::Simulate { spec: primary, iterations: 2, deadline_ms: 0 },
+        _ => ServeRequest::Simulate {
+            spec: primary,
+            iterations: 2,
+            deadline_ms: 0,
+        },
     }
 }
 
@@ -65,7 +73,8 @@ fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
 fn metric_total(text: &str, name: &str) -> f64 {
     text.lines()
         .filter(|l| {
-            l.strip_prefix(name).is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
+            l.strip_prefix(name)
+                .is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
         })
         .filter_map(|l| l.rsplit(' ').next().and_then(|v| v.parse::<f64>().ok()))
         .sum()
@@ -125,7 +134,14 @@ fn run_level(addr: std::net::SocketAddr, concurrency: u32, reqs: u32) -> LevelRe
     }
     let wall = started.elapsed();
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    LevelResult { concurrency, issued: concurrency * reqs, completed, failed, wall, latencies_ms }
+    LevelResult {
+        concurrency,
+        issued: concurrency * reqs,
+        completed,
+        failed,
+        wall,
+        latencies_ms,
+    }
 }
 
 /// Measure the tracing tax: two identical daemons — one with the wall
@@ -161,7 +177,11 @@ fn trace_overhead_probe() -> (f64, f64, f64) {
         for i in 0..reqs {
             client.request(&request_for(i)).expect("overhead request");
         }
-        if timed { t.elapsed().as_secs_f64() / f64::from(reqs) } else { 0.0 }
+        if timed {
+            t.elapsed().as_secs_f64() / f64::from(reqs)
+        } else {
+            0.0
+        }
     };
     run(untraced.addr, false, false); // warm both stores identically
     run(traced.addr, true, false);
@@ -195,7 +215,10 @@ fn overload_probe() -> (u32, u32, u32) {
             std::thread::spawn(move || {
                 // One attempt, no retry: we want to *see* the rejection,
                 // not paper over it.
-                let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+                let policy = RetryPolicy {
+                    max_attempts: 1,
+                    ..RetryPolicy::default()
+                };
                 let mut client = Client::with_policy(addr, policy);
                 barrier.wait();
                 let req = ServeRequest::Plan {
@@ -254,7 +277,10 @@ fn main() {
             ("req_per_sec", Json::Num(rate)),
             ("p50_ms", Json::Num(percentile_ms(&r.latencies_ms, 50.0))),
             ("p99_ms", Json::Num(percentile_ms(&r.latencies_ms, 99.0))),
-            ("max_ms", Json::Num(r.latencies_ms.last().copied().unwrap_or(0.0))),
+            (
+                "max_ms",
+                Json::Num(r.latencies_ms.last().copied().unwrap_or(0.0)),
+            ),
         ]));
         results.push(r);
     }
@@ -335,8 +361,8 @@ fn main() {
             ]),
         ),
     ]);
-    let path = std::env::var("DT_BENCH_SERVICE_JSON")
-        .unwrap_or_else(|_| "BENCH_service.json".to_string());
+    let path =
+        std::env::var("DT_BENCH_SERVICE_JSON").unwrap_or_else(|_| "BENCH_service.json".to_string());
     let mut text = String::new();
     out.write(&mut text);
     text.push('\n');
@@ -358,12 +384,18 @@ fn main() {
     }
     assert!(hits > 0, "repeat traffic never hit the warm store");
     assert!(warm_ratio > 0.0, "warm-vs-cold ratio must be positive");
-    assert!(served_total > 0.0, "metrics scrape shows no served requests");
+    assert!(
+        served_total > 0.0,
+        "metrics scrape shows no served requests"
+    );
     assert!(
         metrics.contains("dt_serve_store_hits_total"),
         "metrics exposition is missing the store counters"
     );
-    assert!(probe_rejected >= 1, "overload probe saw no Overloaded rejection");
+    assert!(
+        probe_rejected >= 1,
+        "overload probe saw no Overloaded rejection"
+    );
     assert!(probe_ok >= 1, "overload probe starved every client");
     assert!(
         overhead_pct <= 5.0,

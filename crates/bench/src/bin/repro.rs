@@ -130,8 +130,14 @@ fn run_check(raw: &[String]) -> ! {
                 prop = Some(value.clone());
                 Ok(())
             }
-            "--seed" => value.parse().map(|v| seed = Some(v)).map_err(|e| format!("{e}")),
-            "--size" => value.parse().map(|v| size = Some(v)).map_err(|e| format!("{e}")),
+            "--seed" => value
+                .parse()
+                .map(|v| seed = Some(v))
+                .map_err(|e| format!("{e}")),
+            "--size" => value
+                .parse()
+                .map(|v| size = Some(v))
+                .map_err(|e| format!("{e}")),
             other => {
                 eprintln!(
                     "error: unknown check flag '{other}' (valid: --seeds, --prop, --seed, --size)"
@@ -201,10 +207,18 @@ fn run_serve(raw: &[String]) -> ! {
                 cfg.addr = value.clone();
                 Ok(())
             }
-            "--workers" => value.parse().map(|v| cfg.workers = v).map_err(|e| format!("{e}")),
-            "--queue" => value.parse().map(|v| cfg.queue_depth = v).map_err(|e| format!("{e}")),
+            "--workers" => value
+                .parse()
+                .map(|v| cfg.workers = v)
+                .map_err(|e| format!("{e}")),
+            "--queue" => value
+                .parse()
+                .map(|v| cfg.queue_depth = v)
+                .map_err(|e| format!("{e}")),
             other => {
-                eprintln!("error: unknown serve flag '{other}' (valid: --addr, --workers, --queue)");
+                eprintln!(
+                    "error: unknown serve flag '{other}' (valid: --addr, --workers, --queue)"
+                );
                 std::process::exit(2);
             }
         };
@@ -230,7 +244,10 @@ fn run_serve(raw: &[String]) -> ! {
     // Machine-readable first line: scripts read the resolved ephemeral
     // port from here.
     println!("dt-serve listening on {}", daemon.addr);
-    println!("observability: GET /metrics | /trace | /flight on http://{}", daemon.addr);
+    println!(
+        "observability: GET /metrics | /trace | /flight on http://{}",
+        daemon.addr
+    );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     daemon.wait();
@@ -280,24 +297,47 @@ fn run_client(raw: &[String]) -> ! {
                 spec.preset = value.clone();
                 Ok(())
             }
-            "--nodes" => value.parse().map(|v| spec.nodes = v).map_err(|e| format!("{e}")),
-            "--batch" => value.parse().map(|v| spec.global_batch = v).map_err(|e| format!("{e}")),
-            "--microbatch" => {
-                value.parse().map(|v| spec.microbatch = v).map_err(|e| format!("{e}"))
-            }
-            "--seed" => value.parse().map(|v| spec.seed = v).map_err(|e| format!("{e}")),
-            "--budget" => value.parse().map(|v| budget = v).map_err(|e| format!("{e}")),
-            "--deadline-ms" => value.parse().map(|v| deadline_ms = v).map_err(|e| format!("{e}")),
-            "--remaining" => value.parse().map(|v| remaining = v).map_err(|e| format!("{e}")),
+            "--nodes" => value
+                .parse()
+                .map(|v| spec.nodes = v)
+                .map_err(|e| format!("{e}")),
+            "--batch" => value
+                .parse()
+                .map(|v| spec.global_batch = v)
+                .map_err(|e| format!("{e}")),
+            "--microbatch" => value
+                .parse()
+                .map(|v| spec.microbatch = v)
+                .map_err(|e| format!("{e}")),
+            "--seed" => value
+                .parse()
+                .map(|v| spec.seed = v)
+                .map_err(|e| format!("{e}")),
+            "--budget" => value
+                .parse()
+                .map(|v| budget = v)
+                .map_err(|e| format!("{e}")),
+            "--deadline-ms" => value
+                .parse()
+                .map(|v| deadline_ms = v)
+                .map_err(|e| format!("{e}")),
+            "--remaining" => value
+                .parse()
+                .map(|v| remaining = v)
+                .map_err(|e| format!("{e}")),
             "--iters" => value.parse().map(|v| iters = v).map_err(|e| format!("{e}")),
-            "--retries" => {
-                value.parse().map(|v| policy.max_attempts = v).map_err(|e| format!("{e}"))
-            }
+            "--retries" => value
+                .parse()
+                .map(|v| policy.max_attempts = v)
+                .map_err(|e| format!("{e}")),
             "--backoff-ms" => value
                 .parse()
                 .map(|v: u64| policy.base_backoff = std::time::Duration::from_millis(v))
                 .map_err(|e| format!("{e}")),
-            "--jitter-seed" => value.parse().map(|v| policy.seed = v).map_err(|e| format!("{e}")),
+            "--jitter-seed" => value
+                .parse()
+                .map(|v| policy.seed = v)
+                .map_err(|e| format!("{e}")),
             "--trace" => {
                 trace_out = Some(value.clone());
                 Ok(())
@@ -351,15 +391,28 @@ fn run_client(raw: &[String]) -> ! {
     let req = match verb.as_str() {
         "ping" => ServeRequest::Ping,
         "shutdown" => ServeRequest::Shutdown,
-        "plan" => ServeRequest::Plan { spec, budget, deadline_ms },
+        "plan" => ServeRequest::Plan {
+            spec,
+            budget,
+            deadline_ms,
+        },
         "replan" => {
             if remaining == 0 {
                 eprintln!("error: replan needs --remaining GPUS\n{usage}");
                 std::process::exit(2);
             }
-            ServeRequest::Replan { spec, remaining_gpus: remaining, budget, deadline_ms }
+            ServeRequest::Replan {
+                spec,
+                remaining_gpus: remaining,
+                budget,
+                deadline_ms,
+            }
         }
-        "simulate" => ServeRequest::Simulate { spec, iterations: iters, deadline_ms },
+        "simulate" => ServeRequest::Simulate {
+            spec,
+            iterations: iters,
+            deadline_ms,
+        },
         other => {
             eprintln!("error: unknown verb '{other}'\n{usage}");
             std::process::exit(2);
@@ -431,13 +484,21 @@ fn assemble_trace(addr: std::net::SocketAddr, client: &dt_serve::Client, path: &
     };
     merged.absorb(client.trace_sink().unix_recorder());
     let lookup = |span: &dt_simengine::trace::TraceSpan, key: &str| {
-        span.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone())
+        span.args
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
     };
-    let traced: Vec<_> =
-        merged.spans().iter().filter(|s| lookup(s, arg::TRACE).is_some()).collect();
+    let traced: Vec<_> = merged
+        .spans()
+        .iter()
+        .filter(|s| lookup(s, arg::TRACE).is_some())
+        .collect();
     let tracks: std::collections::BTreeSet<u64> = traced.iter().map(|s| s.pid).collect();
-    let ids: std::collections::BTreeSet<String> =
-        traced.iter().filter_map(|s| lookup(s, arg::TRACE)).collect();
+    let ids: std::collections::BTreeSet<String> = traced
+        .iter()
+        .filter_map(|s| lookup(s, arg::TRACE))
+        .collect();
     if let Err(e) = merged.write_chrome_trace(std::path::Path::new(path)) {
         eprintln!("error: cannot write trace to '{path}': {e}");
         std::process::exit(1);
@@ -458,8 +519,7 @@ fn assemble_trace(addr: std::net::SocketAddr, client: &dt_serve::Client, path: &
 /// order, or the plane fails to shut down cleanly. Never returns.
 fn run_preprocess(raw: &[String]) -> ! {
     use dt_preprocess::{Consumer, Preprocess};
-    let usage =
-        "usage: repro preprocess [--producers N] [--consumers M] [--batch B] [--batches K]";
+    let usage = "usage: repro preprocess [--producers N] [--consumers M] [--batch B] [--batches K]";
     let mut producers: usize = 2;
     let mut consumers: usize = 2;
     let mut batch: u32 = 4;
@@ -472,10 +532,19 @@ fn run_preprocess(raw: &[String]) -> ! {
             std::process::exit(2);
         };
         let parsed: Result<(), String> = match flag {
-            "--producers" => value.parse().map(|v| producers = v).map_err(|e| format!("{e}")),
-            "--consumers" => value.parse().map(|v| consumers = v).map_err(|e| format!("{e}")),
+            "--producers" => value
+                .parse()
+                .map(|v| producers = v)
+                .map_err(|e| format!("{e}")),
+            "--consumers" => value
+                .parse()
+                .map(|v| consumers = v)
+                .map_err(|e| format!("{e}")),
             "--batch" => value.parse().map(|v| batch = v).map_err(|e| format!("{e}")),
-            "--batches" => value.parse().map(|v| batches = v).map_err(|e| format!("{e}")),
+            "--batches" => value
+                .parse()
+                .map(|v| batches = v)
+                .map_err(|e| format!("{e}")),
             other => {
                 eprintln!(
                     "error: unknown preprocess flag '{other}' \
@@ -499,7 +568,11 @@ fn run_preprocess(raw: &[String]) -> ! {
         resolution: dt_data::ResolutionMode::Fixed(64),
         ..dt_data::DataConfig::evaluation(64)
     };
-    let mut plane = match Preprocess::builder(data, 23).producers(producers).workers(2).spawn() {
+    let mut plane = match Preprocess::builder(data, 23)
+        .producers(producers)
+        .workers(2)
+        .spawn()
+    {
         Ok(plane) => plane,
         Err(e) => {
             eprintln!("error: cannot spawn the preprocessing plane: {e}");
@@ -614,7 +687,10 @@ fn main() {
                 std::process::exit(0);
             }
             other if other.starts_with('-') => {
-                eprintln!("error: unknown flag '{other}' (valid flags: {})", FLAGS.join(", "));
+                eprintln!(
+                    "error: unknown flag '{other}' (valid flags: {})",
+                    FLAGS.join(", ")
+                );
                 usage(&all);
                 std::process::exit(2);
             }
@@ -643,7 +719,11 @@ fn main() {
     } else {
         names
             .iter()
-            .map(|name| all.iter().find(|(n, _)| n == name).expect("validated above"))
+            .map(|name| {
+                all.iter()
+                    .find(|(n, _)| n == name)
+                    .expect("validated above")
+            })
             .collect()
     };
 
@@ -665,7 +745,10 @@ fn main() {
             _ => runner(),
         };
         println!("{}", report.render());
-        println!("   [{name} regenerated in {:.1}s]\n", started.elapsed().as_secs_f64());
+        println!(
+            "   [{name} regenerated in {:.1}s]\n",
+            started.elapsed().as_secs_f64()
+        );
         if json_path.is_some() {
             archived.push((name.to_string(), report));
         }

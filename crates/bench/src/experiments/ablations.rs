@@ -19,7 +19,13 @@ pub fn broker() -> Report {
     let bytes = 8192 * 8192 * 2; // one 72B-class microbatch boundary
     let mut r = Report::new(
         "Ablation — broker count (GCD rule vs single broker)",
-        &["DP_up × DP_down", "brokers", "hop (GCD rule)", "hop (1 broker)", "speedup"],
+        &[
+            "DP_up × DP_down",
+            "brokers",
+            "hop (GCD rule)",
+            "hop (1 broker)",
+            "speedup",
+        ],
     );
     r.note("§6: brokers scale with gcd(DP_up, DP_down); a single broker would");
     r.note("serialize the whole boundary through one GPU's NIC.");
@@ -51,13 +57,24 @@ pub fn schedule() -> Report {
         &vec![SimDuration::from_millis(180); p],
         l,
     );
-    let gpipe = simulate(&PipelineSpec::uniform(Schedule::GPipe, p, SimDuration::ZERO), &w);
-    let f1b1 = simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO), &w);
+    let gpipe = simulate(
+        &PipelineSpec::uniform(Schedule::GPipe, p, SimDuration::ZERO),
+        &w,
+    );
+    let f1b1 = simulate(
+        &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
+        &w,
+    );
     // Peak stash: GPipe holds all l microbatches at stage 0; 1F1B holds p.
     let act_per_mb = 1.0; // normalized units
     let mut r = Report::new(
         "Ablation — GPipe vs 1F1B (p=8, l=32, homogeneous stages)",
-        &["schedule", "makespan", "peak microbatches stashed", "relative memory"],
+        &[
+            "schedule",
+            "makespan",
+            "peak microbatches stashed",
+            "relative memory",
+        ],
     );
     r.note("§4.2: GPipe buys no time and costs l/p times the activations.");
     r.row(vec![
@@ -86,10 +103,16 @@ pub fn stepccl_chunks() -> Report {
         "Ablation — StepCCL chunk count (Llama3-13B stage, TP=8)",
         &["chunks", "stage iteration", "speedup vs no overlap"],
     );
-    let base = StepCclModel { chunks: 1, ..StepCclModel::default() }
-        .stage_iteration(&bb, &gpu, &coll, 8, 8192, 8, 1);
+    let base = StepCclModel {
+        chunks: 1,
+        ..StepCclModel::default()
+    }
+    .stage_iteration(&bb, &gpu, &coll, 8, 8192, 8, 1);
     for chunks in [1u32, 2, 4, 8, 16] {
-        let model = StepCclModel { chunks, ..StepCclModel::default() };
+        let model = StepCclModel {
+            chunks,
+            ..StepCclModel::default()
+        };
         let it = model.stage_iteration(&bb, &gpu, &coll, 8, 8192, 8, 1);
         r.row(vec![
             format!("{chunks}"),
@@ -113,7 +136,14 @@ pub fn sequence_parallelism() -> Report {
     r.note("§4.1: SP splits the non-tensor-parallel activation regions across");
     r.note("the TP group, which is what makes long sequences trainable.");
     for seq in [8192u64, 16384, 32768, 65536] {
-        let shape = SampleShape { text_tokens: seq, image_tokens: 0, num_images: 0, gen_images: 0, image_res: 512, gen_res: 512 };
+        let shape = SampleShape {
+            text_tokens: seq,
+            image_tokens: 0,
+            num_images: 0,
+            gen_images: 0,
+            image_res: 512,
+            gen_res: 512,
+        };
         let mem = ModuleMemory::new(
             model.module_params(ModuleKind::Backbone),
             model.backbone.activation_bytes(seq),
@@ -172,7 +202,14 @@ pub fn expert_parallelism() -> Report {
     let gpu = GpuSpec::ampere();
     let coll = CollectiveCost::new(ClusterSpec::production(12));
     let perf = PerfModel::new(&model, &gpu, &coll).with_stepccl();
-    let shape = SampleShape { text_tokens: 8192, image_tokens: 0, num_images: 0, gen_images: 0, image_res: 512, gen_res: 512 };
+    let shape = SampleShape {
+        text_tokens: 8192,
+        image_tokens: 0,
+        num_images: 0,
+        gen_images: 0,
+        image_res: 512,
+        gen_res: 512,
+    };
     let mem = ModuleMemory::new(
         model.module_params(ModuleKind::Backbone),
         model.backbone.activation_bytes(8192),
@@ -181,7 +218,12 @@ pub fn expert_parallelism() -> Report {
 
     let mut r = Report::new(
         "Ablation — expert parallelism (Llama3-7B-MoE-8x backbone, TP=8, PP=1, DP=8)",
-        &["EP", "weights+grads/GPU", "a2a per layer (fwd)", "fits 80 GB"],
+        &[
+            "EP",
+            "weights+grads/GPU",
+            "a2a per layer (fwd)",
+            "fits 80 GB",
+        ],
     );
     r.note("§4.1: EP trades all-to-all communication for expert-weight sharding;");
     r.note("the dense formulation holds with TP replaced by EP.");
@@ -190,7 +232,10 @@ pub fn expert_parallelism() -> Report {
         let a2a = perf.moe_all_to_all_time(shape.seq_len(), ep);
         r.row(vec![
             format!("{ep}"),
-            format!("{:.1} GiB", (mem.param_grad_bytes_per_gpu(1, 8) / ep as u64) as f64 / (1u64 << 30) as f64),
+            format!(
+                "{:.1} GiB",
+                (mem.param_grad_bytes_per_gpu(1, 8) / ep as u64) as f64 / (1u64 << 30) as f64
+            ),
             fmt_secs(a2a.as_secs_f64()),
             format!("{}", bytes <= gpu.hbm_bytes),
         ]);
@@ -210,7 +255,10 @@ mod tests {
             let brokers: u32 = row[1].parse().unwrap();
             // Near-linear in broker count (the fixed RPC latency term does
             // not divide, so allow 20% slack).
-            assert!(speedup >= brokers as f64 * 0.8, "hop must scale with broker count: {row:?}");
+            assert!(
+                speedup >= brokers as f64 * 0.8,
+                "hop must scale with broker count: {row:?}"
+            );
         }
     }
 
@@ -224,7 +272,11 @@ mod tests {
     #[test]
     fn chunking_has_diminishing_returns() {
         let r = stepccl_chunks();
-        let s: Vec<f64> = r.rows.iter().map(|row| row[2].trim_end_matches('x').parse().unwrap()).collect();
+        let s: Vec<f64> = r
+            .rows
+            .iter()
+            .map(|row| row[2].trim_end_matches('x').parse().unwrap())
+            .collect();
         assert!(s[2] > s[0], "4 chunks must beat 1");
         assert!(s[4] - s[2] < s[2] - s[0], "returns must diminish");
     }
@@ -234,7 +286,9 @@ mod tests {
         let r = sequence_parallelism();
         // At some row SP fits where no-SP does not.
         assert!(
-            r.rows.iter().any(|row| row[1] == "false" && row[2] == "true"),
+            r.rows
+                .iter()
+                .any(|row| row[1] == "false" && row[2] == "true"),
             "SP should unlock at least one sequence length: {:?}",
             r.rows
         );
@@ -253,7 +307,10 @@ mod tests {
     fn ep_shards_weights_and_pays_communication() {
         let r = expert_parallelism();
         let gib = |row: &Vec<String>| -> f64 { row[1].trim_end_matches(" GiB").parse().unwrap() };
-        assert!(gib(&r.rows[3]) < gib(&r.rows[0]) / 6.0, "EP=8 must shard ~8x");
+        assert!(
+            gib(&r.rows[3]) < gib(&r.rows[0]) / 6.0,
+            "EP=8 must shard ~8x"
+        );
         assert_eq!(r.rows[0][2], "0us", "EP=1 pays no all-to-all");
         assert_ne!(r.rows[3][2], "0us", "EP=8 pays all-to-all");
     }

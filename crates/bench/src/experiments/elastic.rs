@@ -77,7 +77,10 @@ fn blast_plan(radius: u32, healer_on: bool) -> ElasticPlan {
         _ => 14,
     };
     let domains = 12u32.div_ceil(radius);
-    plan.topology = Some(FailureTopology::new(radius, secs(30.0 * f64::from(domains))));
+    plan.topology = Some(FailureTopology::new(
+        radius,
+        secs(30.0 * f64::from(domains)),
+    ));
     plan.healer = healer_on.then(HealerConfig::default);
     plan.spare_slowdown = 2.0;
     plan
@@ -88,8 +91,10 @@ fn blast_plan(radius: u32, healer_on: bool) -> ElasticPlan {
 fn tempdir(tag: &str) -> std::path::PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let seq = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir()
-        .join(format!("dt-elastic-sweep-{tag}-{}-{seq}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "dt-elastic-sweep-{tag}-{}-{seq}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp checkpoint dir");
     dir
@@ -133,7 +138,8 @@ pub fn run() -> Report {
                 let _ = std::fs::remove_dir_all(&dir);
                 out.goodput.validate().expect("exact goodput accounting");
                 let mfus = out.epoch_mfus();
-                let delta = mfus.last().copied().unwrap_or(0.0) - mfus.first().copied().unwrap_or(0.0);
+                let delta =
+                    mfus.last().copied().unwrap_or(0.0) - mfus.first().copied().unwrap_or(0.0);
                 r.row(vec![
                     format!("{mtbf:.0}s"),
                     policy.to_string(),
@@ -209,7 +215,9 @@ pub fn run() -> Report {
         .iter()
         .filter_map(|a| snap.counter_value(names::HEALER_ACTIONS_TOTAL, &[("action", a)]))
         .sum();
-    r.note(format!("dt_healer_actions_total = {actions} across the healer-on cells."));
+    r.note(format!(
+        "dt_healer_actions_total = {actions} across the healer-on cells."
+    ));
     r.note("goodput identity validated on every cell (committed + lost +");
     r.note("checkpoint + restart + reshard = wall clock, exactly).");
     r
@@ -224,8 +232,8 @@ pub fn run_traced(path: &str) -> Report {
     let plan = cell_plan(250.0, CheckpointPolicy::Fixed(2), 1);
     let dir = tempdir("traced");
     let mut rec = TraceRecorder::enabled();
-    let out = run_elastic_with(&task, CELL_ITERS, &plan, initial, &dir, &mut rec)
-        .expect("elastic run");
+    let out =
+        run_elastic_with(&task, CELL_ITERS, &plan, initial, &dir, &mut rec).expect("elastic run");
     let _ = std::fs::remove_dir_all(&dir);
     rec.validate_nesting().expect("elastic spans nest cleanly");
     if let Err(e) = rec.write_chrome_trace(std::path::Path::new(path)) {
@@ -237,7 +245,9 @@ pub fn run_traced(path: &str) -> Report {
         "Elastic training — traced multi-failure run",
         &["iterations", "failures", "shrinks", "goodput", "spans"],
     );
-    r.note(format!("Chrome trace written to {path} (failure / recovery / reorch"));
+    r.note(format!(
+        "Chrome trace written to {path} (failure / recovery / reorch"
+    ));
     r.note("spans on tid 2, checkpoints on tid 1 of the trainer process).");
     r.row(vec![
         format!("{}", out.report.iterations.len()),
@@ -264,10 +274,19 @@ mod tests {
         let failures: Vec<u32> = r.rows.iter().map(|row| row[5].parse().unwrap()).collect();
         let shrinks: Vec<u32> = r.rows.iter().map(|row| row[6].parse().unwrap()).collect();
         // The harsh half of the classic sweep (rows 4..8) must actually fail.
-        assert!(failures[4..8].iter().all(|&f| f > 0), "harsh cells must see failures");
+        assert!(
+            failures[4..8].iter().all(|&f| f > 0),
+            "harsh cells must see failures"
+        );
         // Zero-spare harsh cells must shrink; the benign cells never do.
-        assert!(shrinks[4..8].iter().any(|&s| s > 0), "spares exhaust under harsh MTBF");
-        assert!(shrinks[..2].iter().all(|&s| s == 0), "benign cells keep all nodes");
+        assert!(
+            shrinks[4..8].iter().any(|&s| s > 0),
+            "spares exhaust under harsh MTBF"
+        );
+        assert!(
+            shrinks[..2].iter().all(|&s| s == 0),
+            "benign cells keep all nodes"
+        );
         // Goodput is a valid percentage everywhere, and every shrink cell
         // reports the real solver time its re-orchestration cost.
         for row in &r.rows {
@@ -275,7 +294,11 @@ mod tests {
             assert!((0.0..=100.0).contains(&g));
             let shrinks: u32 = row[6].parse().unwrap();
             if shrinks > 0 {
-                assert!(row[11].ends_with("ms"), "shrink cells time the re-plan: {:?}", row[11]);
+                assert!(
+                    row[11].ends_with("ms"),
+                    "shrink cells time the re-plan: {:?}",
+                    row[11]
+                );
             } else {
                 assert_eq!(row[11], "-");
             }
@@ -292,7 +315,10 @@ mod tests {
             assert_eq!(off[3], on[3], "paired rows share a radius");
             assert_eq!((off[4].as_str(), on[4].as_str()), ("off", "on"));
             // Correlated events must actually land in every blast cell.
-            assert!(off[5].parse::<u32>().unwrap() > 0, "blast cell saw no failures");
+            assert!(
+                off[5].parse::<u32>().unwrap() > 0,
+                "blast cell saw no failures"
+            );
             let radius: u32 = off[3].parse().unwrap();
             if radius > 1 {
                 assert!(
@@ -306,13 +332,19 @@ mod tests {
         // The healer-on cells take at least one action in total, and the
         // notes surface the telemetry counter + goodput identity for the
         // verify.sh gate to grep.
-        let total: u32 =
-            blast.iter().filter(|row| row[4] == "on").map(|row| row[12].parse::<u32>().unwrap()).sum();
+        let total: u32 = blast
+            .iter()
+            .filter(|row| row[4] == "on")
+            .map(|row| row[12].parse::<u32>().unwrap())
+            .sum();
         assert!(total > 0, "healer-on cells must act");
         assert!(r
             .commentary
             .iter()
             .any(|n| n.contains("dt_healer_actions_total = ") && !n.contains("= 0 ")));
-        assert!(r.commentary.iter().any(|n| n.contains("goodput identity validated")));
+        assert!(r
+            .commentary
+            .iter()
+            .any(|n| n.contains("goodput identity validated")));
     }
 }

@@ -21,14 +21,28 @@ pub fn run() -> Report {
 
     let mut r = Report::new(
         "Figure 3 — forward time vs input configuration (per microbatch)",
-        &["(#imgs, res)", "encoder fwd", "LLM stage fwd", "generator fwd"],
+        &[
+            "(#imgs, res)",
+            "encoder fwd",
+            "LLM stage fwd",
+            "generator fwd",
+        ],
     );
-    r.note("Backbone: Llama3-70B, one PP stage of PP=10, TP=8; encoder/generator replicated (TP=1).");
+    r.note(
+        "Backbone: Llama3-70B, one PP stage of PP=10, TP=8; encoder/generator replicated (TP=1).",
+    );
     r.note("Paper shape: LLM stage constant; encoder/generator vary strongly and");
     r.note("overtake the LLM stage at high (#images, resolution).");
 
     let pp = 10u32;
-    for (n, res) in [(1u32, 512u32), (5, 512), (10, 512), (1, 1024), (5, 1024), (10, 1024)] {
+    for (n, res) in [
+        (1u32, 512u32),
+        (5, 512),
+        (10, 512),
+        (1, 1024),
+        (5, 1024),
+        (10, 1024),
+    ] {
         let tokens_per_image = model.encoder.tokens_per_image(res).min(8192 / n as u64);
         let image_tokens = (tokens_per_image * n as u64).min(8192);
         let shape = SampleShape {
@@ -73,7 +87,10 @@ mod tests {
         // LLM stage constant (to within rounding of the formatter).
         assert!(llm.iter().all(|&t| (t - llm[0]).abs() / llm[0] < 0.05));
         // Encoder varies by >5× across the sweep.
-        let (lo, hi) = (enc.iter().copied().fold(f64::MAX, f64::min), enc.iter().copied().fold(0.0, f64::max));
+        let (lo, hi) = (
+            enc.iter().copied().fold(f64::MAX, f64::min),
+            enc.iter().copied().fold(0.0, f64::max),
+        );
         assert!(hi / lo > 5.0, "encoder should vary strongly: {lo} .. {hi}");
         // The heavy configuration overtakes the LLM stage.
         assert!(enc.last().unwrap() > llm.last().unwrap());

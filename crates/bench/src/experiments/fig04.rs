@@ -56,7 +56,11 @@ pub fn run() -> Report {
         } else {
             "generator"
         };
-        r.row(vec![format!("{s}"), module.into(), fmt_pct(result.stage_bubble_fraction(s))]);
+        r.row(vec![
+            format!("{s}"),
+            module.into(),
+            fmt_pct(result.stage_bubble_fraction(s)),
+        ]);
     }
     r
 }

@@ -35,7 +35,12 @@ pub fn run() -> Report {
     let (text, image, count) = characterize(4000, 42);
     let mut r = Report::new(
         "Figure 5 — LAION-like data heterogeneity (CDF quantiles)",
-        &["quantile", "text tokens (a)", "image tokens (b)", "images/sample (c)"],
+        &[
+            "quantile",
+            "text tokens (a)",
+            "image tokens (b)",
+            "images/sample (c)",
+        ],
     );
     r.note("All three distributions must be heavily skewed (p99 >> median),");
     r.note("matching the paper's characterization of LAION-400M packed into 8K sequences.");
@@ -63,8 +68,17 @@ mod tests {
     #[test]
     fn distributions_are_skewed_like_the_paper() {
         let (text, image, count) = characterize(1500, 7);
-        assert!(text.percentile(0.99) > 5.0 * text.median(), "text tail too light");
-        assert!(image.percentile(0.99) > 2.0 * image.median(), "image tail too light");
-        assert!(count.percentile(0.99) >= 2.0 * count.median(), "count tail too light");
+        assert!(
+            text.percentile(0.99) > 5.0 * text.median(),
+            "text tail too light"
+        );
+        assert!(
+            image.percentile(0.99) > 2.0 * image.median(),
+            "image tail too light"
+        );
+        assert!(
+            count.percentile(0.99) >= 2.0 * count.median(),
+            "count tail too light"
+        );
     }
 }

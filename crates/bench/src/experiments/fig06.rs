@@ -47,7 +47,11 @@ pub fn run() -> Report {
     r.note("Algorithm 1 (LPT partitioning) drives the ratio to ~1.0.");
     for dp in [4u32, 8, 16, 32] {
         let (random, balanced) = spread(dp, 128, 42);
-        r.row(vec![format!("{dp}"), fmt_ratio(random), fmt_ratio(balanced)]);
+        r.row(vec![
+            format!("{dp}"),
+            fmt_ratio(random),
+            fmt_ratio(balanced),
+        ]);
     }
     r
 }

@@ -15,8 +15,14 @@ pub fn encoder_pipeline(encoder_fwd: &[f64]) -> (f64, f64) {
     let l = encoder_fwd.len();
     let p = 4usize; // 1 encoder stage + 3 LLM stages, as in the figure
     let llm_fwd = 0.10;
-    let mut fwd = vec![encoder_fwd.iter().map(|&t| SimDuration::from_secs_f64(t)).collect::<Vec<_>>()];
-    let mut bwd = vec![encoder_fwd.iter().map(|&t| SimDuration::from_secs_f64(2.0 * t)).collect::<Vec<_>>()];
+    let mut fwd = vec![encoder_fwd
+        .iter()
+        .map(|&t| SimDuration::from_secs_f64(t))
+        .collect::<Vec<_>>()];
+    let mut bwd = vec![encoder_fwd
+        .iter()
+        .map(|&t| SimDuration::from_secs_f64(2.0 * t))
+        .collect::<Vec<_>>()];
     for _ in 1..p {
         fwd.push(vec![SimDuration::from_secs_f64(llm_fwd); l]);
         bwd.push(vec![SimDuration::from_secs_f64(2.0 * llm_fwd); l]);
@@ -43,8 +49,16 @@ pub fn run() -> Report {
     );
     r.note("(a) homogeneous microbatches: tight pipeline.");
     r.note("(b) one straggler microbatch: downstream stages stall behind it.");
-    r.row(vec!["(a) homogeneous".into(), fmt_secs(t_even), fmt_pct(b_even)]);
-    r.row(vec!["(b) straggler mb".into(), fmt_secs(t_skew), fmt_pct(b_skew)]);
+    r.row(vec![
+        "(a) homogeneous".into(),
+        fmt_secs(t_even),
+        fmt_pct(b_even),
+    ]);
+    r.row(vec![
+        "(b) straggler mb".into(),
+        fmt_secs(t_skew),
+        fmt_pct(b_skew),
+    ]);
     r.row(vec![
         "slowdown".into(),
         format!("{:.2}x", t_skew / t_even),
@@ -65,7 +79,10 @@ mod tests {
         skew[0] = 0.10 * l as f64 - 0.04 * (l - 1) as f64;
         let (t_even, _) = encoder_pipeline(&even);
         let (t_skew, b_skew) = encoder_pipeline(&skew);
-        assert!(t_skew > 1.1 * t_even, "straggler should cost >10%: {t_skew} vs {t_even}");
+        assert!(
+            t_skew > 1.1 * t_even,
+            "straggler should cost >10%: {t_skew} vs {t_even}"
+        );
         assert!(b_skew > 0.0);
     }
 }

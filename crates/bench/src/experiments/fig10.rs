@@ -70,6 +70,10 @@ mod tests {
         // the search.
         let (pred, sim) = predicted_vs_simulated(MllmPreset::Mllm9B);
         let rel = (pred - sim).abs() / sim;
-        assert!(rel < 0.4, "prediction off by {:.0}% ({pred:.2}s vs {sim:.2}s)", rel * 100.0);
+        assert!(
+            rel < 0.4,
+            "prediction off by {:.0}% ({pred:.2}s vs {sim:.2}s)",
+            rel * 100.0
+        );
     }
 }

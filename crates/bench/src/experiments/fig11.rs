@@ -29,8 +29,14 @@ pub fn run() -> Report {
     let reordered: Vec<f64> = order.iter().map(|&i| sizes[i]).collect();
     let balanced = max_group_load(&reordered, 2) / mean;
     r.row(vec![
-        format!("Alg.1 {:?}", order.iter().map(|i| i + 1).collect::<Vec<_>>()),
-        format!("[{}, {} | {}, {}]", reordered[0], reordered[1], reordered[2], reordered[3]),
+        format!(
+            "Alg.1 {:?}",
+            order.iter().map(|i| i + 1).collect::<Vec<_>>()
+        ),
+        format!(
+            "[{}, {} | {}, {}]",
+            reordered[0], reordered[1], reordered[2], reordered[3]
+        ),
         fmt_ratio(balanced),
     ]);
 
@@ -42,8 +48,16 @@ pub fn run() -> Report {
     let order8 = intra_reorder_indices(&big, 8).expect("64 samples split into 8 DP groups");
     let re8: Vec<f64> = order8.iter().map(|&i| big[i]).collect();
     let bal8 = max_group_load(&re8, 8) / mean8;
-    r.row(vec!["64 lognormal, DP=8 (random)".into(), "-".into(), fmt_ratio(naive8)]);
-    r.row(vec!["64 lognormal, DP=8 (Alg.1)".into(), "-".into(), fmt_ratio(bal8)]);
+    r.row(vec![
+        "64 lognormal, DP=8 (random)".into(),
+        "-".into(),
+        fmt_ratio(naive8),
+    ]);
+    r.row(vec![
+        "64 lognormal, DP=8 (Alg.1)".into(),
+        "-".into(),
+        fmt_ratio(bal8),
+    ]);
     r
 }
 

@@ -7,8 +7,8 @@
 //! are filled by best-fit forwards.
 
 use crate::report::{fmt_secs, Report};
-use dt_reorder::{get_interval, inter_reorder, InterReorderConfig};
 use dt_reorder::inter::simulated_makespan;
+use dt_reorder::{get_interval, inter_reorder, InterReorderConfig};
 use dt_simengine::DetRng;
 
 /// Run the interval analysis.
@@ -59,6 +59,9 @@ mod tests {
             let reordered: Vec<f64> = order.iter().map(|&i| times[i]).collect();
             after += simulated_makespan(&cfg, &reordered);
         }
-        assert!(after < before, "Alg.2 should shrink iterations: {after:.3} vs {before:.3}");
+        assert!(
+            after < before,
+            "Alg.2 should shrink iterations: {after:.3} vs {before:.3}"
+        );
     }
 }

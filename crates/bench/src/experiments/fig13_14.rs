@@ -22,8 +22,12 @@ fn results() -> &'static Results {
             .into_iter()
             .map(|preset| {
                 let task = production_task(preset);
-                let dt = task.run(SystemKind::DistTrain, MEASURE_ITERS).expect("DistTrain plan");
-                let mg = task.run(SystemKind::MegatronLM, MEASURE_ITERS).expect("Megatron plan");
+                let dt = task
+                    .run(SystemKind::DistTrain, MEASURE_ITERS)
+                    .expect("DistTrain plan");
+                let mg = task
+                    .run(SystemKind::MegatronLM, MEASURE_ITERS)
+                    .expect("Megatron plan");
                 (preset, dt, mg)
             })
             .collect()
@@ -34,7 +38,12 @@ fn results() -> &'static Results {
 pub fn run_mfu() -> Report {
     let mut r = Report::new(
         "Figure 13 — overall MFU (production scale, BS=1920, ≤1296 GPUs)",
-        &["model", "DistTrain MFU (GPUs)", "Megatron-LM MFU (GPUs)", "gain"],
+        &[
+            "model",
+            "DistTrain MFU (GPUs)",
+            "Megatron-LM MFU (GPUs)",
+            "gain",
+        ],
     );
     r.note("Paper: DistTrain 51.8–54.7% MFU; 1.7–2.8× over Megatron-LM for 9B/15B,");
     r.note("~1.2× for 72B (high-res generation inflates both systems' multimodal stages).");
@@ -53,7 +62,12 @@ pub fn run_mfu() -> Report {
 pub fn run_throughput() -> Report {
     let mut r = Report::new(
         "Figure 14 — overall training throughput (production scale)",
-        &["model", "DistTrain samples/s", "Megatron-LM samples/s", "gain"],
+        &[
+            "model",
+            "DistTrain samples/s",
+            "Megatron-LM samples/s",
+            "gain",
+        ],
     );
     r.note("Paper: 1.7–2.2× for 9B/15B, ~1.3× for 72B.");
     for (preset, dt, mg) in results() {
@@ -77,7 +91,10 @@ mod tests {
         let mut gains = Vec::new();
         for (preset, dt, mg) in res {
             let gain = dt.mfu() / mg.mfu();
-            assert!(gain > 1.0, "{preset:?}: DistTrain must win (gain {gain:.2})");
+            assert!(
+                gain > 1.0,
+                "{preset:?}: DistTrain must win (gain {gain:.2})"
+            );
             assert!(
                 (0.20..0.70).contains(&dt.mfu()),
                 "{preset:?}: DistTrain MFU {:.3} outside the plausible band",

@@ -22,7 +22,9 @@ fn results() -> &'static Vec<Row> {
             .into_iter()
             .map(|preset| {
                 let task = ablation_task(preset);
-                let dt = task.run(SystemKind::DistTrain, MEASURE_ITERS).expect("DistTrain");
+                let dt = task
+                    .run(SystemKind::DistTrain, MEASURE_ITERS)
+                    .expect("DistTrain");
                 // DistMM* and the Megatron plan both run with DistTrain's
                 // data path (the §7.2 isolation): reordering + disaggregated
                 // preprocessing, only the orchestration differs.
@@ -42,7 +44,13 @@ fn results() -> &'static Vec<Row> {
 pub fn run() -> Report {
     let mut r = Report::new(
         "Figure 15 — model-orchestration ablation (≤96 GPUs; identical data path)",
-        &["model", "DistTrain (GPUs)", "DistMM* (GPUs)", "Megatron-LM (GPUs)", "gain vs worst"],
+        &[
+            "model",
+            "DistTrain (GPUs)",
+            "DistMM* (GPUs)",
+            "Megatron-LM (GPUs)",
+            "gain vs worst",
+        ],
     );
     r.note("Paper: DistTrain 1.3–2.7× higher MFU/throughput; DistMM* in between.");
     for (preset, dt, dm, mg) in results() {
@@ -65,8 +73,18 @@ mod tests {
     #[test]
     fn ordering_is_disttrain_distmm_megatron() {
         for (preset, dt, dm, mg) in results() {
-            assert!(dt.mfu() >= dm.mfu() * 0.999, "{preset:?}: DistTrain {:.3} < DistMM* {:.3}", dt.mfu(), dm.mfu());
-            assert!(dm.mfu() > mg.mfu(), "{preset:?}: DistMM* {:.3} ≤ Megatron {:.3}", dm.mfu(), mg.mfu());
+            assert!(
+                dt.mfu() >= dm.mfu() * 0.999,
+                "{preset:?}: DistTrain {:.3} < DistMM* {:.3}",
+                dt.mfu(),
+                dm.mfu()
+            );
+            assert!(
+                dm.mfu() > mg.mfu(),
+                "{preset:?}: DistMM* {:.3} ≤ Megatron {:.3}",
+                dm.mfu(),
+                mg.mfu()
+            );
         }
     }
 }

@@ -64,7 +64,10 @@ mod tests {
         for (preset, re, rand, _) in rows {
             let gain = re / rand;
             assert!(gain >= 1.0, "{preset:?}: reordering hurt ({gain:.3})");
-            assert!(gain < 1.5, "{preset:?}: implausibly large reorder gain {gain:.3}");
+            assert!(
+                gain < 1.5,
+                "{preset:?}: implausibly large reorder gain {gain:.3}"
+            );
         }
         // Largest-DP (9B) gain ≥ smallest-DP (72B) gain — the paper trend.
         let g9 = rows[0].1 / rows[0].2;

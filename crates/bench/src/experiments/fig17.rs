@@ -16,7 +16,11 @@ use std::time::{Duration, Instant};
 /// A synthetic "iteration batch" of one sample with `n` images at `res`.
 fn config_sample(n: u32, res: u32) -> TrainSample {
     let mut gen = SyntheticLaion::new(
-        DataConfig { resolution: ResolutionMode::Fixed(res), max_images_per_sample: n, ..DataConfig::evaluation(res) },
+        DataConfig {
+            resolution: ResolutionMode::Fixed(res),
+            max_images_per_sample: n,
+            ..DataConfig::evaluation(res)
+        },
         1,
     );
     let mut s = gen.sample();
@@ -50,10 +54,15 @@ pub fn disaggregated_overhead(n: u32, res: u32) -> Duration {
     };
     // Real iterations are never shorter than ~100 ms even for light
     // batches (§7.3: seconds to tens of seconds), so floor the gap there.
-    let iteration_gap = colocated_overhead(n, res, 1).mul_f64(1.3).max(Duration::from_millis(100));
+    let iteration_gap = colocated_overhead(n, res, 1)
+        .mul_f64(1.3)
+        .max(Duration::from_millis(100));
     let producer = Preprocess::builder(data, 1).spawn().expect("producer");
-    let feeder =
-        Consumer::builder(producer.addrs()).batch(1).pipeline(2).connect().expect("connect");
+    let feeder = Consumer::builder(producer.addrs())
+        .batch(1)
+        .pipeline(2)
+        .connect()
+        .expect("connect");
     // Cold fetch fills the queue; the steady-state stall is what the paper
     // reports.
     let _ = feeder.next_batch().expect("warm-up batch");
@@ -75,7 +84,14 @@ pub fn run() -> Report {
     );
     r.note("Paper: colocated overhead in seconds interferes with training;");
     r.note("disaggregation reduces the GPU-side overhead to milliseconds.");
-    for (n, res) in [(1u32, 512u32), (5, 512), (10, 512), (1, 1024), (5, 1024), (10, 1024)] {
+    for (n, res) in [
+        (1u32, 512u32),
+        (5, 512),
+        (10, 512),
+        (1, 1024),
+        (5, 1024),
+        (10, 1024),
+    ] {
         let col = colocated_overhead(n, res, 1);
         let dis = disaggregated_overhead(n, res);
         r.row(vec![

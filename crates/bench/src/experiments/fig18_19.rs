@@ -33,8 +33,12 @@ fn results() -> &'static Vec<Row> {
             for preset in MllmPreset::ALL {
                 let model = MultimodalLlm::preset(preset, freeze);
                 let task = ablation_task_with(model, preset);
-                let dt = task.run(SystemKind::DistTrain, MEASURE_ITERS).expect("DistTrain");
-                let mg = task.run(SystemKind::MegatronLM, MEASURE_ITERS).expect("Megatron");
+                let dt = task
+                    .run(SystemKind::DistTrain, MEASURE_ITERS)
+                    .expect("DistTrain");
+                let mg = task
+                    .run(SystemKind::MegatronLM, MEASURE_ITERS)
+                    .expect("Megatron");
                 rows.push((name, preset, dt, mg));
             }
         }
@@ -46,7 +50,13 @@ fn results() -> &'static Vec<Row> {
 pub fn run_mfu() -> Report {
     let mut r = Report::new(
         "Figure 18 — MFU under frozen training (≤96 GPUs)",
-        &["setting", "model", "DistTrain (GPUs)", "Megatron-LM (GPUs)", "gain"],
+        &[
+            "setting",
+            "model",
+            "DistTrain (GPUs)",
+            "Megatron-LM (GPUs)",
+            "gain",
+        ],
     );
     r.note("Paper: 1.4–2.9× — larger than full training because the monolithic");
     r.note("plan cannot move GPUs away from frozen modules.");
@@ -66,7 +76,13 @@ pub fn run_mfu() -> Report {
 pub fn run_throughput() -> Report {
     let mut r = Report::new(
         "Figure 19 — throughput under frozen training (≤96 GPUs)",
-        &["setting", "model", "DistTrain samples/s", "Megatron-LM samples/s", "gain"],
+        &[
+            "setting",
+            "model",
+            "DistTrain samples/s",
+            "Megatron-LM samples/s",
+            "gain",
+        ],
     );
     r.note("Paper: 1.2–2.9×.");
     for (name, preset, dt, mg) in results() {

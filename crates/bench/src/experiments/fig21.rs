@@ -53,7 +53,11 @@ pub fn run() -> Report {
     let c = SimDuration::from_micros(240);
     let seq = sequential_time(g, c);
     let ovl = overlapped_time(g, c, 4, SimDuration::ZERO);
-    r.row(vec!["sequential (baseline)".into(), fmt_secs(seq.as_secs_f64()), "AG then GEMM".into()]);
+    r.row(vec![
+        "sequential (baseline)".into(),
+        fmt_secs(seq.as_secs_f64()),
+        "AG then GEMM".into(),
+    ]);
     r.row(vec![
         "StepCCL 4-chunk overlap".into(),
         fmt_secs(ovl.as_secs_f64()),

@@ -51,8 +51,15 @@ mod tests {
                 .iter()
                 .map(|row| row[4].trim_end_matches('x').parse::<f64>().unwrap())
                 .collect();
-            assert!(s[2] >= s[1] && s[1] >= s[0] - 0.02, "gains must grow with TP: {s:?}");
-            assert!(s[2] > 1.08 && s[2] < 1.30, "TP=8 gain {:.3} off the paper band", s[2]);
+            assert!(
+                s[2] >= s[1] && s[1] >= s[0] - 0.02,
+                "gains must grow with TP: {s:?}"
+            );
+            assert!(
+                s[2] > 1.08 && s[2] < 1.30,
+                "TP=8 gain {:.3} off the paper band",
+                s[2]
+            );
         }
     }
 }

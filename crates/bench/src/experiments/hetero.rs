@@ -83,9 +83,17 @@ pub fn run_config(encoder_gpu: &GpuSpec, encoder_gpus: u32) -> HeteroOutcome {
     }
 
     let cost_units = encoder_gpus as f64
-        * if encoder_gpu.name.starts_with("L20") { L20_COST } else { AMPERE_COST }
+        * if encoder_gpu.name.starts_with("L20") {
+            L20_COST
+        } else {
+            AMPERE_COST
+        }
         + (64 + 8) as f64 * AMPERE_COST;
-    HeteroOutcome { iter_secs: worst.as_secs_f64(), encoder_gpus, cost_units }
+    HeteroOutcome {
+        iter_secs: worst.as_secs_f64(),
+        encoder_gpus,
+        cost_units,
+    }
 }
 
 /// Run the case study.
@@ -98,7 +106,12 @@ pub fn run() -> Report {
 
     let mut r = Report::new(
         "Case study (§8) — encoder on economical GPUs (MLLM-9B, 72 Ampere for LLM+gen)",
-        &["encoder pool", "iteration", "hardware cost", "cost efficiency"],
+        &[
+            "encoder pool",
+            "iteration",
+            "hardware cost",
+            "cost efficiency",
+        ],
     );
     r.note("Cost units: A100-class = 1.0, L20 = 0.3. Efficiency = 1/(time × cost),");
     r.note("normalized to the all-Ampere configuration.");
@@ -128,7 +141,12 @@ mod tests {
         let ampere = run_config(&GpuSpec::ampere(), 8);
         let l20 = run_config(&GpuSpec::l20(), 21);
         // Near-equal time (encoder is not the bottleneck)…
-        assert!(l20.iter_secs < ampere.iter_secs * 1.10, "{} vs {}", l20.iter_secs, ampere.iter_secs);
+        assert!(
+            l20.iter_secs < ampere.iter_secs * 1.10,
+            "{} vs {}",
+            l20.iter_secs,
+            ampere.iter_secs
+        );
         // …at lower cost.
         assert!(l20.cost_units < ampere.cost_units);
     }

@@ -17,8 +17,8 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18_19;
 pub mod fig21;
-pub mod hetero;
 pub mod fig22;
+pub mod hetero;
 pub mod table3;
 pub mod zoo;
 

@@ -134,8 +134,14 @@ mod tests {
                 t.serial,
                 t.pruned,
             );
-            assert!(t.cache_hits > t.candidates as u64, "the memo table must absorb lookups");
-            assert!(t.proven_optimal, "the pruned search must certify optimality");
+            assert!(
+                t.cache_hits > t.candidates as u64,
+                "the memo table must absorb lookups"
+            );
+            assert!(
+                t.proven_optimal,
+                "the pruned search must certify optimality"
+            );
             assert!(
                 t.pruned_solves < t.candidates,
                 "pruning must shrink the solved lattice ({} vs {})",

@@ -26,7 +26,10 @@ pub fn run() -> Report {
         r.row(vec![
             cfg.name.clone(),
             "-".into(),
-            format!("{}L h={} f={} a={} g={}", cfg.layers, cfg.hidden, cfg.ffn_hidden, cfg.heads, cfg.kv_groups),
+            format!(
+                "{}L h={} f={} a={} g={}",
+                cfg.layers, cfg.hidden, cfg.ffn_hidden, cfg.heads, cfg.kv_groups
+            ),
             "-".into(),
             format!("{:.1}B", cfg.params() as f64 / 1e9),
         ]);

@@ -64,8 +64,8 @@ pub fn metrics_run(task: &TrainingTask, iterations: u32) -> Option<MetricsRun> {
 /// registry, so the exposition covers every instrumented subsystem.
 pub fn default_metrics_run() -> MetricsRun {
     let task = crate::experiments::ablation_task(MllmPreset::Mllm9B);
-    let run = metrics_run(&task, crate::experiments::MEASURE_ITERS)
-        .expect("ablation task must plan");
+    let run =
+        metrics_run(&task, crate::experiments::MEASURE_ITERS).expect("ablation task must plan");
     let tel = &run.telemetry;
 
     // Real preprocessing path: TCP producer + prefetching consumer, both
@@ -100,7 +100,8 @@ pub fn default_metrics_run() -> MetricsRun {
         .telemetry(tel.clone())
         .build()
         .expect("valid spec");
-    orch.plan_candidates(&task.model, &profile).expect("search succeeds");
+    orch.plan_candidates(&task.model, &profile)
+        .expect("search succeeds");
 
     // A short elastic run harsh enough to fail over at least once.
     let elastic = ElasticPlan {
@@ -121,8 +122,7 @@ pub fn default_metrics_run() -> MetricsRun {
     // must not delete each other's checkpoints.
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let seq = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir()
-        .join(format!("dt-metricsbench-{}-{seq}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("dt-metricsbench-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let initial = task.plan(SystemKind::DistTrain).expect("plan");
@@ -156,7 +156,15 @@ pub fn metrics_summary(snapshot: &Snapshot) -> Report {
     };
     let mut report = Report::new(
         "Metrics summary (repro --metrics)",
-        &["metric", "labels", "kind", "count/value", "p50", "p95", "p99"],
+        &[
+            "metric",
+            "labels",
+            "kind",
+            "count/value",
+            "p50",
+            "p95",
+            "p99",
+        ],
     );
     report.note("histograms report count + quantiles; counters/gauges a value;");
     report.note("time series their sample count and final value.");
@@ -179,7 +187,12 @@ pub fn metrics_summary(snapshot: &Snapshot) -> Report {
             ),
             MetricValue::Series(points) => {
                 let last = points.last().map_or(0.0, |(_, v)| *v);
-                (format!("{}pts", points.len()), fmt(last), "-".into(), "-".into())
+                (
+                    format!("{}pts", points.len()),
+                    fmt(last),
+                    "-".into(),
+                    "-".into(),
+                )
             }
         };
         report.row(vec![
@@ -217,13 +230,26 @@ mod tests {
                 "missing family {family} in the metered run"
             );
         }
-        assert!(snap.counter_value(names::ORCHESTRATOR_SEARCHES_TOTAL, &[]).unwrap() >= 1);
-        assert!(snap.counter_value(names::ELASTIC_FAILURES_TOTAL, &[]).unwrap() >= 1);
+        assert!(
+            snap.counter_value(names::ORCHESTRATOR_SEARCHES_TOTAL, &[])
+                .unwrap()
+                >= 1
+        );
+        assert!(
+            snap.counter_value(names::ELASTIC_FAILURES_TOTAL, &[])
+                .unwrap()
+                >= 1
+        );
         // The runtime counters agree with the core report plus the elastic
         // run's committed iterations.
-        let iters = snap.counter_value(names::RUNTIME_ITERATIONS_TOTAL, &[]).unwrap();
+        let iters = snap
+            .counter_value(names::RUNTIME_ITERATIONS_TOTAL, &[])
+            .unwrap();
         assert!(iters as usize >= run.report.iterations.len() + 6);
         let table = run.summary().render();
-        assert!(table.contains(names::RUNTIME_ITER_TIME_SECONDS), "table:\n{table}");
+        assert!(
+            table.contains(names::RUNTIME_ITER_TIME_SECONDS),
+            "table:\n{table}"
+        );
     }
 }

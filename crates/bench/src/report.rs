@@ -5,7 +5,6 @@
 //! aligned table. Keeping the output textual makes `bench_output.txt` and
 //! `EXPERIMENTS.md` diffable.
 
-
 /// One experiment's tabular result.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -38,7 +37,12 @@ impl Report {
 
     /// Add a row (must match the column count).
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.columns.len(), "row width mismatch in '{}'", self.title);
+        assert_eq!(
+            cells.len(),
+            self.columns.len(),
+            "row width mismatch in '{}'",
+            self.title
+        );
         self.rows.push(cells);
         self
     }
@@ -52,7 +56,10 @@ impl Report {
             ("title", Json::Str(self.title.clone())),
             ("commentary", strings(&self.commentary)),
             ("columns", strings(&self.columns)),
-            ("rows", Json::Arr(self.rows.iter().map(|r| strings(r)).collect())),
+            (
+                "rows",
+                Json::Arr(self.rows.iter().map(|r| strings(r)).collect()),
+            ),
         ])
     }
 

@@ -12,7 +12,10 @@ use std::time::{Duration, Instant};
 
 /// Iterations per case: `DT_BENCH_ITERS` env var, or the caller's default.
 pub fn iters_or(default: u32) -> u32 {
-    std::env::var("DT_BENCH_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    std::env::var("DT_BENCH_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Time `f` over `iters` iterations (after one warm-up call) and print one

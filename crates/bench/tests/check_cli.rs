@@ -20,29 +20,49 @@ fn clean_suite_exits_zero_and_reports_every_property() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "clean suite must exit 0\n{stdout}");
     assert!(stdout.contains("all properties hold"), "{stdout}");
-    for name in ["pipeline.1f1b_matches_closed_form", "wire.garbage_never_panics"] {
+    for name in [
+        "pipeline.1f1b_matches_closed_form",
+        "wire.garbage_never_panics",
+    ] {
         assert!(stdout.contains(name), "missing {name} in\n{stdout}");
     }
-    assert!(!stdout.contains("self_test"), "self-test oracle must stay hidden\n{stdout}");
+    assert!(
+        !stdout.contains("self_test"),
+        "self-test oracle must stay hidden\n{stdout}"
+    );
 }
 
 #[test]
 fn falsified_property_exits_nonzero_with_a_reproducer_that_replays() {
     let out = repro(&["--seeds", "50"], true);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "falsified suite must exit 1\n{stdout}");
-    assert!(stdout.contains("FAILED self_test.broken_oracle"), "{stdout}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "falsified suite must exit 1\n{stdout}"
+    );
+    assert!(
+        stdout.contains("FAILED self_test.broken_oracle"),
+        "{stdout}"
+    );
 
     // The printed reproducer is a single runnable line; replay it.
     let line = stdout
         .lines()
         .find_map(|l| l.trim().strip_prefix("reproduce: "))
         .expect("a reproducer line must be printed");
-    assert!(line.starts_with("repro check --prop self_test.broken_oracle --seed "), "{line}");
+    assert!(
+        line.starts_with("repro check --prop self_test.broken_oracle --seed "),
+        "{line}"
+    );
     let args: Vec<&str> = line.split_whitespace().skip(2).collect();
     let replay = repro(&args, true);
     let replay_out = String::from_utf8_lossy(&replay.stdout);
-    assert_eq!(replay.status.code(), Some(1), "reproducer must replay the failure\n{replay_out}");
+    assert_eq!(
+        replay.status.code(),
+        Some(1),
+        "reproducer must replay the failure\n{replay_out}"
+    );
     assert!(replay_out.contains("FAILED"), "{replay_out}");
 }
 
@@ -52,16 +72,30 @@ fn unknown_property_exits_two_and_lists_the_registry() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown property"), "{stderr}");
-    assert!(stderr.contains("reorder.alg1_within_4_3_of_optimum"), "{stderr}");
+    assert!(
+        stderr.contains("reorder.alg1_within_4_3_of_optimum"),
+        "{stderr}"
+    );
 }
 
 #[test]
 fn single_property_filter_runs_only_that_property() {
-    let out = repro(&["--seeds", "40", "--prop", "telemetry.snapshot_json_round_trip"], false);
+    let out = repro(
+        &[
+            "--seeds",
+            "40",
+            "--prop",
+            "telemetry.snapshot_json_round_trip",
+        ],
+        false,
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("1 properties"), "{stdout}");
-    assert!(stdout.contains("telemetry.snapshot_json_round_trip"), "{stdout}");
+    assert!(
+        stdout.contains("telemetry.snapshot_json_round_trip"),
+        "{stdout}"
+    );
     assert!(!stdout.contains("pipeline."), "{stdout}");
 }
 

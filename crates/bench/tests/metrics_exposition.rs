@@ -10,17 +10,24 @@ use std::collections::HashSet;
 
 /// Split `name{labels} value` into its parts, validating shape.
 fn parse_sample(line: &str) -> (String, String, f64) {
-    let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("no value: {line}"));
-    let value: f64 = value.parse().unwrap_or_else(|_| panic!("bad value in: {line}"));
+    let (series, value) = line
+        .rsplit_once(' ')
+        .unwrap_or_else(|| panic!("no value: {line}"));
+    let value: f64 = value
+        .parse()
+        .unwrap_or_else(|_| panic!("bad value in: {line}"));
     let (name, labels) = match series.split_once('{') {
         Some((n, rest)) => {
-            let labels = rest.strip_suffix('}').unwrap_or_else(|| panic!("unclosed {{: {line}"));
+            let labels = rest
+                .strip_suffix('}')
+                .unwrap_or_else(|| panic!("unclosed {{: {line}"));
             (n.to_string(), labels.to_string())
         }
         None => (series.to_string(), String::new()),
     };
     assert!(
-        name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+        name.chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
         "invalid metric name in: {line}"
     );
     (name, labels, value)
@@ -51,7 +58,10 @@ fn prometheus_text_is_line_parseable_and_duplicate_free() {
             assert!(typed.insert(name.to_string()), "family typed twice: {name}");
             continue;
         }
-        assert!(!line.starts_with('#'), "only TYPE comments are emitted: {line}");
+        assert!(
+            !line.starts_with('#'),
+            "only TYPE comments are emitted: {line}"
+        );
         let (name, labels, value) = parse_sample(line);
         let family = name
             .strip_suffix("_sum")
@@ -79,10 +89,16 @@ fn prometheus_text_is_line_parseable_and_duplicate_free() {
         names::ORCHESTRATOR_SEARCH_WALL_SECONDS,
         names::ELASTIC_FAILURES_TOTAL,
     ] {
-        assert!(typed.contains(family), "missing # TYPE for {family}\n{text}");
+        assert!(
+            typed.contains(family),
+            "missing # TYPE for {family}\n{text}"
+        );
     }
     // Histograms expose quantile + _sum + _count triples.
-    assert!(text.contains(&format!("{}{{quantile=\"0.5\"}}", names::RUNTIME_ITER_TIME_SECONDS)));
+    assert!(text.contains(&format!(
+        "{}{{quantile=\"0.5\"}}",
+        names::RUNTIME_ITER_TIME_SECONDS
+    )));
     assert!(text.contains(&format!("{}_count", names::RUNTIME_ITER_TIME_SECONDS)));
     // Dotted time-series names stay out of the text exposition.
     assert!(!text.contains(names::SERIES_ITER_TIME));

@@ -17,10 +17,16 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn unknown_flag_exits_2_and_lists_the_valid_flags() {
-    let out = repro().args(["zoo", "--metrix", "x.prom"]).output().unwrap();
+    let out = repro()
+        .args(["zoo", "--metrix", "x.prom"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag '--metrix'"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown flag '--metrix'"),
+        "stderr: {stderr}"
+    );
     for flag in ["--trace", "--json", "--metrics"] {
         assert!(stderr.contains(flag), "stderr must list {flag}: {stderr}");
     }
@@ -31,8 +37,14 @@ fn missing_flag_value_exits_2_and_lists_the_valid_flags() {
     let out = repro().args(["zoo", "--metrics"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--metrics requires an output path"), "stderr: {stderr}");
-    assert!(stderr.contains("--json"), "stderr must list the valid flags: {stderr}");
+    assert!(
+        stderr.contains("--metrics requires an output path"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("--json"),
+        "stderr must list the valid flags: {stderr}"
+    );
 }
 
 #[test]
@@ -54,7 +66,11 @@ fn json_and_metrics_compose_in_one_run() {
         .arg(&prom)
         .output()
         .unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Metrics summary"), "stdout: {stdout}");
     assert!(stdout.contains("zoo regenerated"), "stdout: {stdout}");
@@ -74,7 +90,10 @@ fn json_and_metrics_compose_in_one_run() {
     // The metrics archive sits next to the dump and parses as JSON.
     let archive = std::fs::read_to_string(dir.join("metrics.prom.json")).unwrap();
     let doc = dt_simengine::Json::parse(&archive).expect("metrics archive is valid JSON");
-    assert!(doc.get("metrics").and_then(|m| m.as_array()).is_some_and(|m| !m.is_empty()));
+    assert!(doc
+        .get("metrics")
+        .and_then(|m| m.as_array())
+        .is_some_and(|m| !m.is_empty()));
 
     // The experiment table archive was written too.
     let tables = std::fs::read_to_string(&json).unwrap();
