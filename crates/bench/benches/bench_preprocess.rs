@@ -6,9 +6,11 @@
 //! disaggregating in the first place.
 //!
 //! Emits `BENCH_PREPROCESS.json` (override with `DT_BENCH_PREPROCESS_JSON`)
-//! with per-topology samples/sec and p50/p99/max consumer stall, plus the
-//! plane's backpressure/session counters. `DT_BENCH_PREPROCESS_BATCHES`
-//! scales the per-consumer batch count for longer runs. Gates, applied
+//! with per-topology samples/sec and wall time, plus the plane's
+//! backpressure/session counters; the consumer's fetch-stall tail is
+//! perfbench's `preprocess-fanin` workload, not this bench's.
+//! `DT_BENCH_PREPROCESS_BATCHES` scales the per-consumer batch count (the
+//! skew scenario's included) for longer runs. Gates, applied
 //! after the JSON is written so a failed run still leaves the evidence:
 //! every consumer must receive every batch it asked for, each producer's
 //! stream must arrive in order (sample ids count up per session), the
@@ -24,16 +26,6 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// Percentile over an already-sorted latency vector (nearest-rank on the
-/// inclusive [0, n-1] index line).
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 struct Topology {
     name: &'static str,
@@ -51,7 +43,6 @@ struct TopologyResult {
     in_order: bool,
     max_token_len: u64,
     wall: Duration,
-    stalls_ms: Vec<f64>,
     backpressure_events: u64,
     sessions_accepted: u64,
     malformed_frames: u64,
@@ -60,7 +51,7 @@ struct TopologyResult {
 
 /// Drive one plane: `producers` endpoints, `consumers` fan-in feeders,
 /// each fetching `batches` global batches of `batch` samples. Returns the
-/// per-fetch stalls and the in-order verdict (per consumer, per producer:
+/// delivery counts and the in-order verdict (per consumer, per producer:
 /// sample ids must count up from 0 — each connection is its own
 /// deterministic session stream).
 fn run_topology(topo: &Topology, data: &DataConfig, batch: u32, batches: u32) -> TopologyResult {
@@ -85,47 +76,42 @@ fn run_topology(topo: &Topology, data: &DataConfig, batch: u32, batches: u32) ->
                     .connect()
                     .expect("connect fan-in consumer");
                 barrier.wait();
-                let mut stalls_ms = Vec::with_capacity(batches as usize);
                 let mut next_id: HashMap<SocketAddr, u64> = HashMap::new();
                 let mut samples = 0u64;
                 let mut delivered = 0u64;
                 let mut in_order = true;
                 let mut max_token_len = 0u64;
                 for _ in 0..batches {
-                    let Ok((addr, b, report)) = feeder.next_batch_from() else {
+                    let Ok((addr, b, _)) = feeder.next_batch_from() else {
                         break;
                     };
                     delivered += 1;
                     samples += b.batch.samples.len() as u64;
-                    stalls_ms.push(report.stall.as_secs_f64() * 1e3);
                     max_token_len =
                         max_token_len.max(b.token_lens.iter().copied().max().unwrap_or(0));
                     let expected = next_id.entry(addr).or_insert(0);
                     in_order &= b.batch.samples.first().map(|s| s.id) == Some(*expected);
                     *expected += b.batch.samples.len() as u64;
                 }
-                (delivered, samples, stalls_ms, in_order, max_token_len)
+                (delivered, samples, in_order, max_token_len)
             })
         })
         .collect();
 
     let mut delivered_batches = 0u64;
     let mut samples = 0u64;
-    let mut stalls_ms = Vec::new();
     let mut in_order = true;
     let mut max_token_len = 0u64;
     for h in handles {
-        let (d, s, st, ord, mt) = h.join().expect("consumer thread");
+        let (d, s, ord, mt) = h.join().expect("consumer thread");
         delivered_batches += d;
         samples += s;
-        stalls_ms.extend(st);
         in_order &= ord;
         max_token_len = max_token_len.max(mt);
     }
     let wall = started.elapsed();
     let stats = plane.stats();
     let clean_shutdown = plane.shutdown();
-    stalls_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite stall"));
 
     TopologyResult {
         name: topo.name,
@@ -137,7 +123,6 @@ fn run_topology(topo: &Topology, data: &DataConfig, batch: u32, batches: u32) ->
         in_order,
         max_token_len,
         wall,
-        stalls_ms,
         backpressure_events: stats.backpressure_events,
         sessions_accepted: stats.sessions_accepted,
         malformed_frames: stats.malformed_frames,
@@ -206,12 +191,6 @@ fn result_json(r: &TopologyResult) -> Json {
         ("samples", Json::num_u64(r.samples)),
         ("wall_secs", Json::Num(r.wall.as_secs_f64())),
         ("samples_per_sec", Json::Num(rate)),
-        ("stall_p50_ms", Json::Num(percentile_ms(&r.stalls_ms, 50.0))),
-        ("stall_p99_ms", Json::Num(percentile_ms(&r.stalls_ms, 99.0))),
-        (
-            "stall_max_ms",
-            Json::Num(r.stalls_ms.last().copied().unwrap_or(0.0)),
-        ),
         ("in_order", Json::Bool(r.in_order)),
         ("backpressure_events", Json::num_u64(r.backpressure_events)),
         ("sessions_accepted", Json::num_u64(r.sessions_accepted)),
@@ -224,12 +203,10 @@ fn print_result(prefix: &str, r: &TopologyResult) {
     let rate = r.samples as f64 / r.wall.as_secs_f64().max(1e-9);
     println!(
         "{prefix}/{name:<8} {delivered}/{expected} batches   {rate:>9.1} samples/s   \
-         stall p50 {p50:>7.2} ms   p99 {p99:>7.2} ms   bp {bp}",
+         bp {bp}",
         name = r.name,
         delivered = r.delivered_batches,
         expected = r.expected_batches,
-        p50 = percentile_ms(&r.stalls_ms, 50.0),
-        p99 = percentile_ms(&r.stalls_ms, 99.0),
         bp = r.backpressure_events,
     );
 }
@@ -239,10 +216,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(6);
-    let batch: u32 = std::env::var("DT_BENCH_PREPROCESS_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let batch = 4u32;
 
     // The throughput sweep: modest 128² images so the numbers measure the
     // data plane (framing, queues, fan-in), not raw codec arithmetic.
@@ -293,8 +267,7 @@ fn main() {
         producers: 1,
         consumers: 1,
     };
-    let skew_batches = batches.clamp(1, 3);
-    let skew = run_topology(&skew_topo, &skew_data, 1, skew_batches);
+    let skew = run_topology(&skew_topo, &skew_data, 1, batches);
     print_result("preprocess", &skew);
 
     // A single probe run can land a few percent off in either direction

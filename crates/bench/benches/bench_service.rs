@@ -1,24 +1,23 @@
-//! Service-level load generator for the dt-serve planning daemon: one
-//! daemon, a sweep of client concurrency levels, and a deliberate
-//! overload probe. Each client thread drives the real [`dt_serve::Client`]
-//! (retry + seeded backoff) over real sockets with a deterministic
-//! request mix — plan (cold then warm), degraded replan, and simulate —
-//! so the numbers cover the whole stack: frame codec, admission control,
-//! worker pool, and the cross-request warm-plan store.
+//! Service-level gates for the dt-serve planning daemon: a traced-vs-
+//! untraced pair of daemons driven through a deterministic request mix,
+//! and a deliberate overload probe. Every client drives the real
+//! [`dt_serve::Client`] over real sockets with the same mix — plan (cold
+//! then warm), degraded replan, and simulate — so the gates cover the
+//! whole stack: frame codec, admission control, worker pool, and the
+//! cross-request warm-plan store. Request throughput and latency are
+//! perfbench's `serve-mix` workload, not this bench's.
 //!
 //! Emits `BENCH_service.json` (override with `DT_BENCH_SERVICE_JSON`)
-//! with per-level req/s and p50/p99/max latency, the warm-vs-cold store
-//! ratio, rejection counters scraped from the live `/metrics` endpoint,
-//! and the overload probe's rejection rate. `DT_BENCH_SERVICE_REQS`
-//! scales the per-client request count for longer runs. Gates, applied
-//! after the JSON is written so a failed run still leaves the evidence:
-//! every admitted request must complete, the warm-hit ratio must be
-//! positive (repeat traffic actually skips profiling), the metrics
-//! scrape must expose the serve counters, and the overload probe must
-//! observe at least one typed `Overloaded` rejection alongside at least
-//! one success. A final traced-vs-untraced probe measures the cost of
-//! end-to-end tracing + flight recording on warm requests and gates it
-//! at ≤5%.
+//! with the warm-vs-cold store ratio, the served and rejected counters
+//! scraped from the daemons' live `/metrics` endpoints, the overload
+//! probe's rejection rate, and the tracing tax. Gates, applied after the
+//! JSON is written so a failed run still leaves the evidence: every
+//! request the probe daemons are sent is answered, the warm-hit ratio is
+//! positive (repeat traffic actually skips profiling), the metrics scrape
+//! exposes the serve counters, the overload probe observes at least one
+//! typed `Overloaded` rejection alongside at least one success, and
+//! end-to-end tracing + flight recording costs at most 5% per warm
+//! request.
 
 use dt_serve::api::{ServeReply, ServeRequest, SpecDesc};
 use dt_serve::client::{fetch_metrics, Client, RetryPolicy};
@@ -58,16 +57,6 @@ fn request_for(slot: u32) -> ServeRequest {
     }
 }
 
-/// Percentile over an already-sorted latency vector (nearest-rank on the
-/// inclusive [0, n-1] index line).
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Sum every sample of a Prometheus counter family (all label sets) from
 /// exposition text.
 fn metric_total(text: &str, name: &str) -> f64 {
@@ -80,84 +69,35 @@ fn metric_total(text: &str, name: &str) -> f64 {
         .sum()
 }
 
-struct LevelResult {
-    concurrency: u32,
+/// One trace-overhead measurement plus the service facts its two daemons
+/// report once it is done.
+struct OverheadProbe {
+    untraced_secs: f64,
+    traced_secs: f64,
+    /// Positive means tracing made requests slower.
+    overhead_pct: f64,
     issued: u32,
-    completed: u32,
-    failed: u32,
-    wall: Duration,
-    latencies_ms: Vec<f64>,
-}
-
-/// Drive `concurrency` client threads, each issuing `reqs` requests
-/// through the retrying client library against one shared daemon.
-fn run_level(addr: std::net::SocketAddr, concurrency: u32, reqs: u32) -> LevelResult {
-    let barrier = Arc::new(Barrier::new(concurrency as usize));
-    let started = Instant::now();
-    let handles: Vec<_> = (0..concurrency)
-        .map(|c| {
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                let policy = RetryPolicy {
-                    max_attempts: 3,
-                    base_backoff: Duration::from_millis(5),
-                    max_backoff: Duration::from_millis(50),
-                    seed: u64::from(concurrency) * 100 + u64::from(c),
-                };
-                let mut client = Client::with_policy(addr, policy);
-                barrier.wait();
-                let mut latencies = Vec::with_capacity(reqs as usize);
-                let mut ok = 0u32;
-                let mut failed = 0u32;
-                for i in 0..reqs {
-                    let t = Instant::now();
-                    match client.request(&request_for(c * reqs + i)) {
-                        Ok(ServeReply::Plan(_) | ServeReply::Sim(_)) => {
-                            ok += 1;
-                            latencies.push(t.elapsed().as_secs_f64() * 1e3);
-                        }
-                        _ => failed += 1,
-                    }
-                }
-                (ok, failed, latencies)
-            })
-        })
-        .collect();
-    let mut completed = 0;
-    let mut failed = 0;
-    let mut latencies_ms = Vec::new();
-    for h in handles {
-        let (ok, fail, lat) = h.join().expect("client thread");
-        completed += ok;
-        failed += fail;
-        latencies_ms.extend(lat);
-    }
-    let wall = started.elapsed();
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    LevelResult {
-        concurrency,
-        issued: concurrency * reqs,
-        completed,
-        failed,
-        wall,
-        latencies_ms,
-    }
+    /// Requests that came back as a plan or a simulation result.
+    answered: u32,
+    /// Warm-store `(hits, misses)` summed over both daemons.
+    store: (u64, u64),
+    /// Both daemons' `/metrics` expositions, concatenated.
+    metrics: String,
 }
 
 /// Measure the tracing tax: two identical daemons — one with the wall
 /// trace sink and flight recorder enabled end to end (traced client
-/// included), one fully disabled — alternately driven through the same
-/// deterministic request mix as the level sweep, so the denominator is
-/// the workload the daemon actually serves, not a ping. One untimed
-/// pass per mode first warms the store (identical warm/cold balance in
-/// both measurements); best-of-three mean latency then cancels
-/// scheduler drift. Tracing's cost is a fixed handful of span + flight
-/// records per request (~tens of µs), so the percentage is only
-/// meaningful against representative requests. Returns (untraced
-/// secs/req, traced secs/req, overhead percent — positive means
-/// tracing made requests slower).
-fn trace_overhead_probe() -> (f64, f64, f64) {
+/// included), one fully disabled — alternately driven through the
+/// deterministic request mix, so the denominator is the workload the
+/// daemon actually serves, not a ping. One untimed pass per mode first
+/// warms the store (identical warm/cold balance in both measurements);
+/// best-of-five mean latency then cancels scheduler drift. Tracing's
+/// cost is a fixed handful of span + flight records per request (~tens
+/// of µs), so the percentage is only meaningful against representative
+/// requests.
+fn trace_overhead_probe() -> OverheadProbe {
     let reqs = 200u32;
+    let passes = 6u32;
     let spawn = |traced: bool| {
         let mut cfg = ServeConfig::default();
         if traced {
@@ -168,31 +108,40 @@ fn trace_overhead_probe() -> (f64, f64, f64) {
     };
     let untraced = spawn(false);
     let traced = spawn(true);
-    let run = |addr: std::net::SocketAddr, traced: bool, timed: bool| -> f64 {
+    let mut answered = 0u32;
+    let mut run = |addr: std::net::SocketAddr, traced: bool| -> f64 {
         let mut client = Client::new(addr);
         if traced {
             client = client.with_trace(dt_simengine::WallTraceSink::new());
         }
         let t = Instant::now();
         for i in 0..reqs {
-            client.request(&request_for(i)).expect("overhead request");
+            if let Ok(ServeReply::Plan(_) | ServeReply::Sim(_)) = client.request(&request_for(i)) {
+                answered += 1;
+            }
         }
-        if timed {
-            t.elapsed().as_secs_f64() / f64::from(reqs)
-        } else {
-            0.0
-        }
+        t.elapsed().as_secs_f64() / f64::from(reqs)
     };
-    run(untraced.addr, false, false); // warm both stores identically
-    run(traced.addr, true, false);
+    run(untraced.addr, false); // warm both stores identically
+    run(traced.addr, true);
     let mut best_untraced = f64::INFINITY;
     let mut best_traced = f64::INFINITY;
-    for _ in 0..5 {
-        best_untraced = best_untraced.min(run(untraced.addr, false, true));
-        best_traced = best_traced.min(run(traced.addr, true, true));
+    for _ in 1..passes {
+        best_untraced = best_untraced.min(run(untraced.addr, false));
+        best_traced = best_traced.min(run(traced.addr, true));
     }
-    let overhead_pct = (best_traced - best_untraced) / best_untraced * 100.0;
-    (best_untraced, best_traced, overhead_pct)
+    let (untraced_hits, untraced_misses) = untraced.store_stats();
+    let (traced_hits, traced_misses) = traced.store_stats();
+    let scrape = |d: &ServeHandle| fetch_metrics(d.addr).expect("scrape /metrics");
+    OverheadProbe {
+        untraced_secs: best_untraced,
+        traced_secs: best_traced,
+        overhead_pct: (best_traced - best_untraced) / best_untraced * 100.0,
+        issued: 2 * passes * reqs,
+        answered,
+        store: (untraced_hits + traced_hits, untraced_misses + traced_misses),
+        metrics: scrape(&untraced) + &scrape(&traced),
+    }
 }
 
 /// Saturate a deliberately tiny daemon (one slow worker, queue depth 1)
@@ -244,53 +193,8 @@ fn overload_probe() -> (u32, u32, u32) {
 }
 
 fn main() {
-    let reqs: u32 = std::env::var("DT_BENCH_SERVICE_REQS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let levels = [1u32, 2, 4];
-
     let cfg = ServeConfig::default();
     let (workers, queue_depth) = (cfg.workers, cfg.queue_depth);
-    let daemon = ServeHandle::spawn(cfg).expect("spawn daemon");
-    let addr = daemon.addr;
-
-    let mut level_json: Vec<Json> = Vec::new();
-    let mut results: Vec<LevelResult> = Vec::new();
-    for &concurrency in &levels {
-        let r = run_level(addr, concurrency, reqs);
-        let rate = f64::from(r.completed) / r.wall.as_secs_f64().max(1e-9);
-        println!(
-            "service/c{concurrency:<2} {completed}/{issued} ok   {rate:>8.2} req/s   \
-             p50 {p50:>8.2} ms   p99 {p99:>8.2} ms",
-            completed = r.completed,
-            issued = r.issued,
-            p50 = percentile_ms(&r.latencies_ms, 50.0),
-            p99 = percentile_ms(&r.latencies_ms, 99.0),
-        );
-        level_json.push(Json::obj(vec![
-            ("concurrency", Json::num_u64(u64::from(concurrency))),
-            ("issued", Json::num_u64(u64::from(r.issued))),
-            ("completed", Json::num_u64(u64::from(r.completed))),
-            ("failed", Json::num_u64(u64::from(r.failed))),
-            ("wall_secs", Json::Num(r.wall.as_secs_f64())),
-            ("req_per_sec", Json::Num(rate)),
-            ("p50_ms", Json::Num(percentile_ms(&r.latencies_ms, 50.0))),
-            ("p99_ms", Json::Num(percentile_ms(&r.latencies_ms, 99.0))),
-            (
-                "max_ms",
-                Json::Num(r.latencies_ms.last().copied().unwrap_or(0.0)),
-            ),
-        ]));
-        results.push(r);
-    }
-
-    let (hits, misses) = daemon.store_stats();
-    let warm_ratio = hits as f64 / (hits + misses).max(1) as f64;
-    let metrics = fetch_metrics(addr).expect("scrape /metrics");
-    let served_total = metric_total(&metrics, "dt_serve_requests_total");
-    let rejected_total = metric_total(&metrics, "dt_serve_rejected_total");
-    drop(daemon); // drains before the probe daemon binds
 
     let (probe_clients, probe_ok, probe_rejected) = overload_probe();
     println!(
@@ -300,30 +204,45 @@ fn main() {
     // A single probe run can land a few percent off in either direction
     // from scheduler noise alone (the mix's ms-scale requests dominate
     // the variance), so a failing measurement earns two re-runs — the
-    // best observation stands. A real regression fails all three.
-    let mut overhead = trace_overhead_probe();
+    // best observation stands. A real regression fails all three. Every
+    // run's requests count towards the answered gate.
+    let mut probe = trace_overhead_probe();
+    let (mut issued, mut answered) = (probe.issued, probe.answered);
     for _ in 0..2 {
-        if overhead.2 <= 5.0 {
+        if probe.overhead_pct <= 5.0 {
             break;
         }
         let retry = trace_overhead_probe();
-        if retry.2 < overhead.2 {
-            overhead = retry;
+        issued += retry.issued;
+        answered += retry.answered;
+        if retry.overhead_pct < probe.overhead_pct {
+            probe = retry;
         }
     }
-    let (untraced_secs, traced_secs, overhead_pct) = overhead;
+    let OverheadProbe {
+        untraced_secs,
+        traced_secs,
+        overhead_pct,
+        store,
+        metrics,
+        ..
+    } = probe;
     println!(
         "service/trace_overhead   untraced {:.3} ms/req   traced {:.3} ms/req   ({overhead_pct:+.2}%)",
         untraced_secs * 1e3,
         traced_secs * 1e3,
     );
+    let (hits, misses) = store;
+    let warm_ratio = hits as f64 / (hits + misses).max(1) as f64;
+    let served_total = metric_total(&metrics, "dt_serve_requests_total");
+    let rejected_total = metric_total(&metrics, "dt_serve_rejected_total");
 
     let out = Json::obj(vec![
         ("bench", Json::Str("bench_service".into())),
         ("workers", Json::num_u64(workers as u64)),
         ("queue_depth", Json::num_u64(queue_depth as u64)),
-        ("requests_per_client", Json::num_u64(u64::from(reqs))),
-        ("levels", Json::Arr(level_json)),
+        ("issued", Json::num_u64(u64::from(issued))),
+        ("answered", Json::num_u64(u64::from(answered))),
         (
             "store",
             Json::obj(vec![
@@ -370,18 +289,12 @@ fn main() {
     println!("wrote {path} (warm_hit_ratio={warm_ratio:.3})");
 
     // Gates — after the JSON so a failed run still leaves the evidence.
-    for r in &results {
-        assert_eq!(
-            r.completed, r.issued,
-            "level c{}: {} of {} requests failed",
-            r.concurrency, r.failed, r.issued
-        );
-        assert!(
-            percentile_ms(&r.latencies_ms, 50.0) > 0.0,
-            "level c{}: zero p50 latency is not a measurement",
-            r.concurrency
-        );
-    }
+    assert_eq!(
+        answered,
+        issued,
+        "{} of {issued} requests went unanswered",
+        issued - answered
+    );
     assert!(hits > 0, "repeat traffic never hit the warm store");
     assert!(warm_ratio > 0.0, "warm-vs-cold ratio must be positive");
     assert!(

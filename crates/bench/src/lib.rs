@@ -2,8 +2,9 @@
 //!
 //! One module per table/figure of the paper's evaluation (§2 motivation
 //! figures included), each returning a [`report::Report`] that the `repro`
-//! binary prints and `EXPERIMENTS.md` records. Criterion micro-benchmarks
-//! live in `benches/`.
+//! binary prints and `EXPERIMENTS.md` records. `benches/` holds std-only
+//! `harness = false` bench binaries (see [`timing`]); each writes one
+//! `BENCH_*.json`.
 //!
 //! Run everything:
 //!

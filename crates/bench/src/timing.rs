@@ -3,9 +3,11 @@
 //! The `benches/` targets use this instead of an external framework so the
 //! workspace builds with no registry access. Each case runs a warm-up pass,
 //! then `iters` timed iterations, and prints mean/min per-iteration wall
-//! time. `cargo test` also executes these targets (they are
-//! `harness = false` binaries), so iteration counts are kept small; pass
-//! `DT_BENCH_ITERS` to raise them for real measurements.
+//! time. The targets are `harness = false` binaries that only `cargo bench`
+//! runs; `cargo test` neither builds nor runs them (Cargo's default for a
+//! `[[bench]]` target is `test = false`), and `cargo clippy --all-targets`
+//! compiles them without running them. Pass `DT_BENCH_ITERS` to raise the
+//! iteration counts.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -19,13 +21,9 @@ pub fn iters_or(default: u32) -> u32 {
 }
 
 /// Time `f` over `iters` iterations (after one warm-up call) and print one
-/// result line. Returns the mean per-iteration time.
-pub fn bench<T>(name: &str, iters: u32, f: impl FnMut() -> T) -> Duration {
-    bench_stats(name, iters, f).0
-}
-
-/// [`fn@bench`], also returning the fastest single iteration — the noise-robust
-/// statistic machine-readable outputs (`BENCH_solver.json`) record.
+/// result line. Returns the mean per-iteration time and the fastest single
+/// iteration — the noise-robust statistic machine-readable outputs
+/// (`BENCH_solver.json`, `BENCH_layers.json`) record.
 pub fn bench_stats<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> (Duration, Duration) {
     black_box(f());
     let iters = iters.max(1);

@@ -266,9 +266,7 @@ impl<'a> Runtime<'a> {
         match self.cfg.preprocessing {
             PreprocessingMode::Colocated { workers } => {
                 // Monolithic: decoding blocks the trainer (§2.3).
-                let cost = PreprocessCostModel::default();
-                let owned: Vec<TrainSample> = rank_samples.iter().map(|s| (*s).clone()).collect();
-                cost.batch_time(&owned, workers)
+                PreprocessCostModel::default().batch_time(rank_samples.iter().copied(), workers)
             }
             PreprocessingMode::Disaggregated => {
                 // Only the RPC receive of the prefetched batch remains:
@@ -595,7 +593,11 @@ mod tests {
     use dt_model::{FreezeConfig, MllmPreset};
     use dt_parallel::ModulePlan;
 
-    fn runtime(model: &MultimodalLlm, cluster: &ClusterSpec, cfg: RuntimeConfig) -> TrainingReport {
+    fn bound<'a>(
+        model: &'a MultimodalLlm,
+        cluster: &'a ClusterSpec,
+        cfg: RuntimeConfig,
+    ) -> Runtime<'a> {
         let plan = OrchestrationPlan {
             encoder: ModulePlan::new(1, 8, 1),
             backbone: ModulePlan::new(8, 8, 2),
@@ -609,7 +611,10 @@ mod tests {
             data: DataConfig::evaluation(model.gen_resolution),
             cfg,
         }
-        .run()
+    }
+
+    fn runtime(model: &MultimodalLlm, cluster: &ClusterSpec, cfg: RuntimeConfig) -> TrainingReport {
+        bound(model, cluster, cfg).run()
     }
 
     #[test]
@@ -652,6 +657,28 @@ mod tests {
             col_stall.as_secs_f64() > 10.0 * dis_stall.as_secs_f64(),
             "colocated stall {col_stall} vs disaggregated {dis_stall}"
         );
+    }
+
+    #[test]
+    fn colocated_stall_is_the_slowest_ranks_decode_time() {
+        let model = MllmPreset::Mllm9B.build();
+        let cluster = ClusterSpec::production(20);
+        let rt = bound(&model, &cluster, RuntimeConfig::monolithic(64, 2));
+        assert_eq!(rt.cfg.preprocessing, PreprocessingMode::Colocated { workers: 8 });
+        let report = rt.run();
+        let coll = CollectiveCost::new(cluster.clone());
+        let mut batches = rt.batches(&rt.perf_model(&coll));
+        let cost = PreprocessCostModel::default();
+        for (i, it) in (0u32..).zip(&report.iterations) {
+            let batch = batches.get(i);
+            let slowest = batch
+                .split_slices(rt.plan.backbone.dp, rt.plan.microbatch)
+                .iter()
+                .map(|rank| cost.batch_time(rank.iter().flat_map(|mb| mb.iter()), 8))
+                .max()
+                .expect("at least one DP rank");
+            assert_eq!(it.preprocess_stall, slowest, "iteration {i}");
+        }
     }
 
     #[test]

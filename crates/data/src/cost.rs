@@ -94,10 +94,15 @@ impl PreprocessCostModel {
     /// CPU time for a whole microbatch on `workers` parallel workers
     /// (samples are independent, so work divides; the longest single sample
     /// lower-bounds the makespan).
-    pub fn batch_time(&self, samples: &[TrainSample], workers: u32) -> SimDuration {
-        let times: Vec<SimDuration> = samples.iter().map(|s| self.sample_time(s)).collect();
-        let total: SimDuration = times.iter().copied().sum();
-        let longest = times.into_iter().fold(SimDuration::ZERO, SimDuration::max);
+    pub fn batch_time<'a>(
+        &self,
+        samples: impl IntoIterator<Item = &'a TrainSample>,
+        workers: u32,
+    ) -> SimDuration {
+        let (total, longest) = samples.into_iter().map(|s| self.sample_time(s)).fold(
+            (SimDuration::ZERO, SimDuration::ZERO),
+            |(total, longest), t| (total + t, longest.max(t)),
+        );
         (total / workers.max(1) as u64).max(longest)
     }
 }

@@ -22,8 +22,10 @@
 //!   permutation.
 //!
 //! The per-stage GEMM/collective times that feed [`StepCclModel`] come from
-//! `dt-model`'s analytical cost model; `disttrain-core`'s runtime applies
-//! the resulting overlap efficiency to every TP collective in an iteration.
+//! `dt-model`'s analytical cost model. The training runtime does not call
+//! [`StepCclModel`]: when a run enables StepCCL, `disttrain-core` hides a
+//! constant fraction, `dt_orchestrator::perf::STEPCCL_TP_OVERLAP` (0.85),
+//! of every TP collective through `PerfModel::with_stepccl`.
 
 pub mod overlap;
 pub mod remap;

@@ -16,8 +16,9 @@
 //!   time is both large in absolute terms and a multiple of the rolling
 //!   median stall.
 //!
-//! The fault-driven integration test in `disttrain-core` validates the
-//! defaults: a crash/restart and an injected stall burst are flagged,
+//! dt-elastic's `telemetry_anomaly` integration test validates the
+//! defaults on an elastic run: a node failure's crash/restart spike and
+//! the precursor stalls its ailing node injects before it are flagged,
 //! while the clean run of the same seed produces zero anomalies.
 
 /// Tuning for [`AnomalyDetector`]. `Default` matches the injected-fault

@@ -13,9 +13,10 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic"
+echo "==> cargo fmt --check -p dt-elastic -p dt-bench"
 # Formatting gate, crate by crate as each is brought to rustfmt's output.
 cargo fmt --check -p dt-elastic
+cargo fmt --check -p dt-bench
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
@@ -173,14 +174,16 @@ grep -q 'dt-serve drained and stopped' "$SERVE_LOG" \
 
 echo "==> bench_service smoke (BENCH_service.json + service-level gates)"
 # Output to $VERIFY_TMP as for bench_orchestrator; the bench itself enforces
-# the service gates (all requests answered, warm hits > 0, overload probe
-# rejected at least one request with a typed Overloaded).
+# the service gates (all requests answered, warm hits > 0, /metrics store
+# counters, overload probe rejected at least one request with a typed
+# Overloaded, tracing tax <= 5%).
 SERVICE_JSON="$VERIFY_TMP/BENCH_service.json"
-DT_BENCH_SERVICE_REQS="${DT_BENCH_SERVICE_REQS:-5}" DT_BENCH_SERVICE_JSON="$SERVICE_JSON" \
-    cargo bench -p dt-bench --bench bench_service --quiet
+DT_BENCH_SERVICE_JSON="$SERVICE_JSON" cargo bench -p dt-bench --bench bench_service --quiet
 test -s "$SERVICE_JSON" || { echo "BENCH_service.json missing or empty" >&2; exit 1; }
 grep -q '"overload_probe"' "$SERVICE_JSON" \
     || { echo "overload probe results missing from BENCH_service.json" >&2; exit 1; }
+grep -q '"warm_hit_ratio"' "$SERVICE_JSON" \
+    || { echo "warm-store results missing from BENCH_service.json" >&2; exit 1; }
 
 echo "==> repro preprocess smoke (2×2 data plane: in-order fan-in, clean shutdown)"
 PREPROCESS_LOG="$VERIFY_TMP/preprocess.log"
