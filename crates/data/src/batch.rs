@@ -71,7 +71,13 @@ impl GlobalBatch {
     pub fn split(&self, dp: u32, microbatch: u32) -> Vec<Vec<Microbatch>> {
         self.split_slices(dp, microbatch)
             .into_iter()
-            .map(|rank| rank.into_iter().map(|mb| Microbatch { samples: mb.to_vec() }).collect())
+            .map(|rank| {
+                rank.into_iter()
+                    .map(|mb| Microbatch {
+                        samples: mb.to_vec(),
+                    })
+                    .collect()
+            })
             .collect()
     }
 
@@ -88,7 +94,10 @@ impl GlobalBatch {
             m
         );
         let per_rank = self.samples.len() / dp;
-        self.samples.chunks(per_rank).map(|chunk| chunk.chunks(m).collect()).collect()
+        self.samples
+            .chunks(per_rank)
+            .map(|chunk| chunk.chunks(m).collect())
+            .collect()
     }
 
     /// Number of microbatches each DP rank runs per iteration
@@ -141,8 +150,13 @@ mod tests {
     #[test]
     fn microbatch_aggregates_sum_over_samples() {
         let b = batch(4);
-        let mb = Microbatch { samples: b.samples.clone() };
+        let mb = Microbatch {
+            samples: b.samples.clone(),
+        };
         assert_eq!(mb.seq_tokens(), 4 * 8192);
-        assert_eq!(mb.image_tokens(), b.samples.iter().map(|s| s.image_tokens()).sum::<u64>());
+        assert_eq!(
+            mb.image_tokens(),
+            b.samples.iter().map(|s| s.image_tokens()).sum::<u64>()
+        );
     }
 }

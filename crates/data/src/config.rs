@@ -5,7 +5,6 @@
 //! subsequences clustered at popular resolutions, and the per-sample image
 //! count skewed towards few images with a heavy tail.
 
-
 /// How image resolutions are drawn.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ResolutionMode {
@@ -92,7 +91,13 @@ impl DataConfig {
     /// dominated by moderate sizes with a high-resolution tail, mimicking
     /// the LAION mix.
     pub fn resolution_palette() -> &'static [(u32, f64)] {
-        &[(256, 0.38), (384, 0.27), (512, 0.20), (768, 0.10), (1024, 0.05)]
+        &[
+            (256, 0.38),
+            (384, 0.27),
+            (512, 0.20),
+            (768, 0.10),
+            (1024, 0.05),
+        ]
     }
 }
 
@@ -117,7 +122,10 @@ mod tests {
 
     #[test]
     fn palette_weights_sum_to_one() {
-        let sum: f64 = DataConfig::resolution_palette().iter().map(|(_, w)| w).sum();
+        let sum: f64 = DataConfig::resolution_palette()
+            .iter()
+            .map(|(_, w)| w)
+            .sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 }

@@ -10,12 +10,16 @@
 //!   modeled as throughput constants calibrated to that observation.
 
 use crate::dataset::TrainSample;
-use dt_model::{MultimodalLlm, ModuleKind};
+use dt_model::{ModuleKind, MultimodalLlm};
 use dt_simengine::SimDuration;
 
 /// Exact forward FLOPs of `module` for `sample` under `model`, walking the
 /// per-image resolution list.
-pub fn module_flops_forward(model: &MultimodalLlm, module: ModuleKind, sample: &TrainSample) -> f64 {
+pub fn module_flops_forward(
+    model: &MultimodalLlm,
+    module: ModuleKind,
+    sample: &TrainSample,
+) -> f64 {
     match module {
         ModuleKind::Encoder => {
             let images: f64 = sample
@@ -130,7 +134,10 @@ mod tests {
     fn ten_hires_images_take_seconds() {
         let m = PreprocessCostModel::default();
         let t = m.sample_time(&sample_with(1024, 10)).as_secs_f64();
-        assert!((1.0..10.0).contains(&t), "preprocess time {t:.2}s not in the paper's seconds range");
+        assert!(
+            (1.0..10.0).contains(&t),
+            "preprocess time {t:.2}s not in the paper's seconds range"
+        );
     }
 
     #[test]

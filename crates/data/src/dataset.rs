@@ -56,7 +56,10 @@ impl TrainSample {
 
     /// Total pixels across the sample's images (preprocessing work unit).
     pub fn total_pixels(&self) -> u64 {
-        self.image_resolutions.iter().map(|&r| r as u64 * r as u64).sum()
+        self.image_resolutions
+            .iter()
+            .map(|&r| r as u64 * r as u64)
+            .sum()
     }
 
     /// The [`SampleShape`] consumed by the `dt-model` cost functions. The
@@ -86,7 +89,11 @@ impl SyntheticLaion {
     /// Create a stream with the given config and seed. Equal seeds produce
     /// identical streams on every platform.
     pub fn new(config: DataConfig, seed: u64) -> Self {
-        SyntheticLaion { config, rng: DetRng::new(seed), next_id: 0 }
+        SyntheticLaion {
+            config,
+            rng: DetRng::new(seed),
+            next_id: 0,
+        }
     }
 
     /// The configuration in use.
@@ -112,7 +119,9 @@ impl SyntheticLaion {
     }
 
     fn draw_text_len(&mut self) -> u64 {
-        let len = self.rng.lognormal(self.config.text_mu, self.config.text_sigma);
+        let len = self
+            .rng
+            .lognormal(self.config.text_mu, self.config.text_sigma);
         (len.round() as u64).clamp(1, self.config.seq_len)
     }
 
@@ -125,7 +134,9 @@ impl SyntheticLaion {
         // 1. Draw the image set (count Zipf-skewed, Figure 5(c)), dropping
         //    images that would overflow the image-token budget (80% of the
         //    sequence must leave room for text).
-        let want_images = self.rng.zipf(cfg.max_images_per_sample as usize, cfg.images_zipf_alpha) as u32;
+        let want_images =
+            self.rng
+                .zipf(cfg.max_images_per_sample as usize, cfg.images_zipf_alpha) as u32;
         let budget = cfg.seq_len * 8 / 10;
         let mut image_resolutions = Vec::new();
         let mut image_tokens = 0u64;
@@ -209,9 +220,16 @@ mod tests {
     fn image_token_load_is_heterogeneous() {
         // The whole point of §2.3: per-sample multimodal load varies a lot.
         let mut s = stream();
-        let loads: Vec<f64> = s.take(500).iter().map(|x| x.image_tokens() as f64).collect();
+        let loads: Vec<f64> = s
+            .take(500)
+            .iter()
+            .map(|x| x.image_tokens() as f64)
+            .collect();
         let cov = coefficient_of_variation(&loads);
-        assert!(cov > 0.4, "image-token CoV only {cov:.3}; not heterogeneous enough");
+        assert!(
+            cov > 0.4,
+            "image-token CoV only {cov:.3}; not heterogeneous enough"
+        );
     }
 
     #[test]
