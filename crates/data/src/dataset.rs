@@ -77,22 +77,57 @@ impl TrainSample {
     }
 }
 
+/// Bounded Zipf over ranks `1..=n`: inverse CDF over weights `k^-alpha`
+/// computed once, so a draw is one uniform and at most `n` subtractions.
+#[derive(Debug, Clone)]
+struct Zipf {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl Zipf {
+    fn new(n: usize, alpha: f64) -> Self {
+        assert!(n >= 1, "Zipf needs at least one rank");
+        let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-alpha)).collect();
+        let total = weights.iter().sum();
+        Zipf { weights, total }
+    }
+
+    fn draw(&self, rng: &mut DetRng) -> usize {
+        let mut target = rng.next_f64() * self.total;
+        for (k, w) in (1..).zip(&self.weights) {
+            target -= w;
+            if target <= 0.0 {
+                return k;
+            }
+        }
+        self.weights.len()
+    }
+}
+
 /// Deterministic generator of packed samples.
 #[derive(Debug, Clone)]
 pub struct SyntheticLaion {
     config: DataConfig,
     rng: DetRng,
     next_id: u64,
+    /// The images-per-sample distribution (Figure 5(c)).
+    images_per_sample: Zipf,
 }
 
 impl SyntheticLaion {
     /// Create a stream with the given config and seed. Equal seeds produce
     /// identical streams on every platform.
     pub fn new(config: DataConfig, seed: u64) -> Self {
+        let images_per_sample = Zipf::new(
+            config.max_images_per_sample as usize,
+            config.images_zipf_alpha,
+        );
         SyntheticLaion {
             config,
             rng: DetRng::new(seed),
             next_id: 0,
+            images_per_sample,
         }
     }
 
@@ -101,47 +136,26 @@ impl SyntheticLaion {
         &self.config
     }
 
-    fn draw_resolution(&mut self) -> u32 {
-        match self.config.resolution {
-            ResolutionMode::Fixed(res) => res,
-            ResolutionMode::Skewed => {
-                let palette = DataConfig::resolution_palette();
-                let mut t = self.rng.next_f64();
-                for &(res, w) in palette {
-                    t -= w;
-                    if t <= 0.0 {
-                        return res;
-                    }
-                }
-                palette.last().expect("non-empty palette").0
-            }
-        }
-    }
-
-    fn draw_text_len(&mut self) -> u64 {
-        let len = self
-            .rng
-            .lognormal(self.config.text_mu, self.config.text_sigma);
-        (len.round() as u64).clamp(1, self.config.seq_len)
-    }
-
     /// Generate the next packed sample.
     pub fn sample(&mut self) -> TrainSample {
-        let cfg = self.config.clone();
-        let id = self.next_id;
-        self.next_id += 1;
+        let SyntheticLaion {
+            config: cfg,
+            rng,
+            next_id,
+            images_per_sample,
+        } = self;
+        let id = *next_id;
+        *next_id += 1;
 
         // 1. Draw the image set (count Zipf-skewed, Figure 5(c)), dropping
         //    images that would overflow the image-token budget (80% of the
         //    sequence must leave room for text).
-        let want_images =
-            self.rng
-                .zipf(cfg.max_images_per_sample as usize, cfg.images_zipf_alpha) as u32;
+        let want_images = images_per_sample.draw(rng) as u32;
         let budget = cfg.seq_len * 8 / 10;
         let mut image_resolutions = Vec::new();
         let mut image_tokens = 0u64;
         for _ in 0..want_images {
-            let res = self.draw_resolution();
+            let res = draw_resolution(cfg.resolution, rng);
             let t = cfg.tokens_per_image(res);
             if image_tokens + t > budget {
                 continue;
@@ -153,7 +167,7 @@ impl SyntheticLaion {
         // 2. Mark generation targets.
         let mut gen_targets = Vec::new();
         for i in 0..image_resolutions.len() as u32 {
-            if self.rng.chance(cfg.gen_image_prob) {
+            if rng.chance(cfg.gen_image_prob) {
                 gen_targets.push(i);
             }
         }
@@ -165,7 +179,7 @@ impl SyntheticLaion {
         let mut text_subseqs = Vec::new();
         let mut remaining = cfg.seq_len - image_tokens;
         while remaining > 0 {
-            let len = self.draw_text_len().min(remaining);
+            let len = draw_text_len(cfg, rng).min(remaining);
             text_subseqs.push(len);
             remaining -= len;
         }
@@ -190,6 +204,28 @@ impl SyntheticLaion {
     pub fn take(&mut self, n: usize) -> Vec<TrainSample> {
         (0..n).map(|_| self.sample()).collect()
     }
+}
+
+fn draw_resolution(mode: ResolutionMode, rng: &mut DetRng) -> u32 {
+    match mode {
+        ResolutionMode::Fixed(res) => res,
+        ResolutionMode::Skewed => {
+            let palette = DataConfig::resolution_palette();
+            let mut t = rng.next_f64();
+            for &(res, w) in palette {
+                t -= w;
+                if t <= 0.0 {
+                    return res;
+                }
+            }
+            palette.last().expect("non-empty palette").0
+        }
+    }
+}
+
+fn draw_text_len(cfg: &DataConfig, rng: &mut DetRng) -> u64 {
+    let len = rng.lognormal(cfg.text_mu, cfg.text_sigma);
+    (len.round() as u64).clamp(1, cfg.seq_len)
 }
 
 #[cfg(test)]
@@ -242,6 +278,18 @@ mod tests {
         let summary = dt_simengine::stats::Summary::from_values(lens.iter().copied());
         // Log-normal: p99 ≫ median.
         assert!(summary.percentile(0.99) > 5.0 * summary.median());
+    }
+
+    #[test]
+    fn zipf_prefers_low_ranks() {
+        let zipf = Zipf::new(8, 1.2);
+        let mut r = DetRng::new(17);
+        let mut counts = [0usize; 8];
+        for _ in 0..10_000 {
+            counts[zipf.draw(&mut r) - 1] += 1;
+        }
+        assert!(counts[0] > counts[3]);
+        assert!(counts[3] > counts[7]);
     }
 
     #[test]

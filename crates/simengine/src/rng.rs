@@ -3,9 +3,9 @@
 //! Experiment outputs in `EXPERIMENTS.md` must be reproducible across
 //! machines and dependency upgrades, so the load-bearing RNG is implemented
 //! here: xoshiro256★★ (Blackman & Vigna) seeded through SplitMix64. The
-//! distribution helpers (uniform range, Box–Muller normal, log-normal,
-//! bounded Zipf) cover everything `dt-data` needs to model the skewed
-//! LAION-400M characteristics from §2.3 of the paper.
+//! distribution helpers (uniform range, Box–Muller normal, log-normal)
+//! cover everything `dt-data` needs to model the skewed LAION-400M
+//! characteristics from §2.3 of the paper.
 
 /// xoshiro256★★ deterministic PRNG.
 #[derive(Debug, Clone)]
@@ -119,22 +119,6 @@ impl DetRng {
         -mean * (1.0 - self.next_f64()).ln()
     }
 
-    /// Zipf-like draw over ranks `1..=n` with exponent `alpha` using inverse
-    /// CDF over precomputed weights. O(n) per call is fine for the modest n
-    /// used by the data generator (images per sample).
-    pub fn zipf(&mut self, n: usize, alpha: f64) -> usize {
-        assert!(n >= 1);
-        let total: f64 = (1..=n).map(|k| (k as f64).powf(-alpha)).sum();
-        let mut target = self.next_f64() * total;
-        for k in 1..=n {
-            target -= (k as f64).powf(-alpha);
-            if target <= 0.0 {
-                return k;
-            }
-        }
-        n
-    }
-
     /// Choose one element uniformly. Panics on an empty slice.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from an empty slice");
@@ -232,17 +216,6 @@ mod tests {
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
         // Memoryless heavy tail: some draws well past the mean.
         assert!(xs.iter().any(|&x| x > 9.0));
-    }
-
-    #[test]
-    fn zipf_prefers_low_ranks() {
-        let mut r = DetRng::new(17);
-        let mut counts = [0usize; 8];
-        for _ in 0..10_000 {
-            counts[r.zipf(8, 1.2) - 1] += 1;
-        }
-        assert!(counts[0] > counts[3]);
-        assert!(counts[3] > counts[7]);
     }
 
     #[test]
