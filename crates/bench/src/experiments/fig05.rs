@@ -16,7 +16,7 @@ pub fn characterize(n_samples: usize, seed: u64) -> (Summary, Summary, Summary) 
     let mut image = Vec::new();
     let mut count = Vec::new();
     for s in gen.take(n_samples) {
-        text.extend(s.text_subseqs.iter().map(|&t| t as f64));
+        text.extend(gen.text_subseqs(&s).iter().map(|&t| t as f64));
         image.extend(s.image_resolutions.iter().map(|&r| {
             let side = (r / s.patch) as f64;
             side * side

@@ -8,24 +8,27 @@
 //! **milliseconds**.
 
 use crate::report::{fmt_secs, Report};
-use dt_data::{DataConfig, ResolutionMode, SyntheticLaion, TrainSample};
+use dt_data::{DataConfig, ResolutionMode, TrainSample};
 use dt_preprocess::service::preprocess_parallel;
 use dt_preprocess::{Consumer, Preprocess};
 use std::time::{Duration, Instant};
 
 /// A synthetic "iteration batch" of one sample with `n` images at `res`.
+/// It is a preprocessing load, not a packed sequence: text fills what the
+/// images leave of `seq_len` (nothing from 2 images at 1024 up), and no
+/// image is a generation target.
 fn config_sample(n: u32, res: u32) -> TrainSample {
-    let mut gen = SyntheticLaion::new(
-        DataConfig {
-            resolution: ResolutionMode::Fixed(res),
-            max_images_per_sample: n,
-            ..DataConfig::evaluation(res)
-        },
-        1,
-    );
-    let mut s = gen.sample();
-    s.image_resolutions = vec![res; n as usize];
-    s
+    let data = DataConfig::evaluation(res);
+    TrainSample {
+        id: 0,
+        text_tokens: data
+            .seq_len
+            .saturating_sub(u64::from(n) * data.tokens_per_image(res)),
+        image_resolutions: vec![res; n as usize],
+        gen_images: 0,
+        gen_resolution: res,
+        patch: data.patch,
+    }
 }
 
 /// Colocated: measure the inline preprocessing wall time (the stall the

@@ -300,15 +300,12 @@ impl<'a> Runtime<'a> {
     }
 
     /// The reordered global batch of every iteration, drawn from one
-    /// sequential stream: [`IterationBatches::get`]`(i)` is the batch
+    /// sample stream: [`IterationBatches::get`]`(i)` is the batch
     /// [`Runtime::run`] trains on at iteration `i`.
     pub fn batches(&self, perf: &PerfModel<'_>) -> IterationBatches {
-        let start = SyntheticLaion::new(self.data.clone(), self.cfg.seed);
         IterationBatches {
-            gen: start.clone(),
-            start,
-            next: 0,
-            size: self.cfg.global_batch as usize,
+            gen: SyntheticLaion::new(self.data.clone(), self.cfg.seed),
+            size: u64::from(self.cfg.global_batch),
             planner: self.planner_for(perf),
         }
     }
@@ -490,7 +487,7 @@ impl<'a> Runtime<'a> {
     pub fn run_telemetry(&self, rec: &mut TraceRecorder, tel: &Telemetry) -> TrainingReport {
         let coll = CollectiveCost::new(self.cluster.clone());
         let perf = self.perf_model(&coll);
-        let mut batches = self.batches(&perf);
+        let batches = self.batches(&perf);
         let mut iterations = Vec::with_capacity(self.cfg.iterations as usize);
         let mut now = SimTime::ZERO;
         let peak = self.cluster.node.gpu.peak_flops;
@@ -521,32 +518,22 @@ impl<'a> Runtime<'a> {
 }
 
 /// The reordered global batch of each iteration, from
-/// [`Runtime::batches`]. Reading iterations in order costs one draw each;
-/// asking for an earlier iteration (a rollback) re-seeks the stream from
-/// its start.
+/// [`Runtime::batches`]. Iteration `i` trains on samples `i·size ..
+/// (i+1)·size` of the stream, each drawn directly from its id, so any
+/// iteration, a rollback's included, costs one batch.
 #[derive(Debug)]
 pub struct IterationBatches {
-    /// The stream at iteration 0, for re-seeking.
-    start: SyntheticLaion,
     gen: SyntheticLaion,
-    /// The iteration whose batch `gen` draws next.
-    next: u32,
-    size: usize,
+    size: u64,
     planner: ReorderPlanner,
 }
 
 impl IterationBatches {
     /// The batch of iteration `iteration` (0-based), reordered.
-    pub fn get(&mut self, iteration: u32) -> GlobalBatch {
-        if iteration < self.next {
-            self.gen = self.start.clone();
-            self.next = 0;
-        }
-        for _ in self.next..iteration {
-            let _ = self.gen.take(self.size);
-        }
-        self.next = iteration + 1;
-        GlobalBatch::new(self.planner.reorder(self.gen.take(self.size)))
+    pub fn get(&self, iteration: u32) -> GlobalBatch {
+        let first = u64::from(iteration) * self.size;
+        let samples = (first..first + self.size).map(|id| self.gen.sample_at(id)).collect();
+        GlobalBatch::new(self.planner.reorder(samples))
     }
 }
 
@@ -667,7 +654,7 @@ mod tests {
         assert_eq!(rt.cfg.preprocessing, PreprocessingMode::Colocated { workers: 8 });
         let report = rt.run();
         let coll = CollectiveCost::new(cluster.clone());
-        let mut batches = rt.batches(&rt.perf_model(&coll));
+        let batches = rt.batches(&rt.perf_model(&coll));
         let cost = PreprocessCostModel::default();
         for (i, it) in (0u32..).zip(&report.iterations) {
             let batch = batches.get(i);
@@ -679,6 +666,22 @@ mod tests {
                 .expect("at least one DP rank");
             assert_eq!(it.preprocess_stall, slowest, "iteration {i}");
         }
+    }
+
+    #[test]
+    fn a_rolled_back_iteration_redraws_its_own_batch() {
+        let model = MllmPreset::Mllm9B.build();
+        let cluster = ClusterSpec::production(20);
+        let rt = bound(&model, &cluster, RuntimeConfig::disttrain(64, 6));
+        let coll = CollectiveCost::new(cluster.clone());
+        let perf = rt.perf_model(&coll);
+        let batches = rt.batches(&perf);
+        let _ = batches.get(5);
+        let rolled_back = batches.get(2);
+        assert_eq!(rolled_back, rt.batches(&perf).get(2));
+        let mut ids: Vec<u64> = rolled_back.samples.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (128..192).collect::<Vec<_>>());
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub struct DataConfig {
     /// Probability that an image in the sample is a *generation target*
     /// (processed by the modality generator rather than only the encoder).
     pub gen_image_prob: f64,
-    /// JPEG-like compression ratio used to derive on-disk bytes from pixel
-    /// counts (bytes = 3·pixels / ratio).
-    pub compression_ratio: f64,
 }
 
 impl DataConfig {
@@ -77,7 +74,6 @@ impl DataConfig {
             resolution: ResolutionMode::Skewed,
             gen_resolution: 512,
             gen_image_prob: 0.25,
-            compression_ratio: 10.0,
         }
     }
 

@@ -33,8 +33,8 @@ pub fn module_flops_forward(
         ModuleKind::Generator => {
             let per_image = model.generator.flops_forward_image(sample.gen_resolution)
                 + model.generator.vae_encode_flops(sample.gen_resolution);
-            let images: f64 = per_image * sample.gen_targets.len() as f64;
-            let cond_tokens = sample.gen_targets.len() as u64 * model.generator.context_len;
+            let images: f64 = per_image * f64::from(sample.gen_images);
+            let cond_tokens = u64::from(sample.gen_images) * model.generator.context_len;
             images + model.output_projector.flops_forward(cond_tokens)
         }
     }
@@ -121,11 +121,10 @@ mod tests {
     fn sample_with(res: u32, n: usize) -> TrainSample {
         TrainSample {
             id: 0,
-            text_subseqs: vec![100],
+            text_tokens: 100,
             image_resolutions: vec![res; n],
-            gen_targets: (0..n as u32).collect(),
+            gen_images: n as u32,
             gen_resolution: res,
-            raw_image_bytes: 0,
             patch: 16,
         }
     }
@@ -177,11 +176,10 @@ mod tests {
         let model = MllmPreset::Mllm9B.build();
         let text_only = TrainSample {
             id: 1,
-            text_subseqs: vec![8192],
+            text_tokens: 8192,
             image_resolutions: vec![],
-            gen_targets: vec![],
+            gen_images: 0,
             gen_resolution: 512,
-            raw_image_bytes: 0,
             patch: 16,
         };
         assert_eq!(multimodal_size(&model, &text_only), 0.0);
@@ -193,9 +191,9 @@ mod tests {
     fn generator_flops_count_only_targets() {
         let model = MllmPreset::Mllm9B.build();
         let mut s = sample_with(512, 4);
-        s.gen_targets = vec![0]; // only one of four images is generated
+        s.gen_images = 1; // only one of four images is generated
         let one = module_flops_forward(&model, ModuleKind::Generator, &s);
-        s.gen_targets = vec![0, 1, 2, 3];
+        s.gen_images = 4;
         let four = module_flops_forward(&model, ModuleKind::Generator, &s);
         assert!(four > 3.5 * one);
     }

@@ -3,9 +3,18 @@
 //! Each [`TrainSample`] is one packed training sequence: image subsequences
 //! (16×16-patch tokens) interleaved with text subsequences (log-normal
 //! lengths) until the fixed `seq_len` is reached — the packing §2.3
-//! describes. The per-subsequence records are kept on the sample so the
-//! Figure 5 characterization can be regenerated from the same stream the
-//! training experiments consume.
+//! describes. A sample records its *shape* only: the image resolutions,
+//! the number of generation targets, and the text tokens that fill the
+//! rest of the sequence. Every cost in the simulation reads that shape.
+//! The individual text-subsequence lengths, which only the Figure 5
+//! characterization reads, are expanded on demand by
+//! [`SyntheticLaion::text_subseqs`].
+//!
+//! Sample `id` is drawn from its own generator keyed by `(seed, id)`
+//! ([`DetRng::keyed`], the counter-based idea of Salmon et al., "Parallel
+//! Random Numbers: As Easy as 1, 2, 3", SC'11), so any sample can be drawn
+//! without replaying the stream before it. Its text lengths come from a
+//! second keyed family, so expanding them never shifts any sample's shape.
 
 use crate::config::{DataConfig, ResolutionMode};
 use dt_model::mllm::SampleShape;
@@ -14,19 +23,19 @@ use dt_simengine::DetRng;
 /// One packed multimodal training sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainSample {
-    /// Monotone id within the stream.
+    /// Id within the stream: [`SyntheticLaion::sample_at`] redraws it.
     pub id: u64,
-    /// Text subsequence lengths, in tokens, in packing order.
-    pub text_subseqs: Vec<u64>,
+    /// Tokens of text packed around the images (the rest of the
+    /// sequence). [`SyntheticLaion::text_subseqs`] splits them into
+    /// subsequences.
+    pub text_tokens: u64,
     /// Per-image resolution (square edge, pixels), in packing order.
     pub image_resolutions: Vec<u32>,
-    /// Which images are generation targets (indices into
-    /// `image_resolutions`).
-    pub gen_targets: Vec<u32>,
+    /// How many of the images are generation targets (at most
+    /// `image_resolutions.len()`).
+    pub gen_images: u32,
     /// Resolution at which generation targets are rendered.
     pub gen_resolution: u32,
-    /// On-disk compressed size of the images, bytes (text is negligible).
-    pub raw_image_bytes: u64,
     /// Patch edge used for tokenization (copied from the config so the
     /// sample is self-describing).
     pub patch: u32,
@@ -46,7 +55,7 @@ impl TrainSample {
 
     /// Tokens contributed by text subsequences.
     pub fn text_tokens(&self) -> u64 {
-        self.text_subseqs.iter().sum()
+        self.text_tokens
     }
 
     /// Total packed sequence length.
@@ -70,7 +79,7 @@ impl TrainSample {
             text_tokens: self.text_tokens(),
             image_tokens: self.image_tokens(),
             num_images: self.image_resolutions.len() as u32,
-            gen_images: self.gen_targets.len() as u32,
+            gen_images: self.gen_images,
             image_res: self.image_resolutions.iter().copied().max().unwrap_or(512),
             gen_res: self.gen_resolution,
         }
@@ -109,7 +118,11 @@ impl Zipf {
 #[derive(Debug, Clone)]
 pub struct SyntheticLaion {
     config: DataConfig,
-    rng: DetRng,
+    /// Seed of the keyed family each sample's shape is drawn from.
+    shape_seed: u64,
+    /// Seed of the keyed family each sample's text lengths are drawn from.
+    text_seed: u64,
+    /// The id [`SyntheticLaion::sample`] draws next.
     next_id: u64,
     /// The images-per-sample distribution (Figure 5(c)).
     images_per_sample: Zipf,
@@ -123,9 +136,11 @@ impl SyntheticLaion {
             config.max_images_per_sample as usize,
             config.images_zipf_alpha,
         );
+        let mut root = DetRng::new(seed);
         SyntheticLaion {
             config,
-            rng: DetRng::new(seed),
+            shape_seed: root.next_u64(),
+            text_seed: root.next_u64(),
             next_id: 0,
             images_per_sample,
         }
@@ -136,26 +151,22 @@ impl SyntheticLaion {
         &self.config
     }
 
-    /// Generate the next packed sample.
-    pub fn sample(&mut self) -> TrainSample {
-        let SyntheticLaion {
-            config: cfg,
-            rng,
-            next_id,
-            images_per_sample,
-        } = self;
-        let id = *next_id;
-        *next_id += 1;
+    /// Sample `id` of the stream, drawn from its own keyed generator: the
+    /// same sample [`SyntheticLaion::take`] returns in position `id`,
+    /// whatever was drawn before.
+    pub fn sample_at(&self, id: u64) -> TrainSample {
+        let cfg = &self.config;
+        let mut rng = DetRng::keyed(self.shape_seed, id);
 
         // 1. Draw the image set (count Zipf-skewed, Figure 5(c)), dropping
         //    images that would overflow the image-token budget (80% of the
         //    sequence must leave room for text).
-        let want_images = images_per_sample.draw(rng) as u32;
+        let want_images = self.images_per_sample.draw(&mut rng);
         let budget = cfg.seq_len * 8 / 10;
-        let mut image_resolutions = Vec::new();
+        let mut image_resolutions = Vec::with_capacity(want_images);
         let mut image_tokens = 0u64;
         for _ in 0..want_images {
-            let res = draw_resolution(cfg.resolution, rng);
+            let res = draw_resolution(cfg.resolution, &mut rng);
             let t = cfg.tokens_per_image(res);
             if image_tokens + t > budget {
                 continue;
@@ -164,45 +175,57 @@ impl SyntheticLaion {
             image_resolutions.push(res);
         }
 
-        // 2. Mark generation targets.
-        let mut gen_targets = Vec::new();
-        for i in 0..image_resolutions.len() as u32 {
-            if rng.chance(cfg.gen_image_prob) {
-                gen_targets.push(i);
-            }
-        }
-
-        // 3. Fill the remainder with text subsequences; the last one is
-        //    truncated so the sample lands exactly on `seq_len` (packing is
-        //    lossless in token count, like the paper's fixed-length
-        //    sequences).
-        let mut text_subseqs = Vec::new();
-        let mut remaining = cfg.seq_len - image_tokens;
-        while remaining > 0 {
-            let len = draw_text_len(cfg, rng).min(remaining);
-            text_subseqs.push(len);
-            remaining -= len;
-        }
-
-        let raw_image_bytes = image_resolutions
+        // 2. Each image is a generation target with `gen_image_prob`.
+        let gen_images = image_resolutions
             .iter()
-            .map(|&r| (3.0 * (r as u64 * r as u64) as f64 / cfg.compression_ratio) as u64)
-            .sum();
+            .filter(|_| rng.chance(cfg.gen_image_prob))
+            .count() as u32;
 
+        // 3. Text fills the remainder, so the sample lands exactly on
+        //    `seq_len` (packing is lossless in token count, like the
+        //    paper's fixed-length sequences).
         TrainSample {
             id,
-            text_subseqs,
+            text_tokens: cfg.seq_len - image_tokens,
             image_resolutions,
-            gen_targets,
+            gen_images,
             gen_resolution: cfg.gen_resolution,
-            raw_image_bytes,
             patch: cfg.patch,
         }
     }
 
-    /// Generate `n` samples.
+    /// Generate the next packed sample.
+    pub fn sample(&mut self) -> TrainSample {
+        let sample = self.sample_at(self.next_id);
+        self.next_id += 1;
+        sample
+    }
+
+    /// Generate the next `n` samples.
     pub fn take(&mut self, n: usize) -> Vec<TrainSample> {
-        (0..n).map(|_| self.sample()).collect()
+        let start = self.next_id;
+        self.next_id += n as u64;
+        (start..self.next_id).map(|id| self.sample_at(id)).collect()
+    }
+
+    /// The text subsequence lengths packed into `sample`, in packing
+    /// order: log-normal draws, the last one truncated so they sum to
+    /// exactly `sample.text_tokens`. They come from the sample's own keyed
+    /// text generator, so they depend only on this stream's seed and
+    /// config and on the sample's id and text tokens, never on which
+    /// other samples were drawn or expanded.
+    pub fn text_subseqs(&self, sample: &TrainSample) -> Vec<u64> {
+        let cfg = &self.config;
+        let mut rng = DetRng::keyed(self.text_seed, sample.id);
+        let mut lens = Vec::new();
+        let mut remaining = sample.text_tokens;
+        while remaining > 0 {
+            let len = rng.lognormal(cfg.text_mu, cfg.text_sigma).round() as u64;
+            let len = len.clamp(1, cfg.seq_len).min(remaining);
+            lens.push(len);
+            remaining -= len;
+        }
+        lens
     }
 }
 
@@ -221,11 +244,6 @@ fn draw_resolution(mode: ResolutionMode, rng: &mut DetRng) -> u32 {
             palette.last().expect("non-empty palette").0
         }
     }
-}
-
-fn draw_text_len(cfg: &DataConfig, rng: &mut DetRng) -> u64 {
-    let len = rng.lognormal(cfg.text_mu, cfg.text_sigma);
-    (len.round() as u64).clamp(1, cfg.seq_len)
 }
 
 #[cfg(test)]
@@ -273,7 +291,7 @@ mod tests {
         let mut s = stream();
         let mut lens: Vec<f64> = Vec::new();
         for sample in s.take(300) {
-            lens.extend(sample.text_subseqs.iter().map(|&t| t as f64));
+            lens.extend(s.text_subseqs(&sample).iter().map(|&t| t as f64));
         }
         let summary = dt_simengine::stats::Summary::from_values(lens.iter().copied());
         // Log-normal: p99 ≫ median.
@@ -301,12 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn gen_targets_index_into_images() {
+    fn gen_images_never_exceed_images() {
         let mut s = stream();
         for sample in s.take(200) {
-            for &g in &sample.gen_targets {
-                assert!((g as usize) < sample.image_resolutions.len());
-            }
+            assert!(sample.gen_images as usize <= sample.image_resolutions.len());
         }
     }
 
@@ -317,19 +333,45 @@ mod tests {
         let shape = sample.shape();
         assert_eq!(shape.seq_len(), sample.seq_len());
         assert_eq!(shape.num_images as usize, sample.image_resolutions.len());
-        assert_eq!(shape.gen_images as usize, sample.gen_targets.len());
+        assert_eq!(shape.gen_images, sample.gen_images);
     }
 
     #[test]
-    fn raw_bytes_reflect_compression() {
-        let cfg = DataConfig::evaluation(1024);
-        let mut s = SyntheticLaion::new(cfg, 9);
-        let sample = s.sample();
-        let expected: u64 = sample
-            .image_resolutions
-            .iter()
-            .map(|&r| (3.0 * (r as u64 * r as u64) as f64 / 10.0) as u64)
-            .sum();
-        assert_eq!(sample.raw_image_bytes, expected);
+    fn sample_at_matches_the_sequential_stream_in_any_order() {
+        let sequential = stream().take(64);
+        let keyed = stream();
+        let mut ids: Vec<u64> = (0..64).collect();
+        DetRng::new(5).shuffle(&mut ids);
+        for id in ids {
+            assert_eq!(keyed.sample_at(id), sequential[id as usize], "sample {id}");
+        }
+        // Drawing ahead, then resuming, continues the same sequence.
+        let mut s = stream();
+        let _ = s.take(10);
+        assert_eq!(s.sample(), sequential[10]);
+    }
+
+    #[test]
+    fn text_subseqs_partition_the_text_tokens() {
+        let s = stream();
+        for sample in (0..200).map(|id| s.sample_at(id)) {
+            let lens = s.text_subseqs(&sample);
+            assert!(lens.iter().all(|&l| l >= 1), "sample {}", sample.id);
+            assert_eq!(lens.iter().sum::<u64>(), sample.text_tokens);
+            assert_eq!(lens, s.text_subseqs(&sample), "not deterministic");
+        }
+    }
+
+    #[test]
+    fn text_subseqs_do_not_depend_on_other_draws() {
+        let fresh = stream();
+        let want = fresh.text_subseqs(&fresh.sample_at(7));
+        let mut busy = stream();
+        for sample in busy.take(20) {
+            let _ = busy.text_subseqs(&sample);
+        }
+        assert_eq!(busy.text_subseqs(&busy.sample_at(7)), want);
+        // Expanding text never shifts a later sample's shape.
+        assert_eq!(busy.sample(), fresh.sample_at(20));
     }
 }

@@ -11,14 +11,17 @@
 //!
 //! We cannot ship LAION-400M, so [`SyntheticLaion`] draws from calibrated
 //! skewed distributions instead (log-normal text lengths, Zipf-like image
-//! counts, a heavy-tailed resolution mix), packs them into fixed-length
-//! sequences exactly like the paper describes, and exposes per-sample
-//! byte/pixel figures for the preprocessing cost model.
+//! counts, a heavy-tailed resolution mix) and packs them into fixed-length
+//! sequences exactly like the paper describes. A [`TrainSample`] records
+//! the packed sequence's shape (text tokens, image resolutions, generation
+//! targets), which is all the cost models read; each sample is drawn from
+//! its own generator keyed by `(seed, id)`, and its text-subsequence
+//! lengths are expanded on demand for the Figure 5 characterization.
 //!
 //! Modules:
 //! * [`config`] — distribution parameters (+ fixed-resolution mode used by
 //!   the §7 experiments).
-//! * [`dataset`] — the generator and packed [`TrainSample`]s.
+//! * [`dataset`] — the keyed generator and packed [`TrainSample`]s.
 //! * [`batch`] — global batch / DP split / microbatch bookkeeping.
 //! * [`cost`] — preprocessing cost model (decode + resize time, bytes).
 

@@ -374,7 +374,7 @@ pub fn run_elastic_instrumented(
             };
             let coll = CollectiveCost::new(runtime.cluster.clone());
             let perf = runtime.perf_model(&coll);
-            let mut batches = runtime.batches(&perf);
+            let batches = runtime.batches(&perf);
             // The policy's cadence for this epoch, set from the epoch's
             // first simulated iteration.
             let mut cadence: Option<u32> = None;

@@ -122,7 +122,7 @@ impl Profiler {
         let text = samples.iter().map(|s| s.text_tokens()).sum::<u64>() as f64 / n;
         let image = samples.iter().map(|s| s.image_tokens()).sum::<u64>() as f64 / n;
         let imgs = samples.iter().map(|s| s.image_resolutions.len() as u64).sum::<u64>() as f64 / n;
-        let gens = samples.iter().map(|s| s.gen_targets.len() as u64).sum::<u64>() as f64 / n;
+        let gens = samples.iter().map(|s| u64::from(s.gen_images)).sum::<u64>() as f64 / n;
         let total_imgs: u64 = samples.iter().map(|s| s.image_resolutions.len() as u64).sum();
         let mean_area = if total_imgs == 0 {
             512.0 * 512.0

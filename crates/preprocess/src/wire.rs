@@ -13,6 +13,7 @@
 //! response: [len][json BatchHeader] [len][raw token bytes]
 //! ```
 
+use crate::error::PreprocessError;
 use dt_data::TrainSample;
 use dt_simengine::json::Json;
 
@@ -74,31 +75,42 @@ impl WireJson for Request {
 fn sample_to_json(s: &TrainSample) -> Json {
     Json::obj(vec![
         ("id", Json::num_u64(s.id)),
-        ("text_subseqs", Json::arr_u64(s.text_subseqs.iter().copied())),
+        ("text_tokens", Json::num_u64(s.text_tokens)),
         (
             "image_resolutions",
             Json::arr_u64(s.image_resolutions.iter().map(|&r| u64::from(r))),
         ),
-        ("gen_targets", Json::arr_u64(s.gen_targets.iter().map(|&r| u64::from(r)))),
+        ("gen_images", Json::num_u64(u64::from(s.gen_images))),
         ("gen_resolution", Json::num_u64(u64::from(s.gen_resolution))),
-        ("raw_image_bytes", Json::num_u64(s.raw_image_bytes)),
         ("patch", Json::num_u64(u64::from(s.patch))),
     ])
 }
 
-fn sample_from_json(value: &Json) -> Result<TrainSample, String> {
-    let field = |k: &str| value.get(k).ok_or_else(|| format!("sample missing {k}"));
-    Ok(TrainSample {
-        id: field("id")?.as_u64().ok_or("bad id")?,
-        text_subseqs: field("text_subseqs")?.to_u64_vec().ok_or("bad text_subseqs")?,
+/// Decode one sample, rejecting one no generator could have drawn: more
+/// generation targets than images.
+fn sample_from_json(value: &Json) -> Result<TrainSample, PreprocessError> {
+    let malformed = |reason: String| PreprocessError::Malformed { reason };
+    let field = |k: &str| value.get(k).ok_or_else(|| malformed(format!("sample missing {k}")));
+    let bad = |k: &str| malformed(format!("bad {k}"));
+    let sample = TrainSample {
+        id: field("id")?.as_u64().ok_or_else(|| bad("id"))?,
+        text_tokens: field("text_tokens")?.as_u64().ok_or_else(|| bad("text_tokens"))?,
         image_resolutions: field("image_resolutions")?
             .to_u32_vec()
-            .ok_or("bad image_resolutions")?,
-        gen_targets: field("gen_targets")?.to_u32_vec().ok_or("bad gen_targets")?,
-        gen_resolution: field("gen_resolution")?.as_u32().ok_or("bad gen_resolution")?,
-        raw_image_bytes: field("raw_image_bytes")?.as_u64().ok_or("bad raw_image_bytes")?,
-        patch: field("patch")?.as_u32().ok_or("bad patch")?,
-    })
+            .ok_or_else(|| bad("image_resolutions"))?,
+        gen_images: field("gen_images")?.as_u32().ok_or_else(|| bad("gen_images"))?,
+        gen_resolution: field("gen_resolution")?.as_u32().ok_or_else(|| bad("gen_resolution"))?,
+        patch: field("patch")?.as_u32().ok_or_else(|| bad("patch"))?,
+    };
+    if sample.gen_images as usize > sample.image_resolutions.len() {
+        return Err(malformed(format!(
+            "sample {} has {} generation targets but {} images",
+            sample.id,
+            sample.gen_images,
+            sample.image_resolutions.len()
+        )));
+    }
+    Ok(sample)
 }
 
 impl WireJson for BatchHeader {
@@ -117,7 +129,8 @@ impl WireJson for BatchHeader {
             .ok_or("header missing samples")?
             .iter()
             .map(sample_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
         Ok(BatchHeader {
             samples,
             token_lens: value
@@ -147,26 +160,42 @@ mod tests {
         assert_eq!(read_json::<Request>(&mut cur).unwrap(), Request::Shutdown);
     }
 
-    #[test]
-    fn batch_header_round_trips() {
+    fn header(gen_images: u32) -> BatchHeader {
         let sample = TrainSample {
             id: 99,
-            text_subseqs: vec![3, 1, 4],
+            text_tokens: 8,
             image_resolutions: vec![224, 512],
-            gen_targets: vec![64],
+            gen_images,
             gen_resolution: 1024,
-            raw_image_bytes: 123_456,
             patch: 14,
         };
-        let header = BatchHeader {
+        BatchHeader {
             samples: vec![sample],
             token_lens: vec![17],
             producer_cpu_ns: 5_000,
-        };
+        }
+    }
+
+    #[test]
+    fn batch_header_round_trips() {
+        let header = header(2);
         let mut buf = Vec::new();
         write_json(&mut buf, &header).unwrap();
         let mut cur = Cursor::new(buf);
         assert_eq!(read_json::<BatchHeader>(&mut cur).unwrap(), header);
+    }
+
+    #[test]
+    fn header_with_more_generation_targets_than_images_is_rejected() {
+        let json = sample_to_json(&header(3).samples[0]);
+        assert!(matches!(
+            sample_from_json(&json),
+            Err(PreprocessError::Malformed { reason }) if reason.contains("3 generation targets")
+        ));
+        let mut buf = Vec::new();
+        write_json(&mut buf, &header(3)).unwrap();
+        let err = read_json::<BatchHeader>(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -35,6 +35,18 @@ impl DetRng {
         DetRng { s }
     }
 
+    /// The generator for `key` in the family of streams seeded by `seed`.
+    /// Any key's stream is reachable directly, without drawing the keys
+    /// before it — the counter-based idea of Salmon et al. ("Parallel
+    /// Random Numbers: As Easy as 1, 2, 3", SC'11). The key is hashed
+    /// with the seeded SplitMix64 bijection, so distinct keys under one
+    /// seed never share a starting state.
+    pub fn keyed(seed: u64, key: u64) -> Self {
+        let mut sm = seed;
+        let mut k = key ^ splitmix64(&mut sm);
+        DetRng::new(splitmix64(&mut k))
+    }
+
     /// Derive an independent child generator; used to give each simulated
     /// component (data loader, fault injector, …) its own stream so adding
     /// draws in one component never perturbs another.
@@ -167,6 +179,19 @@ mod tests {
                 7684712102626143532
             ]
         );
+    }
+
+    #[test]
+    fn keyed_known_vector_is_stable() {
+        // Pin keyed outputs the same way: the training data stream draws
+        // every sample from `keyed(seed, id)`.
+        let first = |seed, key| {
+            let mut r = DetRng::keyed(seed, key);
+            [r.next_u64(), r.next_u64()]
+        };
+        assert_eq!(first(0, 0), [10108759220886529493, 17605837440599152310]);
+        assert_eq!(first(0, 1), [8001808130966065074, 471358147255598595]);
+        assert_eq!(first(42, 7), [511687822027273263, 4679140867302755536]);
     }
 
     #[test]

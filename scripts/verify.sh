@@ -13,10 +13,11 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic -p dt-bench"
+echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data"
 # Formatting gate, crate by crate as each is brought to rustfmt's output.
 cargo fmt --check -p dt-elastic
 cargo fmt --check -p dt-bench
+cargo fmt --check -p dt-data
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
