@@ -25,7 +25,10 @@ impl std::fmt::Display for ReorderError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReorderError::IndivisibleBatch { n, m } => {
-                write!(f, "batch of {n} samples not divisible into {m} equal-count DP groups")
+                write!(
+                    f,
+                    "batch of {n} samples not divisible into {m} equal-count DP groups"
+                )
             }
         }
     }

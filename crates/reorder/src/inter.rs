@@ -54,7 +54,13 @@ pub struct InterReorderConfig {
 impl InterReorderConfig {
     /// Plain 1F1B with trainable stage 0.
     pub fn new(stages: usize, uniform_fwd: f64, uniform_bwd: f64) -> Self {
-        InterReorderConfig { stages, uniform_fwd, uniform_bwd, stage0_bwd_factor: 2.0, vpp: 1 }
+        InterReorderConfig {
+            stages,
+            uniform_fwd,
+            uniform_bwd,
+            stage0_bwd_factor: 2.0,
+            vpp: 1,
+        }
     }
 
     /// The pipeline `GETINTERVAL` models, as `dt-pipeline` inputs: zero
@@ -67,7 +73,12 @@ impl InterReorderConfig {
         let l = stage0_fwd.len();
         let mut fwd = Vec::with_capacity(self.stages);
         let mut bwd = Vec::with_capacity(self.stages);
-        fwd.push(stage0_fwd.iter().map(|&t| SimDuration::from_secs_f64(t)).collect());
+        fwd.push(
+            stage0_fwd
+                .iter()
+                .map(|&t| SimDuration::from_secs_f64(t))
+                .collect(),
+        );
         bwd.push(
             stage0_fwd
                 .iter()
@@ -84,7 +95,10 @@ impl InterReorderConfig {
         } else {
             Schedule::OneFOneB
         };
-        (PipelineSpec::uniform(schedule, w.stages(), SimDuration::ZERO), w)
+        (
+            PipelineSpec::uniform(schedule, w.stages(), SimDuration::ZERO),
+            w,
+        )
     }
 }
 
@@ -231,12 +245,20 @@ impl IntervalEvaluator {
             let start = self.avail[s].max(dep);
             let end = match op {
                 StageOp::Fwd(i) => {
-                    let d = if heterogeneous { self.fwd0[i] } else { self.uniform_fwd };
+                    let d = if heterogeneous {
+                        self.fwd0[i]
+                    } else {
+                        self.uniform_fwd
+                    };
                     self.fwd_end[s * l + i] = start + d;
                     start + d
                 }
                 StageOp::Bwd(i) => {
-                    let d = if heterogeneous { self.bwd0[i] } else { self.uniform_bwd };
+                    let d = if heterogeneous {
+                        self.bwd0[i]
+                    } else {
+                        self.uniform_bwd
+                    };
                     self.bwd_end[s * l + i] = start + d;
                     if s == 0 {
                         self.bwd0_start[i] = start;
@@ -257,7 +279,8 @@ impl IntervalEvaluator {
     fn push(&mut self, secs: f64) {
         debug_assert!(self.fwd0.len() < self.l, "more positions than microbatches");
         self.fwd0.push(SimDuration::from_secs_f64(secs) / self.vpp);
-        self.bwd0.push(SimDuration::from_secs_f64(secs * self.bwd_factor) / self.vpp);
+        self.bwd0
+            .push(SimDuration::from_secs_f64(secs * self.bwd_factor) / self.vpp);
         self.ready.push(0);
         while let Some(s) = self.ready.pop() {
             if self.drain(s) {
@@ -296,7 +319,11 @@ impl IntervalEvaluator {
         let volume = if !self.determined(j) {
             0.0
         } else {
-            let left = if j == 0 { self.fwd_end[0] } else { self.bwd_end[j - 1] };
+            let left = if j == 0 {
+                self.fwd_end[0]
+            } else {
+                self.bwd_end[j - 1]
+            };
             (self.bwd0_start[j] - left).as_secs_f64()
         };
         self.pc.copy_from_slice(&self.saved_pc);
@@ -339,7 +366,11 @@ pub fn inter_reorder(cfg: &InterReorderConfig, mb_fwd: &[f64]) -> Vec<usize> {
     // is a rear interval).
     if l <= p || p <= 1 {
         let mut idx: Vec<usize> = (0..l).collect();
-        idx.sort_by(|&a, &b| mb_fwd[a].partial_cmp(&mb_fwd[b]).expect("times must not be NaN"));
+        idx.sort_by(|&a, &b| {
+            mb_fwd[a]
+                .partial_cmp(&mb_fwd[b])
+                .expect("times must not be NaN")
+        });
         return idx;
     }
 
@@ -461,7 +492,10 @@ mod tests {
         let times = [5.0, 0.5, 3.0, 4.0, 2.0, 6.0, 1.0, 2.5];
         let p = 4;
         let order = inter_reorder(&cfg(p), &times);
-        let rear: Vec<f64> = order[order.len() - (p - 1)..].iter().map(|&i| times[i]).collect();
+        let rear: Vec<f64> = order[order.len() - (p - 1)..]
+            .iter()
+            .map(|&i| times[i])
+            .collect();
         // The rear are the p−1 smallest after removing the very smallest.
         let mut sorted = times.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -550,7 +584,9 @@ mod tests {
         let Some(f0) = stage0(dt_pipeline::OpKind::Forward).find(|op| op.microbatch == 0) else {
             return Vec::new();
         };
-        let b0 = stage0(dt_pipeline::OpKind::Backward).min_by_key(|op| op.start).expect("b0");
+        let b0 = stage0(dt_pipeline::OpKind::Backward)
+            .min_by_key(|op| op.start)
+            .expect("b0");
         std::iter::once(b0.start - f0.end)
             .chain(result.stage0_intervals())
             .map(SimDuration::as_secs_f64)

@@ -40,7 +40,11 @@ pub fn intra_reorder<T>(
     // Line 3: sort in descending order by size.
     let mut order: Vec<usize> = (0..n).collect();
     let sizes: Vec<f64> = samples.iter().map(&size).collect();
-    order.sort_by(|&a, &b| sizes[b].partial_cmp(&sizes[a]).expect("sizes must not be NaN"));
+    order.sort_by(|&a, &b| {
+        sizes[b]
+            .partial_cmp(&sizes[a])
+            .expect("sizes must not be NaN")
+    });
 
     // Lines 4–8: greedy assignment to the least-loaded non-full group.
     let mut groups: Vec<Vec<usize>> = vec![Vec::with_capacity(quota); m];
@@ -61,7 +65,11 @@ pub fn intra_reorder<T>(
     let mut out = Vec::with_capacity(n);
     for g in groups {
         for idx in g {
-            out.push(picked[idx].take().expect("each index assigned exactly once"));
+            out.push(
+                picked[idx]
+                    .take()
+                    .expect("each index assigned exactly once"),
+            );
         }
     }
     Ok(out)
@@ -221,7 +229,16 @@ mod tests {
                 }
             }
         }
-        rec(0, sizes, m, quota, &mut assign, &mut vec![0; m], &mut vec![0.0; m], &mut best);
+        rec(
+            0,
+            sizes,
+            m,
+            quota,
+            &mut assign,
+            &mut vec![0; m],
+            &mut vec![0.0; m],
+            &mut best,
+        );
         best
     }
 
@@ -257,7 +274,10 @@ mod tests {
             let reordered: Vec<f64> = order.iter().map(|&i| sizes[i]).collect();
             let lpt = max_group_load(&reordered, m);
             let opt = brute_force_opt(&sizes, m);
-            assert!(lpt <= opt * (4.0 / 3.0) + 1e-9, "seed {seed}: LPT {lpt} vs OPT {opt}");
+            assert!(
+                lpt <= opt * (4.0 / 3.0) + 1e-9,
+                "seed {seed}: LPT {lpt} vs OPT {opt}"
+            );
         }
     }
 }

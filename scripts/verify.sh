@@ -13,11 +13,12 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data"
+echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder"
 # Formatting gate, crate by crate as each is brought to rustfmt's output.
 cargo fmt --check -p dt-elastic
 cargo fmt --check -p dt-bench
 cargo fmt --check -p dt-data
+cargo fmt --check -p dt-reorder
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
