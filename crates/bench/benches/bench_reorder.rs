@@ -22,8 +22,7 @@ use dt_cluster::CollectiveCost;
 use dt_data::{SyntheticLaion, TrainSample};
 use dt_model::MllmPreset;
 use dt_parallel::OrchestrationPlan;
-use dt_preprocess::ReorderPlanner;
-use dt_reorder::{inter_reorder, intra_reorder_indices, InterReorderConfig};
+use dt_reorder::{inter_reorder, intra_reorder_indices, InterReorderConfig, ReorderPlanner};
 use dt_simengine::{DetRng, Json};
 use std::time::Duration;
 

@@ -10,8 +10,7 @@ use crate::report::{fmt_ratio, Report};
 use dt_data::cost::multimodal_size;
 use dt_data::{DataConfig, SyntheticLaion};
 use dt_model::MllmPreset;
-use dt_preprocess::{ReorderMode, ReorderPlanner};
-use dt_reorder::{max_group_load, InterReorderConfig};
+use dt_reorder::{max_group_load, InterReorderConfig, ReorderMode, ReorderPlanner};
 
 /// Measure the DP-group load spread with and without Algorithm 1.
 pub fn spread(dp: u32, batch: usize, seed: u64) -> (f64, f64) {

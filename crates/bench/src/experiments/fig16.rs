@@ -10,7 +10,7 @@ use crate::experiments::{ablation_task, MEASURE_ITERS};
 use crate::report::{fmt_pct, fmt_ratio, Report};
 use disttrain_core::SystemKind;
 use dt_model::MllmPreset;
-use dt_preprocess::ReorderMode;
+use dt_reorder::ReorderMode;
 use std::sync::OnceLock;
 
 type Row = (MllmPreset, f64, f64, u32); // (preset, reordered MFU, random MFU, dp)

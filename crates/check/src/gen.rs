@@ -11,7 +11,8 @@
 use dt_data::{DataConfig, SyntheticLaion, TrainSample};
 use dt_orchestrator::formulate::ProblemSpec;
 use dt_pipeline::Workload;
-use dt_preprocess::wire::{write_frame, write_json, BatchHeader, Request};
+use dt_preprocess::wire::{BatchHeader, Request};
+use dt_simengine::frame::{write_frame, write_json};
 use dt_simengine::{DetRng, SimDuration};
 
 /// A batch of `n` LAION-skewed multimodal samples.
@@ -246,7 +247,7 @@ pub fn hostile_peer(rng: &mut DetRng) -> HostilePeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_preprocess::wire::read_frame;
+    use dt_simengine::frame::read_frame;
     use std::io::Cursor;
 
     #[test]

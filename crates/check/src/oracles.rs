@@ -22,11 +22,12 @@ use dt_pipeline::schedule::StageOp;
 use dt_pipeline::sim::homogeneous_1f1b_makespan;
 use dt_pipeline::{simulate, OpKind, PipelineSpec, Schedule, Workload};
 use dt_data::{DataConfig, ResolutionMode};
-use dt_preprocess::wire::{read_frame, read_json, BatchHeader, Request};
+use dt_preprocess::wire::{BatchHeader, Request};
 use dt_preprocess::{Consumer, Preprocess};
+use dt_simengine::frame::{read_frame, read_json, write_json};
 use dt_simengine::BackoffPolicy;
 use dt_reorder::{
-    get_interval, inter_reorder, intra_reorder, intra_reorder_indices, max_group_load,
+    get_interval, inter_reorder, intra_reorder_indices, max_group_load,
     InterReorderConfig, ReorderError,
 };
 use dt_simengine::{DetRng, Json, SimDuration, SimTime};
@@ -294,7 +295,8 @@ fn alg1_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     // The typed-error contract: an indivisible batch is a clean error,
     // never a panic (regression for the old assert!).
     if m > 1 {
-        match intra_reorder((0..n + 1).collect::<Vec<usize>>(), m, |&i| i as f64) {
+        let sizes: Vec<f64> = (0..n + 1).map(|i| i as f64).collect();
+        match intra_reorder_indices(&sizes, m) {
             Err(ReorderError::IndivisibleBatch { n: en, m: em }) if en == n + 1 && em == m => Ok(()),
             other => Err(Failure::new(format!(
                 "indivisible batch ({} into {m}) returned {other:?}, expected typed error",
@@ -473,7 +475,7 @@ fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         Request::Shutdown
     };
     let mut buf = Vec::new();
-    dt_preprocess::wire::write_json(&mut buf, &req).expect("vec write cannot fail");
+    write_json(&mut buf, &req).expect("vec write cannot fail");
     let back: Request = read_json(&mut Cursor::new(&buf[..]))
         .map_err(|e| Failure::new(format!("request failed to decode: {e}")))?;
     ensure(back == req, || format!("request round trip changed {req:?} → {back:?}"))?;
@@ -489,7 +491,7 @@ fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         samples,
     };
     let mut buf = Vec::new();
-    dt_preprocess::wire::write_json(&mut buf, &header).expect("vec write cannot fail");
+    write_json(&mut buf, &header).expect("vec write cannot fail");
     let back: BatchHeader = read_json(&mut Cursor::new(&buf[..]))
         .map_err(|e| Failure::new(format!("header failed to decode: {e}")))?;
     ensure(back == header, || "batch header round trip changed the header".to_string())?;

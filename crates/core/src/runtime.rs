@@ -22,8 +22,7 @@ use dt_model::{ModuleKind, MultimodalLlm};
 use dt_orchestrator::PerfModel;
 use dt_parallel::{BrokerLink, OrchestrationPlan};
 use dt_pipeline::{record_pipeline_trace, simulate, PipelineSpec, PipelineTraceOpts, Schedule, Workload};
-use dt_preprocess::{ReorderMode, ReorderPlanner};
-use dt_reorder::InterReorderConfig;
+use dt_reorder::{InterReorderConfig, ReorderMode, ReorderPlanner};
 use dt_pipeline::record_pipeline_metrics;
 use dt_simengine::trace::{cat, TraceRecorder, TraceSpan};
 use dt_simengine::{SimDuration, SimTime};

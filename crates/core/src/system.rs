@@ -10,7 +10,7 @@ use dt_orchestrator::baselines::{distmm_star_plan, megatron_plan, proportional_s
 use dt_orchestrator::formulate::ProblemSpec;
 use dt_orchestrator::{Orchestrator, PerfModel, PlanError, Profiler, TaskProfile, WarmStart};
 use dt_parallel::OrchestrationPlan;
-use dt_preprocess::ReorderMode;
+use dt_reorder::ReorderMode;
 use dt_simengine::DetRng;
 
 /// Which system's policies to run.

@@ -24,10 +24,10 @@
 
 use crate::error::PreprocessError;
 use crate::feeder::{PreprocessedBatch, FeederReport, CONSUMER_PID};
-use crate::frame::{read_json_ctx, write_json_ctx};
-use crate::wire::{read_frame, write_json, BatchHeader, Request};
+use crate::wire::{BatchHeader, Request, MAX_FETCH_COUNT};
 use dt_data::GlobalBatch;
 use dt_simengine::backoff::BackoffPolicy;
+use dt_simengine::frame::{read_frame, read_json_ctx, write_json, write_json_ctx, MAX_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_simengine::DetRng;
 use dt_telemetry::anomaly::{AnomalyConfig, AnomalyDetector};
@@ -131,8 +131,9 @@ impl ConsumerBuilder {
     /// Validate the spec and start one supervisor per producer.
     ///
     /// Validation is typed and happens before any socket is touched: an
-    /// empty producer list, duplicate addresses, a zero batch size, or a
-    /// zero pipeline depth are [`PreprocessError::InvalidSpec`]. The
+    /// empty producer list, duplicate addresses, a batch size of zero or
+    /// above [`MAX_FETCH_COUNT`], or a zero pipeline depth are
+    /// [`PreprocessError::InvalidSpec`]. The
     /// initial connects happen *inside* the supervisors (with backoff),
     /// so an endpoint that is still coming up does not fail the build —
     /// an endpoint that never comes up surfaces from
@@ -151,9 +152,9 @@ impl ConsumerBuilder {
                 });
             }
         }
-        if self.batch == 0 {
+        if self.batch == 0 || self.batch > MAX_FETCH_COUNT {
             return Err(PreprocessError::InvalidSpec {
-                reason: "batch must be >= 1 sample".into(),
+                reason: format!("batch must be 1..={MAX_FETCH_COUNT} samples"),
             });
         }
         if self.pipeline == 0 {
@@ -328,7 +329,7 @@ struct SupervisorCtx {
 }
 
 fn read_batch(stream: &mut TcpStream) -> io::Result<(Option<TraceContext>, PreprocessedBatch)> {
-    let (echo, header): (Option<TraceContext>, BatchHeader) = read_json_ctx(stream)?;
+    let (echo, header): (Option<TraceContext>, BatchHeader) = read_json_ctx(stream, MAX_FRAME)?;
     let payload = read_frame(stream)?;
     let expected: u64 = header.token_lens.iter().sum();
     if payload.len() as u64 != expected {
@@ -506,6 +507,10 @@ mod tests {
         assert!(err.to_string().contains("duplicate"), "{err}");
 
         let err = Consumer::builder(&[a]).batch(0).connect().unwrap_err();
+        assert_eq!(err.kind(), "invalid_spec");
+        assert!(err.to_string().contains("batch"), "{err}");
+
+        let err = Consumer::builder(&[a]).batch(MAX_FETCH_COUNT + 1).connect().unwrap_err();
         assert_eq!(err.kind(), "invalid_spec");
         assert!(err.to_string().contains("batch"), "{err}");
 

@@ -8,9 +8,9 @@
 //! *stall* they impose on training ([`FeederReport`]), which is exactly
 //! the metric Figure 17 plots.
 
-use crate::reorder_planner::ReorderPlanner;
 use crate::service::preprocess_parallel;
 use dt_data::{DataConfig, GlobalBatch, SyntheticLaion};
+use dt_reorder::ReorderPlanner;
 use std::time::{Duration, Instant};
 
 /// One preprocessed global batch, as delivered to the trainer.

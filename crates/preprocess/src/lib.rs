@@ -36,6 +36,10 @@
 //! producer where it is free (§5.1: "the complex reordering does not
 //! interfere with the GPU training or impose extra overhead").
 //!
+//! The [`ReorderPlanner`](dt_reorder::ReorderPlanner) and the framing
+//! ([`dt_simengine::frame`]) live below this crate, so the training
+//! runtime and the `dt-serve` daemon use them without linking the plane.
+//!
 //! Both halves are observable: attach a
 //! [`WallTraceSink`](dt_simengine::trace::WallTraceSink) via
 //! [`PreprocessBuilder::trace`](service::PreprocessBuilder::trace) and
@@ -49,16 +53,17 @@ pub mod codec;
 pub mod consumer;
 pub mod error;
 pub mod feeder;
-pub mod frame;
-pub mod reorder_planner;
 pub mod service;
 pub mod wire;
+
+// The codec moved to dt-simengine; perfbench, outside the workspace,
+// still imports it as `dt_preprocess::frame`.
+pub use dt_simengine::frame;
 
 pub use codec::{decompress, patchify, preprocess_sample, resize, synth_compressed, PreprocessedSample};
 pub use consumer::{Consumer, ConsumerBuilder, MultiFeeder};
 pub use error::PreprocessError;
 pub use feeder::{ColocatedFeeder, FeederReport, CONSUMER_PID};
-pub use reorder_planner::{ReorderMode, ReorderPlanner};
 pub use service::{
     Preprocess, PreprocessBuilder, PreprocessHandle, PlaneStatsSnapshot, PREPROCESS_PID,
 };

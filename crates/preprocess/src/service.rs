@@ -15,7 +15,7 @@
 //!   endpoint and the accept index) and keeps a clone of every live
 //!   socket, so a drain can wake each session by shutting it down;
 //! * **reader** — one thread per session. It reads requests through the
-//!   capped [`crate::frame::read_json_ctx_max`] (a length word above
+//!   capped [`dt_simengine::frame::read_json_ctx`] (a length word above
 //!   [`MAX_CONTROL_FRAME`] is [`PreprocessError::Malformed`] before any
 //!   payload byte is read), runs fetch → reorder → decode on a
 //!   [`preprocess_parallel`] worker pool, and passes the batch on through a
@@ -26,7 +26,7 @@
 //!   buffering. Requests it has not read yet stay in the kernel's receive
 //!   buffer;
 //! * **writer** — one thread per session. It sends each batch with the
-//!   coalesced zero-copy [`crate::frame::write_batch_frames_ctx`]: the
+//!   coalesced zero-copy [`dt_simengine::frame::write_batch_frames_ctx`]: the
 //!   JSON header frame and the multi-chunk payload frame go out in one
 //!   vectored write, never materializing the concatenated payload. A peer
 //!   that stops reading blocks only its own writer.
@@ -42,10 +42,10 @@
 
 use crate::codec::preprocess_sample;
 use crate::error::PreprocessError;
-use crate::frame::{read_json_ctx_max, write_batch_frames_ctx, MAX_CONTROL_FRAME};
-use crate::reorder_planner::ReorderPlanner;
-use crate::wire::{BatchHeader, Request, WireJson};
+use crate::wire::{BatchHeader, Request, MAX_FETCH_COUNT};
 use dt_data::{DataConfig, SyntheticLaion, TrainSample};
+use dt_reorder::ReorderPlanner;
+use dt_simengine::frame::{read_json_ctx, write_batch_frames_ctx, WireJson, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink, TRACE_CONTEXT_LEN};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, FlightRecorder, Telemetry};
@@ -444,16 +444,14 @@ fn read_loop(stream: &TcpStream, tx: SyncSender<ReadyBatch>, s: &Session) {
     let mut gen = SyntheticLaion::new(s.cfg.data.clone(), s.seed);
     let mut reader = stream;
     loop {
-        let (req_ctx, count) = match read_json_ctx_max(&mut reader, MAX_CONTROL_FRAME) {
-            Ok((ctx, Request::FetchBatch { count })) => (ctx, count),
+        let (req_ctx, count) = match read_json_ctx(&mut reader, MAX_CONTROL_FRAME) {
+            Ok((ctx, Request::FetchBatch { count })) if count <= MAX_FETCH_COUNT => (ctx, count),
+            Ok((_, Request::FetchBatch { count })) => {
+                return reject_malformed(s, format!("FetchBatch x{count} above {MAX_FETCH_COUNT}"));
+            }
             Ok((_, Request::Shutdown)) => return,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let e = PreprocessError::Malformed { reason: e.to_string() };
-                s.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                s.cfg.telemetry.with(|r| r.counter(names::PREPROCESS_MALFORMED_TOTAL, &[]).inc());
-                s.flight.record("malformed", 0, || e.to_string());
-                s.flight.dump_counted("malformed", &s.cfg.telemetry);
-                return;
+                return reject_malformed(s, e.to_string());
             }
             // EOF, a reset, or the drain's shutdown.
             Err(_) => return,
@@ -481,6 +479,16 @@ fn read_loop(stream: &TcpStream, tx: SyncSender<ReadyBatch>, s: &Session) {
             Err(TrySendError::Disconnected(_)) => return,
         }
     }
+}
+
+/// Count a malformed request and freeze the session's flight ring; the
+/// caller then ends the session.
+fn reject_malformed(s: &Session, reason: String) {
+    let e = PreprocessError::Malformed { reason };
+    s.stats.malformed.fetch_add(1, Ordering::Relaxed);
+    s.cfg.telemetry.with(|r| r.counter(names::PREPROCESS_MALFORMED_TOTAL, &[]).inc());
+    s.flight.record("malformed", 0, || e.to_string());
+    s.flight.dump_counted("malformed", &s.cfg.telemetry);
 }
 
 /// Fetch → reorder → decode one batch of `count` samples.
@@ -593,7 +601,7 @@ fn write_loop(stream: &TcpStream, rx: Receiver<ReadyBatch>, s: &Session) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, read_json, write_json};
+    use dt_simengine::frame::{read_frame, read_json, write_json};
     use dt_data::ResolutionMode;
     use std::io::{Read, Write};
 
@@ -765,6 +773,25 @@ mod tests {
         assert!(handle.shutdown(), "plane must survive hostile input");
     }
 
+    /// Regression: the producer used to materialize any requested count,
+    /// so one well-formed `FetchBatch { count: u32::MAX }` asked for ~4.3 G
+    /// samples in a single allocation and aborted the process.
+    #[test]
+    fn oversized_fetch_closes_the_session_not_the_plane() {
+        let mut handle = spawn_tiny(17);
+        let mut bad = TcpStream::connect(handle.addr()).unwrap();
+        write_json(&mut bad, &Request::FetchBatch { count: u32::MAX }).unwrap();
+        assert_session_closed(&mut bad);
+        assert_eq!(handle.stats().malformed_frames, 1, "oversized fetch not counted");
+        let mut good = TcpStream::connect(handle.addr()).unwrap();
+        write_json(&mut good, &Request::FetchBatch { count: 2 }).unwrap();
+        let header: BatchHeader = read_json(&mut good).unwrap();
+        assert_eq!(header.samples.len(), 2);
+        let _ = read_frame(&mut good).unwrap();
+        write_json(&mut good, &Request::Shutdown).unwrap();
+        assert!(handle.shutdown(), "plane must survive an oversized fetch");
+    }
+
     #[test]
     fn parallel_preprocessing_matches_serial() {
         let mut gen = SyntheticLaion::new(tiny_data(), 9);
@@ -822,7 +849,7 @@ mod tests {
     /// frame, and the producer's fetch/decode/feed spans link under it.
     #[test]
     fn traced_fetch_echoes_context_and_links_producer_spans() {
-        use crate::frame::{read_frame_ctx, write_json_ctx};
+        use dt_simengine::frame::{read_frame_ctx, write_json_ctx, MAX_FRAME};
         use dt_simengine::trace::arg;
         use dt_simengine::DetRng;
 
@@ -834,7 +861,7 @@ mod tests {
         let (consumer_span, wire_ctx) = root.child(1);
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         write_json_ctx(&mut stream, Some(&wire_ctx), &Request::FetchBatch { count: 3 }).unwrap();
-        let (echo, header_bytes) = read_frame_ctx(&mut stream).unwrap();
+        let (echo, header_bytes) = read_frame_ctx(&mut stream, MAX_FRAME).unwrap();
         assert_eq!(echo, Some(wire_ctx), "response must echo the request's trace context");
         assert!(!header_bytes.is_empty());
         let _ = read_frame(&mut stream).unwrap();

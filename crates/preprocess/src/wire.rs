@@ -2,9 +2,9 @@
 //!
 //! The framing itself — 4-byte little-endian length prefix, chunked
 //! hostile-input-safe reads, JSON control messages — lives in
-//! [`crate::frame`], the codec this module shares with the `dt-serve`
-//! planner daemon (one implementation, two protocols). This module
-//! defines the preprocessing protocol's *messages*: the consumer's
+//! [`dt_simengine::frame`], the codec this module shares with the
+//! `dt-serve` planner daemon (one implementation, two protocols). This
+//! module defines the preprocessing protocol's *messages*: the consumer's
 //! [`Request`]s and the producer's [`BatchHeader`] response (followed by
 //! one raw frame of concatenated token bytes, never base64-inflated).
 //!
@@ -17,11 +17,17 @@ use crate::error::PreprocessError;
 use dt_data::TrainSample;
 use dt_simengine::json::Json;
 
-// Re-exported so existing callers (feeder, service, dt-check's hostile
-// generators) keep one import path for the whole protocol.
-pub use crate::frame::{
-    read_frame, read_json, write_frame, write_json, WireJson, FRAME_READ_CHUNK, MAX_FRAME,
-};
+// The messages' codec trait, beside them: perfbench's frame probe imports
+// it as `dt_preprocess::wire::WireJson`.
+pub use dt_simengine::frame::WireJson;
+
+/// The most samples one `FetchBatch` may ask for: the production task's
+/// global batch of 1920 (`TrainingTask::production`), the largest anything
+/// requests. The producer allocates a request's samples up front, so an
+/// unbounded count (`u32::MAX` is ~4.3 G samples) lets one frame abort it.
+/// A larger count is a malformed request, and [`crate::ConsumerBuilder`]
+/// refuses to ask for one.
+pub const MAX_FETCH_COUNT: u32 = 1920;
 
 /// Consumer → producer control messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,6 +154,7 @@ impl WireJson for BatchHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_simengine::frame::{read_json, write_frame, write_json};
     use std::io::Cursor;
 
     #[test]

@@ -11,8 +11,9 @@
 //! write makes (none). Both are tracked per thread, so tests running in
 //! parallel never see each other's allocations.
 
-use dt_preprocess::frame::{write_batch_frames, write_frame_ctx};
-use dt_preprocess::wire::{read_frame, write_frame, FRAME_READ_CHUNK, MAX_FRAME};
+use dt_simengine::frame::{
+    read_frame, write_batch_frames, write_frame, write_frame_ctx, FRAME_READ_CHUNK, MAX_FRAME,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::cell::Cell;

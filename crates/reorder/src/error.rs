@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1 splits a global batch into `m` *equal-count* DP groups, so
 //! an indivisible batch has no valid split. This used to be an `assert!`
-//! deep inside `intra_reorder`, which turned a caller misconfiguration
+//! deep inside Algorithm 1, which turned a caller misconfiguration
 //! into a process abort; mirroring the planner's `PlanError` precedent,
 //! the condition is now a typed error the caller can diagnose (the
 //! `ReorderPlanner` policy is to pass indivisible batches through

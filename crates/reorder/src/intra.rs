@@ -13,24 +13,21 @@
 
 use crate::error::ReorderError;
 
-/// Reorder `samples` so that splitting the result into `m` contiguous
-/// equal-count chunks yields balanced total `size`. Returns the permuted
-/// samples, or [`ReorderError::IndivisibleBatch`] when no equal-count
-/// split exists (the caller decides the policy — `ReorderPlanner` passes
-/// such batches through unreordered).
+/// Reorder a batch whose samples have the given `sizes` so that splitting
+/// it into `m` contiguous equal-count chunks yields balanced total size.
+/// Returns the new order as indices into `sizes`, or
+/// [`ReorderError::IndivisibleBatch`] when no equal-count split exists (the
+/// caller decides the policy — `ReorderPlanner` passes such batches
+/// through unreordered).
 ///
 /// Mirrors the paper's Algorithm 1 line by line, with one practical
 /// addition: because the trainer splits the batch into *equal-count*
 /// chunks, the greedy must not overfill a group's sample quota
 /// (`n / m`); the argmin therefore skips full groups.
-pub fn intra_reorder<T>(
-    samples: Vec<T>,
-    m: usize,
-    size: impl Fn(&T) -> f64,
-) -> Result<Vec<T>, ReorderError> {
-    let n = samples.len();
+pub fn intra_reorder_indices(sizes: &[f64], m: usize) -> Result<Vec<usize>, ReorderError> {
+    let n = sizes.len();
     if m <= 1 || n == 0 {
-        return Ok(samples);
+        return Ok((0..n).collect());
     }
     if !n.is_multiple_of(m) {
         return Err(ReorderError::IndivisibleBatch { n, m });
@@ -39,7 +36,6 @@ pub fn intra_reorder<T>(
 
     // Line 3: sort in descending order by size.
     let mut order: Vec<usize> = (0..n).collect();
-    let sizes: Vec<f64> = samples.iter().map(&size).collect();
     order.sort_by(|&a, &b| {
         sizes[b]
             .partial_cmp(&sizes[a])
@@ -61,25 +57,7 @@ pub fn intra_reorder<T>(
     }
 
     // Lines 9–11: concatenate groups back into one order.
-    let mut picked: Vec<Option<T>> = samples.into_iter().map(Some).collect();
-    let mut out = Vec::with_capacity(n);
-    for g in groups {
-        for idx in g {
-            out.push(
-                picked[idx]
-                    .take()
-                    .expect("each index assigned exactly once"),
-            );
-        }
-    }
-    Ok(out)
-}
-
-/// Index-permutation form of [`intra_reorder`]: returns the new order as
-/// indices into the original slice.
-pub fn intra_reorder_indices(sizes: &[f64], m: usize) -> Result<Vec<usize>, ReorderError> {
-    let idx: Vec<usize> = (0..sizes.len()).collect();
-    intra_reorder(idx, m, |&i| sizes[i])
+    Ok(groups.concat())
 }
 
 /// The makespan metric Algorithm 1 minimizes: split `sizes` (already in
@@ -159,8 +137,8 @@ mod tests {
 
     #[test]
     fn single_group_is_identity() {
-        let v = vec![3, 1, 2];
-        assert_eq!(intra_reorder(v.clone(), 1, |&x| x as f64).unwrap(), v);
+        let sizes = [3.0, 1.0, 2.0];
+        assert_eq!(intra_reorder_indices(&sizes, 1).unwrap(), vec![0, 1, 2]);
     }
 
     /// Regression: a non-divisible `sizes.len()` used to be chunked by

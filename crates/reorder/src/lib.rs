@@ -4,7 +4,7 @@
 //! removes each with one reordering pass, both running on the disaggregated
 //! preprocessing nodes so they cost the GPUs nothing:
 //!
-//! * [`intra::intra_reorder`] — **Algorithm 1**: balance total sample size
+//! * [`intra::intra_reorder_indices`] — **Algorithm 1**: balance total sample size
 //!   across the DP groups of one global batch (greedy LPT multiway
 //!   partitioning; the max-loaded group bounds the iteration, and LPT is a
 //!   `4/3`-approximation of the NP-hard optimum \[38, 15\]).
@@ -21,8 +21,12 @@
 //! (§5.2, §5.3). The property tests pin that invariant: reordering is always
 //! a permutation.
 //!
-//! In the full system these passes run inside `dt-preprocess`'s
-//! `ReorderPlanner` on the producer node; the microbatch times they act on
+//! [`planner::ReorderPlanner`] composes the two passes over one global
+//! batch of [`dt_data::TrainSample`]s, sized by the task's cost model
+//! ([`ReorderMode`] picks which passes run). It lives here, below both its
+//! callers: `dt-preprocess` runs it on the producer node, and the
+//! simulated training runtime (`disttrain-core`) runs it in-process
+//! without linking the data plane. The microbatch times the passes act on
 //! come from `dt-pipeline`'s 1F1B interval structure (Figure 12), and their
 //! end-to-end effect shows up as reduced `bubble` span time in the trace
 //! export (see the README's *Observability* section).
@@ -30,7 +34,9 @@
 pub mod error;
 pub mod inter;
 pub mod intra;
+pub mod planner;
 
 pub use error::ReorderError;
 pub use inter::{get_interval, inter_reorder, InterReorderConfig};
-pub use intra::{intra_reorder, intra_reorder_indices, max_group_load};
+pub use intra::{intra_reorder_indices, max_group_load};
+pub use planner::{ReorderMode, ReorderPlanner};

@@ -1,12 +1,13 @@
-//! The producer-side reordering stage: applies Algorithm 1 across DP
-//! groups and Algorithm 2 within each DP rank's microbatch stream, using
-//! the task's cost model to size samples (§5.1: reordering runs on the
-//! dedicated CPU nodes, so it is free to the GPUs).
+//! The reordering stage: applies Algorithm 1 across DP groups and
+//! Algorithm 2 within each DP rank's microbatch stream, using the task's
+//! cost model to size samples. The preprocessing producer runs it on the
+//! dedicated CPU nodes (§5.1), so it is free to the GPUs; the simulated
+//! training runtime runs the same planner in-process.
 
+use crate::{inter_reorder, intra_reorder_indices, InterReorderConfig};
 use dt_data::cost::multimodal_size;
 use dt_data::TrainSample;
 use dt_model::MultimodalLlm;
-use dt_reorder::{inter_reorder, intra_reorder_indices, InterReorderConfig};
 
 /// Which reordering passes to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +58,10 @@ impl ReorderPlanner {
 
         // Size every sample once; both passes permute indices into
         // `sizes`, and the samples themselves are moved, never cloned.
-        let sizes: Vec<f64> = samples.iter().map(|s| multimodal_size(&self.model, s)).collect();
+        let sizes: Vec<f64> = samples
+            .iter()
+            .map(|s| multimodal_size(&self.model, s))
+            .collect();
         let mut slots: Vec<Option<TrainSample>> = samples.into_iter().map(Some).collect();
         let mut take = |i: usize| slots[i].take().expect("each index placed exactly once");
 
@@ -88,9 +92,9 @@ impl ReorderPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::max_group_load;
     use dt_data::{DataConfig, SyntheticLaion};
     use dt_model::MllmPreset;
-    use dt_reorder::max_group_load;
 
     fn planner(mode: ReorderMode) -> ReorderPlanner {
         ReorderPlanner {
@@ -133,12 +137,18 @@ mod tests {
         let p = planner(ReorderMode::IntraOnly);
         let b = batch(32);
         let sizes = |samples: &[TrainSample]| -> Vec<f64> {
-            samples.iter().map(|s| multimodal_size(&p.model, s)).collect()
+            samples
+                .iter()
+                .map(|s| multimodal_size(&p.model, s))
+                .collect()
         };
         let before = max_group_load(&sizes(&b), 4);
         let out = p.reorder(b);
         let after = max_group_load(&sizes(&out), 4);
-        assert!(after <= before, "Alg 1 must not worsen the max group: {after} vs {before}");
+        assert!(
+            after <= before,
+            "Alg 1 must not worsen the max group: {after} vs {before}"
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The planner daemon's request/response message types.
 //!
 //! Messages travel as JSON control frames over the shared length-prefix
-//! codec ([`dt_preprocess::frame`]) — the same framing the preprocessing
+//! codec ([`dt_simengine::frame`]) — the same framing the preprocessing
 //! data plane uses, so there is exactly one wire implementation in the
 //! workspace. Every request gets exactly one reply; server-side failures
 //! are *typed* [`ServeError`] replies, never dropped connections or
 //! panics.
 
-use dt_preprocess::frame::WireJson;
+use dt_simengine::frame::WireJson;
 use dt_simengine::json::Json;
 
 /// What the client wants planned, identifying the task the way the §7
@@ -555,7 +555,7 @@ impl WireJson for ServeReply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_preprocess::frame::{read_json, write_json};
+    use dt_simengine::frame::{read_json, write_json};
     use std::io::Cursor;
 
     fn spec() -> SpecDesc {

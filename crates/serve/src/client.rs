@@ -21,7 +21,7 @@
 //! the `dt-preprocess` reconnect supervisor runs on.
 
 use crate::api::{ServeReply, ServeRequest};
-use dt_preprocess::frame::{read_json, write_json_ctx};
+use dt_simengine::frame::{read_json, write_json_ctx};
 use dt_simengine::backoff::{BackoffPolicy, Deadline};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_simengine::DetRng;

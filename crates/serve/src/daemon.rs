@@ -45,7 +45,7 @@ use crate::store::{task_for, PlanStore};
 use disttrain_core::{SystemKind, TrainingTask};
 use dt_orchestrator::{Orchestrator, PlanReport, DEFAULT_TOP_K};
 use dt_parallel::plan::ModulePlan;
-use dt_preprocess::frame::{read_json_ctx_max, write_json, MAX_CONTROL_FRAME};
+use dt_simengine::frame::{read_json_ctx, write_json, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, Telemetry};
@@ -323,7 +323,7 @@ fn serve_session(
                 },
             );
         }
-        let (ctx, req): (Option<TraceContext>, ServeRequest) = match read_json_ctx_max(stream, MAX_CONTROL_FRAME) {
+        let (ctx, req): (Option<TraceContext>, ServeRequest) = match read_json_ctx(stream, MAX_CONTROL_FRAME) {
             Ok(pair) => pair,
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Typed reply, then close: after garbage the stream offset

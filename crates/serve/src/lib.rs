@@ -5,7 +5,7 @@
 //! of a one-shot CLI, the way Optimus and DIP treat their schedulers as
 //! long-lived system components. A [`daemon::ServeHandle`] accepts
 //! plan / replan / simulate requests over the workspace's shared
-//! length-prefix frame codec ([`dt_preprocess::frame`]), executes them on
+//! length-prefix frame codec ([`dt_simengine::frame`]), executes them on
 //! a fixed worker pool, and shares one cross-request warm-plan store
 //! ([`store::PlanStore`]) keyed by spec fingerprint — repeat and replan
 //! traffic skips profiling and cost-table building entirely and seeds the

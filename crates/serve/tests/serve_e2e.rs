@@ -5,7 +5,7 @@
 //! without interference.
 
 use dt_check::gen::corrupt_wire_stream;
-use dt_preprocess::frame::{read_json, write_frame, write_json};
+use dt_simengine::frame::{read_json, write_frame, write_json};
 use dt_serve::api::{ServeError, ServeReply, ServeRequest, SpecDesc};
 use dt_serve::client::{Client, RetryPolicy};
 use dt_serve::daemon::{ServeConfig, ServeHandle};

@@ -1,9 +1,11 @@
 //! The shared length-prefix frame codec.
 //!
 //! One implementation of the workspace's wire framing, used by both
-//! halves of the data plane (`crate::wire`, the §5.1 producer/consumer
-//! protocol) and by the `dt-serve` planner daemon's request/response
-//! protocol. Classic length-delimited framing, implemented synchronously:
+//! halves of the preprocessing data plane (`dt-preprocess`'s `wire`, the
+//! §5.1 producer/consumer protocol) and by the `dt-serve` planner daemon's
+//! request/response protocol. It lives here, beside the [`Json`] value and
+//! the [`TraceContext`] it carries, so the daemon frames its requests
+//! without linking the data plane. Classic length-delimited framing, implemented synchronously:
 //! every frame is a 4-byte little-endian length followed by that many
 //! payload bytes. Control messages are JSON (small, debuggable); bulk
 //! byte payloads travel as separate raw frames so they are never
@@ -39,8 +41,8 @@
 //!   uses for corrupt headers — a graceful, never-panicking close, which
 //!   is the most an extension an old peer cannot understand can offer.
 
-use dt_simengine::json::Json;
-use dt_simengine::trace::{TraceContext, TRACE_CONTEXT_LEN};
+use crate::json::Json;
+use crate::trace::{TraceContext, TRACE_CONTEXT_LEN};
 use std::io::{self, IoSlice, Read, Write};
 
 /// Frames larger than this are rejected as protocol corruption.
@@ -169,14 +171,12 @@ pub fn write_frame_ctx(
 /// stream that ends mid-context — fails with a typed `InvalidData` /
 /// `UnexpectedEof`, never a panic, and never an eager allocation from the
 /// untrusted header.
-pub fn read_frame_ctx(r: &mut impl Read) -> io::Result<(Option<TraceContext>, Vec<u8>)> {
-    read_frame_ctx_max(r, MAX_FRAME)
-}
-
-/// [`read_frame_ctx`] with a caller-chosen cap: a length word claiming
-/// more than `max` bytes (trace context included) is `InvalidData` before
-/// any payload byte is read. Request readers pass [`MAX_CONTROL_FRAME`].
-pub fn read_frame_ctx_max(
+///
+/// A length word claiming more than `max` bytes (trace context included,
+/// and never more than [`MAX_FRAME`]) is `InvalidData` before any payload
+/// byte is read. Bulk readers pass [`MAX_FRAME`]; request readers pass
+/// [`MAX_CONTROL_FRAME`].
+pub fn read_frame_ctx(
     r: &mut impl Read,
     max: u32,
 ) -> io::Result<(Option<TraceContext>, Vec<u8>)> {
@@ -199,17 +199,6 @@ pub fn read_frame_ctx_max(
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "invalid trace context"))?;
     let payload = read_payload(r, len as usize - TRACE_CONTEXT_LEN)?;
     Ok((Some(ctx), payload))
-}
-
-/// Write every byte of `parts` as one logical stream via vectored I/O,
-/// handling partial writes. The slices are never copied into a staging
-/// buffer — the kernel gathers them directly (`writev`), which is what
-/// lets the producer ship a header frame plus a multi-chunk payload frame
-/// without ever materializing their concatenation.
-pub fn write_vectored_all(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
-    let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
-    write_all_slices(w, &mut slices)?;
-    w.flush()
 }
 
 /// Coalesce one response — a JSON header frame plus a raw payload frame
@@ -274,18 +263,13 @@ pub fn write_json_ctx<T: WireJson>(
 }
 
 /// Read a JSON control message from one frame that may carry a trace
-/// context.
-pub fn read_json_ctx<T: WireJson>(r: &mut impl Read) -> io::Result<(Option<TraceContext>, T)> {
-    read_json_ctx_max(r, MAX_FRAME)
-}
-
-/// [`read_json_ctx`] through the capped [`read_frame_ctx_max`]: how both
-/// network planes read their requests (`max` = [`MAX_CONTROL_FRAME`]).
-pub fn read_json_ctx_max<T: WireJson>(
+/// context, capped at `max` bytes as in [`read_frame_ctx`]: both network
+/// planes read their requests with `max` = [`MAX_CONTROL_FRAME`].
+pub fn read_json_ctx<T: WireJson>(
     r: &mut impl Read,
     max: u32,
 ) -> io::Result<(Option<TraceContext>, T)> {
-    let (ctx, payload) = read_frame_ctx_max(r, max)?;
+    let (ctx, payload) = read_frame_ctx(r, max)?;
     Ok((ctx, decode_json(&payload)?))
 }
 
@@ -402,8 +386,10 @@ mod tests {
         let parts: [&[u8]; 4] = [b"alpha", b"", b"beta", b"gamma!"];
         for limit in [1usize, 2, 3, 7, 100] {
             let mut w = Dribble { out: Vec::new(), limit };
-            write_vectored_all(&mut w, &parts).unwrap();
-            assert_eq!(w.out, b"alphabetagamma!", "limit {limit}");
+            write_batch_frames(&mut w, b"hdr", &parts).unwrap();
+            let mut cur = Cursor::new(w.out);
+            assert_eq!(read_frame(&mut cur).unwrap(), b"hdr", "limit {limit}");
+            assert_eq!(read_frame(&mut cur).unwrap(), b"alphabetagamma!", "limit {limit}");
         }
     }
 
@@ -455,14 +441,14 @@ mod tests {
         // length word: an uncapped read would wait for the body.
         for flag in [0, TRACE_FLAG] {
             let buf = ((MAX_CONTROL_FRAME + 1) | flag).to_le_bytes();
-            let err = read_frame_ctx_max(&mut Cursor::new(&buf), MAX_CONTROL_FRAME).unwrap_err();
+            let err = read_frame_ctx(&mut Cursor::new(&buf), MAX_CONTROL_FRAME).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
         let mut buf = Vec::new();
         write_frame_ctx(&mut buf, Some(&ctx()), &[7u8; 100]).unwrap();
-        let (got, payload) = read_frame_ctx_max(&mut Cursor::new(&buf), 116).unwrap();
+        let (got, payload) = read_frame_ctx(&mut Cursor::new(&buf), 116).unwrap();
         assert_eq!((got, payload.len()), (Some(ctx()), 100), "the cap counts the context");
-        let err = read_frame_ctx_max(&mut Cursor::new(&buf), 115).unwrap_err();
+        let err = read_frame_ctx(&mut Cursor::new(&buf), 115).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -476,7 +462,7 @@ mod tests {
         // traced writer → traced reader: context round-trips.
         let mut buf = Vec::new();
         write_frame_ctx(&mut buf, Some(&ctx()), b"payload").unwrap();
-        let (got, payload) = read_frame_ctx(&mut Cursor::new(&buf)).unwrap();
+        let (got, payload) = read_frame_ctx(&mut Cursor::new(&buf), MAX_FRAME).unwrap();
         assert_eq!(got, Some(ctx()));
         assert_eq!(payload, b"payload");
 
@@ -489,7 +475,7 @@ mod tests {
         assert_eq!(off, classic);
 
         // untraced writer → traced reader: no context, same payload.
-        let (got, payload) = read_frame_ctx(&mut Cursor::new(&classic)).unwrap();
+        let (got, payload) = read_frame_ctx(&mut Cursor::new(&classic), MAX_FRAME).unwrap();
         assert_eq!(got, None);
         assert_eq!(payload, b"payload");
 
@@ -506,10 +492,10 @@ mod tests {
         let mut buf = Vec::new();
         write_batch_frames_ctx(&mut buf, Some(&ctx()), header, &chunks).unwrap();
         let mut cur = Cursor::new(&buf);
-        let (got, hdr) = read_frame_ctx(&mut cur).unwrap();
+        let (got, hdr) = read_frame_ctx(&mut cur, MAX_FRAME).unwrap();
         assert_eq!(got, Some(ctx()));
         assert_eq!(hdr, header);
-        let (bulk_ctx, bulk) = read_frame_ctx(&mut cur).unwrap();
+        let (bulk_ctx, bulk) = read_frame_ctx(&mut cur, MAX_FRAME).unwrap();
         assert_eq!(bulk_ctx, None, "bulk frame is never flagged");
         assert_eq!(bulk, b"abcde");
 
@@ -526,25 +512,25 @@ mod tests {
         // Flagged length shorter than a context.
         let mut buf = (8u32 | TRACE_FLAG).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0u8; 8]);
-        let err = read_frame_ctx(&mut Cursor::new(&buf)).unwrap_err();
+        let err = read_frame_ctx(&mut Cursor::new(&buf), MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Flagged length, stream ends mid-context.
         let mut buf = (24u32 | TRACE_FLAG).to_le_bytes().to_vec();
         buf.extend_from_slice(&[1u8; 5]);
-        let err = read_frame_ctx(&mut Cursor::new(&buf)).unwrap_err();
+        let err = read_frame_ctx(&mut Cursor::new(&buf), MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
 
         // All-zero context bytes (invalid trace id 0).
         let mut buf = (16u32 | TRACE_FLAG).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0u8; 16]);
-        let err = read_frame_ctx(&mut Cursor::new(&buf)).unwrap_err();
+        let err = read_frame_ctx(&mut Cursor::new(&buf), MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Flagged and oversized.
         let mut buf = ((MAX_FRAME + 1) | TRACE_FLAG).to_le_bytes().to_vec();
         buf.extend_from_slice(&[0u8; 64]);
-        let err = read_frame_ctx(&mut Cursor::new(&buf)).unwrap_err();
+        let err = read_frame_ctx(&mut Cursor::new(&buf), MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Flagged huge-but-legal length over a stream that ends: the
@@ -552,13 +538,12 @@ mod tests {
         let mut buf = (MAX_FRAME | TRACE_FLAG).to_le_bytes().to_vec();
         buf.extend_from_slice(&ctx().encode());
         buf.extend_from_slice(&[7u8; 100]);
-        let err = read_frame_ctx(&mut Cursor::new(&buf)).unwrap_err();
+        let err = read_frame_ctx(&mut Cursor::new(&buf), MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn json_ctx_round_trips_both_flavours() {
-        use dt_simengine::json::Json;
         #[derive(Debug, PartialEq)]
         struct Msg(u64);
         impl WireJson for Msg {
@@ -573,7 +558,7 @@ mod tests {
         write_json_ctx(&mut buf, Some(&ctx()), &Msg(7)).unwrap();
         write_json_ctx(&mut buf, None, &Msg(9)).unwrap();
         let mut cur = Cursor::new(buf);
-        assert_eq!(read_json_ctx::<Msg>(&mut cur).unwrap(), (Some(ctx()), Msg(7)));
-        assert_eq!(read_json_ctx::<Msg>(&mut cur).unwrap(), (None, Msg(9)));
+        assert_eq!(read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(), (Some(ctx()), Msg(7)));
+        assert_eq!(read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(), (None, Msg(9)));
     }
 }

@@ -18,6 +18,10 @@
 //!   exports Chrome-trace / Perfetto JSON. Zero-cost when disabled.
 //! * [`json`] — the dependency-free JSON value type ([`json::Json`]) behind
 //!   the trace exporter, the wire protocol, and checkpoints.
+//! * [`frame`] — the length-prefix frame codec (JSON control frames, raw
+//!   bulk frames, an optional in-band [`TraceContext`], hostile-length-safe
+//!   reads): the one wire framing shared by the `dt-serve` planner daemon
+//!   and the `dt-preprocess` data plane.
 //! * [`backoff`] — seeded full-jitter exponential backoff and deadline
 //!   accounting ([`BackoffPolicy`], [`Deadline`]): the one retry-pacing
 //!   implementation shared by the `dt-serve` client and the `dt-preprocess`
@@ -29,6 +33,7 @@
 //! `dt-stepccl` implements §6 (StepCCL communication/computation overlap).
 
 pub mod backoff;
+pub mod frame;
 pub mod json;
 pub mod rng;
 pub mod stats;

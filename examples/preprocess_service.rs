@@ -16,10 +16,8 @@
 
 use disttrain::data::{DataConfig, ResolutionMode};
 use disttrain::model::MllmPreset;
-use disttrain::preprocess::{
-    ColocatedFeeder, Consumer, Preprocess, ReorderMode, ReorderPlanner,
-};
-use disttrain::reorder::InterReorderConfig;
+use disttrain::preprocess::{ColocatedFeeder, Consumer, Preprocess};
+use disttrain::reorder::{InterReorderConfig, ReorderMode, ReorderPlanner};
 use std::time::Duration;
 
 fn main() {

@@ -12,7 +12,7 @@
 use disttrain::data::cost::multimodal_size;
 use disttrain::data::{DataConfig, SyntheticLaion, TrainSample};
 use disttrain::model::MllmPreset;
-use disttrain::preprocess::{ReorderMode, ReorderPlanner};
+use disttrain::reorder::{ReorderMode, ReorderPlanner};
 use disttrain::reorder::inter::simulated_makespan;
 use disttrain::reorder::{inter_reorder, max_group_load, InterReorderConfig};
 

@@ -20,6 +20,35 @@ cargo fmt --check -p dt-bench
 cargo fmt --check -p dt-data
 cargo fmt --check -p dt-reorder
 
+echo "==> crate layering (the training core and the planner daemon never link the data plane)"
+# DistTrain disaggregates preprocessing from training (§5.1): only dt-check,
+# dt-bench and the facade may link dt-preprocess. Written to a file first:
+# piping cargo tree into grep -q can SIGPIPE it under pipefail.
+for crate in disttrain-core dt-serve; do
+    cargo tree --offline -q -p "$crate" -e normal --prefix none > "$VERIFY_TMP/tree.txt"
+    if grep -q '^dt-preprocess ' "$VERIFY_TMP/tree.txt"; then
+        echo "$crate links dt-preprocess (cargo tree -p $crate -e normal)" >&2
+        exit 1
+    fi
+done
+
+echo "==> no unused workspace dependency edges"
+# Every dt-*/disttrain-core dependency a crate declares must be named
+# (as its dt_*/disttrain_core identifier) somewhere in that crate's
+# src/, tests/ or benches/. Offline: manifests and sources only.
+UNUSED=""
+for manifest in crates/*/Cargo.toml; do
+    dir="${manifest%/Cargo.toml}"
+    sources=()
+    for sub in src tests benches; do
+        [ -d "$dir/$sub" ] && sources+=("$dir/$sub")
+    done
+    for dep in $(sed -nE 's/^(dt-[a-z]+|disttrain-core)\.workspace = true$/\1/p' "$manifest"); do
+        grep -rqw "${dep//-/_}" "${sources[@]}" || UNUSED="$UNUSED $dir->$dep"
+    done
+done
+[ -z "$UNUSED" ] || { echo "declared but unused dependencies:$UNUSED" >&2; exit 1; }
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -6,7 +6,7 @@
 
 use disttrain::data::{DataConfig, SyntheticLaion, TrainSample};
 use disttrain::model::MllmPreset;
-use disttrain::preprocess::{ReorderMode, ReorderPlanner};
+use disttrain::reorder::{ReorderMode, ReorderPlanner};
 use disttrain::reorder::InterReorderConfig;
 use disttrain::simengine::DetRng;
 

@@ -9,9 +9,8 @@ use disttrain::data::{DataConfig, ResolutionMode};
 use disttrain::model::MllmPreset;
 use disttrain::preprocess::{
     ColocatedFeeder, Consumer, MultiFeeder, Preprocess, PreprocessError, PreprocessHandle,
-    ReorderMode, ReorderPlanner,
 };
-use disttrain::reorder::InterReorderConfig;
+use disttrain::reorder::{InterReorderConfig, ReorderMode, ReorderPlanner};
 use disttrain::simengine::BackoffPolicy;
 use std::collections::HashMap;
 use std::time::Duration;
