@@ -56,8 +56,8 @@ pub mod feeder;
 pub mod service;
 pub mod wire;
 
-// The codec moved to dt-simengine; perfbench, outside the workspace,
-// still imports it as `dt_preprocess::frame`.
+// The codec lives in dt-simengine; perfbench, outside the workspace,
+// still imports it through this alias.
 pub use dt_simengine::frame;
 
 pub use codec::{decompress, patchify, preprocess_sample, resize, synth_compressed, PreprocessedSample};
