@@ -38,7 +38,12 @@ fn module_plan_to_json(p: &ModulePlan) -> Json {
 }
 
 fn module_plan_from_json(value: &Json) -> Result<ModulePlan, String> {
-    let u = |k: &str| value.get(k).and_then(Json::as_u32).ok_or_else(|| format!("bad {k}"));
+    let u = |k: &str| {
+        value
+            .get(k)
+            .and_then(Json::as_u32)
+            .ok_or_else(|| format!("bad {k}"))
+    };
     Ok(ModulePlan {
         tp: u("tp")?,
         dp: u("dp")?,
@@ -75,10 +80,15 @@ impl TrainingState {
     pub fn from_json(value: &Json) -> Result<Self, String> {
         let plan = value.get("plan").ok_or("missing plan")?;
         let module = |k: &str| {
-            plan.get(k).ok_or_else(|| format!("missing plan.{k}")).and_then(module_plan_from_json)
+            plan.get(k)
+                .ok_or_else(|| format!("missing plan.{k}"))
+                .and_then(module_plan_from_json)
         };
         Ok(TrainingState {
-            iteration: value.get("iteration").and_then(Json::as_u32).ok_or("bad iteration")?,
+            iteration: value
+                .get("iteration")
+                .and_then(Json::as_u32)
+                .ok_or("bad iteration")?,
             plan: OrchestrationPlan {
                 encoder: module("encoder")?,
                 backbone: module("backbone")?,
@@ -131,7 +141,9 @@ impl CheckpointManager {
     /// Block until the in-flight save (if any) is durable.
     pub fn wait(&mut self) -> io::Result<()> {
         if let Some(handle) = self.pending.take() {
-            handle.join().map_err(|_| io::Error::other("checkpoint writer panicked"))??;
+            handle
+                .join()
+                .map_err(|_| io::Error::other("checkpoint writer panicked"))??;
         }
         Ok(())
     }
@@ -151,8 +163,9 @@ impl CheckpointManager {
         entries.sort();
         for path in entries.into_iter().rev() {
             if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Ok(state) =
-                    Json::parse(&text).map_err(|e| e.to_string()).and_then(|v| TrainingState::from_json(&v))
+                if let Ok(state) = Json::parse(&text)
+                    .map_err(|e| e.to_string())
+                    .and_then(|v| TrainingState::from_json(&v))
                 {
                     return Ok(Some(state));
                 }
@@ -242,7 +255,10 @@ mod tests {
         mgr.wait().unwrap();
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, 5);
-        assert_eq!(CheckpointManager::recover(&dir).unwrap().unwrap().iteration, 4);
+        assert_eq!(
+            CheckpointManager::recover(&dir).unwrap().unwrap().iteration,
+            4
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

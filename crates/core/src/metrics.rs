@@ -74,7 +74,10 @@ pub struct TrainingReport {
 impl TrainingReport {
     /// Total run time in seconds.
     fn total_secs(&self) -> f64 {
-        self.iterations.iter().map(|i| i.iter_time.as_secs_f64()).sum()
+        self.iterations
+            .iter()
+            .map(|i| i.iter_time.as_secs_f64())
+            .sum()
     }
 
     /// Run-level MFU, time-weighted: total model FLOPs divided by total
@@ -102,7 +105,11 @@ impl TrainingReport {
         if t <= 0.0 {
             return 0.0;
         }
-        self.iterations.iter().map(|i| i.samples as f64).sum::<f64>() / t
+        self.iterations
+            .iter()
+            .map(|i| i.samples as f64)
+            .sum::<f64>()
+            / t
     }
 
     /// Run-level tokens/s: total tokens over total seconds.
@@ -119,7 +126,10 @@ impl TrainingReport {
         if self.iterations.is_empty() {
             return 0.0;
         }
-        self.iterations.iter().map(|i| i.iter_time.as_secs_f64()).sum::<f64>()
+        self.iterations
+            .iter()
+            .map(|i| i.iter_time.as_secs_f64())
+            .sum::<f64>()
             / self.iterations.len() as f64
     }
 
@@ -189,7 +199,10 @@ mod tests {
 
     #[test]
     fn empty_report_is_zero() {
-        let r = TrainingReport { iterations: vec![], peak_flops_per_gpu: 1e12 };
+        let r = TrainingReport {
+            iterations: vec![],
+            peak_flops_per_gpu: 1e12,
+        };
         assert_eq!(r.mfu(), 0.0);
         assert_eq!(r.gpus(), 0);
     }

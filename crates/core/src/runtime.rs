@@ -21,9 +21,11 @@ use dt_data::{DataConfig, GlobalBatch, Microbatch, SyntheticLaion, TrainSample};
 use dt_model::{ModuleKind, MultimodalLlm};
 use dt_orchestrator::PerfModel;
 use dt_parallel::{BrokerLink, OrchestrationPlan};
-use dt_pipeline::{record_pipeline_trace, simulate, PipelineSpec, PipelineTraceOpts, Schedule, Workload};
-use dt_reorder::{InterReorderConfig, ReorderMode, ReorderPlanner};
 use dt_pipeline::record_pipeline_metrics;
+use dt_pipeline::{
+    record_pipeline_trace, simulate, PipelineSpec, PipelineTraceOpts, Schedule, Workload,
+};
+use dt_reorder::{InterReorderConfig, ReorderMode, ReorderPlanner};
 use dt_simengine::trace::{cat, TraceRecorder, TraceSpan};
 use dt_simengine::{SimDuration, SimTime};
 use dt_telemetry::{names, Telemetry};
@@ -129,15 +131,16 @@ impl<'a> Runtime<'a> {
             image_res: 512,
             gen_res: self.data.gen_resolution,
         };
-        let stage_fwd = perf.module_fwd_time(ModuleKind::Backbone, &shape, self.plan.backbone.tp).as_secs_f64()
+        let stage_fwd = perf
+            .module_fwd_time(ModuleKind::Backbone, &shape, self.plan.backbone.tp)
+            .as_secs_f64()
             * m as f64
             / self.plan.backbone.pp as f64;
         let gpu = &self.cluster.node.gpu;
         // Per-rank multimodal service rate: the encoder unit's effective
         // width is shared by all backbone DP ranks.
         let w_me = self.plan.encoder.effective_data_width().max(1) as f64;
-        let secs_per_flop = (dp as f64 / w_me) / (gpu.peak_flops * gpu.max_efficiency)
-            / 3.0; // multimodal_size is fwd+bwd (3× fwd); Alg 2 sizes forwards
+        let secs_per_flop = (dp as f64 / w_me) / (gpu.peak_flops * gpu.max_efficiency) / 3.0; // multimodal_size is fwd+bwd (3× fwd); Alg 2 sizes forwards
         ReorderPlanner {
             model: self.model.clone(),
             dp,
@@ -189,9 +192,15 @@ impl<'a> Runtime<'a> {
 
     /// Build the per-rank pipeline workload (public so figure harnesses
     /// can inspect raw per-stage timelines).
-    pub fn build_workload_for(&self, perf: &PerfModel<'_>, microbatches: &[Microbatch]) -> Workload {
-        let slices: Vec<&[TrainSample]> =
-            microbatches.iter().map(|mb| mb.samples.as_slice()).collect();
+    pub fn build_workload_for(
+        &self,
+        perf: &PerfModel<'_>,
+        microbatches: &[Microbatch],
+    ) -> Workload {
+        let slices: Vec<&[TrainSample]> = microbatches
+            .iter()
+            .map(|mb| mb.samples.as_slice())
+            .collect();
         self.rank_workload(perf, &slices)
     }
 
@@ -237,7 +246,11 @@ impl<'a> Runtime<'a> {
         let stages = pp_me + pp_lm + pp_mg;
         let m = self.plan.microbatch as u64;
         // Boundary tensor of one microbatch at the backbone interface.
-        let boundary = self.model.backbone.boundary_activation_bytes(self.model.seq_len) * m;
+        let boundary = self
+            .model
+            .backbone
+            .boundary_activation_bytes(self.model.seq_len)
+            * m;
         let mut comm = Vec::with_capacity(stages - 1);
         for s in 0..stages - 1 {
             let crossing_enc_bb = s + 1 == pp_me;
@@ -283,7 +296,10 @@ impl<'a> Runtime<'a> {
     pub fn stage_modules(&self) -> Vec<String> {
         let mut v = vec!["encoder".to_string(); self.plan.encoder.pp as usize];
         v.extend(vec!["llm".to_string(); self.plan.backbone.pp as usize]);
-        v.extend(vec!["generator".to_string(); self.plan.generator.pp as usize]);
+        v.extend(vec![
+            "generator".to_string();
+            self.plan.generator.pp as usize
+        ]);
         v
     }
 
@@ -350,7 +366,10 @@ impl<'a> Runtime<'a> {
         let dp = self.plan.backbone.dp;
         let per_rank = batch.split_slices(dp, self.plan.microbatch);
         let comm = self.build_comm_for(&coll);
-        let spec = PipelineSpec { schedule: self.cfg.schedule, comm };
+        let spec = PipelineSpec {
+            schedule: self.cfg.schedule,
+            comm,
+        };
 
         let mut pipeline_time = SimDuration::ZERO;
         let mut bubble_sum = 0.0;
@@ -512,7 +531,10 @@ impl<'a> Runtime<'a> {
             record_iteration_metrics(tel, now, &report, peak, observed);
             iterations.push(report);
         }
-        TrainingReport { iterations, peak_flops_per_gpu: self.cluster.node.gpu.peak_flops }
+        TrainingReport {
+            iterations,
+            peak_flops_per_gpu: self.cluster.node.gpu.peak_flops,
+        }
     }
 }
 
@@ -531,7 +553,9 @@ impl IterationBatches {
     /// The batch of iteration `iteration` (0-based), reordered.
     pub fn get(&self, iteration: u32) -> GlobalBatch {
         let first = u64::from(iteration) * self.size;
-        let samples = (first..first + self.size).map(|id| self.gen.sample_at(id)).collect();
+        let samples = (first..first + self.size)
+            .map(|id| self.gen.sample_at(id))
+            .collect();
         GlobalBatch::new(self.planner.reorder(samples))
     }
 }
@@ -557,15 +581,20 @@ pub fn record_iteration_metrics(
 ) {
     tel.with(|r| {
         let mfu = report.mfu(peak_flops_per_gpu);
-        r.histogram(names::RUNTIME_ITER_TIME_SECONDS, &[]).observe(report.iter_time.as_secs_f64());
-        r.histogram(names::RUNTIME_GRAD_SYNC_SECONDS, &[]).observe(report.grad_sync.as_secs_f64());
+        r.histogram(names::RUNTIME_ITER_TIME_SECONDS, &[])
+            .observe(report.iter_time.as_secs_f64());
+        r.histogram(names::RUNTIME_GRAD_SYNC_SECONDS, &[])
+            .observe(report.grad_sync.as_secs_f64());
         r.histogram(names::RUNTIME_PREPROCESS_STALL_SECONDS, &[])
             .observe(report.preprocess_stall.as_secs_f64());
-        r.histogram(names::RUNTIME_PIPELINE_SECONDS, &[]).observe(report.pipeline_time.as_secs_f64());
+        r.histogram(names::RUNTIME_PIPELINE_SECONDS, &[])
+            .observe(report.pipeline_time.as_secs_f64());
         r.gauge(names::RUNTIME_MFU, &[]).set(mfu);
         r.counter(names::RUNTIME_ITERATIONS_TOTAL, &[]).inc();
-        r.counter(names::RUNTIME_SAMPLES_TOTAL, &[]).add(report.samples as u64);
-        r.counter(names::RUNTIME_TOKENS_TOTAL, &[]).add(report.tokens);
+        r.counter(names::RUNTIME_SAMPLES_TOTAL, &[])
+            .add(report.samples as u64);
+        r.counter(names::RUNTIME_TOKENS_TOTAL, &[])
+            .add(report.tokens);
         let (iter_secs, observed_mfu, stall_secs) = observed;
         r.series(names::SERIES_ITER_TIME, &[]).sample(at, iter_secs);
         r.series(names::SERIES_MFU, &[]).sample(at, observed_mfu);
@@ -650,7 +679,10 @@ mod tests {
         let model = MllmPreset::Mllm9B.build();
         let cluster = ClusterSpec::production(20);
         let rt = bound(&model, &cluster, RuntimeConfig::monolithic(64, 2));
-        assert_eq!(rt.cfg.preprocessing, PreprocessingMode::Colocated { workers: 8 });
+        assert_eq!(
+            rt.cfg.preprocessing,
+            PreprocessingMode::Colocated { workers: 8 }
+        );
         let report = rt.run();
         let coll = CollectiveCost::new(cluster.clone());
         let batches = rt.batches(&rt.perf_model(&coll));
@@ -730,7 +762,10 @@ mod tests {
         };
         let ep1 = run_with_ep(1);
         let ep8 = run_with_ep(8);
-        assert!(ep8.mean_iter_secs() > ep1.mean_iter_secs(), "EP must pay all-to-all time");
+        assert!(
+            ep8.mean_iter_secs() > ep1.mean_iter_secs(),
+            "EP must pay all-to-all time"
+        );
         assert!(
             ep8.mean_iter_secs() < ep1.mean_iter_secs() * 1.5,
             "all-to-all must not dominate: {:.2}s vs {:.2}s",
@@ -759,7 +794,11 @@ mod tests {
         let mut rec = TraceRecorder::enabled();
         let traced = rt.run_traced(&mut rec);
         let plain = rt.run();
-        assert_eq!(traced.mean_iter_secs(), plain.mean_iter_secs(), "tracing must not perturb results");
+        assert_eq!(
+            traced.mean_iter_secs(),
+            plain.mean_iter_secs(),
+            "tracing must not perturb results"
+        );
 
         rec.validate_nesting().expect("spans disjoint per track");
         let dp = rt.plan.backbone.dp as u64;
@@ -783,14 +822,16 @@ mod tests {
         let total_sync: SimDuration = traced.iterations.iter().map(|i| i.grad_sync).sum();
         assert_eq!(rec.category_total(cat::GRAD_SYNC), total_sync * dp);
         // Per-rank stall never exceeds the (max-over-ranks) reported stall.
-        let total_stall: SimDuration =
-            traced.iterations.iter().map(|i| i.preprocess_stall).sum();
+        let total_stall: SimDuration = traced.iterations.iter().map(|i| i.preprocess_stall).sum();
         let max_stall_track = (0..dp)
             .map(|r| rec.track_total(r, stages, Some(cat::STALL)))
             .max()
             .unwrap();
         assert!(max_stall_track <= total_stall);
-        assert!(!max_stall_track.is_zero(), "disaggregated RPC stall is small but nonzero");
+        assert!(
+            !max_stall_track.is_zero(),
+            "disaggregated RPC stall is small but nonzero"
+        );
     }
 
     #[test]

@@ -153,7 +153,10 @@ impl TrainingTask {
     /// Estimated per-boundary pipeline hop (one microbatch's boundary
     /// activations over the cross-node path) — the Eq. 1 correction term.
     pub fn pp_hop_secs(&self) -> f64 {
-        let bytes = self.model.backbone.boundary_activation_bytes(self.model.seq_len)
+        let bytes = self
+            .model
+            .backbone
+            .boundary_activation_bytes(self.model.seq_len)
             * self.microbatch as u64;
         bytes as f64 / self.cluster.cross_node_pair_bw() + self.cluster.inter_node_latency
     }
@@ -211,7 +214,10 @@ impl TrainingTask {
     /// the smallest GPU-seconds footprint (§7.1's resource-efficiency
     /// rule: near-equal throughput with fewer GPUs frees the remainder for
     /// concurrent fine-tuning/inference and maximizes MFU).
-    fn select_by_trial(&self, plans: impl Iterator<Item = OrchestrationPlan>) -> Option<OrchestrationPlan> {
+    fn select_by_trial(
+        &self,
+        plans: impl Iterator<Item = OrchestrationPlan>,
+    ) -> Option<OrchestrationPlan> {
         // Trials run the full data path so their ranking matches the
         // production configuration exactly. Every trial sees the stream's
         // first global batch, so it is drawn once and cloned per plan.
@@ -243,7 +249,10 @@ impl TrainingTask {
     /// would remain.
     pub fn shrunk(&self, lost_nodes: u32) -> Option<TrainingTask> {
         let cluster = self.cluster.without_nodes(lost_nodes)?;
-        Some(TrainingTask { cluster, ..self.clone() })
+        Some(TrainingTask {
+            cluster,
+            ..self.clone()
+        })
     }
 
     /// Build the reusable warm-replan state for this task: profile once
@@ -292,7 +301,10 @@ impl TrainingTask {
     /// Prefer [`TrainingTask::replan_shrunk_warm`] when a
     /// [`ReplanContext`] is available: it skips the re-profiling and
     /// warm-starts the search.
-    pub fn replan_shrunk(&self, old_plan: &OrchestrationPlan) -> Result<OrchestrationPlan, PlanError> {
+    pub fn replan_shrunk(
+        &self,
+        old_plan: &OrchestrationPlan,
+    ) -> Result<OrchestrationPlan, PlanError> {
         let spec = self.problem_spec();
         let profile = self.profile();
         let orch = Orchestrator::builder().spec(spec).build()?;
@@ -334,7 +346,13 @@ impl TrainingTask {
     }
 
     fn runtime(&self, plan: OrchestrationPlan, cfg: RuntimeConfig) -> Runtime<'_> {
-        Runtime { model: &self.model, cluster: &self.cluster, plan, data: self.data.clone(), cfg }
+        Runtime {
+            model: &self.model,
+            cluster: &self.cluster,
+            plan,
+            data: self.data.clone(),
+            cfg,
+        }
     }
 }
 
@@ -345,10 +363,14 @@ impl TrainingSystem {
     /// Compare all three systems on a task; returns
     /// `(kind, report)` pairs for the systems that could be planned.
     pub fn compare(task: &TrainingTask, iterations: u32) -> Vec<(SystemKind, TrainingReport)> {
-        [SystemKind::DistTrain, SystemKind::MegatronLM, SystemKind::DistMMStar]
-            .into_iter()
-            .filter_map(|k| task.run(k, iterations).ok().map(|r| (k, r)))
-            .collect()
+        [
+            SystemKind::DistTrain,
+            SystemKind::MegatronLM,
+            SystemKind::DistMMStar,
+        ]
+        .into_iter()
+        .filter_map(|k| task.run(k, iterations).ok().map(|r| (k, r)))
+        .collect()
     }
 }
 
@@ -370,9 +392,19 @@ mod tests {
     #[test]
     fn all_three_systems_plan_the_ablation() {
         let t = task(MllmPreset::Mllm9B);
-        for kind in [SystemKind::DistTrain, SystemKind::MegatronLM, SystemKind::DistMMStar] {
-            let plan = t.plan(kind).unwrap_or_else(|e| panic!("{kind} failed to plan: {e}"));
-            assert!(plan.total_gpus() <= 96, "{kind} used {} GPUs", plan.total_gpus());
+        for kind in [
+            SystemKind::DistTrain,
+            SystemKind::MegatronLM,
+            SystemKind::DistMMStar,
+        ] {
+            let plan = t
+                .plan(kind)
+                .unwrap_or_else(|e| panic!("{kind} failed to plan: {e}"));
+            assert!(
+                plan.total_gpus() <= 96,
+                "{kind} used {} GPUs",
+                plan.total_gpus()
+            );
         }
     }
 
@@ -396,8 +428,18 @@ mod tests {
         let dt = t.run(SystemKind::DistTrain, 2).unwrap();
         let dm = t.run(SystemKind::DistMMStar, 2).unwrap();
         let mg = t.run(SystemKind::MegatronLM, 2).unwrap();
-        assert!(dt.mfu() >= dm.mfu(), "DistTrain {:.3} vs DistMM* {:.3}", dt.mfu(), dm.mfu());
-        assert!(dm.mfu() > mg.mfu(), "DistMM* {:.3} vs Megatron {:.3}", dm.mfu(), mg.mfu());
+        assert!(
+            dt.mfu() >= dm.mfu(),
+            "DistTrain {:.3} vs DistMM* {:.3}",
+            dt.mfu(),
+            dm.mfu()
+        );
+        assert!(
+            dm.mfu() > mg.mfu(),
+            "DistMM* {:.3} vs Megatron {:.3}",
+            dm.mfu(),
+            mg.mfu()
+        );
     }
 
     #[test]
@@ -409,12 +451,23 @@ mod tests {
         let cfg = t.runtime_config(SystemKind::DistTrain, 1);
         let batch =
             dt_data::SyntheticLaion::new(t.data.clone(), cfg.seed).take(cfg.global_batch as usize);
-        for kind in [SystemKind::DistTrain, SystemKind::MegatronLM, SystemKind::DistMMStar] {
+        for kind in [
+            SystemKind::DistTrain,
+            SystemKind::MegatronLM,
+            SystemKind::DistMMStar,
+        ] {
             let plan = t.plan(kind).expect("ablation task plans");
             let trial = t.runtime(plan, cfg.clone()).run_batch(batch.clone());
             let run = t.run_with_plan(plan, cfg.clone());
-            assert_eq!(format!("{trial:?}"), format!("{:?}", run.iterations[0]), "{kind}");
-            assert_eq!(trial.iter_time.as_secs_f64().to_bits(), run.mean_iter_secs().to_bits());
+            assert_eq!(
+                format!("{trial:?}"),
+                format!("{:?}", run.iterations[0]),
+                "{kind}"
+            );
+            assert_eq!(
+                trial.iter_time.as_secs_f64().to_bits(),
+                run.mean_iter_secs().to_bits()
+            );
         }
     }
 
@@ -440,8 +493,7 @@ mod tests {
         let naive = proportional_shrink_plan(&shrunk.problem_spec(), &shrunk.model, &old)
             .expect("naive proportional shrink");
         assert!(replanned.total_gpus() <= shrunk.cluster.total_gpus());
-        let run =
-            |p| shrunk.run_with_plan(p, shrunk.runtime_config(SystemKind::DistTrain, 2));
+        let run = |p| shrunk.run_with_plan(p, shrunk.runtime_config(SystemKind::DistTrain, 2));
         let re = run(replanned);
         let na = run(naive);
         assert!(
@@ -463,7 +515,9 @@ mod tests {
         let mut ctx = t.replan_context();
         let shrunk = t.shrunk(1).unwrap();
         let cold = shrunk.replan_shrunk(&old).expect("cold replan");
-        let warm = shrunk.replan_shrunk_warm(&old, &mut ctx).expect("warm replan");
+        let warm = shrunk
+            .replan_shrunk_warm(&old, &mut ctx)
+            .expect("warm replan");
         assert_eq!(cold, warm);
     }
 
