@@ -1,4 +1,4 @@
-//! Reordering-algorithm costs. Algorithm 1 is `O(n log n + m·n)`;
+//! Reordering-algorithm costs. Algorithm 1 is `O(n log n + n log m)`;
 //! Algorithm 2 is `O(l²)` for its best-fit scans plus `O(l·p)` for the
 //! incremental `GETINTERVAL` probes (`O(l·p²·vpp²)` with VPP). Both run on
 //! the disaggregated CPU nodes, but they must still keep up with

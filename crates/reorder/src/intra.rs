@@ -7,11 +7,54 @@
 //! order is the concatenation of the groups, matching how
 //! `GlobalBatch::split` hands contiguous chunks to DP ranks.
 //!
-//! Complexity: `O(n log n + m·n)` (the paper's bound; the inner argmin is a
-//! linear scan, which for production `m` ≤ a few hundred is faster in
-//! practice than a heap).
+//! Complexity: `O(n log n + n log m)`. The open groups sit in a min-heap
+//! keyed by `(load, group index)`, so each pick is a sift instead of the
+//! paper's `O(m)` argmin scan; at the production shape (`n` = 1920,
+//! `m` = 128) the scan spent most of the pass in that argmin.
 
 use crate::error::ReorderError;
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
+/// One DP group that still has room, ordered so that [`BinaryHeap`] (a
+/// max-heap) yields the least-loaded group first, ties going to the
+/// lowest index — the choice the paper's strict-`<` scan makes.
+struct Open {
+    load: f64,
+    group: usize,
+}
+
+impl Ord for Open {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_f64(other.load, self.load).then(other.group.cmp(&self.group))
+    }
+}
+
+impl PartialOrd for Open {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Open {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Open {}
+
+/// `<`/`>` as an ordering: equal (`0.0` and `-0.0` included) when
+/// neither holds, so it never panics.
+pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
+    if a < b {
+        Ordering::Less
+    } else if a > b {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    }
+}
 
 /// Reorder a batch whose samples have the given `sizes` so that splitting
 /// it into `m` contiguous equal-count chunks yields balanced total size.
@@ -23,7 +66,7 @@ use crate::error::ReorderError;
 /// Mirrors the paper's Algorithm 1 line by line, with one practical
 /// addition: because the trainer splits the batch into *equal-count*
 /// chunks, the greedy must not overfill a group's sample quota
-/// (`n / m`); the argmin therefore skips full groups.
+/// (`n / m`); a group leaves the heap once it is full.
 pub fn intra_reorder_indices(sizes: &[f64], m: usize) -> Result<Vec<usize>, ReorderError> {
     let n = sizes.len();
     if m <= 1 || n == 0 {
@@ -36,28 +79,28 @@ pub fn intra_reorder_indices(sizes: &[f64], m: usize) -> Result<Vec<usize>, Reor
 
     // Line 3: sort in descending order by size.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        sizes[b]
-            .partial_cmp(&sizes[a])
-            .expect("sizes must not be NaN")
-    });
+    order.sort_by(|&a, &b| cmp_f64(sizes[b], sizes[a]));
 
-    // Lines 4–8: greedy assignment to the least-loaded non-full group.
-    let mut groups: Vec<Vec<usize>> = vec![Vec::with_capacity(quota); m];
-    let mut loads = vec![0.0f64; m];
+    // Lines 4–11: greedy assignment to the least-loaded non-full group,
+    // each pick written straight to its slot in the concatenated order.
+    let mut out = vec![0; n];
+    let mut filled = vec![0; m];
+    let mut open: BinaryHeap<Open> = (0..m).map(|group| Open { load: 0.0, group }).collect();
     for idx in order {
-        let mut best = usize::MAX;
-        for g in 0..m {
-            if groups[g].len() < quota && (best == usize::MAX || loads[g] < loads[best]) {
-                best = g;
-            }
+        // The groups hold exactly `n` samples, so one is always open.
+        let Some(mut top) = open.peek_mut() else {
+            break;
+        };
+        let g = top.group;
+        out[g * quota + filled[g]] = idx;
+        filled[g] += 1;
+        if filled[g] == quota {
+            PeekMut::pop(top);
+        } else {
+            top.load += sizes[idx];
         }
-        groups[best].push(idx);
-        loads[best] += sizes[idx];
     }
-
-    // Lines 9–11: concatenate groups back into one order.
-    Ok(groups.concat())
+    Ok(out)
 }
 
 /// The makespan metric Algorithm 1 minimizes: split `sizes` (already in
@@ -92,6 +135,56 @@ pub fn max_group_load(sizes: &[f64], m: usize) -> f64 {
 mod tests {
     use super::*;
     use dt_simengine::DetRng;
+
+    /// The paper's Algorithm 1 as first written: an `O(m)` strict-`<`
+    /// argmin scan over the non-full groups, then a concatenation.
+    fn linear_scan_reference(sizes: &[f64], m: usize) -> Vec<usize> {
+        let n = sizes.len();
+        if m <= 1 || n == 0 {
+            return (0..n).collect();
+        }
+        let quota = n / m;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| sizes[b].partial_cmp(&sizes[a]).unwrap());
+        let mut groups: Vec<Vec<usize>> = vec![Vec::with_capacity(quota); m];
+        let mut loads = vec![0.0f64; m];
+        for idx in order {
+            let mut best = usize::MAX;
+            for g in 0..m {
+                if groups[g].len() < quota && (best == usize::MAX || loads[g] < loads[best]) {
+                    best = g;
+                }
+            }
+            groups[best].push(idx);
+            loads[best] += sizes[idx];
+        }
+        groups.concat()
+    }
+
+    /// The heap picks exactly what the scan picks, ties included: random
+    /// sizes, sizes drawn from a few values (many equal loads), all-zero
+    /// sizes, one sample per group (`m = n`) and one group (`m = 1`).
+    #[test]
+    fn heap_matches_the_linear_scan() {
+        for seed in 0u64..300 {
+            let mut rng = DetRng::new(seed);
+            let m = rng.range_usize(1, 40);
+            let per_group = rng.range_usize(1, 12);
+            let n = m * per_group;
+            let random: Vec<f64> = (0..n).map(|_| rng.lognormal(2.0, 1.0)).collect();
+            let tied: Vec<f64> = (0..n).map(|_| rng.range_usize(0, 3) as f64).collect();
+            let cases = [random, tied, vec![0.0; n]];
+            for sizes in &cases {
+                for groups in [m, 1, n] {
+                    assert_eq!(
+                        intra_reorder_indices(sizes, groups).unwrap(),
+                        linear_scan_reference(sizes, groups),
+                        "seed {seed} n={n} m={groups}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn figure_11_example() {
