@@ -16,8 +16,9 @@
 //! 7. report iteration time, MFU, and throughput.
 
 use dt_cluster::{ClusterSpec, CollectiveCost};
-use dt_data::cost::{module_flops_train, PreprocessCostModel};
+use dt_data::cost::{CostRows, PreprocessCostModel};
 use dt_data::{DataConfig, GlobalBatch, Microbatch, SyntheticLaion, TrainSample};
+use dt_model::mllm::SampleShape;
 use dt_model::{ModuleKind, MultimodalLlm};
 use dt_orchestrator::PerfModel;
 use dt_parallel::{BrokerLink, OrchestrationPlan};
@@ -157,39 +158,6 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    /// Per-rank forward time of one module for one microbatch.
-    fn module_mb_fwd(
-        &self,
-        perf: &PerfModel<'_>,
-        module: ModuleKind,
-        mb: &[TrainSample],
-    ) -> SimDuration {
-        let plan = self.plan.module(module);
-        let tp = plan.shard_tp();
-        match module {
-            ModuleKind::Backbone => {
-                // Fixed-length sequences: per-sample time is constant.
-                let per_sample = perf.module_fwd_time(module, &mb[0].shape(), tp);
-                // MoE backbones pay expert-parallel all-to-alls per layer.
-                let a2a = perf.moe_all_to_all_time(self.model.seq_len, plan.ep)
-                    * self.model.backbone.layers as u64;
-                (per_sample + a2a) * mb.len() as u64
-            }
-            _ => {
-                // Heterogeneous: exact per-sample shapes; the unit's
-                // effective width is shared by all backbone ranks, so one
-                // rank sees `width / DP_lm` of its streams.
-                let total: SimDuration = mb
-                    .iter()
-                    .map(|s| perf.module_fwd_time(module, &s.shape(), tp))
-                    .sum();
-                let dp_lm = self.plan.backbone.dp.max(1) as f64;
-                let width = plan.effective_data_width().max(1) as f64;
-                total.mul_f64(dp_lm / width)
-            }
-        }
-    }
-
     /// Build the per-rank pipeline workload (public so figure harnesses
     /// can inspect raw per-stage timelines).
     pub fn build_workload_for(
@@ -197,15 +165,21 @@ impl<'a> Runtime<'a> {
         perf: &PerfModel<'_>,
         microbatches: &[Microbatch],
     ) -> Workload {
-        let slices: Vec<&[TrainSample]> = microbatches
-            .iter()
-            .map(|mb| mb.samples.as_slice())
-            .collect();
-        self.rank_workload(perf, &slices)
+        self.rank_workload(
+            perf,
+            microbatches
+                .iter()
+                .map(|mb| mb.samples.iter().map(TrainSample::shape)),
+        )
     }
 
-    /// [`Runtime::build_workload_for`] over borrowed microbatches.
-    fn rank_workload(&self, perf: &PerfModel<'_>, microbatches: &[&[TrainSample]]) -> Workload {
+    /// One rank's pipeline workload, from the shapes of each microbatch's
+    /// samples.
+    fn rank_workload<M>(&self, perf: &PerfModel<'_>, microbatches: M) -> Workload
+    where
+        M: ExactSizeIterator,
+        M::Item: IntoIterator<Item = SampleShape>,
+    {
         let l = microbatches.len();
         let pp_me = self.plan.encoder.pp as usize;
         let pp_lm = self.plan.backbone.pp as usize;
@@ -213,14 +187,46 @@ impl<'a> Runtime<'a> {
         let stages = pp_me + pp_lm + pp_mg;
         let mut fwd = vec![vec![SimDuration::ZERO; l]; stages];
         let mut bwd = vec![vec![SimDuration::ZERO; l]; stages];
+        let fe = bwd_factor(self.model, ModuleKind::Encoder);
+        let fb = bwd_factor(self.model, ModuleKind::Backbone);
+        let fg = bwd_factor(self.model, ModuleKind::Generator);
 
-        for (i, mb) in microbatches.iter().enumerate() {
-            let enc = self.module_mb_fwd(perf, ModuleKind::Encoder, mb);
-            let bb = self.module_mb_fwd(perf, ModuleKind::Backbone, mb);
-            let gen = self.module_mb_fwd(perf, ModuleKind::Generator, mb);
-            let fe = bwd_factor(self.model, ModuleKind::Encoder);
-            let fb = bwd_factor(self.model, ModuleKind::Backbone);
-            let fg = bwd_factor(self.model, ModuleKind::Generator);
+        let tp = |module| self.plan.module(module).shard_tp();
+        // The multimodal units' effective width is shared by all backbone
+        // ranks, so one rank sees `width / DP_lm` of their streams.
+        let dp_lm = self.plan.backbone.dp.max(1) as f64;
+        let share = |module| dp_lm / self.plan.module(module).effective_data_width().max(1) as f64;
+        // MoE backbones pay expert-parallel all-to-alls per layer.
+        let a2a = perf.moe_all_to_all_time(self.model.seq_len, self.plan.backbone.ep)
+            * self.model.backbone.layers as u64;
+        // Packed sequences share one length: price the backbone once.
+        let mut per_sample_bb: Option<(u64, SimDuration)> = None;
+
+        for (i, mb) in microbatches.enumerate() {
+            // Heterogeneous: exact per-sample shapes.
+            let (mut enc, mut gen) = (SimDuration::ZERO, SimDuration::ZERO);
+            let (mut seq, mut samples) = (None, 0u64);
+            for shape in mb {
+                enc += perf.module_fwd_time(ModuleKind::Encoder, &shape, tp(ModuleKind::Encoder));
+                gen +=
+                    perf.module_fwd_time(ModuleKind::Generator, &shape, tp(ModuleKind::Generator));
+                seq.get_or_insert(shape.seq_len());
+                samples += 1;
+            }
+            let enc = enc.mul_f64(share(ModuleKind::Encoder));
+            let gen = gen.mul_f64(share(ModuleKind::Generator));
+            // Fixed-length sequences: per-sample time is constant.
+            let bb = seq.map_or(SimDuration::ZERO, |seq| {
+                let per_sample = match per_sample_bb {
+                    Some((len, t)) if len == seq => t,
+                    _ => {
+                        let t = perf.backbone_fwd_time(seq, tp(ModuleKind::Backbone));
+                        per_sample_bb = Some((seq, t));
+                        t
+                    }
+                };
+                (per_sample + a2a) * samples
+            });
             for s in 0..pp_me {
                 fwd[s][i] = enc / pp_me as u64;
                 bwd[s][i] = (enc / pp_me as u64).mul_f64(fe);
@@ -274,16 +280,18 @@ impl<'a> Runtime<'a> {
         comm
     }
 
-    fn preprocess_stall(&self, rank_samples: &[&TrainSample], tokens_bytes: u64) -> SimDuration {
+    /// One rank's preprocessing stall, from its samples' pixel counts.
+    fn preprocess_stall(&self, pixels: impl Iterator<Item = u64>) -> SimDuration {
         match self.cfg.preprocessing {
             PreprocessingMode::Colocated { workers } => {
                 // Monolithic: decoding blocks the trainer (§2.3).
-                PreprocessCostModel::default().batch_time(rank_samples.iter().copied(), workers)
+                PreprocessCostModel::default().pixels_batch_time(pixels, workers)
             }
             PreprocessingMode::Disaggregated => {
                 // Only the RPC receive of the prefetched batch remains:
                 // token bytes over the node's NIC share plus a fixed RPC
                 // round trip (§5.1: "reduces to milliseconds").
+                let tokens_bytes: u64 = pixels.map(|p| 3 * p).sum();
                 let bw = self.cluster.node.per_gpu_internode_bw();
                 SimDuration::from_secs_f64(tokens_bytes as f64 / bw) + SimDuration::from_millis(2)
             }
@@ -303,15 +311,21 @@ impl<'a> Runtime<'a> {
         v
     }
 
-    /// One iteration over an already-drawn global batch: reorder it with
+    /// One iteration over an already-priced global batch: order it with
     /// [`Runtime::planner_for`]'s planner, then simulate it. [`Runtime::run`]
     /// with one iteration is exactly this over the stream's first batch, so
-    /// callers that trial many plans on the same batch draw it once.
-    pub(crate) fn run_batch(&self, samples: Vec<TrainSample>) -> IterationReport {
+    /// callers that trial many plans on the same batch price it once.
+    pub(crate) fn run_batch(&self, rows: &CostRows) -> IterationReport {
         let coll = CollectiveCost::new(self.cluster.clone());
         let perf = self.perf_model(&coll);
-        let batch = GlobalBatch::new(self.planner_for(&perf).reorder(samples));
-        self.simulate_iteration(&perf, &batch)
+        let order = self.planner_for(&perf).reorder_indices(rows);
+        self.simulate_rows(
+            &perf,
+            rows,
+            &order,
+            &mut TraceRecorder::disabled(),
+            &Telemetry::disabled(),
+        )
     }
 
     /// The reordered global batch of every iteration, drawn from one
@@ -362,9 +376,32 @@ impl<'a> Runtime<'a> {
         rec: &mut TraceRecorder,
         tel: &Telemetry,
     ) -> IterationReport {
+        let rows = CostRows::new(self.model, &batch.samples);
+        let order: Vec<usize> = (0..rows.len()).collect();
+        self.simulate_rows(perf, &rows, &order, rec, tel)
+    }
+
+    /// [`Runtime::simulate_iteration_telemetry`] over a batch priced into
+    /// `rows`, dispatched in `order` (position `k` trains row `order[k]`).
+    fn simulate_rows(
+        &self,
+        perf: &PerfModel<'_>,
+        rows: &CostRows,
+        order: &[usize],
+        rec: &mut TraceRecorder,
+        tel: &Telemetry,
+    ) -> IterationReport {
         let coll = CollectiveCost::new(self.cluster.clone());
-        let dp = self.plan.backbone.dp;
-        let per_rank = batch.split_slices(dp, self.plan.microbatch);
+        let dp = self.plan.backbone.dp.max(1) as usize;
+        let m = self.plan.microbatch.max(1) as usize;
+        assert!(
+            order.len().is_multiple_of(dp * m),
+            "global batch {} not divisible by dp {} × microbatch {}",
+            order.len(),
+            dp,
+            m
+        );
+        let per_rank = (order.len() / dp).max(1);
         let comm = self.build_comm_for(&coll);
         let spec = PipelineSpec {
             schedule: self.cfg.schedule,
@@ -373,18 +410,21 @@ impl<'a> Runtime<'a> {
 
         let mut pipeline_time = SimDuration::ZERO;
         let mut bubble_sum = 0.0;
+        let mut ranks = 0usize;
         let mut stall = SimDuration::ZERO;
         let mut results = Vec::new();
         let mut stalls = Vec::new();
-        for rank_mbs in &per_rank {
-            let workload = self.rank_workload(perf, rank_mbs);
+        for rank in order.chunks(per_rank) {
+            let workload = self.rank_workload(
+                perf,
+                rank.chunks(m)
+                    .map(|mb| mb.iter().map(|&k| rows.rows[k].shape)),
+            );
             let result = simulate(&spec, &workload);
             pipeline_time = pipeline_time.max(result.makespan);
             bubble_sum += result.mean_bubble_fraction();
-            let rank_samples: Vec<&TrainSample> =
-                rank_mbs.iter().flat_map(|mb| mb.iter()).collect();
-            let token_bytes: u64 = rank_samples.iter().map(|s| 3 * s.total_pixels()).sum();
-            let rank_stall = self.preprocess_stall(&rank_samples, token_bytes);
+            ranks += 1;
+            let rank_stall = self.preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
             stall = stall.max(rank_stall);
             if rec.is_enabled() || tel.is_enabled() {
                 results.push(result);
@@ -446,17 +486,8 @@ impl<'a> Runtime<'a> {
             }
         }
 
-        let model_flops: f64 = batch
-            .samples
-            .iter()
-            .map(|s| {
-                ModuleKind::ALL
-                    .iter()
-                    .map(|&k| module_flops_train(self.model, k, s))
-                    .sum::<f64>()
-            })
-            .sum();
-        let tokens: u64 = batch.samples.iter().map(|s| s.seq_len()).sum();
+        let model_flops: f64 = order.iter().map(|&k| rows.model_flops(k)).sum();
+        let tokens: u64 = rows.rows.iter().map(|r| r.shape.seq_len()).sum();
 
         IterationReport {
             iter_time: pipeline_time + grad_sync + stall,
@@ -464,24 +495,34 @@ impl<'a> Runtime<'a> {
             grad_sync,
             preprocess_stall: stall,
             model_flops,
-            bubble_fraction: bubble_sum / per_rank.len().max(1) as f64,
+            bubble_fraction: bubble_sum / ranks.max(1) as f64,
             gpus: self.plan.total_gpus(),
-            samples: batch.len() as u32,
+            samples: order.len() as u32,
             tokens,
         }
     }
 
-    /// The cost oracle this runtime configuration implies.
+    /// The cost oracle this runtime configuration implies, with the
+    /// encoder's and generator's per-image prices tabled for every
+    /// resolution the data stream's sample shapes use, at this plan's TP.
     pub fn perf_model<'b>(&self, coll: &'b CollectiveCost) -> PerfModel<'b>
     where
         'a: 'b,
     {
-        let perf = PerfModel::new(self.model, &self.cluster.node.gpu, coll);
+        let mut perf = PerfModel::new(self.model, &self.cluster.node.gpu, coll);
         if self.cfg.stepccl {
-            perf.with_stepccl()
-        } else {
-            perf
+            perf = perf.with_stepccl();
         }
+        perf.with_image_prices(
+            ModuleKind::Encoder,
+            &self.data.shape_resolutions(),
+            self.plan.encoder.shard_tp(),
+        )
+        .with_image_prices(
+            ModuleKind::Generator,
+            &[self.data.gen_resolution],
+            self.plan.generator.shard_tp(),
+        )
     }
 
     /// Run the configured number of iterations.
@@ -510,7 +551,8 @@ impl<'a> Runtime<'a> {
         let mut now = SimTime::ZERO;
         let peak = self.cluster.node.gpu.peak_flops;
         for i in 0..self.cfg.iterations {
-            let report = self.simulate_iteration_telemetry(&perf, &batches.get(i), rec, tel);
+            let (rows, order) = batches.priced(i);
+            let report = self.simulate_rows(&perf, &rows, &order, rec, tel);
             if rec.is_enabled() {
                 rec.record(TraceSpan::new(
                     format!("iteration {i}"),
@@ -550,13 +592,24 @@ pub struct IterationBatches {
 }
 
 impl IterationBatches {
+    /// The samples of iteration `iteration`, in stream order.
+    fn draw(&self, iteration: u32) -> impl Iterator<Item = TrainSample> + '_ {
+        let first = u64::from(iteration) * self.size;
+        (first..first + self.size).map(|id| self.gen.sample_at(id))
+    }
+
     /// The batch of iteration `iteration` (0-based), reordered.
     pub fn get(&self, iteration: u32) -> GlobalBatch {
-        let first = u64::from(iteration) * self.size;
-        let samples = (first..first + self.size)
-            .map(|id| self.gen.sample_at(id))
-            .collect();
-        GlobalBatch::new(self.planner.reorder(samples))
+        GlobalBatch::new(self.planner.reorder(self.draw(iteration).collect()))
+    }
+
+    /// The batch of iteration `iteration` priced into cost rows, in
+    /// stream order, with the order the planner dispatches them in: what
+    /// [`IterationBatches::get`] returns, without moving a sample.
+    fn priced(&self, iteration: u32) -> (CostRows, Vec<usize>) {
+        let rows = CostRows::new(&self.planner.model, self.draw(iteration));
+        let order = self.planner.reorder_indices(&rows);
+        (rows, order)
     }
 }
 
@@ -854,6 +907,119 @@ mod tests {
             rt.stage_modules(),
             ["encoder", "encoder", "llm", "llm", "llm", "generator"]
         );
+    }
+
+    /// The per-rank workload as it was built before cost rows: every
+    /// sample's `module_fwd_time` from an untabled oracle.
+    fn per_shape_workload(rt: &Runtime<'_>, perf: &PerfModel<'_>, mbs: &[Microbatch]) -> Workload {
+        let (pp_me, pp_lm, pp_mg) = (
+            rt.plan.encoder.pp as usize,
+            rt.plan.backbone.pp as usize,
+            rt.plan.generator.pp as usize,
+        );
+        let stages = pp_me + pp_lm + pp_mg;
+        let mut fwd = vec![vec![SimDuration::ZERO; mbs.len()]; stages];
+        let mut bwd = fwd.clone();
+        let module_time = |module, mb: &Microbatch| -> SimDuration {
+            let plan = rt.plan.module(module);
+            let tp = plan.shard_tp();
+            if module == ModuleKind::Backbone {
+                let per_sample = perf.module_fwd_time(module, &mb.samples[0].shape(), tp);
+                let a2a = perf.moe_all_to_all_time(rt.model.seq_len, plan.ep)
+                    * rt.model.backbone.layers as u64;
+                return (per_sample + a2a) * mb.len() as u64;
+            }
+            let total: SimDuration = mb
+                .samples
+                .iter()
+                .map(|s| perf.module_fwd_time(module, &s.shape(), tp))
+                .sum();
+            let width = plan.effective_data_width().max(1) as f64;
+            total.mul_f64(rt.plan.backbone.dp.max(1) as f64 / width)
+        };
+        let spans = [(0, pp_me), (pp_me, pp_lm), (pp_me + pp_lm, pp_mg)];
+        for (i, mb) in mbs.iter().enumerate() {
+            for (module, (first, n)) in ModuleKind::ALL.into_iter().zip(spans) {
+                let t = module_time(module, mb);
+                for s in first..first + n {
+                    fwd[s][i] = t / n as u64;
+                    bwd[s][i] = (t / n as u64).mul_f64(bwd_factor(rt.model, module));
+                }
+            }
+        }
+        Workload { fwd, bwd }
+    }
+
+    /// The workloads read from a batch's cost rows (inside an iteration)
+    /// and from `build_workload_for` (tabled prices) equal the per-shape
+    /// `module_fwd_time` workload, for PP splits, TP-replicated units,
+    /// frozen modules, Megatron's overlap setting and both data modes.
+    #[test]
+    fn row_built_workloads_match_per_shape_pricing() {
+        let cluster = ClusterSpec::production(20);
+        let plans = [
+            OrchestrationPlan {
+                encoder: ModulePlan::new(1, 8, 1),
+                backbone: ModulePlan::new(8, 8, 2),
+                generator: ModulePlan::new(1, 8, 1),
+                microbatch: 1,
+            },
+            OrchestrationPlan {
+                encoder: ModulePlan::replicated(2, 4, 2),
+                backbone: ModulePlan::new(4, 4, 3),
+                generator: ModulePlan::new(2, 4, 2),
+                microbatch: 2,
+            },
+        ];
+        let models = [
+            MllmPreset::Mllm9B.build(),
+            MultimodalLlm::preset(MllmPreset::Mllm72B, FreezeConfig::encoder_only()),
+        ];
+        for model in &models {
+            for plan in plans {
+                for (data, cfg) in [
+                    (
+                        DataConfig::evaluation(model.gen_resolution),
+                        RuntimeConfig::disttrain(32, 1),
+                    ),
+                    (
+                        DataConfig::characterization(),
+                        RuntimeConfig::monolithic(32, 1),
+                    ),
+                ] {
+                    let rt = Runtime {
+                        model,
+                        cluster: &cluster,
+                        plan,
+                        data: data.clone(),
+                        cfg,
+                    };
+                    let coll = CollectiveCost::new(cluster.clone());
+                    let tabled = rt.perf_model(&coll);
+                    let mut untabled = PerfModel::new(model, &cluster.node.gpu, &coll);
+                    untabled.tp_overlap = tabled.tp_overlap;
+                    let batch = GlobalBatch::new(SyntheticLaion::new(data, 5).take(32));
+                    let rows = CostRows::new(model, &batch.samples);
+                    let order: Vec<usize> = (0..rows.len()).collect();
+                    let m = plan.microbatch as usize;
+                    let per_rank = rows.len() / plan.backbone.dp as usize;
+                    let split = batch.split(plan.backbone.dp, plan.microbatch);
+                    for (rank, mbs) in order.chunks(per_rank).zip(&split) {
+                        let reference = per_shape_workload(&rt, &untabled, mbs);
+                        let from_rows = rt.rank_workload(
+                            &tabled,
+                            rank.chunks(m)
+                                .map(|mb| mb.iter().map(|&k| rows.rows[k].shape)),
+                        );
+                        let called = rt.build_workload_for(&tabled, mbs);
+                        let parts = |w: Workload| (w.fwd, w.bwd);
+                        let reference = parts(reference);
+                        assert_eq!(parts(from_rows), reference, "{} {plan:?}", model.name);
+                        assert_eq!(parts(called), reference, "{} {plan:?}", model.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::metrics::TrainingReport;
 use crate::runtime::{Runtime, RuntimeConfig};
 use dt_cluster::{ClusterSpec, CollectiveCost};
+use dt_data::cost::CostRows;
 use dt_data::DataConfig;
 use dt_model::MultimodalLlm;
 use dt_orchestrator::baselines::{distmm_star_plan, megatron_plan, proportional_shrink_plan};
@@ -220,13 +221,13 @@ impl TrainingTask {
     ) -> Option<OrchestrationPlan> {
         // Trials run the full data path so their ranking matches the
         // production configuration exactly. Every trial sees the stream's
-        // first global batch, so it is drawn once and cloned per plan.
+        // first global batch, so it is drawn and priced once and every
+        // plan reads the same rows.
         let cfg = self.runtime_config(SystemKind::DistTrain, 1);
-        let batch = dt_data::SyntheticLaion::new(self.data.clone(), cfg.seed)
-            .take(cfg.global_batch as usize);
+        let rows = self.first_batch_rows(&cfg);
         let mut trials: Vec<(f64, u32, OrchestrationPlan)> = Vec::new();
         for plan in plans {
-            let report = self.runtime(plan, cfg.clone()).run_batch(batch.clone());
+            let report = self.runtime(plan, cfg.clone()).run_batch(&rows);
             trials.push((report.iter_time.as_secs_f64(), plan.total_gpus(), plan));
         }
         let best = trials
@@ -242,6 +243,15 @@ impl TrainingTask {
                 ka.partial_cmp(&kb).expect("finite")
             })
             .map(|(_, _, plan)| plan)
+    }
+
+    /// The stream's first global batch under `cfg`, priced into cost rows.
+    fn first_batch_rows(&self, cfg: &RuntimeConfig) -> CostRows {
+        let stream = dt_data::SyntheticLaion::new(self.data.clone(), cfg.seed);
+        CostRows::new(
+            &self.model,
+            (0..u64::from(cfg.global_batch)).map(|id| stream.sample_at(id)),
+        )
     }
 
     /// The same task on a cluster that has lost `lost_nodes` whole nodes
@@ -444,11 +454,13 @@ mod tests {
 
     #[test]
     fn trials_on_a_shared_batch_match_one_iteration_runs() {
-        // `select_by_trial` draws the first global batch once and hands a
-        // clone to every candidate; each trial must be bit-identical to a
-        // one-iteration `Runtime::run` of that plan.
+        // `select_by_trial` prices the first global batch once and hands
+        // the rows to every candidate; each trial must be bit-identical to
+        // a one-iteration `Runtime::run` of that plan, and to reordering
+        // the samples themselves and simulating the reordered batch.
         let t = task(MllmPreset::Mllm9B);
         let cfg = t.runtime_config(SystemKind::DistTrain, 1);
+        let rows = t.first_batch_rows(&cfg);
         let batch =
             dt_data::SyntheticLaion::new(t.data.clone(), cfg.seed).take(cfg.global_batch as usize);
         for kind in [
@@ -457,13 +469,19 @@ mod tests {
             SystemKind::DistMMStar,
         ] {
             let plan = t.plan(kind).expect("ablation task plans");
-            let trial = t.runtime(plan, cfg.clone()).run_batch(batch.clone());
+            let runtime = t.runtime(plan, cfg.clone());
+            let trial = runtime.run_batch(&rows);
             let run = t.run_with_plan(plan, cfg.clone());
             assert_eq!(
                 format!("{trial:?}"),
                 format!("{:?}", run.iterations[0]),
                 "{kind}"
             );
+            let coll = CollectiveCost::new(t.cluster.clone());
+            let perf = runtime.perf_model(&coll);
+            let reordered = runtime.planner_for(&perf).reorder(batch.clone());
+            let stepped = runtime.simulate_iteration(&perf, &dt_data::GlobalBatch::new(reordered));
+            assert_eq!(format!("{trial:?}"), format!("{stepped:?}"), "{kind}");
             assert_eq!(
                 trial.iter_time.as_secs_f64().to_bits(),
                 run.mean_iter_secs().to_bits()

@@ -8,10 +8,19 @@
 //! * **CPU preprocessing time** — the decode + resize + patchify work §2.3
 //!   measures ("preprocessing such samples can take several seconds"),
 //!   modeled as throughput constants calibrated to that observation.
+//!
+//! The free functions price one sample. A batch is priced once into
+//! [`CostRows`]: one [`CostRow`] per sample, built from per-resolution
+//! price tables, so each image resolution is priced once per batch
+//! instead of once per image per consumer. Every per-batch consumer —
+//! Algorithm 1 and 2's sizes, the per-rank pipeline workload, the MFU
+//! FLOPs sum and the preprocessing stall — reads the rows.
 
 use crate::dataset::TrainSample;
-use dt_model::{ModuleKind, MultimodalLlm};
+use dt_model::mllm::SampleShape;
+use dt_model::{FreezeConfig, ModuleKind, MultimodalLlm};
 use dt_simengine::SimDuration;
+use std::borrow::Borrow;
 
 /// Exact forward FLOPs of `module` for `sample` under `model`, walking the
 /// per-image resolution list.
@@ -25,30 +34,44 @@ pub fn module_flops_forward(
             let images: f64 = sample
                 .image_resolutions
                 .iter()
-                .map(|&r| model.encoder.flops_forward_image(r))
+                .map(|&r| model.image_flops_forward(module, r))
                 .sum();
             images + model.input_projector.flops_forward(sample.image_tokens())
         }
         ModuleKind::Backbone => model.backbone.flops_forward(sample.seq_len()),
         ModuleKind::Generator => {
-            let per_image = model.generator.flops_forward_image(sample.gen_resolution)
-                + model.generator.vae_encode_flops(sample.gen_resolution);
-            let images: f64 = per_image * f64::from(sample.gen_images);
-            let cond_tokens = u64::from(sample.gen_images) * model.generator.context_len;
-            images + model.output_projector.flops_forward(cond_tokens)
+            let per_image = model.image_flops_forward(module, sample.gen_resolution);
+            generator_flops(model, per_image, sample.gen_images)
         }
+    }
+}
+
+/// Generator forward FLOPs of `gen_images` targets at `per_image` FLOPs
+/// each, plus the output projector's conditioning tokens.
+fn generator_flops(model: &MultimodalLlm, per_image: f64, gen_images: u32) -> f64 {
+    let images: f64 = per_image * f64::from(gen_images);
+    let cond_tokens = u64::from(gen_images) * model.generator.context_len;
+    images + model.output_projector.flops_forward(cond_tokens)
+}
+
+/// Training FLOPs from forward FLOPs: forward only when `module` is
+/// frozen, forward + backward (3×) otherwise.
+fn train_flops(freeze: FreezeConfig, module: ModuleKind, fwd: f64) -> f64 {
+    if freeze.is_frozen(module) {
+        fwd
+    } else {
+        3.0 * fwd
     }
 }
 
 /// Training (fwd+bwd, or fwd-only when frozen) FLOPs of `module` for
 /// `sample`.
 pub fn module_flops_train(model: &MultimodalLlm, module: ModuleKind, sample: &TrainSample) -> f64 {
-    let fwd = module_flops_forward(model, module, sample);
-    if model.freeze.is_frozen(module) {
-        fwd
-    } else {
-        3.0 * fwd
-    }
+    train_flops(
+        model.freeze,
+        module,
+        module_flops_forward(model, module, sample),
+    )
 }
 
 /// The `d.size` metric Algorithm 1 partitions on: the sample's total
@@ -58,6 +81,138 @@ pub fn module_flops_train(model: &MultimodalLlm, module: ModuleKind, sample: &Tr
 pub fn multimodal_size(model: &MultimodalLlm, sample: &TrainSample) -> f64 {
     module_flops_train(model, ModuleKind::Encoder, sample)
         + module_flops_train(model, ModuleKind::Generator, sample)
+}
+
+/// One module's per-image forward FLOPs, priced once per resolution. A
+/// batch holds few resolutions (the §2.3 palette has five, the §7 setting
+/// one), so lookup is a scan of a short list, not a hash.
+struct PriceTable {
+    module: ModuleKind,
+    /// `(resolution, forward FLOPs of one image)`, in first-seen order.
+    prices: Vec<(u32, f64)>,
+}
+
+impl PriceTable {
+    fn new(module: ModuleKind) -> Self {
+        PriceTable {
+            module,
+            prices: Vec::new(),
+        }
+    }
+
+    /// Forward FLOPs of one `res × res` image, priced on first sight.
+    fn image_flops(&mut self, model: &MultimodalLlm, res: u32) -> f64 {
+        if let Some(&(_, flops)) = self.prices.iter().find(|&&(r, _)| r == res) {
+            return flops;
+        }
+        let flops = model.image_flops_forward(self.module, res);
+        self.prices.push((res, flops));
+        flops
+    }
+}
+
+/// One sample's costs, as the per-batch consumers read them. FLOPs are
+/// forward FLOPs; [`CostRows`] applies the freeze configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostRow {
+    /// Encoder forward FLOPs (every image at its own resolution, plus the
+    /// input projector).
+    pub enc_flops: f64,
+    /// Backbone forward FLOPs.
+    pub backbone_flops: f64,
+    /// Generator forward FLOPs (targets, plus the output projector).
+    pub gen_flops: f64,
+    /// Pixels across the sample's images (the preprocessing work unit).
+    pub pixels: u64,
+    /// The sample's [`TrainSample::shape`], which prices its forward
+    /// times under a plan.
+    pub shape: SampleShape,
+}
+
+/// One batch priced once: a [`CostRow`] per sample, in input order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostRows {
+    /// One row per sample.
+    pub rows: Vec<CostRow>,
+    freeze: FreezeConfig,
+}
+
+impl CostRows {
+    /// Price `samples` under `model`, each image resolution once. The
+    /// sums run in the free functions' order, so every column is
+    /// bit-identical to them.
+    pub fn new(
+        model: &MultimodalLlm,
+        samples: impl IntoIterator<Item = impl Borrow<TrainSample>>,
+    ) -> Self {
+        let mut encoder = PriceTable::new(ModuleKind::Encoder);
+        let mut generator = PriceTable::new(ModuleKind::Generator);
+        // Packed sequences share one length: price the backbone once.
+        let mut backbone: Option<(u64, f64)> = None;
+        let rows = samples
+            .into_iter()
+            .map(|s| {
+                let s = s.borrow();
+                let images: f64 = s
+                    .image_resolutions
+                    .iter()
+                    .map(|&r| encoder.image_flops(model, r))
+                    .sum();
+                let shape = s.shape();
+                let seq = shape.seq_len();
+                let backbone_flops = match backbone {
+                    Some((len, flops)) if len == seq => flops,
+                    _ => {
+                        let flops = model.backbone.flops_forward(seq);
+                        backbone = Some((seq, flops));
+                        flops
+                    }
+                };
+                let per_target = generator.image_flops(model, s.gen_resolution);
+                CostRow {
+                    enc_flops: images + model.input_projector.flops_forward(shape.image_tokens),
+                    backbone_flops,
+                    gen_flops: generator_flops(model, per_target, s.gen_images),
+                    pixels: s.total_pixels(),
+                    shape,
+                }
+            })
+            .collect();
+        CostRows {
+            rows,
+            freeze: model.freeze,
+        }
+    }
+
+    /// Rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` when no sample was priced.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// [`multimodal_size`] of every sample, in row order.
+    pub fn multimodal_sizes(&self) -> Vec<f64> {
+        self.rows
+            .iter()
+            .map(|r| {
+                train_flops(self.freeze, ModuleKind::Encoder, r.enc_flops)
+                    + train_flops(self.freeze, ModuleKind::Generator, r.gen_flops)
+            })
+            .collect()
+    }
+
+    /// Model FLOPs of sample `i` for MFU accounting: the sum of
+    /// [`module_flops_train`] over the three modules.
+    pub fn model_flops(&self, i: usize) -> f64 {
+        let r = &self.rows[i];
+        train_flops(self.freeze, ModuleKind::Encoder, r.enc_flops)
+            + train_flops(self.freeze, ModuleKind::Backbone, r.backbone_flops)
+            + train_flops(self.freeze, ModuleKind::Generator, r.gen_flops)
+    }
 }
 
 /// CPU preprocessing throughput model.
@@ -88,10 +243,15 @@ impl Default for PreprocessCostModel {
 impl PreprocessCostModel {
     /// Single-worker CPU time to preprocess one sample.
     pub fn sample_time(&self, sample: &TrainSample) -> SimDuration {
-        let decompressed_bytes = 3.0 * sample.total_pixels() as f64;
+        self.pixels_time(sample.total_pixels())
+    }
+
+    /// Single-worker CPU time to preprocess a sample of `pixels` pixels.
+    pub fn pixels_time(&self, pixels: u64) -> SimDuration {
+        let decompressed_bytes = 3.0 * pixels as f64;
         let secs = decompressed_bytes / self.decode_bytes_per_sec
-            + sample.total_pixels() as f64 / self.resize_pixels_per_sec
-            + sample.total_pixels() as f64 / self.patchify_pixels_per_sec;
+            + pixels as f64 / self.resize_pixels_per_sec
+            + pixels as f64 / self.patchify_pixels_per_sec;
         SimDuration::from_secs_f64(secs)
     }
 
@@ -103,7 +263,16 @@ impl PreprocessCostModel {
         samples: impl IntoIterator<Item = &'a TrainSample>,
         workers: u32,
     ) -> SimDuration {
-        let (total, longest) = samples.into_iter().map(|s| self.sample_time(s)).fold(
+        self.pixels_batch_time(samples.into_iter().map(TrainSample::total_pixels), workers)
+    }
+
+    /// [`PreprocessCostModel::batch_time`] over the samples' pixel counts.
+    pub fn pixels_batch_time(
+        &self,
+        pixels: impl IntoIterator<Item = u64>,
+        workers: u32,
+    ) -> SimDuration {
+        let (total, longest) = pixels.into_iter().map(|p| self.pixels_time(p)).fold(
             (SimDuration::ZERO, SimDuration::ZERO),
             |(total, longest), t| (total + t, longest.max(t)),
         );
@@ -116,7 +285,7 @@ mod tests {
     use super::*;
     use crate::config::DataConfig;
     use crate::dataset::SyntheticLaion;
-    use dt_model::MllmPreset;
+    use dt_model::{MllmPreset, MultimodalLlm};
 
     fn sample_with(res: u32, n: usize) -> TrainSample {
         TrainSample {
@@ -148,6 +317,19 @@ mod tests {
     }
 
     #[test]
+    fn pixel_times_match_sample_times() {
+        let m = PreprocessCostModel::default();
+        let samples: Vec<TrainSample> = (1..6).map(|n| sample_with(256 * n as u32, n)).collect();
+        for s in &samples {
+            assert_eq!(m.pixels_time(s.total_pixels()), m.sample_time(s));
+        }
+        assert_eq!(
+            m.pixels_batch_time(samples.iter().map(TrainSample::total_pixels), 3),
+            m.batch_time(&samples, 3)
+        );
+    }
+
+    #[test]
     fn workers_divide_batch_time_until_longest_sample_binds() {
         let m = PreprocessCostModel::default();
         let samples = vec![sample_with(512, 2); 8];
@@ -169,6 +351,56 @@ mod tests {
         let exact = module_flops_forward(&model, ModuleKind::Encoder, &s);
         let approx = model.module_flops_forward(ModuleKind::Encoder, &s.shape());
         assert!((exact / approx - 1.0).abs() < 1e-9);
+    }
+
+    /// The rows read the per-resolution tables, the free functions walk
+    /// every image: both must give the same bits, for every preset, both
+    /// resolution modes and every freeze configuration.
+    #[test]
+    fn cost_rows_match_the_free_functions_bit_for_bit() {
+        use dt_model::FreezeConfig;
+        let freezes = [
+            FreezeConfig::none(),
+            FreezeConfig::all_frozen(),
+            FreezeConfig::encoder_only(),
+            FreezeConfig::llm_only(),
+            FreezeConfig::generator_only(),
+        ];
+        for preset in MllmPreset::ALL {
+            for freeze in freezes {
+                let model = MultimodalLlm::preset(preset, freeze);
+                for data in [
+                    DataConfig::evaluation(model.gen_resolution),
+                    DataConfig::characterization(),
+                ] {
+                    let mut samples = SyntheticLaion::new(data, 7).take(300);
+                    samples.push(TrainSample {
+                        image_resolutions: vec![],
+                        gen_images: 0,
+                        ..sample_with(512, 0)
+                    });
+                    samples.push(sample_with(1024, 10));
+                    let rows = CostRows::new(&model, &samples);
+                    let sizes = rows.multimodal_sizes();
+                    assert_eq!(rows.len(), samples.len());
+                    for (i, s) in samples.iter().enumerate() {
+                        let r = &rows.rows[i];
+                        let fwd = |k| module_flops_forward(&model, k, s).to_bits();
+                        assert_eq!(r.enc_flops.to_bits(), fwd(ModuleKind::Encoder));
+                        assert_eq!(r.backbone_flops.to_bits(), fwd(ModuleKind::Backbone));
+                        assert_eq!(r.gen_flops.to_bits(), fwd(ModuleKind::Generator));
+                        assert_eq!(sizes[i].to_bits(), multimodal_size(&model, s).to_bits());
+                        let model_flops: f64 = ModuleKind::ALL
+                            .iter()
+                            .map(|&k| module_flops_train(&model, k, s))
+                            .sum();
+                        assert_eq!(rows.model_flops(i).to_bits(), model_flops.to_bits());
+                        assert_eq!(r.pixels, s.total_pixels());
+                        assert_eq!(r.shape, s.shape());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

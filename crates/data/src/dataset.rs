@@ -16,7 +16,7 @@
 //! without replaying the stream before it. Its text lengths come from a
 //! second keyed family, so expanding them never shifts any sample's shape.
 
-use crate::config::{DataConfig, ResolutionMode};
+use crate::config::{DataConfig, ResolutionMode, NO_IMAGE_RESOLUTION};
 use dt_model::mllm::SampleShape;
 use dt_simengine::DetRng;
 
@@ -80,7 +80,12 @@ impl TrainSample {
             image_tokens: self.image_tokens(),
             num_images: self.image_resolutions.len() as u32,
             gen_images: self.gen_images,
-            image_res: self.image_resolutions.iter().copied().max().unwrap_or(512),
+            image_res: self
+                .image_resolutions
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(NO_IMAGE_RESOLUTION),
             gen_res: self.gen_resolution,
         }
     }

@@ -228,18 +228,30 @@ impl MultimodalLlm {
         ModuleKind::ALL.iter().map(|&m| self.module_params(m)).sum()
     }
 
+    /// Forward FLOPs of one `res × res` image in `module`: the ViT for the
+    /// encoder, the UNet step plus the VAE encode for the generator. The
+    /// backbone has no per-image part (0).
+    pub fn image_flops_forward(&self, module: ModuleKind, res: u32) -> f64 {
+        match module {
+            ModuleKind::Encoder => self.encoder.flops_forward_image(res),
+            ModuleKind::Backbone => 0.0,
+            ModuleKind::Generator => {
+                self.generator.flops_forward_image(res) + self.generator.vae_encode_flops(res)
+            }
+        }
+    }
+
     /// Forward FLOPs of one module for one sample.
     pub fn module_flops_forward(&self, module: ModuleKind, shape: &SampleShape) -> f64 {
         match module {
             ModuleKind::Encoder => {
-                let images = self.encoder.flops_forward_image(shape.image_res) * shape.num_images as f64;
+                let images = self.image_flops_forward(module, shape.image_res) * shape.num_images as f64;
                 let proj = self.input_projector.flops_forward(shape.image_tokens);
                 images + proj
             }
             ModuleKind::Backbone => self.backbone.flops_forward(shape.seq_len()),
             ModuleKind::Generator => {
-                let per_image = self.generator.flops_forward_image(shape.gen_res)
-                    + self.generator.vae_encode_flops(shape.gen_res);
+                let per_image = self.image_flops_forward(module, shape.gen_res);
                 let images = per_image * shape.gen_images as f64;
                 // The output projector maps the generated images' worth of
                 // hidden states into conditioning vectors.

@@ -32,6 +32,26 @@ pub const UNET_EFFICIENCY_DERATE: f64 = 0.66 / 0.45;
 /// hidden).
 pub const STEPCCL_TP_OVERLAP: f64 = 0.85;
 
+/// The per-image part of a multimodal module's forward time at one
+/// (resolution, TP): what [`PerfModel::module_fwd_time`] charges each
+/// image before the per-sample combine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ImagePrice {
+    /// Compute time of one image.
+    compute: SimDuration,
+    /// One TP allreduce of the image's activations, before overlap.
+    allreduce: SimDuration,
+}
+
+/// A tabled [`ImagePrice`]: `(module, resolution, TP, price)`.
+type TabledPrice = (ModuleKind, u32, u32, ImagePrice);
+
+/// Kernel granularity of a UNet step: it launches many small kernels,
+/// approximated as 4 per level per direction plus the middle.
+fn generator_blocks(gen: &dt_model::unet::UNetConfig) -> u32 {
+    (gen.channel_mult.len() as u32 * 2 + 1) * 4
+}
+
 /// Cost oracle bound to a model and a cluster.
 #[derive(Debug, Clone)]
 pub struct PerfModel<'a> {
@@ -45,12 +65,38 @@ pub struct PerfModel<'a> {
     /// (0 = Megatron-LM default serialization, [`STEPCCL_TP_OVERLAP`] =
     /// DistTrain with StepCCL).
     pub tp_overlap: f64,
+    /// Per-image prices computed up front by
+    /// [`PerfModel::with_image_prices`]; a few entries, scanned.
+    image_prices: Vec<TabledPrice>,
 }
 
 impl<'a> PerfModel<'a> {
     /// Bind the oracle (no communication overlap — the baseline).
     pub fn new(model: &'a MultimodalLlm, gpu: &'a GpuSpec, coll: &'a CollectiveCost) -> Self {
-        PerfModel { model, gpu, coll, tp_overlap: 0.0 }
+        PerfModel { model, gpu, coll, tp_overlap: 0.0, image_prices: Vec::new() }
+    }
+
+    /// Table `module`'s per-image price at each of `resolutions` under TP
+    /// size `tp`, so the forward times of every sample whose shape uses
+    /// them read the table instead of re-deriving the image's FLOPs,
+    /// kernels and allreduce. A price not in the table is computed on
+    /// demand; either way the time is the same.
+    pub fn with_image_prices(mut self, module: ModuleKind, resolutions: &[u32], tp: u32) -> Self {
+        let tp = tp.max(1);
+        for &res in resolutions {
+            if self.tabled(module, res, tp).is_none() {
+                let price = self.image_price(module, res, tp);
+                self.image_prices.push((module, res, tp, price));
+            }
+        }
+        self
+    }
+
+    fn tabled(&self, module: ModuleKind, res: u32, tp: u32) -> Option<ImagePrice> {
+        self.image_prices
+            .iter()
+            .find(|&&(m, r, t, _)| m == module && r == res && t == tp)
+            .map(|&(_, _, _, price)| price)
     }
 
     /// Enable StepCCL-style TP communication overlap (§A.1).
@@ -60,73 +106,94 @@ impl<'a> PerfModel<'a> {
     }
 
     fn tp_allreduce(&self, tp: u32, bytes: u64, count: u64) -> SimDuration {
+        let one = self.coll.time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode);
+        self.exposed(tp, one, count)
+    }
+
+    /// The share of `count` TP allreduces of `one` each that overlap does
+    /// not hide.
+    fn exposed(&self, tp: u32, one: SimDuration, count: u64) -> SimDuration {
         if tp <= 1 {
             return SimDuration::ZERO;
         }
-        let raw = self.coll.time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode) * count;
-        raw.mul_f64(1.0 - self.tp_overlap.clamp(0.0, 1.0))
+        (one * count).mul_f64(1.0 - self.tp_overlap.clamp(0.0, 1.0))
     }
 
     /// Forward time of `module` for ONE sample under TP size `tp` — the
-    /// paper's `C_me/C_lm/C_mg(TP)` function (forward flavor).
+    /// paper's `C_me/C_lm/C_mg(TP)` function (forward flavor). The
+    /// multimodal modules take two steps: a per-image price for the
+    /// sample's resolution, tabled when [`PerfModel::with_image_prices`]
+    /// covers it, then one per-sample combine.
     pub fn module_fwd_time(&self, module: ModuleKind, shape: &SampleShape, tp: u32) -> SimDuration {
+        let (res, images) = match module {
+            ModuleKind::Backbone => return self.backbone_fwd_time(shape.seq_len(), tp),
+            ModuleKind::Encoder => (shape.image_res, shape.num_images),
+            ModuleKind::Generator => (shape.gen_res, shape.gen_images),
+        };
         let tp = tp.max(1);
+        let price = self.tabled(module, res, tp).unwrap_or_else(|| self.image_price(module, res, tp));
+        self.combine(module, &price, images, shape.image_tokens, tp)
+    }
+
+    /// Backbone forward time for one packed sequence of `seq` tokens.
+    pub fn backbone_fwd_time(&self, seq: u64, tp: u32) -> SimDuration {
+        let tp = tp.max(1);
+        let bb = &self.model.backbone;
+        let compute = self
+            .gpu
+            .compute_time_in_ops(bb.flops_forward(seq) / tp as f64, bb.layers + 1);
+        let comm = self.tp_allreduce(tp, bb.tp_allreduce_bytes(seq), 2 * bb.layers as u64);
+        compute + comm
+    }
+
+    /// The per-image part of the encoder's or generator's forward time
+    /// for one `res × res` image under TP size `tp` (at least 1).
+    fn image_price(&self, module: ModuleKind, res: u32, tp: u32) -> ImagePrice {
         let m = self.model;
-        match module {
+        let per_image = m.image_flops_forward(module, res) / tp as f64;
+        let (compute, bytes) = match module {
             ModuleKind::Encoder => {
                 let trunk = &m.encoder.trunk;
-                let per_image = m.encoder.flops_forward_image(shape.image_res) / tp as f64;
-                let images = shape.num_images as u64;
                 // Kernels: one fused region per layer per image.
-                let compute = self
-                    .gpu
-                    .compute_time_in_ops(per_image, trunk.layers)
-                    * images;
-                let proj = self.gpu.compute_time(
-                    m.input_projector.flops_forward(shape.image_tokens) / tp as f64,
-                );
-                let tokens_per_image = m.encoder.tokens_per_image(shape.image_res);
-                let comm = self.tp_allreduce(
-                    tp,
-                    trunk.tp_allreduce_bytes(tokens_per_image),
-                    2 * trunk.layers as u64 * images,
-                );
-                compute + proj + comm
+                let compute = self.gpu.compute_time_in_ops(per_image, trunk.layers);
+                (compute, trunk.tp_allreduce_bytes(m.encoder.tokens_per_image(res)))
             }
-            ModuleKind::Backbone => {
-                let bb = &m.backbone;
-                let seq = shape.seq_len();
-                let compute = self
-                    .gpu
-                    .compute_time_in_ops(bb.flops_forward(seq) / tp as f64, bb.layers + 1);
-                let comm = self.tp_allreduce(tp, bb.tp_allreduce_bytes(seq), 2 * bb.layers as u64);
-                compute + comm
-            }
+            ModuleKind::Backbone => (SimDuration::ZERO, 0),
             ModuleKind::Generator => {
                 let gen = &m.generator;
-                let per_image = (gen.flops_forward_image(shape.gen_res)
-                    + gen.vae_encode_flops(shape.gen_res))
-                    / tp as f64;
-                let images = shape.gen_images as u64;
-                // Kernel granularity: a UNet launches many small kernels;
-                // approximate as 4 per level per direction + middle.
-                let blocks = (gen.channel_mult.len() as u32 * 2 + 1) * 4;
                 let compute = self
                     .gpu
-                    .compute_time_in_ops(per_image, blocks)
-                    .mul_f64(UNET_EFFICIENCY_DERATE)
-                    * images;
-                let cond_tokens = shape.gen_images as u64 * gen.context_len;
-                let proj = self
-                    .gpu
-                    .compute_time(m.output_projector.flops_forward(cond_tokens) / tp as f64);
+                    .compute_time_in_ops(per_image, generator_blocks(gen))
+                    .mul_f64(UNET_EFFICIENCY_DERATE);
                 // TP allreduce volume ≈ one latent feature map per block.
-                let latent = gen.latent_edge(shape.gen_res);
-                let fmap_bytes = 2 * latent * latent * gen.base_channels;
-                let comm = self.tp_allreduce(tp, fmap_bytes, blocks as u64 * images);
-                compute + proj + comm
+                let latent = gen.latent_edge(res);
+                (compute, 2 * latent * latent * gen.base_channels)
             }
-        }
+        };
+        let allreduce = self.coll.time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode);
+        ImagePrice { compute, allreduce }
+    }
+
+    /// The per-sample combine: forward time of `module` for one sample of
+    /// `images` images (input images for the encoder, generation targets
+    /// for the generator) at `price`, plus the projector and the exposed
+    /// TP allreduces. `image_tokens` sizes the encoder's input projector;
+    /// the generator's projector is sized by its targets.
+    fn combine(&self, module: ModuleKind, price: &ImagePrice, images: u32, image_tokens: u64, tp: u32) -> SimDuration {
+        let m = self.model;
+        let images = images as u64;
+        let (proj_flops, allreduces) = match module {
+            ModuleKind::Encoder => {
+                (m.input_projector.flops_forward(image_tokens), 2 * m.encoder.trunk.layers as u64)
+            }
+            ModuleKind::Backbone => return SimDuration::ZERO,
+            ModuleKind::Generator => {
+                let cond_tokens = images * m.generator.context_len;
+                (m.output_projector.flops_forward(cond_tokens), generator_blocks(&m.generator) as u64)
+            }
+        };
+        let proj = self.gpu.compute_time(proj_flops / tp as f64);
+        price.compute * images + proj + self.exposed(tp, price.allreduce, allreduces * images)
     }
 
     /// Backward time (2× forward compute, same TP communication count).
@@ -249,6 +316,77 @@ mod tests {
             assert!(gh.as_secs_f64() > 5.0 * gl.as_secs_f64().max(1e-9));
             assert!(gl.is_zero() || gl < gh);
         });
+    }
+
+    /// `module_fwd_time` before the price/combine split, one formula per
+    /// module.
+    fn unsplit_fwd_time(p: &PerfModel<'_>, module: ModuleKind, shape: &SampleShape, tp: u32) -> SimDuration {
+        let tp = tp.max(1);
+        let m = p.model;
+        let allreduce = |bytes, count| {
+            if tp <= 1 {
+                return SimDuration::ZERO;
+            }
+            let raw = p.coll.time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode) * count;
+            raw.mul_f64(1.0 - p.tp_overlap.clamp(0.0, 1.0))
+        };
+        match module {
+            ModuleKind::Encoder => {
+                let trunk = &m.encoder.trunk;
+                let per_image = m.encoder.flops_forward_image(shape.image_res) / tp as f64;
+                let images = shape.num_images as u64;
+                let compute = p.gpu.compute_time_in_ops(per_image, trunk.layers) * images;
+                let proj = p.gpu.compute_time(m.input_projector.flops_forward(shape.image_tokens) / tp as f64);
+                let tokens_per_image = m.encoder.tokens_per_image(shape.image_res);
+                compute + proj + allreduce(trunk.tp_allreduce_bytes(tokens_per_image), 2 * trunk.layers as u64 * images)
+            }
+            ModuleKind::Backbone => {
+                let bb = &m.backbone;
+                let seq = shape.seq_len();
+                let compute = p.gpu.compute_time_in_ops(bb.flops_forward(seq) / tp as f64, bb.layers + 1);
+                compute + allreduce(bb.tp_allreduce_bytes(seq), 2 * bb.layers as u64)
+            }
+            ModuleKind::Generator => {
+                let gen = &m.generator;
+                let per_image = (gen.flops_forward_image(shape.gen_res) + gen.vae_encode_flops(shape.gen_res)) / tp as f64;
+                let images = shape.gen_images as u64;
+                let blocks = (gen.channel_mult.len() as u32 * 2 + 1) * 4;
+                let compute = p.gpu.compute_time_in_ops(per_image, blocks).mul_f64(UNET_EFFICIENCY_DERATE) * images;
+                let cond_tokens = shape.gen_images as u64 * gen.context_len;
+                let proj = p.gpu.compute_time(m.output_projector.flops_forward(cond_tokens) / tp as f64);
+                let latent = gen.latent_edge(shape.gen_res);
+                compute + proj + allreduce(2 * latent * latent * gen.base_channels, blocks as u64 * images)
+            }
+        }
+    }
+
+    /// The split (per-image price, per-sample combine) and the table both
+    /// reproduce the unsplit formula exactly.
+    #[test]
+    fn tabled_image_prices_give_the_same_times() {
+        let resolutions = [256, 384, 512, 768, 1024];
+        for preset in MllmPreset::ALL {
+            let model = preset.build();
+            let gpu = GpuSpec::ampere();
+            let coll = CollectiveCost::new(ClusterSpec::production(162));
+            let baseline = PerfModel::new(&model, &gpu, &coll);
+            for (plain, tp) in [baseline.clone(), baseline.with_stepccl()].iter().flat_map(|p| [0, 1, 2, 8].map(|tp| (p, tp))) {
+                let tabled = plain
+                    .clone()
+                    .with_image_prices(ModuleKind::Encoder, &resolutions, tp)
+                    .with_image_prices(ModuleKind::Generator, &resolutions, tp);
+                for (image_res, gen_res) in resolutions.iter().zip(resolutions.iter().rev()) {
+                    for (num_images, gen_images) in [(0, 0), (1, 0), (3, 2), (10, 10)] {
+                        let s = SampleShape { image_res: *image_res, gen_res: *gen_res, num_images, gen_images, ..shape() };
+                        for m in ModuleKind::ALL {
+                            let unsplit = unsplit_fwd_time(plain, m, &s, tp);
+                            assert_eq!(plain.module_fwd_time(m, &s, tp), unsplit, "{preset:?} tp={tp} {m} {s:?}");
+                            assert_eq!(tabled.module_fwd_time(m, &s, tp), unsplit, "{preset:?} tp={tp} {m} {s:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! the condition is now a typed error the caller can diagnose (the
 //! `ReorderPlanner` policy is to pass indivisible batches through
 //! unreordered, and experiments `fig06`/`fig11` treat it as a bug in the
-//! experiment setup).
+//! experiment setup). A NaN or infinite sample size is rejected the same
+//! way, once, before Algorithm 1 sorts, so no comparator has to panic.
 
 /// Why a reordering pass refused the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +20,11 @@ pub enum ReorderError {
         /// DP groups requested.
         m: usize,
     },
+    /// A sample's size is NaN or infinite, so sizes cannot be ordered.
+    NonFiniteSize {
+        /// Position of the first such sample.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ReorderError {
@@ -29,6 +35,9 @@ impl std::fmt::Display for ReorderError {
                     f,
                     "batch of {n} samples not divisible into {m} equal-count DP groups"
                 )
+            }
+            ReorderError::NonFiniteSize { index } => {
+                write!(f, "sample {index} has a non-finite size")
             }
         }
     }
@@ -45,5 +54,7 @@ mod tests {
         let s = ReorderError::IndivisibleBatch { n: 10, m: 3 }.to_string();
         assert!(!s.contains('\n'));
         assert!(s.contains("10") && s.contains('3'), "{s}");
+        let s = ReorderError::NonFiniteSize { index: 7 }.to_string();
+        assert!(!s.contains('\n') && s.contains('7'), "{s}");
     }
 }

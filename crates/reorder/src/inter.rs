@@ -28,6 +28,7 @@
 //! compare against. Like Algorithm 1 this is a pure permutation of the
 //! local batch, so convergence semantics are untouched.
 
+use crate::intra::cmp_f64;
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::{simulate, PipelineSpec, Schedule, Workload};
 use dt_simengine::{SimDuration, SimTime};
@@ -169,6 +170,22 @@ impl IntervalEvaluator {
             saved_avail: vec![SimTime::ZERO; stages],
             ready: Vec::with_capacity(2 * stages),
         }
+    }
+
+    /// Empty the evaluator for a fresh order of `l` microbatches. Only the
+    /// counters, the free times and the pushed positions are cleared: end
+    /// times past a counter are stale and never read.
+    fn reset(&mut self, l: usize) {
+        if l != self.l {
+            self.l = l;
+            self.fwd_end.resize(self.stages * l, SimTime::ZERO);
+            self.bwd_end.resize(self.stages * l, SimTime::ZERO);
+            self.bwd0_start.resize(l, SimTime::ZERO);
+        }
+        self.fwd0.clear();
+        self.bwd0.clear();
+        self.pc.fill(0);
+        self.avail.fill(SimTime::ZERO);
     }
 
     /// Stage `s`'s 1F1B warm-up depth.
@@ -355,109 +372,105 @@ pub fn get_interval(cfg: &InterReorderConfig, stage0_fwd: &[f64], j: usize) -> f
 
 /// Algorithm 2: reorder the `mb_fwd` stage-0 forward times of one DP rank's
 /// microbatches; returns the permutation (new order as indices into the
-/// input).
+/// input). Times are expected finite (the planner rejects non-finite
+/// sizes up front); a NaN compares equal to everything, so it never
+/// panics, but places arbitrarily.
 pub fn inter_reorder(cfg: &InterReorderConfig, mb_fwd: &[f64]) -> Vec<usize> {
-    let l = mb_fwd.len();
-    let p = cfg.stages;
-    if l <= 1 {
-        return (0..l).collect();
-    }
-    // Degenerate short pipelines: just run smallest-first (every interval
-    // is a rear interval).
-    if l <= p || p <= 1 {
-        let mut idx: Vec<usize> = (0..l).collect();
-        idx.sort_by(|&a, &b| {
-            mb_fwd[a]
-                .partial_cmp(&mb_fwd[b])
-                .expect("times must not be NaN")
-        });
-        return idx;
-    }
+    InterReorder::new(cfg).order(mb_fwd)
+}
 
-    let mut pool: Vec<usize> = (0..l).collect();
-    let take_min = |pool: &mut Vec<usize>| -> usize {
-        let k = pool
-            .iter()
-            .enumerate()
-            .min_by(|a, b| mb_fwd[*a.1].partial_cmp(&mb_fwd[*b.1]).expect("no NaN"))
-            .map(|(k, _)| k)
-            .expect("pool non-empty");
-        pool.swap_remove(k)
-    };
+/// Remove and return the pool entry with the smallest `key`, the first
+/// one on ties.
+fn take_min(pool: &mut Vec<usize>, key: impl Fn(usize) -> f64) -> Option<usize> {
+    let k = (0..pool.len()).min_by(|&a, &b| cmp_f64(key(pool[a]), key(pool[b])))?;
+    Some(pool.swap_remove(k))
+}
 
-    // The evaluator mirrors the chosen prefix `ret`: every placement is
-    // pushed into it once.
-    let mut eval = IntervalEvaluator::new(cfg, l);
+/// Algorithm 2 over many DP ranks of one pipeline shape: the
+/// `GETINTERVAL` evaluator is allocated on first use and reset for each
+/// rank, so a global batch allocates it once.
+pub(crate) struct InterReorder<'c> {
+    cfg: &'c InterReorderConfig,
+    eval: Option<IntervalEvaluator>,
+}
 
-    // Line 3: smallest first.
-    let mut ret = vec![take_min(&mut pool)];
-    eval.push(mb_fwd[ret[0]]);
-    // Line 4: reserve the p−1 smallest for the rear.
-    let rear_n = (p - 1).min(pool.len());
-    let mut rear = Vec::with_capacity(rear_n);
-    for _ in 0..rear_n {
-        rear.push(take_min(&mut pool));
+impl<'c> InterReorder<'c> {
+    pub(crate) fn new(cfg: &'c InterReorderConfig) -> Self {
+        InterReorder { cfg, eval: None }
     }
 
-    // Main loop (lines 5–11): fill intervals best-fit.
-    let mut first_fill = true;
-    while !pool.is_empty() {
-        // The order estimate behind the target: chosen prefix + mean
-        // placeholders for undecided slots + the reserved rear.
-        let mean = pool.iter().map(|&i| mb_fwd[i]).sum::<f64>() / pool.len() as f64;
-        let tail = std::iter::repeat_n(mean, pool.len()).chain(rear.iter().map(|&i| mb_fwd[i]));
-        // Forward at position `pos` executes inside interval `pos − p + 1`
-        // (see `get_interval`); the first fill targets interval 0.
-        let interval_idx = (ret.len() + 1).saturating_sub(p);
-        let mut target = eval.probe(interval_idx, tail);
-        if cfg.vpp > 1 {
-            target /= cfg.vpp as f64;
+    /// [`inter_reorder`] of one rank's stage-0 forward times.
+    pub(crate) fn order(&mut self, mb_fwd: &[f64]) -> Vec<usize> {
+        let cfg = self.cfg;
+        let l = mb_fwd.len();
+        let p = cfg.stages;
+        let mut pool: Vec<usize> = (0..l).collect();
+        // Degenerate short pipelines: just run smallest-first (every
+        // interval is a rear interval).
+        if l <= 1 || l <= p || p <= 1 {
+            pool.sort_by(|&a, &b| cmp_f64(mb_fwd[a], mb_fwd[b]));
+            return pool;
         }
 
-        if first_fill {
-            // Select p−1 microbatches whose aggregate best matches the
-            // target, greedily (closest-marginal-fit one at a time).
+        // The evaluator mirrors the chosen prefix `ret`: every placement
+        // is pushed into it once.
+        let eval = match &mut self.eval {
+            Some(eval) => {
+                eval.reset(l);
+                eval
+            }
+            empty => empty.insert(IntervalEvaluator::new(cfg, l)),
+        };
+        let mut ret = Vec::with_capacity(l);
+
+        // Line 3: smallest first.
+        if let Some(first) = take_min(&mut pool, |i| mb_fwd[i]) {
+            eval.push(mb_fwd[first]);
+            ret.push(first);
+        }
+        // Line 4: reserve the p−1 smallest for the rear.
+        let rear_n = (p - 1).min(pool.len());
+        let mut rear: Vec<usize> = (0..rear_n)
+            .filter_map(|_| take_min(&mut pool, |i| mb_fwd[i]))
+            .collect();
+
+        // Main loop (lines 5–11): fill intervals best-fit.
+        let mut first_fill = true;
+        while !pool.is_empty() {
+            // The order estimate behind the target: chosen prefix + mean
+            // placeholders for undecided slots + the reserved rear.
+            let mean = pool.iter().map(|&i| mb_fwd[i]).sum::<f64>() / pool.len() as f64;
+            let tail = std::iter::repeat_n(mean, pool.len()).chain(rear.iter().map(|&i| mb_fwd[i]));
+            // Forward at position `pos` executes inside interval
+            // `pos − p + 1` (see `get_interval`); the first fill targets
+            // interval 0.
+            let interval_idx = (ret.len() + 1).saturating_sub(p);
+            let mut target = eval.probe(interval_idx, tail);
+            if cfg.vpp > 1 {
+                target /= cfg.vpp as f64;
+            }
+
+            // The first interval takes p−1 microbatches whose aggregate
+            // best matches the target, greedily (closest marginal fit one
+            // at a time); every later interval takes the single best fit.
+            let want = if first_fill { p - 1 } else { 1 };
             first_fill = false;
-            let want = (p - 1).min(pool.len());
             let mut sum = 0.0;
             for _ in 0..want {
-                let k = pool
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        let da = (sum + mb_fwd[*a.1] - target).abs();
-                        let db = (sum + mb_fwd[*b.1] - target).abs();
-                        da.partial_cmp(&db).expect("no NaN")
-                    })
-                    .map(|(k, _)| k)
-                    .expect("pool non-empty");
-                let idx = pool.swap_remove(k);
+                let Some(idx) = take_min(&mut pool, |i| (sum + mb_fwd[i] - target).abs()) else {
+                    break;
+                };
                 sum += mb_fwd[idx];
                 eval.push(mb_fwd[idx]);
                 ret.push(idx);
             }
-        } else {
-            // Single best fit.
-            let k = pool
-                .iter()
-                .enumerate()
-                .min_by(|a, b| {
-                    let da = (mb_fwd[*a.1] - target).abs();
-                    let db = (mb_fwd[*b.1] - target).abs();
-                    da.partial_cmp(&db).expect("no NaN")
-                })
-                .map(|(k, _)| k)
-                .expect("pool non-empty");
-            let idx = pool.swap_remove(k);
-            eval.push(mb_fwd[idx]);
-            ret.push(idx);
         }
-    }
 
-    // Line 12: append the reserved rear, smallest last (tightest tail).
-    rear.sort_by(|&a, &b| mb_fwd[b].partial_cmp(&mb_fwd[a]).expect("no NaN"));
-    ret.extend(rear);
-    ret
+        // Line 12: append the reserved rear, smallest last (tightest tail).
+        rear.sort_by(|&a, &b| cmp_f64(mb_fwd[b], mb_fwd[a]));
+        ret.extend(rear);
+        ret
+    }
 }
 
 /// Simulated iteration makespan of a stage-0 order under `cfg` — the metric
@@ -645,6 +658,27 @@ mod tests {
                     assert_eq!(got, reference[j], "seed {seed} {c:?} l={l} n={n} j={j}");
                 }
                 eval.push(order[n]);
+            }
+        }
+    }
+
+    /// One `InterReorder` serving many ranks — the planner's usage, with
+    /// the evaluator reset between them, including across rank lengths —
+    /// places exactly what a fresh evaluator per rank places.
+    #[test]
+    fn a_reused_evaluator_matches_a_fresh_one() {
+        for seed in 0u64..100 {
+            let mut rng = DetRng::new(seed);
+            let c = random_cfg(&mut rng);
+            let mut reused = InterReorder::new(&c);
+            for rank in 0..6 {
+                let l = rng.range_usize(1, 30);
+                let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 0.8)).collect();
+                assert_eq!(
+                    reused.order(&times),
+                    inter_reorder(&c, &times),
+                    "seed {seed} rank {rank} {c:?} l={l}"
+                );
             }
         }
     }

@@ -59,7 +59,8 @@ pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
 /// Reorder a batch whose samples have the given `sizes` so that splitting
 /// it into `m` contiguous equal-count chunks yields balanced total size.
 /// Returns the new order as indices into `sizes`, or
-/// [`ReorderError::IndivisibleBatch`] when no equal-count split exists (the
+/// [`ReorderError::IndivisibleBatch`] when no equal-count split exists and
+/// [`ReorderError::NonFiniteSize`] when a size is NaN or infinite (the
 /// caller decides the policy — `ReorderPlanner` passes such batches
 /// through unreordered).
 ///
@@ -69,6 +70,9 @@ pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
 /// (`n / m`); a group leaves the heap once it is full.
 pub fn intra_reorder_indices(sizes: &[f64], m: usize) -> Result<Vec<usize>, ReorderError> {
     let n = sizes.len();
+    if let Some(index) = sizes.iter().position(|s| !s.is_finite()) {
+        return Err(ReorderError::NonFiniteSize { index });
+    }
     if m <= 1 || n == 0 {
         return Ok((0..n).collect());
     }
@@ -226,6 +230,18 @@ mod tests {
             intra_reorder_indices(&[1.0; 10], 3),
             Err(crate::ReorderError::IndivisibleBatch { n: 10, m: 3 })
         );
+    }
+
+    #[test]
+    fn non_finite_sizes_return_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for m in [1, 2] {
+                assert_eq!(
+                    intra_reorder_indices(&[1.0, bad, 2.0, 3.0], m),
+                    Err(crate::ReorderError::NonFiniteSize { index: 1 })
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! cost model to size samples. The preprocessing producer runs it on the
 //! dedicated CPU nodes (§5.1), so it is free to the GPUs; the simulated
 //! training runtime runs the same planner in-process.
+//!
+//! The passes read a batch priced into [`CostRows`] and only compute a
+//! permutation ([`ReorderPlanner::reorder_indices`]); callers that already
+//! hold the rows — the runtime's plan trials — never move a sample.
 
-use crate::{inter_reorder, intra_reorder_indices, InterReorderConfig};
-use dt_data::cost::multimodal_size;
+use crate::inter::InterReorder;
+use crate::{intra_reorder_indices, InterReorderConfig};
+use dt_data::cost::CostRows;
 use dt_data::TrainSample;
 use dt_model::MultimodalLlm;
 
@@ -45,54 +50,80 @@ impl ReorderPlanner {
         if matches!(self.mode, ReorderMode::None) || samples.is_empty() {
             return samples;
         }
+        let order = self.reorder_indices(&CostRows::new(&self.model, &samples));
+        permute(samples, &order)
+    }
+
+    /// The order [`ReorderPlanner::reorder`] puts a batch in, from its
+    /// cost rows (priced under this planner's model): position `k` of the
+    /// new order holds sample `order[k]`. A batch the passes cannot split
+    /// — not divisible into `dp` ranks of whole microbatches
+    /// (`ReorderError::IndivisibleBatch`), or holding a non-finite size
+    /// (`ReorderError::NonFiniteSize`) — keeps its order: the trainer
+    /// validates divisibility anyway, and reordering must never corrupt
+    /// the DP split.
+    pub fn reorder_indices(&self, rows: &CostRows) -> Vec<usize> {
+        let n = rows.len();
         let dp = self.dp.max(1) as usize;
         let m = self.microbatch.max(1) as usize;
-        if !samples.len().is_multiple_of(dp * m) {
-            // Misconfigured batch: refuse to reorder rather than corrupt
-            // the DP split (the trainer validates divisibility anyway).
-            // This is the documented pass-through policy for
-            // `ReorderError::IndivisibleBatch` — checked up front so the
-            // expect below is unreachable.
-            return samples;
+        if matches!(self.mode, ReorderMode::None) || n == 0 || !n.is_multiple_of(dp * m) {
+            return (0..n).collect();
         }
 
-        // Size every sample once; both passes permute indices into
-        // `sizes`, and the samples themselves are moved, never cloned.
-        let sizes: Vec<f64> = samples
-            .iter()
-            .map(|s| multimodal_size(&self.model, s))
-            .collect();
-        let mut slots: Vec<Option<TrainSample>> = samples.into_iter().map(Some).collect();
-        let mut take = |i: usize| slots[i].take().expect("each index placed exactly once");
-
         // Algorithm 1: balance multimodal load across DP groups.
-        let balanced = intra_reorder_indices(&sizes, dp).expect("divisibility checked above");
+        let sizes = rows.multimodal_sizes();
+        let Ok(balanced) = intra_reorder_indices(&sizes, dp) else {
+            return (0..n).collect();
+        };
         if matches!(self.mode, ReorderMode::IntraOnly) {
-            return balanced.into_iter().map(take).collect();
+            return balanced;
         }
 
         // Algorithm 2: within each DP rank's contiguous chunk, permute
         // whole microbatches to fill the 1F1B intervals.
-        let per_rank = balanced.len() / dp;
-        let mut out = Vec::with_capacity(balanced.len());
+        let per_rank = n / dp;
+        let mut alg2 = InterReorder::new(&self.inter_cfg);
+        let mut mb_secs = Vec::with_capacity(per_rank / m);
+        let mut order = Vec::with_capacity(n);
         for chunk in balanced.chunks(per_rank) {
-            let microbatches: Vec<&[usize]> = chunk.chunks(m).collect();
-            let mb_secs: Vec<f64> = microbatches
-                .iter()
-                .map(|mb| mb.iter().map(|&i| sizes[i]).sum::<f64>() * self.secs_per_flop)
-                .collect();
-            for idx in inter_reorder(&self.inter_cfg, &mb_secs) {
-                out.extend(microbatches[idx].iter().map(|&i| take(i)));
+            mb_secs.clear();
+            mb_secs.extend(
+                chunk
+                    .chunks(m)
+                    .map(|mb| mb.iter().map(|&i| sizes[i]).sum::<f64>() * self.secs_per_flop),
+            );
+            for mb in alg2.order(&mb_secs) {
+                order.extend_from_slice(&chunk[mb * m..(mb + 1) * m]);
             }
         }
-        out
+        order
     }
+}
+
+/// `samples` rearranged so position `k` holds `samples[order[k]]`, by
+/// following `order`'s cycles with swaps: the samples move, never clone.
+fn permute<T>(mut samples: Vec<T>, order: &[usize]) -> Vec<T> {
+    let mut placed = vec![false; order.len()];
+    for start in 0..order.len() {
+        let mut k = start;
+        while !placed[k] {
+            placed[k] = true;
+            let src = order[k];
+            if src == start {
+                break;
+            }
+            samples.swap(k, src);
+            k = src;
+        }
+    }
+    samples
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::max_group_load;
+    use dt_data::cost::multimodal_size;
     use dt_data::{DataConfig, SyntheticLaion};
     use dt_model::MllmPreset;
 
@@ -149,6 +180,41 @@ mod tests {
             after <= before,
             "Alg 1 must not worsen the max group: {after} vs {before}"
         );
+    }
+
+    #[test]
+    fn permute_gathers_by_the_order() {
+        let mut rng = dt_simengine::DetRng::new(3);
+        for n in 0..40 {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.range_usize(0, i + 1));
+            }
+            let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            let expected: Vec<String> = order.iter().map(|&i| items[i].clone()).collect();
+            assert_eq!(permute(items, &order), expected, "n={n}");
+        }
+    }
+
+    #[test]
+    fn reorder_applies_reorder_indices() {
+        let p = planner(ReorderMode::Full);
+        let b = batch(32);
+        let order = p.reorder_indices(&CostRows::new(&p.model, &b));
+        let expected: Vec<u64> = order.iter().map(|&i| b[i].id).collect();
+        let got: Vec<u64> = p.reorder(b).iter().map(|s| s.id).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn non_finite_sizes_pass_through() {
+        let p = planner(ReorderMode::Full);
+        let b = batch(32);
+        let mut rows = CostRows::new(&p.model, &b);
+        rows.rows[5].gen_flops = f64::NAN;
+        assert_eq!(p.reorder_indices(&rows), (0..32).collect::<Vec<_>>());
+        rows.rows[5].gen_flops = f64::INFINITY;
+        assert_eq!(p.reorder_indices(&rows), (0..32).collect::<Vec<_>>());
     }
 
     #[test]
