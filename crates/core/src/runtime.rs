@@ -205,23 +205,27 @@ impl<'a> Runtime<'a> {
         for (i, mb) in microbatches.enumerate() {
             // Heterogeneous: exact per-sample shapes.
             let (mut enc, mut gen) = (SimDuration::ZERO, SimDuration::ZERO);
-            let (mut seq, mut samples) = (None, 0u64);
+            let (mut first, mut samples) = (None, 0u64);
             for shape in mb {
                 enc += perf.module_fwd_time(ModuleKind::Encoder, &shape, tp(ModuleKind::Encoder));
                 gen +=
                     perf.module_fwd_time(ModuleKind::Generator, &shape, tp(ModuleKind::Generator));
-                seq.get_or_insert(shape.seq_len());
+                first.get_or_insert(shape);
                 samples += 1;
             }
             let enc = enc.mul_f64(share(ModuleKind::Encoder));
             let gen = gen.mul_f64(share(ModuleKind::Generator));
             // Fixed-length sequences: per-sample time is constant.
-            let bb = seq.map_or(SimDuration::ZERO, |seq| {
+            let bb = first.map_or(SimDuration::ZERO, |shape| {
                 let per_sample = match per_sample_bb {
-                    Some((len, t)) if len == seq => t,
+                    Some((seq, t)) if seq == shape.seq_len() => t,
                     _ => {
-                        let t = perf.backbone_fwd_time(seq, tp(ModuleKind::Backbone));
-                        per_sample_bb = Some((seq, t));
+                        let t = perf.module_fwd_time(
+                            ModuleKind::Backbone,
+                            &shape,
+                            tp(ModuleKind::Backbone),
+                        );
+                        per_sample_bb = Some((shape.seq_len(), t));
                         t
                     }
                 };
@@ -285,7 +289,7 @@ impl<'a> Runtime<'a> {
         match self.cfg.preprocessing {
             PreprocessingMode::Colocated { workers } => {
                 // Monolithic: decoding blocks the trainer (§2.3).
-                PreprocessCostModel::default().pixels_batch_time(pixels, workers)
+                PreprocessCostModel::default().batch_time(pixels, workers)
             }
             PreprocessingMode::Disaggregated => {
                 // Only the RPC receive of the prefetched batch remains:
@@ -745,7 +749,13 @@ mod tests {
             let slowest = batch
                 .split_slices(rt.plan.backbone.dp, rt.plan.microbatch)
                 .iter()
-                .map(|rank| cost.batch_time(rank.iter().flat_map(|mb| mb.iter()), 8))
+                .map(|rank| {
+                    let pixels = rank
+                        .iter()
+                        .flat_map(|mb| mb.iter())
+                        .map(|s| s.total_pixels());
+                    cost.batch_time(pixels, 8)
+                })
                 .max()
                 .expect("at least one DP rank");
             assert_eq!(it.preprocess_stall, slowest, "iteration {i}");

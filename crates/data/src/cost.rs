@@ -255,23 +255,10 @@ impl PreprocessCostModel {
         SimDuration::from_secs_f64(secs)
     }
 
-    /// CPU time for a whole microbatch on `workers` parallel workers
-    /// (samples are independent, so work divides; the longest single sample
-    /// lower-bounds the makespan).
-    pub fn batch_time<'a>(
-        &self,
-        samples: impl IntoIterator<Item = &'a TrainSample>,
-        workers: u32,
-    ) -> SimDuration {
-        self.pixels_batch_time(samples.into_iter().map(TrainSample::total_pixels), workers)
-    }
-
-    /// [`PreprocessCostModel::batch_time`] over the samples' pixel counts.
-    pub fn pixels_batch_time(
-        &self,
-        pixels: impl IntoIterator<Item = u64>,
-        workers: u32,
-    ) -> SimDuration {
+    /// CPU time for a whole microbatch whose samples hold `pixels` pixels
+    /// each, on `workers` parallel workers (samples are independent, so
+    /// work divides; the longest single sample lower-bounds the makespan).
+    pub fn batch_time(&self, pixels: impl IntoIterator<Item = u64>, workers: u32) -> SimDuration {
         let (total, longest) = pixels.into_iter().map(|p| self.pixels_time(p)).fold(
             (SimDuration::ZERO, SimDuration::ZERO),
             |(total, longest), t| (total + t, longest.max(t)),
@@ -317,27 +304,15 @@ mod tests {
     }
 
     #[test]
-    fn pixel_times_match_sample_times() {
-        let m = PreprocessCostModel::default();
-        let samples: Vec<TrainSample> = (1..6).map(|n| sample_with(256 * n as u32, n)).collect();
-        for s in &samples {
-            assert_eq!(m.pixels_time(s.total_pixels()), m.sample_time(s));
-        }
-        assert_eq!(
-            m.pixels_batch_time(samples.iter().map(TrainSample::total_pixels), 3),
-            m.batch_time(&samples, 3)
-        );
-    }
-
-    #[test]
     fn workers_divide_batch_time_until_longest_sample_binds() {
         let m = PreprocessCostModel::default();
         let samples = vec![sample_with(512, 2); 8];
-        let t1 = m.batch_time(&samples, 1);
-        let t8 = m.batch_time(&samples, 8);
+        let pixels = || samples.iter().map(TrainSample::total_pixels);
+        let t1 = m.batch_time(pixels(), 1);
+        let t8 = m.batch_time(pixels(), 8);
         assert_eq!(t1.as_nanos(), 8 * t8.as_nanos());
         // With absurd parallelism the longest single sample binds.
-        let t_inf = m.batch_time(&samples, 10_000);
+        let t_inf = m.batch_time(pixels(), 10_000);
         assert_eq!(t_inf, m.sample_time(&samples[0]));
     }
 

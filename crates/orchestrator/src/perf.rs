@@ -125,25 +125,22 @@ impl<'a> PerfModel<'a> {
     /// sample's resolution, tabled when [`PerfModel::with_image_prices`]
     /// covers it, then one per-sample combine.
     pub fn module_fwd_time(&self, module: ModuleKind, shape: &SampleShape, tp: u32) -> SimDuration {
+        let tp = tp.max(1);
         let (res, images) = match module {
-            ModuleKind::Backbone => return self.backbone_fwd_time(shape.seq_len(), tp),
             ModuleKind::Encoder => (shape.image_res, shape.num_images),
+            ModuleKind::Backbone => {
+                let bb = &self.model.backbone;
+                let seq = shape.seq_len();
+                let compute = self
+                    .gpu
+                    .compute_time_in_ops(bb.flops_forward(seq) / tp as f64, bb.layers + 1);
+                let comm = self.tp_allreduce(tp, bb.tp_allreduce_bytes(seq), 2 * bb.layers as u64);
+                return compute + comm;
+            }
             ModuleKind::Generator => (shape.gen_res, shape.gen_images),
         };
-        let tp = tp.max(1);
         let price = self.tabled(module, res, tp).unwrap_or_else(|| self.image_price(module, res, tp));
         self.combine(module, &price, images, shape.image_tokens, tp)
-    }
-
-    /// Backbone forward time for one packed sequence of `seq` tokens.
-    pub fn backbone_fwd_time(&self, seq: u64, tp: u32) -> SimDuration {
-        let tp = tp.max(1);
-        let bb = &self.model.backbone;
-        let compute = self
-            .gpu
-            .compute_time_in_ops(bb.flops_forward(seq) / tp as f64, bb.layers + 1);
-        let comm = self.tp_allreduce(tp, bb.tp_allreduce_bytes(seq), 2 * bb.layers as u64);
-        compute + comm
     }
 
     /// The per-image part of the encoder's or generator's forward time
