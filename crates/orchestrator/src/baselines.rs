@@ -56,7 +56,8 @@ pub fn megatron_plan(
     let pp_lm = paper_pp_lm(model)
         .filter(|&pp| bb_mem.fits(spec.hbm_bytes, pp, tp, 1, spec.microbatch))
         .or_else(|| {
-            pps.into_iter().find(|&pp| bb_mem.fits(spec.hbm_bytes, pp, tp, 1, spec.microbatch))
+            pps.into_iter()
+                .find(|&pp| bb_mem.fits(spec.hbm_bytes, pp, tp, 1, spec.microbatch))
         })
         .ok_or(PlanError::NoMemoryFeasiblePoint {
             candidates_evaluated: pp_tried,
@@ -68,9 +69,13 @@ pub fn megatron_plan(
     let stages = pp_lm + 2;
     let dp_cap = spec.total_gpus / (tp * stages);
     let bs_over_m = spec.global_batch / spec.microbatch.max(1);
-    let dp = divisors_desc(bs_over_m).into_iter().find(|&d| d <= dp_cap).ok_or(
-        PlanError::ClusterTooSmall { total_gpus: spec.total_gpus, min_required: tp * stages },
-    )?;
+    let dp = divisors_desc(bs_over_m)
+        .into_iter()
+        .find(|&d| d <= dp_cap)
+        .ok_or(PlanError::ClusterTooSmall {
+            total_gpus: spec.total_gpus,
+            min_required: tp * stages,
+        })?;
 
     Ok(OrchestrationPlan {
         encoder: ModulePlan::replicated(tp, dp, 1),
@@ -103,9 +108,13 @@ pub fn proportional_shrink_plan(
     let pp = old.backbone.pp;
     let y_budget = (old.backbone.gpus() as f64 * scale).floor() as u32;
     let bs_over_m = spec.global_batch / spec.microbatch.max(1);
-    let dp = divisors_desc(bs_over_m).into_iter().find(|&d| d * tp * pp <= y_budget).ok_or(
-        PlanError::ClusterTooSmall { total_gpus: spec.total_gpus, min_required: tp * pp + 2 },
-    )?;
+    let dp = divisors_desc(bs_over_m)
+        .into_iter()
+        .find(|&d| d * tp * pp <= y_budget)
+        .ok_or(PlanError::ClusterTooSmall {
+            total_gpus: spec.total_gpus,
+            min_required: tp * pp + 2,
+        })?;
     let backbone = if old.backbone.sp {
         ModulePlan::new(tp, dp, pp).with_sp()
     } else {
@@ -153,7 +162,10 @@ pub fn proportional_shrink_plan(
         },
         spec.global_batch,
     )
-    .map_err(|_| PlanError::NoMemoryFeasiblePoint { candidates_evaluated: 1, memory_rejected: 1 })?;
+    .map_err(|_| PlanError::NoMemoryFeasiblePoint {
+        candidates_evaluated: 1,
+        memory_rejected: 1,
+    })?;
     Ok(plan)
 }
 
@@ -180,9 +192,10 @@ pub fn distmm_star_plan(
     let n = spec.total_gpus;
     let x = (((n as f64 * c_me / total) / node as f64).round() as u32 * node).max(node);
     let z = (((n as f64 * c_mg / total) / node as f64).round() as u32 * node).max(node);
-    let y_budget = n
-        .checked_sub(x + z)
-        .ok_or(PlanError::ClusterTooSmall { total_gpus: n, min_required: x + z + 1 })?;
+    let y_budget = n.checked_sub(x + z).ok_or(PlanError::ClusterTooSmall {
+        total_gpus: n,
+        min_required: x + z + 1,
+    })?;
 
     // Backbone: TP = node width, the largest batch-divisor DP that fits,
     // PP from what remains.
@@ -211,7 +224,10 @@ pub fn distmm_star_plan(
             });
         }
     }
-    Err(PlanError::NoMemoryFeasiblePoint { candidates_evaluated: tried, memory_rejected: tried })
+    Err(PlanError::NoMemoryFeasiblePoint {
+        candidates_evaluated: tried,
+        memory_rejected: tried,
+    })
 }
 
 #[cfg(test)]
@@ -276,7 +292,10 @@ mod tests {
         let model = MllmPreset::Mllm9B.build();
         let p = megatron_plan(&spec(1296, 1920), &model).unwrap();
         let multimodal = p.encoder.gpus() + p.generator.gpus();
-        assert!(multimodal * 2 >= p.backbone.gpus(), "9B: 2 of 3 stages are multimodal");
+        assert!(
+            multimodal * 2 >= p.backbone.gpus(),
+            "9B: 2 of 3 stages are multimodal"
+        );
     }
 
     #[test]

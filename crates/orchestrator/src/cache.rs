@@ -96,7 +96,10 @@ impl PerfCache {
     /// traversal when it fails — pruning must be disabled for
     /// non-monotone or non-finite cost models.
     pub fn bounds_sound(&self) -> bool {
-        self.train.iter().flatten().all(|&c| c.is_finite() && c >= 0.0)
+        self.train
+            .iter()
+            .flatten()
+            .all(|&c| c.is_finite() && c >= 0.0)
     }
 
     /// Forward seconds per sample at `tp` (same table discipline as
@@ -174,7 +177,10 @@ mod tests {
         let (model, profile) = model_and_profile();
         let cache = PerfCache::build(&model, &profile);
         let c3 = cache.train_cost(ModuleKind::Backbone, 3);
-        assert_eq!(c3.to_bits(), profile.train_cost(ModuleKind::Backbone, 3).to_bits());
+        assert_eq!(
+            c3.to_bits(),
+            profile.train_cost(ModuleKind::Backbone, 3).to_bits()
+        );
         assert_eq!(cache.misses(), 1);
     }
 

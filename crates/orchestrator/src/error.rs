@@ -55,7 +55,10 @@ pub enum PlanError {
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlanError::ClusterTooSmall { total_gpus, min_required } => write!(
+            PlanError::ClusterTooSmall {
+                total_gpus,
+                min_required,
+            } => write!(
                 f,
                 "cluster too small: {total_gpus} GPUs offered, the disaggregated \
                  layout needs at least {min_required}"
@@ -65,7 +68,10 @@ impl std::fmt::Display for PlanError {
                 "empty search lattice ({pairs_considered} outer TP×DP pairs): \
                  check that microbatch divides the global batch"
             ),
-            PlanError::NoMemoryFeasiblePoint { candidates_evaluated, memory_rejected } => write!(
+            PlanError::NoMemoryFeasiblePoint {
+                candidates_evaluated,
+                memory_rejected,
+            } => write!(
                 f,
                 "no memory-feasible point: {candidates_evaluated} allocations evaluated, \
                  {memory_rejected} backbone shapes rejected by the HBM gate"
@@ -86,10 +92,21 @@ mod tests {
     #[test]
     fn diagnoses_are_one_line() {
         let errors = [
-            PlanError::ClusterTooSmall { total_gpus: 2, min_required: 3 },
-            PlanError::EmptyLattice { pairs_considered: 0 },
-            PlanError::NoMemoryFeasiblePoint { candidates_evaluated: 128, memory_rejected: 7 },
-            PlanError::InvalidSpec { field: "global_batch", reason: "must be ≥ 1".into() },
+            PlanError::ClusterTooSmall {
+                total_gpus: 2,
+                min_required: 3,
+            },
+            PlanError::EmptyLattice {
+                pairs_considered: 0,
+            },
+            PlanError::NoMemoryFeasiblePoint {
+                candidates_evaluated: 128,
+                memory_rejected: 7,
+            },
+            PlanError::InvalidSpec {
+                field: "global_batch",
+                reason: "must be ≥ 1".into(),
+            },
         ];
         for e in errors {
             let s = e.to_string();
@@ -100,7 +117,10 @@ mod tests {
 
     #[test]
     fn counts_surface_in_the_diagnosis() {
-        let e = PlanError::NoMemoryFeasiblePoint { candidates_evaluated: 128, memory_rejected: 7 };
+        let e = PlanError::NoMemoryFeasiblePoint {
+            candidates_evaluated: 128,
+            memory_rejected: 7,
+        };
         let s = e.to_string();
         assert!(s.contains("128") && s.contains('7'), "{s}");
     }

@@ -131,7 +131,11 @@ pub fn objective<C: TrainCost + ?Sized>(
     let t_me = dp_lm * cand.tp_me as f64 * m * c_me / x;
     let t_mg = dp_lm * cand.tp_mg as f64 * m * c_mg / z;
     let steady = t_lm.max(t_me).max(t_mg) * (n_mb - 1.0).max(0.0);
-    Some(Objective { warmup, steady, grad_sync: 0.0 })
+    Some(Objective {
+        warmup,
+        steady,
+        grad_sync: 0.0,
+    })
 }
 
 fn unit_params(plan: &ModulePlan) -> (u32, u32) {
@@ -175,11 +179,19 @@ pub fn predict_plan(
         .map(|&k| {
             let p = plan.module(k);
             let (tp, _) = unit_params(&p);
-            let dp = if p.replicate_in_tp_group { p.dp * p.tp } else { p.dp };
+            let dp = if p.replicate_in_tp_group {
+                p.dp * p.tp
+            } else {
+                p.dp
+            };
             perf.grad_sync_time(k, dp, tp, p.pp).as_secs_f64()
         })
         .fold(0.0, f64::max); // modules sync concurrently; the slowest gates
-    Some(Objective { warmup, steady, grad_sync })
+    Some(Objective {
+        warmup,
+        steady,
+        grad_sync,
+    })
 }
 
 #[cfg(test)]
@@ -228,7 +240,12 @@ mod tests {
         let s = spec();
         let p = flat_profile(0.8, 8.0, 0.8);
         // C(8) = C(1)/8 per the flat profile above.
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 1, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         let obj = objective(&s, &p, &cand, 8, 80, 8).unwrap();
         // warmup = M·C_lm(8) + 8·1·1·C_me/8 + 8·1·1·C_mg/8 = 1 + .8 + .8
         assert!((obj.warmup - 2.6).abs() < 1e-9, "warmup {}", obj.warmup);
@@ -240,7 +257,12 @@ mod tests {
     fn steady_time_shrinks_with_more_gpus() {
         let s = spec();
         let p = flat_profile(0.8, 8.0, 0.8);
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 1, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         let small = objective(&s, &p, &cand, 4, 80, 4).unwrap();
         let big = objective(&s, &p, &cand, 12, 80, 12).unwrap();
         assert!(big.total() < small.total());
@@ -250,10 +272,20 @@ mod tests {
     fn infeasible_allocations_are_rejected() {
         let s = spec();
         let p = flat_profile(0.8, 8.0, 0.8);
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 4, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 4,
+            tp_mg: 1,
+        };
         assert!(objective(&s, &p, &cand, 2, 80, 8).is_none()); // x < tp_me
         assert!(objective(&s, &p, &cand, 8, 32, 8).is_none()); // y < tp·dp
-        let bad_dp = Candidate { tp_lm: 8, dp_lm: 7, tp_me: 1, tp_mg: 1 };
+        let bad_dp = Candidate {
+            tp_lm: 8,
+            dp_lm: 7,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         assert!(objective(&s, &p, &bad_dp, 8, 56, 8).is_none()); // 128 % 7 ≠ 0
     }
 
@@ -261,7 +293,12 @@ mod tests {
     fn vpp_divides_warmup_only() {
         let mut s = spec();
         let p = flat_profile(0.8, 8.0, 0.8);
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 1, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         let plain = objective(&s, &p, &cand, 8, 80, 8).unwrap();
         s.vpp = 2;
         let vpp = objective(&s, &p, &cand, 8, 80, 8).unwrap();
@@ -286,7 +323,12 @@ mod tests {
             generator: ModulePlan::new(1, 8, 1),
             microbatch: 1,
         };
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 1, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         let a = objective(&s, &profile, &cand, 8, 64, 8).unwrap();
         let b = predict_plan(&s, &profile, &perf, &plan).unwrap();
         assert!((a.warmup - b.warmup).abs() < 1e-9);

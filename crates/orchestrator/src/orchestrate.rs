@@ -236,7 +236,10 @@ pub struct WarmStart {
 impl WarmStart {
     /// Build the shared cost tables from the job-start profile.
     pub fn new(model: &MultimodalLlm, profile: &TaskProfile) -> Self {
-        WarmStart { cache: Arc::new(PerfCache::build(model, profile)), hints: Vec::new() }
+        WarmStart {
+            cache: Arc::new(PerfCache::build(model, profile)),
+            hints: Vec::new(),
+        }
     }
 
     /// Record a plan the manager actually ran with, so the next replan
@@ -659,7 +662,9 @@ impl Orchestrator {
             .filter(|&(tp_lm, dp_lm)| dp_lm * tp_lm <= spec.total_gpus)
             .collect();
         if pairs.is_empty() {
-            return Err(PlanError::EmptyLattice { pairs_considered: 0 });
+            return Err(PlanError::EmptyLattice {
+                pairs_considered: 0,
+            });
         }
 
         let outcome = match self.search_mode {
@@ -682,7 +687,9 @@ impl Orchestrator {
                     memory_rejected: outcome.memory_rejected,
                 }
             } else {
-                PlanError::EmptyLattice { pairs_considered: pairs.len() }
+                PlanError::EmptyLattice {
+                    pairs_considered: pairs.len(),
+                }
             });
         }
         if outcome.selected.is_empty() {
@@ -710,7 +717,8 @@ impl Orchestrator {
             .collect();
         self.telemetry.with(|r| {
             r.counter(names::ORCHESTRATOR_SEARCHES_TOTAL, &[]).inc();
-            r.counter(names::ORCHESTRATOR_CACHE_HITS_TOTAL, &[]).add(cache_hits);
+            r.counter(names::ORCHESTRATOR_CACHE_HITS_TOTAL, &[])
+                .add(cache_hits);
             r.counter(names::ORCHESTRATOR_CACHE_MISSES_TOTAL, &[])
                 .add(cache.misses() - misses_base);
             r.histogram(names::ORCHESTRATOR_SEARCH_WALL_SECONDS, &[])
@@ -741,14 +749,21 @@ impl Orchestrator {
                     continue;
                 }
                 // Backbone memory gate (§4.2 constraint).
-                if !cache.backbone_memory.fits(spec.hbm_bytes, pp_lm, tp_lm, dp_lm, spec.microbatch)
+                if !cache
+                    .backbone_memory
+                    .fits(spec.hbm_bytes, pp_lm, tp_lm, dp_lm, spec.microbatch)
                 {
                     memory_rejected += 1;
                     continue;
                 }
                 for &tp_me in &TP_CHOICES {
                     for &tp_mg in &TP_CHOICES {
-                        let cand = Candidate { tp_lm, dp_lm, tp_me, tp_mg };
+                        let cand = Candidate {
+                            tp_lm,
+                            dp_lm,
+                            tp_me,
+                            tp_mg,
+                        };
                         evaluated += 1;
                         if let Some(alloc) = solve_inner(spec, cache, &cand, y) {
                             for slack in TRIM_SLACK_PER_GPU {
@@ -835,14 +850,22 @@ impl Orchestrator {
             });
             let in_budget = &pp_choices[..budget_end];
             let first_fit = in_budget.partition_point(|&pp| {
-                !cache.backbone_memory.fits(spec.hbm_bytes, pp, tp_lm, dp_lm, spec.microbatch)
+                !cache
+                    .backbone_memory
+                    .fits(spec.hbm_bytes, pp, tp_lm, dp_lm, spec.microbatch)
             });
             out.memory_rejected += first_fit;
             let c_lm = cache.train_cost(ModuleKind::Backbone, tp_lm);
             for &pp in &in_budget[first_fit..] {
                 let y = tp_lm * dp_lm * pp;
                 let lb = node_lower_bound(spec, tp_lm, dp_lm, y, c_lm, enc_min, gen_min);
-                nodes.push(LatticeNode { tp_lm, dp_lm, pp, y, lb });
+                nodes.push(LatticeNode {
+                    tp_lm,
+                    dp_lm,
+                    pp,
+                    y,
+                    lb,
+                });
             }
         }
         out.exhaustive_evaluated = nodes.len() * combos;
@@ -869,7 +892,9 @@ impl Orchestrator {
 
         // --- Pass 1: best-first bounding to the exact optimum T*.
         // Deterministic expansion order: bound, then node index.
-        let mut order: Vec<usize> = (0..nodes.len()).filter(|&i| nodes[i].lb.is_some()).collect();
+        let mut order: Vec<usize> = (0..nodes.len())
+            .filter(|&i| nodes[i].lb.is_some())
+            .collect();
         order.sort_by(|&a, &b| {
             let (la, lb) = (nodes[a].lb.unwrap(), nodes[b].lb.unwrap());
             la.total_cmp(&lb).then(a.cmp(&b))
@@ -889,13 +914,21 @@ impl Orchestrator {
                 else {
                     continue;
                 };
-                let cand = Candidate { tp_lm: hint.tp_lm, dp_lm, ..hint };
+                let cand = Candidate {
+                    tp_lm: hint.tp_lm,
+                    dp_lm,
+                    ..hint
+                };
                 for &pp in pp_choices.iter().rev().filter(|&&pp| pp <= pp_hint) {
                     let y = cand.tp_lm * dp_lm * pp;
                     if y + 2 > spec.total_gpus
-                        || !cache
-                            .backbone_memory
-                            .fits(spec.hbm_bytes, pp, cand.tp_lm, dp_lm, spec.microbatch)
+                        || !cache.backbone_memory.fits(
+                            spec.hbm_bytes,
+                            pp,
+                            cand.tp_lm,
+                            dp_lm,
+                            spec.microbatch,
+                        )
                     {
                         continue;
                     }
@@ -929,8 +962,12 @@ impl Orchestrator {
             combo_order.clear();
             for (me_idx, &tp_me) in TP_CHOICES.iter().enumerate() {
                 for (mg_idx, &tp_mg) in TP_CHOICES.iter().enumerate() {
-                    let cand =
-                        Candidate { tp_lm: node.tp_lm, dp_lm: node.dp_lm, tp_me, tp_mg };
+                    let cand = Candidate {
+                        tp_lm: node.tp_lm,
+                        dp_lm: node.dp_lm,
+                        tp_me,
+                        tp_mg,
+                    };
                     let slot = i * combos + me_idx * TP_CHOICES.len() + mg_idx;
                     let clb = *clb_memo[slot]
                         .get_or_insert_with(|| combo_lower_bound(spec, cache, &cand, node.y));
@@ -939,8 +976,7 @@ impl Orchestrator {
                     }
                 }
             }
-            combo_order
-                .sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+            combo_order.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
             for &(clb, me_idx, mg_idx) in &combo_order {
                 if clb * LB_SAFETY >= incumbent {
                     break;
@@ -953,8 +989,7 @@ impl Orchestrator {
                 };
                 out.solves += 1;
                 let slot = i * combos + me_idx * TP_CHOICES.len() + mg_idx;
-                let trimmed =
-                    *memo[slot].get_or_insert_with(|| solve_trimmed(&cand, node.y));
+                let trimmed = *memo[slot].get_or_insert_with(|| solve_trimmed(&cand, node.y));
                 for t in trimmed.iter().flatten() {
                     incumbent = incumbent.min(t.objective.total());
                 }
@@ -972,8 +1007,11 @@ impl Orchestrator {
             // emptiness, never an exclusion — otherwise an empty combo
             // would force widening forever.
             for &factor in &WIDEN_FACTORS {
-                let t_cut =
-                    if factor.is_infinite() { f64::INFINITY } else { incumbent * factor };
+                let t_cut = if factor.is_infinite() {
+                    f64::INFINITY
+                } else {
+                    incumbent * factor
+                };
                 let mut ranked: Vec<(f64, Candidate, u32, Allocation)> = Vec::new();
                 let mut excluded = false;
                 for (ni, node) in nodes.iter().enumerate() {
@@ -986,8 +1024,12 @@ impl Orchestrator {
                     out.nodes_expanded += 1;
                     for (me_idx, &tp_me) in TP_CHOICES.iter().enumerate() {
                         for (mg_idx, &tp_mg) in TP_CHOICES.iter().enumerate() {
-                            let cand =
-                                Candidate { tp_lm: node.tp_lm, dp_lm: node.dp_lm, tp_me, tp_mg };
+                            let cand = Candidate {
+                                tp_lm: node.tp_lm,
+                                dp_lm: node.dp_lm,
+                                tp_me,
+                                tp_mg,
+                            };
                             let slot = ni * combos + me_idx * TP_CHOICES.len() + mg_idx;
                             let Some(clb) = *clb_memo[slot].get_or_insert_with(|| {
                                 combo_lower_bound(spec, cache, &cand, node.y)
@@ -1014,8 +1056,7 @@ impl Orchestrator {
                         }
                     }
                 }
-                ranked
-                    .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("objective values are finite"));
+                ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("objective values are finite"));
                 let selected = select_plans(spec, model, shape, self.top_k.max(1), &ranked);
                 // Accept when the shortlist is full, or nothing at all was
                 // excluded (then this *is* the complete serial entry set).
@@ -1074,9 +1115,15 @@ mod tests {
         let r = plan_for(MllmPreset::Mllm9B, 96, 128);
         assert!(r.plan.total_gpus() <= 96);
         assert!(r.candidates_evaluated > 0);
-        assert!(r.cache_hits > r.candidates_evaluated as u64, "each evaluation does several lookups");
+        assert!(
+            r.cache_hits > r.candidates_evaluated as u64,
+            "each evaluation does several lookups"
+        );
         assert!(r.solve_wall_time.as_secs_f64() < 5.0);
-        assert!(r.proven_optimal, "the default search carries the optimality certificate");
+        assert!(
+            r.proven_optimal,
+            "the default search carries the optimality certificate"
+        );
         // The backbone must receive the lion's share for a 7B-dominated
         // model at 512² generation.
         assert!(r.plan.backbone.gpus() > r.plan.encoder.gpus());
@@ -1102,7 +1149,10 @@ mod tests {
         };
         let lo = share_at(512);
         let hi = share_at(1024);
-        assert!(hi > lo, "generator share should grow with resolution: {lo:.3} vs {hi:.3}");
+        assert!(
+            hi > lo,
+            "generator share should grow with resolution: {lo:.3} vs {hi:.3}"
+        );
     }
 
     #[test]
@@ -1164,7 +1214,10 @@ mod tests {
             let p = &pruned[0];
             assert!(p.proven_optimal);
             assert_eq!(p.search_mode, SearchMode::Pruned);
-            assert!(p.nodes_pruned > 0, "{n} GPUs, batch {bs}: the bounds must bite");
+            assert!(
+                p.nodes_pruned > 0,
+                "{n} GPUs, batch {bs}: the bounds must bite"
+            );
         }
     }
 
@@ -1176,7 +1229,11 @@ mod tests {
         // solves.
         let model = MllmPreset::Mllm9B.build();
         let profile = profile_for(&model, 12, 17);
-        let orch = Orchestrator::builder().spec(spec(96, 128)).top_k(3).build().unwrap();
+        let orch = Orchestrator::builder()
+            .spec(spec(96, 128))
+            .top_k(3)
+            .build()
+            .unwrap();
         let initial = orch.plan_with_profile(&model, &profile).unwrap();
         let mut warm = WarmStart::new(&model, &profile);
         warm.observe(&initial.plan);
@@ -1184,7 +1241,9 @@ mod tests {
         assert_eq!(warm.observed(), 1);
         for remaining in [88u32, 64, 24] {
             let cold = orch.replan_degraded(&model, &profile, remaining).unwrap();
-            let warmed = orch.replan_degraded_warm(&model, &profile, remaining, &warm).unwrap();
+            let warmed = orch
+                .replan_degraded_warm(&model, &profile, remaining, &warm)
+                .unwrap();
             assert_eq!(cold.len(), warmed.len(), "{remaining} GPUs");
             for (c, w) in cold.iter().zip(&warmed) {
                 assert_eq!(c.plan, w.plan, "{remaining} GPUs");
@@ -1222,7 +1281,11 @@ mod tests {
             assert_eq!(a.objective.total().to_bits(), b.objective.total().to_bits());
         }
         let p = &pruned[0];
-        assert_eq!(p.search_mode, SearchMode::Pruned, "the requested mode is reported");
+        assert_eq!(
+            p.search_mode,
+            SearchMode::Pruned,
+            "the requested mode is reported"
+        );
         assert_eq!(p.nodes_pruned, 0, "the fallback prunes nothing");
         assert!(p.proven_optimal, "exhaustive fallback is still optimal");
     }
@@ -1231,14 +1294,22 @@ mod tests {
     fn degraded_replan_fits_the_smaller_cluster() {
         let model = MllmPreset::Mllm9B.build();
         let profile = profile_for(&model, 12, 17);
-        let orch = Orchestrator::builder().spec(spec(96, 128)).top_k(3).build().unwrap();
+        let orch = Orchestrator::builder()
+            .spec(spec(96, 128))
+            .top_k(3)
+            .build()
+            .unwrap();
         let degraded = orch
             .replan_degraded(&model, &profile, 88)
             .expect("one lost node must still be plannable");
         assert!(!degraded.is_empty());
         assert!(degraded.len() <= 3, "top_k caps the shortlist");
         for r in &degraded {
-            assert!(r.plan.total_gpus() <= 88, "plan uses {} of 88 GPUs", r.plan.total_gpus());
+            assert!(
+                r.plan.total_gpus() <= 88,
+                "plan uses {} of 88 GPUs",
+                r.plan.total_gpus()
+            );
         }
         // The original spec is untouched (replan clones).
         assert_eq!(orch.spec.total_gpus, 96);
@@ -1254,8 +1325,16 @@ mod tests {
     fn two_gpu_cluster_reports_cluster_too_small() {
         let model = MllmPreset::Mllm9B.build();
         let profile = profile_for(&model, 1, 17);
-        let err = Orchestrator::new(spec(2, 16)).plan_with_profile(&model, &profile).unwrap_err();
-        assert_eq!(err, PlanError::ClusterTooSmall { total_gpus: 2, min_required: 3 });
+        let err = Orchestrator::new(spec(2, 16))
+            .plan_with_profile(&model, &profile)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::ClusterTooSmall {
+                total_gpus: 2,
+                min_required: 3
+            }
+        );
     }
 
     #[test]
@@ -1264,9 +1343,13 @@ mod tests {
         let profile = profile_for(&model, 12, 17);
         let mut s = spec(96, 128);
         s.hbm_bytes = 1 << 28; // 256 MiB: nothing fits
-        let err = Orchestrator::new(s).plan_with_profile(&model, &profile).unwrap_err();
+        let err = Orchestrator::new(s)
+            .plan_with_profile(&model, &profile)
+            .unwrap_err();
         match err {
-            PlanError::NoMemoryFeasiblePoint { memory_rejected, .. } => {
+            PlanError::NoMemoryFeasiblePoint {
+                memory_rejected, ..
+            } => {
                 assert!(memory_rejected > 0, "the HBM gate must have fired")
             }
             other => panic!("expected NoMemoryFeasiblePoint, got {other:?}"),
@@ -1279,24 +1362,67 @@ mod tests {
         let profile = profile_for(&model, 12, 17);
         let mut s = spec(96, 16);
         s.microbatch = 32; // BS/M = 0: no DP divisor exists
-        let err = Orchestrator::new(s).plan_with_profile(&model, &profile).unwrap_err();
-        assert_eq!(err, PlanError::EmptyLattice { pairs_considered: 0 });
+        let err = Orchestrator::new(s)
+            .plan_with_profile(&model, &profile)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::EmptyLattice {
+                pairs_considered: 0
+            }
+        );
     }
 
     #[test]
     fn builder_validates_each_knob() {
-        let ok = Orchestrator::builder().total_gpus(96).global_batch(128).build();
+        let ok = Orchestrator::builder()
+            .total_gpus(96)
+            .global_batch(128)
+            .build();
         assert!(ok.is_ok());
         for (builder, field) in [
             (Orchestrator::builder().global_batch(128), "total_gpus"),
             (Orchestrator::builder().total_gpus(96), "global_batch"),
-            (Orchestrator::builder().total_gpus(96).global_batch(128).gpus_per_node(0), "gpus_per_node"),
-            (Orchestrator::builder().total_gpus(96).global_batch(128).hbm_bytes(0), "hbm_bytes"),
-            (Orchestrator::builder().total_gpus(96).global_batch(128).microbatch(0), "microbatch"),
-            (Orchestrator::builder().total_gpus(96).global_batch(128).vpp(0), "vpp"),
-            (Orchestrator::builder().total_gpus(96).global_batch(128).top_k(0), "top_k"),
             (
-                Orchestrator::builder().total_gpus(96).global_batch(128).pp_hop_secs(f64::NAN),
+                Orchestrator::builder()
+                    .total_gpus(96)
+                    .global_batch(128)
+                    .gpus_per_node(0),
+                "gpus_per_node",
+            ),
+            (
+                Orchestrator::builder()
+                    .total_gpus(96)
+                    .global_batch(128)
+                    .hbm_bytes(0),
+                "hbm_bytes",
+            ),
+            (
+                Orchestrator::builder()
+                    .total_gpus(96)
+                    .global_batch(128)
+                    .microbatch(0),
+                "microbatch",
+            ),
+            (
+                Orchestrator::builder()
+                    .total_gpus(96)
+                    .global_batch(128)
+                    .vpp(0),
+                "vpp",
+            ),
+            (
+                Orchestrator::builder()
+                    .total_gpus(96)
+                    .global_batch(128)
+                    .top_k(0),
+                "top_k",
+            ),
+            (
+                Orchestrator::builder()
+                    .total_gpus(96)
+                    .global_batch(128)
+                    .pp_hop_secs(f64::NAN),
                 "pp_hop_secs",
             ),
         ] {
@@ -1317,4 +1443,3 @@ mod tests {
         assert_eq!(a.top_k, b.top_k);
     }
 }
-

@@ -73,7 +73,13 @@ pub struct PerfModel<'a> {
 impl<'a> PerfModel<'a> {
     /// Bind the oracle (no communication overlap — the baseline).
     pub fn new(model: &'a MultimodalLlm, gpu: &'a GpuSpec, coll: &'a CollectiveCost) -> Self {
-        PerfModel { model, gpu, coll, tp_overlap: 0.0, image_prices: Vec::new() }
+        PerfModel {
+            model,
+            gpu,
+            coll,
+            tp_overlap: 0.0,
+            image_prices: Vec::new(),
+        }
     }
 
     /// Table `module`'s per-image price at each of `resolutions` under TP
@@ -106,7 +112,9 @@ impl<'a> PerfModel<'a> {
     }
 
     fn tp_allreduce(&self, tp: u32, bytes: u64, count: u64) -> SimDuration {
-        let one = self.coll.time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode);
+        let one = self
+            .coll
+            .time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode);
         self.exposed(tp, one, count)
     }
 
@@ -139,7 +147,9 @@ impl<'a> PerfModel<'a> {
             }
             ModuleKind::Generator => (shape.gen_res, shape.gen_images),
         };
-        let price = self.tabled(module, res, tp).unwrap_or_else(|| self.image_price(module, res, tp));
+        let price = self
+            .tabled(module, res, tp)
+            .unwrap_or_else(|| self.image_price(module, res, tp));
         self.combine(module, &price, images, shape.image_tokens, tp)
     }
 
@@ -153,7 +163,10 @@ impl<'a> PerfModel<'a> {
                 let trunk = &m.encoder.trunk;
                 // Kernels: one fused region per layer per image.
                 let compute = self.gpu.compute_time_in_ops(per_image, trunk.layers);
-                (compute, trunk.tp_allreduce_bytes(m.encoder.tokens_per_image(res)))
+                (
+                    compute,
+                    trunk.tp_allreduce_bytes(m.encoder.tokens_per_image(res)),
+                )
             }
             ModuleKind::Backbone => (SimDuration::ZERO, 0),
             ModuleKind::Generator => {
@@ -167,7 +180,9 @@ impl<'a> PerfModel<'a> {
                 (compute, 2 * latent * latent * gen.base_channels)
             }
         };
-        let allreduce = self.coll.time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode);
+        let allreduce = self
+            .coll
+            .time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode);
         ImagePrice { compute, allreduce }
     }
 
@@ -176,17 +191,28 @@ impl<'a> PerfModel<'a> {
     /// for the generator) at `price`, plus the projector and the exposed
     /// TP allreduces. `image_tokens` sizes the encoder's input projector;
     /// the generator's projector is sized by its targets.
-    fn combine(&self, module: ModuleKind, price: &ImagePrice, images: u32, image_tokens: u64, tp: u32) -> SimDuration {
+    fn combine(
+        &self,
+        module: ModuleKind,
+        price: &ImagePrice,
+        images: u32,
+        image_tokens: u64,
+        tp: u32,
+    ) -> SimDuration {
         let m = self.model;
         let images = images as u64;
         let (proj_flops, allreduces) = match module {
-            ModuleKind::Encoder => {
-                (m.input_projector.flops_forward(image_tokens), 2 * m.encoder.trunk.layers as u64)
-            }
+            ModuleKind::Encoder => (
+                m.input_projector.flops_forward(image_tokens),
+                2 * m.encoder.trunk.layers as u64,
+            ),
             ModuleKind::Backbone => return SimDuration::ZERO,
             ModuleKind::Generator => {
                 let cond_tokens = images * m.generator.context_len;
-                (m.output_projector.flops_forward(cond_tokens), generator_blocks(&m.generator) as u64)
+                (
+                    m.output_projector.flops_forward(cond_tokens),
+                    generator_blocks(&m.generator) as u64,
+                )
             }
         };
         let proj = self.gpu.compute_time(proj_flops / tp as f64);
@@ -206,7 +232,12 @@ impl<'a> PerfModel<'a> {
     /// Forward+backward per-sample time — the `C(TP)` flavor the §4.2
     /// objective actually uses ("changing C from forward time functions to
     /// the sum functions of forward and backward time").
-    pub fn module_train_time(&self, module: ModuleKind, shape: &SampleShape, tp: u32) -> SimDuration {
+    pub fn module_train_time(
+        &self,
+        module: ModuleKind,
+        shape: &SampleShape,
+        tp: u32,
+    ) -> SimDuration {
         self.module_fwd_time(module, shape, tp) + self.module_bwd_time(module, shape, tp)
     }
 
@@ -252,7 +283,8 @@ impl<'a> PerfModel<'a> {
             let nodes = dp.div_ceil(intra);
             self.coll.allreduce_hierarchical(intra, nodes, bytes)
         } else {
-            self.coll.time(CollectiveKind::AllReduce, dp, bytes, CommDomain::IntraNode)
+            self.coll
+                .time(CollectiveKind::AllReduce, dp, bytes, CommDomain::IntraNode)
         }
     }
 }
@@ -264,7 +296,14 @@ mod tests {
     use dt_model::MllmPreset;
 
     fn shape() -> SampleShape {
-        SampleShape { text_tokens: 6144, image_tokens: 2048, num_images: 2, gen_images: 1, image_res: 512, gen_res: 512 }
+        SampleShape {
+            text_tokens: 6144,
+            image_tokens: 2048,
+            num_images: 2,
+            gen_images: 1,
+            image_res: 512,
+            gen_res: 512,
+        }
     }
 
     fn with_perf<R>(preset: MllmPreset, f: impl FnOnce(&PerfModel<'_>) -> R) -> R {
@@ -277,10 +316,17 @@ mod tests {
     #[test]
     fn backbone_time_shrinks_sublinearly_with_tp() {
         with_perf(MllmPreset::Mllm9B, |p| {
-            let t1 = p.module_fwd_time(ModuleKind::Backbone, &shape(), 1).as_secs_f64();
-            let t8 = p.module_fwd_time(ModuleKind::Backbone, &shape(), 8).as_secs_f64();
+            let t1 = p
+                .module_fwd_time(ModuleKind::Backbone, &shape(), 1)
+                .as_secs_f64();
+            let t8 = p
+                .module_fwd_time(ModuleKind::Backbone, &shape(), 8)
+                .as_secs_f64();
             assert!(t8 < t1, "TP must speed up the backbone");
-            assert!(t8 > t1 / 8.0, "TP=8 cannot be a perfect 8× (comm + efficiency ramp)");
+            assert!(
+                t8 > t1 / 8.0,
+                "TP=8 cannot be a perfect 8× (comm + efficiency ramp)"
+            );
         });
     }
 
@@ -292,7 +338,14 @@ mod tests {
             let a = p.module_fwd_time(ModuleKind::Backbone, &shape(), 8);
             let b = p.module_fwd_time(
                 ModuleKind::Backbone,
-                &SampleShape { text_tokens: 1024, image_tokens: 7168, num_images: 7, gen_images: 3, image_res: 512, gen_res: 512 },
+                &SampleShape {
+                    text_tokens: 1024,
+                    image_tokens: 7168,
+                    num_images: 7,
+                    gen_images: 3,
+                    image_res: 512,
+                    gen_res: 512,
+                },
                 8,
             );
             assert_eq!(a, b);
@@ -303,8 +356,22 @@ mod tests {
     fn multimodal_time_varies_with_input() {
         // ...while encoder and generator vary strongly (same figure).
         with_perf(MllmPreset::Mllm9B, |p| {
-            let light = SampleShape { text_tokens: 8064, image_tokens: 128, num_images: 1, gen_images: 0, image_res: 256, gen_res: 256 };
-            let heavy = SampleShape { text_tokens: 1024, image_tokens: 7168, num_images: 7, gen_images: 3, image_res: 1024, gen_res: 1024 };
+            let light = SampleShape {
+                text_tokens: 8064,
+                image_tokens: 128,
+                num_images: 1,
+                gen_images: 0,
+                image_res: 256,
+                gen_res: 256,
+            };
+            let heavy = SampleShape {
+                text_tokens: 1024,
+                image_tokens: 7168,
+                num_images: 7,
+                gen_images: 3,
+                image_res: 1024,
+                gen_res: 1024,
+            };
             let el = p.module_fwd_time(ModuleKind::Encoder, &light, 1);
             let eh = p.module_fwd_time(ModuleKind::Encoder, &heavy, 1);
             assert!(eh.as_secs_f64() > 5.0 * el.as_secs_f64());
@@ -317,14 +384,22 @@ mod tests {
 
     /// `module_fwd_time` before the price/combine split, one formula per
     /// module.
-    fn unsplit_fwd_time(p: &PerfModel<'_>, module: ModuleKind, shape: &SampleShape, tp: u32) -> SimDuration {
+    fn unsplit_fwd_time(
+        p: &PerfModel<'_>,
+        module: ModuleKind,
+        shape: &SampleShape,
+        tp: u32,
+    ) -> SimDuration {
         let tp = tp.max(1);
         let m = p.model;
         let allreduce = |bytes, count| {
             if tp <= 1 {
                 return SimDuration::ZERO;
             }
-            let raw = p.coll.time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode) * count;
+            let raw = p
+                .coll
+                .time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode)
+                * count;
             raw.mul_f64(1.0 - p.tp_overlap.clamp(0.0, 1.0))
         };
         match module {
@@ -333,26 +408,48 @@ mod tests {
                 let per_image = m.encoder.flops_forward_image(shape.image_res) / tp as f64;
                 let images = shape.num_images as u64;
                 let compute = p.gpu.compute_time_in_ops(per_image, trunk.layers) * images;
-                let proj = p.gpu.compute_time(m.input_projector.flops_forward(shape.image_tokens) / tp as f64);
+                let proj = p
+                    .gpu
+                    .compute_time(m.input_projector.flops_forward(shape.image_tokens) / tp as f64);
                 let tokens_per_image = m.encoder.tokens_per_image(shape.image_res);
-                compute + proj + allreduce(trunk.tp_allreduce_bytes(tokens_per_image), 2 * trunk.layers as u64 * images)
+                compute
+                    + proj
+                    + allreduce(
+                        trunk.tp_allreduce_bytes(tokens_per_image),
+                        2 * trunk.layers as u64 * images,
+                    )
             }
             ModuleKind::Backbone => {
                 let bb = &m.backbone;
                 let seq = shape.seq_len();
-                let compute = p.gpu.compute_time_in_ops(bb.flops_forward(seq) / tp as f64, bb.layers + 1);
+                let compute = p
+                    .gpu
+                    .compute_time_in_ops(bb.flops_forward(seq) / tp as f64, bb.layers + 1);
                 compute + allreduce(bb.tp_allreduce_bytes(seq), 2 * bb.layers as u64)
             }
             ModuleKind::Generator => {
                 let gen = &m.generator;
-                let per_image = (gen.flops_forward_image(shape.gen_res) + gen.vae_encode_flops(shape.gen_res)) / tp as f64;
+                let per_image = (gen.flops_forward_image(shape.gen_res)
+                    + gen.vae_encode_flops(shape.gen_res))
+                    / tp as f64;
                 let images = shape.gen_images as u64;
                 let blocks = (gen.channel_mult.len() as u32 * 2 + 1) * 4;
-                let compute = p.gpu.compute_time_in_ops(per_image, blocks).mul_f64(UNET_EFFICIENCY_DERATE) * images;
+                let compute = p
+                    .gpu
+                    .compute_time_in_ops(per_image, blocks)
+                    .mul_f64(UNET_EFFICIENCY_DERATE)
+                    * images;
                 let cond_tokens = shape.gen_images as u64 * gen.context_len;
-                let proj = p.gpu.compute_time(m.output_projector.flops_forward(cond_tokens) / tp as f64);
+                let proj = p
+                    .gpu
+                    .compute_time(m.output_projector.flops_forward(cond_tokens) / tp as f64);
                 let latent = gen.latent_edge(shape.gen_res);
-                compute + proj + allreduce(2 * latent * latent * gen.base_channels, blocks as u64 * images)
+                compute
+                    + proj
+                    + allreduce(
+                        2 * latent * latent * gen.base_channels,
+                        blocks as u64 * images,
+                    )
             }
         }
     }
@@ -367,18 +464,35 @@ mod tests {
             let gpu = GpuSpec::ampere();
             let coll = CollectiveCost::new(ClusterSpec::production(162));
             let baseline = PerfModel::new(&model, &gpu, &coll);
-            for (plain, tp) in [baseline.clone(), baseline.with_stepccl()].iter().flat_map(|p| [0, 1, 2, 8].map(|tp| (p, tp))) {
+            for (plain, tp) in [baseline.clone(), baseline.with_stepccl()]
+                .iter()
+                .flat_map(|p| [0, 1, 2, 8].map(|tp| (p, tp)))
+            {
                 let tabled = plain
                     .clone()
                     .with_image_prices(ModuleKind::Encoder, &resolutions, tp)
                     .with_image_prices(ModuleKind::Generator, &resolutions, tp);
                 for (image_res, gen_res) in resolutions.iter().zip(resolutions.iter().rev()) {
                     for (num_images, gen_images) in [(0, 0), (1, 0), (3, 2), (10, 10)] {
-                        let s = SampleShape { image_res: *image_res, gen_res: *gen_res, num_images, gen_images, ..shape() };
+                        let s = SampleShape {
+                            image_res: *image_res,
+                            gen_res: *gen_res,
+                            num_images,
+                            gen_images,
+                            ..shape()
+                        };
                         for m in ModuleKind::ALL {
                             let unsplit = unsplit_fwd_time(plain, m, &s, tp);
-                            assert_eq!(plain.module_fwd_time(m, &s, tp), unsplit, "{preset:?} tp={tp} {m} {s:?}");
-                            assert_eq!(tabled.module_fwd_time(m, &s, tp), unsplit, "{preset:?} tp={tp} {m} {s:?}");
+                            assert_eq!(
+                                plain.module_fwd_time(m, &s, tp),
+                                unsplit,
+                                "{preset:?} tp={tp} {m} {s:?}"
+                            );
+                            assert_eq!(
+                                tabled.module_fwd_time(m, &s, tp),
+                                unsplit,
+                                "{preset:?} tp={tp} {m} {s:?}"
+                            );
                         }
                     }
                 }
@@ -393,7 +507,10 @@ mod tests {
         let gpu = GpuSpec::ampere();
         let coll = CollectiveCost::new(ClusterSpec::production(162));
         let p = PerfModel::new(&model, &gpu, &coll);
-        assert_eq!(p.module_bwd_time(ModuleKind::Encoder, &shape(), 1), SimDuration::ZERO);
+        assert_eq!(
+            p.module_bwd_time(ModuleKind::Encoder, &shape(), 1),
+            SimDuration::ZERO
+        );
         assert!(p.module_bwd_time(ModuleKind::Backbone, &shape(), 8) > SimDuration::ZERO);
     }
 
@@ -404,8 +521,12 @@ mod tests {
             let big = p.grad_sync_time(ModuleKind::Backbone, 16, 8, 1);
             assert!(big > small);
             // Ring: larger DP barely changes the bandwidth term.
-            let dp16 = p.grad_sync_time(ModuleKind::Backbone, 16, 8, 1).as_secs_f64();
-            let dp32 = p.grad_sync_time(ModuleKind::Backbone, 32, 8, 1).as_secs_f64();
+            let dp16 = p
+                .grad_sync_time(ModuleKind::Backbone, 16, 8, 1)
+                .as_secs_f64();
+            let dp32 = p
+                .grad_sync_time(ModuleKind::Backbone, 32, 8, 1)
+                .as_secs_f64();
             assert!(dp32 < 1.3 * dp16);
         });
     }
@@ -416,15 +537,36 @@ mod tests {
         // multimodal modules inflate. Compare generator-per-sample to one
         // *PP stage* (1/10th) of the 70B backbone.
         with_perf(MllmPreset::Mllm72B, |p| {
-            let stage = p.module_fwd_time(ModuleKind::Backbone, &shape(), 8).as_secs_f64() / 10.0;
+            let stage = p
+                .module_fwd_time(ModuleKind::Backbone, &shape(), 8)
+                .as_secs_f64()
+                / 10.0;
             let gen512 = p
-                .module_fwd_time(ModuleKind::Generator, &SampleShape { gen_res: 512, ..shape() }, 1)
+                .module_fwd_time(
+                    ModuleKind::Generator,
+                    &SampleShape {
+                        gen_res: 512,
+                        ..shape()
+                    },
+                    1,
+                )
                 .as_secs_f64();
             let gen1024 = p
-                .module_fwd_time(ModuleKind::Generator, &SampleShape { gen_res: 1024, gen_images: 3, ..shape() }, 1)
+                .module_fwd_time(
+                    ModuleKind::Generator,
+                    &SampleShape {
+                        gen_res: 1024,
+                        gen_images: 3,
+                        ..shape()
+                    },
+                    1,
+                )
                 .as_secs_f64();
             assert!(gen1024 > 4.0 * gen512);
-            assert!(gen1024 > stage, "1024² generation should exceed one LLM stage");
+            assert!(
+                gen1024 > stage,
+                "1024² generation should exceed one LLM stage"
+            );
         });
     }
 }

@@ -121,9 +121,16 @@ impl Profiler {
         let n = samples.len() as f64;
         let text = samples.iter().map(|s| s.text_tokens()).sum::<u64>() as f64 / n;
         let image = samples.iter().map(|s| s.image_tokens()).sum::<u64>() as f64 / n;
-        let imgs = samples.iter().map(|s| s.image_resolutions.len() as u64).sum::<u64>() as f64 / n;
+        let imgs = samples
+            .iter()
+            .map(|s| s.image_resolutions.len() as u64)
+            .sum::<u64>() as f64
+            / n;
         let gens = samples.iter().map(|s| u64::from(s.gen_images)).sum::<u64>() as f64 / n;
-        let total_imgs: u64 = samples.iter().map(|s| s.image_resolutions.len() as u64).sum();
+        let total_imgs: u64 = samples
+            .iter()
+            .map(|s| s.image_resolutions.len() as u64)
+            .sum();
         let mean_area = if total_imgs == 0 {
             512.0 * 512.0
         } else {
@@ -218,7 +225,10 @@ mod tests {
         let samples = data.take(100);
         let shape = Profiler::mean_shape(&samples);
         let total = shape.text_tokens + shape.image_tokens;
-        assert!((8191..=8193).contains(&total), "mean shape drifted: {total}");
+        assert!(
+            (8191..=8193).contains(&total),
+            "mean shape drifted: {total}"
+        );
         assert_eq!(shape.image_res, 512);
     }
 

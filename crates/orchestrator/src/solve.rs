@@ -76,7 +76,9 @@ pub fn solve_inner<C: TrainCost + ?Sized>(
         let t_lm = dp * cand.tp_lm as f64 * m * c_lm / y as f64;
         let t_me = dp * cand.tp_me as f64 * m * c_me / x;
         let t_mg = dp * cand.tp_mg as f64 * m * c_mg / z;
-        let warmup = (m * c_lm + dp * m * cand.tp_me as f64 * c_me / x + dp * m * cand.tp_mg as f64 * c_mg / z)
+        let warmup = (m * c_lm
+            + dp * m * cand.tp_me as f64 * c_me / x
+            + dp * m * cand.tp_mg as f64 * c_mg / z)
             / spec.vpp.max(1) as f64;
         warmup + t_lm.max(t_me).max(t_mg) * (n_mb - 1.0).max(0.0)
     };
@@ -112,7 +114,12 @@ pub fn solve_inner<C: TrainCost + ?Sized>(
         if let Some(total) = eval(x, z) {
             let obj = objective(spec, costs, cand, x, y, z).expect("eval succeeded");
             if best.is_none_or(|b| total < b.objective.total()) {
-                best = Some(Allocation { x, y, z, objective: obj });
+                best = Some(Allocation {
+                    x,
+                    y,
+                    z,
+                    objective: obj,
+                });
             }
         }
     }
@@ -148,7 +155,12 @@ pub fn trim_allocation<C: TrainCost + ?Sized>(
             if let Some(obj) = objective(spec, costs, cand, x, cur.y, z) {
                 let budget = cur.objective.total() * (1.0 + per_gpu_slack.max(0.0) * freed as f64);
                 if obj.total() <= budget {
-                    cur = Allocation { x, y: cur.y, z, objective: obj };
+                    cur = Allocation {
+                        x,
+                        y: cur.y,
+                        z,
+                        objective: obj,
+                    };
                     improved = true;
                 }
             }
@@ -175,7 +187,12 @@ pub fn solve_inner_brute<C: TrainCost + ?Sized>(
         if z >= cand.tp_mg {
             if let Some(obj) = objective(spec, costs, cand, x, y, z) {
                 if best.is_none_or(|b| obj.total() < b.objective.total()) {
-                    best = Some(Allocation { x, y, z, objective: obj });
+                    best = Some(Allocation {
+                        x,
+                        y,
+                        z,
+                        objective: obj,
+                    });
                 }
             }
         }
@@ -194,7 +211,10 @@ pub fn solve_inner_brute<C: TrainCost + ?Sized>(
 /// [`crate::cache::PerfCache::bounds_sound`]); a negative cost would make
 /// the bound algebra (square roots, monotonicity) unsound.
 pub fn min_tp_work<C: TrainCost + ?Sized>(costs: &C, module: ModuleKind) -> f64 {
-    TRIAL_TPS.iter().map(|&tp| tp as f64 * costs.train_cost(module, tp)).fold(f64::INFINITY, f64::min)
+    TRIAL_TPS
+        .iter()
+        .map(|&tp| tp as f64 * costs.train_cost(module, tp))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Shared algebra of the §4.3 lower bounds, for a fixed backbone point
@@ -230,10 +250,13 @@ fn phase_lower_bound(
     let r = (spec.total_gpus - y) as f64;
     let pp = y as f64 / (tp_lm as f64 * dp);
     let hop_penalty = 2.0 * spec.pp_hop_secs * (pp + 2.0);
-    let warmup = (m * c_lm + (a.sqrt() + b.sqrt()).powi(2) / r) / spec.vpp.max(1) as f64
-        + hop_penalty;
+    let warmup =
+        (m * c_lm + (a.sqrt() + b.sqrt()).powi(2) / r) / spec.vpp.max(1) as f64 + hop_penalty;
     let t_lm = dp * tp_lm as f64 * m * c_lm / y as f64;
-    let bottleneck = t_lm.max(a / (r - z_min as f64)).max(b / (r - x_min as f64)).max((a + b) / r);
+    let bottleneck = t_lm
+        .max(a / (r - z_min as f64))
+        .max(b / (r - x_min as f64))
+        .max((a + b) / r);
     warmup + bottleneck * (n_mb as f64 - 1.0).max(0.0)
 }
 
@@ -258,7 +281,9 @@ pub fn combo_lower_bound<C: TrainCost + ?Sized>(
     let c_lm = costs.train_cost(ModuleKind::Backbone, cand.tp_lm);
     let a = dp * m * cand.tp_me as f64 * costs.train_cost(ModuleKind::Encoder, cand.tp_me);
     let b = dp * m * cand.tp_mg as f64 * costs.train_cost(ModuleKind::Generator, cand.tp_mg);
-    Some(phase_lower_bound(spec, cand.tp_lm, cand.dp_lm, y, c_lm, a, b, cand.tp_me, cand.tp_mg, n_mb))
+    Some(phase_lower_bound(
+        spec, cand.tp_lm, cand.dp_lm, y, c_lm, a, b, cand.tp_me, cand.tp_mg, n_mb,
+    ))
 }
 
 /// Lower bound over **all 16** `(TP_me, TP_mg)` combinations of a backbone
@@ -288,7 +313,9 @@ pub fn node_lower_bound(
     let b = dp * m * gen_min;
     // x_min = z_min = 0 relaxes the per-combo floors (each combo's true
     // floor is its TP choice, which varies across the 16 combos).
-    Some(phase_lower_bound(spec, tp_lm, dp_lm, y, c_lm, a, b, 0, 0, n_mb))
+    Some(phase_lower_bound(
+        spec, tp_lm, dp_lm, y, c_lm, a, b, 0, 0, n_mb,
+    ))
 }
 
 #[cfg(test)]
@@ -327,11 +354,17 @@ mod tests {
     fn golden_section_matches_brute_force() {
         let s = spec(96, 128);
         let p = profile(0.6, 9.0, 1.2);
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 1, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         for y in [64u32, 72, 80] {
             let fast = solve_inner(&s, &p, &cand, y).unwrap();
             let brute = solve_inner_brute(&s, &p, &cand, y).unwrap();
-            let rel = (fast.objective.total() - brute.objective.total()).abs() / brute.objective.total();
+            let rel =
+                (fast.objective.total() - brute.objective.total()).abs() / brute.objective.total();
             assert!(rel < 0.01, "y={y}: fast {:?} vs brute {:?}", fast, brute);
         }
     }
@@ -340,7 +373,12 @@ mod tests {
     fn allocation_spends_the_whole_budget() {
         let s = spec(96, 128);
         let p = profile(0.6, 9.0, 1.2);
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 1, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         let a = solve_inner(&s, &p, &cand, 64).unwrap();
         assert_eq!(a.x + a.y + a.z, 96, "monotone objective must use all GPUs");
     }
@@ -348,7 +386,12 @@ mod tests {
     #[test]
     fn heavier_generator_earns_more_gpus() {
         let s = spec(96, 128);
-        let cand = Candidate { tp_lm: 8, dp_lm: 8, tp_me: 1, tp_mg: 1 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 8,
+            tp_me: 1,
+            tp_mg: 1,
+        };
         let light = solve_inner(&s, &profile(0.6, 9.0, 0.6), &cand, 64).unwrap();
         let heavy = solve_inner(&s, &profile(0.6, 9.0, 4.8), &cand, 64).unwrap();
         assert!(heavy.z > light.z, "heavy {:?} vs light {:?}", heavy, light);
@@ -358,7 +401,12 @@ mod tests {
     fn infeasible_budget_returns_none() {
         let s = spec(10, 128);
         let p = profile(0.6, 9.0, 1.2);
-        let cand = Candidate { tp_lm: 8, dp_lm: 1, tp_me: 8, tp_mg: 8 };
+        let cand = Candidate {
+            tp_lm: 8,
+            dp_lm: 1,
+            tp_me: 8,
+            tp_mg: 8,
+        };
         assert!(solve_inner(&s, &p, &cand, 8).is_none());
     }
 
@@ -393,7 +441,12 @@ mod tests {
             let node_lb = node_lower_bound(&s, tp_lm, dp_lm, y, c_lm, enc_min, gen_min);
             for tp_me in tps {
                 for tp_mg in tps {
-                    let cand = Candidate { tp_lm, dp_lm, tp_me, tp_mg };
+                    let cand = Candidate {
+                        tp_lm,
+                        dp_lm,
+                        tp_me,
+                        tp_mg,
+                    };
                     let combo_lb = combo_lower_bound(&s, &p, &cand, y);
                     // Exhaust every feasible (x, z) on the lattice.
                     let remainder = s.total_gpus - y;
@@ -467,10 +520,18 @@ mod tests {
             if y >= s.total_gpus {
                 continue;
             }
-            match (solve_inner(&s, &p, &cand, y), solve_inner_brute(&s, &p, &cand, y)) {
+            match (
+                solve_inner(&s, &p, &cand, y),
+                solve_inner_brute(&s, &p, &cand, y),
+            ) {
                 (Some(f), Some(b)) => {
                     let rel = (f.objective.total() - b.objective.total()) / b.objective.total();
-                    assert!(rel < 0.02, "seed {seed}: fast {} vs brute {}", f.objective.total(), b.objective.total());
+                    assert!(
+                        rel < 0.02,
+                        "seed {seed}: fast {} vs brute {}",
+                        f.objective.total(),
+                        b.objective.total()
+                    );
                 }
                 (None, None) => {}
                 (f, b) => panic!("seed {seed}: feasibility mismatch: {f:?} vs {b:?}"),
