@@ -241,7 +241,10 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Overloaded { queue_depth } => {
-                write!(f, "overloaded: admission queue ({queue_depth} slots) is full")
+                write!(
+                    f,
+                    "overloaded: admission queue ({queue_depth} slots) is full"
+                )
             }
             ServeError::DeadlineExceeded { waited_ms } => {
                 write!(f, "deadline exceeded after {waited_ms} ms in queue")
@@ -305,7 +308,11 @@ impl WireJson for ServeRequest {
         match self {
             ServeRequest::Ping => Json::Str("Ping".into()),
             ServeRequest::Shutdown => Json::Str("Shutdown".into()),
-            ServeRequest::Plan { spec, budget, deadline_ms } => Json::obj(vec![(
+            ServeRequest::Plan {
+                spec,
+                budget,
+                deadline_ms,
+            } => Json::obj(vec![(
                 "Plan",
                 Json::obj(vec![
                     ("spec", spec.to_json()),
@@ -313,7 +320,12 @@ impl WireJson for ServeRequest {
                     ("deadline_ms", Json::num_u64(*deadline_ms)),
                 ]),
             )]),
-            ServeRequest::Replan { spec, remaining_gpus, budget, deadline_ms } => Json::obj(vec![(
+            ServeRequest::Replan {
+                spec,
+                remaining_gpus,
+                budget,
+                deadline_ms,
+            } => Json::obj(vec![(
                 "Replan",
                 Json::obj(vec![
                     ("spec", spec.to_json()),
@@ -322,7 +334,11 @@ impl WireJson for ServeRequest {
                     ("deadline_ms", Json::num_u64(*deadline_ms)),
                 ]),
             )]),
-            ServeRequest::Simulate { spec, iterations, deadline_ms } => Json::obj(vec![(
+            ServeRequest::Simulate {
+                spec,
+                iterations,
+                deadline_ms,
+            } => Json::obj(vec![(
                 "Simulate",
                 Json::obj(vec![
                     ("spec", spec.to_json()),
@@ -343,7 +359,10 @@ impl WireJson for ServeRequest {
         if let Some(body) = value.get("Plan") {
             return Ok(ServeRequest::Plan {
                 spec: SpecDesc::from_json(body.get("spec").ok_or("Plan missing spec")?)?,
-                budget: body.get("budget").and_then(Json::as_u32).ok_or("bad budget")?,
+                budget: body
+                    .get("budget")
+                    .and_then(Json::as_u32)
+                    .ok_or("bad budget")?,
                 deadline_ms: body
                     .get("deadline_ms")
                     .and_then(Json::as_u64)
@@ -357,7 +376,10 @@ impl WireJson for ServeRequest {
                     .get("remaining_gpus")
                     .and_then(Json::as_u32)
                     .ok_or("bad remaining_gpus")?,
-                budget: body.get("budget").and_then(Json::as_u32).ok_or("bad budget")?,
+                budget: body
+                    .get("budget")
+                    .and_then(Json::as_u32)
+                    .ok_or("bad budget")?,
                 deadline_ms: body
                     .get("deadline_ms")
                     .and_then(Json::as_u64)
@@ -392,7 +414,12 @@ impl WireJson for ModuleSummary {
     }
 
     fn from_json(value: &Json) -> Result<Self, String> {
-        let field = |k: &str| value.get(k).and_then(Json::as_u32).ok_or(format!("bad {k}"));
+        let field = |k: &str| {
+            value
+                .get(k)
+                .and_then(Json::as_u32)
+                .ok_or(format!("bad {k}"))
+        };
         Ok(ModuleSummary {
             tp: field("tp")?,
             dp: field("dp")?,
@@ -411,7 +438,10 @@ impl WireJson for PlanSummary {
             ("total_gpus", Json::num_u64(u64::from(self.total_gpus))),
             ("predicted_iter_secs", num_f64(self.predicted_iter_secs)),
             ("proven_optimal", Json::Bool(self.proven_optimal)),
-            ("candidates_evaluated", Json::num_u64(self.candidates_evaluated)),
+            (
+                "candidates_evaluated",
+                Json::num_u64(self.candidates_evaluated),
+            ),
             ("cache_hits", Json::num_u64(self.cache_hits)),
             ("warm", Json::Bool(self.warm)),
             ("solve_ms", num_f64(self.solve_ms)),
@@ -428,7 +458,9 @@ impl WireJson for PlanSummary {
             predicted_iter_secs: field("predicted_iter_secs")?
                 .as_f64()
                 .ok_or("bad predicted_iter_secs")?,
-            proven_optimal: field("proven_optimal")?.as_bool().ok_or("bad proven_optimal")?,
+            proven_optimal: field("proven_optimal")?
+                .as_bool()
+                .ok_or("bad proven_optimal")?,
             candidates_evaluated: field("candidates_evaluated")?
                 .as_u64()
                 .ok_or("bad candidates_evaluated")?,
@@ -455,9 +487,13 @@ impl WireJson for SimSummary {
         Ok(SimSummary {
             plan: PlanSummary::from_json(field("plan")?)?,
             iterations: field("iterations")?.as_u32().ok_or("bad iterations")?,
-            mean_iter_secs: field("mean_iter_secs")?.as_f64().ok_or("bad mean_iter_secs")?,
+            mean_iter_secs: field("mean_iter_secs")?
+                .as_f64()
+                .ok_or("bad mean_iter_secs")?,
             mfu: field("mfu")?.as_f64().ok_or("bad mfu")?,
-            samples_per_sec: field("samples_per_sec")?.as_f64().ok_or("bad samples_per_sec")?,
+            samples_per_sec: field("samples_per_sec")?
+                .as_f64()
+                .ok_or("bad samples_per_sec")?,
         })
     }
 }
@@ -467,7 +503,10 @@ impl WireJson for ServeError {
         match self {
             ServeError::Overloaded { queue_depth } => Json::obj(vec![(
                 "Overloaded",
-                Json::obj(vec![("queue_depth", Json::num_u64(u64::from(*queue_depth)))]),
+                Json::obj(vec![(
+                    "queue_depth",
+                    Json::num_u64(u64::from(*queue_depth)),
+                )]),
             )]),
             ServeError::DeadlineExceeded { waited_ms } => Json::obj(vec![(
                 "DeadlineExceeded",
@@ -481,9 +520,10 @@ impl WireJson for ServeError {
                 "Malformed",
                 Json::obj(vec![("reason", Json::Str(reason.clone()))]),
             )]),
-            ServeError::Plan { reason } => {
-                Json::obj(vec![("Plan", Json::obj(vec![("reason", Json::Str(reason.clone()))]))])
-            }
+            ServeError::Plan { reason } => Json::obj(vec![(
+                "Plan",
+                Json::obj(vec![("reason", Json::Str(reason.clone()))]),
+            )]),
             ServeError::ShuttingDown => Json::Str("ShuttingDown".into()),
         }
     }
@@ -493,7 +533,11 @@ impl WireJson for ServeError {
             return Ok(ServeError::ShuttingDown);
         }
         let str_field = |body: &Json, k: &str| -> Result<String, String> {
-            Ok(body.get(k).and_then(Json::as_str).ok_or(format!("bad {k}"))?.to_string())
+            Ok(body
+                .get(k)
+                .and_then(Json::as_str)
+                .ok_or(format!("bad {k}"))?
+                .to_string())
         };
         if let Some(body) = value.get("Overloaded") {
             return Ok(ServeError::Overloaded {
@@ -505,17 +549,26 @@ impl WireJson for ServeError {
         }
         if let Some(body) = value.get("DeadlineExceeded") {
             return Ok(ServeError::DeadlineExceeded {
-                waited_ms: body.get("waited_ms").and_then(Json::as_u64).ok_or("bad waited_ms")?,
+                waited_ms: body
+                    .get("waited_ms")
+                    .and_then(Json::as_u64)
+                    .ok_or("bad waited_ms")?,
             });
         }
         if let Some(body) = value.get("BadRequest") {
-            return Ok(ServeError::BadRequest { reason: str_field(body, "reason")? });
+            return Ok(ServeError::BadRequest {
+                reason: str_field(body, "reason")?,
+            });
         }
         if let Some(body) = value.get("Malformed") {
-            return Ok(ServeError::Malformed { reason: str_field(body, "reason")? });
+            return Ok(ServeError::Malformed {
+                reason: str_field(body, "reason")?,
+            });
         }
         if let Some(body) = value.get("Plan") {
-            return Ok(ServeError::Plan { reason: str_field(body, "reason")? });
+            return Ok(ServeError::Plan {
+                reason: str_field(body, "reason")?,
+            });
         }
         Err("unknown error variant".into())
     }
@@ -567,9 +620,22 @@ mod tests {
         let cases = vec![
             ServeRequest::Ping,
             ServeRequest::Shutdown,
-            ServeRequest::Plan { spec: spec(), budget: 4, deadline_ms: 500 },
-            ServeRequest::Replan { spec: spec(), remaining_gpus: 88, budget: 2, deadline_ms: 0 },
-            ServeRequest::Simulate { spec: spec(), iterations: 2, deadline_ms: 1000 },
+            ServeRequest::Plan {
+                spec: spec(),
+                budget: 4,
+                deadline_ms: 500,
+            },
+            ServeRequest::Replan {
+                spec: spec(),
+                remaining_gpus: 88,
+                budget: 2,
+                deadline_ms: 0,
+            },
+            ServeRequest::Simulate {
+                spec: spec(),
+                iterations: 2,
+                deadline_ms: 1000,
+            },
         ];
         for req in cases {
             let mut buf = Vec::new();
@@ -581,10 +647,20 @@ mod tests {
 
     #[test]
     fn replies_round_trip() {
-        let m = ModuleSummary { tp: 2, dp: 4, pp: 1, gpus: 8 };
+        let m = ModuleSummary {
+            tp: 2,
+            dp: 4,
+            pp: 1,
+            gpus: 8,
+        };
         let plan = PlanSummary {
             encoder: m.clone(),
-            backbone: ModuleSummary { tp: 8, dp: 2, pp: 2, gpus: 32 },
+            backbone: ModuleSummary {
+                tp: 8,
+                dp: 2,
+                pp: 2,
+                gpus: 32,
+            },
             generator: m.clone(),
             total_gpus: 48,
             predicted_iter_secs: 12.5,
@@ -607,9 +683,15 @@ mod tests {
             }),
             ServeReply::Err(ServeError::Overloaded { queue_depth: 16 }),
             ServeReply::Err(ServeError::DeadlineExceeded { waited_ms: 77 }),
-            ServeReply::Err(ServeError::BadRequest { reason: "nope".into() }),
-            ServeReply::Err(ServeError::Malformed { reason: "not json".into() }),
-            ServeReply::Err(ServeError::Plan { reason: "infeasible".into() }),
+            ServeReply::Err(ServeError::BadRequest {
+                reason: "nope".into(),
+            }),
+            ServeReply::Err(ServeError::Malformed {
+                reason: "not json".into(),
+            }),
+            ServeReply::Err(ServeError::Plan {
+                reason: "infeasible".into(),
+            }),
             ServeReply::Err(ServeError::ShuttingDown),
         ];
         for reply in cases {
@@ -637,9 +719,15 @@ mod tests {
         assert!(ServeError::Overloaded { queue_depth: 1 }.retryable());
         for e in [
             ServeError::DeadlineExceeded { waited_ms: 1 },
-            ServeError::BadRequest { reason: String::new() },
-            ServeError::Malformed { reason: String::new() },
-            ServeError::Plan { reason: String::new() },
+            ServeError::BadRequest {
+                reason: String::new(),
+            },
+            ServeError::Malformed {
+                reason: String::new(),
+            },
+            ServeError::Plan {
+                reason: String::new(),
+            },
             ServeError::ShuttingDown,
         ] {
             assert!(!e.retryable(), "{e} must not be retryable");

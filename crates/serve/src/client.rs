@@ -21,8 +21,8 @@
 //! the `dt-preprocess` reconnect supervisor runs on.
 
 use crate::api::{ServeReply, ServeRequest};
-use dt_simengine::frame::{read_json, write_json_ctx};
 use dt_simengine::backoff::{BackoffPolicy, Deadline};
+use dt_simengine::frame::{read_json, write_json_ctx};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_simengine::DetRng;
 use std::io;
@@ -142,7 +142,14 @@ impl Client {
     pub fn with_policy(addr: SocketAddr, policy: RetryPolicy) -> Client {
         let rng = DetRng::new(policy.seed);
         let trace_rng = DetRng::new(policy.seed ^ TRACE_SEED_SALT);
-        Client { addr, policy, deadline: None, rng, trace_rng, trace: WallTraceSink::disabled() }
+        Client {
+            addr,
+            policy,
+            deadline: None,
+            rng,
+            trace_rng,
+            trace: WallTraceSink::disabled(),
+        }
     }
 
     /// Enable request tracing: every [`Client::request`] draws a fresh
@@ -302,9 +309,15 @@ mod tests {
             let uncapped = 0.010 * 2f64.powi(k as i32);
             let cap = uncapped.min(0.200);
             let secs = d.as_secs_f64();
-            assert!(secs >= cap * 0.5 - 1e-9 && secs < cap, "sleep {k} = {secs}s outside jitter window");
+            assert!(
+                secs >= cap * 0.5 - 1e-9 && secs < cap,
+                "sleep {k} = {secs}s outside jitter window"
+            );
         }
-        let other = RetryPolicy { seed: 100, ..policy };
+        let other = RetryPolicy {
+            seed: 100,
+            ..policy
+        };
         assert_ne!(other.backoff_schedule(), a, "different seeds decorrelate");
     }
 

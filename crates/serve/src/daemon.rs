@@ -39,7 +39,9 @@
 //!   typed [`ServeError::Malformed`] reply and the connection is closed
 //!   (framing may be desynchronized after garbage).
 
-use crate::api::{ModuleSummary, PlanSummary, ServeError, ServeReply, ServeRequest, SimSummary, SpecDesc};
+use crate::api::{
+    ModuleSummary, PlanSummary, ServeError, ServeReply, ServeRequest, SimSummary, SpecDesc,
+};
 use crate::http;
 use crate::store::{task_for, PlanStore};
 use disttrain_core::{SystemKind, TrainingTask};
@@ -156,7 +158,8 @@ impl Shared {
 impl Shared {
     fn queue_gauge(&self, delta: i64) {
         let now = self.queue_len.fetch_add(delta, Ordering::SeqCst) + delta;
-        self.telemetry.with(|r| r.gauge(names::SERVE_QUEUE_DEPTH, &[]).set(now as f64));
+        self.telemetry
+            .with(|r| r.gauge(names::SERVE_QUEUE_DEPTH, &[]).set(now as f64));
     }
 }
 
@@ -173,12 +176,10 @@ pub struct ServeHandle {
 impl ServeHandle {
     /// Bind and start serving.
     pub fn spawn(cfg: ServeConfig) -> io::Result<ServeHandle> {
-        let listener = TcpListener::bind(
-            cfg.addr
-                .to_socket_addrs()?
-                .next()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr"))?,
-        )?;
+        let listener =
+            TcpListener::bind(cfg.addr.to_socket_addrs()?.next().ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
+            })?)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             store: PlanStore::new(),
@@ -208,7 +209,12 @@ impl ServeHandle {
         let accept = std::thread::Builder::new()
             .name("dt-serve-accept".into())
             .spawn(move || accept_loop(&listener, &shared_accept, tx));
-        Ok(ServeHandle { addr, shared, accept: Some(accept?), workers })
+        Ok(ServeHandle {
+            addr,
+            shared,
+            accept: Some(accept?),
+            workers,
+        })
     }
 
     /// Cross-request warm-store statistics `(hits, misses)`.
@@ -265,15 +271,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
         }
         sessions.retain(|(_, h)| !h.is_finished());
         let Ok(mut stream) = conn else { break };
-        let Ok(clone) = stream.try_clone() else { continue };
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
         let shared = shared.clone();
         let tx = tx.clone();
-        let spawned = std::thread::Builder::new().name("dt-serve-session".into()).spawn(move || {
-            let _ = serve_session(&mut stream, &shared, &tx);
-            // The accept thread's clone keeps the fd open: shut down here
-            // so the peer sees EOF as soon as the session ends.
-            let _ = stream.shutdown(Shutdown::Both);
-        });
+        let spawned = std::thread::Builder::new()
+            .name("dt-serve-session".into())
+            .spawn(move || {
+                let _ = serve_session(&mut stream, &shared, &tx);
+                // The accept thread's clone keeps the fd open: shut down here
+                // so the peer sees EOF as soon as the session ends.
+                let _ = stream.shutdown(Shutdown::Both);
+            });
         if let Ok(h) = spawned {
             sessions.push((clone, h));
         }
@@ -291,11 +301,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
 
 /// One client connection: requests until the peer closes, shutdown, a
 /// drain, or a malformed frame.
-fn serve_session(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    tx: &SyncSender<Job>,
-) -> io::Result<()> {
+fn serve_session(stream: &mut TcpStream, shared: &Shared, tx: &SyncSender<Job>) -> io::Result<()> {
     let session = stream
         .peer_addr()
         .map(|a| format!("serve:{a}"))
@@ -323,22 +329,24 @@ fn serve_session(
                 },
             );
         }
-        let (ctx, req): (Option<TraceContext>, ServeRequest) = match read_json_ctx(stream, MAX_CONTROL_FRAME) {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Typed reply, then close: after garbage the stream offset
-                // is untrustworthy. The flight ring freezes at this
-                // moment — the dump is the black box for this session.
-                record_rejection(&shared.telemetry, "malformed");
-                flight.record("malformed", 0, || e.to_string());
-                flight.dump_counted("malformed", &shared.telemetry);
-                let reply =
-                    ServeReply::Err(ServeError::Malformed { reason: e.to_string() });
-                let _ = write_json(stream, &reply);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
+        let (ctx, req): (Option<TraceContext>, ServeRequest) =
+            match read_json_ctx(stream, MAX_CONTROL_FRAME) {
+                Ok(pair) => pair,
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    // Typed reply, then close: after garbage the stream offset
+                    // is untrustworthy. The flight ring freezes at this
+                    // moment — the dump is the black box for this session.
+                    record_rejection(&shared.telemetry, "malformed");
+                    flight.record("malformed", 0, || e.to_string());
+                    flight.dump_counted("malformed", &shared.telemetry);
+                    let reply = ServeReply::Err(ServeError::Malformed {
+                        reason: e.to_string(),
+                    });
+                    let _ = write_json(stream, &reply);
+                    return Ok(());
+                }
+                Err(e) => return Err(e),
+            };
         let trace_id = ctx.map(|c| c.trace_id).unwrap_or(0);
         flight.record("request", trace_id, || req.kind().to_string());
         if shared.stop.load(Ordering::SeqCst) && !matches!(req, ServeRequest::Shutdown) {
@@ -359,8 +367,11 @@ fn serve_session(
                 let reply = reply_rx
                     .recv()
                     .unwrap_or(ServeReply::Err(ServeError::ShuttingDown));
-                let outcome =
-                    if matches!(reply, ServeReply::Err(_)) { "error" } else { "ok" };
+                let outcome = if matches!(reply, ServeReply::Err(_)) {
+                    "error"
+                } else {
+                    "ok"
+                };
                 flight.record("reply", trace_id, || outcome.to_string());
                 write_json(stream, &reply)?;
             }
@@ -384,14 +395,21 @@ fn admit(
 ) -> Admitted {
     if matches!(req, ServeRequest::Ping) {
         shared.telemetry.with(|r| {
-            r.counter(names::SERVE_REQUESTS_TOTAL, &[("kind", "ping"), ("outcome", "ok")]).inc()
+            r.counter(
+                names::SERVE_REQUESTS_TOTAL,
+                &[("kind", "ping"), ("outcome", "ok")],
+            )
+            .inc()
         });
         return Admitted::Inline(ServeReply::Pong);
     }
     if matches!(req, ServeRequest::Shutdown) {
         shared.telemetry.with(|r| {
-            r.counter(names::SERVE_REQUESTS_TOTAL, &[("kind", "shutdown"), ("outcome", "ok")])
-                .inc()
+            r.counter(
+                names::SERVE_REQUESTS_TOTAL,
+                &[("kind", "shutdown"), ("outcome", "ok")],
+            )
+            .inc()
         });
         shared.begin_shutdown();
         return Admitted::Inline(ServeReply::Bye);
@@ -405,7 +423,13 @@ fn admit(
         ms => Some(Duration::from_millis(ms)),
     };
     let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job { req: req.clone(), admitted: Instant::now(), deadline, reply: reply_tx, ctx };
+    let job = Job {
+        req: req.clone(),
+        admitted: Instant::now(),
+        deadline,
+        reply: reply_tx,
+        ctx,
+    };
     match tx.try_send(job) {
         Ok(()) => {
             shared.queue_gauge(1);
@@ -435,12 +459,17 @@ fn validate(req: &ServeRequest, cfg: &ServeConfig) -> Result<(), String> {
     if let ServeRequest::Replan { remaining_gpus, .. } = req {
         let budget_gpus = spec.nodes * 8;
         if *remaining_gpus == 0 || *remaining_gpus > budget_gpus {
-            return Err(format!("remaining_gpus {remaining_gpus} outside 1..={budget_gpus}"));
+            return Err(format!(
+                "remaining_gpus {remaining_gpus} outside 1..={budget_gpus}"
+            ));
         }
     }
     if let ServeRequest::Simulate { iterations, .. } = req {
         if *iterations == 0 || *iterations > cfg.max_iterations {
-            return Err(format!("iterations {iterations} outside 1..={}", cfg.max_iterations));
+            return Err(format!(
+                "iterations {iterations} outside 1..={}",
+                cfg.max_iterations
+            ));
         }
     }
     Ok(())
@@ -451,10 +480,16 @@ fn check_spec(spec: &SpecDesc, cfg: &ServeConfig) -> Result<(), String> {
         return Err(format!("unknown preset {:?}", spec.preset));
     }
     if spec.nodes < 2 || spec.nodes > cfg.max_nodes {
-        return Err(format!("nodes {} outside 2..={}", spec.nodes, cfg.max_nodes));
+        return Err(format!(
+            "nodes {} outside 2..={}",
+            spec.nodes, cfg.max_nodes
+        ));
     }
     if spec.global_batch == 0 || spec.global_batch > 1 << 16 {
-        return Err(format!("global_batch {} outside 1..=65536", spec.global_batch));
+        return Err(format!(
+            "global_batch {} outside 1..=65536",
+            spec.global_batch
+        ));
     }
     if spec.microbatch == 0 || spec.microbatch > spec.global_batch {
         return Err(format!(
@@ -466,7 +501,10 @@ fn check_spec(spec: &SpecDesc, cfg: &ServeConfig) -> Result<(), String> {
 }
 
 fn record_rejection(tel: &Telemetry, reason: &str) {
-    tel.with(|r| r.counter(names::SERVE_REJECTED_TOTAL, &[("reason", reason)]).inc());
+    tel.with(|r| {
+        r.counter(names::SERVE_REJECTED_TOTAL, &[("reason", reason)])
+            .inc()
+    });
 }
 
 /// Worker: dequeue, expire, execute, reply.
@@ -495,9 +533,11 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared, worker: u64) {
         if let Some(deadline) = job.deadline {
             if waited > deadline {
                 record_rejection(&shared.telemetry, "deadline");
-                let _ = job.reply.send(ServeReply::Err(ServeError::DeadlineExceeded {
-                    waited_ms: waited.as_millis() as u64,
-                }));
+                let _ = job
+                    .reply
+                    .send(ServeReply::Err(ServeError::DeadlineExceeded {
+                        waited_ms: waited.as_millis() as u64,
+                    }));
                 continue;
             }
         }
@@ -521,10 +561,18 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared, worker: u64) {
                 exec_id,
             );
         }
-        let outcome = if matches!(reply, ServeReply::Err(_)) { "error" } else { "ok" };
+        let outcome = if matches!(reply, ServeReply::Err(_)) {
+            "error"
+        } else {
+            "ok"
+        };
         let trace_id = job.ctx.map(|c| c.trace_id).unwrap_or(0);
         shared.telemetry.with(|r| {
-            r.counter(names::SERVE_REQUESTS_TOTAL, &[("kind", kind), ("outcome", outcome)]).inc();
+            r.counter(
+                names::SERVE_REQUESTS_TOTAL,
+                &[("kind", kind), ("outcome", outcome)],
+            )
+            .inc();
             r.histogram(names::SERVE_REQUEST_SECONDS, &[("kind", kind)])
                 .observe_traced(job.admitted.elapsed().as_secs_f64(), trace_id);
         });
@@ -545,23 +593,31 @@ fn execute(req: &ServeRequest, ctx: Option<TraceContext>, shared: &Shared) -> Se
             Ok(summary) => ServeReply::Plan(summary),
             Err(e) => ServeReply::Err(e),
         },
-        ServeRequest::Replan { spec, remaining_gpus, budget, .. } => {
-            match plan(spec, Some(*remaining_gpus), *budget, ctx, shared) {
-                Ok(summary) => ServeReply::Plan(summary),
-                Err(e) => ServeReply::Err(e),
-            }
-        }
-        ServeRequest::Simulate { spec, iterations, .. } => {
-            match simulate(spec, *iterations, ctx, shared) {
-                Ok(summary) => ServeReply::Sim(summary),
-                Err(e) => ServeReply::Err(e),
-            }
-        }
+        ServeRequest::Replan {
+            spec,
+            remaining_gpus,
+            budget,
+            ..
+        } => match plan(spec, Some(*remaining_gpus), *budget, ctx, shared) {
+            Ok(summary) => ServeReply::Plan(summary),
+            Err(e) => ServeReply::Err(e),
+        },
+        ServeRequest::Simulate {
+            spec, iterations, ..
+        } => match simulate(spec, *iterations, ctx, shared) {
+            Ok(summary) => ServeReply::Sim(summary),
+            Err(e) => ServeReply::Err(e),
+        },
     }
 }
 
 fn module_summary(p: &ModulePlan) -> ModuleSummary {
-    ModuleSummary { tp: p.tp, dp: p.dp, pp: p.pp, gpus: p.gpus() }
+    ModuleSummary {
+        tp: p.tp,
+        dp: p.dp,
+        pp: p.pp,
+        gpus: p.gpus(),
+    }
 }
 
 fn summarize(report: &PlanReport, warm: bool) -> PlanSummary {
@@ -599,8 +655,9 @@ fn plan(
     ctx: Option<TraceContext>,
     shared: &Shared,
 ) -> Result<PlanSummary, ServeError> {
-    let task =
-        task_for(spec).ok_or_else(|| ServeError::BadRequest { reason: "unknown preset".into() })?;
+    let task = task_for(spec).ok_or_else(|| ServeError::BadRequest {
+        reason: "unknown preset".into(),
+    })?;
     let (report, warm) = search(spec, &task, shrink_to, budget, ctx, shared)?;
     Ok(summarize(&report, warm))
 }
@@ -636,15 +693,22 @@ fn search(
         .top_k(top_k)
         .telemetry(shared.telemetry.clone())
         .build()
-        .map_err(|e| ServeError::Plan { reason: e.to_string() })?;
+        .map_err(|e| ServeError::Plan {
+            reason: e.to_string(),
+        })?;
     let reports = match shrink_to {
         None => orch.plan_candidates_warm(&task.model, &guard.profile, &guard.warm),
         Some(remaining) => {
             orch.replan_degraded_warm(&task.model, &guard.profile, remaining, &guard.warm)
         }
     }
-    .map_err(|e| ServeError::Plan { reason: e.to_string() })?;
-    let report = reports.into_iter().next().expect("plan_candidates returns non-empty on Ok");
+    .map_err(|e| ServeError::Plan {
+        reason: e.to_string(),
+    })?;
+    let report = reports
+        .into_iter()
+        .next()
+        .expect("plan_candidates returns non-empty on Ok");
     // Future replans for this fingerprint seed their incumbent from what
     // we actually served.
     guard.warm.observe(&report.plan);
@@ -658,8 +722,9 @@ fn simulate(
     ctx: Option<TraceContext>,
     shared: &Shared,
 ) -> Result<SimSummary, ServeError> {
-    let task =
-        task_for(spec).ok_or_else(|| ServeError::BadRequest { reason: "unknown preset".into() })?;
+    let task = task_for(spec).ok_or_else(|| ServeError::BadRequest {
+        reason: "unknown preset".into(),
+    })?;
     let (report, warm) = search(spec, &task, None, 1, ctx, shared)?;
     let cfg = task.runtime_config(SystemKind::DistTrain, iterations);
     let training = task.run_with_plan(report.plan, cfg);
@@ -677,14 +742,21 @@ mod tests {
     use super::*;
 
     fn cfg() -> ServeConfig {
-        ServeConfig { telemetry: Telemetry::disabled(), ..ServeConfig::default() }
+        ServeConfig {
+            telemetry: Telemetry::disabled(),
+            ..ServeConfig::default()
+        }
     }
 
     #[test]
     fn validation_rejects_out_of_budget_specs() {
         let cfg = cfg();
         let good = SpecDesc::ablation("mllm-9b", 128);
-        let plan = |spec: SpecDesc| ServeRequest::Plan { spec, budget: 1, deadline_ms: 0 };
+        let plan = |spec: SpecDesc| ServeRequest::Plan {
+            spec,
+            budget: 1,
+            deadline_ms: 0,
+        };
         assert!(validate(&plan(good.clone()), &cfg).is_ok());
         let mut bad = good.clone();
         bad.preset = "gpt-1t".into();
@@ -720,7 +792,14 @@ mod tests {
     fn oversized_budget_is_clamped_not_rejected() {
         let cfg = cfg();
         let spec = SpecDesc::ablation("mllm-9b", 128);
-        let req = ServeRequest::Plan { spec, budget: 10_000, deadline_ms: 0 };
-        assert!(validate(&req, &cfg).is_ok(), "budget is clamped at execution, not rejected");
+        let req = ServeRequest::Plan {
+            spec,
+            budget: 10_000,
+            deadline_ms: 0,
+        };
+        assert!(
+            validate(&req, &cfg).is_ok(),
+            "budget is clamped at execution, not rejected"
+        );
     }
 }

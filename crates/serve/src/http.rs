@@ -54,19 +54,18 @@ pub fn serve_http(stream: &mut TcpStream, state: HttpState) -> io::Result<()> {
             return respond(stream, 400, "text/plain", "bad request\n");
         }
     };
-    let path = head
-        .lines()
-        .next()
-        .and_then(|line| {
-            let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next()) {
-                (Some("GET"), Some(path)) => Some(path.to_string()),
-                _ => None,
-            }
-        });
+    let path = head.lines().next().and_then(|line| {
+        let mut parts = line.split_whitespace();
+        match (parts.next(), parts.next()) {
+            (Some("GET"), Some(path)) => Some(path.to_string()),
+            _ => None,
+        }
+    });
     match path.as_deref() {
         Some("/metrics") => {
-            state.telemetry.with(|r| r.counter(names::SERVE_SCRAPES_TOTAL, &[]).inc());
+            state
+                .telemetry
+                .with(|r| r.counter(names::SERVE_SCRAPES_TOTAL, &[]).inc());
             record_build_info(&state.telemetry, state.started.elapsed().as_secs_f64());
             let body = state.telemetry.snapshot().to_prometheus_text();
             respond(stream, 200, "text/plain; version=0.0.4", &body)
@@ -97,7 +96,10 @@ fn read_head(stream: &mut TcpStream) -> io::Result<String> {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
         }
     }
-    Err(io::Error::new(io::ErrorKind::InvalidData, "request head too large"))
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        "request head too large",
+    ))
 }
 
 fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {

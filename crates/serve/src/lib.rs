@@ -71,6 +71,8 @@ pub mod http;
 pub mod store;
 
 pub use api::{PlanSummary, ServeError, ServeReply, ServeRequest, SimSummary, SpecDesc};
-pub use client::{fetch_flight, fetch_metrics, fetch_trace, Client, ClientError, RetryPolicy, CLIENT_PID};
+pub use client::{
+    fetch_flight, fetch_metrics, fetch_trace, Client, ClientError, RetryPolicy, CLIENT_PID,
+};
 pub use daemon::{ServeConfig, ServeHandle, SERVE_PID, STORE_PID};
 pub use store::PlanStore;

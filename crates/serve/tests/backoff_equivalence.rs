@@ -11,9 +11,12 @@ use std::time::Duration;
 
 #[test]
 fn retry_policy_schedule_equals_shared_backoff_schedule() {
-    for (attempts, base_ms, cap_ms, seed) in
-        [(1u32, 5u64, 50u64, 1u64), (4, 20, 1000, 42), (8, 1, 9, 7), (30, 10, 200, 99)]
-    {
+    for (attempts, base_ms, cap_ms, seed) in [
+        (1u32, 5u64, 50u64, 1u64),
+        (4, 20, 1000, 42),
+        (8, 1, 9, 7),
+        (30, 10, 200, 99),
+    ] {
         let retry = RetryPolicy {
             max_attempts: attempts,
             base_backoff: Duration::from_millis(base_ms),

@@ -5,10 +5,10 @@
 //! without interference.
 
 use dt_check::gen::corrupt_wire_stream;
-use dt_simengine::frame::{read_json, write_frame, write_json};
 use dt_serve::api::{ServeError, ServeReply, ServeRequest, SpecDesc};
 use dt_serve::client::{Client, RetryPolicy};
 use dt_serve::daemon::{ServeConfig, ServeHandle};
+use dt_simengine::frame::{read_json, write_frame, write_json};
 use dt_simengine::DetRng;
 use dt_telemetry::Telemetry;
 use std::io::{self, Write};
@@ -16,11 +16,18 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 fn quiet(cfg: ServeConfig) -> ServeConfig {
-    ServeConfig { telemetry: Telemetry::disabled(), ..cfg }
+    ServeConfig {
+        telemetry: Telemetry::disabled(),
+        ..cfg
+    }
 }
 
 fn plan_req(budget: u32) -> ServeRequest {
-    ServeRequest::Plan { spec: SpecDesc::ablation("mllm-9b", 128), budget, deadline_ms: 0 }
+    ServeRequest::Plan {
+        spec: SpecDesc::ablation("mllm-9b", 128),
+        budget,
+        deadline_ms: 0,
+    }
 }
 
 /// One raw request/reply exchange, no retry — for asserting on the typed
@@ -41,7 +48,10 @@ fn concurrent_clients_share_one_warm_store_and_get_identical_plans() {
         ServeReply::Plan(p) => p,
         other => panic!("unexpected cold reply: {other:?}"),
     };
-    assert!(!cold.warm, "first request for a fingerprint must be a store miss");
+    assert!(
+        !cold.warm,
+        "first request for a fingerprint must be a store miss"
+    );
 
     let handles: Vec<_> = (0..4)
         .map(|c| {
@@ -82,7 +92,9 @@ fn hostile_frames_never_panic_the_daemon() {
         let mut rng = DetRng::new(seed);
         let bytes = corrupt_wire_stream(&mut rng, 4);
         let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(2))).expect("timeout");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
         // The peer may die mid-write if the daemon already hung up on an
         // earlier garbage frame — that is the hostile scenario, not a
         // test failure.
@@ -93,7 +105,10 @@ fn hostile_frames_never_panic_the_daemon() {
         // connection. Either way: no panic, no hang.
         if let Ok(ServeReply::Err(e)) = read_json::<ServeReply>(&mut stream) {
             assert!(
-                matches!(e, ServeError::Malformed { .. } | ServeError::BadRequest { .. }),
+                matches!(
+                    e,
+                    ServeError::Malformed { .. } | ServeError::BadRequest { .. }
+                ),
                 "seed {seed}: unexpected typed reply {e:?}"
             );
         }
@@ -118,7 +133,9 @@ fn hostile_frames_never_panic_the_daemon() {
 fn garbage_json_in_a_valid_frame_gets_a_typed_malformed_reply() {
     let daemon = ServeHandle::spawn(quiet(ServeConfig::default())).expect("spawn");
     let mut stream = TcpStream::connect(daemon.addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     write_frame(&mut stream, b"this is not a request").expect("write");
     match read_json::<ServeReply>(&mut stream).expect("typed reply") {
         ServeReply::Err(ServeError::Malformed { .. }) => {}
@@ -133,8 +150,12 @@ fn oversized_control_frame_is_rejected_before_its_body() {
     // instead of buffering whatever the client sends.
     let daemon = ServeHandle::spawn(quiet(ServeConfig::default())).expect("spawn");
     let mut stream = TcpStream::connect(daemon.addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-    stream.write_all(&(128u32 * 1024).to_le_bytes()).expect("write");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream
+        .write_all(&(128u32 * 1024).to_le_bytes())
+        .expect("write");
     match read_json::<ServeReply>(&mut stream).expect("typed reply before any body byte") {
         ServeReply::Err(ServeError::Malformed { .. }) => {}
         other => panic!("expected Malformed, got {other:?}"),
@@ -175,7 +196,10 @@ fn full_queue_rejects_with_typed_overload_and_retry_rides_it_out() {
         seed: 3,
     };
     let mut client = Client::with_policy(addr, policy);
-    match client.request(&plan_req(1)).expect("retry through overload") {
+    match client
+        .request(&plan_req(1))
+        .expect("retry through overload")
+    {
         ServeReply::Plan(p) => assert!(p.total_gpus > 0),
         other => panic!("unexpected reply {other:?}"),
     }
@@ -208,7 +232,10 @@ fn queued_past_deadline_is_answered_deadline_exceeded() {
     };
     match exchange(addr, &req).expect("exchange") {
         ServeReply::Err(ServeError::DeadlineExceeded { waited_ms }) => {
-            assert!(waited_ms >= 50, "reported wait {waited_ms} ms below the deadline")
+            assert!(
+                waited_ms >= 50,
+                "reported wait {waited_ms} ms below the deadline"
+            )
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -321,23 +348,38 @@ fn traced_round_trip_assembles_a_cross_process_span_tree() {
 
     // One trace id across every linked span, on at least three process
     // tracks: client, daemon worker, warm store.
-    let traced: Vec<_> = merged.spans().iter().filter(|s| s.trace_arg().is_some()).collect();
-    let ids: std::collections::BTreeSet<_> =
-        traced.iter().filter_map(|s| s.trace_arg()).collect();
+    let traced: Vec<_> = merged
+        .spans()
+        .iter()
+        .filter(|s| s.trace_arg().is_some())
+        .collect();
+    let ids: std::collections::BTreeSet<_> = traced.iter().filter_map(|s| s.trace_arg()).collect();
     assert_eq!(ids.len(), 1, "one request, one trace id: {ids:?}");
     let pids: std::collections::BTreeSet<u64> = traced.iter().map(|s| s.pid).collect();
     for pid in [CLIENT_PID, SERVE_PID, STORE_PID] {
-        assert!(pids.contains(&pid), "missing process track {pid} in {pids:?}");
+        assert!(
+            pids.contains(&pid),
+            "missing process track {pid} in {pids:?}"
+        );
     }
     // Every non-root span's parent is some span in the assembled tree —
     // the property that makes it a tree rather than a bag of spans.
     let spans: std::collections::BTreeSet<&str> = traced
         .iter()
-        .filter_map(|s| s.args.iter().find(|(k, _)| *k == arg::SPAN).map(|(_, v)| v.as_str()))
+        .filter_map(|s| {
+            s.args
+                .iter()
+                .find(|(k, _)| *k == arg::SPAN)
+                .map(|(_, v)| v.as_str())
+        })
         .collect();
     let zero = dt_simengine::trace::hex_id(0);
     for s in &traced {
-        let parent = s.args.iter().find(|(k, _)| *k == arg::PARENT).map(|(_, v)| v.as_str());
+        let parent = s
+            .args
+            .iter()
+            .find(|(k, _)| *k == arg::PARENT)
+            .map(|(_, v)| v.as_str());
         if let Some(p) = parent {
             assert!(
                 p == zero || spans.contains(p),
@@ -349,40 +391,75 @@ fn traced_round_trip_assembles_a_cross_process_span_tree() {
 
     // No dumps yet; a garbage frame freezes the session's black box and
     // `/flight` serves it.
-    assert!(fetch_flight(addr).expect("GET /flight").contains("\"dumps_total\":0"));
+    assert!(fetch_flight(addr)
+        .expect("GET /flight")
+        .contains("\"dumps_total\":0"));
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     write_frame(&mut stream, b"garbage that is not a request").expect("write");
     let _ = read_json::<ServeReply>(&mut stream);
     let flight = fetch_flight(addr).expect("GET /flight after malformed");
-    assert!(flight.contains("\"dumps_total\":1"), "dump not recorded: {flight}");
-    assert!(flight.contains("\"reason\":\"malformed\""), "wrong reason: {flight}");
+    assert!(
+        flight.contains("\"dumps_total\":1"),
+        "dump not recorded: {flight}"
+    );
+    assert!(
+        flight.contains("\"reason\":\"malformed\""),
+        "wrong reason: {flight}"
+    );
 }
 
 #[test]
 fn build_info_and_uptime_ride_the_metrics_endpoint() {
     let daemon = ServeHandle::spawn(ServeConfig::default()).expect("spawn");
     let body = dt_serve::fetch_metrics(daemon.addr).expect("scrape");
-    assert!(body.contains("dt_build_info{"), "missing dt_build_info: {body}");
-    assert!(body.contains("version=\""), "build info lacks version label");
-    assert!(body.contains("git_hash=\""), "build info lacks git_hash label");
-    assert!(body.contains("dt_uptime_seconds"), "missing dt_uptime_seconds");
+    assert!(
+        body.contains("dt_build_info{"),
+        "missing dt_build_info: {body}"
+    );
+    assert!(
+        body.contains("version=\""),
+        "build info lacks version label"
+    );
+    assert!(
+        body.contains("git_hash=\""),
+        "build info lacks git_hash label"
+    );
+    assert!(
+        body.contains("dt_uptime_seconds"),
+        "missing dt_uptime_seconds"
+    );
 }
 
 #[test]
 fn invalid_specs_are_rejected_at_admission_with_reasons() {
     let daemon = ServeHandle::spawn(quiet(ServeConfig::default())).expect("spawn");
     let bad = ServeRequest::Plan {
-        spec: SpecDesc { preset: "gpt-1t".into(), nodes: 12, global_batch: 128, microbatch: 1, seed: 42 },
+        spec: SpecDesc {
+            preset: "gpt-1t".into(),
+            nodes: 12,
+            global_batch: 128,
+            microbatch: 1,
+            seed: 42,
+        },
         budget: 1,
         deadline_ms: 0,
     };
     match exchange(daemon.addr, &bad).expect("exchange") {
         ServeReply::Err(ServeError::BadRequest { reason }) => {
-            assert!(reason.contains("gpt-1t"), "reason should name the bad field: {reason}")
+            assert!(
+                reason.contains("gpt-1t"),
+                "reason should name the bad field: {reason}"
+            )
         }
         other => panic!("expected BadRequest, got {other:?}"),
     }
     let (hits, misses) = daemon.store_stats();
-    assert_eq!((hits, misses), (0, 0), "rejected requests never reach the store");
+    assert_eq!(
+        (hits, misses),
+        (0, 0),
+        "rejected requests never reach the store"
+    );
 }
