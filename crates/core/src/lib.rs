@@ -26,4 +26,4 @@ pub mod system;
 pub use checkpoint::{CheckpointManager, TrainingState};
 pub use metrics::{IterationReport, TrainingReport};
 pub use runtime::{record_iteration_metrics, Runtime, RuntimeConfig};
-pub use system::{PreprocessingMode, ReplanContext, SystemKind, TrainingSystem, TrainingTask};
+pub use system::{PreprocessingMode, SystemKind, TrainingSystem, TrainingTask};

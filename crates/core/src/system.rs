@@ -51,23 +51,6 @@ pub enum PreprocessingMode {
     Disaggregated,
 }
 
-/// Job-start state the elastic shrink path carries across replans so
-/// recovery never profiles or searches cold.
-///
-/// Built once via [`TrainingTask::replan_context`] (typically when the
-/// job starts, off the critical path). It freezes the task profile — which
-/// is cluster-size independent for multi-node clusters, so it stays exact
-/// after nodes are lost — and a [`WarmStart`] whose cost tables and
-/// observed plans seed the §4 branch-and-bound on every subsequent
-/// [`TrainingTask::replan_shrunk_warm`].
-#[derive(Debug, Clone)]
-pub struct ReplanContext {
-    /// The job-start task profile (reused verbatim by every warm replan).
-    profile: TaskProfile,
-    /// Prebuilt cost tables plus incumbent seeds for the pruned search.
-    warm: WarmStart,
-}
-
 /// A complete training task description.
 ///
 /// This is the quickstart entry point: describe the task, let the manager
@@ -169,32 +152,34 @@ impl TrainingTask {
             SystemKind::DistMMStar => {
                 distmm_star_plan(&self.problem_spec(), &self.model, &self.profile())
             }
-            // The manager shortlists the top candidates by the closed-form
-            // objective, then runs one simulated benchmarking trial per
-            // candidate (§3's "series of benchmarking training trials") and
-            // keeps the winner: fastest iteration, ties broken towards fewer
-            // GPUs (§7.1's resource-efficiency rule).
-            SystemKind::DistTrain => Ok(self
-                .select_by_trial(self.trial_candidates()?.into_iter())
-                .expect("plan_candidates guarantees a non-empty trial set")),
+            SystemKind::DistTrain => Ok(self.select_by_trial(self.trial_candidates()?)),
         }
     }
 
     /// The plans DistTrain's [`TrainingTask::plan`] trials: the §4
     /// shortlist plus the FLOPs-proportional DistMM* plan.
     pub fn trial_candidates(&self) -> Result<Vec<OrchestrationPlan>, PlanError> {
-        let spec = self.problem_spec();
         let profile = self.profile();
-        let orch = Orchestrator::builder().spec(spec).build()?;
-        let mut candidates: Vec<OrchestrationPlan> = orch
-            .plan_candidates(&self.model, &profile)?
-            .into_iter()
-            .map(|r| r.plan)
-            .collect();
         // DistTrain's search space strictly contains the baselines' points;
         // trialing the FLOPs-proportional plan too guarantees the adaptive
         // search never loses to it.
-        candidates.extend(distmm_star_plan(&spec, &self.model, &profile).ok());
+        let distmm = distmm_star_plan(&self.problem_spec(), &self.model, &profile).ok();
+        self.candidates(&WarmStart::new(&self.model, &profile), distmm)
+    }
+
+    /// The §4 shortlist over `warm`, plus `extra` when there is one.
+    fn candidates(
+        &self,
+        warm: &WarmStart,
+        extra: Option<OrchestrationPlan>,
+    ) -> Result<Vec<OrchestrationPlan>, PlanError> {
+        let orch = Orchestrator::builder().spec(self.problem_spec()).build()?;
+        let mut candidates: Vec<OrchestrationPlan> = orch
+            .plan_candidates_warm(&self.model, warm)?
+            .into_iter()
+            .map(|r| r.plan)
+            .collect();
+        candidates.extend(extra);
         Ok(candidates)
     }
 
@@ -210,15 +195,14 @@ impl TrainingTask {
         Profiler.profile(&perf, &samples)
     }
 
-    /// Trial-based selection among candidate plans: simulate one iteration
-    /// per plan; among plans within 12% of the fastest, pick the one with
-    /// the smallest GPU-seconds footprint (§7.1's resource-efficiency
-    /// rule: near-equal throughput with fewer GPUs frees the remainder for
-    /// concurrent fine-tuning/inference and maximizes MFU).
-    fn select_by_trial(
-        &self,
-        plans: impl Iterator<Item = OrchestrationPlan>,
-    ) -> Option<OrchestrationPlan> {
+    /// Trial-based selection among candidate plans (§3's "series of
+    /// benchmarking training trials"): simulate one iteration per plan;
+    /// among plans within 12% of the fastest, pick the one with the
+    /// smallest GPU-seconds footprint (§7.1's resource-efficiency rule:
+    /// near-equal throughput with fewer GPUs frees the remainder for
+    /// concurrent fine-tuning/inference and maximizes MFU). `plans` is
+    /// non-empty: the §4 shortlist always is on `Ok`.
+    fn select_by_trial(&self, plans: Vec<OrchestrationPlan>) -> OrchestrationPlan {
         // Trials run the full data path so their ranking matches the
         // production configuration exactly. Every trial sees the stream's
         // first global batch, so it is drawn and priced once and every
@@ -243,6 +227,7 @@ impl TrainingTask {
                 ka.partial_cmp(&kb).expect("finite")
             })
             .map(|(_, _, plan)| plan)
+            .expect("the §4 shortlist is non-empty")
     }
 
     /// The stream's first global batch under `cfg`, priced into cost rows.
@@ -265,69 +250,35 @@ impl TrainingTask {
         })
     }
 
-    /// Build the reusable warm-replan state for this task: profile once
-    /// and freeze the §4 cost tables. Call it at job start (on the
-    /// original, un-shrunk task) and hand the context to
-    /// [`TrainingTask::replan_shrunk_warm`] after each failure.
-    pub fn replan_context(&self) -> ReplanContext {
-        let profile = self.profile();
-        let warm = WarmStart::new(&self.model, &profile);
-        ReplanContext { profile, warm }
+    /// The §4 planning state for this task: profile once and freeze the
+    /// cost tables. Call it at job start (on the original, un-shrunk task)
+    /// and hand it to [`TrainingTask::replan_shrunk_warm`] after each
+    /// failure: the profile is cluster-size independent for multi-node
+    /// clusters, so the tables stay exact after nodes are lost.
+    pub fn warm_start(&self) -> WarmStart {
+        WarmStart::new(&self.model, &self.profile())
     }
 
-    /// [`TrainingTask::replan_shrunk`] with job-start warm state: the
-    /// context's profile and cost tables are reused instead of
-    /// re-profiling, and `old_plan` (plus every plan observed before it)
-    /// seeds the branch-and-bound incumbent. Returns exactly what the
-    /// cold replan would — the profile is cluster-size independent for
-    /// multi-node clusters — but with far less work on the recovery
-    /// critical path.
+    /// Re-orchestrate after the cluster shrank: re-run the §4 search over
+    /// `warm` on the degraded GPU budget and trial the candidates
+    /// *together with* the naive proportional shrink of `old_plan` (what a
+    /// non-elastic system would keep running). Because the naive plan is
+    /// in the trial set, the elastic re-plan never selects something worse
+    /// than it under the §7.1 selection rule. `old_plan` (plus every plan
+    /// observed before it) seeds the branch-and-bound incumbent, and the
+    /// tables are reused instead of re-profiling, so the result equals a
+    /// search over a fresh [`TrainingTask::warm_start`] of this task with
+    /// far less work on the recovery critical path. Errs (with the §4
+    /// search's own diagnosis) when not even the naive shapes fit the
+    /// survivors.
     pub fn replan_shrunk_warm(
         &self,
         old_plan: &OrchestrationPlan,
-        ctx: &mut ReplanContext,
+        warm: &mut WarmStart,
     ) -> Result<OrchestrationPlan, PlanError> {
-        ctx.warm.observe(old_plan);
-        let orch = Orchestrator::builder().spec(self.problem_spec()).build()?;
-        let mut candidates: Vec<OrchestrationPlan> = orch
-            .plan_candidates_warm(&self.model, &ctx.profile, &ctx.warm)?
-            .into_iter()
-            .map(|r| r.plan)
-            .collect();
-        candidates
-            .extend(proportional_shrink_plan(&self.problem_spec(), &self.model, old_plan).ok());
-        Ok(self
-            .select_by_trial(candidates.into_iter())
-            .expect("plan_candidates guarantees a non-empty trial set"))
-    }
-
-    /// Re-orchestrate after the cluster shrank: re-run the §4 search on
-    /// the degraded GPU budget and trial the candidates *together with*
-    /// the naive proportional shrink of `old_plan` (what a non-elastic
-    /// system would keep running). Because the naive plan is in the trial
-    /// set, the elastic re-plan never selects something worse than it
-    /// under the §7.1 selection rule. Errs (with the §4 search's own
-    /// diagnosis) when not even the naive shapes fit the survivors.
-    /// Prefer [`TrainingTask::replan_shrunk_warm`] when a
-    /// [`ReplanContext`] is available: it skips the re-profiling and
-    /// warm-starts the search.
-    pub fn replan_shrunk(
-        &self,
-        old_plan: &OrchestrationPlan,
-    ) -> Result<OrchestrationPlan, PlanError> {
-        let spec = self.problem_spec();
-        let profile = self.profile();
-        let orch = Orchestrator::builder().spec(spec).build()?;
-        let mut candidates: Vec<OrchestrationPlan> = orch
-            .plan_candidates(&self.model, &profile)?
-            .into_iter()
-            .map(|r| r.plan)
-            .collect();
-        candidates
-            .extend(proportional_shrink_plan(&self.problem_spec(), &self.model, old_plan).ok());
-        Ok(self
-            .select_by_trial(candidates.into_iter())
-            .expect("plan_candidates guarantees a non-empty trial set"))
+        warm.observe(old_plan);
+        let naive = proportional_shrink_plan(&self.problem_spec(), &self.model, old_plan).ok();
+        Ok(self.select_by_trial(self.candidates(warm, naive)?))
     }
 
     /// The runtime configuration each system uses for data handling
@@ -507,7 +458,9 @@ mod tests {
         let t = task(MllmPreset::Mllm9B);
         let old = t.plan(SystemKind::DistTrain).expect("initial plan");
         let shrunk = t.shrunk(1).unwrap();
-        let replanned = shrunk.replan_shrunk(&old).expect("re-orchestration");
+        let replanned = shrunk
+            .replan_shrunk_warm(&old, &mut t.warm_start())
+            .expect("re-orchestration");
         let naive = proportional_shrink_plan(&shrunk.problem_spec(), &shrunk.model, &old)
             .expect("naive proportional shrink");
         assert!(replanned.total_gpus() <= shrunk.cluster.total_gpus());
@@ -524,19 +477,26 @@ mod tests {
 
     #[test]
     fn warm_replan_matches_the_cold_replan() {
-        // Warm state built at job start (12 nodes) must drive the shrunk
-        // replan (11 nodes) to the same plan as the cold path: the
-        // profile is cluster-size independent for multi-node clusters,
-        // and the warm search is bit-identical to the cold one.
+        // Warm state built at job start (12 nodes) and carried across
+        // successive shrinks, accumulating observed plans, must drive each
+        // replan to the same plan as a fresh `warm_start` of the shrunk
+        // task (the cold path): the profile is cluster-size independent
+        // for multi-node clusters, and hints never steer the search.
         let t = task(MllmPreset::Mllm9B);
-        let old = t.plan(SystemKind::DistTrain).expect("initial plan");
-        let mut ctx = t.replan_context();
-        let shrunk = t.shrunk(1).unwrap();
-        let cold = shrunk.replan_shrunk(&old).expect("cold replan");
-        let warm = shrunk
-            .replan_shrunk_warm(&old, &mut ctx)
-            .expect("warm replan");
-        assert_eq!(cold, warm);
+        let mut old = t.plan(SystemKind::DistTrain).expect("initial plan");
+        let mut warm = t.warm_start();
+        for lost_nodes in [1u32, 4, 9] {
+            let shrunk = t.shrunk(lost_nodes).unwrap();
+            let cold = shrunk
+                .replan_shrunk_warm(&old, &mut shrunk.warm_start())
+                .expect("cold replan");
+            let warmed = shrunk
+                .replan_shrunk_warm(&old, &mut warm)
+                .expect("warm replan");
+            assert_eq!(cold, warmed, "{lost_nodes} lost nodes");
+            assert!(warmed.total_gpus() <= shrunk.cluster.total_gpus());
+            old = warmed;
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! * **Persistent straggler / MFU regression ⇒
 //!   [`HealerAction::ProactiveReplan`].** A slow replacement paces the
 //!   whole synchronous job; evicting the slow slots and warm-replanning
-//!   the survivors (via the existing
-//!   [`ReplanContext`](disttrain_core::ReplanContext)) trades a one-time
-//!   reshard for every future iteration at full pace.
+//!   the survivors (over the run's existing §4 `WarmStart`, via
+//!   [`TrainingTask::replan_shrunk_warm`](disttrain_core::TrainingTask::replan_shrunk_warm))
+//!   trades a one-time reshard for every future iteration at full pace.
 //!
 //! The healer is pure decision logic over the observed series — it holds
 //! no clock and draws no randomness — so a seeded run produces a

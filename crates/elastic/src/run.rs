@@ -91,11 +91,13 @@ pub struct ElasticReport {
     pub healer_actions: Vec<HealerEvent>,
     /// Where the wall clock went.
     pub goodput: GoodputReport,
-    /// Real host time spent inside the §4 re-orchestration search across
-    /// all shrinks (solver wall time, not simulated time — the simulated
-    /// clock charges `reshard_cost` instead). With the warm-started
-    /// pruned search this is the recovery path's solver budget; building
-    /// the warm state itself happens outside the timed region.
+    /// Real host time spent re-orchestrating across all shrinks (host
+    /// wall time, not simulated time — the simulated clock charges
+    /// `reshard_cost` instead). Each timed replan is the warm-started §4
+    /// search *plus* one simulated trial iteration per candidate (up to
+    /// 12 shortlisted plans + the naive proportional shrink), so this is
+    /// the recovery path's whole planning budget, not solver time alone.
+    /// Building the warm state happens outside the timed region.
     pub replan_search: std::time::Duration,
 }
 
@@ -273,13 +275,14 @@ pub fn run_elastic_with(
 /// [`run_elastic_with`] with metrics: every committed iteration records the
 /// runtime families (see [`disttrain_core::record_iteration_metrics`]), the
 /// elastic machinery its failure / spare-swap / shrink / rollback /
-/// checkpoint counters and the re-plan solver wall time, and the run closes
-/// with goodput-fraction and degraded-seconds gauges. Histograms and
-/// counters record the committed report; the three anomaly series record
-/// what the job observed — the same `(wall, MFU, stall)` triple the healer
-/// is fed, pacing and precursor stalls included — plus one iteration-time
-/// point per failure for the aborted attempt's lost wall (partial
-/// iteration plus restart overhead), so an offline
+/// checkpoint counters and the host time of each re-plan (search and
+/// trials), and the run closes with goodput-fraction and degraded-seconds
+/// gauges. Histograms and counters record the committed report; the three
+/// anomaly series record what the job observed — the same
+/// `(wall, MFU, stall)` triple the healer is fed, pacing and precursor
+/// stalls included — plus one iteration-time point per failure for the
+/// aborted attempt's lost wall (partial iteration plus restart overhead),
+/// so an offline
 /// [`AnomalyDetector::scan`](dt_telemetry::AnomalyDetector::scan) sees what
 /// actually happened. Healer actions and failures additionally land in a
 /// flight-recorder ring on `flight` (dumped per healer action); a disabled
@@ -328,12 +331,12 @@ pub fn run_elastic_instrumented(
     let mut epochs: Vec<PlanEpoch> = Vec::new();
     let mut failures: Vec<FailureEvent> = Vec::new();
     let mut replan_search = std::time::Duration::ZERO;
-    // Warm-replan state, built lazily at the first shrink (from the
+    // The §4 `WarmStart`, built lazily at the first shrink (from the
     // job-start task, whose profile stays exact on any multi-node
     // survivor set) and reused — with the running plan observed into it —
     // by every later shrink. Construction happens *outside* the timed
-    // region: only the search itself is the recovery-path solver budget.
-    let mut replan_ctx: Option<disttrain_core::ReplanContext> = None;
+    // region, which covers the search and its trial iterations.
+    let mut warm = None;
     // Shrink `cur` by `lost` nodes and warm-replan the survivors; `at` is
     // the iteration the run stalls at when no smaller cluster exists.
     let mut replan = |cur: &TrainingTask, plan: &OrchestrationPlan, lost: u32, at: u32| {
@@ -341,9 +344,9 @@ pub fn run_elastic_instrumented(
             committed: at,
             requested: iterations,
         })?;
-        let ctx = replan_ctx.get_or_insert_with(|| task.replan_context());
+        let warm = warm.get_or_insert_with(|| task.warm_start());
         let search_started = std::time::Instant::now();
-        let new_plan = shrunk.replan_shrunk_warm(plan, ctx).map_err(|e| {
+        let new_plan = shrunk.replan_shrunk_warm(plan, warm).map_err(|e| {
             ElasticError::Infeasible(format!(
                 "no plan for {} nodes: {e}",
                 shrunk.cluster.num_nodes

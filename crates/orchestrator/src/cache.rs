@@ -6,8 +6,10 @@
 //! through [`crate::profiler::TaskProfile`]'s linear interpolation — for
 //! every lattice point it evaluates (hundreds of thousands of lookups at
 //! the Table 3 scales). [`PerfCache`] prebuilds the complete table once per
-//! search: one `f64` per `(module, TP choice)` plus the backbone memory
-//! estimate for the HBM gate. The table is immutable after construction,
+//! search: one `f64` per `(module, TP choice)`, the profiled mean sample
+//! shape, and the backbone memory estimate for the HBM gate. Together
+//! these are everything the search reads of the profile. The table is
+//! immutable after construction,
 //! so a [`crate::orchestrate::WarmStart`] can share one instance across
 //! replans; the only mutable state is a pair of `dt_telemetry::Counter`s
 //! (relaxed atomics) reported in [`crate::orchestrate::PlanReport`] and mirrored into the
@@ -20,11 +22,13 @@
 
 use crate::profiler::{interp, TaskProfile, TrainCost, TRIAL_TPS};
 use dt_model::memory::ModuleMemory;
+use dt_model::mllm::SampleShape;
 use dt_model::{ModuleKind, MultimodalLlm};
 use dt_telemetry::Counter;
 
 /// Prebuilt per-search evaluation table: `C(TP)` for every module at every
-/// trial TP, plus the backbone memory estimate for the §4.2 HBM gate.
+/// trial TP, plus the profile's mean sample shape and the backbone memory
+/// estimate at it for the §4.2 HBM gate.
 #[derive(Debug)]
 pub struct PerfCache {
     /// Forward+backward seconds per sample, `[module][trial-tp index]`.
@@ -32,6 +36,9 @@ pub struct PerfCache {
     /// Forward-only seconds per sample (kept for parity with the profile;
     /// the §4.2 objective consumes the train flavor).
     fwd: [[f64; TRIAL_TPS.len()]; 3],
+    /// The profile's mean sample shape: the shape every shortlisted plan
+    /// is validated against (memory of all three modules).
+    pub mean_shape: SampleShape,
     /// Backbone memory estimate at the profiled mean shape (the §4.2
     /// memory-gate operand, computed once instead of once per lattice
     /// point).
@@ -51,8 +58,8 @@ fn module_index(module: ModuleKind) -> usize {
 }
 
 impl PerfCache {
-    /// Build the table from a task profile (exact values at [`TRIAL_TPS`])
-    /// and the model's backbone memory at the profile's mean shape.
+    /// Build the table from a task profile (exact values at [`TRIAL_TPS`]),
+    /// recording its mean shape and the model's backbone memory there.
     pub fn build(model: &MultimodalLlm, profile: &TaskProfile) -> Self {
         let mut train = [[0.0; TRIAL_TPS.len()]; 3];
         let mut fwd = [[0.0; TRIAL_TPS.len()]; 3];
@@ -67,6 +74,7 @@ impl PerfCache {
         PerfCache {
             train,
             fwd,
+            mean_shape: profile.mean_shape,
             backbone_memory: model.module_memory(ModuleKind::Backbone, &profile.mean_shape),
             hits: Counter::new(),
             misses: Counter::new(),
@@ -201,6 +209,7 @@ mod tests {
     fn backbone_memory_matches_a_direct_call() {
         let (model, profile) = model_and_profile();
         let cache = PerfCache::build(&model, &profile);
+        assert_eq!(cache.mean_shape, profile.mean_shape);
         assert_eq!(
             cache.backbone_memory,
             model.module_memory(ModuleKind::Backbone, &profile.mean_shape)

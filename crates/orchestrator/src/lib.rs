@@ -22,15 +22,21 @@
 //!    the (TP, DP) lattice with monotone dominance cuts and analytic lower
 //!    bounds ([`orchestrate::SearchMode::Pruned`]), bit-identical to the
 //!    exhaustive [`orchestrate::SearchMode::Serial`] reference path;
-//!    [`orchestrate::WarmStart`] carries cost tables and incumbent seeds
-//!    across elastic replans;
+//!    [`orchestrate::WarmStart`] is a job's whole planning state (the
+//!    cost tables plus incumbent seeds from plans already chosen), shared
+//!    by repeat searches and elastic replans;
 //! 6. [`baselines`] — Megatron-LM's monolithic plan (§2.1) and DistMM*'s
 //!    FLOPs-proportional plan (§7.2), the two comparison points of the
 //!    evaluation.
 //!
-//! Planner entry points return `Result<_, `[`error::PlanError`]`>`; the
-//! error variants carry the counts needed for a one-line diagnosis of why
-//! the search came up empty.
+//! The planner has four entry points: [`Orchestrator::builder`], the only
+//! way to make one, and three searches —
+//! [`Orchestrator::plan_with_profile`], [`Orchestrator::plan_candidates`]
+//! (cold) and [`Orchestrator::plan_candidates_warm`] (over a
+//! [`WarmStart`]). A degraded replan is a planner built with
+//! `.total_gpus(survivors)`. The searches return
+//! `Result<_, `[`error::PlanError`]`>`; the error variants carry the counts
+//! needed for a one-line diagnosis of why the search came up empty.
 
 pub mod baselines;
 pub mod cache;

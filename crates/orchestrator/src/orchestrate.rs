@@ -1,8 +1,8 @@
 //! The adaptive model orchestration entry point (§4.3).
 //!
-//! [`Orchestrator::plan`] searches the finite TP/DP/PP lattice, solves
+//! [`Orchestrator::plan_candidates`] searches the finite TP/DP/PP lattice, solves
 //! each surviving inner convex allocation with [`crate::solve`], and
-//! returns the best memory-feasible [`OrchestrationPlan`]. The whole
+//! returns the best memory-feasible [`OrchestrationPlan`]s. The whole
 //! search completes in well under a second at 1296 GPUs (Table 3 reports
 //! 922 ms for the real system; `bench_orchestrator` regenerates the
 //! comparison and archives it in `BENCH_solver.json`).
@@ -28,13 +28,15 @@
 //!   with an order of magnitude fewer inner solves, and every report is
 //!   a proven-optimal certificate ([`PlanReport::proven_optimal`]).
 //!
-//! Warm-start replanning (the elastic shrink path) rides on the pruned
-//! mode: a [`WarmStart`] carries the job-start cost tables and the
-//! previously chosen plans, so `replan_degraded_warm` seeds the
-//! branch-and-bound incumbent from the old optimum and skips rebuilding
-//! the [`PerfCache`] — no re-profiling and no cold search on the
-//! failure-recovery critical path. DESIGN.md §"§4 search internals"
-//! documents the pruning invariants and when they must be disabled.
+//! A [`WarmStart`] is the whole planning state the search reads: the
+//! [`PerfCache`] tables built from the job's profile and the plans chosen
+//! so far. [`Orchestrator::plan_candidates_warm`] reuses it, so a repeat
+//! search or a degraded replan (the elastic shrink path: a builder with
+//! `.total_gpus(survivors)`) skips rebuilding the tables and seeds the
+//! branch-and-bound incumbent from the old optimum. A cold
+//! [`Orchestrator::plan_candidates`] is the same search on a fresh
+//! `WarmStart`. DESIGN.md §"§4 search internals" documents the pruning
+//! invariants and when they must be disabled.
 //!
 //! Planner entry points return `Result<_, `[`PlanError`]`>` so callers get
 //! a one-line diagnosis — which constraint emptied the search — instead of
@@ -45,8 +47,7 @@ use std::sync::Arc;
 use crate::cache::PerfCache;
 use crate::error::PlanError;
 use crate::formulate::{Candidate, Objective, ProblemSpec};
-use crate::perf::PerfModel;
-use crate::profiler::{Profiler, TaskProfile, TrainCost};
+use crate::profiler::{TaskProfile, TrainCost};
 use crate::solve::{
     combo_lower_bound, min_tp_work, node_lower_bound, solve_inner, trim_allocation, Allocation,
 };
@@ -58,7 +59,6 @@ use crate::solve::{
 /// winner (time first, GPU footprint as tie-break).
 const TRIM_SLACK_PER_GPU: [f64; 2] = [3e-4, 2e-3];
 
-use dt_data::TrainSample;
 use dt_model::mllm::SampleShape;
 use dt_model::{ModuleKind, MultimodalLlm};
 use dt_parallel::{ModulePlan, OrchestrationPlan};
@@ -126,19 +126,18 @@ impl std::fmt::Display for SearchMode {
     }
 }
 
-/// The planner.
+/// The planner, made only by the validating [`Orchestrator::builder`].
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     /// Problem constants.
-    pub spec: ProblemSpec,
+    spec: ProblemSpec,
     /// Lattice traversal strategy (default [`SearchMode::Pruned`]).
-    pub search_mode: SearchMode,
-    /// Candidate shortlist size for [`Orchestrator::plan_candidates`] and
-    /// [`Orchestrator::replan_degraded`] (default [`DEFAULT_TOP_K`]).
-    pub top_k: usize,
+    search_mode: SearchMode,
+    /// Candidate shortlist size (default [`DEFAULT_TOP_K`]).
+    top_k: usize,
     /// Metrics sink: every search records its wall time, cache hit/miss
     /// totals, and a search counter here (disabled by default — a no-op).
-    pub telemetry: Telemetry,
+    telemetry: Telemetry,
 }
 
 /// The planner's result plus diagnostics.
@@ -177,24 +176,24 @@ pub struct PlanReport {
     pub proven_optimal: bool,
 }
 
-/// Reusable search state for warm-start replanning (§4.3 re-run after
-/// node failures, the dt-elastic shrink path).
+/// The planning state of one job: everything the §4 search reads besides
+/// the model and the [`ProblemSpec`].
 ///
-/// A `WarmStart` freezes two things at job start: the [`PerfCache`] cost
-/// tables built from the job's [`TaskProfile`], and the plans actually
-/// chosen so far ([`WarmStart::observe`]). A degraded replan then
-/// [`Orchestrator::replan_degraded_warm`]s instead of searching cold:
-/// the cached tables are shared (no rebuild, no re-profiling) and each
-/// observed plan is degraded onto the shrunk lattice to seed the
-/// branch-and-bound incumbent, so most of the lattice prunes on the
-/// first pass.
+/// A `WarmStart` freezes two things at job start: the [`PerfCache`] built
+/// from the job's [`TaskProfile`] (cost tables, mean sample shape,
+/// backbone memory), and the plans actually chosen so far
+/// ([`WarmStart::observe`]). [`Orchestrator::plan_candidates_warm`] shares
+/// the tables (no rebuild, no re-profiling) and degrades each observed
+/// plan onto the current lattice to seed the branch-and-bound incumbent,
+/// so most of the lattice prunes on the first pass. A degraded replan
+/// (§4.3 re-run after node failures) is the same call on a planner built
+/// with `.total_gpus(survivors)`.
 ///
-/// Cache-reuse rule: the profile is resolution- and cluster-size
-/// independent for multi-node clusters, so the job-start tables stay
-/// *exact* for any shrunk cluster of ≥ 2 nodes — warm and cold replans
-/// return bit-identical plans. Callers must pass the same profile the
-/// `WarmStart` was built from; a different model or data distribution
-/// needs a fresh `WarmStart`.
+/// Reuse rule: the profile is resolution- and cluster-size independent
+/// for multi-node clusters, so the job-start tables stay *exact* for any
+/// shrunk cluster of ≥ 2 nodes. Hints only speed the search up, so a
+/// warm search returns bit-identical plans to a cold one. A different
+/// model or data distribution needs a fresh `WarmStart`.
 ///
 /// ```
 /// use dt_cluster::{ClusterSpec, CollectiveCost, GpuSpec};
@@ -212,15 +211,16 @@ pub struct PlanReport {
 /// let mut data = SyntheticLaion::new(DataConfig::evaluation(512), 17);
 /// let profile = Profiler.profile(&perf, &data.take(64));
 /// let orch = Orchestrator::builder().total_gpus(96).global_batch(128).build().unwrap();
-/// let initial = orch.plan_with_profile(&model, &profile).unwrap();
 /// let mut warm = WarmStart::new(&model, &profile);
-/// warm.observe(&initial.plan);
+/// let initial = orch.plan_candidates_warm(&model, &warm).unwrap();
+/// warm.observe(&initial[0].plan);
 ///
 /// // A node fails: the warm replan reuses the prebuilt cost tables and
 /// // seeds the incumbent from the old optimum — and returns exactly
 /// // what a cold search on the 88 survivors would have.
-/// let warmed = orch.replan_degraded_warm(&model, &profile, 88, &warm).unwrap();
-/// let cold = orch.replan_degraded(&model, &profile, 88).unwrap();
+/// let shrunk = Orchestrator::builder().total_gpus(88).global_batch(128).build().unwrap();
+/// let warmed = shrunk.plan_candidates_warm(&model, &warm).unwrap();
+/// let cold = shrunk.plan_candidates(&model, &profile).unwrap();
 /// assert_eq!(warmed[0].plan, cold[0].plan);
 /// assert!(warmed[0].plan.total_gpus() <= 88);
 /// ```
@@ -451,7 +451,7 @@ struct LatticeNode {
 }
 
 /// What a traversal strategy hands back to the shared report/diagnosis
-/// code in [`Orchestrator::plan_candidates`].
+/// code in [`Orchestrator::plan_candidates_warm`].
 struct SearchOutcome {
     /// The `top_k` shortlist, already validated and deduplicated —
     /// identical across both search modes.
@@ -519,36 +519,13 @@ fn select_plans(
 }
 
 impl Orchestrator {
-    /// Create a planner with default search knobs — a thin shim over
-    /// [`Orchestrator::builder`] kept for spec-in-hand callers. Performs no
-    /// validation; a malformed spec surfaces as a [`PlanError`] from the
-    /// search instead.
-    pub fn new(spec: ProblemSpec) -> Self {
-        Orchestrator {
-            spec,
-            search_mode: SearchMode::default(),
-            top_k: DEFAULT_TOP_K,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
     /// Start building a planner (see [`OrchestratorBuilder`]).
     pub fn builder() -> OrchestratorBuilder {
         OrchestratorBuilder::default()
     }
 
-    /// Full pipeline: profile the task from a data subset, then search.
-    pub fn plan(
-        &self,
-        model: &MultimodalLlm,
-        perf: &PerfModel<'_>,
-        samples: &[TrainSample],
-    ) -> Result<PlanReport, PlanError> {
-        let profile = Profiler.profile(perf, samples);
-        self.plan_with_profile(model, &profile)
-    }
-
-    /// Search with an existing profile (lets callers reuse trials).
+    /// The best plan for an existing profile: the head of
+    /// [`Orchestrator::plan_candidates`].
     pub fn plan_with_profile(
         &self,
         model: &MultimodalLlm,
@@ -561,75 +538,42 @@ impl Orchestrator {
             .expect("plan_candidates returns a non-empty list on Ok"))
     }
 
-    /// Re-solve for a degraded cluster (§4.3 re-run after node failures):
-    /// the same problem with `remaining_gpus` instead of the original
-    /// budget. The profile is resolution-independent, so the failure-time
-    /// re-plan reuses the profile measured at job start — no re-profiling
-    /// on the critical recovery path. Prefer
-    /// [`Orchestrator::replan_degraded_warm`] when a [`WarmStart`] is
-    /// available: it also skips rebuilding the cost tables and seeds the
-    /// incumbent.
-    pub fn replan_degraded(
-        &self,
-        model: &MultimodalLlm,
-        profile: &TaskProfile,
-        remaining_gpus: u32,
-    ) -> Result<Vec<PlanReport>, PlanError> {
-        let mut shrunk = self.clone();
-        shrunk.spec.total_gpus = remaining_gpus;
-        shrunk.plan_candidates(model, profile)
-    }
-
-    /// Warm-started degraded replan: identical results to
-    /// [`Orchestrator::replan_degraded`] (see the [`WarmStart`]
-    /// cache-reuse rule), but the cost tables come prebuilt from the warm
-    /// state and the observed plans seed the branch-and-bound incumbent,
-    /// so the search starts with most of the lattice already bounded out.
-    pub fn replan_degraded_warm(
-        &self,
-        model: &MultimodalLlm,
-        profile: &TaskProfile,
-        remaining_gpus: u32,
-        warm: &WarmStart,
-    ) -> Result<Vec<PlanReport>, PlanError> {
-        let mut shrunk = self.clone();
-        shrunk.spec.total_gpus = remaining_gpus;
-        shrunk.plan_candidates_impl(model, profile, Some(warm))
-    }
-
     /// The top `self.top_k` distinct validated plans in predicted-time
     /// order; the list is non-empty on `Ok`. The training manager
     /// evaluates these with benchmarking trials and keeps the best (§3:
     /// "runs a series of benchmarking training trials"), which corrects
     /// any misranking by the closed-form objective.
+    ///
+    /// The cold search: [`Orchestrator::plan_candidates_warm`] on a fresh
+    /// [`WarmStart`]. Its `solve_wall_time` includes building the tables.
     pub fn plan_candidates(
         &self,
         model: &MultimodalLlm,
         profile: &TaskProfile,
     ) -> Result<Vec<PlanReport>, PlanError> {
-        self.plan_candidates_impl(model, profile, None)
+        let started = std::time::Instant::now();
+        self.search(model, &WarmStart::new(model, profile), started)
     }
 
-    /// [`Orchestrator::plan_candidates`] with warm-start state: the
+    /// [`Orchestrator::plan_candidates`] over existing planning state: the
     /// [`WarmStart`]'s prebuilt cost tables replace a fresh
     /// [`PerfCache::build`], and its observed plans seed the pruned
-    /// search's incumbent. Results are identical to the cold call.
+    /// search's incumbent. Results are identical to the cold call on the
+    /// profile the `WarmStart` was built from.
     pub fn plan_candidates_warm(
         &self,
         model: &MultimodalLlm,
-        profile: &TaskProfile,
         warm: &WarmStart,
     ) -> Result<Vec<PlanReport>, PlanError> {
-        self.plan_candidates_impl(model, profile, Some(warm))
+        self.search(model, warm, std::time::Instant::now())
     }
 
-    fn plan_candidates_impl(
+    fn search(
         &self,
         model: &MultimodalLlm,
-        profile: &TaskProfile,
-        warm: Option<&WarmStart>,
+        warm: &WarmStart,
+        started: std::time::Instant,
     ) -> Result<Vec<PlanReport>, PlanError> {
-        let started = std::time::Instant::now();
         let spec = &self.spec;
         if spec.total_gpus < MIN_CLUSTER_GPUS {
             return Err(PlanError::ClusterTooSmall {
@@ -639,15 +583,10 @@ impl Orchestrator {
         }
         let bs_over_m = spec.global_batch / spec.microbatch.max(1);
         let layers = model.backbone.layers;
-        let shape = &profile.mean_shape;
-
-        // Memoized evaluation table. A warm start supplies the job-start
-        // table (no rebuild); hit/miss counts are reported as per-search
-        // deltas either way.
-        let cache: Arc<PerfCache> = match warm {
-            Some(w) => w.cache.clone(),
-            None => Arc::new(PerfCache::build(model, profile)),
-        };
+        // Memoized evaluation table, shared across searches: hit/miss
+        // counts are reported as per-search deltas.
+        let cache = &*warm.cache;
+        let shape = &cache.mean_shape;
         let hits_base = cache.hits();
         let misses_base = cache.misses();
 
@@ -669,14 +608,14 @@ impl Orchestrator {
 
         let outcome = match self.search_mode {
             SearchMode::Pruned if cache.bounds_sound() => {
-                self.search_pruned(&cache, model, shape, &pairs, &pp_choices, warm)
+                self.search_pruned(cache, model, shape, &pairs, &pp_choices, &warm.hints)
             }
             // A table the bounding algebra cannot trust (non-finite or
             // negative entries): planning still works, via the exhaustive
             // traversal. The report keeps the requested mode and shows
             // `nodes_pruned: 0`.
             SearchMode::Pruned | SearchMode::Serial => {
-                self.search_exhaustive(&cache, model, shape, &pairs, &pp_choices)
+                self.search_exhaustive(cache, model, shape, &pairs, &pp_choices)
             }
         };
 
@@ -821,7 +760,7 @@ impl Orchestrator {
         shape: &SampleShape,
         pairs: &[(u32, u32)],
         pp_choices: &[u32],
-        warm: Option<&WarmStart>,
+        hints: &[(Candidate, u32)],
     ) -> SearchOutcome {
         let spec = &self.spec;
         let combos = TP_CHOICES.len() * TP_CHOICES.len();
@@ -904,43 +843,41 @@ impl Orchestrator {
         // Warm hints: degrade each observed plan onto the current lattice
         // (same TPs; the largest surviving DP ≤ the old one; the largest
         // in-budget, memory-feasible PP ≤ the old one) and solve it once.
-        if let Some(w) = warm {
-            for &(hint, pp_hint) in &w.hints {
-                let Some(dp_lm) = pairs
-                    .iter()
-                    .filter(|&&(t, d)| t == hint.tp_lm && d <= hint.dp_lm)
-                    .map(|&(_, d)| d)
-                    .max()
-                else {
+        for &(hint, pp_hint) in hints {
+            let Some(dp_lm) = pairs
+                .iter()
+                .filter(|&&(t, d)| t == hint.tp_lm && d <= hint.dp_lm)
+                .map(|&(_, d)| d)
+                .max()
+            else {
+                continue;
+            };
+            let cand = Candidate {
+                tp_lm: hint.tp_lm,
+                dp_lm,
+                ..hint
+            };
+            for &pp in pp_choices.iter().rev().filter(|&&pp| pp <= pp_hint) {
+                let y = cand.tp_lm * dp_lm * pp;
+                if y + 2 > spec.total_gpus
+                    || !cache.backbone_memory.fits(
+                        spec.hbm_bytes,
+                        pp,
+                        cand.tp_lm,
+                        dp_lm,
+                        spec.microbatch,
+                    )
+                {
                     continue;
-                };
-                let cand = Candidate {
-                    tp_lm: hint.tp_lm,
-                    dp_lm,
-                    ..hint
-                };
-                for &pp in pp_choices.iter().rev().filter(|&&pp| pp <= pp_hint) {
-                    let y = cand.tp_lm * dp_lm * pp;
-                    if y + 2 > spec.total_gpus
-                        || !cache.backbone_memory.fits(
-                            spec.hbm_bytes,
-                            pp,
-                            cand.tp_lm,
-                            dp_lm,
-                            spec.microbatch,
-                        )
-                    {
-                        continue;
-                    }
-                    out.solves += 1;
-                    if let Some(alloc) = solve_inner(spec, cache, &cand, y) {
-                        for slack in TRIM_SLACK_PER_GPU {
-                            let t = trim_allocation(spec, cache, &cand, alloc, slack);
-                            incumbent = incumbent.min(t.objective.total());
-                        }
-                    }
-                    break;
                 }
+                out.solves += 1;
+                if let Some(alloc) = solve_inner(spec, cache, &cand, y) {
+                    for slack in TRIM_SLACK_PER_GPU {
+                        let t = trim_allocation(spec, cache, &cand, alloc, slack);
+                        incumbent = incumbent.min(t.objective.total());
+                    }
+                }
+                break;
             }
         }
 
@@ -1074,6 +1011,8 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::PerfModel;
+    use crate::profiler::Profiler;
     use dt_cluster::{ClusterSpec, CollectiveCost, GpuSpec};
     use dt_data::{DataConfig, SyntheticLaion};
     use dt_model::MllmPreset;
@@ -1098,15 +1037,19 @@ mod tests {
         Profiler.profile(&perf, &data.take(64))
     }
 
+    fn planner(s: ProblemSpec) -> Orchestrator {
+        Orchestrator::builder().spec(s).build().unwrap()
+    }
+
     fn plan_for(preset: MllmPreset, n: u32, bs: u32) -> PlanReport {
         let model = preset.build();
         let gpu = GpuSpec::ampere();
         let coll = CollectiveCost::new(ClusterSpec::production(n.div_ceil(8)));
         let perf = PerfModel::new(&model, &gpu, &coll);
         let mut data = SyntheticLaion::new(DataConfig::evaluation(model.gen_resolution), 17);
-        let samples = data.take(64);
-        Orchestrator::new(spec(n, bs))
-            .plan(&model, &perf, &samples)
+        let profile = Profiler.profile(&perf, &data.take(64));
+        planner(spec(n, bs))
+            .plan_with_profile(&model, &profile)
             .expect("planning must succeed")
     }
 
@@ -1141,10 +1084,11 @@ mod tests {
         let gpu = GpuSpec::ampere();
         let coll = CollectiveCost::new(ClusterSpec::production(12));
         let perf = PerfModel::new(&model, &gpu, &coll);
-        let orch = Orchestrator::new(spec(96, 40));
+        let orch = planner(spec(96, 40));
         let share_at = |gen_res: u32| {
             let mut data = SyntheticLaion::new(DataConfig::evaluation(gen_res), 17);
-            let r = orch.plan(&model, &perf, &data.take(64)).unwrap();
+            let profile = Profiler.profile(&perf, &data.take(64));
+            let r = orch.plan_with_profile(&model, &profile).unwrap();
             r.plan.generator.gpus() as f64 / r.plan.total_gpus() as f64
         };
         let lo = share_at(512);
@@ -1163,11 +1107,15 @@ mod tests {
         let perf = PerfModel::new(&model, &gpu, &coll);
         let mut data = SyntheticLaion::new(DataConfig::evaluation(512), 17);
         let samples = data.take(64);
-        let orch = Orchestrator::new(spec(96, 128));
-        let full = orch.plan(&model, &perf, &samples).unwrap();
+        let orch = planner(spec(96, 128));
+        let full = orch
+            .plan_with_profile(&model, &Profiler.profile(&perf, &samples))
+            .unwrap();
         model.freeze = dt_model::FreezeConfig::encoder_only(); // backbone+gen frozen
         let perf_frozen = PerfModel::new(&model, &gpu, &coll);
-        let frozen = orch.plan(&model, &perf_frozen, &samples).unwrap();
+        let frozen = orch
+            .plan_with_profile(&model, &Profiler.profile(&perf_frozen, &samples))
+            .unwrap();
         let full_share = full.plan.backbone.gpus() as f64 / full.plan.total_gpus() as f64;
         let frozen_share = frozen.plan.backbone.gpus() as f64 / frozen.plan.total_gpus() as f64;
         assert!(
@@ -1223,36 +1171,46 @@ mod tests {
 
     #[test]
     fn warm_replan_matches_the_cold_replan_bit_for_bit() {
-        // The elastic shrink path: a warm-started replan (shared cost
-        // tables + incumbent seeded from the observed plan) returns
-        // exactly what the cold replan returns, at a fraction of the
-        // solves.
+        // The elastic shrink path: a replan over a `WarmStart` holding
+        // observed hints returns exactly what a search over a fresh one
+        // (the cold search) returns, and fits the smaller cluster.
         let model = MllmPreset::Mllm9B.build();
         let profile = profile_for(&model, 12, 17);
-        let orch = Orchestrator::builder()
-            .spec(spec(96, 128))
-            .top_k(3)
-            .build()
-            .unwrap();
-        let initial = orch.plan_with_profile(&model, &profile).unwrap();
+        let on = |n: u32| {
+            Orchestrator::builder()
+                .spec(spec(n, 128))
+                .top_k(3)
+                .build()
+                .unwrap()
+        };
         let mut warm = WarmStart::new(&model, &profile);
-        warm.observe(&initial.plan);
-        warm.observe(&initial.plan); // duplicates are ignored
+        let initial = on(96).plan_candidates_warm(&model, &warm).unwrap();
+        warm.observe(&initial[0].plan);
+        warm.observe(&initial[0].plan); // duplicates are ignored
         assert_eq!(warm.observed(), 1);
         for remaining in [88u32, 64, 24] {
-            let cold = orch.replan_degraded(&model, &profile, remaining).unwrap();
-            let warmed = orch
-                .replan_degraded_warm(&model, &profile, remaining, &warm)
-                .unwrap();
-            assert_eq!(cold.len(), warmed.len(), "{remaining} GPUs");
-            for (c, w) in cold.iter().zip(&warmed) {
+            let orch = on(remaining);
+            let fresh = orch
+                .plan_candidates_warm(&model, &WarmStart::new(&model, &profile))
+                .expect("a shrunk cluster must still be plannable");
+            let warmed = orch.plan_candidates_warm(&model, &warm).unwrap();
+            assert!(!warmed.is_empty(), "{remaining} GPUs");
+            assert!(warmed.len() <= 3, "top_k caps the shortlist");
+            assert_eq!(fresh.len(), warmed.len(), "{remaining} GPUs");
+            for (c, w) in fresh.iter().zip(&warmed) {
                 assert_eq!(c.plan, w.plan, "{remaining} GPUs");
                 assert_eq!(
                     c.objective.total().to_bits(),
                     w.objective.total().to_bits(),
                     "{remaining} GPUs: objectives must be bit-identical"
                 );
+                assert!(
+                    w.plan.total_gpus() <= remaining,
+                    "plan uses {} of {remaining} GPUs",
+                    w.plan.total_gpus()
+                );
             }
+            warm.observe(&warmed[0].plan);
         }
     }
 
@@ -1291,31 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_replan_fits_the_smaller_cluster() {
-        let model = MllmPreset::Mllm9B.build();
-        let profile = profile_for(&model, 12, 17);
-        let orch = Orchestrator::builder()
-            .spec(spec(96, 128))
-            .top_k(3)
-            .build()
-            .unwrap();
-        let degraded = orch
-            .replan_degraded(&model, &profile, 88)
-            .expect("one lost node must still be plannable");
-        assert!(!degraded.is_empty());
-        assert!(degraded.len() <= 3, "top_k caps the shortlist");
-        for r in &degraded {
-            assert!(
-                r.plan.total_gpus() <= 88,
-                "plan uses {} of 88 GPUs",
-                r.plan.total_gpus()
-            );
-        }
-        // The original spec is untouched (replan clones).
-        assert_eq!(orch.spec.total_gpus, 96);
-    }
-
-    #[test]
     fn tiny_cluster_still_plans() {
         let r = plan_for(MllmPreset::Mllm9B, 24, 16);
         assert!(r.plan.total_gpus() <= 24);
@@ -1325,7 +1258,7 @@ mod tests {
     fn two_gpu_cluster_reports_cluster_too_small() {
         let model = MllmPreset::Mllm9B.build();
         let profile = profile_for(&model, 1, 17);
-        let err = Orchestrator::new(spec(2, 16))
+        let err = planner(spec(2, 16))
             .plan_with_profile(&model, &profile)
             .unwrap_err();
         assert_eq!(
@@ -1343,9 +1276,7 @@ mod tests {
         let profile = profile_for(&model, 12, 17);
         let mut s = spec(96, 128);
         s.hbm_bytes = 1 << 28; // 256 MiB: nothing fits
-        let err = Orchestrator::new(s)
-            .plan_with_profile(&model, &profile)
-            .unwrap_err();
+        let err = planner(s).plan_with_profile(&model, &profile).unwrap_err();
         match err {
             PlanError::NoMemoryFeasiblePoint {
                 memory_rejected, ..
@@ -1362,9 +1293,7 @@ mod tests {
         let profile = profile_for(&model, 12, 17);
         let mut s = spec(96, 16);
         s.microbatch = 32; // BS/M = 0: no DP divisor exists
-        let err = Orchestrator::new(s)
-            .plan_with_profile(&model, &profile)
-            .unwrap_err();
+        let err = planner(s).plan_with_profile(&model, &profile).unwrap_err();
         assert_eq!(
             err,
             PlanError::EmptyLattice {
@@ -1431,15 +1360,5 @@ mod tests {
                 other => panic!("expected InvalidSpec for {field}, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn new_is_a_thin_shim_over_the_builder_defaults() {
-        let s = spec(96, 128);
-        let a = Orchestrator::new(s);
-        let b = Orchestrator::builder().spec(s).build().unwrap();
-        assert_eq!(a.spec, b.spec);
-        assert_eq!(a.search_mode, b.search_mode);
-        assert_eq!(a.top_k, b.top_k);
     }
 }

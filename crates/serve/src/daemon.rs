@@ -45,7 +45,7 @@ use crate::api::{
 use crate::http;
 use crate::store::{task_for, PlanStore};
 use disttrain_core::{SystemKind, TrainingTask};
-use dt_orchestrator::{Orchestrator, PlanReport, DEFAULT_TOP_K};
+use dt_orchestrator::{Orchestrator, PlanError, PlanReport, DEFAULT_TOP_K};
 use dt_parallel::plan::ModulePlan;
 use dt_simengine::frame::{read_json_ctx, write_json, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
@@ -687,31 +687,26 @@ fn search(
         );
     }
     record_store(shared, warm);
-    let mut guard = entry.lock().expect("entry lock");
-    let orch = Orchestrator::builder()
-        .spec(task.problem_spec())
+    let mut state = entry.lock().expect("entry lock");
+    let problem = task.problem_spec();
+    let plan_err = |e: PlanError| ServeError::Plan {
+        reason: e.to_string(),
+    };
+    let report = Orchestrator::builder()
+        .spec(problem)
+        .total_gpus(shrink_to.unwrap_or(problem.total_gpus))
         .top_k(top_k)
         .telemetry(shared.telemetry.clone())
         .build()
-        .map_err(|e| ServeError::Plan {
-            reason: e.to_string(),
-        })?;
-    let reports = match shrink_to {
-        None => orch.plan_candidates_warm(&task.model, &guard.profile, &guard.warm),
-        Some(remaining) => {
-            orch.replan_degraded_warm(&task.model, &guard.profile, remaining, &guard.warm)
-        }
-    }
-    .map_err(|e| ServeError::Plan {
-        reason: e.to_string(),
-    })?;
-    let report = reports
+        .map_err(plan_err)?
+        .plan_candidates_warm(&task.model, &state)
+        .map_err(plan_err)?
         .into_iter()
         .next()
         .expect("plan_candidates returns non-empty on Ok");
     // Future replans for this fingerprint seed their incumbent from what
     // we actually served.
-    guard.warm.observe(&report.plan);
+    state.observe(&report.plan);
     Ok((report, warm))
 }
 

@@ -1,13 +1,13 @@
 //! The cross-request warm-plan store.
 //!
-//! One entry per spec fingerprint ([`crate::api::SpecDesc::fingerprint`]),
-//! holding exactly the state the [`WarmStart`] cache-reuse rule says is
-//! shareable: the job's [`TaskProfile`] (resolution- and cluster-size
-//! independent) and the §4 cost tables plus incumbent hints frozen inside
-//! the [`WarmStart`]. A repeat plan or a degraded replan for the same
-//! fingerprint skips profiling and table building entirely and seeds the
-//! branch-and-bound incumbent from the plans previously served — the warm
-//! search returns bit-identical results to a cold one, just much sooner.
+//! One entry per spec fingerprint ([`crate::api::SpecDesc::fingerprint`]):
+//! the task's [`WarmStart`] from [`TrainingTask::warm_start`], i.e. the §4
+//! cost tables built from its (resolution- and cluster-size independent)
+//! profile plus incumbent hints from the plans served so far. A repeat
+//! plan or a degraded replan for the same fingerprint skips profiling and
+//! table building entirely and seeds the branch-and-bound incumbent from
+//! the plans previously served — the warm search returns bit-identical
+//! results to a cold one, just much sooner.
 //!
 //! Concurrency shape: the map lock is held only for lookup/insert, never
 //! across a profile build or a search; each entry carries its own lock so
@@ -18,11 +18,10 @@
 
 use crate::api::SpecDesc;
 use disttrain_core::TrainingTask;
-use dt_cluster::{ClusterSpec, CollectiveCost};
+use dt_cluster::ClusterSpec;
 use dt_data::DataConfig;
 use dt_model::{MllmPreset, MultimodalLlm};
-use dt_orchestrator::{PerfModel, Profiler, TaskProfile, WarmStart};
-use dt_simengine::DetRng;
+use dt_orchestrator::WarmStart;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,36 +51,10 @@ pub fn task_for(spec: &SpecDesc) -> Option<TrainingTask> {
     })
 }
 
-/// One fingerprint's shareable planning state.
-#[derive(Debug)]
-pub struct StoreEntry {
-    /// The job-start profile (reused verbatim by every request).
-    pub profile: TaskProfile,
-    /// Prebuilt cost tables + plans served so far (incumbent seeds).
-    pub warm: WarmStart,
-}
-
-impl StoreEntry {
-    /// Profile the task and freeze its cost tables — the cold path, done
-    /// once per fingerprint. Mirrors `TrainingTask::replan_context` (same
-    /// seed derivation, same 64-sample profiling subset) so daemon plans
-    /// match what the offline pipeline would produce.
-    pub fn build(task: &TrainingTask) -> StoreEntry {
-        let coll = CollectiveCost::new(task.cluster.clone());
-        let perf = PerfModel::new(&task.model, &task.cluster.node.gpu, &coll).with_stepccl();
-        let mut data =
-            dt_data::SyntheticLaion::new(task.data.clone(), DetRng::new(task.seed).next_u64());
-        let samples = data.take(64);
-        let profile = Profiler.profile(&perf, &samples);
-        let warm = WarmStart::new(&task.model, &profile);
-        StoreEntry { profile, warm }
-    }
-}
-
 /// The daemon-wide store: fingerprint → shared entry.
 #[derive(Debug, Default)]
 pub struct PlanStore {
-    entries: Mutex<HashMap<String, Arc<Mutex<StoreEntry>>>>,
+    entries: Mutex<HashMap<String, Arc<Mutex<WarmStart>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -98,7 +71,7 @@ impl PlanStore {
         &self,
         fingerprint: &str,
         task: &TrainingTask,
-    ) -> (Arc<Mutex<StoreEntry>>, bool) {
+    ) -> (Arc<Mutex<WarmStart>>, bool) {
         if let Some(entry) = self.entries.lock().expect("store lock").get(fingerprint) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (entry.clone(), true);
@@ -106,7 +79,7 @@ impl PlanStore {
         // Cold: build outside the map lock (profiling + cost tables are
         // the expensive part) and let the first insert win.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(Mutex::new(StoreEntry::build(task)));
+        let built = Arc::new(Mutex::new(task.warm_start()));
         let mut map = self.entries.lock().expect("store lock");
         let entry = map.entry(fingerprint.to_string()).or_insert(built).clone();
         (entry, false)

@@ -5,9 +5,12 @@
 //! without interference.
 
 use dt_check::gen::corrupt_wire_stream;
-use dt_serve::api::{ServeError, ServeReply, ServeRequest, SpecDesc};
+use dt_orchestrator::Orchestrator;
+use dt_parallel::ModulePlan;
+use dt_serve::api::{ModuleSummary, ServeError, ServeReply, ServeRequest, SpecDesc};
 use dt_serve::client::{Client, RetryPolicy};
 use dt_serve::daemon::{ServeConfig, ServeHandle};
+use dt_serve::store::task_for;
 use dt_simengine::frame::{read_json, write_frame, write_json};
 use dt_simengine::DetRng;
 use dt_telemetry::Telemetry;
@@ -82,6 +85,59 @@ fn concurrent_clients_share_one_warm_store_and_get_identical_plans() {
     let (hits, misses) = daemon.store_stats();
     assert_eq!(misses, 1, "one fingerprint, one profiling run");
     assert_eq!(hits, 12, "every concurrent request reused it");
+}
+
+#[test]
+fn daemon_answers_match_an_in_process_search() {
+    // The warm store changes latency, never answers: the cold plan, the
+    // warm repeat and a degraded replan each equal the head of the same
+    // search run in process over a fresh `warm_start` of the task.
+    let spec = SpecDesc::ablation("mllm-9b", 128);
+    let budget = 2;
+    let task = task_for(&spec).expect("known preset");
+    let daemon = ServeHandle::spawn(quiet(ServeConfig::default())).expect("spawn");
+    let plan = ServeRequest::Plan {
+        spec: spec.clone(),
+        budget,
+        deadline_ms: 0,
+    };
+    let replan = ServeRequest::Replan {
+        spec: spec.clone(),
+        remaining_gpus: 64,
+        budget,
+        deadline_ms: 0,
+    };
+    let module = |p: &ModulePlan| ModuleSummary {
+        tp: p.tp,
+        dp: p.dp,
+        pp: p.pp,
+        gpus: p.gpus(),
+    };
+    for (req, gpus, warm) in [(&plan, 96, false), (&plan, 96, true), (&replan, 64, true)] {
+        let got = match exchange(daemon.addr, req).expect("reply") {
+            ServeReply::Plan(p) => p,
+            other => panic!("{gpus} GPUs: unexpected reply {other:?}"),
+        };
+        assert_eq!(got.warm, warm, "{gpus} GPUs: store hit");
+        let want = Orchestrator::builder()
+            .spec(task.problem_spec())
+            .total_gpus(gpus)
+            .top_k(budget as usize)
+            .build()
+            .expect("valid spec")
+            .plan_candidates_warm(&task.model, &task.warm_start())
+            .expect("plannable")
+            .remove(0);
+        assert_eq!(got.encoder, module(&want.plan.encoder), "{gpus} GPUs");
+        assert_eq!(got.backbone, module(&want.plan.backbone), "{gpus} GPUs");
+        assert_eq!(got.generator, module(&want.plan.generator), "{gpus} GPUs");
+        assert_eq!(got.total_gpus, want.plan.total_gpus(), "{gpus} GPUs");
+        assert_eq!(
+            got.predicted_iter_secs.to_bits(),
+            want.objective.total().to_bits(),
+            "{gpus} GPUs"
+        );
+    }
 }
 
 #[test]

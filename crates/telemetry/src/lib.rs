@@ -168,7 +168,9 @@ pub mod names {
     pub const ELASTIC_GOODPUT_FRACTION: &str = "dt_elastic_goodput_fraction";
     /// Simulated seconds spent on a degraded (shrunk) plan, gauge.
     pub const ELASTIC_DEGRADED_SECONDS: &str = "dt_elastic_degraded_seconds";
-    /// Replan search wall time (host seconds), histogram.
+    /// Host seconds per elastic replan, histogram: the warm-started §4
+    /// search plus one simulated trial iteration per candidate (up to
+    /// 12 + 1), not solver time alone.
     pub const ELASTIC_REPLAN_SEARCH_SECONDS: &str = "dt_elastic_replan_search_seconds";
     /// Correlated domain (rack/switch) events observed, counter.
     pub const ELASTIC_DOMAIN_EVENTS_TOTAL: &str = "dt_elastic_domain_events_total";

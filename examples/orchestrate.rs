@@ -60,8 +60,8 @@ fn main() {
     }
 
     println!("\n== warm-start replanning as the cluster shrinks (MLLM-9B) ==");
-    // The elastic path: plan once at job start, capture the warm-start
-    // state (profile + cost tables + the incumbent plan), then replay it
+    // The elastic path: plan once at job start, capture the planning
+    // state (a `WarmStart`: cost tables + incumbent plans), then replay it
     // at every failure. Each warm replan seeds the branch-and-bound
     // search with the previous plan and reuses the job-start cost tables,
     // yet returns exactly the plan a from-scratch (cold) replan would.
@@ -69,11 +69,11 @@ fn main() {
     task.cluster = ClusterSpec::production(12);
     match task.plan(SystemKind::DistTrain) {
         Ok(mut plan) => {
-            let mut ctx = task.replan_context(); // built once, at job start
+            let mut warm = task.warm_start(); // built once, at job start
             println!("{:<34} starts on {} GPUs", "12-node job", plan.total_gpus());
             for lost_nodes in [1u32, 2, 4] {
                 match task.shrunk(lost_nodes) {
-                    Some(shrunk) => match shrunk.replan_shrunk_warm(&plan, &mut ctx) {
+                    Some(shrunk) => match shrunk.replan_shrunk_warm(&plan, &mut warm) {
                         Ok(next) => {
                             println!(
                                 "{:<34} bb TP{} DP{} PP{} | total {:>3}/{}",

@@ -13,13 +13,15 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core"
+echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve"
 # Formatting gate, crate by crate as each is brought to rustfmt's output.
 cargo fmt --check -p dt-elastic
 cargo fmt --check -p dt-bench
 cargo fmt --check -p dt-data
 cargo fmt --check -p dt-reorder
 cargo fmt --check -p disttrain-core
+cargo fmt --check -p dt-orchestrator
+cargo fmt --check -p dt-serve
 
 echo "==> crate layering (the training core and the planner daemon never link the data plane)"
 # DistTrain disaggregates preprocessing from training (§5.1): only dt-check,

@@ -107,7 +107,7 @@ pub use dt_telemetry as telemetry;
 pub mod prelude {
     pub use crate::cluster::{ClusterSpec, CollectiveCost, GpuSpec, NodeSpec};
     pub use crate::core::{
-        ReplanContext, RuntimeConfig, SystemKind, TrainingReport, TrainingSystem, TrainingTask,
+        RuntimeConfig, SystemKind, TrainingReport, TrainingSystem, TrainingTask,
     };
     pub use crate::data::{DataConfig, SyntheticLaion};
     pub use crate::model::{FreezeConfig, MllmPreset, ModuleKind, MultimodalLlm};
