@@ -38,7 +38,7 @@ pub struct PerfCache {
     fwd: [[f64; TRIAL_TPS.len()]; 3],
     /// The profile's mean sample shape: the shape every shortlisted plan
     /// is validated against (memory of all three modules).
-    pub mean_shape: SampleShape,
+    pub(crate) mean_shape: SampleShape,
     /// Backbone memory estimate at the profiled mean shape (the §4.2
     /// memory-gate operand, computed once instead of once per lattice
     /// point).

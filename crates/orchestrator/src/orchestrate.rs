@@ -1,11 +1,12 @@
 //! The adaptive model orchestration entry point (§4.3).
 //!
-//! [`Orchestrator::plan_candidates`] searches the finite TP/DP/PP lattice, solves
-//! each surviving inner convex allocation with [`crate::solve`], and
-//! returns the best memory-feasible [`OrchestrationPlan`]s. The whole
-//! search completes in well under a second at 1296 GPUs (Table 3 reports
-//! 922 ms for the real system; `bench_orchestrator` regenerates the
-//! comparison and archives it in `BENCH_solver.json`).
+//! [`Orchestrator::plan_candidates`] searches the finite TP/DP/PP
+//! lattice, solves each surviving inner convex allocation with
+//! [`crate::solve`], and returns the best memory-feasible
+//! [`OrchestrationPlan`]s. The whole search completes in well under a
+//! second at 1296 GPUs (Table 3 reports 922 ms for the real system;
+//! `bench_orchestrator` regenerates the comparison and archives it in
+//! `BENCH_solver.json`).
 //!
 //! Two traversal strategies share one search core (see [`SearchMode`];
 //! both are **bit-identical** in their results, which is what the
@@ -568,6 +569,8 @@ impl Orchestrator {
         self.search(model, warm, std::time::Instant::now())
     }
 
+    /// The one search both entry points run; `started` is when the
+    /// reported `solve_wall_time` begins.
     fn search(
         &self,
         model: &MultimodalLlm,
