@@ -9,11 +9,11 @@
 //! search: one `f64` per `(module, TP choice)`, the profiled mean sample
 //! shape, and the backbone memory estimate for the HBM gate. Together
 //! these are everything the search reads of the profile. The table is
-//! immutable after construction,
-//! so a [`crate::orchestrate::WarmStart`] can share one instance across
-//! replans; the only mutable state is a pair of `dt_telemetry::Counter`s
-//! (relaxed atomics) reported in [`crate::orchestrate::PlanReport`] and mirrored into the
-//! planner's metric registry when one is attached.
+//! immutable after construction, so a [`crate::orchestrate::WarmStart`]
+//! can share one instance across replans; the only mutable state is a
+//! pair of `dt_telemetry::Counter`s (relaxed atomics) reported in
+//! [`crate::orchestrate::PlanReport`] and mirrored into the planner's
+//! metric registry when one is attached.
 //!
 //! Table entries are the *exact* `f64`s `TaskProfile::train` would return
 //! at the trial TPs, so a cached search is bit-identical to an uncached
