@@ -40,7 +40,9 @@ use dt_simengine::trace::{cat, TraceRecorder};
 pub fn render_gantt(result: &PipelineResult, width: usize) -> String {
     let width = width.max(10);
     let total = result.makespan.as_nanos().max(1);
-    let col = |ns: u64| -> usize { ((ns as u128 * width as u128 / total as u128) as usize).min(width - 1) };
+    let col = |ns: u64| -> usize {
+        ((ns as u128 * width as u128 / total as u128) as usize).min(width - 1)
+    };
 
     let mut out = String::new();
     for stage in 0..result.stages {
@@ -49,7 +51,9 @@ pub fn render_gantt(result: &PipelineResult, width: usize) -> String {
             let a = col(op.start.as_nanos());
             let b = col(op.end.as_nanos().saturating_sub(1)).max(a);
             let glyph = match op.kind {
-                OpKind::Forward => char::from_digit((op.microbatch % 10) as u32, 10).expect("mod 10"),
+                OpKind::Forward => {
+                    char::from_digit((op.microbatch % 10) as u32, 10).expect("mod 10")
+                }
                 OpKind::Backward => (b'a' + (op.microbatch % 26) as u8) as char,
             };
             for cell in &mut row[a..=b] {
@@ -81,7 +85,9 @@ pub fn render_trace_gantt(rec: &TraceRecorder, width: usize) -> String {
         .max()
         .unwrap_or(0)
         .max(1);
-    let col = |ns: u64| -> usize { ((ns as u128 * width as u128 / total as u128) as usize).min(width - 1) };
+    let col = |ns: u64| -> usize {
+        ((ns as u128 * width as u128 / total as u128) as usize).min(width - 1)
+    };
 
     let mut out = String::new();
     for (pid, tid) in rec.tracks() {
@@ -129,7 +135,10 @@ mod tests {
             &vec![SimDuration::from_millis(20); p],
             4,
         );
-        simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO), &w)
+        simulate(
+            &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
+            &w,
+        )
     }
 
     #[test]

@@ -75,14 +75,17 @@ mod tests {
     fn compute_observations_cover_every_op() {
         let (result, spec) = run(3, 4);
         let tel = Telemetry::enabled();
-        let modules = vec!["encoder".to_string(), "llm".to_string(), "generator".to_string()];
+        let modules = vec![
+            "encoder".to_string(),
+            "llm".to_string(),
+            "generator".to_string(),
+        ];
         record_pipeline_metrics(&tel, &result, &spec.comm, &modules);
         let snap = tel.snapshot();
         let mut total_ops = 0;
         for (stage, module) in modules.iter().enumerate() {
             let labels = [("stage", stage.to_string()), ("module", module.clone())];
-            let labels: Vec<(&str, &str)> =
-                labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
             let h = snap
                 .histogram_value(names::PIPELINE_STAGE_COMPUTE_SECONDS, &labels)
                 .expect("per-stage compute histogram");

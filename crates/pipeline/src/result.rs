@@ -65,7 +65,10 @@ impl PipelineResult {
         if self.stages == 0 {
             return 0.0;
         }
-        (0..self.stages).map(|s| self.stage_bubble_fraction(s)).sum::<f64>() / self.stages as f64
+        (0..self.stages)
+            .map(|s| self.stage_bubble_fraction(s))
+            .sum::<f64>()
+            / self.stages as f64
     }
 
     /// When the first microbatch's forward finished at the last stage — the
@@ -73,7 +76,9 @@ impl PipelineResult {
     pub fn warmup_end(&self) -> SimTime {
         self.timeline
             .iter()
-            .filter(|op| op.stage == self.stages - 1 && op.microbatch == 0 && op.kind == OpKind::Forward)
+            .filter(|op| {
+                op.stage == self.stages - 1 && op.microbatch == 0 && op.kind == OpKind::Forward
+            })
             .map(|op| op.end)
             .next()
             .unwrap_or(SimTime::ZERO)

@@ -1,6 +1,5 @@
 //! Pipeline schedule definitions and per-stage operation orders.
 
-
 /// Which pipeline schedule the stages execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
@@ -96,9 +95,18 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                Fwd(0), Fwd(1), Fwd(2), Fwd(3),
-                Bwd(0), Fwd(4), Bwd(1), Fwd(5),
-                Bwd(2), Bwd(3), Bwd(4), Bwd(5),
+                Fwd(0),
+                Fwd(1),
+                Fwd(2),
+                Fwd(3),
+                Bwd(0),
+                Fwd(4),
+                Bwd(1),
+                Fwd(5),
+                Bwd(2),
+                Bwd(3),
+                Bwd(4),
+                Bwd(5),
             ]
         );
         // Last stage: one warm-up forward, strict alternation.
@@ -106,8 +114,18 @@ mod tests {
         assert_eq!(
             ops,
             vec![
-                Fwd(0), Bwd(0), Fwd(1), Bwd(1), Fwd(2), Bwd(2),
-                Fwd(3), Bwd(3), Fwd(4), Bwd(4), Fwd(5), Bwd(5),
+                Fwd(0),
+                Bwd(0),
+                Fwd(1),
+                Bwd(1),
+                Fwd(2),
+                Bwd(2),
+                Fwd(3),
+                Bwd(3),
+                Fwd(4),
+                Bwd(4),
+                Fwd(5),
+                Bwd(5),
             ]
         );
     }
@@ -121,7 +139,11 @@ mod tests {
 
     #[test]
     fn every_schedule_runs_each_op_exactly_once() {
-        for sched in [Schedule::GPipe, Schedule::OneFOneB, Schedule::Interleaved { vpp: 2 }] {
+        for sched in [
+            Schedule::GPipe,
+            Schedule::OneFOneB,
+            Schedule::Interleaved { vpp: 2 },
+        ] {
             for s in 0..4 {
                 let ops = sched.stage_order(s, 4, 7);
                 assert_eq!(ops.len(), 14);
@@ -156,7 +178,11 @@ mod tests {
     /// an empty order.
     #[test]
     fn out_of_range_stage_yields_empty_order() {
-        for sched in [Schedule::GPipe, Schedule::OneFOneB, Schedule::Interleaved { vpp: 2 }] {
+        for sched in [
+            Schedule::GPipe,
+            Schedule::OneFOneB,
+            Schedule::Interleaved { vpp: 2 },
+        ] {
             assert!(sched.stage_order(4, 4, 6).is_empty(), "s == p");
             assert!(sched.stage_order(9, 4, 6).is_empty(), "s > p");
         }
@@ -164,7 +190,11 @@ mod tests {
 
     #[test]
     fn degenerate_pipeline_shapes_yield_empty_orders() {
-        for sched in [Schedule::GPipe, Schedule::OneFOneB, Schedule::Interleaved { vpp: 2 }] {
+        for sched in [
+            Schedule::GPipe,
+            Schedule::OneFOneB,
+            Schedule::Interleaved { vpp: 2 },
+        ] {
             assert!(sched.stage_order(0, 0, 6).is_empty(), "p == 0");
             assert!(sched.stage_order(0, 4, 0).is_empty(), "l == 0");
             assert!(sched.stage_order(0, 0, 0).is_empty(), "p == l == 0");

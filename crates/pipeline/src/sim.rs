@@ -31,7 +31,10 @@ pub struct PipelineSpec {
 impl PipelineSpec {
     /// A spec with uniform hop cost.
     pub fn uniform(schedule: Schedule, stages: usize, hop: SimDuration) -> Self {
-        PipelineSpec { schedule, comm: vec![hop; stages.saturating_sub(1)] }
+        PipelineSpec {
+            schedule,
+            comm: vec![hop; stages.saturating_sub(1)],
+        }
     }
 }
 
@@ -64,7 +67,11 @@ impl Workload {
     }
 
     fn validate(&self) {
-        assert_eq!(self.fwd.len(), self.bwd.len(), "fwd/bwd stage counts differ");
+        assert_eq!(
+            self.fwd.len(),
+            self.bwd.len(),
+            "fwd/bwd stage counts differ"
+        );
         let l = self.microbatches();
         for (s, (f, b)) in self.fwd.iter().zip(&self.bwd).enumerate() {
             assert_eq!(f.len(), l, "stage {s} fwd microbatch count differs");
@@ -112,7 +119,10 @@ fn expand_interleaved(spec: &PipelineSpec, w: &Workload, vpp: u32) -> (PipelineS
         }
     }
     (
-        PipelineSpec { schedule: Schedule::OneFOneB, comm },
+        PipelineSpec {
+            schedule: Schedule::OneFOneB,
+            comm,
+        },
         Workload { fwd, bwd },
     )
 }
@@ -121,7 +131,12 @@ fn run_1f1b_family(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
     let p = workload.stages();
     let l = workload.microbatches();
     if p == 0 || l == 0 {
-        return PipelineResult { stages: p, microbatches: l, timeline: Vec::new(), makespan: SimDuration::ZERO };
+        return PipelineResult {
+            stages: p,
+            microbatches: l,
+            timeline: Vec::new(),
+            makespan: SimDuration::ZERO,
+        };
     }
     assert!(
         spec.comm.len() >= p - 1,
@@ -176,14 +191,23 @@ fn run_1f1b_family(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
                     OpKind::Forward => fwd_end[s][i] = Some(end),
                     OpKind::Backward => bwd_end[s][i] = Some(end),
                 }
-                timeline.push(OpRecord { stage: s, microbatch: i, kind, start, end });
+                timeline.push(OpRecord {
+                    stage: s,
+                    microbatch: i,
+                    kind,
+                    start,
+                    end,
+                });
                 avail[s] = end;
                 pc[s] += 1;
                 done += 1;
                 progressed = true;
             }
         }
-        assert!(progressed, "pipeline deadlock: schedule/dependency mismatch");
+        assert!(
+            progressed,
+            "pipeline deadlock: schedule/dependency mismatch"
+        );
     }
 
     let makespan = timeline
@@ -191,12 +215,22 @@ fn run_1f1b_family(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
         .map(|op| op.end)
         .fold(SimTime::ZERO, SimTime::max)
         .since(SimTime::ZERO);
-    PipelineResult { stages: p, microbatches: l, timeline, makespan }
+    PipelineResult {
+        stages: p,
+        microbatches: l,
+        timeline,
+        makespan,
+    }
 }
 
 /// Closed-form 1F1B makespan for a *homogeneous* pipeline (no comm):
 /// `(l + p − 1) · (f + b)` — used to validate the simulator.
-pub fn homogeneous_1f1b_makespan(p: usize, l: usize, f: SimDuration, b: SimDuration) -> SimDuration {
+pub fn homogeneous_1f1b_makespan(
+    p: usize,
+    l: usize,
+    f: SimDuration,
+    b: SimDuration,
+) -> SimDuration {
     (f + b) * ((l + p - 1) as u64)
 }
 
@@ -242,8 +276,14 @@ mod tests {
         let p = 4;
         let l = 8;
         let w = Workload::homogeneous(&vec![d(100); p], &vec![d(200); p], l);
-        let g = simulate(&PipelineSpec::uniform(Schedule::GPipe, p, SimDuration::ZERO), &w);
-        let f = simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO), &w);
+        let g = simulate(
+            &PipelineSpec::uniform(Schedule::GPipe, p, SimDuration::ZERO),
+            &w,
+        );
+        let f = simulate(
+            &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
+            &w,
+        );
         assert_eq!(g.makespan, f.makespan);
     }
 
@@ -252,7 +292,10 @@ mod tests {
         let p = 4;
         let l = 4;
         let w = Workload::homogeneous(&vec![d(100); p], &vec![d(200); p], l);
-        let free = simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO), &w);
+        let free = simulate(
+            &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
+            &w,
+        );
         let slow = simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, d(50)), &w);
         assert!(slow.makespan > free.makespan);
     }
@@ -263,10 +306,21 @@ mod tests {
         let p = 2;
         let l = 6;
         let mut w = Workload::homogeneous(&[d(100), d(100)], &[d(200), d(200)], l);
-        let base = simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO), &w).makespan;
+        let base = simulate(
+            &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
+            &w,
+        )
+        .makespan;
         w.fwd[0][0] = d(1000); // microbatch 0 is a straggler at stage 0
-        let strag = simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO), &w).makespan;
-        assert!(strag > base + d(800), "straggler delay should propagate: {strag} vs {base}");
+        let strag = simulate(
+            &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
+            &w,
+        )
+        .makespan;
+        assert!(
+            strag > base + d(800),
+            "straggler delay should propagate: {strag} vs {base}"
+        );
     }
 
     #[test]
@@ -276,9 +330,20 @@ mod tests {
         let p = 8;
         let l = 8;
         let w = Workload::homogeneous(&vec![d(800); p], &vec![d(1600); p], l);
-        let plain = simulate(&PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO), &w);
-        let vpp = simulate(&PipelineSpec::uniform(Schedule::Interleaved { vpp: 4 }, p, SimDuration::ZERO), &w);
-        assert!(vpp.makespan < plain.makespan, "{} !< {}", vpp.makespan, plain.makespan);
+        let plain = simulate(
+            &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
+            &w,
+        );
+        let vpp = simulate(
+            &PipelineSpec::uniform(Schedule::Interleaved { vpp: 4 }, p, SimDuration::ZERO),
+            &w,
+        );
+        assert!(
+            vpp.makespan < plain.makespan,
+            "{} !< {}",
+            vpp.makespan,
+            plain.makespan
+        );
     }
 
     #[test]
@@ -297,7 +362,11 @@ mod tests {
                 let upstream = r
                     .timeline
                     .iter()
-                    .find(|o| o.stage == op.stage - 1 && o.microbatch == op.microbatch && o.kind == OpKind::Forward)
+                    .find(|o| {
+                        o.stage == op.stage - 1
+                            && o.microbatch == op.microbatch
+                            && o.kind == OpKind::Forward
+                    })
                     .unwrap();
                 assert!(op.start >= upstream.end);
             }
@@ -305,7 +374,11 @@ mod tests {
                 let downstream = r
                     .timeline
                     .iter()
-                    .find(|o| o.stage == op.stage + 1 && o.microbatch == op.microbatch && o.kind == OpKind::Backward)
+                    .find(|o| {
+                        o.stage == op.stage + 1
+                            && o.microbatch == op.microbatch
+                            && o.kind == OpKind::Backward
+                    })
                     .unwrap();
                 assert!(op.start >= downstream.end);
             }
@@ -350,7 +423,10 @@ mod tests {
             let bwd: Vec<Vec<SimDuration>> = (0..p)
                 .map(|_| (0..l).map(|_| d(rng.range_u64(1, 600))).collect())
                 .collect();
-            let w = Workload { fwd: fwd.clone(), bwd: bwd.clone() };
+            let w = Workload {
+                fwd: fwd.clone(),
+                bwd: bwd.clone(),
+            };
             let spec = PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO);
             let r = simulate(&spec, &w);
             // Lower bound 1: busiest stage.

@@ -86,12 +86,23 @@ pub fn record_pipeline_trace(
         }
     }
 
-    let mut push = |name: String, category: &'static str, stage: usize, start: SimTime, end: SimTime, mb: Option<usize>| {
+    let mut push = |name: String,
+                    category: &'static str,
+                    stage: usize,
+                    start: SimTime,
+                    end: SimTime,
+                    mb: Option<usize>| {
         if end <= start {
             return;
         }
-        let mut span =
-            TraceSpan::new(name, category, opts.pid, stage as u64, start, end.since(start));
+        let mut span = TraceSpan::new(
+            name,
+            category,
+            opts.pid,
+            stage as u64,
+            start,
+            end.since(start),
+        );
         if let Some(m) = module_of(opts, stage) {
             span = span.with_arg("module", m.to_string());
         }
@@ -110,9 +121,10 @@ pub fn record_pipeline_trace(
                 // Split the gap into comm wait (inside the dependency's hop
                 // window) and bubble (everything else).
                 let (dep_end, hop) = match op.kind {
-                    OpKind::Forward if stage > 0 => {
-                        (fwd_end[stage - 1][op.microbatch], comm.get(stage - 1).copied())
-                    }
+                    OpKind::Forward if stage > 0 => (
+                        fwd_end[stage - 1][op.microbatch],
+                        comm.get(stage - 1).copied(),
+                    ),
                     OpKind::Backward if stage + 1 < p => {
                         (bwd_end[stage + 1][op.microbatch], comm.get(stage).copied())
                     }
@@ -212,7 +224,10 @@ mod tests {
     fn zero_hop_pipeline_has_no_comm_spans() {
         let (rec, _) = traced(4, 4, SimDuration::ZERO, 3);
         assert!(rec.category_total(cat::COMM).is_zero());
-        assert!(!rec.category_total(cat::BUBBLE).is_zero(), "warm-up bubble must exist");
+        assert!(
+            !rec.category_total(cat::BUBBLE).is_zero(),
+            "warm-up bubble must exist"
+        );
     }
 
     #[test]
@@ -232,7 +247,11 @@ mod tests {
         let pad = result.makespan + d(1000);
         let spec = PipelineSpec::uniform(Schedule::OneFOneB, 2, d(5));
         let mut rec = TraceRecorder::enabled();
-        let opts = PipelineTraceOpts { pid: 3, pad_to: Some(pad), ..Default::default() };
+        let opts = PipelineTraceOpts {
+            pid: 3,
+            pad_to: Some(pad),
+            ..Default::default()
+        };
         record_pipeline_trace(&mut rec, &result, &spec.comm, &opts);
         for stage in 0..result.stages {
             assert_eq!(rec.track_total(3, stage as u64, None), pad);
@@ -249,10 +268,10 @@ mod tests {
             stage_modules: vec!["encoder".into(), "llm".into()],
         };
         record_pipeline_trace(&mut rec, &result, &[], &opts);
-        assert!(rec
-            .spans()
+        assert!(rec.spans().iter().all(|s| s
+            .args
             .iter()
-            .all(|s| s.args.iter().any(|(k, v)| *k == "module" && (v == "encoder" || v == "llm"))));
+            .any(|(k, v)| *k == "module" && (v == "encoder" || v == "llm"))));
     }
 
     #[test]
