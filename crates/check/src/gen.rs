@@ -87,7 +87,9 @@ pub fn wire_stream(rng: &mut DetRng, frames: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
         match rng.range_usize(0, 3) {
             0 => {
                 let req = if rng.chance(0.5) {
-                    Request::FetchBatch { count: rng.range_u64(1, 256) as u32 }
+                    Request::FetchBatch {
+                        count: rng.range_u64(1, 256) as u32,
+                    }
                 } else {
                     Request::Shutdown
                 };
@@ -228,14 +230,19 @@ pub fn hostile_peer(rng: &mut DetRng) -> HostilePeer {
             // frame": both must close the session, not allocate.
             let claim = rng.range_u64(1 << 17, u32::MAX as u64) as u32;
             let tail_len = rng.range_usize(0, 32);
-            HostilePeer::LyingHeader { claim, tail: rng.bytes(tail_len) }
+            HostilePeer::LyingHeader {
+                claim,
+                tail: rng.bytes(tail_len),
+            }
         }
         2 => HostilePeer::TruncatedRequest {
             count: rng.range_u64(1, 4) as u32,
             keep: rng.range_usize(1, 12),
         },
         3 => HostilePeer::SilentClose,
-        4 => HostilePeer::FetchThenVanish { count: rng.range_u64(1, 3) as u32 },
+        4 => HostilePeer::FetchThenVanish {
+            count: rng.range_u64(1, 3) as u32,
+        },
         5 => HostilePeer::FetchReadPartial {
             count: rng.range_u64(1, 3) as u32,
             keep: rng.range_usize(1, 64),
@@ -283,7 +290,10 @@ mod tests {
             let (bytes, _) = p.wire_bytes();
             assert!(bytes.len() < 256, "{p:?} sends {} bytes", bytes.len());
         }
-        assert!(seen.iter().all(|&s| s), "64 draws should cover all 7 behaviors: {seen:?}");
+        assert!(
+            seen.iter().all(|&s| s),
+            "64 draws should cover all 7 behaviors: {seen:?}"
+        );
     }
 
     #[test]

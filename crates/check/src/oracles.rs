@@ -12,24 +12,22 @@ use crate::gen;
 use crate::prop::{ensure, Failure, Property};
 use disttrain_core::{SystemKind, TrainingTask};
 use dt_cluster::{ClusterSpec, CollectiveCost, GpuSpec};
-use dt_elastic::{
-    run_elastic_with, CheckpointPolicy, ElasticPlan, FailureTopology, HealerConfig,
-};
-use dt_parallel::OrchestrationPlan;
+use dt_data::{DataConfig, ResolutionMode};
+use dt_elastic::{run_elastic_with, CheckpointPolicy, ElasticPlan, FailureTopology, HealerConfig};
 use dt_model::MllmPreset;
 use dt_orchestrator::{Orchestrator, PerfModel, Profiler, SearchMode};
+use dt_parallel::OrchestrationPlan;
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::sim::homogeneous_1f1b_makespan;
 use dt_pipeline::{simulate, OpKind, PipelineSpec, Schedule, Workload};
-use dt_data::{DataConfig, ResolutionMode};
 use dt_preprocess::wire::{BatchHeader, Request};
 use dt_preprocess::{Consumer, Preprocess};
+use dt_reorder::{
+    get_interval, inter_reorder, intra_reorder_indices, max_group_load, InterReorderConfig,
+    ReorderError,
+};
 use dt_simengine::frame::{read_frame, read_json, write_json};
 use dt_simengine::BackoffPolicy;
-use dt_reorder::{
-    get_interval, inter_reorder, intra_reorder_indices, max_group_load,
-    InterReorderConfig, ReorderError,
-};
 use dt_simengine::{DetRng, Json, SimDuration, SimTime};
 use dt_telemetry::{Registry, Snapshot};
 use std::io::{Cursor, Read, Write};
@@ -174,7 +172,11 @@ fn stage_order_corners(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     let p = rng.range_usize(0, 6);
     let s = rng.range_usize(0, 8);
     let l = rng.range_usize(0, size.max(1) + 1);
-    for sched in [Schedule::GPipe, Schedule::OneFOneB, Schedule::Interleaved { vpp: 2 }] {
+    for sched in [
+        Schedule::GPipe,
+        Schedule::OneFOneB,
+        Schedule::Interleaved { vpp: 2 },
+    ] {
         let ops = sched.stage_order(s, p, l);
         if p == 0 || s >= p || l == 0 {
             ensure(ops.is_empty(), || {
@@ -183,7 +185,11 @@ fn stage_order_corners(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
             continue;
         }
         ensure(ops.len() == 2 * l, || {
-            format!("{sched:?} s={s} p={p} l={l}: {} ops, expected {}", ops.len(), 2 * l)
+            format!(
+                "{sched:?} s={s} p={p} l={l}: {} ops, expected {}",
+                ops.len(),
+                2 * l
+            )
         })?;
         let mut fwd = vec![0u32; l];
         let mut bwd = vec![0u32; l];
@@ -193,12 +199,19 @@ fn stage_order_corners(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
                 StageOp::Bwd(i) => bwd[i] += 1,
             }
         }
-        ensure(fwd.iter().all(|&c| c == 1) && bwd.iter().all(|&c| c == 1), || {
-            format!("{sched:?} s={s} p={p} l={l}: some op not executed exactly once")
-        })?;
+        ensure(
+            fwd.iter().all(|&c| c == 1) && bwd.iter().all(|&c| c == 1),
+            || format!("{sched:?} s={s} p={p} l={l}: some op not executed exactly once"),
+        )?;
         for i in 0..l {
-            let fpos = ops.iter().position(|o| *o == StageOp::Fwd(i)).expect("counted above");
-            let bpos = ops.iter().position(|o| *o == StageOp::Bwd(i)).expect("counted above");
+            let fpos = ops
+                .iter()
+                .position(|o| *o == StageOp::Fwd(i))
+                .expect("counted above");
+            let bpos = ops
+                .iter()
+                .position(|o| *o == StageOp::Bwd(i))
+                .expect("counted above");
             ensure(fpos < bpos, || {
                 format!("{sched:?} s={s} p={p} l={l}: B{i} scheduled before F{i}")
             })?;
@@ -217,13 +230,19 @@ fn makespan_lower_bounds(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         let busy: SimDuration = w.fwd[s].iter().copied().sum::<SimDuration>()
             + w.bwd[s].iter().copied().sum::<SimDuration>();
         ensure(r.makespan >= busy, || {
-            format!("p={p} l={l}: makespan {} below stage {s} busy time {busy}", r.makespan)
+            format!(
+                "p={p} l={l}: makespan {} below stage {s} busy time {busy}",
+                r.makespan
+            )
         })?;
     }
     for i in 0..l {
         let path: SimDuration = (0..p).map(|s| w.fwd[s][i] + w.bwd[s][i]).sum();
         ensure(r.makespan >= path, || {
-            format!("p={p} l={l}: makespan {} below microbatch {i} critical path {path}", r.makespan)
+            format!(
+                "p={p} l={l}: makespan {} below microbatch {i} critical path {path}",
+                r.makespan
+            )
         })?;
     }
     Ok(())
@@ -256,7 +275,14 @@ fn brute_force_opt(sizes: &[f64], m: usize) -> f64 {
         }
     }
     let mut best = f64::INFINITY;
-    rec(0, sizes, sizes.len() / m, &mut vec![0; m], &mut vec![0.0; m], &mut best);
+    rec(
+        0,
+        sizes,
+        sizes.len() / m,
+        &mut vec![0; m],
+        &mut vec![0.0; m],
+        &mut best,
+    );
     best
 }
 
@@ -297,7 +323,9 @@ fn alg1_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     if m > 1 {
         let sizes: Vec<f64> = (0..n + 1).map(|i| i as f64).collect();
         match intra_reorder_indices(&sizes, m) {
-            Err(ReorderError::IndivisibleBatch { n: en, m: em }) if en == n + 1 && em == m => Ok(()),
+            Err(ReorderError::IndivisibleBatch { n: en, m: em }) if en == n + 1 && em == m => {
+                Ok(())
+            }
             other => Err(Failure::new(format!(
                 "indivisible batch ({} into {m}) returned {other:?}, expected typed error",
                 n + 1
@@ -317,7 +345,9 @@ fn max_group_load_reference(rng: &mut DetRng, size: usize) -> Result<(), Failure
     let sizes = gen::lognormal_sizes(rng, n);
     let got = max_group_load(&sizes, m);
     if n == 0 || m == 0 {
-        return ensure(got == 0.0, || format!("empty input (n={n} m={m}) must score 0, got {got}"));
+        return ensure(got == 0.0, || {
+            format!("empty input (n={n} m={m}) must score 0, got {got}")
+        });
     }
     let (base, extra) = (n / m, n % m);
     let group_of = |i: usize| {
@@ -337,7 +367,10 @@ fn max_group_load_reference(rng: &mut DetRng, size: usize) -> Result<(), Failure
     })?;
     let total: f64 = sizes.iter().sum();
     ensure(got + 1e-9 >= total / m as f64, || {
-        format!("n={n} m={m}: max group {got} below the mean bound {}", total / m as f64)
+        format!(
+            "n={n} m={m}: max group {got} below the mean bound {}",
+            total / m as f64
+        )
     })
 }
 
@@ -398,7 +431,9 @@ fn alg2_interval_vs_simulate(rng: &mut DetRng, size: usize) -> Result<(), Failur
     };
     let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 1.0)).collect();
     let reference = simulated_intervals(&cfg, &times);
-    ensure(reference.len() == l, || format!("simulator ran {} of {l} backwards", reference.len()))?;
+    ensure(reference.len() == l, || {
+        format!("simulator ran {} of {l} backwards", reference.len())
+    })?;
     for (j, &want) in reference.iter().enumerate() {
         let got = get_interval(&cfg, &times, j);
         ensure(got.to_bits() == want.to_bits(), || {
@@ -406,7 +441,9 @@ fn alg2_interval_vs_simulate(rng: &mut DetRng, size: usize) -> Result<(), Failur
         })?;
     }
     let past = get_interval(&cfg, &times, l);
-    ensure(past == 0.0, || format!("{cfg:?} l={l}: interval past the end is {past}, not 0"))
+    ensure(past == 0.0, || {
+        format!("{cfg:?} l={l}: interval past the end is {past}, not 0")
+    })
 }
 
 /// The optimality certificate for the branch-and-bound planner: on every
@@ -437,19 +474,29 @@ fn pruned_differential(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {
     match (serial, pruned) {
         (Ok(s), Ok(p)) => {
             ensure(s.len() == p.len(), || {
-                format!("{spec:?}: serial ranked {} candidates, pruned {}", s.len(), p.len())
+                format!(
+                    "{spec:?}: serial ranked {} candidates, pruned {}",
+                    s.len(),
+                    p.len()
+                )
             })?;
             for (i, (a, b)) in s.iter().zip(&p).enumerate() {
                 ensure(a.plan == b.plan, || {
-                    format!("{spec:?}: candidate {i} plans diverge: {:?} vs {:?}", a.plan, b.plan)
-                })?;
-                ensure(a.objective.total().to_bits() == b.objective.total().to_bits(), || {
                     format!(
-                        "{spec:?}: candidate {i} objectives not bit-identical: {} vs {}",
-                        a.objective.total(),
-                        b.objective.total()
+                        "{spec:?}: candidate {i} plans diverge: {:?} vs {:?}",
+                        a.plan, b.plan
                     )
                 })?;
+                ensure(
+                    a.objective.total().to_bits() == b.objective.total().to_bits(),
+                    || {
+                        format!(
+                            "{spec:?}: candidate {i} objectives not bit-identical: {} vs {}",
+                            a.objective.total(),
+                            b.objective.total()
+                        )
+                    },
+                )?;
                 ensure(b.proven_optimal, || {
                     format!("{spec:?}: candidate {i} lacks the proven-optimal certificate")
                 })?;
@@ -461,8 +508,10 @@ fn pruned_differential(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {
         }),
         (s, p) => Err(Failure::new(format!(
             "{spec:?}: serial {} vs pruned {}",
-            s.map(|v| format!("Ok({} candidates)", v.len())).unwrap_or_else(|e| format!("Err({e})")),
-            p.map(|v| format!("Ok({} candidates)", v.len())).unwrap_or_else(|e| format!("Err({e})")),
+            s.map(|v| format!("Ok({} candidates)", v.len()))
+                .unwrap_or_else(|e| format!("Err({e})")),
+            p.map(|v| format!("Ok({} candidates)", v.len()))
+                .unwrap_or_else(|e| format!("Err({e})")),
         ))),
     }
 }
@@ -470,7 +519,9 @@ fn pruned_differential(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {
 fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     // Control messages round-trip through the JSON framing.
     let req = if rng.chance(0.5) {
-        Request::FetchBatch { count: rng.range_u64(1, 1 << 20) as u32 }
+        Request::FetchBatch {
+            count: rng.range_u64(1, 1 << 20) as u32,
+        }
     } else {
         Request::Shutdown
     };
@@ -478,7 +529,9 @@ fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     write_json(&mut buf, &req).expect("vec write cannot fail");
     let back: Request = read_json(&mut Cursor::new(&buf[..]))
         .map_err(|e| Failure::new(format!("request failed to decode: {e}")))?;
-    ensure(back == req, || format!("request round trip changed {req:?} → {back:?}"))?;
+    ensure(back == req, || {
+        format!("request round trip changed {req:?} → {back:?}")
+    })?;
 
     // Batch headers carry real generated samples.
     let batch_n = rng.range_usize(1, size.max(1) + 1);
@@ -494,7 +547,9 @@ fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     write_json(&mut buf, &header).expect("vec write cannot fail");
     let back: BatchHeader = read_json(&mut Cursor::new(&buf[..]))
         .map_err(|e| Failure::new(format!("header failed to decode: {e}")))?;
-    ensure(back == header, || "batch header round trip changed the header".to_string())?;
+    ensure(back == header, || {
+        "batch header round trip changed the header".to_string()
+    })?;
 
     // Raw frames (the bulk token bytes) are byte-exact, empty included.
     let (stream, payloads) = gen::wire_stream(rng, size.max(1));
@@ -502,7 +557,9 @@ fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     for (i, expect) in payloads.iter().enumerate() {
         let got = read_frame(&mut cur)
             .map_err(|e| Failure::new(format!("frame {i} failed to decode: {e}")))?;
-        ensure(&got == expect, || format!("frame {i} payload changed in transit"))?;
+        ensure(&got == expect, || {
+            format!("frame {i} payload changed in transit")
+        })?;
     }
     Ok(())
 }
@@ -536,7 +593,10 @@ fn wire_garbage(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
 /// prove a well-behaved fan-in consumer is still served *in order* and
 /// the plane shuts down cleanly — no session thread may have panicked.
 fn service_hostile_peers(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
-    let data = DataConfig { resolution: ResolutionMode::Fixed(32), ..DataConfig::evaluation(32) };
+    let data = DataConfig {
+        resolution: ResolutionMode::Fixed(32),
+        ..DataConfig::evaluation(32)
+    };
     let endpoints = rng.range_usize(1, 3);
     let mut plane = Preprocess::builder(data, rng.next_u64() >> 1)
         .producers(endpoints)
@@ -552,7 +612,8 @@ fn service_hostile_peers(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         let peer = gen::hostile_peer(rng);
         let mut sock = TcpStream::connect(addr)
             .map_err(|e| Failure::new(format!("hostile peer {i} could not connect: {e}")))?;
-        sock.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout is valid");
+        sock.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout is valid");
         let (bytes, read_back) = peer.wire_bytes();
         // The server is allowed to slam the session shut mid-write or
         // mid-read; only the plane's health matters, not the peer's.
@@ -582,7 +643,9 @@ fn service_hostile_peers(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         std::collections::HashMap::new();
     for i in 0..2 {
         let (addr, batch, _) = feeder.next_batch_from().map_err(|e| {
-            Failure::new(format!("fetch {i} after {hostiles} hostile peers failed: {e}"))
+            Failure::new(format!(
+                "fetch {i} after {hostiles} hostile peers failed: {e}"
+            ))
         })?;
         ensure(batch.batch.len() == 2, || {
             format!("fetch {i}: expected 2 samples, got {}", batch.batch.len())
@@ -607,26 +670,33 @@ fn telemetry_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     let phases = ["fetch", "decode", "feed"];
     for i in 0..rng.range_usize(1, size.max(1) + 1) {
         let phase = *rng.pick(&phases);
-        r.counter("dt_check_events_total", &[("phase", phase)]).add(rng.next_u64() >> 32);
-        r.gauge("dt_check_depth", &[("phase", phase)]).set(rng.range_f64(-1e6, 1e6));
+        r.counter("dt_check_events_total", &[("phase", phase)])
+            .add(rng.next_u64() >> 32);
+        r.gauge("dt_check_depth", &[("phase", phase)])
+            .set(rng.range_f64(-1e6, 1e6));
         let h = r.histogram("dt_check_latency_seconds", &[("phase", phase)]);
         for _ in 0..rng.range_usize(1, 20) {
             h.observe(rng.lognormal(0.0, 2.0));
         }
         let s = r.series("dt_check_series", &[("idx", &i.to_string())]);
         for k in 0..rng.range_usize(1, 8) {
-            s.sample(SimTime::ZERO + SimDuration::from_nanos(k as u64), rng.range_f64(0.0, 1e9));
+            s.sample(
+                SimTime::ZERO + SimDuration::from_nanos(k as u64),
+                rng.range_f64(0.0, 1e9),
+            );
         }
     }
     let snap = r.snapshot();
     let text = snap.to_json().to_string();
-    let parsed = Json::parse(&text).map_err(|e| {
-        Failure::new(format!("snapshot JSON failed to re-parse: {e}"))
-    })?;
+    let parsed = Json::parse(&text)
+        .map_err(|e| Failure::new(format!("snapshot JSON failed to re-parse: {e}")))?;
     let back = Snapshot::from_json(&parsed)
         .ok_or_else(|| Failure::new("snapshot JSON decoded to None".to_string()))?;
     ensure(back == snap, || {
-        format!("snapshot round trip diverged ({} entries)", snap.entries.len())
+        format!(
+            "snapshot round trip diverged ({} entries)",
+            snap.entries.len()
+        )
     })
 }
 
@@ -636,7 +706,9 @@ fn telemetry_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
 fn self_test_broken(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     let xs: Vec<f64> = (0..size).map(|_| rng.next_f64()).collect();
     match xs.iter().find(|&&x| x > 0.5) {
-        Some(x) => Err(Failure::new(format!("draw {x:.3} exceeded the broken threshold 0.5"))),
+        Some(x) => Err(Failure::new(format!(
+            "draw {x:.3} exceeded the broken threshold 0.5"
+        ))),
         None => Ok(()),
     }
 }
@@ -659,7 +731,9 @@ fn elastic_oracle_fixture() -> &'static (TrainingTask, OrchestrationPlan) {
         std::sync::OnceLock::new();
     FIXTURE.get_or_init(|| {
         let task = TrainingTask::ablation(MllmPreset::Mllm9B.build(), 32);
-        let plan = task.plan(SystemKind::DistTrain).expect("ablation task plans");
+        let plan = task
+            .plan(SystemKind::DistTrain)
+            .expect("ablation task plans");
         (task, plan)
     })
 }
@@ -699,8 +773,8 @@ fn correlated_goodput_accounting(rng: &mut DetRng, _size: usize) -> Result<(), F
     let mut outcomes = Vec::with_capacity(2);
     for _ in 0..2 {
         let seq = NEXT_DIR.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("dt-check-elastic-{}-{seq}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("dt-check-elastic-{}-{seq}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).map_err(|e| Failure::new(format!("mkdir: {e}")))?;
         let out = run_elastic_with(
@@ -718,9 +792,9 @@ fn correlated_goodput_accounting(rng: &mut DetRng, _size: usize) -> Result<(), F
     let first = outcomes.pop().expect("two runs");
     match (&first, &second) {
         (Ok(a), Ok(b)) => {
-            a.goodput.validate().map_err(|e| {
-                Failure::new(format!("{scenario}: goodput identity violated: {e}"))
-            })?;
+            a.goodput
+                .validate()
+                .map_err(|e| Failure::new(format!("{scenario}: goodput identity violated: {e}")))?;
             ensure(a.report.iterations.len() == iterations as usize, || {
                 format!(
                     "{scenario}: {} committed iterations, requested {iterations}",
@@ -772,7 +846,10 @@ mod tests {
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate property names");
-        assert!(props.iter().all(|p| p.name.contains('.')), "names are crate.what_it_checks");
+        assert!(
+            props.iter().all(|p| p.name.contains('.')),
+            "names are crate.what_it_checks"
+        );
         assert!(props.iter().all(|p| !p.about.is_empty()));
     }
 
@@ -781,7 +858,9 @@ mod tests {
         // The env var may leak in from an outer test runner; only assert
         // the default when it is genuinely unset.
         if std::env::var_os("DT_CHECK_SELF_TEST").is_none() {
-            assert!(registry().iter().all(|p| p.name != "self_test.broken_oracle"));
+            assert!(registry()
+                .iter()
+                .all(|p| p.name != "self_test.broken_oracle"));
         }
     }
 

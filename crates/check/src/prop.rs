@@ -26,7 +26,9 @@ pub struct Failure {
 impl Failure {
     /// Build a failure from any displayable message.
     pub fn new(message: impl Into<String>) -> Self {
-        Failure { message: message.into() }
+        Failure {
+            message: message.into(),
+        }
     }
 }
 
@@ -104,7 +106,10 @@ pub struct SuiteReport {
 
 /// The one-line reproducer for a minimized failure.
 pub fn reproducer(name: &str, s: &Shrunk) -> String {
-    format!("repro check --prop {name} --seed {} --size {}", s.seed, s.size)
+    format!(
+        "repro check --prop {name} --seed {} --size {}",
+        s.seed, s.size
+    )
 }
 
 /// Run one case, converting a panic inside the checked code into a
@@ -138,7 +143,12 @@ fn size_for(case: u32, cases: u32, max: usize) -> usize {
 /// original seed (scanning upward from 1, so the first hit is minimal),
 /// then the smallest failing seed at that size (bounded scan).
 fn shrink(p: &Property, seed: u64, size: usize, first: Failure) -> Shrunk {
-    let mut best = Shrunk { seed, size, message: first.message, steps: 0 };
+    let mut best = Shrunk {
+        seed,
+        size,
+        message: first.message,
+        steps: 0,
+    };
     for s in 1..size {
         best.steps += 1;
         if let Err(f) = run_case(p, seed, s) {
@@ -175,7 +185,12 @@ pub fn run_property(p: &Property, seeds: u32) -> PropOutcome {
             };
         }
     }
-    PropOutcome { name: p.name, cases, failure: None, wall: started.elapsed() }
+    PropOutcome {
+        name: p.name,
+        cases,
+        failure: None,
+        wall: started.elapsed(),
+    }
 }
 
 /// Run every property. Panics raised by checked code are captured as
@@ -198,13 +213,22 @@ impl SuiteReport {
     /// Human-readable summary: one row per property, then the minimized
     /// failures with their reproducer lines.
     pub fn render(&self) -> String {
-        let name_w = self.outcomes.iter().map(|o| o.name.len()).max().unwrap_or(8).max(8);
+        let name_w = self
+            .outcomes
+            .iter()
+            .map(|o| o.name.len())
+            .max()
+            .unwrap_or(8)
+            .max(8);
         let mut out = format!(
             "== repro check — {} properties, up to {} seeds each ==\n",
             self.outcomes.len(),
             self.seeds
         );
-        out.push_str(&format!("  {:name_w$}  {:>6}  result\n", "property", "cases"));
+        out.push_str(&format!(
+            "  {:name_w$}  {:>6}  result\n",
+            "property", "cases"
+        ));
         for o in &self.outcomes {
             let result = match &o.failure {
                 None => format!("ok ({} ms)", o.wall.as_millis()),
@@ -260,8 +284,15 @@ mod tests {
     fn shrinker_minimizes_to_a_tiny_case_with_a_reproducer() {
         let out = run_property(&broken_prop(), 100);
         let s = out.failure.expect("the broken oracle must fail");
-        assert_eq!(s.size, 1, "a single draw above 0.5 suffices; shrinker should find size 1");
-        assert!(s.seed < 10, "many seeds fail at size 1; the minimal one is small, got {}", s.seed);
+        assert_eq!(
+            s.size, 1,
+            "a single draw above 0.5 suffices; shrinker should find size 1"
+        );
+        assert!(
+            s.seed < 10,
+            "many seeds fail at size 1; the minimal one is small, got {}",
+            s.seed
+        );
         assert!(s.message.contains("exceeded"));
         let line = reproducer("test.broken_oracle", &s);
         assert!(
@@ -278,7 +309,13 @@ mod tests {
         fn fine(_: &mut DetRng, _: usize) -> Result<(), Failure> {
             Ok(())
         }
-        let p = Property { name: "test.fine", about: "", max_size: 10, max_cases: u32::MAX, run: fine };
+        let p = Property {
+            name: "test.fine",
+            about: "",
+            max_size: 10,
+            max_cases: u32::MAX,
+            run: fine,
+        };
         let out = run_property(&p, 37);
         assert_eq!(out.cases, 37);
         assert!(out.failure.is_none());
@@ -289,7 +326,13 @@ mod tests {
         fn fine(_: &mut DetRng, _: usize) -> Result<(), Failure> {
             Ok(())
         }
-        let p = Property { name: "test.capped", about: "", max_size: 10, max_cases: 5, run: fine };
+        let p = Property {
+            name: "test.capped",
+            about: "",
+            max_size: 10,
+            max_cases: 5,
+            run: fine,
+        };
         assert_eq!(run_property(&p, 200).cases, 5);
     }
 
@@ -299,7 +342,13 @@ mod tests {
             assert!(size == 0, "boom at size {size}");
             Ok(())
         }
-        let p = Property { name: "test.panics", about: "", max_size: 8, max_cases: u32::MAX, run: panics };
+        let p = Property {
+            name: "test.panics",
+            about: "",
+            max_size: 8,
+            max_cases: u32::MAX,
+            run: panics,
+        };
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let out = run_property(&p, 10);
@@ -315,7 +364,10 @@ mod tests {
         let a = run_suite(&props, 50);
         let b = run_suite(&props, 50);
         assert_eq!(a.failed(), b.failed());
-        let (fa, fb) = (a.outcomes[0].failure.as_ref(), b.outcomes[0].failure.as_ref());
+        let (fa, fb) = (
+            a.outcomes[0].failure.as_ref(),
+            b.outcomes[0].failure.as_ref(),
+        );
         assert_eq!(fa.unwrap().seed, fb.unwrap().seed);
         assert_eq!(fa.unwrap().size, fb.unwrap().size);
         assert_eq!(fa.unwrap().message, fb.unwrap().message);

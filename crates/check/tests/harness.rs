@@ -6,7 +6,11 @@ use dt_check::{registry, run_suite};
 #[test]
 fn the_full_registry_holds_at_a_small_seed_sweep() {
     let props = registry();
-    assert!(props.len() >= 10, "expected a full registry, got {}", props.len());
+    assert!(
+        props.len() >= 10,
+        "expected a full registry, got {}",
+        props.len()
+    );
     let report = run_suite(&props, 8);
     assert!(!report.failed(), "{}", report.render());
     let rendered = report.render();
