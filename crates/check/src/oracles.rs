@@ -10,6 +10,7 @@
 
 use crate::gen;
 use crate::prop::{ensure, Failure, Property};
+use crate::reference;
 use disttrain_core::{SystemKind, TrainingTask};
 use dt_cluster::{ClusterSpec, CollectiveCost, GpuSpec};
 use dt_data::{DataConfig, ResolutionMode};
@@ -19,7 +20,7 @@ use dt_orchestrator::{Orchestrator, PerfModel, Profiler, SearchMode};
 use dt_parallel::OrchestrationPlan;
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::sim::homogeneous_1f1b_makespan;
-use dt_pipeline::{simulate, OpKind, PipelineSpec, Schedule, Workload};
+use dt_pipeline::{simulate, Engine, OpKind, PipelineResult, PipelineSpec, Schedule, Workload};
 use dt_preprocess::wire::{BatchHeader, Request};
 use dt_preprocess::{Consumer, Preprocess};
 use dt_reorder::{
@@ -61,6 +62,14 @@ pub fn registry() -> Vec<Property> {
             max_size: 10,
             max_cases: u32::MAX,
             run: makespan_lower_bounds,
+        },
+        Property {
+            name: "pipeline.engine_matches_reference",
+            about: "1F1B engine vs. the event simulator (GPipe, 1F1B, VPP 1–3, hops), to the ns; \
+                    push/mark/probe/rollback leaves exactly the committed prefix",
+            max_size: 16,
+            max_cases: u32::MAX,
+            run: engine_vs_reference,
         },
         Property {
             name: "reorder.alg1_within_4_3_of_optimum",
@@ -248,6 +257,100 @@ fn makespan_lower_bounds(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     Ok(())
 }
 
+/// The 1F1B engine against the event simulator it replaced, on
+/// heterogeneous durations and hops (zero included) under every schedule,
+/// with `l` both below and above the (virtual) stage count. The engine is
+/// built by a random sequence of commits and probes (mark, push a random
+/// tentative tail, roll back); after each probe it must equal a fresh
+/// replay of the committed prefix, and once every microbatch is committed
+/// its op times must equal the reference's to the nanosecond — as must
+/// `simulate`'s.
+fn engine_vs_reference(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
+    let p = rng.range_usize(1, 7);
+    let l = rng.range_usize(1, size.max(1) + 1);
+    let schedule = match rng.range_usize(0, 5) {
+        0 => Schedule::GPipe,
+        1 => Schedule::OneFOneB,
+        k => Schedule::Interleaved { vpp: k as u32 - 1 },
+    };
+    let d = |rng: &mut DetRng| {
+        SimDuration::from_nanos(if rng.chance(0.25) {
+            0
+        } else {
+            rng.range_u64(1, 500)
+        })
+    };
+    let comm = (1..p).map(|_| d(rng)).collect();
+    let spec = PipelineSpec { schedule, comm };
+    let mut w = Workload {
+        fwd: vec![Vec::new(); p],
+        bwd: vec![Vec::new(); p],
+    };
+    for s in 0..p {
+        for _ in 0..l {
+            w.fwd[s].push(d(rng));
+            w.bwd[s].push(d(rng));
+        }
+    }
+    let column = |i: usize| w.fwd.iter().zip(&w.bwd).map(move |(f, b)| (f[i], b[i]));
+    let case = format!("{schedule:?} p={p} l={l}");
+
+    let mut engine = Engine::new(&spec, p, l);
+    while engine.pushed() < l {
+        let committed = engine.pushed();
+        if rng.chance(0.5) {
+            engine.push(column(committed));
+            continue;
+        }
+        engine.mark();
+        for _ in 0..rng.range_usize(1, l - committed + 1) {
+            let tail: Vec<_> = (0..p).map(|_| (d(rng), d(rng))).collect();
+            engine.push(tail);
+        }
+        let _probed = engine.op(0, OpKind::Backward, committed);
+        engine.rollback();
+        let mut fresh = Engine::new(&spec, p, l);
+        for i in 0..committed {
+            fresh.push(column(i));
+        }
+        let (got, want) = (engine.result(), fresh.result());
+        let busy = |e: &Engine| (0..want.stages).map(|s| e.busy(s)).collect::<Vec<_>>();
+        ensure(
+            engine.pushed() == committed
+                && engine.makespan() == fresh.makespan()
+                && got.timeline == want.timeline
+                && busy(&engine) == busy(&fresh),
+            || format!("{case}: rolled-back engine differs from a replay of {committed} commits"),
+        )?;
+    }
+
+    let want = reference::simulate(&spec, &w);
+    let sorted = |r: &PipelineResult| {
+        let mut ops = r.timeline.clone();
+        ops.sort_by_key(|op| (op.stage, op.microbatch, op.kind == OpKind::Backward));
+        ops
+    };
+    for (what, got) in [
+        ("engine", engine.result()),
+        ("simulate", simulate(&spec, &w)),
+    ] {
+        ensure(got.makespan == want.makespan, || {
+            format!(
+                "{case}: {what} makespan {} != reference {}",
+                got.makespan, want.makespan
+            )
+        })?;
+        ensure(
+            got.stages == want.stages && sorted(&got) == sorted(&want),
+            || format!("{case}: {what} op times differ from the reference"),
+        )?;
+    }
+    ensure(
+        engine.mean_bubble_fraction().to_bits() == want.mean_bubble_fraction().to_bits(),
+        || format!("{case}: engine bubble fraction differs from the reference"),
+    )
+}
+
 /// Exact optimum of the equal-count multiway partition by exhaustive
 /// assignment — only called on tiny instances.
 fn brute_force_opt(sizes: &[f64], m: usize) -> f64 {
@@ -394,32 +497,6 @@ fn alg2_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     })
 }
 
-/// `GETINTERVAL`'s reference: every stage-0 interval read off
-/// `dt_pipeline::simulate`'s timeline — interval 0 from forward 0's end to
-/// backward 0's start, interval `j` between backwards `j−1` and `j`.
-fn simulated_intervals(cfg: &InterReorderConfig, stage0_fwd: &[f64]) -> Vec<f64> {
-    let (spec, w) = cfg.pipeline(stage0_fwd);
-    let result = simulate(&spec, &w);
-    let mut bwd: Vec<_> = result
-        .timeline
-        .iter()
-        .filter(|op| op.stage == 0 && op.kind == OpKind::Backward)
-        .collect();
-    bwd.sort_by_key(|op| op.start);
-    let f0_end = result
-        .timeline
-        .iter()
-        .find(|op| op.stage == 0 && op.microbatch == 0 && op.kind == OpKind::Forward)
-        .map(|op| op.end);
-    (0..bwd.len())
-        .map(|j| match j {
-            0 => bwd[0].start - f0_end.expect("forward 0 precedes backward 0"),
-            _ => bwd[j].start - bwd[j - 1].end,
-        })
-        .map(SimDuration::as_secs_f64)
-        .collect()
-}
-
 fn alg2_interval_vs_simulate(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     let l = rng.range_usize(1, size.max(1) + 1);
     let cfg = InterReorderConfig {
@@ -430,7 +507,7 @@ fn alg2_interval_vs_simulate(rng: &mut DetRng, size: usize) -> Result<(), Failur
         vpp: rng.range_usize(1, 4) as u32,
     };
     let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 1.0)).collect();
-    let reference = simulated_intervals(&cfg, &times);
+    let reference = reference::intervals(&cfg, &times);
     ensure(reference.len() == l, || {
         format!("simulator ran {} of {l} backwards", reference.len())
     })?;

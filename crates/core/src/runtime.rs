@@ -9,8 +9,10 @@
 //! 4. build each rank's multi-unit pipeline workload (encoder stages →
 //!    broker → backbone stages → broker → generator stages) with exact
 //!    per-microbatch times from the task's cost oracle;
-//! 5. run the 1F1B schedule simulator per rank; the slowest rank gates the
-//!    iteration (that *is* the intra-microbatch straggler);
+//! 5. replay each rank's schedule on one reused `dt_pipeline::Engine` (the
+//!    same 1F1B engine Algorithm 2 probes); the slowest rank gates the
+//!    iteration (that *is* the intra-microbatch straggler), and the
+//!    per-stage timeline is built only for tracing or metrics;
 //! 6. add gradient synchronization and the preprocessing stall of the
 //!    configured feeding mode;
 //! 7. report iteration time, MFU, and throughput.
@@ -24,7 +26,7 @@ use dt_orchestrator::PerfModel;
 use dt_parallel::{BrokerLink, OrchestrationPlan};
 use dt_pipeline::record_pipeline_metrics;
 use dt_pipeline::{
-    record_pipeline_trace, simulate, PipelineSpec, PipelineTraceOpts, Schedule, Workload,
+    record_pipeline_trace, Engine, PipelineSpec, PipelineTraceOpts, Schedule, Workload,
 };
 use dt_reorder::{InterReorderConfig, ReorderMode, ReorderPlanner};
 use dt_simengine::trace::{cat, TraceRecorder, TraceSpan};
@@ -418,20 +420,21 @@ impl<'a> Runtime<'a> {
         let mut stall = SimDuration::ZERO;
         let mut results = Vec::new();
         let mut stalls = Vec::new();
+        let mut engine = Engine::default();
         for rank in order.chunks(per_rank) {
             let workload = self.rank_workload(
                 perf,
                 rank.chunks(m)
                     .map(|mb| mb.iter().map(|&k| rows.rows[k].shape)),
             );
-            let result = simulate(&spec, &workload);
-            pipeline_time = pipeline_time.max(result.makespan);
-            bubble_sum += result.mean_bubble_fraction();
+            engine.run(&spec, &workload);
+            pipeline_time = pipeline_time.max(engine.makespan());
+            bubble_sum += engine.mean_bubble_fraction();
             ranks += 1;
             let rank_stall = self.preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
             stall = stall.max(rank_stall);
             if rec.is_enabled() || tel.is_enabled() {
-                results.push(result);
+                results.push(engine.result());
                 stalls.push(rank_stall);
             }
         }

@@ -14,12 +14,16 @@
 //!   modeled per §4.3: the same 1F1B dependency structure with the warm-up
 //!   contribution divided by the VPP size.
 //!
-//! The simulator builds the operation DAG (in-stage serialization edges +
-//! cross-stage data dependencies + per-boundary communication latency) and
-//! computes the longest path. The result carries the full timeline so
-//! callers can extract stage-0 intervals (Figure 12), per-stage busy time,
-//! and bubble fractions (Figure 4).
-//!
+//! [`Engine`] is the one implementation of these schedules: an exact,
+//! incremental replay of the op DAG (in-stage serialization edges +
+//! cross-stage data dependencies + per-boundary communication latency)
+//! that takes one microbatch column at a time and can mark and roll back
+//! its frontier in `O(P)`. Algorithm 2 (`dt-reorder`) probes it for
+//! stage-0 intervals (Figure 12); the training runtime replays each DP
+//! rank on it and reads the makespan and per-stage busy time (Figure 4's
+//! bubble fractions). [`simulate`] pushes a whole [`Workload`] and returns
+//! the stage-major timeline as a [`PipelineResult`].
+
 //! Multi-unit pipelines (encoder unit → broker → LLM unit → broker →
 //! generator unit, Figure 9) are expressed by concatenating the units'
 //! stages and assigning the broker hop cost to the boundary between them.
@@ -41,5 +45,5 @@ pub use gantt::{render_gantt, render_trace_gantt};
 pub use metrics::record_pipeline_metrics;
 pub use result::{OpKind, OpRecord, PipelineResult};
 pub use schedule::Schedule;
-pub use sim::{simulate, PipelineSpec, Workload};
+pub use sim::{simulate, Engine, PipelineSpec, Workload};
 pub use trace::{record_pipeline_trace, PipelineTraceOpts};

@@ -33,7 +33,8 @@ pub struct PipelineResult {
     pub stages: usize,
     /// Number of microbatches.
     pub microbatches: usize,
-    /// Every executed operation, stage-major, in execution order.
+    /// Every executed operation, stage-major: stage 0's ops in its
+    /// [`crate::Schedule::stage_order`], then stage 1's, and so on.
     pub timeline: Vec<OpRecord>,
     /// End-to-end iteration makespan.
     pub makespan: SimDuration,
@@ -52,55 +53,37 @@ impl PipelineResult {
 
     /// Bubble fraction of a stage: idle share of the makespan.
     pub fn stage_bubble_fraction(&self, stage: usize) -> f64 {
-        let total = self.makespan.as_secs_f64();
-        if total == 0.0 {
-            return 0.0;
-        }
-        1.0 - self.stage_busy(stage).as_secs_f64() / total
+        bubble_fraction(self.stage_busy(stage), self.makespan)
     }
 
     /// Mean bubble fraction across stages — the pipeline-efficiency number
     /// the Figure 4 discussion is about.
     pub fn mean_bubble_fraction(&self) -> f64 {
-        if self.stages == 0 {
-            return 0.0;
-        }
-        (0..self.stages)
-            .map(|s| self.stage_bubble_fraction(s))
-            .sum::<f64>()
-            / self.stages as f64
+        mean_bubble_fraction((0..self.stages).map(|s| self.stage_busy(s)), self.makespan)
     }
+}
 
-    /// When the first microbatch's forward finished at the last stage — the
-    /// observable end of the warm-up phase (Figure 10).
-    pub fn warmup_end(&self) -> SimTime {
-        self.timeline
-            .iter()
-            .filter(|op| {
-                op.stage == self.stages - 1 && op.microbatch == 0 && op.kind == OpKind::Forward
-            })
-            .map(|op| op.end)
-            .next()
-            .unwrap_or(SimTime::ZERO)
+/// Idle share of `makespan` for a stage busy for `busy` (0 when the
+/// makespan is empty).
+fn bubble_fraction(busy: SimDuration, makespan: SimDuration) -> f64 {
+    let total = makespan.as_secs_f64();
+    if total == 0.0 {
+        return 0.0;
     }
+    1.0 - busy.as_secs_f64() / total
+}
 
-    /// The stage-0 *intervals* of Figure 12: gaps between the end of
-    /// backward `i` and the start of backward `i+1` on stage 0. Interval `i`
-    /// is where forward work can hide; unfilled interval volume is bubble.
-    pub fn stage0_intervals(&self) -> Vec<SimDuration> {
-        let mut bwd: Vec<&OpRecord> = self
-            .stage_ops(0)
-            .filter(|op| op.kind == OpKind::Backward)
-            .collect();
-        bwd.sort_by_key(|op| op.start);
-        bwd.windows(2).map(|w| w[1].start - w[0].end).collect()
+/// Mean [`bubble_fraction`] over stages with the given busy times (0 for no
+/// stages).
+pub(crate) fn mean_bubble_fraction(
+    busy: impl ExactSizeIterator<Item = SimDuration>,
+    makespan: SimDuration,
+) -> f64 {
+    let stages = busy.len();
+    if stages == 0 {
+        return 0.0;
     }
-
-    /// Total idle (unfilled) time inside stage-0 intervals plus leading idle
-    /// before the first op — the bubble volume Algorithm 2 minimizes.
-    pub fn stage0_idle(&self) -> SimDuration {
-        self.makespan - self.stage_busy(0)
-    }
+    busy.map(|b| bubble_fraction(b, makespan)).sum::<f64>() / stages as f64
 }
 
 #[cfg(test)]
@@ -124,11 +107,11 @@ mod tests {
             timeline: vec![
                 rec(0, 0, OpKind::Forward, 0, 10),
                 rec(0, 1, OpKind::Forward, 10, 20),
+                rec(0, 0, OpKind::Backward, 40, 60),
+                rec(0, 1, OpKind::Backward, 60, 80),
                 rec(1, 0, OpKind::Forward, 10, 20),
                 rec(1, 0, OpKind::Backward, 20, 40),
-                rec(0, 0, OpKind::Backward, 40, 60),
                 rec(1, 1, OpKind::Backward, 40, 60),
-                rec(0, 1, OpKind::Backward, 60, 80),
             ],
             makespan: SimDuration::from_nanos(80),
         }
@@ -146,17 +129,5 @@ mod tests {
         let r = toy();
         assert!((r.stage_bubble_fraction(0) - 0.25).abs() < 1e-12);
         assert!((r.mean_bubble_fraction() - (0.25 + 0.375) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn warmup_end_is_first_microbatch_at_last_stage() {
-        assert_eq!(toy().warmup_end().as_nanos(), 20);
-    }
-
-    #[test]
-    fn stage0_intervals_are_backward_gaps() {
-        let r = toy();
-        assert_eq!(r.stage0_intervals(), vec![SimDuration::ZERO]);
-        assert_eq!(r.stage0_idle(), SimDuration::from_nanos(20));
     }
 }

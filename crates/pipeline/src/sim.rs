@@ -1,4 +1,4 @@
-//! The schedule simulator: dependency-exact longest-path execution.
+//! The 1F1B engine: the one dependency-exact replay of a pipeline schedule.
 //!
 //! Operations and dependencies:
 //!
@@ -7,13 +7,25 @@
 //! * `B(s, i)` needs `B(s+1, i)` plus the hop (and `F(p−1, i)` at the last
 //!   stage, which the stage order already enforces).
 //!
-//! The simulator advances a per-stage program counter and releases whichever
-//! stage heads are dependency-ready — effectively Kahn's algorithm over the
-//! op DAG, yielding each op's exact start/end and therefore the makespan.
+//! [`Engine`] takes one microbatch column at a time (every stage's forward
+//! and backward duration of the next microbatch) and runs each op as soon
+//! as its dependencies are done. Op times are the longest-path values of
+//! the dependency DAG, so the order in which ready ops run does not change
+//! them. Every op of microbatch `i` waits (transitively) on `F(0, i)`, so a
+//! pushed prefix of microbatches is final no matter what follows it: the
+//! engine marks a frontier in `O(P)`, lets a caller push a tentative tail
+//! and read its op times, then rolls back — Algorithm 2's `GETINTERVAL`
+//! probe. [`simulate`] pushes a whole [`Workload`] and reads the result.
 //! Heterogeneous per-microbatch durations (the paper's data heterogeneity)
 //! are first-class: `Workload` carries a full `[stage][microbatch]` matrix.
+//!
+//! Interleaved 1F1B (VPP) runs as plain 1F1B over `P = p·vpp` virtual
+//! stages (§4.3's retrofit): virtual stage `c·p + s` is chunk `c` of
+//! physical stage `s` and takes `1/vpp` of its durations in integer
+//! nanoseconds; the wrap-around hop from stage `p − 1` back to stage 0
+//! costs the same as the last boundary.
 
-use crate::result::{OpKind, OpRecord, PipelineResult};
+use crate::result::{mean_bubble_fraction, OpKind, OpRecord, PipelineResult};
 use crate::schedule::{Schedule, StageOp};
 use dt_simengine::{SimDuration, SimTime};
 
@@ -82,144 +94,324 @@ impl Workload {
 
 /// Execute `workload` under `spec` and return the exact timeline.
 pub fn simulate(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
-    workload.validate();
-    let (expanded_spec, expanded) = match spec.schedule {
-        Schedule::Interleaved { vpp } if vpp > 1 => expand_interleaved(spec, workload, vpp),
-        _ => (spec.clone(), workload.clone()),
-    };
-    run_1f1b_family(&expanded_spec, &expanded)
+    let mut engine = Engine::default();
+    engine.run(spec, workload);
+    engine.result()
 }
 
-/// Approximate interleaved-1F1B by expanding each physical stage into `vpp`
-/// virtual stages of `1/vpp` the duration (§4.3 models VPP exactly this
-/// way: the warm-up term shrinks by the VPP size while steady-state
-/// throughput is unchanged).
-fn expand_interleaved(spec: &PipelineSpec, w: &Workload, vpp: u32) -> (PipelineSpec, Workload) {
-    let p = w.stages();
-    let v = vpp as usize;
-    let mut fwd = Vec::with_capacity(p * v);
-    let mut bwd = Vec::with_capacity(p * v);
-    let mut comm = Vec::with_capacity(p * v - 1);
-    for chunk in 0..v {
-        for s in 0..p {
-            fwd.push(w.fwd[s].iter().map(|&d| d / vpp as u64).collect());
-            bwd.push(w.bwd[s].iter().map(|&d| d / vpp as u64).collect());
-            let virt = chunk * p + s;
-            if virt + 1 < p * v {
-                // Hop to the next virtual stage: a real boundary when moving
-                // to the next physical stage, a wrap-around hop (same cost
-                // class as the last boundary) when re-entering stage 0.
-                let hop = if s + 1 < p {
-                    spec.comm.get(s).copied().unwrap_or(SimDuration::ZERO)
-                } else {
-                    spec.comm.last().copied().unwrap_or(SimDuration::ZERO)
-                };
-                comm.push(hop);
-            }
-        }
+/// Incremental replay of one iteration's schedule; see the module docs.
+///
+/// Reset it for a pipeline shape, push microbatch columns in order, and
+/// read the makespan, per-stage busy time, single op times or the full
+/// timeline. One engine is meant to be reused: the per-stage orders are
+/// materialised from [`Schedule::stage_order`] (with inverse position
+/// tables) once per shape, and a reset to the same shape keeps them.
+#[derive(Debug, Clone, Default)]
+pub struct Engine {
+    /// Physical stages `p` of a pushed column.
+    phys: usize,
+    /// Simulated (virtual) stages `P = p·vpp`.
+    stages: usize,
+    /// Microbatches `l` per iteration.
+    l: usize,
+    vpp: u64,
+    /// Whether the order tables hold GPipe's orders rather than 1F1B's.
+    gpipe: bool,
+    /// `[s·2l + q]`: op `q` of stage `s`'s order.
+    order: Vec<StageOp>,
+    /// `[s·l + i]`: positions of `F(s, i)` and `B(s, i)` in that order.
+    fwd_pos: Vec<usize>,
+    bwd_pos: Vec<usize>,
+    /// Hop after virtual stage `s` (length `P − 1`).
+    comm: Vec<SimDuration>,
+    /// `[s·l + i]` durations of the pushed microbatches.
+    fwd: Vec<SimDuration>,
+    bwd: Vec<SimDuration>,
+    /// `[s·l + i]` end times of the ops run so far; an entry at or past
+    /// its stage's counter is stale and never read.
+    fwd_end: Vec<SimTime>,
+    bwd_end: Vec<SimTime>,
+    now: Frontier,
+    marked: Frontier,
+    /// Worklist of stages that may have become ready.
+    ready: Vec<usize>,
+}
+
+/// What a rollback restores: everything else past the frontier is stale.
+#[derive(Debug, Clone, Default)]
+struct Frontier {
+    /// Microbatches pushed.
+    pushed: usize,
+    /// Per stage: ops run, when the stage is next free, time spent busy.
+    pc: Vec<usize>,
+    avail: Vec<SimTime>,
+    busy: Vec<SimDuration>,
+}
+
+impl Frontier {
+    fn reset(&mut self, stages: usize) {
+        self.pushed = 0;
+        self.pc.clear();
+        self.pc.resize(stages, 0);
+        self.avail.clear();
+        self.avail.resize(stages, SimTime::ZERO);
+        self.busy.clear();
+        self.busy.resize(stages, SimDuration::ZERO);
     }
-    (
-        PipelineSpec {
-            schedule: Schedule::OneFOneB,
-            comm,
-        },
-        Workload { fwd, bwd },
-    )
+
+    fn copy_from(&mut self, other: &Frontier) {
+        self.pushed = other.pushed;
+        self.pc.copy_from_slice(&other.pc);
+        self.avail.copy_from_slice(&other.avail);
+        self.busy.copy_from_slice(&other.busy);
+    }
 }
 
-fn run_1f1b_family(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
-    let p = workload.stages();
-    let l = workload.microbatches();
-    if p == 0 || l == 0 {
-        return PipelineResult {
-            stages: p,
-            microbatches: l,
-            timeline: Vec::new(),
-            makespan: SimDuration::ZERO,
+impl Engine {
+    /// An engine reset for `stages` physical stages and `microbatches`.
+    pub fn new(spec: &PipelineSpec, stages: usize, microbatches: usize) -> Self {
+        let mut engine = Engine::default();
+        engine.reset(spec, stages, microbatches);
+        engine
+    }
+
+    /// Empty the engine for an iteration of `microbatches` over `stages`
+    /// physical stages under `spec`, and mark the empty state.
+    pub fn reset(&mut self, spec: &PipelineSpec, stages: usize, microbatches: usize) {
+        let vpp = match spec.schedule {
+            Schedule::Interleaved { vpp } if vpp > 1 => vpp as usize,
+            _ => 1,
         };
-    }
-    assert!(
-        spec.comm.len() >= p - 1,
-        "comm vector has {} entries for {} boundaries",
-        spec.comm.len(),
-        p - 1
-    );
-
-    let orders: Vec<Vec<StageOp>> = (0..p).map(|s| spec.schedule.stage_order(s, p, l)).collect();
-    let mut pc = vec![0usize; p]; // program counter per stage
-    let mut avail = vec![SimTime::ZERO; p]; // when the stage is next free
-    let mut fwd_end: Vec<Vec<Option<SimTime>>> = vec![vec![None; l]; p];
-    let mut bwd_end: Vec<Vec<Option<SimTime>>> = vec![vec![None; l]; p];
-    let mut timeline = Vec::with_capacity(2 * p * l);
-    let total_ops = 2 * p * l;
-    let mut done = 0usize;
-
-    while done < total_ops {
-        let mut progressed = false;
-        for s in 0..p {
-            // Drain every currently-ready op on stage s before moving on;
-            // this keeps the scan O(ops · p) overall.
-            while pc[s] < orders[s].len() {
-                let op = orders[s][pc[s]];
-                // Dependency end time (with comm hop), or None if not ready.
-                let dep: Option<SimTime> = match op {
-                    StageOp::Fwd(i) => {
-                        if s == 0 {
-                            Some(SimTime::ZERO)
-                        } else {
-                            fwd_end[s - 1][i].map(|t| t + spec.comm[s - 1])
-                        }
+        let (p, l, n) = (stages, microbatches, stages * vpp);
+        assert!(
+            vpp > 1 || l == 0 || spec.comm.len() + 1 >= p,
+            "comm vector has {} entries for {} boundaries",
+            spec.comm.len(),
+            p - 1
+        );
+        let gpipe = spec.schedule == Schedule::GPipe;
+        if (n, l, gpipe) != (self.stages, self.l, self.gpipe) {
+            let schedule = if gpipe {
+                Schedule::GPipe
+            } else {
+                Schedule::OneFOneB
+            };
+            self.order.clear();
+            self.fwd_pos.resize(n * l, 0);
+            self.bwd_pos.resize(n * l, 0);
+            for s in 0..n {
+                for (q, op) in schedule.stage_order(s, n, l).into_iter().enumerate() {
+                    match op {
+                        StageOp::Fwd(i) => self.fwd_pos[s * l + i] = q,
+                        StageOp::Bwd(i) => self.bwd_pos[s * l + i] = q,
                     }
-                    StageOp::Bwd(i) => {
-                        if s == p - 1 {
-                            // Needs own forward (enforced by stage order, but
-                            // be explicit for safety).
-                            fwd_end[s][i]
-                        } else {
-                            bwd_end[s + 1][i].map(|t| t + spec.comm[s])
-                        }
-                    }
-                };
-                let Some(dep_time) = dep else { break };
-                let start = avail[s].max(dep_time);
-                let (i, kind, dur) = match op {
-                    StageOp::Fwd(i) => (i, OpKind::Forward, workload.fwd[s][i]),
-                    StageOp::Bwd(i) => (i, OpKind::Backward, workload.bwd[s][i]),
-                };
-                let end = start + dur;
-                match kind {
-                    OpKind::Forward => fwd_end[s][i] = Some(end),
-                    OpKind::Backward => bwd_end[s][i] = Some(end),
+                    self.order.push(op);
                 }
-                timeline.push(OpRecord {
-                    stage: s,
-                    microbatch: i,
-                    kind,
-                    start,
-                    end,
-                });
-                avail[s] = end;
-                pc[s] += 1;
-                done += 1;
-                progressed = true;
+            }
+            self.fwd.resize(n * l, SimDuration::ZERO);
+            self.bwd.resize(n * l, SimDuration::ZERO);
+            self.fwd_end.resize(n * l, SimTime::ZERO);
+            self.bwd_end.resize(n * l, SimTime::ZERO);
+            (self.stages, self.l, self.gpipe) = (n, l, gpipe);
+        }
+        self.phys = p;
+        self.vpp = vpp as u64;
+        let hop = |b: Option<&SimDuration>| b.copied().unwrap_or(SimDuration::ZERO);
+        self.comm.clear();
+        self.comm.extend((0..n.saturating_sub(1)).map(|v| {
+            if v % p + 1 < p {
+                hop(spec.comm.get(v % p))
+            } else {
+                hop(spec.comm.last())
+            }
+        }));
+        self.now.reset(n);
+        self.marked.reset(n);
+    }
+
+    /// Execute `workload` under `spec` from a reset engine.
+    pub fn run(&mut self, spec: &PipelineSpec, workload: &Workload) {
+        workload.validate();
+        self.reset(spec, workload.stages(), workload.microbatches());
+        for i in 0..workload.microbatches() {
+            self.push(
+                workload
+                    .fwd
+                    .iter()
+                    .zip(&workload.bwd)
+                    .map(|(f, b)| (f[i], b[i])),
+            );
+        }
+    }
+
+    /// Microbatches pushed so far.
+    pub fn pushed(&self) -> usize {
+        self.now.pushed
+    }
+
+    /// Append the next microbatch, given as each physical stage's
+    /// `(forward, backward)` duration, and run every op that becomes
+    /// ready. Only `F(0, i)` is newly unblocked; each stage that makes
+    /// progress may unblock its two neighbours.
+    pub fn push(&mut self, column: impl IntoIterator<Item = (SimDuration, SimDuration)>) {
+        let i = self.now.pushed;
+        assert!(
+            i < self.l,
+            "more microbatches pushed than the engine was reset for"
+        );
+        let mut s = 0;
+        for (f, b) in column {
+            for v in (s..self.stages).step_by(self.phys) {
+                self.fwd[v * self.l + i] = f / self.vpp;
+                self.bwd[v * self.l + i] = b / self.vpp;
+            }
+            s += 1;
+        }
+        debug_assert_eq!(s, self.phys, "column length is not the stage count");
+        self.now.pushed += 1;
+        if self.stages > 0 {
+            self.ready.push(0);
+        }
+        while let Some(s) = self.ready.pop() {
+            if self.drain(s) {
+                if s > 0 {
+                    self.ready.push(s - 1);
+                }
+                if s + 1 < self.stages {
+                    self.ready.push(s + 1);
+                }
             }
         }
-        assert!(
-            progressed,
-            "pipeline deadlock: schedule/dependency mismatch"
-        );
     }
 
-    let makespan = timeline
-        .iter()
-        .map(|op| op.end)
-        .fold(SimTime::ZERO, SimTime::max)
-        .since(SimTime::ZERO);
-    PipelineResult {
-        stages: p,
-        microbatches: l,
-        timeline,
-        makespan,
+    /// Run every op of stage `s` whose dependencies are done; returns
+    /// whether any ran.
+    fn drain(&mut self, s: usize) -> bool {
+        let l = self.l;
+        let row = s * l;
+        let mut ran = false;
+        while self.now.pc[s] < 2 * l {
+            let op = self.order[2 * row + self.now.pc[s]];
+            let dep = match op {
+                StageOp::Fwd(i) if s == 0 => {
+                    if i >= self.now.pushed {
+                        break;
+                    }
+                    SimTime::ZERO
+                }
+                StageOp::Fwd(i) => {
+                    let up = row - l + i;
+                    if self.now.pc[s - 1] <= self.fwd_pos[up] {
+                        break;
+                    }
+                    self.fwd_end[up] + self.comm[s - 1]
+                }
+                // The last stage's own forward precedes it in stage order.
+                StageOp::Bwd(i) if s + 1 == self.stages => self.fwd_end[row + i],
+                StageOp::Bwd(i) => {
+                    let down = row + l + i;
+                    if self.now.pc[s + 1] <= self.bwd_pos[down] {
+                        break;
+                    }
+                    self.bwd_end[down] + self.comm[s]
+                }
+            };
+            let start = self.now.avail[s].max(dep);
+            let (dur, end) = match op {
+                StageOp::Fwd(i) => (self.fwd[row + i], &mut self.fwd_end[row + i]),
+                StageOp::Bwd(i) => (self.bwd[row + i], &mut self.bwd_end[row + i]),
+            };
+            *end = start + dur;
+            self.now.avail[s] = *end;
+            self.now.busy[s] += dur;
+            self.now.pc[s] += 1;
+            ran = true;
+        }
+        ran
+    }
+
+    /// Remember the current frontier for [`Engine::rollback`].
+    pub fn mark(&mut self) {
+        self.marked.copy_from(&self.now);
+    }
+
+    /// Return to the last [`Engine::mark`] (or the reset state), undoing
+    /// every push since: an `O(P)` copy.
+    pub fn rollback(&mut self) {
+        self.now.copy_from(&self.marked);
+    }
+
+    /// Makespan of the ops run so far: the iteration's once every
+    /// microbatch is pushed.
+    pub fn makespan(&self) -> SimDuration {
+        let last = self
+            .now
+            .avail
+            .iter()
+            .copied()
+            .fold(SimTime::ZERO, SimTime::max);
+        last.since(SimTime::ZERO)
+    }
+
+    /// Busy time of (virtual) stage `s` so far.
+    pub fn busy(&self, s: usize) -> SimDuration {
+        self.now.busy[s]
+    }
+
+    /// [`PipelineResult::mean_bubble_fraction`] of the ops run so far,
+    /// without building the timeline.
+    pub fn mean_bubble_fraction(&self) -> f64 {
+        mean_bubble_fraction(self.now.busy.iter().copied(), self.makespan())
+    }
+
+    /// Op `kind` of `microbatch` on (virtual) stage `stage`, if it has run.
+    pub fn op(&self, stage: usize, kind: OpKind, microbatch: usize) -> Option<OpRecord> {
+        if stage >= self.stages || microbatch >= self.l {
+            return None;
+        }
+        let pos = match kind {
+            OpKind::Forward => self.fwd_pos[stage * self.l + microbatch],
+            OpKind::Backward => self.bwd_pos[stage * self.l + microbatch],
+        };
+        (self.now.pc[stage] > pos).then(|| self.record(stage, kind, microbatch))
+    }
+
+    fn record(&self, stage: usize, kind: OpKind, microbatch: usize) -> OpRecord {
+        let k = stage * self.l + microbatch;
+        let (dur, end) = match kind {
+            OpKind::Forward => (self.fwd[k], self.fwd_end[k]),
+            OpKind::Backward => (self.bwd[k], self.bwd_end[k]),
+        };
+        let start = SimTime::from_nanos(end.as_nanos() - dur.as_nanos());
+        OpRecord {
+            stage,
+            microbatch,
+            kind,
+            start,
+            end,
+        }
+    }
+
+    /// The ops run so far as a [`PipelineResult`]: stage-major, each
+    /// stage's ops in its [`Schedule::stage_order`].
+    pub fn result(&self) -> PipelineResult {
+        let l = self.l;
+        let timeline = (0..self.stages)
+            .flat_map(|s| {
+                self.order[2 * s * l..][..self.now.pc[s]]
+                    .iter()
+                    .map(move |&op| match op {
+                        StageOp::Fwd(i) => self.record(s, OpKind::Forward, i),
+                        StageOp::Bwd(i) => self.record(s, OpKind::Backward, i),
+                    })
+            })
+            .collect();
+        PipelineResult {
+            stages: self.stages,
+            microbatches: l,
+            timeline,
+            makespan: self.makespan(),
+        }
     }
 }
 
@@ -349,8 +541,79 @@ mod tests {
     #[test]
     fn warmup_end_tracks_first_microbatch() {
         let (spec, w) = uniform(4, 8, 100, 200);
-        let r = simulate(&spec, &w);
-        assert_eq!(r.warmup_end().as_nanos(), 400); // 4 stages × 100ns fwd
+        let mut engine = Engine::default();
+        engine.run(&spec, &w);
+        let f0 = engine.op(3, OpKind::Forward, 0).expect("every op ran");
+        assert_eq!(f0.end.as_nanos(), 400); // 4 stages × 100ns fwd
+    }
+
+    /// Regression: an interleaved pipeline with no stages underflowed the
+    /// virtual-stage count (`p·vpp − 1` boundaries); every schedule now
+    /// returns the empty result for `p = 0` and for `l = 0`.
+    #[test]
+    fn empty_pipelines_yield_the_empty_result() {
+        for schedule in [
+            Schedule::GPipe,
+            Schedule::OneFOneB,
+            Schedule::Interleaved { vpp: 2 },
+        ] {
+            for (p, l) in [(0, 4), (3, 0)] {
+                let spec = PipelineSpec::uniform(schedule, p, d(5));
+                let w = Workload::homogeneous(&vec![d(100); p], &vec![d(200); p], l);
+                let r = simulate(&spec, &w);
+                assert!(r.timeline.is_empty(), "{schedule:?} p={p} l={l}");
+                assert_eq!(r.makespan, SimDuration::ZERO, "{schedule:?} p={p} l={l}");
+                assert_eq!(r.mean_bubble_fraction(), 0.0, "{schedule:?} p={p} l={l}");
+            }
+        }
+    }
+
+    /// The timeline is stage-major: each stage's ops are contiguous and
+    /// follow its `stage_order` (interleaved: over the virtual stages).
+    #[test]
+    fn timeline_is_stage_major_in_stage_order() {
+        let (p, l) = (3, 5);
+        for (schedule, vpp) in [
+            (Schedule::GPipe, 1),
+            (Schedule::OneFOneB, 1),
+            (Schedule::Interleaved { vpp: 2 }, 2),
+        ] {
+            let w = Workload {
+                fwd: (0..p)
+                    .map(|s| {
+                        (0..l)
+                            .map(|i| d(10 + 7 * s as u64 + 3 * i as u64))
+                            .collect()
+                    })
+                    .collect(),
+                bwd: (0..p)
+                    .map(|s| {
+                        (0..l)
+                            .map(|i| d(20 + 5 * s as u64 + 11 * i as u64))
+                            .collect()
+                    })
+                    .collect(),
+            };
+            let r = simulate(&PipelineSpec::uniform(schedule, p, d(4)), &w);
+            assert_eq!(r.stages, p * vpp);
+            let expected: Vec<(usize, StageOp)> = (0..r.stages)
+                .flat_map(|s| {
+                    schedule
+                        .stage_order(s, r.stages, l)
+                        .into_iter()
+                        .map(move |op| (s, op))
+                })
+                .collect();
+            let got: Vec<(usize, StageOp)> = r
+                .timeline
+                .iter()
+                .map(|op| match op.kind {
+                    OpKind::Forward => (op.stage, StageOp::Fwd(op.microbatch)),
+                    OpKind::Backward => (op.stage, StageOp::Bwd(op.microbatch)),
+                })
+                .collect();
+            assert_eq!(got, expected, "{schedule:?}");
+        }
     }
 
     #[test]

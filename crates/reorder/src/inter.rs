@@ -13,25 +13,24 @@
 //!    aggregate forward time best matches the interval volume, later
 //!    intervals with the single best-fitting microbatch (insight 2).
 //!
-//! The interval volumes come from the `GETINTERVAL` evaluator behind
-//! [`get_interval`]: an exact, incremental replay of the 1F1B dependency
-//! recurrence over `P = p·vpp` (virtual) stages with zero hops. Interval
-//! `j` depends only on stage-0 positions `0..=j+P−1`, so Algorithm 2
-//! commits each chosen microbatch once and evaluates each target by
-//! pushing only that much of the tentative tail (mean placeholders, then
-//! the reserved rear) before rolling back an `O(P)` snapshot. A placement
-//! costs `O(P)` amortized work for plain 1F1B — `O(l·p)` per rank, as in
-//! the paper — with no per-step allocation; with VPP each probe pushes
-//! `p·(vpp−1)+1` tail positions. The volumes are nanosecond-identical to
-//! reading `dt_pipeline::simulate`'s timeline, which stays the reference
-//! the tests and the `reorder.alg2_interval_matches_simulate` oracle
-//! compare against. Like Algorithm 1 this is a pure permutation of the
-//! local batch, so convergence semantics are untouched.
+//! The interval volumes come from `GETINTERVAL` ([`get_interval`],
+//! [`InterReorderConfig::interval`]), which probes `dt-pipeline`'s 1F1B
+//! [`Engine`] over the proxy pipeline of [`InterReorderConfig::pipeline`]:
+//! `P = p·vpp` (virtual) stages with zero hops. Interval `j` depends only on
+//! stage-0 positions `0..=j+P−1`, so Algorithm 2 commits each chosen
+//! microbatch once and evaluates each target by pushing only that much of
+//! the tentative tail (mean placeholders, then the reserved rear) before
+//! rolling the engine back to its `O(P)` mark. A placement costs `O(P)`
+//! amortized work for plain 1F1B — `O(l·p)` per rank, as in the paper —
+//! with no per-step allocation; with VPP each probe pushes `p·(vpp−1)+1`
+//! tail positions. dt-check's event simulator is the reference the
+//! `reorder.alg2_interval_matches_simulate` oracle compares the volumes
+//! against, to the nanosecond. Like Algorithm 1 this is a pure permutation
+//! of the local batch, so convergence semantics are untouched.
 
 use crate::intra::cmp_f64;
-use dt_pipeline::schedule::StageOp;
-use dt_pipeline::{simulate, PipelineSpec, Schedule, Workload};
-use dt_simengine::{SimDuration, SimTime};
+use dt_pipeline::{simulate, Engine, OpKind, PipelineSpec, Schedule, Workload};
+use dt_simengine::SimDuration;
 
 /// Pipeline shape Algorithm 2 optimizes against.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,286 +66,82 @@ impl InterReorderConfig {
     /// The pipeline `GETINTERVAL` models, as `dt-pipeline` inputs: zero
     /// hops, `stage0_fwd` at stage 0 (backward scaled by
     /// `stage0_bwd_factor`), uniform downstream stages, interleaved when
-    /// `vpp > 1`. [`simulated_makespan`] runs it; `dt_pipeline::simulate`
-    /// over it is the reference the incremental evaluator is tested
-    /// against.
+    /// `vpp > 1`. [`simulated_makespan`] runs it.
     pub fn pipeline(&self, stage0_fwd: &[f64]) -> (PipelineSpec, Workload) {
-        let l = stage0_fwd.len();
-        let mut fwd = Vec::with_capacity(self.stages);
-        let mut bwd = Vec::with_capacity(self.stages);
-        fwd.push(
-            stage0_fwd
-                .iter()
-                .map(|&t| SimDuration::from_secs_f64(t))
-                .collect(),
-        );
-        bwd.push(
-            stage0_fwd
-                .iter()
-                .map(|&t| SimDuration::from_secs_f64(t * self.stage0_bwd_factor))
-                .collect(),
-        );
-        for _ in 1..self.stages {
-            fwd.push(vec![SimDuration::from_secs_f64(self.uniform_fwd); l]);
-            bwd.push(vec![SimDuration::from_secs_f64(self.uniform_bwd); l]);
+        let p = self.stages.max(1);
+        let mut w = Workload {
+            fwd: vec![Vec::with_capacity(stage0_fwd.len()); p],
+            bwd: vec![Vec::with_capacity(stage0_fwd.len()); p],
+        };
+        for &t in stage0_fwd {
+            for (s, (f, b)) in self.column(t).enumerate() {
+                w.fwd[s].push(f);
+                w.bwd[s].push(b);
+            }
         }
-        let w = Workload { fwd, bwd };
+        (self.spec(), w)
+    }
+
+    fn spec(&self) -> PipelineSpec {
         let schedule = if self.vpp > 1 {
             Schedule::Interleaved { vpp: self.vpp }
         } else {
             Schedule::OneFOneB
         };
-        (
-            PipelineSpec::uniform(schedule, w.stages(), SimDuration::ZERO),
-            w,
-        )
-    }
-}
-
-/// The incremental `GETINTERVAL` evaluator: an exact 1F1B replay that
-/// advances one stage-0 position at a time.
-///
-/// It models the pipeline of [`InterReorderConfig::pipeline`] exactly as
-/// `dt_pipeline::simulate` runs it: `P = p·vpp` stages in
-/// `Schedule::stage_order`'s 1F1B order (warm-up `P − s`), virtual stage
-/// `s` carrying stage 0's heterogeneous durations when `s % p == 0` and
-/// the uniform ones otherwise, every duration divided by `vpp` in integer
-/// nanoseconds. Op times are the longest-path values of the dependency
-/// DAG, so the order in which ready ops run does not change them.
-///
-/// The state is, per stage, a program counter, the time the stage is next
-/// free and the forward/backward end times computed so far. An op whose
-/// position is below its stage's counter is done; entries past it are
-/// stale and never read, which is what makes rolling back a probe an
-/// `O(P)` copy of the counters and free times.
-struct IntervalEvaluator {
-    /// Physical stages `p`.
-    phys: usize,
-    /// Simulated (virtual) stages `P = p·vpp`.
-    stages: usize,
-    /// Microbatches `l`.
-    l: usize,
-    vpp: u64,
-    bwd_factor: f64,
-    uniform_fwd: SimDuration,
-    uniform_bwd: SimDuration,
-    /// Stage-0-class forward/backward durations of the pushed positions.
-    fwd0: Vec<SimDuration>,
-    bwd0: Vec<SimDuration>,
-    pc: Vec<usize>,
-    avail: Vec<SimTime>,
-    /// `[s·l + i]` end times of `F(s, i)` / `B(s, i)`.
-    fwd_end: Vec<SimTime>,
-    bwd_end: Vec<SimTime>,
-    /// Start times of stage 0's backwards (the interval right edges).
-    bwd0_start: Vec<SimTime>,
-    saved_pc: Vec<usize>,
-    saved_avail: Vec<SimTime>,
-    /// Worklist of stages that may have become ready.
-    ready: Vec<usize>,
-}
-
-impl IntervalEvaluator {
-    fn new(cfg: &InterReorderConfig, l: usize) -> Self {
-        let phys = cfg.stages.max(1);
-        let vpp = if cfg.vpp > 1 { cfg.vpp as u64 } else { 1 };
-        let stages = phys * vpp as usize;
-        IntervalEvaluator {
-            phys,
-            stages,
-            l,
-            vpp,
-            bwd_factor: cfg.stage0_bwd_factor,
-            uniform_fwd: SimDuration::from_secs_f64(cfg.uniform_fwd) / vpp,
-            uniform_bwd: SimDuration::from_secs_f64(cfg.uniform_bwd) / vpp,
-            fwd0: Vec::with_capacity(l),
-            bwd0: Vec::with_capacity(l),
-            pc: vec![0; stages],
-            avail: vec![SimTime::ZERO; stages],
-            fwd_end: vec![SimTime::ZERO; stages * l],
-            bwd_end: vec![SimTime::ZERO; stages * l],
-            bwd0_start: vec![SimTime::ZERO; l],
-            saved_pc: vec![0; stages],
-            saved_avail: vec![SimTime::ZERO; stages],
-            ready: Vec::with_capacity(2 * stages),
-        }
+        PipelineSpec::uniform(schedule, self.stages.max(1), SimDuration::ZERO)
     }
 
-    /// Empty the evaluator for a fresh order of `l` microbatches. Only the
-    /// counters, the free times and the pushed positions are cleared: end
-    /// times past a counter are stale and never read.
-    fn reset(&mut self, l: usize) {
-        if l != self.l {
-            self.l = l;
-            self.fwd_end.resize(self.stages * l, SimTime::ZERO);
-            self.bwd_end.resize(self.stages * l, SimTime::ZERO);
-            self.bwd0_start.resize(l, SimTime::ZERO);
-        }
-        self.fwd0.clear();
-        self.bwd0.clear();
-        self.pc.fill(0);
-        self.avail.fill(SimTime::ZERO);
+    /// The proxy's per-stage `(forward, backward)` durations of a
+    /// microbatch whose stage-0 forward takes `secs`.
+    fn column(&self, secs: f64) -> impl Iterator<Item = (SimDuration, SimDuration)> {
+        let stage0 = (
+            SimDuration::from_secs_f64(secs),
+            SimDuration::from_secs_f64(secs * self.stage0_bwd_factor),
+        );
+        let uniform = (
+            SimDuration::from_secs_f64(self.uniform_fwd),
+            SimDuration::from_secs_f64(self.uniform_bwd),
+        );
+        std::iter::once(stage0).chain(std::iter::repeat_n(uniform, self.stages.max(1) - 1))
     }
 
-    /// Stage `s`'s 1F1B warm-up depth.
-    fn warm(&self, s: usize) -> usize {
-        (self.stages - s).min(self.l)
+    /// An [`Engine`] over the proxy pipeline, reset for `l` microbatches.
+    pub fn engine(&self, l: usize) -> Engine {
+        Engine::new(&self.spec(), self.stages.max(1), l)
     }
 
-    /// The op at position `q` of stage `s`'s order: `warm` forwards, then
-    /// alternating backward/forward while forwards remain, then the
-    /// remaining backwards.
-    fn op_at(&self, s: usize, q: usize) -> StageOp {
-        let w = self.warm(s);
-        if q < w {
-            return StageOp::Fwd(q);
-        }
-        let k = q - w;
-        if k < 2 * (self.l - w) {
-            if k.is_multiple_of(2) {
-                StageOp::Bwd(k / 2)
-            } else {
-                StageOp::Fwd(w + k / 2)
-            }
-        } else {
-            StageOp::Bwd(k - (self.l - w))
-        }
+    /// Commit the next stage-0 position (forward time `secs`) to `engine`.
+    pub fn push(&self, engine: &mut Engine, secs: f64) {
+        engine.push(self.column(secs));
     }
 
-    /// Position of `F(s, i)` in stage `s`'s order.
-    fn fwd_pos(&self, s: usize, i: usize) -> usize {
-        let w = self.warm(s);
-        if i < w {
-            i
-        } else {
-            w + 2 * (i - w) + 1
-        }
-    }
-
-    /// Position of `B(s, i)` in stage `s`'s order.
-    fn bwd_pos(&self, s: usize, i: usize) -> usize {
-        let w = self.warm(s);
-        w + i + i.min(self.l - w)
-    }
-
-    /// Run every op of stage `s` whose dependencies are done; returns
-    /// whether any ran.
-    fn drain(&mut self, s: usize) -> bool {
-        let l = self.l;
-        let heterogeneous = s.is_multiple_of(self.phys);
-        let mut ran = false;
-        while self.pc[s] < 2 * l {
-            let op = self.op_at(s, self.pc[s]);
-            let dep = match op {
-                StageOp::Fwd(i) if s == 0 => {
-                    if i >= self.fwd0.len() {
-                        break;
-                    }
-                    SimTime::ZERO
-                }
-                StageOp::Fwd(i) => {
-                    if self.pc[s - 1] <= self.fwd_pos(s - 1, i) {
-                        break;
-                    }
-                    self.fwd_end[(s - 1) * l + i]
-                }
-                // The last stage's own forward precedes it in stage order.
-                StageOp::Bwd(i) if s + 1 == self.stages => self.fwd_end[s * l + i],
-                StageOp::Bwd(i) => {
-                    if self.pc[s + 1] <= self.bwd_pos(s + 1, i) {
-                        break;
-                    }
-                    self.bwd_end[(s + 1) * l + i]
-                }
-            };
-            let start = self.avail[s].max(dep);
-            let end = match op {
-                StageOp::Fwd(i) => {
-                    let d = if heterogeneous {
-                        self.fwd0[i]
-                    } else {
-                        self.uniform_fwd
-                    };
-                    self.fwd_end[s * l + i] = start + d;
-                    start + d
-                }
-                StageOp::Bwd(i) => {
-                    let d = if heterogeneous {
-                        self.bwd0[i]
-                    } else {
-                        self.uniform_bwd
-                    };
-                    self.bwd_end[s * l + i] = start + d;
-                    if s == 0 {
-                        self.bwd0_start[i] = start;
-                    }
-                    start + d
-                }
-            };
-            self.avail[s] = end;
-            self.pc[s] += 1;
-            ran = true;
-        }
-        ran
-    }
-
-    /// Append the next stage-0 position (forward time `secs`) and run
-    /// every op that becomes ready. Only `F(0, i)` is newly unblocked;
-    /// each stage that makes progress may unblock its two neighbours.
-    fn push(&mut self, secs: f64) {
-        debug_assert!(self.fwd0.len() < self.l, "more positions than microbatches");
-        self.fwd0.push(SimDuration::from_secs_f64(secs) / self.vpp);
-        self.bwd0
-            .push(SimDuration::from_secs_f64(secs * self.bwd_factor) / self.vpp);
-        self.ready.push(0);
-        while let Some(s) = self.ready.pop() {
-            if self.drain(s) {
-                if s > 0 {
-                    self.ready.push(s - 1);
-                }
-                if s + 1 < self.stages {
-                    self.ready.push(s + 1);
-                }
-            }
-        }
-    }
-
-    /// Whether interval `j` (`j < l`) is determined: stage 0 ran `B(0, j)`.
-    fn determined(&self, j: usize) -> bool {
-        self.pc[0] > self.bwd_pos(0, j)
-    }
-
-    /// Volume of stage-0 interval `j` given the committed positions
-    /// followed by `tail`; pushes only as much of `tail` as interval `j`
-    /// depends on, then rolls the state back to the committed prefix.
-    fn probe(&mut self, j: usize, tail: impl IntoIterator<Item = f64>) -> f64 {
-        if j >= self.l {
-            return 0.0;
-        }
-        let committed = self.fwd0.len();
-        self.saved_pc.copy_from_slice(&self.pc);
-        self.saved_avail.copy_from_slice(&self.avail);
+    /// `GETINTERVAL` on an engine holding committed positions: the volume
+    /// of stage-0 interval `j` (see [`get_interval`]) when `tail` follows
+    /// them. Pushes only as much of `tail` as interval `j` depends on, then
+    /// rolls the engine back to the committed positions.
+    pub fn interval(
+        &self,
+        engine: &mut Engine,
+        j: usize,
+        tail: impl IntoIterator<Item = f64>,
+    ) -> f64 {
+        engine.mark();
         let mut tail = tail.into_iter();
-        while !self.determined(j) {
-            match tail.next() {
-                Some(secs) => self.push(secs),
-                None => break,
+        let volume = loop {
+            if let Some(b) = engine.op(0, OpKind::Backward, j) {
+                let left = match j {
+                    0 => engine.op(0, OpKind::Forward, 0),
+                    _ => engine.op(0, OpKind::Backward, j - 1),
+                };
+                let left = left.expect("precedes B(0, j) in stage 0's order");
+                break (b.start - left.end).as_secs_f64();
             }
-        }
-        let volume = if !self.determined(j) {
-            0.0
-        } else {
-            let left = if j == 0 {
-                self.fwd_end[0]
-            } else {
-                self.bwd_end[j - 1]
-            };
-            (self.bwd0_start[j] - left).as_secs_f64()
+            match tail.next() {
+                Some(secs) => self.push(engine, secs),
+                None => break 0.0,
+            }
         };
-        self.pc.copy_from_slice(&self.saved_pc);
-        self.avail.copy_from_slice(&self.saved_avail);
-        self.fwd0.truncate(committed);
-        self.bwd0.truncate(committed);
+        engine.rollback();
         volume
     }
 }
@@ -367,7 +162,11 @@ impl IntervalEvaluator {
 /// should be filled with an estimate (Algorithm 2 passes the mean of the
 /// remaining pool). Only positions `0..=j+p·vpp−1` are read.
 pub fn get_interval(cfg: &InterReorderConfig, stage0_fwd: &[f64], j: usize) -> f64 {
-    IntervalEvaluator::new(cfg, stage0_fwd.len()).probe(j, stage0_fwd.iter().copied())
+    cfg.interval(
+        &mut cfg.engine(stage0_fwd.len()),
+        j,
+        stage0_fwd.iter().copied(),
+    )
 }
 
 /// Algorithm 2: reorder the `mb_fwd` stage-0 forward times of one DP rank's
@@ -386,21 +185,27 @@ fn take_min(pool: &mut Vec<usize>, key: impl Fn(usize) -> f64) -> Option<usize> 
     Some(pool.swap_remove(k))
 }
 
-/// Algorithm 2 over many DP ranks of one pipeline shape: the
-/// `GETINTERVAL` evaluator is allocated on first use and reset for each
-/// rank, so a global batch allocates it once.
-pub(crate) struct InterReorder<'c> {
+/// Algorithm 2 over many DP ranks of one pipeline shape: one [`Engine`]
+/// is reset for each rank, so a global batch of equal-length ranks builds
+/// its 1F1B order tables once.
+pub struct InterReorder<'c> {
     cfg: &'c InterReorderConfig,
-    eval: Option<IntervalEvaluator>,
+    spec: PipelineSpec,
+    engine: Engine,
 }
 
 impl<'c> InterReorder<'c> {
-    pub(crate) fn new(cfg: &'c InterReorderConfig) -> Self {
-        InterReorder { cfg, eval: None }
+    /// Algorithm 2 for the pipeline shape `cfg`.
+    pub fn new(cfg: &'c InterReorderConfig) -> Self {
+        InterReorder {
+            cfg,
+            spec: cfg.spec(),
+            engine: Engine::default(),
+        }
     }
 
     /// [`inter_reorder`] of one rank's stage-0 forward times.
-    pub(crate) fn order(&mut self, mb_fwd: &[f64]) -> Vec<usize> {
+    pub fn order(&mut self, mb_fwd: &[f64]) -> Vec<usize> {
         let cfg = self.cfg;
         let l = mb_fwd.len();
         let p = cfg.stages;
@@ -412,20 +217,15 @@ impl<'c> InterReorder<'c> {
             return pool;
         }
 
-        // The evaluator mirrors the chosen prefix `ret`: every placement
-        // is pushed into it once.
-        let eval = match &mut self.eval {
-            Some(eval) => {
-                eval.reset(l);
-                eval
-            }
-            empty => empty.insert(IntervalEvaluator::new(cfg, l)),
-        };
+        // The engine mirrors the chosen prefix `ret`: every placement is
+        // pushed into it once.
+        let engine = &mut self.engine;
+        engine.reset(&self.spec, p, l);
         let mut ret = Vec::with_capacity(l);
 
         // Line 3: smallest first.
         if let Some(first) = take_min(&mut pool, |i| mb_fwd[i]) {
-            eval.push(mb_fwd[first]);
+            cfg.push(engine, mb_fwd[first]);
             ret.push(first);
         }
         // Line 4: reserve the p−1 smallest for the rear.
@@ -445,7 +245,7 @@ impl<'c> InterReorder<'c> {
             // `pos − p + 1` (see `get_interval`); the first fill targets
             // interval 0.
             let interval_idx = (ret.len() + 1).saturating_sub(p);
-            let mut target = eval.probe(interval_idx, tail);
+            let mut target = cfg.interval(engine, interval_idx, tail);
             if cfg.vpp > 1 {
                 target /= cfg.vpp as f64;
             }
@@ -461,7 +261,7 @@ impl<'c> InterReorder<'c> {
                     break;
                 };
                 sum += mb_fwd[idx];
-                eval.push(mb_fwd[idx]);
+                cfg.push(engine, mb_fwd[idx]);
                 ret.push(idx);
             }
         }
@@ -586,101 +386,6 @@ mod tests {
         // p=4 uniform stages it must hold roughly the p−1 warm-up forwards.
         let v = get_interval(&cfg(4), &[1.0; 10], 0);
         assert!(v >= 3.0, "first interval {v} too small");
-    }
-
-    /// Every stage-0 interval read off `dt_pipeline::simulate`'s timeline:
-    /// interval 0 from forward 0's end, the rest via `stage0_intervals`.
-    fn simulated_intervals(cfg: &InterReorderConfig, stage0_fwd: &[f64]) -> Vec<f64> {
-        let (spec, w) = cfg.pipeline(stage0_fwd);
-        let result = simulate(&spec, &w);
-        let stage0 = |kind| result.stage_ops(0).filter(move |op| op.kind == kind);
-        let Some(f0) = stage0(dt_pipeline::OpKind::Forward).find(|op| op.microbatch == 0) else {
-            return Vec::new();
-        };
-        let b0 = stage0(dt_pipeline::OpKind::Backward)
-            .min_by_key(|op| op.start)
-            .expect("b0");
-        std::iter::once(b0.start - f0.end)
-            .chain(result.stage0_intervals())
-            .map(SimDuration::as_secs_f64)
-            .collect()
-    }
-
-    fn random_cfg(rng: &mut DetRng) -> InterReorderConfig {
-        InterReorderConfig {
-            stages: rng.range_usize(1, 9),
-            uniform_fwd: rng.range_f64(0.0, 2.0),
-            uniform_bwd: rng.range_f64(0.0, 4.0),
-            stage0_bwd_factor: [0.0, 1.0, 2.0][rng.range_usize(0, 3)],
-            vpp: rng.range_usize(1, 4) as u32,
-        }
-    }
-
-    #[test]
-    fn closed_form_order_matches_stage_order() {
-        let cfg = |stages| InterReorderConfig::new(stages, 1.0, 2.0);
-        for stages in 1..9 {
-            for l in 1..14 {
-                let eval = IntervalEvaluator::new(&cfg(stages), l);
-                for s in 0..stages {
-                    let order = Schedule::OneFOneB.stage_order(s, stages, l);
-                    for (q, &op) in order.iter().enumerate() {
-                        assert_eq!(eval.op_at(s, q), op, "P={stages} l={l} s={s} q={q}");
-                        let pos = match op {
-                            StageOp::Fwd(i) => eval.fwd_pos(s, i),
-                            StageOp::Bwd(i) => eval.bwd_pos(s, i),
-                        };
-                        assert_eq!(pos, q, "P={stages} l={l} s={s} op={op:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Algorithm 2's usage: commit a prefix, then probe with tentative
-    /// tails. Every probe must equal a full simulation of prefix + tail,
-    /// and must leave the committed state untouched.
-    #[test]
-    fn probes_after_commits_match_the_simulator() {
-        for seed in 0u64..200 {
-            let mut rng = DetRng::new(seed);
-            let c = random_cfg(&mut rng);
-            let l = rng.range_usize(1, 24);
-            let order: Vec<f64> = (0..l).map(|_| rng.range_f64(0.0, 3.0)).collect();
-            let mut eval = IntervalEvaluator::new(&c, l);
-            for n in 0..l {
-                for _ in 0..2 {
-                    let tail: Vec<f64> = (n..l).map(|_| rng.range_f64(0.0, 3.0)).collect();
-                    let est: Vec<f64> = order[..n].iter().chain(&tail).copied().collect();
-                    let reference = simulated_intervals(&c, &est);
-                    let j = rng.range_usize(0, l);
-                    let got = eval.probe(j, tail.iter().copied());
-                    assert_eq!(got, reference[j], "seed {seed} {c:?} l={l} n={n} j={j}");
-                }
-                eval.push(order[n]);
-            }
-        }
-    }
-
-    /// One `InterReorder` serving many ranks — the planner's usage, with
-    /// the evaluator reset between them, including across rank lengths —
-    /// places exactly what a fresh evaluator per rank places.
-    #[test]
-    fn a_reused_evaluator_matches_a_fresh_one() {
-        for seed in 0u64..100 {
-            let mut rng = DetRng::new(seed);
-            let c = random_cfg(&mut rng);
-            let mut reused = InterReorder::new(&c);
-            for rank in 0..6 {
-                let l = rng.range_usize(1, 30);
-                let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 0.8)).collect();
-                assert_eq!(
-                    reused.order(&times),
-                    inter_reorder(&c, &times),
-                    "seed {seed} rank {rank} {c:?} l={l}"
-                );
-            }
-        }
     }
 
     /// Convergence-semantics invariant: always a permutation

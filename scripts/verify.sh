@@ -13,7 +13,7 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve"
+echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve -p dt-pipeline -p dt-check"
 # Formatting gate, crate by crate as each is brought to rustfmt's output.
 cargo fmt --check -p dt-elastic
 cargo fmt --check -p dt-bench
@@ -22,6 +22,8 @@ cargo fmt --check -p dt-reorder
 cargo fmt --check -p disttrain-core
 cargo fmt --check -p dt-orchestrator
 cargo fmt --check -p dt-serve
+cargo fmt --check -p dt-pipeline
+cargo fmt --check -p dt-check
 
 echo "==> crate layering (the training core and the planner daemon never link the data plane)"
 # DistTrain disaggregates preprocessing from training (§5.1): only dt-check,
