@@ -1,13 +1,7 @@
-//! The event simulator: the reference the 1F1B engine is checked against.
-//!
-//! `dt_pipeline::Engine` replays a schedule incrementally, one microbatch
-//! column at a time. This module keeps the independent formulation it
-//! replaced: interleaved pipelines are first expanded into `p·vpp`
-//! virtual stages, then every stage's [`Schedule::stage_order`] is
-//! drained round-robin, releasing whichever stage heads are
-//! dependency-ready (Kahn's algorithm over the op DAG). Only the oracles
-//! run it. It does not validate its input: a `p = 0` interleaved
-//! pipeline underflows in the expansion, so the oracles generate `p ≥ 1`.
+//! The event simulator `dt_pipeline::Engine` replaced, kept as the
+//! oracles' reference: interleaved pipelines are expanded into virtual
+//! stages, then the stage orders are drained round-robin. It does not
+//! validate its input; a `p = 0` interleaved pipeline underflows.
 
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::{OpKind, OpRecord, PipelineResult, PipelineSpec, Schedule, Workload};
@@ -24,30 +18,15 @@ pub fn simulate(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
     run_1f1b_family(&expanded_spec, &expanded)
 }
 
-/// `GETINTERVAL`'s reference: every stage-0 interval of `cfg`'s proxy
-/// pipeline read off the event simulator's timeline — interval 0 from
-/// forward 0's end to backward 0's start, interval `j` between backwards
-/// `j−1` and `j`.
+/// `GETINTERVAL`'s reference: stage 0 of `cfg`'s proxy pipeline runs
+/// `F(0, 0)`, then its backwards in order; interval `j` runs from the end
+/// of the op before backward `j` among those to backward `j`'s start.
 pub fn intervals(cfg: &InterReorderConfig, stage0_fwd: &[f64]) -> Vec<f64> {
     let (spec, w) = cfg.pipeline(stage0_fwd);
-    let result = simulate(&spec, &w);
-    let mut bwd: Vec<_> = result
-        .timeline
-        .iter()
-        .filter(|op| op.stage == 0 && op.kind == OpKind::Backward)
-        .collect();
-    bwd.sort_by_key(|op| op.start);
-    let f0_end = result
-        .timeline
-        .iter()
-        .find(|op| op.stage == 0 && op.microbatch == 0 && op.kind == OpKind::Forward)
-        .map(|op| op.end);
-    (0..bwd.len())
-        .map(|j| match j {
-            0 => bwd[0].start - f0_end.expect("forward 0 precedes backward 0"),
-            _ => bwd[j].start - bwd[j - 1].end,
-        })
-        .map(SimDuration::as_secs_f64)
+    let r = simulate(&spec, &w);
+    let mut left = r.stage_ops(0).next().map(|f0| f0.end);
+    let bwd = r.stage_ops(0).filter(|op| op.kind == OpKind::Backward);
+    bwd.map(|b| (b.start - left.replace(b.end).expect("F(0, 0) ran")).as_secs_f64())
         .collect()
 }
 
@@ -220,7 +199,7 @@ mod tests {
                     let got = c.interval(&mut engine, j, tail.iter().copied());
                     assert_eq!(got, reference[j], "seed {seed} {c:?} l={l} n={n} j={j}");
                 }
-                c.push(&mut engine, order[n]);
+                engine.push(c.column(order[n]));
             }
         }
     }

@@ -9,10 +9,9 @@
 //! 4. build each rank's multi-unit pipeline workload (encoder stages →
 //!    broker → backbone stages → broker → generator stages) with exact
 //!    per-microbatch times from the task's cost oracle;
-//! 5. replay each rank's schedule on one reused `dt_pipeline::Engine` (the
-//!    same 1F1B engine Algorithm 2 probes); the slowest rank gates the
-//!    iteration (that *is* the intra-microbatch straggler), and the
-//!    per-stage timeline is built only for tracing or metrics;
+//! 5. replay each rank on one `dt_pipeline::Engine`, the 1F1B engine
+//!    Algorithm 2 probes; the slowest rank gates the iteration (that *is*
+//!    the intra-microbatch straggler);
 //! 6. add gradient synchronization and the preprocessing stall of the
 //!    configured feeding mode;
 //! 7. report iteration time, MFU, and throughput.

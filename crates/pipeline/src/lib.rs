@@ -15,15 +15,11 @@
 //!   contribution divided by the VPP size.
 //!
 //! [`Engine`] is the one implementation of these schedules: an exact,
-//! incremental replay of the op DAG (in-stage serialization edges +
-//! cross-stage data dependencies + per-boundary communication latency)
-//! that takes one microbatch column at a time and can mark and roll back
-//! its frontier in `O(P)`. Algorithm 2 (`dt-reorder`) probes it for
-//! stage-0 intervals (Figure 12); the training runtime replays each DP
-//! rank on it and reads the makespan and per-stage busy time (Figure 4's
-//! bubble fractions). [`simulate`] pushes a whole [`Workload`] and returns
-//! the stage-major timeline as a [`PipelineResult`].
-
+//! incremental replay of the op DAG with an `O(P)` mark/rollback.
+//! Algorithm 2 probes it for the stage-0 intervals of Figure 12, the
+//! training runtime replays each DP rank on it, and [`simulate`] returns
+//! the stage-major [`PipelineResult`] timeline.
+//!
 //! Multi-unit pipelines (encoder unit → broker → LLM unit → broker →
 //! generator unit, Figure 9) are expressed by concatenating the units'
 //! stages and assigning the broker hop cost to the boundary between them.

@@ -33,8 +33,7 @@ pub struct PipelineResult {
     pub stages: usize,
     /// Number of microbatches.
     pub microbatches: usize,
-    /// Every executed operation, stage-major: stage 0's ops in its
-    /// [`crate::Schedule::stage_order`], then stage 1's, and so on.
+    /// Every executed operation, stage-major, each stage's in its order.
     pub timeline: Vec<OpRecord>,
     /// End-to-end iteration makespan.
     pub makespan: SimDuration,
@@ -53,37 +52,27 @@ impl PipelineResult {
 
     /// Bubble fraction of a stage: idle share of the makespan.
     pub fn stage_bubble_fraction(&self, stage: usize) -> f64 {
-        bubble_fraction(self.stage_busy(stage), self.makespan)
+        bubble_fraction(std::iter::once(self.stage_busy(stage)), self.makespan)
     }
 
     /// Mean bubble fraction across stages — the pipeline-efficiency number
     /// the Figure 4 discussion is about.
     pub fn mean_bubble_fraction(&self) -> f64 {
-        mean_bubble_fraction((0..self.stages).map(|s| self.stage_busy(s)), self.makespan)
+        bubble_fraction((0..self.stages).map(|s| self.stage_busy(s)), self.makespan)
     }
 }
 
-/// Idle share of `makespan` for a stage busy for `busy` (0 when the
-/// makespan is empty).
-fn bubble_fraction(busy: SimDuration, makespan: SimDuration) -> f64 {
-    let total = makespan.as_secs_f64();
-    if total == 0.0 {
-        return 0.0;
-    }
-    1.0 - busy.as_secs_f64() / total
-}
-
-/// Mean [`bubble_fraction`] over stages with the given busy times (0 for no
-/// stages).
-pub(crate) fn mean_bubble_fraction(
+/// Mean idle share of `makespan` over stages busy for `busy` (0 for no
+/// stages or an empty makespan).
+pub(crate) fn bubble_fraction(
     busy: impl ExactSizeIterator<Item = SimDuration>,
     makespan: SimDuration,
 ) -> f64 {
-    let stages = busy.len();
-    if stages == 0 {
+    let (stages, total) = (busy.len(), makespan.as_secs_f64());
+    if stages == 0 || total == 0.0 {
         return 0.0;
     }
-    busy.map(|b| bubble_fraction(b, makespan)).sum::<f64>() / stages as f64
+    busy.map(|b| 1.0 - b.as_secs_f64() / total).sum::<f64>() / stages as f64
 }
 
 #[cfg(test)]

@@ -1,31 +1,19 @@
 //! The 1F1B engine: the one dependency-exact replay of a pipeline schedule.
 //!
-//! Operations and dependencies:
+//! Each stage runs its [`Schedule::stage_order`] serially; `F(s, i)` needs
+//! `F(s−1, i)` and `B(s, i)` needs `B(s+1, i)`, each plus the boundary's
+//! hop. [`Engine`] takes one microbatch column at a time and runs each op
+//! once its dependencies are done, at its longest-path time in the DAG.
+//! Every op of microbatch `i` waits on `F(0, i)`, so a pushed prefix is
+//! final: a caller can mark the frontier in `O(P)`, push a tentative tail,
+//! read its op times and roll back (Algorithm 2's `GETINTERVAL` probe).
 //!
-//! * each stage executes its [`Schedule::stage_order`] serially;
-//! * `F(s, i)` needs `F(s−1, i)` plus the boundary's communication hop;
-//! * `B(s, i)` needs `B(s+1, i)` plus the hop (and `F(p−1, i)` at the last
-//!   stage, which the stage order already enforces).
-//!
-//! [`Engine`] takes one microbatch column at a time (every stage's forward
-//! and backward duration of the next microbatch) and runs each op as soon
-//! as its dependencies are done. Op times are the longest-path values of
-//! the dependency DAG, so the order in which ready ops run does not change
-//! them. Every op of microbatch `i` waits (transitively) on `F(0, i)`, so a
-//! pushed prefix of microbatches is final no matter what follows it: the
-//! engine marks a frontier in `O(P)`, lets a caller push a tentative tail
-//! and read its op times, then rolls back — Algorithm 2's `GETINTERVAL`
-//! probe. [`simulate`] pushes a whole [`Workload`] and reads the result.
-//! Heterogeneous per-microbatch durations (the paper's data heterogeneity)
-//! are first-class: `Workload` carries a full `[stage][microbatch]` matrix.
-//!
-//! Interleaved 1F1B (VPP) runs as plain 1F1B over `P = p·vpp` virtual
-//! stages (§4.3's retrofit): virtual stage `c·p + s` is chunk `c` of
-//! physical stage `s` and takes `1/vpp` of its durations in integer
-//! nanoseconds; the wrap-around hop from stage `p − 1` back to stage 0
-//! costs the same as the last boundary.
+//! Interleaved 1F1B (VPP) runs as 1F1B over `P = p·vpp` virtual stages
+//! (§4.3): virtual stage `c·p + s` is chunk `c` of stage `s` and takes
+//! `1/vpp` of its durations in integer nanoseconds; the wrap-around hop
+//! back to stage 0 costs the same as the last boundary.
 
-use crate::result::{mean_bubble_fraction, OpKind, OpRecord, PipelineResult};
+use crate::result::{bubble_fraction, OpKind, OpRecord, PipelineResult};
 use crate::schedule::{Schedule, StageOp};
 use dt_simengine::{SimDuration, SimTime};
 
@@ -94,77 +82,48 @@ impl Workload {
 
 /// Execute `workload` under `spec` and return the exact timeline.
 pub fn simulate(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
-    let mut engine = Engine::default();
-    engine.run(spec, workload);
-    engine.result()
+    Engine::default().run(spec, workload).result()
 }
 
-/// Incremental replay of one iteration's schedule; see the module docs.
-///
-/// Reset it for a pipeline shape, push microbatch columns in order, and
-/// read the makespan, per-stage busy time, single op times or the full
-/// timeline. One engine is meant to be reused: the per-stage orders are
-/// materialised from [`Schedule::stage_order`] (with inverse position
-/// tables) once per shape, and a reset to the same shape keeps them.
+/// Incremental replay of one iteration's schedule (see the module docs).
+/// A reset to the shape it already has keeps the per-stage orders, so one
+/// engine serves every DP rank of an iteration.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
-    /// Physical stages `p` of a pushed column.
+    /// Physical stages `p`, virtual stages `P = p·vpp`, microbatches `l`.
     phys: usize,
-    /// Simulated (virtual) stages `P = p·vpp`.
     stages: usize,
-    /// Microbatches `l` per iteration.
     l: usize,
     vpp: u64,
-    /// Whether the order tables hold GPipe's orders rather than 1F1B's.
     gpipe: bool,
-    /// `[s·2l + q]`: op `q` of stage `s`'s order.
-    order: Vec<StageOp>,
-    /// `[s·l + i]`: positions of `F(s, i)` and `B(s, i)` in that order.
-    fwd_pos: Vec<usize>,
-    bwd_pos: Vec<usize>,
-    /// Hop after virtual stage `s` (length `P − 1`).
+    /// `[s·2l + q]`: op `q` of stage `s`'s [`Schedule::stage_order`].
+    order: Vec<(OpKind, usize)>,
+    /// `[s·l + i][kind]`: op `kind` of microbatch `i` on stage `s`.
+    ops: Vec<[Op; 2]>,
+    /// `comm[s]`: the hop after virtual stage `s`.
     comm: Vec<SimDuration>,
-    /// `[s·l + i]` durations of the pushed microbatches.
-    fwd: Vec<SimDuration>,
-    bwd: Vec<SimDuration>,
-    /// `[s·l + i]` end times of the ops run so far; an entry at or past
-    /// its stage's counter is stale and never read.
-    fwd_end: Vec<SimTime>,
-    bwd_end: Vec<SimTime>,
-    now: Frontier,
-    marked: Frontier,
-    /// Worklist of stages that may have become ready.
+    /// Microbatches pushed and per-stage progress, now and at the mark.
+    pushed: usize,
+    now: Vec<Frontier>,
+    marked: (usize, Vec<Frontier>),
+    /// Stages that may have become ready.
     ready: Vec<usize>,
 }
 
-/// What a rollback restores: everything else past the frontier is stale.
-#[derive(Debug, Clone, Default)]
-struct Frontier {
-    /// Microbatches pushed.
-    pushed: usize,
-    /// Per stage: ops run, when the stage is next free, time spent busy.
-    pc: Vec<usize>,
-    avail: Vec<SimTime>,
-    busy: Vec<SimDuration>,
+/// An op's position in its stage's order, duration and start (stale until run).
+#[derive(Debug, Clone, Copy, Default)]
+struct Op {
+    pos: usize,
+    dur: SimDuration,
+    start: SimTime,
 }
 
-impl Frontier {
-    fn reset(&mut self, stages: usize) {
-        self.pushed = 0;
-        self.pc.clear();
-        self.pc.resize(stages, 0);
-        self.avail.clear();
-        self.avail.resize(stages, SimTime::ZERO);
-        self.busy.clear();
-        self.busy.resize(stages, SimDuration::ZERO);
-    }
-
-    fn copy_from(&mut self, other: &Frontier) {
-        self.pushed = other.pushed;
-        self.pc.copy_from_slice(&other.pc);
-        self.avail.copy_from_slice(&other.avail);
-        self.busy.copy_from_slice(&other.busy);
-    }
+/// One stage's progress: ops run, when it is next free, time spent busy.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frontier {
+    pc: usize,
+    avail: SimTime,
+    busy: SimDuration,
 }
 
 impl Engine {
@@ -175,240 +134,159 @@ impl Engine {
         engine
     }
 
-    /// Empty the engine for an iteration of `microbatches` over `stages`
-    /// physical stages under `spec`, and mark the empty state.
+    /// Empty the engine for `microbatches` over `stages` physical stages
+    /// under `spec`, and mark the empty state.
     pub fn reset(&mut self, spec: &PipelineSpec, stages: usize, microbatches: usize) {
         let vpp = match spec.schedule {
             Schedule::Interleaved { vpp } if vpp > 1 => vpp as usize,
             _ => 1,
         };
         let (p, l, n) = (stages, microbatches, stages * vpp);
+        let (c, b) = (spec.comm.len(), p.saturating_sub(1));
         assert!(
-            vpp > 1 || l == 0 || spec.comm.len() + 1 >= p,
-            "comm vector has {} entries for {} boundaries",
-            spec.comm.len(),
-            p - 1
+            vpp > 1 || l == 0 || c >= b,
+            "comm vector has {c} entries for {b} boundaries"
         );
         let gpipe = spec.schedule == Schedule::GPipe;
         if (n, l, gpipe) != (self.stages, self.l, self.gpipe) {
-            let schedule = if gpipe {
-                Schedule::GPipe
-            } else {
-                Schedule::OneFOneB
-            };
-            self.order.clear();
-            self.fwd_pos.resize(n * l, 0);
-            self.bwd_pos.resize(n * l, 0);
-            for s in 0..n {
-                for (q, op) in schedule.stage_order(s, n, l).into_iter().enumerate() {
-                    match op {
-                        StageOp::Fwd(i) => self.fwd_pos[s * l + i] = q,
-                        StageOp::Bwd(i) => self.bwd_pos[s * l + i] = q,
-                    }
-                    self.order.push(op);
-                }
+            // Interleaved runs 1F1B's order, so only GPipe keys the tables.
+            let order = (0..n).flat_map(|s| spec.schedule.stage_order(s, n, l));
+            self.order = order
+                .map(|op| match op {
+                    StageOp::Fwd(i) => (OpKind::Forward, i),
+                    StageOp::Bwd(i) => (OpKind::Backward, i),
+                })
+                .collect();
+            self.ops = vec![[Op::default(); 2]; n * l];
+            for (q, &(kind, i)) in self.order.iter().enumerate() {
+                self.ops[q / (2 * l) * l + i][kind as usize].pos = q % (2 * l);
             }
-            self.fwd.resize(n * l, SimDuration::ZERO);
-            self.bwd.resize(n * l, SimDuration::ZERO);
-            self.fwd_end.resize(n * l, SimTime::ZERO);
-            self.bwd_end.resize(n * l, SimTime::ZERO);
             (self.stages, self.l, self.gpipe) = (n, l, gpipe);
         }
-        self.phys = p;
-        self.vpp = vpp as u64;
-        let hop = |b: Option<&SimDuration>| b.copied().unwrap_or(SimDuration::ZERO);
-        self.comm.clear();
-        self.comm.extend((0..n.saturating_sub(1)).map(|v| {
-            if v % p + 1 < p {
-                hop(spec.comm.get(v % p))
-            } else {
-                hop(spec.comm.last())
-            }
-        }));
-        self.now.reset(n);
-        self.marked.reset(n);
+        (self.phys, self.vpp, self.pushed) = (p, vpp as u64, 0);
+        // Virtual boundary `v` is physical boundary `v % p`, or the last
+        // one where it wraps around to stage 0.
+        let hop = |v: usize| match v % p + 1 < p {
+            true => spec.comm.get(v % p),
+            false => spec.comm.last(),
+        };
+        self.comm = (1..n)
+            .map(|v| hop(v - 1).copied().unwrap_or_default())
+            .collect();
+        self.now = vec![Frontier::default(); n];
+        self.mark();
     }
 
-    /// Execute `workload` under `spec` from a reset engine.
-    pub fn run(&mut self, spec: &PipelineSpec, workload: &Workload) {
+    /// Reset for `workload` under `spec` and push every microbatch.
+    pub fn run(&mut self, spec: &PipelineSpec, workload: &Workload) -> &mut Self {
         workload.validate();
         self.reset(spec, workload.stages(), workload.microbatches());
+        let (fwd, bwd) = (&workload.fwd, &workload.bwd);
         for i in 0..workload.microbatches() {
-            self.push(
-                workload
-                    .fwd
-                    .iter()
-                    .zip(&workload.bwd)
-                    .map(|(f, b)| (f[i], b[i])),
-            );
+            self.push((0..fwd.len()).map(|s| (fwd[s][i], bwd[s][i])));
         }
+        self
     }
 
-    /// Microbatches pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.now.pushed
-    }
-
-    /// Append the next microbatch, given as each physical stage's
-    /// `(forward, backward)` duration, and run every op that becomes
-    /// ready. Only `F(0, i)` is newly unblocked; each stage that makes
-    /// progress may unblock its two neighbours.
+    /// Append the next microbatch as each physical stage's `(forward,
+    /// backward)` durations, and run every op that becomes ready.
     pub fn push(&mut self, column: impl IntoIterator<Item = (SimDuration, SimDuration)>) {
-        let i = self.now.pushed;
-        assert!(
-            i < self.l,
-            "more microbatches pushed than the engine was reset for"
-        );
-        let mut s = 0;
-        for (f, b) in column {
+        let (i, l) = (self.pushed, self.l);
+        assert!(i < l, "more microbatches pushed than reset for");
+        for (s, (f, b)) in column.into_iter().enumerate() {
             for v in (s..self.stages).step_by(self.phys) {
-                self.fwd[v * self.l + i] = f / self.vpp;
-                self.bwd[v * self.l + i] = b / self.vpp;
+                let [fwd, bwd] = &mut self.ops[v * l + i];
+                (fwd.dur, bwd.dur) = (f / self.vpp, b / self.vpp);
             }
-            s += 1;
         }
-        debug_assert_eq!(s, self.phys, "column length is not the stage count");
-        self.now.pushed += 1;
-        if self.stages > 0 {
-            self.ready.push(0);
-        }
+        self.pushed += 1;
+        self.ready.extend((self.stages > 0).then_some(0));
         while let Some(s) = self.ready.pop() {
             if self.drain(s) {
-                if s > 0 {
-                    self.ready.push(s - 1);
-                }
-                if s + 1 < self.stages {
-                    self.ready.push(s + 1);
-                }
+                self.ready.extend(s.checked_sub(1));
+                self.ready.extend(Some(s + 1).filter(|&n| n < self.stages));
             }
         }
     }
 
-    /// Run every op of stage `s` whose dependencies are done; returns
-    /// whether any ran.
+    /// Run stage `s`'s ops until one waits; whether any ran.
     fn drain(&mut self, s: usize) -> bool {
-        let l = self.l;
-        let row = s * l;
-        let mut ran = false;
-        while self.now.pc[s] < 2 * l {
-            let op = self.order[2 * row + self.now.pc[s]];
-            let dep = match op {
-                StageOp::Fwd(i) if s == 0 => {
-                    if i >= self.now.pushed {
-                        break;
-                    }
-                    SimTime::ZERO
-                }
-                StageOp::Fwd(i) => {
-                    let up = row - l + i;
-                    if self.now.pc[s - 1] <= self.fwd_pos[up] {
-                        break;
-                    }
-                    self.fwd_end[up] + self.comm[s - 1]
-                }
-                // The last stage's own forward precedes it in stage order.
-                StageOp::Bwd(i) if s + 1 == self.stages => self.fwd_end[row + i],
-                StageOp::Bwd(i) => {
-                    let down = row + l + i;
-                    if self.now.pc[s + 1] <= self.bwd_pos[down] {
-                        break;
-                    }
-                    self.bwd_end[down] + self.comm[s]
-                }
+        let (l, pc) = (self.l, self.now[s].pc);
+        while self.now[s].pc < 2 * l {
+            let (kind, i) = self.order[2 * s * l + self.now[s].pc];
+            let dep = match kind {
+                OpKind::Forward if s == 0 => (i < self.pushed).then_some(SimTime::ZERO),
+                OpKind::Forward => self.end(s - 1, kind, i).map(|t| t + self.comm[s - 1]),
+                // The last stage's own forward ran earlier in its order.
+                OpKind::Backward if s + 1 == self.stages => self.end(s, OpKind::Forward, i),
+                OpKind::Backward => self.end(s + 1, kind, i).map(|t| t + self.comm[s]),
             };
-            let start = self.now.avail[s].max(dep);
-            let (dur, end) = match op {
-                StageOp::Fwd(i) => (self.fwd[row + i], &mut self.fwd_end[row + i]),
-                StageOp::Bwd(i) => (self.bwd[row + i], &mut self.bwd_end[row + i]),
-            };
-            *end = start + dur;
-            self.now.avail[s] = *end;
-            self.now.busy[s] += dur;
-            self.now.pc[s] += 1;
-            ran = true;
+            let Some(dep) = dep else { break };
+            let (op, at) = (&mut self.ops[s * l + i][kind as usize], &mut self.now[s]);
+            op.start = at.avail.max(dep);
+            (at.avail, at.busy, at.pc) = (op.start + op.dur, at.busy + op.dur, at.pc + 1);
         }
-        ran
+        self.now[s].pc > pc
+    }
+
+    /// End time of op `kind` of microbatch `i` on stage `s`, if it ran.
+    fn end(&self, s: usize, kind: OpKind, i: usize) -> Option<SimTime> {
+        let op = self.ops[s * self.l + i][kind as usize];
+        (self.now[s].pc > op.pos).then_some(op.start + op.dur)
     }
 
     /// Remember the current frontier for [`Engine::rollback`].
     pub fn mark(&mut self) {
-        self.marked.copy_from(&self.now);
+        self.marked.0 = self.pushed;
+        self.marked.1.clone_from(&self.now);
     }
 
-    /// Return to the last [`Engine::mark`] (or the reset state), undoing
-    /// every push since: an `O(P)` copy.
+    /// Return to the last mark (a reset marks) in `O(P)`.
     pub fn rollback(&mut self) {
-        self.now.copy_from(&self.marked);
+        self.pushed = self.marked.0;
+        self.now.copy_from_slice(&self.marked.1);
     }
 
-    /// Makespan of the ops run so far: the iteration's once every
-    /// microbatch is pushed.
+    /// Makespan of the ops run so far.
     pub fn makespan(&self) -> SimDuration {
-        let last = self
-            .now
-            .avail
-            .iter()
-            .copied()
-            .fold(SimTime::ZERO, SimTime::max);
-        last.since(SimTime::ZERO)
+        self.now.iter().map(|f| f.avail).max().unwrap_or_default() - SimTime::ZERO
     }
 
     /// Busy time of (virtual) stage `s` so far.
     pub fn busy(&self, s: usize) -> SimDuration {
-        self.now.busy[s]
+        self.now[s].busy
     }
 
-    /// [`PipelineResult::mean_bubble_fraction`] of the ops run so far,
-    /// without building the timeline.
+    /// [`PipelineResult::mean_bubble_fraction`] of the ops run so far.
     pub fn mean_bubble_fraction(&self) -> f64 {
-        mean_bubble_fraction(self.now.busy.iter().copied(), self.makespan())
+        bubble_fraction(self.now.iter().map(|f| f.busy), self.makespan())
     }
 
-    /// Op `kind` of `microbatch` on (virtual) stage `stage`, if it has run.
+    /// Op `kind` of `microbatch` on (virtual) stage `stage`, if it ran.
     pub fn op(&self, stage: usize, kind: OpKind, microbatch: usize) -> Option<OpRecord> {
-        if stage >= self.stages || microbatch >= self.l {
-            return None;
-        }
-        let pos = match kind {
-            OpKind::Forward => self.fwd_pos[stage * self.l + microbatch],
-            OpKind::Backward => self.bwd_pos[stage * self.l + microbatch],
-        };
-        (self.now.pc[stage] > pos).then(|| self.record(stage, kind, microbatch))
-    }
-
-    fn record(&self, stage: usize, kind: OpKind, microbatch: usize) -> OpRecord {
-        let k = stage * self.l + microbatch;
-        let (dur, end) = match kind {
-            OpKind::Forward => (self.fwd[k], self.fwd_end[k]),
-            OpKind::Backward => (self.bwd[k], self.bwd_end[k]),
-        };
-        let start = SimTime::from_nanos(end.as_nanos() - dur.as_nanos());
-        OpRecord {
+        let valid = stage < self.stages && microbatch < self.l;
+        let end = valid.then(|| self.end(stage, kind, microbatch))??;
+        let start = self.ops[stage * self.l + microbatch][kind as usize].start;
+        Some(OpRecord {
             stage,
             microbatch,
             kind,
             start,
             end,
-        }
+        })
     }
 
     /// The ops run so far as a [`PipelineResult`]: stage-major, each
     /// stage's ops in its [`Schedule::stage_order`].
     pub fn result(&self) -> PipelineResult {
-        let l = self.l;
-        let timeline = (0..self.stages)
-            .flat_map(|s| {
-                self.order[2 * s * l..][..self.now.pc[s]]
-                    .iter()
-                    .map(move |&op| match op {
-                        StageOp::Fwd(i) => self.record(s, OpKind::Forward, i),
-                        StageOp::Bwd(i) => self.record(s, OpKind::Backward, i),
-                    })
-            })
-            .collect();
+        let mut timeline = Vec::new();
+        for s in 0..self.stages {
+            let ran = &self.order[2 * s * self.l..][..self.now[s].pc];
+            timeline.extend(ran.iter().filter_map(|&(kind, i)| self.op(s, kind, i)));
+        }
         PipelineResult {
             stages: self.stages,
-            microbatches: l,
+            microbatches: self.l,
             timeline,
             makespan: self.makespan(),
         }

@@ -113,10 +113,8 @@ pub fn record_pipeline_trace(
     };
 
     for stage in 0..p {
-        let mut ops: Vec<_> = result.stage_ops(stage).collect();
-        ops.sort_by_key(|op| op.start);
         let mut cursor = SimTime::ZERO;
-        for op in ops {
+        for op in result.stage_ops(stage) {
             if op.start > cursor {
                 // Split the gap into comm wait (inside the dependency's hop
                 // window) and bubble (everything else).

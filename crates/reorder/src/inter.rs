@@ -79,70 +79,45 @@ impl InterReorderConfig {
                 w.bwd[s].push(b);
             }
         }
-        (self.spec(), w)
-    }
-
-    fn spec(&self) -> PipelineSpec {
-        let schedule = if self.vpp > 1 {
-            Schedule::Interleaved { vpp: self.vpp }
-        } else {
-            Schedule::OneFOneB
+        let schedule = match self.vpp {
+            0 | 1 => Schedule::OneFOneB,
+            vpp => Schedule::Interleaved { vpp },
         };
-        PipelineSpec::uniform(schedule, self.stages.max(1), SimDuration::ZERO)
+        (PipelineSpec::uniform(schedule, p, SimDuration::ZERO), w)
     }
 
-    /// The proxy's per-stage `(forward, backward)` durations of a
-    /// microbatch whose stage-0 forward takes `secs`.
-    fn column(&self, secs: f64) -> impl Iterator<Item = (SimDuration, SimDuration)> {
-        let stage0 = (
-            SimDuration::from_secs_f64(secs),
-            SimDuration::from_secs_f64(secs * self.stage0_bwd_factor),
-        );
-        let uniform = (
-            SimDuration::from_secs_f64(self.uniform_fwd),
-            SimDuration::from_secs_f64(self.uniform_bwd),
-        );
+    /// The proxy's `(forward, backward)` per stage for a microbatch whose
+    /// stage-0 forward takes `secs`: the column [`Engine::push`] takes.
+    pub fn column(&self, secs: f64) -> impl Iterator<Item = (SimDuration, SimDuration)> {
+        let d = SimDuration::from_secs_f64;
+        let uniform = (d(self.uniform_fwd), d(self.uniform_bwd));
+        let stage0 = (d(secs), d(secs * self.stage0_bwd_factor));
         std::iter::once(stage0).chain(std::iter::repeat_n(uniform, self.stages.max(1) - 1))
     }
 
     /// An [`Engine`] over the proxy pipeline, reset for `l` microbatches.
     pub fn engine(&self, l: usize) -> Engine {
-        Engine::new(&self.spec(), self.stages.max(1), l)
-    }
-
-    /// Commit the next stage-0 position (forward time `secs`) to `engine`.
-    pub fn push(&self, engine: &mut Engine, secs: f64) {
-        engine.push(self.column(secs));
+        Engine::new(&self.pipeline(&[]).0, self.stages.max(1), l)
     }
 
     /// `GETINTERVAL` on an engine holding committed positions: the volume
     /// of stage-0 interval `j` (see [`get_interval`]) when `tail` follows
     /// them. Pushes only as much of `tail` as interval `j` depends on, then
     /// rolls the engine back to the committed positions.
-    pub fn interval(
-        &self,
-        engine: &mut Engine,
-        j: usize,
-        tail: impl IntoIterator<Item = f64>,
-    ) -> f64 {
-        engine.mark();
-        let mut tail = tail.into_iter();
-        let volume = loop {
-            if let Some(b) = engine.op(0, OpKind::Backward, j) {
-                let left = match j {
-                    0 => engine.op(0, OpKind::Forward, 0),
-                    _ => engine.op(0, OpKind::Backward, j - 1),
-                };
-                let left = left.expect("precedes B(0, j) in stage 0's order");
-                break (b.start - left.end).as_secs_f64();
-            }
-            match tail.next() {
-                Some(secs) => self.push(engine, secs),
-                None => break 0.0,
-            }
+    pub fn interval(&self, e: &mut Engine, j: usize, mut tail: impl Iterator<Item = f64>) -> f64 {
+        e.mark();
+        while e.op(0, OpKind::Backward, j).is_none() {
+            let Some(secs) = tail.next() else { break };
+            e.push(self.column(secs));
+        }
+        // Interval `j` starts where forward 0 (`j = 0`) or backward `j − 1` ends.
+        let left = match j {
+            0 => e.op(0, OpKind::Forward, 0),
+            _ => e.op(0, OpKind::Backward, j - 1),
         };
-        engine.rollback();
-        volume
+        let volume = e.op(0, OpKind::Backward, j).zip(left);
+        e.rollback();
+        volume.map_or(0.0, |(b, a)| (b.start - a.end).as_secs_f64())
     }
 }
 
@@ -162,11 +137,8 @@ impl InterReorderConfig {
 /// should be filled with an estimate (Algorithm 2 passes the mean of the
 /// remaining pool). Only positions `0..=j+p·vpp−1` are read.
 pub fn get_interval(cfg: &InterReorderConfig, stage0_fwd: &[f64], j: usize) -> f64 {
-    cfg.interval(
-        &mut cfg.engine(stage0_fwd.len()),
-        j,
-        stage0_fwd.iter().copied(),
-    )
+    let mut engine = cfg.engine(stage0_fwd.len());
+    cfg.interval(&mut engine, j, stage0_fwd.iter().copied())
 }
 
 /// Algorithm 2: reorder the `mb_fwd` stage-0 forward times of one DP rank's
@@ -185,12 +157,10 @@ fn take_min(pool: &mut Vec<usize>, key: impl Fn(usize) -> f64) -> Option<usize> 
     Some(pool.swap_remove(k))
 }
 
-/// Algorithm 2 over many DP ranks of one pipeline shape: one [`Engine`]
-/// is reset for each rank, so a global batch of equal-length ranks builds
-/// its 1F1B order tables once.
+/// Algorithm 2 over many DP ranks of one pipeline shape, on one [`Engine`]
+/// reset per rank (equal-length ranks build its order tables once).
 pub struct InterReorder<'c> {
     cfg: &'c InterReorderConfig,
-    spec: PipelineSpec,
     engine: Engine,
 }
 
@@ -199,7 +169,6 @@ impl<'c> InterReorder<'c> {
     pub fn new(cfg: &'c InterReorderConfig) -> Self {
         InterReorder {
             cfg,
-            spec: cfg.spec(),
             engine: Engine::default(),
         }
     }
@@ -220,12 +189,12 @@ impl<'c> InterReorder<'c> {
         // The engine mirrors the chosen prefix `ret`: every placement is
         // pushed into it once.
         let engine = &mut self.engine;
-        engine.reset(&self.spec, p, l);
+        engine.reset(&cfg.pipeline(&[]).0, p, l);
         let mut ret = Vec::with_capacity(l);
 
         // Line 3: smallest first.
         if let Some(first) = take_min(&mut pool, |i| mb_fwd[i]) {
-            cfg.push(engine, mb_fwd[first]);
+            engine.push(cfg.column(mb_fwd[first]));
             ret.push(first);
         }
         // Line 4: reserve the p−1 smallest for the rear.
@@ -261,7 +230,7 @@ impl<'c> InterReorder<'c> {
                     break;
                 };
                 sum += mb_fwd[idx];
-                cfg.push(engine, mb_fwd[idx]);
+                engine.push(cfg.column(mb_fwd[idx]));
                 ret.push(idx);
             }
         }

@@ -13,8 +13,7 @@
 //!   filled as tightly as possible: smallest microbatch first to activate
 //!   the pipeline, the `p−1` smallest last where intervals can never be
 //!   filled, and best-fit selections for the intervals in between, sized by
-//!   `GETINTERVAL` ([`inter::get_interval`]), which probes `dt-pipeline`'s
-//!   1F1B `Engine` — the same engine the runtime times each rank on.
+//!   [`inter::get_interval`] probes of `dt-pipeline`'s 1F1B `Engine`.
 //!
 //! Both passes only permute samples *within one global batch*, so they only
 //! change the order of gradient accumulation — a commutative sum — and
