@@ -166,6 +166,7 @@ fn run_1f1b_family(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_pipeline::Engine;
     use dt_reorder::inter::{inter_reorder, InterReorder};
     use dt_simengine::DetRng;
 
@@ -189,7 +190,7 @@ mod tests {
             let c = random_cfg(&mut rng);
             let l = rng.range_usize(1, 24);
             let order: Vec<f64> = (0..l).map(|_| rng.range_f64(0.0, 3.0)).collect();
-            let mut engine = c.engine(l);
+            let mut engine = Engine::new(&c.pipeline(&[]).0, c.stages.max(1), l);
             for n in 0..l {
                 for _ in 0..2 {
                     let tail: Vec<f64> = (n..l).map(|_| rng.range_f64(0.0, 3.0)).collect();

@@ -98,7 +98,7 @@ pub struct Engine {
     gpipe: bool,
     /// `[s·2l + q]`: op `q` of stage `s`'s [`Schedule::stage_order`].
     order: Vec<(OpKind, usize)>,
-    /// `[s·l + i][kind]`: op `kind` of microbatch `i` on stage `s`.
+    /// `[i·P + s][kind]`: op `kind` of microbatch `i` on stage `s`.
     ops: Vec<[Op; 2]>,
     /// `comm[s]`: the hop after virtual stage `s`.
     comm: Vec<SimDuration>,
@@ -150,16 +150,17 @@ impl Engine {
         let gpipe = spec.schedule == Schedule::GPipe;
         if (n, l, gpipe) != (self.stages, self.l, self.gpipe) {
             // Interleaved runs 1F1B's order, so only GPipe keys the tables.
-            let order = (0..n).flat_map(|s| spec.schedule.stage_order(s, n, l));
-            self.order = order
-                .map(|op| match op {
-                    StageOp::Fwd(i) => (OpKind::Forward, i),
-                    StageOp::Bwd(i) => (OpKind::Backward, i),
-                })
-                .collect();
+            self.order.clear();
             self.ops = vec![[Op::default(); 2]; n * l];
-            for (q, &(kind, i)) in self.order.iter().enumerate() {
-                self.ops[q / (2 * l) * l + i][kind as usize].pos = q % (2 * l);
+            for s in 0..n {
+                for (q, op) in spec.schedule.stage_order(s, n, l).into_iter().enumerate() {
+                    let (kind, i) = match op {
+                        StageOp::Fwd(i) => (OpKind::Forward, i),
+                        StageOp::Bwd(i) => (OpKind::Backward, i),
+                    };
+                    self.ops[i * n + s][kind as usize].pos = q;
+                    self.order.push((kind, i));
+                }
             }
             (self.stages, self.l, self.gpipe) = (n, l, gpipe);
         }
@@ -191,13 +192,16 @@ impl Engine {
     /// Append the next microbatch as each physical stage's `(forward,
     /// backward)` durations, and run every op that becomes ready.
     pub fn push(&mut self, column: impl IntoIterator<Item = (SimDuration, SimDuration)>) {
-        let (i, l) = (self.pushed, self.l);
-        assert!(i < l, "more microbatches pushed than reset for");
-        for (s, (f, b)) in column.into_iter().enumerate() {
-            for v in (s..self.stages).step_by(self.phys) {
-                let [fwd, bwd] = &mut self.ops[v * l + i];
-                (fwd.dur, bwd.dur) = (f / self.vpp, b / self.vpp);
-            }
+        let (i, n, vpp) = (self.pushed, self.stages, self.vpp);
+        assert!(i < self.l, "more microbatches pushed than reset for");
+        let row = &mut self.ops[i * n..][..n];
+        for ([fwd, bwd], (f, b)) in row.iter_mut().zip(column) {
+            (fwd.dur, bwd.dur) = if vpp > 1 { (f / vpp, b / vpp) } else { (f, b) };
+        }
+        // Virtual stage `v ≥ p` is a later chunk of stage `v − p`.
+        for v in self.phys..n {
+            let [f, b] = row[v - self.phys];
+            (row[v][0].dur, row[v][1].dur) = (f.dur, b.dur);
         }
         self.pushed += 1;
         self.ready.extend((self.stages > 0).then_some(0));
@@ -211,18 +215,18 @@ impl Engine {
 
     /// Run stage `s`'s ops until one waits; whether any ran.
     fn drain(&mut self, s: usize) -> bool {
-        let (l, pc) = (self.l, self.now[s].pc);
+        let (n, l, pc) = (self.stages, self.l, self.now[s].pc);
         while self.now[s].pc < 2 * l {
             let (kind, i) = self.order[2 * s * l + self.now[s].pc];
             let dep = match kind {
                 OpKind::Forward if s == 0 => (i < self.pushed).then_some(SimTime::ZERO),
                 OpKind::Forward => self.end(s - 1, kind, i).map(|t| t + self.comm[s - 1]),
                 // The last stage's own forward ran earlier in its order.
-                OpKind::Backward if s + 1 == self.stages => self.end(s, OpKind::Forward, i),
+                OpKind::Backward if s + 1 == n => self.end(s, OpKind::Forward, i),
                 OpKind::Backward => self.end(s + 1, kind, i).map(|t| t + self.comm[s]),
             };
             let Some(dep) = dep else { break };
-            let (op, at) = (&mut self.ops[s * l + i][kind as usize], &mut self.now[s]);
+            let (op, at) = (&mut self.ops[i * n + s][kind as usize], &mut self.now[s]);
             op.start = at.avail.max(dep);
             (at.avail, at.busy, at.pc) = (op.start + op.dur, at.busy + op.dur, at.pc + 1);
         }
@@ -231,7 +235,7 @@ impl Engine {
 
     /// End time of op `kind` of microbatch `i` on stage `s`, if it ran.
     fn end(&self, s: usize, kind: OpKind, i: usize) -> Option<SimTime> {
-        let op = self.ops[s * self.l + i][kind as usize];
+        let op = self.ops[i * self.stages + s][kind as usize];
         (self.now[s].pc > op.pos).then_some(op.start + op.dur)
     }
 
@@ -252,11 +256,6 @@ impl Engine {
         self.now.iter().map(|f| f.avail).max().unwrap_or_default() - SimTime::ZERO
     }
 
-    /// Busy time of (virtual) stage `s` so far.
-    pub fn busy(&self, s: usize) -> SimDuration {
-        self.now[s].busy
-    }
-
     /// [`PipelineResult::mean_bubble_fraction`] of the ops run so far.
     pub fn mean_bubble_fraction(&self) -> f64 {
         bubble_fraction(self.now.iter().map(|f| f.busy), self.makespan())
@@ -266,7 +265,7 @@ impl Engine {
     pub fn op(&self, stage: usize, kind: OpKind, microbatch: usize) -> Option<OpRecord> {
         let valid = stage < self.stages && microbatch < self.l;
         let end = valid.then(|| self.end(stage, kind, microbatch))??;
-        let start = self.ops[stage * self.l + microbatch][kind as usize].start;
+        let start = self.ops[microbatch * self.stages + stage][kind as usize].start;
         Some(OpRecord {
             stage,
             microbatch,
@@ -279,7 +278,7 @@ impl Engine {
     /// The ops run so far as a [`PipelineResult`]: stage-major, each
     /// stage's ops in its [`Schedule::stage_order`].
     pub fn result(&self) -> PipelineResult {
-        let mut timeline = Vec::new();
+        let mut timeline = Vec::with_capacity(2 * self.stages * self.l);
         for s in 0..self.stages {
             let ran = &self.order[2 * s * self.l..][..self.now[s].pc];
             timeline.extend(ran.iter().filter_map(|&(kind, i)| self.op(s, kind, i)));

@@ -95,11 +95,6 @@ impl InterReorderConfig {
         std::iter::once(stage0).chain(std::iter::repeat_n(uniform, self.stages.max(1) - 1))
     }
 
-    /// An [`Engine`] over the proxy pipeline, reset for `l` microbatches.
-    pub fn engine(&self, l: usize) -> Engine {
-        Engine::new(&self.pipeline(&[]).0, self.stages.max(1), l)
-    }
-
     /// `GETINTERVAL` on an engine holding committed positions: the volume
     /// of stage-0 interval `j` (see [`get_interval`]) when `tail` follows
     /// them. Pushes only as much of `tail` as interval `j` depends on, then
@@ -137,7 +132,7 @@ impl InterReorderConfig {
 /// should be filled with an estimate (Algorithm 2 passes the mean of the
 /// remaining pool). Only positions `0..=j+p·vpp−1` are read.
 pub fn get_interval(cfg: &InterReorderConfig, stage0_fwd: &[f64], j: usize) -> f64 {
-    let mut engine = cfg.engine(stage0_fwd.len());
+    let mut engine = Engine::new(&cfg.pipeline(&[]).0, cfg.stages.max(1), stage0_fwd.len());
     cfg.interval(&mut engine, j, stage0_fwd.iter().copied())
 }
 
