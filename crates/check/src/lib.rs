@@ -16,7 +16,7 @@
 //!   runner, and a shrinker that minimizes any failure by size then seed
 //!   and prints a one-line reproducer
 //!   (`repro check --prop <name> --seed <s> --size <k>`).
-//! - [`reference`] — the event simulator the 1F1B engine replaced.
+//! - [`reference`](mod@reference) — the event simulator the 1F1B engine replaced.
 //! - [`oracles`] — the registry of cross-crate checks, exposed to the
 //!   CLI as `repro check [--seeds N] [--prop NAME]` and gated in
 //!   `scripts/verify.sh`.
