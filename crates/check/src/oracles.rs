@@ -20,7 +20,7 @@ use dt_orchestrator::{Orchestrator, PerfModel, Profiler, SearchMode};
 use dt_parallel::OrchestrationPlan;
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::sim::homogeneous_1f1b_makespan;
-use dt_pipeline::{simulate, Engine, OpRecord, PipelineResult, PipelineSpec, Schedule, Workload};
+use dt_pipeline::{simulate, Engine, PipelineSpec, Schedule, Workload};
 use dt_preprocess::wire::{BatchHeader, Request};
 use dt_preprocess::{Consumer, Preprocess};
 use dt_reorder::{
@@ -298,18 +298,17 @@ fn engine_vs_reference(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         format!("{case}: probed engine differs from a replay of {commits} commits")
     })?;
     (commits..l).for_each(|i| engine.push(column(i)));
-    let (want, got) = (reference::simulate(&spec, &w), engine.result());
-    let same = |op: &OpRecord| engine.op(op.stage, op.kind, op.microbatch) == Some(*op);
-    let shape = |r: &PipelineResult| (r.stages, r.makespan, r.timeline.len());
-    let bubble = engine.mean_bubble_fraction().to_bits() == want.mean_bubble_fraction().to_bits();
-    ensure(
-        bubble && shape(&got) == shape(&want) && want.timeline.iter().all(same),
-        || format!("{case}: engine differs from the reference"),
-    )?;
-    ensure(
-        format!("{got:?}") == format!("{:?}", simulate(&spec, &w)),
-        || format!("{case}: simulate differs from the engine"),
-    )
+    // A stable sort by stage gives the engine's stage-major timeline order.
+    let mut want = reference::simulate(&spec, &w);
+    want.timeline.sort_by_key(|op| op.stage);
+    let want = format!("{want:?} {:?}", want.mean_bubble_fraction());
+    ensure(state(&engine) == want, || {
+        format!("{case}: engine differs from the reference")
+    })?;
+    let got = format!("{:?}", engine.result());
+    ensure(got == format!("{:?}", simulate(&spec, &w)), || {
+        format!("{case}: simulate differs from the engine")
+    })
 }
 
 /// Exact optimum of the equal-count multiway partition by exhaustive

@@ -167,7 +167,6 @@ fn run_1f1b_family(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
 mod tests {
     use super::*;
     use dt_pipeline::Engine;
-    use dt_reorder::inter::{inter_reorder, InterReorder};
     use dt_simengine::DetRng;
 
     fn random_cfg(rng: &mut DetRng) -> InterReorderConfig {
@@ -201,27 +200,6 @@ mod tests {
                     assert_eq!(got, reference[j], "seed {seed} {c:?} l={l} n={n} j={j}");
                 }
                 engine.push(c.column(order[n]));
-            }
-        }
-    }
-
-    /// One `InterReorder` serving many ranks — the planner's usage, with
-    /// the engine reset between them, including across rank lengths —
-    /// places exactly what a fresh one per rank places.
-    #[test]
-    fn a_reused_evaluator_matches_a_fresh_one() {
-        for seed in 0u64..100 {
-            let mut rng = DetRng::new(seed);
-            let c = random_cfg(&mut rng);
-            let mut reused = InterReorder::new(&c);
-            for rank in 0..6 {
-                let l = rng.range_usize(1, 30);
-                let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 0.8)).collect();
-                assert_eq!(
-                    reused.order(&times),
-                    inter_reorder(&c, &times),
-                    "seed {seed} rank {rank} {c:?} l={l}"
-                );
             }
         }
     }

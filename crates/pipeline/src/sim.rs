@@ -168,12 +168,10 @@ impl Engine {
         // Virtual boundary `v` is physical boundary `v % p`, or the last
         // one where it wraps around to stage 0.
         let hop = |v: usize| match v % p + 1 < p {
-            true => spec.comm.get(v % p),
-            false => spec.comm.last(),
+            true => spec.comm.get(v % p).copied(),
+            false => spec.comm.last().copied(),
         };
-        self.comm = (1..n)
-            .map(|v| hop(v - 1).copied().unwrap_or_default())
-            .collect();
+        self.comm = (1..n).map(|v| hop(v - 1).unwrap_or_default()).collect();
         self.now = vec![Frontier::default(); n];
         self.mark();
     }
@@ -189,15 +187,17 @@ impl Engine {
         self
     }
 
-    /// Append the next microbatch as each physical stage's `(forward,
-    /// backward)` durations, and run every op that becomes ready.
+    /// Append the next microbatch as one `(forward, backward)` pair per
+    /// physical stage, and run every op that becomes ready.
     pub fn push(&mut self, column: impl IntoIterator<Item = (SimDuration, SimDuration)>) {
         let (i, n, vpp) = (self.pushed, self.stages, self.vpp);
         assert!(i < self.l, "more microbatches pushed than reset for");
-        let row = &mut self.ops[i * n..][..n];
-        for ([fwd, bwd], (f, b)) in row.iter_mut().zip(column) {
+        let (row, mut column) = (&mut self.ops[i * n..][..n], column.into_iter());
+        for [fwd, bwd] in &mut row[..self.phys] {
+            let (f, b) = column.next().expect("one column entry per stage");
             (fwd.dur, bwd.dur) = if vpp > 1 { (f / vpp, b / vpp) } else { (f, b) };
         }
+        assert!(column.next().is_none(), "one column entry per stage");
         // Virtual stage `v ≥ p` is a later chunk of stage `v − p`.
         for v in self.phys..n {
             let [f, b] = row[v - self.phys];
@@ -422,6 +422,22 @@ mod tests {
         engine.run(&spec, &w);
         let f0 = engine.op(3, OpKind::Forward, 0).expect("every op ran");
         assert_eq!(f0.end.as_nanos(), 400); // 4 stages × 100ns fwd
+    }
+
+    /// A short column would leave the missing stages with the durations of
+    /// an earlier rolled-back probe or rank; `push` rejects it instead.
+    #[test]
+    #[should_panic(expected = "one column entry per stage")]
+    fn push_rejects_a_short_column() {
+        let (spec, _) = uniform(3, 4, 100, 200);
+        Engine::new(&spec, 3, 4).push([(d(100), d(200)); 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one column entry per stage")]
+    fn push_rejects_a_long_column() {
+        let (spec, _) = uniform(3, 4, 100, 200);
+        Engine::new(&spec, 3, 4).push([(d(100), d(200)); 4]);
     }
 
     /// Regression: an interleaved pipeline with no stages underflowed the

@@ -69,20 +69,18 @@ impl InterReorderConfig {
     /// `vpp > 1`. [`simulated_makespan`] runs it.
     pub fn pipeline(&self, stage0_fwd: &[f64]) -> (PipelineSpec, Workload) {
         let p = self.stages.max(1);
-        let mut w = Workload {
-            fwd: vec![Vec::with_capacity(stage0_fwd.len()); p],
-            bwd: vec![Vec::with_capacity(stage0_fwd.len()); p],
-        };
+        let (mut fwd, mut bwd) = (vec![Vec::new(); p], vec![Vec::new(); p]);
         for &t in stage0_fwd {
             for (s, (f, b)) in self.column(t).enumerate() {
-                w.fwd[s].push(f);
-                w.bwd[s].push(b);
+                fwd[s].push(f);
+                bwd[s].push(b);
             }
         }
         let schedule = match self.vpp {
             0 | 1 => Schedule::OneFOneB,
             vpp => Schedule::Interleaved { vpp },
         };
+        let w = Workload { fwd, bwd };
         (PipelineSpec::uniform(schedule, p, SimDuration::ZERO), w)
     }
 
@@ -154,14 +152,14 @@ fn take_min(pool: &mut Vec<usize>, key: impl Fn(usize) -> f64) -> Option<usize> 
 
 /// Algorithm 2 over many DP ranks of one pipeline shape, on one [`Engine`]
 /// reset per rank (equal-length ranks build its order tables once).
-pub struct InterReorder<'c> {
+pub(crate) struct InterReorder<'c> {
     cfg: &'c InterReorderConfig,
     engine: Engine,
 }
 
 impl<'c> InterReorder<'c> {
     /// Algorithm 2 for the pipeline shape `cfg`.
-    pub fn new(cfg: &'c InterReorderConfig) -> Self {
+    pub(crate) fn new(cfg: &'c InterReorderConfig) -> Self {
         InterReorder {
             cfg,
             engine: Engine::default(),
@@ -169,7 +167,7 @@ impl<'c> InterReorder<'c> {
     }
 
     /// [`inter_reorder`] of one rank's stage-0 forward times.
-    pub fn order(&mut self, mb_fwd: &[f64]) -> Vec<usize> {
+    pub(crate) fn order(&mut self, mb_fwd: &[f64]) -> Vec<usize> {
         let cfg = self.cfg;
         let l = mb_fwd.len();
         let p = cfg.stages;
@@ -350,6 +348,37 @@ mod tests {
         // p=4 uniform stages it must hold roughly the p−1 warm-up forwards.
         let v = get_interval(&cfg(4), &[1.0; 10], 0);
         assert!(v >= 3.0, "first interval {v} too small");
+    }
+
+    fn random_cfg(rng: &mut DetRng) -> InterReorderConfig {
+        InterReorderConfig {
+            stages: rng.range_usize(1, 9),
+            uniform_fwd: rng.range_f64(0.0, 2.0),
+            uniform_bwd: rng.range_f64(0.0, 4.0),
+            stage0_bwd_factor: [0.0, 1.0, 2.0][rng.range_usize(0, 3)],
+            vpp: rng.range_usize(1, 4) as u32,
+        }
+    }
+
+    /// One `InterReorder` serving many ranks — the planner's usage, with
+    /// the engine reset between them, including across rank lengths —
+    /// places exactly what a fresh one per rank places.
+    #[test]
+    fn a_reused_evaluator_matches_a_fresh_one() {
+        for seed in 0u64..100 {
+            let mut rng = DetRng::new(seed);
+            let c = random_cfg(&mut rng);
+            let mut reused = InterReorder::new(&c);
+            for rank in 0..6 {
+                let l = rng.range_usize(1, 30);
+                let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 0.8)).collect();
+                assert_eq!(
+                    reused.order(&times),
+                    inter_reorder(&c, &times),
+                    "seed {seed} rank {rank} {c:?} l={l}"
+                );
+            }
+        }
     }
 
     /// Convergence-semantics invariant: always a permutation
