@@ -82,7 +82,10 @@ pub struct Deadline {
 impl Deadline {
     /// Start the clock with an optional budget.
     pub fn start(budget: Option<Duration>) -> Deadline {
-        Deadline { started: Instant::now(), budget }
+        Deadline {
+            started: Instant::now(),
+            budget,
+        }
     }
 
     /// An unbounded deadline (never expires).
@@ -92,7 +95,8 @@ impl Deadline {
 
     /// Time left, or `None` when unbounded. `Some(ZERO)` means spent.
     pub fn remaining(&self) -> Option<Duration> {
-        self.budget.map(|b| b.saturating_sub(self.started.elapsed()))
+        self.budget
+            .map(|b| b.saturating_sub(self.started.elapsed()))
     }
 
     /// Time left, with `default` standing in for an unbounded deadline —
@@ -100,7 +104,9 @@ impl Deadline {
     pub fn remaining_or(&self, default: Duration) -> Option<Duration> {
         match self.budget {
             None => Some(default),
-            Some(b) => b.checked_sub(self.started.elapsed()).filter(|d| !d.is_zero()),
+            Some(b) => b
+                .checked_sub(self.started.elapsed())
+                .filter(|d| !d.is_zero()),
         }
     }
 
@@ -137,17 +143,29 @@ mod tests {
         for (k, d) in a.iter().enumerate() {
             let cap = (0.010 * 2f64.powi(k as i32)).min(0.200);
             let secs = d.as_secs_f64();
-            assert!(secs >= cap * 0.5 - 1e-9 && secs < cap, "sleep {k} = {secs}s outside window");
+            assert!(
+                secs >= cap * 0.5 - 1e-9 && secs < cap,
+                "sleep {k} = {secs}s outside window"
+            );
         }
-        let other = BackoffPolicy { seed: 100, ..policy };
+        let other = BackoffPolicy {
+            seed: 100,
+            ..policy
+        };
         assert_ne!(other.schedule(), a, "different seeds decorrelate");
     }
 
     #[test]
     fn single_attempt_policy_never_sleeps() {
-        let policy = BackoffPolicy { max_attempts: 1, ..BackoffPolicy::default() };
+        let policy = BackoffPolicy {
+            max_attempts: 1,
+            ..BackoffPolicy::default()
+        };
         assert!(policy.schedule().is_empty());
-        let policy = BackoffPolicy { max_attempts: 0, ..BackoffPolicy::default() };
+        let policy = BackoffPolicy {
+            max_attempts: 0,
+            ..BackoffPolicy::default()
+        };
         assert!(policy.schedule().is_empty());
     }
 
@@ -156,7 +174,10 @@ mod tests {
         let d = Deadline::unbounded();
         assert!(d.remaining().is_none());
         assert!(d.allows_sleep(Duration::from_secs(3600)));
-        assert_eq!(d.remaining_or(Duration::from_secs(7)), Some(Duration::from_secs(7)));
+        assert_eq!(
+            d.remaining_or(Duration::from_secs(7)),
+            Some(Duration::from_secs(7))
+        );
     }
 
     #[test]
@@ -167,8 +188,15 @@ mod tests {
         let r = d.remaining().expect("bounded");
         assert!(r <= Duration::from_millis(40));
         std::thread::sleep(Duration::from_millis(45));
-        assert_eq!(d.remaining(), Some(Duration::ZERO), "spent budget saturates at zero");
-        assert!(d.remaining_or(Duration::from_secs(1)).is_none(), "spent budget yields None");
+        assert_eq!(
+            d.remaining(),
+            Some(Duration::ZERO),
+            "spent budget saturates at zero"
+        );
+        assert!(
+            d.remaining_or(Duration::from_secs(1)).is_none(),
+            "spent budget yields None"
+        );
         assert!(!d.allows_sleep(Duration::ZERO));
     }
 }

@@ -107,7 +107,10 @@ fn write_all_slices(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Res
     while !bufs.is_empty() {
         match w.write_vectored(bufs) {
             Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::WriteZero, "vectored write stalled"))
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "vectored write stalled",
+                ))
             }
             Ok(n) => IoSlice::advance_slices(&mut bufs, n),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -130,7 +133,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     r.read_exact(&mut head)?;
     let len = u32::from_le_bytes(head);
     if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "oversized frame",
+        ));
     }
     read_payload(r, len as usize)
 }
@@ -160,7 +166,10 @@ pub fn write_frame_ctx(
     payload: &[u8],
 ) -> io::Result<()> {
     let (head, head_len) = frame_head(ctx, payload.len())?;
-    write_all_slices(w, &mut [IoSlice::new(&head[..head_len]), IoSlice::new(payload)])?;
+    write_all_slices(
+        w,
+        &mut [IoSlice::new(&head[..head_len]), IoSlice::new(payload)],
+    )?;
     w.flush()
 }
 
@@ -176,22 +185,25 @@ pub fn write_frame_ctx(
 /// and never more than [`MAX_FRAME`]) is `InvalidData` before any payload
 /// byte is read. Bulk readers pass [`MAX_FRAME`]; request readers pass
 /// [`MAX_CONTROL_FRAME`].
-pub fn read_frame_ctx(
-    r: &mut impl Read,
-    max: u32,
-) -> io::Result<(Option<TraceContext>, Vec<u8>)> {
+pub fn read_frame_ctx(r: &mut impl Read, max: u32) -> io::Result<(Option<TraceContext>, Vec<u8>)> {
     let mut head = [0u8; 4];
     r.read_exact(&mut head)?;
     let word = u32::from_le_bytes(head);
     let len = word & !TRACE_FLAG;
     if len > max.min(MAX_FRAME) {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "oversized frame",
+        ));
     }
     if word & TRACE_FLAG == 0 {
         return Ok((None, read_payload(r, len as usize)?));
     }
     if (len as usize) < TRACE_CONTEXT_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated trace context"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "truncated trace context",
+        ));
     }
     let mut ctx_bytes = [0u8; TRACE_CONTEXT_LEN];
     r.read_exact(&mut ctx_bytes)?;
@@ -347,7 +359,10 @@ mod tests {
         let mut reference = Vec::new();
         write_frame(&mut reference, header).unwrap();
         write_frame(&mut reference, &chunks.concat()).unwrap();
-        assert_eq!(coalesced, reference, "coalescing must not change the wire bytes");
+        assert_eq!(
+            coalesced, reference,
+            "coalescing must not change the wire bytes"
+        );
         // And it reads back as two ordinary frames.
         let mut cur = Cursor::new(coalesced);
         assert_eq!(read_frame(&mut cur).unwrap(), header);
@@ -385,11 +400,18 @@ mod tests {
     fn vectored_write_survives_partial_writes() {
         let parts: [&[u8]; 4] = [b"alpha", b"", b"beta", b"gamma!"];
         for limit in [1usize, 2, 3, 7, 100] {
-            let mut w = Dribble { out: Vec::new(), limit };
+            let mut w = Dribble {
+                out: Vec::new(),
+                limit,
+            };
             write_batch_frames(&mut w, b"hdr", &parts).unwrap();
             let mut cur = Cursor::new(w.out);
             assert_eq!(read_frame(&mut cur).unwrap(), b"hdr", "limit {limit}");
-            assert_eq!(read_frame(&mut cur).unwrap(), b"alphabetagamma!", "limit {limit}");
+            assert_eq!(
+                read_frame(&mut cur).unwrap(),
+                b"alphabetagamma!",
+                "limit {limit}"
+            );
         }
     }
 
@@ -447,13 +469,20 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_ctx(&mut buf, Some(&ctx()), &[7u8; 100]).unwrap();
         let (got, payload) = read_frame_ctx(&mut Cursor::new(&buf), 116).unwrap();
-        assert_eq!((got, payload.len()), (Some(ctx()), 100), "the cap counts the context");
+        assert_eq!(
+            (got, payload.len()),
+            (Some(ctx()), 100),
+            "the cap counts the context"
+        );
         let err = read_frame_ctx(&mut Cursor::new(&buf), 115).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     fn ctx() -> TraceContext {
-        TraceContext { trace_id: 0x1234_5678_9ABC_DEF0, parent_span: 0x42 }
+        TraceContext {
+            trace_id: 0x1234_5678_9ABC_DEF0,
+            parent_span: 0x42,
+        }
     }
 
     /// The full traced↔untraced peer matrix at the codec level.
@@ -551,14 +580,24 @@ mod tests {
                 Json::obj(vec![("v", Json::num_u64(self.0))])
             }
             fn from_json(value: &Json) -> Result<Self, String> {
-                value.get("v").and_then(Json::as_u64).map(Msg).ok_or("bad".into())
+                value
+                    .get("v")
+                    .and_then(Json::as_u64)
+                    .map(Msg)
+                    .ok_or("bad".into())
             }
         }
         let mut buf = Vec::new();
         write_json_ctx(&mut buf, Some(&ctx()), &Msg(7)).unwrap();
         write_json_ctx(&mut buf, None, &Msg(9)).unwrap();
         let mut cur = Cursor::new(buf);
-        assert_eq!(read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(), (Some(ctx()), Msg(7)));
-        assert_eq!(read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(), (None, Msg(9)));
+        assert_eq!(
+            read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(),
+            (Some(ctx()), Msg(7))
+        );
+        assert_eq!(
+            read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(),
+            (None, Msg(9))
+        );
     }
 }

@@ -62,7 +62,10 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parse a complete JSON document; trailing non-whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -162,7 +165,12 @@ impl Json {
 
     /// Build an object from key/value pairs.
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// A number from a `u64` (exact for values below 2^53).
@@ -231,7 +239,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> JsonError {
-        JsonError { msg: msg.to_string(), offset: self.pos }
+        JsonError {
+            msg: msg.to_string(),
+            offset: self.pos,
+        }
     }
 
     fn skip_ws(&mut self) {
@@ -365,7 +376,10 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 character (input is a valid &str).
                     let rest = &self.bytes[self.pos..];
                     let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
+                    let c = s
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -426,7 +440,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("invalid number"))
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| self.err("invalid number"))
     }
 }
 

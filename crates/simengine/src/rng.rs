@@ -253,7 +253,10 @@ mod tests {
             seen[(v / 10 - 1) as usize] = true;
             assert!(items.contains(&v));
         }
-        assert!(seen.iter().all(|&s| s), "200 draws should hit all 3 elements");
+        assert!(
+            seen.iter().all(|&s| s),
+            "200 draws should hit all 3 elements"
+        );
     }
 
     #[test]
@@ -262,7 +265,10 @@ mod tests {
         let b = DetRng::new(31).bytes(64);
         assert_eq!(a.len(), 64);
         assert_eq!(a, b);
-        assert!(a.iter().any(|&x| x != a[0]), "64 bytes should not be constant");
+        assert!(
+            a.iter().any(|&x| x != a[0]),
+            "64 bytes should not be constant"
+        );
     }
 
     #[test]
@@ -273,6 +279,10 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "50 elements should not shuffle to identity");
+        assert_ne!(
+            v,
+            (0..50).collect::<Vec<_>>(),
+            "50 elements should not shuffle to identity"
+        );
     }
 }

@@ -229,7 +229,10 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(1.5e-9).as_nanos(), 2);
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY).as_nanos(), u64::MAX);
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::INFINITY).as_nanos(),
+            u64::MAX
+        );
     }
 
     #[test]

@@ -131,7 +131,10 @@ impl TraceContext {
         while trace_id == 0 {
             trace_id = rng.next_u64();
         }
-        TraceContext { trace_id, parent_span: 0 }
+        TraceContext {
+            trace_id,
+            parent_span: 0,
+        }
     }
 
     /// Deterministic id for the `seq`-th span opened under this context:
@@ -146,14 +149,24 @@ impl TraceContext {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         let id = z ^ (z >> 31);
-        if id == 0 { 1 } else { id }
+        if id == 0 {
+            1
+        } else {
+            id
+        }
     }
 
     /// Open the `seq`-th child span: returns its id plus the context to
     /// hand to work done on its behalf (same trace, this span as parent).
     pub fn child(&self, seq: u64) -> (u64, TraceContext) {
         let id = self.span_id(seq);
-        (id, TraceContext { trace_id: self.trace_id, parent_span: id })
+        (
+            id,
+            TraceContext {
+                trace_id: self.trace_id,
+                parent_span: id,
+            },
+        )
     }
 
     /// Fixed-size little-endian wire encoding (trace id, then parent).
@@ -176,7 +189,10 @@ impl TraceContext {
         if trace_id == 0 {
             return None;
         }
-        Some(TraceContext { trace_id, parent_span })
+        Some(TraceContext {
+            trace_id,
+            parent_span,
+        })
     }
 }
 
@@ -210,7 +226,15 @@ impl TraceSpan {
         start: SimTime,
         dur: SimDuration,
     ) -> Self {
-        TraceSpan { name: name.into(), cat, pid, tid, start, dur, args: Vec::new() }
+        TraceSpan {
+            name: name.into(),
+            cat,
+            pid,
+            tid,
+            start,
+            dur,
+            args: Vec::new(),
+        }
     }
 
     /// Attach an annotation (builder style).
@@ -229,7 +253,10 @@ impl TraceSpan {
 
     /// The hex trace id riding in this span's args, if any.
     pub fn trace_arg(&self) -> Option<&str> {
-        self.args.iter().find(|(k, _)| *k == arg::TRACE).map(|(_, v)| v.as_str())
+        self.args
+            .iter()
+            .find(|(k, _)| *k == arg::TRACE)
+            .map(|(_, v)| v.as_str())
     }
 
     /// End instant.
@@ -250,12 +277,18 @@ impl TraceRecorder {
     /// free: no buffer exists and [`record_with`](Self::record_with) never
     /// runs its closure.
     pub fn disabled() -> Self {
-        TraceRecorder { spans: None, origin: SimTime::ZERO }
+        TraceRecorder {
+            spans: None,
+            origin: SimTime::ZERO,
+        }
     }
 
     /// A recorder that keeps spans for export.
     pub fn enabled() -> Self {
-        TraceRecorder { spans: Some(Vec::new()), origin: SimTime::ZERO }
+        TraceRecorder {
+            spans: Some(Vec::new()),
+            origin: SimTime::ZERO,
+        }
     }
 
     /// `true` when spans are being kept.
@@ -344,7 +377,11 @@ impl TraceRecorder {
 
     /// Total span time of one category across the whole trace.
     pub fn category_total(&self, category: &str) -> SimDuration {
-        self.spans().iter().filter(|s| s.cat == category).map(|s| s.dur).sum()
+        self.spans()
+            .iter()
+            .filter(|s| s.cat == category)
+            .map(|s| s.dur)
+            .sum()
     }
 
     /// Sorted list of `(pid, tid)` tracks present in the trace.
@@ -360,8 +397,11 @@ impl TraceRecorder {
     /// overlap), which is what Chrome's flame view requires.
     pub fn validate_nesting(&self) -> Result<(), String> {
         for (pid, tid) in self.tracks() {
-            let mut track: Vec<&TraceSpan> =
-                self.spans().iter().filter(|s| s.pid == pid && s.tid == tid).collect();
+            let mut track: Vec<&TraceSpan> = self
+                .spans()
+                .iter()
+                .filter(|s| s.pid == pid && s.tid == tid)
+                .collect();
             track.sort_by_key(|s| (s.start, std::cmp::Reverse(s.end())));
             let mut open: Vec<&TraceSpan> = Vec::new();
             for span in track {
@@ -473,11 +513,17 @@ impl TraceRecorder {
             // clocks anyway.
             let time_ns = |exact: &str, std: &str| -> Option<u64> {
                 args.get(exact).and_then(Json::as_u64).or_else(|| {
-                    ev.get(std).and_then(Json::as_f64).map(|us| (us * 1e3).round() as u64)
+                    ev.get(std)
+                        .and_then(Json::as_f64)
+                        .map(|us| (us * 1e3).round() as u64)
                 })
             };
             let span = TraceSpan {
-                name: ev.get("name").and_then(Json::as_str).unwrap_or("").to_string(),
+                name: ev
+                    .get("name")
+                    .and_then(Json::as_str)
+                    .unwrap_or("")
+                    .to_string(),
                 cat: cat_from_str(ev.get("cat").and_then(Json::as_str).unwrap_or("")),
                 pid: field_u64("pid").ok_or("span missing pid")?,
                 tid: field_u64("tid").ok_or("span missing tid")?,
@@ -636,7 +682,9 @@ impl WallTraceSink {
     /// Drain into a plain recorder (for export alongside simulated spans).
     /// A disabled sink drains to a disabled recorder.
     pub fn into_recorder(self) -> TraceRecorder {
-        let Some(rec) = self.rec else { return TraceRecorder::disabled() };
+        let Some(rec) = self.rec else {
+            return TraceRecorder::disabled();
+        };
         match Arc::try_unwrap(rec) {
             Ok(m) => m.into_inner().unwrap_or_else(|_| TraceRecorder::enabled()),
             Err(arc) => {
@@ -761,7 +809,10 @@ mod tests {
         sink.record("fetch", cat::PRE_FETCH, 9, 0, started);
         let spans = sink.snapshot();
         assert_eq!(spans.len(), 1);
-        assert!(spans[0].dur.as_nanos() >= 1_000_000, "sleep must be visible");
+        assert!(
+            spans[0].dur.as_nanos() >= 1_000_000,
+            "sleep must be visible"
+        );
         let rec = sink.into_recorder();
         assert_eq!(rec.len(), 1);
     }
@@ -790,12 +841,19 @@ mod tests {
         let (id, child) = a.child(1);
         assert_eq!(child.trace_id, a.trace_id);
         assert_eq!(child.parent_span, id);
-        assert_ne!(child.span_id(1), a.span_id(1), "parent feeds the derivation");
+        assert_ne!(
+            child.span_id(1),
+            a.span_id(1),
+            "parent feeds the derivation"
+        );
     }
 
     #[test]
     fn context_wire_round_trips_and_rejects_garbage() {
-        let ctx = TraceContext { trace_id: 0xDEAD_BEEF_0BAD_F00D, parent_span: 42 };
+        let ctx = TraceContext {
+            trace_id: 0xDEAD_BEEF_0BAD_F00D,
+            parent_span: 42,
+        };
         let bytes = ctx.encode();
         assert_eq!(bytes.len(), TRACE_CONTEXT_LEN);
         assert_eq!(TraceContext::decode(&bytes), Some(ctx));
@@ -807,15 +865,25 @@ mod tests {
 
     #[test]
     fn chrome_json_keeps_trace_linkage_args() {
-        let ctx = TraceContext { trace_id: 0xABCD, parent_span: 0x11 };
+        let ctx = TraceContext {
+            trace_id: 0xABCD,
+            parent_span: 0x11,
+        };
         let mut rec = TraceRecorder::enabled();
-        rec.record(span(1, 1, 0, 5).with_context(&ctx, ctx.span_id(0)).with_arg("microbatch", "9"));
+        rec.record(
+            span(1, 1, 0, 5)
+                .with_context(&ctx, ctx.span_id(0))
+                .with_arg("microbatch", "9"),
+        );
         let back = TraceRecorder::from_chrome_json(&rec.to_chrome_json()).unwrap();
         let s = &back.spans()[0];
         assert_eq!(s.trace_arg(), Some(hex_id(0xABCD).as_str()));
         assert!(s.args.iter().any(|(k, _)| *k == arg::SPAN));
         assert!(s.args.iter().any(|(k, _)| *k == arg::PARENT));
-        assert!(!s.args.iter().any(|(k, _)| *k == "microbatch"), "only linkage args survive");
+        assert!(
+            !s.args.iter().any(|(k, _)| *k == "microbatch"),
+            "only linkage args survive"
+        );
     }
 
     #[test]
@@ -844,7 +912,10 @@ mod tests {
     #[test]
     fn bounded_wall_sink_evicts_and_unix_recorder_shifts() {
         let sink = WallTraceSink::new().with_capacity(3);
-        let ctx = TraceContext { trace_id: 5, parent_span: 0 };
+        let ctx = TraceContext {
+            trace_id: 5,
+            parent_span: 0,
+        };
         for i in 0..5u64 {
             sink.record_traced("s", cat::SERVE_EXEC, 1, 1, Instant::now(), Some(&ctx), i);
         }

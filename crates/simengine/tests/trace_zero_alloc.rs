@@ -57,7 +57,11 @@ fn disabled_recorder_never_allocates() {
         });
     }
     let after = allocs();
-    assert_eq!(after - before, 0, "disabled TraceRecorder::record_with must not allocate");
+    assert_eq!(
+        after - before,
+        0,
+        "disabled TraceRecorder::record_with must not allocate"
+    );
     assert!(rec.is_empty());
 }
 
@@ -86,7 +90,11 @@ fn disabled_wall_sink_record_traced_never_allocates() {
         );
     }
     let after = allocs();
-    assert_eq!(after - before, 0, "disabled WallTraceSink::record_traced must not allocate");
+    assert_eq!(
+        after - before,
+        0,
+        "disabled WallTraceSink::record_traced must not allocate"
+    );
     assert!(!sink.is_enabled());
     assert!(sink.snapshot().is_empty());
 }
@@ -111,6 +119,9 @@ fn enabled_recorder_does_allocate_as_a_sanity_check() {
         });
     }
     let after = allocs();
-    assert!(after > before, "enabled recorder must record (and thus allocate)");
+    assert!(
+        after > before,
+        "enabled recorder must record (and thus allocate)"
+    );
     assert_eq!(rec.len(), 100);
 }
