@@ -327,7 +327,9 @@ impl OnlineAnomalyDetector {
         self.mfu.push(mfu);
         self.stalls.push(stall);
         let newest = self.iter_times.len() - 1;
-        let mut out = self.detector.scan(&self.iter_times, &self.mfu, &self.stalls);
+        let mut out = self
+            .detector
+            .scan(&self.iter_times, &self.mfu, &self.stalls);
         out.retain(|a| a.end_index == newest);
         for a in &mut out {
             a.start_index += self.offset;
@@ -370,8 +372,9 @@ mod tests {
         let d = AnomalyDetector::default();
         // ±1% jitter around 1.0 — the relative-excess guard must hold even
         // though MAD is tiny.
-        let jitter: Vec<f64> =
-            (0..32).map(|i| 1.0 + 0.01 * ((i % 3) as f64 - 1.0)).collect();
+        let jitter: Vec<f64> = (0..32)
+            .map(|i| 1.0 + 0.01 * ((i % 3) as f64 - 1.0))
+            .collect();
         assert!(d.stragglers(&jitter).is_empty());
     }
 
@@ -447,7 +450,7 @@ mod tests {
     #[test]
     fn window_shorter_than_min_history_is_never_judged() {
         let d = AnomalyDetector::default(); // min_history = 3
-        // Two points of history: even an outrageous spike has no baseline.
+                                            // Two points of history: even an outrageous spike has no baseline.
         assert!(d.stragglers(&[1.0, 1.0, 100.0]).is_empty());
         assert!(d.mfu_regressions(&[0.5, 0.5, 0.01]).is_empty());
         assert!(d.stall_bursts(&[0.0, 0.0, 9.0]).is_empty());

@@ -81,7 +81,10 @@ impl FlightDump {
         Json::obj(vec![
             ("session", Json::Str(self.session.clone())),
             ("reason", Json::Str(self.reason.clone())),
-            ("events", Json::Arr(self.events.iter().map(FlightEvent::to_json).collect())),
+            (
+                "events",
+                Json::Arr(self.events.iter().map(FlightEvent::to_json).collect()),
+            ),
         ])
     }
 }
@@ -167,7 +170,9 @@ impl FlightLog {
 
     /// Dumps ever pushed, including evicted ones.
     pub fn dumps_total(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.dumps_total.load(Ordering::Relaxed))
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.dumps_total.load(Ordering::Relaxed))
     }
 
     /// Encode the whole log for the `/flight` endpoint:
@@ -175,7 +180,10 @@ impl FlightLog {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("dumps_total", Json::num_u64(self.dumps_total())),
-            ("dumps", Json::Arr(self.dumps().iter().map(FlightDump::to_json).collect())),
+            (
+                "dumps",
+                Json::Arr(self.dumps().iter().map(FlightDump::to_json).collect()),
+            ),
         ])
     }
 
@@ -229,7 +237,10 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder that drops everything at zero cost.
     pub fn disabled() -> FlightRecorder {
-        FlightRecorder { log: FlightLog::disabled(), inner: None }
+        FlightRecorder {
+            log: FlightLog::disabled(),
+            inner: None,
+        }
     }
 
     /// `true` when events are being kept.
@@ -247,7 +258,12 @@ impl FlightRecorder {
         if rec.ring.len() == rec.capacity {
             rec.ring.pop_front();
         }
-        let event = FlightEvent { seq, kind, detail: detail(), trace_id };
+        let event = FlightEvent {
+            seq,
+            kind,
+            detail: detail(),
+            trace_id,
+        };
         rec.ring.push_back(event);
     }
 
@@ -272,7 +288,10 @@ impl FlightRecorder {
             return;
         }
         self.dump(reason);
-        telemetry.with(|r| r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", reason)]).inc());
+        telemetry.with(|r| {
+            r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", reason)])
+                .inc()
+        });
     }
 }
 
@@ -321,7 +340,9 @@ mod tests {
         assert!(!log.is_enabled());
         let rec = log.recorder("s", 8);
         assert!(!rec.is_enabled());
-        rec.record("ev", 1, || unreachable!("closure must not run when disabled"));
+        rec.record("ev", 1, || {
+            unreachable!("closure must not run when disabled")
+        });
         rec.dump("malformed");
         log.record_anomalies("s", &[], 0);
         assert!(log.dumps().is_empty());
@@ -339,7 +360,10 @@ mod tests {
         FlightRecorder::disabled().dump_counted("malformed", &tel);
         assert_eq!(log.dumps_total(), 1);
         let count = tel
-            .with(|r| r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", "malformed")]).get())
+            .with(|r| {
+                r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", "malformed")])
+                    .get()
+            })
             .unwrap();
         assert_eq!(count, 1, "a disabled recorder neither dumps nor counts");
     }
@@ -353,7 +377,9 @@ mod tests {
             let mut rng = DetRng::new(42);
             for i in 0..20u64 {
                 let trace = rng.next_u64() | 1;
-                rec.record("fetch", trace, || format!("batch {i} count {}", rng.range_u64(1, 9)));
+                rec.record("fetch", trace, || {
+                    format!("batch {i} count {}", rng.range_u64(1, 9))
+                });
             }
             rec.dump("panic");
             log.to_json().to_string()

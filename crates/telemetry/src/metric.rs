@@ -29,7 +29,9 @@ pub struct Counter {
 impl Counter {
     /// A counter at zero.
     pub const fn new() -> Self {
-        Counter { v: AtomicU64::new(0) }
+        Counter {
+            v: AtomicU64::new(0),
+        }
     }
 
     /// Add one.
@@ -64,7 +66,9 @@ impl Default for Gauge {
 impl Gauge {
     /// A gauge at `0.0`.
     pub const fn new() -> Self {
-        Gauge { bits: AtomicU64::new(0) } // 0u64 == 0.0f64 bits
+        Gauge {
+            bits: AtomicU64::new(0),
+        } // 0u64 == 0.0f64 bits
     }
 
     /// Overwrite the value.
@@ -204,7 +208,12 @@ impl Histogram {
     /// `(value, trace id)` of the largest traced observation.
     pub fn exemplar(&self) -> Option<(f64, u64)> {
         let trace = self.exemplar_trace.load(Ordering::Relaxed);
-        (trace != 0).then(|| (f64::from_bits(self.exemplar_val_bits.load(Ordering::Relaxed)), trace))
+        (trace != 0).then(|| {
+            (
+                f64::from_bits(self.exemplar_val_bits.load(Ordering::Relaxed)),
+                trace,
+            )
+        })
     }
 
     /// Total samples recorded.
@@ -300,7 +309,9 @@ impl HistogramSnapshot {
             }
         }
         // Rounding slack: fall back to the top non-empty bucket.
-        self.buckets.last().map_or(0.0, |&(i, _)| bucket_mid(i as usize))
+        self.buckets
+            .last()
+            .map_or(0.0, |&(i, _)| bucket_mid(i as usize))
     }
 
     /// Mean of the recorded samples (exact — from the running sum).
@@ -377,7 +388,11 @@ mod tests {
         }
         h.observe(3.0);
         assert_eq!(h.count(), 9);
-        assert_eq!(h.p50(), 0.0, "majority-zero distribution has an exact zero median");
+        assert_eq!(
+            h.p50(),
+            0.0,
+            "majority-zero distribution has an exact zero median"
+        );
         assert!(h.p99() > 2.5);
     }
 

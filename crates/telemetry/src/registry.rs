@@ -28,10 +28,15 @@ pub struct MetricId {
 
 impl MetricId {
     fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Vec<(String, String)> =
-            labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         labels.sort();
-        MetricId { name: name.to_string(), labels }
+        MetricId {
+            name: name.to_string(),
+            labels,
+        }
     }
 }
 
@@ -168,7 +173,9 @@ impl Telemetry {
 
     /// A live handle backed by a fresh registry.
     pub fn enabled() -> Self {
-        Telemetry { inner: Some(Arc::new(Registry::new())) }
+        Telemetry {
+            inner: Some(Arc::new(Registry::new())),
+        }
     }
 
     /// True when backed by a registry.

@@ -18,7 +18,9 @@ pub struct TimeSeries {
 impl TimeSeries {
     /// An empty series.
     pub fn new() -> Self {
-        TimeSeries { points: Mutex::new(Vec::new()) }
+        TimeSeries {
+            points: Mutex::new(Vec::new()),
+        }
     }
 
     /// Append one sample at simulated time `at`.
@@ -43,7 +45,12 @@ impl TimeSeries {
 
     /// Just the values, in insertion order.
     pub fn values(&self) -> Vec<f64> {
-        self.points.lock().unwrap().iter().map(|&(_, v)| v).collect()
+        self.points
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|&(_, v)| v)
+            .collect()
     }
 }
 

@@ -70,8 +70,10 @@ fn escape_label(v: &str) -> String {
 /// Render `{k="v",...}` for a sample line; `extra` appends one more pair
 /// (used for `quantile="..."`).
 fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut pairs: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))).collect();
+    let mut pairs: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+        .collect();
     if let Some((k, v)) = extra {
         pairs.push(format!("{k}=\"{v}\""));
     }
@@ -97,8 +99,10 @@ fn write_f64(v: f64) -> String {
 impl Snapshot {
     /// Find an entry by name and labels.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
-        let mut want: Vec<(String, String)> =
-            labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+        let mut want: Vec<(String, String)> = labels
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         want.sort();
         self.entries
             .iter()
@@ -123,7 +127,11 @@ impl Snapshot {
     }
 
     /// A histogram's distribution, if registered.
-    pub fn histogram_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
+    pub fn histogram_value(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<&HistogramSnapshot> {
         match self.get(name, labels)? {
             MetricValue::Histogram(h) => Some(h),
             _ => None,
@@ -221,7 +229,10 @@ impl Snapshot {
             .iter()
             .map(|e| {
                 let labels = Json::Obj(
-                    e.id.labels.iter().map(|(k, v)| (k.clone(), Json::Str(v.clone()))).collect(),
+                    e.id.labels
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                        .collect(),
                 );
                 let mut fields = vec![
                     ("name", Json::Str(e.id.name.clone())),
@@ -303,9 +314,9 @@ impl Snapshot {
                         })
                         .collect::<Option<Vec<_>>>()?;
                     // Optional: archives predating exemplars omit it.
-                    let exemplar = m.get("exemplar").and_then(|e| {
-                        Some((e.get("value")?.as_f64()?, e.get("trace")?.as_u64()?))
-                    });
+                    let exemplar = m
+                        .get("exemplar")
+                        .and_then(|e| Some((e.get("value")?.as_f64()?, e.get("trace")?.as_u64()?)));
                     MetricValue::Histogram(HistogramSnapshot {
                         buckets,
                         zeros: m.get("zeros")?.as_u64()?,
@@ -331,7 +342,10 @@ impl Snapshot {
                 }
                 _ => return None,
             };
-            entries.push(SnapshotEntry { id: MetricId { name, labels }, value });
+            entries.push(SnapshotEntry {
+                id: MetricId { name, labels },
+                value,
+            });
         }
         Some(Snapshot { entries })
     }
@@ -352,7 +366,8 @@ mod tests {
         for i in 1..=100 {
             h.observe(i as f64 / 100.0);
         }
-        r.histogram("dt_test_traced_seconds", &[]).observe_traced(0.5, 0xBEEF);
+        r.histogram("dt_test_traced_seconds", &[])
+            .observe_traced(0.5, 0xBEEF);
         let s = r.series("dt.test.iter", &[]);
         s.sample(SimTime::ZERO + SimDuration::from_secs_f64(1.0), 0.5);
         s.sample(SimTime::ZERO + SimDuration::from_secs_f64(2.0), 0.75);
@@ -370,7 +385,10 @@ mod tests {
         assert!(text.contains("# TYPE dt_test_latency_seconds summary"));
         assert!(text.contains("dt_test_latency_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("dt_test_latency_seconds_count 100"));
-        assert!(!text.contains("dt.test.iter"), "series excluded from Prometheus text");
+        assert!(
+            !text.contains("dt.test.iter"),
+            "series excluded from Prometheus text"
+        );
     }
 
     #[test]
@@ -395,10 +413,21 @@ mod tests {
     #[test]
     fn accessors_find_entries() {
         let snap = sample_registry().snapshot();
-        assert_eq!(snap.counter_value("dt_test_events_total", &[("kind", "a")]), Some(7));
+        assert_eq!(
+            snap.counter_value("dt_test_events_total", &[("kind", "a")]),
+            Some(7)
+        );
         assert_eq!(snap.gauge_value("dt_test_depth", &[]), Some(3.5));
-        assert_eq!(snap.histogram_value("dt_test_latency_seconds", &[]).unwrap().count, 100);
-        assert_eq!(snap.series_values("dt.test.iter", &[]), Some(vec![0.5, 0.75]));
+        assert_eq!(
+            snap.histogram_value("dt_test_latency_seconds", &[])
+                .unwrap()
+                .count,
+            100
+        );
+        assert_eq!(
+            snap.series_values("dt.test.iter", &[]),
+            Some(vec![0.5, 0.75])
+        );
         assert!(snap.get("missing", &[]).is_none());
     }
 
@@ -410,7 +439,9 @@ mod tests {
         let back = Snapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
         // And an exemplar-free archive (the pre-exemplar format) parses.
-        let untrace = snap.histogram_value("dt_test_latency_seconds", &[]).unwrap();
+        let untrace = snap
+            .histogram_value("dt_test_latency_seconds", &[])
+            .unwrap();
         assert_eq!(untrace.exemplar, None);
     }
 }

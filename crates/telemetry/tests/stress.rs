@@ -53,18 +53,33 @@ fn four_threads_hammering_one_registry_stay_exact() {
 
     let total = THREADS as u64 * OPS_PER_THREAD;
     let snap = tel.snapshot();
-    assert_eq!(snap.counter_value(names::PREPROCESS_BATCHES_TOTAL, &[]), Some(total));
+    assert_eq!(
+        snap.counter_value(names::PREPROCESS_BATCHES_TOTAL, &[]),
+        Some(total)
+    );
     assert_eq!(
         snap.counter_value(names::RUNTIME_ITERATIONS_TOTAL, &[]),
         Some(THREADS as u64 * OPS_PER_THREAD.div_ceil(1024))
     );
     // Every +1.0 was matched by a −1.0.
-    assert_eq!(snap.gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[]), Some(0.0));
+    assert_eq!(
+        snap.gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[]),
+        Some(0.0)
+    );
 
-    let h = snap.histogram_value(names::PREPROCESS_FETCH_SECONDS, &[]).unwrap();
-    assert_eq!(h.count, total, "histogram count conserved under concurrency");
+    let h = snap
+        .histogram_value(names::PREPROCESS_FETCH_SECONDS, &[])
+        .unwrap();
+    assert_eq!(
+        h.count, total,
+        "histogram count conserved under concurrency"
+    );
     let bucketed: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
-    assert_eq!(bucketed + h.zeros, h.count, "no sample fell outside the buckets");
+    assert_eq!(
+        bucketed + h.zeros,
+        h.count,
+        "no sample fell outside the buckets"
+    );
     // The sum is a CAS-add of exact f64s; with one zero sample per thread
     // the expected total is Σ i·1e-6 for i in 0..total.
     let expected_sum = (total as f64 - 1.0) * total as f64 / 2.0 * 1e-6;
@@ -80,10 +95,14 @@ fn histogram_quantiles_track_summary_percentiles() {
     // Heavy-tailed positive sample: exp(N(0,1)) scaled into a latency-like
     // range, from the deterministic RNG.
     let mut rng = DetRng::new(0x7e1e_6d65);
-    let values: Vec<f64> = (0..20_000).map(|_| 0.01 * rng.lognormal(0.0, 1.0)).collect();
+    let values: Vec<f64> = (0..20_000)
+        .map(|_| 0.01 * rng.lognormal(0.0, 1.0))
+        .collect();
 
     let tel = Telemetry::enabled();
-    let h = tel.with(|r| r.histogram(names::RUNTIME_ITER_TIME_SECONDS, &[])).unwrap();
+    let h = tel
+        .with(|r| r.histogram(names::RUNTIME_ITER_TIME_SECONDS, &[]))
+        .unwrap();
     for &v in &values {
         h.observe(v);
     }
@@ -96,6 +115,9 @@ fn histogram_quantiles_track_summary_percentiles() {
         // Bucket growth is 2^(1/8) ≈ 9.05%; the midpoint estimate is within
         // 2^(1/16) − 1 ≈ 4.4% of the sample in the rank's bucket, plus
         // rank-rounding slack — 6% covers it with margin.
-        assert!(rel < 0.06, "q={q}: estimate {est} vs exact {truth} (rel err {rel:.4})");
+        assert!(
+            rel < 0.06,
+            "q={q}: estimate {est} vs exact {truth} (rel err {rel:.4})"
+        );
     }
 }

@@ -53,8 +53,15 @@ fn disabled_telemetry_never_allocates_and_never_runs_closures() {
         });
     }
     let after = allocs();
-    assert_eq!(after - before, 0, "disabled Telemetry::with must not allocate");
-    assert_eq!(invoked, 0, "disabled Telemetry::with must never invoke its closure");
+    assert_eq!(
+        after - before,
+        0,
+        "disabled Telemetry::with must not allocate"
+    );
+    assert_eq!(
+        invoked, 0,
+        "disabled Telemetry::with must never invoke its closure"
+    );
     // Cloning a disabled handle is also free.
     let before = allocs();
     for _ in 0..1_000 {
@@ -62,7 +69,11 @@ fn disabled_telemetry_never_allocates_and_never_runs_closures() {
         assert!(!clone.is_enabled());
     }
     let after = allocs();
-    assert_eq!(after - before, 0, "cloning a disabled Telemetry must not allocate");
+    assert_eq!(
+        after - before,
+        0,
+        "cloning a disabled Telemetry must not allocate"
+    );
 }
 
 #[test]
@@ -85,8 +96,15 @@ fn disabled_flight_recorder_never_allocates_and_never_runs_detail() {
         }
     }
     let after = allocs();
-    assert_eq!(after - before, 0, "disabled FlightRecorder must not allocate");
-    assert_eq!(invoked, 0, "disabled FlightRecorder must never build detail strings");
+    assert_eq!(
+        after - before,
+        0,
+        "disabled FlightRecorder must not allocate"
+    );
+    assert_eq!(
+        invoked, 0,
+        "disabled FlightRecorder must never build detail strings"
+    );
     assert!(!rec.is_enabled());
     assert_eq!(log.dumps_total(), 0, "disabled log can never have dumped");
 }
@@ -108,7 +126,10 @@ fn enabled_flight_recorder_does_allocate_as_a_sanity_check() {
     }
     rec.dump("anomaly");
     let after = allocs();
-    assert!(after > before, "enabled FlightRecorder must record (and thus allocate)");
+    assert!(
+        after > before,
+        "enabled FlightRecorder must record (and thus allocate)"
+    );
     assert_eq!(invoked, 100);
     assert_eq!(log.dumps_total(), 1);
 }
@@ -124,11 +145,15 @@ fn enabled_telemetry_does_allocate_as_a_sanity_check() {
         tel.with(|r| {
             invoked += 1;
             let label = format!("rank-{i}");
-            r.counter(names::RUNTIME_ITERATIONS_TOTAL, &[("rank", &label)]).inc();
+            r.counter(names::RUNTIME_ITERATIONS_TOTAL, &[("rank", &label)])
+                .inc();
         });
     }
     let after = allocs();
-    assert!(after > before, "enabled handle must register (and thus allocate)");
+    assert!(
+        after > before,
+        "enabled handle must register (and thus allocate)"
+    );
     assert_eq!(invoked, 100);
     assert_eq!(tel.with(|r| r.len()), Some(100));
 }
