@@ -114,6 +114,20 @@ impl ServeRequest {
         }
     }
 
+    /// Span names `[request, queue, exec]` for this request's kind
+    /// (`"request plan"`, …), static so a traced request formats nothing.
+    pub(crate) fn span_names(&self) -> [&'static str; 3] {
+        match self {
+            ServeRequest::Ping => ["request ping", "queue ping", "exec ping"],
+            ServeRequest::Shutdown => ["request shutdown", "queue shutdown", "exec shutdown"],
+            ServeRequest::Plan { .. } => ["request plan", "queue plan", "exec plan"],
+            ServeRequest::Replan { .. } => ["request replan", "queue replan", "exec replan"],
+            ServeRequest::Simulate { .. } => {
+                ["request simulate", "queue simulate", "exec simulate"]
+            }
+        }
+    }
+
     /// The request's deadline field (0 for ping/shutdown).
     pub fn deadline_ms(&self) -> u64 {
         match self {
@@ -613,6 +627,34 @@ mod tests {
 
     fn spec() -> SpecDesc {
         SpecDesc::ablation("mllm-9b", 128)
+    }
+
+    #[test]
+    fn span_names_spell_phase_and_kind() {
+        let reqs = [
+            ServeRequest::Ping,
+            ServeRequest::Shutdown,
+            ServeRequest::Plan {
+                spec: spec(),
+                budget: 1,
+                deadline_ms: 0,
+            },
+            ServeRequest::Replan {
+                spec: spec(),
+                remaining_gpus: 64,
+                budget: 1,
+                deadline_ms: 0,
+            },
+            ServeRequest::Simulate {
+                spec: spec(),
+                iterations: 1,
+                deadline_ms: 0,
+            },
+        ];
+        for req in &reqs {
+            let want = ["request", "queue", "exec"].map(|phase| format!("{phase} {}", req.kind()));
+            assert_eq!(req.span_names(), want.each_ref().map(String::as_str));
+        }
     }
 
     #[test]

@@ -1,8 +1,19 @@
-//! Client library: one request/reply exchange per call, with retry,
-//! deterministic exponential backoff, and deadline semantics.
+//! Client library: request/reply exchanges over one kept-alive session,
+//! with retry, deterministic exponential backoff, and deadline semantics.
 //!
-//! The retry loop distinguishes three failure classes:
+//! A [`Client`] keeps its TCP connection open across requests (the daemon
+//! serves any number of requests per session), so a request pays for a
+//! connect, an accept and a session thread only when it opens a session.
+//! Any I/O error or timeout drops the session: a reply that arrives after
+//! its request gave up can never be read as the next request's answer.
 //!
+//! The retry loop distinguishes four failure classes:
+//!
+//! * **Stale session**: a *reused* session that fails with anything but a
+//!   timeout — the daemon drained or restarted since the last request —
+//!   is replaced by a fresh connection once, inside the same attempt. The
+//!   reconnect spends no [`RetryPolicy`] attempt; if the fresh connection
+//!   fails too, that failure is the attempt's.
 //! * **Retryable**: transport errors (connect refused/reset — the daemon
 //!   may be restarting) and typed [`ServeError::Overloaded`](crate::ServeError::Overloaded) rejections
 //!   (congestion, by design transient). These back off and retry.
@@ -19,13 +30,16 @@
 //! The pacing itself — schedule, jitter, deadline budgeting — is the
 //! shared [`dt_simengine::backoff`] implementation, the same machinery
 //! the `dt-preprocess` reconnect supervisor runs on.
+//!
+//! The `fetch_*` scrapes of the daemon's HTTP plane open one connection
+//! per `GET`: the daemon answers one HTTP exchange per connection.
 
 use crate::api::{ServeReply, ServeRequest};
 use dt_simengine::backoff::{BackoffPolicy, Deadline};
 use dt_simengine::frame::{read_json, write_json_ctx};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_simengine::DetRng;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -112,13 +126,14 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A planning client. One TCP connection per request (requests are rare
-/// and heavyweight relative to a localhost connect); reuse the struct,
-/// not the socket.
+/// A planning client. It holds one session (TCP connection) across
+/// requests, opening it on the first request and again after any failure
+/// dropped it; see the [module docs](self) for the reconnect rules.
 #[derive(Debug)]
 pub struct Client {
     addr: SocketAddr,
     policy: RetryPolicy,
+    session: Option<Session>,
     /// Overall budget across all attempts of one [`Client::request`].
     deadline: Option<Duration>,
     rng: DetRng,
@@ -145,6 +160,7 @@ impl Client {
         Client {
             addr,
             policy,
+            session: None,
             deadline: None,
             rng,
             trace_rng,
@@ -194,7 +210,7 @@ impl Client {
         let result = self.request_inner(req, traced.as_ref().map(|(_, _, c)| *c));
         if let Some((root, span, _)) = traced {
             self.trace.record_traced(
-                format!("request {}", req.kind()),
+                req.span_names()[0],
                 cat::SERVE_REQUEST,
                 CLIENT_PID,
                 0,
@@ -235,8 +251,27 @@ impl Client {
         Err(ClientError::Exhausted { attempts, last })
     }
 
+    /// One attempt: an exchange on the kept-alive session, opening one if
+    /// none is open. A reused session that fails with anything but a
+    /// timeout is stale, and the exchange is made once more on a fresh
+    /// connection.
     fn attempt(
-        &self,
+        &mut self,
+        req: &ServeRequest,
+        ctx: Option<&TraceContext>,
+        deadline: Deadline,
+    ) -> io::Result<ServeReply> {
+        let reused = self.session.is_some();
+        match self.exchange(req, ctx, deadline) {
+            Err(e) if reused && !is_timeout(&e) => self.exchange(req, ctx, deadline),
+            result => result,
+        }
+    }
+
+    /// One request/reply exchange. Any failure leaves the client without
+    /// a session, so a late reply is never read as a later answer.
+    fn exchange(
+        &mut self,
         req: &ServeRequest,
         ctx: Option<&TraceContext>,
         deadline: Deadline,
@@ -244,11 +279,57 @@ impl Client {
         let remaining = deadline
             .remaining_or(Duration::from_secs(3600))
             .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "client deadline spent"))?;
-        let mut stream = TcpStream::connect_timeout(&self.addr, remaining)?;
-        stream.set_read_timeout(Some(remaining))?;
-        stream.set_write_timeout(Some(remaining))?;
-        write_json_ctx(&mut stream, ctx, req)?;
-        read_json::<ServeReply>(&mut stream)
+        let mut session = match self.session.take() {
+            Some(session) => session,
+            None => Session::connect(self.addr, remaining)?,
+        };
+        let reply = session.exchange(req, ctx, remaining)?;
+        self.session = Some(session);
+        Ok(reply)
+    }
+}
+
+/// A socket timeout: the request's budget ran out, which a reconnect
+/// cannot fix.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+    )
+}
+
+/// A kept-alive connection to the daemon. Replies are read through a
+/// buffer; requests go straight to the socket in one write.
+#[derive(Debug)]
+struct Session {
+    reader: BufReader<TcpStream>,
+    /// The read and write timeout the socket carries, so an unchanged
+    /// budget costs no syscall.
+    timeout: Duration,
+}
+
+impl Session {
+    fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<Session> {
+        Ok(Session {
+            reader: BufReader::new(TcpStream::connect_timeout(&addr, timeout)?),
+            timeout: Duration::ZERO,
+        })
+    }
+
+    fn exchange(
+        &mut self,
+        req: &ServeRequest,
+        ctx: Option<&TraceContext>,
+        timeout: Duration,
+    ) -> io::Result<ServeReply> {
+        if timeout != self.timeout {
+            let stream = self.reader.get_ref();
+            stream.set_read_timeout(Some(timeout))?;
+            stream.set_write_timeout(Some(timeout))?;
+            self.timeout = timeout;
+        }
+        write_json_ctx(self.reader.get_mut(), ctx, req)?;
+        read_json::<ServeReply>(&mut self.reader)
     }
 }
 

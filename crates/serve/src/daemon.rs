@@ -24,15 +24,21 @@
 //!   spent its whole deadline waiting is answered with
 //!   [`ServeError::DeadlineExceeded`] without occupying a worker for the
 //!   actual search.
+//! * **Sessions are kept alive.** A session serves requests until its
+//!   client closes, so a [`Client`](crate::client::Client) pays for one
+//!   connect, accept and session thread, not one per request. Each session
+//!   reads its socket through one buffer: a request frame, its trace
+//!   context included, usually arrives in a single `read`, and the buffer
+//!   is what tells EOF and an HTTP `GET ` apart from a frame.
 //! * **Every admitted job is answered.** Session threads block on the
 //!   job's private reply channel, so a session cannot finish with a job
 //!   still queued — which is exactly what makes the drain argument work:
 //!   shutdown wakes the accept thread (stop flag plus a self-connect),
 //!   which shuts down the read half of every live session — an idle
-//!   session sees EOF at once, a busy one still writes its reply — and
-//!   joins them; only then do the workers see a disconnected queue and
-//!   exit. Nothing polls: sessions block in reads, the accept thread in
-//!   `accept`.
+//!   session, including a kept-alive one waiting between requests, sees
+//!   EOF at once, a busy one still writes its reply — and joins them;
+//!   only then do the workers see a disconnected queue and exit. Nothing
+//!   polls: sessions block in reads, the accept thread in `accept`.
 //! * **Hostile frames never panic.** A frame that is not a parseable
 //!   request, or whose length word claims more than
 //!   [`MAX_CONTROL_FRAME`] (checked before any body byte is read), gets a
@@ -51,7 +57,7 @@ use dt_simengine::frame::{read_json_ctx, write_json, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, Telemetry};
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -270,7 +276,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
             break;
         }
         sessions.retain(|(_, h)| !h.is_finished());
-        let Ok(mut stream) = conn else { break };
+        let Ok(stream) = conn else { break };
+        shared
+            .telemetry
+            .with(|r| r.counter(names::SERVE_SESSIONS_TOTAL, &[]).inc());
         let Ok(clone) = stream.try_clone() else {
             continue;
         };
@@ -279,7 +288,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
         let spawned = std::thread::Builder::new()
             .name("dt-serve-session".into())
             .spawn(move || {
-                let _ = serve_session(&mut stream, &shared, &tx);
+                let _ = serve_session(&stream, &shared, &tx);
                 // The accept thread's clone keeps the fd open: shut down here
                 // so the peer sees EOF as soon as the session ends.
                 let _ = stream.shutdown(Shutdown::Both);
@@ -300,27 +309,31 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
 }
 
 /// One client connection: requests until the peer closes, shutdown, a
-/// drain, or a malformed frame.
-fn serve_session(stream: &mut TcpStream, shared: &Shared, tx: &SyncSender<Job>) -> io::Result<()> {
+/// drain, or a malformed frame. Requests are read through one buffer, so
+/// a frame — length word, trace context and payload — usually costs one
+/// `read`; replies go straight to the socket.
+fn serve_session(stream: &TcpStream, shared: &Shared, tx: &SyncSender<Job>) -> io::Result<()> {
     let session = stream
         .peer_addr()
         .map(|a| format!("serve:{a}"))
         .unwrap_or_else(|_| "serve:?".to_string());
     let flight = shared.flight.recorder(&session, DEFAULT_RING_CAPACITY);
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     loop {
-        // Block for the next request; `peek` never consumes bytes. EOF is
-        // the client closing or the drain shutting down the read half.
-        let mut probe = [0u8; 4];
-        let peeked = match stream.peek(&mut probe)? {
-            0 => return Ok(()),
-            n => n,
-        };
+        // Block for the next request. An empty buffer is EOF: the client
+        // closing, or the drain shutting down the read half.
+        let head = reader.fill_buf()?;
+        if head.is_empty() {
+            return Ok(());
+        }
         // The same port speaks Prometheus: an HTTP GET can never be a
         // legitimate frame start here (it would claim a ~542 MB control
         // message), so dispatch on the first four bytes.
-        if peeked == 4 && &probe == b"GET " {
+        if head.starts_with(b"GET ") {
             return http::serve_http(
-                stream,
+                &mut reader,
+                &mut writer,
                 http::HttpState {
                     telemetry: shared.telemetry.clone(),
                     trace: shared.trace.clone(),
@@ -330,7 +343,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, tx: &SyncSender<Job>) 
             );
         }
         let (ctx, req): (Option<TraceContext>, ServeRequest) =
-            match read_json_ctx(stream, MAX_CONTROL_FRAME) {
+            match read_json_ctx(&mut reader, MAX_CONTROL_FRAME) {
                 Ok(pair) => pair,
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                     // Typed reply, then close: after garbage the stream offset
@@ -342,7 +355,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, tx: &SyncSender<Job>) 
                     let reply = ServeReply::Err(ServeError::Malformed {
                         reason: e.to_string(),
                     });
-                    let _ = write_json(stream, &reply);
+                    let _ = write_json(&mut writer, &reply);
                     return Ok(());
                 }
                 Err(e) => return Err(e),
@@ -350,7 +363,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, tx: &SyncSender<Job>) 
         let trace_id = ctx.map(|c| c.trace_id).unwrap_or(0);
         flight.record("request", trace_id, || req.kind().to_string());
         if shared.stop.load(Ordering::SeqCst) && !matches!(req, ServeRequest::Shutdown) {
-            write_json(stream, &ServeReply::Err(ServeError::ShuttingDown))?;
+            write_json(&mut writer, &ServeReply::Err(ServeError::ShuttingDown))?;
             return Ok(());
         }
         match admit(&req, ctx, shared, tx) {
@@ -359,7 +372,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, tx: &SyncSender<Job>) 
                     flight.record("overloaded", trace_id, || req.kind().to_string());
                     flight.dump_counted("overloaded", &shared.telemetry);
                 }
-                write_json(stream, &reply)?
+                write_json(&mut writer, &reply)?
             }
             Admitted::Queued(reply_rx) => {
                 // Blocking here is what guarantees the drain invariant:
@@ -373,7 +386,7 @@ fn serve_session(stream: &mut TcpStream, shared: &Shared, tx: &SyncSender<Job>) 
                     "ok"
                 };
                 flight.record("reply", trace_id, || outcome.to_string());
-                write_json(stream, &reply)?;
+                write_json(&mut writer, &reply)?;
             }
         }
     }
@@ -516,11 +529,12 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared, worker: u64) {
         };
         shared.queue_gauge(-1);
         let kind = job.req.kind();
+        let [_, queue_span, exec_span] = job.req.span_names();
         // The queue span covers admission → dequeue: exactly the wait the
         // deadline check below charges against the request.
         if let Some(ctx) = &job.ctx {
             shared.trace.record_traced(
-                format!("queue {kind}"),
+                queue_span,
                 cat::SERVE_QUEUE,
                 SERVE_PID,
                 worker,
@@ -552,7 +566,7 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared, worker: u64) {
         let reply = execute(&job.req, exec.map(|(_, c)| c), shared);
         if let (Some(ctx), Some((exec_id, _))) = (&job.ctx, exec) {
             shared.trace.record_traced(
-                format!("exec {kind}"),
+                exec_span,
                 cat::SERVE_EXEC,
                 SERVE_PID,
                 worker,

@@ -25,8 +25,7 @@
 
 use dt_simengine::WallTraceSink;
 use dt_telemetry::{names, record_build_info, FlightLog, Telemetry};
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
 /// Most header bytes read before giving up on a request head.
@@ -45,9 +44,15 @@ pub struct HttpState {
     pub started: Instant,
 }
 
-/// Serve exactly one HTTP exchange on `stream`, then close.
-pub fn serve_http(stream: &mut TcpStream, state: HttpState) -> io::Result<()> {
-    let head = match read_head(stream) {
+/// Serve exactly one HTTP exchange — the request head read from `reader`
+/// (the session's buffered read half), the response written to `stream` —
+/// then close.
+pub fn serve_http(
+    reader: &mut impl BufRead,
+    stream: &mut impl Write,
+    state: HttpState,
+) -> io::Result<()> {
+    let head = match read_head(reader) {
         Ok(head) => head,
         Err(_) => {
             // Unterminated or oversized head: answer 400 rather than hang.
@@ -85,11 +90,11 @@ pub fn serve_http(stream: &mut TcpStream, state: HttpState) -> io::Result<()> {
 }
 
 /// Read until the blank line ending the request head, bounded.
-fn read_head(stream: &mut TcpStream) -> io::Result<String> {
+fn read_head(reader: &mut impl BufRead) -> io::Result<String> {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     while head.len() < MAX_HEAD {
-        stream.read_exact(&mut byte)?;
+        reader.read_exact(&mut byte)?;
         head.push(byte[0]);
         if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
             return String::from_utf8(head)
@@ -102,7 +107,7 @@ fn read_head(stream: &mut TcpStream) -> io::Result<String> {
     ))
 }
 
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {
+fn respond(stream: &mut impl Write, status: u16, content_type: &str, body: &str) -> io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",

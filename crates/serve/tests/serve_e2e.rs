@@ -8,12 +8,12 @@ use dt_check::gen::corrupt_wire_stream;
 use dt_orchestrator::Orchestrator;
 use dt_parallel::ModulePlan;
 use dt_serve::api::{ModuleSummary, ServeError, ServeReply, ServeRequest, SpecDesc};
-use dt_serve::client::{Client, RetryPolicy};
+use dt_serve::client::{Client, ClientError, RetryPolicy};
 use dt_serve::daemon::{ServeConfig, ServeHandle};
 use dt_serve::store::task_for;
 use dt_simengine::frame::{read_json, write_frame, write_json};
 use dt_simengine::DetRng;
-use dt_telemetry::Telemetry;
+use dt_telemetry::{names, Telemetry};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -339,6 +339,125 @@ fn wire_shutdown_request_begins_a_drain() {
     assert!(daemon.stopped(), "wire shutdown must set the drain flag");
     // The `repro serve` foreground path: wait() sees the flag and joins.
     daemon.wait();
+}
+
+/// Connections the daemon behind `tel` has accepted so far.
+fn sessions_total(tel: &Telemetry) -> u64 {
+    tel.snapshot()
+        .counter_value(names::SERVE_SESSIONS_TOTAL, &[])
+        .unwrap_or(0)
+}
+
+/// A client that never retries: every reconnect it makes is the one a
+/// stale session earns, not a policy attempt.
+fn one_shot_client(addr: SocketAddr) -> Client {
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        ..RetryPolicy::default()
+    };
+    Client::with_policy(addr, policy)
+}
+
+#[test]
+fn one_client_keeps_one_session_across_requests() {
+    let tel = Telemetry::enabled();
+    let daemon = ServeHandle::spawn(ServeConfig {
+        telemetry: tel.clone(),
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let before = sessions_total(&tel);
+    let mut client = Client::new(daemon.addr);
+    for i in 0..100 {
+        let req = if i % 10 == 0 {
+            plan_req(1)
+        } else {
+            ServeRequest::Ping
+        };
+        match client.request(&req).expect("request") {
+            ServeReply::Plan(_) | ServeReply::Pong => {}
+            other => panic!("request {i}: unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(
+        sessions_total(&tel) - before,
+        1,
+        "100 requests from one client must share one connection"
+    );
+}
+
+#[test]
+fn a_late_reply_is_never_read_as_the_next_answer() {
+    let cfg = quiet(ServeConfig {
+        worker_delay: Some(Duration::from_millis(300)),
+        ..ServeConfig::default()
+    });
+    let daemon = ServeHandle::spawn(cfg).expect("spawn");
+    let mut client = one_shot_client(daemon.addr).with_deadline(Duration::from_millis(50));
+    match client.request(&ServeRequest::Ping) {
+        Ok(ServeReply::Pong) => {}
+        other => panic!("warm-up ping got {other:?}"),
+    }
+    // The plan gives up after 50 ms; its reply is still ~250 ms out.
+    match client.request(&plan_req(1)) {
+        Err(ClientError::Exhausted { .. }) => {}
+        other => panic!("expected the plan to time out, got {other:?}"),
+    }
+    // The plan's reply must not answer the ping: a session the timeout
+    // dropped is never read again.
+    match client.request(&ServeRequest::Ping) {
+        Ok(ServeReply::Pong) => {}
+        other => panic!("ping after a timed-out plan got {other:?}"),
+    }
+}
+
+#[test]
+fn a_stale_session_reconnects_without_spending_an_attempt() {
+    let mut first = ServeHandle::spawn(quiet(ServeConfig::default())).expect("spawn");
+    let addr = first.addr;
+    let mut client = one_shot_client(addr);
+    match client.request(&ServeRequest::Ping) {
+        Ok(ServeReply::Pong) => {}
+        other => panic!("first daemon: {other:?}"),
+    }
+    // The daemon restarts on the same address while the client still
+    // holds a session to the old one.
+    first.shutdown();
+    let tel = Telemetry::enabled();
+    let second = ServeHandle::spawn(ServeConfig {
+        addr: addr.to_string(),
+        telemetry: tel.clone(),
+        ..ServeConfig::default()
+    })
+    .expect("respawn on the same address");
+    match client.request(&ServeRequest::Ping) {
+        Ok(ServeReply::Pong) => {}
+        other => panic!("one attempt must survive the restart: {other:?}"),
+    }
+    assert_eq!(second.addr, addr);
+    assert_eq!(sessions_total(&tel), 1, "exactly one reconnect");
+}
+
+#[test]
+fn shutdown_returns_promptly_with_an_idle_kept_alive_client() {
+    let mut daemon = ServeHandle::spawn(quiet(ServeConfig::default())).expect("spawn");
+    let mut client = one_shot_client(daemon.addr);
+    match client.request(&ServeRequest::Ping) {
+        Ok(ServeReply::Pong) => {}
+        other => panic!("ping: {other:?}"),
+    }
+    // The client stays connected and idle through the drain.
+    let drained = Instant::now();
+    daemon.shutdown();
+    assert!(
+        drained.elapsed() < Duration::from_secs(5),
+        "drain waited {:?} on an idle session",
+        drained.elapsed()
+    );
+    assert!(
+        client.request(&ServeRequest::Ping).is_err(),
+        "a drained daemon answered"
+    );
 }
 
 #[test]

@@ -42,6 +42,8 @@
 use crate::json::Json;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -568,14 +570,53 @@ fn cat_from_str(s: &str) -> &'static str {
 /// ([`unix_recorder`](Self::unix_recorder)). A disabled sink
 /// ([`WallTraceSink::disabled`]) never allocates: [`record`](Self::record)
 /// returns before the span name is even converted.
+///
+/// Recording is cheap enough for a per-request hot path: a span is kept
+/// as a fixed-size record whose trace, span and parent ids stay `u64`
+/// until export renders them as hex args, so a span with a `&'static str`
+/// name allocates nothing once the buffer has grown. The buffer is a ring
+/// bounded at [`WALL_SINK_DEFAULT_CAP`] spans (see
+/// [`with_capacity`](Self::with_capacity)): at the bound each new span
+/// evicts the oldest in O(1).
 #[derive(Debug, Clone)]
 pub struct WallTraceSink {
-    rec: Option<Arc<Mutex<TraceRecorder>>>,
+    rec: Option<Arc<Mutex<VecDeque<WallSpan>>>>,
     epoch: Instant,
     /// Nanoseconds between the unix epoch and `epoch`, for clock merging.
     unix_anchor_ns: u64,
     /// Oldest-first eviction bound on the span buffer.
     max_spans: usize,
+}
+
+/// One span as a [`WallTraceSink`] keeps it, before export.
+#[derive(Debug)]
+struct WallSpan {
+    name: Cow<'static, str>,
+    cat: &'static str,
+    pid: u64,
+    tid: u64,
+    start_ns: u64,
+    dur_ns: u64,
+    /// The context the span was opened under, and its own id.
+    link: Option<(TraceContext, u64)>,
+}
+
+impl WallSpan {
+    /// The exported span, its start shifted by `shift_ns`.
+    fn to_span(&self, shift_ns: u64) -> TraceSpan {
+        let span = TraceSpan::new(
+            self.name.clone(),
+            self.cat,
+            self.pid,
+            self.tid,
+            SimTime::from_nanos(self.start_ns + shift_ns),
+            SimDuration::from_nanos(self.dur_ns),
+        );
+        match &self.link {
+            Some((ctx, span_id)) => span.with_context(ctx, *span_id),
+            None => span,
+        }
+    }
 }
 
 /// Default span-buffer bound for long-lived sinks.
@@ -595,7 +636,7 @@ impl WallTraceSink {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
         WallTraceSink {
-            rec: Some(Arc::new(Mutex::new(TraceRecorder::enabled()))),
+            rec: Some(Arc::new(Mutex::new(VecDeque::new()))),
             epoch: Instant::now(),
             unix_anchor_ns,
             max_spans: WALL_SINK_DEFAULT_CAP,
@@ -627,7 +668,7 @@ impl WallTraceSink {
     /// Record a span covering `[started, Instant::now())`.
     pub fn record(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         pid: u64,
         tid: u64,
@@ -643,7 +684,7 @@ impl WallTraceSink {
     #[allow(clippy::too_many_arguments)] // a span is genuinely 7-dimensional + linkage
     pub fn record_traced(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         pid: u64,
         tid: u64,
@@ -652,51 +693,47 @@ impl WallTraceSink {
         span_id: u64,
     ) {
         let Some(rec) = &self.rec else { return };
-        let start = started.saturating_duration_since(self.epoch);
-        let dur = started.elapsed();
-        let mut span = TraceSpan::new(
-            name,
-            category,
+        let span = WallSpan {
+            name: name.into(),
+            cat: category,
             pid,
             tid,
-            SimTime::from_nanos(start.as_nanos() as u64),
-            SimDuration::from_nanos(dur.as_nanos() as u64),
-        );
-        if let Some(ctx) = ctx {
-            span = span.with_context(ctx, span_id);
-        }
-        if let Ok(mut rec) = rec.lock() {
-            rec.record(span);
-            rec.evict_to(self.max_spans);
+            start_ns: started.saturating_duration_since(self.epoch).as_nanos() as u64,
+            dur_ns: started.elapsed().as_nanos() as u64,
+            link: ctx.map(|ctx| (*ctx, span_id)),
+        };
+        if let Ok(mut spans) = rec.lock() {
+            while spans.len() >= self.max_spans {
+                spans.pop_front();
+            }
+            spans.push_back(span);
         }
     }
 
-    /// Snapshot the spans recorded so far (empty when disabled).
+    /// The spans recorded so far, oldest first, starts shifted by
+    /// `shift_ns` (empty when disabled).
+    fn export(&self, shift_ns: u64) -> Vec<TraceSpan> {
+        let Some(rec) = &self.rec else {
+            return Vec::new();
+        };
+        rec.lock()
+            .map(|spans| spans.iter().map(|s| s.to_span(shift_ns)).collect())
+            .unwrap_or_default()
+    }
+
+    /// Snapshot the spans recorded so far, oldest first (empty when
+    /// disabled).
     pub fn snapshot(&self) -> Vec<TraceSpan> {
-        match &self.rec {
-            Some(rec) => rec.lock().map(|r| r.spans().to_vec()).unwrap_or_default(),
-            None => Vec::new(),
-        }
+        self.export(0)
     }
 
     /// Drain into a plain recorder (for export alongside simulated spans).
     /// A disabled sink drains to a disabled recorder.
     pub fn into_recorder(self) -> TraceRecorder {
-        let Some(rec) = self.rec else {
+        if !self.is_enabled() {
             return TraceRecorder::disabled();
-        };
-        match Arc::try_unwrap(rec) {
-            Ok(m) => m.into_inner().unwrap_or_else(|_| TraceRecorder::enabled()),
-            Err(arc) => {
-                let mut rec = TraceRecorder::enabled();
-                if let Ok(inner) = arc.lock() {
-                    for span in inner.spans() {
-                        rec.record(span.clone());
-                    }
-                }
-                rec
-            }
         }
+        recorder_of(self.snapshot())
     }
 
     /// Snapshot as a recorder whose span starts are nanoseconds since the
@@ -705,12 +742,15 @@ impl WallTraceSink {
     /// [`TraceRecorder::absorb`] assembles a cross-process trace whose
     /// spans line up causally (modulo host clock skew).
     pub fn unix_recorder(&self) -> TraceRecorder {
-        let mut out = TraceRecorder::enabled();
-        for mut span in self.snapshot() {
-            span.start += SimDuration::from_nanos(self.unix_anchor_ns);
-            out.record(span);
-        }
-        out
+        recorder_of(self.export(self.unix_anchor_ns))
+    }
+}
+
+/// An enabled recorder holding `spans`.
+fn recorder_of(spans: Vec<TraceSpan>) -> TraceRecorder {
+    TraceRecorder {
+        spans: Some(spans),
+        origin: SimTime::ZERO,
     }
 }
 
@@ -897,6 +937,65 @@ mod tests {
         assert_eq!(rec.spans()[0].start.as_nanos(), 6, "oldest evicted");
         rec.evict_to(100); // no-op below the cap
         assert_eq!(rec.len(), 4);
+    }
+
+    #[test]
+    fn full_wall_sink_keeps_the_newest_spans_in_order() {
+        let sink = WallTraceSink::new().with_capacity(8);
+        let started = Instant::now();
+        for i in 0..24u64 {
+            sink.record(format!("s{i}"), cat::SERVE_EXEC, 1, i, started);
+        }
+        let kept: Vec<(String, u64)> = sink
+            .snapshot()
+            .into_iter()
+            .map(|s| (s.name, s.tid))
+            .collect();
+        let want: Vec<(String, u64)> = (16..24).map(|i| (format!("s{i}"), i)).collect();
+        assert_eq!(kept, want, "the last 8 spans, oldest first");
+    }
+
+    #[test]
+    fn wall_sink_exports_linkage_as_hex_args() {
+        let sink = WallTraceSink::new();
+        let ctx = TraceContext {
+            trace_id: 0xABCD,
+            parent_span: 0x11,
+        };
+        sink.record_traced(
+            "exec plan",
+            cat::SERVE_EXEC,
+            2,
+            0,
+            Instant::now(),
+            Some(&ctx),
+            0x1234,
+        );
+        let json = sink.unix_recorder().to_chrome_json();
+        let doc = Json::parse(&json).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .unwrap();
+        let args = span.get("args").unwrap();
+        let arg = |k: &str| args.get(k).and_then(Json::as_str).map(str::to_string);
+        let want = [
+            (arg::TRACE, "000000000000abcd"),
+            (arg::SPAN, "0000000000001234"),
+            (arg::PARENT, "0000000000000011"),
+        ];
+        for (key, hex) in want {
+            assert_eq!(arg(key).as_deref(), Some(hex), "{key} arg");
+        }
+        let back = TraceRecorder::from_chrome_json(&json).unwrap();
+        let got: Vec<(&str, &str)> = back.spans()[0]
+            .args
+            .iter()
+            .map(|(k, v)| (*k, v.as_str()))
+            .collect();
+        assert_eq!(got, want, "import keeps the linkage args");
+        assert_eq!(back.spans()[0].name, "exec plan");
     }
 
     #[test]

@@ -209,6 +209,9 @@ pub mod names {
     pub const SERVE_STORE_MISSES_TOTAL: &str = "dt_serve_store_misses_total";
     /// HTTP scrapes of the live `/metrics` endpoint, counter.
     pub const SERVE_SCRAPES_TOTAL: &str = "dt_serve_scrapes_total";
+    /// Connections the daemon accepted (planning sessions and HTTP
+    /// scrapes alike), counter.
+    pub const SERVE_SESSIONS_TOTAL: &str = "dt_serve_sessions_total";
 
     /// Build identity info gauge (constant 1; the version and git hash
     /// ride as labels, the Prometheus `*_info` idiom).
