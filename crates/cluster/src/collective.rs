@@ -63,8 +63,14 @@ impl CollectiveCost {
 
     fn params(&self, domain: CommDomain) -> (f64, f64) {
         match domain {
-            CommDomain::IntraNode => (self.cluster.node.nvlink_busbw, self.cluster.intra_node_latency),
-            CommDomain::InterNode => (self.cluster.cross_node_pair_bw(), self.cluster.inter_node_latency),
+            CommDomain::IntraNode => (
+                self.cluster.node.nvlink_busbw,
+                self.cluster.intra_node_latency,
+            ),
+            CommDomain::InterNode => (
+                self.cluster.cross_node_pair_bw(),
+                self.cluster.inter_node_latency,
+            ),
         }
     }
 
@@ -81,7 +87,13 @@ impl CollectiveCost {
 
     /// Time for one collective of `kind` over `n` ranks moving `bytes`
     /// bytes (the full tensor size, pre-sharding) in `domain`.
-    pub fn time(&self, kind: CollectiveKind, n: u32, bytes: u64, domain: CommDomain) -> SimDuration {
+    pub fn time(
+        &self,
+        kind: CollectiveKind,
+        n: u32,
+        bytes: u64,
+        domain: CommDomain,
+    ) -> SimDuration {
         if n <= 1 || bytes == 0 {
             return SimDuration::ZERO;
         }
@@ -90,9 +102,9 @@ impl CollectiveCost {
         let v = bytes as f64;
         let (steps, wire_bytes) = match kind {
             CollectiveKind::AllReduce => (2.0 * (nf - 1.0), 2.0 * (nf - 1.0) / nf * v),
-            CollectiveKind::AllGather | CollectiveKind::ReduceScatter | CollectiveKind::Broadcast => {
-                ((nf - 1.0), (nf - 1.0) / nf * v)
-            }
+            CollectiveKind::AllGather
+            | CollectiveKind::ReduceScatter
+            | CollectiveKind::Broadcast => ((nf - 1.0), (nf - 1.0) / nf * v),
             CollectiveKind::PointToPoint => (1.0, v),
         };
         SimDuration::from_secs_f64(steps * alpha + wire_bytes / bw)
@@ -101,24 +113,43 @@ impl CollectiveCost {
     /// Convenience: allreduce over a group of `n` consecutive ranks, domain
     /// inferred from the group size.
     pub fn allreduce(&self, n: u32, bytes: u64) -> SimDuration {
-        self.time(CollectiveKind::AllReduce, n, bytes, self.domain_for_group(n))
+        self.time(
+            CollectiveKind::AllReduce,
+            n,
+            bytes,
+            self.domain_for_group(n),
+        )
     }
 
     /// Convenience: allgather, domain inferred.
     pub fn allgather(&self, n: u32, bytes: u64) -> SimDuration {
-        self.time(CollectiveKind::AllGather, n, bytes, self.domain_for_group(n))
+        self.time(
+            CollectiveKind::AllGather,
+            n,
+            bytes,
+            self.domain_for_group(n),
+        )
     }
 
     /// Convenience: reduce-scatter, domain inferred.
     pub fn reduce_scatter(&self, n: u32, bytes: u64) -> SimDuration {
-        self.time(CollectiveKind::ReduceScatter, n, bytes, self.domain_for_group(n))
+        self.time(
+            CollectiveKind::ReduceScatter,
+            n,
+            bytes,
+            self.domain_for_group(n),
+        )
     }
 
     /// Point-to-point activation transfer between pipeline stages. Stages of
     /// different parallelism units land on different nodes, so this is RDMA
     /// unless the cluster is a single node.
     pub fn p2p(&self, bytes: u64) -> SimDuration {
-        let domain = if self.cluster.num_nodes <= 1 { CommDomain::IntraNode } else { CommDomain::InterNode };
+        let domain = if self.cluster.num_nodes <= 1 {
+            CommDomain::IntraNode
+        } else {
+            CommDomain::InterNode
+        };
         self.time(CollectiveKind::PointToPoint, 2, bytes, domain)
     }
 
@@ -130,15 +161,40 @@ impl CollectiveCost {
     /// being bottlenecked by the slow fabric on the *full* volume.
     pub fn allreduce_hierarchical(&self, n_intra: u32, n_nodes: u32, bytes: u64) -> SimDuration {
         if n_nodes <= 1 {
-            return self.time(CollectiveKind::AllReduce, n_intra, bytes, CommDomain::IntraNode);
+            return self.time(
+                CollectiveKind::AllReduce,
+                n_intra,
+                bytes,
+                CommDomain::IntraNode,
+            );
         }
         if n_intra <= 1 {
-            return self.time(CollectiveKind::AllReduce, n_nodes, bytes, CommDomain::InterNode);
+            return self.time(
+                CollectiveKind::AllReduce,
+                n_nodes,
+                bytes,
+                CommDomain::InterNode,
+            );
         }
         let shard = bytes / n_intra as u64;
-        let rs = self.time(CollectiveKind::ReduceScatter, n_intra, bytes, CommDomain::IntraNode);
-        let ar = self.time(CollectiveKind::AllReduce, n_nodes, shard, CommDomain::InterNode);
-        let ag = self.time(CollectiveKind::AllGather, n_intra, bytes, CommDomain::IntraNode);
+        let rs = self.time(
+            CollectiveKind::ReduceScatter,
+            n_intra,
+            bytes,
+            CommDomain::IntraNode,
+        );
+        let ar = self.time(
+            CollectiveKind::AllReduce,
+            n_nodes,
+            shard,
+            CommDomain::InterNode,
+        );
+        let ag = self.time(
+            CollectiveKind::AllGather,
+            n_intra,
+            bytes,
+            CommDomain::IntraNode,
+        );
         rs + ar + ag
     }
 }
@@ -162,8 +218,12 @@ mod tests {
     fn allreduce_moves_twice_allgather_volume() {
         let c = cost();
         let v = 1u64 << 30;
-        let ar = c.time(CollectiveKind::AllReduce, 8, v, CommDomain::IntraNode).as_secs_f64();
-        let ag = c.time(CollectiveKind::AllGather, 8, v, CommDomain::IntraNode).as_secs_f64();
+        let ar = c
+            .time(CollectiveKind::AllReduce, 8, v, CommDomain::IntraNode)
+            .as_secs_f64();
+        let ag = c
+            .time(CollectiveKind::AllGather, 8, v, CommDomain::IntraNode)
+            .as_secs_f64();
         // Latency terms also double, so the ratio is 2 up to ns rounding.
         assert!((ar / ag - 2.0).abs() < 1e-6);
     }
@@ -175,7 +235,10 @@ mod tests {
         let big = c.time(CollectiveKind::AllReduce, 8, 1 << 26, CommDomain::IntraNode);
         assert!(big > small);
         let rdma = c.time(CollectiveKind::AllReduce, 8, 1 << 26, CommDomain::InterNode);
-        assert!(rdma > big, "RDMA must be slower than NVLink for equal shape");
+        assert!(
+            rdma > big,
+            "RDMA must be slower than NVLink for equal shape"
+        );
     }
 
     #[test]
@@ -184,8 +247,12 @@ mod tests {
         // bandwidth term. Compare per-step-latency-free approximations.
         let c = cost();
         let v = 1u64 << 30;
-        let t16 = c.time(CollectiveKind::AllGather, 16, v, CommDomain::InterNode).as_secs_f64();
-        let t32 = c.time(CollectiveKind::AllGather, 32, v, CommDomain::InterNode).as_secs_f64();
+        let t16 = c
+            .time(CollectiveKind::AllGather, 16, v, CommDomain::InterNode)
+            .as_secs_f64();
+        let t32 = c
+            .time(CollectiveKind::AllGather, 32, v, CommDomain::InterNode)
+            .as_secs_f64();
         assert!(t32 < t16 * 1.1);
     }
 
@@ -202,7 +269,10 @@ mod tests {
         let v = 2u64 << 30; // 2 GiB of gradients
         let flat = c.time(CollectiveKind::AllReduce, 64, v, CommDomain::InterNode);
         let hier = c.allreduce_hierarchical(8, 8, v);
-        assert!(hier < flat, "two-level ring must beat a flat RDMA ring: {hier} vs {flat}");
+        assert!(
+            hier < flat,
+            "two-level ring must beat a flat RDMA ring: {hier} vs {flat}"
+        );
     }
 
     #[test]

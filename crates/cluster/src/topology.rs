@@ -143,7 +143,8 @@ impl ClusterSpec {
     /// traverse shared aggregation switches; we model that contention as a
     /// fixed 0.6 derating (a typical fat-tree oversubscription penalty).
     pub fn cross_node_pair_bw(&self) -> f64 {
-        let gpus_per_nic = (self.node.gpus_per_node as f64 / self.node.nics_per_node as f64).max(1.0);
+        let gpus_per_nic =
+            (self.node.gpus_per_node as f64 / self.node.nics_per_node as f64).max(1.0);
         let per_gpu = self.node.nic_bw / gpus_per_nic;
         if self.rail_optimized {
             per_gpu
