@@ -43,7 +43,11 @@ pub struct BrokerLink {
 impl BrokerLink {
     /// Link two units by their effective DP widths.
     pub fn new(upstream_dp: u32, downstream_dp: u32) -> Self {
-        BrokerLink { upstream_dp, downstream_dp, side: BrokerSide::DownstreamFirstStage }
+        BrokerLink {
+            upstream_dp,
+            downstream_dp,
+            side: BrokerSide::DownstreamFirstStage,
+        }
     }
 
     /// Number of broker instances — `gcd(DP_up, DP_down)` per §6.

@@ -76,7 +76,9 @@ impl UnitLayout {
 
     /// Ranks of the first PP stage (where a downstream broker would live).
     pub fn first_stage_ranks(&self) -> Vec<u32> {
-        (0..self.plan.dp * self.plan.tp).map(|i| self.base_rank + i).collect()
+        (0..self.plan.dp * self.plan.tp)
+            .map(|i| self.base_rank + i)
+            .collect()
     }
 
     /// Ranks of the last PP stage (where an upstream broker would live).

@@ -34,12 +34,26 @@ pub struct ModulePlan {
 impl ModulePlan {
     /// A plain TP/DP/PP plan.
     pub fn new(tp: u32, dp: u32, pp: u32) -> Self {
-        ModulePlan { tp, dp, pp, replicate_in_tp_group: false, sp: false, ep: 1 }
+        ModulePlan {
+            tp,
+            dp,
+            pp,
+            replicate_in_tp_group: false,
+            sp: false,
+            ep: 1,
+        }
     }
 
     /// A replicated plan (see `replicate_in_tp_group`).
     pub fn replicated(group: u32, dp: u32, pp: u32) -> Self {
-        ModulePlan { tp: group, dp, pp, replicate_in_tp_group: true, sp: false, ep: 1 }
+        ModulePlan {
+            tp: group,
+            dp,
+            pp,
+            replicate_in_tp_group: true,
+            sp: false,
+            ep: 1,
+        }
     }
 
     /// Enable sequence parallelism (meaningful when `tp > 1`).
@@ -85,7 +99,10 @@ impl ModulePlan {
             return Err(format!("degenerate plan {self:?}"));
         }
         if self.tp > gpus_per_node {
-            return Err(format!("TP {} exceeds the {}-GPU NVLink domain", self.tp, gpus_per_node));
+            return Err(format!(
+                "TP {} exceeds the {}-GPU NVLink domain",
+                self.tp, gpus_per_node
+            ));
         }
         if !self.tp.is_power_of_two() {
             return Err(format!("TP {} not a power of two", self.tp));
@@ -167,7 +184,8 @@ impl OrchestrationPlan {
             (ModuleKind::Backbone, self.backbone),
             (ModuleKind::Generator, self.generator),
         ] {
-            plan.validate(gpus_per_node).map_err(|e| format!("{kind}: {e}"))?;
+            plan.validate(gpus_per_node)
+                .map_err(|e| format!("{kind}: {e}"))?;
             let mem = model.module_memory(kind, shape);
             // The module's per-microbatch sample count: the backbone defines
             // M; encoder/generator see DP_lm·M/DP_me samples (§4.2).
@@ -188,7 +206,10 @@ impl OrchestrationPlan {
             }
         }
         if self.total_gpus() > total_gpus {
-            return Err(format!("plan wants {} GPUs, cluster has {total_gpus}", self.total_gpus()));
+            return Err(format!(
+                "plan wants {} GPUs, cluster has {total_gpus}",
+                self.total_gpus()
+            ));
         }
         if !global_batch.is_multiple_of(self.backbone.dp * self.microbatch) {
             return Err(format!(
@@ -206,7 +227,14 @@ mod tests {
     use dt_model::MllmPreset;
 
     fn shape() -> SampleShape {
-        SampleShape { text_tokens: 6144, image_tokens: 2048, num_images: 2, gen_images: 1, image_res: 512, gen_res: 512 }
+        SampleShape {
+            text_tokens: 6144,
+            image_tokens: 2048,
+            num_images: 2,
+            gen_images: 1,
+            image_res: 512,
+            gen_res: 512,
+        }
     }
 
     #[test]
