@@ -127,7 +127,10 @@ impl StepCclModel {
             // baseline, not a spurious win or loss from modelling a
             // 1-rank all-reduce.
             let t = (gemm_fwd + gemm_bwd) * layers as u64;
-            return StageIteration { baseline: t, stepccl: t };
+            return StageIteration {
+                baseline: t,
+                stepccl: t,
+            };
         }
         // Per-pair collective volume: the s×h layer output.
         let bytes = backbone.tp_allreduce_bytes(seq) * m;
@@ -144,7 +147,10 @@ impl StepCclModel {
         let over_layer = overlapped_time(gemm_fwd, pair_comm * pairs_fwd, self.chunks, remap)
             + overlapped_time(gemm_bwd, pair_comm * pairs_bwd, self.chunks, remap);
 
-        StageIteration { baseline: base_layer * layers as u64, stepccl: over_layer * layers as u64 }
+        StageIteration {
+            baseline: base_layer * layers as u64,
+            stepccl: over_layer * layers as u64,
+        }
     }
 }
 
@@ -213,7 +219,10 @@ mod tests {
             let s = it.speedup();
             assert!(s > 1.0, "StepCCL must win at TP={tp}: {s:.3}");
             assert!(s < 1.35, "gain at TP={tp} implausibly large: {s:.3}");
-            assert!(s >= last - 0.02, "gain should grow with TP: {s:.3} after {last:.3}");
+            assert!(
+                s >= last - 0.02,
+                "gain should grow with TP: {s:.3} after {last:.3}"
+            );
             last = s;
         }
         assert!(last > 1.08, "TP=8 gain {last:.3} below the paper's band");
@@ -258,24 +267,47 @@ mod tests {
         let gpu = GpuSpec::ampere();
         let coll = CollectiveCost::new(ClusterSpec::production(2));
         let bb = llama::llama3_13b();
-        let over = StepCclModel { remap_hidden_fraction: 1.7, ..StepCclModel::default() };
-        let all_hidden = StepCclModel { remap_hidden_fraction: 1.0, ..StepCclModel::default() };
+        let over = StepCclModel {
+            remap_hidden_fraction: 1.7,
+            ..StepCclModel::default()
+        };
+        let all_hidden = StepCclModel {
+            remap_hidden_fraction: 1.0,
+            ..StepCclModel::default()
+        };
         assert_eq!(
-            over.stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1).stepccl,
-            all_hidden.stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1).stepccl,
+            over.stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1)
+                .stepccl,
+            all_hidden
+                .stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1)
+                .stepccl,
             ">1 must clamp to fully hidden"
         );
-        let under = StepCclModel { remap_hidden_fraction: -0.3, ..StepCclModel::default() };
-        let none_hidden = StepCclModel { remap_hidden_fraction: 0.0, ..StepCclModel::default() };
+        let under = StepCclModel {
+            remap_hidden_fraction: -0.3,
+            ..StepCclModel::default()
+        };
+        let none_hidden = StepCclModel {
+            remap_hidden_fraction: 0.0,
+            ..StepCclModel::default()
+        };
         assert_eq!(
-            under.stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1).stepccl,
-            none_hidden.stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1).stepccl,
+            under
+                .stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1)
+                .stepccl,
+            none_hidden
+                .stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1)
+                .stepccl,
             "<0 must clamp to nothing hidden"
         );
         // The clamp is monotone: hiding more remap never slows the stage.
         assert!(
-            all_hidden.stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1).stepccl
-                <= none_hidden.stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1).stepccl
+            all_hidden
+                .stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1)
+                .stepccl
+                <= none_hidden
+                    .stage_iteration(&bb, &gpu, &coll, 4, 8192, 4, 1)
+                    .stepccl
         );
     }
 

@@ -16,7 +16,13 @@
 ///
 /// # Panics
 /// If the buffer sizes do not equal `chunks × ranks × cell_bytes`.
-pub fn remap_layout_into(data: &[u8], out: &mut [u8], chunks: usize, ranks: usize, cell_bytes: usize) {
+pub fn remap_layout_into(
+    data: &[u8],
+    out: &mut [u8],
+    chunks: usize,
+    ranks: usize,
+    cell_bytes: usize,
+) {
     let total = chunks * ranks * cell_bytes;
     assert_eq!(data.len(), total, "input is not chunks×ranks×cell");
     assert_eq!(out.len(), total, "output is not chunks×ranks×cell");
