@@ -3,9 +3,10 @@
 //! and a deliberate overload probe. Every client drives the real
 //! [`dt_serve::Client`] over real sockets with the same mix — plan (cold
 //! then warm), degraded replan, and simulate — so the gates cover the
-//! whole stack: frame codec, admission control, worker pool, and the
-//! cross-request warm-plan store. Request throughput and latency are
-//! perfbench's `serve-mix` workload, not this bench's.
+//! whole stack: frame codec, the admission gate, requests executing on
+//! their session threads, and the cross-request warm-plan store. Request
+//! throughput and latency are perfbench's `serve-mix` workload, not this
+//! bench's.
 //!
 //! Emits `BENCH_service.json` (override with `DT_BENCH_SERVICE_JSON`)
 //! with the warm-vs-cold store ratio, the served and rejected counters
@@ -168,7 +169,7 @@ fn trace_overhead_probe() -> OverheadProbe {
     }
 }
 
-/// Saturate a deliberately tiny daemon (one slow worker, queue depth 1)
+/// Saturate a deliberately tiny daemon (one slow slot, queue depth 1)
 /// with simultaneous one-shot clients and count typed `Overloaded`
 /// rejections: the admission-control path under real contention.
 fn overload_probe() -> (u32, u32, u32) {

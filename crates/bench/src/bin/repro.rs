@@ -15,7 +15,8 @@
 //! repro preprocess                # data-plane smoke: 2 producers × 2 consumers
 //! repro preprocess --producers 4 --consumers 2 --batch 8 --batches 6
 //! repro serve                     # planner daemon on an ephemeral port
-//! repro serve --addr 127.0.0.1:7411 --workers 4        # pinned address
+//! repro serve --addr 127.0.0.1:7411 --workers 4        # pinned address,
+//!                                                       # 4 requests at once
 //! repro client --addr A plan --preset mllm-9b --nodes 12 --batch 128
 //! repro client --addr A plan --trace t.json  # traced: assemble the
 //!                                            # cross-process span tree
@@ -191,6 +192,8 @@ fn run_check(raw: &[String]) -> ! {
 
 /// `repro serve [--addr A] [--workers N] [--queue N]` — run the planner
 /// daemon until a wire shutdown request (or the process is killed).
+/// `--workers` caps the requests executing at once (each on its session
+/// thread), `--queue` the requests waiting for one of those slots.
 /// Never returns.
 fn run_serve(raw: &[String]) -> ! {
     let mut cfg = dt_serve::ServeConfig::default();
@@ -200,6 +203,8 @@ fn run_serve(raw: &[String]) -> ! {
         let Some(value) = raw.get(i + 1) else {
             eprintln!("error: {flag} requires a value");
             eprintln!("usage: repro serve [--addr HOST:PORT] [--workers N] [--queue N]");
+            eprintln!("  --workers N  requests executing at once (default 2)");
+            eprintln!("  --queue N    requests waiting for a slot (default 16)");
             std::process::exit(2);
         };
         let parsed: Result<(), String> = match flag {

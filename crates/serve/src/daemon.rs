@@ -1,44 +1,42 @@
-//! The planner daemon: accept loop, admission control, worker pool,
-//! graceful drain.
+//! The planner daemon: accept loop, admission gate, graceful drain.
 //!
 //! Thread shape (all synchronous, like the preprocessing producer):
 //!
 //! ```text
 //! accept thread ──► session thread per connection
-//!                      │  admission: validate → try_send (bounded queue)
+//!                      │  admission: validate → gate (FIFO tickets)
+//!                      │  slot granted: plan/replan/simulate, on this thread
 //!                      ▼
-//!              sync_channel(queue_depth)  ──►  N worker threads
-//!                      ▲                          │ plan/replan/simulate
-//!                      └── per-job reply channel ◄┘
+//!                   reply
 //! ```
 //!
 //! Invariants the tests pin down:
 //!
-//! * **Bounded admission.** The job queue is a `sync_channel` of
-//!   configured depth; a full queue rejects with
-//!   [`ServeError::Overloaded`] *at admission time* — the daemon never
-//!   buffers unboundedly and a client learns about congestion
-//!   immediately.
+//! * **Bounded admission, no hand-off.** At most [`ServeConfig::workers`]
+//!   jobs run at once, each on the session thread that read it, and at
+//!   most [`ServeConfig::queue_depth`] wait, taking slots in admission
+//!   order; one more is rejected with [`ServeError::Overloaded`] *at
+//!   admission time* — the daemon never buffers unboundedly and a client
+//!   learns about congestion immediately. A slot is a guard released on
+//!   drop, so a job that unwinds never shrinks capacity.
 //! * **Deadlines are checked twice.** At admission (a request whose
-//!   deadline already lapsed is not queued) and at dequeue: a job that
-//!   spent its whole deadline waiting is answered with
-//!   [`ServeError::DeadlineExceeded`] without occupying a worker for the
-//!   actual search.
+//!   deadline already lapsed never waits) and when the slot is granted: a
+//!   job that spent its whole deadline waiting is answered with
+//!   [`ServeError::DeadlineExceeded`] without running the actual search.
 //! * **Sessions are kept alive.** A session serves requests until its
 //!   client closes, so a [`Client`](crate::client::Client) pays for one
 //!   connect, accept and session thread, not one per request. Each session
 //!   reads its socket through one buffer: a request frame, its trace
 //!   context included, usually arrives in a single `read`, and the buffer
 //!   is what tells EOF and an HTTP `GET ` apart from a frame.
-//! * **Every admitted job is answered.** Session threads block on the
-//!   job's private reply channel, so a session cannot finish with a job
-//!   still queued — which is exactly what makes the drain argument work:
-//!   shutdown wakes the accept thread (stop flag plus a self-connect),
-//!   which shuts down the read half of every live session — an idle
-//!   session, including a kept-alive one waiting between requests, sees
-//!   EOF at once, a busy one still writes its reply — and joins them;
-//!   only then do the workers see a disconnected queue and exit. Nothing
-//!   polls: sessions block in reads, the accept thread in `accept`.
+//! * **Every admitted job is answered.** A session reads its next request
+//!   only after writing the last reply, which is what makes the drain
+//!   argument work: shutdown wakes the accept thread (stop flag plus a
+//!   self-connect), which shuts down the read half of every live session
+//!   — an idle session, including a kept-alive one waiting between
+//!   requests, sees EOF at once, a busy or waiting one still runs its job
+//!   and replies — and joins them. Nothing polls: sessions block in reads
+//!   or at the gate, the accept thread in `accept`.
 //! * **Hostile frames never panic.** A frame that is not a parseable
 //!   request, or whose length word claims more than
 //!   [`MAX_CONTROL_FRAME`] (checked before any body byte is read), gets a
@@ -56,15 +54,15 @@ use dt_parallel::plan::ModulePlan;
 use dt_simengine::frame::{read_json_ctx, write_json, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
-use dt_telemetry::{names, FlightLog, Telemetry};
+use dt_telemetry::{names, FlightLog, Gauge, Telemetry};
 use std::io::{self, BufRead, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Chrome-trace process id for the daemon's admission/worker plane.
+/// Chrome-trace process id for the daemon's admission/execution plane.
 /// Distinct from the preprocessing plane ids (1000/1001) so merged
 /// cross-plane traces keep separate tracks.
 pub const SERVE_PID: u64 = 2_000;
@@ -79,9 +77,9 @@ pub const STORE_PID: u64 = 2_500;
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads executing searches/simulations.
+    /// Requests executing at once, each on its own session thread.
     pub workers: usize,
-    /// Admission queue capacity; a full queue rejects with
+    /// Requests that may wait for a slot; one more is rejected with
     /// [`ServeError::Overloaded`].
     pub queue_depth: usize,
     /// Largest cluster a request may ask about (admission cap).
@@ -103,8 +101,8 @@ pub struct ServeConfig {
     /// Flight-recorder dump log (shared with the HTTP `/flight`
     /// endpoint). Disabled by default, like tracing.
     pub flight: FlightLog,
-    /// Test hook: extra busy-work per job, so overload tests can fill the
-    /// queue deterministically. `None` in production.
+    /// Test hook: extra busy-work per job, inside its slot, so overload
+    /// tests can fill the line deterministically. `None` in production.
     pub worker_delay: Option<Duration>,
 }
 
@@ -126,16 +124,17 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued unit of work.
-struct Job {
-    req: ServeRequest,
-    admitted: Instant,
-    deadline: Option<Duration>,
-    reply: mpsc::Sender<ServeReply>,
-    /// Trace context the client sent with the request, if any. The
-    /// worker's queue/exec/store spans hang off it.
-    ctx: Option<TraceContext>,
+/// The admission gate's state: `running` jobs hold a slot, tickets
+/// `granted..issued` wait, and slots go out in ticket (admission) order.
+#[derive(Default)]
+struct Gate {
+    running: usize,
+    issued: u64,
+    granted: u64,
 }
+
+/// A running job's slot, released on drop — also when the job unwinds.
+struct Slot<'s>(&'s Shared);
 
 /// Shared daemon state.
 struct Shared {
@@ -144,28 +143,85 @@ struct Shared {
     trace: WallTraceSink,
     flight: FlightLog,
     started: Instant,
-    queue_len: AtomicI64,
+    gate: Mutex<Gate>,
+    turn: Condvar,
+    /// `dt_serve_running_jobs` and `dt_serve_queue_depth`, resolved once.
+    gauges: Option<[Arc<Gauge>; 2]>,
     stop: AtomicBool,
     cfg: ServeConfig,
     /// The bound address, for self-connects that unblock the accept loop.
-    addr: Mutex<Option<std::net::SocketAddr>>,
+    addr: std::net::SocketAddr,
 }
 
 impl Shared {
+    fn new(cfg: ServeConfig, addr: std::net::SocketAddr) -> Shared {
+        Shared {
+            store: PlanStore::new(),
+            telemetry: cfg.telemetry.clone(),
+            trace: cfg.trace.clone(),
+            flight: cfg.flight.clone(),
+            started: Instant::now(),
+            gate: Mutex::default(),
+            turn: Condvar::new(),
+            gauges: cfg.telemetry.with(|r| {
+                [names::SERVE_RUNNING_JOBS, names::SERVE_QUEUE_DEPTH].map(|n| r.gauge(n, &[]))
+            }),
+            stop: AtomicBool::new(false),
+            cfg,
+            addr,
+        }
+    }
+
     /// Begin a drain: stop admitting and nudge the accept loop awake.
     fn begin_shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(addr) = *self.addr.lock().expect("addr lock") {
-            let _ = TcpStream::connect(addr);
+        let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Take a ticket and block until it is granted one of `workers` slots.
+    /// `None`, at once, when `queue_depth` jobs are already waiting.
+    fn enter(&self) -> Option<Slot<'_>> {
+        let slots = self.cfg.workers.max(1);
+        let mut g = self.gate.lock().expect("gate lock");
+        if (g.issued - g.granted) as usize >= self.cfg.queue_depth.max(1) {
+            return None;
+        }
+        let ticket = g.issued;
+        g.issued += 1;
+        while ticket != g.granted || g.running == slots {
+            self.publish(&g);
+            g = self.turn.wait(g).expect("gate lock");
+        }
+        g.granted += 1;
+        g.running += 1;
+        // Two slots may have freed before the head woke: pass the turn on.
+        if g.granted < g.issued && g.running < slots {
+            self.turn.notify_all();
+        }
+        self.publish(&g);
+        Some(Slot(self))
+    }
+
+    /// Set the gate gauges; called under the gate lock.
+    fn publish(&self, g: &Gate) {
+        if let Some([running, waiting]) = &self.gauges {
+            running.set(g.running as f64);
+            waiting.set((g.issued - g.granted) as f64);
         }
     }
 }
 
-impl Shared {
-    fn queue_gauge(&self, delta: i64) {
-        let now = self.queue_len.fetch_add(delta, Ordering::SeqCst) + delta;
-        self.telemetry
-            .with(|r| r.gauge(names::SERVE_QUEUE_DEPTH, &[]).set(now as f64));
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // Drop must not panic; every gate update leaves it valid.
+        let mut g = self.0.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        g.running -= 1;
+        // Only a waiting job needs waking: one that never queued behind
+        // another makes no wake-up call.
+        if g.granted < g.issued {
+            self.0.turn.notify_all();
+        }
+        self.0.publish(&g);
     }
 }
 
@@ -176,7 +232,6 @@ pub struct ServeHandle {
     pub addr: std::net::SocketAddr,
     shared: Arc<Shared>,
     accept: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServeHandle {
@@ -187,39 +242,15 @@ impl ServeHandle {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
             })?)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            store: PlanStore::new(),
-            telemetry: cfg.telemetry.clone(),
-            trace: cfg.trace.clone(),
-            flight: cfg.flight.clone(),
-            started: Instant::now(),
-            queue_len: AtomicI64::new(0),
-            stop: AtomicBool::new(false),
-            cfg: cfg.clone(),
-            addr: Mutex::new(Some(addr)),
-        });
-
-        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..cfg.workers.max(1))
-            .map(|i| {
-                let rx = rx.clone();
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("dt-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared, i as u64))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-
+        let shared = Arc::new(Shared::new(cfg, addr));
         let shared_accept = shared.clone();
         let accept = std::thread::Builder::new()
             .name("dt-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &shared_accept, tx));
+            .spawn(move || accept_loop(&listener, &shared_accept));
         Ok(ServeHandle {
             addr,
             shared,
             accept: Some(accept?),
-            workers,
         })
     }
 
@@ -246,15 +277,12 @@ impl ServeHandle {
         self.shutdown();
     }
 
-    /// Stop accepting, drain in-flight requests, join every thread.
-    /// Idempotent.
+    /// Stop accepting, drain in-flight requests, join every thread (the
+    /// accept thread joins the sessions). Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.begin_shutdown();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
@@ -269,9 +297,9 @@ impl Drop for ServeHandle {
 /// accept thread keeps a clone of every live session's socket: at drain
 /// it shuts down their read halves, so idle sessions see EOF at once while
 /// in-flight replies still go out, then joins them.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut sessions: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
-    for conn in listener.incoming() {
+    for (index, conn) in (0u64..).zip(listener.incoming()) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
@@ -284,11 +312,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
             continue;
         };
         let shared = shared.clone();
-        let tx = tx.clone();
         let spawned = std::thread::Builder::new()
             .name("dt-serve-session".into())
             .spawn(move || {
-                let _ = serve_session(&stream, &shared, &tx);
+                // A job that panics unwinds to here (its slot already freed).
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                    serve_session(&stream, &shared, index)
+                }));
                 // The accept thread's clone keeps the fd open: shut down here
                 // so the peer sees EOF as soon as the session ends.
                 let _ = stream.shutdown(Shutdown::Both);
@@ -297,9 +327,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
             sessions.push((clone, h));
         }
     }
-    // Drain: every session finishes its in-flight request (workers are
-    // still running — they only exit once all job senders, including the
-    // per-session clones these joins release, are gone).
+    // Drain: every session finishes its in-flight request; one still
+    // waiting at the gate gets its slot as the running ones finish.
     for (stream, _) in &sessions {
         let _ = stream.shutdown(Shutdown::Read);
     }
@@ -311,8 +340,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, tx: SyncSender<Job>
 /// One client connection: requests until the peer closes, shutdown, a
 /// drain, or a malformed frame. Requests are read through one buffer, so
 /// a frame — length word, trace context and payload — usually costs one
-/// `read`; replies go straight to the socket.
-fn serve_session(stream: &TcpStream, shared: &Shared, tx: &SyncSender<Job>) -> io::Result<()> {
+/// `read`; replies go straight to the socket, spans to trace `tid` `index`.
+fn serve_session(stream: &TcpStream, shared: &Shared, index: u64) -> io::Result<()> {
     let session = stream
         .peer_addr()
         .map(|a| format!("serve:{a}"))
@@ -366,46 +395,34 @@ fn serve_session(stream: &TcpStream, shared: &Shared, tx: &SyncSender<Job>) -> i
             write_json(&mut writer, &ServeReply::Err(ServeError::ShuttingDown))?;
             return Ok(());
         }
-        match admit(&req, ctx, shared, tx) {
+        let reply = match admit(&req, shared) {
+            // `_slot` is held until the reply is built.
+            Admitted::Run(admitted, _slot) => {
+                let reply = run(&req, admitted, ctx, shared, index);
+                flight.record("reply", trace_id, || outcome(&reply).to_string());
+                reply
+            }
             Admitted::Inline(reply) => {
                 if matches!(reply, ServeReply::Err(ServeError::Overloaded { .. })) {
                     flight.record("overloaded", trace_id, || req.kind().to_string());
                     flight.dump_counted("overloaded", &shared.telemetry);
                 }
-                write_json(&mut writer, &reply)?
+                reply
             }
-            Admitted::Queued(reply_rx) => {
-                // Blocking here is what guarantees the drain invariant:
-                // this session cannot exit before its job is answered.
-                let reply = reply_rx
-                    .recv()
-                    .unwrap_or(ServeReply::Err(ServeError::ShuttingDown));
-                let outcome = if matches!(reply, ServeReply::Err(_)) {
-                    "error"
-                } else {
-                    "ok"
-                };
-                flight.record("reply", trace_id, || outcome.to_string());
-                write_json(&mut writer, &reply)?;
-            }
-        }
+        };
+        write_json(&mut writer, &reply)?;
     }
 }
 
-enum Admitted {
-    /// Answered without queueing (ping, rejection).
+enum Admitted<'s> {
+    /// Answered without a slot (ping, shutdown, rejection).
     Inline(ServeReply),
-    /// Queued; the reply arrives on this channel.
-    Queued(mpsc::Receiver<ServeReply>),
+    /// Admitted at this instant and now holding a slot: run it here.
+    Run(Instant, Slot<'s>),
 }
 
-/// Admission control: validate, stamp, and try to enqueue.
-fn admit(
-    req: &ServeRequest,
-    ctx: Option<TraceContext>,
-    shared: &Shared,
-    tx: &SyncSender<Job>,
-) -> Admitted {
+/// Admission control: validate, stamp, and wait at the gate for a slot.
+fn admit<'s>(req: &ServeRequest, shared: &'s Shared) -> Admitted<'s> {
     if matches!(req, ServeRequest::Ping) {
         shared.telemetry.with(|r| {
             r.counter(
@@ -431,31 +448,14 @@ fn admit(
         record_rejection(&shared.telemetry, "bad_request");
         return Admitted::Inline(ServeReply::Err(ServeError::BadRequest { reason }));
     }
-    let deadline = match req.deadline_ms() {
-        0 => shared.cfg.default_deadline,
-        ms => Some(Duration::from_millis(ms)),
-    };
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        req: req.clone(),
-        admitted: Instant::now(),
-        deadline,
-        reply: reply_tx,
-        ctx,
-    };
-    match tx.try_send(job) {
-        Ok(()) => {
-            shared.queue_gauge(1);
-            Admitted::Queued(reply_rx)
-        }
-        Err(TrySendError::Full(_)) => {
+    let admitted = Instant::now();
+    match shared.enter() {
+        Some(slot) => Admitted::Run(admitted, slot),
+        None => {
             record_rejection(&shared.telemetry, "overloaded");
             Admitted::Inline(ServeReply::Err(ServeError::Overloaded {
                 queue_depth: shared.cfg.queue_depth as u32,
             }))
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            Admitted::Inline(ServeReply::Err(ServeError::ShuttingDown))
         }
     }
 }
@@ -520,82 +520,84 @@ fn record_rejection(tel: &Telemetry, reason: &str) {
     });
 }
 
-/// Worker: dequeue, expire, execute, reply.
-fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared, worker: u64) {
-    loop {
-        let job = match rx.lock().expect("queue lock").recv() {
-            Ok(job) => job,
-            Err(_) => return, // all senders gone: daemon drained
-        };
-        shared.queue_gauge(-1);
-        let kind = job.req.kind();
-        let [_, queue_span, exec_span] = job.req.span_names();
-        // The queue span covers admission → dequeue: exactly the wait the
-        // deadline check below charges against the request.
-        if let Some(ctx) = &job.ctx {
-            shared.trace.record_traced(
-                queue_span,
-                cat::SERVE_QUEUE,
-                SERVE_PID,
-                worker,
-                job.admitted,
-                Some(ctx),
-                ctx.span_id(1),
-            );
-        }
-        let waited = job.admitted.elapsed();
-        if let Some(deadline) = job.deadline {
-            if waited > deadline {
-                record_rejection(&shared.telemetry, "deadline");
-                let _ = job
-                    .reply
-                    .send(ServeReply::Err(ServeError::DeadlineExceeded {
-                        waited_ms: waited.as_millis() as u64,
-                    }));
-                continue;
-            }
-        }
-        if let Some(delay) = shared.cfg.worker_delay {
-            std::thread::sleep(delay);
-        }
-        // The exec span parents everything the request does inside the
-        // daemon; the store span (possibly on another "process" track)
-        // hangs off it via `exec_ctx`.
-        let exec = job.ctx.map(|c| c.child(2));
-        let exec_started = Instant::now();
-        let reply = execute(&job.req, exec.map(|(_, c)| c), shared);
-        if let (Some(ctx), Some((exec_id, _))) = (&job.ctx, exec) {
-            shared.trace.record_traced(
-                exec_span,
-                cat::SERVE_EXEC,
-                SERVE_PID,
-                worker,
-                exec_started,
-                Some(ctx),
-                exec_id,
-            );
-        }
-        let outcome = if matches!(reply, ServeReply::Err(_)) {
-            "error"
-        } else {
-            "ok"
-        };
-        let trace_id = job.ctx.map(|c| c.trace_id).unwrap_or(0);
-        shared.telemetry.with(|r| {
-            r.counter(
-                names::SERVE_REQUESTS_TOTAL,
-                &[("kind", kind), ("outcome", outcome)],
-            )
-            .inc();
-            r.histogram(names::SERVE_REQUEST_SECONDS, &[("kind", kind)])
-                .observe_traced(job.admitted.elapsed().as_secs_f64(), trace_id);
-        });
-        let _ = job.reply.send(reply);
+fn outcome(reply: &ServeReply) -> &'static str {
+    if matches!(reply, ServeReply::Err(_)) {
+        "error"
+    } else {
+        "ok"
     }
 }
 
+/// Run a job admitted at `admitted` and now holding its slot: expire,
+/// execute, record. Its spans land on trace track `tid`.
+fn run(
+    req: &ServeRequest,
+    admitted: Instant,
+    ctx: Option<TraceContext>,
+    shared: &Shared,
+    tid: u64,
+) -> ServeReply {
+    let kind = req.kind();
+    let [_, queue_span, exec_span] = req.span_names();
+    // The queue span covers admission → slot: exactly the wait the
+    // deadline check below charges against the request.
+    if let Some(ctx) = &ctx {
+        shared.trace.record_traced(
+            queue_span,
+            cat::SERVE_QUEUE,
+            SERVE_PID,
+            tid,
+            admitted,
+            Some(ctx),
+            ctx.span_id(1),
+        );
+    }
+    let deadline = match req.deadline_ms() {
+        0 => shared.cfg.default_deadline,
+        ms => Some(Duration::from_millis(ms)),
+    };
+    let waited = admitted.elapsed();
+    if deadline.is_some_and(|deadline| waited > deadline) {
+        record_rejection(&shared.telemetry, "deadline");
+        return ServeReply::Err(ServeError::DeadlineExceeded {
+            waited_ms: waited.as_millis() as u64,
+        });
+    }
+    if let Some(delay) = shared.cfg.worker_delay {
+        std::thread::sleep(delay);
+    }
+    // The exec span parents everything the request does inside the
+    // daemon; the store span (possibly on another "process" track)
+    // hangs off it via `exec_ctx`.
+    let exec = ctx.map(|c| c.child(2));
+    let exec_started = Instant::now();
+    let reply = execute(req, exec.map(|(_, c)| c), shared);
+    if let (Some(ctx), Some((exec_id, _))) = (&ctx, exec) {
+        shared.trace.record_traced(
+            exec_span,
+            cat::SERVE_EXEC,
+            SERVE_PID,
+            tid,
+            exec_started,
+            Some(ctx),
+            exec_id,
+        );
+    }
+    let trace_id = ctx.map(|c| c.trace_id).unwrap_or(0);
+    shared.telemetry.with(|r| {
+        r.counter(
+            names::SERVE_REQUESTS_TOTAL,
+            &[("kind", kind), ("outcome", outcome(&reply))],
+        )
+        .inc();
+        r.histogram(names::SERVE_REQUEST_SECONDS, &[("kind", kind)])
+            .observe_traced(admitted.elapsed().as_secs_f64(), trace_id);
+    });
+    reply
+}
+
 /// Execute one admitted request against the shared warm store. `ctx`, if
-/// present, is the worker's exec-span context: store spans become its
+/// present, is the job's exec-span context: store spans become its
 /// children.
 fn execute(req: &ServeRequest, ctx: Option<TraceContext>, shared: &Shared) -> ServeReply {
     match req {
@@ -795,6 +797,121 @@ mod tests {
             deadline_ms: 0,
         };
         assert!(validate(&over_replan, &cfg).is_err());
+    }
+
+    /// A daemon's shared state, with no socket behind it.
+    fn shared(workers: usize, queue_depth: usize) -> Shared {
+        let cfg = ServeConfig {
+            workers,
+            queue_depth,
+            ..cfg()
+        };
+        Shared::new(cfg, ([127, 0, 0, 1], 0).into())
+    }
+
+    /// Block until the gate has exactly `n` jobs waiting (bounded).
+    fn await_waiting(shared: &Shared, n: u64) {
+        let until = Instant::now() + Duration::from_secs(10);
+        while {
+            let g = shared.gate.lock().unwrap();
+            g.issued - g.granted
+        } != n
+        {
+            assert!(Instant::now() < until, "the gate never had {n} waiting");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_grants_slots_in_admission_order() {
+        let shared = &shared(1, 8);
+        let order = &Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let held = shared.enter().expect("free slot");
+            for i in 0..6 {
+                s.spawn(move || {
+                    let _slot = shared.enter().expect("room to wait");
+                    order.lock().unwrap().push(i);
+                });
+                await_waiting(shared, i + 1);
+            }
+            drop(held);
+        });
+        let order = order.lock().unwrap().clone();
+        assert_eq!(order, (0..6).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn gate_refuses_the_waiter_past_its_depth() {
+        let shared = &shared(1, 2);
+        std::thread::scope(|s| {
+            let held = shared.enter().expect("free slot");
+            for n in 1..=2 {
+                s.spawn(|| drop(shared.enter().expect("room to wait")));
+                await_waiting(shared, n);
+            }
+            // Off-thread, so a gate that queues it instead fails the
+            // timeout below rather than hanging the test.
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || tx.send(shared.enter().is_none()));
+            let refused = rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(
+                refused,
+                Ok(true),
+                "the third waiter must be refused at once"
+            );
+            drop(held);
+        });
+        assert!(
+            shared.enter().is_some(),
+            "the line drained; the gate admits again"
+        );
+    }
+
+    #[test]
+    fn a_job_whose_deadline_lapses_while_waiting_never_runs() {
+        let shared = &shared(1, 4);
+        let req = &ServeRequest::Plan {
+            spec: SpecDesc::ablation("mllm-9b", 128),
+            budget: 1,
+            deadline_ms: 1,
+        };
+        let reply = std::thread::scope(|s| {
+            let held = shared.enter().expect("free slot");
+            let waiter = s.spawn(move || match admit(req, shared) {
+                Admitted::Run(admitted, _slot) => run(req, admitted, None, shared, 0),
+                Admitted::Inline(reply) => reply,
+            });
+            await_waiting(shared, 1);
+            // Let the 1 ms deadline lapse while the job waits in line.
+            std::thread::sleep(Duration::from_millis(20));
+            drop(held);
+            waiter.join().expect("waiter")
+        });
+        assert!(
+            matches!(
+                reply,
+                ServeReply::Err(ServeError::DeadlineExceeded { waited_ms }) if waited_ms >= 1
+            ),
+            "expected DeadlineExceeded, got {reply:?}"
+        );
+        let (hits, misses) = (shared.store.hits(), shared.store.misses());
+        assert_eq!(hits + misses, 0, "an expired job never reaches the store");
+    }
+
+    #[test]
+    fn a_job_that_panics_in_its_slot_leaves_full_capacity() {
+        let shared = shared(2, 1);
+        let unwound = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _slot = shared.enter().expect("free slot");
+            panic!("the job fails while holding its slot");
+        }));
+        assert!(unwound.is_err());
+        let running = || shared.gate.lock().unwrap().running;
+        assert_eq!(running(), 0, "the unwound job's slot came back");
+        let both = [shared.enter(), shared.enter()];
+        assert!(both.iter().all(Option::is_some), "both slots are free");
+        assert_eq!(running(), 2);
     }
 
     #[test]

@@ -5,27 +5,27 @@
 //! of a one-shot CLI, the way Optimus and DIP treat their schedulers as
 //! long-lived system components. A [`daemon::ServeHandle`] accepts
 //! plan / replan / simulate requests over the workspace's shared
-//! length-prefix frame codec ([`dt_simengine::frame`]), executes them on
-//! a fixed worker pool, and shares one cross-request warm-plan store
-//! ([`store::PlanStore`]) keyed by spec fingerprint — repeat and replan
-//! traffic skips profiling and cost-table building entirely and seeds the
-//! branch-and-bound incumbent from plans already served.
+//! length-prefix frame codec ([`dt_simengine::frame`]), runs each on its
+//! session thread behind a FIFO admission gate, and shares one warm-plan
+//! store across requests ([`store::PlanStore`]), keyed by spec fingerprint
+//! — repeat and replan traffic skips profiling and cost-table building
+//! entirely and seeds the branch-and-bound incumbent from plans served.
 //!
 //! ```text
 //!            clients (retry + backoff + deadline)
 //!                 │ frames (plan/replan/simulate)      GET /metrics
 //!                 ▼                                        ▼
 //!   ┌──────────────────────────── dt-serve daemon ──────────────────┐
-//!   │ admission: validate → bounded queue (Overloaded when full)    │
-//!   │ workers: §4 branch-and-bound, warm via shared PlanStore       │
-//!   │ telemetry: request counters, queue gauge, latency histograms  │
+//!   │ admission: validate → gate (Overloaded when the line is full) │
+//!   │ session thread: §4 branch-and-bound, warm via shared PlanStore│
+//!   │ telemetry: request counters, gate gauges, latency histograms  │
 //!   └───────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The three load-bearing invariants (each pinned by an e2e test over
 //! real sockets):
 //!
-//! 1. **Typed rejection, bounded memory** — a full queue answers
+//! 1. **Typed rejection, bounded memory** — a full waiting line answers
 //!    [`api::ServeError::Overloaded`] at admission; the daemon never
 //!    buffers unboundedly, and hostile/malformed frames get a typed
 //!    [`api::ServeError::Malformed`] reply, never a panic.
@@ -33,9 +33,9 @@
 //!    plans to cold ones (the [`dt_orchestrator::WarmStart`] reuse rule),
 //!    so caching changes latency, not answers.
 //! 3. **Drain on shutdown** — every admitted request is answered before
-//!    [`daemon::ServeHandle::shutdown`] returns: sessions block on their
-//!    job's reply, shutdown joins sessions before the workers' queue
-//!    disconnects.
+//!    [`daemon::ServeHandle::shutdown`] returns: each session runs its
+//!    job and replies before it reads again, and shutdown joins every
+//!    session; one still waiting takes its slot as running jobs finish.
 //!
 //! Quickstart (the `repro serve` / `repro client` subcommands wrap
 //! exactly this):

@@ -11,8 +11,8 @@
 //!
 //! Concurrency shape: the map lock is held only for lookup/insert, never
 //! across a profile build or a search; each entry carries its own lock so
-//! two workers planning *different* fingerprints never serialize. Two
-//! workers racing to build the *same* cold fingerprint may both build it
+//! two requests planning *different* fingerprints never serialize. Two
+//! requests racing to build the *same* cold fingerprint may both build it
 //! (both count as misses); the second insert wins and the loser's build
 //! is discarded — wasted work, never wrong results.
 

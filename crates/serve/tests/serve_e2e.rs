@@ -33,6 +33,26 @@ fn plan_req(budget: u32) -> ServeRequest {
     }
 }
 
+/// Block until the daemon behind `tel` reads `running` jobs holding a
+/// slot and `waiting` jobs in line, from its gate gauges; panics after
+/// 10 s.
+fn await_gate(tel: &Telemetry, running: f64, waiting: f64) {
+    let until = Instant::now() + Duration::from_secs(10);
+    loop {
+        let snap = tel.snapshot();
+        let gauge = |name| snap.gauge_value(name, &[]).unwrap_or(0.0);
+        if gauge(names::SERVE_RUNNING_JOBS) == running && gauge(names::SERVE_QUEUE_DEPTH) == waiting
+        {
+            return;
+        }
+        assert!(
+            Instant::now() < until,
+            "gate never read {running} running, {waiting} waiting"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// One raw request/reply exchange, no retry — for asserting on the typed
 /// reply the daemon actually sent.
 fn exchange(addr: SocketAddr, req: &ServeRequest) -> io::Result<ServeReply> {
@@ -220,20 +240,22 @@ fn oversized_control_frame_is_rejected_before_its_body() {
 
 #[test]
 fn full_queue_rejects_with_typed_overload_and_retry_rides_it_out() {
-    let cfg = quiet(ServeConfig {
+    let tel = Telemetry::enabled();
+    let cfg = ServeConfig {
         workers: 1,
         queue_depth: 1,
         worker_delay: Some(Duration::from_millis(400)),
+        telemetry: tel.clone(),
         ..ServeConfig::default()
-    });
+    };
     let daemon = ServeHandle::spawn(cfg).expect("spawn");
     let addr = daemon.addr;
-    // Occupy the worker, then the one queue slot. The sessions block on
-    // their replies, so spawn them off-thread.
+    // Occupy the one slot, then the one place in line. The sessions block
+    // on their replies, so spawn them off-thread.
     let occupy: Vec<_> = (0..2)
-        .map(|_| {
+        .map(|waiting| {
             let t = std::thread::spawn(move || exchange(addr, &plan_req(1)));
-            std::thread::sleep(Duration::from_millis(100));
+            await_gate(&tel, 1.0, waiting as f64);
             t
         })
         .collect();
@@ -244,7 +266,7 @@ fn full_queue_rejects_with_typed_overload_and_retry_rides_it_out() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     // A retrying client outlives the congestion: backoff spans the
-    // ~400 ms the worker needs to free a slot.
+    // ~400 ms the running job needs to free its slot.
     let policy = RetryPolicy {
         max_attempts: 8,
         base_backoff: Duration::from_millis(100),
@@ -269,18 +291,20 @@ fn full_queue_rejects_with_typed_overload_and_retry_rides_it_out() {
 
 #[test]
 fn queued_past_deadline_is_answered_deadline_exceeded() {
-    let cfg = quiet(ServeConfig {
+    let tel = Telemetry::enabled();
+    let cfg = ServeConfig {
         workers: 1,
         queue_depth: 4,
         worker_delay: Some(Duration::from_millis(300)),
+        telemetry: tel.clone(),
         ..ServeConfig::default()
-    });
+    };
     let daemon = ServeHandle::spawn(cfg).expect("spawn");
     let addr = daemon.addr;
     let occupier = std::thread::spawn(move || exchange(addr, &plan_req(1)));
-    std::thread::sleep(Duration::from_millis(100));
-    // 50 ms deadline, ≥200 ms of queueing left: expires in queue without
-    // occupying the worker.
+    await_gate(&tel, 1.0, 0.0);
+    // 50 ms deadline, up to 300 ms of waiting left: expires in line
+    // without running.
     let req = ServeRequest::Plan {
         spec: SpecDesc::ablation("mllm-9b", 128),
         budget: 1,
@@ -300,15 +324,17 @@ fn queued_past_deadline_is_answered_deadline_exceeded() {
 
 #[test]
 fn shutdown_drains_in_flight_requests_before_returning() {
-    let cfg = quiet(ServeConfig {
+    let tel = Telemetry::enabled();
+    let cfg = ServeConfig {
         workers: 1,
         worker_delay: Some(Duration::from_millis(300)),
+        telemetry: tel.clone(),
         ..ServeConfig::default()
-    });
+    };
     let mut daemon = ServeHandle::spawn(cfg).expect("spawn");
     let addr = daemon.addr;
     let inflight = std::thread::spawn(move || exchange(addr, &plan_req(1)));
-    std::thread::sleep(Duration::from_millis(100));
+    await_gate(&tel, 1.0, 0.0);
     let drained = Instant::now();
     daemon.shutdown();
     assert!(

@@ -197,8 +197,10 @@ pub mod names {
     /// Requests rejected at admission, counter, labelled `reason`
     /// (overloaded/deadline/bad_request/malformed).
     pub const SERVE_REJECTED_TOTAL: &str = "dt_serve_rejected_total";
-    /// Jobs currently queued for the worker pool, gauge.
+    /// Admitted jobs waiting at the admission gate for a slot, gauge.
     pub const SERVE_QUEUE_DEPTH: &str = "dt_serve_queue_depth";
+    /// Admitted jobs holding a slot (executing), gauge.
+    pub const SERVE_RUNNING_JOBS: &str = "dt_serve_running_jobs";
     /// End-to-end request latency (admission to reply), seconds,
     /// histogram labelled `kind`.
     pub const SERVE_REQUEST_SECONDS: &str = "dt_serve_request_seconds";

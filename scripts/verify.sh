@@ -13,7 +13,7 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve -p dt-pipeline -p dt-check -p dt-simengine -p dt-telemetry"
+echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve -p dt-pipeline -p dt-check -p dt-simengine -p dt-telemetry -p dt-cluster -p dt-parallel -p dt-stepccl"
 # Formatting gate, crate by crate as each is brought to rustfmt's output.
 cargo fmt --check -p dt-elastic
 cargo fmt --check -p dt-bench
@@ -26,6 +26,9 @@ cargo fmt --check -p dt-pipeline
 cargo fmt --check -p dt-check
 cargo fmt --check -p dt-simengine
 cargo fmt --check -p dt-telemetry
+cargo fmt --check -p dt-cluster
+cargo fmt --check -p dt-parallel
+cargo fmt --check -p dt-stepccl
 
 echo "==> crate layering (the training core and the planner daemon never link the data plane)"
 # DistTrain disaggregates preprocessing from training (§5.1): only dt-check,
