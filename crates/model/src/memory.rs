@@ -15,7 +15,6 @@
 //! Frozen modules keep bf16 weights but need no gradients or optimizer
 //! states.
 
-
 /// Bytes per parameter for bf16 weights.
 pub const WEIGHT_BYTES: u64 = 2;
 /// Bytes per parameter for fp32 main gradients.
@@ -40,13 +39,21 @@ pub struct ModuleMemory {
 impl ModuleMemory {
     /// Describe a module.
     pub fn new(params: u64, activation_per_sample: u64, frozen: bool) -> Self {
-        ModuleMemory { params, activation_per_sample, frozen }
+        ModuleMemory {
+            params,
+            activation_per_sample,
+            frozen,
+        }
     }
 
     /// Parameter + gradient bytes on one GPU.
     pub fn param_grad_bytes_per_gpu(&self, pp: u32, tp: u32) -> u64 {
         let shard = (pp as u64 * tp as u64).max(1);
-        let per_param = if self.frozen { WEIGHT_BYTES } else { WEIGHT_BYTES + GRAD_BYTES };
+        let per_param = if self.frozen {
+            WEIGHT_BYTES
+        } else {
+            WEIGHT_BYTES + GRAD_BYTES
+        };
         self.params * per_param / shard
     }
 
@@ -147,7 +154,10 @@ mod tests {
     fn frozen_modules_keep_only_weights() {
         let mut m = seven_b();
         m.frozen = true;
-        assert_eq!(m.param_grad_bytes_per_gpu(1, 1), 7_000_000_000 * WEIGHT_BYTES);
+        assert_eq!(
+            m.param_grad_bytes_per_gpu(1, 1),
+            7_000_000_000 * WEIGHT_BYTES
+        );
         assert_eq!(m.optimizer_bytes_per_gpu(1, 1, 1), 0);
     }
 
@@ -161,6 +171,9 @@ mod tests {
     #[test]
     fn pp_and_tp_shard_params_equally() {
         let m = seven_b();
-        assert_eq!(m.param_grad_bytes_per_gpu(2, 4), m.param_grad_bytes_per_gpu(4, 2));
+        assert_eq!(
+            m.param_grad_bytes_per_gpu(2, 4),
+            m.param_grad_bytes_per_gpu(4, 2)
+        );
     }
 }

@@ -29,7 +29,11 @@ pub enum ModuleKind {
 
 impl ModuleKind {
     /// All three modules, pipeline order.
-    pub const ALL: [ModuleKind; 3] = [ModuleKind::Encoder, ModuleKind::Backbone, ModuleKind::Generator];
+    pub const ALL: [ModuleKind; 3] = [
+        ModuleKind::Encoder,
+        ModuleKind::Backbone,
+        ModuleKind::Generator,
+    ];
 }
 
 impl std::fmt::Display for ModuleKind {
@@ -62,22 +66,38 @@ impl FreezeConfig {
 
     /// Complete module freezing: only projectors train (§7.3 setting 1).
     pub fn all_frozen() -> Self {
-        FreezeConfig { encoder: true, backbone: true, generator: true }
+        FreezeConfig {
+            encoder: true,
+            backbone: true,
+            generator: true,
+        }
     }
 
     /// Encoder-only training (§7.3 setting 2).
     pub fn encoder_only() -> Self {
-        FreezeConfig { encoder: false, backbone: true, generator: true }
+        FreezeConfig {
+            encoder: false,
+            backbone: true,
+            generator: true,
+        }
     }
 
     /// LLM-only training (§7.3 setting 3).
     pub fn llm_only() -> Self {
-        FreezeConfig { encoder: true, backbone: false, generator: true }
+        FreezeConfig {
+            encoder: true,
+            backbone: false,
+            generator: true,
+        }
     }
 
     /// Generator-only training (§7.3 setting 4).
     pub fn generator_only() -> Self {
-        FreezeConfig { encoder: true, backbone: true, generator: false }
+        FreezeConfig {
+            encoder: true,
+            backbone: true,
+            generator: false,
+        }
     }
 
     /// Is `module` frozen?
@@ -122,7 +142,14 @@ impl SampleShape {
 
     /// A text-only sample of `seq` tokens (useful in tests).
     pub fn text_only(seq: u64) -> Self {
-        SampleShape { text_tokens: seq, image_tokens: 0, num_images: 0, gen_images: 0, image_res: 512, gen_res: 512 }
+        SampleShape {
+            text_tokens: seq,
+            image_tokens: 0,
+            num_images: 0,
+            gen_images: 0,
+            image_res: 512,
+            gen_res: 512,
+        }
     }
 }
 
@@ -245,7 +272,8 @@ impl MultimodalLlm {
     pub fn module_flops_forward(&self, module: ModuleKind, shape: &SampleShape) -> f64 {
         match module {
             ModuleKind::Encoder => {
-                let images = self.image_flops_forward(module, shape.image_res) * shape.num_images as f64;
+                let images =
+                    self.image_flops_forward(module, shape.image_res) * shape.num_images as f64;
                 let proj = self.input_projector.flops_forward(shape.image_tokens);
                 images + proj
             }
@@ -279,7 +307,10 @@ impl MultimodalLlm {
     /// "Model FLOPs" of one sample for MFU accounting — the FLOPs a perfect
     /// machine must spend: 3× forward for trainable modules, 1× for frozen.
     pub fn model_flops_sample(&self, shape: &SampleShape) -> f64 {
-        ModuleKind::ALL.iter().map(|&m| self.module_flops_train(m, shape)).sum()
+        ModuleKind::ALL
+            .iter()
+            .map(|&m| self.module_flops_train(m, shape))
+            .sum()
     }
 
     /// Memory description of one module for the §4.2 constraint model.
@@ -288,7 +319,9 @@ impl MultimodalLlm {
         let frozen = self.freeze.is_frozen(module);
         let activation = match module {
             ModuleKind::Encoder => {
-                self.encoder.trunk.activation_bytes(self.encoder.tokens_per_image(shape.image_res))
+                self.encoder
+                    .trunk
+                    .activation_bytes(self.encoder.tokens_per_image(shape.image_res))
                     * shape.num_images as u64
             }
             ModuleKind::Backbone => self.backbone.activation_bytes(shape.seq_len()),
@@ -328,7 +361,12 @@ pub fn architecture_zoo() -> Vec<ZooEntry> {
         row("PaLM-E", &["ViT"], "PaLM", &["LM-Head"]),
         row("EMU", &["EVA-CLIP"], "Llama", &["LM-Head", "SD"]),
         row("Bagel", &["ViT"], "Qwen2.5", &["LM-Head", "VAE"]),
-        row("VideoPoet", &["MAGViT", "SoundStream"], "GPT", &["MAGViT", "SoundStream"]),
+        row(
+            "VideoPoet",
+            &["MAGViT", "SoundStream"],
+            "GPT",
+            &["MAGViT", "SoundStream"],
+        ),
     ]
 }
 
@@ -344,12 +382,24 @@ mod tests {
             (MllmPreset::Mllm72B, 68.0e9, 76.0e9),
         ] {
             let total = p.build().total_params() as f64;
-            assert!((lo..hi).contains(&total), "{:?} has {:.2}B params", p, total / 1e9);
+            assert!(
+                (lo..hi).contains(&total),
+                "{:?} has {:.2}B params",
+                p,
+                total / 1e9
+            );
         }
     }
 
     fn shape() -> SampleShape {
-        SampleShape { text_tokens: 4096, image_tokens: 4096, num_images: 4, gen_images: 1, image_res: 512, gen_res: 512 }
+        SampleShape {
+            text_tokens: 4096,
+            image_tokens: 4096,
+            num_images: 4,
+            gen_images: 1,
+            image_res: 512,
+            gen_res: 512,
+        }
     }
 
     #[test]
@@ -368,8 +418,14 @@ mod tests {
         // §7.1: the 72B model generates at 1024² which inflates the
         // multimodal modules relative to the 512² settings.
         let m72 = MllmPreset::Mllm72B.build();
-        let s512 = SampleShape { gen_res: 512, ..shape() };
-        let s1024 = SampleShape { gen_res: 1024, ..shape() };
+        let s512 = SampleShape {
+            gen_res: 512,
+            ..shape()
+        };
+        let s1024 = SampleShape {
+            gen_res: 1024,
+            ..shape()
+        };
         let g512 = m72.module_flops_forward(ModuleKind::Generator, &s512);
         let g1024 = m72.module_flops_forward(ModuleKind::Generator, &s1024);
         assert!(g1024 > 4.0 * g512);
@@ -413,7 +469,10 @@ mod tests {
     fn module_flops_are_additive() {
         let m = MllmPreset::Mllm15B.build();
         let s = shape();
-        let sum: f64 = ModuleKind::ALL.iter().map(|&k| m.module_flops_train(k, &s)).sum();
+        let sum: f64 = ModuleKind::ALL
+            .iter()
+            .map(|&k| m.module_flops_train(k, &s))
+            .sum();
         assert_eq!(sum, m.model_flops_sample(&s));
     }
 }

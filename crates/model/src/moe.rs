@@ -14,7 +14,6 @@
 //! (dispatch + combine) to move each token's hidden state to and from its
 //! experts' owners.
 
-
 /// Sparse-FFN (MoE) configuration attached to a transformer stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoeConfig {
@@ -27,7 +26,10 @@ pub struct MoeConfig {
 impl MoeConfig {
     /// The common 8-expert / top-2 configuration (Mixtral, GLaM-style).
     pub fn eight_top2() -> Self {
-        MoeConfig { experts: 8, top_k: 2 }
+        MoeConfig {
+            experts: 8,
+            top_k: 2,
+        }
     }
 
     /// Multiplier on FFN *parameters* relative to the dense layer.

@@ -7,7 +7,6 @@
 //! the projector with the adjacent encoder/generator and replicates it as
 //! needed (§4.1).
 
-
 /// A two-layer MLP projector between component hidden spaces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProjectorConfig {
@@ -23,7 +22,11 @@ impl ProjectorConfig {
     /// Build the standard projector between two hidden widths: the MLP's
     /// hidden layer matches the larger side.
     pub fn between(in_dim: u64, out_dim: u64) -> Self {
-        ProjectorConfig { in_dim, mid_dim: in_dim.max(out_dim), out_dim }
+        ProjectorConfig {
+            in_dim,
+            mid_dim: in_dim.max(out_dim),
+            out_dim,
+        }
     }
 
     /// Parameter count.
@@ -48,7 +51,11 @@ mod tests {
 
     #[test]
     fn params_and_flops_match_hand_math() {
-        let p = ProjectorConfig { in_dim: 10, mid_dim: 20, out_dim: 30 };
+        let p = ProjectorConfig {
+            in_dim: 10,
+            mid_dim: 20,
+            out_dim: 30,
+        };
         assert_eq!(p.params(), 10 * 20 + 20 * 30);
         assert_eq!(p.flops_forward(5), 2.0 * 5.0 * 800.0);
     }

@@ -76,9 +76,15 @@ impl TransformerConfig {
         let qkv = 2.0 * s * h * (h + 2.0 * kv);
         let attn = 4.0 * s * s * h;
         let out = 2.0 * s * h * h;
-        let dense_mlp = if self.gated_mlp { 6.0 * s * h * f } else { 4.0 * s * h * f };
+        let dense_mlp = if self.gated_mlp {
+            6.0 * s * h * f
+        } else {
+            4.0 * s * h * f
+        };
         let mlp = match self.moe {
-            Some(moe) => dense_mlp * moe.flops_multiplier() + s * moe.router_flops_per_token(self.hidden),
+            Some(moe) => {
+                dense_mlp * moe.flops_multiplier() + s * moe.router_flops_per_token(self.hidden)
+            }
             None => dense_mlp,
         };
         qkv + attn + out + mlp

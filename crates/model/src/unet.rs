@@ -12,7 +12,6 @@
 //! noise-prediction forward+backward per image (no sampling loop), which is
 //! what the cost functions here describe.
 
-
 /// Block-structured UNet description (SD-style).
 #[derive(Debug, Clone, PartialEq)]
 pub struct UNetConfig {
@@ -58,7 +57,10 @@ impl UNetConfig {
     }
 
     fn level_channels(&self) -> Vec<u64> {
-        self.channel_mult.iter().map(|m| m * self.base_channels).collect()
+        self.channel_mult
+            .iter()
+            .map(|m| m * self.base_channels)
+            .collect()
     }
 
     // ---- parameter counts ------------------------------------------------
@@ -120,7 +122,11 @@ impl UNetConfig {
     fn resblock_flops(&self, cin: u64, cout: u64, hw: u64) -> f64 {
         let conv1 = 2.0 * 9.0 * cin as f64 * cout as f64 * hw as f64;
         let conv2 = 2.0 * 9.0 * cout as f64 * cout as f64 * hw as f64;
-        let skip = if cin != cout { 2.0 * cin as f64 * cout as f64 * hw as f64 } else { 0.0 };
+        let skip = if cin != cout {
+            2.0 * cin as f64 * cout as f64 * hw as f64
+        } else {
+            0.0
+        };
         conv1 + conv2 + skip
     }
 
@@ -150,7 +156,11 @@ impl UNetConfig {
         let mut flops = 0.0;
         let mut cin = self.base_channels;
         // conv_in
-        flops += 2.0 * 9.0 * self.latent_channels as f64 * self.base_channels as f64 * (edge0 * edge0) as f64;
+        flops += 2.0
+            * 9.0
+            * self.latent_channels as f64
+            * self.base_channels as f64
+            * (edge0 * edge0) as f64;
         // Encoder.
         for (lvl, &c) in chans.iter().enumerate() {
             let edge = edge0 >> lvl;
@@ -187,7 +197,11 @@ impl UNetConfig {
             }
         }
         // conv_out
-        flops += 2.0 * 9.0 * self.base_channels as f64 * self.latent_channels as f64 * (edge0 * edge0) as f64;
+        flops += 2.0
+            * 9.0
+            * self.base_channels as f64
+            * self.latent_channels as f64
+            * (edge0 * edge0) as f64;
         flops
     }
 
@@ -230,7 +244,10 @@ mod tests {
     #[test]
     fn sd21_lands_near_one_billion_params() {
         let p = UNetConfig::sd21().params() as f64 / 1e9;
-        assert!((0.7..1.2).contains(&p), "SD2.1 preset has {p}B params, expected ≈1B");
+        assert!(
+            (0.7..1.2).contains(&p),
+            "SD2.1 preset has {p}B params, expected ≈1B"
+        );
     }
 
     #[test]

@@ -53,7 +53,10 @@ impl VitConfig {
     /// interleaved into the LLM sequence).
     pub fn flops_forward_image(&self, res: u32) -> f64 {
         let t = self.tokens_per_image(res);
-        let embed = 2.0 * t as f64 * (self.patch as f64 * self.patch as f64 * 3.0) * self.trunk.hidden as f64;
+        let embed = 2.0
+            * t as f64
+            * (self.patch as f64 * self.patch as f64 * 3.0)
+            * self.trunk.hidden as f64;
         self.trunk.flops_forward(t) + embed
     }
 
