@@ -1,6 +1,8 @@
 //! Reordering-algorithm costs. Algorithm 1 is `O(n log n + n log m)`;
 //! Algorithm 2 is `O(l²)` for its best-fit scans plus `O(l·p)` for the
-//! incremental `GETINTERVAL` probes (`O(l·p²·vpp²)` with VPP). Both run on
+//! incremental `GETINTERVAL` probes (`O(l·p²·vpp²)` with VPP): each probe
+//! push replays the 1F1B engine's per-shape firing list, one update per
+//! op, with readiness decided once per pipeline shape. Both run on
 //! the disaggregated CPU nodes, but they must still keep up with
 //! iteration rates at production batch sizes (1920 samples, ~100
 //! microbatches).
@@ -10,7 +12,10 @@
 //! planners the 1296-GPU production task actually builds: the chosen
 //! plan's (shallow, wide DP) and the deepest trial candidate's. Those
 //! cases clone the batch inside the timed call (the planner consumes
-//! it); `batch_clone` times that clone alone.
+//! it); `batch_clone` times that clone alone. The `pipeline_engine` cases
+//! replay one iteration of those plans on the engine (`Engine::run` over
+//! every DP rank's workload from `Runtime::build_workload_for`) and also
+//! report `ns_per_op`, the fastest iteration per executed op.
 //!
 //! Emits `BENCH_layers.json` (override the path with
 //! `DT_BENCH_LAYERS_JSON`) with mean/min µs per case and the host's core
@@ -19,23 +24,22 @@
 use disttrain_core::{Runtime, SystemKind, TrainingTask};
 use dt_bench::timing::{bench_stats, iters_or};
 use dt_cluster::CollectiveCost;
-use dt_data::{SyntheticLaion, TrainSample};
+use dt_data::{GlobalBatch, SyntheticLaion, TrainSample};
 use dt_model::MllmPreset;
 use dt_parallel::OrchestrationPlan;
-use dt_reorder::{inter_reorder, intra_reorder_indices, InterReorderConfig, ReorderPlanner};
+use dt_pipeline::{Engine, PipelineSpec, Workload};
+use dt_reorder::{inter_reorder, intra_reorder_indices, InterReorderConfig};
 use dt_simengine::{DetRng, Json};
 use std::time::Duration;
 
-fn planner(task: &TrainingTask, plan: OrchestrationPlan) -> ReorderPlanner {
-    let runtime = Runtime {
+fn runtime(task: &TrainingTask, plan: OrchestrationPlan) -> Runtime<'_> {
+    Runtime {
         model: &task.model,
         cluster: &task.cluster,
         plan,
         data: task.data.clone(),
         cfg: task.runtime_config(SystemKind::DistTrain, 1),
-    };
-    let coll = CollectiveCost::new(task.cluster.clone());
-    runtime.planner_for(&runtime.perf_model(&coll))
+    }
 }
 
 fn main() {
@@ -103,8 +107,11 @@ fn main() {
     let name = format!("batch_clone/n{n}");
     let stats = bench_stats(&name, iters, || batch.clone());
     record(name, stats, vec![("n", Json::num_u64(n as u64))]);
+    let coll = CollectiveCost::new(task.cluster.clone());
     for (what, plan) in [("train_plan", chosen), ("deepest_candidate", deepest)] {
-        let planner = planner(&task, plan);
+        let runtime = runtime(&task, plan);
+        let perf = runtime.perf_model(&coll);
+        let planner = runtime.planner_for(&perf);
         let (dp, p) = (planner.dp, planner.inter_cfg.stages);
         let name = format!("reorder_planner/{what}_n{n}_dp{dp}_p{p}");
         let stats = bench_stats(&name, iters, || planner.reorder(batch.clone()));
@@ -116,6 +123,43 @@ fn main() {
                 ("dp", Json::num_u64(u64::from(dp))),
                 ("p", Json::num_u64(p as u64)),
                 ("microbatch", Json::num_u64(u64::from(planner.microbatch))),
+            ],
+        );
+
+        // One iteration's pipelines: every DP rank's workload replayed on
+        // one engine, as `Runtime` times an iteration.
+        let ranks = GlobalBatch::new(planner.reorder(batch.clone())).split(dp, planner.microbatch);
+        let workloads: Vec<Workload> = ranks
+            .iter()
+            .map(|rank| runtime.build_workload_for(&perf, rank))
+            .collect();
+        let spec = PipelineSpec {
+            schedule: runtime.cfg.schedule,
+            comm: runtime.build_comm_for(&coll),
+        };
+        let mut engine = Engine::default();
+        let ops: usize = workloads
+            .iter()
+            .map(|w| engine.run(&spec, w).result().timeline.len())
+            .sum();
+        let (x, l) = (workloads.len(), workloads[0].microbatches());
+        let name = format!("pipeline_engine/{what}_p{p}_l{l}_x{x}");
+        let stats = bench_stats(&name, iters, || {
+            workloads
+                .iter()
+                .map(|w| engine.run(&spec, w).makespan())
+                .max()
+        });
+        let ns_per_op = Json::Num(stats.1.as_secs_f64() * 1e9 / ops as f64);
+        record(
+            name,
+            stats,
+            vec![
+                ("p", Json::num_u64(p as u64)),
+                ("l", Json::num_u64(l as u64)),
+                ("ranks", Json::num_u64(x as u64)),
+                ("ops", Json::num_u64(ops as u64)),
+                ("ns_per_op", ns_per_op),
             ],
         );
     }

@@ -115,8 +115,8 @@ pub fn run() -> Report {
     r.note("9B ablation task, 12 nodes, seeded failure stream (§3/§6).");
     r.note("goodput = committed compute / wall clock; Δmfu = final epoch vs");
     r.note("pre-failure plan (0 when the cluster never shrank).");
-    r.note("replan = real host time in the §4 re-orchestration search across");
-    r.note("all shrinks (the warm-started pruned search keeps this short).");
+    r.note("replan = host time of the warm-started §4 search plus one simulated");
+    r.note("trial iteration per candidate, summed over all shrinks.");
     r.note("radius = nodes per correlated failure domain at a fixed per-domain");
     r.note("event rate; healer = anomaly-driven preemptive checkpoint + slow-");
     r.note("spare eviction; actions = healer actions taken.");

@@ -8,6 +8,15 @@
 //! final: a caller can mark the frontier in `O(P)`, push a tentative tail,
 //! read its op times and roll back (Algorithm 2's `GETINTERVAL` probe).
 //!
+//! Which ops a push makes ready depends only on the schedule's shape,
+//! never on durations: a pushed prefix fixes exactly which ops can run. So
+//! readiness is decided once per shape. At a reset to a new shape a plan
+//! pass records each push's *firing list*: the ops it runs, each after the
+//! op it waits on, with that op and the hop between them. `push` replays
+//! its list, starting each op at `max(stage free, dependency end + hop)`.
+//! Op times are longest-path values of the DAG, so the order in which
+//! ready ops run does not change them and the replay is exact.
+//!
 //! Interleaved 1F1B (VPP) runs as 1F1B over `P = p·vpp` virtual stages
 //! (§4.3): virtual stage `c·p + s` is chunk `c` of stage `s` and takes
 //! `1/vpp` of its durations in integer nanoseconds; the wrap-around hop
@@ -86,8 +95,11 @@ pub fn simulate(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
 }
 
 /// Incremental replay of one iteration's schedule (see the module docs).
-/// A reset to the shape it already has keeps the per-stage orders, so one
-/// engine serves every DP rank of an iteration.
+///
+/// The firing list is keyed by `(P, l, gpipe)`: a reset to a new shape
+/// runs the plan pass, a reset to the shape it already has keeps the list
+/// and only rebuilds the hops, so one engine serves every DP rank of an
+/// iteration.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     /// Physical stages `p`, virtual stages `P = p·vpp`, microbatches `l`.
@@ -96,32 +108,42 @@ pub struct Engine {
     l: usize,
     vpp: u64,
     gpipe: bool,
-    /// `[s·2l + q]`: op `q` of stage `s`'s [`Schedule::stage_order`].
-    order: Vec<(OpKind, usize)>,
-    /// `[i·P + s][kind]`: op `kind` of microbatch `i` on stage `s`.
-    ops: Vec<[Op; 2]>,
-    /// `comm[s]`: the hop after virtual stage `s`.
+    /// `[2(i·P + s) + kind]`: op `kind` of microbatch `i` on stage `s`,
+    /// then a zero sentinel op that stage 0's forwards wait on.
+    ops: Vec<Op>,
+    /// `[2(i·P + s) + kind]`: the push whose firing list runs that op.
+    fired_by: Vec<u32>,
+    /// `fires[starts[i]..starts[i + 1]]`: the ops push `i` runs, in order.
+    fires: Vec<Fire>,
+    starts: Vec<u32>,
+    /// `comm[s]`: the hop after virtual stage `s`, then a zero hop.
     comm: Vec<SimDuration>,
     /// Microbatches pushed and per-stage progress, now and at the mark.
     pushed: usize,
     now: Vec<Frontier>,
     marked: (usize, Vec<Frontier>),
-    /// Stages that may have become ready.
-    ready: Vec<usize>,
 }
 
-/// An op's position in its stage's order, duration and start (stale until run).
+/// An op's duration and start (stale until it runs).
 #[derive(Debug, Clone, Copy, Default)]
 struct Op {
-    pos: usize,
     dur: SimDuration,
     start: SimTime,
 }
 
-/// One stage's progress: ops run, when it is next free, time spent busy.
+/// A firing-list entry: `ops[op]` runs on `stage` once it is free and
+/// `comm[hop]` after `ops[dep]` ends.
+#[derive(Debug, Clone, Copy)]
+struct Fire {
+    stage: u32,
+    op: u32,
+    dep: u32,
+    hop: u32,
+}
+
+/// One stage's progress: when it is next free, time spent busy.
 #[derive(Debug, Clone, Copy, Default)]
 struct Frontier {
-    pc: usize,
     avail: SimTime,
     busy: SimDuration,
 }
@@ -149,20 +171,11 @@ impl Engine {
         );
         let gpipe = spec.schedule == Schedule::GPipe;
         if (n, l, gpipe) != (self.stages, self.l, self.gpipe) {
-            // Interleaved runs 1F1B's order, so only GPipe keys the tables.
-            self.order.clear();
-            self.ops = vec![[Op::default(); 2]; n * l];
-            for s in 0..n {
-                for (q, op) in spec.schedule.stage_order(s, n, l).into_iter().enumerate() {
-                    let (kind, i) = match op {
-                        StageOp::Fwd(i) => (OpKind::Forward, i),
-                        StageOp::Bwd(i) => (OpKind::Backward, i),
-                    };
-                    self.ops[i * n + s][kind as usize].pos = q;
-                    self.order.push((kind, i));
-                }
-            }
+            // Interleaved runs 1F1B's order, so only GPipe keys the list.
+            assert!(2 * n * l < u32::MAX as usize, "firing list overflows u32");
             (self.stages, self.l, self.gpipe) = (n, l, gpipe);
+            self.ops = vec![Op::default(); 2 * n * l + 1];
+            self.plan(spec.schedule);
         }
         (self.phys, self.vpp, self.pushed) = (p, vpp as u64, 0);
         // Virtual boundary `v` is physical boundary `v % p`, or the last
@@ -171,9 +184,68 @@ impl Engine {
             true => spec.comm.get(v % p).copied(),
             false => spec.comm.last().copied(),
         };
-        self.comm = (1..n).map(|v| hop(v - 1).unwrap_or_default()).collect();
+        self.comm = (1..n)
+            .map(|v| hop(v - 1).unwrap_or_default())
+            .chain([SimDuration::ZERO])
+            .collect();
         self.now = vec![Frontier::default(); n];
         self.mark();
+    }
+
+    /// The plan pass: for each push, record the ops it makes ready, each
+    /// after the op it waits on. An op is ready once its stage has run the
+    /// ops before it in its [`Schedule::stage_order`] and its dependency
+    /// has run: for `F(0, i)`, once microbatch `i` is pushed.
+    fn plan(&mut self, schedule: Schedule) {
+        let (n, l) = (self.stages, self.l);
+        let (sentinel, zero_hop) = (2 * n * l, n.saturating_sub(1));
+        let orders: Vec<_> = (0..n).map(|s| schedule.stage_order(s, n, l)).collect();
+        let (mut pc, mut ready) = (vec![0; n], Vec::new());
+        self.fired_by.clear();
+        self.fired_by.resize(sentinel, u32::MAX);
+        self.fires.clear();
+        self.fires.reserve(sentinel);
+        self.starts.clear();
+        self.starts.reserve(l + 1);
+        self.starts.push(0);
+        for push in 0..l {
+            ready.extend((n > 0).then_some(0));
+            while let Some(s) = ready.pop() {
+                let before = pc[s];
+                while let Some(&next) = orders[s].get(pc[s]) {
+                    let (kind, i) = match next {
+                        StageOp::Fwd(i) => (OpKind::Forward, i),
+                        StageOp::Bwd(i) => (OpKind::Backward, i),
+                    };
+                    let ran = |s: usize| self.fired_by[self.at(s, kind, i)] != u32::MAX;
+                    let dep = match kind {
+                        OpKind::Forward if s == 0 => (i <= push).then_some((sentinel, zero_hop)),
+                        OpKind::Forward => ran(s - 1).then(|| (self.at(s - 1, kind, i), s - 1)),
+                        // The last stage's own forward ran earlier in its order.
+                        OpKind::Backward if s + 1 == n => {
+                            Some((self.at(s, OpKind::Forward, i), zero_hop))
+                        }
+                        OpKind::Backward => ran(s + 1).then(|| (self.at(s + 1, kind, i), s)),
+                    };
+                    let Some((dep, hop)) = dep else { break };
+                    let op = self.at(s, kind, i);
+                    self.fired_by[op] = push as u32;
+                    let [stage, op, dep, hop] = [s, op, dep, hop].map(|x| x as u32);
+                    self.fires.push(Fire {
+                        stage,
+                        op,
+                        dep,
+                        hop,
+                    });
+                    pc[s] += 1;
+                }
+                if pc[s] > before {
+                    ready.extend(s.checked_sub(1));
+                    ready.extend(Some(s + 1).filter(|&next| next < n));
+                }
+            }
+            self.starts.push(self.fires.len() as u32);
+        }
     }
 
     /// Reset for `workload` under `spec` and push every microbatch.
@@ -188,55 +260,34 @@ impl Engine {
     }
 
     /// Append the next microbatch as one `(forward, backward)` pair per
-    /// physical stage, and run every op that becomes ready.
+    /// physical stage, and run every op that becomes ready: replay the
+    /// push's firing list, each op at `max(stage free, dependency end + hop)`.
     pub fn push(&mut self, column: impl IntoIterator<Item = (SimDuration, SimDuration)>) {
-        let (i, n, vpp) = (self.pushed, self.stages, self.vpp);
+        let (i, n, p, vpp) = (self.pushed, self.stages, self.phys, self.vpp);
         assert!(i < self.l, "more microbatches pushed than reset for");
-        let (row, mut column) = (&mut self.ops[i * n..][..n], column.into_iter());
-        for [fwd, bwd] in &mut row[..self.phys] {
+        let (row, mut column) = (&mut self.ops[2 * i * n..][..2 * n], column.into_iter());
+        for op in row[..2 * p].chunks_exact_mut(2) {
             let (f, b) = column.next().expect("one column entry per stage");
-            (fwd.dur, bwd.dur) = if vpp > 1 { (f / vpp, b / vpp) } else { (f, b) };
+            (op[0].dur, op[1].dur) = if vpp > 1 { (f / vpp, b / vpp) } else { (f, b) };
         }
         assert!(column.next().is_none(), "one column entry per stage");
         // Virtual stage `v ≥ p` is a later chunk of stage `v − p`.
-        for v in self.phys..n {
-            let [f, b] = row[v - self.phys];
-            (row[v][0].dur, row[v][1].dur) = (f.dur, b.dur);
+        for k in 2 * p..2 * n {
+            row[k].dur = row[k - 2 * p].dur;
         }
         self.pushed += 1;
-        self.ready.extend((self.stages > 0).then_some(0));
-        while let Some(s) = self.ready.pop() {
-            if self.drain(s) {
-                self.ready.extend(s.checked_sub(1));
-                self.ready.extend(Some(s + 1).filter(|&n| n < self.stages));
-            }
+        let (ops, comm, now) = (&mut self.ops, &self.comm, &mut self.now);
+        for fire in &self.fires[self.starts[i] as usize..self.starts[i + 1] as usize] {
+            let dep = ops[fire.dep as usize];
+            let (op, at) = (&mut ops[fire.op as usize], &mut now[fire.stage as usize]);
+            op.start = at.avail.max(dep.start + dep.dur + comm[fire.hop as usize]);
+            (at.avail, at.busy) = (op.start + op.dur, at.busy + op.dur);
         }
     }
 
-    /// Run stage `s`'s ops until one waits; whether any ran.
-    fn drain(&mut self, s: usize) -> bool {
-        let (n, l, pc) = (self.stages, self.l, self.now[s].pc);
-        while self.now[s].pc < 2 * l {
-            let (kind, i) = self.order[2 * s * l + self.now[s].pc];
-            let dep = match kind {
-                OpKind::Forward if s == 0 => (i < self.pushed).then_some(SimTime::ZERO),
-                OpKind::Forward => self.end(s - 1, kind, i).map(|t| t + self.comm[s - 1]),
-                // The last stage's own forward ran earlier in its order.
-                OpKind::Backward if s + 1 == n => self.end(s, OpKind::Forward, i),
-                OpKind::Backward => self.end(s + 1, kind, i).map(|t| t + self.comm[s]),
-            };
-            let Some(dep) = dep else { break };
-            let (op, at) = (&mut self.ops[i * n + s][kind as usize], &mut self.now[s]);
-            op.start = at.avail.max(dep);
-            (at.avail, at.busy, at.pc) = (op.start + op.dur, at.busy + op.dur, at.pc + 1);
-        }
-        self.now[s].pc > pc
-    }
-
-    /// End time of op `kind` of microbatch `i` on stage `s`, if it ran.
-    fn end(&self, s: usize, kind: OpKind, i: usize) -> Option<SimTime> {
-        let op = self.ops[i * self.stages + s][kind as usize];
-        (self.now[s].pc > op.pos).then_some(op.start + op.dur)
+    /// Index into `ops` of op `kind` of microbatch `i` on stage `s`.
+    fn at(&self, s: usize, kind: OpKind, i: usize) -> usize {
+        2 * (i * self.stages + s) + kind as usize
     }
 
     /// Remember the current frontier for [`Engine::rollback`].
@@ -264,25 +315,32 @@ impl Engine {
     /// Op `kind` of `microbatch` on (virtual) stage `stage`, if it ran.
     pub fn op(&self, stage: usize, kind: OpKind, microbatch: usize) -> Option<OpRecord> {
         let valid = stage < self.stages && microbatch < self.l;
-        let end = valid.then(|| self.end(stage, kind, microbatch))??;
-        let start = self.ops[microbatch * self.stages + stage][kind as usize].start;
-        Some(OpRecord {
+        let at = valid.then(|| self.at(stage, kind, microbatch))?;
+        let Op { dur, start } = self.ops[at];
+        (self.fired_by[at] < self.pushed as u32).then_some(OpRecord {
             stage,
             microbatch,
             kind,
             start,
-            end,
+            end: start + dur,
         })
     }
 
     /// The ops run so far as a [`PipelineResult`]: stage-major, each
     /// stage's ops in its [`Schedule::stage_order`].
     pub fn result(&self) -> PipelineResult {
-        let mut timeline = Vec::with_capacity(2 * self.stages * self.l);
-        for s in 0..self.stages {
-            let ran = &self.order[2 * s * self.l..][..self.now[s].pc];
-            timeline.extend(ran.iter().filter_map(|&(kind, i)| self.op(s, kind, i)));
-        }
+        // A stage runs its ops in its order, so sorting the pushes' firing
+        // lists by stage (stably) lists each stage's ops in that order.
+        let ran = self.starts.get(self.pushed).map_or(0, |&k| k as usize);
+        let mut timeline: Vec<OpRecord> = self.fires[..ran]
+            .iter()
+            .filter_map(|fire| {
+                let (q, kind) = (fire.op as usize / 2, fire.op % 2);
+                let kind = [OpKind::Forward, OpKind::Backward][kind as usize];
+                self.op(fire.stage as usize, kind, q / self.stages)
+            })
+            .collect();
+        timeline.sort_by_key(|op| op.stage);
         PipelineResult {
             stages: self.stages,
             microbatches: self.l,
@@ -422,6 +480,73 @@ mod tests {
         engine.run(&spec, &w);
         let f0 = engine.op(3, OpKind::Forward, 0).expect("every op ran");
         assert_eq!(f0.end.as_nanos(), 400); // 4 stages × 100ns fwd
+    }
+
+    /// One engine, reset through a seeded sequence of shapes, matches a
+    /// fresh [`simulate`] after every reset, with a probe pushed past a
+    /// mark and rolled back in between. The sequence flips GPipe ↔ 1F1B
+    /// at the same `(P, l)` and draws new hops at an unchanged shape, so a
+    /// firing list keyed without the schedule or hops kept across a
+    /// same-shape reset both fail it.
+    #[test]
+    fn a_reused_engine_matches_a_fresh_simulate() {
+        use dt_simengine::DetRng;
+        fn column(w: &Workload, i: usize) -> impl Iterator<Item = (SimDuration, SimDuration)> + '_ {
+            w.fwd.iter().zip(&w.bwd).map(move |(f, b)| (f[i], b[i]))
+        }
+        let schedules = [
+            Schedule::GPipe,
+            Schedule::OneFOneB,
+            Schedule::Interleaved { vpp: 1 },
+            Schedule::Interleaved { vpp: 2 },
+            Schedule::Interleaved { vpp: 3 },
+        ];
+        let mut rng = DetRng::new(34);
+        let mut engine = Engine::default();
+        let (mut p, mut l, mut schedule) = (1, 0, Schedule::OneFOneB);
+        let (mut flips, mut new_hops) = (0, 0);
+        for step in 0..600 {
+            match rng.range_usize(0, 4) {
+                0 | 1 => {
+                    (p, l) = (rng.range_usize(1, 7), rng.range_usize(0, 17));
+                    schedule = *rng.pick(&schedules);
+                }
+                2 if matches!(schedule, Schedule::GPipe | Schedule::OneFOneB) => {
+                    flips += usize::from(p > 1 && l > 1);
+                    schedule = match schedule {
+                        Schedule::GPipe => Schedule::OneFOneB,
+                        _ => Schedule::GPipe,
+                    };
+                }
+                _ => new_hops += usize::from(p > 1 && l > 0),
+            }
+            let comm = (1..p).map(|_| d(rng.range_u64(0, 60))).collect();
+            let spec = PipelineSpec { schedule, comm };
+            let mut draw = |hi| Workload {
+                fwd: (0..p)
+                    .map(|_| (0..l).map(|_| d(rng.range_u64(1, hi))).collect())
+                    .collect(),
+                bwd: (0..p)
+                    .map(|_| (0..l).map(|_| d(rng.range_u64(1, 2 * hi))).collect())
+                    .collect(),
+            };
+            let (w, probe) = (draw(400), draw(900));
+            engine.reset(&spec, p, l);
+            let cut = rng.range_usize(0, l + 1);
+            (0..cut).for_each(|i| engine.push(column(&w, i)));
+            engine.mark();
+            (cut..l).for_each(|i| engine.push(column(&probe, i)));
+            engine.rollback();
+            (cut..l).for_each(|i| engine.push(column(&w, i)));
+            let fresh = simulate(&spec, &w);
+            let what = format!("step {step}: {schedule:?} p={p} l={l}");
+            assert_eq!(engine.result().timeline, fresh.timeline, "{what}");
+            assert_eq!(engine.makespan(), fresh.makespan, "{what}");
+        }
+        assert!(
+            flips >= 20 && new_hops >= 20,
+            "{flips} flips, {new_hops} new hops"
+        );
     }
 
     /// A short column would leave the missing stages with the durations of

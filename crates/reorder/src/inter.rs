@@ -20,10 +20,11 @@
 //! stage-0 positions `0..=j+P−1`, so Algorithm 2 commits each chosen
 //! microbatch once and evaluates each target by pushing only that much of
 //! the tentative tail (mean placeholders, then the reserved rear) before
-//! rolling the engine back to its `O(P)` mark. A placement costs `O(P)`
-//! amortized work for plain 1F1B — `O(l·p)` per rank, as in the paper —
-//! with no per-step allocation; with VPP each probe pushes `p·(vpp−1)+1`
-//! tail positions. dt-check's event simulator is the reference the
+//! rolling the engine back to its `O(P)` mark. Each push replays the
+//! engine's firing list for the shape, built once per `(P, l)`, so a
+//! placement costs `O(P)` amortized op updates for plain 1F1B, with no
+//! readiness test — `O(l·p)` per rank, as in the paper — and no per-step
+//! allocation; with VPP each probe pushes `p·(vpp−1)+1` tail positions. dt-check's event simulator is the reference the
 //! `reorder.alg2_interval_matches_simulate` oracle compares the volumes
 //! against, to the nanosecond. Like Algorithm 1 this is a pure permutation
 //! of the local batch, so convergence semantics are untouched.
