@@ -152,7 +152,7 @@ fn take_min(pool: &mut Vec<usize>, key: impl Fn(usize) -> f64) -> Option<usize> 
 }
 
 /// Algorithm 2 over many DP ranks of one pipeline shape, on one [`Engine`]
-/// reset per rank (equal-length ranks build its order tables once).
+/// reset per rank (equal-length ranks build its firing list once).
 pub(crate) struct InterReorder<'c> {
     cfg: &'c InterReorderConfig,
     engine: Engine,
