@@ -80,7 +80,11 @@ pub fn decompress(img: &CompressedImage) -> Vec<u8> {
 /// Box-filter resize of a square RGB image from `from` to `to` pixels per
 /// side (downscale; `to <= from`).
 pub fn resize(rgb: &[u8], from: u32, to: u32) -> Vec<u8> {
-    assert_eq!(rgb.len(), 3 * from as usize * from as usize, "input is not 3·from²");
+    assert_eq!(
+        rgb.len(),
+        3 * from as usize * from as usize,
+        "input is not 3·from²"
+    );
     assert!(to <= from, "codec only downsizes ({from} → {to})");
     if to == from {
         return rgb.to_vec();
@@ -111,7 +115,11 @@ pub fn resize(rgb: &[u8], from: u32, to: u32) -> Vec<u8> {
 /// Gather a square RGB image into patch-major order (`patch × patch` tiles
 /// row-major, channels interleaved) — the token layout the ViT consumes.
 pub fn patchify(rgb: &[u8], res: u32, patch: u32) -> Vec<u8> {
-    assert_eq!(rgb.len(), 3 * res as usize * res as usize, "input is not 3·res²");
+    assert_eq!(
+        rgb.len(),
+        3 * res as usize * res as usize,
+        "input is not 3·res²"
+    );
     assert_eq!(res % patch, 0, "resolution must be patch-aligned");
     let (res, patch) = (res as usize, patch as usize);
     let per_side = res / patch;
@@ -147,7 +155,10 @@ pub fn preprocess_sample(sample: &TrainSample) -> PreprocessedSample {
         let resized = resize(&raw, compressed.raw_res, res);
         token_bytes.extend(patchify(&resized, res, sample.patch));
     }
-    PreprocessedSample { sample_id: sample.id, token_bytes }
+    PreprocessedSample {
+        sample_id: sample.id,
+        token_bytes,
+    }
 }
 
 #[cfg(test)]
@@ -181,7 +192,10 @@ mod tests {
         let small = resize(&rgb, 80, 64);
         assert_eq!(small.len(), 3 * 64 * 64);
         let mean = |v: &[u8]| v.iter().map(|&b| b as f64).sum::<f64>() / v.len() as f64;
-        assert!((mean(&rgb) - mean(&small)).abs() < 8.0, "box filter should preserve brightness");
+        assert!(
+            (mean(&rgb) - mean(&small)).abs() < 8.0,
+            "box filter should preserve brightness"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Figure 17 metric).
 
 use crate::error::PreprocessError;
-use crate::feeder::{PreprocessedBatch, FeederReport, CONSUMER_PID};
+use crate::feeder::{FeederReport, PreprocessedBatch, CONSUMER_PID};
 use crate::wire::{BatchHeader, Request, MAX_FETCH_COUNT};
 use dt_data::GlobalBatch;
 use dt_simengine::backoff::BackoffPolicy;
@@ -174,13 +174,18 @@ impl ConsumerBuilder {
                 pipeline: self.pipeline,
                 // Decorrelate the producers' reconnect schedules while
                 // keeping the whole fan-in deterministic per seed.
-                policy: BackoffPolicy { seed: self.backoff.seed.wrapping_add(idx as u64), ..self.backoff.clone() },
+                policy: BackoffPolicy {
+                    seed: self.backoff.seed.wrapping_add(idx as u64),
+                    ..self.backoff.clone()
+                },
                 tx: tx.clone(),
                 stop: stop.clone(),
                 reconnects: reconnects.clone(),
                 trace: self.trace.clone(),
                 telemetry: self.telemetry.clone(),
-                flight: self.flight.recorder(&format!("consumer:sup{idx}"), DEFAULT_RING_CAPACITY),
+                flight: self
+                    .flight
+                    .recorder(&format!("consumer:sup{idx}"), DEFAULT_RING_CAPACITY),
             };
             let join = std::thread::Builder::new()
                 .name(format!("dt-preprocess-sup{idx}"))
@@ -234,7 +239,8 @@ impl MultiFeeder {
     /// blocking only while every queue is empty. The returned stall is
     /// that blocked time (Figure 17's consumer-side metric).
     pub fn next_batch(&self) -> Result<(PreprocessedBatch, FeederReport), PreprocessError> {
-        self.next_batch_from().map(|(_, batch, report)| (batch, report))
+        self.next_batch_from()
+            .map(|(_, batch, report)| (batch, report))
     }
 
     /// [`MultiFeeder::next_batch`], also reporting which producer
@@ -266,7 +272,8 @@ impl MultiFeeder {
             r.gauge(names::PREPROCESS_QUEUE_DEPTH, &[]).add(-1.0);
             // The exemplar makes the stall histogram point back at the
             // trace of the batch whose wait was the current maximum.
-            r.histogram(names::PREPROCESS_STALL_SECONDS, &[]).observe_traced(stall, trace_id);
+            r.histogram(names::PREPROCESS_STALL_SECONDS, &[])
+                .observe_traced(stall, trace_id);
         });
         if self.flight.is_enabled() {
             let mut stalls = self.stalls.lock().unwrap();
@@ -274,7 +281,13 @@ impl MultiFeeder {
                 stalls.push(stall);
             }
         }
-        Ok((addr, batch, FeederReport { stall: started.elapsed() }))
+        Ok((
+            addr,
+            batch,
+            FeederReport {
+                stall: started.elapsed(),
+            },
+        ))
     }
 
     /// Reconnects performed across all supervisors so far.
@@ -304,7 +317,8 @@ impl Drop for MultiFeeder {
                     .with(|r| r.histogram(names::PREPROCESS_STALL_SECONDS, &[]).exemplar())
                     .flatten()
                     .map_or(0, |(_, trace)| trace);
-                self.flight.record_anomalies("consumer", &anomalies, exemplar);
+                self.flight
+                    .record_anomalies("consumer", &anomalies, exemplar);
                 self.telemetry.with(|r| {
                     r.counter(names::FLIGHT_DUMPS_TOTAL, &[("reason", "anomaly")])
                         .add(anomalies.len() as u64)
@@ -333,7 +347,10 @@ fn read_batch(stream: &mut TcpStream) -> io::Result<(Option<TraceContext>, Prepr
     let payload = read_frame(stream)?;
     let expected: u64 = header.token_lens.iter().sum();
     if payload.len() as u64 != expected {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "payload length mismatch"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "payload length mismatch",
+        ));
     }
     Ok((
         echo,
@@ -381,13 +398,17 @@ fn supervise(ctx: SupervisorCtx) {
                 format!("reconnect budget spent on producer {}", ctx.addr)
             });
             ctx.flight.dump_counted("peer-disconnected", &ctx.telemetry);
-            let _ = ctx.tx.send(Err(PreprocessError::PeerDisconnected { addr: ctx.addr }));
+            let _ = ctx
+                .tx
+                .send(Err(PreprocessError::PeerDisconnected { addr: ctx.addr }));
             return;
         };
         if !first_session {
             ctx.reconnects.fetch_add(1, Ordering::Relaxed);
-            ctx.telemetry.with(|r| r.counter(names::PREPROCESS_RECONNECTS_TOTAL, &[]).inc());
-            ctx.flight.record("reconnect", 0, || format!("producer {}", ctx.addr));
+            ctx.telemetry
+                .with(|r| r.counter(names::PREPROCESS_RECONNECTS_TOTAL, &[]).inc());
+            ctx.flight
+                .record("reconnect", 0, || format!("producer {}", ctx.addr));
         }
         first_session = false;
         // Session phase: keep `pipeline` requests outstanding; every
@@ -482,7 +503,10 @@ mod tests {
     use dt_data::{DataConfig, ResolutionMode};
 
     fn tiny_data() -> DataConfig {
-        DataConfig { resolution: ResolutionMode::Fixed(64), ..DataConfig::evaluation(64) }
+        DataConfig {
+            resolution: ResolutionMode::Fixed(64),
+            ..DataConfig::evaluation(64)
+        }
     }
 
     fn fast_backoff(seed: u64) -> BackoffPolicy {
@@ -510,7 +534,10 @@ mod tests {
         assert_eq!(err.kind(), "invalid_spec");
         assert!(err.to_string().contains("batch"), "{err}");
 
-        let err = Consumer::builder(&[a]).batch(MAX_FETCH_COUNT + 1).connect().unwrap_err();
+        let err = Consumer::builder(&[a])
+            .batch(MAX_FETCH_COUNT + 1)
+            .connect()
+            .unwrap_err();
         assert_eq!(err.kind(), "invalid_spec");
         assert!(err.to_string().contains("batch"), "{err}");
 
@@ -547,20 +574,31 @@ mod tests {
         drop(plane);
         let spans = sink.snapshot();
         let get = |span: &dt_simengine::trace::TraceSpan, key: &str| {
-            span.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone())
+            span.args
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
         };
         let prefetch: Vec<_> = spans
             .iter()
             .filter(|s| s.pid == CONSUMER_PID && s.cat == cat::PRE_FETCH)
             .collect();
-        assert!(prefetch.len() >= 3, "expected traced prefetch spans; got {spans:?}");
         assert!(
-            spans.iter().any(|s| s.pid == CONSUMER_PID && s.cat == cat::STALL),
+            prefetch.len() >= 3,
+            "expected traced prefetch spans; got {spans:?}"
+        );
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.pid == CONSUMER_PID && s.cat == cat::STALL),
             "trainer-visible queue waits must be recorded: {spans:?}"
         );
         // Every consumer prefetch span roots its own trace...
         for span in &prefetch {
-            assert!(get(span, arg::TRACE).is_some(), "untraced prefetch span: {span:?}");
+            assert!(
+                get(span, arg::TRACE).is_some(),
+                "untraced prefetch span: {span:?}"
+            );
         }
         // ...and at least one producer-side span links into a consumer
         // trace, parented under that trace's prefetch span.
@@ -571,13 +609,19 @@ mod tests {
                         && get(s, arg::PARENT) == get(p, arg::SPAN)
                 })
         });
-        assert!(linked, "producer spans must nest under consumer prefetch spans: {spans:?}");
+        assert!(
+            linked,
+            "producer spans must nest under consumer prefetch spans: {spans:?}"
+        );
     }
 
     #[test]
     fn instrumented_feeder_and_producer_record_the_preprocess_families() {
         let tel = Telemetry::enabled();
-        let plane = Preprocess::builder(tiny_data(), 23).telemetry(tel.clone()).spawn().unwrap();
+        let plane = Preprocess::builder(tiny_data(), 23)
+            .telemetry(tel.clone())
+            .spawn()
+            .unwrap();
         let feeder = Consumer::builder(plane.addrs())
             .batch(3)
             .pipeline(2)
@@ -599,21 +643,39 @@ mod tests {
             names::PREPROCESS_PREFETCH_SECONDS,
             names::PREPROCESS_STALL_SECONDS,
         ] {
-            let hist = snap.histogram_value(h, &[]).unwrap_or_else(|| panic!("missing {h}"));
+            let hist = snap
+                .histogram_value(h, &[])
+                .unwrap_or_else(|| panic!("missing {h}"));
             assert!(hist.count >= 2, "{h} must observe both batches");
         }
-        assert!(snap.counter_value(names::PREPROCESS_BATCHES_TOTAL, &[]).unwrap() >= 2);
-        assert!(snap.counter_value(names::PREPROCESS_SAMPLES_TOTAL, &[]).unwrap() >= 6);
+        assert!(
+            snap.counter_value(names::PREPROCESS_BATCHES_TOTAL, &[])
+                .unwrap()
+                >= 2
+        );
+        assert!(
+            snap.counter_value(names::PREPROCESS_SAMPLES_TOTAL, &[])
+                .unwrap()
+                >= 6
+        );
         // The stall histogram's largest observation covers the cold wait.
-        let stall = snap.histogram_value(names::PREPROCESS_STALL_SECONDS, &[]).unwrap();
+        let stall = snap
+            .histogram_value(names::PREPROCESS_STALL_SECONDS, &[])
+            .unwrap();
         assert!(stall.sum >= first.stall.as_secs_f64() * 0.5);
         // Queue depth returns to a small value once drained (gauge exists).
-        assert!(snap.gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[]).is_some());
+        assert!(snap
+            .gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[])
+            .is_some());
     }
 
     #[test]
     fn fans_in_from_every_producer() {
-        let plane = Preprocess::builder(tiny_data(), 51).producers(2).workers(1).spawn().unwrap();
+        let plane = Preprocess::builder(tiny_data(), 51)
+            .producers(2)
+            .workers(1)
+            .spawn()
+            .unwrap();
         let feeder = Consumer::builder(plane.addrs())
             .batch(2)
             .pipeline(1)
@@ -624,7 +686,10 @@ mod tests {
         for _ in 0..8 {
             let (addr, batch, _) = feeder.next_batch_from().unwrap();
             assert_eq!(batch.batch.samples.len(), 2);
-            assert_eq!(batch.tokens.len() as u64, batch.token_lens.iter().sum::<u64>());
+            assert_eq!(
+                batch.tokens.len() as u64,
+                batch.token_lens.iter().sum::<u64>()
+            );
             seen.insert(addr);
         }
         assert_eq!(seen.len(), 2, "both producers must contribute: {seen:?}");
@@ -632,7 +697,11 @@ mod tests {
 
     #[test]
     fn per_producer_batches_arrive_in_order() {
-        let plane = Preprocess::builder(tiny_data(), 52).producers(2).workers(1).spawn().unwrap();
+        let plane = Preprocess::builder(tiny_data(), 52)
+            .producers(2)
+            .workers(1)
+            .spawn()
+            .unwrap();
         let feeder = Consumer::builder(plane.addrs())
             .batch(3)
             .pipeline(2)
@@ -644,7 +713,10 @@ mod tests {
         for _ in 0..10 {
             let (addr, batch, _) = feeder.next_batch_from().unwrap();
             let expected = next_id.entry(addr).or_insert(0);
-            assert_eq!(batch.batch.samples[0].id, *expected, "out of order from {addr}");
+            assert_eq!(
+                batch.batch.samples[0].id, *expected,
+                "out of order from {addr}"
+            );
             *expected += batch.batch.samples.len() as u64;
         }
     }
@@ -654,8 +726,11 @@ mod tests {
         // Nothing listens on this port: the supervisor exhausts its
         // reconnect budget and reports the typed error.
         let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let feeder =
-            Consumer::builder(&[dead]).batch(1).backoff(fast_backoff(3)).connect().unwrap();
+        let feeder = Consumer::builder(&[dead])
+            .batch(1)
+            .backoff(fast_backoff(3))
+            .connect()
+            .unwrap();
         match feeder.next_batch() {
             Err(PreprocessError::PeerDisconnected { addr }) => assert_eq!(addr, dead),
             other => panic!("expected PeerDisconnected, got {other:?}"),
@@ -673,10 +748,16 @@ mod tests {
         // port is not reliably rebindable; instead verify the *other*
         // producer keeps feeding after one dies, and the dead one reports
         // a typed error exactly once.
-        let plane_a =
-            Preprocess::builder(tiny_data(), 53).producers(1).workers(1).spawn().unwrap();
-        let plane_b =
-            Preprocess::builder(tiny_data(), 54).producers(1).workers(1).spawn().unwrap();
+        let plane_a = Preprocess::builder(tiny_data(), 53)
+            .producers(1)
+            .workers(1)
+            .spawn()
+            .unwrap();
+        let plane_b = Preprocess::builder(tiny_data(), 54)
+            .producers(1)
+            .workers(1)
+            .spawn()
+            .unwrap();
         let feeder = Consumer::builder(&[plane_a.addr(), plane_b.addr()])
             .batch(1)
             .pipeline(1)
@@ -713,7 +794,10 @@ mod tests {
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        assert!(saw_error, "dead producer must surface as typed PeerDisconnected");
+        assert!(
+            saw_error,
+            "dead producer must surface as typed PeerDisconnected"
+        );
         assert!(saw_live, "surviving producer must keep feeding");
     }
 }

@@ -78,10 +78,15 @@ impl fmt::Display for PreprocessError {
                 write!(f, "peer {addr} disconnected and reconnect budget is spent")
             }
             PreprocessError::Backpressured { queue_depth } => {
-                write!(f, "bounded queue full at depth {queue_depth} (consumer backpressure)")
+                write!(
+                    f,
+                    "bounded queue full at depth {queue_depth} (consumer backpressure)"
+                )
             }
             PreprocessError::Malformed { reason } => write!(f, "malformed wire input: {reason}"),
-            PreprocessError::InvalidSpec { reason } => write!(f, "invalid preprocess spec: {reason}"),
+            PreprocessError::InvalidSpec { reason } => {
+                write!(f, "invalid preprocess spec: {reason}")
+            }
         }
     }
 }
@@ -111,11 +116,38 @@ mod tests {
     fn kinds_and_retryability_are_stable() {
         let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let cases: Vec<(PreprocessError, &str, bool)> = vec![
-            (PreprocessError::Bind { addr: "x".into(), reason: "denied".into() }, "bind", false),
-            (PreprocessError::PeerDisconnected { addr }, "peer_disconnected", true),
-            (PreprocessError::Backpressured { queue_depth: 4 }, "backpressured", true),
-            (PreprocessError::Malformed { reason: "oversized".into() }, "malformed", false),
-            (PreprocessError::InvalidSpec { reason: "0 workers".into() }, "invalid_spec", false),
+            (
+                PreprocessError::Bind {
+                    addr: "x".into(),
+                    reason: "denied".into(),
+                },
+                "bind",
+                false,
+            ),
+            (
+                PreprocessError::PeerDisconnected { addr },
+                "peer_disconnected",
+                true,
+            ),
+            (
+                PreprocessError::Backpressured { queue_depth: 4 },
+                "backpressured",
+                true,
+            ),
+            (
+                PreprocessError::Malformed {
+                    reason: "oversized".into(),
+                },
+                "malformed",
+                false,
+            ),
+            (
+                PreprocessError::InvalidSpec {
+                    reason: "0 workers".into(),
+                },
+                "invalid_spec",
+                false,
+            ),
         ];
         for (e, kind, retryable) in cases {
             assert_eq!(e.kind(), kind);
@@ -129,7 +161,9 @@ mod tests {
         let e = PreprocessError::Backpressured { queue_depth: 2 };
         let io: std::io::Error = e.clone().into();
         assert_eq!(io.kind(), std::io::ErrorKind::WouldBlock);
-        let inner = io.get_ref().and_then(|s| s.downcast_ref::<PreprocessError>());
+        let inner = io
+            .get_ref()
+            .and_then(|s| s.downcast_ref::<PreprocessError>());
         assert_eq!(inner, Some(&e));
     }
 }

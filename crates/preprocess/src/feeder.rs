@@ -46,7 +46,11 @@ impl ColocatedFeeder {
     /// Create the inline feeder. `workers` matches the CPU threads the
     /// training process can spare (it shares the node with the trainer).
     pub fn new(data: DataConfig, seed: u64, planner: Option<ReorderPlanner>, workers: u32) -> Self {
-        ColocatedFeeder { gen: SyntheticLaion::new(data, seed), planner, workers }
+        ColocatedFeeder {
+            gen: SyntheticLaion::new(data, seed),
+            planner,
+            workers,
+        }
     }
 
     /// Produce the next global batch synchronously.
@@ -83,14 +87,20 @@ mod tests {
     use dt_data::ResolutionMode;
 
     fn tiny_data() -> DataConfig {
-        DataConfig { resolution: ResolutionMode::Fixed(64), ..DataConfig::evaluation(64) }
+        DataConfig {
+            resolution: ResolutionMode::Fixed(64),
+            ..DataConfig::evaluation(64)
+        }
     }
 
     #[test]
     fn colocated_stall_equals_the_work() {
         let mut feeder = ColocatedFeeder::new(tiny_data(), 3, None, 1);
         let (batch, report) = feeder.next_batch(4);
-        assert!(report.stall >= batch.producer_cpu / 2, "inline stall must reflect the work");
+        assert!(
+            report.stall >= batch.producer_cpu / 2,
+            "inline stall must reflect the work"
+        );
         assert!(!report.stall.is_zero());
     }
 }

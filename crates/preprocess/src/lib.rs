@@ -60,10 +60,12 @@ pub mod wire;
 // still imports it through this alias.
 pub use dt_simengine::frame;
 
-pub use codec::{decompress, patchify, preprocess_sample, resize, synth_compressed, PreprocessedSample};
+pub use codec::{
+    decompress, patchify, preprocess_sample, resize, synth_compressed, PreprocessedSample,
+};
 pub use consumer::{Consumer, ConsumerBuilder, MultiFeeder};
 pub use error::PreprocessError;
 pub use feeder::{ColocatedFeeder, FeederReport, CONSUMER_PID};
 pub use service::{
-    Preprocess, PreprocessBuilder, PreprocessHandle, PlaneStatsSnapshot, PREPROCESS_PID,
+    PlaneStatsSnapshot, Preprocess, PreprocessBuilder, PreprocessHandle, PREPROCESS_PID,
 };

@@ -185,7 +185,9 @@ impl PreprocessBuilder {
     pub fn spawn(self) -> Result<PreprocessHandle, PreprocessError> {
         if self.workers == 0 {
             return Err(PreprocessError::InvalidSpec {
-                reason: "workers must be >= 1 (a producer with no decode workers cannot make progress)".into(),
+                reason:
+                    "workers must be >= 1 (a producer with no decode workers cannot make progress)"
+                        .into(),
             });
         }
         if self.producers == 0 {
@@ -225,7 +227,13 @@ impl PreprocessBuilder {
                 })?;
             joins.push(join);
         }
-        Ok(PreprocessHandle { addrs, stop, joins, stats, clean: true })
+        Ok(PreprocessHandle {
+            addrs,
+            stop,
+            joins,
+            stats,
+            clean: true,
+        })
     }
 }
 
@@ -387,21 +395,35 @@ fn accept_loop(
             reap(done, &stats, &cfg.telemetry);
         }
         stats.sessions.fetch_add(1, Ordering::Relaxed);
-        cfg.telemetry.with(|r| r.counter(names::PREPROCESS_SESSIONS_TOTAL, &[]).inc());
+        cfg.telemetry
+            .with(|r| r.counter(names::PREPROCESS_SESSIONS_TOTAL, &[]).inc());
         let seed = cfg
             .seed
             .wrapping_add(endpoint.wrapping_mul(ENDPOINT_SEED_STRIDE))
             .wrapping_add(accepted.wrapping_mul(SESSION_SEED_STRIDE));
         let tid = stats.next_tid.fetch_add(1, Ordering::Relaxed);
-        let flight = cfg.flight.recorder(&format!("pre:ep{endpoint}:s{tid}"), DEFAULT_RING_CAPACITY);
-        let Ok(clone) = stream.try_clone() else { continue };
-        let session =
-            Session { cfg: cfg.clone(), stats: stats.clone(), seed, tid, flight: flight.clone() };
+        let flight = cfg
+            .flight
+            .recorder(&format!("pre:ep{endpoint}:s{tid}"), DEFAULT_RING_CAPACITY);
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let session = Session {
+            cfg: cfg.clone(),
+            stats: stats.clone(),
+            seed,
+            tid,
+            flight: flight.clone(),
+        };
         let spawned = std::thread::Builder::new()
             .name(format!("dt-preprocess-gen{tid}"))
             .spawn(move || run_session(&stream, &session));
         if let Ok(join) = spawned {
-            live.push(Live { stream: clone, flight, join });
+            live.push(Live {
+                stream: clone,
+                flight,
+                join,
+            });
         }
     }
     // Drain: shutting a socket down wakes its reader (EOF) and writer
@@ -418,7 +440,8 @@ fn accept_loop(
 fn reap(s: Live, stats: &PlaneStats, tel: &Telemetry) {
     if s.join.join().is_err() {
         stats.panicked.store(true, Ordering::SeqCst);
-        s.flight.record("panic", 0, || "session thread panicked".into());
+        s.flight
+            .record("panic", 0, || "session thread panicked".into());
         s.flight.dump_counted("panic", tel);
     }
 }
@@ -457,7 +480,8 @@ fn read_loop(stream: &TcpStream, tx: SyncSender<ReadyBatch>, s: &Session) {
             Err(_) => return,
         };
         let trace_id = req_ctx.map_or(0, |c| c.trace_id);
-        s.flight.record("request", trace_id, || format!("FetchBatch x{count}"));
+        s.flight
+            .record("request", trace_id, || format!("FetchBatch x{count}"));
         let batch = generate(&mut gen, count, req_ctx, s);
         // The backpressure edge: a full queue refuses the batch; the
         // reader counts the event once and *waits* for the writer to
@@ -467,7 +491,9 @@ fn read_loop(stream: &TcpStream, tx: SyncSender<ReadyBatch>, s: &Session) {
             Err(TrySendError::Full(batch)) => {
                 let queue_depth = s.cfg.queue_capacity;
                 s.stats.backpressure.fetch_add(1, Ordering::Relaxed);
-                s.cfg.telemetry.with(|r| r.counter(names::PREPROCESS_BACKPRESSURE_TOTAL, &[]).inc());
+                s.cfg
+                    .telemetry
+                    .with(|r| r.counter(names::PREPROCESS_BACKPRESSURE_TOTAL, &[]).inc());
                 s.flight.record("backpressure", trace_id, || {
                     format!("batch x{count} refused at queue depth {queue_depth}")
                 });
@@ -486,7 +512,9 @@ fn read_loop(stream: &TcpStream, tx: SyncSender<ReadyBatch>, s: &Session) {
 fn reject_malformed(s: &Session, reason: String) {
     let e = PreprocessError::Malformed { reason };
     s.stats.malformed.fetch_add(1, Ordering::Relaxed);
-    s.cfg.telemetry.with(|r| r.counter(names::PREPROCESS_MALFORMED_TOTAL, &[]).inc());
+    s.cfg
+        .telemetry
+        .with(|r| r.counter(names::PREPROCESS_MALFORMED_TOTAL, &[]).inc());
     s.flight.record("malformed", 0, || e.to_string());
     s.flight.dump_counted("malformed", &s.cfg.telemetry);
 }
@@ -587,12 +615,15 @@ fn write_loop(stream: &TcpStream, rx: Receiver<ReadyBatch>, s: &Session) {
             + batch_ctx.map_or(0, |_| TRACE_CONTEXT_LEN)
             + batch.header_json.len()
             + chunks.iter().map(|c| c.len()).sum::<usize>();
-        s.flight.record("feed", trace_id, || format!("x{count} ({wire_bytes} wire bytes)"));
+        s.flight.record("feed", trace_id, || {
+            format!("x{count} ({wire_bytes} wire bytes)")
+        });
         s.cfg.telemetry.with(|r| {
             r.histogram(names::PREPROCESS_FEED_SECONDS, &[])
                 .observe_traced(feed_started.elapsed().as_secs_f64(), trace_id);
             r.counter(names::PREPROCESS_BATCHES_TOTAL, &[]).inc();
-            r.counter(names::PREPROCESS_SAMPLES_TOTAL, &[]).add(u64::from(count));
+            r.counter(names::PREPROCESS_SAMPLES_TOTAL, &[])
+                .add(u64::from(count));
         });
     }
     let _ = stream.shutdown(Shutdown::Both);
@@ -601,16 +632,22 @@ fn write_loop(stream: &TcpStream, rx: Receiver<ReadyBatch>, s: &Session) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_simengine::frame::{read_frame, read_json, write_json};
     use dt_data::ResolutionMode;
+    use dt_simengine::frame::{read_frame, read_json, write_json};
     use std::io::{Read, Write};
 
     fn tiny_data() -> DataConfig {
-        DataConfig { resolution: ResolutionMode::Fixed(64), ..DataConfig::evaluation(64) }
+        DataConfig {
+            resolution: ResolutionMode::Fixed(64),
+            ..DataConfig::evaluation(64)
+        }
     }
 
     fn spawn_tiny(seed: u64) -> PreprocessHandle {
-        Preprocess::builder(tiny_data(), seed).workers(2).spawn().unwrap()
+        Preprocess::builder(tiny_data(), seed)
+            .workers(2)
+            .spawn()
+            .unwrap()
     }
 
     /// Block until the plane closes this session: the read ends in EOF or
@@ -672,8 +709,11 @@ mod tests {
 
     #[test]
     fn multi_endpoint_plane_serves_every_endpoint_with_distinct_streams() {
-        let mut handle =
-            Preprocess::builder(tiny_data(), 40).producers(3).workers(1).spawn().unwrap();
+        let mut handle = Preprocess::builder(tiny_data(), 40)
+            .producers(3)
+            .workers(1)
+            .spawn()
+            .unwrap();
         assert_eq!(handle.addrs().len(), 3);
         let mut firsts = Vec::new();
         for &addr in handle.addrs() {
@@ -696,15 +736,24 @@ mod tests {
 
     #[test]
     fn builder_rejects_invalid_specs_with_typed_errors() {
-        let err = Preprocess::builder(tiny_data(), 1).workers(0).spawn().unwrap_err();
+        let err = Preprocess::builder(tiny_data(), 1)
+            .workers(0)
+            .spawn()
+            .unwrap_err();
         assert_eq!(err.kind(), "invalid_spec");
         assert!(err.to_string().contains("workers"), "{err}");
 
-        let err = Preprocess::builder(tiny_data(), 1).queue_capacity(0).spawn().unwrap_err();
+        let err = Preprocess::builder(tiny_data(), 1)
+            .queue_capacity(0)
+            .spawn()
+            .unwrap_err();
         assert_eq!(err.kind(), "invalid_spec");
         assert!(err.to_string().contains("queue_capacity"), "{err}");
 
-        let err = Preprocess::builder(tiny_data(), 1).producers(0).spawn().unwrap_err();
+        let err = Preprocess::builder(tiny_data(), 1)
+            .producers(0)
+            .spawn()
+            .unwrap_err();
         assert_eq!(err.kind(), "invalid_spec");
         assert!(err.to_string().contains("producers"), "{err}");
     }
@@ -717,8 +766,10 @@ mod tests {
         // behind it, and the reader must hit the typed backpressure path
         // (visible in stats). The plane must still deliver everything, in
         // order, once the client drains.
-        let big_images =
-            DataConfig { resolution: ResolutionMode::Fixed(256), ..DataConfig::evaluation(64) };
+        let big_images = DataConfig {
+            resolution: ResolutionMode::Fixed(256),
+            ..DataConfig::evaluation(64)
+        };
         let mut handle = Preprocess::builder(big_images, 77)
             .workers(2)
             .queue_capacity(1)
@@ -769,7 +820,10 @@ mod tests {
         // The plane counts the violation before it closes the socket, so
         // once the hostile read ends the count is in.
         assert_session_closed(&mut bad);
-        assert!(handle.stats().malformed_frames > 0, "hostile frame not counted");
+        assert!(
+            handle.stats().malformed_frames > 0,
+            "hostile frame not counted"
+        );
         assert!(handle.shutdown(), "plane must survive hostile input");
     }
 
@@ -782,7 +836,11 @@ mod tests {
         let mut bad = TcpStream::connect(handle.addr()).unwrap();
         write_json(&mut bad, &Request::FetchBatch { count: u32::MAX }).unwrap();
         assert_session_closed(&mut bad);
-        assert_eq!(handle.stats().malformed_frames, 1, "oversized fetch not counted");
+        assert_eq!(
+            handle.stats().malformed_frames,
+            1,
+            "oversized fetch not counted"
+        );
         let mut good = TcpStream::connect(handle.addr()).unwrap();
         write_json(&mut good, &Request::FetchBatch { count: 2 }).unwrap();
         let header: BatchHeader = read_json(&mut good).unwrap();
@@ -811,8 +869,11 @@ mod tests {
     #[test]
     fn producer_records_fetch_decode_feed_spans() {
         let sink = WallTraceSink::new();
-        let handle =
-            Preprocess::builder(tiny_data(), 21).workers(2).trace(sink.clone()).spawn().unwrap();
+        let handle = Preprocess::builder(tiny_data(), 21)
+            .workers(2)
+            .trace(sink.clone())
+            .spawn()
+            .unwrap();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         write_json(&mut stream, &Request::FetchBatch { count: 3 }).unwrap();
         let _: BatchHeader = read_json(&mut stream).unwrap();
@@ -822,7 +883,9 @@ mod tests {
         let spans = sink.snapshot();
         for category in [cat::PRE_FETCH, cat::PRE_DECODE, cat::PRE_FEED] {
             assert!(
-                spans.iter().any(|s| s.cat == category && s.pid == PREPROCESS_PID),
+                spans
+                    .iter()
+                    .any(|s| s.cat == category && s.pid == PREPROCESS_PID),
                 "missing {category} span; got {spans:?}"
             );
         }
@@ -838,7 +901,8 @@ mod tests {
         // briefly (listener backlog), so only assert the service no longer
         // answers a full round trip.
         if let Ok(mut s) = TcpStream::connect(addr) {
-            s.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+            s.set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
             let _ = write_json(&mut s, &Request::FetchBatch { count: 1 });
             let resp: io::Result<BatchHeader> = read_json(&mut s);
             assert!(resp.is_err(), "stopped producer must not serve batches");
@@ -854,15 +918,27 @@ mod tests {
         use dt_simengine::DetRng;
 
         let sink = WallTraceSink::new();
-        let handle =
-            Preprocess::builder(tiny_data(), 23).workers(2).trace(sink.clone()).spawn().unwrap();
+        let handle = Preprocess::builder(tiny_data(), 23)
+            .workers(2)
+            .trace(sink.clone())
+            .spawn()
+            .unwrap();
         let mut rng = DetRng::new(7);
         let root = TraceContext::root(&mut rng);
         let (consumer_span, wire_ctx) = root.child(1);
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        write_json_ctx(&mut stream, Some(&wire_ctx), &Request::FetchBatch { count: 3 }).unwrap();
+        write_json_ctx(
+            &mut stream,
+            Some(&wire_ctx),
+            &Request::FetchBatch { count: 3 },
+        )
+        .unwrap();
         let (echo, header_bytes) = read_frame_ctx(&mut stream, MAX_FRAME).unwrap();
-        assert_eq!(echo, Some(wire_ctx), "response must echo the request's trace context");
+        assert_eq!(
+            echo,
+            Some(wire_ctx),
+            "response must echo the request's trace context"
+        );
         assert!(!header_bytes.is_empty());
         let _ = read_frame(&mut stream).unwrap();
         write_json_ctx(&mut stream, Some(&wire_ctx), &Request::Shutdown).unwrap();
@@ -871,7 +947,10 @@ mod tests {
         let trace_hex = format!("{:016x}", root.trace_id);
         let parent_hex = format!("{consumer_span:016x}");
         let get = |span: &dt_simengine::trace::TraceSpan, key: &str| {
-            span.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone())
+            span.args
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
         };
         for category in [cat::PRE_FETCH, cat::PRE_DECODE, cat::PRE_FEED] {
             let span = spans
@@ -910,9 +989,19 @@ mod tests {
         let dumps = flight.dumps();
         assert_eq!(dumps.len(), 1, "exactly one dump: {dumps:?}");
         assert_eq!(dumps[0].reason, "malformed");
-        assert!(dumps[0].session.starts_with("pre:ep0:s"), "{}", dumps[0].session);
+        assert!(
+            dumps[0].session.starts_with("pre:ep0:s"),
+            "{}",
+            dumps[0].session
+        );
         let kinds: Vec<&str> = dumps[0].events.iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&"request"), "dump shows the session's history: {kinds:?}");
-        assert!(kinds.contains(&"malformed"), "dump ends with the trigger: {kinds:?}");
+        assert!(
+            kinds.contains(&"request"),
+            "dump shows the session's history: {kinds:?}"
+        );
+        assert!(
+            kinds.contains(&"malformed"),
+            "dump ends with the trigger: {kinds:?}"
+        );
     }
 }

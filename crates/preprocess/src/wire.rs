@@ -96,16 +96,26 @@ fn sample_to_json(s: &TrainSample) -> Json {
 /// generation targets than images.
 fn sample_from_json(value: &Json) -> Result<TrainSample, PreprocessError> {
     let malformed = |reason: String| PreprocessError::Malformed { reason };
-    let field = |k: &str| value.get(k).ok_or_else(|| malformed(format!("sample missing {k}")));
+    let field = |k: &str| {
+        value
+            .get(k)
+            .ok_or_else(|| malformed(format!("sample missing {k}")))
+    };
     let bad = |k: &str| malformed(format!("bad {k}"));
     let sample = TrainSample {
         id: field("id")?.as_u64().ok_or_else(|| bad("id"))?,
-        text_tokens: field("text_tokens")?.as_u64().ok_or_else(|| bad("text_tokens"))?,
+        text_tokens: field("text_tokens")?
+            .as_u64()
+            .ok_or_else(|| bad("text_tokens"))?,
         image_resolutions: field("image_resolutions")?
             .to_u32_vec()
             .ok_or_else(|| bad("image_resolutions"))?,
-        gen_images: field("gen_images")?.as_u32().ok_or_else(|| bad("gen_images"))?,
-        gen_resolution: field("gen_resolution")?.as_u32().ok_or_else(|| bad("gen_resolution"))?,
+        gen_images: field("gen_images")?
+            .as_u32()
+            .ok_or_else(|| bad("gen_images"))?,
+        gen_resolution: field("gen_resolution")?
+            .as_u32()
+            .ok_or_else(|| bad("gen_resolution"))?,
         patch: field("patch")?.as_u32().ok_or_else(|| bad("patch"))?,
     };
     if sample.gen_images as usize > sample.image_resolutions.len() {
@@ -122,7 +132,10 @@ fn sample_from_json(value: &Json) -> Result<TrainSample, PreprocessError> {
 impl WireJson for BatchHeader {
     fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("samples", Json::Arr(self.samples.iter().map(sample_to_json).collect())),
+            (
+                "samples",
+                Json::Arr(self.samples.iter().map(sample_to_json).collect()),
+            ),
             ("token_lens", Json::arr_u64(self.token_lens.iter().copied())),
             ("producer_cpu_ns", Json::num_u64(self.producer_cpu_ns)),
         ])
@@ -163,7 +176,10 @@ mod tests {
         write_json(&mut buf, &Request::FetchBatch { count: 42 }).unwrap();
         write_json(&mut buf, &Request::Shutdown).unwrap();
         let mut cur = Cursor::new(buf);
-        assert_eq!(read_json::<Request>(&mut cur).unwrap(), Request::FetchBatch { count: 42 });
+        assert_eq!(
+            read_json::<Request>(&mut cur).unwrap(),
+            Request::FetchBatch { count: 42 }
+        );
         assert_eq!(read_json::<Request>(&mut cur).unwrap(), Request::Shutdown);
     }
 

@@ -15,8 +15,8 @@ use dt_simengine::frame::{
     read_frame, write_batch_frames, write_frame, write_frame_ctx, FRAME_READ_CHUNK, MAX_FRAME,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Cursor;
 use std::cell::Cell;
+use std::io::Cursor;
 
 /// Records the largest single allocation request since the last reset.
 struct PeakTrackingAlloc;
@@ -133,7 +133,10 @@ fn frame_writes_allocate_nothing() {
     // One frame is one vectored write from a stack gather list, traced or
     // not: the head never lands in a heap buffer.
     let payload = [7u8; 512];
-    let ctx = dt_simengine::trace::TraceContext { trace_id: 0x5EED, parent_span: 1 };
+    let ctx = dt_simengine::trace::TraceContext {
+        trace_id: 0x5EED,
+        parent_span: 1,
+    };
     reset_peak();
     write_frame(&mut NullSink, &payload).unwrap();
     write_frame_ctx(&mut NullSink, Some(&ctx), &payload).unwrap();
