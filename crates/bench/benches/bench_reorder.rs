@@ -2,20 +2,25 @@
 //! Algorithm 2 is `O(l²)` for its best-fit scans plus `O(l·p)` for the
 //! incremental `GETINTERVAL` probes (`O(l·p²·vpp²)` with VPP): each probe
 //! push replays the 1F1B engine's per-shape firing list, one update per
-//! op, with readiness decided once per pipeline shape. Both run on
-//! the disaggregated CPU nodes, but they must still keep up with
-//! iteration rates at production batch sizes (1920 samples, ~100
-//! microbatches).
+//! op, with readiness decided once per pipeline shape, and the probe's
+//! last push stops at the one op it reads. Both run on the disaggregated
+//! CPU nodes, but they must still keep up with iteration rates at
+//! production batch sizes: 1920 samples, so `l` = 15 microbatches per
+//! rank under the chosen plan (DP 128) and 128 under the deepest
+//! candidate (DP 15).
 //!
-//! Besides the toy shapes, two cases time the whole producer-side pass,
-//! `ReorderPlanner::reorder`, on a 1920-sample MLLM-72B batch with the
-//! planners the 1296-GPU production task actually builds: the chosen
+//! Besides the toy shapes, `algorithm1_intra/n1920_dp128` is Algorithm 1
+//! at the production shape, and two cases time the whole producer-side
+//! pass, `ReorderPlanner::reorder`, on a 1920-sample MLLM-72B batch with
+//! the planners the 1296-GPU production task actually builds: the chosen
 //! plan's (shallow, wide DP) and the deepest trial candidate's. Those
 //! cases clone the batch inside the timed call (the planner consumes
-//! it); `batch_clone` times that clone alone. The `pipeline_engine` cases
-//! replay one iteration of those plans on the engine (`Engine::run` over
-//! every DP rank's workload from `Runtime::build_workload_for`) and also
-//! report `ns_per_op`, the fastest iteration per executed op.
+//! it); `batch_clone` times that clone alone. The `runtime_iteration`
+//! cases time `Runtime::simulate_iteration` on the reordered batch under
+//! each plan. The `pipeline_engine` cases replay one iteration of those
+//! plans on the engine (`Engine::run` over every DP rank's workload from
+//! `Runtime::build_workload_for`) and also report `ns_per_op`, the
+//! fastest iteration per executed op.
 //!
 //! Emits `BENCH_layers.json` (override the path with
 //! `DT_BENCH_LAYERS_JSON`) with mean/min µs per case and the host's core
@@ -57,13 +62,13 @@ fn main() {
         cases.push(Json::obj(fields));
     };
 
-    for n in [128usize, 512, 1920] {
+    // The last case is the production shape: 1920 samples over DP 128.
+    for (n, m) in [(128usize, 16usize), (512, 16), (1920, 16), (1920, 128)] {
         let mut rng = DetRng::new(1);
         let sizes: Vec<f64> = (0..n).map(|_| rng.lognormal(2.0, 1.0)).collect();
-        let m = 16;
         let name = format!("algorithm1_intra/n{n}_dp{m}");
         let stats = bench_stats(&name, iters, || {
-            intra_reorder_indices(&sizes, m).expect("bench sizes divide into 16 groups")
+            intra_reorder_indices(&sizes, m).expect("bench sizes divide into the groups")
         });
         record(
             name,
@@ -126,9 +131,27 @@ fn main() {
             ],
         );
 
+        // One whole simulated iteration of the reordered batch: pricing
+        // every rank's microbatches into the reused engine, grad sync and
+        // the preprocessing stall.
+        let reordered = GlobalBatch::new(planner.reorder(batch.clone()));
+        let name = format!("runtime_iteration/{what}_n{n}_dp{dp}_p{p}");
+        let stats = bench_stats(&name, iters, || {
+            runtime.simulate_iteration(&perf, &reordered)
+        });
+        record(
+            name,
+            stats,
+            vec![
+                ("n", Json::num_u64(n as u64)),
+                ("dp", Json::num_u64(u64::from(dp))),
+                ("p", Json::num_u64(p as u64)),
+            ],
+        );
+
         // One iteration's pipelines: every DP rank's workload replayed on
         // one engine, as `Runtime` times an iteration.
-        let ranks = GlobalBatch::new(planner.reorder(batch.clone())).split(dp, planner.microbatch);
+        let ranks = reordered.split(dp, planner.microbatch);
         let workloads: Vec<Workload> = ranks
             .iter()
             .map(|rank| runtime.build_workload_for(&perf, rank))

@@ -6,12 +6,14 @@
 //! 2. reorder it (§5: Algorithm 1 across DP groups, Algorithm 2 within
 //!    each rank) — or not, for the Megatron baseline;
 //! 3. split into per-rank microbatch streams;
-//! 4. build each rank's multi-unit pipeline workload (encoder stages →
-//!    broker → backbone stages → broker → generator stages) with exact
-//!    per-microbatch times from the task's cost oracle;
-//! 5. replay each rank on one `dt_pipeline::Engine`, the 1F1B engine
-//!    Algorithm 2 probes; the slowest rank gates the iteration (that *is*
-//!    the intra-microbatch straggler);
+//! 4. price each rank's microbatches, one pipeline column each, over the
+//!    multi-unit pipeline (encoder stages → broker → backbone stages →
+//!    broker → generator stages): exact per-stage times from the task's
+//!    cost oracle, under plan constants read once per iteration;
+//! 5. push each column straight into one reused `dt_pipeline::Engine`,
+//!    the 1F1B engine Algorithm 2 probes, reset per rank; the slowest
+//!    rank gates the iteration (that *is* the intra-microbatch
+//!    straggler);
 //! 6. add gradient synchronization and the preprocessing stall of the
 //!    configured feeding mode;
 //! 7. report iteration time, MFU, and throughput.
@@ -117,6 +119,87 @@ fn bwd_factor(model: &MultimodalLlm, module: ModuleKind) -> f64 {
     }
 }
 
+/// Prices microbatches into pipeline columns, one `(forward, backward)`
+/// pair per stage, under one plan. [`Runtime::simulate_rows`] pushes each
+/// column straight into its engine and [`Runtime::build_workload_for`]
+/// collects the same columns, so the two share this one pricing.
+struct Pricer<'p, 'c> {
+    perf: &'p PerfModel<'c>,
+    /// Per module, in [`ModuleKind::ALL`] order: pipeline stages, TP size
+    /// and [`bwd_factor`].
+    pp: [usize; 3],
+    tp: [u32; 3],
+    bwd: [f64; 3],
+    /// The multimodal units' effective width is shared by all backbone
+    /// ranks, so one rank sees `DP_lm / width` of their streams.
+    share: [f64; 3],
+    /// MoE backbones pay expert-parallel all-to-alls per layer.
+    a2a: SimDuration,
+    /// Packed sequences share one length: the backbone's per-sample time,
+    /// priced once per length.
+    per_sample_bb: Option<(u64, SimDuration)>,
+}
+
+impl<'p, 'c> Pricer<'p, 'c> {
+    fn new(rt: &Runtime<'_>, perf: &'p PerfModel<'c>) -> Self {
+        let plan = &rt.plan;
+        let dp_lm = plan.backbone.dp.max(1) as f64;
+        Pricer {
+            perf,
+            pp: ModuleKind::ALL.map(|k| plan.module(k).pp as usize),
+            tp: ModuleKind::ALL.map(|k| plan.module(k).shard_tp()),
+            bwd: ModuleKind::ALL.map(|k| bwd_factor(rt.model, k)),
+            share: ModuleKind::ALL
+                .map(|k| dp_lm / plan.module(k).effective_data_width().max(1) as f64),
+            a2a: perf.moe_all_to_all_time(rt.model.seq_len, plan.backbone.ep)
+                * rt.model.backbone.layers as u64,
+            per_sample_bb: None,
+        }
+    }
+
+    /// The column of one microbatch, from its samples' shapes: each
+    /// module's time split evenly over its stages.
+    fn column(
+        &mut self,
+        mb: impl IntoIterator<Item = SampleShape>,
+    ) -> impl Iterator<Item = (SimDuration, SimDuration)> {
+        let [enc_tp, bb_tp, gen_tp] = self.tp;
+        // Heterogeneous: exact per-sample shapes.
+        let (mut enc, mut gen) = (SimDuration::ZERO, SimDuration::ZERO);
+        let (mut first, mut samples) = (None, 0u64);
+        for shape in mb {
+            enc += self
+                .perf
+                .module_fwd_time(ModuleKind::Encoder, &shape, enc_tp);
+            gen += self
+                .perf
+                .module_fwd_time(ModuleKind::Generator, &shape, gen_tp);
+            first.get_or_insert(shape);
+            samples += 1;
+        }
+        // Fixed-length sequences: per-sample time is constant.
+        let bb = first.map_or(SimDuration::ZERO, |shape| {
+            let per_sample = match self.per_sample_bb {
+                Some((seq, t)) if seq == shape.seq_len() => t,
+                _ => {
+                    let t = self
+                        .perf
+                        .module_fwd_time(ModuleKind::Backbone, &shape, bb_tp);
+                    self.per_sample_bb = Some((shape.seq_len(), t));
+                    t
+                }
+            };
+            (per_sample + self.a2a) * samples
+        });
+        let times = [enc.mul_f64(self.share[0]), bb, gen.mul_f64(self.share[2])];
+        let stages = |k: usize| {
+            let fwd = times[k] / self.pp[k] as u64;
+            std::iter::repeat_n((fwd, fwd.mul_f64(self.bwd[k])), self.pp[k])
+        };
+        stages(0).chain(stages(1)).chain(stages(2))
+    }
+}
+
 impl<'a> Runtime<'a> {
     /// The reorder planner this runtime configuration implies (public for
     /// drivers that step iterations manually).
@@ -175,74 +258,19 @@ impl<'a> Runtime<'a> {
     }
 
     /// One rank's pipeline workload, from the shapes of each microbatch's
-    /// samples.
+    /// samples: the columns [`Runtime::simulate_rows`] pushes, collected.
     fn rank_workload<M>(&self, perf: &PerfModel<'_>, microbatches: M) -> Workload
     where
-        M: ExactSizeIterator,
+        M: IntoIterator,
         M::Item: IntoIterator<Item = SampleShape>,
     {
-        let l = microbatches.len();
-        let pp_me = self.plan.encoder.pp as usize;
-        let pp_lm = self.plan.backbone.pp as usize;
-        let pp_mg = self.plan.generator.pp as usize;
-        let stages = pp_me + pp_lm + pp_mg;
-        let mut fwd = vec![vec![SimDuration::ZERO; l]; stages];
-        let mut bwd = vec![vec![SimDuration::ZERO; l]; stages];
-        let fe = bwd_factor(self.model, ModuleKind::Encoder);
-        let fb = bwd_factor(self.model, ModuleKind::Backbone);
-        let fg = bwd_factor(self.model, ModuleKind::Generator);
-
-        let tp = |module| self.plan.module(module).shard_tp();
-        // The multimodal units' effective width is shared by all backbone
-        // ranks, so one rank sees `width / DP_lm` of their streams.
-        let dp_lm = self.plan.backbone.dp.max(1) as f64;
-        let share = |module| dp_lm / self.plan.module(module).effective_data_width().max(1) as f64;
-        // MoE backbones pay expert-parallel all-to-alls per layer.
-        let a2a = perf.moe_all_to_all_time(self.model.seq_len, self.plan.backbone.ep)
-            * self.model.backbone.layers as u64;
-        // Packed sequences share one length: price the backbone once.
-        let mut per_sample_bb: Option<(u64, SimDuration)> = None;
-
-        for (i, mb) in microbatches.enumerate() {
-            // Heterogeneous: exact per-sample shapes.
-            let (mut enc, mut gen) = (SimDuration::ZERO, SimDuration::ZERO);
-            let (mut first, mut samples) = (None, 0u64);
-            for shape in mb {
-                enc += perf.module_fwd_time(ModuleKind::Encoder, &shape, tp(ModuleKind::Encoder));
-                gen +=
-                    perf.module_fwd_time(ModuleKind::Generator, &shape, tp(ModuleKind::Generator));
-                first.get_or_insert(shape);
-                samples += 1;
-            }
-            let enc = enc.mul_f64(share(ModuleKind::Encoder));
-            let gen = gen.mul_f64(share(ModuleKind::Generator));
-            // Fixed-length sequences: per-sample time is constant.
-            let bb = first.map_or(SimDuration::ZERO, |shape| {
-                let per_sample = match per_sample_bb {
-                    Some((seq, t)) if seq == shape.seq_len() => t,
-                    _ => {
-                        let t = perf.module_fwd_time(
-                            ModuleKind::Backbone,
-                            &shape,
-                            tp(ModuleKind::Backbone),
-                        );
-                        per_sample_bb = Some((shape.seq_len(), t));
-                        t
-                    }
-                };
-                (per_sample + a2a) * samples
-            });
-            for s in 0..pp_me {
-                fwd[s][i] = enc / pp_me as u64;
-                bwd[s][i] = (enc / pp_me as u64).mul_f64(fe);
-            }
-            for s in 0..pp_lm {
-                fwd[pp_me + s][i] = bb / pp_lm as u64;
-                bwd[pp_me + s][i] = (bb / pp_lm as u64).mul_f64(fb);
-            }
-            for s in 0..pp_mg {
-                fwd[pp_me + pp_lm + s][i] = gen / pp_mg as u64;
-                bwd[pp_me + pp_lm + s][i] = (gen / pp_mg as u64).mul_f64(fg);
+        let mut pricer = Pricer::new(self, perf);
+        let stages = pricer.pp.iter().sum();
+        let (mut fwd, mut bwd) = (vec![Vec::new(); stages], vec![Vec::new(); stages]);
+        for mb in microbatches {
+            for (s, (f, b)) in pricer.column(mb).enumerate() {
+                fwd[s].push(f);
+                bwd[s].push(b);
             }
         }
         Workload { fwd, bwd }
@@ -419,14 +447,14 @@ impl<'a> Runtime<'a> {
         let mut stall = SimDuration::ZERO;
         let mut results = Vec::new();
         let mut stalls = Vec::new();
+        let mut pricer = Pricer::new(self, perf);
+        let stages = pricer.pp.iter().sum();
         let mut engine = Engine::default();
         for rank in order.chunks(per_rank) {
-            let workload = self.rank_workload(
-                perf,
-                rank.chunks(m)
-                    .map(|mb| mb.iter().map(|&k| rows.rows[k].shape)),
-            );
-            engine.run(&spec, &workload);
+            engine.reset(&spec, stages, rank.len() / m);
+            for mb in rank.chunks(m) {
+                engine.push(pricer.column(mb.iter().map(|&k| rows.rows[k].shape)));
+            }
             pipeline_time = pipeline_time.max(engine.makespan());
             bubble_sum += engine.mean_bubble_fraction();
             ranks += 1;
@@ -1031,6 +1059,72 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One pricing: an iteration's pipeline time and bubble fraction are
+    /// the max and the mean over ranks of `dt_pipeline::simulate` on
+    /// `build_workload_for`'s workloads, bit for bit. Inputs: every §4
+    /// trial candidate of the production MLLM-72B task, trained in full
+    /// and with the encoder or the backbone frozen, so `bwd_factor` takes
+    /// 0, 1 and 2 and PP splits exceed 1.
+    #[test]
+    fn an_iteration_prices_as_build_workload_for() {
+        use crate::system::{SystemKind, TrainingTask};
+        let task = TrainingTask::production(MllmPreset::Mllm72B.build());
+        let plans = task
+            .trial_candidates()
+            .expect("production task has candidates");
+        assert!(plans
+            .iter()
+            .any(|p| ModuleKind::ALL.iter().any(|&k| p.module(k).pp > 1)));
+        let batch = GlobalBatch::new(
+            SyntheticLaion::new(task.data.clone(), task.seed).take(task.global_batch as usize),
+        );
+        let coll = CollectiveCost::new(task.cluster.clone());
+        let mut factors = Vec::new();
+        for freeze in [
+            FreezeConfig::none(),
+            FreezeConfig {
+                encoder: true,
+                ..FreezeConfig::none()
+            },
+            FreezeConfig {
+                backbone: true,
+                ..FreezeConfig::none()
+            },
+        ] {
+            let model = MultimodalLlm::preset(MllmPreset::Mllm72B, freeze);
+            factors.extend(ModuleKind::ALL.map(|k| bwd_factor(&model, k)));
+            for &plan in &plans {
+                let rt = Runtime {
+                    model: &model,
+                    cluster: &task.cluster,
+                    plan,
+                    data: task.data.clone(),
+                    cfg: task.runtime_config(SystemKind::DistTrain, 1),
+                };
+                let perf = rt.perf_model(&coll);
+                let report = rt.simulate_iteration(&perf, &batch);
+                let spec = PipelineSpec {
+                    schedule: rt.cfg.schedule,
+                    comm: rt.build_comm_for(&coll),
+                };
+                let (mut makespan, mut bubbles, mut ranks) = (SimDuration::ZERO, 0.0, 0);
+                for mbs in batch.split(plan.backbone.dp, plan.microbatch) {
+                    let r = dt_pipeline::simulate(&spec, &rt.build_workload_for(&perf, &mbs));
+                    makespan = makespan.max(r.makespan);
+                    bubbles += r.mean_bubble_fraction();
+                    ranks += 1;
+                }
+                let what = format!("{freeze:?} {plan:?}");
+                assert_eq!(report.pipeline_time, makespan, "{what}");
+                let mean = bubbles / ranks as f64;
+                assert_eq!(report.bubble_fraction.to_bits(), mean.to_bits(), "{what}");
+            }
+        }
+        for factor in [0.0, 1.0, 2.0] {
+            assert!(factors.contains(&factor), "bwd_factor {factor} untested");
         }
     }
 

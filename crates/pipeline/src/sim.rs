@@ -7,6 +7,9 @@
 //! Every op of microbatch `i` waits on `F(0, i)`, so a pushed prefix is
 //! final: a caller can mark the frontier in `O(P)`, push a tentative tail,
 //! read its op times and roll back (Algorithm 2's `GETINTERVAL` probe).
+//! A probe that reads one op stops there: [`Engine::push_until`] replays
+//! the push only up to that op, and the ops after it stay unrun until the
+//! rollback.
 //!
 //! Which ops a push makes ready depends only on the schedule's shape,
 //! never on durations: a pushed prefix fixes exactly which ops can run. So
@@ -111,15 +114,17 @@ pub struct Engine {
     /// `[2(i·P + s) + kind]`: op `kind` of microbatch `i` on stage `s`,
     /// then a zero sentinel op that stage 0's forwards wait on.
     ops: Vec<Op>,
-    /// `[2(i·P + s) + kind]`: the push whose firing list runs that op.
-    fired_by: Vec<u32>,
+    /// `[2(i·P + s) + kind]`: that op's entry in `fires`.
+    fire_at: Vec<u32>,
     /// `fires[starts[i]..starts[i + 1]]`: the ops push `i` runs, in order.
     fires: Vec<Fire>,
     starts: Vec<u32>,
     /// `comm[s]`: the hop after virtual stage `s`, then a zero hop.
     comm: Vec<SimDuration>,
-    /// Microbatches pushed and per-stage progress, now and at the mark.
+    /// Microbatches pushed, `fires` entries replayed (an op has run iff
+    /// its entry has), and per-stage progress, now and at the mark.
     pushed: usize,
+    fired: usize,
     now: Vec<Frontier>,
     marked: (usize, Vec<Frontier>),
 }
@@ -177,18 +182,19 @@ impl Engine {
             self.ops = vec![Op::default(); 2 * n * l + 1];
             self.plan(spec.schedule);
         }
-        (self.phys, self.vpp, self.pushed) = (p, vpp as u64, 0);
+        (self.phys, self.vpp, self.pushed, self.fired) = (p, vpp as u64, 0, 0);
         // Virtual boundary `v` is physical boundary `v % p`, or the last
         // one where it wraps around to stage 0.
         let hop = |v: usize| match v % p + 1 < p {
             true => spec.comm.get(v % p).copied(),
             false => spec.comm.last().copied(),
         };
-        self.comm = (1..n)
-            .map(|v| hop(v - 1).unwrap_or_default())
-            .chain([SimDuration::ZERO])
-            .collect();
-        self.now = vec![Frontier::default(); n];
+        self.comm.clear();
+        self.comm
+            .extend((1..n).map(|v| hop(v - 1).unwrap_or_default()));
+        self.comm.push(SimDuration::ZERO);
+        self.now.clear();
+        self.now.resize(n, Frontier::default());
         self.mark();
     }
 
@@ -201,8 +207,8 @@ impl Engine {
         let (sentinel, zero_hop) = (2 * n * l, n.saturating_sub(1));
         let orders: Vec<_> = (0..n).map(|s| schedule.stage_order(s, n, l)).collect();
         let (mut pc, mut ready) = (vec![0; n], Vec::new());
-        self.fired_by.clear();
-        self.fired_by.resize(sentinel, u32::MAX);
+        self.fire_at.clear();
+        self.fire_at.resize(sentinel, u32::MAX);
         self.fires.clear();
         self.fires.reserve(sentinel);
         self.starts.clear();
@@ -217,7 +223,7 @@ impl Engine {
                         StageOp::Fwd(i) => (OpKind::Forward, i),
                         StageOp::Bwd(i) => (OpKind::Backward, i),
                     };
-                    let ran = |s: usize| self.fired_by[self.at(s, kind, i)] != u32::MAX;
+                    let ran = |s: usize| self.fire_at[self.at(s, kind, i)] != u32::MAX;
                     let dep = match kind {
                         OpKind::Forward if s == 0 => (i <= push).then_some((sentinel, zero_hop)),
                         OpKind::Forward => ran(s - 1).then(|| (self.at(s - 1, kind, i), s - 1)),
@@ -229,7 +235,7 @@ impl Engine {
                     };
                     let Some((dep, hop)) = dep else { break };
                     let op = self.at(s, kind, i);
-                    self.fired_by[op] = push as u32;
+                    self.fire_at[op] = self.fires.len() as u32;
                     let [stage, op, dep, hop] = [s, op, dep, hop].map(|x| x as u32);
                     self.fires.push(Fire {
                         stage,
@@ -263,8 +269,42 @@ impl Engine {
     /// physical stage, and run every op that becomes ready: replay the
     /// push's firing list, each op at `max(stage free, dependency end + hop)`.
     pub fn push(&mut self, column: impl IntoIterator<Item = (SimDuration, SimDuration)>) {
+        self.load(column);
+        self.replay(self.start(self.pushed));
+    }
+
+    /// [`Engine::push`], but stop replaying once op `kind` of `microbatch`
+    /// on (virtual) stage `stage` has run, and return it if it has. A
+    /// target this push does not run (one already run, or one a later push
+    /// runs) gets the whole push. After an early stop only the target and
+    /// the ops fired before it are valid: the next call must be
+    /// [`Engine::rollback`] or [`Engine::reset`], never a push or a mark
+    /// (debug builds assert it). Algorithm 2's `GETINTERVAL` probe
+    /// (`dt_reorder::InterReorderConfig::interval`) reads one op of its
+    /// last push, so it ends each probe here.
+    pub fn push_until(
+        &mut self,
+        column: impl IntoIterator<Item = (SimDuration, SimDuration)>,
+        stage: usize,
+        kind: OpKind,
+        microbatch: usize,
+    ) -> Option<OpRecord> {
+        self.load(column);
+        let end = self.start(self.pushed);
+        let valid = stage < self.stages && microbatch < self.l;
+        let target = valid.then(|| self.fire_at[self.at(stage, kind, microbatch)] as usize);
+        self.replay(match target {
+            Some(k) if (self.fired..end).contains(&k) => k + 1,
+            _ => end,
+        });
+        self.op(stage, kind, microbatch)
+    }
+
+    /// Write the next microbatch's column into its ops and count the push.
+    fn load(&mut self, column: impl IntoIterator<Item = (SimDuration, SimDuration)>) {
         let (i, n, p, vpp) = (self.pushed, self.stages, self.phys, self.vpp);
         assert!(i < self.l, "more microbatches pushed than reset for");
+        debug_assert!(self.whole(), "push after a partial push_until");
         let (row, mut column) = (&mut self.ops[2 * i * n..][..2 * n], column.into_iter());
         for op in row[..2 * p].chunks_exact_mut(2) {
             let (f, b) = column.next().expect("one column entry per stage");
@@ -276,13 +316,29 @@ impl Engine {
             row[k].dur = row[k - 2 * p].dur;
         }
         self.pushed += 1;
+    }
+
+    /// Run the firing-list entries from the last one run up to `end`.
+    fn replay(&mut self, end: usize) {
         let (ops, comm, now) = (&mut self.ops, &self.comm, &mut self.now);
-        for fire in &self.fires[self.starts[i] as usize..self.starts[i + 1] as usize] {
+        for fire in &self.fires[self.fired..end] {
             let dep = ops[fire.dep as usize];
             let (op, at) = (&mut ops[fire.op as usize], &mut now[fire.stage as usize]);
             op.start = at.avail.max(dep.start + dep.dur + comm[fire.hop as usize]);
             (at.avail, at.busy) = (op.start + op.dur, at.busy + op.dur);
         }
+        self.fired = end;
+    }
+
+    /// Where push `i`'s firing list starts in `fires` (and push `i − 1`'s
+    /// ends).
+    fn start(&self, i: usize) -> usize {
+        self.starts.get(i).map_or(0, |&k| k as usize)
+    }
+
+    /// Whether every pushed microbatch's firing list has run in full.
+    fn whole(&self) -> bool {
+        self.fired == self.start(self.pushed)
     }
 
     /// Index into `ops` of op `kind` of microbatch `i` on stage `s`.
@@ -292,6 +348,7 @@ impl Engine {
 
     /// Remember the current frontier for [`Engine::rollback`].
     pub fn mark(&mut self) {
+        debug_assert!(self.whole(), "mark after a partial push_until");
         self.marked.0 = self.pushed;
         self.marked.1.clone_from(&self.now);
     }
@@ -299,6 +356,7 @@ impl Engine {
     /// Return to the last mark (a reset marks) in `O(P)`.
     pub fn rollback(&mut self) {
         self.pushed = self.marked.0;
+        self.fired = self.start(self.pushed);
         self.now.copy_from_slice(&self.marked.1);
     }
 
@@ -317,7 +375,7 @@ impl Engine {
         let valid = stage < self.stages && microbatch < self.l;
         let at = valid.then(|| self.at(stage, kind, microbatch))?;
         let Op { dur, start } = self.ops[at];
-        (self.fired_by[at] < self.pushed as u32).then_some(OpRecord {
+        ((self.fire_at[at] as usize) < self.fired).then_some(OpRecord {
             stage,
             microbatch,
             kind,
@@ -331,8 +389,7 @@ impl Engine {
     pub fn result(&self) -> PipelineResult {
         // A stage runs its ops in its order, so sorting the pushes' firing
         // lists by stage (stably) lists each stage's ops in that order.
-        let ran = self.starts.get(self.pushed).map_or(0, |&k| k as usize);
-        let mut timeline: Vec<OpRecord> = self.fires[..ran]
+        let mut timeline: Vec<OpRecord> = self.fires[..self.fired]
             .iter()
             .filter_map(|fire| {
                 let (q, kind) = (fire.op as usize / 2, fire.op % 2);
@@ -546,6 +603,93 @@ mod tests {
         assert!(
             flips >= 20 && new_hops >= 20,
             "{flips} flips, {new_hops} new hops"
+        );
+    }
+
+    /// `push_until` aimed at an op of the next push, after a committed
+    /// prefix of a seeded shape (P 1–6, l 0–16, GPipe / 1F1B / VPP 1–3,
+    /// random hops), runs that op and every op the full push fires before
+    /// it at the full push's times, and no op after it. A target outside
+    /// the push (already run, or run by a later push) gets the whole push.
+    /// After the rollback the engine equals a fresh replay of the prefix,
+    /// and finishing the iteration from there equals [`simulate`]. A
+    /// replay that stops one entry early fails the first check.
+    #[test]
+    fn push_until_runs_the_full_push_up_to_its_target() {
+        use dt_simengine::DetRng;
+        let schedules = [
+            Schedule::GPipe,
+            Schedule::OneFOneB,
+            Schedule::Interleaved { vpp: 1 },
+            Schedule::Interleaved { vpp: 2 },
+            Schedule::Interleaved { vpp: 3 },
+        ];
+        let state = |e: &Engine| {
+            let r = e.result();
+            (r.timeline, r.makespan, e.mean_bubble_fraction().to_bits())
+        };
+        let mut rng = DetRng::new(35);
+        let (mut engine, mut fresh) = (Engine::default(), Engine::default());
+        let (mut early, mut whole) = (0, 0);
+        for step in 0..600 {
+            let (p, l) = (rng.range_usize(1, 7), rng.range_usize(0, 17));
+            let schedule = *rng.pick(&schedules);
+            let spec = PipelineSpec {
+                schedule,
+                comm: (1..p).map(|_| d(rng.range_u64(0, 60))).collect(),
+            };
+            let mut rows = |hi| -> Vec<Vec<SimDuration>> {
+                (0..p)
+                    .map(|_| (0..l).map(|_| d(rng.range_u64(1, hi))).collect())
+                    .collect()
+            };
+            let w = Workload {
+                fwd: rows(400),
+                bwd: rows(800),
+            };
+            let column = |i: usize| w.fwd.iter().zip(&w.bwd).map(move |(f, b)| (f[i], b[i]));
+            engine.reset(&spec, p, l);
+            let cut = rng.range_usize(0, l.max(1));
+            (0..cut).for_each(|i| engine.push(column(i)));
+            let what = format!("step {step}: {schedule:?} p={p} l={l} cut={cut}");
+            if cut < l {
+                let mut full = engine.clone();
+                full.push(column(cut));
+                let (from, to) = (engine.start(cut), engine.start(cut + 1));
+                // Mostly an op of this push; sometimes any op at all.
+                let k = match rng.range_usize(0, 4) {
+                    0 => rng.range_usize(0, engine.fires.len()),
+                    _ => rng.range_usize(from, to.max(from + 1)),
+                };
+                if let Some(&Fire { stage, op, .. }) = engine.fires.get(k) {
+                    let kind = [OpKind::Forward, OpKind::Backward][op as usize % 2];
+                    let (s, i) = (stage as usize, op as usize / 2 / engine.stages);
+                    engine.mark();
+                    let got = engine.push_until(column(cut), s, kind, i);
+                    let stop = if (from..to).contains(&k) { k + 1 } else { to };
+                    early += usize::from(stop < to);
+                    whole += usize::from(stop == to && k >= to);
+                    assert_eq!(got, full.op(s, kind, i).filter(|_| k < to), "{what}");
+                    for (n, fire) in engine.fires[from..to].iter().enumerate() {
+                        let kind = [OpKind::Forward, OpKind::Backward][fire.op as usize % 2];
+                        let (s, i) = (fire.stage as usize, fire.op as usize / 2 / engine.stages);
+                        let want = full.op(s, kind, i).filter(|_| from + n < stop);
+                        assert_eq!(engine.op(s, kind, i), want, "{what} entry {n}");
+                    }
+                    engine.rollback();
+                }
+            }
+            fresh.reset(&spec, p, l);
+            (0..cut).for_each(|i| fresh.push(column(i)));
+            assert!(state(&engine) == state(&fresh), "{what}: rollback");
+            (cut..l).for_each(|i| engine.push(column(i)));
+            let want = simulate(&spec, &w);
+            assert_eq!(engine.result().timeline, want.timeline, "{what}");
+            assert_eq!(engine.makespan(), want.makespan, "{what}");
+        }
+        assert!(
+            early >= 200 && whole >= 20,
+            "{early} early stops, {whole} whole"
         );
     }
 

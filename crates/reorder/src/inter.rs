@@ -21,10 +21,15 @@
 //! microbatch once and evaluates each target by pushing only that much of
 //! the tentative tail (mean placeholders, then the reserved rear) before
 //! rolling the engine back to its `O(P)` mark. Each push replays the
-//! engine's firing list for the shape, built once per `(P, l)`, so a
-//! placement costs `O(P)` amortized op updates for plain 1F1B, with no
+//! engine's firing list for the shape, built once per `(P, l)`, and the
+//! probe's last push replays it only up to backward `j` of stage 0
+//! ([`Engine::push_until`]): for plain 1F1B a probe runs two ops, and a
+//! placement costs the commit push's `O(P)` amortized op updates, with no
 //! readiness test — `O(l·p)` per rank, as in the paper — and no per-step
-//! allocation; with VPP each probe pushes `p·(vpp−1)+1` tail positions. dt-check's event simulator is the reference the
+//! allocation; with VPP each probe pushes up to `p·(vpp−1)+1` tail
+//! positions. The proxy's spec and downstream pair are converted to
+//! [`SimDuration`] once per planner, each microbatch's stage-0 pair once
+//! per rank. dt-check's event simulator is the reference the
 //! `reorder.alg2_interval_matches_simulate` oracle compares the volumes
 //! against, to the nanosecond. Like Algorithm 1 this is a pure permutation
 //! of the local batch, so convergence semantics are untouched.
@@ -77,42 +82,76 @@ impl InterReorderConfig {
                 bwd[s].push(b);
             }
         }
+        (self.spec(), Workload { fwd, bwd })
+    }
+
+    /// The proxy's schedule and its zero hops.
+    fn spec(&self) -> PipelineSpec {
         let schedule = match self.vpp {
             0 | 1 => Schedule::OneFOneB,
             vpp => Schedule::Interleaved { vpp },
         };
-        let w = Workload { fwd, bwd };
-        (PipelineSpec::uniform(schedule, p, SimDuration::ZERO), w)
+        PipelineSpec::uniform(schedule, self.stages.max(1), SimDuration::ZERO)
+    }
+
+    /// A downstream stage's `(forward, backward)`.
+    fn uniform(&self) -> Pair {
+        let d = SimDuration::from_secs_f64;
+        (d(self.uniform_fwd), d(self.uniform_bwd))
+    }
+
+    /// Stage 0's `(forward, backward)` for a forward of `secs`.
+    fn stage0(&self, secs: f64) -> Pair {
+        let d = SimDuration::from_secs_f64;
+        (d(secs), d(secs * self.stage0_bwd_factor))
     }
 
     /// The proxy's `(forward, backward)` per stage for a microbatch whose
     /// stage-0 forward takes `secs`: the column [`Engine::push`] takes.
-    pub fn column(&self, secs: f64) -> impl Iterator<Item = (SimDuration, SimDuration)> {
-        let d = SimDuration::from_secs_f64;
-        let uniform = (d(self.uniform_fwd), d(self.uniform_bwd));
-        let stage0 = (d(secs), d(secs * self.stage0_bwd_factor));
-        std::iter::once(stage0).chain(std::iter::repeat_n(uniform, self.stages.max(1) - 1))
+    pub fn column(&self, secs: f64) -> impl Iterator<Item = Pair> {
+        column(self.stage0(secs), self.uniform(), self.stages)
     }
 
     /// `GETINTERVAL` on an engine holding committed positions: the volume
     /// of stage-0 interval `j` (see [`get_interval`]) when `tail` follows
     /// them. Pushes only as much of `tail` as interval `j` depends on, then
     /// rolls the engine back to the committed positions.
-    pub fn interval(&self, e: &mut Engine, j: usize, mut tail: impl Iterator<Item = f64>) -> f64 {
-        e.mark();
-        while e.op(0, OpKind::Backward, j).is_none() {
-            let Some(secs) = tail.next() else { break };
-            e.push(self.column(secs));
-        }
-        // Interval `j` starts where forward 0 (`j = 0`) or backward `j − 1` ends.
-        let left = match j {
-            0 => e.op(0, OpKind::Forward, 0),
-            _ => e.op(0, OpKind::Backward, j - 1),
-        };
-        let volume = e.op(0, OpKind::Backward, j).zip(left);
-        e.rollback();
-        volume.map_or(0.0, |(b, a)| (b.start - a.end).as_secs_f64())
+    pub fn interval(&self, e: &mut Engine, j: usize, tail: impl Iterator<Item = f64>) -> f64 {
+        probe(e, j, tail.map(|secs| self.column(secs)))
     }
+}
+
+/// A stage's `(forward, backward)` durations.
+type Pair = (SimDuration, SimDuration);
+
+/// The proxy column of a microbatch: `stage0` at stage 0, `uniform` at the
+/// other `stages − 1`.
+fn column(stage0: Pair, uniform: Pair, stages: usize) -> impl Iterator<Item = Pair> {
+    std::iter::once(stage0).chain(std::iter::repeat_n(uniform, stages.max(1) - 1))
+}
+
+/// [`InterReorderConfig::interval`] over proxy columns: push `tail` until
+/// backward `j` of stage 0 has run, the last push only up to it
+/// ([`Engine::push_until`]), read the interval and roll back.
+fn probe<C>(e: &mut Engine, j: usize, mut tail: impl Iterator<Item = C>) -> f64
+where
+    C: IntoIterator<Item = Pair>,
+{
+    e.mark();
+    let mut right = e.op(0, OpKind::Backward, j);
+    while right.is_none() {
+        let Some(column) = tail.next() else { break };
+        right = e.push_until(column, 0, OpKind::Backward, j);
+    }
+    // Interval `j` starts where forward 0 (`j = 0`) or backward `j − 1`
+    // ends; stage 0 runs either before backward `j`.
+    let left = match j {
+        0 => e.op(0, OpKind::Forward, 0),
+        _ => e.op(0, OpKind::Backward, j - 1),
+    };
+    let volume = right.zip(left);
+    e.rollback();
+    volume.map_or(0.0, |(b, a)| (b.start - a.end).as_secs_f64())
 }
 
 /// The `GETINTERVAL` dynamic program: volume of stage-0 interval `j`
@@ -131,7 +170,7 @@ impl InterReorderConfig {
 /// should be filled with an estimate (Algorithm 2 passes the mean of the
 /// remaining pool). Only positions `0..=j+p·vpp−1` are read.
 pub fn get_interval(cfg: &InterReorderConfig, stage0_fwd: &[f64], j: usize) -> f64 {
-    let mut engine = Engine::new(&cfg.pipeline(&[]).0, cfg.stages.max(1), stage0_fwd.len());
+    let mut engine = Engine::new(&cfg.spec(), cfg.stages.max(1), stage0_fwd.len());
     cfg.interval(&mut engine, j, stage0_fwd.iter().copied())
 }
 
@@ -152,9 +191,14 @@ fn take_min(pool: &mut Vec<usize>, key: impl Fn(usize) -> f64) -> Option<usize> 
 }
 
 /// Algorithm 2 over many DP ranks of one pipeline shape, on one [`Engine`]
-/// reset per rank (equal-length ranks build its firing list once).
+/// reset per rank (equal-length ranks build its firing list once). The
+/// proxy's spec and downstream pair are built once, each rank's stage-0
+/// pairs once per rank.
 pub(crate) struct InterReorder<'c> {
     cfg: &'c InterReorderConfig,
+    spec: PipelineSpec,
+    uniform: Pair,
+    stage0: Vec<Pair>,
     engine: Engine,
 }
 
@@ -163,6 +207,9 @@ impl<'c> InterReorder<'c> {
     pub(crate) fn new(cfg: &'c InterReorderConfig) -> Self {
         InterReorder {
             cfg,
+            spec: cfg.spec(),
+            uniform: cfg.uniform(),
+            stage0: Vec::new(),
             engine: Engine::default(),
         }
     }
@@ -182,13 +229,15 @@ impl<'c> InterReorder<'c> {
 
         // The engine mirrors the chosen prefix `ret`: every placement is
         // pushed into it once.
-        let engine = &mut self.engine;
-        engine.reset(&cfg.pipeline(&[]).0, p, l);
+        let (engine, uniform, stage0) = (&mut self.engine, self.uniform, &mut self.stage0);
+        stage0.clear();
+        stage0.extend(mb_fwd.iter().map(|&t| cfg.stage0(t)));
+        engine.reset(&self.spec, p, l);
         let mut ret = Vec::with_capacity(l);
 
         // Line 3: smallest first.
         if let Some(first) = take_min(&mut pool, |i| mb_fwd[i]) {
-            engine.push(cfg.column(mb_fwd[first]));
+            engine.push(column(stage0[first], uniform, p));
             ret.push(first);
         }
         // Line 4: reserve the p−1 smallest for the rear.
@@ -203,12 +252,14 @@ impl<'c> InterReorder<'c> {
             // The order estimate behind the target: chosen prefix + mean
             // placeholders for undecided slots + the reserved rear.
             let mean = pool.iter().map(|&i| mb_fwd[i]).sum::<f64>() / pool.len() as f64;
-            let tail = std::iter::repeat_n(mean, pool.len()).chain(rear.iter().map(|&i| mb_fwd[i]));
+            let tail = std::iter::repeat_n(cfg.stage0(mean), pool.len())
+                .chain(rear.iter().map(|&i| stage0[i]))
+                .map(|s0| column(s0, uniform, p));
             // Forward at position `pos` executes inside interval
             // `pos − p + 1` (see `get_interval`); the first fill targets
             // interval 0.
             let interval_idx = (ret.len() + 1).saturating_sub(p);
-            let mut target = cfg.interval(engine, interval_idx, tail);
+            let mut target = probe(engine, interval_idx, tail);
             if cfg.vpp > 1 {
                 target /= cfg.vpp as f64;
             }
@@ -224,7 +275,7 @@ impl<'c> InterReorder<'c> {
                     break;
                 };
                 sum += mb_fwd[idx];
-                engine.push(cfg.column(mb_fwd[idx]));
+                engine.push(column(stage0[idx], uniform, p));
                 ret.push(idx);
             }
         }

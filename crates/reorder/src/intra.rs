@@ -19,6 +19,12 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 /// One DP group that still has room, ordered so that [`BinaryHeap`] (a
 /// max-heap) yields the least-loaded group first, ties going to the
 /// lowest index — the choice the paper's strict-`<` scan makes.
+///
+/// Loads compare with [`f64::total_cmp`], which orders them exactly as
+/// `<` does here: a load starts at `+0.0` and adds only finite sizes
+/// (non-finite ones are rejected up front), so it is never NaN (a finite
+/// size added to `±inf` leaves it infinite) and never `-0.0` (a
+/// round-to-nearest sum is `-0.0` only when both terms are).
 struct Open {
     load: f64,
     group: usize,
@@ -26,7 +32,10 @@ struct Open {
 
 impl Ord for Open {
     fn cmp(&self, other: &Self) -> Ordering {
-        cmp_f64(other.load, self.load).then(other.group.cmp(&self.group))
+        other
+            .load
+            .total_cmp(&self.load)
+            .then(other.group.cmp(&self.group))
     }
 }
 
@@ -167,7 +176,11 @@ mod tests {
 
     /// The heap picks exactly what the scan picks, ties included: random
     /// sizes, sizes drawn from a few values (many equal loads), all-zero
-    /// sizes, one sample per group (`m = n`) and one group (`m = 1`).
+    /// sizes, one sample per group (`m = n`) and one group (`m = 1`). The
+    /// last three cases are where `total_cmp` would part from `<` if a
+    /// load could be NaN or `-0.0`: negative sizes (loads cross zero),
+    /// `±0.0` mixes, and sizes near `±f64::MAX` whose sums overflow to
+    /// `±inf` (and would make NaN if `inf − inf` could happen).
     #[test]
     fn heap_matches_the_linear_scan() {
         for seed in 0u64..300 {
@@ -177,7 +190,12 @@ mod tests {
             let n = m * per_group;
             let random: Vec<f64> = (0..n).map(|_| rng.lognormal(2.0, 1.0)).collect();
             let tied: Vec<f64> = (0..n).map(|_| rng.range_usize(0, 3) as f64).collect();
-            let cases = [random, tied, vec![0.0; n]];
+            let signed: Vec<f64> = (0..n).map(|_| rng.range_f64(-4.0, 4.0).round()).collect();
+            let zeros: Vec<f64> = (0..n).map(|_| *rng.pick(&[0.0, -0.0, 1.0])).collect();
+            let huge: Vec<f64> = (0..n)
+                .map(|_| *rng.pick(&[f64::MAX, -f64::MAX, 0.75 * f64::MAX, -0.0, 1.0]))
+                .collect();
+            let cases = [random, tied, vec![0.0; n], signed, zeros, huge];
             for sizes in &cases {
                 for groups in [m, 1, n] {
                     assert_eq!(
