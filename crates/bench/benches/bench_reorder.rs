@@ -131,9 +131,10 @@ fn main() {
             ],
         );
 
-        // One whole simulated iteration of the reordered batch: pricing
-        // every rank's microbatches into the reused engine, grad sync and
-        // the preprocessing stall.
+        // One whole simulated iteration of the reordered batch, as
+        // `train-1296` runs it: the batch's cost rows, every rank's
+        // columns pushed into the reused engine, grad sync and the
+        // preprocessing stall.
         let reordered = GlobalBatch::new(planner.reorder(batch.clone()));
         let name = format!("runtime_iteration/{what}_n{n}_dp{dp}_p{p}");
         let stats = bench_stats(&name, iters, || {

@@ -261,12 +261,18 @@ impl<'a> Runtime<'a> {
     /// samples: the columns [`Runtime::simulate_rows`] pushes, collected.
     fn rank_workload<M>(&self, perf: &PerfModel<'_>, microbatches: M) -> Workload
     where
-        M: IntoIterator,
+        M: ExactSizeIterator,
         M::Item: IntoIterator<Item = SampleShape>,
     {
         let mut pricer = Pricer::new(self, perf);
         let stages = pricer.pp.iter().sum();
-        let (mut fwd, mut bwd) = (vec![Vec::new(); stages], vec![Vec::new(); stages]);
+        let l = microbatches.len();
+        let lanes = || {
+            (0..stages)
+                .map(|_| Vec::with_capacity(l))
+                .collect::<Vec<_>>()
+        };
+        let (mut fwd, mut bwd) = (lanes(), lanes());
         for mb in microbatches {
             for (s, (f, b)) in pricer.column(mb).enumerate() {
                 fwd[s].push(f);

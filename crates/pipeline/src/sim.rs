@@ -190,9 +190,11 @@ impl Engine {
             false => spec.comm.last().copied(),
         };
         self.comm.clear();
-        self.comm
-            .extend((1..n).map(|v| hop(v - 1).unwrap_or_default()));
-        self.comm.push(SimDuration::ZERO);
+        self.comm.extend(
+            (1..n)
+                .map(|v| hop(v - 1).unwrap_or_default())
+                .chain([SimDuration::ZERO]),
+        );
         self.now.clear();
         self.now.resize(n, Frontier::default());
         self.mark();
@@ -691,6 +693,21 @@ mod tests {
             early >= 200 && whole >= 20,
             "{early} early stops, {whole} whole"
         );
+    }
+
+    /// After an early stop the frontiers hold a partial push, so a push
+    /// before the rollback would start from them; debug builds reject it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "push after a partial push_until")]
+    fn a_push_after_a_partial_push_until_panics() {
+        let (spec, _) = uniform(3, 4, 100, 200);
+        let mut engine = Engine::new(&spec, 3, 4);
+        let column = [(d(100), d(200)); 3];
+        // Push 0 runs F(0, 0) first, then the forwards downstream.
+        assert!(engine.push_until(column, 0, OpKind::Forward, 0).is_some());
+        assert!(engine.op(1, OpKind::Forward, 0).is_none());
+        engine.push(column);
     }
 
     /// A short column would leave the missing stages with the durations of
