@@ -65,7 +65,10 @@ fn main() {
         };
         println!(
             "  t={:>9} node {:>2} died in iteration {:>2} → {what}, resumed from iteration {}",
-            format!("{}", f.at), f.node, f.iteration, f.resumed_from
+            format!("{}", f.at),
+            f.node,
+            f.iteration,
+            f.resumed_from
         );
     }
 
@@ -93,10 +96,29 @@ fn main() {
     let g = &out.goodput;
     g.validate().expect("exact accounting");
     println!("\ngoodput breakdown ({} wall clock):", g.total_wall);
-    println!("  committed  {:>10}   ({:.1}% goodput)", format!("{}", g.committed), g.goodput() * 100.0);
+    println!(
+        "  committed  {:>10}   ({:.1}% goodput)",
+        format!("{}", g.committed),
+        g.goodput() * 100.0
+    );
     println!("  lost       {:>10}", format!("{}", g.lost));
-    println!("  checkpoint {:>10}   ({} writes)", format!("{}", g.checkpoint), g.checkpoints);
-    println!("  restart    {:>10}   ({} failures)", format!("{}", g.restart), g.failures);
-    println!("  re-shard   {:>10}   ({} shrinks)", format!("{}", g.reshard), g.shrinks);
-    println!("  degraded   {:>10}   (below initial capacity)", format!("{}", g.degraded));
+    println!(
+        "  checkpoint {:>10}   ({} writes)",
+        format!("{}", g.checkpoint),
+        g.checkpoints
+    );
+    println!(
+        "  restart    {:>10}   ({} failures)",
+        format!("{}", g.restart),
+        g.failures
+    );
+    println!(
+        "  re-shard   {:>10}   ({} shrinks)",
+        format!("{}", g.reshard),
+        g.shrinks
+    );
+    println!(
+        "  degraded   {:>10}   (below initial capacity)",
+        format!("{}", g.degraded)
+    );
 }

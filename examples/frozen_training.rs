@@ -12,7 +12,10 @@ use disttrain::model::{FreezeConfig, MllmPreset, MultimodalLlm};
 
 fn main() {
     let preset = MllmPreset::Mllm9B;
-    println!("frozen-training settings for {} on 96 GPUs (global batch 128):\n", preset.build().name);
+    println!(
+        "frozen-training settings for {} on 96 GPUs (global batch 128):\n",
+        preset.build().name
+    );
     println!(
         "{:<28} {:>14} {:>16} {:>8}",
         "setting", "DistTrain MFU", "Megatron-LM MFU", "gain"

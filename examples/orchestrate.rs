@@ -101,7 +101,10 @@ fn main() {
     show(&tiny, "MLLM-72B on 8 GPUs");
     match Orchestrator::builder().total_gpus(96).build() {
         Err(PlanError::InvalidSpec { field, reason }) => {
-            println!("{:<34} builder rejects `{field}`: {reason}", "unset global batch");
+            println!(
+                "{:<34} builder rejects `{field}`: {reason}",
+                "unset global batch"
+            );
         }
         other => println!("unexpected builder outcome: {other:?}"),
     }

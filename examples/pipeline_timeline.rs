@@ -15,8 +15,14 @@ use disttrain::simengine::{DetRng, SimDuration};
 fn run(stage0: &[f64]) -> String {
     let p = 4;
     let l = stage0.len();
-    let mut fwd = vec![stage0.iter().map(|&t| SimDuration::from_secs_f64(t)).collect::<Vec<_>>()];
-    let mut bwd = vec![stage0.iter().map(|&t| SimDuration::from_secs_f64(2.0 * t)).collect::<Vec<_>>()];
+    let mut fwd = vec![stage0
+        .iter()
+        .map(|&t| SimDuration::from_secs_f64(t))
+        .collect::<Vec<_>>()];
+    let mut bwd = vec![stage0
+        .iter()
+        .map(|&t| SimDuration::from_secs_f64(2.0 * t))
+        .collect::<Vec<_>>()];
     for _ in 1..p {
         fwd.push(vec![SimDuration::from_secs_f64(0.10); l]);
         bwd.push(vec![SimDuration::from_secs_f64(0.20); l]);
@@ -25,16 +31,26 @@ fn run(stage0: &[f64]) -> String {
         &PipelineSpec::uniform(Schedule::OneFOneB, p, SimDuration::ZERO),
         &Workload { fwd, bwd },
     );
-    format!("{}makespan {}\n", render_gantt(&result, 100), result.makespan)
+    format!(
+        "{}makespan {}\n",
+        render_gantt(&result, 100),
+        result.makespan
+    )
 }
 
 fn main() {
-    println!("(a) homogeneous 1F1B, p=4, l=8 (encoder stage 0, LLM stages 1-3):\n{}", run(&[0.10; 8]));
+    println!(
+        "(a) homogeneous 1F1B, p=4, l=8 (encoder stage 0, LLM stages 1-3):\n{}",
+        run(&[0.10; 8])
+    );
 
     // Heterogeneous multimodal stage-0 times (log-normal, like §2.3's data).
     let mut rng = DetRng::new(27);
     let hetero: Vec<f64> = (0..10).map(|_| rng.lognormal(-2.2, 1.0)).collect();
-    println!("(b) heterogeneous encoder microbatches (Figure 7b):\n{}", run(&hetero));
+    println!(
+        "(b) heterogeneous encoder microbatches (Figure 7b):\n{}",
+        run(&hetero)
+    );
 
     let cfg = InterReorderConfig::new(4, 0.10, 0.20);
     let order = inter_reorder(&cfg, &hetero);

@@ -22,7 +22,10 @@ use std::time::Duration;
 
 fn main() {
     // Keep the demo snappy: 256×256 images, 4-sample batches.
-    let data = DataConfig { resolution: ResolutionMode::Fixed(256), ..DataConfig::evaluation(256) };
+    let data = DataConfig {
+        resolution: ResolutionMode::Fixed(256),
+        ..DataConfig::evaluation(256)
+    };
     let batch = 4u32;
 
     println!("== colocated baseline (preprocessing blocks the trainer) ==");

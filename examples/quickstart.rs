@@ -36,14 +36,22 @@ fn main() {
 
     let plan = task.plan(SystemKind::DistTrain).expect("orchestration");
     println!("\ndisaggregated model orchestration (Figure 9):");
-    for (name, p) in [("encoder", plan.encoder), ("backbone", plan.backbone), ("generator", plan.generator)] {
+    for (name, p) in [
+        ("encoder", plan.encoder),
+        ("backbone", plan.backbone),
+        ("generator", plan.generator),
+    ] {
         println!(
             "  {name:<9} {:>3} GPUs  (TP={} DP={} PP={}{})",
             p.gpus(),
             p.tp,
             p.dp,
             p.pp,
-            if p.replicate_in_tp_group { ", replicated group" } else { "" }
+            if p.replicate_in_tp_group {
+                ", replicated group"
+            } else {
+                ""
+            }
         );
     }
 
@@ -51,7 +59,11 @@ fn main() {
     println!("\nafter {} simulated iterations:", report.iterations.len());
     println!("  mean iteration  {:.2}s", report.mean_iter_secs());
     println!("  MFU             {:.1}%", report.mfu() * 100.0);
-    println!("  throughput      {:.1} samples/s ({:.0} tokens/s)", report.samples_per_sec(), report.tokens_per_sec());
+    println!(
+        "  throughput      {:.1} samples/s ({:.0} tokens/s)",
+        report.samples_per_sec(),
+        report.tokens_per_sec()
+    );
 
     // Compare against the monolithic baseline in one line.
     let mg = task.run(SystemKind::MegatronLM, 3).expect("baseline run");

@@ -57,7 +57,9 @@ fn main() {
     );
 
     let snap = telemetry.snapshot();
-    let iter_hist = snap.histogram_value(names::RUNTIME_ITER_TIME_SECONDS, &[]).unwrap();
+    let iter_hist = snap
+        .histogram_value(names::RUNTIME_ITER_TIME_SECONDS, &[])
+        .unwrap();
     println!(
         "iter-time histogram: n={} p50={:.2}s p99={:.2}s",
         iter_hist.count,

@@ -112,8 +112,8 @@ pub mod prelude {
     pub use crate::data::{DataConfig, SyntheticLaion};
     pub use crate::model::{FreezeConfig, MllmPreset, ModuleKind, MultimodalLlm};
     pub use crate::orchestrator::{
-        Orchestrator, OrchestratorBuilder, PerfModel, PlanError, PlanReport, Profiler,
-        SearchMode, TaskProfile, WarmStart,
+        Orchestrator, OrchestratorBuilder, PerfModel, PlanError, PlanReport, Profiler, SearchMode,
+        TaskProfile, WarmStart,
     };
     pub use crate::parallel::{ModulePlan, OrchestrationPlan};
     pub use crate::simengine::{DetRng, SimDuration, SimTime};

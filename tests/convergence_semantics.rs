@@ -6,8 +6,8 @@
 
 use disttrain::data::{DataConfig, SyntheticLaion, TrainSample};
 use disttrain::model::MllmPreset;
-use disttrain::reorder::{ReorderMode, ReorderPlanner};
 use disttrain::reorder::InterReorderConfig;
+use disttrain::reorder::{ReorderMode, ReorderPlanner};
 use disttrain::simengine::DetRng;
 
 fn planner(dp: u32, microbatch: u32, mode: ReorderMode) -> ReorderPlanner {
@@ -90,7 +90,10 @@ fn inter_reordering_moves_whole_microbatches() {
             for mb in rank.chunks(m as usize) {
                 let mut p: Vec<u64> = mb.iter().map(|s| s.id).collect();
                 p.sort_unstable();
-                assert!(pairs.contains(&p), "seed {seed}: microbatch {p:?} was split");
+                assert!(
+                    pairs.contains(&p),
+                    "seed {seed}: microbatch {p:?} was split"
+                );
             }
         }
     }

@@ -22,10 +22,20 @@ fn the_headline_ordering_holds_for_every_model() {
                 .map(|(_, r)| r.mfu())
                 .expect("present")
         };
-        let (dt, dm, mg) = (mfu(SystemKind::DistTrain), mfu(SystemKind::DistMMStar), mfu(SystemKind::MegatronLM));
-        assert!(dt >= dm * 0.999, "{preset:?}: DistTrain {dt:.3} < DistMM* {dm:.3}");
+        let (dt, dm, mg) = (
+            mfu(SystemKind::DistTrain),
+            mfu(SystemKind::DistMMStar),
+            mfu(SystemKind::MegatronLM),
+        );
+        assert!(
+            dt >= dm * 0.999,
+            "{preset:?}: DistTrain {dt:.3} < DistMM* {dm:.3}"
+        );
         assert!(dm > mg, "{preset:?}: DistMM* {dm:.3} ≤ Megatron {mg:.3}");
-        assert!((0.1..0.66).contains(&dt), "{preset:?}: implausible MFU {dt:.3}");
+        assert!(
+            (0.1..0.66).contains(&dt),
+            "{preset:?}: implausible MFU {dt:.3}"
+        );
     }
 }
 
@@ -44,7 +54,9 @@ fn training_runs_are_bit_deterministic() {
 
 #[test]
 fn every_frozen_setting_trains_faster_than_full() {
-    let full = task(MllmPreset::Mllm9B).run(SystemKind::DistTrain, 1).unwrap();
+    let full = task(MllmPreset::Mllm9B)
+        .run(SystemKind::DistTrain, 1)
+        .unwrap();
     for freeze in [
         FreezeConfig::all_frozen(),
         FreezeConfig::encoder_only(),
@@ -97,9 +109,16 @@ fn checkpoint_recovery_round_trips_through_the_runtime() {
     let plan = t.plan(SystemKind::DistTrain).unwrap();
     let dir = std::env::temp_dir().join(format!("dt-e2e-ckpt-{}", std::process::id()));
     let mut mgr = CheckpointManager::new(&dir).unwrap();
-    mgr.save_async(&TrainingState { iteration: 7, plan, seed: t.seed }).unwrap();
+    mgr.save_async(&TrainingState {
+        iteration: 7,
+        plan,
+        seed: t.seed,
+    })
+    .unwrap();
     mgr.wait().unwrap();
-    let state = CheckpointManager::recover(&dir).unwrap().expect("checkpoint exists");
+    let state = CheckpointManager::recover(&dir)
+        .unwrap()
+        .expect("checkpoint exists");
     assert_eq!(state.iteration, 7);
     // The recovered plan must still validate and run.
     let report = t.run_with_plan(state.plan, t.runtime_config(SystemKind::DistTrain, 1));

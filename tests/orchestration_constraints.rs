@@ -53,7 +53,11 @@ fn plans_are_valid_across_scales_and_models() {
             }
             let mut task = TrainingTask::ablation(preset.build(), bs);
             task.cluster = ClusterSpec::production(nodes);
-            for kind in [SystemKind::DistTrain, SystemKind::MegatronLM, SystemKind::DistMMStar] {
+            for kind in [
+                SystemKind::DistTrain,
+                SystemKind::MegatronLM,
+                SystemKind::DistMMStar,
+            ] {
                 check_plan(&task, kind);
             }
         }
@@ -78,19 +82,26 @@ fn infeasible_tasks_return_a_diagnosis_instead_of_panicking() {
     use disttrain::orchestrator::PlanError;
     let mut task = TrainingTask::ablation(MllmPreset::Mllm72B.build(), 8);
     task.cluster = ClusterSpec::production(1);
-    let dt = task.plan(SystemKind::DistTrain).expect_err("8 GPUs cannot hold a 72B model");
+    let dt = task
+        .plan(SystemKind::DistTrain)
+        .expect_err("8 GPUs cannot hold a 72B model");
     assert!(
         matches!(dt, PlanError::NoMemoryFeasiblePoint { .. }),
         "DistTrain: expected a memory diagnosis, got {dt:?}"
     );
-    let mg = task.plan(SystemKind::MegatronLM).expect_err("8 GPUs cannot host 12 stages");
+    let mg = task
+        .plan(SystemKind::MegatronLM)
+        .expect_err("8 GPUs cannot host 12 stages");
     assert!(
         matches!(mg, PlanError::ClusterTooSmall { .. }),
         "Megatron-LM: expected a cluster-size diagnosis, got {mg:?}"
     );
     for err in [dt, mg] {
         let s = err.to_string();
-        assert!(!s.is_empty() && !s.contains('\n'), "one-line diagnosis: {s}");
+        assert!(
+            !s.is_empty() && !s.contains('\n'),
+            "one-line diagnosis: {s}"
+        );
     }
 }
 
@@ -102,7 +113,12 @@ fn orchestration_objective_never_misses_the_budget() {
         let mut task = TrainingTask::ablation(MllmPreset::Mllm9B.build(), 48);
         task.cluster = ClusterSpec::production(nodes);
         if let Ok(plan) = task.plan(SystemKind::DistTrain) {
-            assert!(plan.total_gpus() <= nodes * 8, "{} > {}", plan.total_gpus(), nodes * 8);
+            assert!(
+                plan.total_gpus() <= nodes * 8,
+                "{} > {}",
+                plan.total_gpus(),
+                nodes * 8
+            );
         }
     }
 }

@@ -25,7 +25,9 @@ fn hbm_starvation_diagnoses_as_no_memory_feasible_point() {
         .build()
         .unwrap();
     match orch.plan_with_profile(&model, &profile) {
-        Err(PlanError::NoMemoryFeasiblePoint { memory_rejected, .. }) => {
+        Err(PlanError::NoMemoryFeasiblePoint {
+            memory_rejected, ..
+        }) => {
             assert!(memory_rejected > 0)
         }
         other => panic!("expected NoMemoryFeasiblePoint, got {other:?}"),
@@ -36,10 +38,17 @@ fn hbm_starvation_diagnoses_as_no_memory_feasible_point() {
 fn two_gpu_cluster_diagnoses_as_cluster_too_small() {
     let model = MllmPreset::Mllm9B.build();
     let profile = profile_for(&model, 1, 17);
-    let orch = Orchestrator::builder().total_gpus(2).global_batch(16).build().unwrap();
+    let orch = Orchestrator::builder()
+        .total_gpus(2)
+        .global_batch(16)
+        .build()
+        .unwrap();
     assert_eq!(
         orch.plan_with_profile(&model, &profile).unwrap_err(),
-        PlanError::ClusterTooSmall { total_gpus: 2, min_required: 3 }
+        PlanError::ClusterTooSmall {
+            total_gpus: 2,
+            min_required: 3
+        }
     );
 }
 
@@ -47,21 +56,43 @@ fn two_gpu_cluster_diagnoses_as_cluster_too_small() {
 fn indivisible_batch_diagnoses_as_empty_lattice() {
     let model = MllmPreset::Mllm9B.build();
     let profile = profile_for(&model, 12, 17);
-    let orch =
-        Orchestrator::builder().total_gpus(96).global_batch(16).microbatch(32).build().unwrap();
+    let orch = Orchestrator::builder()
+        .total_gpus(96)
+        .global_batch(16)
+        .microbatch(32)
+        .build()
+        .unwrap();
     assert_eq!(
         orch.plan_with_profile(&model, &profile).unwrap_err(),
-        PlanError::EmptyLattice { pairs_considered: 0 }
+        PlanError::EmptyLattice {
+            pairs_considered: 0
+        }
     );
 }
 
 #[test]
 fn builder_rejects_malformed_knobs_with_the_field_name() {
     let err = Orchestrator::builder().total_gpus(96).build().unwrap_err();
-    assert!(matches!(err, PlanError::InvalidSpec { field: "global_batch", .. }), "{err:?}");
-    let err =
-        Orchestrator::builder().total_gpus(96).global_batch(128).top_k(0).build().unwrap_err();
-    assert!(matches!(err, PlanError::InvalidSpec { field: "top_k", .. }), "{err:?}");
+    assert!(
+        matches!(
+            err,
+            PlanError::InvalidSpec {
+                field: "global_batch",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    let err = Orchestrator::builder()
+        .total_gpus(96)
+        .global_batch(128)
+        .top_k(0)
+        .build()
+        .unwrap_err();
+    assert!(
+        matches!(err, PlanError::InvalidSpec { field: "top_k", .. }),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -82,7 +113,10 @@ fn top_k_caps_the_candidate_shortlist() {
     let eight = for_k(8);
     assert_eq!(two.len(), 2);
     assert!(eight.len() > two.len() && eight.len() <= 8);
-    assert_eq!(two[0].plan, eight[0].plan, "top_k only truncates the ranking");
+    assert_eq!(
+        two[0].plan, eight[0].plan,
+        "top_k only truncates the ranking"
+    );
 }
 
 #[test]
@@ -105,7 +139,10 @@ fn plan_report_exposes_the_search_diagnostics() {
     // none; it still carries the optimality certificate (it looked at
     // everything).
     assert!(report.nodes_expanded > 0);
-    assert_eq!(report.nodes_pruned, 0, "the exhaustive reference never prunes");
+    assert_eq!(
+        report.nodes_pruned, 0,
+        "the exhaustive reference never prunes"
+    );
     assert!(report.proven_optimal);
 }
 
@@ -127,8 +164,14 @@ fn pruned_report_accounts_for_its_branch_and_bound_work() {
     let serial = solve(SearchMode::Serial);
     assert_eq!(pruned.search_mode, SearchMode::Pruned);
     assert_eq!(pruned.plan, serial.plan, "pruning must not change the plan");
-    assert!(pruned.proven_optimal, "the default search certifies optimality");
-    assert!(pruned.nodes_pruned > 0, "this lattice has dominated regions to cut");
+    assert!(
+        pruned.proven_optimal,
+        "the default search certifies optimality"
+    );
+    assert!(
+        pruned.nodes_pruned > 0,
+        "this lattice has dominated regions to cut"
+    );
     assert!(
         pruned.candidates_evaluated < serial.candidates_evaluated,
         "branch-and-bound must solve strictly fewer lattice points ({} vs {})",

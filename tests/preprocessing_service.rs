@@ -16,13 +16,20 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 fn tiny() -> DataConfig {
-    DataConfig { resolution: ResolutionMode::Fixed(64), ..DataConfig::evaluation(64) }
+    DataConfig {
+        resolution: ResolutionMode::Fixed(64),
+        ..DataConfig::evaluation(64)
+    }
 }
 
 /// One-endpoint prefetching consumer keeping `pipeline` batches of
 /// `batch` samples in flight.
 fn consumer(producer: &PreprocessHandle, batch: u32, pipeline: usize) -> MultiFeeder {
-    Consumer::builder(producer.addrs()).batch(batch).pipeline(pipeline).connect().unwrap()
+    Consumer::builder(producer.addrs())
+        .batch(batch)
+        .pipeline(pipeline)
+        .connect()
+        .unwrap()
 }
 
 #[test]
@@ -39,7 +46,10 @@ fn disaggregated_stream_matches_colocated_bit_for_bit() {
     };
     let mut colocated = ColocatedFeeder::new(tiny(), 5, Some(planner.clone()), 2);
 
-    let producer = Preprocess::builder(tiny(), 5).planner(planner).spawn().unwrap();
+    let producer = Preprocess::builder(tiny(), 5)
+        .planner(planner)
+        .spawn()
+        .unwrap();
     let feeder = consumer(&producer, 4, 2);
 
     for _ in 0..3 {
@@ -58,7 +68,11 @@ fn prefetch_hides_producer_latency() {
     let _ = feeder.next_batch().unwrap(); // cold fetch
     std::thread::sleep(Duration::from_millis(150)); // "training" time
     let (_, warm) = feeder.next_batch().unwrap();
-    assert!(warm.stall < Duration::from_millis(15), "warm stall {:?}", warm.stall);
+    assert!(
+        warm.stall < Duration::from_millis(15),
+        "warm stall {:?}",
+        warm.stall
+    );
 }
 
 #[test]
@@ -93,7 +107,10 @@ fn slow_producer_shows_up_as_bounded_stall_not_corruption() {
         if i == 0 {
             // The cold fetch waits out the injected delay: the fault is
             // visible to the trainer as stall.
-            assert!(report.stall >= Duration::from_millis(30), "fault not visible: {report:?}");
+            assert!(
+                report.stall >= Duration::from_millis(30),
+                "fault not visible: {report:?}"
+            );
         }
         assert!(report.stall < Duration::from_secs(5));
     }
@@ -136,8 +153,16 @@ fn producer_shutdown_mid_stream_is_an_error_not_a_hang() {
 fn multi_endpoint_plane_fans_in_to_one_consumer() {
     // The §6 topology: N producer endpoints, one MultiFeeder fanning in
     // over a supervised connection per endpoint, in order per producer.
-    let mut plane = Preprocess::builder(tiny(), 11).producers(2).workers(2).spawn().unwrap();
-    let feeder = Consumer::builder(plane.addrs()).batch(2).pipeline(2).connect().unwrap();
+    let mut plane = Preprocess::builder(tiny(), 11)
+        .producers(2)
+        .workers(2)
+        .spawn()
+        .unwrap();
+    let feeder = Consumer::builder(plane.addrs())
+        .batch(2)
+        .pipeline(2)
+        .connect()
+        .unwrap();
 
     // Each producer's session stream is deterministic: sample ids count up
     // from 0 per endpoint, so in-order delivery is directly checkable.
@@ -146,7 +171,10 @@ fn multi_endpoint_plane_fans_in_to_one_consumer() {
         let (addr, batch, _) = feeder.next_batch_from().unwrap();
         assert_eq!(batch.batch.len(), 2);
         let expected = next_id.entry(addr).or_insert(0);
-        assert_eq!(batch.batch.samples[0].id, *expected, "out of order from {addr}");
+        assert_eq!(
+            batch.batch.samples[0].id, *expected,
+            "out of order from {addr}"
+        );
         *expected += batch.batch.samples.len() as u64;
     }
     assert_eq!(next_id.len(), 2, "both endpoints must contribute");
