@@ -10,7 +10,11 @@
 //! candidate (DP 15).
 //!
 //! Besides the toy shapes, `algorithm1_intra/n1920_dp128` is Algorithm 1
-//! at the production shape, and two cases time the whole producer-side
+//! at the production shape, the `cost_rows` cases price 1920 samples of
+//! the production stream and of the skewed §2.3 stream into cost rows
+//! (the planner and the runtime each do it once per iteration; the skewed
+//! stream shows what the rows' per-shape slots cost when they miss), and
+//! two cases time the whole producer-side
 //! pass, `ReorderPlanner::reorder`, on a 1920-sample MLLM-72B batch with
 //! the planners the 1296-GPU production task actually builds: the chosen
 //! plan's (shallow, wide DP) and the deepest trial candidate's. Those
@@ -29,7 +33,8 @@
 use disttrain_core::{Runtime, SystemKind, TrainingTask};
 use dt_bench::timing::{bench_stats, iters_or};
 use dt_cluster::CollectiveCost;
-use dt_data::{GlobalBatch, SyntheticLaion, TrainSample};
+use dt_data::cost::CostRows;
+use dt_data::{DataConfig, GlobalBatch, SyntheticLaion, TrainSample};
 use dt_model::MllmPreset;
 use dt_parallel::OrchestrationPlan;
 use dt_pipeline::{Engine, PipelineSpec, Workload};
@@ -112,6 +117,15 @@ fn main() {
     let name = format!("batch_clone/n{n}");
     let stats = bench_stats(&name, iters, || batch.clone());
     record(name, stats, vec![("n", Json::num_u64(n as u64))]);
+    // One batch priced into cost rows, as the planner and the runtime
+    // each do per iteration: the production batch, and as many samples
+    // of the skewed §2.3 stream, where most rows miss their slot.
+    let skewed = SyntheticLaion::new(DataConfig::characterization(), task.seed).take(n);
+    for (what, samples) in [("production", &batch), ("characterization", &skewed)] {
+        let name = format!("cost_rows/{what}_n{n}");
+        let stats = bench_stats(&name, iters, || CostRows::new(&task.model, samples));
+        record(name, stats, vec![("n", Json::num_u64(n as u64))]);
+    }
     let coll = CollectiveCost::new(task.cluster.clone());
     for (what, plan) in [("train_plan", chosen), ("deepest_candidate", deepest)] {
         let runtime = runtime(&task, plan);

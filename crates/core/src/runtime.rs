@@ -9,7 +9,9 @@
 //! 4. price each rank's microbatches, one pipeline column each, over the
 //!    multi-unit pipeline (encoder stages → broker → backbone stages →
 //!    broker → generator stages): exact per-stage times from the task's
-//!    cost oracle, under plan constants read once per iteration;
+//!    cost oracle, under plan constants read once per iteration, each
+//!    module's per-sample time priced once per distinct key in the
+//!    iteration;
 //! 5. push each column straight into one reused `dt_pipeline::Engine`,
 //!    the 1F1B engine Algorithm 2 probes, reset per rank; the slowest
 //!    rank gates the iteration (that *is* the intra-microbatch
@@ -19,7 +21,7 @@
 //! 7. report iteration time, MFU, and throughput.
 
 use dt_cluster::{ClusterSpec, CollectiveCost};
-use dt_data::cost::{CostRows, PreprocessCostModel};
+use dt_data::cost::{CostRows, LastPriced, PreprocessCostModel};
 use dt_data::{DataConfig, GlobalBatch, Microbatch, SyntheticLaion, TrainSample};
 use dt_model::mllm::SampleShape;
 use dt_model::{ModuleKind, MultimodalLlm};
@@ -123,6 +125,11 @@ fn bwd_factor(model: &MultimodalLlm, module: ModuleKind) -> f64 {
 /// pair per stage, under one plan. [`Runtime::simulate_rows`] pushes each
 /// column straight into its engine and [`Runtime::build_workload_for`]
 /// collects the same columns, so the two share this one pricing.
+///
+/// At the plan's fixed TP a sample's encoder time reads only its
+/// `(num_images, image_res, image_tokens)`, its generator time only its
+/// `(gen_images, gen_res)` and its backbone time only its length, so each
+/// is priced once per distinct key per pricer and copied after that.
 struct Pricer<'p, 'c> {
     perf: &'p PerfModel<'c>,
     /// Per module, in [`ModuleKind::ALL`] order: pipeline stages, TP size
@@ -138,6 +145,10 @@ struct Pricer<'p, 'c> {
     /// Packed sequences share one length: the backbone's per-sample time,
     /// priced once per length.
     per_sample_bb: Option<(u64, SimDuration)>,
+    /// Per-sample encoder time per image count, keyed by `(image_res,
+    /// image_tokens)`; generator time per target count, keyed by `gen_res`.
+    per_sample_enc: LastPriced<(u32, u64), SimDuration>,
+    per_sample_gen: LastPriced<u32, SimDuration>,
 }
 
 impl<'p, 'c> Pricer<'p, 'c> {
@@ -154,6 +165,8 @@ impl<'p, 'c> Pricer<'p, 'c> {
             a2a: perf.moe_all_to_all_time(rt.model.seq_len, plan.backbone.ep)
                 * rt.model.backbone.layers as u64,
             per_sample_bb: None,
+            per_sample_enc: LastPriced::default(),
+            per_sample_gen: LastPriced::default(),
         }
     }
 
@@ -168,12 +181,17 @@ impl<'p, 'c> Pricer<'p, 'c> {
         let (mut enc, mut gen) = (SimDuration::ZERO, SimDuration::ZERO);
         let (mut first, mut samples) = (None, 0u64);
         for shape in mb {
-            enc += self
-                .perf
-                .module_fwd_time(ModuleKind::Encoder, &shape, enc_tp);
-            gen += self
-                .perf
-                .module_fwd_time(ModuleKind::Generator, &shape, gen_tp);
+            let perf = self.perf;
+            enc += self.per_sample_enc.get_or_price(
+                shape.num_images as usize,
+                (shape.image_res, shape.image_tokens),
+                || perf.module_fwd_time(ModuleKind::Encoder, &shape, enc_tp),
+            );
+            gen +=
+                self.per_sample_gen
+                    .get_or_price(shape.gen_images as usize, shape.gen_res, || {
+                        perf.module_fwd_time(ModuleKind::Generator, &shape, gen_tp)
+                    });
             first.get_or_insert(shape);
             samples += 1;
         }
@@ -996,10 +1014,27 @@ mod tests {
         Workload { fwd, bwd }
     }
 
+    /// `(hits, overwrites)` of a cache keeping the last key per slot, over
+    /// `(slot, key)` lookups.
+    fn slot_traffic<K: PartialEq>(lookups: impl Iterator<Item = (u32, K)>) -> (usize, usize) {
+        let mut last = std::collections::HashMap::new();
+        let (mut hits, mut overwrites) = (0, 0);
+        for (slot, key) in lookups {
+            match last.insert(slot, key) {
+                Some(k) if Some(&k) == last.get(&slot) => hits += 1,
+                Some(_) => overwrites += 1,
+                None => {}
+            }
+        }
+        (hits, overwrites)
+    }
+
     /// The workloads read from a batch's cost rows (inside an iteration)
     /// and from `build_workload_for` (tabled prices) equal the per-shape
     /// `module_fwd_time` workload, for PP splits, TP-replicated units,
     /// frozen modules, Megatron's overlap setting and both data modes.
+    /// Batches of 256 samples, also priced as one rank by one pricer, hit,
+    /// miss and overwrite the pricer's per-count slots.
     #[test]
     fn row_built_workloads_match_per_shape_pricing() {
         let cluster = ClusterSpec::production(20);
@@ -1022,15 +1057,15 @@ mod tests {
             MultimodalLlm::preset(MllmPreset::Mllm72B, FreezeConfig::encoder_only()),
         ];
         for model in &models {
-            for plan in plans {
+            for (plan, n) in plans.into_iter().flat_map(|p| [(p, 32), (p, 256)]) {
                 for (data, cfg) in [
                     (
                         DataConfig::evaluation(model.gen_resolution),
-                        RuntimeConfig::disttrain(32, 1),
+                        RuntimeConfig::disttrain(n, 1),
                     ),
                     (
                         DataConfig::characterization(),
-                        RuntimeConfig::monolithic(32, 1),
+                        RuntimeConfig::monolithic(n, 1),
                     ),
                 ] {
                     let rt = Runtime {
@@ -1044,13 +1079,24 @@ mod tests {
                     let tabled = rt.perf_model(&coll);
                     let mut untabled = PerfModel::new(model, &cluster.node.gpu, &coll);
                     untabled.tp_overlap = tabled.tp_overlap;
-                    let batch = GlobalBatch::new(SyntheticLaion::new(data, 5).take(32));
+                    // In the skewed batch targets also vary in resolution.
+                    let skewed = data.resolution == dt_data::ResolutionMode::Skewed;
+                    let mut samples = SyntheticLaion::new(data, 5).take(n as usize);
+                    if skewed {
+                        samples
+                            .iter_mut()
+                            .step_by(3)
+                            .for_each(|s| s.gen_resolution = 1024);
+                    }
+                    let batch = GlobalBatch::new(samples);
                     let rows = CostRows::new(model, &batch.samples);
                     let order: Vec<usize> = (0..rows.len()).collect();
                     let m = plan.microbatch as usize;
                     let per_rank = rows.len() / plan.backbone.dp as usize;
                     let split = batch.split(plan.backbone.dp, plan.microbatch);
-                    for (rank, mbs) in order.chunks(per_rank).zip(&split) {
+                    let whole = batch.split(1, plan.microbatch);
+                    let ranks = order.chunks(per_rank).chain([&order[..]]);
+                    for (rank, mbs) in ranks.zip(split.iter().chain(&whole)) {
                         let reference = per_shape_workload(&rt, &untabled, mbs);
                         let from_rows = rt.rank_workload(
                             &tabled,
@@ -1062,6 +1108,14 @@ mod tests {
                         let reference = parts(reference);
                         assert_eq!(parts(from_rows), reference, "{} {plan:?}", model.name);
                         assert_eq!(parts(called), reference, "{} {plan:?}", model.name);
+                    }
+                    if skewed && n == 256 {
+                        let shapes = || rows.rows.iter().map(|r| r.shape);
+                        let enc = slot_traffic(
+                            shapes().map(|s| (s.num_images, (s.image_res, s.image_tokens))),
+                        );
+                        let gen = slot_traffic(shapes().map(|s| (s.gen_images, s.gen_res)));
+                        assert!(enc.0 > 0 && enc.1 > 0 && gen.0 > 0 && gen.1 > 0);
                     }
                 }
             }

@@ -12,9 +12,12 @@
 //! The free functions price one sample. A batch is priced once into
 //! [`CostRows`]: one [`CostRow`] per sample, built from per-resolution
 //! price tables, so each image resolution is priced once per batch
-//! instead of once per image per consumer. Every per-batch consumer —
-//! Algorithm 1 and 2's sizes, the per-rank pipeline workload, the MFU
-//! FLOPs sum and the preprocessing stall — reads the rows.
+//! instead of once per image per consumer. Rows repeat too — a §7 batch
+//! of 1920 samples holds about 26 distinct shapes — so a row is priced
+//! only on the first sight of its pricing inputs in a batch and copied
+//! after that ([`LastPriced`]). Every per-batch consumer — Algorithm 1
+//! and 2's sizes, the per-rank pipeline workload, the MFU FLOPs sum and
+//! the preprocessing stall — reads the rows.
 
 use crate::dataset::TrainSample;
 use dt_model::mllm::SampleShape;
@@ -85,7 +88,8 @@ pub fn multimodal_size(model: &MultimodalLlm, sample: &TrainSample) -> f64 {
 
 /// One module's per-image forward FLOPs, priced once per resolution. A
 /// batch holds few resolutions (the §2.3 palette has five, the §7 setting
-/// one), so lookup is a scan of a short list, not a hash.
+/// one), so lookup is a scan of a short list, not a hash. [`CostRows`]
+/// reads it only for rows its [`LastPriced`] slots miss.
 struct PriceTable {
     module: ModuleKind,
     /// `(resolution, forward FLOPs of one image)`, in first-seen order.
@@ -108,6 +112,40 @@ impl PriceTable {
         let flops = model.image_flops_forward(self.module, res);
         self.prices.push((res, flops));
         flops
+    }
+}
+
+/// The last value priced per slot — an image or target count — with the
+/// key it was priced for. A lookup whose key matches copies the value;
+/// any other prices it and takes the slot. Exact whenever the value is a
+/// pure function of `(slot, key)`. A miss costs one comparison and
+/// allocates only when it reaches a slot past every earlier one.
+#[derive(Debug)]
+pub struct LastPriced<K, V> {
+    slots: Vec<Option<(K, V)>>,
+}
+
+impl<K, V> Default for LastPriced<K, V> {
+    fn default() -> Self {
+        LastPriced { slots: Vec::new() }
+    }
+}
+
+impl<K: Copy + PartialEq, V: Copy> LastPriced<K, V> {
+    /// The value of `(slot, key)`: copied when the slot last priced `key`,
+    /// otherwise `price()`, kept in the slot.
+    pub fn get_or_price(&mut self, slot: usize, key: K, price: impl FnOnce() -> V) -> V {
+        match self.slots.get(slot) {
+            Some(&Some((k, v))) if k == key => v,
+            _ => {
+                let v = price();
+                if slot >= self.slots.len() {
+                    self.slots.resize(slot + 1, None);
+                }
+                self.slots[slot] = Some((key, v));
+                v
+            }
+        }
     }
 }
 
@@ -141,6 +179,14 @@ impl CostRows {
     /// Price `samples` under `model`, each image resolution once. The
     /// sums run in the free functions' order, so every column is
     /// bit-identical to them.
+    ///
+    /// Everything but a row's generator part is a pure function of the
+    /// sample's `(image_resolutions, text_tokens, patch)`, and the
+    /// generator part of its `(gen_images, gen_resolution)`. So each part
+    /// is kept per image (or target) count and copied to every later
+    /// sample with the same inputs: the copy is the value pricing would
+    /// recompute. A sample whose images differ in resolution is priced
+    /// directly.
     pub fn new(
         model: &MultimodalLlm,
         samples: impl IntoIterator<Item = impl Borrow<TrainSample>>,
@@ -149,33 +195,53 @@ impl CostRows {
         let mut generator = PriceTable::new(ModuleKind::Generator);
         // Packed sequences share one length: price the backbone once.
         let mut backbone: Option<(u64, f64)> = None;
+        let mut by_images = LastPriced::default();
+        let mut by_targets = LastPriced::default();
         let rows = samples
             .into_iter()
             .map(|s| {
                 let s = s.borrow();
-                let images: f64 = s
-                    .image_resolutions
-                    .iter()
-                    .map(|&r| encoder.image_flops(model, r))
-                    .sum();
-                let shape = s.shape();
-                let seq = shape.seq_len();
-                let backbone_flops = match backbone {
-                    Some((len, flops)) if len == seq => flops,
-                    _ => {
-                        let flops = model.backbone.flops_forward(seq);
-                        backbone = Some((seq, flops));
-                        flops
+                let mut price_row = || {
+                    let images: f64 = s
+                        .image_resolutions
+                        .iter()
+                        .map(|&r| encoder.image_flops(model, r))
+                        .sum();
+                    let shape = s.shape();
+                    let seq = shape.seq_len();
+                    let backbone_flops = match backbone {
+                        Some((len, flops)) if len == seq => flops,
+                        _ => {
+                            let flops = model.backbone.flops_forward(seq);
+                            backbone = Some((seq, flops));
+                            flops
+                        }
+                    };
+                    CostRow {
+                        enc_flops: images + model.input_projector.flops_forward(shape.image_tokens),
+                        backbone_flops,
+                        gen_flops: 0.0,
+                        pixels: s.total_pixels(),
+                        shape,
                     }
                 };
-                let per_target = generator.image_flops(model, s.gen_resolution);
-                CostRow {
-                    enc_flops: images + model.input_projector.flops_forward(shape.image_tokens),
-                    backbone_flops,
-                    gen_flops: generator_flops(model, per_target, s.gen_images),
-                    pixels: s.total_pixels(),
-                    shape,
-                }
+                let resolutions = &s.image_resolutions;
+                let mut row = match resolutions.first() {
+                    Some(&res) if resolutions.iter().any(|&r| r != res) => price_row(),
+                    first => by_images.get_or_price(
+                        resolutions.len(),
+                        (first.copied(), s.text_tokens, s.patch),
+                        price_row,
+                    ),
+                };
+                row.gen_flops =
+                    by_targets.get_or_price(s.gen_images as usize, s.gen_resolution, || {
+                        let per_target = generator.image_flops(model, s.gen_resolution);
+                        generator_flops(model, per_target, s.gen_images)
+                    });
+                row.shape.gen_images = s.gen_images;
+                row.shape.gen_res = s.gen_resolution;
+                row
             })
             .collect();
         CostRows {
@@ -374,6 +440,89 @@ mod tests {
                         assert_eq!(r.shape, s.shape());
                     }
                 }
+            }
+        }
+    }
+
+    /// Samples that share a slot — an image or target count — but differ
+    /// in one pricing input each, interleaved so each lands on a slot
+    /// another just filled: every row still equals the free functions.
+    #[test]
+    fn rows_sharing_a_slot_but_not_a_key_match_the_free_functions() {
+        let base = TrainSample {
+            gen_images: 2,
+            ..sample_with(512, 3)
+        };
+        let text_only = TrainSample {
+            image_resolutions: vec![],
+            gen_images: 0,
+            ..base.clone()
+        };
+        let variants = [
+            TrainSample {
+                image_resolutions: vec![1024; 3],
+                ..base.clone()
+            },
+            TrainSample {
+                image_resolutions: vec![512, 512, 1024],
+                ..base.clone()
+            },
+            TrainSample {
+                image_resolutions: vec![1024, 512, 512],
+                ..base.clone()
+            },
+            TrainSample {
+                text_tokens: 200,
+                ..base.clone()
+            },
+            TrainSample {
+                patch: 14,
+                ..base.clone()
+            },
+            TrainSample {
+                gen_images: 3,
+                ..base.clone()
+            },
+            TrainSample {
+                gen_resolution: 1024,
+                ..base.clone()
+            },
+            TrainSample {
+                text_tokens: 200,
+                ..text_only.clone()
+            },
+            TrainSample {
+                patch: 14,
+                ..text_only.clone()
+            },
+            TrainSample {
+                gen_resolution: 1024,
+                ..text_only.clone()
+            },
+        ];
+        let mut samples = Vec::new();
+        for v in &variants {
+            let first = if v.image_resolutions.is_empty() {
+                &text_only
+            } else {
+                &base
+            };
+            samples.extend([first, v, v, first, v].map(TrainSample::clone));
+        }
+        for preset in MllmPreset::ALL {
+            let model = preset.build();
+            let rows = CostRows::new(&model, &samples);
+            for (s, r) in samples.iter().zip(&rows.rows) {
+                let fwd = |k| module_flops_forward(&model, k, s).to_bits();
+                assert_eq!(r.enc_flops.to_bits(), fwd(ModuleKind::Encoder), "{s:?}");
+                assert_eq!(
+                    r.backbone_flops.to_bits(),
+                    fwd(ModuleKind::Backbone),
+                    "{s:?}"
+                );
+                assert_eq!(r.gen_flops.to_bits(), fwd(ModuleKind::Generator), "{s:?}");
+                assert_eq!(r.pixels, s.total_pixels(), "{s:?}");
+                assert_eq!(r.shape, s.shape(), "{s:?}");
             }
         }
     }

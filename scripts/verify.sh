@@ -13,7 +13,7 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve -p dt-pipeline -p dt-check -p dt-simengine -p dt-telemetry -p dt-cluster -p dt-parallel -p dt-stepccl -p dt-model -p dt-preprocess"
+echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve -p dt-pipeline -p dt-check -p dt-simengine -p dt-telemetry -p dt-cluster -p dt-parallel -p dt-stepccl -p dt-model -p dt-preprocess -p disttrain"
 # Formatting gate, crate by crate as each is brought to rustfmt's output.
 cargo fmt --check -p dt-elastic
 cargo fmt --check -p dt-bench
@@ -31,6 +31,7 @@ cargo fmt --check -p dt-parallel
 cargo fmt --check -p dt-stepccl
 cargo fmt --check -p dt-model
 cargo fmt --check -p dt-preprocess
+cargo fmt --check -p disttrain
 
 echo "==> crate layering (the training core and the planner daemon never link the data plane)"
 # DistTrain disaggregates preprocessing from training (§5.1): only dt-check,
@@ -127,7 +128,8 @@ fi
 
 echo "==> bench_reorder smoke (BENCH_layers.json: Alg 1/Alg 2 and the production reorder pass)"
 # Output to $VERIFY_TMP as for bench_orchestrator. The production cases time
-# Algorithm 1 at 1920 samples over DP 128, ReorderPlanner::reorder on a
+# Algorithm 1 at 1920 samples over DP 128, CostRows::new on 1920 samples of
+# the production and of the skewed stream, ReorderPlanner::reorder on a
 # 1920-sample MLLM-72B batch with the 1296-GPU plan's planner and with the
 # deepest trial candidate's, and Runtime::simulate_iteration under each
 # plan; the pipeline_engine cases replay one iteration of each plan on
@@ -136,7 +138,8 @@ LAYERS_JSON="$VERIFY_TMP/BENCH_layers.json"
 DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_LAYERS_JSON="$LAYERS_JSON" \
     cargo bench -p dt-bench --bench bench_reorder --quiet
 test -s "$LAYERS_JSON" || { echo "BENCH_layers.json missing or empty" >&2; exit 1; }
-for case in algorithm1_intra/n1920_dp128 reorder_planner/train_plan_ \
+for case in algorithm1_intra/n1920_dp128 cost_rows/production_n1920 \
+    cost_rows/characterization_n1920 reorder_planner/train_plan_ \
     reorder_planner/deepest_candidate_ runtime_iteration/train_plan_ \
     runtime_iteration/deepest_candidate_ pipeline_engine/train_plan_ \
     pipeline_engine/deepest_candidate_; do
