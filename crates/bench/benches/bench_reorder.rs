@@ -10,10 +10,8 @@
 //! candidate (DP 15).
 //!
 //! Besides the toy shapes, `algorithm1_intra/n1920_dp128` is Algorithm 1
-//! at the production shape, the `cost_rows` cases price 1920 samples of
-//! the production stream and of the skewed §2.3 stream into cost rows
-//! (the planner and the runtime each do it once per iteration; the skewed
-//! stream shows what the rows' per-shape slots cost when they miss), and
+//! at the production shape, `cost_rows` prices 1920 samples of the
+//! production and of the skewed §2.3 stream (where rows mostly miss), and
 //! two cases time the whole producer-side
 //! pass, `ReorderPlanner::reorder`, on a 1920-sample MLLM-72B batch with
 //! the planners the 1296-GPU production task actually builds: the chosen
@@ -117,9 +115,7 @@ fn main() {
     let name = format!("batch_clone/n{n}");
     let stats = bench_stats(&name, iters, || batch.clone());
     record(name, stats, vec![("n", Json::num_u64(n as u64))]);
-    // One batch priced into cost rows, as the planner and the runtime
-    // each do per iteration: the production batch, and as many samples
-    // of the skewed §2.3 stream, where most rows miss their slot.
+    // Cost rows, as the planner and the runtime each price per iteration.
     let skewed = SyntheticLaion::new(DataConfig::characterization(), task.seed).take(n);
     for (what, samples) in [("production", &batch), ("characterization", &skewed)] {
         let name = format!("cost_rows/{what}_n{n}");

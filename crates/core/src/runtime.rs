@@ -9,9 +9,8 @@
 //! 4. price each rank's microbatches, one pipeline column each, over the
 //!    multi-unit pipeline (encoder stages → broker → backbone stages →
 //!    broker → generator stages): exact per-stage times from the task's
-//!    cost oracle, under plan constants read once per iteration, each
-//!    module's per-sample time priced once per distinct key in the
-//!    iteration;
+//!    cost oracle, under plan constants read once per iteration and
+//!    per-sample times priced once per distinct key;
 //! 5. push each column straight into one reused `dt_pipeline::Engine`,
 //!    the 1F1B engine Algorithm 2 probes, reset per rank; the slowest
 //!    rank gates the iteration (that *is* the intra-microbatch
@@ -125,11 +124,8 @@ fn bwd_factor(model: &MultimodalLlm, module: ModuleKind) -> f64 {
 /// pair per stage, under one plan. [`Runtime::simulate_rows`] pushes each
 /// column straight into its engine and [`Runtime::build_workload_for`]
 /// collects the same columns, so the two share this one pricing.
-///
-/// At the plan's fixed TP a sample's encoder time reads only its
-/// `(num_images, image_res, image_tokens)`, its generator time only its
-/// `(gen_images, gen_res)` and its backbone time only its length, so each
-/// is priced once per distinct key per pricer and copied after that.
+/// At its fixed TP a sample's per-module time reads only a few shape
+/// fields, so each is priced once per distinct key and then copied.
 struct Pricer<'p, 'c> {
     perf: &'p PerfModel<'c>,
     /// Per module, in [`ModuleKind::ALL`] order: pipeline stages, TP size
@@ -144,9 +140,9 @@ struct Pricer<'p, 'c> {
     a2a: SimDuration,
     /// Packed sequences share one length: the backbone's per-sample time,
     /// priced once per length.
-    per_sample_bb: Option<(u64, SimDuration)>,
-    /// Per-sample encoder time per image count, keyed by `(image_res,
-    /// image_tokens)`; generator time per target count, keyed by `gen_res`.
+    per_sample_bb: LastPriced<u64, SimDuration>,
+    /// Per image count, keyed by `(image_res, image_tokens)`; per target
+    /// count, keyed by `gen_res`.
     per_sample_enc: LastPriced<(u32, u64), SimDuration>,
     per_sample_gen: LastPriced<u32, SimDuration>,
 }
@@ -164,7 +160,7 @@ impl<'p, 'c> Pricer<'p, 'c> {
                 .map(|k| dp_lm / plan.module(k).effective_data_width().max(1) as f64),
             a2a: perf.moe_all_to_all_time(rt.model.seq_len, plan.backbone.ep)
                 * rt.model.backbone.layers as u64,
-            per_sample_bb: None,
+            per_sample_bb: LastPriced::default(),
             per_sample_enc: LastPriced::default(),
             per_sample_gen: LastPriced::default(),
         }
@@ -177,11 +173,11 @@ impl<'p, 'c> Pricer<'p, 'c> {
         mb: impl IntoIterator<Item = SampleShape>,
     ) -> impl Iterator<Item = (SimDuration, SimDuration)> {
         let [enc_tp, bb_tp, gen_tp] = self.tp;
+        let perf = self.perf;
         // Heterogeneous: exact per-sample shapes.
         let (mut enc, mut gen) = (SimDuration::ZERO, SimDuration::ZERO);
         let (mut first, mut samples) = (None, 0u64);
         for shape in mb {
-            let perf = self.perf;
             enc += self.per_sample_enc.get_or_price(
                 shape.num_images as usize,
                 (shape.image_res, shape.image_tokens),
@@ -197,16 +193,9 @@ impl<'p, 'c> Pricer<'p, 'c> {
         }
         // Fixed-length sequences: per-sample time is constant.
         let bb = first.map_or(SimDuration::ZERO, |shape| {
-            let per_sample = match self.per_sample_bb {
-                Some((seq, t)) if seq == shape.seq_len() => t,
-                _ => {
-                    let t = self
-                        .perf
-                        .module_fwd_time(ModuleKind::Backbone, &shape, bb_tp);
-                    self.per_sample_bb = Some((shape.seq_len(), t));
-                    t
-                }
-            };
+            let per_sample = self.per_sample_bb.get_or_price(0, shape.seq_len(), || {
+                perf.module_fwd_time(ModuleKind::Backbone, &shape, bb_tp)
+            });
             (per_sample + self.a2a) * samples
         });
         let times = [enc.mul_f64(self.share[0]), bb, gen.mul_f64(self.share[2])];

@@ -12,12 +12,10 @@
 //! The free functions price one sample. A batch is priced once into
 //! [`CostRows`]: one [`CostRow`] per sample, built from per-resolution
 //! price tables, so each image resolution is priced once per batch
-//! instead of once per image per consumer. Rows repeat too — a §7 batch
-//! of 1920 samples holds about 26 distinct shapes — so a row is priced
-//! only on the first sight of its pricing inputs in a batch and copied
-//! after that ([`LastPriced`]). Every per-batch consumer — Algorithm 1
-//! and 2's sizes, the per-rank pipeline workload, the MFU FLOPs sum and
-//! the preprocessing stall — reads the rows.
+//! instead of once per image per consumer, and each row once per distinct
+//! key ([`LastPriced`]): a §7 batch of 1920 holds about 26 shapes. Every
+//! per-batch consumer — Algorithm 1 and 2's sizes, the per-rank pipeline
+//! workload, the MFU FLOPs sum and the preprocessing stall — reads the rows.
 
 use crate::dataset::TrainSample;
 use dt_model::mllm::SampleShape;
@@ -88,8 +86,7 @@ pub fn multimodal_size(model: &MultimodalLlm, sample: &TrainSample) -> f64 {
 
 /// One module's per-image forward FLOPs, priced once per resolution. A
 /// batch holds few resolutions (the §2.3 palette has five, the §7 setting
-/// one), so lookup is a scan of a short list, not a hash. [`CostRows`]
-/// reads it only for rows its [`LastPriced`] slots miss.
+/// one), so lookup is a scan of a short list, not a hash.
 struct PriceTable {
     module: ModuleKind,
     /// `(resolution, forward FLOPs of one image)`, in first-seen order.
@@ -115,11 +112,9 @@ impl PriceTable {
     }
 }
 
-/// The last value priced per slot — an image or target count — with the
-/// key it was priced for. A lookup whose key matches copies the value;
-/// any other prices it and takes the slot. Exact whenever the value is a
-/// pure function of `(slot, key)`. A miss costs one comparison and
-/// allocates only when it reaches a slot past every earlier one.
+/// The last value priced per slot (an image or target count) with its
+/// key: exact when the value is a pure function of `(slot, key)`. A miss
+/// costs one comparison and allocates only past the last slot.
 #[derive(Debug)]
 pub struct LastPriced<K, V> {
     slots: Vec<Option<(K, V)>>,
@@ -180,13 +175,10 @@ impl CostRows {
     /// sums run in the free functions' order, so every column is
     /// bit-identical to them.
     ///
-    /// Everything but a row's generator part is a pure function of the
-    /// sample's `(image_resolutions, text_tokens, patch)`, and the
-    /// generator part of its `(gen_images, gen_resolution)`. So each part
-    /// is kept per image (or target) count and copied to every later
-    /// sample with the same inputs: the copy is the value pricing would
-    /// recompute. A sample whose images differ in resolution is priced
-    /// directly.
+    /// A row but its generator part is a pure function of the sample's
+    /// `(image_resolutions, text_tokens, patch)`, the generator part of
+    /// `(gen_images, gen_resolution)`: each is priced once per key. A
+    /// sample whose images differ in resolution is priced directly.
     pub fn new(
         model: &MultimodalLlm,
         samples: impl IntoIterator<Item = impl Borrow<TrainSample>>,
@@ -194,7 +186,7 @@ impl CostRows {
         let mut encoder = PriceTable::new(ModuleKind::Encoder);
         let mut generator = PriceTable::new(ModuleKind::Generator);
         // Packed sequences share one length: price the backbone once.
-        let mut backbone: Option<(u64, f64)> = None;
+        let mut backbone = LastPriced::default();
         let mut by_images = LastPriced::default();
         let mut by_targets = LastPriced::default();
         let rows = samples
@@ -209,17 +201,11 @@ impl CostRows {
                         .sum();
                     let shape = s.shape();
                     let seq = shape.seq_len();
-                    let backbone_flops = match backbone {
-                        Some((len, flops)) if len == seq => flops,
-                        _ => {
-                            let flops = model.backbone.flops_forward(seq);
-                            backbone = Some((seq, flops));
-                            flops
-                        }
-                    };
                     CostRow {
                         enc_flops: images + model.input_projector.flops_forward(shape.image_tokens),
-                        backbone_flops,
+                        backbone_flops: backbone
+                            .get_or_price(0, seq, || model.backbone.flops_forward(seq)),
+                        // Priced below, from its own slot.
                         gen_flops: 0.0,
                         pixels: s.total_pixels(),
                         shape,
