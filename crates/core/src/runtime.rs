@@ -1068,10 +1068,10 @@ mod tests {
                     let tabled = rt.perf_model(&coll);
                     let mut untabled = PerfModel::new(model, &cluster.node.gpu, &coll);
                     untabled.tp_overlap = tabled.tp_overlap;
-                    // In the skewed batch targets also vary in resolution.
+                    // In the large skewed batch targets also vary in resolution.
                     let skewed = data.resolution == dt_data::ResolutionMode::Skewed;
                     let mut samples = SyntheticLaion::new(data, 5).take(n as usize);
-                    if skewed {
+                    if skewed && n == 256 {
                         samples
                             .iter_mut()
                             .step_by(3)
