@@ -17,7 +17,9 @@
 //! the planners the 1296-GPU production task actually builds: the chosen
 //! plan's (shallow, wide DP) and the deepest trial candidate's. Those
 //! cases clone the batch inside the timed call (the planner consumes
-//! it); `batch_clone` times that clone alone. The `runtime_iteration`
+//! it); `batch_clone` times that clone alone. The `reorder_indices` cases
+//! time the permutation alone on rows priced outside the timed call, as
+//! the runtime's iterations and plan trials run it. The `runtime_iteration`
 //! cases time `Runtime::simulate_iteration` on the reordered batch under
 //! each plan. The `pipeline_engine` cases replay one iteration of those
 //! plans on the engine (`Engine::run` over every DP rank's workload from
@@ -128,18 +130,19 @@ fn main() {
         let perf = runtime.perf_model(&coll);
         let planner = runtime.planner_for(&perf);
         let (dp, p) = (planner.dp, planner.inter_cfg.stages);
+        let shape = vec![
+            ("n", Json::num_u64(n as u64)),
+            ("dp", Json::num_u64(u64::from(dp))),
+            ("p", Json::num_u64(p as u64)),
+            ("microbatch", Json::num_u64(u64::from(planner.microbatch))),
+        ];
         let name = format!("reorder_planner/{what}_n{n}_dp{dp}_p{p}");
         let stats = bench_stats(&name, iters, || planner.reorder(batch.clone()));
-        record(
-            name,
-            stats,
-            vec![
-                ("n", Json::num_u64(n as u64)),
-                ("dp", Json::num_u64(u64::from(dp))),
-                ("p", Json::num_u64(p as u64)),
-                ("microbatch", Json::num_u64(u64::from(planner.microbatch))),
-            ],
-        );
+        record(name, stats, shape.clone());
+        let rows = CostRows::new(&planner.model, &batch);
+        let name = format!("reorder_indices/{what}_n{n}_dp{dp}_p{p}");
+        let stats = bench_stats(&name, iters, || planner.reorder_indices(&rows));
+        record(name, stats, shape);
 
         // One whole simulated iteration of the reordered batch, as
         // `train-1296` runs it: the batch's cost rows, every rank's

@@ -33,6 +33,10 @@
 //! `reorder.alg2_interval_matches_simulate` oracle compares the volumes
 //! against, to the nanosecond. Like Algorithm 1 this is a pure permutation
 //! of the local batch, so convergence semantics are untouched.
+//!
+//! Over a batch, Algorithm 2 runs once per distinct rank stream, and
+//! equal streams are adjacent (Algorithm 1 deals each group its sizes in
+//! descending order), so `InterReorder` keeps only the last rank's order.
 
 use crate::intra::cmp_f64;
 use dt_pipeline::{simulate, Engine, OpKind, PipelineSpec, Schedule, Workload};
@@ -180,7 +184,7 @@ pub fn get_interval(cfg: &InterReorderConfig, stage0_fwd: &[f64], j: usize) -> f
 /// sizes up front); a NaN compares equal to everything, so it never
 /// panics, but places arbitrarily.
 pub fn inter_reorder(cfg: &InterReorderConfig, mb_fwd: &[f64]) -> Vec<usize> {
-    InterReorder::new(cfg).order(mb_fwd)
+    InterReorder::new(cfg).order(mb_fwd).to_vec()
 }
 
 /// Remove and return the pool entry with the smallest `key`, the first
@@ -191,15 +195,24 @@ fn take_min(pool: &mut Vec<usize>, key: impl Fn(usize) -> f64) -> Option<usize> 
 }
 
 /// Algorithm 2 over many DP ranks of one pipeline shape, on one [`Engine`]
-/// reset per rank (equal-length ranks build its firing list once). The
-/// proxy's spec and downstream pair are built once, each rank's stage-0
-/// pairs once per rank.
+/// reset per evaluation (equal-length ranks build its firing list once).
+/// A rank whose stage-0 times repeat the previous rank's bit for bit (the
+/// key is their [`f64::to_bits`], length included) gets the previous
+/// order back: exact, since an evaluation resets the engine and every
+/// buffer, so an order is a pure function of `(cfg, mb_fwd)`. A miss
+/// costs the compare and a copy of the key. The spec and downstream pair
+/// are built once, each evaluated rank's stage-0 pairs once.
 pub(crate) struct InterReorder<'c> {
     cfg: &'c InterReorderConfig,
     spec: PipelineSpec,
     uniform: Pair,
     stage0: Vec<Pair>,
     engine: Engine,
+    /// The last evaluated rank's stage-0 times as bits: `ret`'s key.
+    last: Vec<u64>,
+    pool: Vec<usize>,
+    rear: Vec<usize>,
+    ret: Vec<usize>,
 }
 
 impl<'c> InterReorder<'c> {
@@ -211,21 +224,36 @@ impl<'c> InterReorder<'c> {
             uniform: cfg.uniform(),
             stage0: Vec::new(),
             engine: Engine::default(),
+            last: Vec::new(),
+            pool: Vec::new(),
+            rear: Vec::new(),
+            ret: Vec::new(),
         }
     }
 
-    /// [`inter_reorder`] of one rank's stage-0 forward times.
-    pub(crate) fn order(&mut self, mb_fwd: &[f64]) -> Vec<usize> {
+    /// [`inter_reorder`] of one rank's stage-0 forward times; the previous
+    /// rank's order when the times repeat it bit for bit.
+    pub(crate) fn order(&mut self, mb_fwd: &[f64]) -> &[usize] {
+        let key = mb_fwd.iter().map(|t| t.to_bits());
+        if key.clone().eq(self.last.iter().copied()) {
+            return &self.ret;
+        }
+        self.last.clear();
+        self.last.extend(key);
         let cfg = self.cfg;
         let l = mb_fwd.len();
         let p = cfg.stages;
-        let mut pool: Vec<usize> = (0..l).collect();
+        let (pool, rear, ret) = (&mut self.pool, &mut self.rear, &mut self.ret);
+        ret.clear();
         // Degenerate short pipelines: just run smallest-first (every
         // interval is a rear interval).
         if l <= 1 || l <= p || p <= 1 {
-            pool.sort_by(|&a, &b| cmp_f64(mb_fwd[a], mb_fwd[b]));
-            return pool;
+            ret.extend(0..l);
+            ret.sort_by(|&a, &b| cmp_f64(mb_fwd[a], mb_fwd[b]));
+            return ret;
         }
+        pool.clear();
+        pool.extend(0..l);
 
         // The engine mirrors the chosen prefix `ret`: every placement is
         // pushed into it once.
@@ -233,18 +261,16 @@ impl<'c> InterReorder<'c> {
         stage0.clear();
         stage0.extend(mb_fwd.iter().map(|&t| cfg.stage0(t)));
         engine.reset(&self.spec, p, l);
-        let mut ret = Vec::with_capacity(l);
 
         // Line 3: smallest first.
-        if let Some(first) = take_min(&mut pool, |i| mb_fwd[i]) {
+        if let Some(first) = take_min(pool, |i| mb_fwd[i]) {
             engine.push(column(stage0[first], uniform, p));
             ret.push(first);
         }
         // Line 4: reserve the p−1 smallest for the rear.
         let rear_n = (p - 1).min(pool.len());
-        let mut rear: Vec<usize> = (0..rear_n)
-            .filter_map(|_| take_min(&mut pool, |i| mb_fwd[i]))
-            .collect();
+        rear.clear();
+        rear.extend((0..rear_n).filter_map(|_| take_min(pool, |i| mb_fwd[i])));
 
         // Main loop (lines 5–11): fill intervals best-fit.
         let mut first_fill = true;
@@ -271,7 +297,7 @@ impl<'c> InterReorder<'c> {
             first_fill = false;
             let mut sum = 0.0;
             for _ in 0..want {
-                let Some(idx) = take_min(&mut pool, |i| (sum + mb_fwd[i] - target).abs()) else {
+                let Some(idx) = take_min(pool, |i| (sum + mb_fwd[i] - target).abs()) else {
                     break;
                 };
                 sum += mb_fwd[idx];
@@ -282,7 +308,7 @@ impl<'c> InterReorder<'c> {
 
         // Line 12: append the reserved rear, smallest last (tightest tail).
         rear.sort_by(|&a, &b| cmp_f64(mb_fwd[b], mb_fwd[a]));
-        ret.extend(rear);
+        ret.extend_from_slice(rear);
         ret
     }
 }
@@ -414,20 +440,42 @@ mod tests {
 
     /// One `InterReorder` serving many ranks — the planner's usage, with
     /// the engine reset between them, including across rank lengths —
-    /// places exactly what a fresh one per rank places.
+    /// places exactly what a fresh one per rank places. Each seed then
+    /// feeds a rank twice in a row (the repeat path) and ranks that nearly
+    /// repeat their predecessor: one ulp off in the last entry (which ties
+    /// the minimum, so the ulp moves it first), `0.0` swapped for `-0.0`,
+    /// a prefix, and one microbatch longer.
     #[test]
     fn a_reused_evaluator_matches_a_fresh_one() {
         for seed in 0u64..100 {
             let mut rng = DetRng::new(seed);
             let c = random_cfg(&mut rng);
             let mut reused = InterReorder::new(&c);
-            for rank in 0..6 {
-                let l = rng.range_usize(1, 30);
-                let times: Vec<f64> = (0..l).map(|_| rng.lognormal(0.0, 0.8)).collect();
+            let mut ranks: Vec<Vec<f64>> = (0..6)
+                .map(|_| {
+                    let l = rng.range_usize(1, 30);
+                    (0..l).map(|_| rng.lognormal(0.0, 0.8)).collect()
+                })
+                .collect();
+            let mut tied = ranks[5].clone();
+            let last = tied.len() - 1;
+            tied[last] = tied.iter().copied().fold(f64::INFINITY, f64::min);
+            let mut ulp = tied.clone();
+            ulp[last] = f64::from_bits(ulp[last].to_bits() - 1);
+            let mut zero = tied.clone();
+            zero[last] = 0.0;
+            let mut negative = tied.clone();
+            negative[last] = -0.0;
+            let prefix = negative[..last].to_vec();
+            let mut longer = prefix.clone();
+            longer.push(rng.lognormal(0.0, 0.8));
+            ranks.extend([tied.clone(), tied, ulp, zero, negative, prefix, longer]);
+            for (rank, times) in ranks.iter().enumerate() {
                 assert_eq!(
-                    reused.order(&times),
-                    inter_reorder(&c, &times),
-                    "seed {seed} rank {rank} {c:?} l={l}"
+                    reused.order(times),
+                    inter_reorder(&c, times),
+                    "seed {seed} rank {rank} {c:?} l={}",
+                    times.len()
                 );
             }
         }

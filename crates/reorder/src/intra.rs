@@ -7,6 +7,10 @@
 //! order is the concatenation of the groups, matching how
 //! `GlobalBatch::split` hands contiguous chunks to DP ranks.
 //!
+//! With two or more groups, sizes never increase within a group's chunk
+//! and equal sizes keep their index order, so groups dealt equal size
+//! multisets get equal streams: the repeats [`crate::inter`] reuses.
+//!
 //! Complexity: `O(n log n + n log m)`. The open groups sit in a min-heap
 //! keyed by `(load, group index)`, so each pick is a sift instead of the
 //! paper's `O(m)` argmin scan; at the production shape (`n` = 1920,
@@ -203,6 +207,37 @@ mod tests {
                         linear_scan_reference(sizes, groups),
                         "seed {seed} n={n} m={groups}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The module-level invariant: with two or more groups, sizes never
+    /// increase within a group's chunk and ties keep index order, over the
+    /// random, tied and signed cases of `heap_matches_the_linear_scan`.
+    #[test]
+    fn groups_list_their_samples_in_dealing_order() {
+        for seed in 0u64..300 {
+            let mut rng = DetRng::new(seed);
+            let m = rng.range_usize(1, 40);
+            let n = m * rng.range_usize(1, 12);
+            let random: Vec<f64> = (0..n).map(|_| rng.lognormal(2.0, 1.0)).collect();
+            let tied: Vec<f64> = (0..n).map(|_| rng.range_usize(0, 3) as f64).collect();
+            let signed: Vec<f64> = (0..n).map(|_| rng.range_f64(-4.0, 4.0).round()).collect();
+            for sizes in [random, tied, signed] {
+                for groups in [m, n].into_iter().filter(|&g| g > 1) {
+                    let order = intra_reorder_indices(&sizes, groups).unwrap();
+                    for chunk in order.chunks(n / groups) {
+                        for w in chunk.windows(2) {
+                            let (a, b) = (w[0], w[1]);
+                            assert!(
+                                sizes[a] > sizes[b] || (sizes[a] == sizes[b] && a < b),
+                                "seed {seed} m={groups}: {a}:{} before {b}:{}",
+                                sizes[a],
+                                sizes[b]
+                            );
+                        }
+                    }
                 }
             }
         }

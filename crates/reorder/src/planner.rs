@@ -7,6 +7,9 @@
 //! The passes read a batch priced into [`CostRows`] and only compute a
 //! permutation ([`ReorderPlanner::reorder_indices`]); callers that already
 //! hold the rows — the runtime's plan trials — never move a sample.
+//! Algorithm 2 runs once per distinct rank stream, within one call: at
+//! the production shape 104–106 of 128 ranks repeat their predecessor's
+//! microbatch times and reuse its order (see [`crate::inter`]).
 
 use crate::inter::InterReorder;
 use crate::{intra_reorder_indices, InterReorderConfig};
@@ -92,7 +95,7 @@ impl ReorderPlanner {
                     .chunks(m)
                     .map(|mb| mb.iter().map(|&i| sizes[i]).sum::<f64>() * self.secs_per_flop),
             );
-            for mb in alg2.order(&mb_secs) {
+            for &mb in alg2.order(&mb_secs) {
                 order.extend_from_slice(&chunk[mb * m..(mb + 1) * m]);
             }
         }
@@ -122,7 +125,7 @@ fn permute<T>(mut samples: Vec<T>, order: &[usize]) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::max_group_load;
+    use crate::{inter_reorder, max_group_load};
     use dt_data::cost::multimodal_size;
     use dt_data::{DataConfig, SyntheticLaion};
     use dt_model::MllmPreset;
@@ -204,6 +207,51 @@ mod tests {
         let expected: Vec<u64> = order.iter().map(|&i| b[i].id).collect();
         let got: Vec<u64> = p.reorder(b).iter().map(|s| s.id).collect();
         assert_eq!(got, expected);
+    }
+
+    /// `reorder_indices` is Algorithm 1 followed by a fresh Algorithm 2 per
+    /// DP rank, on 1920-sample MLLM-72B batches under the production
+    /// planners' shapes (DP 128 / 3 stages, DP 15 / 22 stages) and on the
+    /// skewed §2.3 stream. In the DP-128 production case most ranks repeat
+    /// their predecessor's stream, so the repeat path runs.
+    #[test]
+    fn reorder_indices_matches_a_fresh_algorithm_2_per_rank() {
+        let model = MllmPreset::Mllm72B.build();
+        let train = InterReorderConfig::new(3, 0.8158, 1.6316);
+        let deepest = InterReorderConfig::new(22, 0.0801, 0.1602);
+        let cases = [
+            (DataConfig::evaluation(512), 128, train.clone(), 6.28e-15),
+            (DataConfig::evaluation(512), 15, deepest, 2.02e-15),
+            (DataConfig::characterization(), 128, train, 6.28e-15),
+        ];
+        for (case, (data, dp, inter_cfg, secs_per_flop)) in cases.into_iter().enumerate() {
+            let samples = SyntheticLaion::new(data, 42).take(1920);
+            let p = ReorderPlanner {
+                model: model.clone(),
+                dp,
+                microbatch: 1,
+                inter_cfg,
+                secs_per_flop,
+                mode: ReorderMode::Full,
+            };
+            let rows = CostRows::new(&p.model, &samples);
+            let sizes = rows.multimodal_sizes();
+            let balanced = intra_reorder_indices(&sizes, dp as usize).unwrap();
+            let mut expected = Vec::new();
+            let (mut previous, mut repeats) = (Vec::new(), 0);
+            for chunk in balanced.chunks(1920 / dp as usize) {
+                let secs: Vec<f64> = chunk.iter().map(|&i| sizes[i] * secs_per_flop).collect();
+                let key: Vec<u64> = secs.iter().map(|t| t.to_bits()).collect();
+                repeats += usize::from(key == previous);
+                let order = inter_reorder(&p.inter_cfg, &secs);
+                expected.extend(order.iter().map(|&k| chunk[k]));
+                previous = key;
+            }
+            assert_eq!(p.reorder_indices(&rows), expected, "case {case}");
+            if case == 0 {
+                assert!(repeats >= 100, "{repeats} of 128 ranks repeat");
+            }
+        }
     }
 
     #[test]

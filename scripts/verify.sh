@@ -131,16 +131,19 @@ echo "==> bench_reorder smoke (BENCH_layers.json: Alg 1/Alg 2 and the production
 # Algorithm 1 at 1920 samples over DP 128, CostRows::new on 1920 samples of
 # the production and of the skewed stream, ReorderPlanner::reorder on a
 # 1920-sample MLLM-72B batch with the 1296-GPU plan's planner and with the
-# deepest trial candidate's, and Runtime::simulate_iteration under each
-# plan; the pipeline_engine cases replay one iteration of each plan on
-# the engine.
+# deepest trial candidate's, ReorderPlanner::reorder_indices on that
+# batch's pre-priced rows under each planner, and
+# Runtime::simulate_iteration under each plan; the pipeline_engine cases
+# replay one iteration of each plan on the engine.
 LAYERS_JSON="$VERIFY_TMP/BENCH_layers.json"
 DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_LAYERS_JSON="$LAYERS_JSON" \
     cargo bench -p dt-bench --bench bench_reorder --quiet
 test -s "$LAYERS_JSON" || { echo "BENCH_layers.json missing or empty" >&2; exit 1; }
 for case in algorithm1_intra/n1920_dp128 cost_rows/production_n1920 \
     cost_rows/characterization_n1920 reorder_planner/train_plan_ \
-    reorder_planner/deepest_candidate_ runtime_iteration/train_plan_ \
+    reorder_planner/deepest_candidate_ \
+    reorder_indices/train_plan_n1920_dp128_p3 \
+    reorder_indices/deepest_candidate_n1920_dp15_p22 runtime_iteration/train_plan_ \
     runtime_iteration/deepest_candidate_ pipeline_engine/train_plan_ \
     pipeline_engine/deepest_candidate_; do
     grep -q "\"name\":\"$case" "$LAYERS_JSON" \
