@@ -20,8 +20,7 @@
 
 use crate::report::{fmt_pct, Report};
 use dt_elastic::{
-    run_elastic_instrumented, run_elastic_with, CheckpointPolicy, ElasticPlan, FailureTopology,
-    HealerConfig,
+    run_elastic, CheckpointPolicy, ElasticOptions, ElasticPlan, FailureTopology, HealerConfig,
 };
 use dt_model::MllmPreset;
 use dt_simengine::{SimDuration, TraceRecorder};
@@ -126,15 +125,11 @@ pub fn run() -> Report {
             for spares in [1u32, 0] {
                 let plan = cell_plan(mtbf, policy, spares);
                 let dir = tempdir(&format!("{mtbf}-{policy}-{spares}"));
-                let out = run_elastic_with(
-                    &task,
-                    CELL_ITERS,
-                    &plan,
-                    initial,
-                    &dir,
-                    &mut TraceRecorder::disabled(),
-                )
-                .expect("elastic run");
+                let opts = ElasticOptions {
+                    initial_plan: Some(initial),
+                    ..Default::default()
+                };
+                let out = run_elastic(&task, CELL_ITERS, &plan, &dir, opts).expect("elastic run");
                 let _ = std::fs::remove_dir_all(&dir);
                 out.goodput.validate().expect("exact goodput accounting");
                 let mfus = out.epoch_mfus();
@@ -170,17 +165,13 @@ pub fn run() -> Report {
         for healer_on in [false, true] {
             let plan = blast_plan(radius, healer_on);
             let dir = tempdir(&format!("blast-{radius}-{healer_on}"));
-            let out = run_elastic_instrumented(
-                &task,
-                BLAST_ITERS,
-                &plan,
-                initial,
-                &dir,
-                &mut TraceRecorder::disabled(),
-                &tel,
-                &dt_telemetry::FlightLog::disabled(),
-            )
-            .expect("elastic blast run");
+            let opts = ElasticOptions {
+                initial_plan: Some(initial),
+                telemetry: tel.clone(),
+                ..Default::default()
+            };
+            let out =
+                run_elastic(&task, BLAST_ITERS, &plan, &dir, opts).expect("elastic blast run");
             let _ = std::fs::remove_dir_all(&dir);
             out.goodput.validate().expect("exact goodput accounting");
             let mfus = out.epoch_mfus();
@@ -232,8 +223,12 @@ pub fn run_traced(path: &str) -> Report {
     let plan = cell_plan(250.0, CheckpointPolicy::Fixed(2), 1);
     let dir = tempdir("traced");
     let mut rec = TraceRecorder::enabled();
-    let out =
-        run_elastic_with(&task, CELL_ITERS, &plan, initial, &dir, &mut rec).expect("elastic run");
+    let opts = ElasticOptions {
+        initial_plan: Some(initial),
+        trace: Some(&mut rec),
+        ..Default::default()
+    };
+    let out = run_elastic(&task, CELL_ITERS, &plan, &dir, opts).expect("elastic run");
     let _ = std::fs::remove_dir_all(&dir);
     rec.validate_nesting().expect("elastic spans nest cleanly");
     if let Err(e) = rec.write_chrome_trace(std::path::Path::new(path)) {

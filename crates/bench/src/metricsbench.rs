@@ -12,7 +12,7 @@
 use crate::report::Report;
 use disttrain_core::{Runtime, SystemKind, TrainingReport, TrainingTask};
 use dt_data::{DataConfig, ResolutionMode};
-use dt_elastic::{run_elastic_instrumented, CheckpointPolicy, ElasticPlan};
+use dt_elastic::{run_elastic, CheckpointPolicy, ElasticOptions, ElasticPlan};
 use dt_model::MllmPreset;
 use dt_orchestrator::{Orchestrator, PerfModel, Profiler};
 use dt_preprocess::{Consumer, Preprocess};
@@ -125,18 +125,11 @@ pub fn default_metrics_run() -> MetricsRun {
     let dir = std::env::temp_dir().join(format!("dt-metricsbench-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let initial = task.plan(SystemKind::DistTrain).expect("plan");
-    run_elastic_instrumented(
-        &task,
-        6,
-        &elastic,
-        initial,
-        &dir,
-        &mut TraceRecorder::disabled(),
-        tel,
-        &dt_telemetry::FlightLog::disabled(),
-    )
-    .expect("elastic run");
+    let opts = ElasticOptions {
+        telemetry: tel.clone(),
+        ..Default::default()
+    };
+    run_elastic(&task, 6, &elastic, &dir, opts).expect("elastic run");
     let _ = std::fs::remove_dir_all(&dir);
 
     run

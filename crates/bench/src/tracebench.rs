@@ -11,6 +11,7 @@ use disttrain_core::{Runtime, SystemKind, TrainingReport, TrainingTask};
 use dt_model::MllmPreset;
 use dt_pipeline::render_trace_gantt;
 use dt_simengine::TraceRecorder;
+use dt_telemetry::Telemetry;
 
 /// Everything one traced run produces.
 pub struct TracedRun {
@@ -48,7 +49,7 @@ pub fn traced_run(task: &TrainingTask, iterations: u32) -> Option<TracedRun> {
         cfg: task.runtime_config(SystemKind::DistTrain, iterations),
     };
     let mut recorder = TraceRecorder::enabled();
-    let report = runtime.run_traced(&mut recorder);
+    let report = runtime.run_telemetry(&mut recorder, &Telemetry::disabled());
     Some(TracedRun {
         recorder,
         report,

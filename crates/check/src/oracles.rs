@@ -14,7 +14,9 @@ use crate::reference;
 use disttrain_core::{SystemKind, TrainingTask};
 use dt_cluster::{ClusterSpec, CollectiveCost, GpuSpec};
 use dt_data::{DataConfig, ResolutionMode};
-use dt_elastic::{run_elastic_with, CheckpointPolicy, ElasticPlan, FailureTopology, HealerConfig};
+use dt_elastic::{
+    run_elastic, CheckpointPolicy, ElasticOptions, ElasticPlan, FailureTopology, HealerConfig,
+};
 use dt_model::MllmPreset;
 use dt_orchestrator::{Orchestrator, PerfModel, Profiler, SearchMode};
 use dt_parallel::OrchestrationPlan;
@@ -814,14 +816,11 @@ fn correlated_goodput_accounting(rng: &mut DetRng, _size: usize) -> Result<(), F
             std::env::temp_dir().join(format!("dt-check-elastic-{}-{seq}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).map_err(|e| Failure::new(format!("mkdir: {e}")))?;
-        let out = run_elastic_with(
-            task,
-            iterations,
-            &plan,
-            *initial,
-            &dir,
-            &mut dt_simengine::TraceRecorder::disabled(),
-        );
+        let opts = ElasticOptions {
+            initial_plan: Some(*initial),
+            ..Default::default()
+        };
+        let out = run_elastic(task, iterations, &plan, &dir, opts);
         let _ = std::fs::remove_dir_all(&dir);
         outcomes.push(out);
     }

@@ -75,8 +75,9 @@ impl CollectiveCost {
     }
 
     /// Classify a group of `ranks` consecutive GPUs: it is intra-node iff it
-    /// fits inside one node. (Parallelism units place TP groups on
-    /// consecutive GPUs precisely to make this true.)
+    /// fits inside one node. Ranks follow §6's layout — TP groups on
+    /// consecutive ranks, DP next, PP outermost — so a TP group of at most
+    /// one node's GPUs never leaves its NVLink domain.
     pub fn domain_for_group(&self, ranks: u32) -> CommDomain {
         if ranks <= self.cluster.node.gpus_per_node {
             CommDomain::IntraNode
@@ -125,16 +126,6 @@ impl CollectiveCost {
     pub fn allgather(&self, n: u32, bytes: u64) -> SimDuration {
         self.time(
             CollectiveKind::AllGather,
-            n,
-            bytes,
-            self.domain_for_group(n),
-        )
-    }
-
-    /// Convenience: reduce-scatter, domain inferred.
-    pub fn reduce_scatter(&self, n: u32, bytes: u64) -> SimDuration {
-        self.time(
-            CollectiveKind::ReduceScatter,
             n,
             bytes,
             self.domain_for_group(n),

@@ -10,8 +10,8 @@
 //!   `flops / (peak × efficiency(flops))`.
 //! * [`NodeSpec`] / [`ClusterSpec`] — the node and fabric geometry.
 //! * [`collective`] — α/β cost models for ring allreduce, allgather,
-//!   reduce-scatter, point-to-point transfers, and the hierarchical
-//!   (intra-node ring + inter-node ring) variants used by large DP groups.
+//!   point-to-point transfers, and the hierarchical (intra-node ring +
+//!   inter-node ring) variants used by large DP groups.
 //!
 //! All downstream timing in the reproduction flows through these functions,
 //! so their shapes (linear in bytes, harmonic in group size, NVLink ≫ RDMA)
@@ -23,4 +23,4 @@ pub mod topology;
 
 pub use collective::{CollectiveCost, CollectiveKind, CommDomain};
 pub use gpu::GpuSpec;
-pub use topology::{ClusterSpec, NodeSpec, NODES_PER_RACK};
+pub use topology::{ClusterSpec, NodeSpec};

@@ -67,12 +67,6 @@ pub struct ClusterSpec {
     pub rail_optimized: bool,
 }
 
-/// Nodes racked behind one power/switch domain in the production fabric:
-/// a rack holds four 8-GPU servers on one PDU and one ToR switch, so a
-/// rack-level event (PDU trip, ToR death) is a *correlated* failure of
-/// four nodes at once.
-pub const NODES_PER_RACK: u32 = 4;
-
 impl ClusterSpec {
     /// The large-scale evaluation cluster: 162 nodes × 8 GPUs = 1296 GPUs
     /// (the budget quoted in §7.1).
@@ -89,36 +83,6 @@ impl ClusterSpec {
     /// Total GPU count.
     pub fn total_gpus(&self) -> u32 {
         self.num_nodes * self.node.gpus_per_node
-    }
-
-    /// The node a global GPU index lives on — the failure domain of that
-    /// GPU. GPUs are numbered node-major (`node·gpus_per_node + local`), so
-    /// a node failure kills one contiguous block of indices.
-    pub fn node_of_gpu(&self, gpu: u32) -> u32 {
-        gpu / self.node.gpus_per_node.max(1)
-    }
-
-    /// The global GPU indices of one node (its whole failure domain).
-    pub fn gpus_of_node(&self, node: u32) -> std::ops::Range<u32> {
-        let per = self.node.gpus_per_node;
-        node * per..(node + 1) * per
-    }
-
-    /// Nodes per rack/switch domain, clamped to the cluster size (a
-    /// 2-node cluster is one 2-node rack, not half of a 4-node rack).
-    pub fn nodes_per_rack(&self) -> u32 {
-        NODES_PER_RACK.min(self.num_nodes.max(1))
-    }
-
-    /// The rack (correlated failure domain) a node lives in. Nodes are
-    /// racked contiguously, mirroring [`ClusterSpec::node_of_gpu`].
-    pub fn rack_of_node(&self, node: u32) -> u32 {
-        node / self.nodes_per_rack()
-    }
-
-    /// Number of racks (the last one may be partially filled).
-    pub fn num_racks(&self) -> u32 {
-        self.num_nodes.div_ceil(self.nodes_per_rack().max(1))
     }
 
     /// The cluster that remains after losing `lost` nodes. The surviving
@@ -166,25 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn racks_partition_the_nodes() {
-        let c = ClusterSpec::production(12);
-        assert_eq!(c.nodes_per_rack(), 4);
-        assert_eq!(c.num_racks(), 3);
-        assert_eq!(c.rack_of_node(0), 0);
-        assert_eq!(c.rack_of_node(3), 0);
-        assert_eq!(c.rack_of_node(4), 1);
-        assert_eq!(c.rack_of_node(11), 2);
-        // Odd sizes: the last rack is partial, tiny clusters are one rack.
-        let odd = ClusterSpec::production(10);
-        assert_eq!(odd.num_racks(), 3);
-        assert_eq!(odd.rack_of_node(9), 2);
-        let tiny = ClusterSpec::production(2);
-        assert_eq!(tiny.nodes_per_rack(), 2);
-        assert_eq!(tiny.num_racks(), 1);
-        assert_eq!(tiny.rack_of_node(1), 0);
-    }
-
-    #[test]
     fn node_bandwidth_aggregates() {
         let n = NodeSpec::production();
         assert_eq!(n.node_internode_bw(), 100e9); // 4 × 25 GB/s
@@ -195,21 +140,6 @@ mod tests {
     fn nvlink_dwarfs_rdma() {
         let n = NodeSpec::production();
         assert!(n.nvlink_busbw > 10.0 * n.per_gpu_internode_bw());
-    }
-
-    #[test]
-    fn failure_domains_tile_the_cluster() {
-        let c = ClusterSpec::production(12);
-        assert_eq!(c.node_of_gpu(0), 0);
-        assert_eq!(c.node_of_gpu(7), 0);
-        assert_eq!(c.node_of_gpu(8), 1);
-        assert_eq!(c.node_of_gpu(95), 11);
-        assert_eq!(c.gpus_of_node(3), 24..32);
-        // Every GPU belongs to exactly the node whose range contains it.
-        for gpu in 0..c.total_gpus() {
-            let node = c.node_of_gpu(gpu);
-            assert!(c.gpus_of_node(node).contains(&gpu));
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * the **manager** profiles the task and picks a plan (DistTrain's §4
 //!   orchestration, or a baseline: Megatron-LM monolithic / DistMM*);
-//! * the **initializer** lays parallelism units out on ranks and places
-//!   the communication brokers ([`dt_parallel`]);
+//! * the **initializer** places the communication brokers between the
+//!   parallelism units ([`dt_parallel`]);
 //! * the **runtime** ([`runtime`]) simulates training iterations: draw a
 //!   global batch, reorder it (§5), split across DP ranks, build the
 //!   per-rank multi-unit pipeline workload, run the 1F1B schedule

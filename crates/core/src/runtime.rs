@@ -387,48 +387,48 @@ impl<'a> Runtime<'a> {
 
     /// Simulate one iteration over `batch` (already reordered).
     pub fn simulate_iteration(&self, perf: &PerfModel<'_>, batch: &GlobalBatch) -> IterationReport {
-        self.simulate_iteration_traced(perf, batch, &mut TraceRecorder::disabled())
+        let rows = CostRows::new(self.model, &batch.samples);
+        let order: Vec<usize> = (0..rows.len()).collect();
+        self.simulate_rows(
+            perf,
+            &rows,
+            &order,
+            &mut TraceRecorder::disabled(),
+            &Telemetry::disabled(),
+        )
     }
 
-    /// [`Runtime::simulate_iteration`] with span emission: one Chrome-trace
-    /// process per DP rank (stage threads from
-    /// [`dt_pipeline::record_pipeline_trace`], padded to the slowest rank's
-    /// makespan so every rank tiles the same window), plus a *runtime*
-    /// thread (`tid` = stage count) carrying the gradient-sync span and the
-    /// rank's preprocessing-stall span. Costs nothing when `rec` is
-    /// disabled.
-    pub fn simulate_iteration_traced(
-        &self,
-        perf: &PerfModel<'_>,
-        batch: &GlobalBatch,
-        rec: &mut TraceRecorder,
-    ) -> IterationReport {
-        self.simulate_iteration_telemetry(perf, batch, rec, &Telemetry::disabled())
-    }
-
-    /// [`Runtime::simulate_iteration_traced`] plus registry metrics: when
-    /// `tel` is enabled, every rank's executed pipeline feeds the
-    /// per-stage compute/comm/bubble histograms via
+    /// Iteration `i` of `batches`, priced in stream order and dispatched
+    /// in its planner's order: the one iteration step of [`Runtime::run`]
+    /// and of the elastic driver.
+    ///
+    /// With `rec` enabled it records one Chrome-trace process per DP rank
+    /// (stage threads from [`dt_pipeline::record_pipeline_trace`], padded
+    /// to the slowest rank's makespan so every rank tiles the same
+    /// window), plus a *runtime* thread (`tid` = stage count) carrying the
+    /// gradient-sync span and the rank's preprocessing-stall span. With
+    /// `tel` enabled every rank's executed pipeline feeds the per-stage
+    /// compute/comm/bubble histograms via
     /// [`dt_pipeline::record_pipeline_metrics`]. The iteration-level
-    /// runtime families are *not* recorded here — drivers (plain runs,
-    /// elastic runs) call [`record_iteration_metrics`] on the
-    /// reports they actually commit, which keeps crash-discarded attempts
-    /// out of the committed aggregates while still letting the driver
-    /// sample them into the anomaly series.
-    pub fn simulate_iteration_telemetry(
+    /// runtime families are *not* recorded here: drivers call
+    /// [`record_iteration_metrics`] on the reports they actually commit,
+    /// which keeps crash-discarded attempts out of the committed
+    /// aggregates. Disabled handles cost nothing.
+    pub fn step(
         &self,
         perf: &PerfModel<'_>,
-        batch: &GlobalBatch,
+        batches: &IterationBatches,
+        i: u32,
         rec: &mut TraceRecorder,
         tel: &Telemetry,
     ) -> IterationReport {
-        let rows = CostRows::new(self.model, &batch.samples);
-        let order: Vec<usize> = (0..rows.len()).collect();
+        let (rows, order) = batches.priced(i);
         self.simulate_rows(perf, &rows, &order, rec, tel)
     }
 
-    /// [`Runtime::simulate_iteration_telemetry`] over a batch priced into
-    /// `rows`, dispatched in `order` (position `k` trains row `order[k]`).
+    /// One iteration over a batch priced into `rows`, dispatched in
+    /// `order` (position `k` trains row `order[k]`), observed as
+    /// [`Runtime::step`] describes.
     fn simulate_rows(
         &self,
         perf: &PerfModel<'_>,
@@ -574,22 +574,17 @@ impl<'a> Runtime<'a> {
 
     /// Run the configured number of iterations.
     pub fn run(&self) -> TrainingReport {
-        self.run_traced(&mut TraceRecorder::disabled())
+        self.run_telemetry(&mut TraceRecorder::disabled(), &Telemetry::disabled())
     }
 
-    /// [`Runtime::run`] with span emission. Iterations are laid out
-    /// back-to-back on the trace timeline (the recorder origin advances by
-    /// each iteration's `iter_time`), and every iteration additionally gets
-    /// one umbrella span on a dedicated process (`pid` = the DP world size)
-    /// so trace viewers show the iteration boundaries.
-    pub fn run_traced(&self, rec: &mut TraceRecorder) -> TrainingReport {
-        self.run_telemetry(rec, &Telemetry::disabled())
-    }
-
-    /// [`Runtime::run_traced`] plus registry metrics: per-stage pipeline
-    /// histograms from every rank's executed schedule, and the runtime
-    /// iteration families (via [`record_iteration_metrics`]) sampled on
-    /// the simulated clock as each iteration commits.
+    /// [`Runtime::run`], observed: each iteration is a [`Runtime::step`]
+    /// on `rec` and `tel`. Iterations are laid out back-to-back on the
+    /// trace timeline (the recorder origin advances by each iteration's
+    /// `iter_time`), and every iteration additionally gets one umbrella
+    /// span on a dedicated process (`pid` = the DP world size) so trace
+    /// viewers show the iteration boundaries. The runtime iteration
+    /// families (via [`record_iteration_metrics`]) are sampled on the
+    /// simulated clock as each iteration commits.
     pub fn run_telemetry(&self, rec: &mut TraceRecorder, tel: &Telemetry) -> TrainingReport {
         let coll = CollectiveCost::new(self.cluster.clone());
         let perf = self.perf_model(&coll);
@@ -598,8 +593,7 @@ impl<'a> Runtime<'a> {
         let mut now = SimTime::ZERO;
         let peak = self.cluster.node.gpu.peak_flops;
         for i in 0..self.cfg.iterations {
-            let (rows, order) = batches.priced(i);
-            let report = self.simulate_rows(&perf, &rows, &order, rec, tel);
+            let report = self.step(&perf, &batches, i, rec, tel);
             if rec.is_enabled() {
                 rec.record(TraceSpan::new(
                     format!("iteration {i}"),
@@ -645,7 +639,9 @@ impl IterationBatches {
         (first..first + self.size).map(|id| self.gen.sample_at(id))
     }
 
-    /// The batch of iteration `iteration` (0-based), reordered.
+    /// The batch of iteration `iteration` (0-based), reordered by moving
+    /// its samples: the reference form of what [`Runtime::step`] trains
+    /// on.
     pub fn get(&self, iteration: u32) -> GlobalBatch {
         GlobalBatch::new(self.planner.reorder(self.draw(iteration).collect()))
     }
@@ -898,7 +894,7 @@ mod tests {
             cfg: RuntimeConfig::disttrain(32, 2),
         };
         let mut rec = TraceRecorder::enabled();
-        let traced = rt.run_traced(&mut rec);
+        let traced = rt.run_telemetry(&mut rec, &Telemetry::disabled());
         let plain = rt.run();
         assert_eq!(
             traced.mean_iter_secs(),

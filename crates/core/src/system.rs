@@ -11,7 +11,6 @@ use dt_orchestrator::baselines::{distmm_star_plan, megatron_plan, proportional_s
 use dt_orchestrator::formulate::ProblemSpec;
 use dt_orchestrator::{Orchestrator, PerfModel, PlanError, Profiler, TaskProfile, WarmStart};
 use dt_parallel::OrchestrationPlan;
-use dt_reorder::ReorderMode;
 use dt_simengine::DetRng;
 
 /// Which system's policies to run.
@@ -333,12 +332,6 @@ impl TrainingSystem {
         .filter_map(|k| task.run(k, iterations).ok().map(|r| (k, r)))
         .collect()
     }
-}
-
-/// Reorder-mode override helper used by the Figure 16 ablation.
-pub fn with_reorder(mut cfg: RuntimeConfig, mode: ReorderMode) -> RuntimeConfig {
-    cfg.reorder = mode;
-    cfg
 }
 
 #[cfg(test)]

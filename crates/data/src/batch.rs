@@ -32,11 +32,6 @@ impl Microbatch {
     pub fn image_tokens(&self) -> u64 {
         self.samples.iter().map(|s| s.image_tokens()).sum()
     }
-
-    /// Total LLM sequence tokens across the microbatch.
-    pub fn seq_tokens(&self) -> u64 {
-        self.samples.iter().map(|s| s.seq_len()).sum()
-    }
 }
 
 /// One iteration's worth of training samples, in training order.
@@ -99,12 +94,6 @@ impl GlobalBatch {
             .map(|chunk| chunk.chunks(m).collect())
             .collect()
     }
-
-    /// Number of microbatches each DP rank runs per iteration
-    /// (`BS / (DP × M)` — the paper's pipeline length `l`).
-    pub fn microbatches_per_rank(&self, dp: u32, microbatch: u32) -> usize {
-        self.samples.len() / (dp.max(1) as usize * microbatch.max(1) as usize)
-    }
 }
 
 #[cfg(test)]
@@ -141,19 +130,11 @@ mod tests {
     }
 
     #[test]
-    fn microbatch_count_matches_paper_formula() {
-        let b = batch(1920);
-        // BS=1920, DP=24, M=1 → 80 microbatches per rank.
-        assert_eq!(b.microbatches_per_rank(24, 1), 80);
-    }
-
-    #[test]
     fn microbatch_aggregates_sum_over_samples() {
         let b = batch(4);
         let mb = Microbatch {
             samples: b.samples.clone(),
         };
-        assert_eq!(mb.seq_tokens(), 4 * 8192);
         assert_eq!(
             mb.image_tokens(),
             b.samples.iter().map(|s| s.image_tokens()).sum::<u64>()

@@ -293,11 +293,6 @@ impl Default for PreprocessCostModel {
 }
 
 impl PreprocessCostModel {
-    /// Single-worker CPU time to preprocess one sample.
-    pub fn sample_time(&self, sample: &TrainSample) -> SimDuration {
-        self.pixels_time(sample.total_pixels())
-    }
-
     /// Single-worker CPU time to preprocess a sample of `pixels` pixels.
     pub fn pixels_time(&self, pixels: u64) -> SimDuration {
         let decompressed_bytes = 3.0 * pixels as f64;
@@ -340,7 +335,9 @@ mod tests {
     #[test]
     fn ten_hires_images_take_seconds() {
         let m = PreprocessCostModel::default();
-        let t = m.sample_time(&sample_with(1024, 10)).as_secs_f64();
+        let t = m
+            .pixels_time(sample_with(1024, 10).total_pixels())
+            .as_secs_f64();
         assert!(
             (1.0..10.0).contains(&t),
             "preprocess time {t:.2}s not in the paper's seconds range"
@@ -350,8 +347,8 @@ mod tests {
     #[test]
     fn preprocessing_scales_with_pixels() {
         let m = PreprocessCostModel::default();
-        let lo = m.sample_time(&sample_with(512, 1));
-        let hi = m.sample_time(&sample_with(1024, 1));
+        let lo = m.pixels_time(sample_with(512, 1).total_pixels());
+        let hi = m.pixels_time(sample_with(1024, 1).total_pixels());
         assert_eq!(hi.as_nanos() / lo.as_nanos(), 4);
     }
 
@@ -365,7 +362,7 @@ mod tests {
         assert_eq!(t1.as_nanos(), 8 * t8.as_nanos());
         // With absurd parallelism the longest single sample binds.
         let t_inf = m.batch_time(pixels(), 10_000);
-        assert_eq!(t_inf, m.sample_time(&samples[0]));
+        assert_eq!(t_inf, m.pixels_time(samples[0].total_pixels()));
     }
 
     #[test]

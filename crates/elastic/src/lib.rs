@@ -15,9 +15,6 @@
 //! * [`policy`] — the [`ElasticPlan`] scenario description and the
 //!   **Young–Daly** checkpoint-interval optimum `√(2·C·M)`, with the
 //!   system MTBF summing independent and correlated event rates;
-//! * [`sim`] — the constant-iteration-time timeline plus an exhaustive
-//!   interval search that *validates* Young–Daly against simulation
-//!   (correlated MTBF included);
 //! * [`healer`] — the watcher→healer loop: dt-telemetry's anomaly
 //!   detector run online over committed iterations, converting stall
 //!   bursts into preemptive checkpoints and persistent stragglers / MFU
@@ -33,11 +30,11 @@
 //!   restart / re-shard buckets that reconstruct the wall clock exactly,
 //!   plus degraded-capacity time.
 //!
-//! Both drivers run on one private checkpoint–restart timeline that owns
+//! The driver runs on a private checkpoint–restart timeline that owns
 //! the wall clock, the goodput buckets, the failure-stream pops and the
-//! trace clock, so every second is charged the same way whether the
-//! iteration times are constant ([`sim`]) or come from the runtime
-//! ([`run`]).
+//! trace clock. The unit tests in `sim.rs` drive the same timeline with a
+//! constant iteration time and check Young–Daly against an exhaustive
+//! interval search over it (correlated MTBF included).
 //!
 //! ```
 //! use dt_elastic::{CheckpointPolicy, ElasticPlan, run_elastic};
@@ -50,7 +47,7 @@
 //! plan.checkpoint = CheckpointPolicy::Fixed(2);
 //! let dir = std::env::temp_dir().join(format!("dt-elastic-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
-//! let out = run_elastic(&task, 2, &plan, &dir).unwrap();
+//! let out = run_elastic(&task, 2, &plan, &dir, Default::default()).unwrap();
 //! assert_eq!(out.report.iterations.len(), 2);
 //! out.goodput.validate().unwrap();
 //! std::fs::remove_dir_all(&dir).unwrap();
@@ -60,7 +57,7 @@ pub mod goodput;
 pub mod healer;
 pub mod policy;
 pub mod run;
-pub mod sim;
+mod sim;
 pub mod stream;
 mod timeline;
 pub mod topology;
@@ -72,9 +69,8 @@ pub use policy::{
     young_daly_interval_correlated, CheckpointPolicy, ElasticPlan,
 };
 pub use run::{
-    run_elastic, run_elastic_instrumented, run_elastic_traced, run_elastic_with, ElasticError,
-    ElasticReport, FailureEvent, PlanEpoch, RecoveryAction,
+    run_elastic, ElasticError, ElasticOptions, ElasticReport, FailureEvent, PlanEpoch,
+    RecoveryAction,
 };
-pub use sim::{exhaustive_best_interval, simulate_goodput, MachineConfig};
 pub use stream::{FailureStream, NodeFailure};
 pub use topology::FailureTopology;

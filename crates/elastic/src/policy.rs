@@ -9,8 +9,9 @@
 //! checkpoint–restart systems: with checkpoint cost `C` and system MTBF
 //! `M` (per-node MTBF divided by node count), the wall-clock interval
 //! `τ* = √(2·C·M)` minimizes expected time lost to checkpoint overhead
-//! plus replayed work. [`crate::sim::exhaustive_best_interval`] validates
-//! the closed form against the constant-iteration-time timeline.
+//! plus replayed work. The unit tests in `sim.rs` validate the closed form
+//! against an exhaustive interval search over the
+//! constant-iteration-time timeline.
 
 use crate::healer::HealerConfig;
 use crate::topology::FailureTopology;
@@ -62,8 +63,8 @@ pub fn young_daly_interval(
 /// shorten `M` (and the interval) by their event rate — *not* by their
 /// victim count, since a k-node blast still restarts the job once.
 /// The unit test `correlated_young_daly_matches_exhaustive_search` in
-/// [`crate::sim`] checks this closed form against
-/// [`crate::sim::exhaustive_best_interval`].
+/// `sim.rs` checks this closed form against an exhaustive interval
+/// search.
 pub fn young_daly_interval_correlated(
     checkpoint_cost: SimDuration,
     node_mtbf: SimDuration,

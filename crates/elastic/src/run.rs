@@ -215,89 +215,56 @@ impl SparePool {
     }
 }
 
-/// Run `iterations` elastically, planning the initial configuration with
-/// the DistTrain orchestrator.
+/// The optional inputs of [`run_elastic`]. The [`Default`] plans the
+/// initial configuration with the DistTrain orchestrator and observes
+/// nothing.
+#[derive(Default)]
+pub struct ElasticOptions<'a> {
+    /// The plan the run starts on; `None` plans it with the DistTrain
+    /// orchestrator. Sweeps plan once and reuse the plan across cells.
+    pub initial_plan: Option<OrchestrationPlan>,
+    /// Span sink: committed iterations trace through the runtime as
+    /// usual; checkpoints appear on `tid 1` and the elastic machinery
+    /// (failure / recovery / re-orchestration) on `tid 2` of the trainer
+    /// process, so a Chrome-trace view shows exactly when the run bled
+    /// time to faults.
+    pub trace: Option<&'a mut TraceRecorder>,
+    /// Metrics: every committed iteration records the runtime families
+    /// (see [`disttrain_core::record_iteration_metrics`]), the elastic
+    /// machinery its failure / spare-swap / shrink / rollback /
+    /// checkpoint counters and the host time of each re-plan (search and
+    /// trials), and the run closes with goodput-fraction and
+    /// degraded-seconds gauges. Histograms and counters record the
+    /// committed report; the three anomaly series record what the job
+    /// observed — the same `(wall, MFU, stall)` triple the healer is fed,
+    /// pacing and precursor stalls included — plus one iteration-time
+    /// point per failure for the aborted attempt's lost wall (partial
+    /// iteration plus restart overhead), so an offline
+    /// [`AnomalyDetector::scan`](dt_telemetry::AnomalyDetector::scan)
+    /// sees what actually happened.
+    pub telemetry: Telemetry,
+    /// Healer actions and failures land in a flight-recorder ring on this
+    /// log, dumped per healer action.
+    pub flight: FlightLog,
+}
+
+/// Run `iterations` elastically, checkpointing into `ckpt_dir`.
 pub fn run_elastic(
     task: &TrainingTask,
     iterations: u32,
     elastic: &ElasticPlan,
     ckpt_dir: &Path,
+    opts: ElasticOptions<'_>,
 ) -> Result<ElasticReport, ElasticError> {
-    run_elastic_traced(
-        task,
-        iterations,
-        elastic,
-        ckpt_dir,
-        &mut TraceRecorder::disabled(),
-    )
-}
-
-/// [`run_elastic`] with span emission: committed iterations trace through
-/// the runtime as usual; checkpoints appear on `tid 1` and the elastic
-/// machinery (failure / recovery / re-orchestration) on `tid 2` of the
-/// trainer process, so a Chrome-trace view shows exactly when the run
-/// bled time to faults.
-pub fn run_elastic_traced(
-    task: &TrainingTask,
-    iterations: u32,
-    elastic: &ElasticPlan,
-    ckpt_dir: &Path,
-    rec: &mut TraceRecorder,
-) -> Result<ElasticReport, ElasticError> {
-    let plan = task
-        .plan(SystemKind::DistTrain)
-        .map_err(|e| ElasticError::Infeasible(format!("initial cluster: {e}")))?;
-    run_elastic_with(task, iterations, elastic, plan, ckpt_dir, rec)
-}
-
-/// [`run_elastic_traced`] with a caller-chosen initial plan (sweeps plan
-/// once and reuse it across cells).
-pub fn run_elastic_with(
-    task: &TrainingTask,
-    iterations: u32,
-    elastic: &ElasticPlan,
-    initial_plan: OrchestrationPlan,
-    ckpt_dir: &Path,
-    rec: &mut TraceRecorder,
-) -> Result<ElasticReport, ElasticError> {
-    run_elastic_instrumented(
-        task,
-        iterations,
-        elastic,
-        initial_plan,
-        ckpt_dir,
-        rec,
-        &Telemetry::disabled(),
-        &FlightLog::disabled(),
-    )
-}
-
-/// [`run_elastic_with`] with metrics: every committed iteration records the
-/// runtime families (see [`disttrain_core::record_iteration_metrics`]), the
-/// elastic machinery its failure / spare-swap / shrink / rollback /
-/// checkpoint counters and the host time of each re-plan (search and
-/// trials), and the run closes with goodput-fraction and degraded-seconds
-/// gauges. Histograms and counters record the committed report; the three
-/// anomaly series record what the job observed — the same
-/// `(wall, MFU, stall)` triple the healer is fed, pacing and precursor
-/// stalls included — plus one iteration-time point per failure for the
-/// aborted attempt's lost wall (partial iteration plus restart overhead),
-/// so an offline
-/// [`AnomalyDetector::scan`](dt_telemetry::AnomalyDetector::scan) sees what
-/// actually happened. Healer actions and failures additionally land in a
-/// flight-recorder ring on `flight` (dumped per healer action); a disabled
-/// log costs nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn run_elastic_instrumented(
-    task: &TrainingTask,
-    iterations: u32,
-    elastic: &ElasticPlan,
-    initial_plan: OrchestrationPlan,
-    ckpt_dir: &Path,
-    rec: &mut TraceRecorder,
-    tel: &Telemetry,
-    flight: &FlightLog,
-) -> Result<ElasticReport, ElasticError> {
+    let initial_plan = match opts.initial_plan {
+        Some(plan) => plan,
+        None => task
+            .plan(SystemKind::DistTrain)
+            .map_err(|e| ElasticError::Infeasible(format!("initial cluster: {e}")))?,
+    };
+    let mut untraced = TraceRecorder::disabled();
+    let rec = opts.trace.unwrap_or(&mut untraced);
+    let (tel, flight) = (&opts.telemetry, &opts.flight);
     let initial_nodes = task.cluster.num_nodes;
     let domains = elastic.topology.map_or(1, |t| t.domains(initial_nodes));
     let mut spares = SparePool::new(elastic.spare_nodes, domains);
@@ -395,8 +362,13 @@ pub fn run_elastic_instrumented(
 
             let mut next: Option<(TrainingTask, OrchestrationPlan)> = None;
             while it < iterations {
-                let batch = batches.get(it);
-                let report = runtime.simulate_iteration(&perf, &batch);
+                let report = runtime.step(
+                    &perf,
+                    &batches,
+                    it,
+                    &mut TraceRecorder::disabled(),
+                    &Telemetry::disabled(),
+                );
                 let interval = *cadence.get_or_insert_with(|| {
                     let interval = elastic.checkpoint.interval(
                         elastic.checkpoint_cost,
@@ -523,11 +495,11 @@ pub fn run_elastic_instrumented(
                     continue;
                 }
 
-                // Commit. In traced mode re-simulate with span emission —
+                // Commit. In traced mode step again with span emission —
                 // the data path is deterministic, so the traced pass is
                 // identical to the decision pass above.
                 if let Some(rec) = tl.tracing() {
-                    let traced = runtime.simulate_iteration_traced(&perf, &batch, rec);
+                    let traced = runtime.step(&perf, &batches, it, rec, &Telemetry::disabled());
                     debug_assert_eq!(traced.iter_time, report.iter_time);
                 }
                 if pace > 1.0 {
@@ -707,8 +679,8 @@ mod tests {
         runtime.simulate_iteration(&perf, &runtime.batches(&perf).get(i))
     }
 
-    /// [`run_elastic_instrumented`] from the DistTrain plan into a fresh
-    /// registry: the report and the registry's snapshot.
+    /// [`run_elastic`] metered into a fresh registry: the report and the
+    /// registry's snapshot.
     fn metered_run(
         task: &TrainingTask,
         iterations: u32,
@@ -717,18 +689,11 @@ mod tests {
     ) -> (ElasticReport, dt_telemetry::Snapshot) {
         let dir = tempdir(tag);
         let tel = Telemetry::enabled();
-        let plan = task.plan(SystemKind::DistTrain).unwrap();
-        let out = run_elastic_instrumented(
-            task,
-            iterations,
-            elastic,
-            plan,
-            &dir,
-            &mut TraceRecorder::disabled(),
-            &tel,
-            &FlightLog::disabled(),
-        )
-        .unwrap();
+        let opts = ElasticOptions {
+            telemetry: tel.clone(),
+            ..Default::default()
+        };
+        let out = run_elastic(task, iterations, elastic, &dir, opts).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         (out, tel.snapshot())
     }
@@ -744,7 +709,8 @@ mod tests {
         let elastic = harsh_plan();
         let iterations = 10u32;
         let dir = tempdir("multi");
-        let out = run_elastic(&task, iterations, &elastic, &dir).unwrap();
+        let out =
+            run_elastic(&task, iterations, &elastic, &dir, ElasticOptions::default()).unwrap();
 
         assert_eq!(out.report.iterations.len(), iterations as usize);
         assert!(
@@ -844,8 +810,8 @@ mod tests {
         let elastic = harsh_plan();
         let d1 = tempdir("det1");
         let d2 = tempdir("det2");
-        let a = run_elastic(&task, 6, &elastic, &d1).unwrap();
-        let b = run_elastic(&task, 6, &elastic, &d2).unwrap();
+        let a = run_elastic(&task, 6, &elastic, &d1, ElasticOptions::default()).unwrap();
+        let b = run_elastic(&task, 6, &elastic, &d2, ElasticOptions::default()).unwrap();
         assert_eq!(a.goodput, b.goodput);
         assert_eq!(a.failures.len(), b.failures.len());
         for (x, y) in a.failures.iter().zip(&b.failures) {
@@ -867,7 +833,8 @@ mod tests {
         elastic.node_mtbf = secs(1e12);
         let dir = tempdir("quiet");
         let iterations = 4u32;
-        let out = run_elastic(&task, iterations, &elastic, &dir).unwrap();
+        let out =
+            run_elastic(&task, iterations, &elastic, &dir, ElasticOptions::default()).unwrap();
         assert_eq!(out.goodput.failures, 0);
         assert_eq!(out.epochs.len(), 1);
         assert_eq!(out.goodput.degraded, SimDuration::ZERO);
@@ -888,7 +855,17 @@ mod tests {
         let elastic = harsh_plan();
         let dir = tempdir("spans");
         let mut rec = TraceRecorder::enabled();
-        let out = run_elastic_traced(&task, 10, &elastic, &dir, &mut rec).unwrap();
+        let out = run_elastic(
+            &task,
+            10,
+            &elastic,
+            &dir,
+            ElasticOptions {
+                trace: Some(&mut rec),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(out.goodput.shrinks >= 1, "need a shrink for a reorch span");
         for c in [cat::FAILURE, cat::RECOVERY, cat::REORCH, cat::CHECKPOINT] {
             assert!(
@@ -926,7 +903,7 @@ mod tests {
         elastic.failure_seed = 3;
         elastic.topology = Some(FailureTopology::new(4, secs(60.0)));
         let dir = tempdir("blast");
-        let out = run_elastic(&task, 8, &elastic, &dir).unwrap();
+        let out = run_elastic(&task, 8, &elastic, &dir, ElasticOptions::default()).unwrap();
 
         let correlated: Vec<_> = out.failures.iter().filter(|f| f.correlated).collect();
         assert!(
@@ -975,7 +952,7 @@ mod tests {
         elastic.spare_nodes = 3;
         elastic.topology = Some(FailureTopology::new(4, secs(1e12)));
         let dir = tempdir("spare-topo");
-        let out = run_elastic(&task, 8, &elastic, &dir).unwrap();
+        let out = run_elastic(&task, 8, &elastic, &dir, ElasticOptions::default()).unwrap();
         assert!(out.goodput.failures >= 1);
         // With 3 spares over this failure pattern the first failures are
         // all absorbed in place.
@@ -1004,18 +981,12 @@ mod tests {
         let dir = tempdir("heal-ckpt");
         let tel = Telemetry::enabled();
         let flight = FlightLog::new();
-        let plan = task.plan(SystemKind::DistTrain).unwrap();
-        let out = run_elastic_instrumented(
-            &task,
-            16,
-            &elastic,
-            plan,
-            &dir,
-            &mut TraceRecorder::disabled(),
-            &tel,
-            &flight,
-        )
-        .unwrap();
+        let opts = ElasticOptions {
+            telemetry: tel.clone(),
+            flight: flight.clone(),
+            ..Default::default()
+        };
+        let out = run_elastic(&task, 16, &elastic, &dir, opts).unwrap();
 
         let saves: Vec<_> = out
             .healer_actions
@@ -1064,7 +1035,7 @@ mod tests {
         elastic.healer = Some(HealerConfig::default());
         elastic.spare_slowdown = 1.6;
         let dir = tempdir("heal-evict");
-        let out = run_elastic(&task, 14, &elastic, &dir).unwrap();
+        let out = run_elastic(&task, 14, &elastic, &dir, ElasticOptions::default()).unwrap();
 
         assert!(
             out.failures
@@ -1108,7 +1079,17 @@ mod tests {
         elastic.spare_slowdown = 1.6;
         let dir = tempdir("heal-trace");
         let mut rec = TraceRecorder::enabled();
-        let out = run_elastic_traced(&task, 14, &elastic, &dir, &mut rec).unwrap();
+        let out = run_elastic(
+            &task,
+            14,
+            &elastic,
+            &dir,
+            ElasticOptions {
+                trace: Some(&mut rec),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(
             out.healer_actions
                 .iter()
@@ -1227,8 +1208,8 @@ mod tests {
         elastic.precursor_stall = secs(2.0);
         let d1 = tempdir("heal-det1");
         let d2 = tempdir("heal-det2");
-        let a = run_elastic(&task, 12, &elastic, &d1).unwrap();
-        let b = run_elastic(&task, 12, &elastic, &d2).unwrap();
+        let a = run_elastic(&task, 12, &elastic, &d1, ElasticOptions::default()).unwrap();
+        let b = run_elastic(&task, 12, &elastic, &d2, ElasticOptions::default()).unwrap();
         assert_eq!(a.healer_actions, b.healer_actions);
         assert_eq!(a.goodput, b.goodput);
         assert!(
@@ -1245,7 +1226,7 @@ mod tests {
         let mut elastic = ElasticPlan::for_task(&task, secs(200_000.0));
         elastic.checkpoint = CheckpointPolicy::YoungDaly;
         let dir = tempdir("yd");
-        let out = run_elastic(&task, 3, &elastic, &dir).unwrap();
+        let out = run_elastic(&task, 3, &elastic, &dir, ElasticOptions::default()).unwrap();
         let interval = out.epochs[0].checkpoint_interval;
         assert!(interval >= 1, "YD cadence must be at least one iteration");
         out.goodput.validate().unwrap();

@@ -1,14 +1,15 @@
-//! The constant-iteration-time timeline, and the exhaustive
+//! Test-only: the constant-iteration-time machine, and the exhaustive
 //! checkpoint-interval search that validates Young–Daly.
 //!
 //! The machine is the textbook abstraction the Young–Daly formula is
 //! derived for: a fixed-rate worker (one iteration per `iter_time`),
 //! synchronous checkpoints every `checkpoint_interval` iterations costing
 //! `checkpoint_cost`, and a Poisson failure process (the
-//! [`FailureStream`]) that throws the worker back to its last durable
-//! checkpoint and charges `restart_overhead`. It runs on the same
-//! timeline as [`run_elastic`](crate::run::run_elastic), so both drivers
-//! charge every second the same way.
+//! [`FailureStream`](crate::stream::FailureStream)) that throws the
+//! worker back to its last durable checkpoint and charges
+//! `restart_overhead`. It runs on the same timeline as
+//! [`run_elastic`](crate::run::run_elastic), so both charge every second
+//! the same way.
 //!
 //! Failures are taken at iteration boundaries. A failure that lands
 //! inside a checkpoint write or a restart does not destroy that window:
@@ -16,148 +17,145 @@
 //! the next iteration with no in-flight work to lose. Only a failure that
 //! strikes mid-iteration loses the partial iteration.
 //!
-//! With a [`FailureTopology`] the failure process gains a correlated
-//! layer: a domain event fails every live slot in one rack at one
-//! instant. The timeline takes the same-instant victims as a *single*
-//! rollback + restart, so a k-node blast still counts as one
-//! interruption — which is exactly the event-rate view under which the
-//! correlated Young–Daly optimum
+//! With a [`FailureTopology`](crate::topology::FailureTopology) the
+//! failure process gains a correlated layer: a domain event fails every
+//! live slot in one rack at one instant. The timeline takes the
+//! same-instant victims as a *single* rollback + restart, so a k-node
+//! blast still counts as one interruption — which is exactly the
+//! event-rate view under which the correlated Young–Daly optimum
 //! ([`young_daly_interval_correlated`](crate::policy::young_daly_interval_correlated))
 //! is derived, and what the correlated validation test checks here.
 //!
-//! [`exhaustive_best_interval`] grid-searches the interval over this
+//! `exhaustive_best_interval` grid-searches the interval over this
 //! machine, which is how the repo *proves* (in a test, not a doc claim)
 //! that `√(2·C·M)` lands within one grid step of the simulated optimum.
 
-use crate::goodput::GoodputReport;
-use crate::run::ElasticError;
-use crate::stream::FailureStream;
-use crate::timeline::Timeline;
-use crate::topology::FailureTopology;
-use dt_simengine::{SimDuration, TraceRecorder};
-use dt_telemetry::Telemetry;
-
-/// The checkpoint–restart machine description.
-#[derive(Debug, Clone, Copy)]
-pub struct MachineConfig {
-    /// Iterations the run must commit.
-    pub iterations: u32,
-    /// Fixed cost of one iteration.
-    pub iter_time: SimDuration,
-    /// Synchronous cost of one checkpoint write.
-    pub checkpoint_cost: SimDuration,
-    /// Checkpoint cadence in iterations.
-    pub checkpoint_interval: u32,
-    /// Cost of detection + reschedule + reload after a failure.
-    pub restart_overhead: SimDuration,
-    /// Failure domains (nodes); any one failing restarts the machine.
-    pub nodes: u32,
-    /// Per-node MTBF.
-    pub node_mtbf: SimDuration,
-    /// Failure-stream seed.
-    pub failure_seed: u64,
-    /// Correlated rack/switch domains layered on top of the independent
-    /// per-node process. `None` keeps the classic independent model.
-    pub topology: Option<FailureTopology>,
-    /// Spare pool: `None` repairs every failure in place (unlimited
-    /// spares, the classic machine); `Some(k)` consumes one spare per
-    /// failed slot and *retires* slots once the pool is dry — a large
-    /// enough blast radius can then destroy every slot and stall the
-    /// machine, which surfaces as [`ElasticError::NoProgress`].
-    pub spares: Option<u32>,
-}
-
-/// Run the machine to completion and account for every wall-clock second.
-///
-/// Errors with [`ElasticError::NoProgress`] when the failure process
-/// destroys every node slot (spare pool dry, blast radius too large)
-/// before the requested iterations commit.
-pub fn simulate_goodput(cfg: &MachineConfig) -> Result<GoodputReport, ElasticError> {
-    let stream =
-        FailureStream::with_topology(cfg.nodes, cfg.node_mtbf, cfg.failure_seed, cfg.topology);
-    let (mut rec, tel) = (TraceRecorder::disabled(), Telemetry::disabled());
-    let mut tl = Timeline::new(
-        stream,
-        cfg.checkpoint_cost,
-        cfg.restart_overhead,
-        SimDuration::ZERO,
-        &mut rec,
-        &tel,
-        0,
-    );
-    let mut spares = cfg.spares;
-    let mut it = 0u32;
-    while it < cfg.iterations {
-        let Some(victims) = tl.next_failure(cfg.iter_time) else {
-            tl.commit(cfg.iter_time, cfg.iter_time);
-            it += 1;
-            if it.is_multiple_of(cfg.checkpoint_interval.max(1)) {
-                tl.checkpoint(it, "checkpoint");
-            }
-            continue;
-        };
-        let resume_at = tl.saved_at();
-        tl.roll_back(
-            &victims,
-            it,
-            resume_at,
-            cfg.iter_time * u64::from(it - resume_at),
-        );
-        it = resume_at;
-        // Spare accounting: a dry pool retires the slot (the cluster
-        // shrank); `None` means repair-in-place forever.
-        for v in &victims {
-            match spares.as_mut() {
-                Some(0) => tl.retire(v.node),
-                Some(left) => *left -= 1,
-                None => {}
-            }
-        }
-        if tl.stream().active() == 0 {
-            // Every slot is gone and the spare pool is dry: nothing can
-            // host the job.
-            return Err(ElasticError::NoProgress {
-                committed: it,
-                requested: cfg.iterations,
-            });
-        }
-    }
-    Ok(tl.finish())
-}
-
-/// Exhaustively search `grid` (checkpoint intervals in iterations) on the
-/// simulator, averaging goodput over `seeds` independent failure
-/// timelines, and return the interval with the highest mean goodput.
-pub fn exhaustive_best_interval(
-    cfg: &MachineConfig,
-    grid: &[u32],
-    seeds: &[u64],
-) -> Result<u32, ElasticError> {
-    assert!(!grid.is_empty() && !seeds.is_empty());
-    let mut best = (f64::NEG_INFINITY, grid[0]);
-    for &interval in grid {
-        let mut total = 0.0;
-        for &seed in seeds {
-            let mut c = *cfg;
-            c.checkpoint_interval = interval;
-            c.failure_seed = seed;
-            total += simulate_goodput(&c)?.goodput();
-        }
-        let mean = total / seeds.len() as f64;
-        if mean > best.0 {
-            best = (mean, interval);
-        }
-    }
-    Ok(best.1)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::goodput::GoodputReport;
     use crate::policy::{
         interval_in_iterations, young_daly_interval, young_daly_interval_correlated,
     };
-    use dt_simengine::SimTime;
+    use crate::run::ElasticError;
+    use crate::stream::FailureStream;
+    use crate::timeline::Timeline;
+    use crate::topology::FailureTopology;
+    use dt_simengine::{SimDuration, SimTime, TraceRecorder};
+    use dt_telemetry::Telemetry;
+
+    /// The checkpoint–restart machine description.
+    #[derive(Debug, Clone, Copy)]
+    struct MachineConfig {
+        /// Iterations the run must commit.
+        iterations: u32,
+        /// Fixed cost of one iteration.
+        iter_time: SimDuration,
+        /// Synchronous cost of one checkpoint write.
+        checkpoint_cost: SimDuration,
+        /// Checkpoint cadence in iterations.
+        checkpoint_interval: u32,
+        /// Cost of detection + reschedule + reload after a failure.
+        restart_overhead: SimDuration,
+        /// Failure domains (nodes); any one failing restarts the machine.
+        nodes: u32,
+        /// Per-node MTBF.
+        node_mtbf: SimDuration,
+        /// Failure-stream seed.
+        failure_seed: u64,
+        /// Correlated rack/switch domains layered on top of the independent
+        /// per-node process. `None` keeps the classic independent model.
+        topology: Option<FailureTopology>,
+        /// Spare pool: `None` repairs every failure in place (unlimited
+        /// spares, the classic machine); `Some(k)` consumes one spare per
+        /// failed slot and *retires* slots once the pool is dry — a large
+        /// enough blast radius can then destroy every slot and stall the
+        /// machine, which surfaces as [`ElasticError::NoProgress`].
+        spares: Option<u32>,
+    }
+
+    /// Run the machine to completion and account for every wall-clock second.
+    ///
+    /// Errors with [`ElasticError::NoProgress`] when the failure process
+    /// destroys every node slot (spare pool dry, blast radius too large)
+    /// before the requested iterations commit.
+    fn simulate_goodput(cfg: &MachineConfig) -> Result<GoodputReport, ElasticError> {
+        let stream =
+            FailureStream::with_topology(cfg.nodes, cfg.node_mtbf, cfg.failure_seed, cfg.topology);
+        let (mut rec, tel) = (TraceRecorder::disabled(), Telemetry::disabled());
+        let mut tl = Timeline::new(
+            stream,
+            cfg.checkpoint_cost,
+            cfg.restart_overhead,
+            SimDuration::ZERO,
+            &mut rec,
+            &tel,
+            0,
+        );
+        let mut spares = cfg.spares;
+        let mut it = 0u32;
+        while it < cfg.iterations {
+            let Some(victims) = tl.next_failure(cfg.iter_time) else {
+                tl.commit(cfg.iter_time, cfg.iter_time);
+                it += 1;
+                if it.is_multiple_of(cfg.checkpoint_interval.max(1)) {
+                    tl.checkpoint(it, "checkpoint");
+                }
+                continue;
+            };
+            let resume_at = tl.saved_at();
+            tl.roll_back(
+                &victims,
+                it,
+                resume_at,
+                cfg.iter_time * u64::from(it - resume_at),
+            );
+            it = resume_at;
+            // Spare accounting: a dry pool retires the slot (the cluster
+            // shrank); `None` means repair-in-place forever.
+            for v in &victims {
+                match spares.as_mut() {
+                    Some(0) => tl.retire(v.node),
+                    Some(left) => *left -= 1,
+                    None => {}
+                }
+            }
+            if tl.stream().active() == 0 {
+                // Every slot is gone and the spare pool is dry: nothing can
+                // host the job.
+                return Err(ElasticError::NoProgress {
+                    committed: it,
+                    requested: cfg.iterations,
+                });
+            }
+        }
+        Ok(tl.finish())
+    }
+
+    /// Exhaustively search `grid` (checkpoint intervals in iterations) on the
+    /// simulator, averaging goodput over `seeds` independent failure
+    /// timelines, and return the interval with the highest mean goodput.
+    fn exhaustive_best_interval(
+        cfg: &MachineConfig,
+        grid: &[u32],
+        seeds: &[u64],
+    ) -> Result<u32, ElasticError> {
+        assert!(!grid.is_empty() && !seeds.is_empty());
+        let mut best = (f64::NEG_INFINITY, grid[0]);
+        for &interval in grid {
+            let mut total = 0.0;
+            for &seed in seeds {
+                let mut c = *cfg;
+                c.checkpoint_interval = interval;
+                c.failure_seed = seed;
+                total += simulate_goodput(&c)?.goodput();
+            }
+            let mean = total / seeds.len() as f64;
+            if mean > best.0 {
+                best = (mean, interval);
+            }
+        }
+        Ok(best.1)
+    }
 
     fn secs(s: f64) -> SimDuration {
         SimDuration::from_secs_f64(s)

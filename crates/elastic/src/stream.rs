@@ -32,8 +32,7 @@ use std::collections::VecDeque;
 /// One node failure on the simulated clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeFailure {
-    /// The node slot that failed (all its GPUs die together; the failure
-    /// domain comes from `dt_cluster::ClusterSpec::gpus_of_node`).
+    /// The node slot that failed (all its GPUs die together).
     pub node: u32,
     /// When it failed.
     pub at: SimTime,

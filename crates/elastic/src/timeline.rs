@@ -1,14 +1,14 @@
-//! The one checkpoint–restart timeline both elastic drivers run on.
+//! The checkpoint–restart timeline the elastic driver runs on.
 //!
 //! A [`Timeline`] owns the wall clock, the [`GoodputReport`] buckets, the
 //! [`FailureStream`], the trace-clock origin and the elastic counters.
 //! Every charge — a committed iteration, a checkpoint write, a rollback
 //! plus restart, a re-shard — is one method that moves the wall clock,
 //! its bucket and the trace origin together, so the three cannot drift
-//! apart. [`simulate_goodput`](crate::sim::simulate_goodput) drives it with
-//! a constant iteration time; [`run_elastic`](crate::run::run_elastic)
-//! drives it with the runtime's iterations and adds the side effects only
-//! a live run has (checkpoint files, spares, re-plans, the healer).
+//! apart. [`run_elastic`](crate::run::run_elastic) drives it with the
+//! runtime's iterations and adds the side effects only a live run has
+//! (checkpoint files, spares, re-plans, the healer); the Young–Daly
+//! validation tests in `sim.rs` drive it with a constant iteration time.
 //!
 //! Failures are taken at iteration boundaries: a failure that strikes
 //! inside a checkpoint-write, restart or re-shard window surfaces before

@@ -9,12 +9,10 @@
 //! from forked [`DetRng`](dt_simengine::DetRng) streams, so a correlated
 //! timeline stays bit-reproducible from `(nodes, mtbf, seed, topology)`.
 //!
-//! The domain grouping comes from [`dt_cluster::ClusterSpec`]'s rack
-//! layout ([`ClusterSpec::rack_of_node`]): nodes are racked contiguously,
-//! [`NODES_PER_RACK`](dt_cluster::NODES_PER_RACK) to a rack, and a domain
-//! event fails every *live* slot in its rack.
+//! Domains are contiguous blocks of `nodes_per_domain` node slots (a
+//! production rack holds four 8-GPU servers behind one PDU and one ToR
+//! switch), and a domain event fails every *live* slot in its domain.
 
-use dt_cluster::ClusterSpec;
 use dt_simengine::SimDuration;
 
 /// Rack/switch-level correlated failure domains over the node slots.
@@ -34,11 +32,6 @@ impl FailureTopology {
             nodes_per_domain: nodes_per_domain.max(1),
             domain_mtbf,
         }
-    }
-
-    /// The cluster's own rack layout as the failure-domain grouping.
-    pub fn from_cluster(cluster: &ClusterSpec, domain_mtbf: SimDuration) -> Self {
-        FailureTopology::new(cluster.nodes_per_rack(), domain_mtbf)
     }
 
     /// The domain a node slot belongs to.
@@ -77,16 +70,6 @@ mod tests {
         assert_eq!(t.domain_of(7), 1);
         assert_eq!(t.nodes_of_domain(2, 10), 8..10);
         assert_eq!(t.nodes_of_domain(3, 10), 10..10);
-    }
-
-    #[test]
-    fn cluster_racks_define_the_domains() {
-        let c = ClusterSpec::production(12);
-        let t = FailureTopology::from_cluster(&c, secs(500.0));
-        assert_eq!(t.nodes_per_domain, c.nodes_per_rack());
-        for n in 0..c.num_nodes {
-            assert_eq!(t.domain_of(n), c.rack_of_node(n));
-        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! stall burst before it — and must stay silent on the clean run of the
 //! same seed.
 
-use disttrain_core::{SystemKind, TrainingTask};
-use dt_elastic::{run_elastic_instrumented, CheckpointPolicy, ElasticPlan, ElasticReport};
+use disttrain_core::TrainingTask;
+use dt_elastic::{run_elastic, CheckpointPolicy, ElasticOptions, ElasticPlan, ElasticReport};
 use dt_model::MllmPreset;
-use dt_simengine::{SimDuration, TraceRecorder};
-use dt_telemetry::{names, AnomalyDetector, AnomalyKind, FlightLog, Snapshot, Telemetry};
+use dt_simengine::SimDuration;
+use dt_telemetry::{names, AnomalyDetector, AnomalyKind, Snapshot, Telemetry};
 
 const ITERS: u32 = 12;
 
@@ -20,19 +20,12 @@ fn metered_run(task: &TrainingTask, elastic: &ElasticPlan, tag: &str) -> (Elasti
     let dir = std::env::temp_dir().join(format!("dt-anomaly-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let plan = task.plan(SystemKind::DistTrain).expect("plan");
     let tel = Telemetry::enabled();
-    let out = run_elastic_instrumented(
-        task,
-        ITERS,
-        elastic,
-        plan,
-        &dir,
-        &mut TraceRecorder::disabled(),
-        &tel,
-        &FlightLog::disabled(),
-    )
-    .expect("elastic run");
+    let opts = ElasticOptions {
+        telemetry: tel.clone(),
+        ..Default::default()
+    };
+    let out = run_elastic(task, ITERS, elastic, &dir, opts).expect("elastic run");
     std::fs::remove_dir_all(&dir).unwrap();
     (out, tel.snapshot())
 }

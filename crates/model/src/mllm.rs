@@ -216,11 +216,6 @@ impl MllmPreset {
         }
     }
 
-    /// The paper's global batch size for the large-scale runs (§7.1).
-    pub fn production_global_batch(self) -> u32 {
-        1920
-    }
-
     /// The paper's global batch sizes for the 96-GPU ablations (§7.2).
     pub fn ablation_global_batch(self) -> u32 {
         match self {
@@ -302,15 +297,6 @@ impl MultimodalLlm {
         } else {
             3.0 * fwd
         }
-    }
-
-    /// "Model FLOPs" of one sample for MFU accounting — the FLOPs a perfect
-    /// machine must spend: 3× forward for trainable modules, 1× for frozen.
-    pub fn model_flops_sample(&self, shape: &SampleShape) -> f64 {
-        ModuleKind::ALL
-            .iter()
-            .map(|&m| self.module_flops_train(m, shape))
-            .sum()
     }
 
     /// Memory description of one module for the §4.2 constraint model.
@@ -463,16 +449,5 @@ mod tests {
         assert_eq!(zoo.len(), 6);
         assert_eq!(zoo[0].model, "Flamingo");
         assert!(zoo[5].generators.contains(&"SoundStream".to_string()));
-    }
-
-    #[test]
-    fn module_flops_are_additive() {
-        let m = MllmPreset::Mllm15B.build();
-        let s = shape();
-        let sum: f64 = ModuleKind::ALL
-            .iter()
-            .map(|&k| m.module_flops_train(k, &s))
-            .sum();
-        assert_eq!(sum, m.model_flops_sample(&s));
     }
 }

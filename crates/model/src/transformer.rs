@@ -98,11 +98,6 @@ impl TransformerConfig {
         body + head
     }
 
-    /// Backward FLOPs (standard 2× forward estimate).
-    pub fn flops_backward(&self, seq: u64) -> f64 {
-        2.0 * self.flops_forward(seq)
-    }
-
     /// Forward+backward FLOPs for `seq` tokens.
     pub fn flops_fwd_bwd(&self, seq: u64) -> f64 {
         3.0 * self.flops_forward(seq)
@@ -136,9 +131,6 @@ impl TransformerConfig {
     pub fn tp_allreduce_bytes(&self, seq: u64) -> u64 {
         2 * seq * self.hidden
     }
-
-    /// Number of TP allreduces per layer in the forward pass.
-    pub const TP_ALLREDUCES_PER_LAYER_FWD: u32 = 2;
 }
 
 #[cfg(test)]
@@ -194,7 +186,6 @@ mod tests {
     #[test]
     fn backward_is_twice_forward() {
         let c = mha_4layer();
-        assert_eq!(c.flops_backward(64), 2.0 * c.flops_forward(64));
         assert_eq!(c.flops_fwd_bwd(64), 3.0 * c.flops_forward(64));
     }
 

@@ -60,17 +60,6 @@ impl VitConfig {
         self.trunk.flops_forward(t) + embed
     }
 
-    /// Forward FLOPs for a batch of images given as total image tokens,
-    /// assuming they share one resolution `res` (the common training setup).
-    pub fn flops_forward_tokens(&self, image_tokens: u64, res: u32) -> f64 {
-        let per_img = self.tokens_per_image(res);
-        if per_img == 0 {
-            return 0.0;
-        }
-        let images = image_tokens as f64 / per_img as f64;
-        images * self.flops_forward_image(res)
-    }
-
     /// Forward+backward FLOPs for one image.
     pub fn flops_fwd_bwd_image(&self, res: u32) -> f64 {
         3.0 * self.flops_forward_image(res)
@@ -103,13 +92,5 @@ mod tests {
         let f1024 = v.flops_forward_image(1024);
         // 4× the tokens, plus quadratic attention → more than 4×.
         assert!(f1024 > 4.0 * f512);
-    }
-
-    #[test]
-    fn token_batch_flops_are_linear_in_images() {
-        let v = VitConfig::vit_huge();
-        let one = v.flops_forward_tokens(1024, 512);
-        let four = v.flops_forward_tokens(4096, 512);
-        assert!((four / one - 4.0).abs() < 1e-9);
     }
 }

@@ -33,9 +33,6 @@ use dt_telemetry::Counter;
 pub struct PerfCache {
     /// Forward+backward seconds per sample, `[module][trial-tp index]`.
     train: [[f64; TRIAL_TPS.len()]; 3],
-    /// Forward-only seconds per sample (kept for parity with the profile;
-    /// the §4.2 objective consumes the train flavor).
-    fwd: [[f64; TRIAL_TPS.len()]; 3],
     /// The profile's mean sample shape: the shape every shortlisted plan
     /// is validated against (memory of all three modules).
     pub(crate) mean_shape: SampleShape,
@@ -62,18 +59,15 @@ impl PerfCache {
     /// recording its mean shape and the model's backbone memory there.
     pub fn build(model: &MultimodalLlm, profile: &TaskProfile) -> Self {
         let mut train = [[0.0; TRIAL_TPS.len()]; 3];
-        let mut fwd = [[0.0; TRIAL_TPS.len()]; 3];
         for module in ModuleKind::ALL {
             let m = module_index(module);
             let p = profile.module(module);
             for (i, &tp) in TRIAL_TPS.iter().enumerate() {
                 train[m][i] = p.train(tp);
-                fwd[m][i] = p.fwd(tp);
             }
         }
         PerfCache {
             train,
-            fwd,
             mean_shape: profile.mean_shape,
             backbone_memory: model.module_memory(ModuleKind::Backbone, &profile.mean_shape),
             hits: Counter::new(),
@@ -108,12 +102,6 @@ impl PerfCache {
             .iter()
             .flatten()
             .all(|&c| c.is_finite() && c >= 0.0)
-    }
-
-    /// Forward seconds per sample at `tp` (same table discipline as
-    /// [`TrainCost::train_cost`]).
-    pub fn fwd_cost(&self, module: ModuleKind, tp: u32) -> f64 {
-        self.lookup(&self.fwd[module_index(module)], tp)
     }
 
     fn lookup(&self, row: &[f64; TRIAL_TPS.len()], tp: u32) -> f64 {
@@ -169,10 +157,6 @@ mod tests {
                     cache.train_cost(module, tp).to_bits(),
                     profile.train_cost(module, tp).to_bits(),
                     "{module:?} tp={tp}"
-                );
-                assert_eq!(
-                    cache.fwd_cost(module, tp).to_bits(),
-                    profile.module(module).fwd(tp).to_bits(),
                 );
             }
         }

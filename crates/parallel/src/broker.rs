@@ -55,16 +55,6 @@ impl BrokerLink {
         gcd(self.upstream_dp.max(1), self.downstream_dp.max(1))
     }
 
-    /// Upstream ranks feeding one broker.
-    pub fn upstream_fan_in(&self) -> u32 {
-        self.upstream_dp.max(1) / self.broker_count()
-    }
-
-    /// Downstream ranks fed by one broker.
-    pub fn downstream_fan_out(&self) -> u32 {
-        self.downstream_dp.max(1) / self.broker_count()
-    }
-
     /// Time for one *global* microbatch boundary crossing: every broker in
     /// parallel concentrates its fan-in transfers and scatters its fan-out
     /// transfers. `bytes_per_microbatch` is the total activation volume of
@@ -96,13 +86,6 @@ mod tests {
         assert_eq!(BrokerLink::new(8, 8).broker_count(), 8);
         assert_eq!(BrokerLink::new(3, 5).broker_count(), 1);
         assert_eq!(BrokerLink::new(16, 2).broker_count(), 2);
-    }
-
-    #[test]
-    fn fan_in_and_out_cover_all_ranks() {
-        let l = BrokerLink::new(6, 4);
-        assert_eq!(l.broker_count() * l.upstream_fan_in(), 6);
-        assert_eq!(l.broker_count() * l.downstream_fan_out(), 4);
     }
 
     #[test]

@@ -10,16 +10,11 @@
 //! This crate provides:
 //! * [`ModulePlan`] / [`OrchestrationPlan`] — the resource + parallelism
 //!   assignment the orchestrator produces and the runtime consumes;
-//! * [`UnitLayout`] — the initializer's rank→group assignment (TP groups on
-//!   consecutive GPUs so they stay inside one NVLink domain, then DP, then
-//!   PP), mirroring how the real system builds communication groups;
 //! * [`broker`] — broker counting (GCD of adjacent DP sizes), per-broker
 //!   traffic, and the hop-cost model used by the pipeline simulation.
 
 pub mod broker;
-pub mod layout;
 pub mod plan;
 
 pub use broker::BrokerLink;
-pub use layout::UnitLayout;
 pub use plan::{ModulePlan, OrchestrationPlan};

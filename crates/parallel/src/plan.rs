@@ -163,11 +163,6 @@ impl OrchestrationPlan {
         self.encoder.pp + self.backbone.pp + self.generator.pp
     }
 
-    /// Microbatches per iteration per backbone DP rank (`BS / (DP_lm·M)`).
-    pub fn microbatches_per_iteration(&self, global_batch: u32) -> u32 {
-        global_batch / (self.backbone.dp * self.microbatch).max(1)
-    }
-
     /// Validate against cluster size, §4.3 confinement, batch divisibility
     /// and per-module memory capacity.
     pub fn validate(
@@ -247,7 +242,6 @@ mod tests {
         };
         assert_eq!(plan.total_gpus(), 16 + 64 + 4);
         assert_eq!(plan.total_stages(), 4);
-        assert_eq!(plan.microbatches_per_iteration(128), 32);
     }
 
     #[test]

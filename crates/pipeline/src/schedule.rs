@@ -67,14 +67,6 @@ impl Schedule {
             }
         }
     }
-
-    /// Warm-up divisor for the analytic model (VPP shortens warm-up).
-    pub fn warmup_divisor(&self) -> f64 {
-        match self {
-            Schedule::Interleaved { vpp } => (*vpp).max(1) as f64,
-            _ => 1.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,11 +191,5 @@ mod tests {
             assert!(sched.stage_order(0, 4, 0).is_empty(), "l == 0");
             assert!(sched.stage_order(0, 0, 0).is_empty(), "p == l == 0");
         }
-    }
-
-    #[test]
-    fn warmup_divisor_reflects_vpp() {
-        assert_eq!(Schedule::OneFOneB.warmup_divisor(), 1.0);
-        assert_eq!(Schedule::Interleaved { vpp: 4 }.warmup_divisor(), 4.0);
     }
 }

@@ -233,18 +233,6 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    /// Rejection-reason label for metrics.
-    pub fn reason_label(&self) -> &'static str {
-        match self {
-            ServeError::Overloaded { .. } => "overloaded",
-            ServeError::DeadlineExceeded { .. } => "deadline",
-            ServeError::BadRequest { .. } => "bad_request",
-            ServeError::Malformed { .. } => "malformed",
-            ServeError::Plan { .. } => "plan",
-            ServeError::ShuttingDown => "shutting_down",
-        }
-    }
-
     /// Whether a client should retry (with backoff) after this error.
     pub fn retryable(&self) -> bool {
         matches!(self, ServeError::Overloaded { .. })

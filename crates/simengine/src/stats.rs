@@ -73,20 +73,6 @@ impl Summary {
         self.percentile(0.5)
     }
 
-    /// Empirical CDF sampled at `points` evenly spaced quantiles, returned as
-    /// `(value, cumulative_fraction)` pairs — the exact series Figure 5 plots.
-    pub fn cdf(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        (1..=points)
-            .map(|i| {
-                let q = i as f64 / points as f64;
-                (self.percentile(q), q)
-            })
-            .collect()
-    }
-
     /// Fixed-width histogram over `[min, max]` with `bins` buckets, returned
     /// as `(bucket_lower_edge, count)`.
     pub fn histogram(&self, bins: usize) -> Vec<(f64, usize)> {
@@ -149,7 +135,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(0.5), 0.0);
-        assert!(s.cdf(4).is_empty());
         assert!(s.histogram(4).is_empty());
     }
 
@@ -158,17 +143,6 @@ mod tests {
         let s = Summary::from_values([1.0, f64::NAN, 3.0]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.mean(), 2.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let s = Summary::from_values([5.0, 1.0, 3.0, 2.0, 4.0]);
-        let cdf = s.cdf(10);
-        for w in cdf.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 > w[0].1);
-        }
-        assert_eq!(cdf.last().unwrap().1, 1.0);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds as `f64` (for reporting only).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// `true` when the duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

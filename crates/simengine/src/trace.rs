@@ -355,17 +355,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Keep at most `cap` spans, evicting the oldest-recorded first. Used
-    /// by long-lived daemons so an always-on trace buffer stays bounded.
-    pub fn evict_to(&mut self, cap: usize) {
-        if let Some(spans) = &mut self.spans {
-            if spans.len() > cap {
-                let excess = spans.len() - cap;
-                spans.drain(..excess);
-            }
-        }
-    }
-
     /// Total span time on one `(pid, tid)` track, optionally filtered by
     /// category.
     pub fn track_total(&self, pid: u64, tid: u64, category: Option<&str>) -> SimDuration {
@@ -727,15 +716,6 @@ impl WallTraceSink {
         self.export(0)
     }
 
-    /// Drain into a plain recorder (for export alongside simulated spans).
-    /// A disabled sink drains to a disabled recorder.
-    pub fn into_recorder(self) -> TraceRecorder {
-        if !self.is_enabled() {
-            return TraceRecorder::disabled();
-        }
-        recorder_of(self.snapshot())
-    }
-
     /// Snapshot as a recorder whose span starts are nanoseconds since the
     /// unix epoch instead of since this sink's creation. Two processes
     /// each exporting through `unix_recorder` land on one merged clock, so
@@ -853,8 +833,6 @@ mod tests {
             spans[0].dur.as_nanos() >= 1_000_000,
             "sleep must be visible"
         );
-        let rec = sink.into_recorder();
-        assert_eq!(rec.len(), 1);
     }
 
     #[test]
@@ -927,19 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_to_drops_oldest_first() {
-        let mut rec = TraceRecorder::enabled();
-        for i in 0..10 {
-            rec.record(span(0, 0, i, 1));
-        }
-        rec.evict_to(4);
-        assert_eq!(rec.len(), 4);
-        assert_eq!(rec.spans()[0].start.as_nanos(), 6, "oldest evicted");
-        rec.evict_to(100); // no-op below the cap
-        assert_eq!(rec.len(), 4);
-    }
-
-    #[test]
     fn full_wall_sink_keeps_the_newest_spans_in_order() {
         let sink = WallTraceSink::new().with_capacity(8);
         let started = Instant::now();
@@ -1005,7 +970,6 @@ mod tests {
         sink.record("x", cat::SERVE_EXEC, 0, 0, Instant::now());
         assert!(sink.snapshot().is_empty());
         assert!(sink.unix_recorder().is_empty());
-        assert!(!sink.into_recorder().is_enabled());
     }
 
     #[test]

@@ -98,11 +98,6 @@ pub const MAX_EXP: i32 = 30;
 /// Number of log-spaced buckets (excluding the zero/negative bucket).
 pub const NUM_BUCKETS: usize = ((MAX_EXP - MIN_EXP) as u32 * BUCKETS_PER_OCTAVE) as usize;
 
-/// Lower bound of bucket `i`.
-fn bucket_lo(i: usize) -> f64 {
-    2f64.powf(MIN_EXP as f64 + i as f64 / BUCKETS_PER_OCTAVE as f64)
-}
-
 /// Representative value of bucket `i`: the geometric midpoint of its
 /// bounds, which halves the worst-case relative quantile error.
 fn bucket_mid(i: usize) -> f64 {
@@ -322,18 +317,6 @@ impl HistogramSnapshot {
             self.sum / self.count as f64
         }
     }
-
-    /// Cumulative `(upper bound, count ≤ bound)` pairs over the non-empty
-    /// buckets — the shape a Prometheus histogram exposition would use.
-    pub fn cumulative(&self) -> Vec<(f64, u64)> {
-        let mut acc = self.zeros;
-        let mut out = Vec::with_capacity(self.buckets.len());
-        for &(i, c) in &self.buckets {
-            acc += c;
-            out.push((bucket_lo(i as usize + 1), acc));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -432,7 +415,5 @@ mod tests {
         let s = h.snapshot();
         let bucketed: u64 = s.buckets.iter().map(|&(_, c)| c).sum();
         assert_eq!(bucketed + s.zeros, s.count);
-        let cum = s.cumulative();
-        assert_eq!(cum.last().unwrap().1, s.count);
     }
 }

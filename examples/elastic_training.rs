@@ -54,7 +54,7 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("dt-elastic-example-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("checkpoint dir");
-    let out = run_elastic(&task, 10, &elastic, &dir).expect("elastic run");
+    let out = run_elastic(&task, 10, &elastic, &dir, Default::default()).expect("elastic run");
     let _ = std::fs::remove_dir_all(&dir);
 
     println!("\nfailure log:");

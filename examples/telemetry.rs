@@ -11,10 +11,8 @@
 //! it dies — prints the Prometheus exposition of the result, and lets the
 //! [`AnomalyDetector`] point at the injected faults.
 
-use disttrain::elastic::{run_elastic_instrumented, CheckpointPolicy, ElasticPlan};
+use disttrain::elastic::{run_elastic, CheckpointPolicy, ElasticOptions, ElasticPlan};
 use disttrain::prelude::*;
-use disttrain::simengine::TraceRecorder;
-use disttrain::telemetry::FlightLog;
 
 fn main() {
     let task = TrainingTask::ablation(MllmPreset::Mllm9B.build(), 32);
@@ -24,17 +22,12 @@ fn main() {
     let run = |elastic: &ElasticPlan| {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let telemetry = Telemetry::enabled();
-        let out = run_elastic_instrumented(
-            &task,
-            iterations,
-            elastic,
-            plan,
-            &dir,
-            &mut TraceRecorder::disabled(),
-            &telemetry,
-            &FlightLog::disabled(),
-        )
-        .expect("elastic run");
+        let opts = ElasticOptions {
+            initial_plan: Some(plan),
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        };
+        let out = run_elastic(&task, iterations, elastic, &dir, opts).expect("elastic run");
         let _ = std::fs::remove_dir_all(&dir);
         (out.report, telemetry)
     };

@@ -81,7 +81,8 @@
 //! `repro check`). Observability —
 //! span recording ([`simengine::trace`]), Chrome-trace export, per-module
 //! breakdowns, and the metrics registry ([`telemetry::Telemetry`], fed by
-//! [`core::Runtime::run_telemetry`] and scanned by
+//! [`core::Runtime::run_telemetry`] and by [`elastic::run_elastic`]
+//! through [`elastic::ElasticOptions`], and scanned by
 //! [`telemetry::AnomalyDetector`]) — is documented in the README's
 //! *Observability* section.
 

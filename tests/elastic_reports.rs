@@ -6,7 +6,7 @@
 //! is meant to be bit-identical and is not fails here.
 
 use disttrain::core::TrainingTask;
-use disttrain::elastic::{run_elastic_traced, CheckpointPolicy, ElasticPlan};
+use disttrain::elastic::{run_elastic, CheckpointPolicy, ElasticOptions, ElasticPlan};
 use disttrain::model::MllmPreset;
 use disttrain::simengine::trace::TraceRecorder;
 use disttrain::simengine::SimDuration;
@@ -59,7 +59,11 @@ fn transcript(tag: &str, elastic: &ElasticPlan, traced: bool) -> String {
     } else {
         TraceRecorder::disabled()
     };
-    let out = run_elastic_traced(&task, 10, elastic, &dir, &mut rec).expect("elastic run");
+    let opts = ElasticOptions {
+        trace: Some(&mut rec),
+        ..Default::default()
+    };
+    let out = run_elastic(&task, 10, elastic, &dir, opts).expect("elastic run");
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(out.report.iterations.len(), 10);
     let mut text = String::new();
