@@ -62,6 +62,12 @@ for manifest in crates/*/Cargo.toml; do
 done
 [ -z "$UNUSED" ] || { echo "declared but unused dependencies:$UNUSED" >&2; exit 1; }
 
+echo "==> no dead public surface (scripts/dead_pub.sh)"
+# Every pub fn/struct/enum/const/type/trait name must appear somewhere in
+# the non-test code besides its own definition, unless
+# scripts/dead_pub_allow.txt lists it as a test helper.
+scripts/dead_pub.sh
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
