@@ -14,7 +14,10 @@
 //! 5. push each column straight into one reused `dt_pipeline::Engine`,
 //!    the 1F1B engine Algorithm 2 probes, reset per rank; the slowest
 //!    rank gates the iteration (that *is* the intra-microbatch
-//!    straggler);
+//!    straggler). A rank whose rows repeat the previous rank's (§5 deals
+//!    equal-size samples to neighbouring ranks) is neither priced nor
+//!    replayed: it reuses that rank's makespan, bubble fraction and
+//!    preprocessing stall;
 //! 6. add gradient synchronization and the preprocessing stall of the
 //!    configured feeding mode;
 //! 7. report iteration time, MFU, and throughput.
@@ -429,6 +432,15 @@ impl<'a> Runtime<'a> {
     /// One iteration over a batch priced into `rows`, dispatched in
     /// `order` (position `k` trains row `order[k]`), observed as
     /// [`Runtime::step`] describes.
+    ///
+    /// A rank whose rows repeat the previous rank's (same length and,
+    /// position by position, an equal [`SampleShape`] and equal pixels)
+    /// reuses its makespan, bubble fraction and stall without pricing,
+    /// replaying or computing a stall. That is exact: the pricer reads
+    /// only the shape, the stall only the pixels, and the engine is a
+    /// pure function of the spec and the columns. The engine still holds
+    /// that rank's result, which is this one's, for the trace and the
+    /// metrics. A miss costs the compare.
     fn simulate_rows(
         &self,
         perf: &PerfModel<'_>,
@@ -463,15 +475,26 @@ impl<'a> Runtime<'a> {
         let mut pricer = Pricer::new(self, perf);
         let stages = pricer.pp.iter().sum();
         let mut engine = Engine::default();
+        let (mut previous, mut rank_stall): (&[usize], _) = (&[], SimDuration::ZERO);
         for rank in order.chunks(per_rank) {
-            engine.reset(&spec, stages, rank.len() / m);
-            for mb in rank.chunks(m) {
-                engine.push(pricer.column(mb.iter().map(|&k| rows.rows[k].shape)));
+            let repeats = rank.len() == previous.len()
+                && rank.iter().zip(previous).all(|(&a, &b)| {
+                    let (a, b) = (&rows.rows[a], &rows.rows[b]);
+                    a.shape == b.shape && a.pixels == b.pixels
+                });
+            if !repeats {
+                #[cfg(test)]
+                tests::ENGINE_RUNS.set(tests::ENGINE_RUNS.get() + 1);
+                engine.reset(&spec, stages, rank.len() / m);
+                for mb in rank.chunks(m) {
+                    engine.push(pricer.column(mb.iter().map(|&k| rows.rows[k].shape)));
+                }
+                rank_stall = self.preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
+                previous = rank;
             }
             pipeline_time = pipeline_time.max(engine.makespan());
             bubble_sum += engine.mean_bubble_fraction();
             ranks += 1;
-            let rank_stall = self.preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
             stall = stall.max(rank_stall);
             if rec.is_enabled() || tel.is_enabled() {
                 results.push(engine.result());
@@ -701,8 +724,64 @@ pub fn record_iteration_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::{SystemKind, TrainingTask};
     use dt_model::{FreezeConfig, MllmPreset};
     use dt_parallel::ModulePlan;
+    use dt_pipeline::PipelineResult;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Ranks [`Runtime::simulate_rows`] has priced and replayed on
+        /// this thread.
+        pub(super) static ENGINE_RUNS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `f`'s result and the ranks it priced and replayed.
+    fn engine_runs<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        ENGINE_RUNS.set(0);
+        let r = f();
+        (r, ENGINE_RUNS.get())
+    }
+
+    /// Every rank of `rows` dispatched in `order`, priced, replayed and
+    /// stalled afresh: its pipeline result and preprocessing stall.
+    fn fresh_ranks(
+        rt: &Runtime<'_>,
+        perf: &PerfModel<'_>,
+        rows: &CostRows,
+        order: &[usize],
+    ) -> Vec<(PipelineResult, SimDuration)> {
+        let coll = CollectiveCost::new(rt.cluster.clone());
+        let spec = PipelineSpec {
+            schedule: rt.cfg.schedule,
+            comm: rt.build_comm_for(&coll),
+        };
+        let m = rt.plan.microbatch as usize;
+        let per_rank = order.len() / rt.plan.backbone.dp as usize;
+        order
+            .chunks(per_rank)
+            .map(|rank| {
+                let shapes = rank
+                    .chunks(m)
+                    .map(|mb| mb.iter().map(|&k| rows.rows[k].shape));
+                let result = dt_pipeline::simulate(&spec, &rt.rank_workload(perf, shapes));
+                let stall = rt.preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
+                (result, stall)
+            })
+            .collect()
+    }
+
+    /// `report` is the max (pipeline time, stall) and the mean (bubble
+    /// fraction) over `ranks`, bit for bit.
+    fn assert_reports_ranks(report: &IterationReport, ranks: &[(PipelineResult, SimDuration)]) {
+        let makespan = ranks.iter().map(|(r, _)| r.makespan).max().unwrap();
+        let stall = ranks.iter().map(|&(_, s)| s).max().unwrap();
+        let bubbles: f64 = ranks.iter().map(|(r, _)| r.mean_bubble_fraction()).sum();
+        let mean = bubbles / ranks.len() as f64;
+        assert_eq!(report.pipeline_time, makespan);
+        assert_eq!(report.preprocess_stall, stall);
+        assert_eq!(report.bubble_fraction.to_bits(), mean.to_bits());
+    }
 
     fn bound<'a>(
         model: &'a MultimodalLlm,
@@ -1109,13 +1188,13 @@ mod tests {
 
     /// One pricing: an iteration's pipeline time and bubble fraction are
     /// the max and the mean over ranks of `dt_pipeline::simulate` on
-    /// `build_workload_for`'s workloads, bit for bit. Inputs: every §4
+    /// `build_workload_for`'s workloads, and its stall the max over ranks
+    /// of a fresh per-rank stall, bit for bit. Inputs: every §4
     /// trial candidate of the production MLLM-72B task, trained in full
     /// and with the encoder or the backbone frozen, so `bwd_factor` takes
     /// 0, 1 and 2 and PP splits exceed 1.
     #[test]
     fn an_iteration_prices_as_build_workload_for() {
-        use crate::system::{SystemKind, TrainingTask};
         let task = TrainingTask::production(MllmPreset::Mllm72B.build());
         let plans = task
             .trial_candidates()
@@ -1156,14 +1235,21 @@ mod tests {
                     comm: rt.build_comm_for(&coll),
                 };
                 let (mut makespan, mut bubbles, mut ranks) = (SimDuration::ZERO, 0.0, 0);
+                let mut stall = SimDuration::ZERO;
                 for mbs in batch.split(plan.backbone.dp, plan.microbatch) {
                     let r = dt_pipeline::simulate(&spec, &rt.build_workload_for(&perf, &mbs));
                     makespan = makespan.max(r.makespan);
                     bubbles += r.mean_bubble_fraction();
                     ranks += 1;
+                    let pixels = mbs
+                        .iter()
+                        .flat_map(|mb| &mb.samples)
+                        .map(TrainSample::total_pixels);
+                    stall = stall.max(rt.preprocess_stall(pixels));
                 }
                 let what = format!("{freeze:?} {plan:?}");
                 assert_eq!(report.pipeline_time, makespan, "{what}");
+                assert_eq!(report.preprocess_stall, stall, "{what}");
                 let mean = bubbles / ranks as f64;
                 assert_eq!(report.bubble_fraction.to_bits(), mean.to_bits(), "{what}");
             }
@@ -1171,6 +1257,173 @@ mod tests {
         for factor in [0.0, 1.0, 2.0] {
             assert!(factors.contains(&factor), "bwd_factor {factor} untested");
         }
+    }
+
+    /// Ranks that repeat their predecessor run the engine once; a rank
+    /// that differs from its neighbours only in one sample's pixels
+    /// (same shape) or only in one sample's `gen_images` is priced,
+    /// replayed and stalled afresh, and so is the rank after it. Both
+    /// feeding modes, against fresh per-rank results.
+    #[test]
+    fn near_miss_ranks_are_simulated_afresh() {
+        let model = MllmPreset::Mllm9B.build();
+        let cluster = ClusterSpec::production(20);
+        let mut colocated = RuntimeConfig::disttrain(32, 1);
+        colocated.preprocessing = PreprocessingMode::Colocated { workers: 8 };
+        for cfg in [RuntimeConfig::disttrain(32, 1), colocated] {
+            let rt = bound(&model, &cluster, cfg);
+            let coll = CollectiveCost::new(cluster.clone());
+            let perf = rt.perf_model(&coll);
+            // Eight ranks of the same four samples.
+            let four = SyntheticLaion::new(rt.data.clone(), 3).take(4);
+            let same = CostRows::new(&model, four.iter().cycle().take(32));
+            let order: Vec<usize> = (0..32).collect();
+            let simulate = |rows: &CostRows| {
+                engine_runs(|| {
+                    rt.simulate_rows(
+                        &perf,
+                        rows,
+                        &order,
+                        &mut TraceRecorder::disabled(),
+                        &Telemetry::disabled(),
+                    )
+                })
+            };
+            let (base, runs) = simulate(&same);
+            assert_eq!(runs, 1);
+            assert_reports_ranks(&base, &fresh_ranks(&rt, &perf, &same, &order));
+
+            // Rank 3 (rows 12..16) differs in its last sample only.
+            let mut pixels = same.clone();
+            pixels.rows[15].pixels *= 2;
+            let mut targets = same.clone();
+            targets.rows[15].shape.gen_images += 1;
+            for (what, rows) in [("pixels", pixels), ("gen_images", targets)] {
+                let what = format!("{what} {:?}", rt.cfg.preprocessing);
+                let (report, runs) = simulate(&rows);
+                assert_eq!(runs, 3, "{what}");
+                assert_reports_ranks(&report, &fresh_ranks(&rt, &perf, &rows, &order));
+                let moved = (report.pipeline_time, report.preprocess_stall)
+                    != (base.pipeline_time, base.preprocess_stall);
+                assert!(moved, "{what}: the near miss must change the report");
+            }
+        }
+    }
+
+    /// The production task's trial-selected plan with its stream (DP 128).
+    fn production_runtime(task: &TrainingTask, iterations: u32) -> Runtime<'_> {
+        Runtime {
+            model: &task.model,
+            cluster: &task.cluster,
+            plan: task
+                .plan(SystemKind::DistTrain)
+                .expect("the production task always has a plan"),
+            data: task.data.clone(),
+            cfg: task.runtime_config(SystemKind::DistTrain, iterations),
+        }
+    }
+
+    /// At the production train plan the runtime prices and replays only
+    /// the ranks whose stream differs from the previous rank's: 22–24 of
+    /// 128 in each of the first 8 iterations.
+    #[test]
+    fn production_ranks_run_the_engine_once_per_distinct_stream() {
+        let task = TrainingTask::production(MllmPreset::Mllm72B.build());
+        let rt = production_runtime(&task, 8);
+        assert_eq!(rt.plan.backbone.dp, 128);
+        let coll = CollectiveCost::new(task.cluster.clone());
+        let perf = rt.perf_model(&coll);
+        let batches = rt.batches(&perf);
+        for i in 0..rt.cfg.iterations {
+            let (rows, order) = batches.priced(i);
+            let key = |rank: &[usize]| -> Vec<_> {
+                rank.iter()
+                    .map(|&k| (rows.rows[k].shape, rows.rows[k].pixels))
+                    .collect()
+            };
+            let keys: Vec<_> = order.chunks(order.len() / 128).map(key).collect();
+            let distinct = 1 + keys.windows(2).filter(|w| w[0] != w[1]).count();
+            let (_, runs) = engine_runs(|| {
+                rt.step(
+                    &perf,
+                    &batches,
+                    i,
+                    &mut TraceRecorder::disabled(),
+                    &Telemetry::disabled(),
+                )
+            });
+            assert_eq!(runs, distinct, "iteration {i}");
+            assert!((22..=24).contains(&runs), "iteration {i}: {runs} of 128");
+        }
+    }
+
+    /// A traced production run: with the recorder and telemetry enabled
+    /// it reports what a plain run does, every rank's stage tracks carry
+    /// that rank's own fresh pipeline (each stage's compute and the
+    /// rank's makespan), and the metrics equal those of fresh per-rank
+    /// results.
+    #[test]
+    fn traced_production_ranks_trace_their_own_pipelines() {
+        let task = TrainingTask::production(MllmPreset::Mllm72B.build());
+        let rt = production_runtime(&task, 2);
+        let mut rec = TraceRecorder::enabled();
+        let tel = Telemetry::enabled();
+        let traced = rt.run_telemetry(&mut rec, &tel);
+        let plain = rt.run();
+        assert_eq!(
+            format!("{:?}", traced.iterations),
+            format!("{:?}", plain.iterations)
+        );
+
+        let coll = CollectiveCost::new(task.cluster.clone());
+        let perf = rt.perf_model(&coll);
+        let batches = rt.batches(&perf);
+        let comm = rt.build_comm_for(&coll);
+        let modules = rt.stage_modules();
+        let stages = modules.len();
+        let peak = task.cluster.node.gpu.peak_flops;
+        let reference = Telemetry::enabled();
+        let mut origin = SimTime::ZERO;
+        for (i, report) in (0..).zip(&plain.iterations) {
+            let (rows, order) = batches.priced(i);
+            let ranks = fresh_ranks(&rt, &perf, &rows, &order);
+            assert_reports_ranks(report, &ranks);
+            let window = origin..origin + report.iter_time;
+            for (pid, (result, _)) in (0u64..).zip(&ranks) {
+                record_pipeline_metrics(&reference, result, &comm, &modules);
+                let spans = rec
+                    .spans()
+                    .iter()
+                    .filter(|s| s.pid == pid && (s.tid as usize) < stages)
+                    .filter(|s| window.contains(&s.start) && s.cat != cat::BUBBLE);
+                let mut busy = vec![SimDuration::ZERO; stages];
+                let mut end = origin;
+                for s in spans {
+                    if s.cat != cat::COMM {
+                        busy[s.tid as usize] += s.dur;
+                    }
+                    end = end.max(s.end());
+                }
+                let fresh: Vec<_> = (0..stages).map(|s| result.stage_busy(s)).collect();
+                assert_eq!(busy, fresh, "iteration {i} rank {pid}");
+                assert_eq!(
+                    end.since(origin),
+                    result.makespan,
+                    "iteration {i} rank {pid}"
+                );
+            }
+            origin += report.iter_time;
+            let observed = (
+                report.iter_time.as_secs_f64(),
+                report.mfu(peak),
+                report.preprocess_stall.as_secs_f64(),
+            );
+            record_iteration_metrics(&reference, origin, report, peak, observed);
+        }
+        assert_eq!(
+            tel.snapshot().to_prometheus_text(),
+            reference.snapshot().to_prometheus_text()
+        );
     }
 
     #[test]
