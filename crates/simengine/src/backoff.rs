@@ -88,11 +88,6 @@ impl Deadline {
         }
     }
 
-    /// An unbounded deadline (never expires).
-    pub fn unbounded() -> Deadline {
-        Deadline::start(None)
-    }
-
     /// Time left, or `None` when unbounded. `Some(ZERO)` means spent.
     pub fn remaining(&self) -> Option<Duration> {
         self.budget
@@ -171,7 +166,7 @@ mod tests {
 
     #[test]
     fn unbounded_deadline_always_allows() {
-        let d = Deadline::unbounded();
+        let d = Deadline::start(None);
         assert!(d.remaining().is_none());
         assert!(d.allows_sleep(Duration::from_secs(3600)));
         assert_eq!(

@@ -5,8 +5,9 @@
 # allowlisted name that is no longer dead.
 #
 # Non-test code is crates/*/src, crates/*/benches, src, examples and
-# perfbench/src, each file without its #[cfg(test)] items. A name counts
-# wherever it appears as a word, doc comments and re-exports included.
+# perfbench/src, each file without its #[cfg(test)] items and without
+# `//` comments (doc comments included). A name counts wherever it
+# appears as a word in what is left, re-exports included.
 # Offline: sources only. Usage: scripts/dead_pub.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,7 +18,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 # Drop each #[cfg(test)] item: its further attributes, then either a
 # one-line item or everything up to the brace that closes it at the
-# attribute's own indentation.
+# attribute's own indentation. Then drop each line's `//` comment.
 find crates/*/src crates/*/benches src examples perfbench/src -name '*.rs' | sort \
     | xargs awk '
         function pad(n,   s) { s = ""; while (n-- > 0) s = s " "; return s }
@@ -27,7 +28,7 @@ find crates/*/src crates/*/benches src examples perfbench/src -name '*.rs' | sor
         skip == 1 { skip = 2 }
         skip == 2 { if (index($0, close_at) == 1) skip = 0; next }
         /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; close_at = pad(index($0, "#") - 1) "}"; next }
-        { print }
+        { sub(/\/\/.*/, ""); print }
     ' > "$TMP/code.rs"
 
 grep -oE '\bpub ((const|async|unsafe) )*(fn|struct|enum|const|type|trait) [A-Za-z_][A-Za-z0-9_]*' \
