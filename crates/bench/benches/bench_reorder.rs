@@ -21,8 +21,11 @@
 //! time the permutation alone on rows priced outside the timed call, as
 //! the runtime's iterations and plan trials run it. The `runtime_iteration`
 //! cases time `Runtime::simulate_iteration` on the reordered batch under
-//! each plan. The `pipeline_engine` cases replay one iteration of those
-//! plans on the engine (`Engine::run` over every DP rank's workload from
+//! each plan, and on the reordered skewed batch under the chosen plan,
+//! where almost no rank repeats its predecessor's rows: what the
+//! runtime's repeat check costs when it misses. The `pipeline_engine`
+//! cases replay one iteration of those plans on the engine
+//! (`Engine::run` over every DP rank's workload from
 //! `Runtime::build_workload_for`) and also report `ns_per_op`, the
 //! fastest iteration per executed op.
 //!
@@ -200,6 +203,30 @@ fn main() {
             ],
         );
     }
+
+    // The runtime's miss path: the skewed stream at the chosen plan, its
+    // image prices tabled as a run on that stream tables them.
+    let skewed_runtime = Runtime {
+        data: DataConfig::characterization(),
+        ..runtime(&task, chosen)
+    };
+    let perf = skewed_runtime.perf_model(&coll);
+    let planner = skewed_runtime.planner_for(&perf);
+    let (dp, p) = (planner.dp, planner.inter_cfg.stages);
+    let reordered = GlobalBatch::new(planner.reorder(skewed));
+    let name = format!("runtime_iteration/characterization_train_plan_n{n}_dp{dp}_p{p}");
+    let stats = bench_stats(&name, iters, || {
+        skewed_runtime.simulate_iteration(&perf, &reordered)
+    });
+    record(
+        name,
+        stats,
+        vec![
+            ("n", Json::num_u64(n as u64)),
+            ("dp", Json::num_u64(u64::from(dp))),
+            ("p", Json::num_u64(p as u64)),
+        ],
+    );
 
     let out = Json::obj(vec![
         ("bench", Json::Str("bench_reorder".into())),
