@@ -3,7 +3,7 @@
 //! ```text
 //! repro all                       # every experiment, presentation order
 //! repro fig13 fig14               # specific experiments
-//! repro list                      # what exists
+//! repro list                      # the usage below and every experiment
 //! repro fig13 --trace out.json    # also run the traced observability demo
 //! repro elastic --trace out.json  # elastic multi-failure run, Chrome trace
 //! repro all --json out.json       # archive every table as JSON
@@ -25,12 +25,33 @@
 //! repro client --addr A metrics                        # scrape /metrics
 //! repro client --addr A flight                         # flight-recorder dumps
 //! repro client --addr A shutdown                       # graceful drain
+//! repro <subcommand> --help                            # its usage line
 //! ```
 //!
-//! Flags may appear anywhere (before or after experiment names). An empty
-//! experiment list, any unknown experiment name, an unknown flag, and a
-//! flag missing its value are errors (exit code 2) — a misspelled or
-//! missing name never silently degrades a regeneration run. `--trace`
+//! The usage that `repro --help` prints, generated from the subcommand
+//! table below:
+//!
+//! ```text
+//! usage: repro [--trace PATH] [--json PATH] [--metrics PATH]
+//!            <experiment>... | all | list
+//!        repro check [--seeds N] [--prop NAME] [--seed S] [--size K]
+//!        repro preprocess [--producers N] [--consumers M] [--batch B]
+//!            [--batches K]
+//!        repro serve [--addr HOST:PORT] [--workers N] [--queue N]
+//!        repro client [--addr HOST:PORT] [--preset P] [--nodes N] [--batch B]
+//!            [--microbatch M] [--seed S] [--budget K] [--deadline-ms D]
+//!            [--remaining G] [--iters I] [--retries R] [--backoff-ms B]
+//!            [--jitter-seed J] [--trace PATH]
+//!            (ping | metrics | flight | shutdown | plan | replan | simulate)
+//!        repro <subcommand> --help
+//! ```
+//!
+//! One parser serves every subcommand. Flags may appear anywhere (before
+//! or after experiment names). An unknown flag, a flag missing its value,
+//! an unparsable value and a stray argument are errors (exit code 2), as
+//! are an empty experiment list and any unknown experiment name — a
+//! misspelled or missing name never silently degrades a regeneration run.
+//! `--help`/`-h` prints the usage on stdout and exits 0. `--trace`
 //! alongside the `elastic` experiment traces the elastic run itself; with
 //! any other selection it runs the default traced observability demo
 //! (Chrome JSON + per-module breakdown + per-rank Gantt) before the
@@ -48,37 +69,238 @@
 //! replays exactly the failing case. Unknown property names exit 2 and
 //! list the registry.
 //!
+//! `repro serve --workers N` caps the requests executing at once (default
+//! 2, each on its session thread), `--queue N` the requests waiting for
+//! one of those slots (default 16).
+//!
 //! Build with `--release`: the production-scale simulations (fig13/fig14)
 //! and the real preprocessing measurements (fig17) are CPU-heavy.
 
 use dt_bench::experiments::{self, Experiment};
 use dt_bench::{metricsbench, tracebench};
+use dt_serve::{RetryPolicy, ServeConfig, SpecDesc};
 use dt_simengine::Json;
+use std::net::SocketAddr;
 
-/// Every flag the parser accepts; error messages enumerate these so a typo
-/// points straight at the valid spellings.
-const FLAGS: [&str; 3] = ["--trace", "--json", "--metrics"];
+/// Parses one flag value into a subcommand's options.
+type Setter<O> = fn(&mut O, &str) -> Result<(), String>;
 
-fn usage(all: &[Experiment]) {
-    eprintln!(
-        "usage: repro [--trace <path>] [--json <path>] [--metrics <path>] \
-         <experiment>... | all | list\n       \
-         repro check [--seeds N] [--prop NAME] [--seed S --size K]\n       \
-         repro preprocess [--producers N] [--consumers M] [--batch B] [--batches K]"
-    );
-    eprintln!("experiments:");
-    for (name, _) in all {
-        eprintln!("  {name}");
+/// A `(flag, metavar, setter)` row whose setter parses the value with
+/// `FromStr` (a `String` never fails) and stores it in the options field
+/// `field`, through `wrap` if given.
+macro_rules! flag {
+    ($flag:literal, $metavar:literal, $($field:ident).+ $(, $wrap:expr)?) => {
+        ($flag, $metavar, |o, v| {
+            v.parse().map(|x| o.$($field).+ = $($wrap)?(x)).map_err(|e| format!("{e}"))
+        })
+    };
+}
+
+/// A subcommand: its `(flag, metavar, setter)` rows, the positional
+/// arguments it takes, and the body that runs on the parsed options and
+/// returns the exit code. A `PATH` metavar marks an output path.
+struct Cmd<O: 'static> {
+    name: &'static str,
+    init: fn() -> O,
+    flags: &'static [(&'static str, &'static str, Setter<O>)],
+    operands: Option<(&'static str, Setter<O>)>,
+    run: fn(O) -> i32,
+}
+
+/// A [`Cmd`] with its options type erased, so one table holds them all.
+trait Sub {
+    fn name(&self) -> &'static str;
+    fn synopsis(&self) -> String;
+    fn main(&self, args: &[String]) -> i32;
+}
+
+/// Every subcommand; the first, with no name, runs experiments.
+const SUBS: [&dyn Sub; 5] = [&EXPERIMENTS, &CHECK, &PREPROCESS, &SERVE, &CLIENT];
+
+impl<O: 'static> Sub for Cmd<O> {
+    fn name(&self) -> &'static str {
+        self.name
     }
+
+    /// `repro [name] [flag metavar]... [operands]`, wrapped to fit 80
+    /// columns under the 7-column `usage: ` prefix.
+    fn synopsis(&self) -> String {
+        let flags = self.flags.iter().map(|(f, m, _)| format!("[{f} {m}]"));
+        let operands = self.operands.map(|(text, _)| text.to_string());
+        let start = format!("repro {}", self.name).trim_end().to_string();
+        flags.chain(operands).fold(start, |text, word| {
+            let width = 7 + text.rsplit('\n').next().map_or(0, str::len);
+            let gap = if width + 1 + word.len() > 80 {
+                "\n    "
+            } else {
+                " "
+            };
+            text + gap + &word
+        })
+    }
+
+    /// Parse `args` against the flag rows, then run on the options.
+    fn main(&self, args: &[String]) -> i32 {
+        let mut opts = (self.init)();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let parsed = match (self.flags.iter().find(|f| f.0 == arg), self.operands) {
+                (Some((flag, metavar, set)), _) => match args.next() {
+                    Some(v) => {
+                        set(&mut opts, v).map_err(|e| format!("bad value '{v}' for {flag}: {e}"))
+                    }
+                    None if *metavar == "PATH" => Err(format!("{flag} requires an output path")),
+                    None => Err(format!("{flag} requires a value")),
+                },
+                _ if arg == "--help" || arg == "-h" => {
+                    println!("{}", usage(self.name));
+                    return 0;
+                }
+                _ if arg.starts_with('-') => Err(format!("unknown flag '{arg}'")),
+                (None, Some((_, set))) => set(&mut opts, arg),
+                (None, None) => Err(format!("unexpected argument '{arg}'")),
+            };
+            parsed.unwrap_or_else(|e| misuse(self.name, e));
+        }
+        (self.run)(opts)
+    }
+}
+
+/// The usage text of the named subcommand; the experiment path's (named
+/// `""`) covers every subcommand and lists the experiments.
+fn usage(name: &str) -> String {
+    let subs = SUBS.iter().filter(|s| name.is_empty() || s.name() == name);
+    let mut lines: Vec<String> = subs.map(|s| s.synopsis()).collect();
+    if !name.is_empty() {
+        return format!("usage: {}", lines[0].replace('\n', "\n       "));
+    }
+    lines.push("repro <subcommand> --help".into());
+    let list: String = experiments::all()
+        .iter()
+        .map(|(name, _)| format!("\n  {name}"))
+        .collect();
+    let lines = lines.join("\n").replace('\n', "\n       ");
+    format!("usage: {lines}\nexperiments:{list}")
+}
+
+/// Print `error: {msg}` and exit with `code`: 2 for a bad command line,
+/// 1 for a run that failed.
+fn fail(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code)
+}
+
+/// A bad command line: `msg` and the named subcommand's usage, exit 2.
+fn misuse(name: &str, msg: impl std::fmt::Display) -> ! {
+    fail(2, format!("{msg}\n{}", usage(name)))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let first = args.first().map(String::as_str);
+    let code = match SUBS[1..].iter().find(|s| Some(s.name()) == first) {
+        Some(sub) => sub.main(&args[1..]),
+        None => SUBS[0].main(&args),
+    };
+    std::process::exit(code)
+}
+
+#[derive(Default)]
+struct ExperimentArgs {
+    names: Vec<String>,
+    trace: Option<String>,
+    json: Option<String>,
+    metrics: Option<String>,
+}
+
+const EXPERIMENTS: Cmd<ExperimentArgs> = Cmd {
+    name: "",
+    init: ExperimentArgs::default,
+    flags: &[
+        flag!("--trace", "PATH", trace, Some),
+        flag!("--json", "PATH", json, Some),
+        flag!("--metrics", "PATH", metrics, Some),
+    ],
+    operands: Some(("<experiment>... | all | list", |o, v| {
+        o.names.push(v.into());
+        Ok(())
+    })),
+    run: run_experiments,
+};
+
+fn run_experiments(o: ExperimentArgs) -> i32 {
+    if o.names.iter().any(|n| n == "list") {
+        println!("{}", usage(""));
+        return 0;
+    }
+    if o.names.is_empty() {
+        misuse("", "no experiment given");
+    }
+    let all = experiments::all();
+    let find = |name: &String| all.iter().find(|(n, _)| n == name);
+    // Validate every name up front: a misspelling anywhere (even next to
+    // `all`) must fail loudly rather than be silently skipped.
+    if let Some(name) = o.names.iter().find(|n| *n != "all" && find(n).is_none()) {
+        fail(2, format!("unknown experiment '{name}' (try `repro list`)"));
+    }
+    let selected: Vec<&Experiment> = if o.names.iter().any(|a| a == "all") {
+        all.iter().collect()
+    } else {
+        o.names.iter().filter_map(find).collect()
+    };
+
+    // `--trace` traces the elastic run itself when `elastic` is selected;
+    // otherwise it runs the default traced observability demo up front.
+    let elastic_traced = selected.iter().any(|(name, _)| *name == "elastic");
+    if let Some(path) = o.trace.as_ref().filter(|_| !elastic_traced) {
+        run_traced(path);
+    }
+    if let Some(path) = &o.metrics {
+        run_metered(path);
+    }
+
+    let mut archived: Vec<(String, dt_bench::Report)> = Vec::new();
+    for (name, runner) in selected {
+        let started = std::time::Instant::now();
+        let report = match (*name, o.trace.as_ref()) {
+            ("elastic", Some(path)) => experiments::elastic::run_traced(path),
+            _ => runner(),
+        };
+        println!("{}", report.render());
+        println!(
+            "   [{name} regenerated in {:.1}s]\n",
+            started.elapsed().as_secs_f64()
+        );
+        if o.json.is_some() {
+            archived.push((name.to_string(), report));
+        }
+    }
+
+    if let Some(path) = &o.json {
+        let doc = Json::Arr(
+            archived
+                .iter()
+                .map(|(name, report)| {
+                    Json::obj(vec![
+                        ("experiment", Json::Str(name.clone())),
+                        ("report", report.to_json()),
+                    ])
+                })
+                .collect(),
+        );
+        std::fs::write(path, format!("{doc}\n"))
+            .unwrap_or_else(|e| fail(1, format!("cannot write JSON to '{path}': {e}")));
+        println!("   [archived {} report(s) into {path}]\n", archived.len());
+    }
+    0
 }
 
 fn run_traced(path: &str) {
     let started = std::time::Instant::now();
     let run = tracebench::default_traced_run();
-    if let Err(e) = run.recorder.write_chrome_trace(std::path::Path::new(path)) {
-        eprintln!("error: cannot write trace to '{path}': {e}");
-        std::process::exit(1);
-    }
+    run.recorder
+        .write_chrome_trace(std::path::Path::new(path))
+        .unwrap_or_else(|e| fail(1, format!("cannot write trace to '{path}': {e}")));
     println!("{}", run.breakdown().render());
     println!("{}", run.gantt(100));
     println!(
@@ -93,15 +315,15 @@ fn run_metered(path: &str) {
     let started = std::time::Instant::now();
     let run = metricsbench::default_metrics_run();
     let snap = run.snapshot();
-    if let Err(e) = std::fs::write(path, snap.to_prometheus_text()) {
-        eprintln!("error: cannot write metrics to '{path}': {e}");
-        std::process::exit(1);
-    }
+    std::fs::write(path, snap.to_prometheus_text())
+        .unwrap_or_else(|e| fail(1, format!("cannot write metrics to '{path}': {e}")));
     let archive = format!("{path}.json");
-    if let Err(e) = std::fs::write(&archive, format!("{}\n", snap.to_json())) {
-        eprintln!("error: cannot write metrics archive to '{archive}': {e}");
-        std::process::exit(1);
-    }
+    std::fs::write(&archive, format!("{}\n", snap.to_json())).unwrap_or_else(|e| {
+        fail(
+            1,
+            format!("cannot write metrics archive to '{archive}': {e}"),
+        )
+    });
     println!("{}", metricsbench::metrics_summary(&snap).render());
     println!(
         "   [metered {} metric series into {path} (+ {archive}) in {:.1}s]\n",
@@ -110,142 +332,86 @@ fn run_metered(path: &str) {
     );
 }
 
-/// `repro check [--seeds N] [--prop NAME] [--seed S --size K]` — run the
-/// dt-check oracle suite (or replay one exact case). Never returns.
-fn run_check(raw: &[String]) -> ! {
-    let mut seeds: u32 = 100;
-    let mut prop: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut size: Option<usize> = None;
-    let mut i = 0;
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        let Some(value) = raw.get(i + 1) else {
-            eprintln!("error: {flag} requires a value");
-            eprintln!("usage: repro check [--seeds N] [--prop NAME] [--seed S --size K]");
-            std::process::exit(2);
-        };
-        let parsed: Result<(), String> = match flag {
-            "--seeds" => value.parse().map(|v| seeds = v).map_err(|e| format!("{e}")),
-            "--prop" => {
-                prop = Some(value.clone());
-                Ok(())
-            }
-            "--seed" => value
-                .parse()
-                .map(|v| seed = Some(v))
-                .map_err(|e| format!("{e}")),
-            "--size" => value
-                .parse()
-                .map(|v| size = Some(v))
-                .map_err(|e| format!("{e}")),
-            other => {
-                eprintln!(
-                    "error: unknown check flag '{other}' (valid: --seeds, --prop, --seed, --size)"
-                );
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = parsed {
-            eprintln!("error: bad value '{value}' for {flag}: {e}");
-            std::process::exit(2);
-        }
-        i += 2;
-    }
+#[derive(Default)]
+struct CheckArgs {
+    seeds: Option<u32>,
+    prop: Option<String>,
+    seed: Option<u64>,
+    size: Option<usize>,
+}
 
+const CHECK: Cmd<CheckArgs> = Cmd {
+    name: "check",
+    init: CheckArgs::default,
+    flags: &[
+        flag!("--seeds", "N", seeds, Some),
+        flag!("--prop", "NAME", prop, Some),
+        flag!("--seed", "S", seed, Some),
+        flag!("--size", "K", size, Some),
+    ],
+    operands: None,
+    run: run_check,
+};
+
+/// Run the dt-check oracle suite, or replay one exact case.
+fn run_check(o: CheckArgs) -> i32 {
     let mut props = dt_check::registry();
-    if let Some(name) = &prop {
+    if let Some(name) = &o.prop {
         props.retain(|p| p.name == name.as_str());
         if props.is_empty() {
-            eprintln!("error: unknown property '{name}'; registered properties:");
+            let mut known = String::new();
             for p in dt_check::registry() {
-                eprintln!("  {:44}  {}", p.name, p.about);
+                known += &format!("\n  {:44}  {}", p.name, p.about);
             }
-            std::process::exit(2);
+            fail(
+                2,
+                format!("unknown property '{name}'; registered properties:{known}"),
+            );
         }
     }
 
     // Replay mode: one fully-determined case, exactly as a reproducer
     // line prints it.
-    if seed.is_some() || size.is_some() {
-        let (Some(seed), Some(size), Some(name)) = (seed, size, &prop) else {
-            eprintln!("error: replay mode needs all of --prop, --seed, and --size");
-            std::process::exit(2);
+    if o.seed.is_some() || o.size.is_some() {
+        let (Some(seed), Some(size), Some(name)) = (o.seed, o.size, &o.prop) else {
+            fail(2, "replay mode needs all of --prop, --seed, and --size");
         };
-        let p = &props[0];
-        match dt_check::run_case(p, seed, size) {
-            Ok(()) => {
-                println!("{name}: ok at seed {seed} size {size}");
-                std::process::exit(0);
-            }
-            Err(f) => {
-                println!("{name}: FAILED at seed {seed} size {size}: {}", f.message);
-                std::process::exit(1);
-            }
+        let verdict = dt_check::run_case(&props[0], seed, size);
+        match &verdict {
+            Ok(()) => println!("{name}: ok at seed {seed} size {size}"),
+            Err(f) => println!("{name}: FAILED at seed {seed} size {size}: {}", f.message),
         }
+        return i32::from(verdict.is_err());
     }
 
-    let report = dt_check::run_suite(&props, seeds);
+    let report = dt_check::run_suite(&props, o.seeds.unwrap_or(100));
     print!("{}", report.render());
-    std::process::exit(if report.failed() { 1 } else { 0 });
+    i32::from(report.failed())
 }
 
-/// `repro serve [--addr A] [--workers N] [--queue N]` — run the planner
-/// daemon until a wire shutdown request (or the process is killed).
-/// `--workers` caps the requests executing at once (each on its session
-/// thread), `--queue` the requests waiting for one of those slots.
-/// Never returns.
-fn run_serve(raw: &[String]) -> ! {
-    let mut cfg = dt_serve::ServeConfig::default();
-    let mut i = 0;
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        let Some(value) = raw.get(i + 1) else {
-            eprintln!("error: {flag} requires a value");
-            eprintln!("usage: repro serve [--addr HOST:PORT] [--workers N] [--queue N]");
-            eprintln!("  --workers N  requests executing at once (default 2)");
-            eprintln!("  --queue N    requests waiting for a slot (default 16)");
-            std::process::exit(2);
-        };
-        let parsed: Result<(), String> = match flag {
-            "--addr" => {
-                cfg.addr = value.clone();
-                Ok(())
-            }
-            "--workers" => value
-                .parse()
-                .map(|v| cfg.workers = v)
-                .map_err(|e| format!("{e}")),
-            "--queue" => value
-                .parse()
-                .map(|v| cfg.queue_depth = v)
-                .map_err(|e| format!("{e}")),
-            other => {
-                eprintln!(
-                    "error: unknown serve flag '{other}' (valid: --addr, --workers, --queue)"
-                );
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = parsed {
-            eprintln!("error: bad value '{value}' for {flag}: {e}");
-            std::process::exit(2);
-        }
-        i += 2;
-    }
+const SERVE: Cmd<ServeConfig> = Cmd {
+    name: "serve",
+    init: ServeConfig::default,
+    flags: &[
+        flag!("--addr", "HOST:PORT", addr),
+        flag!("--workers", "N", workers),
+        flag!("--queue", "N", queue_depth),
+    ],
+    operands: None,
+    run: run_serve,
+};
+
+/// Run the planner daemon until a wire shutdown request (or the process
+/// is killed).
+fn run_serve(mut cfg: ServeConfig) -> i32 {
     // The CLI daemon runs with live observability on: wall-clock spans
     // behind `GET /trace` (unix timebase, mergeable with a traced
     // client's spans) and the black-box flight recorder behind
     // `GET /flight`. The library default keeps both disabled.
     cfg.trace = dt_simengine::WallTraceSink::new();
     cfg.flight = dt_telemetry::FlightLog::new();
-    let mut daemon = match dt_serve::ServeHandle::spawn(cfg) {
-        Ok(daemon) => daemon,
-        Err(e) => {
-            eprintln!("error: cannot start daemon: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut daemon = dt_serve::ServeHandle::spawn(cfg)
+        .unwrap_or_else(|e| fail(1, format!("cannot start daemon: {e}")));
     // Machine-readable first line: scripts read the resolved ephemeral
     // port from here.
     println!("dt-serve listening on {}", daemon.addr);
@@ -257,143 +423,84 @@ fn run_serve(raw: &[String]) -> ! {
     let _ = std::io::stdout().flush();
     daemon.wait();
     println!("dt-serve drained and stopped");
-    std::process::exit(0);
+    0
 }
 
-/// `repro client --addr A <verb> [flags]` — one daemon exchange.
-/// Never returns.
-fn run_client(raw: &[String]) -> ! {
-    use dt_serve::{Client, RetryPolicy, ServeReply, ServeRequest, SpecDesc};
-    let usage = "usage: repro client --addr HOST:PORT \
-                 (ping | metrics | flight | shutdown | plan | replan | simulate) \
-                 [--preset P] [--nodes N] [--batch B] [--microbatch M] [--seed S] \
-                 [--budget K] [--deadline-ms D] [--remaining G] [--iters I] \
-                 [--retries R] [--backoff-ms B] [--jitter-seed J] [--trace FILE]";
-    let mut addr: Option<String> = None;
-    let mut verb: Option<String> = None;
-    let mut spec = SpecDesc::ablation("mllm-9b", 128);
-    let mut budget: u32 = 4;
-    let mut deadline_ms: u64 = 0;
-    let mut remaining: u32 = 0;
-    let mut iters: u32 = 1;
-    let mut policy = RetryPolicy::default();
-    let mut trace_out: Option<String> = None;
-    let mut i = 0;
-    while i < raw.len() {
-        let arg = raw[i].as_str();
-        if !arg.starts_with('-') {
-            if verb.replace(arg.to_string()).is_some() {
-                eprintln!("error: more than one verb\n{usage}");
-                std::process::exit(2);
-            }
-            i += 1;
-            continue;
-        }
-        let Some(value) = raw.get(i + 1) else {
-            eprintln!("error: {arg} requires a value\n{usage}");
-            std::process::exit(2);
-        };
-        let parsed: Result<(), String> = match arg {
-            "--addr" => {
-                addr = Some(value.clone());
-                Ok(())
-            }
-            "--preset" => {
-                spec.preset = value.clone();
-                Ok(())
-            }
-            "--nodes" => value
-                .parse()
-                .map(|v| spec.nodes = v)
-                .map_err(|e| format!("{e}")),
-            "--batch" => value
-                .parse()
-                .map(|v| spec.global_batch = v)
-                .map_err(|e| format!("{e}")),
-            "--microbatch" => value
-                .parse()
-                .map(|v| spec.microbatch = v)
-                .map_err(|e| format!("{e}")),
-            "--seed" => value
-                .parse()
-                .map(|v| spec.seed = v)
-                .map_err(|e| format!("{e}")),
-            "--budget" => value
-                .parse()
-                .map(|v| budget = v)
-                .map_err(|e| format!("{e}")),
-            "--deadline-ms" => value
-                .parse()
-                .map(|v| deadline_ms = v)
-                .map_err(|e| format!("{e}")),
-            "--remaining" => value
-                .parse()
-                .map(|v| remaining = v)
-                .map_err(|e| format!("{e}")),
-            "--iters" => value.parse().map(|v| iters = v).map_err(|e| format!("{e}")),
-            "--retries" => value
-                .parse()
-                .map(|v| policy.max_attempts = v)
-                .map_err(|e| format!("{e}")),
-            "--backoff-ms" => value
-                .parse()
-                .map(|v: u64| policy.base_backoff = std::time::Duration::from_millis(v))
-                .map_err(|e| format!("{e}")),
-            "--jitter-seed" => value
-                .parse()
-                .map(|v| policy.seed = v)
-                .map_err(|e| format!("{e}")),
-            "--trace" => {
-                trace_out = Some(value.clone());
-                Ok(())
-            }
-            other => {
-                eprintln!("error: unknown client flag '{other}'\n{usage}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = parsed {
-            eprintln!("error: bad value '{value}' for {arg}: {e}");
-            std::process::exit(2);
-        }
-        i += 2;
-    }
-    let (Some(addr), Some(verb)) = (addr, verb) else {
-        eprintln!("error: client needs --addr and a verb\n{usage}");
-        std::process::exit(2);
+struct ClientArgs {
+    addr: Option<SocketAddr>,
+    verb: Option<String>,
+    spec: SpecDesc,
+    budget: u32,
+    deadline_ms: u64,
+    remaining: u32,
+    iters: u32,
+    policy: RetryPolicy,
+    trace: Option<String>,
+}
+
+const CLIENT: Cmd<ClientArgs> = Cmd {
+    name: "client",
+    init: || ClientArgs {
+        addr: None,
+        verb: None,
+        spec: SpecDesc::ablation("mllm-9b", 128),
+        budget: 4,
+        deadline_ms: 0,
+        remaining: 0,
+        iters: 1,
+        policy: RetryPolicy::default(),
+        trace: None,
+    },
+    flags: &[
+        flag!("--addr", "HOST:PORT", addr, Some),
+        flag!("--preset", "P", spec.preset),
+        flag!("--nodes", "N", spec.nodes),
+        flag!("--batch", "B", spec.global_batch),
+        flag!("--microbatch", "M", spec.microbatch),
+        flag!("--seed", "S", spec.seed),
+        flag!("--budget", "K", budget),
+        flag!("--deadline-ms", "D", deadline_ms),
+        flag!("--remaining", "G", remaining),
+        flag!("--iters", "I", iters),
+        flag!("--retries", "R", policy.max_attempts),
+        flag!(
+            "--backoff-ms",
+            "B",
+            policy.base_backoff,
+            std::time::Duration::from_millis
+        ),
+        flag!("--jitter-seed", "J", policy.seed),
+        flag!("--trace", "PATH", trace, Some),
+    ],
+    operands: Some((
+        "(ping | metrics | flight | shutdown | plan | replan | simulate)",
+        |o, v| match o.verb.replace(v.into()) {
+            None => Ok(()),
+            Some(_) => Err("more than one verb".into()),
+        },
+    )),
+    run: run_client,
+};
+
+/// One daemon exchange.
+fn run_client(o: ClientArgs) -> i32 {
+    use dt_serve::{Client, ServeReply, ServeRequest};
+    let (Some(addr), Some(verb)) = (o.addr, o.verb) else {
+        misuse("client", "client needs --addr and a verb");
     };
-    let addr: std::net::SocketAddr = match addr.parse() {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("error: bad --addr '{addr}': {e}");
-            std::process::exit(2);
-        }
+    let scraped = |body: std::io::Result<String>| {
+        body.unwrap_or_else(|e| fail(1, format!("{verb} scrape failed: {e}")))
     };
-    if verb == "metrics" {
-        match dt_serve::fetch_metrics(addr) {
-            Ok(body) => {
-                print!("{body}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("error: metrics scrape failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if verb == "flight" {
-        match dt_serve::fetch_flight(addr) {
-            Ok(body) => {
-                println!("{body}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("error: flight scrape failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    let (spec, budget, deadline_ms) = (o.spec, o.budget, o.deadline_ms);
     let req = match verb.as_str() {
+        "metrics" => {
+            print!("{}", scraped(dt_serve::fetch_metrics(addr)));
+            return 0;
+        }
+        "flight" => {
+            println!("{}", scraped(dt_serve::fetch_flight(addr)));
+            return 0;
+        }
         "ping" => ServeRequest::Ping,
         "shutdown" => ServeRequest::Shutdown,
         "plan" => ServeRequest::Plan {
@@ -401,30 +508,22 @@ fn run_client(raw: &[String]) -> ! {
             budget,
             deadline_ms,
         },
-        "replan" => {
-            if remaining == 0 {
-                eprintln!("error: replan needs --remaining GPUS\n{usage}");
-                std::process::exit(2);
-            }
-            ServeRequest::Replan {
-                spec,
-                remaining_gpus: remaining,
-                budget,
-                deadline_ms,
-            }
-        }
-        "simulate" => ServeRequest::Simulate {
+        "replan" if o.remaining == 0 => misuse("client", "replan needs --remaining GPUS"),
+        "replan" => ServeRequest::Replan {
             spec,
-            iterations: iters,
+            remaining_gpus: o.remaining,
+            budget,
             deadline_ms,
         },
-        other => {
-            eprintln!("error: unknown verb '{other}'\n{usage}");
-            std::process::exit(2);
-        }
+        "simulate" => ServeRequest::Simulate {
+            spec,
+            iterations: o.iters,
+            deadline_ms,
+        },
+        other => misuse("client", format!("unknown verb '{other}'")),
     };
-    let mut client = Client::with_policy(addr, policy);
-    if trace_out.is_some() {
+    let mut client = Client::with_policy(addr, o.policy);
+    if o.trace.is_some() {
         // Request-scoped tracing: the client draws a root context per
         // request and propagates it on the wire; the daemon's spans come
         // back via `GET /trace` for assembly below.
@@ -452,41 +551,25 @@ fn run_client(raw: &[String]) -> ! {
                 s.iterations, s.mean_iter_secs, s.mfu, s.samples_per_sec, s.plan.total_gpus, s.plan.warm
             );
         }
-        Ok(ServeReply::Err(e)) => {
-            eprintln!("error: daemon answered: {e}");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+        Ok(ServeReply::Err(e)) => fail(1, format!("daemon answered: {e}")),
+        Err(e) => fail(1, e),
     }
-    if let Some(path) = trace_out {
+    if let Some(path) = o.trace {
         assemble_trace(addr, &client, &path);
     }
-    std::process::exit(0);
+    0
 }
 
 /// Merge the daemon's `/trace` export (unix timebase) with the client's
 /// own spans into one cross-process Chrome trace, write it to `path`,
 /// and print a one-line summary (span count, process tracks, distinct
 /// trace ids) that scripts can assert on.
-fn assemble_trace(addr: std::net::SocketAddr, client: &dt_serve::Client, path: &str) {
+fn assemble_trace(addr: SocketAddr, client: &dt_serve::Client, path: &str) {
     use dt_simengine::trace::{arg, TraceRecorder};
-    let remote = match dt_serve::fetch_trace(addr) {
-        Ok(body) => body,
-        Err(e) => {
-            eprintln!("error: trace scrape failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut merged = match TraceRecorder::from_chrome_json(&remote) {
-        Ok(rec) => rec,
-        Err(e) => {
-            eprintln!("error: cannot parse daemon trace: {e}");
-            std::process::exit(1);
-        }
-    };
+    let remote = dt_serve::fetch_trace(addr)
+        .unwrap_or_else(|e| fail(1, format!("trace scrape failed: {e}")));
+    let mut merged = TraceRecorder::from_chrome_json(&remote)
+        .unwrap_or_else(|e| fail(1, format!("cannot parse daemon trace: {e}")));
     merged.absorb(client.trace_sink().unix_recorder());
     let lookup = |span: &dt_simengine::trace::TraceSpan, key: &str| {
         span.args
@@ -504,10 +587,9 @@ fn assemble_trace(addr: std::net::SocketAddr, client: &dt_serve::Client, path: &
         .iter()
         .filter_map(|s| lookup(s, arg::TRACE))
         .collect();
-    if let Err(e) = merged.write_chrome_trace(std::path::Path::new(path)) {
-        eprintln!("error: cannot write trace to '{path}': {e}");
-        std::process::exit(1);
-    }
+    merged
+        .write_chrome_trace(std::path::Path::new(path))
+        .unwrap_or_else(|e| fail(1, format!("cannot write trace to '{path}': {e}")));
     println!(
         "assembled trace: {} traced spans across {} process tracks, {} trace id(s) -> {path}",
         traced.len(),
@@ -516,86 +598,61 @@ fn assemble_trace(addr: std::net::SocketAddr, client: &dt_serve::Client, path: &
     );
 }
 
-/// `repro preprocess [--producers N] [--consumers M] [--batch B]
-/// [--batches K]` — smoke the §6 preprocessing data plane: a live
-/// N-endpoint `Preprocess` plane, M fan-in `MultiFeeder` consumers over
-/// real TCP, per-producer in-order verification, and a clean-shutdown
-/// check. Exits non-zero if any batch is lost, any stream arrives out of
-/// order, or the plane fails to shut down cleanly. Never returns.
-fn run_preprocess(raw: &[String]) -> ! {
+struct PreprocessArgs {
+    producers: usize,
+    consumers: std::num::NonZeroUsize,
+    batch: u32,
+    batches: u32,
+}
+
+const PREPROCESS: Cmd<PreprocessArgs> = Cmd {
+    name: "preprocess",
+    init: || PreprocessArgs {
+        producers: 2,
+        consumers: std::num::NonZeroUsize::new(2).expect("2 is nonzero"),
+        batch: 4,
+        batches: 4,
+    },
+    flags: &[
+        flag!("--producers", "N", producers),
+        flag!("--consumers", "M", consumers),
+        flag!("--batch", "B", batch),
+        flag!("--batches", "K", batches),
+    ],
+    operands: None,
+    run: run_preprocess,
+};
+
+/// Smoke the §6 preprocessing data plane: a live N-endpoint `Preprocess`
+/// plane, M fan-in `MultiFeeder` consumers over real TCP, per-producer
+/// in-order verification, and a clean-shutdown check. Exits non-zero if
+/// any batch is lost, any stream arrives out of order, or the plane
+/// fails to shut down cleanly.
+fn run_preprocess(o: PreprocessArgs) -> i32 {
     use dt_preprocess::{Consumer, Preprocess};
-    let usage = "usage: repro preprocess [--producers N] [--consumers M] [--batch B] [--batches K]";
-    let mut producers: usize = 2;
-    let mut consumers: usize = 2;
-    let mut batch: u32 = 4;
-    let mut batches: u32 = 4;
-    let mut i = 0;
-    while i < raw.len() {
-        let flag = raw[i].as_str();
-        let Some(value) = raw.get(i + 1) else {
-            eprintln!("error: {flag} requires a value\n{usage}");
-            std::process::exit(2);
-        };
-        let parsed: Result<(), String> = match flag {
-            "--producers" => value
-                .parse()
-                .map(|v| producers = v)
-                .map_err(|e| format!("{e}")),
-            "--consumers" => value
-                .parse()
-                .map(|v| consumers = v)
-                .map_err(|e| format!("{e}")),
-            "--batch" => value.parse().map(|v| batch = v).map_err(|e| format!("{e}")),
-            "--batches" => value
-                .parse()
-                .map(|v| batches = v)
-                .map_err(|e| format!("{e}")),
-            other => {
-                eprintln!(
-                    "error: unknown preprocess flag '{other}' \
-                     (valid: --producers, --consumers, --batch, --batches)"
-                );
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = parsed {
-            eprintln!("error: bad value '{value}' for {flag}: {e}");
-            std::process::exit(2);
-        }
-        i += 2;
-    }
-    if consumers == 0 {
-        eprintln!("error: --consumers must be at least 1");
-        std::process::exit(2);
-    }
+    let (producers, consumers, batches) = (o.producers, o.consumers, o.batches);
 
     let data = dt_data::DataConfig {
         resolution: dt_data::ResolutionMode::Fixed(64),
         ..dt_data::DataConfig::evaluation(64)
     };
-    let mut plane = match Preprocess::builder(data, 23)
+    let mut plane = Preprocess::builder(data, 23)
         .producers(producers)
         .workers(2)
         .spawn()
-    {
-        Ok(plane) => plane,
-        Err(e) => {
-            eprintln!("error: cannot spawn the preprocessing plane: {e}");
-            std::process::exit(1);
-        }
-    };
+        .unwrap_or_else(|e| fail(1, format!("cannot spawn the preprocessing plane: {e}")));
     let addrs = plane.addrs().to_vec();
     println!("preprocess plane: {producers} producer endpoint(s), {consumers} consumer(s)");
     for (idx, addr) in addrs.iter().enumerate() {
         println!("  endpoint {idx} listening on {addr}");
     }
 
-    let handles: Vec<_> = (0..consumers)
+    let handles: Vec<_> = (0..consumers.get())
         .map(|c| {
             let addrs = addrs.clone();
             std::thread::spawn(move || -> Result<(u64, u64, bool, u64), String> {
                 let feeder = Consumer::builder(&addrs)
-                    .batch(batch)
+                    .batch(o.batch)
                     .pipeline(2)
                     .connect()
                     .map_err(|e| format!("consumer {c} rejected: {e}"))?;
@@ -646,135 +703,5 @@ fn run_preprocess(raw: &[String]) -> ! {
     );
     let clean = plane.shutdown();
     println!("clean shutdown: {clean}");
-    std::process::exit(if failed || !clean { 1 } else { 0 });
-}
-
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("check") {
-        run_check(&raw[1..]);
-    }
-    if raw.first().map(String::as_str) == Some("preprocess") {
-        run_preprocess(&raw[1..]);
-    }
-    if raw.first().map(String::as_str) == Some("serve") {
-        run_serve(&raw[1..]);
-    }
-    if raw.first().map(String::as_str) == Some("client") {
-        run_client(&raw[1..]);
-    }
-    let all = experiments::all();
-
-    let mut names: Vec<String> = Vec::new();
-    let mut trace_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
-            flag @ ("--trace" | "--json" | "--metrics") => {
-                let Some(value) = raw.get(i + 1) else {
-                    eprintln!(
-                        "error: {flag} requires an output path (valid flags: {})",
-                        FLAGS.join(", ")
-                    );
-                    std::process::exit(2);
-                };
-                match flag {
-                    "--trace" => trace_path = Some(value.clone()),
-                    "--json" => json_path = Some(value.clone()),
-                    _ => metrics_path = Some(value.clone()),
-                }
-                i += 2;
-            }
-            "--help" | "-h" | "list" => {
-                usage(&all);
-                std::process::exit(0);
-            }
-            other if other.starts_with('-') => {
-                eprintln!(
-                    "error: unknown flag '{other}' (valid flags: {})",
-                    FLAGS.join(", ")
-                );
-                usage(&all);
-                std::process::exit(2);
-            }
-            name => {
-                names.push(name.to_string());
-                i += 1;
-            }
-        }
-    }
-
-    if names.is_empty() {
-        usage(&all);
-        std::process::exit(2);
-    }
-    // Validate every name up front: a misspelling anywhere (even next to
-    // `all`) must fail loudly rather than be silently skipped.
-    for name in &names {
-        if name != "all" && !all.iter().any(|(n, _)| n == name) {
-            eprintln!("error: unknown experiment '{name}' (try `repro list`)");
-            std::process::exit(2);
-        }
-    }
-
-    let selected: Vec<&Experiment> = if names.iter().any(|a| a == "all") {
-        all.iter().collect()
-    } else {
-        names
-            .iter()
-            .map(|name| {
-                all.iter()
-                    .find(|(n, _)| n == name)
-                    .expect("validated above")
-            })
-            .collect()
-    };
-
-    // `--trace` traces the elastic run itself when `elastic` is selected;
-    // otherwise it runs the default traced observability demo up front.
-    let elastic_traced = selected.iter().any(|(name, _)| *name == "elastic");
-    if let Some(path) = trace_path.as_ref().filter(|_| !elastic_traced) {
-        run_traced(path);
-    }
-    if let Some(path) = &metrics_path {
-        run_metered(path);
-    }
-
-    let mut archived: Vec<(String, dt_bench::Report)> = Vec::new();
-    for (name, runner) in selected {
-        let started = std::time::Instant::now();
-        let report = match (*name, trace_path.as_ref()) {
-            ("elastic", Some(path)) => experiments::elastic::run_traced(path),
-            _ => runner(),
-        };
-        println!("{}", report.render());
-        println!(
-            "   [{name} regenerated in {:.1}s]\n",
-            started.elapsed().as_secs_f64()
-        );
-        if json_path.is_some() {
-            archived.push((name.to_string(), report));
-        }
-    }
-
-    if let Some(path) = &json_path {
-        let doc = Json::Arr(
-            archived
-                .iter()
-                .map(|(name, report)| {
-                    Json::obj(vec![
-                        ("experiment", Json::Str(name.clone())),
-                        ("report", report.to_json()),
-                    ])
-                })
-                .collect(),
-        );
-        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
-            eprintln!("error: cannot write JSON to '{path}': {e}");
-            std::process::exit(1);
-        }
-        println!("   [archived {} report(s) into {path}]\n", archived.len());
-    }
+    i32::from(failed || !clean)
 }

@@ -5,9 +5,10 @@
 # allowlisted name that is no longer dead.
 #
 # Non-test code is crates/*/src, crates/*/benches, src, examples and
-# perfbench/src, each file without its #[cfg(test)] items and without
-# `//` comments (doc comments included). A name counts wherever it
-# appears as a word in what is left, re-exports included.
+# perfbench/src as scripts/nontest.sh prints it: each file without its
+# #[cfg(test)] items and without `//` comments (doc comments included).
+# A name counts wherever it appears as a word in what is left,
+# re-exports included.
 # Offline: sources only. Usage: scripts/dead_pub.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,20 +17,8 @@ ALLOW=scripts/dead_pub_allow.txt
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-# Drop each #[cfg(test)] item: its further attributes, then either a
-# one-line item or everything up to the brace that closes it at the
-# attribute's own indentation. Then drop each line's `//` comment.
 find crates/*/src crates/*/benches src examples perfbench/src -name '*.rs' | sort \
-    | xargs awk '
-        function pad(n,   s) { s = ""; while (n-- > 0) s = s " "; return s }
-        FNR == 1 { skip = 0 }
-        skip == 1 && /^[[:space:]]*#\[/ { next }
-        skip == 1 && /;[[:space:]]*$/ && !/\{/ { skip = 0; next }
-        skip == 1 { skip = 2 }
-        skip == 2 { if (index($0, close_at) == 1) skip = 0; next }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; close_at = pad(index($0, "#") - 1) "}"; next }
-        { sub(/\/\/.*/, ""); print }
-    ' > "$TMP/code.rs"
+    | xargs scripts/nontest.sh > "$TMP/code.rs"
 
 grep -oE '\bpub ((const|async|unsafe) )*(fn|struct|enum|const|type|trait) [A-Za-z_][A-Za-z0-9_]*' \
     "$TMP/code.rs" | awk '{ print $NF }' | sort -u > "$TMP/names"

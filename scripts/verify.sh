@@ -68,6 +68,11 @@ echo "==> no dead public surface (scripts/dead_pub.sh)"
 # scripts/dead_pub_allow.txt lists it as a test helper.
 scripts/dead_pub.sh
 
+echo "==> non-test code lines against HEAD (scripts/loc.sh, information only)"
+# Prints, never gates: run here so the script that reproduces each PR's
+# LOC delta keeps working.
+scripts/loc.sh HEAD
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
