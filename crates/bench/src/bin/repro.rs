@@ -466,7 +466,7 @@ const CLIENT: Cmd<ClientArgs> = Cmd {
         flag!(
             "--backoff-ms",
             "B",
-            policy.base_backoff,
+            policy.base,
             std::time::Duration::from_millis
         ),
         flag!("--jitter-seed", "J", policy.seed),

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! ┌ CPU node (producer endpoint ×N) ─────┐    ┌ GPU node (consumer ×M) ┐
-//! │ accept thread; per session:          │    │ MultiFeeder            │
+//! │ listener; per session:               │    │ MultiFeeder            │
 //! │   reader: SyntheticLaion             │    │   supervisor per       │
 //! │     → ReorderPlanner                 │───▶│   producer (reconnect  │
 //! │     → worker pool (codec)            │TCP │   w/ seeded backoff)   │
@@ -21,8 +21,9 @@
 //! ```
 //!
 //! The data plane is built with [`service::Preprocess::builder`] (typed
-//! [`PreprocessError`] validation, a blocking accept thread per endpoint
-//! and a reader and writer thread per session, explicit
+//! [`PreprocessError`] validation, a [`dt_simengine::Listener`] per
+//! endpoint — the accept, drain and join path the `dt-serve` daemon runs
+//! on too — and a reader and writer thread per session, explicit
 //! [`PreprocessError::Backpressured`] signalling on the bounded
 //! per-session channels) and consumed through the
 //! [`consumer::Consumer`] builder ([`MultiFeeder`]: one supervised,

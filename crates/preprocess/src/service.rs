@@ -7,13 +7,13 @@
 //!
 //! [`Preprocess::builder`] validates the topology up front (typed
 //! [`PreprocessError::InvalidSpec`], no socket touched on rejection) and
-//! runs every endpoint on blocking threads, the same session model as the
-//! `dt-serve` daemon:
+//! runs every endpoint on blocking threads, on the same
+//! [`Listener`] as the `dt-serve` daemon:
 //!
-//! * **accept** — one thread per endpoint, blocked in `accept`. It hands
+//! * **accept** — one listener per endpoint, blocked in `accept`. It hands
 //!   each connection a deterministic sample stream (seed derived from the
-//!   endpoint and the accept index) and keeps a clone of every live
-//!   socket, so a drain can wake each session by shutting it down;
+//!   endpoint and the accept index); its drain shuts every live socket
+//!   down both ways;
 //! * **reader** — one thread per session. It reads requests through the
 //!   capped [`dt_simengine::frame::read_json_ctx`] (a length word above
 //!   [`MAX_CONTROL_FRAME`] is [`PreprocessError::Malformed`] before any
@@ -32,9 +32,10 @@
 //!   that stops reading blocks only its own writer.
 //!
 //! Whichever session thread ends first shuts the socket down both ways,
-//! which ends the other one and shows the peer EOF. Malformed input is
-//! counted and frozen into the session's flight ring before that
-//! shutdown.
+//! which ends the other one and shows the peer EOF; the listener does the
+//! same for a session that panics. Malformed input is counted and frozen
+//! into the session's flight ring before that shutdown, and a panic
+//! freezes it too.
 //!
 //! Wire protocol, framing, and the per-session deterministic streams are
 //! unchanged from the single-producer service, so old consumers (and the
@@ -47,14 +48,15 @@ use dt_data::{DataConfig, SyntheticLaion, TrainSample};
 use dt_reorder::ReorderPlanner;
 use dt_simengine::frame::{read_json_ctx, write_batch_frames_ctx, WireJson, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink, TRACE_CONTEXT_LEN};
+use dt_simengine::{Listener, Stop};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, FlightRecorder, Telemetry};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Chrome-trace process id for the producer service's wall-clock spans,
@@ -200,39 +202,38 @@ impl PreprocessBuilder {
                 reason: "queue_capacity must be >= 1 (a zero-capacity queue deadlocks every session at its first batch)".into(),
             });
         }
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(PlaneStats::default());
         let cfg = Arc::new(self);
         let mut addrs = Vec::with_capacity(cfg.producers);
-        let mut joins = Vec::with_capacity(cfg.producers);
+        // An early return drops the listeners already spawned, which stops
+        // and joins them: a partial spawn leaks no endpoint.
+        let mut listeners = Vec::with_capacity(cfg.producers);
         for endpoint in 0..cfg.producers {
-            let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| PreprocessError::Bind {
+            let bind_err = |e: io::Error| PreprocessError::Bind {
                 addr: "127.0.0.1:0".into(),
                 reason: e.to_string(),
-            })?;
-            let addr = listener.local_addr().map_err(|e| PreprocessError::Bind {
-                addr: "127.0.0.1:0".into(),
-                reason: e.to_string(),
+            };
+            let listener = TcpListener::bind("127.0.0.1:0").map_err(bind_err)?;
+            let addr = listener.local_addr().map_err(bind_err)?;
+            let (cfg, stats) = (cfg.clone(), stats.clone());
+            let listener = Listener::spawn(
+                listener,
+                Stop::new(addr),
+                format!("dt-preprocess-ep{endpoint}"),
+                Shutdown::Both,
+                move |accepted| open_session(endpoint as u64, accepted, &cfg, &stats),
+            )
+            .map_err(|e| PreprocessError::Bind {
+                addr: addr.to_string(),
+                reason: format!("spawn accept thread: {e}"),
             })?;
             addrs.push(addr);
-            let cfg = cfg.clone();
-            let stop = stop.clone();
-            let stats = stats.clone();
-            let join = std::thread::Builder::new()
-                .name(format!("dt-preprocess-ep{endpoint}"))
-                .spawn(move || accept_loop(listener, endpoint as u64, cfg, stop, stats))
-                .map_err(|e| PreprocessError::Bind {
-                    addr: addr.to_string(),
-                    reason: format!("spawn accept thread: {e}"),
-                })?;
-            joins.push(join);
+            listeners.push(listener);
         }
         Ok(PreprocessHandle {
             addrs,
-            stop,
-            joins,
+            listeners,
             stats,
-            clean: true,
         })
     }
 }
@@ -241,10 +242,9 @@ impl PreprocessBuilder {
 #[derive(Debug, Default)]
 pub struct PlaneStats {
     backpressure: AtomicU64,
+    /// Sessions accepted so far; each session's trace track is its rank.
     sessions: AtomicU64,
     malformed: AtomicU64,
-    panicked: AtomicBool,
-    next_tid: AtomicU64,
 }
 
 /// Point-in-time copy of [`PlaneStats`].
@@ -263,10 +263,8 @@ pub struct PlaneStatsSnapshot {
 #[derive(Debug)]
 pub struct PreprocessHandle {
     addrs: Vec<SocketAddr>,
-    stop: Arc<AtomicBool>,
-    joins: Vec<JoinHandle<()>>,
+    listeners: Vec<Listener>,
     stats: Arc<PlaneStats>,
-    clean: bool,
 }
 
 impl PreprocessHandle {
@@ -294,31 +292,16 @@ impl PreprocessHandle {
     /// the property the end-to-end fuzz oracle asserts after feeding the
     /// plane hostile traffic.
     pub fn shutdown(&mut self) -> bool {
-        self.stop.store(true, Ordering::SeqCst);
-        if !self.joins.is_empty() {
-            // Wake every accept thread out of `accept`; each then shuts
-            // its live sessions down and joins them.
-            for addr in &self.addrs {
-                let _ = TcpStream::connect(addr);
-            }
+        let mut clean = true;
+        for listener in &mut self.listeners {
+            clean &= listener.shutdown();
         }
-        for join in self.joins.drain(..) {
-            if join.join().is_err() {
-                self.clean = false;
-            }
-        }
-        self.clean && !self.stats.panicked.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for PreprocessHandle {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
+        clean
     }
 }
 
 // ---------------------------------------------------------------------------
-// Sessions: one accept thread per endpoint, a reader and a writer per session
+// Sessions: one listener per endpoint, a reader and a writer per session
 // ---------------------------------------------------------------------------
 
 /// Preprocess a batch on `workers` threads (the calling thread takes the
@@ -370,84 +353,46 @@ struct Session {
     flight: FlightRecorder,
 }
 
-/// A session as its accept thread tracks it: a clone of the socket to
-/// shut down at drain, and the thread to join.
-struct Live {
-    stream: TcpStream,
-    flight: FlightRecorder,
-    join: JoinHandle<()>,
-}
-
-fn accept_loop(
-    listener: TcpListener,
+/// The accept hook: count session `accepted` of `endpoint` and give it
+/// its seed lane, trace track and flight ring. Returns the session
+/// thread's name and body; a body that panics freezes its ring before the
+/// unwind reaches the listener.
+fn open_session(
     endpoint: u64,
-    cfg: Arc<PreprocessBuilder>,
-    stop: Arc<AtomicBool>,
-    stats: Arc<PlaneStats>,
-) {
-    let mut live: Vec<Live> = Vec::new();
-    for (accepted, conn) in (0u64..).zip(listener.incoming()) {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { break };
-        for done in live.extract_if(.., |s| s.join.is_finished()) {
-            reap(done, &stats, &cfg.telemetry);
-        }
-        stats.sessions.fetch_add(1, Ordering::Relaxed);
-        cfg.telemetry
-            .with(|r| r.counter(names::PREPROCESS_SESSIONS_TOTAL, &[]).inc());
-        let seed = cfg
-            .seed
-            .wrapping_add(endpoint.wrapping_mul(ENDPOINT_SEED_STRIDE))
-            .wrapping_add(accepted.wrapping_mul(SESSION_SEED_STRIDE));
-        let tid = stats.next_tid.fetch_add(1, Ordering::Relaxed);
-        let flight = cfg
+    accepted: u64,
+    cfg: &Arc<PreprocessBuilder>,
+    stats: &Arc<PlaneStats>,
+) -> (String, impl FnOnce(&TcpStream) + Send + 'static) {
+    let tid = stats.sessions.fetch_add(1, Ordering::Relaxed);
+    cfg.telemetry
+        .with(|r| r.counter(names::PREPROCESS_SESSIONS_TOTAL, &[]).inc());
+    let seed = cfg
+        .seed
+        .wrapping_add(endpoint.wrapping_mul(ENDPOINT_SEED_STRIDE))
+        .wrapping_add(accepted.wrapping_mul(SESSION_SEED_STRIDE));
+    let session = Session {
+        cfg: cfg.clone(),
+        stats: stats.clone(),
+        seed,
+        tid,
+        flight: cfg
             .flight
-            .recorder(&format!("pre:ep{endpoint}:s{tid}"), DEFAULT_RING_CAPACITY);
-        let Ok(clone) = stream.try_clone() else {
-            continue;
-        };
-        let session = Session {
-            cfg: cfg.clone(),
-            stats: stats.clone(),
-            seed,
-            tid,
-            flight: flight.clone(),
-        };
-        let spawned = std::thread::Builder::new()
-            .name(format!("dt-preprocess-gen{tid}"))
-            .spawn(move || run_session(&stream, &session));
-        if let Ok(join) = spawned {
-            live.push(Live {
-                stream: clone,
-                flight,
-                join,
-            });
+            .recorder(&format!("pre:ep{endpoint}:s{tid}"), DEFAULT_RING_CAPACITY),
+    };
+    let body = move |stream: &TcpStream| {
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| run_session(stream, &session)));
+        if let Err(unwound) = ran {
+            let (flight, tel) = (&session.flight, &session.cfg.telemetry);
+            flight.record("panic", 0, || "session thread panicked".into());
+            flight.dump_counted("panic", tel);
+            panic::resume_unwind(unwound);
         }
-    }
-    // Drain: shutting a socket down wakes its reader (EOF) and writer
-    // (write error); joining here guarantees all telemetry/trace records
-    // for written batches landed before the handle's shutdown returns.
-    for s in &live {
-        let _ = s.stream.shutdown(Shutdown::Both);
-    }
-    for s in live {
-        reap(s, &stats, &cfg.telemetry);
-    }
-}
-
-fn reap(s: Live, stats: &PlaneStats, tel: &Telemetry) {
-    if s.join.join().is_err() {
-        stats.panicked.store(true, Ordering::SeqCst);
-        s.flight
-            .record("panic", 0, || "session thread panicked".into());
-        s.flight.dump_counted("panic", tel);
-    }
+    };
+    (format!("dt-preprocess-gen{tid}"), body)
 }
 
 /// The session thread: reads and generates here, writes on a scoped
-/// writer thread. A panic on either reaches the accept thread's join.
+/// writer thread. A panic on either reaches the listener's join.
 fn run_session(stream: &TcpStream, s: &Session) {
     let (tx, rx) = mpsc::sync_channel(s.cfg.queue_capacity);
     std::thread::scope(|scope| {

@@ -26,10 +26,11 @@
 //!
 //! Backoff is *seeded*: jitter comes from a [`DetRng`] owned by the
 //! client, so a load test (or a unit test) can predict the exact sleep
-//! schedule. See [`RetryPolicy::backoff_schedule`] for the closed form.
-//! The pacing itself — schedule, jitter, deadline budgeting — is the
-//! shared [`dt_simengine::backoff`] implementation, the same machinery
-//! the `dt-preprocess` reconnect supervisor runs on.
+//! schedule. [`RetryPolicy`] is the shared [`BackoffPolicy`], whose
+//! [`schedule`](BackoffPolicy::schedule) gives the closed form: the pacing
+//! itself — schedule, jitter, deadline budgeting — is the same
+//! [`dt_simengine::backoff`] machinery the `dt-preprocess` reconnect
+//! supervisor runs on.
 //!
 //! The `fetch_*` scrapes of the daemon's HTTP plane open one connection
 //! per `GET`: the daemon answers one HTTP exchange per connection.
@@ -47,57 +48,8 @@ use std::time::{Duration, Instant};
 /// track of an assembled cross-process trace.
 pub const CLIENT_PID: u64 = 3_000;
 
-/// Retry/backoff configuration.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included). Minimum 1.
-    pub max_attempts: u32,
-    /// Backoff before retry `k` (1-based) starts from
-    /// `base_backoff * 2^(k-1)`.
-    pub base_backoff: Duration,
-    /// Per-sleep upper bound.
-    pub max_backoff: Duration,
-    /// Jitter seed; equal seeds give equal schedules.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(20),
-            max_backoff: Duration::from_secs(1),
-            seed: 1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The shared pacing policy this retry policy delegates to (see
-    /// [`dt_simengine::backoff::BackoffPolicy`]).
-    pub fn as_backoff(&self) -> BackoffPolicy {
-        BackoffPolicy {
-            max_attempts: self.max_attempts,
-            base: self.base_backoff,
-            cap: self.max_backoff,
-            seed: self.seed,
-        }
-    }
-
-    /// The deterministic sleep schedule this policy produces: entry `k`
-    /// is the backoff after failed attempt `k+1`. Exponential growth,
-    /// capped at [`RetryPolicy::max_backoff`], with multiplicative jitter
-    /// in `[0.5, 1.0)` drawn from the seeded [`DetRng`] — the same
-    /// decorrelation Optimus-style schedulers use so synchronized clients
-    /// do not re-stampede a recovering server.
-    pub fn backoff_schedule(&self) -> Vec<Duration> {
-        self.as_backoff().schedule()
-    }
-
-    fn nth_backoff(&self, k: u32, rng: &mut DetRng) -> Duration {
-        self.as_backoff().nth_backoff(k, rng)
-    }
-}
+/// Retry/backoff configuration: the shared pacing policy.
+pub type RetryPolicy = BackoffPolicy;
 
 /// Typed client-side failures.
 #[derive(Debug)]
@@ -378,12 +330,12 @@ mod tests {
     fn backoff_schedule_is_deterministic_and_bounded() {
         let policy = RetryPolicy {
             max_attempts: 6,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
+            base: Duration::from_millis(10),
+            cap: Duration::from_millis(200),
             seed: 99,
         };
-        let a = policy.backoff_schedule();
-        let b = policy.backoff_schedule();
+        let a = policy.schedule();
+        let b = policy.schedule();
         assert_eq!(a, b, "equal seeds give equal schedules");
         assert_eq!(a.len(), 5);
         for (k, d) in a.iter().enumerate() {
@@ -399,7 +351,7 @@ mod tests {
             seed: 100,
             ..policy
         };
-        assert_ne!(other.backoff_schedule(), a, "different seeds decorrelate");
+        assert_ne!(other.schedule(), a, "different seeds decorrelate");
     }
 
     #[test]
@@ -408,8 +360,8 @@ mod tests {
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let policy = RetryPolicy {
             max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
             seed: 7,
         };
         let mut client = Client::with_policy(addr, policy);

@@ -1,6 +1,7 @@
-//! The planner daemon: accept loop, admission gate, graceful drain.
+//! The planner daemon: admission gate, session body, graceful drain.
 //!
-//! Thread shape (all synchronous, like the preprocessing producer):
+//! Thread shape (all synchronous, on the same [`Listener`] as the
+//! preprocessing producer):
 //!
 //! ```text
 //! accept thread ──► session thread per connection
@@ -31,12 +32,12 @@
 //!   is what tells EOF and an HTTP `GET ` apart from a frame.
 //! * **Every admitted job is answered.** A session reads its next request
 //!   only after writing the last reply, which is what makes the drain
-//!   argument work: shutdown wakes the accept thread (stop flag plus a
-//!   self-connect), which shuts down the read half of every live session
-//!   — an idle session, including a kept-alive one waiting between
-//!   requests, sees EOF at once, a busy or waiting one still runs its job
-//!   and replies — and joins them. Nothing polls: sessions block in reads
-//!   or at the gate, the accept thread in `accept`.
+//!   argument work: shutdown sets the listener's [`Stop`], and its drain
+//!   shuts down the read half of every live session — an idle session,
+//!   including a kept-alive one waiting between requests, sees EOF at
+//!   once, a busy or waiting one still runs its job and replies — and
+//!   joins them. Nothing polls: sessions block in reads or at the gate,
+//!   the accept thread in `accept`.
 //! * **Hostile frames never panic.** A frame that is not a parseable
 //!   request, or whose length word claims more than
 //!   [`MAX_CONTROL_FRAME`] (checked before any body byte is read), gets a
@@ -53,12 +54,11 @@ use dt_orchestrator::{Orchestrator, PlanError, PlanReport, DEFAULT_TOP_K};
 use dt_parallel::plan::ModulePlan;
 use dt_simengine::frame::{read_json_ctx, write_json, MAX_CONTROL_FRAME};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
+use dt_simengine::{Listener, Stop};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, Gauge, Telemetry};
 use std::io::{self, BufRead, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -147,14 +147,13 @@ struct Shared {
     turn: Condvar,
     /// `dt_serve_running_jobs` and `dt_serve_queue_depth`, resolved once.
     gauges: Option<[Arc<Gauge>; 2]>,
-    stop: AtomicBool,
+    /// The listener's stop: read for `ShuttingDown`, set by `Shutdown`.
+    stop: Stop,
     cfg: ServeConfig,
-    /// The bound address, for self-connects that unblock the accept loop.
-    addr: std::net::SocketAddr,
 }
 
 impl Shared {
-    fn new(cfg: ServeConfig, addr: std::net::SocketAddr) -> Shared {
+    fn new(cfg: ServeConfig, stop: Stop) -> Shared {
         Shared {
             store: PlanStore::new(),
             telemetry: cfg.telemetry.clone(),
@@ -166,16 +165,9 @@ impl Shared {
             gauges: cfg.telemetry.with(|r| {
                 [names::SERVE_RUNNING_JOBS, names::SERVE_QUEUE_DEPTH].map(|n| r.gauge(n, &[]))
             }),
-            stop: AtomicBool::new(false),
+            stop,
             cfg,
-            addr,
         }
-    }
-
-    /// Begin a drain: stop admitting and nudge the accept loop awake.
-    fn begin_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
     }
 
     /// Take a ticket and block until it is granted one of `workers` slots.
@@ -231,7 +223,7 @@ pub struct ServeHandle {
     /// The bound address (resolved ephemeral port).
     pub addr: std::net::SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl ServeHandle {
@@ -242,15 +234,30 @@ impl ServeHandle {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
             })?)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(cfg, addr));
-        let shared_accept = shared.clone();
-        let accept = std::thread::Builder::new()
-            .name("dt-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &shared_accept));
+        let stop = Stop::new(addr);
+        let shared = Arc::new(Shared::new(cfg, stop.clone()));
+        let sessions = shared.clone();
+        // Drain the read half only: in-flight replies still go out.
+        let listener = Listener::spawn(
+            listener,
+            stop,
+            "dt-serve-accept".into(),
+            Shutdown::Read,
+            move |index| {
+                sessions
+                    .telemetry
+                    .with(|r| r.counter(names::SERVE_SESSIONS_TOTAL, &[]).inc());
+                let shared = sessions.clone();
+                let body = move |stream: &TcpStream| {
+                    let _ = serve_session(stream, &shared, index);
+                };
+                ("dt-serve-session".to_string(), body)
+            },
+        )?;
         Ok(ServeHandle {
             addr,
             shared,
-            accept: Some(accept?),
+            listener,
         })
     }
 
@@ -264,76 +271,21 @@ impl ServeHandle {
     ///
     /// [`ServeRequest::Shutdown`]: crate::api::ServeRequest::Shutdown
     pub fn stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.shared.stop.is_set()
     }
 
     /// Block until a drain starts (e.g. a wire shutdown request), then
     /// finish it: the `repro serve` foreground loop. The accept thread
-    /// only exits once a drain has begun, so joining it is the wait.
+    /// only exits once a drain has begun and finished, so joining it is
+    /// the wait.
     pub fn wait(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.shutdown();
+        self.listener.join();
     }
 
     /// Stop accepting, drain in-flight requests, join every thread (the
     /// accept thread joins the sessions). Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.begin_shutdown();
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-impl Drop for ServeHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Accept connections until a drain begins, one session thread each. The
-/// accept thread keeps a clone of every live session's socket: at drain
-/// it shuts down their read halves, so idle sessions see EOF at once while
-/// in-flight replies still go out, then joins them.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut sessions: Vec<(TcpStream, std::thread::JoinHandle<()>)> = Vec::new();
-    for (index, conn) in (0u64..).zip(listener.incoming()) {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        sessions.retain(|(_, h)| !h.is_finished());
-        let Ok(stream) = conn else { break };
-        shared
-            .telemetry
-            .with(|r| r.counter(names::SERVE_SESSIONS_TOTAL, &[]).inc());
-        let Ok(clone) = stream.try_clone() else {
-            continue;
-        };
-        let shared = shared.clone();
-        let spawned = std::thread::Builder::new()
-            .name("dt-serve-session".into())
-            .spawn(move || {
-                // A job that panics unwinds to here (its slot already freed).
-                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-                    serve_session(&stream, &shared, index)
-                }));
-                // The accept thread's clone keeps the fd open: shut down here
-                // so the peer sees EOF as soon as the session ends.
-                let _ = stream.shutdown(Shutdown::Both);
-            });
-        if let Ok(h) = spawned {
-            sessions.push((clone, h));
-        }
-    }
-    // Drain: every session finishes its in-flight request; one still
-    // waiting at the gate gets its slot as the running ones finish.
-    for (stream, _) in &sessions {
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for (_, h) in sessions {
-        let _ = h.join();
+        self.listener.shutdown();
     }
 }
 
@@ -391,7 +343,7 @@ fn serve_session(stream: &TcpStream, shared: &Shared, index: u64) -> io::Result<
             };
         let trace_id = ctx.map(|c| c.trace_id).unwrap_or(0);
         flight.record("request", trace_id, || req.kind().to_string());
-        if shared.stop.load(Ordering::SeqCst) && !matches!(req, ServeRequest::Shutdown) {
+        if shared.stop.is_set() && !matches!(req, ServeRequest::Shutdown) {
             write_json(&mut writer, &ServeReply::Err(ServeError::ShuttingDown))?;
             return Ok(());
         }
@@ -441,7 +393,7 @@ fn admit<'s>(req: &ServeRequest, shared: &'s Shared) -> Admitted<'s> {
             )
             .inc()
         });
-        shared.begin_shutdown();
+        shared.stop.set();
         return Admitted::Inline(ServeReply::Bye);
     }
     if let Err(reason) = validate(req, &shared.cfg) {
@@ -751,6 +703,7 @@ fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{self, AssertUnwindSafe};
 
     fn cfg() -> ServeConfig {
         ServeConfig {
@@ -806,7 +759,7 @@ mod tests {
             queue_depth,
             ..cfg()
         };
-        Shared::new(cfg, ([127, 0, 0, 1], 0).into())
+        Shared::new(cfg, Stop::new(([127, 0, 0, 1], 0).into()))
     }
 
     /// Block until the gate has exactly `n` jobs waiting (bounded).

@@ -269,8 +269,8 @@ fn full_queue_rejects_with_typed_overload_and_retry_rides_it_out() {
     // ~400 ms the running job needs to free its slot.
     let policy = RetryPolicy {
         max_attempts: 8,
-        base_backoff: Duration::from_millis(100),
-        max_backoff: Duration::from_millis(400),
+        base: Duration::from_millis(100),
+        cap: Duration::from_millis(400),
         seed: 3,
     };
     let mut client = Client::with_policy(addr, policy);
@@ -494,11 +494,11 @@ fn seeded_retry_jitter_is_reproducible_end_to_end() {
     let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
     let policy = RetryPolicy {
         max_attempts: 4,
-        base_backoff: Duration::from_millis(30),
-        max_backoff: Duration::from_millis(120),
+        base: Duration::from_millis(30),
+        cap: Duration::from_millis(120),
         seed: 11,
     };
-    let expected: Duration = policy.backoff_schedule().iter().sum();
+    let expected: Duration = policy.schedule().iter().sum();
     let mut walls = Vec::new();
     for _ in 0..2 {
         let mut client = Client::with_policy(addr, policy.clone());

@@ -26,6 +26,9 @@
 //!   accounting ([`BackoffPolicy`], [`Deadline`]): the one retry-pacing
 //!   implementation shared by the `dt-serve` client and the `dt-preprocess`
 //!   reconnect supervisor.
+//! * [`listen`] — the accept thread, live-session set, stop handle, drain
+//!   and join ([`Listener`], [`Stop`]) that both network planes run their
+//!   blocking sessions on.
 //!
 //! Higher layers map paper sections onto this substrate: `dt-pipeline` and
 //! `dt-orchestrator` implement §4 (disaggregated model orchestration),
@@ -35,6 +38,7 @@
 pub mod backoff;
 pub mod frame;
 pub mod json;
+pub mod listen;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -42,6 +46,7 @@ pub mod trace;
 
 pub use backoff::{BackoffPolicy, Deadline};
 pub use json::Json;
+pub use listen::{Listener, Stop};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceContext, TraceRecorder, TraceSpan, WallTraceSink};
