@@ -27,7 +27,9 @@
 //! cases replay one iteration of those plans on the engine
 //! (`Engine::run` over every DP rank's workload from
 //! `Runtime::build_workload_for`) and also report `ns_per_op`, the
-//! fastest iteration per executed op.
+//! fastest iteration per executed op. `plan_trials/production_72b` is
+//! the whole `TrainingTask::plan` of that task at seed 12: the §4 search,
+//! then one bounded trial per candidate, as `train-1296` sets up.
 //!
 //! Emits `BENCH_layers.json` (override the path with
 //! `DT_BENCH_LAYERS_JSON`) with mean/min µs per case and the host's core
@@ -225,6 +227,24 @@ fn main() {
             ("n", Json::num_u64(n as u64)),
             ("dp", Json::num_u64(u64::from(dp))),
             ("p", Json::num_u64(p as u64)),
+        ],
+    );
+
+    // The whole DistTrain set-up at seed 12: the §4 search, then one
+    // bounded trial per candidate.
+    let seeded = TrainingTask { seed: 12, ..task };
+    let candidates = seeded
+        .trial_candidates()
+        .expect("production task has candidates")
+        .len();
+    let name = "plan_trials/production_72b".to_string();
+    let stats = bench_stats(&name, iters, || seeded.plan(SystemKind::DistTrain));
+    record(
+        name,
+        stats,
+        vec![
+            ("seed", Json::num_u64(seeded.seed)),
+            ("candidates", Json::num_u64(candidates as u64)),
         ],
     );
 

@@ -146,6 +146,14 @@ pub fn registry() -> Vec<Property> {
             run: correlated_goodput_accounting,
         },
         Property {
+            name: "core.bounded_trials_choose_as_full_trials",
+            about: "manager's bounded plan trials pick the plan full trials of every candidate \
+                    pick (MLLM-9B/15B/72B, ablation/production, both streams, elastic replans)",
+            max_size: 1,
+            max_cases: 48,
+            run: bounded_trials_vs_full,
+        },
+        Property {
             name: "telemetry.snapshot_json_round_trip",
             about: "Snapshot → JSON text → Snapshot is exact for every metric kind",
             max_size: 10,
@@ -555,6 +563,69 @@ fn pruned_differential(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {
     }
 }
 
+/// `TrainingTask::plan` stops each candidate's trial once its plan can no
+/// longer be chosen; [`reference::full_trial_choice`] runs every
+/// candidate in full and applies the §7.1 rule. They must pick the same
+/// plan for a seeded MLLM-9B/15B/72B task at ablation or production
+/// scale on the evaluation or the characterization stream, and an
+/// ablation task must also replan alike after losing 1–4 nodes
+/// (`TrainingTask::replan_shrunk_warm`).
+fn bounded_trials_vs_full(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {
+    let preset = *rng.pick(&MllmPreset::ALL);
+    let production = rng.chance(0.5);
+    let mut task = if production {
+        TrainingTask::production(preset.build())
+    } else {
+        TrainingTask::ablation(preset.build(), preset.ablation_global_batch())
+    };
+    if rng.chance(0.5) {
+        task.data = DataConfig::characterization();
+    }
+    task.seed = rng.next_u64();
+    let case = format!(
+        "{preset:?} {} {:?} seed {:#x}",
+        if production { "production" } else { "ablation" },
+        task.data.resolution,
+        task.seed
+    );
+    let candidates = task
+        .trial_candidates()
+        .map_err(|e| Failure::new(format!("{case}: no candidates: {e}")))?;
+    let chosen = task
+        .plan(SystemKind::DistTrain)
+        .map_err(|e| Failure::new(format!("{case}: no plan: {e}")))?;
+    let full = reference::full_trial_choice(&task, &candidates);
+    ensure(full == Some(chosen), || {
+        format!("{case}: bounded trials chose {chosen:?}, full trials {full:?}")
+    })?;
+    if production {
+        return Ok(());
+    }
+    let lost = rng.range_u64(1, 5) as u32;
+    let shrunk = task
+        .shrunk(lost)
+        .expect("an ablation task keeps 8 of 12 nodes");
+    let replanned = shrunk.replan_shrunk_warm(&chosen, &mut task.warm_start());
+    let candidates = shrunk.replan_candidates(&chosen, &mut task.warm_start());
+    match (replanned, candidates) {
+        (Ok(replanned), Ok(candidates)) => {
+            let full = reference::full_trial_choice(&shrunk, &candidates);
+            ensure(full == Some(replanned), || {
+                format!(
+                    "{case} less {lost} nodes: bounded trials replanned {replanned:?}, \
+                     full trials {full:?}"
+                )
+            })
+        }
+        (Err(a), Err(b)) => ensure(a == b, || {
+            format!("{case} less {lost} nodes: replan errs {a:?}, candidates {b:?}")
+        }),
+        (a, b) => Err(Failure::new(format!(
+            "{case} less {lost} nodes: replan {a:?} vs candidates {b:?}"
+        ))),
+    }
+}
+
 fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     // Control messages round-trip through the JSON framing.
     let req = if rng.chance(0.5) {
@@ -903,7 +974,10 @@ mod tests {
     #[test]
     fn cheap_oracles_hold_across_a_quick_sweep() {
         for p in registry() {
-            if p.name.starts_with("planner.") || p.name.starts_with("elastic.") {
+            if ["planner.", "elastic.", "core."]
+                .iter()
+                .any(|prefix| p.name.starts_with(prefix))
+            {
                 continue; // covered (more cheaply) by their dedicated tests
             }
             let out = run_property(&p, 12);
@@ -918,6 +992,16 @@ mod tests {
             .find(|p| p.name == "planner.pruned_matches_exhaustive")
             .unwrap();
         let out = run_property(&p, 2);
+        assert!(out.failure.is_none(), "{:?}", out.failure);
+    }
+
+    #[test]
+    fn bounded_trials_oracle_holds_on_a_few_cases() {
+        let p = registry()
+            .into_iter()
+            .find(|p| p.name == "core.bounded_trials_choose_as_full_trials")
+            .unwrap();
+        let out = run_property(&p, 3);
         assert!(out.failure.is_none(), "{:?}", out.failure);
     }
 

@@ -1,12 +1,48 @@
-//! The event simulator `dt_pipeline::Engine` replaced, kept as the
-//! oracles' reference: interleaved pipelines are expanded into virtual
-//! stages, then the stage orders are drained round-robin. It does not
-//! validate its input; a `p = 0` interleaved pipeline underflows.
+//! The oracles' references for kernels that replaced simpler code:
+//!
+//! - the event simulator `dt_pipeline::Engine` replaced: interleaved
+//!   pipelines are expanded into virtual stages, then the stage orders
+//!   are drained round-robin. It does not validate its input; a `p = 0`
+//!   interleaved pipeline underflows;
+//! - the manager's plan choice from full trials ([`full_trial_choice`]),
+//!   which `TrainingTask::plan`'s bounded trials replaced.
 
+use disttrain_core::{SystemKind, TrainingTask};
+use dt_parallel::OrchestrationPlan;
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::{OpKind, OpRecord, PipelineResult, PipelineSpec, Schedule, Workload};
 use dt_reorder::InterReorderConfig;
 use dt_simengine::{SimDuration, SimTime};
+
+/// §7.1's selection rule over full trials: every plan in `plans` runs one
+/// whole iteration of `task` through the public
+/// [`TrainingTask::run_with_plan`] under DistTrain's runtime
+/// configuration; among the plans within 12% of the fastest, the one with
+/// the smallest GPU-seconds wins (then the faster, then the earlier).
+/// `None` for no plans.
+pub fn full_trial_choice(
+    task: &TrainingTask,
+    plans: &[OrchestrationPlan],
+) -> Option<OrchestrationPlan> {
+    let cfg = task.runtime_config(SystemKind::DistTrain, 1);
+    let times: Vec<f64> = plans
+        .iter()
+        .map(|&plan| {
+            let report = task.run_with_plan(plan, cfg.clone());
+            report.iterations[0].iter_time.as_secs_f64()
+        })
+        .collect();
+    let best = times.iter().copied().fold(f64::INFINITY, f64::min);
+    let mut choice: Option<((f64, f64), OrchestrationPlan)> = None;
+    for (&plan, &t) in plans.iter().zip(&times) {
+        let key = (t * f64::from(plan.total_gpus()), t);
+        let better = choice.as_ref().is_none_or(|(chosen, _)| key < *chosen);
+        if t <= best * 1.12 && better {
+            choice = Some((key, plan));
+        }
+    }
+    choice.map(|(_, plan)| plan)
+}
 
 /// Execute `workload` under `spec` and return the event simulator's
 /// timeline (ops in round-robin drain order, not stage-major).

@@ -31,12 +31,14 @@ use dt_orchestrator::PerfModel;
 use dt_parallel::{BrokerLink, OrchestrationPlan};
 use dt_pipeline::record_pipeline_metrics;
 use dt_pipeline::{
-    record_pipeline_trace, Engine, PipelineSpec, PipelineTraceOpts, Schedule, Workload,
+    record_pipeline_trace, Engine, PipelineResult, PipelineSpec, PipelineTraceOpts, Schedule,
+    Workload,
 };
 use dt_reorder::{InterReorderConfig, ReorderMode, ReorderPlanner};
 use dt_simengine::trace::{cat, TraceRecorder, TraceSpan};
 use dt_simengine::{SimDuration, SimTime};
 use dt_telemetry::{names, Telemetry};
+use std::ops::ControlFlow;
 
 use crate::metrics::{IterationReport, TrainingReport};
 use crate::system::PreprocessingMode;
@@ -210,6 +212,136 @@ impl<'p, 'c> Pricer<'p, 'c> {
     }
 }
 
+/// One iteration's DP ranks, simulated as they arrive: the one rank loop
+/// behind [`Runtime::simulate_rows`] (over a dispatch order) and
+/// [`Runtime::trial`] (as the planner hands each rank over). A rank's
+/// columns are priced and pushed into one reused `dt_pipeline::Engine`,
+/// reset per rank, and its stall is computed from its pixels; the
+/// iteration keeps the slowest makespan and the largest stall.
+///
+/// A rank whose rows repeat the previous simulated rank's (same length
+/// and, position by position, an equal [`SampleShape`] and equal pixels)
+/// reuses its makespan, bubble fraction and stall without pricing,
+/// replaying or computing a stall. That is exact: the pricer reads only
+/// the shape, the stall only the pixels, and the engine is a pure
+/// function of the spec and the columns. The engine still holds that
+/// rank's result, which is this one's, for the trace and the metrics. A
+/// miss costs the compare and a copy of the rank's row indices.
+struct Ranks<'r> {
+    rt: &'r Runtime<'r>,
+    rows: &'r CostRows,
+    pricer: Pricer<'r, 'r>,
+    spec: PipelineSpec,
+    stages: usize,
+    /// Samples per DP rank and per microbatch.
+    per_rank: usize,
+    m: usize,
+    engine: Engine,
+    /// The last simulated rank's rows, and its stall.
+    previous: Vec<usize>,
+    rank_stall: SimDuration,
+    /// The slowest makespan and the largest stall so far.
+    pipeline_time: SimDuration,
+    stall: SimDuration,
+    bubble_sum: f64,
+    ranks: usize,
+    /// Model FLOPs in dispatch order, summed as `f64`'s `Sum` sums them
+    /// (from `-0.0`).
+    model_flops: f64,
+    /// Every rank's pipeline result and stall, when `keep` (the trace and
+    /// the metrics read them).
+    keep: bool,
+    kept: Vec<(PipelineResult, SimDuration)>,
+}
+
+impl<'r> Ranks<'r> {
+    fn new(rt: &'r Runtime<'r>, perf: &'r PerfModel<'r>, rows: &'r CostRows, keep: bool) -> Self {
+        let coll = CollectiveCost::new(rt.cluster.clone());
+        let dp = rt.plan.backbone.dp.max(1) as usize;
+        let m = rt.plan.microbatch.max(1) as usize;
+        assert!(
+            rows.len().is_multiple_of(dp * m),
+            "global batch {} not divisible by dp {} × microbatch {}",
+            rows.len(),
+            dp,
+            m
+        );
+        let pricer = Pricer::new(rt, perf);
+        Ranks {
+            rt,
+            rows,
+            stages: pricer.pp.iter().sum(),
+            pricer,
+            spec: PipelineSpec {
+                schedule: rt.cfg.schedule,
+                comm: rt.build_comm_for(&coll),
+            },
+            per_rank: (rows.len() / dp).max(1),
+            m,
+            engine: Engine::default(),
+            previous: Vec::new(),
+            rank_stall: SimDuration::ZERO,
+            pipeline_time: SimDuration::ZERO,
+            stall: SimDuration::ZERO,
+            bubble_sum: 0.0,
+            ranks: 0,
+            model_flops: -0.0,
+            keep,
+            kept: Vec::new(),
+        }
+    }
+
+    /// Simulate the next DP rank: the rows `rank` lists, in dispatch order.
+    fn push(&mut self, rank: &[usize]) {
+        let rows = self.rows;
+        let repeats = rank.len() == self.previous.len()
+            && rank.iter().zip(&self.previous).all(|(&a, &b)| {
+                let (a, b) = (&rows.rows[a], &rows.rows[b]);
+                a.shape == b.shape && a.pixels == b.pixels
+            });
+        if !repeats {
+            #[cfg(test)]
+            tests::ENGINE_RUNS.set(tests::ENGINE_RUNS.get() + 1);
+            self.engine
+                .reset(&self.spec, self.stages, rank.len() / self.m);
+            for mb in rank.chunks(self.m) {
+                self.engine
+                    .push(self.pricer.column(mb.iter().map(|&k| rows.rows[k].shape)));
+            }
+            self.rank_stall = self
+                .rt
+                .preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
+            self.previous.clear();
+            self.previous.extend_from_slice(rank);
+        }
+        self.pipeline_time = self.pipeline_time.max(self.engine.makespan());
+        self.bubble_sum += self.engine.mean_bubble_fraction();
+        self.ranks += 1;
+        self.stall = self.stall.max(self.rank_stall);
+        self.model_flops = rank
+            .iter()
+            .fold(self.model_flops, |sum, &k| sum + rows.model_flops(k));
+        if self.keep {
+            self.kept.push((self.engine.result(), self.rank_stall));
+        }
+    }
+
+    /// The iteration over the ranks pushed, plus `grad_sync`.
+    fn report(&self, grad_sync: SimDuration) -> IterationReport {
+        IterationReport {
+            iter_time: self.pipeline_time + grad_sync + self.stall,
+            pipeline_time: self.pipeline_time,
+            grad_sync,
+            preprocess_stall: self.stall,
+            model_flops: self.model_flops,
+            bubble_fraction: self.bubble_sum / self.ranks.max(1) as f64,
+            gpus: self.rt.plan.total_gpus(),
+            samples: self.rows.len() as u32,
+            tokens: self.rows.rows.iter().map(|r| r.shape.seq_len()).sum(),
+        }
+    }
+}
+
 impl<'a> Runtime<'a> {
     /// The reorder planner this runtime configuration implies (public for
     /// drivers that step iterations manually).
@@ -360,23 +492,6 @@ impl<'a> Runtime<'a> {
         v
     }
 
-    /// One iteration over an already-priced global batch: order it with
-    /// [`Runtime::planner_for`]'s planner, then simulate it. [`Runtime::run`]
-    /// with one iteration is exactly this over the stream's first batch, so
-    /// callers that trial many plans on the same batch price it once.
-    pub(crate) fn run_batch(&self, rows: &CostRows) -> IterationReport {
-        let coll = CollectiveCost::new(self.cluster.clone());
-        let perf = self.perf_model(&coll);
-        let order = self.planner_for(&perf).reorder_indices(rows);
-        self.simulate_rows(
-            &perf,
-            rows,
-            &order,
-            &mut TraceRecorder::disabled(),
-            &Telemetry::disabled(),
-        )
-    }
-
     /// The reordered global batch of every iteration, drawn from one
     /// sample stream: [`IterationBatches::get`]`(i)` is the batch
     /// [`Runtime::run`] trains on at iteration `i`.
@@ -431,16 +546,7 @@ impl<'a> Runtime<'a> {
 
     /// One iteration over a batch priced into `rows`, dispatched in
     /// `order` (position `k` trains row `order[k]`), observed as
-    /// [`Runtime::step`] describes.
-    ///
-    /// A rank whose rows repeat the previous rank's (same length and,
-    /// position by position, an equal [`SampleShape`] and equal pixels)
-    /// reuses its makespan, bubble fraction and stall without pricing,
-    /// replaying or computing a stall. That is exact: the pricer reads
-    /// only the shape, the stall only the pixels, and the engine is a
-    /// pure function of the spec and the columns. The engine still holds
-    /// that rank's result, which is this one's, for the trace and the
-    /// metrics. A miss costs the compare.
+    /// [`Runtime::step`] describes: [`Ranks`] over `order`'s DP ranks.
     fn simulate_rows(
         &self,
         perf: &PerfModel<'_>,
@@ -449,82 +555,23 @@ impl<'a> Runtime<'a> {
         rec: &mut TraceRecorder,
         tel: &Telemetry,
     ) -> IterationReport {
-        let coll = CollectiveCost::new(self.cluster.clone());
-        let dp = self.plan.backbone.dp.max(1) as usize;
-        let m = self.plan.microbatch.max(1) as usize;
-        assert!(
-            order.len().is_multiple_of(dp * m),
-            "global batch {} not divisible by dp {} × microbatch {}",
-            order.len(),
-            dp,
-            m
-        );
-        let per_rank = (order.len() / dp).max(1);
-        let comm = self.build_comm_for(&coll);
-        let spec = PipelineSpec {
-            schedule: self.cfg.schedule,
-            comm,
-        };
-
-        let mut pipeline_time = SimDuration::ZERO;
-        let mut bubble_sum = 0.0;
-        let mut ranks = 0usize;
-        let mut stall = SimDuration::ZERO;
-        let mut results = Vec::new();
-        let mut stalls = Vec::new();
-        let mut pricer = Pricer::new(self, perf);
-        let stages = pricer.pp.iter().sum();
-        let mut engine = Engine::default();
-        let (mut previous, mut rank_stall): (&[usize], _) = (&[], SimDuration::ZERO);
-        for rank in order.chunks(per_rank) {
-            let repeats = rank.len() == previous.len()
-                && rank.iter().zip(previous).all(|(&a, &b)| {
-                    let (a, b) = (&rows.rows[a], &rows.rows[b]);
-                    a.shape == b.shape && a.pixels == b.pixels
-                });
-            if !repeats {
-                #[cfg(test)]
-                tests::ENGINE_RUNS.set(tests::ENGINE_RUNS.get() + 1);
-                engine.reset(&spec, stages, rank.len() / m);
-                for mb in rank.chunks(m) {
-                    engine.push(pricer.column(mb.iter().map(|&k| rows.rows[k].shape)));
-                }
-                rank_stall = self.preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
-                previous = rank;
-            }
-            pipeline_time = pipeline_time.max(engine.makespan());
-            bubble_sum += engine.mean_bubble_fraction();
-            ranks += 1;
-            stall = stall.max(rank_stall);
-            if rec.is_enabled() || tel.is_enabled() {
-                results.push(engine.result());
-                stalls.push(rank_stall);
-            }
+        let mut ranks = Ranks::new(self, perf, rows, rec.is_enabled() || tel.is_enabled());
+        for rank in order.chunks(ranks.per_rank) {
+            ranks.push(rank);
         }
-
-        let grad_sync = ModuleKind::ALL
-            .iter()
-            .map(|&k| {
-                let p = self.plan.module(k);
-                let (tp, dp_eff) = if p.replicate_in_tp_group {
-                    (1, p.dp * p.tp)
-                } else {
-                    (p.tp, p.dp)
-                };
-                perf.grad_sync_time(k, dp_eff, tp, p.pp)
-            })
-            .fold(SimDuration::ZERO, SimDuration::max);
+        let grad_sync = self.grad_sync(perf);
+        let pipeline_time = ranks.pipeline_time;
 
         if rec.is_enabled() {
             let modules = self.stage_modules();
             let runtime_tid = modules.len() as u64;
-            for (rank, result) in results.iter().enumerate() {
+            for (rank, (result, stall)) in ranks.kept.iter().enumerate() {
                 let opts = PipelineTraceOpts {
                     pid: rank as u64,
                     pad_to: Some(pipeline_time),
                     stage_modules: modules.clone(),
                 };
-                record_pipeline_trace(rec, result, &spec.comm, &opts);
+                record_pipeline_trace(rec, result, &ranks.spec.comm, &opts);
                 let sync_start = SimTime::ZERO + pipeline_time;
                 if !grad_sync.is_zero() {
                     rec.record(TraceSpan::new(
@@ -536,14 +583,14 @@ impl<'a> Runtime<'a> {
                         grad_sync,
                     ));
                 }
-                if !stalls[rank].is_zero() {
+                if !stall.is_zero() {
                     rec.record(TraceSpan::new(
                         "preprocess_stall".to_string(),
                         cat::STALL,
                         rank as u64,
                         runtime_tid,
                         sync_start + grad_sync,
-                        stalls[rank],
+                        *stall,
                     ));
                 }
             }
@@ -551,25 +598,69 @@ impl<'a> Runtime<'a> {
 
         if tel.is_enabled() {
             let modules = self.stage_modules();
-            for result in &results {
-                record_pipeline_metrics(tel, result, &spec.comm, &modules);
+            for (result, _) in &ranks.kept {
+                record_pipeline_metrics(tel, result, &ranks.spec.comm, &modules);
             }
         }
 
-        let model_flops: f64 = order.iter().map(|&k| rows.model_flops(k)).sum();
-        let tokens: u64 = rows.rows.iter().map(|r| r.shape.seq_len()).sum();
+        ranks.report(grad_sync)
+    }
 
-        IterationReport {
-            iter_time: pipeline_time + grad_sync + stall,
-            pipeline_time,
-            grad_sync,
-            preprocess_stall: stall,
-            model_flops,
-            bubble_fraction: bubble_sum / ranks.max(1) as f64,
-            gpus: self.plan.total_gpus(),
-            samples: order.len() as u32,
-            tokens,
-        }
+    /// A bounded plan trial: the one-iteration report [`Runtime::run`]
+    /// gives on `batch`, or `None` as soon as the iteration is sure to
+    /// take longer than `cutoff` seconds. Ranks run as the planner hands
+    /// them over ([`ReorderPlanner::try_for_each_rank`]); after each, grad
+    /// sync plus the slowest makespan and the largest stall so far is a
+    /// lower bound on the iteration time that only grows, and the trial
+    /// stops once it exceeds `cutoff` in the `f64` seconds the caller
+    /// compares. A trial that runs to the end is exactly the full one.
+    pub(crate) fn trial(&self, batch: &mut TrialBatch, cutoff: f64) -> Option<IterationReport> {
+        let coll = CollectiveCost::new(self.cluster.clone());
+        let perf = self.perf_model(&coll);
+        let planner = self.planner_for(&perf);
+        let grad_sync = self.grad_sync(&perf);
+        let TrialBatch {
+            rows,
+            sizes,
+            balanced,
+        } = batch;
+        let width = match balanced.iter().position(|(dp, _)| *dp == planner.dp) {
+            Some(width) => width,
+            None => {
+                balanced.push((planner.dp, planner.balance(sizes)));
+                balanced.len() - 1
+            }
+        };
+        let mut ranks = Ranks::new(self, &perf, rows, false);
+        let flow = planner.try_for_each_rank(sizes, balanced[width].1.as_deref(), |rank| {
+            ranks.push(rank);
+            let bound = ranks.pipeline_time + grad_sync + ranks.stall;
+            if bound.as_secs_f64() > cutoff {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        #[cfg(test)]
+        tests::TRIAL_RANKS.with_borrow_mut(|log| log.push(ranks.ranks));
+        flow.is_continue().then(|| ranks.report(grad_sync))
+    }
+
+    /// The slowest module's gradient synchronization: a function of the
+    /// plan alone.
+    fn grad_sync(&self, perf: &PerfModel<'_>) -> SimDuration {
+        ModuleKind::ALL
+            .iter()
+            .map(|&k| {
+                let p = self.plan.module(k);
+                let (tp, dp_eff) = if p.replicate_in_tp_group {
+                    (1, p.dp * p.tp)
+                } else {
+                    (p.tp, p.dp)
+                };
+                perf.grad_sync_time(k, dp_eff, tp, p.pp)
+            })
+            .fold(SimDuration::ZERO, SimDuration::max)
     }
 
     /// The cost oracle this runtime configuration implies, with the
@@ -640,6 +731,27 @@ impl<'a> Runtime<'a> {
         TrainingReport {
             iterations,
             peak_flops_per_gpu: self.cluster.node.gpu.peak_flops,
+        }
+    }
+}
+
+/// The stream's first global batch, as every plan trial reads it
+/// ([`Runtime::trial`]): priced once, sized once, and balanced by
+/// Algorithm 1 once per backbone DP width.
+pub(crate) struct TrialBatch {
+    rows: CostRows,
+    sizes: Vec<f64>,
+    /// Algorithm 1's order ([`ReorderPlanner::balance`]) per DP width
+    /// trialled so far.
+    balanced: Vec<(u32, Option<Vec<usize>>)>,
+}
+
+impl TrialBatch {
+    pub(crate) fn new(rows: CostRows) -> Self {
+        TrialBatch {
+            sizes: rows.multimodal_sizes(),
+            rows,
+            balanced: Vec::new(),
         }
     }
 }
@@ -722,18 +834,19 @@ pub fn record_iteration_metrics(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::system::{SystemKind, TrainingTask};
     use dt_model::{FreezeConfig, MllmPreset};
     use dt_parallel::ModulePlan;
     use dt_pipeline::PipelineResult;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     thread_local! {
-        /// Ranks [`Runtime::simulate_rows`] has priced and replayed on
-        /// this thread.
+        /// Ranks [`Ranks`] has priced and replayed on this thread.
         pub(super) static ENGINE_RUNS: Cell<usize> = const { Cell::new(0) };
+        /// The ranks each [`Runtime::trial`] on this thread ran, in order.
+        pub(crate) static TRIAL_RANKS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     }
 
     /// `f`'s result and the ranks it priced and replayed.

@@ -2,7 +2,7 @@
 //! system (DistTrain, Megatron-LM, DistMM*).
 
 use crate::metrics::TrainingReport;
-use crate::runtime::{Runtime, RuntimeConfig};
+use crate::runtime::{Runtime, RuntimeConfig, TrialBatch};
 use dt_cluster::{ClusterSpec, CollectiveCost};
 use dt_data::cost::CostRows;
 use dt_data::DataConfig;
@@ -12,6 +12,10 @@ use dt_orchestrator::formulate::ProblemSpec;
 use dt_orchestrator::{Orchestrator, PerfModel, PlanError, Profiler, TaskProfile, WarmStart};
 use dt_parallel::OrchestrationPlan;
 use dt_simengine::DetRng;
+
+/// How much slower than the fastest trialled plan a plan may be and still
+/// be chosen (§7.1: within 12%).
+const TRIAL_SLACK: f64 = 1.12;
 
 /// Which system's policies to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,25 +205,22 @@ impl TrainingTask {
     /// near-equal throughput with fewer GPUs frees the remainder for
     /// concurrent fine-tuning/inference and maximizes MFU). `plans` is
     /// non-empty: the §4 shortlist always is on `Ok`.
+    ///
+    /// The trials are bounded ([`TrainingTask::trial_times`]): a plan
+    /// whose trial is abandoned would fail the 12% filter anyway, so the
+    /// choice is the one full trials of every plan make.
     fn select_by_trial(&self, plans: Vec<OrchestrationPlan>) -> OrchestrationPlan {
-        // Trials run the full data path so their ranking matches the
-        // production configuration exactly. Every trial sees the stream's
-        // first global batch, so it is drawn and priced once and every
-        // plan reads the same rows.
-        let cfg = self.runtime_config(SystemKind::DistTrain, 1);
-        let rows = self.first_batch_rows(&cfg);
-        let mut trials: Vec<(f64, u32, OrchestrationPlan)> = Vec::new();
-        for plan in plans {
-            let report = self.runtime(plan, cfg.clone()).run_batch(&rows);
-            trials.push((report.iter_time.as_secs_f64(), plan.total_gpus(), plan));
-        }
-        let best = trials
+        let times = self.trial_times(&plans);
+        let best = times
             .iter()
-            .map(|(t, _, _)| *t)
+            .flatten()
+            .copied()
             .fold(f64::INFINITY, f64::min);
-        trials
+        plans
             .into_iter()
-            .filter(|(t, _, _)| *t <= best * 1.12)
+            .zip(times)
+            .filter_map(|(plan, t)| Some((t?, plan.total_gpus(), plan)))
+            .filter(|(t, _, _)| *t <= best * TRIAL_SLACK)
             .min_by(|a, b| {
                 let ka = (a.0 * a.1 as f64, a.0);
                 let kb = (b.0 * b.1 as f64, b.0);
@@ -227,6 +228,33 @@ impl TrainingTask {
             })
             .map(|(_, _, plan)| plan)
             .expect("the §4 shortlist is non-empty")
+    }
+
+    /// One bounded trial per plan, in order: its iteration time in
+    /// seconds, or `None` when the trial stopped early. Trials run the
+    /// full data path so their ranking matches the production
+    /// configuration exactly. Every trial sees the stream's first global
+    /// batch, so it is drawn, priced and sized once, and balanced by
+    /// Algorithm 1 once per backbone DP width. Each trial stops once its
+    /// iteration is sure to exceed [`TRIAL_SLACK`] × the fastest trialled
+    /// before it ([`Runtime::trial`]); that fastest is never below the
+    /// fastest of all, so an abandoned plan fails the 12% filter, and a
+    /// completed trial's time is the full trial's, bit for bit.
+    fn trial_times(&self, plans: &[OrchestrationPlan]) -> Vec<Option<f64>> {
+        let cfg = self.runtime_config(SystemKind::DistTrain, 1);
+        let mut batch = TrialBatch::new(self.first_batch_rows(&cfg));
+        let mut best = f64::INFINITY;
+        plans
+            .iter()
+            .map(|&plan| {
+                let report = self
+                    .runtime(plan, cfg.clone())
+                    .trial(&mut batch, best * TRIAL_SLACK)?;
+                let t = report.iter_time.as_secs_f64();
+                best = best.min(t);
+                Some(t)
+            })
+            .collect()
     }
 
     /// The stream's first global batch under `cfg`, priced into cost rows.
@@ -275,9 +303,21 @@ impl TrainingTask {
         old_plan: &OrchestrationPlan,
         warm: &mut WarmStart,
     ) -> Result<OrchestrationPlan, PlanError> {
+        Ok(self.select_by_trial(self.replan_candidates(old_plan, warm)?))
+    }
+
+    /// The plans [`TrainingTask::replan_shrunk_warm`] trials: `old_plan`
+    /// observed into `warm`, then the §4 shortlist over `warm` on this
+    /// task's GPU budget, plus the naive proportional shrink of
+    /// `old_plan` when it fits.
+    pub fn replan_candidates(
+        &self,
+        old_plan: &OrchestrationPlan,
+        warm: &mut WarmStart,
+    ) -> Result<Vec<OrchestrationPlan>, PlanError> {
         warm.observe(old_plan);
         let naive = proportional_shrink_plan(&self.problem_spec(), &self.model, old_plan).ok();
-        Ok(self.select_by_trial(self.candidates(warm, naive)?))
+        self.candidates(warm, naive)
     }
 
     /// The runtime configuration each system uses for data handling
@@ -398,13 +438,13 @@ mod tests {
 
     #[test]
     fn trials_on_a_shared_batch_match_one_iteration_runs() {
-        // `select_by_trial` prices the first global batch once and hands
-        // the rows to every candidate; each trial must be bit-identical to
-        // a one-iteration `Runtime::run` of that plan, and to reordering
-        // the samples themselves and simulating the reordered batch.
+        // `trial_times` prices the first global batch once and hands it to
+        // every candidate; an unbounded trial must be bit-identical to a
+        // one-iteration `Runtime::run` of that plan, and to reordering the
+        // samples themselves and simulating the reordered batch.
         let t = task(MllmPreset::Mllm9B);
         let cfg = t.runtime_config(SystemKind::DistTrain, 1);
-        let rows = t.first_batch_rows(&cfg);
+        let mut shared = TrialBatch::new(t.first_batch_rows(&cfg));
         let batch =
             dt_data::SyntheticLaion::new(t.data.clone(), cfg.seed).take(cfg.global_batch as usize);
         for kind in [
@@ -414,7 +454,9 @@ mod tests {
         ] {
             let plan = t.plan(kind).expect("ablation task plans");
             let runtime = t.runtime(plan, cfg.clone());
-            let trial = runtime.run_batch(&rows);
+            let trial = runtime
+                .trial(&mut shared, f64::INFINITY)
+                .expect("an unbounded trial runs to the end");
             let run = t.run_with_plan(plan, cfg.clone());
             assert_eq!(
                 format!("{trial:?}"),
@@ -430,6 +472,51 @@ mod tests {
                 trial.iter_time.as_secs_f64().to_bits(),
                 run.mean_iter_secs().to_bits()
             );
+        }
+    }
+
+    /// The bounded trials of the MLLM-72B production task: candidates
+    /// whose iteration can no longer come within 12% of the fastest
+    /// trialled before them stop after their first DP ranks, and every
+    /// other trial times its plan exactly as a full one-iteration run.
+    #[test]
+    fn bounded_trials_stop_only_plans_that_cannot_be_chosen() {
+        for seed in [11, 12, 13, 42] {
+            let t = TrainingTask {
+                seed,
+                ..TrainingTask::production(MllmPreset::Mllm72B.build())
+            };
+            let plans = t.trial_candidates().expect("production candidates");
+            crate::runtime::tests::TRIAL_RANKS.with_borrow_mut(Vec::clear);
+            let times = t.trial_times(&plans);
+            let ranks = crate::runtime::tests::TRIAL_RANKS.take();
+            assert_eq!(ranks.len(), plans.len());
+            let (mut best, mut abandoned) = (f64::INFINITY, 0);
+            for (i, plan) in plans.iter().enumerate() {
+                let full = t
+                    .run_with_plan(*plan, t.runtime_config(SystemKind::DistTrain, 1))
+                    .mean_iter_secs();
+                match times[i] {
+                    Some(time) => {
+                        assert_eq!(time.to_bits(), full.to_bits(), "seed {seed} plan {i}");
+                        assert_eq!(ranks[i], plan.backbone.dp as usize);
+                        best = best.min(time);
+                    }
+                    None => {
+                        abandoned += 1;
+                        assert!(
+                            ranks[i] < plan.backbone.dp as usize,
+                            "seed {seed} plan {i}: stopped after all {} ranks",
+                            ranks[i]
+                        );
+                        assert!(
+                            full > best * TRIAL_SLACK,
+                            "seed {seed} plan {i}: {full} s is within 12% of {best} s"
+                        );
+                    }
+                }
+            }
+            assert!(abandoned >= 3, "seed {seed}: {abandoned} trials stopped");
         }
     }
 

@@ -6,16 +6,26 @@
 //!
 //! The passes read a batch priced into [`CostRows`] and only compute a
 //! permutation ([`ReorderPlanner::reorder_indices`]); callers that already
-//! hold the rows — the runtime's plan trials — never move a sample.
-//! Algorithm 2 runs once per distinct rank stream, within one call: at
-//! the production shape 104–106 of 128 ranks repeat their predecessor's
-//! microbatch times and reuse its order (see [`crate::inter`]).
+//! hold the rows — the runtime's iterations and plan trials — never move
+//! a sample. Algorithm 2 runs once per distinct rank stream, within one
+//! call: at the production shape 104–106 of 128 ranks repeat their
+//! predecessor's microbatch times and reuse its order (see
+//! [`crate::inter`]).
+//!
+//! The passes also run one DP rank at a time. Algorithm 1's order
+//! ([`ReorderPlanner::balance`]) is a pure function of the sizes and the
+//! DP width, so it is handed in, and plan trials of one width share it;
+//! [`ReorderPlanner::try_for_each_rank`] runs Algorithm 2 rank by rank
+//! and hands each rank's order to a callback that can stop the pass. A
+//! plan trial stops there once its plan can no longer be chosen.
+//! `reorder_indices` is that pass, collected.
 
 use crate::inter::InterReorder;
 use crate::{intra_reorder_indices, InterReorderConfig};
 use dt_data::cost::CostRows;
 use dt_data::TrainSample;
 use dt_model::MultimodalLlm;
+use std::ops::ControlFlow;
 
 /// Which reordering passes to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,30 +74,68 @@ impl ReorderPlanner {
     /// (`ReorderError::IndivisibleBatch`), or holding a non-finite size
     /// (`ReorderError::NonFiniteSize`) — keeps its order: the trainer
     /// validates divisibility anyway, and reordering must never corrupt
-    /// the DP split.
+    /// the DP split. This is [`ReorderPlanner::try_for_each_rank`]'s
+    /// ranks, collected.
     pub fn reorder_indices(&self, rows: &CostRows) -> Vec<usize> {
-        let n = rows.len();
+        if matches!(self.mode, ReorderMode::None) {
+            return (0..rows.len()).collect();
+        }
+        let sizes = rows.multimodal_sizes();
+        let mut order = Vec::with_capacity(sizes.len());
+        let all = self.try_for_each_rank::<()>(&sizes, self.balance(&sizes).as_deref(), |rank| {
+            order.extend_from_slice(rank);
+            ControlFlow::Continue(())
+        });
+        debug_assert!(all.is_continue());
+        order
+    }
+
+    /// Algorithm 1's order of a batch whose multimodal sizes
+    /// ([`CostRows::multimodal_sizes`]) are `sizes`, balanced over this
+    /// planner's `dp` groups; `None` when Algorithm 1 cannot split it (an
+    /// indivisible batch or a non-finite size), and the passes keep the
+    /// batch's order. A pure function of `(sizes, dp)`: planners of one
+    /// DP width can share it.
+    pub fn balance(&self, sizes: &[f64]) -> Option<Vec<usize>> {
+        intra_reorder_indices(sizes, self.dp.max(1) as usize).ok()
+    }
+
+    /// [`ReorderPlanner::reorder_indices`], one DP rank at a time: hands
+    /// `rank` each rank's slice of the new order, in rank order, and
+    /// stops at the first [`ControlFlow::Break`], which it returns.
+    /// `balanced` is [`ReorderPlanner::balance`] of `sizes`. Algorithm 2
+    /// runs for a rank only once the ranks before it were accepted, so a
+    /// caller that stops early skips the rest of the pass. A batch the
+    /// passes cannot split arrives in its own order: in ranks when it
+    /// divides into `dp` ranks of whole microbatches, else in one slice.
+    pub fn try_for_each_rank<B>(
+        &self,
+        sizes: &[f64],
+        balanced: Option<&[usize]>,
+        mut rank: impl FnMut(&[usize]) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let n = sizes.len();
         let dp = self.dp.max(1) as usize;
         let m = self.microbatch.max(1) as usize;
-        if matches!(self.mode, ReorderMode::None) || n == 0 || !n.is_multiple_of(dp * m) {
-            return (0..n).collect();
-        }
-
-        // Algorithm 1: balance multimodal load across DP groups.
-        let sizes = rows.multimodal_sizes();
-        let Ok(balanced) = intra_reorder_indices(&sizes, dp) else {
-            return (0..n).collect();
+        let divisible = n.is_multiple_of(dp * m);
+        let per_rank = if divisible { n / dp } else { n }.max(1);
+        let balanced = match balanced {
+            Some(balanced) if divisible && !matches!(self.mode, ReorderMode::None) => balanced,
+            _ => {
+                let identity: Vec<usize> = (0..n).collect();
+                return identity.chunks(per_rank).try_for_each(rank);
+            }
         };
+        debug_assert_eq!(balanced.len(), n, "Algorithm 1's order of these sizes");
         if matches!(self.mode, ReorderMode::IntraOnly) {
-            return balanced;
+            return balanced.chunks(per_rank).try_for_each(rank);
         }
 
         // Algorithm 2: within each DP rank's contiguous chunk, permute
         // whole microbatches to fill the 1F1B intervals.
-        let per_rank = n / dp;
         let mut alg2 = InterReorder::new(&self.inter_cfg);
         let mut mb_secs = Vec::with_capacity(per_rank / m);
-        let mut order = Vec::with_capacity(n);
+        let mut order = Vec::with_capacity(per_rank);
         for chunk in balanced.chunks(per_rank) {
             mb_secs.clear();
             mb_secs.extend(
@@ -95,11 +143,13 @@ impl ReorderPlanner {
                     .chunks(m)
                     .map(|mb| mb.iter().map(|&i| sizes[i]).sum::<f64>() * self.secs_per_flop),
             );
+            order.clear();
             for &mb in alg2.order(&mb_secs) {
                 order.extend_from_slice(&chunk[mb * m..(mb + 1) * m]);
             }
+            rank(&order)?;
         }
-        order
+        ControlFlow::Continue(())
     }
 }
 
@@ -251,6 +301,36 @@ mod tests {
             if case == 0 {
                 assert!(repeats >= 100, "{repeats} of 128 ranks repeat");
             }
+        }
+    }
+
+    /// The per-rank pass hands over `dp` slices, in rank order, that
+    /// concatenate to `reorder_indices`, and a break ends it at once.
+    #[test]
+    fn ranks_arrive_in_order_and_a_break_stops_the_pass() {
+        for mode in [ReorderMode::None, ReorderMode::IntraOnly, ReorderMode::Full] {
+            let p = planner(mode);
+            let rows = CostRows::new(&p.model, batch(32));
+            let sizes = rows.multimodal_sizes();
+            let balanced = p.balance(&sizes);
+            let mut ranks = Vec::new();
+            let all = p.try_for_each_rank::<()>(&sizes, balanced.as_deref(), |rank| {
+                ranks.push(rank.to_vec());
+                ControlFlow::Continue(())
+            });
+            assert!(all.is_continue());
+            assert_eq!(ranks.len(), 4, "{mode:?}");
+            assert_eq!(ranks.concat(), p.reorder_indices(&rows), "{mode:?}");
+            let mut seen = 0;
+            let stopped = p.try_for_each_rank(&sizes, balanced.as_deref(), |_| {
+                seen += 1;
+                if seen == 2 {
+                    ControlFlow::Break(seen)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!((stopped, seen), (ControlFlow::Break(2), 2), "{mode:?}");
         }
     }
 

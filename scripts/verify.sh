@@ -147,7 +147,8 @@ echo "==> bench_reorder smoke (BENCH_layers.json: Alg 1/Alg 2 and the production
 # Runtime::simulate_iteration under each plan and, as the miss path of the
 # runtime's repeated-rank check, on the skewed stream under the chosen
 # plan; the pipeline_engine cases replay one iteration of each plan on
-# the engine.
+# the engine; plan_trials times the whole TrainingTask::plan of the
+# MLLM-72B production task (the §4 search and the bounded trials).
 LAYERS_JSON="$VERIFY_TMP/BENCH_layers.json"
 DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_LAYERS_JSON="$LAYERS_JSON" \
     cargo bench -p dt-bench --bench bench_reorder --quiet
@@ -159,7 +160,7 @@ for case in algorithm1_intra/n1920_dp128 cost_rows/production_n1920 \
     reorder_indices/deepest_candidate_n1920_dp15_p22 runtime_iteration/train_plan_ \
     runtime_iteration/deepest_candidate_ \
     runtime_iteration/characterization_train_plan_n1920_dp128_p3 pipeline_engine/train_plan_ \
-    pipeline_engine/deepest_candidate_; do
+    pipeline_engine/deepest_candidate_ plan_trials/production_72b; do
     grep -q "\"name\":\"$case" "$LAYERS_JSON" \
         || { echo "production reorder cases missing from BENCH_layers.json ($case)" >&2; exit 1; }
 done
