@@ -34,11 +34,6 @@ impl MetricsRun {
     pub fn snapshot(&self) -> Snapshot {
         self.telemetry.snapshot()
     }
-
-    /// The metrics summary table.
-    pub fn summary(&self) -> Report {
-        metrics_summary(&self.snapshot())
-    }
 }
 
 /// Plan `task` under DistTrain's policies and run `iterations` with
@@ -239,7 +234,7 @@ mod tests {
             .counter_value(names::RUNTIME_ITERATIONS_TOTAL, &[])
             .unwrap();
         assert!(iters as usize >= run.report.iterations.len() + 6);
-        let table = run.summary().render();
+        let table = metrics_summary(&run.snapshot()).render();
         assert!(
             table.contains(names::RUNTIME_ITER_TIME_SECONDS),
             "table:\n{table}"

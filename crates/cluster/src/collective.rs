@@ -78,7 +78,8 @@ impl CollectiveCost {
     /// fits inside one node. Ranks follow §6's layout — TP groups on
     /// consecutive ranks, DP next, PP outermost — so a TP group of at most
     /// one node's GPUs never leaves its NVLink domain.
-    pub fn domain_for_group(&self, ranks: u32) -> CommDomain {
+    #[cfg(test)]
+    fn domain_for_group(&self, ranks: u32) -> CommDomain {
         if ranks <= self.cluster.node.gpus_per_node {
             CommDomain::IntraNode
         } else {
@@ -109,27 +110,6 @@ impl CollectiveCost {
             CollectiveKind::PointToPoint => (1.0, v),
         };
         SimDuration::from_secs_f64(steps * alpha + wire_bytes / bw)
-    }
-
-    /// Convenience: allreduce over a group of `n` consecutive ranks, domain
-    /// inferred from the group size.
-    pub fn allreduce(&self, n: u32, bytes: u64) -> SimDuration {
-        self.time(
-            CollectiveKind::AllReduce,
-            n,
-            bytes,
-            self.domain_for_group(n),
-        )
-    }
-
-    /// Convenience: allgather, domain inferred.
-    pub fn allgather(&self, n: u32, bytes: u64) -> SimDuration {
-        self.time(
-            CollectiveKind::AllGather,
-            n,
-            bytes,
-            self.domain_for_group(n),
-        )
     }
 
     /// Point-to-point activation transfer between pipeline stages. Stages of
@@ -201,8 +181,10 @@ mod tests {
     #[test]
     fn trivial_groups_are_free() {
         let c = cost();
-        assert_eq!(c.allreduce(1, 1 << 30), SimDuration::ZERO);
-        assert_eq!(c.allreduce(8, 0), SimDuration::ZERO);
+        let allreduce =
+            |n, bytes| c.time(CollectiveKind::AllReduce, n, bytes, c.domain_for_group(n));
+        assert_eq!(allreduce(1, 1 << 30), SimDuration::ZERO);
+        assert_eq!(allreduce(8, 0), SimDuration::ZERO);
     }
 
     #[test]

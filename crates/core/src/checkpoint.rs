@@ -238,6 +238,22 @@ mod tests {
     }
 
     #[test]
+    fn recovery_keeps_a_seed_of_2_pow_60() {
+        let dir = tempdir("bigseed");
+        let mut mgr = CheckpointManager::new(&dir).unwrap();
+        let big = |iteration| TrainingState {
+            seed: 1 << 60,
+            ..state(iteration)
+        };
+        mgr.save_async(&big(1)).unwrap();
+        mgr.save_async(&big(3)).unwrap();
+        mgr.wait().unwrap();
+        let recovered = CheckpointManager::recover(&dir).unwrap().unwrap();
+        assert_eq!(recovered, big(3), "the newest checkpoint is not torn");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn empty_or_missing_dir_recovers_none() {
         let dir = tempdir("empty");
         assert_eq!(CheckpointManager::recover(&dir).unwrap(), None);

@@ -40,26 +40,6 @@ impl IterationReport {
             self.model_flops / denom
         }
     }
-
-    /// Samples per second.
-    pub fn samples_per_sec(&self) -> f64 {
-        let t = self.iter_time.as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.samples as f64 / t
-        }
-    }
-
-    /// Tokens per second.
-    pub fn tokens_per_sec(&self) -> f64 {
-        let t = self.iter_time.as_secs_f64();
-        if t <= 0.0 {
-            0.0
-        } else {
-            self.tokens as f64 / t
-        }
-    }
 }
 
 /// Aggregate over a training run.
@@ -166,7 +146,10 @@ mod tests {
 
     #[test]
     fn throughput_divides_by_time() {
-        let i = iter(2.0, 1e14, 100);
+        let i = TrainingReport {
+            iterations: vec![iter(2.0, 1e14, 100)],
+            peak_flops_per_gpu: 1e12,
+        };
         assert_eq!(i.samples_per_sec(), 5.0);
         assert_eq!(i.tokens_per_sec(), 40960.0);
     }
@@ -194,7 +177,9 @@ mod tests {
             peak_flops_per_gpu: 1e12,
         };
         assert!((r.mfu() - r.iterations[0].mfu(1e12)).abs() < 1e-12);
-        assert!((r.samples_per_sec() - r.iterations[0].samples_per_sec()).abs() < 1e-12);
+        let first = &r.iterations[0];
+        let first_samples_per_sec = first.samples as f64 / first.iter_time.as_secs_f64();
+        assert!((r.samples_per_sec() - first_samples_per_sec).abs() < 1e-12);
     }
 
     #[test]

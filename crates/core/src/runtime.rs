@@ -1168,7 +1168,7 @@ pub(crate) mod tests {
                 let per_sample = perf.module_fwd_time(module, &mb.samples[0].shape(), tp);
                 let a2a = perf.moe_all_to_all_time(rt.model.seq_len, plan.ep)
                     * rt.model.backbone.layers as u64;
-                return (per_sample + a2a) * mb.len() as u64;
+                return (per_sample + a2a) * mb.samples.len() as u64;
             }
             let total: SimDuration = mb
                 .samples

@@ -17,23 +17,6 @@ pub struct Microbatch {
     pub samples: Vec<TrainSample>,
 }
 
-impl Microbatch {
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when the microbatch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total image tokens across the microbatch (the encoder's load).
-    pub fn image_tokens(&self) -> u64 {
-        self.samples.iter().map(|s| s.image_tokens()).sum()
-    }
-}
-
 /// One iteration's worth of training samples, in training order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalBatch {
@@ -116,7 +99,7 @@ mod tests {
         for rank in &split {
             assert_eq!(rank.len(), 2); // 16/(4·2)=2 microbatches per rank
             for mb in rank {
-                assert_eq!(mb.len(), 2);
+                assert_eq!(mb.samples.len(), 2);
                 flat.extend(mb.samples.iter().map(|s| s.id));
             }
         }
@@ -127,17 +110,5 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn indivisible_batch_is_rejected() {
         batch(10).split(4, 1);
-    }
-
-    #[test]
-    fn microbatch_aggregates_sum_over_samples() {
-        let b = batch(4);
-        let mb = Microbatch {
-            samples: b.samples.clone(),
-        };
-        assert_eq!(
-            mb.image_tokens(),
-            b.samples.iter().map(|s| s.image_tokens()).sum::<u64>()
-        );
     }
 }

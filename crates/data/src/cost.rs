@@ -365,16 +365,56 @@ mod tests {
         assert_eq!(t_inf, m.pixels_time(samples[0].total_pixels()));
     }
 
+    /// 4096 text tokens, four 512² images (4096 image tokens) and one
+    /// 512² generation target.
+    fn packed_sample() -> TrainSample {
+        TrainSample {
+            id: 0,
+            text_tokens: 4096,
+            image_resolutions: vec![512; 4],
+            gen_images: 1,
+            gen_resolution: 512,
+            patch: 16,
+        }
+    }
+
     #[test]
-    fn module_flops_agree_with_model_on_uniform_samples() {
-        // When every image shares one resolution the exact per-image walk
-        // must agree with the SampleShape-based estimate in dt-model.
-        let model = MllmPreset::Mllm9B.build();
-        let mut stream = SyntheticLaion::new(DataConfig::evaluation(512), 11);
-        let s = stream.sample();
-        let exact = module_flops_forward(&model, ModuleKind::Encoder, &s);
-        let approx = model.module_flops_forward(ModuleKind::Encoder, &s.shape());
-        assert!((exact / approx - 1.0).abs() < 1e-9);
+    fn backbone_dominates_flops_for_9b() {
+        let m = MllmPreset::Mllm9B.build();
+        let s = packed_sample();
+        let enc = module_flops_forward(&m, ModuleKind::Encoder, &s);
+        let bb = module_flops_forward(&m, ModuleKind::Backbone, &s);
+        let gen = module_flops_forward(&m, ModuleKind::Generator, &s);
+        assert!(bb > enc, "backbone {bb:.3e} vs encoder {enc:.3e}");
+        assert!(bb > gen, "backbone {bb:.3e} vs generator {gen:.3e}");
+    }
+
+    #[test]
+    fn high_res_inflates_generator_share() {
+        // §7.1: the 72B model generates at 1024² which inflates the
+        // multimodal modules relative to the 512² settings.
+        let m72 = MllmPreset::Mllm72B.build();
+        let s512 = TrainSample {
+            gen_resolution: 512,
+            ..packed_sample()
+        };
+        let s1024 = TrainSample {
+            gen_resolution: 1024,
+            ..packed_sample()
+        };
+        let g512 = module_flops_forward(&m72, ModuleKind::Generator, &s512);
+        let g1024 = module_flops_forward(&m72, ModuleKind::Generator, &s1024);
+        assert!(g1024 > 4.0 * g512);
+    }
+
+    #[test]
+    fn freezing_cuts_training_flops_to_forward() {
+        let mut m = MllmPreset::Mllm9B.build();
+        let s = packed_sample();
+        let full = module_flops_train(&m, ModuleKind::Backbone, &s);
+        m.freeze = FreezeConfig::encoder_only(); // backbone frozen
+        let frozen = module_flops_train(&m, ModuleKind::Backbone, &s);
+        assert!((full / frozen - 3.0).abs() < 1e-9);
     }
 
     /// The rows read the per-resolution tables, the free functions walk

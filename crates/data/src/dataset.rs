@@ -127,7 +127,7 @@ pub struct SyntheticLaion {
     shape_seed: u64,
     /// Seed of the keyed family each sample's text lengths are drawn from.
     text_seed: u64,
-    /// The id [`SyntheticLaion::sample`] draws next.
+    /// The id [`SyntheticLaion::take`] draws next.
     next_id: u64,
     /// The images-per-sample distribution (Figure 5(c)).
     images_per_sample: Zipf,
@@ -149,11 +149,6 @@ impl SyntheticLaion {
             next_id: 0,
             images_per_sample,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DataConfig {
-        &self.config
     }
 
     /// Sample `id` of the stream, drawn from its own keyed generator: the
@@ -197,13 +192,6 @@ impl SyntheticLaion {
             gen_resolution: cfg.gen_resolution,
             patch: cfg.patch,
         }
-    }
-
-    /// Generate the next packed sample.
-    pub fn sample(&mut self) -> TrainSample {
-        let sample = self.sample_at(self.next_id);
-        self.next_id += 1;
-        sample
     }
 
     /// Generate the next `n` samples.
@@ -300,7 +288,7 @@ mod tests {
         }
         let summary = dt_simengine::stats::Summary::from_values(lens.iter().copied());
         // Log-normal: p99 ≫ median.
-        assert!(summary.percentile(0.99) > 5.0 * summary.median());
+        assert!(summary.percentile(0.99) > 5.0 * summary.percentile(0.5));
     }
 
     #[test]
@@ -334,7 +322,7 @@ mod tests {
     #[test]
     fn shape_mirrors_sample() {
         let mut s = stream();
-        let sample = s.sample();
+        let sample = s.take(1).remove(0);
         let shape = sample.shape();
         assert_eq!(shape.seq_len(), sample.seq_len());
         assert_eq!(shape.num_images as usize, sample.image_resolutions.len());
@@ -353,7 +341,7 @@ mod tests {
         // Drawing ahead, then resuming, continues the same sequence.
         let mut s = stream();
         let _ = s.take(10);
-        assert_eq!(s.sample(), sequential[10]);
+        assert_eq!(s.take(1)[0], sequential[10]);
     }
 
     #[test]
@@ -377,6 +365,6 @@ mod tests {
         }
         assert_eq!(busy.text_subseqs(&busy.sample_at(7)), want);
         // Expanding text never shifts a later sample's shape.
-        assert_eq!(busy.sample(), fresh.sample_at(20));
+        assert_eq!(busy.take(1)[0], fresh.sample_at(20));
     }
 }

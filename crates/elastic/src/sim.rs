@@ -275,7 +275,8 @@ mod tests {
         let (seed, g) = (0..500)
             .find_map(|seed| {
                 c.failure_seed = seed;
-                let first = FailureStream::new(c.nodes, c.node_mtbf, seed).peek()?;
+                let first =
+                    FailureStream::with_topology(c.nodes, c.node_mtbf, seed, None).peek()?;
                 let g = simulate_goodput(&c).unwrap();
                 (g.failures == 1 && in_write(first.at)).then_some((seed, g))
             })

@@ -66,16 +66,11 @@ pub struct FailureStream {
 }
 
 impl FailureStream {
-    /// Build the timeline for `nodes` node slots with the given per-node
-    /// MTBF. Each slot's stream is forked from `seed` by its index.
-    pub fn new(nodes: u32, node_mtbf: SimDuration, seed: u64) -> Self {
-        FailureStream::with_topology(nodes, node_mtbf, seed, None)
-    }
-
-    /// [`FailureStream::new`] plus a correlated domain layer. Domain
-    /// streams fork from the root *after* every slot stream, so the
-    /// independent per-node timeline is bit-identical with or without a
-    /// topology.
+    /// The timeline for `nodes` node slots with the given per-node MTBF,
+    /// each slot's stream forked from `seed` by its index, plus the
+    /// correlated domain layer of `topology`, if any. Domain streams fork
+    /// from the root *after* every slot stream, so the independent
+    /// per-node timeline is bit-identical with or without a topology.
     pub fn with_topology(
         nodes: u32,
         node_mtbf: SimDuration,
@@ -240,12 +235,6 @@ impl FailureStream {
         Some(f)
     }
 
-    /// [`FailureStream::pop_with_repair`] with a zero repair window (the
-    /// replacement occupies the slot at the failure instant).
-    pub fn pop(&mut self) -> Option<NodeFailure> {
-        self.pop_with_repair(SimDuration::ZERO)
-    }
-
     /// Permanently remove a slot (the cluster shrank; nothing occupies the
     /// slot any more).
     pub fn retire(&mut self, node: u32) {
@@ -259,11 +248,6 @@ impl FailureStream {
     pub fn active(&self) -> u32 {
         self.slots.iter().filter(|s| s.next.is_some()).count() as u32
     }
-
-    /// The attached topology, if any.
-    pub fn topology(&self) -> Option<&FailureTopology> {
-        self.topology.as_ref()
-    }
 }
 
 #[cfg(test)]
@@ -276,19 +260,22 @@ mod tests {
 
     #[test]
     fn timeline_is_deterministic() {
-        let mut a = FailureStream::new(8, secs(1000.0), 7);
-        let mut b = FailureStream::new(8, secs(1000.0), 7);
+        let mut a = FailureStream::with_topology(8, secs(1000.0), 7, None);
+        let mut b = FailureStream::with_topology(8, secs(1000.0), 7, None);
         for _ in 0..50 {
-            assert_eq!(a.pop(), b.pop());
+            assert_eq!(
+                a.pop_with_repair(SimDuration::ZERO),
+                b.pop_with_repair(SimDuration::ZERO)
+            );
         }
     }
 
     #[test]
     fn failures_are_time_ordered() {
-        let mut s = FailureStream::new(16, secs(500.0), 3);
+        let mut s = FailureStream::with_topology(16, secs(500.0), 3, None);
         let mut last = SimTime::ZERO;
         for _ in 0..100 {
-            let f = s.pop().unwrap();
+            let f = s.pop_with_repair(SimDuration::ZERO).unwrap();
             assert!(f.at >= last, "failures must be non-decreasing in time");
             last = f.at;
         }
@@ -298,10 +285,10 @@ mod tests {
     fn system_failure_rate_scales_with_nodes() {
         // 16 nodes fail ~4× as often as 4 nodes at the same per-node MTBF.
         let count_until = |nodes: u32, horizon: f64| {
-            let mut s = FailureStream::new(nodes, secs(1000.0), 11);
+            let mut s = FailureStream::with_topology(nodes, secs(1000.0), 11, None);
             let mut n = 0;
             while s.peek().unwrap().at < SimTime::ZERO + secs(horizon) {
-                s.pop();
+                s.pop_with_repair(SimDuration::ZERO);
                 n += 1;
             }
             n
@@ -318,12 +305,12 @@ mod tests {
     #[test]
     fn per_slot_streams_are_independent() {
         // Consuming another slot's failures never moves node 0's timeline.
-        let mut a = FailureStream::new(4, secs(1000.0), 5);
-        let mut b = FailureStream::new(4, secs(1000.0), 5);
+        let mut a = FailureStream::with_topology(4, secs(1000.0), 5, None);
+        let mut b = FailureStream::with_topology(4, secs(1000.0), 5, None);
         // Drain everything but node 0 from `a` for a while.
         for _ in 0..20 {
             if a.peek().unwrap().node != 0 {
-                a.pop();
+                a.pop_with_repair(SimDuration::ZERO);
             } else {
                 break;
             }
@@ -334,7 +321,7 @@ mod tests {
             if f.node == 0 {
                 break Some(f.at);
             }
-            b.pop();
+            b.pop_with_repair(SimDuration::ZERO);
         };
         if let (Some(a0), Some(b0)) = (a0, b0) {
             assert_eq!(a0, b0);
@@ -343,27 +330,27 @@ mod tests {
 
     #[test]
     fn retired_slots_never_fire() {
-        let mut s = FailureStream::new(3, secs(100.0), 1);
+        let mut s = FailureStream::with_topology(3, secs(100.0), 1, None);
         s.retire(0);
         s.retire(2);
         assert_eq!(s.active(), 1);
         for _ in 0..50 {
-            assert_eq!(s.pop().unwrap().node, 1);
+            assert_eq!(s.pop_with_repair(SimDuration::ZERO).unwrap().node, 1);
         }
         s.retire(1);
         assert_eq!(s.active(), 0);
         assert_eq!(s.peek(), None);
-        assert_eq!(s.pop(), None);
+        assert_eq!(s.pop_with_repair(SimDuration::ZERO), None);
     }
 
     #[test]
     fn mean_gap_tracks_the_mtbf() {
-        let mut s = FailureStream::new(1, secs(250.0), 9);
+        let mut s = FailureStream::with_topology(1, secs(250.0), 9, None);
         let n = 2000;
         let mut last = SimTime::ZERO;
         let mut total = 0.0;
         for _ in 0..n {
-            let f = s.pop().unwrap();
+            let f = s.pop_with_repair(SimDuration::ZERO).unwrap();
             total += (f.at - last).as_secs_f64();
             last = f.at;
         }
@@ -382,7 +369,7 @@ mod tests {
         let repair = secs(60.0);
         // An MTBF comparable to the repair delay makes violations of the
         // old draw-from-failure-instant behaviour near-certain.
-        let mut s = FailureStream::new(4, secs(90.0), 13);
+        let mut s = FailureStream::with_topology(4, secs(90.0), 13, None);
         let mut repaired_at = [SimTime::ZERO; 4];
         for _ in 0..500 {
             let f = s.pop_with_repair(repair).unwrap();
@@ -403,12 +390,12 @@ mod tests {
     #[test]
     fn repair_shifts_base_times_but_not_the_draw_sequence() {
         let repair = secs(50.0);
-        let mut plain = FailureStream::new(1, secs(200.0), 21);
-        let mut repaired = FailureStream::new(1, secs(200.0), 21);
+        let mut plain = FailureStream::with_topology(1, secs(200.0), 21, None);
+        let mut repaired = FailureStream::with_topology(1, secs(200.0), 21, None);
         let mut last_plain = SimTime::ZERO;
         let mut last_rep = SimTime::ZERO;
         for k in 0..100 {
-            let p = plain.pop().unwrap();
+            let p = plain.pop_with_repair(SimDuration::ZERO).unwrap();
             let r = repaired.pop_with_repair(repair).unwrap();
             let gap_p = p.at - last_plain;
             // Gap measured from recovery completion, not the failure.
@@ -429,7 +416,7 @@ mod tests {
         assert!(first.correlated, "the first event must be a domain event");
         let mut victims = Vec::new();
         for _ in 0..4 {
-            let f = s.pop().unwrap();
+            let f = s.pop_with_repair(SimDuration::ZERO).unwrap();
             assert!(f.correlated);
             assert_eq!(f.at, first.at, "the whole rack dies at one instant");
             victims.push(f.node);
@@ -461,11 +448,11 @@ mod tests {
     #[test]
     fn topology_layer_leaves_independent_draws_unchanged() {
         let quiet = Some(FailureTopology::new(4, secs(1e12)));
-        let mut plain = FailureStream::new(8, secs(500.0), 7);
+        let mut plain = FailureStream::with_topology(8, secs(500.0), 7, None);
         let mut with = FailureStream::with_topology(8, secs(500.0), 7, quiet);
         for _ in 0..100 {
-            let p = plain.pop().unwrap();
-            let w = with.pop().unwrap();
+            let p = plain.pop_with_repair(SimDuration::ZERO).unwrap();
+            let w = with.pop_with_repair(SimDuration::ZERO).unwrap();
             assert_eq!((p.node, p.at), (w.node, w.at));
             assert!(!w.correlated);
         }
@@ -479,7 +466,7 @@ mod tests {
         s.retire(0);
         s.retire(1);
         s.retire(2);
-        let f = s.pop().unwrap();
+        let f = s.pop_with_repair(SimDuration::ZERO).unwrap();
         if topo.domain_of(f.node) == 0 {
             assert_eq!(f.node, 3, "only the live slot dies");
         }
@@ -488,6 +475,6 @@ mod tests {
             s.retire(n);
         }
         assert_eq!(s.peek(), None);
-        assert_eq!(s.pop(), None);
+        assert_eq!(s.pop_with_repair(SimDuration::ZERO), None);
     }
 }

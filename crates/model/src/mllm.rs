@@ -263,42 +263,6 @@ impl MultimodalLlm {
         }
     }
 
-    /// Forward FLOPs of one module for one sample.
-    pub fn module_flops_forward(&self, module: ModuleKind, shape: &SampleShape) -> f64 {
-        match module {
-            ModuleKind::Encoder => {
-                let images =
-                    self.image_flops_forward(module, shape.image_res) * shape.num_images as f64;
-                let proj = self.input_projector.flops_forward(shape.image_tokens);
-                images + proj
-            }
-            ModuleKind::Backbone => self.backbone.flops_forward(shape.seq_len()),
-            ModuleKind::Generator => {
-                let per_image = self.image_flops_forward(module, shape.gen_res);
-                let images = per_image * shape.gen_images as f64;
-                // The output projector maps the generated images' worth of
-                // hidden states into conditioning vectors.
-                let cond_tokens = shape.gen_images as u64 * self.generator.context_len;
-                images + self.output_projector.flops_forward(cond_tokens)
-            }
-        }
-    }
-
-    /// Training FLOPs (forward + backward) of one module for one sample,
-    /// honouring the freeze configuration: frozen modules still run forward
-    /// (§7.3) but skip the backward pass entirely at the granularity our
-    /// cost model resolves. (Strictly, interior frozen modules still
-    /// propagate input gradients; treating the frozen backward as free makes
-    /// the *baseline* look better, so our reported gains are conservative.)
-    pub fn module_flops_train(&self, module: ModuleKind, shape: &SampleShape) -> f64 {
-        let fwd = self.module_flops_forward(module, shape);
-        if self.freeze.is_frozen(module) {
-            fwd
-        } else {
-            3.0 * fwd
-        }
-    }
-
     /// Memory description of one module for the §4.2 constraint model.
     pub fn module_memory(&self, module: ModuleKind, shape: &SampleShape) -> memory::ModuleMemory {
         let params = self.module_params(module);
@@ -386,45 +350,6 @@ mod tests {
             image_res: 512,
             gen_res: 512,
         }
-    }
-
-    #[test]
-    fn backbone_dominates_flops_for_9b() {
-        let m = MllmPreset::Mllm9B.build();
-        let s = shape();
-        let enc = m.module_flops_forward(ModuleKind::Encoder, &s);
-        let bb = m.module_flops_forward(ModuleKind::Backbone, &s);
-        let gen = m.module_flops_forward(ModuleKind::Generator, &s);
-        assert!(bb > enc, "backbone {bb:.3e} vs encoder {enc:.3e}");
-        assert!(bb > gen, "backbone {bb:.3e} vs generator {gen:.3e}");
-    }
-
-    #[test]
-    fn high_res_inflates_generator_share() {
-        // §7.1: the 72B model generates at 1024² which inflates the
-        // multimodal modules relative to the 512² settings.
-        let m72 = MllmPreset::Mllm72B.build();
-        let s512 = SampleShape {
-            gen_res: 512,
-            ..shape()
-        };
-        let s1024 = SampleShape {
-            gen_res: 1024,
-            ..shape()
-        };
-        let g512 = m72.module_flops_forward(ModuleKind::Generator, &s512);
-        let g1024 = m72.module_flops_forward(ModuleKind::Generator, &s1024);
-        assert!(g1024 > 4.0 * g512);
-    }
-
-    #[test]
-    fn freezing_cuts_training_flops_to_forward() {
-        let mut m = MllmPreset::Mllm9B.build();
-        let s = shape();
-        let full = m.module_flops_train(ModuleKind::Backbone, &s);
-        m.freeze = FreezeConfig::encoder_only(); // backbone frozen
-        let frozen = m.module_flops_train(ModuleKind::Backbone, &s);
-        assert!((full / frozen - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl ProjectorConfig {
     pub fn flops_forward(&self, tokens: u64) -> f64 {
         2.0 * tokens as f64 * (self.in_dim * self.mid_dim + self.mid_dim * self.out_dim) as f64
     }
-
-    /// Forward+backward FLOPs for `tokens` tokens.
-    pub fn flops_fwd_bwd(&self, tokens: u64) -> f64 {
-        3.0 * self.flops_forward(tokens)
-    }
 }
 
 #[cfg(test)]

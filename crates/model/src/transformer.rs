@@ -98,11 +98,6 @@ impl TransformerConfig {
         body + head
     }
 
-    /// Forward+backward FLOPs for `seq` tokens.
-    pub fn flops_fwd_bwd(&self, seq: u64) -> f64 {
-        3.0 * self.flops_forward(seq)
-    }
-
     /// Activation bytes stashed per layer per sample of `seq` tokens during
     /// the forward pass. Uses the Megatron estimate `34·s·h` bytes
     /// (Korthikanti et al.) *without* the `5·a·s²` attention-score term:
@@ -181,12 +176,6 @@ mod tests {
         assert_eq!(c.flops_forward_layer(s), per_layer);
         let head = 2.0 * 128.0 * 64.0 * 1000.0;
         assert_eq!(c.flops_forward(s), per_layer * 4.0 + head);
-    }
-
-    #[test]
-    fn backward_is_twice_forward() {
-        let c = mha_4layer();
-        assert_eq!(c.flops_fwd_bwd(64), 3.0 * c.flops_forward(64));
     }
 
     #[test]

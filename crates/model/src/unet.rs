@@ -205,11 +205,6 @@ impl UNetConfig {
         flops
     }
 
-    /// Forward+backward FLOPs for one image.
-    pub fn flops_fwd_bwd_image(&self, res: u32) -> f64 {
-        3.0 * self.flops_forward_image(res)
-    }
-
     /// Forward FLOPs of VAE-encoding one `res × res` target image into
     /// latents — a mandatory part of every latent-diffusion *training* step
     /// (the UNet's regression target lives in latent space). The SD VAE
@@ -272,12 +267,6 @@ mod tests {
         let u = UNetConfig::sd21();
         assert_eq!(u.latent_edge(512), 64);
         assert_eq!(u.latent_edge(1024), 128);
-    }
-
-    #[test]
-    fn fwd_bwd_is_three_times_forward() {
-        let u = UNetConfig::sd21();
-        assert_eq!(u.flops_fwd_bwd_image(512), 3.0 * u.flops_forward_image(512));
     }
 
     #[test]

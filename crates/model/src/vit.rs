@@ -59,11 +59,6 @@ impl VitConfig {
             * self.trunk.hidden as f64;
         self.trunk.flops_forward(t) + embed
     }
-
-    /// Forward+backward FLOPs for one image.
-    pub fn flops_fwd_bwd_image(&self, res: u32) -> f64 {
-        3.0 * self.flops_forward_image(res)
-    }
 }
 
 #[cfg(test)]

@@ -49,6 +49,7 @@ pub mod solve;
 
 pub use cache::PerfCache;
 pub use error::PlanError;
+pub use formulate::ProblemSpec;
 pub use orchestrate::{
     Orchestrator, OrchestratorBuilder, PlanReport, SearchMode, WarmStart, DEFAULT_TOP_K,
 };

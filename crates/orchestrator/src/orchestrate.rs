@@ -203,6 +203,7 @@ pub struct PlanReport {
 /// use dt_orchestrator::orchestrate::{Orchestrator, WarmStart};
 /// use dt_orchestrator::perf::PerfModel;
 /// use dt_orchestrator::profiler::Profiler;
+/// use dt_orchestrator::ProblemSpec;
 ///
 /// // Job start: profile once, plan, and remember both.
 /// let model = MllmPreset::Mllm9B.build();
@@ -211,7 +212,16 @@ pub struct PlanReport {
 /// let perf = PerfModel::new(&model, &gpu, &coll);
 /// let mut data = SyntheticLaion::new(DataConfig::evaluation(512), 17);
 /// let profile = Profiler.profile(&perf, &data.take(64));
-/// let orch = Orchestrator::builder().total_gpus(96).global_batch(128).build().unwrap();
+/// let spec = ProblemSpec {
+///     total_gpus: 96,
+///     gpus_per_node: 8,
+///     hbm_bytes: 80 << 30,
+///     global_batch: 128,
+///     microbatch: 1,
+///     vpp: 1,
+///     pp_hop_secs: 0.0,
+/// };
+/// let orch = Orchestrator::builder().spec(spec).build().unwrap();
 /// let mut warm = WarmStart::new(&model, &profile);
 /// let initial = orch.plan_candidates_warm(&model, &warm).unwrap();
 /// warm.observe(&initial[0].plan);
@@ -219,7 +229,7 @@ pub struct PlanReport {
 /// // A node fails: the warm replan reuses the prebuilt cost tables and
 /// // seeds the incumbent from the old optimum — and returns exactly
 /// // what a cold search on the 88 survivors would have.
-/// let shrunk = Orchestrator::builder().total_gpus(88).global_batch(128).build().unwrap();
+/// let shrunk = Orchestrator::builder().spec(spec).total_gpus(88).build().unwrap();
 /// let warmed = shrunk.plan_candidates_warm(&model, &warm).unwrap();
 /// let cold = shrunk.plan_candidates(&model, &profile).unwrap();
 /// assert_eq!(warmed[0].plan, cold[0].plan);
@@ -259,30 +269,23 @@ impl WarmStart {
             self.hints.push(hint);
         }
     }
-
-    /// Distinct plans observed so far.
-    pub fn observed(&self) -> usize {
-        self.hints.len()
-    }
 }
 
 /// Builder for [`Orchestrator`] — the supported way to construct a planner.
 ///
-/// Defaults (each setter documents its constraint; [`Self::build`] rejects
-/// violations with [`PlanError::InvalidSpec`]):
+/// The §4.2 problem arrives whole, as a [`ProblemSpec`] through
+/// [`Self::spec`]; [`Self::total_gpus`] then overrides its `N`, as a
+/// degraded replan does. The other knobs tune the search:
 ///
 /// | knob | default |
 /// |---|---|
-/// | `gpus_per_node` | 8 |
-/// | `hbm_bytes` | 80 GiB |
-/// | `microbatch` | 1 |
-/// | `vpp` | 1 |
-/// | `pp_hop_secs` | 0.0 |
+/// | `spec` | none: without one, `total_gpus` and `global_batch` are 0 |
 /// | `search_mode` | [`SearchMode::Pruned`] |
 /// | `top_k` | [`DEFAULT_TOP_K`] |
+/// | `telemetry` | [`Telemetry::disabled`] |
 ///
-/// `total_gpus` and `global_batch` have no meaningful default and must be
-/// set (directly or via [`Self::spec`]).
+/// [`Self::build`] checks every field of the spec and `top_k`, and
+/// rejects a violation with [`PlanError::InvalidSpec`] naming the field.
 #[derive(Debug, Clone)]
 pub struct OrchestratorBuilder {
     spec: ProblemSpec,
@@ -311,54 +314,16 @@ impl Default for OrchestratorBuilder {
 }
 
 impl OrchestratorBuilder {
-    /// Start from an existing [`ProblemSpec`] (keeps the search knobs at
-    /// their defaults).
+    /// The §4.2 problem to plan. Leaves the search knobs as they are.
     pub fn spec(mut self, spec: ProblemSpec) -> Self {
         self.spec = spec;
         self
     }
 
-    /// Total GPUs available (`N`). Must be ≥ 1.
+    /// Override the spec's total GPUs (`N`), as a replan on the survivors
+    /// of a failure does. Must be ≥ 1.
     pub fn total_gpus(mut self, n: u32) -> Self {
         self.spec.total_gpus = n;
-        self
-    }
-
-    /// GPUs per NVLink node (TP confinement bound). Must be ≥ 1.
-    pub fn gpus_per_node(mut self, n: u32) -> Self {
-        self.spec.gpus_per_node = n;
-        self
-    }
-
-    /// Per-GPU HBM bytes. Must be > 0.
-    pub fn hbm_bytes(mut self, bytes: u64) -> Self {
-        self.spec.hbm_bytes = bytes;
-        self
-    }
-
-    /// Global batch size (`BS`). Must be ≥ 1.
-    pub fn global_batch(mut self, bs: u32) -> Self {
-        self.spec.global_batch = bs;
-        self
-    }
-
-    /// Microbatch size (`M`, fixed small; §4.2). Must be ≥ 1.
-    pub fn microbatch(mut self, m: u32) -> Self {
-        self.spec.microbatch = m;
-        self
-    }
-
-    /// Virtual-pipeline size (warm-up divisor; 1 = plain 1F1B). Must be
-    /// ≥ 1.
-    pub fn vpp(mut self, vpp: u32) -> Self {
-        self.spec.vpp = vpp;
-        self
-    }
-
-    /// Estimated per-boundary activation hop cost in seconds. Must be
-    /// finite and ≥ 0.
-    pub fn pp_hop_secs(mut self, secs: f64) -> Self {
-        self.spec.pp_hop_secs = secs;
         self
     }
 
@@ -1190,7 +1155,7 @@ mod tests {
         let initial = on(96).plan_candidates_warm(&model, &warm).unwrap();
         warm.observe(&initial[0].plan);
         warm.observe(&initial[0].plan); // duplicates are ignored
-        assert_eq!(warm.observed(), 1);
+        assert_eq!(warm.hints.len(), 1);
         for remaining in [88u32, 64, 24] {
             let orch = on(remaining);
             let fresh = orch
@@ -1307,54 +1272,53 @@ mod tests {
 
     #[test]
     fn builder_validates_each_knob() {
-        let ok = Orchestrator::builder()
-            .total_gpus(96)
-            .global_batch(128)
-            .build();
+        let base = spec(96, 128);
+        let ok = Orchestrator::builder().spec(base).build();
         assert!(ok.is_ok());
+        let with = |spec: ProblemSpec| Orchestrator::builder().spec(spec);
         for (builder, field) in [
-            (Orchestrator::builder().global_batch(128), "total_gpus"),
-            (Orchestrator::builder().total_gpus(96), "global_batch"),
             (
-                Orchestrator::builder()
-                    .total_gpus(96)
-                    .global_batch(128)
-                    .gpus_per_node(0),
+                with(ProblemSpec {
+                    total_gpus: 0,
+                    ..base
+                }),
+                "total_gpus",
+            ),
+            (
+                with(ProblemSpec {
+                    global_batch: 0,
+                    ..base
+                }),
+                "global_batch",
+            ),
+            (
+                with(ProblemSpec {
+                    gpus_per_node: 0,
+                    ..base
+                }),
                 "gpus_per_node",
             ),
             (
-                Orchestrator::builder()
-                    .total_gpus(96)
-                    .global_batch(128)
-                    .hbm_bytes(0),
+                with(ProblemSpec {
+                    hbm_bytes: 0,
+                    ..base
+                }),
                 "hbm_bytes",
             ),
             (
-                Orchestrator::builder()
-                    .total_gpus(96)
-                    .global_batch(128)
-                    .microbatch(0),
+                with(ProblemSpec {
+                    microbatch: 0,
+                    ..base
+                }),
                 "microbatch",
             ),
+            (with(ProblemSpec { vpp: 0, ..base }), "vpp"),
+            (with(base).top_k(0), "top_k"),
             (
-                Orchestrator::builder()
-                    .total_gpus(96)
-                    .global_batch(128)
-                    .vpp(0),
-                "vpp",
-            ),
-            (
-                Orchestrator::builder()
-                    .total_gpus(96)
-                    .global_batch(128)
-                    .top_k(0),
-                "top_k",
-            ),
-            (
-                Orchestrator::builder()
-                    .total_gpus(96)
-                    .global_batch(128)
-                    .pp_hop_secs(f64::NAN),
+                with(ProblemSpec {
+                    pp_hop_secs: f64::NAN,
+                    ..base
+                }),
                 "pp_hop_secs",
             ),
         ] {

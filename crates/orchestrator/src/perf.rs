@@ -221,7 +221,7 @@ impl<'a> PerfModel<'a> {
 
     /// Backward time (2× forward compute, same TP communication count).
     /// Frozen modules skip backward entirely (§7.3 cost semantics; see
-    /// `MultimodalLlm::module_flops_train`).
+    /// `dt_data::cost::module_flops_train`).
     pub fn module_bwd_time(&self, module: ModuleKind, shape: &SampleShape, tp: u32) -> SimDuration {
         if self.model.freeze.is_frozen(module) {
             return SimDuration::ZERO;

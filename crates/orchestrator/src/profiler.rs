@@ -53,11 +53,6 @@ pub(crate) fn interp(points: &[(u32, f64)], tp: u32) -> f64 {
 }
 
 impl ModuleProfile {
-    /// Interpolated forward seconds per sample at `tp`.
-    pub fn fwd(&self, tp: u32) -> f64 {
-        interp(&self.fwd_points, tp)
-    }
-
     /// Interpolated forward+backward seconds per sample at `tp` — the
     /// `C(TP)` of the objective function.
     pub fn train(&self, tp: u32) -> f64 {
@@ -202,8 +197,8 @@ mod tests {
     fn train_time_exceeds_forward_time() {
         let p = task_profile();
         for tp in TRIAL_TPS {
-            assert!(p.backbone.train(tp) > p.backbone.fwd(tp) * 2.0);
-            assert!(p.backbone.train(tp) <= p.backbone.fwd(tp) * 3.0 + 1e-9);
+            assert!(p.backbone.train(tp) > interp(&p.backbone.fwd_points, tp) * 2.0);
+            assert!(p.backbone.train(tp) <= interp(&p.backbone.fwd_points, tp) * 3.0 + 1e-9);
         }
     }
 
@@ -213,9 +208,9 @@ mod tests {
             fwd_points: vec![(1, 8.0), (2, 5.0), (4, 3.0), (8, 2.0)],
             train_points: vec![(1, 24.0), (2, 15.0), (4, 9.0), (8, 6.0)],
         };
-        assert_eq!(m.fwd(2), 5.0);
-        assert_eq!(m.fwd(3), 4.0); // midpoint of (2,5) and (4,3)
-        assert_eq!(m.fwd(16), 2.0); // clamped
+        assert_eq!(interp(&m.fwd_points, 2), 5.0);
+        assert_eq!(interp(&m.fwd_points, 3), 4.0); // midpoint of (2,5) and (4,3)
+        assert_eq!(interp(&m.fwd_points, 16), 2.0); // clamped
         assert_eq!(m.train(1), 24.0);
     }
 

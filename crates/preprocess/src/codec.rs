@@ -228,9 +228,9 @@ mod tests {
 
     #[test]
     fn sample_pipeline_emits_token_bytes_for_every_image() {
-        let mut gen = SyntheticLaion::new(DataConfig::evaluation(512), 11);
+        let gen = SyntheticLaion::new(DataConfig::evaluation(512), 11);
         // Shrink resolutions for test speed while keeping the structure.
-        let mut sample = gen.sample();
+        let mut sample = gen.sample_at(0);
         for r in &mut sample.image_resolutions {
             *r = 64;
         }

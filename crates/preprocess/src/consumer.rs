@@ -28,8 +28,7 @@ use crate::wire::{BatchHeader, Request, MAX_FETCH_COUNT};
 use dt_data::GlobalBatch;
 use dt_simengine::backoff::BackoffPolicy;
 use dt_simengine::frame::{read_frame, read_json_ctx, write_json, write_json_ctx, MAX_FRAME};
-use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
-use dt_simengine::DetRng;
+use dt_simengine::trace::{cat, TraceContext, TraceRoots, WallTraceSink};
 use dt_telemetry::anomaly::{AnomalyConfig, AnomalyDetector};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, FlightRecorder, Telemetry};
@@ -41,11 +40,6 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Salt xor-ed into the backoff seed to derive each supervisor's
-/// trace-id stream — same constant the `dt-serve` client uses, so the
-/// backoff jitter stream itself is untouched by enabling tracing.
-const TRACE_SEED_SALT: u64 = 0x7472_6163_655F_6964;
 
 /// Stall observations retained for the drop-time anomaly scan; bounds
 /// the consumer's memory over arbitrarily long runs.
@@ -367,7 +361,7 @@ fn supervise(ctx: SupervisorCtx) {
     let mut rng = ctx.policy.rng();
     // Trace roots come from a salted, independent stream so enabling
     // tracing never perturbs the reconnect jitter schedule.
-    let mut trace_rng = DetRng::new(ctx.policy.seed ^ TRACE_SEED_SALT);
+    let mut trace_roots = TraceRoots::new(ctx.policy.seed);
     let traced = ctx.trace.as_ref().is_some_and(WallTraceSink::is_enabled);
     let mut first_session = true;
     loop {
@@ -425,11 +419,7 @@ fn supervise(ctx: SupervisorCtx) {
                 // Each FetchBatch gets its own root: the consumer-side
                 // prefetch span is child 1, and the wire context carries
                 // it to the producer so its pipeline spans nest beneath.
-                let link = traced.then(|| {
-                    let root = TraceContext::root(&mut trace_rng);
-                    let (span, wire) = root.child(1);
-                    (root, span, wire)
-                });
+                let link = traced.then(|| trace_roots.next_request());
                 let wire_ctx = link.map(|(_, _, wire)| wire);
                 let write = write_json_ctx(
                     &mut stream,
@@ -572,7 +562,7 @@ mod tests {
         }
         drop(feeder);
         drop(plane);
-        let spans = sink.snapshot();
+        let spans = sink.unix_recorder().spans().to_vec();
         let get = |span: &dt_simengine::trace::TraceSpan, key: &str| {
             span.args
                 .iter()

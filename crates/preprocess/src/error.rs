@@ -45,9 +45,12 @@ pub enum PreprocessError {
     },
 }
 
+/// Stable labels and the retry class of each variant, for the tests'
+/// typed-error checks.
+#[cfg(test)]
 impl PreprocessError {
-    /// Stable machine-readable label (metrics/log key).
-    pub fn kind(&self) -> &'static str {
+    /// Stable machine-readable label.
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             PreprocessError::Bind { .. } => "bind",
             PreprocessError::PeerDisconnected { .. } => "peer_disconnected",
@@ -60,7 +63,7 @@ impl PreprocessError {
     /// Whether retrying (after a pause) can succeed: backpressure always
     /// drains eventually, and a disconnected peer may come back.
     /// `Bind`/`Malformed`/`InvalidSpec` are terminal.
-    pub fn retryable(&self) -> bool {
+    pub(crate) fn retryable(&self) -> bool {
         matches!(
             self,
             PreprocessError::Backpressured { .. } | PreprocessError::PeerDisconnected { .. }

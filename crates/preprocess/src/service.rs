@@ -825,7 +825,7 @@ mod tests {
         let _ = read_frame(&mut stream).unwrap();
         write_json(&mut stream, &Request::Shutdown).unwrap();
         drop(handle);
-        let spans = sink.snapshot();
+        let spans = sink.unix_recorder().spans().to_vec();
         for category in [cat::PRE_FETCH, cat::PRE_DECODE, cat::PRE_FEED] {
             assert!(
                 spans
@@ -888,7 +888,7 @@ mod tests {
         let _ = read_frame(&mut stream).unwrap();
         write_json_ctx(&mut stream, Some(&wire_ctx), &Request::Shutdown).unwrap();
         drop(handle);
-        let spans = sink.snapshot();
+        let spans = sink.unix_recorder().spans().to_vec();
         let trace_hex = format!("{:016x}", root.trace_id);
         let parent_hex = format!("{consumer_span:016x}");
         let get = |span: &dt_simengine::trace::TraceSpan, key: &str| {

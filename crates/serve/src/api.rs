@@ -676,6 +676,15 @@ mod tests {
     }
 
     #[test]
+    fn spec_round_trips_every_seed() {
+        for seed in [0, 1 << 53, 1 << 60, u64::MAX] {
+            let spec = SpecDesc { seed, ..spec() };
+            let back = SpecDesc::from_json(&Json::parse(&spec.to_json().to_string()).unwrap());
+            assert_eq!(back, Ok(spec));
+        }
+    }
+
+    #[test]
     fn replies_round_trip() {
         let m = ModuleSummary {
             tp: 2,

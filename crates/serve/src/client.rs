@@ -38,7 +38,7 @@
 use crate::api::{ServeReply, ServeRequest};
 use dt_simengine::backoff::{BackoffPolicy, Deadline};
 use dt_simengine::frame::{read_json, write_json_ctx};
-use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
+use dt_simengine::trace::{cat, TraceContext, TraceRoots, WallTraceSink};
 use dt_simengine::DetRng;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -89,15 +89,11 @@ pub struct Client {
     /// Overall budget across all attempts of one [`Client::request`].
     deadline: Option<Duration>,
     rng: DetRng,
-    /// Trace-id stream, decoupled from the backoff jitter stream so
+    /// Trace-root stream, decoupled from the backoff jitter stream so
     /// enabling tracing never shifts the documented sleep schedule.
-    trace_rng: DetRng,
+    trace_roots: TraceRoots,
     trace: WallTraceSink,
 }
-
-/// Domain-separation constant for the client's trace-id rng: the same
-/// policy seed feeds both streams without ever correlating them.
-const TRACE_SEED_SALT: u64 = 0x7472_6163_655F_6964; // "trace_id"
 
 impl Client {
     /// A client with default retry policy and no deadline.
@@ -108,14 +104,14 @@ impl Client {
     /// A client with an explicit policy.
     pub fn with_policy(addr: SocketAddr, policy: RetryPolicy) -> Client {
         let rng = DetRng::new(policy.seed);
-        let trace_rng = DetRng::new(policy.seed ^ TRACE_SEED_SALT);
+        let trace_roots = TraceRoots::new(policy.seed);
         Client {
             addr,
             policy,
             session: None,
             deadline: None,
             rng,
-            trace_rng,
+            trace_roots,
             trace: WallTraceSink::disabled(),
         }
     }
@@ -151,13 +147,10 @@ impl Client {
     /// client span; the daemon's spans for the winning attempt parent
     /// onto it through the wire context.
     pub fn request(&mut self, req: &ServeRequest) -> Result<ServeReply, ClientError> {
-        let traced = if self.trace.is_enabled() {
-            let root = TraceContext::root(&mut self.trace_rng);
-            let (span, wire_ctx) = root.child(1);
-            Some((root, span, wire_ctx))
-        } else {
-            None
-        };
+        let traced = self
+            .trace
+            .is_enabled()
+            .then(|| self.trace_roots.next_request());
         let started = Instant::now();
         let result = self.request_inner(req, traced.as_ref().map(|(_, _, c)| *c));
         if let Some((root, span, _)) = traced {

@@ -89,7 +89,8 @@ impl Deadline {
     }
 
     /// Time left, or `None` when unbounded. `Some(ZERO)` means spent.
-    pub fn remaining(&self) -> Option<Duration> {
+    #[cfg(test)]
+    fn remaining(&self) -> Option<Duration> {
         self.budget
             .map(|b| b.saturating_sub(self.started.elapsed()))
     }
@@ -112,11 +113,6 @@ impl Deadline {
             None => true,
             Some(b) => self.started.elapsed() + sleep < b,
         }
-    }
-
-    /// Elapsed time since the deadline started.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
     }
 }
 

@@ -8,9 +8,10 @@
 //! tiny: one [`Json`] enum, [`Json::parse`], and `Json::to_string` (via `Display`) /
 //! [`Json::write`].
 //!
-//! Numbers are stored as `f64`. Every integer the workspace serializes
-//! (sample ids, token counts, nanosecond timestamps) fits in the 2^53
-//! exactly-representable range, and [`Json::as_u64`] checks the round trip.
+//! Numbers are stored as `f64`, which holds every integer below 2^53
+//! exactly. [`Json::num_u64`] writes a larger `u64` (a seed can be any
+//! `u64`) as its decimal string instead, and [`Json::as_u64`] reads both
+//! forms back exactly.
 //!
 //! ```
 //! use dt_simengine::json::Json;
@@ -23,6 +24,9 @@
 //! ```
 
 use std::fmt;
+
+/// 2^53: every `u64` below it is exact as an `f64`.
+const EXACT_F64_INTS: u64 = 1 << 53;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,12 +95,17 @@ impl Json {
         }
     }
 
-    /// The value as `u64`, if it is a number exactly representing one.
+    /// The value as `u64`: a number exactly representing one, or the
+    /// decimal string [`Json::num_u64`] writes for 2^53 and above.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
                 Some(*n as u64)
             }
+            Json::Str(s) => s
+                .parse::<u64>()
+                .ok()
+                .filter(|&n| n >= EXACT_F64_INTS && n.to_string() == *s),
             _ => None,
         }
     }
@@ -173,9 +182,14 @@ impl Json {
         )
     }
 
-    /// A number from a `u64` (exact for values below 2^53).
+    /// A `u64`, exactly: a number below 2^53, its decimal string from
+    /// there up.
     pub fn num_u64(n: u64) -> Json {
-        Json::Num(n as f64)
+        if n < EXACT_F64_INTS {
+            Json::Num(n as f64)
+        } else {
+            Json::Str(n.to_string())
+        }
     }
 
     /// An array of `u64`s.
@@ -488,9 +502,25 @@ mod tests {
 
     #[test]
     fn large_integers_survive() {
-        let n: u64 = 9_007_199_254_740_992; // 2^53
-        let v = Json::parse(&Json::num_u64(n - 1).to_string()).unwrap();
-        assert_eq!(v.as_u64(), Some(n - 1));
+        for n in [
+            0,
+            7,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            1 << 60,
+            u64::MAX,
+        ] {
+            let text = Json::num_u64(n).to_string();
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n), "{text}");
+        }
+        // Below 2^53 the bytes stay a plain JSON number.
+        assert_eq!(Json::num_u64((1 << 53) - 1).to_string(), "9007199254740991");
+        // Only the canonical string of a value a number cannot hold reads
+        // as a u64.
+        for text in [r#""7""#, r#""+9007199254740993""#, r#""09007199254740993""#] {
+            assert_eq!(Json::parse(text).unwrap().as_u64(), None, "{text}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Summary statistics for experiment harnesses.
 //!
-//! The figure-reproduction binaries report means, percentiles, CDF points
-//! (Figure 5) and histograms. Keeping the implementations here avoids each
+//! The figure-reproduction binaries report means, percentiles and CDF
+//! points (Figure 5). Keeping the implementations here avoids each
 //! harness re-deriving them slightly differently.
 
 /// A collected sample set with cached sorted order.
@@ -17,16 +17,6 @@ impl Summary {
         let mut sorted: Vec<f64> = values.into_iter().filter(|v| !v.is_nan()).collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
         Summary { sorted }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// `true` when no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// Arithmetic mean (0 for an empty set).
@@ -48,16 +38,6 @@ impl Summary {
             .sqrt()
     }
 
-    /// Smallest observation (0 for an empty set).
-    pub fn min(&self) -> f64 {
-        self.sorted.first().copied().unwrap_or(0.0)
-    }
-
-    /// Largest observation (0 for an empty set).
-    pub fn max(&self) -> f64 {
-        self.sorted.last().copied().unwrap_or(0.0)
-    }
-
     /// Percentile by nearest-rank (`q` in `[0, 1]`).
     pub fn percentile(&self, q: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -66,32 +46,6 @@ impl Summary {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         self.sorted[rank - 1]
-    }
-
-    /// Median (p50).
-    pub fn median(&self) -> f64 {
-        self.percentile(0.5)
-    }
-
-    /// Fixed-width histogram over `[min, max]` with `bins` buckets, returned
-    /// as `(bucket_lower_edge, count)`.
-    pub fn histogram(&self, bins: usize) -> Vec<(f64, usize)> {
-        if self.sorted.is_empty() || bins == 0 {
-            return Vec::new();
-        }
-        let lo = self.min();
-        let hi = self.max();
-        let width = ((hi - lo) / bins as f64).max(f64::MIN_POSITIVE);
-        let mut counts = vec![0usize; bins];
-        for &v in &self.sorted {
-            let idx = (((v - lo) / width) as usize).min(bins - 1);
-            counts[idx] += 1;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (lo + i as f64 * width, c))
-            .collect()
     }
 }
 
@@ -125,31 +79,23 @@ mod tests {
         assert_eq!(s.percentile(0.99), 99.0);
         assert_eq!(s.percentile(1.0), 100.0);
         assert_eq!(s.percentile(0.0), 1.0); // clamped to first rank
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 100.0);
+        assert_eq!(s.sorted.first(), Some(&1.0));
+        assert_eq!(s.sorted.last(), Some(&100.0));
     }
 
     #[test]
     fn empty_summary_is_all_zeros() {
         let s = Summary::from_values(std::iter::empty());
-        assert!(s.is_empty());
+        assert!(s.sorted.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(0.5), 0.0);
-        assert!(s.histogram(4).is_empty());
     }
 
     #[test]
     fn nans_are_filtered() {
         let s = Summary::from_values([1.0, f64::NAN, 3.0]);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.sorted.len(), 2);
         assert_eq!(s.mean(), 2.0);
-    }
-
-    #[test]
-    fn histogram_counts_everything() {
-        let s = Summary::from_values((0..97).map(|i| i as f64));
-        let h = s.histogram(10);
-        assert_eq!(h.iter().map(|(_, c)| c).sum::<usize>(), 97);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
     /// Scale by a non-negative float (used when a cost model applies an
     /// efficiency factor). Saturates; NaN clamps to zero.
     pub fn mul_f64(self, k: f64) -> SimDuration {
@@ -235,7 +230,7 @@ mod tests {
         let big = SimDuration::from_nanos(u64::MAX);
         assert_eq!((big + big).as_nanos(), u64::MAX);
         assert_eq!((big * 3).as_nanos(), u64::MAX);
-        assert_eq!(SimDuration::ZERO.saturating_sub(big), SimDuration::ZERO);
+        assert_eq!(SimDuration::ZERO - big, SimDuration::ZERO);
     }
 
     #[test]

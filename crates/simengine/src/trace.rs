@@ -121,6 +121,38 @@ pub struct TraceContext {
     pub parent_span: u64,
 }
 
+/// Salt xor-ed into a retry seed to derive its [`TraceRoots`] stream:
+/// the same seed feeds the backoff jitter and the trace ids without ever
+/// correlating them.
+const TRACE_SEED_SALT: u64 = 0x7472_6163_655F_6964; // "trace_id"
+
+/// The trace roots a retrying caller (the dt-serve client, each
+/// preprocess reconnect supervisor) opens, one per traced request. The
+/// stream is its own [`DetRng`], salted from the backoff seed, so enabling
+/// tracing never shifts the documented jitter schedule.
+#[derive(Debug, Clone)]
+pub struct TraceRoots {
+    rng: DetRng,
+}
+
+impl TraceRoots {
+    /// The stream for the backoff seed `seed`.
+    pub fn new(seed: u64) -> TraceRoots {
+        TraceRoots {
+            rng: DetRng::new(seed ^ TRACE_SEED_SALT),
+        }
+    }
+
+    /// Open the next request: its root context, the id of the caller's
+    /// own span (the root's child 1), and the context to send on the wire
+    /// so the peer's spans nest beneath that span.
+    pub fn next_request(&mut self) -> (TraceContext, u64, TraceContext) {
+        let root = TraceContext::root(&mut self.rng);
+        let (span, wire) = root.child(1);
+        (root, span, wire)
+    }
+}
+
 /// Encoded wire size of a [`TraceContext`].
 pub const TRACE_CONTEXT_LEN: usize = 16;
 
@@ -564,8 +596,7 @@ fn cat_from_str(s: &str) -> &'static str {
 /// as a fixed-size record whose trace, span and parent ids stay `u64`
 /// until export renders them as hex args, so a span with a `&'static str`
 /// name allocates nothing once the buffer has grown. The buffer is a ring
-/// bounded at [`WALL_SINK_DEFAULT_CAP`] spans (see
-/// [`with_capacity`](Self::with_capacity)): at the bound each new span
+/// bounded at [`WALL_SINK_DEFAULT_CAP`] spans: at the bound each new span
 /// evicts the oldest in O(1).
 #[derive(Debug, Clone)]
 pub struct WallTraceSink {
@@ -643,12 +674,6 @@ impl WallTraceSink {
         }
     }
 
-    /// Bound the span buffer (oldest spans evicted first). Builder-style.
-    pub fn with_capacity(mut self, max_spans: usize) -> Self {
-        self.max_spans = max_spans.max(1);
-        self
-    }
-
     /// `true` when spans are being kept.
     pub fn is_enabled(&self) -> bool {
         self.rec.is_some()
@@ -708,12 +733,6 @@ impl WallTraceSink {
         rec.lock()
             .map(|spans| spans.iter().map(|s| s.to_span(shift_ns)).collect())
             .unwrap_or_default()
-    }
-
-    /// Snapshot the spans recorded so far, oldest first (empty when
-    /// disabled).
-    pub fn snapshot(&self) -> Vec<TraceSpan> {
-        self.export(0)
     }
 
     /// Snapshot as a recorder whose span starts are nanoseconds since the
@@ -827,7 +846,7 @@ mod tests {
         let started = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
         sink.record("fetch", cat::PRE_FETCH, 9, 0, started);
-        let spans = sink.snapshot();
+        let spans = sink.export(0);
         assert_eq!(spans.len(), 1);
         assert!(
             spans[0].dur.as_nanos() >= 1_000_000,
@@ -906,13 +925,16 @@ mod tests {
 
     #[test]
     fn full_wall_sink_keeps_the_newest_spans_in_order() {
-        let sink = WallTraceSink::new().with_capacity(8);
+        let sink = WallTraceSink {
+            max_spans: 8,
+            ..WallTraceSink::new()
+        };
         let started = Instant::now();
         for i in 0..24u64 {
             sink.record(format!("s{i}"), cat::SERVE_EXEC, 1, i, started);
         }
         let kept: Vec<(String, u64)> = sink
-            .snapshot()
+            .export(0)
             .into_iter()
             .map(|s| (s.name, s.tid))
             .collect();
@@ -968,13 +990,29 @@ mod tests {
         let sink = WallTraceSink::disabled();
         assert!(!sink.is_enabled());
         sink.record("x", cat::SERVE_EXEC, 0, 0, Instant::now());
-        assert!(sink.snapshot().is_empty());
+        assert!(sink.export(0).is_empty());
         assert!(sink.unix_recorder().is_empty());
     }
 
     #[test]
+    fn trace_roots_draw_from_the_salted_seed() {
+        // The dt-serve client's and the preprocess supervisors' trace ids
+        // are pinned to this derivation from their backoff seed.
+        let mut roots = TraceRoots::new(11);
+        let mut rng = DetRng::new(11 ^ 0x7472_6163_655F_6964);
+        for _ in 0..3 {
+            let root = TraceContext::root(&mut rng);
+            let (span, wire) = root.child(1);
+            assert_eq!(roots.next_request(), (root, span, wire));
+        }
+    }
+
+    #[test]
     fn bounded_wall_sink_evicts_and_unix_recorder_shifts() {
-        let sink = WallTraceSink::new().with_capacity(3);
+        let sink = WallTraceSink {
+            max_spans: 3,
+            ..WallTraceSink::new()
+        };
         let ctx = TraceContext {
             trace_id: 5,
             parent_span: 0,
@@ -982,7 +1020,7 @@ mod tests {
         for i in 0..5u64 {
             sink.record_traced("s", cat::SERVE_EXEC, 1, 1, Instant::now(), Some(&ctx), i);
         }
-        let spans = sink.snapshot();
+        let spans = sink.export(0);
         assert_eq!(spans.len(), 3, "cap enforced");
         assert_eq!(spans[0].trace_arg(), Some(hex_id(5).as_str()));
         let unix = sink.unix_recorder();

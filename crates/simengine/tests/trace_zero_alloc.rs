@@ -96,7 +96,7 @@ fn disabled_wall_sink_record_traced_never_allocates() {
         "disabled WallTraceSink::record_traced must not allocate"
     );
     assert!(!sink.is_enabled());
-    assert!(sink.snapshot().is_empty());
+    assert!(sink.unix_recorder().is_empty());
 }
 
 #[test]

@@ -221,30 +221,6 @@ impl Histogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// Estimated `q`-quantile (`0 < q ≤ 1`), using the same nearest-rank
-    /// rule as [`dt_simengine::stats::Summary::percentile`]; the estimate
-    /// is the geometric midpoint of the rank's bucket, so it is within
-    /// ~4.4% relative error of the exact order statistic. Returns 0 when
-    /// empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.snapshot().quantile(q)
-    }
-
-    /// Median estimate.
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile estimate.
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
     /// A point-in-time copy of the distribution (sparse buckets).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<(u32, u64)> = self
@@ -285,7 +261,11 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Same estimator as [`Histogram::quantile`].
+    /// Estimated `q`-quantile (`0 < q ≤ 1`), using the same nearest-rank
+    /// rule as [`dt_simengine::stats::Summary::percentile`]; the estimate
+    /// is the geometric midpoint of the rank's bucket, so it is within
+    /// ~4.4% relative error of the exact order statistic. Returns 0 when
+    /// empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count;
         if n == 0 {
@@ -307,15 +287,6 @@ impl HistogramSnapshot {
         self.buckets
             .last()
             .map_or(0.0, |&(i, _)| bucket_mid(i as usize))
-    }
-
-    /// Mean of the recorded samples (exact — from the running sum).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 }
 
@@ -357,9 +328,9 @@ mod tests {
         }
         assert_eq!(h.count(), 1000);
         assert!((h.sum() - 500.5).abs() < 1e-6);
-        let p50 = h.p50();
+        let p50 = h.snapshot().quantile(0.50);
         assert!((p50 - 0.5).abs() / 0.5 < 0.05, "p50 {p50}");
-        let p99 = h.p99();
+        let p99 = h.snapshot().quantile(0.99);
         assert!((p99 - 0.99).abs() / 0.99 < 0.05, "p99 {p99}");
     }
 
@@ -372,11 +343,11 @@ mod tests {
         h.observe(3.0);
         assert_eq!(h.count(), 9);
         assert_eq!(
-            h.p50(),
+            h.snapshot().quantile(0.50),
             0.0,
             "majority-zero distribution has an exact zero median"
         );
-        assert!(h.p99() > 2.5);
+        assert!(h.snapshot().quantile(0.99) > 2.5);
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl Telemetry {
         self.inner.as_deref().map(f)
     }
 
-    /// The registry, when enabled.
-    pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_deref()
-    }
-
     /// Snapshot the registry; an empty snapshot when disabled.
     pub fn snapshot(&self) -> Snapshot {
         self.with(|r| r.snapshot()).unwrap_or_default()

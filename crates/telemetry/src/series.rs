@@ -42,16 +42,6 @@ impl TimeSeries {
     pub fn points(&self) -> Vec<(SimTime, f64)> {
         self.points.lock().unwrap().clone()
     }
-
-    /// Just the values, in insertion order.
-    pub fn values(&self) -> Vec<f64> {
-        self.points
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|&(_, v)| v)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -67,8 +57,9 @@ mod tests {
         s.sample(t0, 1.0);
         s.sample(t0 + SimDuration::from_secs_f64(2.0), 3.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.values(), vec![1.0, 3.0]);
         let pts = s.points();
+        let values: Vec<f64> = pts.iter().map(|&(_, v)| v).collect();
+        assert_eq!(values, vec![1.0, 3.0]);
         assert!(pts[1].0 > pts[0].0);
     }
 }

@@ -109,7 +109,7 @@ fn histogram_quantiles_track_summary_percentiles() {
 
     let exact = Summary::from_values(values.iter().copied());
     for q in [0.50, 0.90, 0.95, 0.99] {
-        let est = h.quantile(q);
+        let est = h.snapshot().quantile(q);
         let truth = exact.percentile(q);
         let rel = (est - truth).abs() / truth;
         // Bucket growth is 2^(1/8) ≈ 9.05%; the midpoint estimate is within

@@ -63,9 +63,11 @@ done
 [ -z "$UNUSED" ] || { echo "declared but unused dependencies:$UNUSED" >&2; exit 1; }
 
 echo "==> no dead public surface (scripts/dead_pub.sh)"
-# Every pub fn/struct/enum/const/type/trait name must appear somewhere in
-# the non-test code besides its own definition, unless
-# scripts/dead_pub_allow.txt lists it as a test helper.
+# Every pub fn must be called from non-test code (compiler pass: each is
+# tagged #[deprecated] in a temp copy of the tree, and a fn no warning
+# names is dead), and every pub struct/enum/const/type/trait name must
+# appear in the non-test code besides its own definition (name pass),
+# unless scripts/dead_pub_allow.txt lists the item with a reason.
 scripts/dead_pub.sh
 
 echo "==> non-test code lines against HEAD (scripts/loc.sh, information only)"

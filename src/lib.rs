@@ -26,7 +26,8 @@
 //! assert!(report.total_gpus() <= task.cluster.total_gpus());
 //!
 //! // Infeasible problems explain themselves in one line instead of `None`.
-//! let err = Orchestrator::builder().global_batch(128).build().unwrap_err();
+//! let unsized_cluster = ProblemSpec { total_gpus: 0, ..task.problem_spec() };
+//! let err = Orchestrator::builder().spec(unsized_cluster).build().unwrap_err();
 //! assert!(matches!(err, PlanError::InvalidSpec { field: "total_gpus", .. }));
 //! drop(orch);
 //! ```
@@ -113,8 +114,8 @@ pub mod prelude {
     pub use crate::data::{DataConfig, SyntheticLaion};
     pub use crate::model::{FreezeConfig, MllmPreset, ModuleKind, MultimodalLlm};
     pub use crate::orchestrator::{
-        Orchestrator, OrchestratorBuilder, PerfModel, PlanError, PlanReport, Profiler, SearchMode,
-        TaskProfile, WarmStart,
+        Orchestrator, OrchestratorBuilder, PerfModel, PlanError, PlanReport, ProblemSpec, Profiler,
+        SearchMode, TaskProfile, WarmStart,
     };
     pub use crate::parallel::{ModulePlan, OrchestrationPlan};
     pub use crate::simengine::{DetRng, SimDuration, SimTime};

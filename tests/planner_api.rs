@@ -14,14 +14,29 @@ fn profile_for(model: &MultimodalLlm, nodes: u32, seed: u64) -> TaskProfile {
     Profiler.profile(&perf, &data.take(64))
 }
 
+/// The 96-GPU, batch-128 problem every planner below starts from: 8-GPU
+/// nodes with 80 GiB of HBM, microbatch 1, plain 1F1B, free PP hops.
+fn base() -> ProblemSpec {
+    ProblemSpec {
+        total_gpus: 96,
+        gpus_per_node: 8,
+        hbm_bytes: 80 << 30,
+        global_batch: 128,
+        microbatch: 1,
+        vpp: 1,
+        pp_hop_secs: 0.0,
+    }
+}
+
 #[test]
 fn hbm_starvation_diagnoses_as_no_memory_feasible_point() {
     let model = MllmPreset::Mllm9B.build();
     let profile = profile_for(&model, 12, 17);
     let orch = Orchestrator::builder()
-        .total_gpus(96)
-        .global_batch(128)
-        .hbm_bytes(1 << 28) // 256 MiB per GPU: nothing fits
+        .spec(ProblemSpec {
+            hbm_bytes: 1 << 28, // 256 MiB per GPU: nothing fits
+            ..base()
+        })
         .build()
         .unwrap();
     match orch.plan_with_profile(&model, &profile) {
@@ -39,8 +54,11 @@ fn two_gpu_cluster_diagnoses_as_cluster_too_small() {
     let model = MllmPreset::Mllm9B.build();
     let profile = profile_for(&model, 1, 17);
     let orch = Orchestrator::builder()
-        .total_gpus(2)
-        .global_batch(16)
+        .spec(ProblemSpec {
+            total_gpus: 2,
+            global_batch: 16,
+            ..base()
+        })
         .build()
         .unwrap();
     assert_eq!(
@@ -57,9 +75,11 @@ fn indivisible_batch_diagnoses_as_empty_lattice() {
     let model = MllmPreset::Mllm9B.build();
     let profile = profile_for(&model, 12, 17);
     let orch = Orchestrator::builder()
-        .total_gpus(96)
-        .global_batch(16)
-        .microbatch(32)
+        .spec(ProblemSpec {
+            global_batch: 16,
+            microbatch: 32,
+            ..base()
+        })
         .build()
         .unwrap();
     assert_eq!(
@@ -72,7 +92,13 @@ fn indivisible_batch_diagnoses_as_empty_lattice() {
 
 #[test]
 fn builder_rejects_malformed_knobs_with_the_field_name() {
-    let err = Orchestrator::builder().total_gpus(96).build().unwrap_err();
+    let err = Orchestrator::builder()
+        .spec(ProblemSpec {
+            global_batch: 0,
+            ..base()
+        })
+        .build()
+        .unwrap_err();
     assert!(
         matches!(
             err,
@@ -84,8 +110,7 @@ fn builder_rejects_malformed_knobs_with_the_field_name() {
         "{err:?}"
     );
     let err = Orchestrator::builder()
-        .total_gpus(96)
-        .global_batch(128)
+        .spec(base())
         .top_k(0)
         .build()
         .unwrap_err();
@@ -101,8 +126,7 @@ fn top_k_caps_the_candidate_shortlist() {
     let profile = profile_for(&model, 12, 17);
     let for_k = |k: usize| {
         Orchestrator::builder()
-            .total_gpus(96)
-            .global_batch(128)
+            .spec(base())
             .top_k(k)
             .build()
             .unwrap()
@@ -124,8 +148,7 @@ fn plan_report_exposes_the_search_diagnostics() {
     let model = MllmPreset::Mllm9B.build();
     let profile = profile_for(&model, 12, 17);
     let report = Orchestrator::builder()
-        .total_gpus(96)
-        .global_batch(128)
+        .spec(base())
         .search_mode(SearchMode::Serial)
         .build()
         .unwrap()
@@ -152,8 +175,7 @@ fn pruned_report_accounts_for_its_branch_and_bound_work() {
     let profile = profile_for(&model, 12, 17);
     let solve = |mode: SearchMode| {
         Orchestrator::builder()
-            .total_gpus(96)
-            .global_batch(128)
+            .spec(base())
             .search_mode(mode)
             .build()
             .unwrap()
