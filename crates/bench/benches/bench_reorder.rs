@@ -10,7 +10,8 @@
 //! candidate (DP 15).
 //!
 //! Besides the toy shapes, `algorithm1_intra/n1920_dp128` is Algorithm 1
-//! at the production shape, `cost_rows` prices 1920 samples of the
+//! at the production shape, `take/n1920` draws the production task's
+//! 1920-sample batch from its stream, `cost_rows` prices 1920 samples of the
 //! production and of the skewed §2.3 stream (where rows mostly miss), and
 //! two cases time the whole producer-side
 //! pass, `ReorderPlanner::reorder`, on a 1920-sample MLLM-72B batch with
@@ -116,9 +117,12 @@ fn main() {
         .into_iter()
         .max_by_key(|p| (p.total_stages(), std::cmp::Reverse(p.backbone.dp)))
         .expect("non-empty trial set");
-    let batch: Vec<TrainSample> =
-        SyntheticLaion::new(task.data.clone(), task.seed).take(task.global_batch as usize);
-    let n = batch.len();
+    let stream = SyntheticLaion::new(task.data.clone(), task.seed);
+    let n = task.global_batch as usize;
+    let name = format!("take/n{n}");
+    let stats = bench_stats(&name, iters, || stream.clone().take(n));
+    record(name, stats, vec![("n", Json::num_u64(n as u64))]);
+    let batch: Vec<TrainSample> = stream.clone().take(n);
     let name = format!("batch_clone/n{n}");
     let stats = bench_stats(&name, iters, || batch.clone());
     record(name, stats, vec![("n", Json::num_u64(n as u64))]);

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// A synthetic "iteration batch" of one sample with `n` images at `res`.
 /// It is a preprocessing load, not a packed sequence: text fills what the
 /// images leave of `seq_len` (nothing from 2 images at 1024 up), and no
-/// image is a generation target.
+/// image is a generation target. `n` is at most [`dt_data::MAX_IMAGES`].
 fn config_sample(n: u32, res: u32) -> TrainSample {
     let data = DataConfig::evaluation(res);
     TrainSample {
@@ -24,7 +24,7 @@ fn config_sample(n: u32, res: u32) -> TrainSample {
         text_tokens: data
             .seq_len
             .saturating_sub(u64::from(n) * data.tokens_per_image(res)),
-        image_resolutions: vec![res; n as usize],
+        image_resolutions: std::iter::repeat_n(res, n as usize).collect(),
         gen_images: 0,
         gen_resolution: res,
         patch: data.patch,

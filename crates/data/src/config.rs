@@ -5,6 +5,8 @@
 //! subsequences clustered at popular resolutions, and the per-sample image
 //! count skewed towards few images with a heavy tail.
 
+use crate::dataset::MAX_IMAGES;
+
 /// The representative resolution a `SampleShape` reports for a sample
 /// without images (its encoder cost is then the projector's alone).
 pub const NO_IMAGE_RESOLUTION: u32 = 512;
@@ -31,7 +33,8 @@ pub struct DataConfig {
     pub text_mu: f64,
     /// σ of the log-normal text-subsequence length.
     pub text_sigma: f64,
-    /// Maximum images interleavable into one sample.
+    /// Maximum images interleavable into one sample; at most
+    /// [`MAX_IMAGES`], which [`crate::SyntheticLaion::new`] asserts.
     pub max_images_per_sample: u32,
     /// Zipf exponent for the images-per-sample draw (higher ⇒ more skew
     /// towards few images).
@@ -73,7 +76,7 @@ impl DataConfig {
             // e^4.8 ≈ 120 tokens median, heavy upper tail.
             text_mu: 4.8,
             text_sigma: 1.1,
-            max_images_per_sample: 10,
+            max_images_per_sample: MAX_IMAGES as u32,
             images_zipf_alpha: 1.1,
             resolution: ResolutionMode::Skewed,
             gen_resolution: 512,

@@ -318,14 +318,14 @@ impl PreprocessCostModel {
 mod tests {
     use super::*;
     use crate::config::DataConfig;
-    use crate::dataset::SyntheticLaion;
+    use crate::dataset::{Resolutions, SyntheticLaion};
     use dt_model::{MllmPreset, MultimodalLlm};
 
     fn sample_with(res: u32, n: usize) -> TrainSample {
         TrainSample {
             id: 0,
             text_tokens: 100,
-            image_resolutions: vec![res; n],
+            image_resolutions: std::iter::repeat_n(res, n).collect(),
             gen_images: n as u32,
             gen_resolution: res,
             patch: 16,
@@ -371,7 +371,7 @@ mod tests {
         TrainSample {
             id: 0,
             text_tokens: 4096,
-            image_resolutions: vec![512; 4],
+            image_resolutions: [512; 4].into_iter().collect(),
             gen_images: 1,
             gen_resolution: 512,
             patch: 16,
@@ -439,7 +439,7 @@ mod tests {
                 ] {
                     let mut samples = SyntheticLaion::new(data, 7).take(300);
                     samples.push(TrainSample {
-                        image_resolutions: vec![],
+                        image_resolutions: Resolutions::default(),
                         gen_images: 0,
                         ..sample_with(512, 0)
                     });
@@ -477,50 +477,47 @@ mod tests {
             ..sample_with(512, 3)
         };
         let text_only = TrainSample {
-            image_resolutions: vec![],
+            image_resolutions: Resolutions::default(),
             gen_images: 0,
-            ..base.clone()
+            ..base
         };
         let variants = [
             TrainSample {
-                image_resolutions: vec![1024; 3],
-                ..base.clone()
+                image_resolutions: [1024; 3].into_iter().collect(),
+                ..base
             },
             TrainSample {
-                image_resolutions: vec![512, 512, 1024],
-                ..base.clone()
+                image_resolutions: [512, 512, 1024].into_iter().collect(),
+                ..base
             },
             TrainSample {
-                image_resolutions: vec![1024, 512, 512],
-                ..base.clone()
+                image_resolutions: [1024, 512, 512].into_iter().collect(),
+                ..base
             },
             TrainSample {
                 text_tokens: 200,
-                ..base.clone()
+                ..base
             },
-            TrainSample {
-                patch: 14,
-                ..base.clone()
-            },
+            TrainSample { patch: 14, ..base },
             TrainSample {
                 gen_images: 3,
-                ..base.clone()
+                ..base
             },
             TrainSample {
                 gen_resolution: 1024,
-                ..base.clone()
+                ..base
             },
             TrainSample {
                 text_tokens: 200,
-                ..text_only.clone()
+                ..text_only
             },
             TrainSample {
                 patch: 14,
-                ..text_only.clone()
+                ..text_only
             },
             TrainSample {
                 gen_resolution: 1024,
-                ..text_only.clone()
+                ..text_only
             },
         ];
         let mut samples = Vec::new();
@@ -530,7 +527,7 @@ mod tests {
             } else {
                 &base
             };
-            samples.extend([first, v, v, first, v].map(TrainSample::clone));
+            samples.extend([first, v, v, first, v]);
         }
         for preset in MllmPreset::ALL {
             let model = preset.build();
@@ -556,7 +553,7 @@ mod tests {
         let text_only = TrainSample {
             id: 1,
             text_tokens: 8192,
-            image_resolutions: vec![],
+            image_resolutions: Resolutions::default(),
             gen_images: 0,
             gen_resolution: 512,
             patch: 16,

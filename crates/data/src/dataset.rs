@@ -10,6 +10,11 @@
 //! characterization reads, are expanded on demand by
 //! [`SyntheticLaion::text_subseqs`].
 //!
+//! A sample is a fixed-size `Copy` value: its image resolutions sit
+//! inline in a [`Resolutions`] of at most [`MAX_IMAGES`] entries, the cap
+//! the §2.3 stream draws to. Drawing, cloning, permuting and dropping a
+//! 1920-sample batch then allocate nothing per sample.
+//!
 //! Sample `id` is drawn from its own generator keyed by `(seed, id)`
 //! ([`DetRng::keyed`], the counter-based idea of Salmon et al., "Parallel
 //! Random Numbers: As Easy as 1, 2, 3", SC'11), so any sample can be drawn
@@ -19,9 +24,78 @@
 use crate::config::{DataConfig, ResolutionMode, NO_IMAGE_RESOLUTION};
 use dt_model::mllm::SampleShape;
 use dt_simengine::DetRng;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-/// One packed multimodal training sample.
-#[derive(Debug, Clone, PartialEq)]
+/// The most images one sample holds: the §2.3 stream's
+/// `max_images_per_sample`, and Figure 17's largest configuration.
+pub const MAX_IMAGES: usize = 10;
+
+/// A sample's image resolutions, stored inline: up to [`MAX_IMAGES`]
+/// entries, read as a `[u32]` slice. Equality and `Debug` see only the
+/// live entries, so it compares and prints as the slice does.
+#[derive(Clone, Copy, Default)]
+pub struct Resolutions {
+    len: u8,
+    res: [u32; MAX_IMAGES],
+}
+
+impl Resolutions {
+    /// Append `res`.
+    ///
+    /// # Panics
+    /// When [`MAX_IMAGES`] resolutions are already held.
+    pub fn push(&mut self, res: u32) {
+        let len = usize::from(self.len);
+        assert!(
+            len < MAX_IMAGES,
+            "a sample holds at most {MAX_IMAGES} images"
+        );
+        self.res[len] = res;
+        self.len += 1;
+    }
+}
+
+impl Deref for Resolutions {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.res[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Resolutions {
+    fn deref_mut(&mut self) -> &mut [u32] {
+        &mut self.res[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Resolutions {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Resolutions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Collects by [`Resolutions::push`], so it panics past [`MAX_IMAGES`].
+impl FromIterator<u32> for Resolutions {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut list = Resolutions::default();
+        for res in iter {
+            list.push(res);
+        }
+        list
+    }
+}
+
+/// One packed multimodal training sample: a fixed-size `Copy` value, so
+/// cloning, permuting or dropping a batch allocates nothing per sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainSample {
     /// Id within the stream: [`SyntheticLaion::sample_at`] redraws it.
     pub id: u64,
@@ -29,8 +103,9 @@ pub struct TrainSample {
     /// sequence). [`SyntheticLaion::text_subseqs`] splits them into
     /// subsequences.
     pub text_tokens: u64,
-    /// Per-image resolution (square edge, pixels), in packing order.
-    pub image_resolutions: Vec<u32>,
+    /// Per-image resolution (square edge, pixels), in packing order; at
+    /// most [`MAX_IMAGES`].
+    pub image_resolutions: Resolutions,
     /// How many of the images are generation targets (at most
     /// `image_resolutions.len()`).
     pub gen_images: u32,
@@ -136,7 +211,16 @@ pub struct SyntheticLaion {
 impl SyntheticLaion {
     /// Create a stream with the given config and seed. Equal seeds produce
     /// identical streams on every platform.
+    ///
+    /// # Panics
+    /// When `config.max_images_per_sample` exceeds [`MAX_IMAGES`]: a
+    /// sample holds no more, and a draw is never truncated.
     pub fn new(config: DataConfig, seed: u64) -> Self {
+        assert!(
+            config.max_images_per_sample as usize <= MAX_IMAGES,
+            "max_images_per_sample {} exceeds MAX_IMAGES {MAX_IMAGES}",
+            config.max_images_per_sample
+        );
         let images_per_sample = Zipf::new(
             config.max_images_per_sample as usize,
             config.images_zipf_alpha,
@@ -163,7 +247,7 @@ impl SyntheticLaion {
         //    sequence must leave room for text).
         let want_images = self.images_per_sample.draw(&mut rng);
         let budget = cfg.seq_len * 8 / 10;
-        let mut image_resolutions = Vec::with_capacity(want_images);
+        let mut image_resolutions = Resolutions::default();
         let mut image_tokens = 0u64;
         for _ in 0..want_images {
             let res = draw_resolution(cfg.resolution, &mut rng);
@@ -342,6 +426,106 @@ mod tests {
         let mut s = stream();
         let _ = s.take(10);
         assert_eq!(s.take(1)[0], sequential[10]);
+    }
+
+    /// The draw as it was while resolutions lived in a `Vec`, kept as the
+    /// reference the inline draw must equal: same fields, same rng draws.
+    mod vec_draw {
+        use super::*;
+
+        #[derive(Debug)]
+        pub struct TrainSample {
+            pub id: u64,
+            pub text_tokens: u64,
+            pub image_resolutions: Vec<u32>,
+            pub gen_images: u32,
+            pub gen_resolution: u32,
+            pub patch: u32,
+        }
+
+        pub fn sample_at(stream: &SyntheticLaion, id: u64) -> TrainSample {
+            let cfg = &stream.config;
+            let mut rng = DetRng::keyed(stream.shape_seed, id);
+            let want_images = stream.images_per_sample.draw(&mut rng);
+            let budget = cfg.seq_len * 8 / 10;
+            let mut image_resolutions = Vec::with_capacity(want_images);
+            let mut image_tokens = 0u64;
+            for _ in 0..want_images {
+                let res = draw_resolution(cfg.resolution, &mut rng);
+                let t = cfg.tokens_per_image(res);
+                if image_tokens + t > budget {
+                    continue;
+                }
+                image_tokens += t;
+                image_resolutions.push(res);
+            }
+            let gen_images = image_resolutions
+                .iter()
+                .filter(|_| rng.chance(cfg.gen_image_prob))
+                .count() as u32;
+            TrainSample {
+                id,
+                text_tokens: cfg.seq_len - image_tokens,
+                image_resolutions,
+                gen_images,
+                gen_resolution: cfg.gen_resolution,
+                patch: cfg.patch,
+            }
+        }
+    }
+
+    #[test]
+    fn inline_draw_matches_the_vec_draw() {
+        for data in [DataConfig::evaluation(1024), DataConfig::characterization()] {
+            let s = SyntheticLaion::new(data, 42);
+            for id in 0..100_000 {
+                let (got, want) = (s.sample_at(id), vec_draw::sample_at(&s, id));
+                assert_eq!(got.id, want.id);
+                assert_eq!(got.text_tokens, want.text_tokens, "sample {id}");
+                assert_eq!(
+                    *got.image_resolutions, *want.image_resolutions,
+                    "sample {id}"
+                );
+                assert_eq!(got.gen_images, want.gen_images, "sample {id}");
+                assert_eq!(got.gen_resolution, want.gen_resolution, "sample {id}");
+                assert_eq!(got.patch, want.patch, "sample {id}");
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "sample {id}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_IMAGES 10")]
+    fn a_cap_above_max_images_is_rejected() {
+        let data = DataConfig {
+            max_images_per_sample: MAX_IMAGES as u32 + 1,
+            ..DataConfig::characterization()
+        };
+        let _ = SyntheticLaion::new(data, 1);
+    }
+
+    #[test]
+    fn resolutions_compare_and_print_their_live_entries() {
+        let mut a: Resolutions = [512, 512].into_iter().collect();
+        assert_eq!(format!("{a:?}"), "[512, 512]");
+        assert_eq!(format!("{:?}", Resolutions::default()), "[]");
+        let stale = Resolutions {
+            len: 2,
+            res: [512, 512, 1024, 0, 0, 0, 0, 0, 0, 0],
+        };
+        assert_eq!(a, stale);
+        a[1] = 256;
+        assert_ne!(a, stale);
+        assert_eq!(a.len(), 2);
+        let full: Resolutions = std::iter::repeat_n(256, MAX_IMAGES).collect();
+        assert_eq!(full.len(), MAX_IMAGES);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 10 images")]
+    fn pushing_past_max_images_panics() {
+        let mut full: Resolutions = std::iter::repeat_n(256, MAX_IMAGES).collect();
+        full.push(256);
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //! counts, a heavy-tailed resolution mix) and packs them into fixed-length
 //! sequences exactly like the paper describes. A [`TrainSample`] records
 //! the packed sequence's shape (text tokens, image resolutions, generation
-//! targets), which is all the cost models read; each sample is drawn from
-//! its own generator keyed by `(seed, id)`, and its text-subsequence
-//! lengths are expanded on demand for the Figure 5 characterization.
+//! targets), which is all the cost models read. It is a fixed-size `Copy`
+//! value: the resolutions sit inline, at most [`MAX_IMAGES`] of them, so a
+//! batch is drawn, moved and dropped without a heap allocation per
+//! sample. Each sample is drawn from its own generator keyed by
+//! `(seed, id)`, and its text-subsequence lengths are expanded on demand
+//! for the Figure 5 characterization.
 //!
 //! Modules:
 //! * [`config`] — distribution parameters (+ fixed-resolution mode used by
@@ -32,4 +35,4 @@ pub mod dataset;
 
 pub use batch::{GlobalBatch, Microbatch};
 pub use config::{DataConfig, ResolutionMode};
-pub use dataset::{SyntheticLaion, TrainSample};
+pub use dataset::{Resolutions, SyntheticLaion, TrainSample, MAX_IMAGES};

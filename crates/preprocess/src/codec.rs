@@ -231,9 +231,7 @@ mod tests {
         let gen = SyntheticLaion::new(DataConfig::evaluation(512), 11);
         // Shrink resolutions for test speed while keeping the structure.
         let mut sample = gen.sample_at(0);
-        for r in &mut sample.image_resolutions {
-            *r = 64;
-        }
+        sample.image_resolutions.fill(64);
         let out = preprocess_sample(&sample);
         let expected: usize = sample.image_resolutions.iter().map(|_| 3 * 64 * 64).sum();
         assert_eq!(out.token_bytes.len(), expected);

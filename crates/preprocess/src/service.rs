@@ -667,7 +667,7 @@ mod tests {
             let header: BatchHeader = read_json(&mut stream).unwrap();
             let payload = read_frame(&mut stream).unwrap();
             assert_eq!(payload.len() as u64, header.token_lens.iter().sum::<u64>());
-            firsts.push(header.samples[0].clone());
+            firsts.push(header.samples[0]);
             write_json(&mut stream, &Request::Shutdown).unwrap();
         }
         // Endpoints run decorrelated seed lanes: same id counters, but

@@ -14,7 +14,7 @@
 //! ```
 
 use crate::error::PreprocessError;
-use dt_data::TrainSample;
+use dt_data::{TrainSample, MAX_IMAGES};
 use dt_simengine::json::Json;
 
 // The messages' codec trait, beside them: perfbench's frame probe imports
@@ -93,7 +93,7 @@ fn sample_to_json(s: &TrainSample) -> Json {
 }
 
 /// Decode one sample, rejecting one no generator could have drawn: more
-/// generation targets than images.
+/// than [`MAX_IMAGES`] images, or more generation targets than images.
 fn sample_from_json(value: &Json) -> Result<TrainSample, PreprocessError> {
     let malformed = |reason: String| PreprocessError::Malformed { reason };
     let field = |k: &str| {
@@ -102,13 +102,24 @@ fn sample_from_json(value: &Json) -> Result<TrainSample, PreprocessError> {
             .ok_or_else(|| malformed(format!("sample missing {k}")))
     };
     let bad = |k: &str| malformed(format!("bad {k}"));
+    let resolutions = field("image_resolutions")?
+        .as_array()
+        .ok_or_else(|| bad("image_resolutions"))?;
+    if resolutions.len() > MAX_IMAGES {
+        return Err(malformed(format!(
+            "sample has {} images, more than MAX_IMAGES {MAX_IMAGES}",
+            resolutions.len()
+        )));
+    }
     let sample = TrainSample {
         id: field("id")?.as_u64().ok_or_else(|| bad("id"))?,
         text_tokens: field("text_tokens")?
             .as_u64()
             .ok_or_else(|| bad("text_tokens"))?,
-        image_resolutions: field("image_resolutions")?
-            .to_u32_vec()
+        image_resolutions: resolutions
+            .iter()
+            .map(Json::as_u32)
+            .collect::<Option<_>>()
             .ok_or_else(|| bad("image_resolutions"))?,
         gen_images: field("gen_images")?
             .as_u32()
@@ -167,7 +178,7 @@ impl WireJson for BatchHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_simengine::frame::{read_json, write_frame, write_json};
+    use dt_simengine::frame::{read_frame, read_json, write_frame, write_json};
     use std::io::Cursor;
 
     #[test]
@@ -187,7 +198,7 @@ mod tests {
         let sample = TrainSample {
             id: 99,
             text_tokens: 8,
-            image_resolutions: vec![224, 512],
+            image_resolutions: [224, 512].into_iter().collect(),
             gen_images,
             gen_resolution: 1024,
             patch: 14,
@@ -219,6 +230,89 @@ mod tests {
         write_json(&mut buf, &header(3)).unwrap();
         let err = read_json::<BatchHeader>(&mut Cursor::new(buf)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// A header of one full sample ([`MAX_IMAGES`] resolutions, the §2.3
+    /// palette twice) as the `Vec`-based encoder wrote it: valid samples
+    /// keep their wire bytes.
+    const FULL_HEADER_JSON: &str = concat!(
+        r#"{"samples":[{"id":7,"text_tokens":1216,"#,
+        r#""image_resolutions":[256,384,512,768,1024,256,384,512,768,1024],"#,
+        r#""gen_images":3,"gen_resolution":1024,"patch":16}],"#,
+        r#""token_lens":[12345],"producer_cpu_ns":5000}"#
+    );
+
+    #[test]
+    fn a_full_sample_keeps_its_wire_bytes_and_round_trips() {
+        let sample = TrainSample {
+            id: 7,
+            text_tokens: 1216,
+            image_resolutions: [256, 384, 512, 768, 1024, 256, 384, 512, 768, 1024]
+                .into_iter()
+                .collect(),
+            gen_images: 3,
+            gen_resolution: 1024,
+            patch: 16,
+        };
+        assert_eq!(sample.image_resolutions.len(), MAX_IMAGES);
+        let header = BatchHeader {
+            samples: vec![sample],
+            token_lens: vec![12_345],
+            producer_cpu_ns: 5_000,
+        };
+        let mut buf = Vec::new();
+        write_json(&mut buf, &header).unwrap();
+        assert_eq!(&buf[4..], FULL_HEADER_JSON.as_bytes());
+        assert_eq!(
+            read_json::<BatchHeader>(&mut Cursor::new(buf)).unwrap(),
+            header
+        );
+    }
+
+    /// [`FULL_HEADER_JSON`] with one resolution more than a sample holds.
+    fn overfull_header_json() -> String {
+        FULL_HEADER_JSON.replace(",1024],", ",1024,512],")
+    }
+
+    #[test]
+    fn more_than_max_images_resolutions_is_malformed() {
+        let overfull = overfull_header_json();
+        let value = Json::parse(&overfull).unwrap();
+        let sample = &value.get("samples").and_then(Json::as_array).unwrap()[0];
+        assert!(matches!(
+            sample_from_json(sample),
+            Err(PreprocessError::Malformed { reason }) if reason.contains("11 images")
+        ));
+        let mut buf = Vec::new();
+        write_frame(&mut buf, overfull.as_bytes()).unwrap();
+        let err = read_json::<BatchHeader>(&mut Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_producer_sent_an_overfull_sample_keeps_serving_a_good_client() {
+        use crate::Preprocess;
+        use dt_data::{DataConfig, ResolutionMode};
+        use std::io::Read;
+        use std::net::TcpStream;
+
+        let data = DataConfig {
+            resolution: ResolutionMode::Fixed(64),
+            ..DataConfig::evaluation(64)
+        };
+        let mut handle = Preprocess::builder(data, 19).spawn().unwrap();
+        let mut bad = TcpStream::connect(handle.addr()).unwrap();
+        write_frame(&mut bad, overfull_header_json().as_bytes()).unwrap();
+        // The producer closes the session: EOF or a reset, never data.
+        assert!(matches!(bad.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+        assert_eq!(handle.stats().malformed_frames, 1);
+        let mut good = TcpStream::connect(handle.addr()).unwrap();
+        write_json(&mut good, &Request::FetchBatch { count: 2 }).unwrap();
+        let header: BatchHeader = read_json(&mut good).unwrap();
+        assert_eq!(header.samples.len(), 2);
+        let _ = read_frame(&mut good).unwrap();
+        write_json(&mut good, &Request::Shutdown).unwrap();
+        assert!(handle.shutdown(), "plane must survive an overfull sample");
     }
 
     #[test]

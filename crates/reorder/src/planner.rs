@@ -64,7 +64,8 @@ impl ReorderPlanner {
             return samples;
         }
         let order = self.reorder_indices(&CostRows::new(&self.model, &samples));
-        permute(samples, &order)
+        // Samples are `Copy`: gathering them is one copy each.
+        order.iter().map(|&i| samples[i]).collect()
     }
 
     /// The order [`ReorderPlanner::reorder`] puts a batch in, from its
@@ -153,25 +154,6 @@ impl ReorderPlanner {
     }
 }
 
-/// `samples` rearranged so position `k` holds `samples[order[k]]`, by
-/// following `order`'s cycles with swaps: the samples move, never clone.
-fn permute<T>(mut samples: Vec<T>, order: &[usize]) -> Vec<T> {
-    let mut placed = vec![false; order.len()];
-    for start in 0..order.len() {
-        let mut k = start;
-        while !placed[k] {
-            placed[k] = true;
-            let src = order[k];
-            if src == start {
-                break;
-            }
-            samples.swap(k, src);
-            k = src;
-        }
-    }
-    samples
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,20 +215,6 @@ mod tests {
             after <= before,
             "Alg 1 must not worsen the max group: {after} vs {before}"
         );
-    }
-
-    #[test]
-    fn permute_gathers_by_the_order() {
-        let mut rng = dt_simengine::DetRng::new(3);
-        for n in 0..40 {
-            let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                order.swap(i, rng.range_usize(0, i + 1));
-            }
-            let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
-            let expected: Vec<String> = order.iter().map(|&i| items[i].clone()).collect();
-            assert_eq!(permute(items, &order), expected, "n={n}");
-        }
     }
 
     #[test]

@@ -201,11 +201,6 @@ impl Json {
     pub fn to_u64_vec(&self) -> Option<Vec<u64>> {
         self.as_array()?.iter().map(Json::as_u64).collect()
     }
-
-    /// Decode a `Vec<u32>` from an array value.
-    pub fn to_u32_vec(&self) -> Option<Vec<u32>> {
-        self.as_array()?.iter().map(Json::as_u32).collect()
-    }
 }
 
 impl fmt::Display for Json {

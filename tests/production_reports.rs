@@ -84,7 +84,7 @@ fn ranks_equal_in_shape_but_not_in_pixels_each_pay_their_stall() {
     let sample = |id, small: u32| TrainSample {
         id,
         text_tokens: 2048,
-        image_resolutions: vec![1024, small, small, small, small],
+        image_resolutions: [1024, small, small, small, small].into_iter().collect(),
         gen_images: 1,
         gen_resolution: 512,
         patch: 16,
