@@ -9,8 +9,10 @@
 //! real: JSON files written by a background thread, recovery scanning for
 //! the newest valid checkpoint and ignoring torn ones.
 
-use dt_parallel::{ModulePlan, OrchestrationPlan};
+use dt_parallel::OrchestrationPlan;
 use dt_simengine::json::Json;
+use dt_simengine::schema::WireJson;
+use dt_simengine::wire_struct;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
@@ -26,82 +28,11 @@ pub struct TrainingState {
     pub seed: u64,
 }
 
-fn module_plan_to_json(p: &ModulePlan) -> Json {
-    Json::obj(vec![
-        ("tp", Json::num_u64(u64::from(p.tp))),
-        ("dp", Json::num_u64(u64::from(p.dp))),
-        ("pp", Json::num_u64(u64::from(p.pp))),
-        ("replicate_in_tp_group", Json::Bool(p.replicate_in_tp_group)),
-        ("sp", Json::Bool(p.sp)),
-        ("ep", Json::num_u64(u64::from(p.ep))),
-    ])
-}
-
-fn module_plan_from_json(value: &Json) -> Result<ModulePlan, String> {
-    let u = |k: &str| {
-        value
-            .get(k)
-            .and_then(Json::as_u32)
-            .ok_or_else(|| format!("bad {k}"))
-    };
-    Ok(ModulePlan {
-        tp: u("tp")?,
-        dp: u("dp")?,
-        pp: u("pp")?,
-        replicate_in_tp_group: value
-            .get("replicate_in_tp_group")
-            .and_then(Json::as_bool)
-            .ok_or("bad replicate_in_tp_group")?,
-        // Fields added after the first checkpoint format default when absent.
-        sp: value.get("sp").and_then(Json::as_bool).unwrap_or(false),
-        ep: value.get("ep").and_then(Json::as_u32).unwrap_or(1),
-    })
-}
-
-impl TrainingState {
-    /// Encode as checkpoint JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("iteration", Json::num_u64(u64::from(self.iteration))),
-            (
-                "plan",
-                Json::obj(vec![
-                    ("encoder", module_plan_to_json(&self.plan.encoder)),
-                    ("backbone", module_plan_to_json(&self.plan.backbone)),
-                    ("generator", module_plan_to_json(&self.plan.generator)),
-                    ("microbatch", Json::num_u64(u64::from(self.plan.microbatch))),
-                ]),
-            ),
-            ("seed", Json::num_u64(self.seed)),
-        ])
-    }
-
-    /// Decode checkpoint JSON.
-    pub fn from_json(value: &Json) -> Result<Self, String> {
-        let plan = value.get("plan").ok_or("missing plan")?;
-        let module = |k: &str| {
-            plan.get(k)
-                .ok_or_else(|| format!("missing plan.{k}"))
-                .and_then(module_plan_from_json)
-        };
-        Ok(TrainingState {
-            iteration: value
-                .get("iteration")
-                .and_then(Json::as_u32)
-                .ok_or("bad iteration")?,
-            plan: OrchestrationPlan {
-                encoder: module("encoder")?,
-                backbone: module("backbone")?,
-                generator: module("generator")?,
-                microbatch: plan
-                    .get("microbatch")
-                    .and_then(Json::as_u32)
-                    .ok_or("bad microbatch")?,
-            },
-            seed: value.get("seed").and_then(Json::as_u64).ok_or("bad seed")?,
-        })
-    }
-}
+wire_struct!(TrainingState {
+    iteration,
+    plan,
+    seed
+});
 
 /// Writes checkpoints into a directory; one file per checkpoint.
 pub struct CheckpointManager {

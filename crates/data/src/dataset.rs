@@ -15,6 +15,12 @@
 //! the §2.3 stream draws to. Drawing, cloning, permuting and dropping a
 //! 1920-sample batch then allocate nothing per sample.
 //!
+//! A sample's JSON form, the one the preprocessing plane's batch headers
+//! carry, is generated from its field list (`dt_simengine::wire_struct!`).
+//! Its decoder rejects a sample no generator could draw: more than
+//! [`MAX_IMAGES`] resolutions (checked before any is read), or more
+//! generation targets than images.
+//!
 //! Sample `id` is drawn from its own generator keyed by `(seed, id)`
 //! ([`DetRng::keyed`], the counter-based idea of Salmon et al., "Parallel
 //! Random Numbers: As Easy as 1, 2, 3", SC'11), so any sample can be drawn
@@ -23,7 +29,8 @@
 
 use crate::config::{DataConfig, ResolutionMode, NO_IMAGE_RESOLUTION};
 use dt_model::mllm::SampleShape;
-use dt_simengine::DetRng;
+use dt_simengine::schema::WireJson;
+use dt_simengine::{wire_struct, DetRng, Json};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -164,6 +171,51 @@ impl TrainSample {
             gen_res: self.gen_resolution,
         }
     }
+}
+
+/// On the wire, an array of at most [`MAX_IMAGES`] resolutions: a longer
+/// one is rejected before any entry is read.
+impl WireJson for Resolutions {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(u32::to_json).collect())
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        let items = value.as_array().ok_or("not an array")?;
+        if items.len() > MAX_IMAGES {
+            return Err(format!(
+                "{} images, more than MAX_IMAGES {MAX_IMAGES}",
+                items.len()
+            ));
+        }
+        let mut list = Resolutions::default();
+        for (i, item) in items.iter().enumerate() {
+            list.push(u32::from_json(item).map_err(|e| format!("[{i}]: {e}"))?);
+        }
+        Ok(list)
+    }
+}
+
+wire_struct!(TrainSample {
+    id,
+    text_tokens,
+    image_resolutions,
+    gen_images,
+    gen_resolution,
+    patch
+} check drawable);
+
+/// A decoded sample must be one the generator could draw: no more
+/// generation targets than images.
+fn drawable(s: &TrainSample) -> Result<(), String> {
+    if s.gen_images as usize > s.image_resolutions.len() {
+        return Err(format!(
+            "sample {} has {} generation targets but {} images",
+            s.id,
+            s.gen_images,
+            s.image_resolutions.len()
+        ));
+    }
+    Ok(())
 }
 
 /// Bounded Zipf over ranks `1..=n`: inverse CDF over weights `k^-alpha`

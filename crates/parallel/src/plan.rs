@@ -1,6 +1,7 @@
 //! Orchestration plans: who gets which GPUs with which parallelism.
 
 use dt_model::{memory::ModuleMemory, mllm::SampleShape, ModuleKind, MultimodalLlm};
+use dt_simengine::wire_struct;
 
 /// Parallelism assignment of one module (one parallelism unit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,6 +216,23 @@ impl OrchestrationPlan {
         Ok(())
     }
 }
+
+// The checkpoint form of a plan. `sp` and `ep` came after the first
+// checkpoint format, so a checkpoint without them recovers the plain plan.
+wire_struct!(ModulePlan {
+    tp,
+    dp,
+    pp,
+    replicate_in_tp_group,
+    sp = false,
+    ep = 1,
+});
+wire_struct!(OrchestrationPlan {
+    encoder,
+    backbone,
+    generator,
+    microbatch
+});
 
 #[cfg(test)]
 mod tests {

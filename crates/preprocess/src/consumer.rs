@@ -252,7 +252,7 @@ impl MultiFeeder {
             Err(_) => {
                 // Every supervisor is gone; replay the terminal error.
                 let last = self.last_error.lock().unwrap().clone();
-                return Err(last.unwrap_or(PreprocessError::Malformed {
+                return Err(last.unwrap_or_else(|| PreprocessError::Malformed {
                     reason: "all supervisors exited without reporting".into(),
                 }));
             }
@@ -441,7 +441,7 @@ fn supervise(ctx: SupervisorCtx) {
                     let link = outstanding.pop_front().flatten();
                     let trace_id = echo
                         .map(|c| c.trace_id)
-                        .or(link.map(|(root, _)| root.trace_id))
+                        .or_else(|| link.map(|(root, _)| root.trace_id))
                         .unwrap_or(0);
                     if let Some(sink) = &ctx.trace {
                         let (root, span) = link.unzip();

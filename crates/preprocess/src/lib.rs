@@ -50,6 +50,9 @@
 //! (pid [`CONSUMER_PID`]), mergeable into the simulated cluster's
 //! Chrome-trace export.
 
+// A decode error is formatted only when decoding fails.
+#![deny(clippy::or_fun_call)]
+
 pub mod codec;
 pub mod consumer;
 pub mod error;

@@ -46,7 +46,8 @@ use crate::error::PreprocessError;
 use crate::wire::{BatchHeader, Request, MAX_FETCH_COUNT};
 use dt_data::{DataConfig, SyntheticLaion, TrainSample};
 use dt_reorder::ReorderPlanner;
-use dt_simengine::frame::{read_json_ctx, write_batch_frames_ctx, WireJson, MAX_CONTROL_FRAME};
+use dt_simengine::frame::{read_json_ctx, write_batch_frames_ctx, MAX_CONTROL_FRAME};
+use dt_simengine::schema::WireJson;
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink, TRACE_CONTEXT_LEN};
 use dt_simengine::{Listener, Stop};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;

@@ -7,19 +7,23 @@
 //! module defines the preprocessing protocol's *messages*: the consumer's
 //! [`Request`]s and the producer's [`BatchHeader`] response (followed by
 //! one raw frame of concatenated token bytes, never base64-inflated).
+//! Their JSON codecs are generated from their field lists by
+//! [`dt_simengine::wire_enum!`] and [`dt_simengine::wire_struct!`]; a
+//! sample's codec lives beside [`TrainSample`] in `dt-data`, and rejects
+//! more than [`MAX_IMAGES`](dt_data::MAX_IMAGES) resolutions or more
+//! generation targets than images.
 //!
 //! ```text
 //! request:  [len][json Request]
 //! response: [len][json BatchHeader] [len][raw token bytes]
 //! ```
 
-use crate::error::PreprocessError;
-use dt_data::{TrainSample, MAX_IMAGES};
-use dt_simengine::json::Json;
+use dt_data::TrainSample;
+use dt_simengine::{wire_enum, wire_struct};
 
 // The messages' codec trait, beside them: perfbench's frame probe imports
 // it as `dt_preprocess::wire::WireJson`.
-pub use dt_simengine::frame::WireJson;
+pub use dt_simengine::schema::WireJson;
 
 /// The most samples one `FetchBatch` may ask for: the production task's
 /// global batch of 1920 (`TrainingTask::production`), the largest anything
@@ -54,131 +58,22 @@ pub struct BatchHeader {
     pub producer_cpu_ns: u64,
 }
 
-impl WireJson for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::FetchBatch { count } => Json::obj(vec![(
-                "FetchBatch",
-                Json::obj(vec![("count", Json::num_u64(u64::from(*count)))]),
-            )]),
-            Request::Shutdown => Json::Str("Shutdown".into()),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        if value.as_str() == Some("Shutdown") {
-            return Ok(Request::Shutdown);
-        }
-        let count = value
-            .get("FetchBatch")
-            .and_then(|f| f.get("count"))
-            .and_then(Json::as_u32)
-            .ok_or("malformed Request")?;
-        Ok(Request::FetchBatch { count })
-    }
-}
-
-fn sample_to_json(s: &TrainSample) -> Json {
-    Json::obj(vec![
-        ("id", Json::num_u64(s.id)),
-        ("text_tokens", Json::num_u64(s.text_tokens)),
-        (
-            "image_resolutions",
-            Json::arr_u64(s.image_resolutions.iter().map(|&r| u64::from(r))),
-        ),
-        ("gen_images", Json::num_u64(u64::from(s.gen_images))),
-        ("gen_resolution", Json::num_u64(u64::from(s.gen_resolution))),
-        ("patch", Json::num_u64(u64::from(s.patch))),
-    ])
-}
-
-/// Decode one sample, rejecting one no generator could have drawn: more
-/// than [`MAX_IMAGES`] images, or more generation targets than images.
-fn sample_from_json(value: &Json) -> Result<TrainSample, PreprocessError> {
-    let malformed = |reason: String| PreprocessError::Malformed { reason };
-    let field = |k: &str| {
-        value
-            .get(k)
-            .ok_or_else(|| malformed(format!("sample missing {k}")))
-    };
-    let bad = |k: &str| malformed(format!("bad {k}"));
-    let resolutions = field("image_resolutions")?
-        .as_array()
-        .ok_or_else(|| bad("image_resolutions"))?;
-    if resolutions.len() > MAX_IMAGES {
-        return Err(malformed(format!(
-            "sample has {} images, more than MAX_IMAGES {MAX_IMAGES}",
-            resolutions.len()
-        )));
-    }
-    let sample = TrainSample {
-        id: field("id")?.as_u64().ok_or_else(|| bad("id"))?,
-        text_tokens: field("text_tokens")?
-            .as_u64()
-            .ok_or_else(|| bad("text_tokens"))?,
-        image_resolutions: resolutions
-            .iter()
-            .map(Json::as_u32)
-            .collect::<Option<_>>()
-            .ok_or_else(|| bad("image_resolutions"))?,
-        gen_images: field("gen_images")?
-            .as_u32()
-            .ok_or_else(|| bad("gen_images"))?,
-        gen_resolution: field("gen_resolution")?
-            .as_u32()
-            .ok_or_else(|| bad("gen_resolution"))?,
-        patch: field("patch")?.as_u32().ok_or_else(|| bad("patch"))?,
-    };
-    if sample.gen_images as usize > sample.image_resolutions.len() {
-        return Err(malformed(format!(
-            "sample {} has {} generation targets but {} images",
-            sample.id,
-            sample.gen_images,
-            sample.image_resolutions.len()
-        )));
-    }
-    Ok(sample)
-}
-
-impl WireJson for BatchHeader {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "samples",
-                Json::Arr(self.samples.iter().map(sample_to_json).collect()),
-            ),
-            ("token_lens", Json::arr_u64(self.token_lens.iter().copied())),
-            ("producer_cpu_ns", Json::num_u64(self.producer_cpu_ns)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let samples = value
-            .get("samples")
-            .and_then(Json::as_array)
-            .ok_or("header missing samples")?
-            .iter()
-            .map(sample_from_json)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| e.to_string())?;
-        Ok(BatchHeader {
-            samples,
-            token_lens: value
-                .get("token_lens")
-                .and_then(Json::to_u64_vec)
-                .ok_or("header missing token_lens")?,
-            producer_cpu_ns: value
-                .get("producer_cpu_ns")
-                .and_then(Json::as_u64)
-                .ok_or("header missing producer_cpu_ns")?,
-        })
-    }
-}
+wire_enum!(Request {
+    FetchBatch { count },
+    Shutdown
+});
+wire_struct!(BatchHeader {
+    samples,
+    token_lens,
+    producer_cpu_ns
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_data::MAX_IMAGES;
     use dt_simengine::frame::{read_frame, read_json, write_frame, write_json};
+    use dt_simengine::json::Json;
     use std::io::Cursor;
 
     #[test]
@@ -221,10 +116,10 @@ mod tests {
 
     #[test]
     fn header_with_more_generation_targets_than_images_is_rejected() {
-        let json = sample_to_json(&header(3).samples[0]);
+        let json = header(3).samples[0].to_json();
         assert!(matches!(
-            sample_from_json(&json),
-            Err(PreprocessError::Malformed { reason }) if reason.contains("3 generation targets")
+            TrainSample::from_json(&json),
+            Err(reason) if reason.contains("3 generation targets")
         ));
         let mut buf = Vec::new();
         write_json(&mut buf, &header(3)).unwrap();
@@ -280,8 +175,8 @@ mod tests {
         let value = Json::parse(&overfull).unwrap();
         let sample = &value.get("samples").and_then(Json::as_array).unwrap()[0];
         assert!(matches!(
-            sample_from_json(sample),
-            Err(PreprocessError::Malformed { reason }) if reason.contains("11 images")
+            TrainSample::from_json(sample),
+            Err(reason) if reason.contains("11 images")
         ));
         let mut buf = Vec::new();
         write_frame(&mut buf, overfull.as_bytes()).unwrap();
@@ -313,6 +208,16 @@ mod tests {
         let _ = read_frame(&mut good).unwrap();
         write_json(&mut good, &Request::Shutdown).unwrap();
         assert!(handle.shutdown(), "plane must survive an overfull sample");
+    }
+
+    #[test]
+    fn a_request_decodes_only_from_one_variant_key() {
+        for text in [
+            r#"{"FetchBatch":{"count":2},"Shutdown":{}}"#,
+            r#"{"Shutdown":{},"FetchBatch":{"count":2}}"#,
+        ] {
+            assert!(Request::from_json(&Json::parse(text).unwrap()).is_err());
+        }
     }
 
     #[test]

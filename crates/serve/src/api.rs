@@ -6,9 +6,13 @@
 //! workspace. Every request gets exactly one reply; server-side failures
 //! are *typed* [`ServeError`] replies, never dropped connections or
 //! panics.
+//!
+//! Each message's JSON codec is generated from its field list by
+//! [`dt_simengine::wire_struct!`] or [`dt_simengine::wire_enum!`]: the
+//! enums are externally tagged (`"Ping"`, `{"Plan":{…}}`), and a `u64`
+//! past 2^53 travels as its decimal string.
 
-use dt_simengine::frame::WireJson;
-use dt_simengine::json::Json;
+use dt_simengine::{wire_enum, wire_struct};
 
 /// What the client wants planned, identifying the task the way the §7
 /// experiments do: a model preset on a production-shaped cluster.
@@ -274,343 +278,63 @@ pub enum ServeReply {
     Err(ServeError),
 }
 
-// ---------------------------------------------------------------------
-// JSON codecs
-// ---------------------------------------------------------------------
-
-fn num_f64(v: f64) -> Json {
-    Json::Num(v)
-}
-
-impl WireJson for SpecDesc {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("preset", Json::Str(self.preset.clone())),
-            ("nodes", Json::num_u64(u64::from(self.nodes))),
-            ("global_batch", Json::num_u64(u64::from(self.global_batch))),
-            ("microbatch", Json::num_u64(u64::from(self.microbatch))),
-            ("seed", Json::num_u64(self.seed)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let field = |k: &str| value.get(k).ok_or_else(|| format!("spec missing {k}"));
-        Ok(SpecDesc {
-            preset: field("preset")?.as_str().ok_or("bad preset")?.to_string(),
-            nodes: field("nodes")?.as_u32().ok_or("bad nodes")?,
-            global_batch: field("global_batch")?.as_u32().ok_or("bad global_batch")?,
-            microbatch: field("microbatch")?.as_u32().ok_or("bad microbatch")?,
-            seed: field("seed")?.as_u64().ok_or("bad seed")?,
-        })
-    }
-}
-
-impl WireJson for ServeRequest {
-    fn to_json(&self) -> Json {
-        match self {
-            ServeRequest::Ping => Json::Str("Ping".into()),
-            ServeRequest::Shutdown => Json::Str("Shutdown".into()),
-            ServeRequest::Plan {
-                spec,
-                budget,
-                deadline_ms,
-            } => Json::obj(vec![(
-                "Plan",
-                Json::obj(vec![
-                    ("spec", spec.to_json()),
-                    ("budget", Json::num_u64(u64::from(*budget))),
-                    ("deadline_ms", Json::num_u64(*deadline_ms)),
-                ]),
-            )]),
-            ServeRequest::Replan {
-                spec,
-                remaining_gpus,
-                budget,
-                deadline_ms,
-            } => Json::obj(vec![(
-                "Replan",
-                Json::obj(vec![
-                    ("spec", spec.to_json()),
-                    ("remaining_gpus", Json::num_u64(u64::from(*remaining_gpus))),
-                    ("budget", Json::num_u64(u64::from(*budget))),
-                    ("deadline_ms", Json::num_u64(*deadline_ms)),
-                ]),
-            )]),
-            ServeRequest::Simulate {
-                spec,
-                iterations,
-                deadline_ms,
-            } => Json::obj(vec![(
-                "Simulate",
-                Json::obj(vec![
-                    ("spec", spec.to_json()),
-                    ("iterations", Json::num_u64(u64::from(*iterations))),
-                    ("deadline_ms", Json::num_u64(*deadline_ms)),
-                ]),
-            )]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        if value.as_str() == Some("Ping") {
-            return Ok(ServeRequest::Ping);
-        }
-        if value.as_str() == Some("Shutdown") {
-            return Ok(ServeRequest::Shutdown);
-        }
-        if let Some(body) = value.get("Plan") {
-            return Ok(ServeRequest::Plan {
-                spec: SpecDesc::from_json(body.get("spec").ok_or("Plan missing spec")?)?,
-                budget: body
-                    .get("budget")
-                    .and_then(Json::as_u32)
-                    .ok_or("bad budget")?,
-                deadline_ms: body
-                    .get("deadline_ms")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad deadline_ms")?,
-            });
-        }
-        if let Some(body) = value.get("Replan") {
-            return Ok(ServeRequest::Replan {
-                spec: SpecDesc::from_json(body.get("spec").ok_or("Replan missing spec")?)?,
-                remaining_gpus: body
-                    .get("remaining_gpus")
-                    .and_then(Json::as_u32)
-                    .ok_or("bad remaining_gpus")?,
-                budget: body
-                    .get("budget")
-                    .and_then(Json::as_u32)
-                    .ok_or("bad budget")?,
-                deadline_ms: body
-                    .get("deadline_ms")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad deadline_ms")?,
-            });
-        }
-        if let Some(body) = value.get("Simulate") {
-            return Ok(ServeRequest::Simulate {
-                spec: SpecDesc::from_json(body.get("spec").ok_or("Simulate missing spec")?)?,
-                iterations: body
-                    .get("iterations")
-                    .and_then(Json::as_u32)
-                    .ok_or("bad iterations")?,
-                deadline_ms: body
-                    .get("deadline_ms")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad deadline_ms")?,
-            });
-        }
-        Err("unknown request variant".into())
-    }
-}
-
-impl WireJson for ModuleSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("tp", Json::num_u64(u64::from(self.tp))),
-            ("dp", Json::num_u64(u64::from(self.dp))),
-            ("pp", Json::num_u64(u64::from(self.pp))),
-            ("gpus", Json::num_u64(u64::from(self.gpus))),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let field = |k: &str| {
-            value
-                .get(k)
-                .and_then(Json::as_u32)
-                .ok_or(format!("bad {k}"))
-        };
-        Ok(ModuleSummary {
-            tp: field("tp")?,
-            dp: field("dp")?,
-            pp: field("pp")?,
-            gpus: field("gpus")?,
-        })
-    }
-}
-
-impl WireJson for PlanSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("encoder", self.encoder.to_json()),
-            ("backbone", self.backbone.to_json()),
-            ("generator", self.generator.to_json()),
-            ("total_gpus", Json::num_u64(u64::from(self.total_gpus))),
-            ("predicted_iter_secs", num_f64(self.predicted_iter_secs)),
-            ("proven_optimal", Json::Bool(self.proven_optimal)),
-            (
-                "candidates_evaluated",
-                Json::num_u64(self.candidates_evaluated),
-            ),
-            ("cache_hits", Json::num_u64(self.cache_hits)),
-            ("warm", Json::Bool(self.warm)),
-            ("solve_ms", num_f64(self.solve_ms)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let field = |k: &str| value.get(k).ok_or_else(|| format!("plan missing {k}"));
-        Ok(PlanSummary {
-            encoder: ModuleSummary::from_json(field("encoder")?)?,
-            backbone: ModuleSummary::from_json(field("backbone")?)?,
-            generator: ModuleSummary::from_json(field("generator")?)?,
-            total_gpus: field("total_gpus")?.as_u32().ok_or("bad total_gpus")?,
-            predicted_iter_secs: field("predicted_iter_secs")?
-                .as_f64()
-                .ok_or("bad predicted_iter_secs")?,
-            proven_optimal: field("proven_optimal")?
-                .as_bool()
-                .ok_or("bad proven_optimal")?,
-            candidates_evaluated: field("candidates_evaluated")?
-                .as_u64()
-                .ok_or("bad candidates_evaluated")?,
-            cache_hits: field("cache_hits")?.as_u64().ok_or("bad cache_hits")?,
-            warm: field("warm")?.as_bool().ok_or("bad warm")?,
-            solve_ms: field("solve_ms")?.as_f64().ok_or("bad solve_ms")?,
-        })
-    }
-}
-
-impl WireJson for SimSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("plan", self.plan.to_json()),
-            ("iterations", Json::num_u64(u64::from(self.iterations))),
-            ("mean_iter_secs", num_f64(self.mean_iter_secs)),
-            ("mfu", num_f64(self.mfu)),
-            ("samples_per_sec", num_f64(self.samples_per_sec)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let field = |k: &str| value.get(k).ok_or_else(|| format!("sim missing {k}"));
-        Ok(SimSummary {
-            plan: PlanSummary::from_json(field("plan")?)?,
-            iterations: field("iterations")?.as_u32().ok_or("bad iterations")?,
-            mean_iter_secs: field("mean_iter_secs")?
-                .as_f64()
-                .ok_or("bad mean_iter_secs")?,
-            mfu: field("mfu")?.as_f64().ok_or("bad mfu")?,
-            samples_per_sec: field("samples_per_sec")?
-                .as_f64()
-                .ok_or("bad samples_per_sec")?,
-        })
-    }
-}
-
-impl WireJson for ServeError {
-    fn to_json(&self) -> Json {
-        match self {
-            ServeError::Overloaded { queue_depth } => Json::obj(vec![(
-                "Overloaded",
-                Json::obj(vec![(
-                    "queue_depth",
-                    Json::num_u64(u64::from(*queue_depth)),
-                )]),
-            )]),
-            ServeError::DeadlineExceeded { waited_ms } => Json::obj(vec![(
-                "DeadlineExceeded",
-                Json::obj(vec![("waited_ms", Json::num_u64(*waited_ms))]),
-            )]),
-            ServeError::BadRequest { reason } => Json::obj(vec![(
-                "BadRequest",
-                Json::obj(vec![("reason", Json::Str(reason.clone()))]),
-            )]),
-            ServeError::Malformed { reason } => Json::obj(vec![(
-                "Malformed",
-                Json::obj(vec![("reason", Json::Str(reason.clone()))]),
-            )]),
-            ServeError::Plan { reason } => Json::obj(vec![(
-                "Plan",
-                Json::obj(vec![("reason", Json::Str(reason.clone()))]),
-            )]),
-            ServeError::ShuttingDown => Json::Str("ShuttingDown".into()),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        if value.as_str() == Some("ShuttingDown") {
-            return Ok(ServeError::ShuttingDown);
-        }
-        let str_field = |body: &Json, k: &str| -> Result<String, String> {
-            Ok(body
-                .get(k)
-                .and_then(Json::as_str)
-                .ok_or(format!("bad {k}"))?
-                .to_string())
-        };
-        if let Some(body) = value.get("Overloaded") {
-            return Ok(ServeError::Overloaded {
-                queue_depth: body
-                    .get("queue_depth")
-                    .and_then(Json::as_u32)
-                    .ok_or("bad queue_depth")?,
-            });
-        }
-        if let Some(body) = value.get("DeadlineExceeded") {
-            return Ok(ServeError::DeadlineExceeded {
-                waited_ms: body
-                    .get("waited_ms")
-                    .and_then(Json::as_u64)
-                    .ok_or("bad waited_ms")?,
-            });
-        }
-        if let Some(body) = value.get("BadRequest") {
-            return Ok(ServeError::BadRequest {
-                reason: str_field(body, "reason")?,
-            });
-        }
-        if let Some(body) = value.get("Malformed") {
-            return Ok(ServeError::Malformed {
-                reason: str_field(body, "reason")?,
-            });
-        }
-        if let Some(body) = value.get("Plan") {
-            return Ok(ServeError::Plan {
-                reason: str_field(body, "reason")?,
-            });
-        }
-        Err("unknown error variant".into())
-    }
-}
-
-impl WireJson for ServeReply {
-    fn to_json(&self) -> Json {
-        match self {
-            ServeReply::Pong => Json::Str("Pong".into()),
-            ServeReply::Bye => Json::Str("Bye".into()),
-            ServeReply::Plan(p) => Json::obj(vec![("Plan", p.to_json())]),
-            ServeReply::Sim(s) => Json::obj(vec![("Sim", s.to_json())]),
-            ServeReply::Err(e) => Json::obj(vec![("Err", e.to_json())]),
-        }
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        if value.as_str() == Some("Pong") {
-            return Ok(ServeReply::Pong);
-        }
-        if value.as_str() == Some("Bye") {
-            return Ok(ServeReply::Bye);
-        }
-        if let Some(body) = value.get("Plan") {
-            return Ok(ServeReply::Plan(PlanSummary::from_json(body)?));
-        }
-        if let Some(body) = value.get("Sim") {
-            return Ok(ServeReply::Sim(SimSummary::from_json(body)?));
-        }
-        if let Some(body) = value.get("Err") {
-            return Ok(ServeReply::Err(ServeError::from_json(body)?));
-        }
-        Err("unknown reply variant".into())
-    }
-}
+wire_struct!(SpecDesc {
+    preset,
+    nodes,
+    global_batch,
+    microbatch,
+    seed
+});
+wire_enum!(ServeRequest {
+    Ping,
+    Shutdown,
+    Plan { spec, budget, deadline_ms },
+    Replan { spec, remaining_gpus, budget, deadline_ms },
+    Simulate { spec, iterations, deadline_ms },
+});
+wire_struct!(ModuleSummary { tp, dp, pp, gpus });
+wire_struct!(PlanSummary {
+    encoder,
+    backbone,
+    generator,
+    total_gpus,
+    predicted_iter_secs,
+    proven_optimal,
+    candidates_evaluated,
+    cache_hits,
+    warm,
+    solve_ms,
+});
+wire_struct!(SimSummary {
+    plan,
+    iterations,
+    mean_iter_secs,
+    mfu,
+    samples_per_sec
+});
+wire_enum!(ServeError {
+    Overloaded { queue_depth },
+    DeadlineExceeded { waited_ms },
+    BadRequest { reason },
+    Malformed { reason },
+    Plan { reason },
+    ShuttingDown,
+});
+wire_enum!(ServeReply {
+    Pong,
+    Bye,
+    Plan(PlanSummary),
+    Sim(SimSummary),
+    Err(ServeError),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dt_simengine::frame::{read_json, write_json};
+    use dt_simengine::schema::WireJson;
+    use dt_simengine::{DetRng, Json};
+    use std::fmt::Debug;
     use std::io::Cursor;
 
     fn spec() -> SpecDesc {
@@ -771,5 +495,173 @@ mod tests {
         ] {
             assert!(!e.retryable(), "{e} must not be retryable");
         }
+    }
+
+    /// A `u64` of any magnitude, 2^53 and up included.
+    fn any_u64(rng: &mut DetRng) -> u64 {
+        rng.next_u64() >> rng.range_usize(0, 64)
+    }
+
+    fn any_u32(rng: &mut DetRng) -> u32 {
+        any_u64(rng) as u32
+    }
+
+    /// A finite `f64` from random bits.
+    fn any_f64(rng: &mut DetRng) -> f64 {
+        loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                return x;
+            }
+        }
+    }
+
+    /// A string of quotes, escapes, control and non-ASCII characters.
+    fn any_string(rng: &mut DetRng) -> String {
+        let palette = [
+            'a', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{7f}', 'é', '☃', '😀',
+        ];
+        (0..rng.range_usize(0, 12))
+            .map(|_| *rng.pick(&palette))
+            .collect()
+    }
+
+    fn any_spec(rng: &mut DetRng) -> SpecDesc {
+        SpecDesc {
+            preset: any_string(rng),
+            nodes: any_u32(rng),
+            global_batch: any_u32(rng),
+            microbatch: any_u32(rng),
+            seed: any_u64(rng),
+        }
+    }
+
+    fn any_module(rng: &mut DetRng) -> ModuleSummary {
+        ModuleSummary {
+            tp: any_u32(rng),
+            dp: any_u32(rng),
+            pp: any_u32(rng),
+            gpus: any_u32(rng),
+        }
+    }
+
+    fn any_plan(rng: &mut DetRng) -> PlanSummary {
+        PlanSummary {
+            encoder: any_module(rng),
+            backbone: any_module(rng),
+            generator: any_module(rng),
+            total_gpus: any_u32(rng),
+            predicted_iter_secs: any_f64(rng),
+            proven_optimal: rng.chance(0.5),
+            candidates_evaluated: any_u64(rng),
+            cache_hits: any_u64(rng),
+            warm: rng.chance(0.5),
+            solve_ms: any_f64(rng),
+        }
+    }
+
+    fn any_request(rng: &mut DetRng) -> ServeRequest {
+        match rng.range_usize(0, 5) {
+            0 => ServeRequest::Ping,
+            1 => ServeRequest::Shutdown,
+            2 => ServeRequest::Plan {
+                spec: any_spec(rng),
+                budget: any_u32(rng),
+                deadline_ms: any_u64(rng),
+            },
+            3 => ServeRequest::Replan {
+                spec: any_spec(rng),
+                remaining_gpus: any_u32(rng),
+                budget: any_u32(rng),
+                deadline_ms: any_u64(rng),
+            },
+            _ => ServeRequest::Simulate {
+                spec: any_spec(rng),
+                iterations: any_u32(rng),
+                deadline_ms: any_u64(rng),
+            },
+        }
+    }
+
+    fn any_reply(rng: &mut DetRng) -> ServeReply {
+        match rng.range_usize(0, 10) {
+            0 => ServeReply::Pong,
+            1 => ServeReply::Bye,
+            2 => ServeReply::Plan(any_plan(rng)),
+            3 => ServeReply::Sim(SimSummary {
+                plan: any_plan(rng),
+                iterations: any_u32(rng),
+                mean_iter_secs: any_f64(rng),
+                mfu: any_f64(rng),
+                samples_per_sec: any_f64(rng),
+            }),
+            4 => ServeReply::Err(ServeError::Overloaded {
+                queue_depth: any_u32(rng),
+            }),
+            5 => ServeReply::Err(ServeError::DeadlineExceeded {
+                waited_ms: any_u64(rng),
+            }),
+            6 => ServeReply::Err(ServeError::BadRequest {
+                reason: any_string(rng),
+            }),
+            7 => ServeReply::Err(ServeError::Malformed {
+                reason: any_string(rng),
+            }),
+            8 => ServeReply::Err(ServeError::Plan {
+                reason: any_string(rng),
+            }),
+            _ => ServeReply::Err(ServeError::ShuttingDown),
+        }
+    }
+
+    fn round_trips<T: WireJson + PartialEq + Debug>(msg: T) {
+        let text = msg.to_json().to_string();
+        assert_eq!(
+            T::from_json(&Json::parse(&text).unwrap()),
+            Ok(msg),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn seeded_messages_round_trip_through_text() {
+        let mut rng = DetRng::new(0x5e7e);
+        for _ in 0..2000 {
+            round_trips(any_request(&mut rng));
+            round_trips(any_reply(&mut rng));
+        }
+    }
+
+    #[test]
+    fn a_tagged_message_decodes_only_from_one_variant_key() {
+        let plan = ServeReply::Plan(any_plan(&mut DetRng::new(1))).to_json();
+        let sim = ServeReply::Sim(SimSummary {
+            plan: any_plan(&mut DetRng::new(2)),
+            iterations: 1,
+            mean_iter_secs: 1.0,
+            mfu: 0.5,
+            samples_per_sec: 2.0,
+        })
+        .to_json();
+        let both = |a: &Json, b: &Json| match (a, b) {
+            (Json::Obj(a), Json::Obj(b)) => Json::Obj([a.clone(), b.clone()].concat()),
+            _ => unreachable!("both are tagged objects"),
+        };
+        assert!(ServeReply::from_json(&both(&plan, &sim)).is_err());
+        assert!(ServeReply::from_json(&both(&sim, &plan)).is_err());
+        let simulate = ServeRequest::Simulate {
+            spec: spec(),
+            iterations: 1,
+            deadline_ms: 0,
+        }
+        .to_json();
+        let plan = ServeRequest::Plan {
+            spec: spec(),
+            budget: 1,
+            deadline_ms: 0,
+        }
+        .to_json();
+        assert!(ServeRequest::from_json(&both(&simulate, &plan)).is_err());
+        assert!(ServeRequest::from_json(&Json::obj(vec![])).is_err());
     }
 }

@@ -64,6 +64,9 @@
 //! daemon.shutdown();
 //! ```
 
+// A decode error is formatted only when decoding fails.
+#![deny(clippy::or_fun_call)]
+
 pub mod api;
 pub mod client;
 pub mod daemon;

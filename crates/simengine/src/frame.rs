@@ -7,9 +7,10 @@
 //! the [`TraceContext`] it carries, so the daemon frames its requests
 //! without linking the data plane. Classic length-delimited framing, implemented synchronously:
 //! every frame is a 4-byte little-endian length followed by that many
-//! payload bytes. Control messages are JSON (small, debuggable); bulk
-//! byte payloads travel as separate raw frames so they are never
-//! base64-inflated.
+//! payload bytes. Control messages are JSON (small, debuggable), each a
+//! [`WireJson`] type whose codec [`crate::schema`] generates from its
+//! field list; bulk byte payloads travel as separate raw frames so they
+//! are never base64-inflated.
 //!
 //! ```text
 //! frame:        [u32 LE length][length payload bytes]
@@ -42,6 +43,7 @@
 //!   is the most an extension an old peer cannot understand can offer.
 
 use crate::json::Json;
+use crate::schema::WireJson;
 use crate::trace::{TraceContext, TRACE_CONTEXT_LEN};
 use std::io::{self, IoSlice, Read, Write};
 
@@ -61,14 +63,6 @@ pub const TRACE_FLAG: u32 = 1 << 31;
 /// the most memory a corrupt length header can cost before the stream
 /// proves it actually carries that many bytes.
 pub const FRAME_READ_CHUNK: usize = 64 * 1024;
-
-/// Control messages that can travel as JSON frames.
-pub trait WireJson: Sized {
-    /// Encode into a JSON value.
-    fn to_json(&self) -> Json;
-    /// Decode from a JSON value.
-    fn from_json(value: &Json) -> Result<Self, String>;
-}
 
 /// Write one frame: length word and payload leave in one vectored write
 /// (one syscall on an unbuffered stream), so a socket with Nagle enabled
@@ -573,31 +567,17 @@ mod tests {
 
     #[test]
     fn json_ctx_round_trips_both_flavours() {
-        #[derive(Debug, PartialEq)]
-        struct Msg(u64);
-        impl WireJson for Msg {
-            fn to_json(&self) -> Json {
-                Json::obj(vec![("v", Json::num_u64(self.0))])
-            }
-            fn from_json(value: &Json) -> Result<Self, String> {
-                value
-                    .get("v")
-                    .and_then(Json::as_u64)
-                    .map(Msg)
-                    .ok_or("bad".into())
-            }
-        }
         let mut buf = Vec::new();
-        write_json_ctx(&mut buf, Some(&ctx()), &Msg(7)).unwrap();
-        write_json_ctx(&mut buf, None, &Msg(9)).unwrap();
+        write_json_ctx(&mut buf, Some(&ctx()), &7u64).unwrap();
+        write_json_ctx(&mut buf, None, &9u64).unwrap();
         let mut cur = Cursor::new(buf);
         assert_eq!(
-            read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(),
-            (Some(ctx()), Msg(7))
+            read_json_ctx::<u64>(&mut cur, MAX_FRAME).unwrap(),
+            (Some(ctx()), 7)
         );
         assert_eq!(
-            read_json_ctx::<Msg>(&mut cur, MAX_FRAME).unwrap(),
-            (None, Msg(9))
+            read_json_ctx::<u64>(&mut cur, MAX_FRAME).unwrap(),
+            (None, 9)
         );
     }
 }

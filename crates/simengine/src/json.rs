@@ -2,11 +2,13 @@
 //!
 //! The workspace is built to compile in hermetic environments with no
 //! crates.io access, so everything that needs JSON — the Chrome-trace
-//! exporter in [`crate::trace`], the preprocessing wire protocol in
-//! `dt-preprocess`, and the checkpoint files in `disttrain-core` — goes
-//! through this module instead of `serde_json`. The surface is deliberately
-//! tiny: one [`Json`] enum, [`Json::parse`], and `Json::to_string` (via `Display`) /
-//! [`Json::write`].
+//! exporter in [`crate::trace`], the messages of both network planes and
+//! the checkpoint files in `disttrain-core` — goes through this module
+//! instead of `serde_json`. The surface is deliberately tiny: one [`Json`]
+//! enum, [`Json::parse`], and `Json::to_string` (via `Display`) /
+//! [`Json::write`]. Typed messages do not build or pick apart [`Json`]
+//! values by hand: [`crate::schema`] generates both directions of each
+//! one from its field list.
 //!
 //! Numbers are stored as `f64`, which holds every integer below 2^53
 //! exactly. [`Json::num_u64`] writes a larger `u64` (a seed can be any
@@ -190,16 +192,6 @@ impl Json {
         } else {
             Json::Str(n.to_string())
         }
-    }
-
-    /// An array of `u64`s.
-    pub fn arr_u64(items: impl IntoIterator<Item = u64>) -> Json {
-        Json::Arr(items.into_iter().map(Json::num_u64).collect())
-    }
-
-    /// Decode a `Vec<u64>` from an array value.
-    pub fn to_u64_vec(&self) -> Option<Vec<u64>> {
-        self.as_array()?.iter().map(Json::as_u64).collect()
     }
 }
 
@@ -478,7 +470,10 @@ mod tests {
     #[test]
     fn whitespace_is_tolerated() {
         let v = Json::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
-        assert_eq!(v.get("a").unwrap().to_u64_vec().unwrap(), vec![1, 2]);
+        assert_eq!(
+            v,
+            Json::obj(vec![("a", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]))])
+        );
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   exports Chrome-trace / Perfetto JSON. Zero-cost when disabled.
 //! * [`json`] — the dependency-free JSON value type ([`json::Json`]) behind
 //!   the trace exporter, the wire protocol, and checkpoints.
+//! * [`schema`] — the [`WireJson`](schema::WireJson) trait and the
+//!   [`wire_struct!`] / [`wire_enum!`] macros that generate both JSON
+//!   directions of every wire message and the checkpoint from one field
+//!   list.
 //! * [`frame`] — the length-prefix frame codec (JSON control frames, raw
 //!   bulk frames, an optional in-band [`TraceContext`], hostile-length-safe
 //!   reads): the one wire framing shared by the `dt-serve` planner daemon
@@ -35,11 +39,15 @@
 //! `dt-reorder` implements §5 (disaggregated data reordering), and
 //! `dt-stepccl` implements §6 (StepCCL communication/computation overlap).
 
+// A decode error is formatted only when decoding fails.
+#![deny(clippy::or_fun_call)]
+
 pub mod backoff;
 pub mod frame;
 pub mod json;
 pub mod listen;
 pub mod rng;
+pub mod schema;
 pub mod stats;
 pub mod time;
 pub mod trace;
