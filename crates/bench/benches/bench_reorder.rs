@@ -1,4 +1,5 @@
-//! Reordering-algorithm costs. Algorithm 1 is `O(n log n + n log m)`;
+//! Reordering-algorithm costs. Algorithm 1 is `O(n log n)` for its sort,
+//! then one merge per run of equal sizes, each moving at most `m` groups;
 //! Algorithm 2 is `O(l²)` for its best-fit scans plus `O(l·p)` for the
 //! incremental `GETINTERVAL` probes (`O(l·p²·vpp²)` with VPP): each probe
 //! push replays the 1F1B engine's per-shape firing list, one update per
@@ -10,7 +11,13 @@
 //! candidate (DP 15).
 //!
 //! Besides the toy shapes, `algorithm1_intra/n1920_dp128` is Algorithm 1
-//! at the production shape, `take/n1920` draws the production task's
+//! at the production shape on all-distinct log-normal sizes, its worst
+//! case: one run per sample. `algorithm1_intra/production_n1920_dp128`,
+//! `…/production_n1920_dp15` and `…/characterization_n1920_dp128` run it
+//! on the multimodal sizes of the production and the skewed §2.3
+//! streams' 1920-sample batches (26 and 505 distinct sizes), at the
+//! chosen plan's DP width and the deepest candidate's. `take/n1920`
+//! draws the production task's
 //! 1920-sample batch from its stream, `cost_rows` prices 1920 samples of the
 //! production and of the skewed §2.3 stream (where rows mostly miss), and
 //! two cases time the whole producer-side
@@ -132,6 +139,27 @@ fn main() {
         let name = format!("cost_rows/{what}_n{n}");
         let stats = bench_stats(&name, iters, || CostRows::new(&task.model, samples));
         record(name, stats, vec![("n", Json::num_u64(n as u64))]);
+    }
+    // Algorithm 1 on those batches' multimodal sizes, at the chosen plan's
+    // DP width and at the deepest candidate's.
+    for (what, samples, m) in [
+        ("production", &batch, 128usize),
+        ("production", &batch, 15),
+        ("characterization", &skewed, 128),
+    ] {
+        let sizes = CostRows::new(&task.model, samples).multimodal_sizes();
+        let name = format!("algorithm1_intra/{what}_n{n}_dp{m}");
+        let stats = bench_stats(&name, iters, || {
+            intra_reorder_indices(&sizes, m).expect("bench sizes divide into the groups")
+        });
+        record(
+            name,
+            stats,
+            vec![
+                ("n", Json::num_u64(n as u64)),
+                ("dp", Json::num_u64(m as u64)),
+            ],
+        );
     }
     let coll = CollectiveCost::new(task.cluster.clone());
     for (what, plan) in [("train_plan", chosen), ("deepest_candidate", deepest)] {

@@ -386,6 +386,18 @@ fn alg1_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     ensure(sorted == (0..n).collect::<Vec<_>>(), || {
         format!("n={n} m={m}: Algorithm 1 output is not a permutation")
     })?;
+    // The run merge deals exactly as the heap it replaced, on the drawn
+    // sizes and on their rounded copy, whose equal sizes form runs.
+    let rounded: Vec<f64> = sizes.iter().map(|s| s.round()).collect();
+    for (what, sizes) in [("drawn", &sizes), ("rounded", &rounded)] {
+        let got = intra_reorder_indices(sizes, m);
+        let want = reference::lpt_heap(sizes, m);
+        ensure(got == want, || {
+            format!(
+                "n={n} m={m}: Algorithm 1 on the {what} sizes {got:?} != heap reference {want:?}"
+            )
+        })?;
+    }
     let reordered: Vec<f64> = order.iter().map(|&i| sizes[i]).collect();
     let (before, after) = (max_group_load(&sizes, m), max_group_load(&reordered, m));
     ensure(after <= before + 1e-9, || {

@@ -5,14 +5,19 @@
 //!   are drained round-robin. It does not validate its input; a `p = 0`
 //!   interleaved pipeline underflows;
 //! - the manager's plan choice from full trials ([`full_trial_choice`]),
-//!   which `TrainingTask::plan`'s bounded trials replaced.
+//!   which `TrainingTask::plan`'s bounded trials replaced;
+//! - Algorithm 1 on a binary heap of the open groups ([`lpt_heap`]),
+//!   which the merge over runs of equal size in
+//!   `dt_reorder::intra_reorder_indices` replaced.
 
 use disttrain_core::{SystemKind, TrainingTask};
 use dt_parallel::OrchestrationPlan;
 use dt_pipeline::schedule::StageOp;
 use dt_pipeline::{OpKind, OpRecord, PipelineResult, PipelineSpec, Schedule, Workload};
-use dt_reorder::InterReorderConfig;
+use dt_reorder::{InterReorderConfig, ReorderError};
 use dt_simengine::{SimDuration, SimTime};
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// §7.1's selection rule over full trials: every plan in `plans` runs one
 /// whole iteration of `task` through the public
@@ -197,6 +202,97 @@ fn run_1f1b_family(spec: &PipelineSpec, workload: &Workload) -> PipelineResult {
         timeline,
         makespan,
     }
+}
+
+/// One DP group that still has room, ordered so that [`BinaryHeap`] (a
+/// max-heap) yields the least-loaded group first, ties going to the
+/// lowest index — the choice the paper's strict-`<` scan makes.
+///
+/// Loads compare with [`f64::total_cmp`], which orders them exactly as
+/// `<` does here: a load starts at `+0.0` and adds only finite sizes
+/// (non-finite ones are rejected up front), so it is never NaN (a finite
+/// size added to `±inf` leaves it infinite) and never `-0.0` (a
+/// round-to-nearest sum is `-0.0` only when both terms are).
+struct Open {
+    load: f64,
+    group: usize,
+}
+
+impl Ord for Open {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .load
+            .total_cmp(&self.load)
+            .then(other.group.cmp(&self.group))
+    }
+}
+
+impl PartialOrd for Open {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Open {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Open {}
+
+/// `<`/`>` as an ordering: equal (`0.0` and `-0.0` included) when
+/// neither holds, so it never panics.
+fn cmp_f64(a: f64, b: f64) -> Ordering {
+    if a < b {
+        Ordering::Less
+    } else if a > b {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    }
+}
+
+/// Algorithm 1 as `dt_reorder::intra_reorder_indices` ran it before the
+/// run merge: the same contract and errors, each pick a sift of a
+/// min-heap keyed by `(load, group index)`. `O(n log n + n log m)`.
+pub fn lpt_heap(sizes: &[f64], m: usize) -> Result<Vec<usize>, ReorderError> {
+    let n = sizes.len();
+    if let Some(index) = sizes.iter().position(|s| !s.is_finite()) {
+        return Err(ReorderError::NonFiniteSize { index });
+    }
+    if m <= 1 || n == 0 {
+        return Ok((0..n).collect());
+    }
+    if !n.is_multiple_of(m) {
+        return Err(ReorderError::IndivisibleBatch { n, m });
+    }
+    let quota = n / m;
+
+    // Line 3: sort in descending order by size.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| cmp_f64(sizes[b], sizes[a]));
+
+    // Lines 4–11: greedy assignment to the least-loaded non-full group,
+    // each pick written straight to its slot in the concatenated order.
+    let mut out = vec![0; n];
+    let mut filled = vec![0; m];
+    let mut open: BinaryHeap<Open> = (0..m).map(|group| Open { load: 0.0, group }).collect();
+    for idx in order {
+        // The groups hold exactly `n` samples, so one is always open.
+        let Some(mut top) = open.peek_mut() else {
+            break;
+        };
+        let g = top.group;
+        out[g * quota + filled[g]] = idx;
+        filled[g] += 1;
+        if filled[g] == quota {
+            PeekMut::pop(top);
+        } else {
+            top.load += sizes[idx];
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -11,51 +11,36 @@
 //! and equal sizes keep their index order, so groups dealt equal size
 //! multisets get equal streams: the repeats [`crate::inter`] reuses.
 //!
-//! Complexity: `O(n log n + n log m)`. The open groups sit in a min-heap
-//! keyed by `(load, group index)`, so each pick is a sift instead of the
-//! paper's `O(m)` argmin scan; at the production shape (`n` = 1920,
-//! `m` = 128) the scan spent most of the pass in that argmin.
+//! Complexity: `O(n log n)` for the sort, then one pass over the sorted
+//! order in runs of equal size. Within a run every pick bumps its group
+//! by the same size, so the groups picked form a merge of two sorted
+//! queues: the open groups, sorted by `(load, group index)`, and the
+//! groups this run already bumped, in pick order. Each pick compares the
+//! two fronts; at the end of the run the bumped queue is merged back into
+//! the open list from its tail. So after the sort a pick costs `O(1)`,
+//! and each run ends with a gallop and a bisection per bumped group and at
+//! most `m` entries moved. The production batch (`n` = 1920, `m` = 128)
+//! has about 26 distinct sizes, so it pays about 26 merges; a batch of
+//! all-distinct sizes pays one merge per sample.
 
 use crate::error::ReorderError;
 use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// One DP group that still has room, ordered so that [`BinaryHeap`] (a
-/// max-heap) yields the least-loaded group first, ties going to the
-/// lowest index — the choice the paper's strict-`<` scan makes.
+/// A DP group that still has room: its load and its index.
+type Open = (f64, usize);
+
+/// Whether `a` is picked before `b`: the least-loaded group first, ties
+/// going to the lowest index — the choice the paper's strict-`<` scan
+/// makes.
 ///
 /// Loads compare with [`f64::total_cmp`], which orders them exactly as
 /// `<` does here: a load starts at `+0.0` and adds only finite sizes
 /// (non-finite ones are rejected up front), so it is never NaN (a finite
 /// size added to `±inf` leaves it infinite) and never `-0.0` (a
 /// round-to-nearest sum is `-0.0` only when both terms are).
-struct Open {
-    load: f64,
-    group: usize,
+fn before(a: &Open, b: &Open) -> bool {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
 }
-
-impl Ord for Open {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .load
-            .total_cmp(&self.load)
-            .then(other.group.cmp(&self.group))
-    }
-}
-
-impl PartialOrd for Open {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Open {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Open {}
 
 /// `<`/`>` as an ordering: equal (`0.0` and `-0.0` included) when
 /// neither holds, so it never panics.
@@ -80,7 +65,7 @@ pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
 /// Mirrors the paper's Algorithm 1 line by line, with one practical
 /// addition: because the trainer splits the batch into *equal-count*
 /// chunks, the greedy must not overfill a group's sample quota
-/// (`n / m`); a group leaves the heap once it is full.
+/// (`n / m`); a group leaves the open list once it is full.
 pub fn intra_reorder_indices(sizes: &[f64], m: usize) -> Result<Vec<usize>, ReorderError> {
     let n = sizes.len();
     if let Some(index) = sizes.iter().position(|s| !s.is_finite()) {
@@ -100,24 +85,76 @@ pub fn intra_reorder_indices(sizes: &[f64], m: usize) -> Result<Vec<usize>, Reor
 
     // Lines 4–11: greedy assignment to the least-loaded non-full group,
     // each pick written straight to its slot in the concatenated order.
+    // `open[head..]` is sorted; picks leave from its front and the groups
+    // a run bumped rejoin at its back, so it never outgrows `m + n`.
     let mut out = vec![0; n];
     let mut filled = vec![0; m];
-    let mut open: BinaryHeap<Open> = (0..m).map(|group| Open { load: 0.0, group }).collect();
-    for idx in order {
-        // The groups hold exactly `n` samples, so one is always open.
-        let Some(mut top) = open.peek_mut() else {
-            break;
-        };
-        let g = top.group;
-        out[g * quota + filled[g]] = idx;
-        filled[g] += 1;
-        if filled[g] == quota {
-            PeekMut::pop(top);
-        } else {
-            top.load += sizes[idx];
+    let mut open: Vec<Open> = Vec::with_capacity(m + n);
+    open.extend((0..m).map(|group| (0.0, group)));
+    let mut head = 0;
+    let mut bumped: Vec<Open> = Vec::new();
+    for run in order.chunk_by(|&a, &b| cmp_f64(sizes[a], sizes[b]).is_eq()) {
+        bumped.clear();
+        let mut bumped_head = 0;
+        for &idx in run {
+            // The groups hold exactly `n` samples, so one is always open:
+            // the lesser of the two fronts.
+            let from_bumped = bumped
+                .get(bumped_head)
+                .is_some_and(|b| open.get(head).is_none_or(|o| before(b, o)));
+            let (load, g) = if from_bumped {
+                bumped_head += 1;
+                bumped[bumped_head - 1]
+            } else {
+                head += 1;
+                open[head - 1]
+            };
+            out[g * quota + filled[g]] = idx;
+            filled[g] += 1;
+            if filled[g] < quota {
+                // Bumped loads arrive in pick order, but rounding can make
+                // two of them equal out of group order: sort each one in.
+                let entry = (load + sizes[idx], g);
+                let mut i = bumped.len();
+                bumped.push(entry);
+                while i > bumped_head && before(&entry, &bumped[i - 1]) {
+                    bumped[i] = bumped[i - 1];
+                    i -= 1;
+                }
+                bumped[i] = entry;
+            }
         }
+        merge_from_tail(&mut open, head, &bumped[bumped_head..]);
     }
     Ok(out)
+}
+
+/// Merge the sorted `rest` into the sorted `open[head..]` in place,
+/// growing `open` by `rest.len()`. Largest entry first, each finds its
+/// slot by galloping back from the unmerged tail, then bisecting; the
+/// open entries after it move up in one copy.
+fn merge_from_tail(open: &mut Vec<Open>, head: usize, rest: &[Open]) {
+    let mut end = open.len();
+    open.extend_from_slice(rest);
+    for (below, entry) in rest.iter().enumerate().rev() {
+        // Every entry of `open[hi..end]` comes after `entry`.
+        let mut hi = end;
+        let mut step = 1;
+        let lo = loop {
+            match end.checked_sub(step).filter(|&i| i >= head) {
+                Some(i) if before(entry, &open[i]) => {
+                    hi = i;
+                    step *= 2;
+                }
+                Some(i) => break i + 1,
+                None => break head,
+            }
+        };
+        let slot = lo + open[lo..hi].partition_point(|o| before(o, entry));
+        open.copy_within(slot..end, slot + below + 1);
+        open[slot + below] = *entry;
+        end = slot;
+    }
 }
 
 /// The makespan metric Algorithm 1 minimizes: split `sizes` (already in
@@ -178,15 +215,17 @@ mod tests {
         groups.concat()
     }
 
-    /// The heap picks exactly what the scan picks, ties included: random
-    /// sizes, sizes drawn from a few values (many equal loads), all-zero
-    /// sizes, one sample per group (`m = n`) and one group (`m = 1`). The
-    /// last three cases are where `total_cmp` would part from `<` if a
-    /// load could be NaN or `-0.0`: negative sizes (loads cross zero),
-    /// `±0.0` mixes, and sizes near `±f64::MAX` whose sums overflow to
-    /// `±inf` (and would make NaN if `inf − inf` could happen).
+    /// The run merge picks exactly what the scan picks, ties included:
+    /// random sizes, sizes drawn from a few values (many equal loads),
+    /// all-zero sizes, one sample per group (`m = n`) and one group
+    /// (`m = 1`). Negative sizes (loads cross zero), `±0.0` mixes, and
+    /// sizes near `±f64::MAX` whose sums overflow to `±inf` are where
+    /// `total_cmp` would part from `<` if a load could be NaN or `-0.0`.
+    /// Sizes of `1e16 + {0, 1, 2, 3}` bump loads that round together, so
+    /// a run's bumped groups arrive out of group order; a few distinct
+    /// log-normal values give long runs, as production batches do.
     #[test]
-    fn heap_matches_the_linear_scan() {
+    fn matches_the_linear_scan() {
         for seed in 0u64..300 {
             let mut rng = DetRng::new(seed);
             let m = rng.range_usize(1, 40);
@@ -199,7 +238,23 @@ mod tests {
             let huge: Vec<f64> = (0..n)
                 .map(|_| *rng.pick(&[f64::MAX, -f64::MAX, 0.75 * f64::MAX, -0.0, 1.0]))
                 .collect();
-            let cases = [random, tied, vec![0.0; n], signed, zeros, huge];
+            let rounding: Vec<f64> = (0..n)
+                .map(|_| 1e16 + rng.range_usize(0, 4) as f64)
+                .collect();
+            let values: Vec<f64> = (0..rng.range_usize(1, 6))
+                .map(|_| rng.lognormal(2.0, 1.0))
+                .collect();
+            let few: Vec<f64> = (0..n).map(|_| *rng.pick(&values)).collect();
+            let cases = [
+                random,
+                tied,
+                vec![0.0; n],
+                signed,
+                zeros,
+                huge,
+                rounding,
+                few,
+            ];
             for sizes in &cases {
                 for groups in [m, 1, n] {
                     assert_eq!(
@@ -214,7 +269,7 @@ mod tests {
 
     /// The module-level invariant: with two or more groups, sizes never
     /// increase within a group's chunk and ties keep index order, over the
-    /// random, tied and signed cases of `heap_matches_the_linear_scan`.
+    /// random, tied and signed cases of `matches_the_linear_scan`.
     #[test]
     fn groups_list_their_samples_in_dealing_order() {
         for seed in 0u64..300 {
