@@ -16,9 +16,11 @@
 //! `…/production_n1920_dp15` and `…/characterization_n1920_dp128` run it
 //! on the multimodal sizes of the production and the skewed §2.3
 //! streams' 1920-sample batches (26 and 505 distinct sizes), at the
-//! chosen plan's DP width and the deepest candidate's. `take/n1920`
-//! draws the production task's
-//! 1920-sample batch from its stream, `cost_rows` prices 1920 samples of the
+//! chosen plan's DP width and the deepest candidate's.
+//! `stream_new/production` builds the production task's stream, which
+//! compiles its draw tables once; `take/n1920` draws that stream's
+//! 1920-sample batch and `take/characterization_n1920` the skewed §2.3
+//! stream's (a palette draw per image), `cost_rows` prices 1920 samples of the
 //! production and of the skewed §2.3 stream (where rows mostly miss), and
 //! two cases time the whole producer-side
 //! pass, `ReorderPlanner::reorder`, on a 1920-sample MLLM-72B batch with
@@ -124,17 +126,25 @@ fn main() {
         .into_iter()
         .max_by_key(|p| (p.total_stages(), std::cmp::Reverse(p.backbone.dp)))
         .expect("non-empty trial set");
+    let name = "stream_new/production".to_string();
+    let stats = bench_stats(&name, iters, || {
+        SyntheticLaion::new(task.data.clone(), task.seed)
+    });
+    record(name, stats, vec![]);
     let stream = SyntheticLaion::new(task.data.clone(), task.seed);
+    let skewed_stream = SyntheticLaion::new(DataConfig::characterization(), task.seed);
     let n = task.global_batch as usize;
-    let name = format!("take/n{n}");
-    let stats = bench_stats(&name, iters, || stream.clone().take(n));
-    record(name, stats, vec![("n", Json::num_u64(n as u64))]);
+    for (what, stream) in [("", &stream), ("characterization_", &skewed_stream)] {
+        let name = format!("take/{what}n{n}");
+        let stats = bench_stats(&name, iters, || stream.clone().take(n));
+        record(name, stats, vec![("n", Json::num_u64(n as u64))]);
+    }
     let batch: Vec<TrainSample> = stream.clone().take(n);
     let name = format!("batch_clone/n{n}");
     let stats = bench_stats(&name, iters, || batch.clone());
     record(name, stats, vec![("n", Json::num_u64(n as u64))]);
     // Cost rows, as the planner and the runtime each price per iteration.
-    let skewed = SyntheticLaion::new(DataConfig::characterization(), task.seed).take(n);
+    let skewed = skewed_stream.clone().take(n);
     for (what, samples) in [("production", &batch), ("characterization", &skewed)] {
         let name = format!("cost_rows/{what}_n{n}");
         let stats = bench_stats(&name, iters, || CostRows::new(&task.model, samples));

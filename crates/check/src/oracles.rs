@@ -81,8 +81,9 @@ pub fn registry() -> Vec<Property> {
             run: alg1_vs_brute_force,
         },
         Property {
-            name: "reorder.alg1_permutes_and_never_regresses",
-            about: "Algorithm 1 output is a permutation and never worsens the max group load",
+            name: "reorder.alg1_permutes_as_the_heap_does",
+            about: "Algorithm 1 output is the LPT heap's permutation, on drawn, rounded and \
+                    extreme sizes; an indivisible batch is a typed error",
             max_size: 48,
             max_cases: u32::MAX,
             run: alg1_invariants,
@@ -386,10 +387,22 @@ fn alg1_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     ensure(sorted == (0..n).collect::<Vec<_>>(), || {
         format!("n={n} m={m}: Algorithm 1 output is not a permutation")
     })?;
-    // The run merge deals exactly as the heap it replaced, on the drawn
-    // sizes and on their rounded copy, whose equal sizes form runs.
+    // The run merge deals exactly as the heap it replaced: on the drawn
+    // sizes, on their rounded copy, whose equal sizes form runs, and on a
+    // copy at the ends of the range, picked by each drawn size's bits, so
+    // no new draws. There loads overflow and sums round to ties, which
+    // the bumped queue's order must break as the heap does.
     let rounded: Vec<f64> = sizes.iter().map(|s| s.round()).collect();
-    for (what, sizes) in [("drawn", &sizes), ("rounded", &rounded)] {
+    const EXTREMES: [f64; 5] = [f64::MAX, -f64::MAX, 0.75 * f64::MAX, -0.0, 1.0];
+    let extreme: Vec<f64> = sizes
+        .iter()
+        .map(|s| EXTREMES[(s.to_bits() % 5) as usize])
+        .collect();
+    for (what, sizes) in [
+        ("drawn", &sizes),
+        ("rounded", &rounded),
+        ("extreme", &extreme),
+    ] {
         let got = intra_reorder_indices(sizes, m);
         let want = reference::lpt_heap(sizes, m);
         ensure(got == want, || {
@@ -398,11 +411,6 @@ fn alg1_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
             )
         })?;
     }
-    let reordered: Vec<f64> = order.iter().map(|&i| sizes[i]).collect();
-    let (before, after) = (max_group_load(&sizes, m), max_group_load(&reordered, m));
-    ensure(after <= before + 1e-9, || {
-        format!("n={n} m={m}: Algorithm 1 worsened the max group load {before} → {after}")
-    })?;
     // The typed-error contract: an indivisible batch is a clean error,
     // never a panic (regression for the old assert!).
     if m > 1 {

@@ -6,7 +6,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time with
 //!   saturating arithmetic, so cost models can never panic on overflow.
-//! * [`rng`] — a self-contained xoshiro256★★ PRNG ([`DetRng`]). We
+//! * [`rng`] — a self-contained xoshiro256★★ PRNG ([`DetRng`]), keyed
+//!   families of them ([`Keyed`]) and integer Bernoulli draws ([`Chance`]). We
 //!   deliberately do *not* rely on an external `rand` crate for load-bearing
 //!   randomness because its algorithm is not stable across versions;
 //!   experiment outputs must stay reproducible across toolchain upgrades.
@@ -55,6 +56,6 @@ pub mod trace;
 pub use backoff::{BackoffPolicy, Deadline};
 pub use json::Json;
 pub use listen::{Listener, Stop};
-pub use rng::DetRng;
+pub use rng::{Chance, DetRng, Keyed};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceContext, TraceRecorder, TraceSpan, WallTraceSink};

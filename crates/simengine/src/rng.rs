@@ -3,14 +3,71 @@
 //! Experiment outputs in `EXPERIMENTS.md` must be reproducible across
 //! machines and dependency upgrades, so the load-bearing RNG is implemented
 //! here: xoshiro256★★ (Blackman & Vigna) seeded through SplitMix64. The
-//! distribution helpers (uniform range, Box–Muller normal, log-normal)
-//! cover everything `dt-data` needs to model the skewed LAION-400M
+//! distribution helpers (uniform range, Box–Muller normal, log-normal,
+//! the 53-bit integer uniform [`DetRng::next_u53`] and the integer
+//! Bernoulli draw [`Chance`]) and the keyed families of [`Keyed`] cover
+//! everything `dt-data` needs to model the skewed LAION-400M
 //! characteristics from §2.3 of the paper.
 
 /// xoshiro256★★ deterministic PRNG.
 #[derive(Debug, Clone)]
 pub struct DetRng {
     s: [u64; 4],
+}
+
+/// 2⁵³: one past the largest [`DetRng::next_u53`].
+pub const TWO_53: u64 = 1 << 53;
+
+/// A family of generators, one per `u64` key, seeded by one `seed`. Any
+/// key's generator is reachable directly, without drawing the keys before
+/// it — the counter-based idea of Salmon et al. ("Parallel Random
+/// Numbers: As Easy as 1, 2, 3", SC'11). The key is hashed with the
+/// seeded SplitMix64 bijection, so distinct keys under one seed never
+/// share a starting state. The seed is mixed once, here, not per key.
+#[derive(Debug, Clone, Copy)]
+pub struct Keyed {
+    mixed: u64,
+}
+
+impl Keyed {
+    /// The family seeded by `seed`.
+    pub fn new(seed: u64) -> Self {
+        let mut sm = seed;
+        Keyed {
+            mixed: splitmix64(&mut sm),
+        }
+    }
+
+    /// The generator for `key`.
+    pub fn rng(self, key: u64) -> DetRng {
+        let mut k = key ^ self.mixed;
+        DetRng::new(splitmix64(&mut k))
+    }
+}
+
+/// A Bernoulli draw of probability `p`, compiled to an integer threshold
+/// `ceil(p·2⁵³)` with `p` clamped to `[0, 1]`. A draw fires when
+/// [`DetRng::next_u53`] is below it, which is exactly `next_f64() < p`:
+/// `u·2⁻⁵³ < p ⇔ u < p·2⁵³ ⇔ u < ceil(p·2⁵³)` for an integer `u`, and
+/// scaling by 2⁵³ is exact. A NaN `p` never fires.
+#[derive(Debug, Clone, Copy)]
+pub struct Chance {
+    threshold: u64,
+}
+
+impl Chance {
+    /// The draw that fires with probability `p`.
+    pub fn new(p: f64) -> Self {
+        // A NaN survives the clamp and casts to 0.
+        Chance {
+            threshold: (p.clamp(0.0, 1.0) * TWO_53 as f64).ceil() as u64,
+        }
+    }
+
+    /// Draw once from `rng`.
+    pub fn fires(self, rng: &mut DetRng) -> bool {
+        rng.next_u53() < self.threshold
+    }
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -35,18 +92,6 @@ impl DetRng {
         DetRng { s }
     }
 
-    /// The generator for `key` in the family of streams seeded by `seed`.
-    /// Any key's stream is reachable directly, without drawing the keys
-    /// before it — the counter-based idea of Salmon et al. ("Parallel
-    /// Random Numbers: As Easy as 1, 2, 3", SC'11). The key is hashed
-    /// with the seeded SplitMix64 bijection, so distinct keys under one
-    /// seed never share a starting state.
-    pub fn keyed(seed: u64, key: u64) -> Self {
-        let mut sm = seed;
-        let mut k = key ^ splitmix64(&mut sm);
-        DetRng::new(splitmix64(&mut k))
-    }
-
     /// Derive an independent child generator; used to give each simulated
     /// component (data loader, fault injector, …) its own stream so adding
     /// draws in one component never perturbs another.
@@ -68,9 +113,15 @@ impl DetRng {
         result
     }
 
-    /// Uniform float in `[0, 1)` with 53 bits of precision.
+    /// Uniform integer in `[0, 2^53)`: the top 53 bits of the next output.
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// Uniform float in `[0, 1)` with 53 bits of precision:
+    /// [`DetRng::next_u53`] times 2⁻⁵³, which is exact.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.next_u53() as f64 * (1.0 / TWO_53 as f64)
     }
 
     /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
@@ -101,9 +152,10 @@ impl DetRng {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// `true` with probability `p` (clamped to `[0, 1]`).
+    /// `true` with probability `p` (clamped to `[0, 1]`): one
+    /// [`Chance::fires`] draw.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
+        Chance::new(p).fires(self)
     }
 
     /// Standard normal via Box–Muller (one value per call; the pair's twin
@@ -184,14 +236,67 @@ mod tests {
     #[test]
     fn keyed_known_vector_is_stable() {
         // Pin keyed outputs the same way: the training data stream draws
-        // every sample from `keyed(seed, id)`.
+        // every sample from `Keyed::new(seed).rng(id)`.
         let first = |seed, key| {
-            let mut r = DetRng::keyed(seed, key);
+            let mut r = Keyed::new(seed).rng(key);
             [r.next_u64(), r.next_u64()]
         };
         assert_eq!(first(0, 0), [10108759220886529493, 17605837440599152310]);
         assert_eq!(first(0, 1), [8001808130966065074, 471358147255598595]);
         assert_eq!(first(42, 7), [511687822027273263, 4679140867302755536]);
+    }
+
+    #[test]
+    fn next_f64_is_next_u53_scaled() {
+        let (mut a, mut b) = (DetRng::new(37), DetRng::new(37));
+        for _ in 0..1000 {
+            let u = a.next_u53();
+            assert!(u < TWO_53);
+            assert_eq!(b.next_f64(), u as f64 / TWO_53 as f64);
+        }
+    }
+
+    #[test]
+    fn chance_fires_exactly_when_the_float_draw_is_below_p() {
+        // The float comparison `chance` made before it had a threshold.
+        let by_float = |u: u64, p: f64| (u as f64 / TWO_53 as f64) < p.clamp(0.0, 1.0);
+        let ps = [
+            0.0,
+            -0.0,
+            -0.3,
+            1.0,
+            1.5,
+            0.7,
+            0.25,
+            0.1 + 0.2,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1.0 - f64::EPSILON / 2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut r = DetRng::new(41);
+        for p in ps {
+            let chance = Chance::new(p);
+            let t = chance.threshold;
+            let mut us: Vec<u64> = vec![0, 1, TWO_53 - 1];
+            us.extend(
+                [t.saturating_sub(1), t, t + 1]
+                    .into_iter()
+                    .filter(|&u| u < TWO_53),
+            );
+            us.extend((0..1000).map(|_| r.next_u53()));
+            for u in us {
+                let fires = u < t;
+                assert_eq!(fires, by_float(u, p), "p {p} u {u}");
+            }
+        }
+        // And `chance` is that threshold draw, output for output.
+        let (mut a, mut b) = (DetRng::new(43), DetRng::new(43));
+        for _ in 0..1000 {
+            assert_eq!(a.chance(0.3), b.next_f64() < 0.3);
+        }
     }
 
     #[test]

@@ -143,8 +143,10 @@ echo "==> bench_reorder smoke (BENCH_layers.json: Alg 1/Alg 2 and the production
 # Output to $VERIFY_TMP as for bench_orchestrator. The production cases time
 # Algorithm 1 at 1920 samples over DP 128 on all-distinct sizes and on the
 # production stream's multimodal sizes, over DP 15 on the production
-# stream's and over DP 128 on the skewed stream's, drawing the production task's
-# 1920-sample batch (SyntheticLaion::take) and cloning it, CostRows::new on 1920 samples of
+# stream's and over DP 128 on the skewed stream's, building the production
+# task's stream (SyntheticLaion::new, which compiles its draw tables), drawing
+# its 1920-sample batch and the skewed stream's (SyntheticLaion::take), cloning
+# the production batch, CostRows::new on 1920 samples of
 # the production and of the skewed stream, ReorderPlanner::reorder on a
 # 1920-sample MLLM-72B batch with the 1296-GPU plan's planner and with the
 # deepest trial candidate's, ReorderPlanner::reorder_indices on that
@@ -160,7 +162,8 @@ DT_BENCH_ITERS="${DT_BENCH_ITERS:-3}" DT_BENCH_LAYERS_JSON="$LAYERS_JSON" \
 test -s "$LAYERS_JSON" || { echo "BENCH_layers.json missing or empty" >&2; exit 1; }
 for case in algorithm1_intra/n1920_dp128 algorithm1_intra/production_n1920_dp128 \
     algorithm1_intra/production_n1920_dp15 algorithm1_intra/characterization_n1920_dp128 \
-    take/n1920 batch_clone/n1920 cost_rows/production_n1920 \
+    stream_new/production take/n1920 take/characterization_n1920 batch_clone/n1920 \
+    cost_rows/production_n1920 \
     cost_rows/characterization_n1920 reorder_planner/train_plan_ \
     reorder_planner/deepest_candidate_ \
     reorder_indices/train_plan_n1920_dp128_p3 \
