@@ -136,14 +136,7 @@ pub fn sequence_parallelism() -> Report {
     r.note("§4.1: SP splits the non-tensor-parallel activation regions across");
     r.note("the TP group, which is what makes long sequences trainable.");
     for seq in [8192u64, 16384, 32768, 65536] {
-        let shape = SampleShape {
-            text_tokens: seq,
-            image_tokens: 0,
-            num_images: 0,
-            gen_images: 0,
-            image_res: 512,
-            gen_res: 512,
-        };
+        let shape = SampleShape::text_only(seq);
         let mem = ModuleMemory::new(
             model.module_params(ModuleKind::Backbone),
             model.backbone.activation_bytes(seq),
@@ -202,14 +195,7 @@ pub fn expert_parallelism() -> Report {
     let gpu = GpuSpec::ampere();
     let coll = CollectiveCost::new(ClusterSpec::production(12));
     let perf = PerfModel::new(&model, &gpu, &coll).with_stepccl();
-    let shape = SampleShape {
-        text_tokens: 8192,
-        image_tokens: 0,
-        num_images: 0,
-        gen_images: 0,
-        image_res: 512,
-        gen_res: 512,
-    };
+    let shape = SampleShape::text_only(8192);
     let mem = ModuleMemory::new(
         model.module_params(ModuleKind::Backbone),
         model.backbone.activation_bytes(8192),

@@ -9,7 +9,8 @@
 
 use crate::report::{fmt_secs, Report};
 use dt_cluster::{ClusterSpec, CollectiveCost, GpuSpec};
-use dt_model::{mllm::SampleShape, MllmPreset, ModuleKind};
+use dt_model::mllm::{Resolutions, SampleShape};
+use dt_model::{MllmPreset, ModuleKind};
 use dt_orchestrator::PerfModel;
 
 /// Run the sweep.
@@ -48,9 +49,8 @@ pub fn run() -> Report {
         let shape = SampleShape {
             text_tokens: 8192 - image_tokens,
             image_tokens,
-            num_images: n,
+            image_resolutions: Resolutions::repeat(res, n as usize),
             gen_images: n,
-            image_res: res,
             gen_res: res,
         };
         let enc = perf.module_fwd_time(ModuleKind::Encoder, &shape, 1);

@@ -25,7 +25,7 @@
 use dt_cluster::{ClusterSpec, CollectiveCost};
 use dt_data::cost::{CostRows, LastPriced, PreprocessCostModel};
 use dt_data::{DataConfig, GlobalBatch, Microbatch, SyntheticLaion, TrainSample};
-use dt_model::mllm::SampleShape;
+use dt_model::mllm::{Resolutions, SampleShape};
 use dt_model::{ModuleKind, MultimodalLlm};
 use dt_orchestrator::PerfModel;
 use dt_parallel::{BrokerLink, OrchestrationPlan};
@@ -146,9 +146,9 @@ struct Pricer<'p, 'c> {
     /// Packed sequences share one length: the backbone's per-sample time,
     /// priced once per length.
     per_sample_bb: LastPriced<u64, SimDuration>,
-    /// Per image count, keyed by `(image_res, image_tokens)`; per target
-    /// count, keyed by `gen_res`.
-    per_sample_enc: LastPriced<(u32, u64), SimDuration>,
+    /// Per image count, keyed by the shape's resolutions and image tokens;
+    /// per target count, keyed by `gen_res`.
+    per_sample_enc: LastPriced<(Resolutions, u64), SimDuration>,
     per_sample_gen: LastPriced<u32, SimDuration>,
 }
 
@@ -184,8 +184,8 @@ impl<'p, 'c> Pricer<'p, 'c> {
         let (mut first, mut samples) = (None, 0u64);
         for shape in mb {
             enc += self.per_sample_enc.get_or_price(
-                shape.num_images as usize,
-                (shape.image_res, shape.image_tokens),
+                shape.image_resolutions.len(),
+                (shape.image_resolutions, shape.image_tokens),
                 || perf.module_fwd_time(ModuleKind::Encoder, &shape, enc_tp),
             );
             gen +=
@@ -216,17 +216,18 @@ impl<'p, 'c> Pricer<'p, 'c> {
 /// behind [`Runtime::simulate_rows`] (over a dispatch order) and
 /// [`Runtime::trial`] (as the planner hands each rank over). A rank's
 /// columns are priced and pushed into one reused `dt_pipeline::Engine`,
-/// reset per rank, and its stall is computed from its pixels; the
-/// iteration keeps the slowest makespan and the largest stall.
+/// reset per rank, and its stall is computed from its samples' pixels;
+/// the iteration keeps the slowest makespan and the largest stall.
 ///
 /// A rank whose rows repeat the previous simulated rank's (same length
-/// and, position by position, an equal [`SampleShape`] and equal pixels)
-/// reuses its makespan, bubble fraction and stall without pricing,
-/// replaying or computing a stall. That is exact: the pricer reads only
-/// the shape, the stall only the pixels, and the engine is a pure
-/// function of the spec and the columns. The engine still holds that
-/// rank's result, which is this one's, for the trace and the metrics. A
-/// miss costs the compare and a copy of the rank's row indices.
+/// and, position by position, the same shape index, so an equal
+/// [`SampleShape`]) reuses its makespan, bubble fraction and stall
+/// without pricing, replaying or computing a stall. That is exact: the
+/// pricer and the stall read only the shape (pixels are a function of
+/// its resolutions), and the engine is a pure function of the spec and
+/// the columns. The engine still holds that rank's result, which is this
+/// one's, for the trace and the metrics. A miss costs the compare and a
+/// copy of the rank's row indices.
 struct Ranks<'r> {
     rt: &'r Runtime<'r>,
     rows: &'r CostRows,
@@ -295,10 +296,10 @@ impl<'r> Ranks<'r> {
     fn push(&mut self, rank: &[usize]) {
         let rows = self.rows;
         let repeats = rank.len() == self.previous.len()
-            && rank.iter().zip(&self.previous).all(|(&a, &b)| {
-                let (a, b) = (&rows.rows[a], &rows.rows[b]);
-                a.shape == b.shape && a.pixels == b.pixels
-            });
+            && rank
+                .iter()
+                .zip(&self.previous)
+                .all(|(&a, &b)| rows.rows[a].shape == rows.rows[b].shape);
         if !repeats {
             #[cfg(test)]
             tests::ENGINE_RUNS.set(tests::ENGINE_RUNS.get() + 1);
@@ -306,11 +307,12 @@ impl<'r> Ranks<'r> {
                 .reset(&self.spec, self.stages, rank.len() / self.m);
             for mb in rank.chunks(self.m) {
                 self.engine
-                    .push(self.pricer.column(mb.iter().map(|&k| rows.rows[k].shape)));
+                    .push(self.pricer.column(mb.iter().map(|&k| *rows.shape(k))));
             }
-            self.rank_stall = self
-                .rt
-                .preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
+            self.rank_stall = self.rt.preprocess_stall(
+                rank.iter()
+                    .map(|&k| rows.shape(k).image_resolutions.pixels()),
+            );
             self.previous.clear();
             self.previous.extend_from_slice(rank);
         }
@@ -337,7 +339,9 @@ impl<'r> Ranks<'r> {
             bubble_fraction: self.bubble_sum / self.ranks.max(1) as f64,
             gpus: self.rt.plan.total_gpus(),
             samples: self.rows.len() as u32,
-            tokens: self.rows.rows.iter().map(|r| r.shape.seq_len()).sum(),
+            tokens: (0..self.rows.len())
+                .map(|k| self.rows.shape(k).seq_len())
+                .sum(),
         }
     }
 }
@@ -350,14 +354,7 @@ impl<'a> Runtime<'a> {
         let m = self.plan.microbatch;
         // Uniform downstream stage times for Algorithm 2's interval DP:
         // one backbone PP stage per microbatch.
-        let shape = dt_model::mllm::SampleShape {
-            text_tokens: self.model.seq_len,
-            image_tokens: 0,
-            num_images: 0,
-            gen_images: 0,
-            image_res: 512,
-            gen_res: self.data.gen_resolution,
-        };
+        let shape = SampleShape::text_only(self.model.seq_len);
         let stage_fwd = perf
             .module_fwd_time(ModuleKind::Backbone, &shape, self.plan.backbone.tp)
             .as_secs_f64()
@@ -874,11 +871,12 @@ pub(crate) mod tests {
         order
             .chunks(per_rank)
             .map(|rank| {
-                let shapes = rank
-                    .chunks(m)
-                    .map(|mb| mb.iter().map(|&k| rows.rows[k].shape));
+                let shapes = rank.chunks(m).map(|mb| mb.iter().map(|&k| *rows.shape(k)));
                 let result = dt_pipeline::simulate(&spec, &rt.rank_workload(perf, shapes));
-                let stall = rt.preprocess_stall(rank.iter().map(|&k| rows.rows[k].pixels));
+                let stall = rt.preprocess_stall(
+                    rank.iter()
+                        .map(|&k| rows.shape(k).image_resolutions.pixels()),
+                );
                 (result, stall)
             })
             .collect()
@@ -984,7 +982,7 @@ pub(crate) mod tests {
                     let pixels = rank
                         .iter()
                         .flat_map(|mb| mb.iter())
-                        .map(|s| s.total_pixels());
+                        .map(|s| s.image_resolutions.pixels());
                     cost.batch_time(pixels, 8)
                 })
                 .max()
@@ -1277,8 +1275,7 @@ pub(crate) mod tests {
                         let reference = per_shape_workload(&rt, &untabled, mbs);
                         let from_rows = rt.rank_workload(
                             &tabled,
-                            rank.chunks(m)
-                                .map(|mb| mb.iter().map(|&k| rows.rows[k].shape)),
+                            rank.chunks(m).map(|mb| mb.iter().map(|&k| *rows.shape(k))),
                         );
                         let called = rt.build_workload_for(&tabled, mbs);
                         let parts = |w: Workload| (w.fwd, w.bwd);
@@ -1287,10 +1284,11 @@ pub(crate) mod tests {
                         assert_eq!(parts(called), reference, "{} {plan:?}", model.name);
                     }
                     if skewed && n == 256 {
-                        let shapes = || rows.rows.iter().map(|r| r.shape);
-                        let enc = slot_traffic(
-                            shapes().map(|s| (s.num_images, (s.image_res, s.image_tokens))),
-                        );
+                        let shapes = || (0..rows.len()).map(|k| *rows.shape(k));
+                        let enc = slot_traffic(shapes().map(|s| {
+                            let images = s.image_resolutions;
+                            (images.len() as u32, (images, s.image_tokens))
+                        }));
                         let gen = slot_traffic(shapes().map(|s| (s.gen_images, s.gen_res)));
                         assert!(enc.0 > 0 && enc.1 > 0 && gen.0 > 0 && gen.1 > 0);
                     }
@@ -1357,7 +1355,7 @@ pub(crate) mod tests {
                     let pixels = mbs
                         .iter()
                         .flat_map(|mb| &mb.samples)
-                        .map(TrainSample::total_pixels);
+                        .map(|s| s.image_resolutions.pixels());
                     stall = stall.max(rt.preprocess_stall(pixels));
                 }
                 let what = format!("{freeze:?} {plan:?}");
@@ -1373,10 +1371,11 @@ pub(crate) mod tests {
     }
 
     /// Ranks that repeat their predecessor run the engine once; a rank
-    /// that differs from its neighbours only in one sample's pixels
-    /// (same shape) or only in one sample's `gen_images` is priced,
-    /// replayed and stalled afresh, and so is the rank after it. Both
-    /// feeding modes, against fresh per-rank results.
+    /// that differs from its neighbours only in one image's resolution
+    /// (at an equal sequence length, with more pixels) or only in one
+    /// sample's `gen_images` is priced, replayed and stalled afresh, and
+    /// so is the rank after it. Both feeding modes, against fresh
+    /// per-rank results.
     #[test]
     fn near_miss_ranks_are_simulated_afresh() {
         let model = MllmPreset::Mllm9B.build();
@@ -1406,11 +1405,22 @@ pub(crate) mod tests {
             assert_eq!(runs, 1);
             assert_reports_ranks(&base, &fresh_ranks(&rt, &perf, &same, &order));
 
-            // Rank 3 (rows 12..16) differs in its last sample only.
-            let mut pixels = same.clone();
-            pixels.rows[15].pixels *= 2;
-            let mut targets = same.clone();
-            targets.rows[15].shape.gen_images += 1;
+            // Rank 3 (rows 12..16) differs in one sample only: its image
+            // 15 px wider in the sample with the most pixels (still 32
+            // patches a side), or one more target.
+            let near = |k: usize, edit: fn(&mut SampleShape)| {
+                let mut rows = same.clone();
+                let mut shape = *rows.shape(k);
+                edit(&mut shape);
+                rows.shapes.push(shape);
+                rows.rows[k].shape = rows.shapes.len() - 1;
+                rows
+            };
+            let k = (12..16)
+                .max_by_key(|&k| same.shape(k).image_resolutions.pixels())
+                .unwrap();
+            let pixels = near(k, |s| s.image_resolutions[0] += 15);
+            let targets = near(15, |s| s.gen_images += 1);
             for (what, rows) in [("pixels", pixels), ("gen_images", targets)] {
                 let what = format!("{what} {:?}", rt.cfg.preprocessing);
                 let (report, runs) = simulate(&rows);
@@ -1449,11 +1459,8 @@ pub(crate) mod tests {
         let batches = rt.batches(&perf);
         for i in 0..rt.cfg.iterations {
             let (rows, order) = batches.priced(i);
-            let key = |rank: &[usize]| -> Vec<_> {
-                rank.iter()
-                    .map(|&k| (rows.rows[k].shape, rows.rows[k].pixels))
-                    .collect()
-            };
+            let key =
+                |rank: &[usize]| -> Vec<_> { rank.iter().map(|&k| rows.rows[k].shape).collect() };
             let keys: Vec<_> = order.chunks(order.len() / 128).map(key).collect();
             let distinct = 1 + keys.windows(2).filter(|w| w[0] != w[1]).count();
             let (_, runs) = engine_runs(|| {

@@ -5,11 +5,7 @@
 //! subsequences clustered at popular resolutions, and the per-sample image
 //! count skewed towards few images with a heavy tail.
 
-use crate::dataset::MAX_IMAGES;
-
-/// The representative resolution a `SampleShape` reports for a sample
-/// without images (its encoder cost is then the projector's alone).
-pub const NO_IMAGE_RESOLUTION: u32 = 512;
+use dt_model::mllm::MAX_IMAGES;
 
 /// How image resolutions are drawn.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,18 +86,13 @@ impl DataConfig {
         side * side
     }
 
-    /// Every `image_res` a sample of this stream reports in its
-    /// `SampleShape`: the resolutions images are drawn at, plus the
-    /// placeholder [`NO_IMAGE_RESOLUTION`] of samples without images.
+    /// Every resolution a sample of this stream lists in its
+    /// `SampleShape`: the resolutions images are drawn at.
     pub fn shape_resolutions(&self) -> Vec<u32> {
-        let mut resolutions = match self.resolution {
+        match self.resolution {
             ResolutionMode::Fixed(res) => vec![res],
             ResolutionMode::Skewed => Self::resolution_palette().iter().map(|&(r, _)| r).collect(),
-        };
-        if !resolutions.contains(&NO_IMAGE_RESOLUTION) {
-            resolutions.push(NO_IMAGE_RESOLUTION);
         }
-        resolutions
     }
 
     /// The resolution palette (with draw weights) for [`ResolutionMode::Skewed`]:
@@ -138,13 +129,13 @@ mod tests {
     }
 
     #[test]
-    fn shape_resolutions_cover_the_drawn_and_the_placeholder() {
+    fn shape_resolutions_are_the_drawn_ones() {
         assert_eq!(DataConfig::evaluation(1024).shape_resolutions(), vec![512]);
         let fixed = DataConfig {
             resolution: ResolutionMode::Fixed(336),
             ..DataConfig::evaluation(512)
         };
-        assert_eq!(fixed.shape_resolutions(), vec![336, NO_IMAGE_RESOLUTION]);
+        assert_eq!(fixed.shape_resolutions(), vec![336]);
         let skewed = DataConfig::characterization().shape_resolutions();
         assert_eq!(skewed, vec![256, 384, 512, 768, 1024]);
     }

@@ -2,9 +2,9 @@
 //!
 //! Two families of costs are derived from a [`TrainSample`]:
 //!
-//! * **Training FLOPs per module** — exact per-image sums (the
-//!   `SampleShape` in `dt-model` carries only a representative resolution;
-//!   here we walk the actual image list).
+//! * **Training FLOPs per module** — exact per-image sums, walking the
+//!   sample's image list (its `SampleShape` carries the same list, so the
+//!   forward times `dt-orchestrator` prices from it are per-image sums too).
 //! * **CPU preprocessing time** — the decode + resize + patchify work §2.3
 //!   measures ("preprocessing such samples can take several seconds"),
 //!   modeled as throughput constants calibrated to that observation.
@@ -18,7 +18,7 @@
 //! workload, the MFU FLOPs sum and the preprocessing stall — reads the rows.
 
 use crate::dataset::TrainSample;
-use dt_model::mllm::SampleShape;
+use dt_model::mllm::{SampleShape, MAX_IMAGES};
 use dt_model::{FreezeConfig, ModuleKind, MultimodalLlm};
 use dt_simengine::SimDuration;
 use std::borrow::Borrow;
@@ -155,11 +155,10 @@ pub struct CostRow {
     pub backbone_flops: f64,
     /// Generator forward FLOPs (targets, plus the output projector).
     pub gen_flops: f64,
-    /// Pixels across the sample's images (the preprocessing work unit).
-    pub pixels: u64,
-    /// The sample's [`TrainSample::shape`], which prices its forward
-    /// times under a plan.
-    pub shape: SampleShape,
+    /// Index of the sample's [`TrainSample::shape`], which prices its
+    /// forward times under a plan and holds its pixels, in
+    /// [`CostRows::shapes`]. Rows with equal indices have equal shapes.
+    pub shape: usize,
 }
 
 /// One batch priced once: a [`CostRow`] per sample, in input order.
@@ -167,6 +166,9 @@ pub struct CostRow {
 pub struct CostRows {
     /// One row per sample.
     pub rows: Vec<CostRow>,
+    /// The rows' shapes, each stored once per pricing key, so a row stays
+    /// four words.
+    pub shapes: Vec<SampleShape>,
     freeze: FreezeConfig,
 }
 
@@ -175,10 +177,15 @@ impl CostRows {
     /// sums run in the free functions' order, so every column is
     /// bit-identical to them.
     ///
-    /// A row but its generator part is a pure function of the sample's
-    /// `(image_resolutions, text_tokens, patch)`, the generator part of
-    /// `(gen_images, gen_resolution)`: each is priced once per key. A
-    /// sample whose images differ in resolution is priced directly.
+    /// A row's encoder and backbone parts are a pure function of the
+    /// sample's `(image_resolutions, text_tokens, patch)`, its generator
+    /// part of `(gen_images, gen_resolution)`, and its shape of all five.
+    /// The generator part is priced once per key, and so are the other
+    /// parts and the shape of a sample whose images share one resolution,
+    /// kept per image and target count. A sample whose images differ in
+    /// resolution is priced directly and stores its own shape. So a batch
+    /// of one-resolution samples, like the §7 stream's, stores each
+    /// distinct shape once.
     pub fn new(
         model: &MultimodalLlm,
         samples: impl IntoIterator<Item = impl Borrow<TrainSample>>,
@@ -189,51 +196,68 @@ impl CostRows {
         let mut backbone = LastPriced::default();
         let mut by_images = LastPriced::default();
         let mut by_targets = LastPriced::default();
+        let mut shapes = Vec::new();
         let rows = samples
             .into_iter()
             .map(|s| {
                 let s = s.borrow();
-                let mut price_row = || {
+                let mut price_images = || {
                     let images: f64 = s
                         .image_resolutions
                         .iter()
                         .map(|&r| encoder.image_flops(model, r))
                         .sum();
-                    let shape = s.shape();
-                    let seq = shape.seq_len();
-                    CostRow {
-                        enc_flops: images + model.input_projector.flops_forward(shape.image_tokens),
-                        backbone_flops: backbone
-                            .get_or_price(0, seq, || model.backbone.flops_forward(seq)),
-                        // Priced below, from its own slot.
-                        gen_flops: 0.0,
-                        pixels: s.total_pixels(),
-                        shape,
-                    }
+                    let seq = s.seq_len();
+                    (
+                        images + model.input_projector.flops_forward(s.image_tokens()),
+                        backbone.get_or_price(0, seq, || model.backbone.flops_forward(seq)),
+                    )
+                };
+                let mut new_shape = || {
+                    shapes.push(s.shape());
+                    shapes.len() - 1
                 };
                 let resolutions = &s.image_resolutions;
-                let mut row = match resolutions.first() {
-                    Some(&res) if resolutions.iter().any(|&r| r != res) => price_row(),
+                let ((enc_flops, backbone_flops), shape) = match resolutions.first() {
+                    Some(&res) if resolutions.iter().any(|&r| r != res) => {
+                        (price_images(), new_shape())
+                    }
                     first => by_images.get_or_price(
-                        resolutions.len(),
-                        (first.copied(), s.text_tokens, s.patch),
-                        price_row,
+                        resolutions.len() * (MAX_IMAGES + 1)
+                            + (s.gen_images as usize).min(MAX_IMAGES),
+                        (
+                            first.copied(),
+                            s.text_tokens,
+                            s.patch,
+                            s.gen_images,
+                            s.gen_resolution,
+                        ),
+                        || (price_images(), new_shape()),
                     ),
                 };
-                row.gen_flops =
+                let gen_flops =
                     by_targets.get_or_price(s.gen_images as usize, s.gen_resolution, || {
                         let per_target = generator.image_flops(model, s.gen_resolution);
                         generator_flops(model, per_target, s.gen_images)
                     });
-                row.shape.gen_images = s.gen_images;
-                row.shape.gen_res = s.gen_resolution;
-                row
+                CostRow {
+                    enc_flops,
+                    backbone_flops,
+                    gen_flops,
+                    shape,
+                }
             })
             .collect();
         CostRows {
             rows,
+            shapes,
             freeze: model.freeze,
         }
+    }
+
+    /// The shape of sample `i`.
+    pub fn shape(&self, i: usize) -> &SampleShape {
+        &self.shapes[self.rows[i].shape]
     }
 
     /// Rows.
@@ -318,7 +342,8 @@ impl PreprocessCostModel {
 mod tests {
     use super::*;
     use crate::config::DataConfig;
-    use crate::dataset::{Resolutions, SyntheticLaion};
+    use crate::dataset::SyntheticLaion;
+    use crate::Resolutions;
     use dt_model::{MllmPreset, MultimodalLlm};
 
     fn sample_with(res: u32, n: usize) -> TrainSample {
@@ -336,7 +361,7 @@ mod tests {
     fn ten_hires_images_take_seconds() {
         let m = PreprocessCostModel::default();
         let t = m
-            .pixels_time(sample_with(1024, 10).total_pixels())
+            .pixels_time(sample_with(1024, 10).image_resolutions.pixels())
             .as_secs_f64();
         assert!(
             (1.0..10.0).contains(&t),
@@ -347,8 +372,8 @@ mod tests {
     #[test]
     fn preprocessing_scales_with_pixels() {
         let m = PreprocessCostModel::default();
-        let lo = m.pixels_time(sample_with(512, 1).total_pixels());
-        let hi = m.pixels_time(sample_with(1024, 1).total_pixels());
+        let lo = m.pixels_time(sample_with(512, 1).image_resolutions.pixels());
+        let hi = m.pixels_time(sample_with(1024, 1).image_resolutions.pixels());
         assert_eq!(hi.as_nanos() / lo.as_nanos(), 4);
     }
 
@@ -356,13 +381,13 @@ mod tests {
     fn workers_divide_batch_time_until_longest_sample_binds() {
         let m = PreprocessCostModel::default();
         let samples = vec![sample_with(512, 2); 8];
-        let pixels = || samples.iter().map(TrainSample::total_pixels);
+        let pixels = || samples.iter().map(|s| s.image_resolutions.pixels());
         let t1 = m.batch_time(pixels(), 1);
         let t8 = m.batch_time(pixels(), 8);
         assert_eq!(t1.as_nanos(), 8 * t8.as_nanos());
         // With absurd parallelism the longest single sample binds.
         let t_inf = m.batch_time(pixels(), 10_000);
-        assert_eq!(t_inf, m.pixels_time(samples[0].total_pixels()));
+        assert_eq!(t_inf, m.pixels_time(samples[0].image_resolutions.pixels()));
     }
 
     /// 4096 text tokens, four 512² images (4096 image tokens) and one
@@ -459,8 +484,11 @@ mod tests {
                             .map(|&k| module_flops_train(&model, k, s))
                             .sum();
                         assert_eq!(rows.model_flops(i).to_bits(), model_flops.to_bits());
-                        assert_eq!(r.pixels, s.total_pixels());
-                        assert_eq!(r.shape, s.shape());
+                        assert_eq!(
+                            rows.shape(i).image_resolutions.pixels(),
+                            s.image_resolutions.pixels()
+                        );
+                        assert_eq!(*rows.shape(i), s.shape());
                     }
                 }
             }
@@ -532,7 +560,7 @@ mod tests {
         for preset in MllmPreset::ALL {
             let model = preset.build();
             let rows = CostRows::new(&model, &samples);
-            for (s, r) in samples.iter().zip(&rows.rows) {
+            for (i, (s, r)) in samples.iter().zip(&rows.rows).enumerate() {
                 let fwd = |k| module_flops_forward(&model, k, s).to_bits();
                 assert_eq!(r.enc_flops.to_bits(), fwd(ModuleKind::Encoder), "{s:?}");
                 assert_eq!(
@@ -541,8 +569,12 @@ mod tests {
                     "{s:?}"
                 );
                 assert_eq!(r.gen_flops.to_bits(), fwd(ModuleKind::Generator), "{s:?}");
-                assert_eq!(r.pixels, s.total_pixels(), "{s:?}");
-                assert_eq!(r.shape, s.shape(), "{s:?}");
+                assert_eq!(
+                    rows.shape(i).image_resolutions.pixels(),
+                    s.image_resolutions.pixels(),
+                    "{s:?}"
+                );
+                assert_eq!(*rows.shape(i), s.shape(), "{s:?}");
             }
         }
     }

@@ -40,79 +40,10 @@
 //! by running the loop itself. A generation target is a [`Chance`], whose
 //! threshold is exact too. Every sample is the one the loops draw.
 
-use crate::config::{DataConfig, ResolutionMode, NO_IMAGE_RESOLUTION};
-use dt_model::mllm::SampleShape;
+use crate::config::{DataConfig, ResolutionMode};
+use dt_model::mllm::{Resolutions, SampleShape, MAX_IMAGES};
 use dt_simengine::rng::TWO_53;
-use dt_simengine::schema::WireJson;
-use dt_simengine::{wire_struct, Chance, DetRng, Json, Keyed};
-use std::fmt;
-use std::ops::{Deref, DerefMut};
-
-/// The most images one sample holds: the §2.3 stream's
-/// `max_images_per_sample`, and Figure 17's largest configuration.
-pub const MAX_IMAGES: usize = 10;
-
-/// A sample's image resolutions, stored inline: up to [`MAX_IMAGES`]
-/// entries, read as a `[u32]` slice. Equality and `Debug` see only the
-/// live entries, so it compares and prints as the slice does.
-#[derive(Clone, Copy, Default)]
-pub struct Resolutions {
-    len: u8,
-    res: [u32; MAX_IMAGES],
-}
-
-impl Resolutions {
-    /// Append `res`.
-    ///
-    /// # Panics
-    /// When [`MAX_IMAGES`] resolutions are already held.
-    pub fn push(&mut self, res: u32) {
-        let len = usize::from(self.len);
-        assert!(
-            len < MAX_IMAGES,
-            "a sample holds at most {MAX_IMAGES} images"
-        );
-        self.res[len] = res;
-        self.len += 1;
-    }
-}
-
-impl Deref for Resolutions {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        &self.res[..usize::from(self.len)]
-    }
-}
-
-impl DerefMut for Resolutions {
-    fn deref_mut(&mut self) -> &mut [u32] {
-        &mut self.res[..usize::from(self.len)]
-    }
-}
-
-impl PartialEq for Resolutions {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl fmt::Debug for Resolutions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// Collects by [`Resolutions::push`], so it panics past [`MAX_IMAGES`].
-impl FromIterator<u32> for Resolutions {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        let mut list = Resolutions::default();
-        for res in iter {
-            list.push(res);
-        }
-        list
-    }
-}
+use dt_simengine::{wire_struct, Chance, DetRng, Keyed};
 
 /// One packed multimodal training sample: a fixed-size `Copy` value, so
 /// cloning, permuting or dropping a batch allocates nothing per sample.
@@ -159,53 +90,20 @@ impl TrainSample {
         self.image_tokens() + self.text_tokens()
     }
 
-    /// Total pixels across the sample's images (preprocessing work unit).
-    pub fn total_pixels(&self) -> u64 {
-        self.image_resolutions
-            .iter()
-            .map(|&r| r as u64 * r as u64)
-            .sum()
-    }
-
-    /// The [`SampleShape`] consumed by the `dt-model` cost functions. The
-    /// representative resolution is the largest in the sample (exact
-    /// per-image costs are available via [`crate::cost`]).
+    /// The [`SampleShape`] consumed by the `dt-model` cost functions: the
+    /// sample's own resolutions, in ascending order, so the cost model
+    /// prices every image at its own resolution and samples that differ
+    /// only in packing order share one shape.
     pub fn shape(&self) -> SampleShape {
+        let mut image_resolutions = self.image_resolutions;
+        image_resolutions.sort_unstable();
         SampleShape {
             text_tokens: self.text_tokens(),
             image_tokens: self.image_tokens(),
-            num_images: self.image_resolutions.len() as u32,
+            image_resolutions,
             gen_images: self.gen_images,
-            image_res: self
-                .image_resolutions
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(NO_IMAGE_RESOLUTION),
             gen_res: self.gen_resolution,
         }
-    }
-}
-
-/// On the wire, an array of at most [`MAX_IMAGES`] resolutions: a longer
-/// one is rejected before any entry is read.
-impl WireJson for Resolutions {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(u32::to_json).collect())
-    }
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let items = value.as_array().ok_or("not an array")?;
-        if items.len() > MAX_IMAGES {
-            return Err(format!(
-                "{} images, more than MAX_IMAGES {MAX_IMAGES}",
-                items.len()
-            ));
-        }
-        let mut list = Resolutions::default();
-        for (i, item) in items.iter().enumerate() {
-            list.push(u32::from_json(item).map_err(|e| format!("[{i}]: {e}"))?);
-        }
-        Ok(list)
     }
 }
 
@@ -427,11 +325,7 @@ impl SyntheticLaion {
         let (image_resolutions, image_tokens) = match self.resolution {
             ResolutionDraw::Fixed { res, tokens, fit } => {
                 let kept = fit.min(want_images as u64);
-                let list = Resolutions {
-                    len: kept as u8,
-                    res: [res; MAX_IMAGES],
-                };
-                (list, kept * tokens)
+                (Resolutions::repeat(res, kept as usize), kept * tokens)
             }
             ResolutionDraw::Skewed(palette) => {
                 let budget = image_budget(cfg);
@@ -584,7 +478,13 @@ mod tests {
         let sample = s.take(1).remove(0);
         let shape = sample.shape();
         assert_eq!(shape.seq_len(), sample.seq_len());
-        assert_eq!(shape.num_images as usize, sample.image_resolutions.len());
+        let mut sorted = sample.image_resolutions.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(&shape.image_resolutions[..], &sorted[..]);
+        assert_eq!(
+            shape.image_resolutions.pixels(),
+            sample.image_resolutions.pixels()
+        );
         assert_eq!(shape.gen_images, sample.gen_images);
     }
 
@@ -838,30 +738,6 @@ mod tests {
             ..DataConfig::characterization()
         };
         let _ = SyntheticLaion::new(data, 1);
-    }
-
-    #[test]
-    fn resolutions_compare_and_print_their_live_entries() {
-        let mut a: Resolutions = [512, 512].into_iter().collect();
-        assert_eq!(format!("{a:?}"), "[512, 512]");
-        assert_eq!(format!("{:?}", Resolutions::default()), "[]");
-        let stale = Resolutions {
-            len: 2,
-            res: [512, 512, 1024, 0, 0, 0, 0, 0, 0, 0],
-        };
-        assert_eq!(a, stale);
-        a[1] = 256;
-        assert_ne!(a, stale);
-        assert_eq!(a.len(), 2);
-        let full: Resolutions = std::iter::repeat_n(256, MAX_IMAGES).collect();
-        assert_eq!(full.len(), MAX_IMAGES);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 10 images")]
-    fn pushing_past_max_images_panics() {
-        let mut full: Resolutions = std::iter::repeat_n(256, MAX_IMAGES).collect();
-        full.push(256);
     }
 
     #[test]

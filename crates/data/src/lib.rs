@@ -35,4 +35,5 @@ pub mod dataset;
 
 pub use batch::{GlobalBatch, Microbatch};
 pub use config::{DataConfig, ResolutionMode};
-pub use dataset::{Resolutions, SyntheticLaion, TrainSample, MAX_IMAGES};
+pub use dataset::{SyntheticLaion, TrainSample};
+pub use dt_model::mllm::{Resolutions, MAX_IMAGES};

@@ -6,15 +6,19 @@
 //! the 72B model generates at 1024×1024, the smaller two at 512×512.
 //!
 //! [`SampleShape`] describes one training sample the way the cost model
-//! needs it: token counts per modality plus the number of images to encode
-//! and to generate. `dt-data` produces these shapes from its synthetic
-//! LAION-like distributions.
+//! needs it: token counts per modality, the resolution of every image to
+//! encode, and the number of images to generate. `dt-data` produces these
+//! shapes from its synthetic LAION-like distributions.
 
 use crate::projector::ProjectorConfig;
 use crate::transformer::TransformerConfig;
 use crate::unet::UNetConfig;
 use crate::vit::VitConfig;
 use crate::{llama, memory};
+use dt_simengine::schema::WireJson;
+use dt_simengine::Json;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// The three disaggregatable modules of a multimodal LLM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,6 +114,118 @@ impl FreezeConfig {
     }
 }
 
+/// The most images one sample holds: the §2.3 stream's
+/// `max_images_per_sample`, and Figure 17's largest configuration.
+pub const MAX_IMAGES: usize = 10;
+
+/// A sample's image resolutions, stored inline: up to [`MAX_IMAGES`]
+/// entries, read as a `[u32]` slice. Equality and `Debug` see only the
+/// live entries, so it compares and prints as the slice does.
+#[derive(Clone, Copy, Default)]
+pub struct Resolutions {
+    len: u8,
+    res: [u32; MAX_IMAGES],
+}
+
+impl Resolutions {
+    /// `n` images of `res`.
+    ///
+    /// # Panics
+    /// When `n` exceeds [`MAX_IMAGES`].
+    #[inline]
+    pub fn repeat(res: u32, n: usize) -> Self {
+        assert!(
+            n <= MAX_IMAGES,
+            "a sample holds at most {MAX_IMAGES} images"
+        );
+        Resolutions {
+            len: n as u8,
+            res: [res; MAX_IMAGES],
+        }
+    }
+
+    /// Append `res`.
+    ///
+    /// # Panics
+    /// When [`MAX_IMAGES`] resolutions are already held.
+    pub fn push(&mut self, res: u32) {
+        let len = usize::from(self.len);
+        assert!(
+            len < MAX_IMAGES,
+            "a sample holds at most {MAX_IMAGES} images"
+        );
+        self.res[len] = res;
+        self.len += 1;
+    }
+
+    /// Pixels across the images (the preprocessing work unit).
+    pub fn pixels(&self) -> u64 {
+        self.iter().map(|&r| u64::from(r) * u64::from(r)).sum()
+    }
+}
+
+impl Deref for Resolutions {
+    type Target = [u32];
+
+    #[inline]
+    fn deref(&self) -> &[u32] {
+        &self.res[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for Resolutions {
+    fn deref_mut(&mut self) -> &mut [u32] {
+        &mut self.res[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Resolutions {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Resolutions {}
+
+impl fmt::Debug for Resolutions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Collects by [`Resolutions::push`], so it panics past [`MAX_IMAGES`].
+impl FromIterator<u32> for Resolutions {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        let mut list = Resolutions::default();
+        for res in iter {
+            list.push(res);
+        }
+        list
+    }
+}
+
+/// On the wire, an array of at most [`MAX_IMAGES`] resolutions: a longer
+/// one is rejected before any entry is read.
+impl WireJson for Resolutions {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(u32::to_json).collect())
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        let items = value.as_array().ok_or("not an array")?;
+        if items.len() > MAX_IMAGES {
+            return Err(format!(
+                "{} images, more than MAX_IMAGES {MAX_IMAGES}",
+                items.len()
+            ));
+        }
+        let mut list = Resolutions::default();
+        for (i, item) in items.iter().enumerate() {
+            list.push(u32::from_json(item).map_err(|e| format!("[{i}]: {e}"))?);
+        }
+        Ok(list)
+    }
+}
+
 /// Shape of one training sample, as the cost model sees it.
 ///
 /// The paper interleaves modality subsequences into fixed 8192-token
@@ -121,12 +237,13 @@ pub struct SampleShape {
     pub text_tokens: u64,
     /// Image tokens in the packed sequence (inputs to the encoder).
     pub image_tokens: u64,
-    /// Number of input images the encoder must process.
-    pub num_images: u32,
+    /// Resolution of every input image the encoder must process (square
+    /// edge, pixels). A sample's shape lists them in ascending order, so
+    /// samples with equal multisets have equal shapes; every price and
+    /// byte count sums over them, so the order never changes a cost.
+    pub image_resolutions: Resolutions,
     /// Number of images the generator must produce (diffusion targets).
     pub gen_images: u32,
-    /// Resolution of input images (square, pixels).
-    pub image_res: u32,
     /// Resolution at which generation targets are produced (square,
     /// pixels). §7 uses 1024×1024 for MLLM-72B and 512×512 for the smaller
     /// models; it is independent of the input-image resolution because the
@@ -140,14 +257,13 @@ impl SampleShape {
         self.text_tokens + self.image_tokens
     }
 
-    /// A text-only sample of `seq` tokens (useful in tests).
+    /// A text-only sample of `seq` tokens.
     pub fn text_only(seq: u64) -> Self {
         SampleShape {
             text_tokens: seq,
             image_tokens: 0,
-            num_images: 0,
+            image_resolutions: Resolutions::default(),
             gen_images: 0,
-            image_res: 512,
             gen_res: 512,
         }
     }
@@ -268,12 +384,14 @@ impl MultimodalLlm {
         let params = self.module_params(module);
         let frozen = self.freeze.is_frozen(module);
         let activation = match module {
-            ModuleKind::Encoder => {
-                self.encoder
-                    .trunk
-                    .activation_bytes(self.encoder.tokens_per_image(shape.image_res))
-                    * shape.num_images as u64
-            }
+            ModuleKind::Encoder => shape
+                .image_resolutions
+                .iter()
+                .map(|&res| {
+                    let tokens = self.encoder.tokens_per_image(res);
+                    self.encoder.trunk.activation_bytes(tokens)
+                })
+                .sum(),
             ModuleKind::Backbone => self.backbone.activation_bytes(shape.seq_len()),
             ModuleKind::Generator => {
                 self.generator.activation_bytes_image(shape.gen_res) * shape.gen_images as u64
@@ -345,9 +463,8 @@ mod tests {
         SampleShape {
             text_tokens: 4096,
             image_tokens: 4096,
-            num_images: 4,
+            image_resolutions: Resolutions::repeat(512, 4),
             gen_images: 1,
-            image_res: 512,
             gen_res: 512,
         }
     }
@@ -366,6 +483,38 @@ mod tests {
     fn sample_shape_seq_len_adds_up() {
         assert_eq!(shape().seq_len(), 8192);
         assert_eq!(SampleShape::text_only(100).seq_len(), 100);
+    }
+
+    #[test]
+    fn resolutions_compare_and_print_their_live_entries() {
+        let mut a: Resolutions = [512, 512].into_iter().collect();
+        assert_eq!(format!("{a:?}"), "[512, 512]");
+        assert_eq!(format!("{:?}", Resolutions::default()), "[]");
+        let stale = Resolutions {
+            len: 2,
+            res: [512, 512, 1024, 0, 0, 0, 0, 0, 0, 0],
+        };
+        assert_eq!(a, stale);
+        assert_eq!(a, Resolutions::repeat(512, 2));
+        assert_ne!(a, Resolutions::repeat(512, 3));
+        a[1] = 256;
+        assert_ne!(a, stale);
+        assert_eq!(a.len(), 2);
+        let full: Resolutions = std::iter::repeat_n(256, MAX_IMAGES).collect();
+        assert_eq!(full.len(), MAX_IMAGES);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 10 images")]
+    fn repeating_past_max_images_panics() {
+        let _ = Resolutions::repeat(256, MAX_IMAGES + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 10 images")]
+    fn pushing_past_max_images_panics() {
+        let mut full: Resolutions = std::iter::repeat_n(256, MAX_IMAGES).collect();
+        full.push(256);
     }
 
     #[test]

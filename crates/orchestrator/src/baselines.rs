@@ -14,6 +14,7 @@
 use crate::error::PlanError;
 use crate::formulate::ProblemSpec;
 use crate::profiler::TaskProfile;
+use dt_model::mllm::{Resolutions, SampleShape};
 use dt_model::{ModuleKind, MultimodalLlm};
 use dt_parallel::{ModulePlan, OrchestrationPlan};
 
@@ -33,20 +34,26 @@ fn paper_pp_lm(model: &MultimodalLlm) -> Option<u32> {
     }
 }
 
+/// The fixed sample the Megatron-LM and proportional-shrink baselines size
+/// and validate their plans for: half text, half image tokens over four
+/// 512-px images, one generation target.
+fn baseline_shape(model: &MultimodalLlm) -> SampleShape {
+    SampleShape {
+        text_tokens: model.seq_len / 2,
+        image_tokens: model.seq_len / 2,
+        image_resolutions: Resolutions::repeat(512, 4),
+        gen_images: 1,
+        gen_res: model.gen_resolution,
+    }
+}
+
 /// Megatron-LM's monolithic orchestration.
 pub fn megatron_plan(
     spec: &ProblemSpec,
     model: &MultimodalLlm,
 ) -> Result<OrchestrationPlan, PlanError> {
     let tp = spec.gpus_per_node.min(8);
-    let shape = dt_model::mllm::SampleShape {
-        text_tokens: model.seq_len / 2,
-        image_tokens: model.seq_len / 2,
-        num_images: 4,
-        gen_images: 1,
-        image_res: 512,
-        gen_res: model.gen_resolution,
-    };
+    let shape = baseline_shape(model);
     let bb_mem = model.module_memory(ModuleKind::Backbone, &shape);
     let mut pps: Vec<u32> = (1..=model.backbone.layers)
         .filter(|k| model.backbone.layers.is_multiple_of(*k))
@@ -152,14 +159,7 @@ pub fn proportional_shrink_plan(
         spec.gpus_per_node,
         spec.hbm_bytes,
         model,
-        &dt_model::mllm::SampleShape {
-            text_tokens: model.seq_len / 2,
-            image_tokens: model.seq_len / 2,
-            num_images: 4,
-            gen_images: 1,
-            image_res: 512,
-            gen_res: model.gen_resolution,
-        },
+        &baseline_shape(model),
         spec.global_batch,
     )
     .map_err(|_| PlanError::NoMemoryFeasiblePoint {

@@ -549,7 +549,11 @@ impl Orchestrator {
                 min_required: MIN_CLUSTER_GPUS,
             });
         }
-        let bs_over_m = spec.global_batch / spec.microbatch.max(1);
+        // DP_lm divides BS/M, and only whole microbatches make a batch: when
+        // M does not divide BS no DP width does, so BS/M counts as 0 and the
+        // lattice is empty.
+        let m = spec.microbatch.max(1);
+        let bs_over_m = spec.global_batch / m * u32::from(spec.global_batch.is_multiple_of(m));
         let layers = model.backbone.layers;
         // Memoized evaluation table, shared across searches: hit/miss
         // counts are reported as per-search deltas.

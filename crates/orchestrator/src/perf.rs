@@ -129,15 +129,35 @@ impl<'a> PerfModel<'a> {
 
     /// Forward time of `module` for ONE sample under TP size `tp` — the
     /// paper's `C_me/C_lm/C_mg(TP)` function (forward flavor). The
-    /// multimodal modules take two steps: a per-image price for the
-    /// sample's resolution, tabled when [`PerfModel::with_image_prices`]
-    /// covers it, then one per-sample combine.
+    /// multimodal modules take two steps: the per-image price of each of
+    /// the sample's images at its own resolution, tabled when
+    /// [`PerfModel::with_image_prices`] covers it, summed in integer
+    /// nanoseconds (`n` images of one resolution cost exactly `n ×` its
+    /// price); then one per-sample combine, which adds the projector and
+    /// the TP allreduces overlap does not hide. The encoder's input
+    /// projector is sized by the shape's image tokens, the generator's by
+    /// its targets.
     pub fn module_fwd_time(&self, module: ModuleKind, shape: &SampleShape, tp: u32) -> SimDuration {
         let tp = tp.max(1);
-        let (res, images) = match module {
-            ModuleKind::Encoder => (shape.image_res, shape.num_images),
+        let m = self.model;
+        let images = |res, n: usize| {
+            let one = self
+                .tabled(module, res, tp)
+                .unwrap_or_else(|| self.image_price(module, res, tp));
+            (one.compute * n as u64, one.allreduce * n as u64)
+        };
+        let ((compute, allreduce), proj_flops, allreduces) = match module {
+            ModuleKind::Encoder => (
+                shape
+                    .image_resolutions
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| images(run[0], run.len()))
+                    .fold(Default::default(), |(c, a), (dc, da)| (c + dc, a + da)),
+                m.input_projector.flops_forward(shape.image_tokens),
+                2 * m.encoder.trunk.layers as u64,
+            ),
             ModuleKind::Backbone => {
-                let bb = &self.model.backbone;
+                let bb = &m.backbone;
                 let seq = shape.seq_len();
                 let compute = self
                     .gpu
@@ -145,12 +165,15 @@ impl<'a> PerfModel<'a> {
                 let comm = self.tp_allreduce(tp, bb.tp_allreduce_bytes(seq), 2 * bb.layers as u64);
                 return compute + comm;
             }
-            ModuleKind::Generator => (shape.gen_res, shape.gen_images),
+            ModuleKind::Generator => (
+                images(shape.gen_res, shape.gen_images as usize),
+                m.output_projector
+                    .flops_forward(u64::from(shape.gen_images) * m.generator.context_len),
+                generator_blocks(&m.generator) as u64,
+            ),
         };
-        let price = self
-            .tabled(module, res, tp)
-            .unwrap_or_else(|| self.image_price(module, res, tp));
-        self.combine(module, &price, images, shape.image_tokens, tp)
+        let proj = self.gpu.compute_time(proj_flops / tp as f64);
+        compute + proj + self.exposed(tp, allreduce, allreduces)
     }
 
     /// The per-image part of the encoder's or generator's forward time
@@ -184,39 +207,6 @@ impl<'a> PerfModel<'a> {
             .coll
             .time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode);
         ImagePrice { compute, allreduce }
-    }
-
-    /// The per-sample combine: forward time of `module` for one sample of
-    /// `images` images (input images for the encoder, generation targets
-    /// for the generator) at `price`, plus the projector and the exposed
-    /// TP allreduces. `image_tokens` sizes the encoder's input projector;
-    /// the generator's projector is sized by its targets.
-    fn combine(
-        &self,
-        module: ModuleKind,
-        price: &ImagePrice,
-        images: u32,
-        image_tokens: u64,
-        tp: u32,
-    ) -> SimDuration {
-        let m = self.model;
-        let images = images as u64;
-        let (proj_flops, allreduces) = match module {
-            ModuleKind::Encoder => (
-                m.input_projector.flops_forward(image_tokens),
-                2 * m.encoder.trunk.layers as u64,
-            ),
-            ModuleKind::Backbone => return SimDuration::ZERO,
-            ModuleKind::Generator => {
-                let cond_tokens = images * m.generator.context_len;
-                (
-                    m.output_projector.flops_forward(cond_tokens),
-                    generator_blocks(&m.generator) as u64,
-                )
-            }
-        };
-        let proj = self.gpu.compute_time(proj_flops / tp as f64);
-        price.compute * images + proj + self.exposed(tp, price.allreduce, allreduces * images)
     }
 
     /// Backward time (2× forward compute, same TP communication count).
@@ -293,15 +283,15 @@ impl<'a> PerfModel<'a> {
 mod tests {
     use super::*;
     use dt_cluster::ClusterSpec;
+    use dt_model::mllm::Resolutions;
     use dt_model::MllmPreset;
 
     fn shape() -> SampleShape {
         SampleShape {
             text_tokens: 6144,
             image_tokens: 2048,
-            num_images: 2,
+            image_resolutions: Resolutions::repeat(512, 2),
             gen_images: 1,
-            image_res: 512,
             gen_res: 512,
         }
     }
@@ -341,9 +331,8 @@ mod tests {
                 &SampleShape {
                     text_tokens: 1024,
                     image_tokens: 7168,
-                    num_images: 7,
+                    image_resolutions: Resolutions::repeat(512, 7),
                     gen_images: 3,
-                    image_res: 512,
                     gen_res: 512,
                 },
                 8,
@@ -359,17 +348,15 @@ mod tests {
             let light = SampleShape {
                 text_tokens: 8064,
                 image_tokens: 128,
-                num_images: 1,
+                image_resolutions: Resolutions::repeat(256, 1),
                 gen_images: 0,
-                image_res: 256,
                 gen_res: 256,
             };
             let heavy = SampleShape {
                 text_tokens: 1024,
                 image_tokens: 7168,
-                num_images: 7,
+                image_resolutions: Resolutions::repeat(1024, 7),
                 gen_images: 3,
-                image_res: 1024,
                 gen_res: 1024,
             };
             let el = p.module_fwd_time(ModuleKind::Encoder, &light, 1);
@@ -383,7 +370,7 @@ mod tests {
     }
 
     /// `module_fwd_time` before the price/combine split, one formula per
-    /// module.
+    /// module, each image priced at its own resolution.
     fn unsplit_fwd_time(
         p: &PerfModel<'_>,
         module: ModuleKind,
@@ -392,32 +379,30 @@ mod tests {
     ) -> SimDuration {
         let tp = tp.max(1);
         let m = p.model;
-        let allreduce = |bytes, count| {
+        let one = |bytes| {
+            p.coll
+                .time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode)
+        };
+        let exposed = |raw: SimDuration| {
             if tp <= 1 {
                 return SimDuration::ZERO;
             }
-            let raw = p
-                .coll
-                .time(CollectiveKind::AllReduce, tp, bytes, CommDomain::IntraNode)
-                * count;
             raw.mul_f64(1.0 - p.tp_overlap.clamp(0.0, 1.0))
         };
+        let allreduce = |bytes, count| exposed(one(bytes) * count);
         match module {
             ModuleKind::Encoder => {
                 let trunk = &m.encoder.trunk;
-                let per_image = m.encoder.flops_forward_image(shape.image_res) / tp as f64;
-                let images = shape.num_images as u64;
-                let compute = p.gpu.compute_time_in_ops(per_image, trunk.layers) * images;
+                let (mut compute, mut raw) = (SimDuration::ZERO, SimDuration::ZERO);
+                for &res in shape.image_resolutions.iter() {
+                    let per_image = m.encoder.flops_forward_image(res) / tp as f64;
+                    compute += p.gpu.compute_time_in_ops(per_image, trunk.layers);
+                    raw += one(trunk.tp_allreduce_bytes(m.encoder.tokens_per_image(res)));
+                }
                 let proj = p
                     .gpu
                     .compute_time(m.input_projector.flops_forward(shape.image_tokens) / tp as f64);
-                let tokens_per_image = m.encoder.tokens_per_image(shape.image_res);
-                compute
-                    + proj
-                    + allreduce(
-                        trunk.tp_allreduce_bytes(tokens_per_image),
-                        2 * trunk.layers as u64 * images,
-                    )
+                compute + proj + exposed(raw * (2 * trunk.layers as u64))
             }
             ModuleKind::Backbone => {
                 let bb = &m.backbone;
@@ -455,7 +440,8 @@ mod tests {
     }
 
     /// The split (per-image price, per-sample combine) and the table both
-    /// reproduce the unsplit formula exactly.
+    /// reproduce the unsplit formula exactly, on one-resolution and on
+    /// mixed-resolution samples.
     #[test]
     fn tabled_image_prices_give_the_same_times() {
         let resolutions = [256, 384, 512, 768, 1024];
@@ -472,12 +458,19 @@ mod tests {
                     .clone()
                     .with_image_prices(ModuleKind::Encoder, &resolutions, tp)
                     .with_image_prices(ModuleKind::Generator, &resolutions, tp);
-                for (image_res, gen_res) in resolutions.iter().zip(resolutions.iter().rev()) {
-                    for (num_images, gen_images) in [(0, 0), (1, 0), (3, 2), (10, 10)] {
+                for (&image_res, &gen_res) in resolutions.iter().zip(resolutions.iter().rev()) {
+                    let mixed: Resolutions =
+                        [image_res, gen_res, 384, gen_res].into_iter().collect();
+                    for (image_resolutions, gen_images) in [
+                        (Resolutions::repeat(image_res, 0), 0),
+                        (Resolutions::repeat(image_res, 1), 0),
+                        (Resolutions::repeat(image_res, 3), 2),
+                        (Resolutions::repeat(image_res, 10), 10),
+                        (mixed, 1),
+                    ] {
                         let s = SampleShape {
-                            image_res: *image_res,
-                            gen_res: *gen_res,
-                            num_images,
+                            image_resolutions,
+                            gen_res,
                             gen_images,
                             ..shape()
                         };

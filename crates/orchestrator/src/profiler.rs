@@ -15,7 +15,8 @@
 
 use crate::perf::PerfModel;
 use dt_data::TrainSample;
-use dt_model::{mllm::SampleShape, ModuleKind};
+use dt_model::mllm::{Resolutions, SampleShape};
+use dt_model::ModuleKind;
 
 /// TP sizes profiled (one NVIDIA node, §4.3).
 pub const TRIAL_TPS: [u32; 4] = [1, 2, 4, 8];
@@ -109,8 +110,9 @@ pub struct Profiler;
 
 impl Profiler {
     /// Mean sample shape of a data subset — the "data distribution
-    /// analysis" step. Resolution is averaged in *area* (pixel count) so
-    /// the mean preserves total pixel work.
+    /// analysis" step: `round(mean count)` images, each at the RMS
+    /// resolution (averaged in *area*, pixel count, so the mean preserves
+    /// total pixel work).
     pub fn mean_shape(samples: &[TrainSample]) -> SampleShape {
         assert!(!samples.is_empty(), "cannot profile an empty data subset");
         let n = samples.len() as f64;
@@ -129,7 +131,11 @@ impl Profiler {
         let mean_area = if total_imgs == 0 {
             512.0 * 512.0
         } else {
-            samples.iter().map(|s| s.total_pixels()).sum::<u64>() as f64 / total_imgs as f64
+            samples
+                .iter()
+                .map(|s| s.image_resolutions.pixels())
+                .sum::<u64>() as f64
+                / total_imgs as f64
         };
         let gen_res = samples
             .iter()
@@ -139,9 +145,11 @@ impl Profiler {
         SampleShape {
             text_tokens: text.round() as u64,
             image_tokens: image.round() as u64,
-            num_images: imgs.round().max(0.0) as u32,
+            image_resolutions: Resolutions::repeat(
+                (mean_area.sqrt().round() as u32).max(64),
+                imgs.round().max(0.0) as usize,
+            ),
             gen_images: gens.round().max(0.0) as u32,
-            image_res: (mean_area.sqrt().round() as u32).max(64),
             gen_res,
         }
     }
@@ -224,7 +232,7 @@ mod tests {
             (8191..=8193).contains(&total),
             "mean shape drifted: {total}"
         );
-        assert_eq!(shape.image_res, 512);
+        assert!(shape.image_resolutions.iter().all(|&r| r == 512));
     }
 
     #[test]

@@ -243,9 +243,8 @@ mod tests {
         SampleShape {
             text_tokens: 6144,
             image_tokens: 2048,
-            num_images: 2,
+            image_resolutions: dt_model::mllm::Resolutions::repeat(512, 2),
             gen_images: 1,
-            image_res: 512,
             gen_res: 512,
         }
     }

@@ -13,25 +13,10 @@ trap 'rm -rf "$VERIFY_TMP"' EXIT
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo fmt --check -p dt-elastic -p dt-bench -p dt-data -p dt-reorder -p disttrain-core -p dt-orchestrator -p dt-serve -p dt-pipeline -p dt-check -p dt-simengine -p dt-telemetry -p dt-cluster -p dt-parallel -p dt-stepccl -p dt-model -p dt-preprocess -p disttrain"
-# Formatting gate, crate by crate as each is brought to rustfmt's output.
-cargo fmt --check -p dt-elastic
-cargo fmt --check -p dt-bench
-cargo fmt --check -p dt-data
-cargo fmt --check -p dt-reorder
-cargo fmt --check -p disttrain-core
-cargo fmt --check -p dt-orchestrator
-cargo fmt --check -p dt-serve
-cargo fmt --check -p dt-pipeline
-cargo fmt --check -p dt-check
-cargo fmt --check -p dt-simengine
-cargo fmt --check -p dt-telemetry
-cargo fmt --check -p dt-cluster
-cargo fmt --check -p dt-parallel
-cargo fmt --check -p dt-stepccl
-cargo fmt --check -p dt-model
-cargo fmt --check -p dt-preprocess
-cargo fmt --check -p disttrain
+echo "==> cargo fmt --all --check"
+# Formatting gate over the whole workspace: every crate under crates/ and
+# the facade (src, tests, examples), so a new crate is covered too.
+cargo fmt --all --check
 
 echo "==> crate layering (the training core and the planner daemon never link the data plane)"
 # DistTrain disaggregates preprocessing from training (§5.1): only dt-check,

@@ -18,9 +18,8 @@ fn check_plan(task: &TrainingTask, kind: SystemKind) {
     let shape = dt_model::mllm::SampleShape {
         text_tokens: 4096,
         image_tokens: 4096,
-        num_images: 4,
+        image_resolutions: dt_model::mllm::Resolutions::repeat(512, 4),
         gen_images: 2,
-        image_res: 512,
         gen_res: task.data.gen_resolution,
     };
     plan.validate(

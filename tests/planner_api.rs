@@ -72,22 +72,29 @@ fn two_gpu_cluster_diagnoses_as_cluster_too_small() {
 
 #[test]
 fn indivisible_batch_diagnoses_as_empty_lattice() {
+    // A microbatch larger than the batch (BS/M = 0), and one that does not
+    // divide it although BS/M ≥ 1: no DP width splits either batch into
+    // whole microbatches, so neither reaches the HBM gate.
     let model = MllmPreset::Mllm9B.build();
-    let profile = profile_for(&model, 12, 17);
-    let orch = Orchestrator::builder()
-        .spec(ProblemSpec {
-            global_batch: 16,
-            microbatch: 32,
-            ..base()
-        })
-        .build()
-        .unwrap();
-    assert_eq!(
-        orch.plan_with_profile(&model, &profile).unwrap_err(),
-        PlanError::EmptyLattice {
-            pairs_considered: 0
-        }
-    );
+    for (nodes, total_gpus, global_batch, microbatch) in [(12, 96, 16, 32), (2, 16, 10, 3)] {
+        let profile = profile_for(&model, nodes, 17);
+        let orch = Orchestrator::builder()
+            .spec(ProblemSpec {
+                total_gpus,
+                global_batch,
+                microbatch,
+                ..base()
+            })
+            .build()
+            .unwrap();
+        assert_eq!(
+            orch.plan_with_profile(&model, &profile).unwrap_err(),
+            PlanError::EmptyLattice {
+                pairs_considered: 0
+            },
+            "batch {global_batch}, microbatch {microbatch}"
+        );
+    }
 }
 
 #[test]
